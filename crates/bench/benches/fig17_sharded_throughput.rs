@@ -27,10 +27,7 @@
 //! separate variable from fig16's `MMQJP_BENCH_JSON`, which is set for the
 //! whole bench run in CI and must keep naming fig16's artifact.)
 
-use mmqjp_bench::{
-    figure_header, run_front_stage1_comparison, run_sharded_rss_benchmark, scale,
-    FrontStage1Comparison, ShardedRssRun,
-};
+use mmqjp_bench::{figure_header, run_sharded_rss_benchmark, scale, ShardedRssRun};
 use mmqjp_core::ProcessingMode;
 
 /// Fixed workload seed: the query set and stream are deterministic, so two
@@ -98,23 +95,6 @@ pub fn main() {
         }
     }
 
-    // Streaming-vs-DOM Stage-1 front comparison at the full query count:
-    // the shared automaton answers every pattern in one traversal, so its
-    // Stage-1 time must stay clearly below the per-pattern DOM front.
-    let front = run_front_stage1_comparison(ProcessingMode::Mmqjp, num_queries, items, batch, SEED);
-    let ratio = front.streaming.as_secs_f64() / front.dom.as_secs_f64().max(f64::MIN_POSITIVE);
-    println!(
-        "\nStage-1 front at {num_queries} queries: streaming {:.1} ms vs DOM {:.1} ms \
-         ({ratio:.2}x), {} matches each",
-        front.streaming.as_secs_f64() * 1e3,
-        front.dom.as_secs_f64() * 1e3,
-        front.matches_streaming,
-    );
-    assert_eq!(
-        front.matches_streaming, front.matches_dom,
-        "streaming and DOM fronts must be byte-identical"
-    );
-
     if let Ok(path) = std::env::var("MMQJP_BENCH_JSON_FIG17") {
         // Bench binaries run with the package directory as CWD; anchor
         // relative paths at the workspace root so CI finds the artifact.
@@ -124,14 +104,7 @@ pub fn main() {
                 .join("../..")
                 .join(target);
         }
-        let json = fig17_json(
-            &format!("{:?}", scale),
-            items,
-            batch,
-            num_queries,
-            &front,
-            &series,
-        );
+        let json = fig17_json(&format!("{:?}", scale), items, batch, num_queries, &series);
         match std::fs::write(&target, json) {
             Ok(()) => println!("\nwrote sharding series to {}", target.display()),
             // Fail loudly: CI uploads this file, and a swallowed write error
@@ -150,11 +123,9 @@ fn fig17_json(
     items: usize,
     batch: usize,
     queries: usize,
-    front: &FrontStage1Comparison,
     series: &[(&str, &str, usize, ShardedRssRun)],
 ) -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let ratio = front.streaming.as_secs_f64() / front.dom.as_secs_f64().max(f64::MIN_POSITIVE);
     let mut out = String::from("{\n");
     out.push_str("  \"figure\": \"fig17_sharded_throughput\",\n");
     out.push_str(&format!("  \"scale\": \"{scale}\",\n"));
@@ -164,25 +135,14 @@ fn fig17_json(
     out.push_str(&format!("  \"seed\": {SEED},\n"));
     out.push_str(&format!("  \"front_pool\": {FRONT_POOL},\n"));
     out.push_str(&format!("  \"cores\": {cores},\n"));
-    out.push_str(&format!(
-        "  \"stage1_streaming_ms\": {:.3},\n",
-        front.streaming.as_secs_f64() * 1e3
-    ));
-    out.push_str(&format!(
-        "  \"stage1_dom_ms\": {:.3},\n",
-        front.dom.as_secs_f64() * 1e3
-    ));
-    out.push_str(&format!("  \"stage1_ratio\": {ratio:.3},\n"));
-    out.push_str(&format!(
+    out.push_str(
         "  \"note\": \"docs_per_sec is end-to-end wall clock; parse_ms is total Stage-1 \
          work summed across shards and front (grows with shards when replicated, flat \
-         when hybrid); stage1_ratio is the shared streaming automaton's Stage-1 time over \
-         the per-pattern DOM front's at {queries} queries (single engine, identical output; \
-         must stay <= 0.7); every row's matches must be nonzero — the workload joins \
+         when hybrid); every row's matches must be nonzero — the workload joins \
          fields with themselves, so cross-document joins fire; absolute numbers vary by \
          machine — only the cross-topology ratios at equal shard counts are comparable \
          across runs\",\n",
-    ));
+    );
     out.push_str("  \"series\": [\n");
     let entries: Vec<String> = series
         .iter()

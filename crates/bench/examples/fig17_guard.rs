@@ -43,11 +43,6 @@ const CROSS_TOPOLOGY_SHARDS: u64 = 8;
 /// comparisons of the committed artifact are meaningless if the query set
 /// changed, so the guard refuses artifacts produced with any other seed.
 const EXPECTED_SEED: u64 = 16;
-/// The shared streaming automaton's Stage-1 time over the per-pattern DOM
-/// front's, measured best-of-N by the bench on a single engine with
-/// identical output. One traversal answering every pattern must beat one
-/// matcher walk per pattern by a clear margin, not a rounding error.
-const STAGE1_RATIO_MAX: f64 = 0.7;
 
 fn main() {
     let path = std::env::args().nth(1).unwrap_or_else(|| {
@@ -62,7 +57,6 @@ fn main() {
     // different seed, or missing the workload-scale header, cannot be
     // compared against future runs — fail before checking any ratio.
     let mut header = Header::default();
-    let mut stage1_ratio = None;
     let mut replicated = None;
     let mut replicated_parse = None;
     let mut hybrid = None;
@@ -78,7 +72,6 @@ fn main() {
             header.scale = header
                 .scale
                 .or_else(|| str_field(line, "\"scale\":").map(str::to_owned));
-            stage1_ratio = stage1_ratio.or_else(|| f64_field(line, "\"stage1_ratio\":"));
             continue;
         }
         let (Some(mode), Some(topology), Some(shards), Some(dps), Some(parse_ms), Some(matches)) = (
@@ -139,16 +132,6 @@ fn main() {
     );
     println!(
         "fig17 guard preconditions: seed {seed}, scale {scale}, batch {batch}, {queries} queries"
-    );
-
-    let stage1_ratio = stage1_ratio.unwrap_or_else(|| panic!("no stage1_ratio header in {path}"));
-    println!("fig17 guard Stage-1 front: streaming/DOM ratio {stage1_ratio:.3}");
-    assert!(
-        stage1_ratio <= STAGE1_RATIO_MAX,
-        "streaming front regressed: the shared automaton's Stage-1 time is {stage1_ratio:.3}x \
-         the per-pattern DOM front's (must stay <= {STAGE1_RATIO_MAX}) — one traversal \
-         answering all {queries} queries' patterns should be clearly cheaper than one matcher \
-         walk per pattern"
     );
 
     let replicated = replicated.unwrap_or_else(|| {

@@ -194,88 +194,6 @@ pub fn run_rss_benchmark(
     }
 }
 
-/// Result of the streaming-vs-DOM Stage-1 front comparison on the RSS
-/// workload (recorded alongside the Figure-17 artifact).
-#[derive(Debug, Clone, Copy)]
-pub struct FrontStage1Comparison {
-    /// Total Stage-1 time with the shared streaming automaton
-    /// ([`EngineConfig::streaming_front`] on): one document traversal
-    /// answers every registered pattern.
-    pub streaming: Duration,
-    /// Total Stage-1 time with the per-pattern DOM front end
-    /// (`streaming_front` off): one matcher run per distinct pattern.
-    pub dom: Duration,
-    /// Matches produced by the streaming run.
-    pub matches_streaming: usize,
-    /// Matches produced by the DOM run (must equal the streaming count —
-    /// the two fronts are required to be byte-identical).
-    pub matches_dom: usize,
-}
-
-/// Replay the RSS workload through a single engine with each Stage-1
-/// strategy — the shared streaming automaton and the per-pattern DOM front —
-/// and report the Stage-1 time of each. Both runs use the same seed, so the
-/// query set, stream and match output are identical; only the Stage-1
-/// strategy differs.
-///
-/// Each leg is replayed `1 + REPS` times (one warmup, then `REPS` timed
-/// repetitions, legs interleaved) and the *minimum* Stage-1 time is kept:
-/// at artifact scale one replay is a handful of milliseconds, where a single
-/// scheduler preemption or clock ramp would otherwise dominate the ratio.
-pub fn run_front_stage1_comparison(
-    mode: ProcessingMode,
-    num_queries: usize,
-    items: usize,
-    batch: usize,
-    seed: u64,
-) -> FrontStage1Comparison {
-    const REPS: usize = 5;
-    let generator = RssQueryGenerator::new(0.8);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let queries = generator.generate_queries(num_queries, &mut rng);
-    let docs = RssStreamGenerator::new(RssStreamConfig {
-        items,
-        ..RssStreamConfig::default()
-    })
-    .documents();
-
-    let replay = |streaming: bool| -> (Duration, usize) {
-        let config = EngineConfig {
-            mode,
-            ..EngineConfig::default()
-        }
-        .with_retain_documents(false)
-        .with_streaming_front(streaming);
-        let mut engine = engine_with_config(config, &queries);
-        let mut matches = 0usize;
-        for chunk in docs.chunks(batch.max(1)) {
-            matches += engine
-                .process_batch(chunk.to_vec())
-                .expect("batch processes")
-                .len();
-        }
-        (engine.stats().timings.xpath, matches)
-    };
-
-    let mut times = [Duration::MAX; 2];
-    let mut match_counts = [0usize; 2];
-    for rep in 0..=REPS {
-        for (i, streaming) in [true, false].into_iter().enumerate() {
-            let (t, matches) = replay(streaming);
-            match_counts[i] = matches;
-            if rep > 0 {
-                times[i] = times[i].min(t);
-            }
-        }
-    }
-    FrontStage1Comparison {
-        streaming: times[0],
-        dom: times[1],
-        matches_streaming: match_counts[0],
-        matches_dom: match_counts[1],
-    }
-}
-
 /// Result of one sharded RSS stream replay (Figure 17).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedRssRun {
@@ -612,17 +530,6 @@ mod tests {
         assert_eq!(replicated.documents_processed, 200);
         assert!(hybrid.parse_time > Duration::ZERO);
         assert!(hybrid.join_time > Duration::ZERO);
-    }
-
-    #[test]
-    fn front_stage1_comparison_outputs_agree() {
-        let cmp = run_front_stage1_comparison(ProcessingMode::Mmqjp, 30, 100, 50, 3);
-        // Byte-identical fronts ⇒ identical match counts; the fixed RSS
-        // workload joins fields with themselves, so joins actually fire.
-        assert_eq!(cmp.matches_streaming, cmp.matches_dom);
-        assert!(cmp.matches_streaming > 0, "workload must produce matches");
-        assert!(cmp.streaming > Duration::ZERO);
-        assert!(cmp.dom > Duration::ZERO);
     }
 
     #[test]

@@ -56,12 +56,30 @@ pub enum FaultPolicy {
     /// matches stop; registrations hashing to it error) while every other
     /// shard keeps serving. The replay log is still maintained, so a manual
     /// `ShardedEngine::respawn_shard` heals the shard later with its full
-    /// state. Poison documents behave as under
-    /// [`FailFast`](FaultPolicy::FailFast).
+    /// state. Poison documents fail their batch as under
+    /// [`FailFast`](FaultPolicy::FailFast); in the replicated topology the
+    /// failed batch additionally spends no sequence numbers, because its
+    /// shards never see it.
     Degrade,
 }
 
-/// Configuration of an [`MmqjpEngine`](crate::MmqjpEngine).
+/// Configuration of an [`MmqjpEngine`](crate::MmqjpEngine) or a
+/// [`ShardedEngine`](crate::ShardedEngine) (which hands every shard a copy).
+///
+/// Ten fields in three groups: what Stage 2 runs ([`mode`](Self::mode),
+/// [`view_cache_capacity`](Self::view_cache_capacity)); what state is kept
+/// and for how long ([`retain_documents`](Self::retain_documents),
+/// [`prune_state_by_window`](Self::prune_state_by_window),
+/// [`doc_retention_cap`](Self::doc_retention_cap),
+/// [`state_bucket_width`](Self::state_bucket_width)); and how the stream is
+/// policed and spread over threads
+/// ([`enforce_in_order`](Self::enforce_in_order),
+/// [`fault_policy`](Self::fault_policy), [`num_shards`](Self::num_shards),
+/// [`front_pool`](Self::front_pool)).
+///
+/// Stage 1 has no knob: every engine and topology runs the one streaming
+/// front ([`crate::front`]). Registration-time plan verification and the
+/// purge of dead view-cache slices on unregistration are always on.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// The Stage-2 strategy.
@@ -112,16 +130,6 @@ pub struct EngineConfig {
     /// default) derives the width from the registered windows:
     /// `max(1, bound / 16)`.
     pub state_bucket_width: Option<u64>,
-    /// When a query unregisters and some canonical variables lose their last
-    /// live pattern, drop the view-cache slices that still carry rows under
-    /// those variables. The slices are pure caches — dropping them never
-    /// changes results (survivors' slices are recomputed on demand) — so
-    /// this is a memory/latency trade-off: leave it on (the default) for
-    /// long-running deployments with subscription churn; turn it off to
-    /// keep unregistration strictly O(registry footprint) with stale slice
-    /// rows left to age out through window expiry. Only meaningful in
-    /// [`ProcessingMode::MmqjpViewMat`].
-    pub purge_views_on_unregister: bool,
     /// Reject documents whose timestamp is older than the newest timestamp
     /// already processed. The paper assumes in-order streams; disabling this
     /// lets out-of-order events in (they simply join as if on time).
@@ -142,24 +150,6 @@ pub struct EngineConfig {
     /// witness rows are routed to the query shards that subscribed to them.
     /// Ignored by the single-threaded [`MmqjpEngine`](crate::MmqjpEngine).
     pub front_pool: usize,
-    /// Verify every compiled physical plan against its source conjunctive
-    /// query at registration time (schema/variable coverage, join-graph
-    /// connectivity, the batch-restriction soundness precondition, …).
-    /// Verification is a few microseconds per registration and turns subtle
-    /// planner regressions into immediate, typed
-    /// [`RegistrationError`](crate::CoreError)s, so it defaults to on;
-    /// disable it only for registration-throughput experiments.
-    pub verify_plans: bool,
-    /// Evaluate Stage 1 through the shared streaming automaton: one
-    /// traversal per document evaluates the bottom-up pass of **every**
-    /// registered pattern (join blocks and single-block subscriptions
-    /// alike), instead of one matcher walk per distinct pattern. Match
-    /// output is byte-identical to the per-pattern DOM path, which stays
-    /// available as the fallback (`false`). Defaults to on; the environment
-    /// variable `MMQJP_STREAMING_FRONT` (`0`/`false`/`off` to disable)
-    /// overrides the default so CI can sweep both paths without code
-    /// changes.
-    pub streaming_front: bool,
     /// How worker death and poison input are handled (see [`FaultPolicy`]).
     /// The default, [`FaultPolicy::FailFast`], keeps the historical
     /// fail-the-batch / brick-the-shard behavior and costs nothing; the
@@ -167,19 +157,6 @@ pub struct EngineConfig {
     /// replay log in [`ShardedEngine`](crate::ShardedEngine) so dead shards
     /// can be rebuilt deterministically.
     pub fault_policy: FaultPolicy,
-}
-
-/// The process-wide default for
-/// [`streaming_front`](EngineConfig::streaming_front): on, unless the
-/// `MMQJP_STREAMING_FRONT` environment variable disables it.
-pub fn streaming_front_default() -> bool {
-    match std::env::var("MMQJP_STREAMING_FRONT") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "0" || v == "false" || v == "off" || v == "no")
-        }
-        Err(_) => true,
-    }
 }
 
 impl Default for EngineConfig {
@@ -191,12 +168,9 @@ impl Default for EngineConfig {
             prune_state_by_window: false,
             doc_retention_cap: None,
             state_bucket_width: None,
-            purge_views_on_unregister: true,
             enforce_in_order: false,
             num_shards: 1,
             front_pool: 0,
-            verify_plans: true,
-            streaming_front: streaming_front_default(),
             fault_policy: FaultPolicy::FailFast,
         }
     }
@@ -257,12 +231,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style setter for view-cache purging on unregistration.
-    pub fn with_purge_views_on_unregister(mut self, purge: bool) -> Self {
-        self.purge_views_on_unregister = purge;
-        self
-    }
-
     /// Builder-style setter for the shard count used by
     /// [`ShardedEngine`](crate::ShardedEngine).
     pub fn with_num_shards(mut self, num_shards: usize) -> Self {
@@ -276,18 +244,6 @@ impl EngineConfig {
     /// Stage-1 workers.
     pub fn with_front_pool(mut self, front_pool: usize) -> Self {
         self.front_pool = front_pool;
-        self
-    }
-
-    /// Builder-style setter for registration-time plan verification.
-    pub fn with_verify_plans(mut self, verify: bool) -> Self {
-        self.verify_plans = verify;
-        self
-    }
-
-    /// Builder-style setter for the streaming Stage-1 front end.
-    pub fn with_streaming_front(mut self, streaming: bool) -> Self {
-        self.streaming_front = streaming;
         self
     }
 
@@ -311,12 +267,8 @@ mod tests {
         assert!(!c.prune_state_by_window);
         assert_eq!(c.doc_retention_cap, None);
         assert_eq!(c.state_bucket_width, None);
-        assert!(c.purge_views_on_unregister);
         assert_eq!(c.num_shards, 1);
         assert_eq!(c.front_pool, 0);
-        assert!(c.verify_plans);
-        // The default tracks the (possibly env-overridden) process default.
-        assert_eq!(c.streaming_front, streaming_front_default());
         assert_eq!(c.fault_policy, FaultPolicy::FailFast);
     }
 
@@ -338,22 +290,16 @@ mod tests {
             .with_prune_state_by_window(true)
             .with_doc_retention_cap(Some(5000))
             .with_state_bucket_width(Some(50))
-            .with_purge_views_on_unregister(false)
             .with_num_shards(4)
             .with_front_pool(2)
-            .with_verify_plans(false)
-            .with_streaming_front(false)
             .with_fault_policy(FaultPolicy::Quarantine);
         assert_eq!(c.view_cache_capacity, Some(128));
         assert!(!c.retain_documents);
         assert!(c.prune_state_by_window);
         assert_eq!(c.doc_retention_cap, Some(5000));
         assert_eq!(c.state_bucket_width, Some(50));
-        assert!(!c.purge_views_on_unregister);
         assert_eq!(c.num_shards, 4);
         assert_eq!(c.front_pool, 2);
-        assert!(!c.verify_plans);
-        assert!(!c.streaming_front);
         assert_eq!(c.fault_policy, FaultPolicy::Quarantine);
     }
 

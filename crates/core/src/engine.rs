@@ -1,11 +1,22 @@
 //! The MMQJP engine: two-stage processing of XML streams against a large set
 //! of registered XSCL queries (Algorithms 1–5 of the paper).
+//!
+//! [`MmqjpEngine`] is the in-thread instance of the pipeline
+//! `front → route → join → merge`: [`process_batch`](MmqjpEngine::process_batch)
+//! runs the Stage-1 front ([`crate::front`]) inline, wraps its output in a
+//! [`RoutedBatch`] and feeds it to the join stage,
+//! [`process_witness_batch`](MmqjpEngine::process_witness_batch) — Stage 2,
+//! output construction and state maintenance. With one consumer there is
+//! nothing to route or merge. The hybrid
+//! [`ShardedEngine`](crate::ShardedEngine) runs the same front on worker
+//! threads and calls the same join stage on every shard.
 
 use crate::audit::AuditViolation;
-use crate::config::{EngineConfig, FaultPolicy, ProcessingMode};
+use crate::config::{EngineConfig, ProcessingMode};
 use crate::cqt::PlanInputKind;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::QuarantineRecord;
+use crate::front::{self, PoisonHandling};
 use crate::output::{construct_join_output, Binding, MatchOutput};
 use crate::registry::{QueryRuntime, Registration, Registry};
 use crate::relations::{rl_row, schemas, RoutedBatch, WitnessBatch};
@@ -16,7 +27,7 @@ use mmqjp_relational::{
     ChunkedRows, ExecScratch, FxHashMap, PlanInput, Relation, RowRef, StringInterner, Symbol,
 };
 use mmqjp_xml::{DocId, Document, NodeId};
-use mmqjp_xpath::{PatternMatcher, SharedPass, TreePattern};
+use mmqjp_xpath::{SharedPass, TreePattern};
 use mmqjp_xscl::{JoinOp, QueryId, SelectClause, Side, XsclQuery};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -40,6 +51,9 @@ pub struct MmqjpEngine {
     /// Pooled executor buffers (selection vectors, join hash tables,
     /// row-id intermediates) reused by every plan execution of this engine.
     scratch: ExecScratch,
+    /// The front's automaton-pass buffer; kept for the engine's lifetime so
+    /// a warm Stage 1 allocates nothing per document.
+    pass: SharedPass,
     stats: EngineStats,
     next_doc_seq: u64,
     newest_timestamp: u64,
@@ -65,13 +79,12 @@ impl MmqjpEngine {
     /// all of them and shared strings are stored once.
     pub fn with_interner(config: EngineConfig, interner: Arc<StringInterner>) -> Self {
         let view_cache = ViewCache::new(config.view_cache_capacity);
-        let mut registry = Registry::new(Arc::clone(&interner));
-        registry.set_verify_plans(config.verify_plans);
         MmqjpEngine {
-            registry,
+            registry: Registry::new(Arc::clone(&interner)),
             state: JoinState::new(config.prune_state_by_window),
             view_cache,
             scratch: ExecScratch::new(),
+            pass: SharedPass::default(),
             stats: EngineStats::default(),
             next_doc_seq: 0,
             newest_timestamp: 0,
@@ -203,32 +216,14 @@ impl MmqjpEngine {
             return Ok(0);
         }
         let t0 = Instant::now();
-        let mut batch = WitnessBatch::new();
-        let requested = self.registry.requested_edges().clone();
-        let mut pass = SharedPass::default();
-        for doc in docs {
-            self.next_doc_seq = self.next_doc_seq.max(doc.id().raw());
-            self.newest_timestamp = self.newest_timestamp.max(doc.timestamp().raw());
-            let results = if self.config.streaming_front {
-                self.registry
-                    .pattern_index_mut()
-                    .shared_pass_reusing(doc, &mut pass);
-                self.registry
-                    .pattern_index()
-                    .edge_bindings_from_pass(doc, &requested, &pass)
-            } else {
-                self.registry
-                    .pattern_index_mut()
-                    .evaluate_edge_bindings(doc, &requested)
-            };
-            let with_patterns: Vec<(&TreePattern, Vec<mmqjp_xpath::EdgeBinding>)> = results
-                .into_iter()
-                .map(|(pid, bindings)| (self.registry.pattern_index().pattern(pid), bindings))
-                .collect();
-            batch.add_document(doc, &with_patterns, &self.interner)?;
-        }
-        let rows = batch.rbin_w.len() + batch.rdoc_w.len();
+        let mut subs = self.registry.stage1();
+        // The batch's single-block matches were delivered in its first life.
+        subs.singles.clear();
+        let (batch, _, _) =
+            front::evaluate_batch(&mut subs, docs, &mut self.pass, &self.interner, false)?;
+        let rows = batch.num_witness_rows();
         let meta: Vec<(DocId, u64)> = docs.iter().map(|d| (d.id(), d.timestamp().raw())).collect();
+        self.advance_watermarks(&meta);
         self.maintain_state(batch, &meta, docs, None)?;
         self.stats.rows_replayed += rows;
         self.stats.timings.recovery += t0.elapsed();
@@ -244,14 +239,22 @@ impl MmqjpEngine {
         self.newest_timestamp = self.newest_timestamp.max(newest);
     }
 
+    /// Move the stream watermarks up to cover documents stamped elsewhere
+    /// (by a front stage, or in a previous life).
+    fn advance_watermarks(&mut self, doc_meta: &[(DocId, u64)]) {
+        for &(doc, ts) in doc_meta {
+            self.restore_watermarks(doc.raw(), ts);
+        }
+    }
+
     /// Unregister a query, incrementally releasing every shared structure it
     /// participated in: its `RT` tuples are removed in place (an emptied
     /// template is retired from the catalog), its Stage-1 pattern and
     /// requested-edge registrations are released through reference counts,
     /// the window bounds are recomputed so document retention can tighten,
     /// and view-cache slices carrying rows under now-dead canonical
-    /// variables are reclaimed (see
-    /// [`EngineConfig::purge_views_on_unregister`]).
+    /// variables are reclaimed (they are pure caches, so results never
+    /// depend on it).
     ///
     /// The cost is O(the departing query's footprint) — never a registry
     /// rebuild. Freed [`QueryId`]s are tombstoned and never reused, so shard
@@ -268,7 +271,7 @@ impl MmqjpEngine {
         self.stats.queries_unregistered += 1;
         self.stats.templates_retired += effects.templates_retired;
         self.stats.patterns_dropped += effects.patterns_dropped;
-        if self.config.purge_views_on_unregister && !effects.dead_vars.is_empty() {
+        if !effects.dead_vars.is_empty() {
             let dead: HashSet<Symbol> = effects.dead_vars.iter().copied().collect();
             self.stats.view_slices_invalidated += self.view_cache.purge_dead_vars(&dead);
         }
@@ -311,137 +314,57 @@ impl MmqjpEngine {
         if docs.is_empty() {
             return Ok(Vec::new());
         }
-        let mut timings = PhaseTimings::default();
 
-        // ---- Stage 1: XPath evaluation & witness construction -------------
+        // ---- Stage 1: the front, inline -----------------------------------
         let t0 = Instant::now();
-        let mut batch = WitnessBatch::new();
-        let mut prepared_docs = Vec::with_capacity(docs.len());
-        let mut single_block_outputs = Vec::new();
-        // Cloned once per batch: the registry cannot hand out a borrow while
-        // the pattern index is evaluated mutably below.
-        let requested = self.registry.requested_edges().clone();
-        // Reused across the batch's documents so the shared automaton pass
-        // stays allocation-free after the first document.
-        let mut pass = SharedPass::default();
-        for (doc_index, mut doc) in docs.into_iter().enumerate() {
-            // Screen before committing the sequence number, so a quarantined
-            // document leaves no gap: the surviving stream gets the exact
-            // ids a fresh engine fed only the survivors would assign.
-            let tentative = self.next_doc_seq + 1;
-            let ts = match doc.timestamp().raw() {
-                0 => tentative,
-                raw => raw,
-            };
-            if self.config.enforce_in_order && ts < self.newest_timestamp {
-                let error = CoreError::OutOfOrderDocument {
-                    timestamp: ts,
-                    newest: self.newest_timestamp,
-                };
-                if self.config.fault_policy == FaultPolicy::FailFast {
-                    // Historical semantics: the rejected document consumes
-                    // its sequence number and fails the whole batch.
-                    self.next_doc_seq = tentative;
-                    return Err(error);
-                }
-                self.quarantine.push(QuarantineRecord {
-                    batch: batch_index,
-                    doc_index,
-                    timestamp: ts,
-                    error,
-                });
-                self.stats.docs_quarantined += 1;
-                continue;
-            }
-            self.next_doc_seq = tentative;
-            doc.set_id(DocId(tentative));
-            doc.set_timestamp(mmqjp_xml::Timestamp(ts));
-            self.newest_timestamp = self.newest_timestamp.max(ts);
-
-            // Single-block subscriptions are answered directly from Stage 1.
-            let results = if self.config.streaming_front {
-                // Streaming front end: one shared automaton pass over the
-                // document answers every registered pattern at once; both the
-                // single-block witnesses and the join edge bindings are then
-                // derived from the same satisfiability sets.
-                self.registry
-                    .pattern_index_mut()
-                    .shared_pass_reusing(&doc, &mut pass);
-                single_block_outputs.extend(self.match_single_blocks_from_pass(&doc, &pass));
-                self.registry
-                    .pattern_index()
-                    .edge_bindings_from_pass(&doc, &requested, &pass)
-            } else {
-                single_block_outputs.extend(self.match_single_block_queries(&doc));
-                self.registry
-                    .pattern_index_mut()
-                    .evaluate_edge_bindings(&doc, &requested)
-            };
-            let with_patterns: Vec<(&TreePattern, Vec<mmqjp_xpath::EdgeBinding>)> = results
-                .into_iter()
-                .map(|(pid, bindings)| (self.registry.pattern_index().pattern(pid), bindings))
-                .collect();
-            let t_ingest = Instant::now();
-            batch.add_document(&doc, &with_patterns, &self.interner)?;
-            timings.ingest += t_ingest.elapsed();
-            prepared_docs.push(doc);
-        }
-        timings.xpath += t0.elapsed().saturating_sub(timings.ingest);
-
-        // Every document quarantined: nothing entered the stream, so there
-        // is no Stage 2 to run and no state to maintain.
-        if prepared_docs.is_empty() {
-            self.stats.timings += timings;
-            return Ok(single_block_outputs);
-        }
-
-        // ---- Stage 2: value-join processing --------------------------------
-        // The compiled plans execute over *borrowed* state: the registry's
-        // templates (plans and RT relations), the segmented join state and
-        // the batch's witness relations are read in place — nothing is
-        // cloned or moved per batch. Split field borrows keep the scratch
-        // pool and view cache writable alongside.
-        let mut outputs = single_block_outputs;
-        // The per-batch RbinW index built during view-materialized
-        // evaluation is handed on to maintenance so it is never built twice.
-        let mut rbinw_index: Option<RbinwByDocnode> = None;
-        if self.registry.num_templates() > 0 && !batch.is_empty() {
-            let result_rows = self.evaluate_stage2(&batch, &mut rbinw_index, &mut timings)?;
-            let t_out = Instant::now();
-            for (rid, rows) in result_rows {
-                outputs.extend(self.produce_outputs(rid, &rows, &batch, &prepared_docs)?);
-            }
-            timings.output += t_out.elapsed();
-        }
-
-        // ---- Maintenance (Algorithm 2 / 5) ---------------------------------
-        let meta: Vec<(DocId, u64)> = prepared_docs
-            .iter()
-            .map(|d| (d.id(), d.timestamp().raw()))
-            .collect();
-        let t_maint = Instant::now();
-        let maintenance = self.maintain_state(batch, &meta, &prepared_docs, rbinw_index);
-        timings.maintenance += t_maint.elapsed();
-        maintenance?;
-
-        self.stats.documents_processed += prepared_docs.len();
+        let offered = docs.len();
+        let docs = front::screen_and_stamp(
+            docs,
+            &mut self.next_doc_seq,
+            &mut self.newest_timestamp,
+            self.config.enforce_in_order,
+            PoisonHandling::for_policy(self.config.fault_policy),
+            batch_index,
+            &mut self.quarantine,
+        )?;
+        // Screening either fails the batch or skips exactly the quarantined.
+        self.stats.docs_quarantined += offered - docs.len();
+        let (batch, mut outputs, ingest) = front::evaluate_batch(
+            &mut self.registry.stage1(),
+            &docs,
+            &mut self.pass,
+            &self.interner,
+            self.config.retain_documents,
+        )?;
+        self.stats.timings.ingest += ingest;
+        self.stats.timings.xpath += t0.elapsed().saturating_sub(ingest);
         self.stats.results_emitted += outputs.len();
-        self.stats.timings += timings;
+
+        // ---- Stage 2 onwards: the join stage, fed directly ----------------
+        let doc_meta: Vec<(DocId, u64)> =
+            docs.iter().map(|d| (d.id(), d.timestamp().raw())).collect();
+        let processed = docs.len();
+        outputs.extend(self.process_witness_batch(RoutedBatch {
+            batch,
+            doc_meta,
+            docs,
+        })?);
+        // Whoever ran the front counts the documents.
+        self.stats.documents_processed += processed;
         Ok(outputs)
     }
 
-    /// Process a witness batch routed by the hybrid
-    /// [`ShardedEngine`](crate::ShardedEngine) front stage.
+    /// The join stage: Stage 2, output construction and state maintenance
+    /// over one batch of witness rows whose Stage 1 already happened —
+    /// inline in [`process_batch`](Self::process_batch), or exactly once at
+    /// the front of the hybrid [`ShardedEngine`](crate::ShardedEngine).
     ///
-    /// Stage 1 (parsing, pattern matching, witness construction and
-    /// single-block subscriptions) already happened exactly once at the
-    /// front; this entry point runs only Stage 2 and state maintenance over
-    /// the routed witness rows. The front stage owns document-id assignment
-    /// and in-order enforcement, so no ids are assigned and no order check
-    /// happens here — the local sequence/watermark are synced from the
-    /// routed metadata so mid-stream registrations get the same arrival
-    /// floor a single engine would assign. `documents_processed` is *not*
-    /// incremented (the front stage counts each document once, globally).
+    /// The front owns document-id assignment, in-order enforcement,
+    /// single-block subscriptions and the `documents_processed` count, so
+    /// none of that happens here; the local sequence/watermark are synced
+    /// from the routed metadata so mid-stream registrations get the same
+    /// arrival floor whichever front fed the batch. An empty batch (every
+    /// document quarantined) is a no-op.
     pub fn process_witness_batch(&mut self, routed: RoutedBatch) -> CoreResult<Vec<MatchOutput>> {
         let RoutedBatch {
             batch,
@@ -452,25 +375,29 @@ impl MmqjpEngine {
             return Ok(Vec::new());
         }
         let mut timings = PhaseTimings::default();
-        for &(doc, ts) in &doc_meta {
-            self.next_doc_seq = self.next_doc_seq.max(doc.raw());
-            self.newest_timestamp = self.newest_timestamp.max(ts);
-        }
+        self.advance_watermarks(&doc_meta);
 
+        // The compiled plans execute over *borrowed* state: the registry's
+        // templates (plans and RT relations), the segmented join state and
+        // the batch's witness relations are read in place — nothing is
+        // cloned or moved per batch.
         let mut outputs = Vec::new();
+        // The per-batch RbinW index built during view-materialized
+        // evaluation is handed on to maintenance so it is never built twice.
         let mut rbinw_index: Option<RbinwByDocnode> = None;
         if self.registry.num_templates() > 0 && !batch.is_empty() {
             let result_rows = self.evaluate_stage2(&batch, &mut rbinw_index, &mut timings)?;
             let t_out = Instant::now();
             for (rid, rows) in result_rows {
-                // `docs` is empty unless documents are retained; output
-                // document construction is gated on retention, so an empty
-                // slice is never consulted.
+                // A hybrid shard holds `docs` only when documents are
+                // retained; output document construction is gated on
+                // retention, so an empty slice is never consulted.
                 outputs.extend(self.produce_outputs(rid, &rows, &batch, &docs)?);
             }
             timings.output += t_out.elapsed();
         }
 
+        // Maintenance (Algorithm 2 / 5).
         let t_maint = Instant::now();
         let maintenance = self.maintain_state(batch, &doc_meta, &docs, rbinw_index);
         timings.maintenance += t_maint.elapsed();
@@ -707,81 +634,6 @@ impl MmqjpEngine {
             construct_join_output(prev_doc, prev_root, cur_doc, cur_root)?
         };
         Ok(Some(out))
-    }
-
-    /// Answer single-block subscriptions directly from the pattern matcher.
-    fn match_single_block_queries(&self, doc: &Document) -> Vec<MatchOutput> {
-        let mut outputs = Vec::new();
-        for q in self.registry.queries() {
-            let Some(pattern) = &q.single_pattern else {
-                continue;
-            };
-            let matcher = PatternMatcher::new(pattern);
-            self.push_single_block_outputs(q, doc, matcher.witnesses(doc), &mut outputs);
-        }
-        outputs
-    }
-
-    /// Streaming-front variant of [`match_single_block_queries`]: the
-    /// satisfiability and usefulness passes were already run by the shared
-    /// automaton, so each subscription only replays witness enumeration over
-    /// its own (already pruned) useful sets.
-    ///
-    /// [`match_single_block_queries`]: MmqjpEngine::match_single_block_queries
-    fn match_single_blocks_from_pass(&self, doc: &Document, pass: &SharedPass) -> Vec<MatchOutput> {
-        let mut outputs = Vec::new();
-        for q in self.registry.queries() {
-            let (Some(pattern), Some(pid)) = (&q.single_pattern, q.single_pid) else {
-                continue;
-            };
-            let Some(useful) = pass.useful(pid) else {
-                continue;
-            };
-            if useful.first().map_or(true, Vec::is_empty) {
-                continue;
-            }
-            let matcher = PatternMatcher::new(pattern);
-            self.push_single_block_outputs(
-                q,
-                doc,
-                matcher.witnesses_from_useful(doc, useful),
-                &mut outputs,
-            );
-        }
-        outputs
-    }
-
-    fn push_single_block_outputs(
-        &self,
-        q: &QueryRuntime,
-        doc: &Document,
-        witnesses: Vec<mmqjp_xpath::Witness>,
-        outputs: &mut Vec<MatchOutput>,
-    ) {
-        for w in witnesses {
-            let bindings = w
-                .bindings()
-                .iter()
-                .map(|(v, n)| Binding {
-                    variable: v.clone(),
-                    doc: doc.id(),
-                    node: *n,
-                })
-                .collect();
-            let document = if self.config.retain_documents && q.select == SelectClause::Star {
-                Some(doc.clone())
-            } else {
-                None
-            };
-            outputs.push(MatchOutput {
-                query: q.id,
-                publish: q.publish.clone(),
-                left_doc: doc.id(),
-                right_doc: doc.id(),
-                bindings,
-                document,
-            });
-        }
     }
 
     // --------------------------------------------------------------------

@@ -1,0 +1,325 @@
+//! Stage 1, end to end: the front of the `front → route → join → merge`
+//! pipeline and the only caller of the pattern automaton in this crate.
+//!
+//! The front does two things, each exactly once in `mmqjp-core`:
+//!
+//! * **Screening** ([`screen_and_stamp`]): a batch is checked against the
+//!   stream watermarks, survivors are stamped with their document id and
+//!   timestamp, and a poison (out-of-order) document is handled per
+//!   [`PoisonHandling`]. Whoever owns a stream position — the single engine,
+//!   the hybrid front stage, the replicated coordinator's mirror — screens
+//!   through this one function.
+//! * **Matching** ([`match_document`]): one shared automaton pass per
+//!   document answers every registered pattern; the single-block answers and
+//!   the requested-edge bindings are both read off that pass.
+//!   [`evaluate_batch`] adds witness ingest for callers that join in-thread.
+//!
+//! [`MmqjpEngine`](crate::MmqjpEngine) runs the front inline and hands its
+//! output straight to the join stage; the hybrid
+//! [`ShardedEngine`](crate::ShardedEngine) runs the same functions on its
+//! front workers and puts a [`WitnessRouter`](crate::WitnessRouter) in
+//! between. The per-pattern DOM matcher (`PatternIndex::evaluate_edge_bindings`,
+//! `PatternMatcher::witnesses`) is not a production path; it lives on in
+//! `mmqjp-xpath` as the reference the Stage-1 differential tests compare
+//! this module against.
+
+use crate::config::FaultPolicy;
+use crate::error::{CoreError, CoreResult};
+use crate::fault::QuarantineRecord;
+use crate::output::{Binding, MatchOutput};
+use crate::relations::WitnessBatch;
+use mmqjp_relational::StringInterner;
+use mmqjp_xml::{DocId, Document, NodeId, Timestamp};
+use mmqjp_xpath::{
+    EdgeBinding, PatternId, PatternIndex, PatternMatcher, PatternNodeId, SharedPass, TreePattern,
+};
+use mmqjp_xscl::{QueryId, SelectClause};
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// A structural pattern edge, identified by its endpoint pattern nodes.
+pub type Edge = (PatternNodeId, PatternNodeId);
+
+/// The edges the join stage wants bindings for, per join-side pattern, in
+/// first-request order.
+pub type RequestedEdges = HashMap<PatternId, Vec<Edge>>;
+
+/// One single-block subscription as Stage 1 sees it: answered entirely from
+/// the automaton pass, never joined.
+#[derive(Debug, Clone, Copy)]
+pub struct SingleBlock<'a> {
+    /// The id its matches are reported under.
+    pub query: QueryId,
+    /// Where [`pattern`](Self::pattern) sits in the pattern index.
+    pub pid: PatternId,
+    /// The subscription's own (normalized) pattern; its variable names label
+    /// the reported bindings.
+    pub pattern: &'a TreePattern,
+    /// The `PUBLISH` name, if any.
+    pub publish: &'a Option<String>,
+    /// The `SELECT` clause.
+    pub select: SelectClause,
+}
+
+/// Everything Stage 1 evaluates a document against, borrowed from its owner
+/// for the duration of one batch: a [`Registry`](crate::Registry) in the
+/// single engine, a front worker's snapshot in the hybrid topology.
+#[derive(Debug)]
+pub struct Subscriptions<'a> {
+    /// Every live pattern, join-side and single-block alike (mutable because
+    /// the shared automaton is compiled lazily after registration churn).
+    pub index: &'a mut PatternIndex,
+    /// The requested edges of the join-side patterns. Patterns without an
+    /// entry (single-block subscriptions) produce no witness rows.
+    pub requested: &'a RequestedEdges,
+    /// The single-block subscriptions, in ascending query-id order.
+    pub singles: Vec<SingleBlock<'a>>,
+}
+
+/// Stage-1 output for one document.
+#[derive(Debug, Clone, Default)]
+pub struct DocumentMatches {
+    /// The requested-edge bindings per matching join-side pattern, in
+    /// ascending pattern-id order.
+    pub bindings: Vec<(PatternId, Vec<EdgeBinding>)>,
+    /// The single-block subscriptions' matches, one per witness.
+    pub singles: Vec<MatchOutput>,
+}
+
+/// Run Stage 1 over one (already stamped) document: one shared automaton
+/// pass, then the requested-edge bindings of every matching join-side
+/// pattern and the matches of every single-block subscription. `pass` is a
+/// caller-owned buffer; kept warm, a document allocates nothing beyond its
+/// results.
+pub fn match_document(
+    subs: &mut Subscriptions<'_>,
+    doc: &Document,
+    pass: &mut SharedPass,
+    retain_documents: bool,
+) -> DocumentMatches {
+    subs.index.shared_pass_reusing(doc, pass);
+    let mut out = DocumentMatches::default();
+    for (pid, pattern) in subs.index.patterns() {
+        let (Some(edges), Some(useful)) = (subs.requested.get(&pid), matched(pass, pid)) else {
+            continue;
+        };
+        let bindings = PatternMatcher::new(pattern).edge_bindings_from_useful(doc, useful, edges);
+        if !bindings.is_empty() {
+            out.bindings.push((pid, bindings));
+        }
+    }
+    for single in &subs.singles {
+        let Some(useful) = matched(pass, single.pid) else {
+            continue;
+        };
+        for witness in PatternMatcher::new(single.pattern).witnesses_from_useful(doc, useful) {
+            let keep_document = retain_documents && single.select == SelectClause::Star;
+            out.singles.push(MatchOutput {
+                query: single.query,
+                publish: single.publish.clone(),
+                left_doc: doc.id(),
+                right_doc: doc.id(),
+                bindings: witness
+                    .bindings()
+                    .iter()
+                    .map(|(variable, node)| Binding {
+                        variable: variable.clone(),
+                        doc: doc.id(),
+                        node: *node,
+                    })
+                    .collect(),
+                document: keep_document.then(|| doc.clone()),
+            });
+        }
+    }
+    out
+}
+
+/// A pattern's useful sets, if the pass found at least one complete witness
+/// (a non-empty root set).
+fn matched(pass: &SharedPass, pid: PatternId) -> Option<&[Vec<NodeId>]> {
+    pass.useful(pid)
+        .filter(|useful| useful.first().is_some_and(|roots| !roots.is_empty()))
+}
+
+/// Stage 1 plus witness ingest over a run of stamped documents, for callers
+/// that join in the same thread: returns the batch's witness relations, the
+/// single-block matches in document order, and the time spent in ingest
+/// (the rest of the call is pattern matching).
+pub(crate) fn evaluate_batch(
+    subs: &mut Subscriptions<'_>,
+    docs: &[Document],
+    pass: &mut SharedPass,
+    interner: &Arc<StringInterner>,
+    retain_documents: bool,
+) -> CoreResult<(WitnessBatch, Vec<MatchOutput>, Duration)> {
+    let mut batch = WitnessBatch::new();
+    let mut singles = Vec::new();
+    let mut ingest = Duration::ZERO;
+    for doc in docs {
+        let matches = match_document(subs, doc, pass, retain_documents);
+        singles.extend(matches.singles);
+        let t_ingest = Instant::now();
+        batch.add_matches(doc, &matches.bindings, subs.index, interner)?;
+        ingest += t_ingest.elapsed();
+    }
+    Ok((batch, singles, ingest))
+}
+
+/// How screening treats a poison (out-of-order) document.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PoisonHandling {
+    /// The poison document consumes its sequence number, then the batch
+    /// fails; documents stamped before it stay consumed too.
+    Consume,
+    /// Record the document and skip it without consuming a sequence number,
+    /// so survivors get exactly the ids a fresh engine fed only survivors
+    /// would assign.
+    Quarantine,
+    /// Fail the batch with the watermarks restored, as if it had never been
+    /// offered. Only the replicated coordinator asks for this: its mirror
+    /// must stay in lockstep with shards that never see a failed batch.
+    Atomic,
+}
+
+impl PoisonHandling {
+    /// The handling of whoever owns the stream position it screens against
+    /// (the single engine, the hybrid front stage): only
+    /// [`FaultPolicy::Quarantine`] skips poison; the other policies fail the
+    /// batch the historical way.
+    pub(crate) fn for_policy(policy: FaultPolicy) -> Self {
+        match policy {
+            FaultPolicy::Quarantine => PoisonHandling::Quarantine,
+            FaultPolicy::FailFast | FaultPolicy::Degrade => PoisonHandling::Consume,
+        }
+    }
+}
+
+/// Screen and stamp one batch against the stream watermarks `seq` (documents
+/// ingested) and `newest` (newest timestamp). Each surviving document
+/// consumes the next sequence number as its id and, when it arrives with
+/// timestamp `0`, as its timestamp. With `enforce_in_order`, a document
+/// older than `newest` is poison and handled per `handling`; quarantined
+/// documents are appended to `quarantine`, pinned to `batch_index`.
+pub(crate) fn screen_and_stamp(
+    docs: Vec<Document>,
+    seq: &mut u64,
+    newest: &mut u64,
+    enforce_in_order: bool,
+    handling: PoisonHandling,
+    batch_index: u64,
+    quarantine: &mut Vec<QuarantineRecord>,
+) -> CoreResult<Vec<Document>> {
+    let entry = (*seq, *newest);
+    let mut survivors = Vec::with_capacity(docs.len());
+    for (doc_index, mut doc) in docs.into_iter().enumerate() {
+        // Screen before committing the sequence number, so a quarantined
+        // document leaves no gap.
+        let tentative = *seq + 1;
+        let ts = match doc.timestamp().raw() {
+            0 => tentative,
+            raw => raw,
+        };
+        if enforce_in_order && ts < *newest {
+            let error = CoreError::OutOfOrderDocument {
+                timestamp: ts,
+                newest: *newest,
+            };
+            match handling {
+                PoisonHandling::Consume => {
+                    *seq = tentative;
+                    return Err(error);
+                }
+                PoisonHandling::Atomic => {
+                    (*seq, *newest) = entry;
+                    return Err(error);
+                }
+                PoisonHandling::Quarantine => {
+                    quarantine.push(QuarantineRecord {
+                        batch: batch_index,
+                        doc_index,
+                        timestamp: ts,
+                        error,
+                    });
+                    continue;
+                }
+            }
+        }
+        *seq = tentative;
+        doc.set_id(DocId(tentative));
+        doc.set_timestamp(Timestamp(ts));
+        *newest = (*newest).max(ts);
+        survivors.push(doc);
+    }
+    Ok(survivors)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmqjp_xml::rss;
+
+    /// Screen documents with the given timestamps from position
+    /// `(seq 4, newest 100)`; returns the survivors' `(id, timestamp)`
+    /// stamps, the position afterwards and the quarantine ledger.
+    #[allow(clippy::type_complexity)]
+    fn screen(
+        timestamps: &[u64],
+        handling: PoisonHandling,
+    ) -> (
+        CoreResult<Vec<(u64, u64)>>,
+        (u64, u64),
+        Vec<QuarantineRecord>,
+    ) {
+        let docs = timestamps
+            .iter()
+            .map(|&ts| rss::blog_article("a", "u", "t", "c", "d").with_timestamp(Timestamp(ts)))
+            .collect();
+        let (mut seq, mut newest) = (4, 100);
+        let mut quarantine = Vec::new();
+        let stamped = screen_and_stamp(
+            docs,
+            &mut seq,
+            &mut newest,
+            true,
+            handling,
+            7,
+            &mut quarantine,
+        )
+        .map(|docs| {
+            let stamp = |d: &Document| (d.id().raw(), d.timestamp().raw());
+            docs.iter().map(stamp).collect()
+        });
+        (stamped, (seq, newest), quarantine)
+    }
+
+    #[test]
+    fn poison_is_consumed_quarantined_or_rolled_back() {
+        // In order: ids follow the sequence; a zero timestamp takes its id.
+        let (stamped, position, _) = screen(&[0, 120], PoisonHandling::Consume);
+        assert!(stamped.is_err(), "timestamp 5 (its id) is older than 100");
+        assert_eq!(position, (5, 100));
+        let (stamped, position, _) = screen(&[110, 120], PoisonHandling::Consume);
+        assert_eq!(stamped.unwrap(), vec![(5, 110), (6, 120)]);
+        assert_eq!(position, (6, 120));
+
+        let stream = [110, 50, 120];
+        let (stamped, position, _) = screen(&stream, PoisonHandling::Consume);
+        assert!(stamped.is_err());
+        assert_eq!(position, (6, 110), "the poison document's number is spent");
+
+        let (stamped, position, _) = screen(&stream, PoisonHandling::Atomic);
+        assert!(stamped.is_err());
+        assert_eq!(position, (4, 100), "the batch was never offered");
+
+        let (stamped, position, quarantine) = screen(&stream, PoisonHandling::Quarantine);
+        assert_eq!(stamped.unwrap(), vec![(5, 110), (6, 120)], "no gap");
+        assert_eq!(position, (6, 120));
+        let pinned: Vec<_> = quarantine
+            .iter()
+            .map(|r| (r.batch, r.doc_index, r.timestamp))
+            .collect();
+        assert_eq!(pinned, vec![(7, 1, 50)]);
+    }
+}

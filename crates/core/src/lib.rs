@@ -26,6 +26,12 @@
 //! A naive **Sequential** mode (one conjunctive query per registered query
 //! per document) is provided as the paper's baseline.
 //!
+//! The two stages are one pipeline, `front → route → join → merge`:
+//! [`front`] owns Stage 1 end to end, and
+//! [`MmqjpEngine::process_witness_batch`] is the join stage.
+//! [`MmqjpEngine::process_batch`] is the pipeline run in one thread, with
+//! nothing to route or merge.
+//!
 //! For multi-core operation, [`ShardedEngine`] hash-partitions the query
 //! population across `N` independent engine shards on worker threads and
 //! merges the per-shard matches into a deterministic, canonically-ordered
@@ -82,6 +88,7 @@ mod cqt;
 mod engine;
 mod error;
 mod fault;
+pub mod front;
 mod output;
 mod recovery;
 mod registry;

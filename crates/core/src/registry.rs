@@ -17,6 +17,7 @@ use crate::audit::AuditViolation;
 use crate::config::ProcessingMode;
 use crate::cqt::{self, PlanInputKind};
 use crate::error::{CoreError, CoreResult};
+use crate::front::{RequestedEdges, SingleBlock, Subscriptions};
 use crate::relations::schemas;
 use mmqjp_relational::{
     verify_plan_strict, ConjunctiveQuery, PhysicalPlan, Relation, SharedKeyRule, StringInterner,
@@ -64,16 +65,12 @@ impl TemplateRuntime {
     /// Build the runtime for a new template, compiling exactly the plan
     /// variant the engine's (fixed) mode executes: basic for `Mmqjp`,
     /// materialized for `MmqjpViewMat`, neither for `Sequential` (which
-    /// runs per-query plans). With `verify`, each compiled plan is checked
-    /// against its source CQT and the engine schemas before it is accepted
-    /// (see [`mmqjp_relational::verify`]); a violation rejects the
-    /// registration with a typed diagnostic. Returns the runtime and the
-    /// number of plans compiled.
-    fn new(
-        template: QueryTemplate,
-        mode: ProcessingMode,
-        verify: bool,
-    ) -> CoreResult<(Self, usize)> {
+    /// runs per-query plans). Each compiled plan is checked against its
+    /// source CQT and the engine schemas before it is accepted (see
+    /// [`mmqjp_relational::verify`]); a violation rejects the registration
+    /// with a typed diagnostic. Returns the runtime and the number of plans
+    /// compiled.
+    fn new(template: QueryTemplate, mode: ProcessingMode) -> CoreResult<(Self, usize)> {
         let rt = Relation::new(schemas::rt(template.num_meta_vars()));
         let rt_arity = rt.schema().arity();
         let name = cqt::rt_name(template.id.index());
@@ -82,20 +79,16 @@ impl TemplateRuntime {
         let arity_of = |rel: &str| cqt::relation_arity(rel, &name, rt_arity);
         let plan_basic = if mode == ProcessingMode::Mmqjp {
             let plan = PhysicalPlan::compile(&cqt_basic, arity_of)?;
-            if verify {
-                verify_compiled(&plan, &cqt_basic, arity_of, true)?;
-            }
+            verify_compiled(&plan, &cqt_basic, arity_of, true)?;
             Some(plan)
         } else {
             None
         };
         let plan_materialized = if mode == ProcessingMode::MmqjpViewMat {
             let plan = PhysicalPlan::compile(&cqt_materialized, arity_of)?;
-            if verify {
-                // The batch-restriction precondition only concerns the basic
-                // form's Rdoc atoms; the materialized form reads RL/RR.
-                verify_compiled(&plan, &cqt_materialized, arity_of, false)?;
-            }
+            // The batch-restriction precondition only concerns the basic
+            // form's Rdoc atoms; the materialized form reads RL/RR.
+            verify_compiled(&plan, &cqt_materialized, arity_of, false)?;
             Some(plan)
         } else {
             None
@@ -259,7 +252,7 @@ pub struct Registry {
     pattern_index: PatternIndex,
     /// The live requested-edge lists handed to Stage 1, one per pattern, in
     /// first-registration order (kept deterministic across churn).
-    requested_edges: HashMap<PatternId, Vec<(PatternNodeId, PatternNodeId)>>,
+    requested_edges: RequestedEdges,
     /// Reference counts behind `requested_edges`: how many live
     /// registrations requested each `(pattern, edge)`.
     edge_refs: HashMap<PatternId, HashMap<(PatternNodeId, PatternNodeId), usize>>,
@@ -286,9 +279,6 @@ pub struct Registry {
     /// Physical plans compiled so far (one per new template in the MMQJP
     /// modes, one per orientation in Sequential mode). Cumulative.
     plans_compiled: usize,
-    /// Verify every compiled plan against its source CQT at registration
-    /// time (see [`EngineConfig::verify_plans`](crate::EngineConfig)).
-    verify_plans: bool,
 }
 
 impl Registry {
@@ -309,15 +299,7 @@ impl Registry {
             finite_windows: BTreeMap::new(),
             infinite_windows: 0,
             plans_compiled: 0,
-            verify_plans: true,
         }
-    }
-
-    /// Enable or disable registration-time plan verification (on by
-    /// default). The engine forwards
-    /// [`EngineConfig::verify_plans`](crate::EngineConfig) here.
-    pub fn set_verify_plans(&mut self, verify: bool) {
-        self.verify_plans = verify;
     }
 
     /// Register a query (already parsed). Returns its id.
@@ -385,7 +367,6 @@ impl Registry {
                         let (runtime, compiled) = TemplateRuntime::new(
                             self.catalog.template(membership.template).clone(),
                             mode,
-                            self.verify_plans,
                         )?;
                         self.templates.push(Some(Box::new(runtime)));
                         self.live_templates += 1;
@@ -427,9 +408,7 @@ impl Registry {
                         // relations; no RT atom to resolve.
                         let arity_of = |rel: &str| cqt::relation_arity(rel, "", 0);
                         let plan = PhysicalPlan::compile(&cq, arity_of)?;
-                        if self.verify_plans {
-                            verify_compiled(&plan, &cq, arity_of, true)?;
-                        }
+                        verify_compiled(&plan, &cq, arity_of, true)?;
                         let inputs = cqt::plan_input_kinds(&plan, "");
                         self.plans_compiled += 1;
                         (cq, Some(plan), inputs)
@@ -730,15 +709,35 @@ impl Registry {
         &self.pattern_index
     }
 
-    /// Mutable access to the Stage-1 pattern index (evaluation updates its
-    /// statistics).
-    pub fn pattern_index_mut(&mut self) -> &mut PatternIndex {
-        &mut self.pattern_index
+    /// The per-pattern requested structural edges.
+    pub fn requested_edges(&self) -> &RequestedEdges {
+        &self.requested_edges
     }
 
-    /// The per-pattern requested structural edges.
-    pub fn requested_edges(&self) -> &HashMap<PatternId, Vec<(PatternNodeId, PatternNodeId)>> {
-        &self.requested_edges
+    /// Everything Stage 1 evaluates a document against, borrowed for one
+    /// batch: the pattern index (mutably — the shared automaton compiles
+    /// lazily), the requested edges, and the live single-block
+    /// subscriptions in query-id order.
+    pub fn stage1(&mut self) -> Subscriptions<'_> {
+        let singles = self
+            .queries
+            .iter()
+            .flatten()
+            .filter_map(|q| {
+                Some(SingleBlock {
+                    query: q.id,
+                    pid: q.single_pid?,
+                    pattern: q.single_pattern.as_ref()?,
+                    publish: &q.publish,
+                    select: q.select,
+                })
+            })
+            .collect();
+        Subscriptions {
+            index: &mut self.pattern_index,
+            requested: &self.requested_edges,
+            singles,
+        }
     }
 
     /// The template catalog.

@@ -22,7 +22,7 @@
 use crate::error::{CoreError, CoreResult};
 use mmqjp_relational::{Relation, RowRef, StringInterner, Symbol, Value};
 use mmqjp_xml::{DocId, Document, NodeId, Timestamp};
-use mmqjp_xpath::{binding_string_value, EdgeBinding, TreePattern};
+use mmqjp_xpath::{binding_string_value, EdgeBinding, PatternId, PatternIndex, TreePattern};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -120,6 +120,31 @@ impl WitnessBatch {
         &mut self,
         doc: &Document,
         bindings: &[(&TreePattern, Vec<EdgeBinding>)],
+        interner: &Arc<StringInterner>,
+    ) -> CoreResult<()> {
+        let rows = bindings.iter().map(|(p, b)| (*p, b.as_slice()));
+        self.add_rows(doc, rows, interner)
+    }
+
+    /// [`add_document`](Self::add_document) for bindings keyed by pattern id
+    /// — the front's output, resolved against the index that produced it.
+    pub fn add_matches(
+        &mut self,
+        doc: &Document,
+        bindings: &[(PatternId, Vec<EdgeBinding>)],
+        index: &PatternIndex,
+        interner: &Arc<StringInterner>,
+    ) -> CoreResult<()> {
+        let rows = bindings
+            .iter()
+            .map(|(pid, b)| (index.pattern(*pid), b.as_slice()));
+        self.add_rows(doc, rows, interner)
+    }
+
+    fn add_rows<'a>(
+        &mut self,
+        doc: &Document,
+        bindings: impl Iterator<Item = (&'a TreePattern, &'a [EdgeBinding])>,
         interner: &Arc<StringInterner>,
     ) -> CoreResult<()> {
         let docid = Value::Int(doc.id().raw() as i64);

@@ -1,30 +1,37 @@
-//! Multi-core processing through query-population sharding, with an
-//! optional document-parallel Stage-1 front stage.
+//! Multi-core processing: the threaded instance of the pipeline
+//! `front → route → join → merge`.
 //!
 //! The paper's Join Processor is a single-threaded component; its evaluation
 //! is inherently shareable across queries but not, by itself, across cores.
-//! [`ShardedEngine`] scales it out along two axes:
+//! [`MmqjpEngine`] is that pipeline in one thread — the front
+//! ([`crate::front`]) feeding the join stage
+//! ([`MmqjpEngine::process_witness_batch`]) directly. [`ShardedEngine`]
+//! spreads the same two stages over threads:
 //!
-//! **Replicated topology** (`front_pool == 0`, the original): the *query
-//! population* is hash-partitioned across `N` independent [`MmqjpEngine`]
-//! shards and the *document stream* is replicated to all of them. Each shard
-//! runs on a long-lived worker thread, owns its own registry, join state and
-//! view cache, and evaluates its query subset in the configured
-//! [`ProcessingMode`](crate::ProcessingMode) — a shard is just a smaller
-//! engine, so sharding composes with Sequential, MMQJP and MMQJP+VM alike.
-//! Parse + Stage-1 cost multiplies with the shard count, because every shard
-//! re-runs Stage 1 over every document.
+//! **Hybrid topology** (`front_pool >= 1`) is the pipeline with every stage
+//! present. *Front*: the coordinator screens and stamps each batch, and a
+//! pool of front workers runs the front's per-document matching over
+//! contiguous slices of it, each document exactly once, against a snapshot
+//! of every shard's patterns. *Route*: a [`WitnessRouter`] delivers the
+//! resulting witness rows to precisely the shards whose queries subscribed
+//! to them ([`RoutedBatch`]; whole documents are shipped only when
+//! `retain_documents` needs them for `SELECT *` output construction).
+//! *Join*: the *query population* is hash-partitioned across `N`
+//! [`MmqjpEngine`] shards on long-lived worker threads — a shard is just a
+//! smaller engine with its own registry, join state and view cache, so
+//! sharding composes with Sequential, MMQJP and MMQJP+VM alike — and each
+//! runs only the join stage. *Merge*: the shards' matches and the front's
+//! single-block matches are sorted into canonical order. Under
+//! [`process_batches`](ShardedEngine::process_batches) front and join are
+//! pipelined with an in-flight depth of one: the front parses batch `k+1`
+//! while the shards join batch `k`.
 //!
-//! **Hybrid topology** (`front_pool >= 1`): a pool of Stage-1 *front
-//! workers* parses and pattern-matches each document exactly once
-//! (documents of a batch are range-partitioned across the pool), and a
-//! [`WitnessRouter`] delivers the resulting witness rows to precisely the
-//! shards whose queries subscribed to them. Shards run Stage 2 only, over
-//! routed rows ([`RoutedBatch`]) — whole documents are shipped to shards
-//! only when `retain_documents` requires them for `SELECT *` output
-//! construction. Under [`process_batches`](ShardedEngine::process_batches)
-//! the two stages are pipelined with an in-flight depth of one: the front
-//! parses batch `k+1` while the shards join batch `k`.
+//! **Replicated topology** (`front_pool == 0`, the original) has no shared
+//! front and no router: the document stream is replicated to every shard
+//! and each shard runs the whole single-engine pipeline
+//! ([`MmqjpEngine::process_batch`]) over its query subset, so parse +
+//! Stage-1 cost multiplies with the shard count. Only the merge is shared
+//! (and, under a recovering fault policy, the coordinator's screening).
 //!
 //! ```text
 //!   replicated (front_pool = 0)         hybrid (front_pool >= 1)
@@ -75,15 +82,16 @@ use crate::config::{EngineConfig, FaultPolicy};
 use crate::engine::MmqjpEngine;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultInjector, FaultKind, QuarantineRecord, WorkerFault};
-use crate::output::{sort_matches, Binding, MatchOutput};
+use crate::front::{
+    self, DocumentMatches, Edge, PoisonHandling, RequestedEdges, SingleBlock, Subscriptions,
+};
+use crate::output::{sort_matches, MatchOutput};
 use crate::recovery::{self, ReplayLog, RetainedQuery};
 use crate::relations::{RoutedBatch, WitnessBatch};
 use crate::stats::EngineStats;
 use mmqjp_relational::StringInterner;
-use mmqjp_xml::{DocId, Document, Timestamp};
-use mmqjp_xpath::{
-    EdgeBinding, PatternId, PatternIndex, PatternMatcher, PatternNodeId, SharedPass, TreePattern,
-};
+use mmqjp_xml::{DocId, Document};
+use mmqjp_xpath::{EdgeBinding, PatternId, PatternIndex, SharedPass, TreePattern};
 use mmqjp_xscl::{QueryId, SelectClause, XsclQuery};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -91,9 +99,6 @@ use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// A structural pattern edge, identified by its endpoint pattern nodes.
-type Edge = (PatternNodeId, PatternNodeId);
 
 /// A request sent to a shard worker thread. Every request carries a reply
 /// channel; the worker answers each request exactly once, in order.
@@ -111,22 +116,12 @@ enum Request {
         global: QueryId,
         reply: Sender<CoreResult<()>>,
     },
-    /// Process a document batch and return the shard's matches, with query
-    /// ids already translated back to engine-global ids (replicated
-    /// topology: the shard runs Stage 1 itself).
+    /// Process one batch and return the shard's matches, with query ids
+    /// already translated back to engine-global ids.
     Batch {
-        docs: Vec<Document>,
+        input: BatchInput,
         /// Injected fault to deliver while serving this request (chaos
         /// harness only; always `None` in production).
-        fault: Option<WorkerFault>,
-        reply: Sender<CoreResult<Vec<MatchOutput>>>,
-    },
-    /// Process a routed witness batch (hybrid topology: Stage 1 already
-    /// happened at the front) and return the shard's matches with
-    /// engine-global query ids.
-    Witness {
-        routed: Box<RoutedBatch>,
-        /// Injected fault to deliver while serving this request.
         fault: Option<WorkerFault>,
         reply: Sender<CoreResult<Vec<MatchOutput>>>,
     },
@@ -135,6 +130,16 @@ enum Request {
     /// Run the shard engine's invariant audit (see [`MmqjpEngine::audit`])
     /// and return its violations.
     Audit { reply: Sender<Vec<AuditViolation>> },
+}
+
+/// What a shard is handed for one batch.
+enum BatchInput {
+    /// Replicated topology: the stamped documents; the shard runs the whole
+    /// pipeline, its own front included.
+    Documents(Vec<Document>),
+    /// Hybrid topology: the shard's routed witness rows; Stage 1 already
+    /// happened at the front, the shard runs the join stage only.
+    Witness(Box<RoutedBatch>),
 }
 
 /// The Stage-1 footprint of one registered query, reported by its owning
@@ -343,7 +348,7 @@ enum FrontRequest {
     /// full-clone broadcast keeps the per-document hot path lock-free.
     Sync {
         index: Box<PatternIndex>,
-        requested: HashMap<PatternId, Vec<Edge>>,
+        requested: RequestedEdges,
         singles: Vec<FrontSingle>,
         reply: Sender<()>,
     },
@@ -377,11 +382,10 @@ struct ParsedChunk {
     elapsed: Duration,
 }
 
-/// Stage-1 output for one document.
+/// One stamped document with its Stage-1 output.
 struct ParsedDoc {
     doc: Document,
-    bindings: Vec<(PatternId, Vec<EdgeBinding>)>,
-    singles: Vec<MatchOutput>,
+    matches: DocumentMatches,
 }
 
 /// One front worker: the channel into its thread and the join handle.
@@ -408,7 +412,7 @@ struct FrontStage {
     /// refcounted per registration exactly like a `Registry`'s own index.
     index: PatternIndex,
     /// Global requested-edge union per pattern, in first-request order.
-    requested: HashMap<PatternId, Vec<Edge>>,
+    requested: RequestedEdges,
     /// Refcounts behind [`requested`](Self::requested).
     edge_refs: HashMap<PatternId, HashMap<Edge, usize>>,
     router: WitnessRouter,
@@ -476,23 +480,6 @@ struct Stage1Checkpoint {
     front_stats: EngineStats,
     quarantined: usize,
     docs_quarantined: usize,
-}
-
-/// How Stage-1 screening treats a poison (out-of-order) document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PoisonHandling {
-    /// Historical [`FaultPolicy::FailFast`] semantics: the poison document
-    /// consumes its sequence number, then the batch fails.
-    Consume,
-    /// [`FaultPolicy::Quarantine`]: record the document and skip it without
-    /// consuming a sequence number, so survivors get exactly the ids a
-    /// fresh engine fed only survivors would assign.
-    Quarantine,
-    /// [`FaultPolicy::Degrade`] in the replicated topology: fail the batch
-    /// atomically (no sequence numbers consumed, no dispatch), keeping the
-    /// coordinator's watermark mirror in lockstep with shards that never
-    /// saw the batch.
-    Atomic,
 }
 
 /// A multi-core MMQJP engine: `N` independent [`MmqjpEngine`] shards over a
@@ -592,7 +579,7 @@ impl ShardedEngine {
         let front = (config.front_pool > 0).then(|| {
             let workers = (0..config.front_pool)
                 .map(|i| {
-                    spawn_front_worker(i, config.retain_documents, config.streaming_front)
+                    spawn_front_worker(i, config.retain_documents)
                         // lint:allow one-time startup; a failed spawn leaves no engine to return
                         .expect("spawning a front worker thread succeeds")
                 })
@@ -791,16 +778,23 @@ impl ShardedEngine {
         let docs = if policy == FaultPolicy::FailFast {
             docs
         } else {
-            let survivors = screen_and_stamp(
+            // A failed batch never reaches the shards, so under Degrade the
+            // mirror must not move either.
+            let handling = match policy {
+                FaultPolicy::Degrade => PoisonHandling::Atomic,
+                other => PoisonHandling::for_policy(other),
+            };
+            let offered = docs.len();
+            let survivors = front::screen_and_stamp(
                 docs,
                 &mut self.mirror_seq,
                 &mut self.mirror_newest,
                 self.config.enforce_in_order,
-                poison_handling(policy),
+                handling,
                 batch_index,
                 &mut self.quarantine,
-                &mut self.supervisor_stats.docs_quarantined,
             )?;
+            self.supervisor_stats.docs_quarantined += offered - survivors.len();
             if survivors.is_empty() {
                 return Ok(Vec::new());
             }
@@ -833,7 +827,7 @@ impl ShardedEngine {
             self.send(
                 shard,
                 Request::Batch {
-                    docs: batch,
+                    input: BatchInput::Documents(batch),
                     fault,
                     reply,
                 },
@@ -1073,36 +1067,23 @@ impl ShardedEngine {
     ) -> CoreResult<Vec<MatchOutput>> {
         let t0 = Instant::now();
         self.respawn_shard_at(shard, position.0, position.1)?;
-        let (reply, response) = channel();
-        match retry_routed.as_mut() {
-            Some(per_shard) => {
-                let routed = per_shard
-                    .get_mut(shard)
-                    .and_then(Option::take)
-                    .ok_or(CoreError::ShardUnavailable { shard })?;
-                self.send(
-                    shard,
-                    Request::Witness {
-                        routed: Box::new(routed),
-                        fault: None,
-                        reply,
-                    },
-                )?;
-            }
-            None => {
-                let docs = log_entry
-                    .clone()
-                    .ok_or(CoreError::ShardUnavailable { shard })?;
-                self.send(
-                    shard,
-                    Request::Batch {
-                        docs,
-                        fault: None,
-                        reply,
-                    },
-                )?;
-            }
+        let input = match retry_routed.as_mut() {
+            Some(per_shard) => per_shard
+                .get_mut(shard)
+                .and_then(Option::take)
+                .map(|routed| BatchInput::Witness(Box::new(routed))),
+            None => log_entry.clone().map(BatchInput::Documents),
         }
+        .ok_or(CoreError::ShardUnavailable { shard })?;
+        let (reply, response) = channel();
+        self.send(
+            shard,
+            Request::Batch {
+                input,
+                fault: None,
+                reply,
+            },
+        )?;
         let outputs = response
             .recv()
             .map_err(|_| CoreError::ShardUnavailable { shard })?;
@@ -1591,7 +1572,6 @@ impl ShardedEngine {
     fn front_stage1(&mut self, docs: Vec<Document>, batch_index: u64) -> CoreResult<StagedBatch> {
         let num_shards = self.shards.len();
         let retain_documents = self.config.retain_documents;
-        let streaming = self.config.streaming_front;
         let enforce_in_order = self.config.enforce_in_order;
         let policy = self.config.fault_policy;
         // Drain worker-directed faults before borrowing the front stage.
@@ -1604,27 +1584,20 @@ impl ShardedEngine {
             .ok_or(CoreError::internal("hybrid topology is enabled"))?;
         let position = (front.next_doc_seq, front.newest_timestamp);
 
-        // Mirror the single engine's Stage-1 loop: ids/timestamps are
-        // assigned per document in arrival order. Outside Quarantine a
-        // rejected document aborts the whole batch before anything reaches
-        // a shard (the sequence numbers consumed so far stay consumed,
-        // exactly like `MmqjpEngine::process_batch`); under Quarantine the
-        // poison document is recorded and skipped without consuming a
-        // sequence number.
-        let handling = match policy {
-            FaultPolicy::Quarantine => PoisonHandling::Quarantine,
-            FaultPolicy::FailFast | FaultPolicy::Degrade => PoisonHandling::Consume,
-        };
-        let prepared = screen_and_stamp(
+        // The same screening, under the same handling, as the single
+        // engine's inline front: a rejected document fails the batch before
+        // anything reaches a shard, or is skipped under Quarantine.
+        let offered = docs.len();
+        let prepared = front::screen_and_stamp(
             docs,
             &mut front.next_doc_seq,
             &mut front.newest_timestamp,
             enforce_in_order,
-            handling,
+            PoisonHandling::for_policy(policy),
             batch_index,
             &mut self.quarantine,
-            &mut self.supervisor_stats.docs_quarantined,
         )?;
+        self.supervisor_stats.docs_quarantined += offered - prepared.len();
         let log_entry = (policy != FaultPolicy::FailFast).then(|| prepared.clone());
 
         // Document-parallel Stage 1: contiguous slices across the pool keep
@@ -1663,7 +1636,7 @@ impl ShardedEngine {
                     // healing is a respawn, a targeted sync and one retry of
                     // the same slice.
                     let t0 = Instant::now();
-                    let respawned = spawn_front_worker(worker, retain_documents, streaming)
+                    let respawned = spawn_front_worker(worker, retain_documents)
                         .map_err(|_| CoreError::ShardUnavailable { shard: worker })?;
                     let old = std::mem::replace(&mut front.workers[worker], respawned);
                     drop(old.sender);
@@ -1708,12 +1681,12 @@ impl ShardedEngine {
         for doc in parsed {
             routed_rows += front.router.route_document(
                 &doc.doc,
-                &doc.bindings,
+                &doc.matches.bindings,
                 &front.index,
                 &self.interner,
                 &mut shard_batches,
             )?;
-            singles.extend(doc.singles);
+            singles.extend(doc.matches.singles);
             doc_meta.push((doc.doc.id(), doc.doc.timestamp().raw()));
             if retain_documents {
                 retained.push(doc.doc);
@@ -1786,8 +1759,8 @@ impl ShardedEngine {
             let (reply, response) = channel();
             self.send(
                 shard,
-                Request::Witness {
-                    routed: Box::new(routed),
+                Request::Batch {
+                    input: BatchInput::Witness(Box::new(routed)),
                     fault,
                     reply,
                 },
@@ -1968,15 +1941,11 @@ fn spawn_shard_worker(
 }
 
 /// Spawn the front worker thread with index `worker`.
-fn spawn_front_worker(
-    worker: usize,
-    retain_documents: bool,
-    streaming: bool,
-) -> std::io::Result<FrontWorker> {
+fn spawn_front_worker(worker: usize, retain_documents: bool) -> std::io::Result<FrontWorker> {
     let (sender, receiver) = channel();
     let handle = thread::Builder::new()
         .name(format!("mmqjp-front-{worker}"))
-        .spawn(move || front_worker(retain_documents, streaming, receiver))?;
+        .spawn(move || front_worker(retain_documents, receiver))?;
     Ok(FrontWorker {
         sender: Some(sender),
         handle: Some(handle),
@@ -2001,75 +1970,6 @@ fn sync_one_front_worker(front: &FrontStage, worker: usize) -> CoreResult<()> {
     response
         .recv()
         .map_err(|_| CoreError::ShardUnavailable { shard: worker })
-}
-
-/// Map a fault policy to the replicated coordinator's poison handling.
-fn poison_handling(policy: FaultPolicy) -> PoisonHandling {
-    match policy {
-        FaultPolicy::FailFast => PoisonHandling::Consume,
-        FaultPolicy::Quarantine => PoisonHandling::Quarantine,
-        FaultPolicy::Degrade => PoisonHandling::Atomic,
-    }
-}
-
-/// Screen and stamp one batch against the stream watermarks, mirroring
-/// `MmqjpEngine::process_batch`'s Stage-1 screening exactly: each surviving
-/// document consumes the next sequence number as its id (and, when it
-/// arrives with timestamp `0`, as its timestamp), and an out-of-order
-/// document is handled per `handling` — consume-and-fail, quarantine-and-
-/// skip, or fail-the-batch-atomically (watermarks restored).
-#[allow(clippy::too_many_arguments)]
-fn screen_and_stamp(
-    docs: Vec<Document>,
-    seq: &mut u64,
-    newest: &mut u64,
-    enforce_in_order: bool,
-    handling: PoisonHandling,
-    batch_index: u64,
-    quarantine: &mut Vec<QuarantineRecord>,
-    docs_quarantined: &mut usize,
-) -> CoreResult<Vec<Document>> {
-    let entry = (*seq, *newest);
-    let mut survivors = Vec::with_capacity(docs.len());
-    for (doc_index, mut doc) in docs.into_iter().enumerate() {
-        let tentative = *seq + 1;
-        let ts = match doc.timestamp().raw() {
-            0 => tentative,
-            raw => raw,
-        };
-        if enforce_in_order && ts < *newest {
-            let error = CoreError::OutOfOrderDocument {
-                timestamp: ts,
-                newest: *newest,
-            };
-            match handling {
-                PoisonHandling::Consume => {
-                    *seq = tentative;
-                    return Err(error);
-                }
-                PoisonHandling::Atomic => {
-                    (*seq, *newest) = entry;
-                    return Err(error);
-                }
-                PoisonHandling::Quarantine => {
-                    quarantine.push(QuarantineRecord {
-                        batch: batch_index,
-                        doc_index,
-                        timestamp: ts,
-                        error,
-                    });
-                    *docs_quarantined += 1;
-                    continue;
-                }
-            }
-        }
-        *seq = tentative;
-        doc.set_id(DocId(tentative));
-        doc.set_timestamp(Timestamp(ts));
-        *newest = (*newest).max(ts);
-        survivors.push(doc);
-    }
-    Ok(survivors)
 }
 
 /// Render a caught panic payload for [`CoreError::ShardPanicked`].
@@ -2168,7 +2068,11 @@ fn shard_worker(
                     }
                 }
             }
-            Request::Batch { docs, fault, reply } => {
+            Request::Batch {
+                input,
+                fault,
+                reply,
+            } => {
                 if matches!(fault, Some(WorkerFault::DropReply)) {
                     // Injected desynchronization: the batch is neither
                     // processed nor answered; the dropped reply surfaces at
@@ -2182,42 +2086,11 @@ fn shard_worker(
                         // lint:allow deliberate injected fault, contained by catch_unwind below
                         panic!("injected fault: shard worker panic");
                     }
-                    engine.process_batch(docs).map(|mut outputs| {
-                        for output in &mut outputs {
-                            output.query = global_ids[output.query.raw() as usize];
-                        }
-                        outputs
-                    })
-                }));
-                match caught {
-                    Ok(result) => {
-                        let _ = reply.send(result);
-                    }
-                    Err(payload) => {
-                        let _ = reply.send(Err(CoreError::ShardPanicked {
-                            shard,
-                            payload: panic_payload(payload.as_ref()),
-                        }));
-                        break;
-                    }
-                }
-            }
-            Request::Witness {
-                routed,
-                fault,
-                reply,
-            } => {
-                if matches!(fault, Some(WorkerFault::DropReply)) {
-                    drop(reply);
-                    continue;
-                }
-                let panic_requested = matches!(fault, Some(WorkerFault::Panic));
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    if panic_requested {
-                        // lint:allow deliberate injected fault, contained by catch_unwind below
-                        panic!("injected fault: shard worker panic");
-                    }
-                    engine.process_witness_batch(*routed).map(|mut outputs| {
+                    let outputs = match input {
+                        BatchInput::Documents(docs) => engine.process_batch(docs),
+                        BatchInput::Witness(routed) => engine.process_witness_batch(*routed),
+                    };
+                    outputs.map(|mut outputs| {
                         for output in &mut outputs {
                             output.query = global_ids[output.query.raw() as usize];
                         }
@@ -2248,20 +2121,20 @@ fn shard_worker(
 }
 
 /// The front-worker loop: holds a snapshot of the Stage-1 state (master
-/// pattern index, requested-edge union, single-block subscriptions) and
-/// parses document slices against it. Snapshots are replaced wholesale by
-/// `Sync` requests on subscription churn.
+/// pattern index, requested-edge union, single-block subscriptions) and runs
+/// the front ([`front::match_document`]) over document slices against it.
+/// Snapshots are replaced wholesale by `Sync` requests on subscription churn.
 // The spawned front worker must own its receiver (`'static` loop).
 #[allow(clippy::needless_pass_by_value)]
-fn front_worker(retain_documents: bool, streaming: bool, requests: Receiver<FrontRequest>) {
+fn front_worker(retain_documents: bool, requests: Receiver<FrontRequest>) {
     let mut index = PatternIndex::default();
-    let mut requested: HashMap<PatternId, Vec<Edge>> = HashMap::new();
+    let mut requested = RequestedEdges::new();
     let mut singles: Vec<FrontSingle> = Vec::new();
-    // With the streaming front, single-block patterns are registered into the
-    // worker's snapshot index too, so one automaton pass answers join
-    // patterns and subscriptions alike. `single_pids[i]` is the index id of
-    // `singles[i]` (patterns structurally equal to a join pattern dedupe onto
-    // the same id, which is exactly what the shared pass wants).
+    // Single-block patterns are registered into the worker's snapshot index
+    // too, so one automaton pass answers join patterns and subscriptions
+    // alike. `single_pids[i]` is the index id of `singles[i]` (patterns
+    // structurally equal to a join pattern dedupe onto the same id, which is
+    // exactly what the shared pass wants).
     let mut single_pids: Vec<PatternId> = Vec::new();
     // Worker-lifetime pass buffer: the shared automaton pass allocates
     // nothing per document once warm.
@@ -2277,10 +2150,10 @@ fn front_worker(retain_documents: bool, streaming: bool, requests: Receiver<Fron
                 index = *new_index;
                 requested = new_requested;
                 singles = new_singles;
-                single_pids.clear();
-                if streaming {
-                    single_pids.extend(singles.iter().map(|s| index.register(s.pattern.clone())));
-                }
+                single_pids = singles
+                    .iter()
+                    .map(|s| index.register(s.pattern.clone()))
+                    .collect();
                 let _ = reply.send(());
             }
             FrontRequest::Parse { docs, fault, reply } => {
@@ -2299,31 +2172,26 @@ fn front_worker(retain_documents: bool, streaming: bool, requests: Receiver<Fron
                         // lint:allow deliberate injected fault, contained by catch_unwind below
                         panic!("injected fault: front worker panic");
                     }
+                    let mut subs = Subscriptions {
+                        index: &mut index,
+                        requested: &requested,
+                        singles: singles
+                            .iter()
+                            .zip(&single_pids)
+                            .map(|(s, &pid)| SingleBlock {
+                                query: s.global,
+                                pid,
+                                pattern: &s.pattern,
+                                publish: &s.publish,
+                                select: s.select,
+                            })
+                            .collect(),
+                    };
                     docs.into_iter()
                         .map(|doc| {
-                            let (bindings, single_matches) = if streaming {
-                                index.shared_pass_reusing(&doc, &mut pass);
-                                (
-                                    front_bindings_from_pass(&index, &requested, &doc, &pass),
-                                    match_front_singles_from_pass(
-                                        &singles,
-                                        &single_pids,
-                                        &doc,
-                                        &pass,
-                                        retain_documents,
-                                    ),
-                                )
-                            } else {
-                                (
-                                    index.evaluate_edge_bindings(&doc, &requested),
-                                    match_front_singles(&singles, &doc, retain_documents),
-                                )
-                            };
-                            ParsedDoc {
-                                doc,
-                                bindings,
-                                singles: single_matches,
-                            }
+                            let matches =
+                                front::match_document(&mut subs, &doc, &mut pass, retain_documents);
+                            ParsedDoc { doc, matches }
                         })
                         .collect()
                 }));
@@ -2339,113 +2207,6 @@ fn front_worker(retain_documents: bool, streaming: bool, requests: Receiver<Fron
             }
         }
     }
-}
-
-/// Derive the routed edge bindings from a shared automaton pass. Mirrors
-/// `PatternIndex::evaluate_edge_bindings` over the front's requested-edge
-/// union: every join-side pattern has an entry in `requested`, so patterns
-/// without one (single-block subscriptions registered only for the shared
-/// pass) are skipped rather than falling back to their full edge set.
-fn front_bindings_from_pass(
-    index: &PatternIndex,
-    requested: &HashMap<PatternId, Vec<Edge>>,
-    doc: &Document,
-    pass: &SharedPass,
-) -> Vec<(PatternId, Vec<EdgeBinding>)> {
-    let mut out = Vec::new();
-    for (pid, pattern) in index.patterns() {
-        let Some(edges) = requested.get(&pid) else {
-            continue;
-        };
-        let Some(useful) = pass.useful(pid) else {
-            continue;
-        };
-        if useful.first().map_or(true, Vec::is_empty) {
-            continue;
-        }
-        let matcher = PatternMatcher::new(pattern);
-        let bindings = matcher.edge_bindings_from_useful(doc, useful, edges);
-        if !bindings.is_empty() {
-            out.push((pid, bindings));
-        }
-    }
-    out
-}
-
-/// Streaming-front variant of [`match_front_singles`]: the shared pass
-/// already ran satisfiability *and* usefulness pruning, so each subscription
-/// only replays witness enumeration over its own useful sets.
-fn match_front_singles_from_pass(
-    singles: &[FrontSingle],
-    single_pids: &[PatternId],
-    doc: &Document,
-    pass: &SharedPass,
-    retain_documents: bool,
-) -> Vec<MatchOutput> {
-    let mut outputs = Vec::new();
-    for (s, &pid) in singles.iter().zip(single_pids) {
-        let Some(useful) = pass.useful(pid) else {
-            continue;
-        };
-        if useful.first().map_or(true, Vec::is_empty) {
-            continue;
-        }
-        let matcher = PatternMatcher::new(&s.pattern);
-        for w in matcher.witnesses_from_useful(doc, useful) {
-            push_front_single_output(s, doc, &w, retain_documents, &mut outputs);
-        }
-    }
-    outputs
-}
-
-/// Answer single-block subscriptions at the front stage. Mirrors
-/// `MmqjpEngine::match_single_block_queries` — same witness enumeration,
-/// same output shape — but speaks engine-global query ids directly.
-fn match_front_singles(
-    singles: &[FrontSingle],
-    doc: &Document,
-    retain_documents: bool,
-) -> Vec<MatchOutput> {
-    let mut outputs = Vec::new();
-    for s in singles {
-        let matcher = PatternMatcher::new(&s.pattern);
-        for w in matcher.witnesses(doc) {
-            push_front_single_output(s, doc, &w, retain_documents, &mut outputs);
-        }
-    }
-    outputs
-}
-
-/// Turn one single-block witness into its front-stage [`MatchOutput`].
-fn push_front_single_output(
-    s: &FrontSingle,
-    doc: &Document,
-    w: &mmqjp_xpath::Witness,
-    retain_documents: bool,
-    outputs: &mut Vec<MatchOutput>,
-) {
-    let bindings = w
-        .bindings()
-        .iter()
-        .map(|(v, n)| Binding {
-            variable: v.clone(),
-            doc: doc.id(),
-            node: *n,
-        })
-        .collect();
-    let document = if retain_documents && s.select == SelectClause::Star {
-        Some(doc.clone())
-    } else {
-        None
-    };
-    outputs.push(MatchOutput {
-        query: s.global,
-        publish: s.publish.clone(),
-        left_doc: doc.id(),
-        right_doc: doc.id(),
-        bindings,
-        document,
-    });
 }
 
 // Compile-time audit that everything crossing (or living on) a shard or
@@ -2469,7 +2230,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::config::ProcessingMode;
-    use mmqjp_xml::rss;
+    use mmqjp_xml::{rss, Timestamp};
 
     const Q1: &str = "S//book->x1[.//author->x2][.//title->x3] \
         FOLLOWED BY{x2=x5 AND x3=x6, 100} \
@@ -2660,10 +2421,14 @@ mod tests {
 
         let interner = Arc::new(StringInterner::new());
         let doc = d1().with_id(DocId(1));
-        let mut requested: HashMap<PatternId, Vec<Edge>> = HashMap::new();
-        requested.insert(pid1, edges1.clone());
-        requested.insert(pid2, edges2.clone());
-        let bindings = index.evaluate_edge_bindings(&doc, &requested);
+        let requested = RequestedEdges::from([(pid1, edges1.clone()), (pid2, edges2.clone())]);
+        let mut subs = Subscriptions {
+            index: &mut index,
+            requested: &requested,
+            singles: Vec::new(),
+        };
+        let bindings =
+            front::match_document(&mut subs, &doc, &mut SharedPass::default(), false).bindings;
         assert!(!bindings.is_empty());
 
         let mut batches = vec![

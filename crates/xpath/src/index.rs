@@ -82,8 +82,9 @@ pub struct PatternIndex {
     /// The compiled shared automaton over all live patterns, built lazily
     /// and invalidated on registration churn.
     automaton: Option<PatternAutomaton>,
-    /// Reusable pass buffers — successive [`shared_pass`](PatternIndex::shared_pass)
-    /// calls allocate nothing beyond result growth.
+    /// Reusable pass buffers — successive
+    /// [`shared_pass_reusing`](PatternIndex::shared_pass_reusing) calls
+    /// allocate nothing beyond result growth.
     scratch: AutomatonScratch,
 }
 
@@ -224,6 +225,10 @@ impl PatternIndex {
     /// (ancestor, descendant) pattern-node pairs whose binding pairs the Join
     /// Processor wants (typically the edges of the reduced variable tree
     /// pattern). Patterns without an entry fall back to all adjacent edges.
+    ///
+    /// One DOM matcher walk per pattern. No engine calls this: Stage 1 runs
+    /// the shared automaton (`mmqjp-core`'s `front` module), and this
+    /// per-pattern path is kept as the reference its tests compare against.
     pub fn evaluate_edge_bindings(
         &mut self,
         doc: &Document,
@@ -259,16 +264,9 @@ impl PatternIndex {
 
     /// Run the shared automaton over a document: one traversal evaluates the
     /// bottom-up satisfiability pass *and* the top-down usefulness pass of
-    /// **every** live pattern.
-    pub fn shared_pass(&mut self, doc: &Document) -> SharedPass {
-        let mut pass = SharedPass::default();
-        self.shared_pass_reusing(doc, &mut pass);
-        pass
-    }
-
-    /// [`shared_pass`](PatternIndex::shared_pass) into a reused
-    /// [`SharedPass`]: with a warm `pass` (and the index's own scratch warm),
-    /// a document pass allocates nothing beyond result-set growth.
+    /// **every** live pattern, into a reused [`SharedPass`]. With a warm
+    /// `pass` (and the index's own scratch warm), a document pass allocates
+    /// nothing beyond result-set growth.
     pub fn shared_pass_reusing(&mut self, doc: &Document, pass: &mut SharedPass) {
         self.evaluated_last = self.live;
         self.skipped_last = 0;
@@ -277,49 +275,6 @@ impl PatternIndex {
         }
         let automaton = self.automaton.get_or_insert_with(PatternAutomaton::default);
         automaton.pass_over_reusing(doc, &mut self.scratch, pass);
-    }
-
-    /// Edge bindings from a [`shared_pass`](PatternIndex::shared_pass)
-    /// result, byte-identical (same patterns, order and bindings) to
-    /// [`evaluate_edge_bindings`](PatternIndex::evaluate_edge_bindings).
-    pub fn edge_bindings_from_pass(
-        &self,
-        doc: &Document,
-        requested_edges: &HashMap<PatternId, Vec<(PatternNodeId, PatternNodeId)>>,
-        pass: &SharedPass,
-    ) -> Vec<(PatternId, Vec<EdgeBinding>)> {
-        let mut out = Vec::new();
-        for (id, pattern) in self.patterns() {
-            let Some(useful) = pass.useful(id) else {
-                continue;
-            };
-            // An empty root set means no complete witness — no bindings.
-            if useful.first().map_or(true, Vec::is_empty) {
-                continue;
-            }
-            let matcher = PatternMatcher::new(pattern);
-            let bindings = match requested_edges.get(&id) {
-                Some(edges) => matcher.edge_bindings_from_useful(doc, useful, edges),
-                None => matcher.edge_bindings_from_useful(doc, useful, &pattern.edges()),
-            };
-            if !bindings.is_empty() {
-                out.push((id, bindings));
-            }
-        }
-        out
-    }
-
-    /// Streaming-front counterpart of
-    /// [`evaluate_edge_bindings`](PatternIndex::evaluate_edge_bindings):
-    /// one shared traversal instead of one matcher walk per pattern,
-    /// identical output.
-    pub fn evaluate_edge_bindings_streaming(
-        &mut self,
-        doc: &Document,
-        requested_edges: &HashMap<PatternId, Vec<(PatternNodeId, PatternNodeId)>>,
-    ) -> Vec<(PatternId, Vec<EdgeBinding>)> {
-        let pass = self.shared_pass(doc);
-        self.edge_bindings_from_pass(doc, requested_edges, &pass)
     }
 
     /// Evaluate every registered pattern directly over XML text through the

@@ -8,8 +8,10 @@
 //! every recovery. Alongside the differential sweep there are targeted tests
 //! for each policy: FailFast containment (a panic becomes a typed error, not
 //! a hang), Degrade (dead shards go dark, the rest keep serving, a manual
-//! respawn restores full service), and the pipelined entry point's
-//! checkpoint/rollback of a staged-but-never-dispatched batch.
+//! respawn restores full service), the pipelined entry point's
+//! checkpoint/rollback of a staged-but-never-dispatched batch, and
+//! stream-position parity after poison input between the single engine and
+//! both topologies.
 //!
 //! The three default seeds are fixed so CI failures replay exactly; override
 //! them with `MMQJP_CHAOS_SEEDS=1,2,3` to widen the sweep.
@@ -18,14 +20,14 @@ use std::collections::HashSet;
 use std::time::Duration;
 
 use mmqjp_core::{
-    corrupt_bytes, CoreError, EngineConfig, FaultInjector, FaultKind, FaultPlan, FaultPolicy,
-    MatchOutput, QuarantineRecord, ShardedEngine,
+    corrupt_bytes, CoreError, CoreResult, EngineConfig, FaultInjector, FaultKind, FaultPlan,
+    FaultPolicy, MatchOutput, MmqjpEngine, QuarantineRecord, ShardedEngine,
 };
 use mmqjp_integration_tests::{
     assert_audit_clean_sharded, match_keys, sharded_engine_with_topology,
 };
 use mmqjp_workload::{RssQueryGenerator, RssStreamConfig, RssStreamGenerator};
-use mmqjp_xml::{parse_document, parse_document_streaming, serialize, Document, Timestamp};
+use mmqjp_xml::{parse_document, parse_document_streaming, rss, serialize, Document, Timestamp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -518,4 +520,124 @@ fn pipelined_quarantine_skips_poison_and_stays_aligned() {
     assert_eq!(out, expected);
     assert_audit_clean_sharded(&chaos);
     assert_eq!(chaos.stats().unwrap().docs_quarantined, 1);
+}
+
+/// Either engine kind behind the three calls the parity test makes.
+enum Pipeline {
+    Single(Box<MmqjpEngine>),
+    Sharded(Box<ShardedEngine>),
+}
+
+impl Pipeline {
+    fn register(&mut self, query: &str) {
+        match self {
+            Pipeline::Single(e) => e.register_query_text(query),
+            Pipeline::Sharded(e) => e.register_query_text(query),
+        }
+        .expect("query registers");
+    }
+
+    fn process_batch(&mut self, docs: Vec<Document>) -> CoreResult<Vec<MatchOutput>> {
+        match self {
+            Pipeline::Single(e) => e.process_batch(docs),
+            Pipeline::Sharded(e) => e.process_batch(docs),
+        }
+    }
+
+    fn take_quarantine_records(&mut self) -> Vec<QuarantineRecord> {
+        match self {
+            Pipeline::Single(e) => e.take_quarantine_records(),
+            Pipeline::Sharded(e) => e.take_quarantine_records(),
+        }
+    }
+}
+
+/// Stream-position parity after poison input. One screening function
+/// (`mmqjp_core::front`) decides what a mid-batch out-of-order document does
+/// to the stream position on every engine, and the *next* batch's matches
+/// show the decision: their document ids say which documents of the poisoned
+/// batch were absorbed and how many sequence numbers it spent.
+///
+/// * consume — FailFast everywhere, Degrade where the screener owns the
+///   stream (single engine, hybrid front): the batch fails, the documents up
+///   to and including the poison one keep their numbers, nothing is absorbed;
+/// * quarantine — Quarantine everywhere: the poison document is recorded and
+///   skipped, its neighbours are absorbed under gap-free ids;
+/// * atomic — Degrade on the replicated coordinator, whose mirror must not
+///   run ahead of shards that never see a failed batch: no number is spent.
+#[test]
+fn stream_position_after_poison_is_identical_across_engines() {
+    const QUERY: &str = "S//book->b[.//title->t] FOLLOWED BY{t=u, 1000} S//blog->g[.//title->u]";
+    let book =
+        |ts| rss::book_announcement(&["A"], "T", &[], "P", "1").with_timestamp(Timestamp(ts));
+    let blog = |ts| rss::blog_article("A", "u", "T", "c", "d").with_timestamp(Timestamp(ts));
+    let mut config = EngineConfig::mmqjp().with_retain_documents(false);
+    config.enforce_in_order = true;
+
+    for policy in [
+        FaultPolicy::FailFast,
+        FaultPolicy::Quarantine,
+        FaultPolicy::Degrade,
+    ] {
+        let config = config.clone().with_fault_policy(policy);
+        let sharded = |front_pool| {
+            ShardedEngine::new(
+                config
+                    .clone()
+                    .with_num_shards(2)
+                    .with_front_pool(front_pool),
+            )
+        };
+        for (name, mut engine) in [
+            (
+                "single",
+                Pipeline::Single(Box::new(MmqjpEngine::new(config.clone()))),
+            ),
+            ("replicated", Pipeline::Sharded(Box::new(sharded(0)))),
+            ("hybrid", Pipeline::Sharded(Box::new(sharded(2)))),
+        ] {
+            engine.register(QUERY);
+            assert!(engine.process_batch(vec![book(10)]).unwrap().is_empty());
+            let poisoned = engine.process_batch(vec![book(20), blog(5), book(30)]);
+            let records = engine.take_quarantine_records();
+            let next: Vec<(u64, u64)> = engine
+                .process_batch(vec![blog(40)])
+                .expect("the stream continues after the poisoned batch")
+                .iter()
+                .map(|m| (m.left_doc.raw(), m.right_doc.raw()))
+                .collect();
+
+            let context = format!("{name} engine under {policy:?}");
+            let rejected = |result: &CoreResult<Vec<MatchOutput>>| {
+                matches!(
+                    result,
+                    Err(CoreError::OutOfOrderDocument {
+                        timestamp: 5,
+                        newest: 20
+                    })
+                )
+            };
+            match (policy, name) {
+                (FaultPolicy::Quarantine, _) => {
+                    assert_eq!(poisoned.expect(&context), Vec::new(), "{context}");
+                    let pinned: Vec<_> = records
+                        .iter()
+                        .map(|r| (r.batch, r.doc_index, r.timestamp))
+                        .collect();
+                    assert_eq!(pinned, vec![(1, 1, 5)], "{context}");
+                    assert_eq!(next, vec![(1, 4), (2, 4), (3, 4)], "{context}");
+                }
+                (FaultPolicy::Degrade, "replicated") => {
+                    assert!(rejected(&poisoned), "{context}: {poisoned:?}");
+                    assert!(records.is_empty(), "{context}");
+                    assert_eq!(next, vec![(1, 2)], "{context}");
+                }
+                _ => {
+                    assert!(rejected(&poisoned), "{context}: {poisoned:?}");
+                    assert!(records.is_empty(), "{context}");
+                    assert_eq!(next, vec![(1, 4)], "{context}");
+                }
+            }
+        }
+    }
 }

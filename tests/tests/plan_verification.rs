@@ -6,12 +6,11 @@
 //! the complementary direction: a diverse, *well-formed* catalog — the
 //! paper's Figure 1/2 queries plus generated flat-schema, complex-schema
 //! and RSS workloads — must compile, verify and register cleanly in every
-//! processing mode and topology, and verification must never change
-//! results.
+//! processing mode and topology.
 
 use mmqjp_core::{EngineConfig, MmqjpEngine, ShardedEngine};
 use mmqjp_integration_tests::{
-    all_modes, assert_audit_clean, assert_audit_clean_sharded, match_keys, run_stream, Q1, Q2, Q3,
+    all_modes, assert_audit_clean, assert_audit_clean_sharded, run_stream, Q1, Q2, Q3,
 };
 use mmqjp_workload::{
     ComplexSchemaWorkload, FlatSchemaWorkload, RssQueryGenerator, RssStreamConfig,
@@ -68,9 +67,8 @@ fn catalog_documents() -> Vec<Document> {
 }
 
 /// Every generated query must register (i.e. compile *and* pass the plan
-/// verifier, which is on by default) in all three modes, and the engine
-/// invariant audit stays clean after streaming documents through the
-/// verified plans.
+/// verifier, which always runs) in all three modes, the verified plans
+/// produce matches, and the engine invariant audit stays clean afterwards.
 #[test]
 fn well_formed_catalog_verifies_in_all_three_modes() {
     let queries = well_formed_catalog();
@@ -80,44 +78,16 @@ fn well_formed_catalog_verifies_in_all_three_modes() {
             mode,
             ..EngineConfig::default()
         };
-        assert!(config.verify_plans, "plan verification defaults to on");
         let mut engine = MmqjpEngine::new(config);
         for (i, q) in queries.iter().enumerate() {
             engine
                 .register_query(q.clone())
                 .unwrap_or_else(|e| panic!("well-formed query #{i} rejected in {mode:?}: {e}"));
         }
-        run_stream(&mut engine, docs.clone());
+        let matches = run_stream(&mut engine, docs.clone());
+        assert!(!matches.is_empty(), "the catalog sweep matches in {mode:?}");
         assert_audit_clean(&engine);
     }
-}
-
-/// Verification is observation-only: the same catalog and stream produce
-/// byte-identical matches with `verify_plans` on and off.
-#[test]
-fn verification_never_changes_results() {
-    let queries = well_formed_catalog();
-    let docs = catalog_documents();
-    let mut reference: Option<Vec<_>> = None;
-    for verify in [true, false] {
-        let config = EngineConfig::mmqjp().with_verify_plans(verify);
-        let mut engine = MmqjpEngine::new(config);
-        for q in &queries {
-            engine.register_query(q.clone()).expect("catalog registers");
-        }
-        let keys = match_keys(&run_stream(&mut engine, docs.clone()));
-        match &reference {
-            None => reference = Some(keys),
-            Some(expected) => assert_eq!(
-                expected, &keys,
-                "verify_plans={verify} changed the match set"
-            ),
-        }
-    }
-    assert!(
-        reference.map(|r| !r.is_empty()).unwrap_or(false),
-        "the catalog sweep should produce at least one match"
-    );
 }
 
 /// The sharded engine routes registrations through the same verified path

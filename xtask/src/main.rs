@@ -14,9 +14,10 @@
 //!    declared on the structs in `crates/core/src/stats.rs` must be folded
 //!    in the matching `AddAssign` impl (and vice versa), so sharded stats
 //!    aggregation can never silently drop a counter.
-//! 4. **Bench env-var consistency** — every `MMQJP_BENCH_*` variable set in
-//!    `.github/workflows/ci.yml` must be referenced somewhere under
-//!    `crates/bench`, so CI knobs cannot silently rot.
+//! 4. **CI env-var consistency** — every `MMQJP_*` variable named in
+//!    `.github/workflows/ci.yml` (set or merely mentioned) must be named
+//!    somewhere under `crates/` or `tests/`, so a knob deleted from the code
+//!    cannot linger in the workflow.
 //!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
@@ -54,7 +55,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_panic_free(root, &mut violations);
     check_forbid_unsafe(root, &mut violations);
     check_stats_parity(root, &mut violations);
-    check_bench_env_vars(root, &mut violations);
+    check_ci_env_vars(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -302,41 +303,40 @@ fn add_assign_fields(text: &str, name: &str) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Check 4: MMQJP_BENCH_* env vars in ci.yml must exist in crates/bench.
+// Check 4: MMQJP_* env vars in ci.yml must have a reader in crates/ or tests/.
 // ---------------------------------------------------------------------------
 
-fn check_bench_env_vars(root: &Path, out: &mut Vec<String>) {
+fn check_ci_env_vars(root: &Path, out: &mut Vec<String>) {
     let ci = root.join(".github/workflows/ci.yml");
     let Ok(ci_text) = fs::read_to_string(&ci) else {
         out.push(".github/workflows/ci.yml: unreadable".into());
         return;
     };
-    let mut bench_text = String::new();
-    for file in rust_files(&root.join("crates/bench")) {
-        if let Ok(t) = fs::read_to_string(&file) {
-            bench_text.push_str(&t);
+    let mut sources = String::new();
+    for dir in ["crates", "tests"] {
+        for file in rust_files(&root.join(dir)) {
+            if let Ok(t) = fs::read_to_string(&file) {
+                sources.push_str(&t);
+            }
         }
     }
-    if bench_text.is_empty() {
-        out.push("crates/bench: no sources found for env-var check".into());
-        return;
-    }
+    let read = env_var_names(&sources);
     let vars = env_var_names(&ci_text);
     if vars.is_empty() {
-        out.push("ci.yml: found no MMQJP_BENCH_* variables (check the workflow)".into());
+        out.push("ci.yml: found no MMQJP_* variables (check the workflow)".into());
     }
     for var in vars {
-        if !bench_text.contains(&var) {
+        if !read.contains(&var) {
             out.push(format!(
-                "ci.yml sets {var} but nothing under crates/bench reads it"
+                "ci.yml names {var} but nothing under crates/ or tests/ reads it"
             ));
         }
     }
 }
 
-/// Every distinct `MMQJP_BENCH_<IDENT>` token in the text.
+/// Every distinct `MMQJP_<IDENT>` token in the text.
 fn env_var_names(text: &str) -> Vec<String> {
-    const PREFIX: &str = "MMQJP_BENCH_";
+    const PREFIX: &str = "MMQJP_";
     let mut names: Vec<String> = Vec::new();
     let mut rest = text;
     while let Some(pos) = rest.find(PREFIX) {
@@ -345,7 +345,8 @@ fn env_var_names(text: &str) -> Vec<String> {
             .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
             .unwrap_or(tail.len());
         let name = tail[..end].to_owned();
-        if !names.contains(&name) {
+        // A bare prefix (as in prose about `MMQJP_*`) names no variable.
+        if name.len() > PREFIX.len() && !names.contains(&name) {
             names.push(name);
         }
         rest = &tail[end..];
@@ -391,13 +392,13 @@ mod tests {
 
     #[test]
     fn env_var_names_are_extracted_and_deduped() {
-        let text =
-            "env:\n  MMQJP_BENCH_SCALE: smoke\n  MMQJP_BENCH_JSON: x\nMMQJP_BENCH_SCALE again";
+        let text = "env:\n  MMQJP_BENCH_SCALE: smoke\n  MMQJP_BENCH_JSON: x\n# MMQJP_CHAOS_SEEDS\nMMQJP_BENCH_SCALE again";
         assert_eq!(
             env_var_names(text),
             vec![
                 "MMQJP_BENCH_SCALE".to_owned(),
-                "MMQJP_BENCH_JSON".to_owned()
+                "MMQJP_BENCH_JSON".to_owned(),
+                "MMQJP_CHAOS_SEEDS".to_owned()
             ]
         );
     }
