@@ -59,7 +59,7 @@ fn bench_rowid_vs_materializing_join(c: &mut Criterion) {
         b.iter(|| db.evaluate(&cq).unwrap().len());
     });
 
-    let plan = PhysicalPlan::compile(&cq, |_| Some(2)).unwrap();
+    let mut plan = PhysicalPlan::compile(&cq, |_| Some(2)).unwrap();
     let inputs: Vec<PlanInput<'_>> = plan
         .relations()
         .iter()
@@ -73,8 +73,42 @@ fn bench_rowid_vs_materializing_join(c: &mut Criterion) {
         .collect();
     let mut scratch = ExecScratch::new();
     c.bench_function("relational/rowid_join_compiled_2k", |b| {
-        b.iter(|| plan.execute(&inputs, &mut scratch, false).len());
+        b.iter(|| plan.execute(&inputs, &mut scratch, false).unwrap().len());
     });
+
+    // The shared-table contrast — the kernel of Stage 2, where a small
+    // intermediate probes a large batch-shared atom once per template: a
+    // 100-row `l` against the 2k-row `r`, eight executions a batch. Untagged,
+    // every execution builds its own table over `r`; tagged, the batch
+    // builds one and probes it eight times.
+    let mut small = Relation::new(Schema::new(["k", "x"]));
+    for i in 0..100i64 {
+        small
+            .push_values(vec![Value::Int(i * 3), Value::Int(i)])
+            .unwrap();
+    }
+    for (name, shared) in [
+        ("relational/probe_100_into_2k_x8_private_tables", false),
+        ("relational/probe_100_into_2k_x8_shared_table", true),
+    ] {
+        let inputs: Vec<PlanInput<'_>> = plan
+            .relations()
+            .iter()
+            .map(|rel| match (rel == "l", shared) {
+                (true, _) => PlanInput::from(&small),
+                (false, false) => PlanInput::from(&right),
+                (false, true) => PlanInput::from(&right).shared(0),
+            })
+            .collect();
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                scratch.begin_batch();
+                (0..8)
+                    .map(|_| plan.execute(&inputs, &mut scratch, false).unwrap().len())
+                    .sum::<usize>()
+            });
+        });
+    }
 }
 
 fn bench_pattern_matching(c: &mut Criterion) {

@@ -19,14 +19,15 @@ use crate::fault::QuarantineRecord;
 use crate::front::{self, PoisonHandling};
 use crate::output::{construct_join_output, Binding, MatchOutput};
 use crate::registry::{QueryRuntime, Registration, Registry};
-use crate::relations::{rl_row, schemas, RoutedBatch, WitnessBatch};
-use crate::state::{key_int, key_sym, JoinState};
+use crate::relations::{rl_row, schemas, timestamp_in, RoutedBatch, WitnessBatch};
+use crate::state::{key_int, key_sym, JoinState, RestrictionScratch};
 use crate::stats::{EngineStats, PhaseTimings};
 use crate::view_cache::ViewCache;
 use mmqjp_relational::{
-    ChunkedRows, ExecScratch, FxHashMap, PlanInput, Relation, RowRef, StringInterner, Symbol,
+    ChunkedRows, ExecScratch, FxHashMap, PhysicalPlan, PlanInput, Relation, RowRef, StringInterner,
+    Symbol,
 };
-use mmqjp_xml::{DocId, Document, NodeId};
+use mmqjp_xml::{DocId, Document, NodeId, Timestamp};
 use mmqjp_xpath::{SharedPass, TreePattern};
 use mmqjp_xscl::{JoinOp, QueryId, SelectClause, Side, XsclQuery};
 use std::collections::HashSet;
@@ -51,6 +52,8 @@ pub struct MmqjpEngine {
     /// Pooled executor buffers (selection vectors, join hash tables,
     /// row-id intermediates) reused by every plan execution of this engine.
     scratch: ExecScratch,
+    /// Pooled buffers of the basic-mode batch restriction.
+    restriction: RestrictionScratch,
     /// The front's automaton-pass buffer; kept for the engine's lifetime so
     /// a warm Stage 1 allocates nothing per document.
     pass: SharedPass,
@@ -84,6 +87,7 @@ impl MmqjpEngine {
             state: JoinState::new(config.prune_state_by_window),
             view_cache,
             scratch: ExecScratch::new(),
+            restriction: RestrictionScratch::default(),
             pass: SharedPass::default(),
             stats: EngineStats::default(),
             next_doc_seq: 0,
@@ -113,6 +117,10 @@ impl MmqjpEngine {
         s.plans_compiled = self.registry.plans_compiled();
         s.rows_materialized = self.scratch.rows_materialized() as usize;
         s.scratch_reuses = self.scratch.scratch_reuses() as usize;
+        s.join_tables_built = self.scratch.join_tables_built() as usize;
+        s.join_tables_reused = self.scratch.join_tables_reused() as usize;
+        s.join_orders_planned = self.scratch.join_orders_planned() as usize;
+        s.join_orders_reused = self.scratch.join_orders_reused() as usize;
         let vc = self.view_cache.stats();
         s.view_cache_hits = vc.hits;
         s.view_cache_misses = vc.misses;
@@ -388,11 +396,12 @@ impl MmqjpEngine {
         if self.registry.num_templates() > 0 && !batch.is_empty() {
             let result_rows = self.evaluate_stage2(&batch, &mut rbinw_index, &mut timings)?;
             let t_out = Instant::now();
+            let batch_ts = batch.sorted_timestamps();
             for (rid, rows) in result_rows {
                 // A hybrid shard holds `docs` only when documents are
                 // retained; output document construction is gated on
                 // retention, so an empty slice is never consulted.
-                outputs.extend(self.produce_outputs(rid, &rows, &batch, &docs)?);
+                outputs.extend(self.produce_outputs(rid, &rows, &batch_ts, &docs)?);
             }
             timings.output += t_out.elapsed();
         }
@@ -415,9 +424,12 @@ impl MmqjpEngine {
         rbinw_index: &mut Option<RbinwByDocnode>,
         timings: &mut PhaseTimings,
     ) -> CoreResult<ResultRows> {
+        // The one place the relations behind the shared input tags change:
+        // every join table memoized for the previous batch is dropped here.
+        self.scratch.begin_batch();
         match self.config.mode {
             ProcessingMode::Sequential => evaluate_sequential(
-                &self.registry,
+                &mut self.registry,
                 &self.state,
                 &mut self.scratch,
                 batch,
@@ -425,24 +437,22 @@ impl MmqjpEngine {
             ),
             ProcessingMode::Mmqjp => {
                 let (rows, _) = evaluate_mmqjp(
-                    &self.registry,
+                    &mut self.registry,
                     &self.state,
-                    &mut self.view_cache,
+                    SharedInputs::Restricted(&mut self.restriction),
                     &mut self.scratch,
                     batch,
-                    false,
                     timings,
                 )?;
                 Ok(rows)
             }
             ProcessingMode::MmqjpViewMat => {
                 let (rows, index) = evaluate_mmqjp(
-                    &self.registry,
+                    &mut self.registry,
                     &self.state,
-                    &mut self.view_cache,
+                    SharedInputs::Materialized(&mut self.view_cache),
                     &mut self.scratch,
                     batch,
-                    true,
                     timings,
                 )?;
                 *rbinw_index = index;
@@ -457,12 +467,13 @@ impl MmqjpEngine {
 
     /// Turn a result relation into match outputs, applying the temporal
     /// constraint. `rid_override` is `-1` for template results (which carry a
-    /// qid column) and a concrete rid for Sequential results.
+    /// qid column) and a concrete rid for Sequential results; `batch_ts` is
+    /// the batch's [`WitnessBatch::sorted_timestamps`].
     fn produce_outputs(
         &self,
         rid_override: i64,
         rows: &Relation,
-        batch: &WitnessBatch,
+        batch_ts: &[(DocId, Timestamp)],
         batch_docs: &[Document],
     ) -> CoreResult<Vec<MatchOutput>> {
         let mut outputs = Vec::new();
@@ -500,7 +511,7 @@ impl MmqjpEngine {
             let Some(ts1) = self.state.doc_timestamp(d1) else {
                 continue;
             };
-            let Some(ts2) = batch.timestamp_of(d2).map(|t| t.raw()) else {
+            let Some(ts2) = timestamp_in(batch_ts, d2).map(|t| t.raw()) else {
                 continue;
             };
             let window = query.window.unwrap_or(mmqjp_xscl::Window::Infinite);
@@ -791,7 +802,8 @@ impl<'a> EvalInputs<'a> {
 
     /// Resolve a plan's input slots for one execution. `rt` is the owning
     /// template's `RT` relation (`None` for per-query plans, which never
-    /// reference one).
+    /// reference one). Everything but `RT` is the same relation for every
+    /// execution of the batch and is tagged so (see [`tag`]).
     fn resolve<'b>(
         &'b self,
         kinds: &[PlanInputKind],
@@ -809,24 +821,27 @@ impl<'a> EvalInputs<'a> {
                     self.rbin_restricted
                         .as_ref()
                         .ok_or(CoreError::internal("narrow_rbin implies a restricted Rbin"))?,
-                ),
-                PlanInputKind::Rbin => PlanInput::from(&self.rbin),
+                )
+                .shared(tag::RBIN_RESTRICTED),
+                PlanInputKind::Rbin => PlanInput::from(&self.rbin).shared(tag::RBIN),
                 PlanInputKind::Rdoc => match &self.rdoc_restricted {
-                    Some(restricted) => PlanInput::from(restricted),
-                    None => PlanInput::from(&self.rdoc),
+                    Some(restricted) => PlanInput::from(restricted).shared(tag::RDOC_RESTRICTED),
+                    None => PlanInput::from(&self.rdoc).shared(tag::RDOC),
                 },
-                PlanInputKind::RbinW => PlanInput::from(&self.batch.rbin_w),
-                PlanInputKind::RdocW => PlanInput::from(&self.batch.rdoc_w),
+                PlanInputKind::RbinW => PlanInput::from(&self.batch.rbin_w).shared(tag::RBIN_W),
+                PlanInputKind::RdocW => PlanInput::from(&self.batch.rdoc_w).shared(tag::RDOC_W),
                 PlanInputKind::Rl => PlanInput::from(
                     self.rl
                         .as_ref()
                         .ok_or(CoreError::internal("RL is computed in materialized mode"))?,
-                ),
+                )
+                .shared(tag::RL),
                 PlanInputKind::Rr => PlanInput::from(
                     self.rr
                         .as_ref()
                         .ok_or(CoreError::internal("RR is computed in materialized mode"))?,
-                ),
+                )
+                .shared(tag::RR),
                 PlanInputKind::Rt => PlanInput::from(
                     rt.ok_or(CoreError::internal("template plans carry an RT input"))?,
                 ),
@@ -834,6 +849,33 @@ impl<'a> EvalInputs<'a> {
         }
         Ok(())
     }
+}
+
+/// Shared-input tags of the relations [`EvalInputs::resolve`] hands out: one
+/// per relation that is the same for every plan execution of a batch.
+mod tag {
+    pub const RBIN: u32 = 0;
+    pub const RBIN_RESTRICTED: u32 = 1;
+    pub const RDOC: u32 = 2;
+    pub const RDOC_RESTRICTED: u32 = 3;
+    pub const RBIN_W: u32 = 4;
+    pub const RDOC_W: u32 = 5;
+    pub const RL: u32 = 6;
+    pub const RR: u32 = 7;
+}
+
+/// Execute one compiled plan of the batch. The only error an execution can
+/// raise is a shared join table that outlived its batch.
+fn execute_plan(
+    plan: &mut PhysicalPlan,
+    inputs: &[PlanInput<'_>],
+    scratch: &mut ExecScratch,
+) -> CoreResult<Relation> {
+    plan.execute(inputs, scratch, true).map_err(|_| {
+        CoreError::internal(
+            "a shared join table outlived its batch (scratch not reset at Stage-2 entry)",
+        )
+    })
 }
 
 /// Per-batch index of `RbinW` rows by `(docid, node2)`, used both to build
@@ -858,65 +900,71 @@ fn rbinw_by_docnode(batch: &WitnessBatch) -> CoreResult<RbinwByDocnode> {
     Ok(index)
 }
 
+/// How a batch's shared Stage-2 inputs are prepared, with the engine-owned
+/// resource that preparation needs.
+enum SharedInputs<'a> {
+    /// Basic MMQJP: `Rdoc`/`Rbin` restricted to the rows the batch can join.
+    Restricted(&'a mut RestrictionScratch),
+    /// View-materialized MMQJP: the `RL`/`RR` intermediates.
+    Materialized(&'a mut ViewCache),
+}
+
 /// Evaluate all templates with their compiled basic or materialized plans.
 /// Returns, per result relation, `(rid filter, rows)` where `rid = -1` marks
 /// template results (which carry their own qid column), plus — in
 /// materialized mode — the batch's `RbinW` index so maintenance can reuse
 /// it instead of rebuilding it.
 fn evaluate_mmqjp(
-    registry: &Registry,
+    registry: &mut Registry,
     state: &JoinState,
-    view_cache: &mut ViewCache,
+    shared: SharedInputs<'_>,
     scratch: &mut ExecScratch,
     batch: &WitnessBatch,
-    materialized: bool,
     timings: &mut PhaseTimings,
 ) -> CoreResult<(ResultRows, Option<RbinwByDocnode>)> {
     let mut ctx = EvalInputs::new(state, batch);
     let mut rbinw_index = None;
-    if materialized {
-        let (rl, rr, index) = compute_rl_rr(state, view_cache, batch, timings)?;
-        ctx.rl = Some(rl);
-        ctx.rr = Some(rr);
-        rbinw_index = Some(index);
-    } else {
-        // Basic MMQJP: restrict the shared join-state inputs to the rows the
-        // batch can actually join, once, before the per-template loop. Every
-        // basic plan's Rdoc atom equates its strVal variable with an RdocW
-        // atom's, so Rdoc rows under string values absent from the batch are
-        // dead weight every template would otherwise re-scan — this is the
-        // shared work the view-materialized mode gets from its RL/RR
-        // intermediates, without materializing any view.
-        let t_restrict = Instant::now();
-        let mut strvals: Vec<Symbol> = Vec::new();
-        let mut seen: HashSet<Symbol> = HashSet::new();
-        for row in batch.rdoc_w.iter() {
-            let sym = key_sym(&row[2], "RdocW", "strVal")?;
-            if seen.insert(sym) {
-                strvals.push(sym);
-            }
+    let materialized = match shared {
+        SharedInputs::Materialized(view_cache) => {
+            let (rl, rr, index) = compute_rl_rr(state, view_cache, batch, timings)?;
+            ctx.rl = Some(rl);
+            ctx.rr = Some(rr);
+            rbinw_index = Some(index);
+            true
         }
-        let (rdoc, docids) = state.rdoc_for_strvals(&strvals)?;
-        ctx.rbin_restricted = Some(state.rbin_for_docids(&docids)?);
-        ctx.rdoc_restricted = Some(rdoc);
-        timings.compute_rvj += t_restrict.elapsed();
-    }
+        SharedInputs::Restricted(pool) => {
+            // Basic MMQJP: restrict the shared join-state inputs to the rows
+            // the batch can actually join, once, before the per-template
+            // loop. Every basic plan's Rdoc atom equates its strVal variable
+            // with an RdocW atom's, so Rdoc rows under string values absent
+            // from the batch are dead weight every template would otherwise
+            // re-scan — this is the shared work the view-materialized mode
+            // gets from its RL/RR intermediates, without materializing any
+            // view.
+            let t_restrict = Instant::now();
+            let (rdoc, rbin) = state.restrict_to_batch(&batch.rdoc_w, pool)?;
+            ctx.rdoc_restricted = Some(rdoc);
+            ctx.rbin_restricted = Some(rbin);
+            timings.compute_rvj += t_restrict.elapsed();
+            false
+        }
+    };
 
     let t0 = Instant::now();
     let mat0 = scratch.materialize_time();
     let mut results = Vec::new();
     let mut inputs: Vec<PlanInput<'_>> = Vec::new();
-    for t in registry.templates() {
+    for t in registry.templates_mut() {
         let (plan, kinds) = if materialized {
-            (t.plan_materialized.as_ref(), &t.inputs_materialized)
+            (t.plan_materialized.as_mut(), &t.inputs_materialized)
         } else {
-            (t.plan_basic.as_ref(), &t.inputs_basic)
+            (t.plan_basic.as_mut(), &t.inputs_basic)
         };
         let plan = plan.ok_or(CoreError::internal(
             "the plan variant for the engine's mode is compiled",
         ))?;
         ctx.resolve(kinds, Some(&t.rt), &mut inputs)?;
-        let rows = plan.execute(&inputs, scratch, true);
+        let rows = execute_plan(plan, &inputs, scratch)?;
         if !rows.is_empty() {
             results.push((-1, rows));
         }
@@ -930,7 +978,7 @@ fn evaluate_mmqjp(
 /// Evaluate every registered query's compiled per-query plan independently
 /// (the paper's Sequential baseline).
 fn evaluate_sequential(
-    registry: &Registry,
+    registry: &mut Registry,
     state: &JoinState,
     scratch: &mut ExecScratch,
     batch: &WitnessBatch,
@@ -942,13 +990,13 @@ fn evaluate_sequential(
     let mut results = Vec::new();
     let mut inputs: Vec<PlanInput<'_>> = Vec::new();
     // Live queries in query-id order; tombstoned queries are skipped.
-    for q in registry.queries() {
-        for r in &q.registrations {
-            let Some(plan) = r.sequential_plan.as_ref() else {
+    for q in registry.queries_mut() {
+        for r in &mut q.registrations {
+            let Some(plan) = r.sequential_plan.as_mut() else {
                 continue; // registered under an MMQJP mode; never evaluated
             };
             ctx.resolve(&r.sequential_inputs, None, &mut inputs)?;
-            let rows = plan.execute(&inputs, scratch, true);
+            let rows = execute_plan(plan, &inputs, scratch)?;
             if !rows.is_empty() {
                 results.push((r.rid, rows));
             }
@@ -1032,7 +1080,7 @@ fn min_bound(a: Option<u64>, b: Option<u64>) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmqjp_xml::{rss, Timestamp};
+    use mmqjp_xml::rss;
 
     const Q1: &str = "S//book->x1[.//author->x2][.//title->x3] \
         FOLLOWED BY{x2=x5 AND x3=x6, 100} \
@@ -1299,6 +1347,32 @@ mod tests {
             // Late materialization: at least one row per emitted match was
             // built, and none more than the distinct result rows.
             assert!(stats.rows_materialized >= stats.results_emitted);
+
+            // Stage 2 pays for the batch, not for the templates: once a
+            // second template reads the same batch-shared inputs, join
+            // tables built for one plan are probed by the next, and on a
+            // steady stream a plan's join order is planned once and reused.
+            e.register_query_text(
+                "S//book->x1[.//author->x2][.//title->x3][.//category->x7] \
+                 FOLLOWED BY{x2=x5 AND x3=x6 AND x7=x8, 100} \
+                 S//blog->x4[.//author->x5][.//title->x6][.//category->x8]",
+            )
+            .unwrap();
+            assert_eq!(e.stats().templates, 2, "mode {mode:?}");
+            for i in 0..batches {
+                e.process_document(d1().with_timestamp(Timestamp(30 + 2 * i)))
+                    .unwrap();
+                // Three articles a batch: the current-document side outgrows
+                // both `RT`s, so both templates start from theirs and probe
+                // the state side on the same key columns.
+                let articles = vec![d2().with_timestamp(Timestamp(31 + 2 * i)); 3];
+                assert!(!e.process_batch(articles).unwrap().is_empty());
+            }
+            let stats = e.stats();
+            assert!(stats.join_tables_built > 0, "mode {mode:?}");
+            assert!(stats.join_tables_reused > 0, "mode {mode:?}: {stats:?}");
+            assert!(stats.join_orders_planned > 0, "mode {mode:?}");
+            assert!(stats.join_orders_reused > 0, "mode {mode:?}: {stats:?}");
         }
     }
 

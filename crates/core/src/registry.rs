@@ -666,6 +666,12 @@ impl Registry {
         self.templates.iter().filter_map(|t| t.as_deref())
     }
 
+    /// The live template runtimes, mutably: executing a plan updates its
+    /// memoized join order.
+    pub(crate) fn templates_mut(&mut self) -> impl Iterator<Item = &mut TemplateRuntime> {
+        self.templates.iter_mut().filter_map(|t| t.as_deref_mut())
+    }
+
     /// The template runtime for an id, if the template is live.
     pub fn template_runtime(&self, id: TemplateId) -> Option<&TemplateRuntime> {
         self.templates.get(id.index()).and_then(|t| t.as_deref())
@@ -685,6 +691,11 @@ impl Registry {
     /// Iterate over the live queries in query-id order.
     pub fn queries(&self) -> impl Iterator<Item = &QueryRuntime> {
         self.queries.iter().filter_map(|q| q.as_deref())
+    }
+
+    /// The live queries, mutably (see [`templates_mut`](Self::templates_mut)).
+    pub(crate) fn queries_mut(&mut self) -> impl Iterator<Item = &mut QueryRuntime> {
+        self.queries.iter_mut().filter_map(|q| q.as_deref_mut())
     }
 
     /// Look up a live query by id.

@@ -208,7 +208,30 @@ impl WitnessBatch {
         self.rbin_w.len() + self.rdoc_w.len()
     }
 
-    /// Timestamp of a document in the batch.
+    /// `(document, timestamp)` of every document of the batch, sorted by
+    /// document id. Output construction builds this once per batch and
+    /// resolves each result row's current document with
+    /// [`timestamp_in`] — a binary search instead of one
+    /// [`timestamp_of`](Self::timestamp_of) scan per row.
+    pub(crate) fn sorted_timestamps(&self) -> Vec<(DocId, Timestamp)> {
+        let mut out: Vec<(DocId, Timestamp)> = self
+            .rdoc_ts_w
+            .iter()
+            .filter_map(|t| {
+                Some((
+                    DocId(t[0].as_int()? as u64),
+                    Timestamp(t[1].as_int()? as u64),
+                ))
+            })
+            .collect();
+        // Stable: of two rows for one document the first stays first, which
+        // is the one `timestamp_of` reports.
+        out.sort_by_key(|&(doc, _)| doc);
+        out
+    }
+
+    /// Timestamp of a document in the batch (a scan of `RdocTSW`; see
+    /// [`sorted_timestamps`](Self::sorted_timestamps) for repeated lookups).
     pub fn timestamp_of(&self, doc: DocId) -> Option<Timestamp> {
         let key = Value::Int(doc.raw() as i64);
         self.rdoc_ts_w
@@ -217,6 +240,15 @@ impl WitnessBatch {
             .and_then(|t| t[1].as_int())
             .map(|v| Timestamp(v as u64))
     }
+}
+
+/// Look `doc` up in the output of [`WitnessBatch::sorted_timestamps`].
+pub(crate) fn timestamp_in(sorted: &[(DocId, Timestamp)], doc: DocId) -> Option<Timestamp> {
+    let first = sorted.partition_point(|&(d, _)| d < doc);
+    sorted
+        .get(first)
+        .filter(|&&(d, _)| d == doc)
+        .map(|&(_, ts)| ts)
 }
 
 impl Default for WitnessBatch {
@@ -308,6 +340,9 @@ mod tests {
         assert_eq!(batch.rdoc_ts_w.len(), 1);
         assert_eq!(batch.timestamp_of(DocId(1)), Some(Timestamp(10)));
         assert_eq!(batch.timestamp_of(DocId(9)), None);
+        let sorted = batch.sorted_timestamps();
+        assert_eq!(timestamp_in(&sorted, DocId(1)), Some(Timestamp(10)));
+        assert_eq!(timestamp_in(&sorted, DocId(9)), None);
 
         // All string values were interned; Danny Ayers appears among them.
         assert!(interner.get("Danny Ayers").is_some());

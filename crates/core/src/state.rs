@@ -22,7 +22,7 @@ use crate::audit::AuditViolation;
 use crate::error::{CoreError, CoreResult};
 use crate::relations::{rl_row, schemas, WitnessBatch};
 use mmqjp_relational::{
-    BucketId, FxHashMap, Relation, RowRef, SegmentedRelation, Symbol, Tuple, Value,
+    BucketId, FxHashMap, FxHashSet, Relation, RowRef, SegmentedRelation, Symbol, Tuple, Value,
 };
 use mmqjp_xml::{DocId, Document};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -135,6 +135,19 @@ pub(crate) struct JoinEviction {
     /// String values whose rows were (partly) dropped; the view cache
     /// invalidates exactly these slices.
     pub expired_strvals: HashSet<Symbol>,
+}
+
+/// Pooled buffers of [`JoinState::restrict_to_batch`]; the engine keeps one
+/// beside its `ExecScratch` so the per-batch restriction allocates nothing
+/// but its two result relations.
+#[derive(Debug, Default)]
+pub(crate) struct RestrictionScratch {
+    /// Distinct string values of the batch, in first-occurrence order.
+    strvals: Vec<Symbol>,
+    seen: FxHashSet<Symbol>,
+    /// Document ids of the restricted `Rdoc` rows.
+    docids: FxHashSet<i64>,
+    offs: Vec<u32>,
 }
 
 /// The engine's windowed join state: bucketed relations, per-bucket indexes,
@@ -523,25 +536,56 @@ impl JoinState {
         Ok(slice)
     }
 
+    /// The basic-mode batch restriction: the resident `Rdoc` rows whose
+    /// string value occurs in the batch's `RdocW`, and the resident `Rbin`
+    /// rows of the documents those rows mention — computed once per batch
+    /// and shared by every template. All intermediate buffers come from
+    /// `pool`.
+    pub(crate) fn restrict_to_batch(
+        &self,
+        rdoc_w: &Relation,
+        pool: &mut RestrictionScratch,
+    ) -> CoreResult<(Relation, Relation)> {
+        let RestrictionScratch {
+            strvals,
+            seen,
+            docids,
+            offs,
+        } = pool;
+        strvals.clear();
+        seen.clear();
+        for row in rdoc_w.iter() {
+            let sym = key_sym(&row[2], "RdocW", "strVal")?;
+            if seen.insert(sym) {
+                strvals.push(sym);
+            }
+        }
+        let rdoc = self.rdoc_for_strvals(strvals, docids, offs)?;
+        let rbin = self.rbin_for_docids(docids, offs)?;
+        Ok((rdoc, rbin))
+    }
+
     /// Restrict the resident `Rdoc` state to the rows whose string value
     /// occurs in `strvals`, gathered through the per-bucket
     /// `rdoc_by_strval` indexes: O(buckets × |strvals| + matching rows)
     /// instead of a full state scan. Rows come out in bucket order, then
     /// ascending in-bucket offset — a deterministic subsequence of the full
-    /// iteration order. Also returns the document ids the restricted rows
-    /// mention (they feed [`JoinState::rbin_for_docids`]).
+    /// iteration order. Fills `docids` with the document ids the restricted
+    /// rows mention (they feed [`JoinState::rbin_for_docids`]); `offs` is a
+    /// pooled work buffer.
     ///
     /// Soundness: in every basic-template conjunctive query, each `Rdoc`
     /// atom's `strVal` variable is shared with an `RdocW` atom of the same
     /// value-join edge, so `Rdoc` rows whose string value is absent from the
     /// current batch's `RdocW` cannot contribute to any result.
-    pub(crate) fn rdoc_for_strvals(
+    fn rdoc_for_strvals(
         &self,
         strvals: &[Symbol],
-    ) -> CoreResult<(Relation, HashSet<i64>)> {
+        docids: &mut FxHashSet<i64>,
+        offs: &mut Vec<u32>,
+    ) -> CoreResult<Relation> {
         let mut out = Relation::new(schemas::doc());
-        let mut docids: HashSet<i64> = HashSet::new();
-        let mut offs: Vec<u32> = Vec::new();
+        docids.clear();
         for (&bucket, index) in &self.indexes {
             offs.clear();
             for s in strvals {
@@ -559,27 +603,33 @@ impl JoinState {
                 .rdoc
                 .bucket(bucket)
                 .ok_or(CoreError::internal("indexed bucket has an Rdoc segment"))?;
-            for &off in &offs {
+            for &off in offs.iter() {
                 let row = seg.row(off as usize);
                 docids.insert(key_int(&row[0], "Rdoc", "docid")?);
                 out.push_values(row.to_vec())?;
             }
         }
-        Ok((out, docids))
+        Ok(out)
     }
 
     /// Restrict the resident `Rbin` state to the rows of the given
     /// documents, gathered through the per-bucket `rbin_by_docnode` indexes.
     /// Row order matches [`JoinState::rdoc_for_strvals`]: bucket order, then
-    /// ascending in-bucket offset.
+    /// ascending in-bucket offset. `offs` is a pooled work buffer.
     ///
     /// Soundness: every left-side atom of a basic-template conjunctive query
     /// shares the single stored-document variable, so `Rbin` rows of
     /// documents absent from the restricted `Rdoc` cannot join into any
     /// result.
-    pub(crate) fn rbin_for_docids(&self, docids: &HashSet<i64>) -> CoreResult<Relation> {
+    fn rbin_for_docids(
+        &self,
+        docids: &FxHashSet<i64>,
+        offs: &mut Vec<u32>,
+    ) -> CoreResult<Relation> {
         let mut out = Relation::new(schemas::bin());
-        let mut offs: Vec<u32> = Vec::new();
+        if docids.is_empty() {
+            return Ok(out);
+        }
         for (&bucket, index) in &self.indexes {
             offs.clear();
             for (&(docid, _), rows) in &index.rbin_by_docnode {
@@ -595,7 +645,7 @@ impl JoinState {
                 .rbin
                 .bucket(bucket)
                 .ok_or(CoreError::internal("indexed bucket has an Rbin segment"))?;
-            for &off in &offs {
+            for &off in offs.iter() {
                 out.push_values(seg.row(off as usize).to_vec())?;
             }
         }
@@ -1155,20 +1205,24 @@ mod tests {
                 .unwrap();
         }
         let even = interner.get("even").unwrap();
-        let (rdoc, docids) = s.rdoc_for_strvals(&[even]).unwrap();
+        let (mut docids, mut no_docs) = (FxHashSet::default(), FxHashSet::default());
+        let offs = &mut Vec::new();
+        let rdoc = s.rdoc_for_strvals(&[even], &mut docids, offs).unwrap();
         assert_eq!(rdoc.len(), 3);
-        assert_eq!(docids, HashSet::from([2, 4, 6]));
+        assert_eq!(docids, FxHashSet::from_iter([2, 4, 6]));
         // Every restricted row carries the requested string value.
         assert!(rdoc.iter().all(|r| r[2] == Value::Sym(even)));
-        let rbin = s.rbin_for_docids(&docids).unwrap();
+        let rbin = s.rbin_for_docids(&docids, offs).unwrap();
         assert_eq!(rbin.len(), 3);
         assert!(rbin
             .iter()
             .all(|r| matches!(r[0].as_int(), Some(d) if d % 2 == 0)));
         // An absent string value restricts to nothing.
-        let (empty, no_docs) = s.rdoc_for_strvals(&[interner.intern("absent")]).unwrap();
+        let empty = s
+            .rdoc_for_strvals(&[interner.intern("absent")], &mut no_docs, offs)
+            .unwrap();
         assert!(empty.is_empty());
         assert!(no_docs.is_empty());
-        assert!(s.rbin_for_docids(&no_docs).unwrap().is_empty());
+        assert!(s.rbin_for_docids(&no_docs, offs).unwrap().is_empty());
     }
 }

@@ -149,6 +149,22 @@ pub struct EngineStats {
     /// and executor buffers are engine-lifetime objects, not per-batch
     /// ones: an execution allocates nothing but its result relation.
     pub scratch_reuses: usize,
+    /// Join hash tables built by the plan executor — the per-execution
+    /// tables of filtered or per-template (`RT`) atoms and the batch-shared
+    /// tables alike.
+    pub join_tables_built: usize,
+    /// Join steps that probed a batch-shared table an earlier step of the
+    /// same batch had built (possibly for another template). With
+    /// [`join_tables_built`](Self::join_tables_built) this is the sharing
+    /// ratio of Stage 2: builds follow the batch, probes follow the
+    /// templates.
+    pub join_tables_reused: usize,
+    /// Plan executions that sampled their inputs and planned a join order:
+    /// a plan's first execution, and every later one whose atom lengths had
+    /// left `[½×, 2×]` of the lengths its order was planned for.
+    pub join_orders_planned: usize,
+    /// Plan executions that reused the plan's memoized join order.
+    pub join_orders_reused: usize,
     /// Documents parsed and Stage-1-evaluated exactly once by the hybrid
     /// front stage of [`ShardedEngine`](crate::ShardedEngine) (with
     /// `front_pool >= 1`). Zero for single engines and for the replicated
@@ -244,6 +260,10 @@ impl AddAssign for EngineStats {
         self.plans_compiled += rhs.plans_compiled;
         self.rows_materialized += rhs.rows_materialized;
         self.scratch_reuses += rhs.scratch_reuses;
+        self.join_tables_built += rhs.join_tables_built;
+        self.join_tables_reused += rhs.join_tables_reused;
+        self.join_orders_planned += rhs.join_orders_planned;
+        self.join_orders_reused += rhs.join_orders_reused;
         self.docs_parsed_once += rhs.docs_parsed_once;
         self.witnesses_routed += rhs.witnesses_routed;
         self.pipeline_stalls += rhs.pipeline_stalls;
@@ -340,6 +360,10 @@ mod tests {
             plans_compiled: 14,
             rows_materialized: 15,
             scratch_reuses: 16,
+            join_tables_built: 25,
+            join_tables_reused: 26,
+            join_orders_planned: 27,
+            join_orders_reused: 28,
             docs_parsed_once: 17,
             witnesses_routed: 18,
             pipeline_stalls: 19,
@@ -375,6 +399,10 @@ mod tests {
             plans_compiled: 140,
             rows_materialized: 150,
             scratch_reuses: 160,
+            join_tables_built: 250,
+            join_tables_reused: 260,
+            join_orders_planned: 270,
+            join_orders_reused: 280,
             docs_parsed_once: 170,
             witnesses_routed: 180,
             pipeline_stalls: 190,
@@ -410,6 +438,10 @@ mod tests {
         assert_eq!(s.plans_compiled, 154);
         assert_eq!(s.rows_materialized, 165);
         assert_eq!(s.scratch_reuses, 176);
+        assert_eq!(s.join_tables_built, 275);
+        assert_eq!(s.join_tables_reused, 286);
+        assert_eq!(s.join_orders_planned, 297);
+        assert_eq!(s.join_orders_reused, 308);
         assert_eq!(s.docs_parsed_once, 187);
         assert_eq!(s.witnesses_routed, 198);
         assert_eq!(s.pipeline_stalls, 209);

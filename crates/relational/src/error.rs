@@ -50,6 +50,19 @@ pub enum RelError {
         /// Every violation found, in check order.
         violations: Vec<PlanViolation>,
     },
+    /// A join table memoized for a batch-shared plan input was found with a
+    /// different row count than its input: the caller changed the relation
+    /// behind the tag without calling
+    /// [`ExecScratch::begin_batch`](crate::ExecScratch::begin_batch). A
+    /// caller bug, reported instead of joining against stale rows.
+    StaleJoinTable {
+        /// The input's shared tag.
+        tag: u32,
+        /// Rows of the input the table was built over.
+        built_rows: u32,
+        /// Rows of the input it was about to be probed for.
+        rows: u32,
+    },
 }
 
 impl fmt::Display for RelError {
@@ -87,6 +100,14 @@ impl fmt::Display for RelError {
                 }
                 Ok(())
             }
+            RelError::StaleJoinTable {
+                tag,
+                built_rows,
+                rows,
+            } => write!(
+                f,
+                "stale shared join table for input tag {tag}: built over {built_rows} rows, input now has {rows}"
+            ),
         }
     }
 }

@@ -22,6 +22,15 @@ pub struct FxHasher {
 }
 
 impl FxHasher {
+    /// A hasher that continues from the state an earlier [`finish`] returned,
+    /// so a composite key can be hashed one column at a time.
+    ///
+    /// [`finish`]: Hasher::finish
+    #[inline]
+    pub(crate) fn resume(state: u64) -> Self {
+        FxHasher { hash: state }
+    }
+
     #[inline]
     fn add_to_hash(&mut self, word: u64) {
         self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);

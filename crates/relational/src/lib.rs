@@ -29,12 +29,13 @@
 //!   names interned to dense [`ColId`]s, filters and join keys resolved to
 //!   positions at compile time, and a late-materialization executor that
 //!   joins row ids over borrowed inputs (flat or segmented via
-//!   [`ChunkedRows`]) with pooled [`ExecScratch`] buffers, materializing
-//!   each output tuple exactly once. This is what the MMQJP engine executes
-//!   per batch; the interpreting [`Database::evaluate`] remains as the
-//!   reference implementation.
+//!   [`ChunkedRows`]) with pooled [`ExecScratch`] buffers, shares the join
+//!   tables of batch-shared inputs across plans and materializes each output
+//!   tuple exactly once. This is what the MMQJP engine executes per batch;
+//!   the interpreting [`Database::evaluate`] remains as the test oracle
+//!   (equal as bags — row order is the executor's own).
 //! * [`FxHasher`] — a vendored Fx-style hasher ([`FxHashMap`],
-//!   [`FxHashSet`]) for the join build/probe tables and index segments.
+//!   [`FxHashSet`]) for the join-key hashes and index segments.
 //!
 //! The engine is deliberately not a general DBMS: no transactions, no
 //! persistence, no SQL parser. It is, however, a complete and correct

@@ -1,48 +1,66 @@
 //! Compiled physical plans for conjunctive queries, with a columnar,
-//! late-materialization execution kernel.
+//! late-materialization execution kernel whose join tables are shared across
+//! the plans of one batch.
 //!
 //! [`Database::evaluate`](crate::Database::evaluate) interprets a
 //! [`ConjunctiveQuery`] from scratch on every call: column names are resolved
 //! by string lookup, every atom is materialized into a binding relation
 //! (cloning the matching tuples), and every hash join clones full combined
-//! rows. A [`PhysicalPlan`] performs all of that resolution exactly once, at
-//! compile time — variables are interned to dense [`ColId`]s, relation names
-//! to input slots, constant and repeated-variable filters to positional
-//! checks — and execution then operates on *row ids* over the columnar
-//! [`Relation`] layout:
+//! rows. It stays as the bag-semantics test oracle. A [`PhysicalPlan`]
+//! performs all of that resolution exactly once, at compile time — variables
+//! are interned to dense [`ColId`]s, relation names to input slots, constant
+//! and repeated-variable filters to positional checks — and execution then
+//! operates on *row ids* over the columnar [`Relation`] layout:
 //!
 //! * selections are per-constraint passes over contiguous column slices,
 //!   producing row-id vectors (no tuple is copied and no row is assembled);
-//! * join-key hashes for each atom's rows are computed **column-wise in
-//!   batch** into a pooled buffer before the build/probe loop runs;
-//! * each hash join produces strided row-id tuples — one id per already
-//!   joined atom — keyed by [`FxHasher`](crate::FxHasher) value hashes with
-//!   exact per-column verification on probe;
+//! * there is **one join step**: it builds a hash table on the atom and
+//!   probes it with the intermediate result. The table is a flat
+//!   power-of-two `heads` array, per-row `chain` links and the per-row key
+//!   hashes, computed column-wise; a probe compares the stored hash before
+//!   it touches any [`Value`], then verifies the key columns exactly;
+//! * each join produces strided row-id tuples — one id per already joined
+//!   atom;
 //! * full output tuples are materialized exactly once, at the final head
 //!   projection, appended column-by-column (optionally deduplicated in the
 //!   same pass).
 //!
-//! All executor buffers live in an [`ExecScratch`] pool the caller owns and
-//! reuses across executions, so steady-state evaluation performs no
-//! per-batch allocations beyond the result relation itself.
+//! # What is shared across executions
 //!
-//! The greedy join order is driven by **sampled selectivity estimates**
-//! rather than raw cardinalities: each atom column's distinct-value count is
-//! estimated from up to 64 hashed samples, and the planner picks the
-//! connected atom minimizing the estimated intermediate size. This is what
-//! keeps low-selectivity joins (e.g. two variable-name columns over the
-//! whole `Rbin` state) from running early and exploding the intermediate.
+//! The engine runs one plan per template over the *same* few relations, so
+//! the executor is built to pay for a batch once rather than once per plan:
 //!
-//! Execution replicates the interpreter *byte for byte*: the same
-//! estimate-driven greedy connected join order (computed per execution from
-//! the actual filtered inputs — the one planning decision that must stay
-//! data-dependent), the same build-on-the-smaller-side hash joins, the same
-//! output row order. The `properties.rs` proptest in the integration suite
-//! certifies this equivalence on random relations and queries.
+//! * **Join tables.** A caller tags the inputs that are the same relation for
+//!   every execution of a batch ([`PlanInput::shared`]). For an *unfiltered*
+//!   atom over a tagged input the table is memoized in the [`ExecScratch`]
+//!   under `(tag, key positions)` and probed by every later step — of this
+//!   plan or the next — that joins the same input on the same columns.
+//!   [`ExecScratch::begin_batch`] forgets the tables when the relations
+//!   behind the tags change; an always-on row-count check turns a forgotten
+//!   call into [`RelError::StaleJoinTable`] instead of a wrong row. Filtered
+//!   atoms and untagged inputs get a per-step table.
+//! * **Join orders.** The greedy order is driven by **sampled selectivity
+//!   estimates**: each atom column's distinct-value count is estimated from
+//!   up to 64 hashed samples, and the planner picks the connected atom
+//!   minimizing the estimated growth of the intermediate — which keeps
+//!   low-selectivity joins (e.g. two variable-name columns over the whole
+//!   `Rbin` state) from running early. Sampling and the O(atoms²) planner
+//!   run once per *data shape*: a plan keeps its last order beside the atom
+//!   lengths it was planned for and re-plans only when some atom's
+//!   (filtered) length leaves `[½×, 2×]` of its planned length.
+//! * **Buffers.** All executor buffers, shared tables included, live in the
+//!   [`ExecScratch`] pool the caller owns, so steady-state evaluation
+//!   performs no per-batch allocations beyond the result relation itself.
+//!
+//! The result of an execution is a bag: every order and every table yields
+//! the same rows, but their order is the executor's own and no caller may
+//! depend on it. The `properties.rs` proptests in the integration suite
+//! certify bag equality with the interpreter, and that sharing one scratch
+//! among many plans never changes an answer.
 
 use crate::conjunctive::{ConjunctiveQuery, Term};
 use crate::error::{RelError, RelResult};
-use crate::fxhash::{FxHashMap, FxHasher};
+use crate::fxhash::FxHasher;
 use crate::relation::{Relation, RowRef};
 use crate::schema::Schema;
 use crate::segment::SegmentedRelation;
@@ -79,6 +97,26 @@ pub(crate) struct PhysAtom {
     pub(crate) vars: Vec<(ColId, u32)>,
 }
 
+/// The join order of a plan's last planning pass, beside the (filtered) atom
+/// lengths it was planned for. Empty until the first execution.
+#[derive(Debug, Clone, Default)]
+struct OrderMemo {
+    order: Vec<usize>,
+    lens: Vec<u32>,
+}
+
+impl OrderMemo {
+    /// `true` when an order was planned and every atom's current length is
+    /// still within `[½×, 2×]` of the length it was planned for.
+    fn covers(&self, lens: &[u32]) -> bool {
+        self.order.len() == lens.len()
+            && lens.iter().zip(&self.lens).all(|(&len, &planned)| {
+                let (len, planned) = (u64::from(len), u64::from(planned));
+                2 * len >= planned && len <= 2 * planned
+            })
+    }
+}
+
 /// A conjunctive query compiled against fixed relation arities.
 ///
 /// Compile once (at query-registration time), execute per batch with
@@ -91,6 +129,7 @@ pub struct PhysicalPlan {
     pub(crate) atoms: Vec<PhysAtom>,
     pub(crate) relations: Vec<String>,
     pub(crate) col_names: Vec<String>,
+    memo: OrderMemo,
 }
 
 impl PhysicalPlan {
@@ -201,6 +240,7 @@ impl PhysicalPlan {
             atoms,
             relations,
             col_names,
+            memo: OrderMemo::default(),
         })
     }
 
@@ -229,59 +269,70 @@ impl PhysicalPlan {
     /// Execute the plan over `inputs` (one per [`relations`](Self::relations)
     /// entry, same order), reusing `scratch` for every internal buffer. With
     /// `distinct`, duplicate head tuples are dropped in the materialization
-    /// pass (first occurrence wins — identical to
-    /// [`Relation::distinct`] applied afterwards, without the extra copy).
+    /// pass, before anything is cloned. The result is a *bag*: its row order
+    /// is whatever the memoized join order and the shared tables produce, and
+    /// callers must not depend on it.
+    ///
+    /// Takes `&mut self` because the plan keeps its last join order (see the
+    /// module docs); nothing else about the plan changes.
+    ///
+    /// Fails with [`RelError::StaleJoinTable`] when an input tagged
+    /// [`shared`](PlanInput::shared) has a different row count than the
+    /// table memoized for its tag — the caller changed the input without
+    /// calling [`ExecScratch::begin_batch`].
     ///
     /// # Panics
     /// Panics if `inputs.len()` differs from the number of plan relations.
     pub fn execute(
-        &self,
+        &mut self,
         inputs: &[PlanInput<'_>],
         scratch: &mut ExecScratch,
         distinct: bool,
-    ) -> Relation {
+    ) -> RelResult<Relation> {
         assert_eq!(
             inputs.len(),
             self.relations.len(),
             "one PlanInput per plan relation"
         );
+        let PhysicalPlan {
+            head,
+            head_schema,
+            atoms,
+            col_names,
+            memo,
+            ..
+        } = self;
         let ExecScratch {
             sels,
             samples,
-            ht,
-            chain,
-            hits,
-            hash_states,
-            hash_buf,
+            table,
+            shared,
             cur,
             next,
-            out_ht,
-            out_chain,
+            dedup,
             bound,
             lens,
             filtered,
-            order,
             remaining,
             step_rels,
             acc,
             left_keys,
             right_keys,
             head_specs,
-            rows_materialized,
-            scratch_reuses,
+            counters,
             materialize_nanos,
             primed,
         } = scratch;
         if *primed {
-            *scratch_reuses += 1;
+            counters.scratch_reuses += 1;
         } else {
             *primed = true;
         }
 
-        let n = self.atoms.len();
-        let mut out = Relation::new(self.head_schema.clone());
+        let n = atoms.len();
+        let mut out = Relation::new(head_schema.clone());
         if n == 0 {
-            return out;
+            return Ok(out);
         }
 
         // ---- Selection: per-atom row-id vectors -------------------------
@@ -292,7 +343,7 @@ impl PhysicalPlan {
         }
         lens.clear();
         filtered.clear();
-        for (i, atom) in self.atoms.iter().enumerate() {
+        for (i, atom) in atoms.iter().enumerate() {
             let input = &inputs[atom.rel as usize];
             if atom.consts.is_empty() && atom.dups.is_empty() {
                 // Unfiltered atom: the selection is the whole relation; no
@@ -307,61 +358,69 @@ impl PhysicalPlan {
         }
         // A conjunction with an empty atom is empty, whatever the rest holds.
         if lens.contains(&0) {
-            return out;
+            return Ok(out);
         }
 
-        // ---- Sampled column hashes per atom -----------------------------
-        // Up to [`DISTINCT_SAMPLE`] evenly strided row samples per atom,
-        // hashed per variable column (flattened column-major). The join
-        // order estimates the distinct count of any bound-column
-        // *combination* from them, which — unlike per-column estimates
-        // multiplied under an independence assumption — stays honest for
-        // correlated columns. Only multi-atom bodies need them.
-        while samples.len() < n {
-            samples.push(Vec::new());
-        }
-        if n > 1 {
-            for (i, atom) in self.atoms.iter().enumerate() {
-                let input = &inputs[atom.rel as usize];
-                let nrows = lens[i] as usize;
-                let s = &mut samples[i];
-                s.clear();
-                let sc = nrows.min(DISTINCT_SAMPLE);
-                let step = nrows / sc; // nrows >= 1: empty atoms returned above
-                if filtered[i] {
-                    let sel = &sels[i];
+        // ---- Join order: planned once per data shape --------------------
+        // The sampled greedy order is kept beside the atom lengths it was
+        // planned for and reused until some atom's (filtered) length leaves
+        // [½×, 2×] of its planned length. Any order is *correct*; the memo
+        // only decides how often the O(atoms²) planner and its sampling run.
+        if memo.covers(lens) {
+            if n > 1 {
+                counters.orders_reused += 1;
+            }
+        } else {
+            // Up to [`DISTINCT_SAMPLE`] evenly strided row samples per atom,
+            // hashed per variable column (flattened column-major). The
+            // planner estimates the distinct count of any bound-column
+            // *combination* from them, which — unlike per-column estimates
+            // multiplied under an independence assumption — stays honest for
+            // correlated columns. Only multi-atom bodies need them.
+            while samples.len() < n {
+                samples.push(Vec::new());
+            }
+            if n > 1 {
+                for (i, atom) in atoms.iter().enumerate() {
+                    let input = &inputs[atom.rel as usize];
+                    let nrows = lens[i] as usize;
+                    let s = &mut samples[i];
+                    s.clear();
+                    let sc = nrows.min(DISTINCT_SAMPLE);
+                    let step = nrows / sc; // nrows >= 1: empty atoms returned above
+                    let sel: Option<&[u32]> = filtered[i].then_some(sels[i].as_slice());
                     for &(_, pos) in &atom.vars {
                         for j in 0..sc {
-                            s.push(hash_value(input.value(sel[j * step], pos)));
-                        }
-                    }
-                } else {
-                    for &(_, pos) in &atom.vars {
-                        for j in 0..sc {
-                            s.push(hash_value(input.value((j * step) as u32, pos)));
+                            s.push(hash_value(input.value(base_id(sel, j * step), pos)));
                         }
                     }
                 }
+                counters.orders_planned += 1;
             }
+            join_order(
+                atoms,
+                lens,
+                samples,
+                col_names.len(),
+                bound,
+                remaining,
+                &mut memo.order,
+            );
+            memo.lens.clear();
+            memo.lens.extend_from_slice(lens);
         }
-
-        // ---- Join order (replicates the interpreter's greedy planner) ---
-        join_order(
-            &self.atoms,
-            lens,
-            samples,
-            self.col_names.len(),
-            bound,
-            remaining,
-            order,
-        );
+        let order = memo.order.as_slice();
         step_rels.clear();
-        step_rels.extend(order.iter().map(|&i| self.atoms[i].rel));
+        step_rels.extend(order.iter().map(|&i| atoms[i].rel));
 
         // ---- Pipeline of row-id hash joins ------------------------------
         // `cur` holds the intermediate result: `stride` row ids per logical
         // row, one per already joined atom (in `order` position). `acc` maps
         // each bound column to the `(step, position)` it is fetched from.
+        // Every connected step builds on the atom and probes with the
+        // intermediate, so the table of an unfiltered batch-shared atom can
+        // be built once per batch and reused by every later step that joins
+        // the same input on the same key columns.
         acc.clear();
         let first = order[0];
         cur.clear();
@@ -370,13 +429,13 @@ impl PhysicalPlan {
         } else {
             cur.extend(0..lens[first]);
         }
-        for (col, pos) in &self.atoms[first].vars {
+        for (col, pos) in &atoms[first].vars {
             acc.push((*col, 0, *pos));
         }
         let mut stride = 1usize;
 
         for (step, &ai) in order.iter().enumerate().skip(1) {
-            let atom = &self.atoms[ai];
+            let atom = &atoms[ai];
             let right = &inputs[atom.rel as usize];
             // Key columns: the atom's variables already bound on the left.
             left_keys.clear();
@@ -389,25 +448,13 @@ impl PhysicalPlan {
             }
             let left_rows = cur.len() / stride;
             let right_rows = lens[ai] as usize;
-            let right_sel: Option<&[u32]> = if filtered[ai] { Some(&sels[ai]) } else { None };
+            let right_sel: Option<&[u32]> = filtered[ai].then_some(sels[ai].as_slice());
             let left = LeftRows {
                 cur: cur.as_slice(),
                 stride,
                 inputs,
                 step_rels: step_rels.as_slice(),
             };
-            // Batch the right side's key hashes column-wise before the
-            // build/probe loop (both branches consume `hash_buf[r]`).
-            if !left_keys.is_empty() {
-                batch_hashes(
-                    right,
-                    right_sel,
-                    right_keys,
-                    right_rows,
-                    hash_states,
-                    hash_buf,
-                );
-            }
 
             next.clear();
             if left_keys.is_empty() {
@@ -418,68 +465,37 @@ impl PhysicalPlan {
                         next.push(base_id(right_sel, r));
                     }
                 }
-            } else if left_rows <= right_rows {
-                // Build on the intermediate, probe with the atom's rows —
-                // build-on-the-smaller-side, larger side iterated in order.
-                ht.clear();
-                chain.clear();
-                chain.resize(left_rows, NONE);
-                for (l, link) in chain.iter_mut().enumerate() {
-                    let h = left.hash_key(l, left_keys);
-                    let slot = ht.entry(h).or_insert(NONE);
-                    *link = *slot;
-                    *slot = l as u32;
-                }
-                for (r, &h) in hash_buf.iter().enumerate().take(right_rows) {
-                    let rid = base_id(right_sel, r);
-                    hits.clear();
-                    let mut cand = ht.get(&h).copied().unwrap_or(NONE);
-                    while cand != NONE {
-                        if left.key_equals(cand as usize, left_keys, right, rid, right_keys) {
-                            hits.push(cand);
-                        }
-                        cand = chain[cand as usize];
-                    }
-                    // The chain yields descending build order; the
-                    // interpreter's index probes in ascending (insertion)
-                    // order.
-                    for &l in hits.iter().rev() {
-                        let l = l as usize;
-                        next.extend_from_slice(&cur[l * stride..(l + 1) * stride]);
-                        next.push(rid);
-                    }
-                }
             } else {
-                // Build on the atom's rows, probe with the intermediate.
-                ht.clear();
-                chain.clear();
-                chain.resize(right_rows, NONE);
-                for (r, link) in chain.iter_mut().enumerate() {
-                    let slot = ht.entry(hash_buf[r]).or_insert(NONE);
-                    *link = *slot;
-                    *slot = r as u32;
-                }
+                let built: &JoinTable = match (right.shared, right_sel) {
+                    (Some(tag), None) => shared.get_or_build(tag, right_keys, right, counters)?,
+                    _ => {
+                        table.build(right, right_sel, right_keys, right_rows);
+                        counters.tables_built += 1;
+                        &*table
+                    }
+                };
                 for l in 0..left_rows {
                     let h = left.hash_key(l, left_keys);
-                    hits.clear();
-                    let mut cand = ht.get(&h).copied().unwrap_or(NONE);
-                    while cand != NONE {
-                        let rid = base_id(right_sel, cand as usize);
-                        if left.key_equals(l, left_keys, right, rid, right_keys) {
-                            hits.push(cand);
+                    let mut r = built.first(h);
+                    while r != NONE {
+                        // The stored hash screens candidates before any
+                        // `Value` is touched; equal hashes are then verified
+                        // exactly (collisions must not join).
+                        if built.hashes[r as usize] == h {
+                            let rid = base_id(right_sel, r as usize);
+                            if left.key_equals(l, left_keys, right, rid, right_keys) {
+                                next.extend_from_slice(&cur[l * stride..(l + 1) * stride]);
+                                next.push(rid);
+                            }
                         }
-                        cand = chain[cand as usize];
-                    }
-                    for &r in hits.iter().rev() {
-                        next.extend_from_slice(&cur[l * stride..(l + 1) * stride]);
-                        next.push(base_id(right_sel, r as usize));
+                        r = built.chain[r as usize];
                     }
                 }
             }
             std::mem::swap(cur, next);
             stride += 1;
             if cur.is_empty() {
-                return out;
+                return Ok(out);
             }
             for (col, pos) in &atom.vars {
                 if !acc.iter().any(|(c, _, _)| c == col) {
@@ -494,7 +510,7 @@ impl PhysicalPlan {
         // *before* anything is cloned.
         let mat_start = Instant::now();
         head_specs.clear();
-        for col in &self.head {
+        for col in head.iter() {
             let &(_, s, p) = acc
                 .iter()
                 .find(|(c, _, _)| c == col)
@@ -503,8 +519,7 @@ impl PhysicalPlan {
         }
         let rows = cur.len() / stride;
         if distinct {
-            out_ht.clear();
-            out_chain.clear();
+            dedup.reset(rows);
         }
         let left = LeftRows {
             cur: cur.as_slice(),
@@ -518,28 +533,24 @@ impl PhysicalPlan {
                 // Dedup *before* building anything: hash and compare the
                 // projected values in place, so duplicate rows are never
                 // materialized at all.
-                let mut hasher = FxHasher::default();
-                for &(s, p) in head_specs.iter() {
-                    left.value(row_idx, s, p).hash(&mut hasher);
-                }
-                let h = hasher.finish();
-                let mut cand = out_ht.get(&h).copied().unwrap_or(NONE);
+                let h = left.hash_key(row_idx, head_specs);
+                let mut cand = dedup.first(h);
                 let mut duplicate = false;
                 while cand != NONE {
-                    if head_specs.iter().enumerate().all(|(k, &(s, p))| {
-                        left.value(row_idx, s, p) == &out.col_values(k)[cand as usize]
-                    }) {
+                    if dedup.hashes[cand as usize] == h
+                        && head_specs.iter().enumerate().all(|(k, &(s, p))| {
+                            left.value(row_idx, s, p) == &out.col_values(k)[cand as usize]
+                        })
+                    {
                         duplicate = true;
                         break;
                     }
-                    cand = out_chain[cand as usize];
+                    cand = dedup.chain[cand as usize];
                 }
                 if duplicate {
                     continue;
                 }
-                let slot = out_ht.entry(h).or_insert(NONE);
-                out_chain.push(*slot);
-                *slot = out_len as u32;
+                dedup.insert(h);
             }
             let cols = out.cols_mut();
             for (k, &(s, p)) in head_specs.iter().enumerate() {
@@ -548,9 +559,9 @@ impl PhysicalPlan {
             out_len += 1;
         }
         out.set_len(out_len);
-        *rows_materialized += out_len as u64;
+        counters.rows_materialized += out_len as u64;
         *materialize_nanos += mat_start.elapsed().as_nanos() as u64;
-        out
+        Ok(out)
     }
 }
 
@@ -560,9 +571,9 @@ impl PhysicalPlan {
 /// out ascending.
 fn select_atom(atom: &PhysAtom, input: &PlanInput<'_>, sel: &mut Vec<u32>) {
     sel.clear();
-    match input {
-        PlanInput::Flat(rel) => select_chunk(atom, rel, 0, sel),
-        PlanInput::Chunked(c) => {
+    match input.rows {
+        Rows::Flat(rel) => select_chunk(atom, rel, 0, sel),
+        Rows::Chunked(c) => {
             for (k, rel) in c.chunks.iter().enumerate() {
                 select_chunk(atom, rel, c.starts[k], sel);
             }
@@ -622,49 +633,197 @@ fn retain_from(sel: &mut Vec<u32>, start: usize, mut keep: impl FnMut(u32) -> bo
     sel.truncate(w);
 }
 
-/// Compute the key hashes of the right (atom) side **column-wise**: one pass
-/// per key column over the column's values (contiguous slices for unfiltered
-/// flat/chunked inputs, gathered through the selection vector otherwise),
-/// folding into a pooled row of [`FxHasher`] states. Equivalent to hashing
-/// each row's key values in order, but touches memory column-by-column.
-fn batch_hashes(
+/// Fold one key value into a running key hash. Both sides of a join fold
+/// their key columns in the same order, starting from 0.
+#[inline]
+fn fold_key(acc: u64, v: &Value) -> u64 {
+    let mut h = FxHasher::resume(acc);
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// Compute the key hashes of an atom's rows **column-wise** into `out`: one
+/// pass per key column over the column's values (contiguous slices for
+/// unfiltered flat/chunked inputs, gathered through the selection vector
+/// otherwise). Equivalent to folding each row's key values in order, but
+/// touches memory column-by-column.
+fn key_hashes(
     input: &PlanInput<'_>,
     sel: Option<&[u32]>,
     keys: &[u32],
     rows: usize,
-    states: &mut Vec<FxHasher>,
     out: &mut Vec<u64>,
 ) {
-    states.clear();
-    states.resize(rows, FxHasher::default());
-    for &p in keys.iter() {
-        match sel {
-            Some(ids) => {
-                for (i, &rid) in ids.iter().enumerate() {
-                    input.value(rid, p).hash(&mut states[i]);
+    out.clear();
+    out.resize(rows, 0);
+    for &p in keys {
+        match (sel, &input.rows) {
+            (Some(ids), _) => {
+                for (h, &rid) in out.iter_mut().zip(ids) {
+                    *h = fold_key(*h, input.value(rid, p));
                 }
             }
-            None => match input {
-                PlanInput::Flat(rel) => {
-                    let col = rel.col_values(p as usize);
-                    for (i, v) in col.iter().enumerate() {
-                        v.hash(&mut states[i]);
+            (None, Rows::Flat(rel)) => {
+                for (h, v) in out.iter_mut().zip(rel.col_values(p as usize)) {
+                    *h = fold_key(*h, v);
+                }
+            }
+            (None, Rows::Chunked(c)) => {
+                // Values first: `zip` polls its left side first, so an
+                // exhausted chunk ends the inner loop without consuming the
+                // next row's hash slot.
+                let mut hs = out.iter_mut();
+                for rel in &c.chunks {
+                    for (v, h) in rel.col_values(p as usize).iter().zip(hs.by_ref()) {
+                        *h = fold_key(*h, v);
                     }
                 }
-                PlanInput::Chunked(c) => {
-                    let mut i = 0usize;
-                    for rel in &c.chunks {
-                        for v in rel.col_values(p as usize) {
-                            v.hash(&mut states[i]);
-                            i += 1;
-                        }
-                    }
-                }
-            },
+            }
         }
     }
-    out.clear();
-    out.extend(states.iter().map(FxHasher::finish));
+}
+
+/// A join hash table over the rows of one atom: a flat power-of-two `heads`
+/// array of chain starts, the per-row `chain` links and the per-row key
+/// `hashes`. Walking a chain yields rows in ascending order. A probe compares
+/// the stored hash before touching any [`Value`]. Clearing never frees the
+/// arrays, so a pooled table allocates only while it grows.
+#[derive(Debug, Default)]
+struct JoinTable {
+    heads: Vec<u32>,
+    chain: Vec<u32>,
+    hashes: Vec<u64>,
+    /// `hash >> shift` is the `heads` slot: Fx hashes end in a multiply, so
+    /// the high bits are the well-mixed ones.
+    shift: u32,
+}
+
+impl JoinTable {
+    /// Empty the table and size `heads` for up to `rows` rows.
+    fn reset(&mut self, rows: usize) {
+        let slots = rows.next_power_of_two().max(2);
+        self.shift = 64 - slots.trailing_zeros();
+        self.heads.clear();
+        self.heads.resize(slots, NONE);
+        self.chain.clear();
+        self.hashes.clear();
+    }
+
+    /// Build the table over `rows` rows of `input` (selection positions when
+    /// `sel` is given, row ids otherwise) keyed on the columns `keys`.
+    fn build(&mut self, input: &PlanInput<'_>, sel: Option<&[u32]>, keys: &[u32], rows: usize) {
+        self.reset(rows);
+        key_hashes(input, sel, keys, rows, &mut self.hashes);
+        self.chain.resize(rows, NONE);
+        // Linking in reverse leaves every chain in ascending row order.
+        for r in (0..rows).rev() {
+            let slot = (self.hashes[r] >> self.shift) as usize;
+            self.chain[r] = self.heads[slot];
+            self.heads[slot] = r as u32;
+        }
+    }
+
+    /// Append one row with key hash `h` (the dedup pass grows its table as
+    /// output rows are accepted; [`reset`](Self::reset) sized it).
+    fn insert(&mut self, h: u64) {
+        let slot = (h >> self.shift) as usize;
+        self.chain.push(self.heads[slot]);
+        self.heads[slot] = self.hashes.len() as u32;
+        self.hashes.push(h);
+    }
+
+    /// The first row of the chain `h` falls into, or [`NONE`].
+    #[inline]
+    fn first(&self, h: u64) -> u32 {
+        self.heads[(h >> self.shift) as usize]
+    }
+
+    /// Debug-build staleness check: the stored hashes of the first, middle
+    /// and last row still equal the hashes of `input`'s rows.
+    fn spot_check(&self, input: &PlanInput<'_>, keys: &[u32]) -> bool {
+        let rows = self.hashes.len();
+        [0, rows / 2, rows.saturating_sub(1)]
+            .into_iter()
+            .filter(|&r| r < rows)
+            .all(|r| {
+                let h = keys
+                    .iter()
+                    .fold(0, |h, &p| fold_key(h, input.value(r as u32, p)));
+                h == self.hashes[r]
+            })
+    }
+}
+
+/// The join tables of the current batch's shared inputs, memoized under
+/// `(input tag, key positions)`. Entries are pooled: a new batch resets
+/// `live` and overwrites them in place.
+#[derive(Debug, Default)]
+struct SharedTables {
+    entries: Vec<SharedTable>,
+    live: usize,
+}
+
+#[derive(Debug, Default)]
+struct SharedTable {
+    tag: u32,
+    keys: Vec<u32>,
+    /// Row count of the input the table was built over.
+    rows: u32,
+    table: JoinTable,
+}
+
+impl SharedTables {
+    /// The table of the unfiltered input tagged `tag` keyed on `keys`,
+    /// built on first use in the batch.
+    fn get_or_build(
+        &mut self,
+        tag: u32,
+        keys: &[u32],
+        input: &PlanInput<'_>,
+        counters: &mut Counters,
+    ) -> RelResult<&JoinTable> {
+        let rows = input.len();
+        let found = self.entries[..self.live]
+            .iter()
+            .position(|e| e.tag == tag && e.keys == keys);
+        let idx = match found {
+            Some(idx) => {
+                let entry = &self.entries[idx];
+                // Always on: a table that outlived its batch must never
+                // produce a row. (Same-length staleness is only caught by
+                // the debug spot check below — `begin_batch` is the
+                // contract.)
+                if entry.rows != rows {
+                    return Err(RelError::StaleJoinTable {
+                        tag,
+                        built_rows: entry.rows,
+                        rows,
+                    });
+                }
+                debug_assert!(
+                    entry.table.spot_check(input, keys),
+                    "shared join table for input tag {tag} does not match its input"
+                );
+                counters.tables_reused += 1;
+                idx
+            }
+            None => {
+                if self.entries.len() == self.live {
+                    self.entries.push(SharedTable::default());
+                }
+                let entry = &mut self.entries[self.live];
+                entry.tag = tag;
+                entry.keys.clear();
+                entry.keys.extend_from_slice(keys);
+                entry.rows = rows;
+                entry.table.build(input, None, keys, rows as usize);
+                counters.tables_built += 1;
+                self.live += 1;
+                self.live - 1
+            }
+        };
+        Ok(&self.entries[idx].table)
+    }
 }
 
 /// The base row id behind selection position `pos` (`sel[pos]`, or `pos`
@@ -677,20 +836,17 @@ fn base_id(sel: Option<&[u32]>, pos: usize) -> u32 {
     }
 }
 
-/// The Fx hash of one value (used for sampled distinct estimates; shared
-/// with the interpreter so both sides derive identical estimates).
+/// The Fx hash of one value (used for sampled distinct estimates, here and
+/// in the interpreter's planner).
 #[inline]
 pub(crate) fn hash_value(v: &Value) -> u64 {
-    let mut h = FxHasher::default();
-    v.hash(&mut h);
-    h.finish()
+    fold_key(0, v)
 }
 
 /// Combine a per-column sample hash into a running per-row tuple hash, so a
 /// set of columns sampled independently can be treated as one composite
-/// column. Shared with the interpreter's planner so both sides compute
-/// identical estimates; order-sensitive, but both planners fold columns in
-/// the same first-occurrence variable order.
+/// column. Shared with the interpreter's planner; order-sensitive, and both
+/// planners fold columns in first-occurrence variable order.
 #[inline]
 pub(crate) fn mix_hash(acc: u64, h: u64) -> u64 {
     (acc.rotate_left(5) ^ h).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -767,8 +923,9 @@ fn order_better(c: OrderCand, b: OrderCand) -> bool {
     false
 }
 
-/// Replicates [`Database`](crate::Database)'s greedy connected join ordering
-/// over the compiled metadata: start from the smallest (filtered) atom, then
+/// Greedy connected join ordering over the compiled metadata (the same
+/// heuristic as the interpreter's planner): start from the smallest
+/// (filtered) atom, then
 /// repeatedly take the connected atom with the smallest estimated growth
 /// ratio `|atom| / distinct(shared-column tuple)` — tie-breaking on more
 /// shared variables, fewer rows and body position. The divisor is a sampled
@@ -779,7 +936,7 @@ fn order_better(c: OrderCand, b: OrderCand) -> bool {
 /// many-variable atom (e.g. a template's `RT`) in early and keeps a
 /// correlated tag-pair join ranked behind a genuinely selective one.
 /// Disconnected atoms (cross products) are only taken when no connected
-/// atom remains. Writes the order into the pooled `order` buffer.
+/// atom remains. Writes the order into `order` (the plan's memo).
 fn join_order(
     atoms: &[PhysAtom],
     lens: &[u32],
@@ -866,11 +1023,9 @@ impl<'b> LeftRows<'b> {
     /// Hash the join key of intermediate row `l`.
     #[inline]
     fn hash_key(&self, l: usize, left_keys: &[(u32, u32)]) -> u64 {
-        let mut h = FxHasher::default();
-        for &(s, p) in left_keys {
-            self.value(l, s, p).hash(&mut h);
-        }
-        h.finish()
+        left_keys
+            .iter()
+            .fold(0, |h, &(s, p)| fold_key(h, self.value(l, s, p)))
     }
 
     /// Exact key comparison behind the hash (collisions must not join),
@@ -962,26 +1117,44 @@ impl<'a> ChunkedRows<'a> {
     }
 }
 
-/// One borrowed plan input: a flat columnar relation or a chunked view over
-/// segmented storage. Cheap to copy; all variants give O(1)-ish row access
-/// (chunked access is a binary search over the bucket starts).
+/// The rows behind a [`PlanInput`].
 #[derive(Debug, Clone, Copy)]
-pub enum PlanInput<'a> {
+enum Rows<'a> {
     /// A flat [`Relation`].
     Flat(&'a Relation),
     /// Rows of a [`SegmentedRelation`], via a prepared [`ChunkedRows`] view.
     Chunked(&'a ChunkedRows<'a>),
 }
 
+/// One borrowed plan input: a flat columnar relation or a chunked view over
+/// segmented storage, optionally tagged as [`shared`](Self::shared) across
+/// the executions of one batch. Cheap to copy; all variants give O(1)-ish
+/// row access (chunked access is a binary search over the bucket starts).
+#[derive(Debug, Clone, Copy)]
+pub struct PlanInput<'a> {
+    rows: Rows<'a>,
+    shared: Option<u32>,
+}
+
 impl<'a> PlanInput<'a> {
+    /// Tag the input as *batch-shared*: until the next
+    /// [`ExecScratch::begin_batch`], every input carrying `tag` is the same
+    /// unchanged relation, so a join table built over it (for an unfiltered
+    /// atom) may be reused by every later execution through the same
+    /// scratch. Distinct relations must carry distinct tags.
+    pub fn shared(mut self, tag: u32) -> Self {
+        self.shared = Some(tag);
+        self
+    }
+
     /// Number of rows.
     ///
     /// # Panics
     /// Panics for flat inputs of `u32::MAX` rows or more (row ids are `u32`
     /// throughout the executor; see [`ChunkedRows::from_segmented`]).
     pub fn len(&self) -> u32 {
-        match self {
-            PlanInput::Flat(rel) => {
+        match self.rows {
+            Rows::Flat(rel) => {
                 assert!(
                     rel.len() < u32::MAX as usize,
                     "plan inputs are limited to u32::MAX - 1 rows, got {}",
@@ -989,7 +1162,7 @@ impl<'a> PlanInput<'a> {
                 );
                 rel.len() as u32
             }
-            PlanInput::Chunked(rows) => rows.len(),
+            Rows::Chunked(rows) => rows.len(),
         }
     }
 
@@ -1001,25 +1174,28 @@ impl<'a> PlanInput<'a> {
     /// The row with the given id.
     #[inline]
     pub fn get(&self, i: u32) -> RowRef<'a> {
-        match self {
-            PlanInput::Flat(rel) => rel.row(i as usize),
-            PlanInput::Chunked(rows) => rows.get(i),
+        match self.rows {
+            Rows::Flat(rel) => rel.row(i as usize),
+            Rows::Chunked(rows) => rows.get(i),
         }
     }
 
     /// The value of row `i` at column position `pos`.
     #[inline]
     pub fn value(&self, i: u32, pos: u32) -> &'a Value {
-        match self {
-            PlanInput::Flat(rel) => &rel.col_values(pos as usize)[i as usize],
-            PlanInput::Chunked(rows) => rows.value(i, pos),
+        match self.rows {
+            Rows::Flat(rel) => &rel.col_values(pos as usize)[i as usize],
+            Rows::Chunked(rows) => rows.value(i, pos),
         }
     }
 }
 
 impl<'a> From<&'a Relation> for PlanInput<'a> {
     fn from(r: &'a Relation) -> Self {
-        PlanInput::Flat(r)
+        PlanInput {
+            rows: Rows::Flat(r),
+            shared: None,
+        }
     }
 }
 
@@ -1028,44 +1204,51 @@ impl<'a> From<&'a ChunkedRows<'a>> for PlanInput<'a> {
         // A single resident bucket — the common case when window pruning is
         // off (everything lives in bucket 0) — degrades to a flat relation,
         // skipping the per-access bucket search entirely.
-        match r.chunks.as_slice() {
-            [only] => PlanInput::Flat(only),
-            _ => PlanInput::Chunked(r),
-        }
+        let rows = match r.chunks.as_slice() {
+            [only] => Rows::Flat(only),
+            _ => Rows::Chunked(r),
+        };
+        PlanInput { rows, shared: None }
     }
 }
 
-/// The pooled executor state: selection vectors, sampled column hashes,
-/// join hash tables (intrusive chains — clearing never frees the buckets),
-/// the batched key-hash buffers, intermediate row-id buffers and the
-/// distinct table. Owned by the caller (the MMQJP engine keeps one per
-/// engine) and reused across every plan execution, so steady-state
-/// evaluation allocates nothing but the output relation.
+/// Cumulative executor counters (see the [`ExecScratch`] accessors).
+#[derive(Debug, Default)]
+struct Counters {
+    rows_materialized: u64,
+    scratch_reuses: u64,
+    tables_built: u64,
+    tables_reused: u64,
+    orders_planned: u64,
+    orders_reused: u64,
+}
+
+/// The pooled executor state: selection vectors, sampled column hashes, the
+/// per-execution join table, the batch's shared join tables, intermediate
+/// row-id buffers and the distinct table. Owned by the caller (the MMQJP
+/// engine keeps one per engine) and reused across every plan execution, so
+/// steady-state evaluation allocates nothing but the output relation.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     sels: Vec<Vec<u32>>,
     samples: Vec<Vec<u64>>,
-    ht: FxHashMap<u64, u32>,
-    chain: Vec<u32>,
-    hits: Vec<u32>,
-    hash_states: Vec<FxHasher>,
-    hash_buf: Vec<u64>,
+    /// The table of the current join step when its atom is filtered or its
+    /// input is not batch-shared.
+    table: JoinTable,
+    shared: SharedTables,
     cur: Vec<u32>,
     next: Vec<u32>,
-    out_ht: FxHashMap<u64, u32>,
-    out_chain: Vec<u32>,
+    dedup: JoinTable,
     bound: Vec<bool>,
     lens: Vec<u32>,
     filtered: Vec<bool>,
-    order: Vec<usize>,
     remaining: Vec<usize>,
     step_rels: Vec<u32>,
     acc: Vec<(ColId, u32, u32)>,
     left_keys: Vec<(u32, u32)>,
     right_keys: Vec<u32>,
     head_specs: Vec<(u32, u32)>,
-    rows_materialized: u64,
-    scratch_reuses: u64,
+    counters: Counters,
     materialize_nanos: u64,
     primed: bool,
 }
@@ -1076,16 +1259,45 @@ impl ExecScratch {
         ExecScratch::default()
     }
 
+    /// Forget every join table memoized for a [`shared`](PlanInput::shared)
+    /// input. Call once whenever the relations behind the tags change — the
+    /// engine does at the start of each batch's Stage 2. The tables' buffers
+    /// stay pooled.
+    pub fn begin_batch(&mut self) {
+        self.shared.live = 0;
+    }
+
     /// Output tuples materialized across all executions (each result row is
     /// built exactly once, at the final projection).
     pub fn rows_materialized(&self) -> u64 {
-        self.rows_materialized
+        self.counters.rows_materialized
     }
 
     /// Executions that ran entirely on pooled buffers (every execution after
     /// the first).
     pub fn scratch_reuses(&self) -> u64 {
-        self.scratch_reuses
+        self.counters.scratch_reuses
+    }
+
+    /// Join hash tables built, per-execution and batch-shared alike.
+    pub fn join_tables_built(&self) -> u64 {
+        self.counters.tables_built
+    }
+
+    /// Join steps served by a batch-shared table an earlier step had built.
+    pub fn join_tables_reused(&self) -> u64 {
+        self.counters.tables_reused
+    }
+
+    /// Executions of multi-atom plans that sampled their inputs and planned
+    /// a join order.
+    pub fn join_orders_planned(&self) -> u64 {
+        self.counters.orders_planned
+    }
+
+    /// Executions of multi-atom plans that reused the plan's memoized order.
+    pub fn join_orders_reused(&self) -> u64 {
+        self.counters.orders_reused
     }
 
     /// Cumulative wall-clock time spent in the materialization pass (head
@@ -1131,39 +1343,57 @@ mod tests {
         )
     }
 
-    fn run_both(query: &ConjunctiveQuery) -> (Relation, Relation) {
-        let (db, rels) = edges_db();
-        let interpreted = db.evaluate(query).unwrap();
-        let plan = PhysicalPlan::compile(query, |name| {
+    fn compile(query: &ConjunctiveQuery, rels: &[(String, Relation)]) -> PhysicalPlan {
+        PhysicalPlan::compile(query, |name| {
             rels.iter()
                 .find(|(n, _)| n == name)
                 .map(|(_, r)| r.schema().arity())
         })
-        .unwrap();
-        let inputs: Vec<PlanInput<'_>> = plan
-            .relations()
+        .unwrap()
+    }
+
+    /// The plan's inputs over `rels`, each tagged shared under its slot
+    /// index when `shared` is set.
+    fn inputs_of<'a>(
+        plan: &PhysicalPlan,
+        rels: &'a [(String, Relation)],
+        shared: bool,
+    ) -> Vec<PlanInput<'a>> {
+        plan.relations()
             .iter()
-            .map(|name| {
-                PlanInput::from(
-                    &rels
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .expect("plan relation exists")
-                        .1,
-                )
+            .enumerate()
+            .map(|(slot, name)| {
+                let rel = &rels.iter().find(|(n, _)| n == name).unwrap().1;
+                let input = PlanInput::from(rel);
+                if shared {
+                    input.shared(slot as u32)
+                } else {
+                    input
+                }
             })
-            .collect();
+            .collect()
+    }
+
+    /// `(compiled, interpreted)`, both sorted: the executor returns a bag.
+    fn run_both(query: &ConjunctiveQuery) -> (Relation, Relation) {
+        let (db, rels) = edges_db();
+        let interpreted = db.evaluate(query).unwrap();
+        let mut plan = compile(query, &rels);
+        let inputs = inputs_of(&plan, &rels, false);
         let mut scratch = ExecScratch::new();
-        let compiled = plan.execute(&inputs, &mut scratch, false);
-        (compiled, interpreted)
+        let compiled = plan.execute(&inputs, &mut scratch, false).unwrap();
+        (compiled.sorted(), interpreted.sorted())
+    }
+
+    fn two_hop() -> ConjunctiveQuery {
+        ConjunctiveQuery::new(["X", "Z"])
+            .atom(Atom::new("edge", [Term::var("X"), Term::var("Y")]))
+            .atom(Atom::new("edge", [Term::var("Y"), Term::var("Z")]))
     }
 
     #[test]
-    fn two_hop_paths_match_interpreter_byte_for_byte() {
-        let q = ConjunctiveQuery::new(["X", "Z"])
-            .atom(Atom::new("edge", [Term::var("X"), Term::var("Y")]))
-            .atom(Atom::new("edge", [Term::var("Y"), Term::var("Z")]));
-        let (compiled, interpreted) = run_both(&q);
+    fn two_hop_paths_match_the_interpreter_as_a_bag() {
+        let (compiled, interpreted) = run_both(&two_hop());
         assert_eq!(compiled, interpreted);
         assert_eq!(compiled.len(), 3);
     }
@@ -1188,10 +1418,12 @@ mod tests {
         db.register("pair", pair.clone());
         let q =
             ConjunctiveQuery::new(["X"]).atom(Atom::new("pair", [Term::var("X"), Term::var("X")]));
-        let plan = PhysicalPlan::compile(&q, |_| Some(2)).unwrap();
+        let mut plan = PhysicalPlan::compile(&q, |_| Some(2)).unwrap();
         let mut scratch = ExecScratch::new();
-        let compiled = plan.execute(&[PlanInput::from(&pair)], &mut scratch, false);
-        assert_eq!(compiled, db.evaluate(&q).unwrap());
+        let compiled = plan
+            .execute(&[PlanInput::from(&pair)], &mut scratch, false)
+            .unwrap();
+        assert_eq!(compiled.sorted(), db.evaluate(&q).unwrap().sorted());
         assert_eq!(compiled.len(), 2);
     }
 
@@ -1206,20 +1438,14 @@ mod tests {
 
         // Distinct in the materialization pass == Relation::distinct after.
         let (db, rels) = edges_db();
-        let plan = PhysicalPlan::compile(&q, |name| {
-            rels.iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, r)| r.schema().arity())
-        })
-        .unwrap();
-        let inputs: Vec<PlanInput<'_>> = plan
-            .relations()
-            .iter()
-            .map(|name| PlanInput::from(&rels.iter().find(|(n, _)| n == name).unwrap().1))
-            .collect();
+        let mut plan = compile(&q, &rels);
+        let inputs = inputs_of(&plan, &rels, false);
         let mut scratch = ExecScratch::new();
-        let deduped = plan.execute(&inputs, &mut scratch, true);
-        assert_eq!(deduped, db.evaluate(&q).unwrap().distinct());
+        let deduped = plan.execute(&inputs, &mut scratch, true).unwrap();
+        assert_eq!(
+            deduped.sorted(),
+            db.evaluate(&q).unwrap().distinct().sorted()
+        );
         assert!(deduped.len() < compiled.len());
     }
 
@@ -1236,29 +1462,142 @@ mod tests {
         assert_eq!(compiled.len(), 2);
     }
 
+    /// The edge relation split across three buckets, preserving row order
+    /// within the chunked iteration.
+    fn segmented_edges(edge: &Relation) -> SegmentedRelation {
+        let mut seg = SegmentedRelation::new(edge.schema().clone());
+        for (i, t) in edge.iter().enumerate() {
+            seg.push((i / 2) as u64, t.to_vec()).unwrap();
+        }
+        seg
+    }
+
     #[test]
     fn chunked_inputs_match_flat_inputs() {
         let (_, rels) = edges_db();
-        let q = ConjunctiveQuery::new(["X", "Z"])
-            .atom(Atom::new("edge", [Term::var("X"), Term::var("Y")]))
-            .atom(Atom::new("edge", [Term::var("Y"), Term::var("Z")]));
-        let plan = PhysicalPlan::compile(&q, |_| Some(2)).unwrap();
+        let mut plan = PhysicalPlan::compile(&two_hop(), |_| Some(2)).unwrap();
         let mut scratch = ExecScratch::new();
-        let flat = plan.execute(&[PlanInput::from(&rels[0].1)], &mut scratch, false);
+        let flat = plan
+            .execute(&[PlanInput::from(&rels[0].1)], &mut scratch, false)
+            .unwrap();
 
-        // Split the edge relation across three buckets, preserving row order
-        // within the chunked iteration.
-        let mut seg = SegmentedRelation::new(rels[0].1.schema().clone());
-        for (i, t) in rels[0].1.iter().enumerate() {
-            seg.push((i / 2) as u64, t.to_vec()).unwrap();
-        }
+        let seg = segmented_edges(&rels[0].1);
         let chunked = ChunkedRows::from_segmented(&seg);
         assert_eq!(chunked.len(), 4);
         assert!(!chunked.is_empty());
-        let via_chunks = plan.execute(&[PlanInput::from(&chunked)], &mut scratch, false);
-        assert_eq!(flat, via_chunks);
+        let via_chunks = plan
+            .execute(&[PlanInput::from(&chunked)], &mut scratch, false)
+            .unwrap();
+        assert_eq!(flat.sorted(), via_chunks.sorted());
         assert!(scratch.scratch_reuses() >= 1);
         assert_eq!(scratch.rows_materialized(), (flat.len() * 2) as u64);
+    }
+
+    #[test]
+    fn shared_tables_are_built_once_and_reused() {
+        // Two plans join the same tagged input on the same key column: one
+        // build serves every later step of the batch, flat or chunked, and a
+        // fresh scratch agrees.
+        let (_, rels) = edges_db();
+        let three_hop = two_hop().atom(Atom::new("edge", [Term::var("Z"), Term::var("W")]));
+        let seg = segmented_edges(&rels[0].1);
+        let chunked = ChunkedRows::from_segmented(&seg);
+        for input in [PlanInput::from(&rels[0].1), PlanInput::from(&chunked)] {
+            let shared = [input.shared(7)];
+            let mut scratch = ExecScratch::new();
+            let mut plans = [
+                PhysicalPlan::compile(&two_hop(), |_| Some(2)).unwrap(),
+                PhysicalPlan::compile(&three_hop, |_| Some(2)).unwrap(),
+            ];
+            let mut steps = 0;
+            for plan in &mut plans {
+                let via_shared = plan.execute(&shared, &mut scratch, false).unwrap();
+                let fresh = plan
+                    .clone()
+                    .execute(&[input], &mut ExecScratch::new(), false)
+                    .unwrap();
+                assert_eq!(via_shared.sorted(), fresh.sorted());
+                steps += plan.num_atoms() as u64 - 1;
+            }
+            // Every step keys `edge` on its first column.
+            assert_eq!(scratch.join_tables_built(), 1);
+            assert_eq!(scratch.join_tables_reused(), steps - 1);
+        }
+    }
+
+    #[test]
+    fn a_stale_shared_table_is_an_error_never_a_wrong_row() {
+        let (_, rels) = edges_db();
+        let mut plan = PhysicalPlan::compile(&two_hop(), |_| Some(2)).unwrap();
+        let mut scratch = ExecScratch::new();
+        let before = plan
+            .execute(
+                &[PlanInput::from(&rels[0].1).shared(0)],
+                &mut scratch,
+                false,
+            )
+            .unwrap();
+        assert_eq!(before.len(), 3);
+
+        // The relation behind tag 0 grows by the edge 4 -> 1.
+        let mut grown = rels[0].1.clone();
+        grown
+            .push_values(vec![Value::int(4), Value::int(1)])
+            .unwrap();
+        let tagged = [PlanInput::from(&grown).shared(0)];
+        // Without `begin_batch` the row-count check refuses the old table...
+        assert_eq!(
+            plan.execute(&tagged, &mut scratch, false),
+            Err(RelError::StaleJoinTable {
+                tag: 0,
+                built_rows: 4,
+                rows: 5,
+            })
+        );
+        // ...and with it the table is rebuilt over the new rows.
+        scratch.begin_batch();
+        let after = plan.execute(&tagged, &mut scratch, false).unwrap();
+        let fresh = plan
+            .clone()
+            .execute(&[PlanInput::from(&grown)], &mut ExecScratch::new(), false)
+            .unwrap();
+        assert_eq!(after.sorted(), fresh.sorted());
+        assert_eq!(after.len(), 6);
+    }
+
+    #[test]
+    fn join_order_is_replanned_when_an_atom_leaves_its_planned_size() {
+        let (_, rels) = edges_db();
+        let q = ConjunctiveQuery::new(["X", "C"])
+            .atom(Atom::new("edge", [Term::var("X"), Term::var("Y")]))
+            .atom(Atom::new("label", [Term::var("Y"), Term::var("C")]));
+        let mut plan = compile(&q, &rels);
+        let mut scratch = ExecScratch::new();
+        let inputs = inputs_of(&plan, &rels, false);
+        for _ in 0..3 {
+            plan.execute(&inputs, &mut scratch, false).unwrap();
+        }
+        assert_eq!(scratch.join_orders_planned(), 1);
+        assert_eq!(scratch.join_orders_reused(), 2);
+
+        // `edge` grows 4x (within 2x it would keep its order).
+        let mut grown = rels.clone();
+        for _ in 0..3 {
+            let copy = rels[0].1.clone();
+            grown[0].1.extend_from(&copy).unwrap();
+        }
+        let inputs = inputs_of(&plan, &grown, false);
+        let replanned = plan.execute(&inputs, &mut scratch, false).unwrap();
+        assert_eq!(scratch.join_orders_planned(), 2);
+        let fresh = compile(&q, &grown)
+            .execute(&inputs, &mut ExecScratch::new(), false)
+            .unwrap();
+        assert_eq!(replanned.sorted(), fresh.sorted());
+        assert_eq!(replanned.len(), 16);
+        // The new shape is memoized in turn.
+        plan.execute(&inputs, &mut scratch, false).unwrap();
+        assert_eq!(scratch.join_orders_planned(), 2);
+        assert_eq!(scratch.join_orders_reused(), 3);
     }
 
     #[test]
@@ -1268,7 +1607,7 @@ mod tests {
             .atom(Atom::new("edge", [Term::var("X"), Term::var("Y")]))
             .atom(Atom::new("none", [Term::var("Y"), Term::var("Z")]));
         let (_, rels) = edges_db();
-        let plan = PhysicalPlan::compile(&q, |_| Some(2)).unwrap();
+        let mut plan = PhysicalPlan::compile(&q, |_| Some(2)).unwrap();
         let mut scratch = ExecScratch::new();
         let inputs: Vec<PlanInput<'_>> = plan
             .relations()
@@ -1281,7 +1620,7 @@ mod tests {
                 }
             })
             .collect();
-        let result = plan.execute(&inputs, &mut scratch, false);
+        let result = plan.execute(&inputs, &mut scratch, false).unwrap();
         assert!(result.is_empty());
         assert_eq!(result.schema().columns(), &["X"]);
     }
@@ -1328,10 +1667,7 @@ mod tests {
 
     #[test]
     fn plan_metadata_accessors() {
-        let q = ConjunctiveQuery::new(["X", "Z"])
-            .atom(Atom::new("edge", [Term::var("X"), Term::var("Y")]))
-            .atom(Atom::new("edge", [Term::var("Y"), Term::var("Z")]))
-            .atom(Atom::new("label", [Term::var("Z"), Term::var("C")]));
+        let q = two_hop().atom(Atom::new("label", [Term::var("Z"), Term::var("C")]));
         let plan = PhysicalPlan::compile(&q, |_| Some(2)).unwrap();
         assert_eq!(plan.relations(), &["edge".to_owned(), "label".to_owned()]);
         assert_eq!(plan.num_atoms(), 3);
@@ -1356,10 +1692,7 @@ mod tests {
     #[test]
     fn materialize_time_accumulates() {
         let (_, rels) = edges_db();
-        let q = ConjunctiveQuery::new(["X", "Z"])
-            .atom(Atom::new("edge", [Term::var("X"), Term::var("Y")]))
-            .atom(Atom::new("edge", [Term::var("Y"), Term::var("Z")]));
-        let plan = PhysicalPlan::compile(&q, |_| Some(2)).unwrap();
+        let mut plan = PhysicalPlan::compile(&two_hop(), |_| Some(2)).unwrap();
         let mut scratch = ExecScratch::new();
         let _ = plan.execute(&[PlanInput::from(&rels[0].1)], &mut scratch, false);
         // Nanosecond clocks can in principle read 0 for a tiny pass, but the

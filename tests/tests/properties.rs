@@ -166,10 +166,11 @@ proptest! {
     }
 
     /// The central compiled-execution property: on random relations, schemas
-    /// and conjunctive queries, [`PhysicalPlan`] execution reproduces the
-    /// interpreted [`Database::evaluate`] path *byte for byte* — same rows,
-    /// same row order — both in bag form and with inline dedup, and both
-    /// over flat and chunked (segmented) inputs.
+    /// and conjunctive queries, [`PhysicalPlan`] execution returns the same
+    /// *bag* as the interpreted [`Database::evaluate`] oracle — and the same
+    /// set with inline dedup — both over flat and chunked (segmented)
+    /// inputs. Row order is the executor's own (memoized join order, shared
+    /// tables), so both sides are compared `sorted()`.
     ///
     /// The row generator is biased toward the columnar kernel's edge
     /// shapes: empty relations (empty-selection short-circuit), single-row
@@ -180,82 +181,11 @@ proptest! {
     /// 3.. leaves the rows as generated.
     #[test]
     fn compiled_plans_match_the_interpreted_conjunctive_queries(
-        rel_specs in prop::collection::vec(
-            (
-                1usize..4,
-                0usize..6,
-                prop::collection::vec((0i64..4, 0i64..4, 0i64..4), 0..8),
-            ),
-            1..4,
-        ),
-        atom_specs in prop::collection::vec(
-            (0usize..4, prop::collection::vec(0usize..8, 3..4)),
-            1..5,
-        ),
-        head_picks in prop::collection::vec(0usize..8, 0..4),
+        rel_specs in rel_specs_strategy(),
+        (atom_specs, head_picks) in query_spec_strategy(),
     ) {
-        // Random relations r0..rk with arities 1..=3 and small-int rows (so
-        // joins fire and duplicates occur).
-        let relations: Vec<(String, Relation)> = rel_specs
-            .iter()
-            .enumerate()
-            .map(|(i, (arity, shape, rows))| {
-                let shaped: Vec<(i64, i64, i64)> = match shape {
-                    0 => Vec::new(),
-                    1 => rows.iter().take(1).copied().collect(),
-                    2 => vec![*rows.first().unwrap_or(&(0, 0, 0)); rows.len().max(2)],
-                    _ => rows.clone(),
-                };
-                let mut r = Relation::new(Schema::new((0..*arity).map(|c| format!("c{c}"))));
-                for (a, b, c) in shaped {
-                    let vals = [a, b, c];
-                    r.push_values(vals[..*arity].iter().copied().map(Value::Int).collect())
-                        .unwrap();
-                }
-                (format!("r{i}"), r)
-            })
-            .collect();
-
-        // Random body: each atom picks a relation and fills its positions
-        // with variables v0..v4 or constants 0..2 (repeated variables and
-        // cross products arise naturally).
-        let mut cq_atoms = Vec::new();
-        for (rel_pick, term_codes) in &atom_specs {
-            let (name, rel) = &relations[rel_pick % relations.len()];
-            let terms: Vec<Term> = term_codes[..rel.schema().arity()]
-                .iter()
-                .map(|&t| {
-                    if t < 5 {
-                        Term::var(format!("v{t}"))
-                    } else {
-                        Term::constant((t - 5) as i64)
-                    }
-                })
-                .collect();
-            cq_atoms.push(Atom::new(name.clone(), terms));
-        }
-        // Head: a random subset of the body variables (always bound).
-        let mut body_vars: Vec<String> = Vec::new();
-        for a in &cq_atoms {
-            for v in a.variables() {
-                if !body_vars.iter().any(|b| b == v) {
-                    body_vars.push(v.to_owned());
-                }
-            }
-        }
-        let mut head: Vec<String> = Vec::new();
-        if !body_vars.is_empty() {
-            for p in &head_picks {
-                let v = &body_vars[p % body_vars.len()];
-                if !head.contains(v) {
-                    head.push(v.clone());
-                }
-            }
-        }
-        let mut cq = ConjunctiveQuery::new(head);
-        for a in cq_atoms {
-            cq.push_atom(a);
-        }
+        let relations = random_relations(&rel_specs);
+        let cq = random_query(&relations, &atom_specs, &head_picks);
 
         // Reference: the interpreted path.
         let mut db = Database::new();
@@ -265,45 +195,221 @@ proptest! {
         let interpreted = db.evaluate(&cq).unwrap();
 
         // Compiled path over flat borrowed inputs.
-        let plan = PhysicalPlan::compile(&cq, |name| {
-            relations
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, r)| r.schema().arity())
-        })
-        .unwrap();
+        let mut plan = compile_over(&cq, &relations);
         let flat_inputs: Vec<PlanInput<'_>> = plan
             .relations()
             .iter()
-            .map(|name| PlanInput::from(&relations.iter().find(|(n, _)| n == name).unwrap().1))
+            .map(|name| PlanInput::from(&relations[relation_index(name)].1))
             .collect();
         let mut scratch = ExecScratch::new();
-        let compiled = plan.execute(&flat_inputs, &mut scratch, false);
-        prop_assert_eq!(&compiled, &interpreted, "row-for-row equal to the interpreter");
-        let deduped = plan.execute(&flat_inputs, &mut scratch, true);
-        prop_assert_eq!(&deduped, &interpreted.distinct(), "inline dedup == distinct()");
+        let compiled = plan.execute(&flat_inputs, &mut scratch, false).unwrap();
+        prop_assert_eq!(compiled.sorted(), interpreted.sorted(), "bag-equal to the interpreter");
+        let deduped = plan.execute(&flat_inputs, &mut scratch, true).unwrap();
+        prop_assert_eq!(
+            deduped.sorted(),
+            interpreted.distinct().sorted(),
+            "inline dedup == distinct()"
+        );
 
         // Chunked (segmented) inputs: split every relation into buckets
         // preserving row order; results must not change.
-        let segmented: Vec<SegmentedRelation> = plan
-            .relations()
-            .iter()
-            .map(|name| {
-                let rel = &relations.iter().find(|(n, _)| n == name).unwrap().1;
-                let mut seg = SegmentedRelation::new(rel.schema().clone());
-                for (i, t) in rel.iter().enumerate() {
-                    seg.push((i / 3) as u64, t.to_vec()).unwrap();
-                }
-                seg
-            })
-            .collect();
+        let segmented: Vec<SegmentedRelation> =
+            relations.iter().map(|(_, rel)| segment(rel)).collect();
         let chunked: Vec<ChunkedRows<'_>> =
             segmented.iter().map(ChunkedRows::from_segmented).collect();
-        let chunked_inputs: Vec<PlanInput<'_>> = chunked.iter().map(PlanInput::from).collect();
-        let via_chunks = plan.execute(&chunked_inputs, &mut scratch, false);
-        prop_assert_eq!(&via_chunks, &interpreted, "chunked inputs are equivalent");
+        let chunked_inputs: Vec<PlanInput<'_>> = plan
+            .relations()
+            .iter()
+            .map(|name| PlanInput::from(&chunked[relation_index(name)]))
+            .collect();
+        let via_chunks = plan.execute(&chunked_inputs, &mut scratch, false).unwrap();
+        prop_assert_eq!(via_chunks.sorted(), interpreted.sorted(), "chunked inputs are equivalent");
         prop_assert!(scratch.scratch_reuses() >= 2, "scratch is pooled across executions");
     }
+
+    /// Sharing never changes an answer: K random plans run over the *same*
+    /// tagged inputs through one scratch — join tables built by one plan and
+    /// probed by the next, each plan's second run on its memoized order and
+    /// on tables that all exist already — and every result equals the same
+    /// plan's execution through a fresh scratch over untagged inputs. Once
+    /// over flat inputs, once (after `begin_batch`) over chunked ones.
+    #[test]
+    fn plans_sharing_one_scratch_match_fresh_executions(
+        rel_specs in rel_specs_strategy(),
+        query_specs in prop::collection::vec(query_spec_strategy(), 2..6),
+    ) {
+        let relations = random_relations(&rel_specs);
+        let mut plans: Vec<PhysicalPlan> = query_specs
+            .iter()
+            .map(|(atom_specs, head_picks)| {
+                compile_over(&random_query(&relations, atom_specs, head_picks), &relations)
+            })
+            .collect();
+        let segmented: Vec<SegmentedRelation> =
+            relations.iter().map(|(_, rel)| segment(rel)).collect();
+        let chunked: Vec<ChunkedRows<'_>> =
+            segmented.iter().map(ChunkedRows::from_segmented).collect();
+
+        let mut scratch = ExecScratch::new();
+        for use_chunks in [false, true] {
+            scratch.begin_batch();
+            let input_of = |name: &String| {
+                let i = relation_index(name);
+                if use_chunks {
+                    PlanInput::from(&chunked[i])
+                } else {
+                    PlanInput::from(&relations[i].1)
+                }
+            };
+            for run in 0..2 {
+                for (k, plan) in plans.iter_mut().enumerate() {
+                    let distinct = (k + run) % 2 == 0;
+                    let untagged: Vec<PlanInput<'_>> =
+                        plan.relations().iter().map(input_of).collect();
+                    // One tag per relation, the same in every plan.
+                    let tagged: Vec<PlanInput<'_>> = plan
+                        .relations()
+                        .iter()
+                        .map(|name| input_of(name).shared(relation_index(name) as u32))
+                        .collect();
+                    let fresh = plan
+                        .clone()
+                        .execute(&untagged, &mut ExecScratch::new(), distinct)
+                        .unwrap();
+                    let shared = plan.execute(&tagged, &mut scratch, distinct).unwrap();
+                    prop_assert_eq!(
+                        shared.sorted(),
+                        fresh.sorted(),
+                        "plan {} run {} chunked {}", k, run, use_chunks
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(
+            scratch.join_orders_reused(),
+            3 * scratch.join_orders_planned(),
+            "of a plan's four runs, only the first plans an order"
+        );
+    }
+}
+
+type RelSpec = (usize, usize, Vec<(i64, i64, i64)>);
+type QuerySpec = (Vec<(usize, Vec<usize>)>, Vec<usize>);
+
+/// Up to three relations `(arity, shape code, rows)`.
+fn rel_specs_strategy() -> impl Strategy<Value = Vec<RelSpec>> {
+    prop::collection::vec(
+        (
+            1usize..4,
+            0usize..6,
+            prop::collection::vec((0i64..4, 0i64..4, 0i64..4), 0..8),
+        ),
+        1..4,
+    )
+}
+
+/// A body of up to four atoms `(relation pick, term codes)` and head picks.
+fn query_spec_strategy() -> impl Strategy<Value = QuerySpec> {
+    (
+        prop::collection::vec((0usize..4, prop::collection::vec(0usize..8, 3..4)), 1..5),
+        prop::collection::vec(0usize..8, 0..4),
+    )
+}
+
+/// Random relations r0..rk with arities 1..=3 and small-int rows (so joins
+/// fire and duplicates occur), shaped by each spec's shape code.
+fn random_relations(rel_specs: &[RelSpec]) -> Vec<(String, Relation)> {
+    rel_specs
+        .iter()
+        .enumerate()
+        .map(|(i, (arity, shape, rows))| {
+            let shaped: Vec<(i64, i64, i64)> = match shape {
+                0 => Vec::new(),
+                1 => rows.iter().take(1).copied().collect(),
+                2 => vec![*rows.first().unwrap_or(&(0, 0, 0)); rows.len().max(2)],
+                _ => rows.clone(),
+            };
+            let mut r = Relation::new(Schema::new((0..*arity).map(|c| format!("c{c}"))));
+            for (a, b, c) in shaped {
+                let vals = [a, b, c];
+                r.push_values(vals[..*arity].iter().copied().map(Value::Int).collect())
+                    .unwrap();
+            }
+            (format!("r{i}"), r)
+        })
+        .collect()
+}
+
+/// The index of relation `r{i}` in [`random_relations`]' output.
+fn relation_index(name: &str) -> usize {
+    name[1..].parse().unwrap()
+}
+
+/// A random conjunctive query over `relations`: each atom picks a relation
+/// and fills its positions with variables v0..v4 or constants 0..2 (repeated
+/// variables and cross products arise naturally); the head is a random
+/// subset of the body variables (always bound).
+fn random_query(
+    relations: &[(String, Relation)],
+    atom_specs: &[(usize, Vec<usize>)],
+    head_picks: &[usize],
+) -> ConjunctiveQuery {
+    let mut cq_atoms = Vec::new();
+    for (rel_pick, term_codes) in atom_specs {
+        let (name, rel) = &relations[rel_pick % relations.len()];
+        let terms: Vec<Term> = term_codes[..rel.schema().arity()]
+            .iter()
+            .map(|&t| {
+                if t < 5 {
+                    Term::var(format!("v{t}"))
+                } else {
+                    Term::constant((t - 5) as i64)
+                }
+            })
+            .collect();
+        cq_atoms.push(Atom::new(name.clone(), terms));
+    }
+    let mut body_vars: Vec<String> = Vec::new();
+    for a in &cq_atoms {
+        for v in a.variables() {
+            if !body_vars.iter().any(|b| b == v) {
+                body_vars.push(v.to_owned());
+            }
+        }
+    }
+    let mut head: Vec<String> = Vec::new();
+    if !body_vars.is_empty() {
+        for p in head_picks {
+            let v = &body_vars[p % body_vars.len()];
+            if !head.contains(v) {
+                head.push(v.clone());
+            }
+        }
+    }
+    let mut cq = ConjunctiveQuery::new(head);
+    for a in cq_atoms {
+        cq.push_atom(a);
+    }
+    cq
+}
+
+fn compile_over(cq: &ConjunctiveQuery, relations: &[(String, Relation)]) -> PhysicalPlan {
+    PhysicalPlan::compile(cq, |name| {
+        relations
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, r)| r.schema().arity())
+    })
+    .unwrap()
+}
+
+/// Split a relation into buckets of three rows, preserving row order.
+fn segment(rel: &Relation) -> SegmentedRelation {
+    let mut seg = SegmentedRelation::new(rel.schema().clone());
+    for (i, t) in rel.iter().enumerate() {
+        seg.push((i / 3) as u64, t.to_vec()).unwrap();
+    }
+    seg
 }
 
 // ---------------------------------------------------------------------------
