@@ -203,18 +203,16 @@ pub struct ShardedRssRun {
     /// actually improves on a multi-core machine.
     pub wall_throughput: f64,
     /// Total Stage-1 (parse + pattern-match + witness construction) work
-    /// summed across every shard *and* the front stage. In the replicated
-    /// topology every shard re-runs Stage 1 over every document, so this
-    /// grows roughly linearly with the shard count; in the hybrid topology
-    /// the front pool parses each document exactly once, so it stays flat.
+    /// summed across every shard *and* the front stage. The front pool
+    /// parses each document exactly once, so only the routing share of this
+    /// grows as shards are added.
     pub parse_time: Duration,
     /// Total Stage-2 join work summed across the shards.
     pub join_time: Duration,
-    /// Documents counted by the engine — `num_shards ×` the stream length
-    /// in the replicated topology (per-shard work), exactly the stream
-    /// length in the hybrid topology (parse-once).
+    /// Documents counted by the engine: exactly the stream length
+    /// (parse-once).
     pub documents_processed: usize,
-    /// Pipeline stalls reported by the hybrid front (always 0 replicated).
+    /// Pipeline stalls reported by the front stage.
     pub pipeline_stalls: usize,
     /// Total matches produced.
     pub matches: usize,
@@ -224,11 +222,10 @@ pub struct ShardedRssRun {
 }
 
 /// Replay the Figure-16 RSS workload through a [`ShardedEngine`] with the
-/// given shard count, front-pool size (`0` = the replicated topology,
-/// `>= 1` = the hybrid parse-once topology) and inner mode, measuring
-/// wall-clock throughput and the Stage-1 / Stage-2 work split. The hybrid
-/// replay goes through [`ShardedEngine::process_batches`] so Stage 1 of
-/// batch `k+1` overlaps Stage 2 of batch `k`.
+/// given shard count, front-pool size and inner mode, measuring wall-clock
+/// throughput and the Stage-1 / Stage-2 work split. The replay goes through
+/// [`ShardedEngine::process_batches`] so Stage 1 of batch `k+1` overlaps
+/// Stage 2 of batch `k`.
 pub fn run_sharded_rss_benchmark(
     mode: ProcessingMode,
     num_shards: usize,
@@ -261,24 +258,14 @@ pub fn run_sharded_rss_benchmark(
     });
     let docs = stream.documents();
     let num_docs = docs.len();
-    let mut matches = 0usize;
     let start = std::time::Instant::now();
-    if front_pool > 0 {
-        let batches: Vec<Vec<Document>> = docs.chunks(batch.max(1)).map(<[_]>::to_vec).collect();
-        matches += engine
-            .process_batches(batches)
-            .expect("batches process")
-            .iter()
-            .map(Vec::len)
-            .sum::<usize>();
-    } else {
-        for chunk in docs.chunks(batch.max(1)) {
-            matches += engine
-                .process_batch(chunk.to_vec())
-                .expect("batch processes")
-                .len();
-        }
-    }
+    let batches: Vec<Vec<Document>> = docs.chunks(batch.max(1)).map(<[_]>::to_vec).collect();
+    let matches = engine
+        .process_batches(batches)
+        .expect("batches process")
+        .iter()
+        .map(Vec::len)
+        .sum::<usize>();
     let elapsed = start.elapsed().as_secs_f64();
     let stats = engine.stats().expect("shard workers are alive");
     ShardedRssRun {
@@ -288,10 +275,9 @@ pub fn run_sharded_rss_benchmark(
             0.0
         },
         // Total Stage-1 work: pattern matching plus witness-relation
-        // construction. Replicated shards ingest what they each matched
-        // (`ingest`); the hybrid front routes pre-built batches, so its
-        // equivalent cost is already inside the front's `xpath` bucket.
-        parse_time: stats.timings.xpath + stats.timings.ingest,
+        // construction (the front builds the routed batches, so that cost
+        // is inside its `xpath` bucket).
+        parse_time: stats.timings.xpath,
         join_time: stats.timings.stage2_join_time(),
         documents_processed: stats.documents_processed,
         pipeline_stalls: stats.pipeline_stalls,
@@ -505,31 +491,25 @@ mod tests {
     #[test]
     fn sharded_rss_benchmark_matches_single_engine_counts() {
         let single = run_rss_benchmark(ProcessingMode::Mmqjp, 30, 100, 50, 3);
-        for shards in [1, 3] {
-            let sharded =
-                run_sharded_rss_benchmark(ProcessingMode::Mmqjp, shards, 0, 30, 100, 50, 3);
+        for (shards, front_pool) in [(1, 1), (3, 1), (2, 2)] {
+            let sharded = run_sharded_rss_benchmark(
+                ProcessingMode::Mmqjp,
+                shards,
+                front_pool,
+                30,
+                100,
+                50,
+                3,
+            );
             assert_eq!(sharded.matches, single.matches, "{shards} shards");
             assert!(sharded.wall_throughput > 0.0);
             assert!(sharded.templates >= single.templates);
-            // Replicated accounting: every shard re-parses every document.
-            assert_eq!(sharded.documents_processed, 100 * shards);
-            assert_eq!(sharded.pipeline_stalls, 0);
+            // Parse-once accounting: each document is counted (and parsed)
+            // exactly once at the front, not once per shard.
+            assert_eq!(sharded.documents_processed, 100);
             assert!(sharded.parse_time > Duration::ZERO);
+            assert!(sharded.join_time > Duration::ZERO);
         }
-    }
-
-    #[test]
-    fn hybrid_rss_benchmark_parses_once_and_matches_replicated() {
-        let replicated = run_sharded_rss_benchmark(ProcessingMode::Mmqjp, 2, 0, 30, 100, 50, 3);
-        let hybrid = run_sharded_rss_benchmark(ProcessingMode::Mmqjp, 2, 2, 30, 100, 50, 3);
-        assert_eq!(hybrid.matches, replicated.matches);
-        assert!(hybrid.wall_throughput > 0.0);
-        // Parse-once accounting: each document is counted (and parsed)
-        // exactly once at the front, not once per shard.
-        assert_eq!(hybrid.documents_processed, 100);
-        assert_eq!(replicated.documents_processed, 200);
-        assert!(hybrid.parse_time > Duration::ZERO);
-        assert!(hybrid.join_time > Duration::ZERO);
     }
 
     #[test]

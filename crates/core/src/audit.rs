@@ -24,7 +24,7 @@
 //!   retained timestamp.
 //! - **Stats identities** — documents are never counted more than the
 //!   document sequence assigned, and (sharded) the per-shard live-query
-//!   counts sum to the coordinator's total while hybrid shards never count
+//!   counts sum to the coordinator's total while shards never count
 //!   documents themselves.
 //!
 //! An audit never mutates the engine; a healthy engine returns an empty
@@ -229,8 +229,8 @@ pub enum AuditViolation {
         /// The per-shard sum.
         summed: usize,
     },
-    /// A hybrid-topology shard counted documents itself (only the front
-    /// stage counts documents in hybrid mode).
+    /// A shard of a [`ShardedEngine`](crate::ShardedEngine) counted
+    /// documents itself (only the front stage counts documents).
     HybridShardCountsDocuments {
         /// The offending shard.
         shard: usize,
@@ -401,7 +401,7 @@ impl fmt::Display for AuditViolation {
             ),
             AuditViolation::HybridShardCountsDocuments { shard, documents } => write!(
                 f,
-                "hybrid shard {shard} counted {documents} documents itself"
+                "shard {shard} counted {documents} documents itself"
             ),
             AuditViolation::FrontSubscription { pattern, reason } => {
                 write!(f, "front subscription state (pattern {pattern}): {reason}")

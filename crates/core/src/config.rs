@@ -42,6 +42,10 @@ pub enum FaultPolicy {
     /// The historical behavior: a poison document fails its whole batch with
     /// a typed error, and a dead shard worker makes every subsequent request
     /// fail with [`ShardUnavailable`](crate::CoreError::ShardUnavailable).
+    /// A dead front worker is terminal for the engine in the same way: the
+    /// batch and every later one fail with
+    /// [`FrontUnavailable`](crate::CoreError::FrontUnavailable) (only
+    /// [`Quarantine`](FaultPolicy::Quarantine) respawns and re-syncs it).
     /// No replay log is kept, so this policy has zero bookkeeping cost.
     #[default]
     FailFast,
@@ -57,29 +61,29 @@ pub enum FaultPolicy {
     /// shard keeps serving. The replay log is still maintained, so a manual
     /// `ShardedEngine::respawn_shard` heals the shard later with its full
     /// state. Poison documents fail their batch as under
-    /// [`FailFast`](FaultPolicy::FailFast); in the replicated topology the
-    /// failed batch additionally spends no sequence numbers, because its
-    /// shards never see it.
+    /// [`FailFast`](FaultPolicy::FailFast). A dead *front* worker is
+    /// terminal here too: every later batch fails with
+    /// [`FrontUnavailable`](crate::CoreError::FrontUnavailable).
     Degrade,
 }
 
 /// Configuration of an [`MmqjpEngine`](crate::MmqjpEngine) or a
 /// [`ShardedEngine`](crate::ShardedEngine) (which hands every shard a copy).
 ///
-/// Ten fields in three groups: what Stage 2 runs ([`mode`](Self::mode),
+/// Nine fields in three groups: what Stage 2 runs ([`mode`](Self::mode),
 /// [`view_cache_capacity`](Self::view_cache_capacity)); what state is kept
 /// and for how long ([`retain_documents`](Self::retain_documents),
 /// [`prune_state_by_window`](Self::prune_state_by_window),
-/// [`doc_retention_cap`](Self::doc_retention_cap),
-/// [`state_bucket_width`](Self::state_bucket_width)); and how the stream is
+/// [`doc_retention_cap`](Self::doc_retention_cap)); and how the stream is
 /// policed and spread over threads
 /// ([`enforce_in_order`](Self::enforce_in_order),
 /// [`fault_policy`](Self::fault_policy), [`num_shards`](Self::num_shards),
 /// [`front_pool`](Self::front_pool)).
 ///
-/// Stage 1 has no knob: every engine and topology runs the one streaming
-/// front ([`crate::front`]). Registration-time plan verification and the
-/// purge of dead view-cache slices on unregistration are always on.
+/// Stage 1 has no knob: every engine runs the one streaming front
+/// ([`crate::front`]), and the width of the windowed join state's buckets is
+/// derived from the registered windows. Registration-time plan verification
+/// and the purge of dead view-cache slices on unregistration are always on.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// The Stage-2 strategy.
@@ -122,14 +126,6 @@ pub struct EngineConfig {
     /// (the default) means retention is bounded by the registered windows
     /// alone.
     pub doc_retention_cap: Option<u64>,
-    /// Width (in timestamp units) of the buckets the windowed join state is
-    /// partitioned into. Expired state is dropped a whole bucket at a time,
-    /// so the width trades eviction granularity (state can outlive its
-    /// window by up to one bucket; the temporal filter still applies, so
-    /// results are unaffected) against bookkeeping overhead. `None` (the
-    /// default) derives the width from the registered windows:
-    /// `max(1, bound / 16)`.
-    pub state_bucket_width: Option<u64>,
     /// Reject documents whose timestamp is older than the newest timestamp
     /// already processed. The paper assumes in-order streams; disabling this
     /// lets out-of-order events in (they simply join as if on time).
@@ -142,13 +138,11 @@ pub struct EngineConfig {
     /// [`MmqjpEngine`](crate::MmqjpEngine).
     pub num_shards: usize,
     /// Number of worker threads in the document-parallel Stage-1 front stage
-    /// of [`ShardedEngine`](crate::ShardedEngine). `0` (the default) keeps
-    /// the original replicated-document topology: every shard parses every
-    /// document itself. Any value `>= 1` switches the sharded engine to the
-    /// hybrid topology: documents are parsed and pattern-matched exactly
-    /// once by a pool of this many front workers, and only the resulting
-    /// witness rows are routed to the query shards that subscribed to them.
-    /// Ignored by the single-threaded [`MmqjpEngine`](crate::MmqjpEngine).
+    /// of [`ShardedEngine`](crate::ShardedEngine): documents are parsed and
+    /// pattern-matched exactly once by a pool of this many front workers, and
+    /// only the resulting witness rows are routed to the query shards that
+    /// subscribed to them. `0` is treated as `1`. Ignored by the
+    /// single-threaded [`MmqjpEngine`](crate::MmqjpEngine).
     pub front_pool: usize,
     /// How worker death and poison input are handled (see [`FaultPolicy`]).
     /// The default, [`FaultPolicy::FailFast`], keeps the historical
@@ -167,10 +161,9 @@ impl Default for EngineConfig {
             retain_documents: true,
             prune_state_by_window: false,
             doc_retention_cap: None,
-            state_bucket_width: None,
             enforce_in_order: false,
             num_shards: 1,
-            front_pool: 0,
+            front_pool: 1,
             fault_policy: FaultPolicy::FailFast,
         }
     }
@@ -225,12 +218,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style setter for the join-state bucket width.
-    pub fn with_state_bucket_width(mut self, width: Option<u64>) -> Self {
-        self.state_bucket_width = width;
-        self
-    }
-
     /// Builder-style setter for the shard count used by
     /// [`ShardedEngine`](crate::ShardedEngine).
     pub fn with_num_shards(mut self, num_shards: usize) -> Self {
@@ -238,10 +225,8 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style setter for the document-parallel front pool used by
-    /// [`ShardedEngine`](crate::ShardedEngine). `0` keeps the replicated
-    /// topology; `>= 1` enables hybrid parse-once sharding with that many
-    /// Stage-1 workers.
+    /// Builder-style setter for the number of Stage-1 front workers used by
+    /// [`ShardedEngine`](crate::ShardedEngine) (`0` is treated as `1`).
     pub fn with_front_pool(mut self, front_pool: usize) -> Self {
         self.front_pool = front_pool;
         self
@@ -266,9 +251,8 @@ mod tests {
         assert!(c.retain_documents);
         assert!(!c.prune_state_by_window);
         assert_eq!(c.doc_retention_cap, None);
-        assert_eq!(c.state_bucket_width, None);
         assert_eq!(c.num_shards, 1);
-        assert_eq!(c.front_pool, 0);
+        assert_eq!(c.front_pool, 1);
         assert_eq!(c.fault_policy, FaultPolicy::FailFast);
     }
 
@@ -289,7 +273,6 @@ mod tests {
             .with_retain_documents(false)
             .with_prune_state_by_window(true)
             .with_doc_retention_cap(Some(5000))
-            .with_state_bucket_width(Some(50))
             .with_num_shards(4)
             .with_front_pool(2)
             .with_fault_policy(FaultPolicy::Quarantine);
@@ -297,7 +280,6 @@ mod tests {
         assert!(!c.retain_documents);
         assert!(c.prune_state_by_window);
         assert_eq!(c.doc_retention_cap, Some(5000));
-        assert_eq!(c.state_bucket_width, Some(50));
         assert_eq!(c.num_shards, 4);
         assert_eq!(c.front_pool, 2);
         assert_eq!(c.fault_policy, FaultPolicy::Quarantine);

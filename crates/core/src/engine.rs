@@ -7,9 +7,9 @@
 //! [`RoutedBatch`] and feeds it to the join stage,
 //! [`process_witness_batch`](MmqjpEngine::process_witness_batch) — Stage 2,
 //! output construction and state maintenance. With one consumer there is
-//! nothing to route or merge. The hybrid
-//! [`ShardedEngine`](crate::ShardedEngine) runs the same front on worker
-//! threads and calls the same join stage on every shard.
+//! nothing to route or merge. [`ShardedEngine`](crate::ShardedEngine) runs
+//! the same front on worker threads and calls the same join stage on every
+//! shard.
 
 use crate::audit::AuditViolation;
 use crate::config::{EngineConfig, ProcessingMode};
@@ -290,10 +290,7 @@ impl MmqjpEngine {
         // and no cap is set): nothing can be evicted then, so re-bucketing
         // unbounded state would be pure cost — the tighten happens when the
         // bound-blocking query itself departs.
-        if effects.window_changed
-            && self.config.state_bucket_width.is_none()
-            && self.doc_retention_bound().is_some()
-        {
+        if effects.window_changed && self.doc_retention_bound().is_some() {
             if let Some(width) = self.width_hint().map(JoinState::derive_width) {
                 self.state.tighten_width(width)?;
             }
@@ -365,7 +362,7 @@ impl MmqjpEngine {
     /// The join stage: Stage 2, output construction and state maintenance
     /// over one batch of witness rows whose Stage 1 already happened —
     /// inline in [`process_batch`](Self::process_batch), or exactly once at
-    /// the front of the hybrid [`ShardedEngine`](crate::ShardedEngine).
+    /// the front of a [`ShardedEngine`](crate::ShardedEngine).
     ///
     /// The front owns document-id assignment, in-order enforcement,
     /// single-block subscriptions and the `documents_processed` count, so
@@ -398,7 +395,7 @@ impl MmqjpEngine {
             let t_out = Instant::now();
             let batch_ts = batch.sorted_timestamps();
             for (rid, rows) in result_rows {
-                // A hybrid shard holds `docs` only when documents are
+                // A shard holds `docs` only when documents are
                 // retained; output document construction is gated on
                 // retention, so an empty slice is never consulted.
                 outputs.extend(self.produce_outputs(rid, &rows, &batch_ts, &docs)?);
@@ -697,10 +694,7 @@ impl MmqjpEngine {
         // bucket width follows the registered windows; if documents were
         // processed before any windowed query existed, the provisional width
         // is revised (with a one-time re-partition) once a bound appears.
-        let derived = match self.config.state_bucket_width {
-            Some(w) => Some(w.max(1)),
-            None => self.width_hint().map(JoinState::derive_width),
-        };
+        let derived = self.width_hint().map(JoinState::derive_width);
         self.state.ensure_width(derived)?;
         // The batch is consumed here: its witness rows move whole into the
         // segmented store, no per-row field copies.
@@ -1563,11 +1557,8 @@ mod tests {
     fn pruning_invalidates_only_expired_view_slices() {
         // Two distinct titles: after the first expires, its slice is
         // invalidated while the survivor's cached slice keeps serving hits.
-        let mut e = MmqjpEngine::new(
-            EngineConfig::mmqjp_view_mat()
-                .with_prune_state_by_window(true)
-                .with_state_bucket_width(Some(10)),
-        );
+        let mut e =
+            MmqjpEngine::new(EngineConfig::mmqjp_view_mat().with_prune_state_by_window(true));
         e.register_query_text(Q3).unwrap();
         let old_blog = rss::blog_article("Ann", "u1", "Old Title", "c", "d");
         let live_blog = rss::blog_article("Ann", "u2", "Live Title", "c", "d");

@@ -41,6 +41,16 @@ pub enum CoreError {
         /// Index of the unavailable shard.
         shard: usize,
     },
+    /// A Stage-1 front worker thread of a
+    /// [`ShardedEngine`](crate::ShardedEngine) is gone. The shards are
+    /// untouched (no shard is degraded and `respawn_shard` has nothing to
+    /// rebuild); only [`FaultPolicy::Quarantine`](crate::FaultPolicy::Quarantine)
+    /// respawns and re-syncs a front worker, so under the other policies
+    /// every later batch fails with this error too.
+    FrontUnavailable {
+        /// Index of the unavailable front worker.
+        worker: usize,
+    },
     /// A shard worker caught a panic while serving a request. The worker
     /// contains the panic (the channel is answered with this typed error
     /// instead of being silently dropped) and then retires itself: a
@@ -87,6 +97,9 @@ impl fmt::Display for CoreError {
             CoreError::UnknownQuery { id } => write!(f, "unknown query id {id}"),
             CoreError::ShardUnavailable { shard } => {
                 write!(f, "shard {shard} worker is unavailable")
+            }
+            CoreError::FrontUnavailable { worker } => {
+                write!(f, "front worker {worker} is unavailable")
             }
             CoreError::ShardPanicked { shard, payload } => {
                 write!(f, "shard {shard} worker panicked: {payload}")
@@ -155,6 +168,9 @@ mod tests {
         assert!(CoreError::ShardUnavailable { shard: 2 }
             .to_string()
             .contains("shard 2"));
+        assert!(CoreError::FrontUnavailable { worker: 1 }
+            .to_string()
+            .contains("front worker 1"));
         let e = CoreError::ShardPanicked {
             shard: 3,
             payload: "index out of bounds".into(),

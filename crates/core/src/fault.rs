@@ -42,8 +42,9 @@ pub enum FaultKind {
         shard: usize,
     },
     /// Panic the given front (parse) worker while it parses its slice of
-    /// this batch. Only meaningful in the hybrid topology; ignored when
-    /// `front_pool == 0`.
+    /// this batch. Only [`FaultPolicy::Quarantine`](crate::FaultPolicy)
+    /// respawns it; under the other policies the batch and every later one
+    /// fail with [`CoreError::FrontUnavailable`].
     PanicFront {
         /// Index of the front worker to kill.
         worker: usize,
@@ -86,12 +87,14 @@ impl FaultPlan {
 
     /// Derive a pseudo-random plan from `seed`, scheduling roughly one fault
     /// every few batches across `batches` steps for an engine with
-    /// `num_shards` shards and `front_pool` front workers. The same
-    /// arguments always yield the same plan.
+    /// `num_shards` shards and `front_pool` front workers (each clamped to at
+    /// least `1`, as the engine does). The same arguments always yield the
+    /// same plan.
     pub fn seeded(seed: u64, batches: u64, num_shards: usize, front_pool: usize) -> Self {
         let mut rng = SplitMix64::new(seed);
         let mut plan = Self::default();
         let shards = num_shards.max(1) as u64;
+        let fronts = front_pool.max(1) as u64;
         for batch in 0..batches {
             // ~40% of batches get one fault; the rest run clean so the
             // pipeline also exercises fault-free steady state post-recovery.
@@ -105,8 +108,8 @@ impl FaultPlan {
                 1 => FaultKind::DropResponse {
                     shard: (rng.next() % shards) as usize,
                 },
-                2 if front_pool > 0 => FaultKind::PanicFront {
-                    worker: (rng.next() % front_pool as u64) as usize,
+                2 => FaultKind::PanicFront {
+                    worker: (rng.next() % fronts) as usize,
                 },
                 3 => FaultKind::CorruptDocument {
                     doc_index: (rng.next() % 4) as usize,
@@ -273,13 +276,11 @@ mod tests {
         assert_eq!(a, b);
         let c = FaultPlan::seeded(43, 20, 4, 2);
         assert_ne!(a, c, "different seeds should differ (w.h.p.)");
-        // No front faults when there is no front pool.
-        let d = FaultPlan::seeded(42, 64, 4, 0);
-        for batch in 0..64 {
-            for fault in d.faults_at(batch) {
-                assert!(!matches!(fault, FaultKind::PanicFront { .. }));
-            }
-        }
+        // A front pool of 0 is clamped to 1, exactly as the engine does.
+        assert_eq!(
+            FaultPlan::seeded(42, 64, 4, 0),
+            FaultPlan::seeded(42, 64, 4, 1)
+        );
     }
 
     #[test]

@@ -6,19 +6,18 @@
 //! * **Screening** ([`screen_and_stamp`]): a batch is checked against the
 //!   stream watermarks, survivors are stamped with their document id and
 //!   timestamp, and a poison (out-of-order) document is handled per
-//!   [`PoisonHandling`]. Whoever owns a stream position — the single engine,
-//!   the hybrid front stage, the replicated coordinator's mirror — screens
-//!   through this one function.
+//!   [`PoisonHandling`]. Whoever owns a stream position — the single engine
+//!   or the sharded engine's front stage — screens through this one function.
 //! * **Matching** ([`match_document`]): one shared automaton pass per
 //!   document answers every registered pattern; the single-block answers and
 //!   the requested-edge bindings are both read off that pass.
 //!   [`evaluate_batch`] adds witness ingest for callers that join in-thread.
 //!
 //! [`MmqjpEngine`](crate::MmqjpEngine) runs the front inline and hands its
-//! output straight to the join stage; the hybrid
-//! [`ShardedEngine`](crate::ShardedEngine) runs the same functions on its
-//! front workers and puts a [`WitnessRouter`](crate::WitnessRouter) in
-//! between. The per-pattern DOM matcher (`PatternIndex::evaluate_edge_bindings`,
+//! output straight to the join stage; [`ShardedEngine`](crate::ShardedEngine)
+//! runs the same functions on its front workers and puts a
+//! [`WitnessRouter`](crate::WitnessRouter) in between. The per-pattern DOM
+//! matcher (`PatternIndex::evaluate_edge_bindings`,
 //! `PatternMatcher::witnesses`) is not a production path; it lives on in
 //! `mmqjp-xpath` as the reference the Stage-1 differential tests compare
 //! this module against.
@@ -64,7 +63,7 @@ pub struct SingleBlock<'a> {
 
 /// Everything Stage 1 evaluates a document against, borrowed from its owner
 /// for the duration of one batch: a [`Registry`](crate::Registry) in the
-/// single engine, a front worker's snapshot in the hybrid topology.
+/// single engine, a front worker's snapshot in the sharded one.
 #[derive(Debug)]
 pub struct Subscriptions<'a> {
     /// Every live pattern, join-side and single-block alike (mutable because
@@ -177,15 +176,11 @@ pub(crate) enum PoisonHandling {
     /// so survivors get exactly the ids a fresh engine fed only survivors
     /// would assign.
     Quarantine,
-    /// Fail the batch with the watermarks restored, as if it had never been
-    /// offered. Only the replicated coordinator asks for this: its mirror
-    /// must stay in lockstep with shards that never see a failed batch.
-    Atomic,
 }
 
 impl PoisonHandling {
     /// The handling of whoever owns the stream position it screens against
-    /// (the single engine, the hybrid front stage): only
+    /// (the single engine, the sharded front stage): only
     /// [`FaultPolicy::Quarantine`] skips poison; the other policies fail the
     /// batch the historical way.
     pub(crate) fn for_policy(policy: FaultPolicy) -> Self {
@@ -211,7 +206,6 @@ pub(crate) fn screen_and_stamp(
     batch_index: u64,
     quarantine: &mut Vec<QuarantineRecord>,
 ) -> CoreResult<Vec<Document>> {
-    let entry = (*seq, *newest);
     let mut survivors = Vec::with_capacity(docs.len());
     for (doc_index, mut doc) in docs.into_iter().enumerate() {
         // Screen before committing the sequence number, so a quarantined
@@ -229,10 +223,6 @@ pub(crate) fn screen_and_stamp(
             match handling {
                 PoisonHandling::Consume => {
                     *seq = tentative;
-                    return Err(error);
-                }
-                PoisonHandling::Atomic => {
-                    (*seq, *newest) = entry;
                     return Err(error);
                 }
                 PoisonHandling::Quarantine => {
@@ -295,7 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn poison_is_consumed_quarantined_or_rolled_back() {
+    fn poison_is_consumed_or_quarantined() {
         // In order: ids follow the sequence; a zero timestamp takes its id.
         let (stamped, position, _) = screen(&[0, 120], PoisonHandling::Consume);
         assert!(stamped.is_err(), "timestamp 5 (its id) is older than 100");
@@ -308,10 +298,6 @@ mod tests {
         let (stamped, position, _) = screen(&stream, PoisonHandling::Consume);
         assert!(stamped.is_err());
         assert_eq!(position, (6, 110), "the poison document's number is spent");
-
-        let (stamped, position, _) = screen(&stream, PoisonHandling::Atomic);
-        assert!(stamped.is_err());
-        assert_eq!(position, (4, 100), "the batch was never offered");
 
         let (stamped, position, quarantine) = screen(&stream, PoisonHandling::Quarantine);
         assert_eq!(stamped.unwrap(), vec![(5, 110), (6, 120)], "no gap");

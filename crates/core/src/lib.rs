@@ -36,13 +36,11 @@
 //! population across `N` independent engine shards on worker threads and
 //! merges the per-shard matches into a deterministic, canonically-ordered
 //! result — identical to a single engine's output for every shard count and
-//! inner mode. Two topologies are available: the replicated topology sends
-//! every document batch to every shard (each shard re-runs Stage 1), while
-//! the hybrid topology (`EngineConfig::front_pool >= 1`) parses and
-//! pattern-matches each document exactly once in a document-parallel front
-//! stage and routes only the witness rows ([`RoutedBatch`]) to the shards
-//! that subscribed to them, pipelining Stage 1 of batch `k+1` with Stage 2
-//! of batch `k`.
+//! inner mode. Each document is parsed and pattern-matched exactly once by a
+//! document-parallel front stage (`EngineConfig::front_pool` workers), which
+//! routes only the witness rows ([`RoutedBatch`]) to the shards that
+//! subscribed to them, pipelining Stage 1 of batch `k+1` with Stage 2 of
+//! batch `k`.
 //!
 //! # Quick start
 //!

@@ -43,8 +43,7 @@ pub(crate) struct RetainedQuery {
 /// A bounded log of already-prepared document batches (ids and timestamps
 /// assigned), retained only as far back as some registered window can still
 /// reach. Held by the coordinator — one log serves every shard, because
-/// under both topologies every shard's state derives from the same global
-/// document stream.
+/// every shard's state derives from the same global document stream.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayLog {
     entries: VecDeque<ReplayEntry>,

@@ -988,7 +988,7 @@ impl Registry {
 
 /// Cross-check per-`(pattern, edge)` refcount maps and their mirrored
 /// deterministic edge lists against a recount (`expected`). Shared between
-/// the registry audit and the hybrid front-stage audit, which maintain the
+/// the registry audit and the sharded front-stage audit, which maintain the
 /// same pair of structures.
 pub(crate) fn audit_edge_tables(
     expected: &HashMap<PatternId, HashMap<(PatternNodeId, PatternNodeId), usize>>,

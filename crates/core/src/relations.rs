@@ -257,7 +257,7 @@ impl Default for WitnessBatch {
     }
 }
 
-/// A witness batch routed to one query shard by the hybrid
+/// A witness batch routed to one query shard by the
 /// [`ShardedEngine`](crate::ShardedEngine) front stage, together with the
 /// batch metadata the shard needs to run Stage 2 without re-parsing the
 /// documents.

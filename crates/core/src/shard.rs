@@ -6,19 +6,18 @@
 //! [`MmqjpEngine`] is that pipeline in one thread — the front
 //! ([`crate::front`]) feeding the join stage
 //! ([`MmqjpEngine::process_witness_batch`]) directly. [`ShardedEngine`]
-//! spreads the same two stages over threads:
+//! spreads the same two stages over threads, with every stage present.
 //!
-//! **Hybrid topology** (`front_pool >= 1`) is the pipeline with every stage
-//! present. *Front*: the coordinator screens and stamps each batch, and a
-//! pool of front workers runs the front's per-document matching over
-//! contiguous slices of it, each document exactly once, against a snapshot
-//! of every shard's patterns. *Route*: a [`WitnessRouter`] delivers the
-//! resulting witness rows to precisely the shards whose queries subscribed
-//! to them ([`RoutedBatch`]; whole documents are shipped only when
-//! `retain_documents` needs them for `SELECT *` output construction).
-//! *Join*: the *query population* is hash-partitioned across `N`
-//! [`MmqjpEngine`] shards on long-lived worker threads — a shard is just a
-//! smaller engine with its own registry, join state and view cache, so
+//! *Front*: the coordinator screens and stamps each batch, and a pool of
+//! [`EngineConfig::front_pool`] front workers runs the front's per-document
+//! matching over contiguous slices of it, each document exactly once,
+//! against a snapshot of every shard's patterns. *Route*: a
+//! [`WitnessRouter`] delivers the resulting witness rows to precisely the
+//! shards whose queries subscribed to them ([`RoutedBatch`]; whole documents
+//! are shipped only when `retain_documents` needs them for `SELECT *` output
+//! construction). *Join*: the *query population* is hash-partitioned across
+//! `N` [`MmqjpEngine`] shards on long-lived worker threads — a shard is just
+//! a smaller engine with its own registry, join state and view cache, so
 //! sharding composes with Sequential, MMQJP and MMQJP+VM alike — and each
 //! runs only the join stage. *Merge*: the shards' matches and the front's
 //! single-block matches are sorted into canonical order. Under
@@ -26,45 +25,30 @@
 //! pipelined with an in-flight depth of one: the front parses batch `k+1`
 //! while the shards join batch `k`.
 //!
-//! **Replicated topology** (`front_pool == 0`, the original) has no shared
-//! front and no router: the document stream is replicated to every shard
-//! and each shard runs the whole single-engine pipeline
-//! ([`MmqjpEngine::process_batch`]) over its query subset, so parse +
-//! Stage-1 cost multiplies with the shard count. Only the merge is shared
-//! (and, under a recovering fault policy, the coordinator's screening).
-//!
 //! ```text
-//!   replicated (front_pool = 0)         hybrid (front_pool >= 1)
-//!
-//!   docs ─▶ fan-out (clone/shard)       docs ─▶ front pool: parse once,
-//!             │     │     │                     Stage 1 + single-blocks
-//!             ▼     ▼     ▼                        │ witness rows
-//!          ┌─────┐┌─────┐┌─────┐                   ▼
-//!   qid ──▶│shard││shard││shard│             WitnessRouter
-//!   hash   │ S1+ ││ S1+ ││ S1+ │           (per-shard subscription filter)
-//!          │ S2  ││ S2  ││ S2  │              │     │     │
-//!          └──┬──┘└──┬──┘└──┬──┘              ▼     ▼     ▼
-//!             ▼     ▼     ▼                ┌─────┐┌─────┐┌─────┐
-//!          canonical merge          qid ──▶│shard││shard││shard│
-//!                                   hash   │ S2  ││ S2  ││ S2  │  Stage 2
-//!                                          └──┬──┘└──┬──┘└──┬──┘  only
-//!                                             ▼     ▼     ▼
-//!                                          canonical merge
+//!   docs ─▶ front pool: parse once, Stage 1 + single-blocks
+//!              │ witness rows
+//!              ▼
+//!        WitnessRouter  (per-shard subscription filter)
+//!           │     │     │
+//!           ▼     ▼     ▼
+//!        ┌─────┐┌─────┐┌─────┐
+//! qid ──▶│shard││shard││shard│  Stage 2 only
+//! hash   └──┬──┘└──┬──┘└──┬──┘
+//!           ▼     ▼     ▼
+//!        canonical merge
 //! ```
 //!
 //! # Determinism
 //!
-//! In the replicated topology every shard sees the full document stream in
-//! arrival order, so the shards assign identical document ids and timestamps
-//! and each query produces exactly the matches it would produce in a single
-//! engine. In the hybrid topology the front stage owns id/timestamp
-//! assignment and routes each shard exactly the witness rows that shard
-//! would have derived itself (the same canonical variables, interned through
-//! the shared interner, filtered to the shard's requested edges) — so Stage 2
-//! is fed byte-equal inputs either way. The merged batch output is sorted
-//! into the canonical `(query, left_doc, right_doc, bindings)` order (see
+//! The front stage owns id/timestamp assignment and routes each shard
+//! exactly the witness rows that shard would have derived by running Stage 1
+//! itself (the same canonical variables, interned through the shared
+//! interner, filtered to the shard's requested edges) — so Stage 2 is fed
+//! byte-equal inputs. The merged batch output is sorted into the canonical
+//! `(query, left_doc, right_doc, bindings)` order (see
 //! [`sort_matches`](crate::sort_matches)), which makes the result
-//! independent of topology, shard count and thread interleaving: a
+//! independent of shard count, front-pool size and thread interleaving: a
 //! `ShardedEngine` with any `N` and any front-pool size returns exactly a
 //! canonically-sorted single-engine batch.
 //!
@@ -104,8 +88,8 @@ use std::time::{Duration, Instant};
 /// channel; the worker answers each request exactly once, in order.
 enum Request {
     /// Register a query under the given engine-global id. The reply carries
-    /// the query's Stage-1 footprint so the hybrid front stage can mirror
-    /// the subscription.
+    /// the query's Stage-1 footprint so the front stage can mirror the
+    /// subscription.
     Register {
         query: Box<XsclQuery>,
         global: QueryId,
@@ -116,10 +100,11 @@ enum Request {
         global: QueryId,
         reply: Sender<CoreResult<()>>,
     },
-    /// Process one batch and return the shard's matches, with query ids
-    /// already translated back to engine-global ids.
+    /// Run the join stage over the shard's routed witness rows of one batch
+    /// (Stage 1 already happened at the front) and return the shard's
+    /// matches, with query ids already translated back to engine-global ids.
     Batch {
-        input: BatchInput,
+        routed: Box<RoutedBatch>,
         /// Injected fault to deliver while serving this request (chaos
         /// harness only; always `None` in production).
         fault: Option<WorkerFault>,
@@ -132,16 +117,6 @@ enum Request {
     Audit { reply: Sender<Vec<AuditViolation>> },
 }
 
-/// What a shard is handed for one batch.
-enum BatchInput {
-    /// Replicated topology: the stamped documents; the shard runs the whole
-    /// pipeline, its own front included.
-    Documents(Vec<Document>),
-    /// Hybrid topology: the shard's routed witness rows; Stage 1 already
-    /// happened at the front, the shard runs the join stage only.
-    Witness(Box<RoutedBatch>),
-}
-
 /// The Stage-1 footprint of one registered query, reported by its owning
 /// shard so the front stage can subscribe the shard to exactly the witness
 /// rows the query needs.
@@ -150,7 +125,7 @@ struct ShardFootprint {
     /// and one `cur` entry per registered orientation).
     patterns: Vec<(TreePattern, Vec<Edge>)>,
     /// Single-block subscription (pattern, publish target, select clause) —
-    /// answered entirely at the front stage in hybrid mode.
+    /// answered entirely at the front stage.
     single: Option<(TreePattern, Option<String>, SelectClause)>,
 }
 
@@ -161,7 +136,7 @@ struct Shard {
 }
 
 // ------------------------------------------------------------------------
-// Witness routing (hybrid front stage)
+// Witness routing
 // ------------------------------------------------------------------------
 
 /// Routes Stage-1 witness rows to the query shards whose subscriptions
@@ -169,7 +144,7 @@ struct Shard {
 ///
 /// Subscriptions are tracked per `(pattern, shard)` as refcounted edge sets
 /// (the edge list preserves first-subscription order, mirroring the order
-/// `Registry::requested_edges` would build on a replicated shard). Routing
+/// `Registry::requested_edges` builds on the shard itself). Routing
 /// one document appends to every shard's [`WitnessBatch`]: all shards get
 /// the document's retention-ledger row (each shard tracks every timestamp
 /// for temporal filtering), while the pattern bindings are filtered per
@@ -338,7 +313,7 @@ fn binding_edge(pattern: &TreePattern, binding: &EdgeBinding) -> CoreResult<Edge
 }
 
 // ------------------------------------------------------------------------
-// Front stage (hybrid topology)
+// Front stage
 // ------------------------------------------------------------------------
 
 /// A request to a Stage-1 front worker.
@@ -363,8 +338,8 @@ enum FrontRequest {
 }
 
 /// A single-block subscription evaluated at the front stage (its matches
-/// never involve Stage 2, so in hybrid mode they are answered where the
-/// document is parsed).
+/// never involve Stage 2, so they are answered where the document is
+/// parsed).
 #[derive(Debug, Clone)]
 struct FrontSingle {
     global: QueryId,
@@ -404,7 +379,7 @@ struct FrontFootprint {
     single: bool,
 }
 
-/// The document-parallel Stage-1 front stage of the hybrid topology.
+/// The document-parallel Stage-1 front stage.
 #[derive(Debug)]
 struct FrontStage {
     workers: Vec<FrontWorker>,
@@ -425,8 +400,8 @@ struct FrontStage {
     /// `results_emitted` (single-block matches) and `timings.xpath` (total
     /// Stage-1 work). All Stage-2 fields stay zero.
     stats: EngineStats,
-    /// The global document sequence; in hybrid mode ids are assigned here,
-    /// not in the shards.
+    /// The global document sequence; ids are assigned here, not in the
+    /// shards.
     next_doc_seq: u64,
     /// Newest timestamp seen; in-order enforcement happens here, before
     /// anything is dispatched.
@@ -458,10 +433,9 @@ struct InFlight {
     singles: Vec<MatchOutput>,
     /// The batch's stamped survivor documents — the replay-log entry,
     /// committed once collection completes (dispatched ⇒ eventually
-    /// logged). Doubles as the replicated heal-retry payload. `None` under
-    /// [`FaultPolicy::FailFast`] (no log is kept).
+    /// logged). `None` under [`FaultPolicy::FailFast`] (no log is kept).
     log_entry: Option<Vec<Document>>,
-    /// Hybrid heal-retry payloads, one slot per shard, populated only under
+    /// Heal-retry payloads, one slot per shard, populated only under
     /// [`FaultPolicy::Quarantine`]; each slot is taken at most once.
     retry_routed: Option<Vec<Option<RoutedBatch>>>,
     /// The stream position (documents ingested, newest timestamp) *before*
@@ -488,16 +462,15 @@ struct Stage1Checkpoint {
 ///
 /// The API mirrors [`MmqjpEngine`]: register queries, then feed documents or
 /// batches. [`EngineConfig::num_shards`] selects the shard count and
-/// [`EngineConfig::front_pool`] the topology — `0` replicates every document
-/// batch to every shard, `>= 1` parses each document once in a
-/// document-parallel front stage and routes witness rows to subscribing
-/// shards. Every other config knob applies to each shard individually.
+/// [`EngineConfig::front_pool`] the number of front workers that parse each
+/// document once and route its witness rows to the subscribing shards.
+/// Every other config knob applies to each shard individually.
 ///
 /// ```
 /// use mmqjp_core::{EngineConfig, ShardedEngine};
 /// use mmqjp_xml::rss;
 ///
-/// // Hybrid topology: 2 front workers parse once, 4 shards join.
+/// // 2 front workers parse once, 4 shards join.
 /// let mut engine = ShardedEngine::new(
 ///     EngineConfig::default().with_num_shards(4).with_front_pool(2));
 /// engine.register_query_text(
@@ -517,19 +490,10 @@ pub struct ShardedEngine {
     config: EngineConfig,
     interner: Arc<StringInterner>,
     shards: Vec<Shard>,
-    front: Option<FrontStage>,
+    front: FrontStage,
     queries_per_shard: Vec<usize>,
     next_query: u64,
     live_queries: usize,
-    /// Replicated-topology mirror of every shard's document sequence.
-    /// Maintained only when `fault_policy != FailFast`: the coordinator then
-    /// screens and stamps batches itself (shards restamp identically), so it
-    /// always knows the stream position a dead shard must be rebuilt at. In
-    /// the hybrid topology the front stage owns these watermarks instead.
-    mirror_seq: u64,
-    /// Replicated-topology mirror of the newest timestamp; see
-    /// [`mirror_seq`](Self::mirror_seq).
-    mirror_newest: u64,
     /// Batches ingested so far — the index fault plans and quarantine
     /// records are keyed by. Counts every `process_batch` call (and every
     /// batch of a `process_batches` call), empty or not.
@@ -560,11 +524,10 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Create a sharded engine with [`EngineConfig::num_shards`] shards
-    /// (a count of `0` is treated as `1`), each running the configured
-    /// processing mode on its own worker thread. With
-    /// [`EngineConfig::front_pool`]` >= 1`, additionally spawns that many
-    /// Stage-1 front workers and switches to the hybrid topology.
+    /// Create a sharded engine with [`EngineConfig::num_shards`] shards, each
+    /// running the configured processing mode on its own worker thread, and
+    /// [`EngineConfig::front_pool`] Stage-1 front workers (a count of `0` is
+    /// treated as `1` for both).
     pub fn new(config: EngineConfig) -> Self {
         let num_shards = config.num_shards.max(1);
         let interner = Arc::new(StringInterner::new());
@@ -576,27 +539,25 @@ impl ShardedEngine {
                     .expect("spawning a shard worker thread succeeds")
             })
             .collect();
-        let front = (config.front_pool > 0).then(|| {
-            let workers = (0..config.front_pool)
-                .map(|i| {
-                    spawn_front_worker(i, config.retain_documents)
-                        // lint:allow one-time startup; a failed spawn leaves no engine to return
-                        .expect("spawning a front worker thread succeeds")
-                })
-                .collect();
-            FrontStage {
-                workers,
-                index: PatternIndex::default(),
-                requested: HashMap::new(),
-                edge_refs: HashMap::new(),
-                router: WitnessRouter::new(),
-                singles: Vec::new(),
-                footprints: HashMap::new(),
-                stats: EngineStats::default(),
-                next_doc_seq: 0,
-                newest_timestamp: 0,
-            }
-        });
+        let workers = (0..config.front_pool.max(1))
+            .map(|i| {
+                spawn_front_worker(i, config.retain_documents)
+                    // lint:allow one-time startup; a failed spawn leaves no engine to return
+                    .expect("spawning a front worker thread succeeds")
+            })
+            .collect();
+        let front = FrontStage {
+            workers,
+            index: PatternIndex::default(),
+            requested: HashMap::new(),
+            edge_refs: HashMap::new(),
+            router: WitnessRouter::new(),
+            singles: Vec::new(),
+            footprints: HashMap::new(),
+            stats: EngineStats::default(),
+            next_doc_seq: 0,
+            newest_timestamp: 0,
+        };
         ShardedEngine {
             config,
             interner,
@@ -605,8 +566,6 @@ impl ShardedEngine {
             queries_per_shard: vec![0; num_shards],
             next_query: 0,
             live_queries: 0,
-            mirror_seq: 0,
-            mirror_newest: 0,
             batches_ingested: 0,
             retained: BTreeMap::new(),
             replay_log: ReplayLog::default(),
@@ -628,9 +587,9 @@ impl ShardedEngine {
         self.shards.len()
     }
 
-    /// The number of Stage-1 front workers (`0` in the replicated topology).
+    /// The number of Stage-1 front workers.
     pub fn front_pool(&self) -> usize {
-        self.front.as_ref().map_or(0, |f| f.workers.len())
+        self.front.workers.len()
     }
 
     /// Total number of live registered queries across all shards.
@@ -659,10 +618,10 @@ impl ShardedEngine {
         shard_of(id, self.shards.len())
     }
 
-    /// The hybrid front stage's witness router, if the hybrid topology is
-    /// enabled. Exposes the live subscription table for inspection.
-    pub fn witness_router(&self) -> Option<&WitnessRouter> {
-        self.front.as_ref().map(|f| &f.router)
+    /// The front stage's witness router: the live subscription table, for
+    /// inspection.
+    pub fn witness_router(&self) -> &WitnessRouter {
+        &self.front.router
     }
 
     /// Register a query from its textual XSCL form. Returns the query id.
@@ -703,9 +662,7 @@ impl ShardedEngine {
             self.retained.insert(global.raw(), retained);
             self.refresh_retention();
         }
-        if self.front.is_some() {
-            self.front_subscribe(shard, global, *footprint)?;
-        }
+        self.front_subscribe(shard, global, *footprint)?;
         Ok(global)
     }
 
@@ -713,8 +670,9 @@ impl ShardedEngine {
     /// [`MmqjpEngine::unregister_query`]: the owning shard incrementally
     /// releases the query's footprint, and the freed id is never reused.
     /// Errors with [`CoreError::UnknownQuery`] for ids never assigned or
-    /// already unregistered, and [`CoreError::ShardUnavailable`] if the
-    /// owning shard's worker is gone.
+    /// already unregistered, [`CoreError::ShardUnavailable`] if the owning
+    /// shard's worker is gone, and [`CoreError::FrontUnavailable`] if a front
+    /// worker is.
     pub fn unregister_query(&mut self, id: QueryId) -> CoreResult<()> {
         let shard = shard_of(id, self.shards.len());
         let (reply, response) = channel();
@@ -727,10 +685,7 @@ impl ShardedEngine {
         if self.retained.remove(&id.raw()).is_some() {
             self.refresh_retention();
         }
-        if self.front.is_some() {
-            self.front_unsubscribe(id)?;
-        }
-        Ok(())
+        self.front_unsubscribe(id)
     }
 
     /// Process one document, returning its matches in canonical order.
@@ -738,119 +693,26 @@ impl ShardedEngine {
         self.process_batch(vec![doc])
     }
 
-    /// Process a batch of documents in arrival order.
-    ///
-    /// Replicated topology: the batch is fanned out to every shard (each
-    /// shard maintains the full join state for its query subset). Hybrid
-    /// topology: the front pool runs Stage 1 once and the shards receive
-    /// routed witness rows. Either way the per-shard matches are collected
-    /// and merged into the canonical `(query, left_doc, right_doc,
-    /// bindings)` order. The batched-evaluation trade-off of
+    /// Process a batch of documents in arrival order: the front pool runs
+    /// Stage 1 once, the shards join their routed witness rows, and the
+    /// per-shard matches are merged into the canonical `(query, left_doc,
+    /// right_doc, bindings)` order. The batched-evaluation trade-off of
     /// [`MmqjpEngine::process_batch`] applies unchanged.
     pub fn process_batch(&mut self, docs: Vec<Document>) -> CoreResult<Vec<MatchOutput>> {
         let batch_index = self.begin_batch();
         if docs.is_empty() {
             return Ok(Vec::new());
         }
-        if self.front.is_some() {
-            let staged = self.front_stage1(docs, batch_index)?;
-            let in_flight = self.dispatch_routed(staged)?;
-            return self.collect_shard_outputs(in_flight, false);
-        }
-        self.process_batch_replicated(docs, batch_index)
-    }
-
-    /// Replicated-topology batch processing: screen (when a recovering fault
-    /// policy is active), then fan the batch out to all live shards before
-    /// collecting any reply so the shards process it concurrently.
-    fn process_batch_replicated(
-        &mut self,
-        docs: Vec<Document>,
-        batch_index: u64,
-    ) -> CoreResult<Vec<MatchOutput>> {
-        let policy = self.config.fault_policy;
-        let position = (self.mirror_seq, self.mirror_newest);
-        // Under a recovering policy the coordinator screens and stamps the
-        // batch itself: shards then see only clean survivors (restamping
-        // them identically), and the stamped batch is what the replay log
-        // keeps. Under FailFast the shards screen as before and the
-        // coordinator stays off the hot path entirely.
-        let docs = if policy == FaultPolicy::FailFast {
-            docs
-        } else {
-            // A failed batch never reaches the shards, so under Degrade the
-            // mirror must not move either.
-            let handling = match policy {
-                FaultPolicy::Degrade => PoisonHandling::Atomic,
-                other => PoisonHandling::for_policy(other),
-            };
-            let offered = docs.len();
-            let survivors = front::screen_and_stamp(
-                docs,
-                &mut self.mirror_seq,
-                &mut self.mirror_newest,
-                self.config.enforce_in_order,
-                handling,
-                batch_index,
-                &mut self.quarantine,
-            )?;
-            self.supervisor_stats.docs_quarantined += offered - survivors.len();
-            if survivors.is_empty() {
-                return Ok(Vec::new());
-            }
-            survivors
-        };
-        let log_entry = (policy != FaultPolicy::FailFast).then(|| docs.clone());
-        // Only Degrade serves around a dead shard; under any other policy a
-        // dead shard at dispatch time is a hard availability error (the
-        // send below reports it).
-        let live: Vec<usize> = (0..self.shards.len())
-            .filter(|&s| policy != FaultPolicy::Degrade || self.shards[s].sender.is_some())
-            .collect();
-        let Some(&last) = live.last() else {
-            return Err(CoreError::ShardUnavailable { shard: 0 });
-        };
-        // The last live shard takes ownership of the batch; the others get
-        // clones.
-        let mut responses = Vec::with_capacity(live.len());
-        let mut docs = Some(docs);
-        for &shard in &live {
-            let batch = if shard == last {
-                // lint:allow the loop takes the batch only on its final iteration
-                docs.take().expect("batch is moved out exactly once")
-            } else {
-                // lint:allow the loop takes the batch only on its final iteration
-                docs.as_ref().expect("batch not yet moved").clone()
-            };
-            let fault = self.worker_fault_for_shard(shard);
-            let (reply, response) = channel();
-            self.send(
-                shard,
-                Request::Batch {
-                    input: BatchInput::Documents(batch),
-                    fault,
-                    reply,
-                },
-            )?;
-            responses.push((shard, response));
-        }
-        self.collect_shard_outputs(
-            InFlight {
-                responses,
-                singles: Vec::new(),
-                log_entry,
-                retry_routed: None,
-                position,
-            },
-            false,
-        )
+        let staged = self.front_stage1(docs, batch_index)?;
+        let in_flight = self.dispatch_routed(staged)?;
+        self.collect_shard_outputs(in_flight, false)
     }
 
     /// Process a sequence of batches, returning each batch's canonical
     /// matches in order. Equivalent to calling
     /// [`process_batch`](Self::process_batch) per batch — same outputs,
-    /// same state — but in the hybrid topology the stages are pipelined
-    /// with an in-flight depth of one: the front pool parses batch `k+1`
+    /// same state — but the stages are pipelined with an in-flight depth of
+    /// one: the front pool parses batch `k+1`
     /// while the shards join batch `k`. Batches whose Stage-1 output was
     /// ready before the shards finished the previous batch are counted in
     /// [`EngineStats::pipeline_stalls`] (the front waited on Stage 2).
@@ -864,12 +726,6 @@ impl ShardedEngine {
         &mut self,
         batches: Vec<Vec<Document>>,
     ) -> CoreResult<Vec<Vec<MatchOutput>>> {
-        if self.front.is_none() {
-            return batches
-                .into_iter()
-                .map(|batch| self.process_batch(batch))
-                .collect();
-        }
         let mut results = Vec::with_capacity(batches.len());
         let mut in_flight: Option<InFlight> = None;
         for batch in batches {
@@ -922,14 +778,10 @@ impl ShardedEngine {
     /// hold no per-batch state (parsing is snapshot-pure), so restoring
     /// these fields is a complete rollback.
     fn checkpoint_stage1(&self) -> Stage1Checkpoint {
-        let (seq, newest, stats) = match &self.front {
-            Some(front) => (front.next_doc_seq, front.newest_timestamp, front.stats),
-            None => (self.mirror_seq, self.mirror_newest, EngineStats::default()),
-        };
         Stage1Checkpoint {
-            seq,
-            newest,
-            front_stats: stats,
+            seq: self.front.next_doc_seq,
+            newest: self.front.newest_timestamp,
+            front_stats: self.front.stats,
             quarantined: self.quarantine.len(),
             docs_quarantined: self.supervisor_stats.docs_quarantined,
         }
@@ -938,17 +790,9 @@ impl ShardedEngine {
     /// Undo the Stage-1 side effects of a staged batch that was never
     /// dispatched (see [`checkpoint_stage1`](Self::checkpoint_stage1)).
     fn rollback_stage1(&mut self, checkpoint: Stage1Checkpoint) {
-        match self.front.as_mut() {
-            Some(front) => {
-                front.next_doc_seq = checkpoint.seq;
-                front.newest_timestamp = checkpoint.newest;
-                front.stats = checkpoint.front_stats;
-            }
-            None => {
-                self.mirror_seq = checkpoint.seq;
-                self.mirror_newest = checkpoint.newest;
-            }
-        }
+        self.front.next_doc_seq = checkpoint.seq;
+        self.front.newest_timestamp = checkpoint.newest;
+        self.front.stats = checkpoint.front_stats;
         self.quarantine.truncate(checkpoint.quarantined);
         self.supervisor_stats.docs_quarantined = checkpoint.docs_quarantined;
     }
@@ -1055,31 +899,27 @@ impl ShardedEngine {
 
     /// Heal a shard that died while serving the in-flight batch: respawn it
     /// at the pre-batch stream position (the replay log does not contain
-    /// the in-flight batch yet), then re-serve it this batch's payload —
-    /// fault-free — and return its matches. The rebuilt state plus the
+    /// the in-flight batch yet), then re-serve it its routed slice of this
+    /// batch — fault-free — and return its matches. The rebuilt state plus the
     /// retried batch leave the shard byte-identical to one that never died.
     fn heal_shard(
         &mut self,
         shard: usize,
-        log_entry: &Option<Vec<Document>>,
         retry_routed: &mut Option<Vec<Option<RoutedBatch>>>,
         position: (u64, u64),
     ) -> CoreResult<Vec<MatchOutput>> {
         let t0 = Instant::now();
         self.respawn_shard_at(shard, position.0, position.1)?;
-        let input = match retry_routed.as_mut() {
-            Some(per_shard) => per_shard
-                .get_mut(shard)
-                .and_then(Option::take)
-                .map(|routed| BatchInput::Witness(Box::new(routed))),
-            None => log_entry.clone().map(BatchInput::Documents),
-        }
-        .ok_or(CoreError::ShardUnavailable { shard })?;
+        let routed = retry_routed
+            .as_mut()
+            .and_then(|per_shard| per_shard.get_mut(shard))
+            .and_then(Option::take)
+            .ok_or(CoreError::ShardUnavailable { shard })?;
         let (reply, response) = channel();
         self.send(
             shard,
             Request::Batch {
-                input,
+                routed: Box::new(routed),
                 fault: None,
                 reply,
             },
@@ -1131,14 +971,10 @@ impl ShardedEngine {
         Some(WorkerFault::Panic)
     }
 
-    /// The global stream position: documents ingested and the newest
-    /// timestamp. Owned by the front stage in the hybrid topology and by
-    /// the coordinator's mirror in the replicated one.
+    /// The global stream position, owned by the front stage: documents
+    /// ingested and the newest timestamp.
     fn stream_position(&self) -> (u64, u64) {
-        match &self.front {
-            Some(front) => (front.next_doc_seq, front.newest_timestamp),
-            None => (self.mirror_seq, self.mirror_newest),
-        }
+        (self.front.next_doc_seq, self.front.newest_timestamp)
     }
 
     /// Recompute the cached replay-log retention bound from the retained
@@ -1151,31 +987,25 @@ impl ShardedEngine {
     }
 
     /// Aggregate statistics: the field-wise sum of every shard's
-    /// [`EngineStats`], plus the front stage's own stats in the hybrid
-    /// topology (see the `Sum` impl on [`EngineStats`] for the exact
-    /// semantics — notably `documents_processed` counts per-shard work in
-    /// the replicated topology, so it is `num_shards ×` the number of
-    /// ingested documents there, while the hybrid front counts each
-    /// document exactly once), plus the coordinator's own failure-model
+    /// [`EngineStats`], plus the front stage's own stats (the front counts
+    /// each document exactly once in `documents_processed`; the shards never
+    /// count documents), plus the coordinator's own failure-model
     /// counters (`docs_quarantined`, `shards_respawned`, `faults_injected`
     /// and recovery timings). Errors with [`CoreError::ShardUnavailable`]
     /// if a shard worker is gone — except under [`FaultPolicy::Degrade`],
     /// where dead shards contribute zeroes (their state died with them).
     pub fn stats(&self) -> CoreResult<EngineStats> {
         let mut total: EngineStats = self.shard_stats()?.into_iter().sum();
-        if let Some(front) = &self.front {
-            total += front.stats;
-        }
+        total += self.front.stats;
         total += self.supervisor_stats;
         Ok(total)
     }
 
-    /// The hybrid front stage's statistics: `docs_parsed_once`,
+    /// The front stage's statistics: `docs_parsed_once`,
     /// `witnesses_routed`, `pipeline_stalls`, single-block
-    /// `results_emitted` and Stage-1 `timings.xpath`. All-zero in the
-    /// replicated topology (which has no front stage).
+    /// `results_emitted` and Stage-1 `timings.xpath`.
     pub fn front_stats(&self) -> EngineStats {
-        self.front.as_ref().map(|f| f.stats).unwrap_or_default()
+        self.front.stats
     }
 
     /// Per-shard statistics snapshots, by shard index. Under
@@ -1206,13 +1036,12 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Run a full invariant audit across the topology: every shard engine's
+    /// Run a full invariant audit across the pipeline: every shard engine's
     /// own [`MmqjpEngine::audit`] (violations come back wrapped in
     /// [`AuditViolation::Shard`]), the coordinator's per-shard query
-    /// accounting, and — in the hybrid topology — the front stage's mirrored
-    /// subscription state (master pattern index, global requested-edge
-    /// union, witness-router table and single-block list), each recomputed
-    /// from the live query footprints. When a recovering fault policy is
+    /// accounting, and the front stage's mirrored subscription state (master
+    /// pattern index, global requested-edge union, witness-router table and
+    /// single-block list), each recomputed from the live query footprints. When a recovering fault policy is
     /// active, additionally checks the recovery machinery itself: the
     /// retained-query ledger tracks every live query and the replay log
     /// stays within its retention bound. Read-only; a healthy engine
@@ -1272,25 +1101,24 @@ impl ShardedEngine {
             }
         }
 
-        if let Some(front) = &self.front {
-            // Hybrid shards never count documents themselves; the front
-            // stage counts each exactly once.
-            for (shard, stats) in self.shard_stats()?.into_iter().enumerate() {
-                if stats.documents_processed != 0 {
-                    out.push(AuditViolation::HybridShardCountsDocuments {
-                        shard,
-                        documents: stats.documents_processed,
-                    });
-                }
+        // Shards never count documents themselves; the front stage counts
+        // each exactly once.
+        for (shard, stats) in self.shard_stats()?.into_iter().enumerate() {
+            if stats.documents_processed != 0 {
+                out.push(AuditViolation::HybridShardCountsDocuments {
+                    shard,
+                    documents: stats.documents_processed,
+                });
             }
-            self.audit_front(front, &mut out);
         }
+        self.audit_front(&mut out);
         Ok(out)
     }
 
     /// Recompute the front stage's expected subscription state from its live
     /// query footprints and compare it against the maintained mirrors.
-    fn audit_front(&self, front: &FrontStage, out: &mut Vec<AuditViolation>) {
+    fn audit_front(&self, out: &mut Vec<AuditViolation>) {
+        let front = &self.front;
         if front.footprints.len() != self.live_queries {
             out.push(AuditViolation::FrontSubscription {
                 pattern: u32::MAX,
@@ -1434,7 +1262,7 @@ impl ShardedEngine {
     }
 
     // ----------------------------------------------------------------
-    // Hybrid topology internals
+    // Front stage internals
     // ----------------------------------------------------------------
 
     /// Mirror a freshly registered query's Stage-1 footprint into the front
@@ -1447,10 +1275,7 @@ impl ShardedEngine {
         global: QueryId,
         footprint: ShardFootprint,
     ) -> CoreResult<()> {
-        let front = self
-            .front
-            .as_mut()
-            .ok_or(CoreError::internal("hybrid topology is enabled"))?;
+        let front = &mut self.front;
         let mut resolved = Vec::with_capacity(footprint.patterns.len());
         for (pattern, edges) in footprint.patterns {
             let pid = front.index.register(pattern);
@@ -1491,10 +1316,7 @@ impl ShardedEngine {
     /// Release a departing query's front-stage footprint (the inverse of
     /// [`front_subscribe`](Self::front_subscribe)) and re-sync the workers.
     fn front_unsubscribe(&mut self, global: QueryId) -> CoreResult<()> {
-        let front = self
-            .front
-            .as_mut()
-            .ok_or(CoreError::internal("hybrid topology is enabled"))?;
+        let front = &mut self.front;
         let footprint = front
             .footprints
             .remove(&global.raw())
@@ -1534,29 +1356,26 @@ impl ShardedEngine {
     /// acknowledgements, so the next batch is parsed against the updated
     /// subscriptions.
     fn sync_front(&mut self) -> CoreResult<()> {
-        let front = self
-            .front
-            .as_mut()
-            .ok_or(CoreError::internal("hybrid topology is enabled"))?;
+        let front = &mut self.front;
         let mut acks = Vec::with_capacity(front.workers.len());
-        for (i, worker) in front.workers.iter().enumerate() {
+        for (worker, handle) in front.workers.iter().enumerate() {
             let (reply, response) = channel();
-            worker
+            handle
                 .sender
                 .as_ref()
-                .ok_or(CoreError::ShardUnavailable { shard: i })?
+                .ok_or(CoreError::FrontUnavailable { worker })?
                 .send(FrontRequest::Sync {
                     index: Box::new(front.index.clone()),
                     requested: front.requested.clone(),
                     singles: front.singles.clone(),
                     reply,
                 })
-                .map_err(|_| CoreError::ShardUnavailable { shard: i })?;
+                .map_err(|_| CoreError::FrontUnavailable { worker })?;
             acks.push(response);
         }
-        for (i, ack) in acks.into_iter().enumerate() {
+        for (worker, ack) in acks.into_iter().enumerate() {
             ack.recv()
-                .map_err(|_| CoreError::ShardUnavailable { shard: i })?;
+                .map_err(|_| CoreError::FrontUnavailable { worker })?;
         }
         Ok(())
     }
@@ -1568,20 +1387,18 @@ impl ShardedEngine {
     /// answer single-block subscriptions, and route the witness rows into
     /// per-shard batches. A front worker that dies mid-parse is respawned
     /// and its slice retried under [`FaultPolicy::Quarantine`]; under any
-    /// other policy its death fails the batch.
+    /// other policy its death fails this batch and every later one with
+    /// [`CoreError::FrontUnavailable`].
     fn front_stage1(&mut self, docs: Vec<Document>, batch_index: u64) -> CoreResult<StagedBatch> {
         let num_shards = self.shards.len();
         let retain_documents = self.config.retain_documents;
         let enforce_in_order = self.config.enforce_in_order;
         let policy = self.config.fault_policy;
         // Drain worker-directed faults before borrowing the front stage.
-        let front_faults: Vec<Option<WorkerFault>> = (0..self.config.front_pool)
+        let front_faults: Vec<Option<WorkerFault>> = (0..self.front.workers.len())
             .map(|worker| self.worker_fault_for_front(worker))
             .collect();
-        let front = self
-            .front
-            .as_mut()
-            .ok_or(CoreError::internal("hybrid topology is enabled"))?;
+        let front = &mut self.front;
         let position = (front.next_doc_seq, front.newest_timestamp);
 
         // The same screening, under the same handling, as the single
@@ -1617,13 +1434,13 @@ impl ShardedEngine {
             front.workers[worker]
                 .sender
                 .as_ref()
-                .ok_or(CoreError::ShardUnavailable { shard: worker })?
+                .ok_or(CoreError::FrontUnavailable { worker })?
                 .send(FrontRequest::Parse {
                     docs: slice,
                     fault,
                     reply,
                 })
-                .map_err(|_| CoreError::ShardUnavailable { shard: worker })?;
+                .map_err(|_| CoreError::FrontUnavailable { worker })?;
             pending.push((response, retry));
         }
         let mut parsed: Vec<ParsedDoc> = Vec::new();
@@ -1637,33 +1454,33 @@ impl ShardedEngine {
                     // the same slice.
                     let t0 = Instant::now();
                     let respawned = spawn_front_worker(worker, retain_documents)
-                        .map_err(|_| CoreError::ShardUnavailable { shard: worker })?;
+                        .map_err(|_| CoreError::FrontUnavailable { worker })?;
                     let old = std::mem::replace(&mut front.workers[worker], respawned);
                     drop(old.sender);
                     if let Some(handle) = old.handle {
                         let _ = handle.join();
                     }
                     sync_one_front_worker(front, worker)?;
-                    let docs = retry.ok_or(CoreError::ShardUnavailable { shard: worker })?;
+                    let docs = retry.ok_or(CoreError::FrontUnavailable { worker })?;
                     let (reply, response) = channel();
                     front.workers[worker]
                         .sender
                         .as_ref()
-                        .ok_or(CoreError::ShardUnavailable { shard: worker })?
+                        .ok_or(CoreError::FrontUnavailable { worker })?
                         .send(FrontRequest::Parse {
                             docs,
                             fault: None,
                             reply,
                         })
-                        .map_err(|_| CoreError::ShardUnavailable { shard: worker })?;
+                        .map_err(|_| CoreError::FrontUnavailable { worker })?;
                     let chunk = response
                         .recv()
-                        .map_err(|_| CoreError::ShardUnavailable { shard: worker })?;
+                        .map_err(|_| CoreError::FrontUnavailable { worker })?;
                     self.supervisor_stats.shards_respawned += 1;
                     self.supervisor_stats.timings.recovery += t0.elapsed();
                     chunk
                 }
-                Err(_) => return Err(CoreError::ShardUnavailable { shard: worker }),
+                Err(_) => return Err(CoreError::FrontUnavailable { worker }),
             };
             parse_work += chunk.elapsed;
             parsed.extend(chunk.docs);
@@ -1723,8 +1540,8 @@ impl ShardedEngine {
             position,
         } = staged;
         let keep_retry = self.config.fault_policy == FaultPolicy::Quarantine;
-        // As in the replicated path: only Degrade routes around a dead
-        // shard; every other policy hits the availability error on send.
+        // Only Degrade routes around a dead shard; every other policy hits
+        // the availability error on send.
         let degrade = self.config.fault_policy == FaultPolicy::Degrade;
         let live: Vec<usize> = (0..self.shards.len())
             .filter(|&s| !degrade || self.shards[s].sender.is_some())
@@ -1760,7 +1577,7 @@ impl ShardedEngine {
             self.send(
                 shard,
                 Request::Batch {
-                    input: BatchInput::Witness(Box::new(routed)),
+                    routed: Box::new(routed),
                     fault,
                     reply,
                 },
@@ -1787,8 +1604,8 @@ impl ShardedEngine {
     /// [`CoreError::ShardPanicked`] or a disconnected channel marks the
     /// shard dead, and the fault policy decides what happens next —
     /// FailFast propagates the death as this batch's error, Quarantine
-    /// heals the shard inline (respawn, replay, retry this batch's
-    /// payload), and Degrade retires the shard and keeps serving the rest.
+    /// heals the shard inline (respawn, replay, retry its routed slice of
+    /// this batch), and Degrade retires the shard and keeps serving the rest.
     /// Once collection completes the batch is committed to the replay log
     /// (dispatched ⇒ logged), which is then evicted to its retention bound.
     fn collect_shard_outputs(
@@ -1821,8 +1638,7 @@ impl ShardedEngine {
             };
             // A panic reply or a dead channel both mean the worker's state
             // is gone or suspect: retire it, then apply the fault policy. A
-            // typed error from a live worker (e.g. a rejected document in
-            // the replicated FailFast path) is this batch's error under
+            // typed error from a live worker is this batch's error under
             // every policy — the worker itself is fine.
             let death = match &received {
                 Err(()) => true,
@@ -1841,9 +1657,7 @@ impl ShardedEngine {
                         // shard's queries go dark until a manual respawn.
                         continue;
                     }
-                    FaultPolicy::Quarantine => {
-                        self.heal_shard(shard, &log_entry, &mut retry_routed, position)
-                    }
+                    FaultPolicy::Quarantine => self.heal_shard(shard, &mut retry_routed, position),
                 }
             } else {
                 match received {
@@ -1861,9 +1675,7 @@ impl ShardedEngine {
             }
         }
         if stalled {
-            if let Some(front) = self.front.as_mut() {
-                front.stats.pipeline_stalls += 1;
-            }
+            self.front.stats.pipeline_stalls += 1;
         }
         // Dispatched ⇒ logged: the surviving shards absorbed this batch even
         // if one of them reported an error, so a future rebuild must replay
@@ -1883,15 +1695,13 @@ impl ShardedEngine {
 
 impl Drop for ShardedEngine {
     fn drop(&mut self) {
-        if let Some(front) = &mut self.front {
-            for worker in &mut front.workers {
-                // Dropping the sender closes the channel; the loop exits.
-                worker.sender.take();
-            }
-            for worker in &mut front.workers {
-                if let Some(handle) = worker.handle.take() {
-                    let _ = handle.join();
-                }
+        for worker in &mut self.front.workers {
+            // Dropping the sender closes the channel; the loop exits.
+            worker.sender.take();
+        }
+        for worker in &mut self.front.workers {
+            if let Some(handle) = worker.handle.take() {
+                let _ = handle.join();
             }
         }
         for shard in &mut self.shards {
@@ -1959,17 +1769,17 @@ fn sync_one_front_worker(front: &FrontStage, worker: usize) -> CoreResult<()> {
     front.workers[worker]
         .sender
         .as_ref()
-        .ok_or(CoreError::ShardUnavailable { shard: worker })?
+        .ok_or(CoreError::FrontUnavailable { worker })?
         .send(FrontRequest::Sync {
             index: Box::new(front.index.clone()),
             requested: front.requested.clone(),
             singles: front.singles.clone(),
             reply,
         })
-        .map_err(|_| CoreError::ShardUnavailable { shard: worker })?;
+        .map_err(|_| CoreError::FrontUnavailable { worker })?;
     response
         .recv()
-        .map_err(|_| CoreError::ShardUnavailable { shard: worker })
+        .map_err(|_| CoreError::FrontUnavailable { worker })
 }
 
 /// Render a caught panic payload for [`CoreError::ShardPanicked`].
@@ -2069,7 +1879,7 @@ fn shard_worker(
                 }
             }
             Request::Batch {
-                input,
+                routed,
                 fault,
                 reply,
             } => {
@@ -2086,11 +1896,7 @@ fn shard_worker(
                         // lint:allow deliberate injected fault, contained by catch_unwind below
                         panic!("injected fault: shard worker panic");
                     }
-                    let outputs = match input {
-                        BatchInput::Documents(docs) => engine.process_batch(docs),
-                        BatchInput::Witness(routed) => engine.process_witness_batch(*routed),
-                    };
-                    outputs.map(|mut outputs| {
+                    engine.process_witness_batch(*routed).map(|mut outputs| {
                         for output in &mut outputs {
                             output.query = global_ids[output.query.raw() as usize];
                         }
@@ -2241,8 +2047,7 @@ mod tests {
     const Q3: &str = "S//blog->x4[.//author->x5][.//title->x6] \
         FOLLOWED BY{x5=x5' AND x6=x6', 300} \
         S//blog->x4'[.//author->x5'][.//title->x6']";
-    /// A single-block subscription (no join): matched at the front stage in
-    /// hybrid mode.
+    /// A single-block subscription (no join): matched at the front stage.
     const Q_SINGLE: &str = "S//book->x1[.//author->x2]";
 
     fn d1() -> Document {
@@ -2276,27 +2081,7 @@ mod tests {
     }
 
     #[test]
-    fn walkthrough_matches_single_engine_for_every_shard_count() {
-        let mut single = MmqjpEngine::new(EngineConfig::mmqjp());
-        for q in [Q1, Q2, Q3] {
-            single.register_query_text(q).unwrap();
-        }
-        single.process_document(d1()).unwrap();
-        let mut expected = single.process_document(d2()).unwrap();
-        sort_matches(&mut expected);
-        assert_eq!(expected.len(), 2);
-
-        for shards in [1, 2, 3, 7] {
-            let mut e = sharded(EngineConfig::mmqjp().with_num_shards(shards));
-            assert_eq!(e.num_shards(), shards);
-            assert!(e.process_document(d1()).unwrap().is_empty());
-            let outputs = e.process_document(d2()).unwrap();
-            assert_eq!(outputs, expected, "shard count {shards} diverges");
-        }
-    }
-
-    #[test]
-    fn hybrid_walkthrough_matches_single_engine_for_every_topology() {
+    fn walkthrough_matches_single_engine_for_every_pool_and_shard_count() {
         let mut single = MmqjpEngine::new(EngineConfig::mmqjp());
         for q in [Q1, Q2, Q3, Q_SINGLE] {
             single.register_query_text(q).unwrap();
@@ -2320,6 +2105,7 @@ mod tests {
                     e.register_query_text(q).unwrap();
                 }
                 assert_eq!(e.front_pool(), front_pool);
+                assert_eq!(e.num_shards(), shards);
                 let out1 = e.process_document(d1()).unwrap();
                 assert_eq!(out1, expected_d1, "{front_pool} front / {shards} shards");
                 let out2 = e.process_document(d2()).unwrap();
@@ -2329,7 +2115,7 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_stats_count_documents_once_and_sum_exactly() {
+    fn stats_count_documents_once_and_sum_exactly() {
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(3).with_front_pool(2));
         e.process_document(d1()).unwrap();
         e.process_document(d2()).unwrap();
@@ -2355,9 +2141,9 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_unregister_releases_front_subscriptions() {
+    fn unregister_releases_front_subscriptions() {
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2).with_front_pool(1));
-        assert!(!e.witness_router().unwrap().is_empty());
+        assert!(!e.witness_router().is_empty());
         e.process_document(d1()).unwrap();
         e.unregister_query(QueryId(0)).unwrap();
         let out = e.process_document(d2()).unwrap();
@@ -2366,7 +2152,7 @@ mod tests {
         e.unregister_query(QueryId(1)).unwrap();
         e.unregister_query(QueryId(2)).unwrap();
         // The routing table empties with the last subscription.
-        assert!(e.witness_router().unwrap().is_empty());
+        assert!(e.witness_router().is_empty());
         assert!(e
             .process_document(d2().with_timestamp(Timestamp(30)))
             .unwrap()
@@ -2374,7 +2160,7 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_pipelined_batches_equal_batchwise_processing() {
+    fn pipelined_batches_equal_batchwise_processing() {
         let docs: Vec<Document> = (0..6)
             .map(|i| {
                 let doc = if i % 2 == 0 { d1() } else { d2() };
@@ -2459,11 +2245,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_is_clamped_to_one() {
-        let e = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(0));
+    fn zero_shards_and_zero_front_workers_are_clamped_to_one() {
+        let e = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(0).with_front_pool(0));
         assert_eq!(e.num_shards(), 1);
-        assert_eq!(e.front_pool(), 0);
-        assert!(e.witness_router().is_none());
+        assert_eq!(e.front_pool(), 1);
+        assert!(e.witness_router().is_empty());
     }
 
     #[test]
@@ -2487,7 +2273,7 @@ mod tests {
         let mut e = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(3).with_front_pool(1));
         assert!(e.register_query_text("not a query at all ///").is_err());
         assert_eq!(e.num_queries(), 0);
-        assert!(e.witness_router().unwrap().is_empty());
+        assert!(e.witness_router().is_empty());
         let id = e.register_query_text(Q1).unwrap();
         assert_eq!(id, QueryId(0));
     }
@@ -2504,12 +2290,10 @@ mod tests {
         let per_shard = e.shard_stats().unwrap();
         assert_eq!(per_shard.len(), 2);
         let total = e.stats().unwrap();
-        assert_eq!(total, per_shard.iter().copied().sum());
-        // The replicated topology has no front stage.
-        assert_eq!(e.front_stats(), EngineStats::default());
+        let shard_sum: EngineStats = per_shard.iter().copied().sum();
+        assert_eq!(total, shard_sum + e.front_stats());
         assert_eq!(total.queries_registered, 3);
-        // Every shard sees every document.
-        assert_eq!(total.documents_processed, 3 * e.num_shards());
+        assert_eq!(total.documents_processed, 3);
         // Q1/Q2 match (book, blog) for each of the two blog timestamps; Q3
         // (blog FOLLOWED BY blog) matches the repeated article pair.
         assert_eq!(total.results_emitted, 5);
@@ -2540,18 +2324,15 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2));
         assert!(e.process_batch(Vec::new()).unwrap().is_empty());
-        assert_eq!(e.stats().unwrap().documents_processed, 0);
-        // Hybrid: same, including via the pipelined entry point.
-        let mut h = sharded(EngineConfig::mmqjp().with_num_shards(2).with_front_pool(1));
-        assert!(h.process_batch(Vec::new()).unwrap().is_empty());
-        let results = h.process_batches(vec![Vec::new(), Vec::new()]).unwrap();
+        // Same via the pipelined entry point.
+        let results = e.process_batches(vec![Vec::new(), Vec::new()]).unwrap();
         assert_eq!(results, vec![Vec::new(), Vec::new()]);
-        assert_eq!(h.stats().unwrap().documents_processed, 0);
+        assert_eq!(e.stats().unwrap().documents_processed, 0);
     }
 
     #[test]
     fn out_of_order_document_errors_like_the_single_engine() {
-        for front_pool in [0, 2] {
+        for front_pool in [1, 2] {
             let mut config = EngineConfig::mmqjp()
                 .with_num_shards(3)
                 .with_front_pool(front_pool);

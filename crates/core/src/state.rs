@@ -400,7 +400,7 @@ impl JoinState {
         self.absorb_routed(batch, &meta, docs, retain_documents)
     }
 
-    /// [`absorb`](Self::absorb) for a witness batch routed by the hybrid
+    /// [`absorb`](Self::absorb) for a witness batch routed by the sharded
     /// front stage, where the shard may not hold the documents themselves:
     /// the `(doc id, timestamp)` pairs come in as explicit metadata, and
     /// `docs` carries the full documents only when `retain_documents` is on

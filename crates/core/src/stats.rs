@@ -165,17 +165,16 @@ pub struct EngineStats {
     pub join_orders_planned: usize,
     /// Plan executions that reused the plan's memoized join order.
     pub join_orders_reused: usize,
-    /// Documents parsed and Stage-1-evaluated exactly once by the hybrid
-    /// front stage of [`ShardedEngine`](crate::ShardedEngine) (with
-    /// `front_pool >= 1`). Zero for single engines and for the replicated
-    /// topology, where every shard re-parses every document.
+    /// Documents parsed and Stage-1-evaluated exactly once by the front
+    /// stage of [`ShardedEngine`](crate::ShardedEngine); equal to the number
+    /// of documents it ingested. Zero for single engines.
     pub docs_parsed_once: usize,
-    /// Witness rows (`RbinW` + `RdocW`) the hybrid front stage routed to
+    /// Witness rows (`RbinW` + `RdocW`) the sharded front stage routed to
     /// query shards. Rows for a pattern travel only to the shards whose
     /// queries subscribed to it, so this counts deliveries: a row shared by
     /// subscribers on two shards is routed (and counted) twice.
     pub witnesses_routed: usize,
-    /// Batches for which the pipelined hybrid front finished Stage 1 of
+    /// Batches for which the pipelined sharded front finished Stage 1 of
     /// batch `k+1` before the shards had finished Stage 2 of batch `k` —
     /// i.e. the front stalled waiting for the join stage. A high ratio of
     /// stalls to batches means Stage 2 is the bottleneck and more shards
@@ -230,12 +229,9 @@ impl EngineStats {
 /// aggregation [`ShardedEngine`](crate::ShardedEngine) uses: each query lives
 /// in exactly one shard, so `queries_registered` sums to the global query
 /// count, while per-shard quantities (`documents_processed`, `templates`,
-/// timings, ...) sum to the total work done across all shards. In the
-/// replicated topology (`front_pool == 0`) every document is replicated to
-/// every shard, so `documents_processed` of an `N`-shard engine is `N ×` the
-/// number of ingested documents; in the hybrid topology documents are
-/// counted once, by the front stage, so the aggregate equals the number of
-/// ingested documents.
+/// timings, ...) sum to the total work done across all shards. Documents
+/// are counted once, by the front stage (shards never count them), so the
+/// aggregate `documents_processed` equals the number of ingested documents.
 impl AddAssign for EngineStats {
     fn add_assign(&mut self, rhs: Self) {
         self.documents_processed += rhs.documents_processed;

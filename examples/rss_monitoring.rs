@@ -72,8 +72,9 @@ fn main() {
     }
 
     // The same workload, sharded across worker threads: the query population
-    // is hash-partitioned, the stream replicated, and the merged output is
-    // identical to the single-engine runs above.
+    // is hash-partitioned, each document is parsed once by the front stage
+    // and its witness rows routed to the subscribing shards, and the merged
+    // output is identical to the single-engine runs above.
     let config = EngineConfig::mmqjp_view_mat()
         .with_retain_documents(false)
         .with_num_shards(num_shards);

@@ -63,7 +63,7 @@ pub fn all_modes() -> [ProcessingMode; 3] {
 /// empty on small query sets.
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
-/// Front-pool sizes the hybrid-topology sweep exercises: a single worker (no
+/// Front-pool sizes the sharded sweep exercises: a single worker (no
 /// document parallelism, routing only), an even pool, and a pool larger than
 /// most test batches (workers with empty slices).
 pub const FRONT_POOLS: [usize; 3] = [1, 2, 4];
@@ -139,26 +139,18 @@ pub fn run_stream_sharded(engine: &mut ShardedEngine, docs: Vec<Document>) -> Ve
 }
 
 /// Build a sharded engine from a (per-shard) config, shard count and query
-/// set.
+/// set, with the config's own front-pool size (one worker by default).
 pub fn sharded_engine_with_queries(
     config: EngineConfig,
     num_shards: usize,
     queries: &[mmqjp_xscl::XsclQuery],
 ) -> ShardedEngine {
-    let mut engine = ShardedEngine::new(config.with_num_shards(num_shards));
-    // Every sharded fixture runs with a benign (empty) fault plan installed:
-    // the injection plumbing must be zero-cost and non-perturbing, so every
-    // equivalence assertion built on these fixtures proves exactly that.
-    engine.set_fault_injector(FaultInjector::new(FaultPlan::none()));
-    for q in queries {
-        engine.register_query(q.clone()).expect("query registers");
-    }
-    engine
+    let front_pool = config.front_pool;
+    sharded_engine_with_topology(config, num_shards, front_pool, queries)
 }
 
-/// Build a sharded engine with an explicit topology: `front_pool == 0` is
-/// the replicated topology (every shard re-runs Stage 1), `>= 1` the hybrid
-/// parse-once topology with that many Stage-1 front workers.
+/// Build a sharded engine with an explicit shard count and number of Stage-1
+/// front workers.
 pub fn sharded_engine_with_topology(
     config: EngineConfig,
     num_shards: usize,
@@ -170,7 +162,9 @@ pub fn sharded_engine_with_topology(
             .with_num_shards(num_shards)
             .with_front_pool(front_pool),
     );
-    // Benign fault plan: see `sharded_engine_with_queries`.
+    // Every sharded fixture runs with a benign (empty) fault plan installed:
+    // the injection plumbing must be zero-cost and non-perturbing, so every
+    // equivalence assertion built on these fixtures proves exactly that.
     engine.set_fault_injector(FaultInjector::new(FaultPlan::none()));
     for q in queries {
         engine.register_query(q.clone()).expect("query registers");

@@ -6,12 +6,12 @@
 //! produce byte-identical output to a fresh, fault-free engine fed only the
 //! surviving documents, and its invariant audit must come back clean after
 //! every recovery. Alongside the differential sweep there are targeted tests
-//! for each policy: FailFast containment (a panic becomes a typed error, not
-//! a hang), Degrade (dead shards go dark, the rest keep serving, a manual
-//! respawn restores full service), the pipelined entry point's
-//! checkpoint/rollback of a staged-but-never-dispatched batch, and
+//! for each policy: FailFast containment (a shard or front-worker panic
+//! becomes a typed error, not a hang), Degrade (dead shards go dark, the rest
+//! keep serving, a manual respawn restores full service), the pipelined entry
+//! point's checkpoint/rollback of a staged-but-never-dispatched batch, and
 //! stream-position parity after poison input between the single engine and
-//! both topologies.
+//! the sharded one.
 //!
 //! The three default seeds are fixed so CI failures replay exactly; override
 //! them with `MMQJP_CHAOS_SEEDS=1,2,3` to widen the sweep.
@@ -167,13 +167,16 @@ fn survivor_batches(mutated: &[Vec<Document>], records: &[QuarantineRecord]) -> 
 /// The worker-directed faults the engine will actually deliver for this
 /// plan: each one retires a worker and forces a respawn, so the count pins
 /// both `faults_injected` and `shards_respawned`.
-fn worker_fault_count(plan: &FaultPlan, batches: u64, front_pool: usize) -> usize {
+fn worker_fault_count(plan: &FaultPlan, batches: u64) -> usize {
     (0..batches)
         .flat_map(|b| plan.faults_at(b))
-        .filter(|f| match f {
-            FaultKind::PanicShard { .. } | FaultKind::DropResponse { .. } => true,
-            FaultKind::PanicFront { .. } => front_pool > 0,
-            _ => false,
+        .filter(|f| {
+            matches!(
+                f,
+                FaultKind::PanicShard { .. }
+                    | FaultKind::DropResponse { .. }
+                    | FaultKind::PanicFront { .. }
+            )
         })
         .count()
 }
@@ -253,7 +256,7 @@ fn run_chaos_differential(
 
     let stats = chaos.stats().expect("every shard is live after healing");
     assert_eq!(stats.docs_quarantined, records.len());
-    let worker_faults = worker_fault_count(&plan, batches.len() as u64, front_pool);
+    let worker_faults = worker_fault_count(&plan, batches.len() as u64);
     assert_eq!(stats.faults_injected, worker_faults);
     assert_eq!(stats.shards_respawned, worker_faults);
     if worker_faults > 0 {
@@ -265,12 +268,12 @@ fn run_chaos_differential(
     assert!(chaos.degraded_shards().is_empty());
 }
 
-/// The CI chaos matrix: three fixed seeds, both sharded topologies,
-/// batch-at-a-time ingestion.
+/// The CI chaos matrix: three fixed seeds, front pools of one and two
+/// workers, batch-at-a-time ingestion.
 #[test]
-fn chaos_differential_across_seeds_and_topologies() {
+fn chaos_differential_across_seeds_and_front_pools() {
     for seed in chaos_seeds() {
-        for (num_shards, front_pool) in [(3, 0), (3, 2)] {
+        for (num_shards, front_pool) in [(3, 1), (3, 2)] {
             run_chaos_differential(
                 seed,
                 EngineConfig::mmqjp(),
@@ -297,13 +300,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The differential property holds for arbitrary seeds across modes,
-    /// shard counts, topologies and both entry points — smaller workloads
+    /// shard counts, front-pool sizes and both entry points — smaller workloads
     /// than the fixed-seed matrix, many more schedules.
     #[test]
     fn chaos_differential_holds_for_any_seed(
         seed in 0u64..1_000_000,
         num_shards in 1usize..5,
-        front_pool in 0usize..3,
+        front_pool in 1usize..3,
         view_mat in 0u8..2,
         pipelined in 0u8..2,
     ) {
@@ -322,18 +325,21 @@ proptest! {
 /// respawn/fault accounting, state replayed, audit clean.
 #[test]
 fn injected_worker_deaths_heal_transparently() {
-    for front_pool in [0usize, 2] {
+    for front_pool in [1usize, 2] {
         let (queries, docs) = rss_workload(61, 24, 40);
         let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
-        let mut plan = FaultPlan::none()
+        let plan = FaultPlan::none()
             .at(1, FaultKind::PanicShard { shard: 0 })
             .at(3, FaultKind::DropResponse { shard: 2 })
+            .at(
+                4,
+                FaultKind::PanicFront {
+                    worker: front_pool - 1,
+                },
+            )
             .at(6, FaultKind::PanicShard { shard: 1 })
             .at(8, FaultKind::DropResponse { shard: 0 });
-        if front_pool > 0 {
-            plan = plan.at(4, FaultKind::PanicFront { worker: 1 });
-        }
-        let expected_respawns = if front_pool > 0 { 5 } else { 4 };
+        let expected_respawns = 5;
         let config = EngineConfig::mmqjp().with_retain_documents(false);
 
         let mut chaos = chaos_engine(
@@ -381,7 +387,7 @@ fn failfast_turns_a_panic_into_a_typed_error() {
     let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
     let plan = FaultPlan::none().at(1, FaultKind::PanicShard { shard: 0 });
     let config = EngineConfig::mmqjp().with_retain_documents(false);
-    let mut engine = chaos_engine(config, 2, 0, FaultPolicy::FailFast, plan, &queries);
+    let mut engine = chaos_engine(config, 2, 1, FaultPolicy::FailFast, plan, &queries);
 
     engine
         .process_batch(batches[0].clone())
@@ -410,6 +416,29 @@ fn failfast_turns_a_panic_into_a_typed_error() {
     ));
 }
 
+/// FailFast with a dead *front* worker: the batch fails with the typed
+/// [`CoreError::FrontUnavailable`] naming the worker — no healthy shard is
+/// blamed or degraded — and, nothing being able to respawn it under this
+/// policy, every later batch fails the same way instead of hanging.
+#[test]
+fn failfast_front_death_names_the_front_worker() {
+    let (queries, docs) = rss_workload(83, 10, 12);
+    let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
+    let plan = FaultPlan::none().at(1, FaultKind::PanicFront { worker: 0 });
+    let config = EngineConfig::mmqjp().with_retain_documents(false);
+    let mut engine = chaos_engine(config, 2, 1, FaultPolicy::FailFast, plan, &queries);
+
+    engine
+        .process_batch(batches[0].clone())
+        .expect("no fault scheduled for batch 0");
+    let err = engine.process_batch(batches[1].clone()).unwrap_err();
+    assert_eq!(err, CoreError::FrontUnavailable { worker: 0 });
+    assert!(engine.degraded_shards().is_empty());
+    let err = engine.process_batch(batches[2].clone()).unwrap_err();
+    assert_eq!(err, CoreError::FrontUnavailable { worker: 0 });
+    assert!(engine.degraded_shards().is_empty());
+}
+
 /// Degrade: a dead shard's queries go dark while every surviving shard
 /// keeps serving; stats and audit skip the corpse; a manual respawn rebuilds
 /// it from the retained ledger and replay log, after which output is again
@@ -421,8 +450,8 @@ fn degrade_keeps_serving_and_manual_respawn_restores() {
     let plan = FaultPlan::none().at(2, FaultKind::PanicShard { shard: 1 });
     let config = EngineConfig::mmqjp().with_retain_documents(false);
 
-    let mut degraded = chaos_engine(config.clone(), 4, 0, FaultPolicy::Degrade, plan, &queries);
-    let mut reference = sharded_engine_with_topology(config, 4, 0, &queries);
+    let mut degraded = chaos_engine(config.clone(), 4, 1, FaultPolicy::Degrade, plan, &queries);
+    let mut reference = sharded_engine_with_topology(config, 4, 1, &queries);
 
     for (index, batch) in batches.iter().enumerate() {
         if index == 6 {
@@ -558,13 +587,10 @@ impl Pipeline {
 /// show the decision: their document ids say which documents of the poisoned
 /// batch were absorbed and how many sequence numbers it spent.
 ///
-/// * consume — FailFast everywhere, Degrade where the screener owns the
-///   stream (single engine, hybrid front): the batch fails, the documents up
-///   to and including the poison one keep their numbers, nothing is absorbed;
-/// * quarantine — Quarantine everywhere: the poison document is recorded and
-///   skipped, its neighbours are absorbed under gap-free ids;
-/// * atomic — Degrade on the replicated coordinator, whose mirror must not
-///   run ahead of shards that never see a failed batch: no number is spent.
+/// * consume — FailFast and Degrade: the batch fails, the documents up to
+///   and including the poison one keep their numbers, nothing is absorbed;
+/// * quarantine — Quarantine: the poison document is recorded and skipped,
+///   its neighbours are absorbed under gap-free ids.
 #[test]
 fn stream_position_after_poison_is_identical_across_engines() {
     const QUERY: &str = "S//book->b[.//title->t] FOLLOWED BY{t=u, 1000} S//blog->g[.//title->u]";
@@ -593,8 +619,8 @@ fn stream_position_after_poison_is_identical_across_engines() {
                 "single",
                 Pipeline::Single(Box::new(MmqjpEngine::new(config.clone()))),
             ),
-            ("replicated", Pipeline::Sharded(Box::new(sharded(0)))),
-            ("hybrid", Pipeline::Sharded(Box::new(sharded(2)))),
+            ("sharded(1)", Pipeline::Sharded(Box::new(sharded(1)))),
+            ("sharded(2)", Pipeline::Sharded(Box::new(sharded(2)))),
         ] {
             engine.register(QUERY);
             assert!(engine.process_batch(vec![book(10)]).unwrap().is_empty());
@@ -617,8 +643,8 @@ fn stream_position_after_poison_is_identical_across_engines() {
                     })
                 )
             };
-            match (policy, name) {
-                (FaultPolicy::Quarantine, _) => {
+            match policy {
+                FaultPolicy::Quarantine => {
                     assert_eq!(poisoned.expect(&context), Vec::new(), "{context}");
                     let pinned: Vec<_> = records
                         .iter()
@@ -627,12 +653,7 @@ fn stream_position_after_poison_is_identical_across_engines() {
                     assert_eq!(pinned, vec![(1, 1, 5)], "{context}");
                     assert_eq!(next, vec![(1, 4), (2, 4), (3, 4)], "{context}");
                 }
-                (FaultPolicy::Degrade, "replicated") => {
-                    assert!(rejected(&poisoned), "{context}: {poisoned:?}");
-                    assert!(records.is_empty(), "{context}");
-                    assert_eq!(next, vec![(1, 2)], "{context}");
-                }
-                _ => {
+                FaultPolicy::FailFast | FaultPolicy::Degrade => {
                     assert!(rejected(&poisoned), "{context}: {poisoned:?}");
                     assert!(records.is_empty(), "{context}");
                     assert_eq!(next, vec![(1, 4)], "{context}");

@@ -55,23 +55,18 @@ fn assert_modes_agree_with(
                 ProcessingMode::Sequential
             ),
         }
-        for &num_shards in shard_counts_for(mode, docs.len()) {
-            let mut sharded = sharded_engine_with_queries(config.clone(), num_shards, queries);
+        // The sharded pipeline (parse-once front stage + witness routing)
+        // must reproduce the same bytes at every shard count with the
+        // default single front worker, and again at every tested wider pool.
+        let default_pool = shard_counts_for(mode, docs.len()).iter().map(|&n| (1, n));
+        let wider_pools = front_pool_combos_for(mode, docs.len()).iter().copied();
+        for (front_pool, num_shards) in default_pool.chain(wider_pools) {
+            let mut sharded =
+                sharded_engine_with_topology(config.clone(), num_shards, front_pool, queries);
             let sharded_matches = run_stream_sharded(&mut sharded, docs.to_vec());
             assert_eq!(
                 sharded_matches, matches,
-                "Sharded({num_shards}) diverges from single-engine {mode:?}"
-            );
-        }
-        // The hybrid topology (parse-once front stage + witness routing)
-        // must reproduce the same bytes again at every tested combination.
-        for &(front_pool, num_shards) in hybrid_combos_for(mode, docs.len()) {
-            let mut hybrid =
-                sharded_engine_with_topology(config.clone(), num_shards, front_pool, queries);
-            let hybrid_matches = run_stream_sharded(&mut hybrid, docs.to_vec());
-            assert_eq!(
-                hybrid_matches, matches,
-                "Hybrid(front {front_pool}, {num_shards} shards) diverges from \
+                "Sharded(front {front_pool}, {num_shards} shards) diverges from \
                  single-engine {mode:?}"
             );
         }
@@ -79,12 +74,12 @@ fn assert_modes_agree_with(
     count
 }
 
-/// Hybrid `(front_pool, num_shards)` combinations to sweep for a given inner
+/// `(front_pool, num_shards)` combinations to sweep for a given inner
 /// mode and stream length, budgeted like [`shard_counts_for`]. The full
 /// front-pool × shard-count cross product is certified by the dedicated
 /// sweep in `sharding.rs`; here each mode gets representative combinations
 /// covering every front-pool size and shard count between them.
-fn hybrid_combos_for(mode: ProcessingMode, num_docs: usize) -> &'static [(usize, usize)] {
+fn front_pool_combos_for(mode: ProcessingMode, num_docs: usize) -> &'static [(usize, usize)] {
     let light = num_docs <= 60;
     match mode {
         ProcessingMode::Sequential => {
@@ -369,22 +364,21 @@ fn batched_processing_agrees_across_modes() {
                 "Sharded({num_shards}) batched run diverges from {mode:?}"
             );
         }
-        // The hybrid topology's pipelined entry point (Stage 1 of batch k+1
-        // overlapping Stage 2 of batch k) must produce the same bytes,
-        // batch-aligned.
-        for &(front_pool, num_shards) in hybrid_combos_for(mode, docs.len()) {
-            let mut hybrid =
+        // The pipelined entry point (Stage 1 of batch k+1 overlapping
+        // Stage 2 of batch k) must produce the same bytes, batch-aligned.
+        for &(front_pool, num_shards) in front_pool_combos_for(mode, docs.len()) {
+            let mut pipelined =
                 sharded_engine_with_topology(config.clone(), num_shards, front_pool, &queries);
             let batches: Vec<Vec<Document>> = docs.chunks(30).map(<[_]>::to_vec).collect();
-            let hybrid_matches: Vec<_> = hybrid
+            let pipelined_matches: Vec<_> = pipelined
                 .process_batches(batches)
                 .unwrap()
                 .into_iter()
                 .flatten()
                 .collect();
             assert_eq!(
-                hybrid_matches, matches,
-                "Hybrid(front {front_pool}, {num_shards} shards) pipelined run \
+                pipelined_matches, matches,
+                "Sharded(front {front_pool}, {num_shards} shards) pipelined run \
                  diverges from {mode:?}"
             );
         }

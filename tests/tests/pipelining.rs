@@ -1,4 +1,4 @@
-//! Stress tests for the hybrid topology's Stage-1 / Stage-2 pipeline
+//! Stress tests for the sharded engine's Stage-1 / Stage-2 pipeline
 //! boundary: many tiny batches racing through the depth-1 pipeline, skewed
 //! and degenerate shard populations, and error handling mid-stream. The
 //! invariants are: no batch is reordered, dropped, or duplicated; the
@@ -31,7 +31,7 @@ fn rss_workload(
     (qs, docs)
 }
 
-/// Batch-at-a-time reference on an identically-configured hybrid engine:
+/// Batch-at-a-time reference on an identically-configured sharded engine:
 /// `process_batch` never overlaps stages, so it pins the expected bytes and
 /// batch alignment for `process_batches`.
 fn batchwise_reference(

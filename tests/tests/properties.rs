@@ -2,8 +2,8 @@
 //! engine's end-to-end invariants.
 
 use mmqjp_core::{
-    sort_matches, EngineConfig, MmqjpEngine, ProcessingMode, ShardedEngine, WitnessBatch,
-    WitnessRouter,
+    sort_matches, EngineConfig, EngineStats, MmqjpEngine, ProcessingMode, ShardedEngine,
+    WitnessBatch, WitnessRouter,
 };
 use mmqjp_integration_tests::{match_keys, run_stream};
 use mmqjp_relational::{
@@ -482,7 +482,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Witness routing (hybrid sharding)
+// Witness routing (sharded front stage)
 // ---------------------------------------------------------------------------
 
 /// The witness rows of a batch as a sorted multiset of rendered rows.
@@ -503,7 +503,7 @@ fn witness_multiset(batch: &WitnessBatch) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The hybrid topology's routing theorem: for any query population,
+    /// The sharded front stage's routing theorem: for any query population,
     /// shard assignment and document stream, the witness rows routed to a
     /// shard are exactly the rows that shard would have derived by running
     /// Stage 1 over its own requested-edge map — rows partition along the
@@ -731,15 +731,17 @@ proptest! {
             prop_assert_eq!(&got, &expected, "sharded({}) batch diverged", num_shards);
         }
 
-        // Merged stats are exactly the field-wise sum of the per-shard stats.
+        // Merged stats are exactly the field-wise sum of the per-shard
+        // stats plus the front stage's, which counts each document once.
         let per_shard = sharded.shard_stats().unwrap();
         prop_assert_eq!(per_shard.len(), num_shards);
         let merged = sharded.stats().unwrap();
-        prop_assert_eq!(merged, per_shard.iter().copied().sum());
+        let shard_sum: EngineStats = per_shard.iter().copied().sum();
+        prop_assert_eq!(merged, shard_sum + sharded.front_stats());
         prop_assert_eq!(merged.queries_registered, query_texts.len());
-        prop_assert_eq!(merged.documents_processed, docs.len() * num_shards);
+        prop_assert_eq!(merged.documents_processed, docs.len());
         prop_assert_eq!(merged.results_emitted,
-            per_shard.iter().map(|s| s.results_emitted).sum::<usize>());
+            shard_sum.results_emitted + sharded.front_stats().results_emitted);
     }
 
     #[test]
@@ -877,7 +879,7 @@ proptest! {
 
     /// The invariant auditor itself, fuzzed: replay a random
     /// register/unregister/batch interleaving against a single engine and a
-    /// hybrid sharded engine, auditing after *every* operation — any
+    /// sharded engine, auditing after *every* operation — any
     /// refcount drift, index corruption, or router desync shows up at the
     /// first operation that introduces it.
     #[test]
@@ -892,7 +894,7 @@ proptest! {
             1..12,
         ),
         num_shards in 1usize..5,
-        front_pool in 0usize..3,
+        front_pool in 1usize..3,
     ) {
         let ops = decode_churn_ops(raw_ops);
         let config = EngineConfig::mmqjp().with_retain_documents(false);

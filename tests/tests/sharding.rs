@@ -54,9 +54,9 @@ fn sharded_output_is_deterministic_across_interleavings() {
     }
 }
 
-/// Per-shard statistics sum exactly to the aggregate — no counter is dropped
-/// or double-counted — and the query/document accounting matches the
-/// replicate-documents / partition-queries design.
+/// Per-shard statistics plus the front stage's sum exactly to the aggregate —
+/// no counter is dropped or double-counted — and the query/document
+/// accounting matches the parse-once / partition-queries design.
 #[test]
 fn shard_stats_sum_to_aggregate() {
     let (queries, docs) = rss_workload(43, 50, 40);
@@ -68,9 +68,10 @@ fn shard_stats_sum_to_aggregate() {
         let per_shard = engine.shard_stats().unwrap();
         assert_eq!(per_shard.len(), num_shards);
         let total = engine.stats().unwrap();
-        assert_eq!(total, per_shard.iter().copied().sum());
+        let shard_sum: EngineStats = per_shard.iter().copied().sum();
+        assert_eq!(total, shard_sum + engine.front_stats());
         assert_eq!(total.queries_registered, queries.len());
-        assert_eq!(total.documents_processed, num_docs * num_shards);
+        assert_eq!(total.documents_processed, num_docs);
         assert_eq!(
             engine.queries_per_shard().iter().sum::<usize>(),
             queries.len()
@@ -78,13 +79,41 @@ fn shard_stats_sum_to_aggregate() {
     }
 }
 
+/// There is one sharded pipeline: a default config (and an explicit front
+/// pool of `0`, which is clamped like a shard count of `0`) runs one front
+/// worker that parses and counts each document exactly once, and no shard
+/// ever counts a document itself.
+#[test]
+fn default_and_zero_front_pool_run_one_front_worker() {
+    let (queries, docs) = rss_workload(46, 20, 15);
+    for config in [
+        EngineConfig::default().with_num_shards(3),
+        EngineConfig::default()
+            .with_num_shards(3)
+            .with_front_pool(0),
+    ] {
+        let mut engine = ShardedEngine::new(config);
+        assert_eq!(engine.front_pool(), 1);
+        for q in &queries {
+            engine.register_query(q.clone()).unwrap();
+        }
+        let n = docs.len();
+        run_stream_sharded(&mut engine, docs.clone());
+        assert_eq!(engine.stats().unwrap().documents_processed, n);
+        assert_eq!(engine.front_stats().docs_parsed_once, n);
+        let per_shard = engine.shard_stats().unwrap();
+        assert_eq!(per_shard.len(), 3);
+        assert!(per_shard.iter().all(|s| s.documents_processed == 0));
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Hybrid topology: the full front-pool × shard-count × mode sweep
+// The full front-pool × shard-count × mode sweep
 // ---------------------------------------------------------------------------
 
 /// Run `docs` in batches of `batch` through a single engine in `config`'s
 /// mode, sorting each batch canonically — the byte-level reference every
-/// topology must reproduce.
+/// sharded configuration must reproduce.
 fn single_engine_reference(
     config: &EngineConfig,
     queries: &[mmqjp_xscl::XsclQuery],
@@ -105,11 +134,11 @@ fn single_engine_reference(
 }
 
 /// Sweep every front-pool size × shard count × mode over a scenario and
-/// assert (a) the pipelined hybrid output is byte-identical to the single
+/// assert (a) the pipelined sharded output is byte-identical to the single
 /// engine's canonically-ordered batches and (b) the statistics decompose
 /// exactly into shard sums plus front-stage stats, with each document
 /// parsed exactly once.
-fn assert_hybrid_sweep_matches_single_engine(
+fn assert_sharded_sweep_matches_single_engine(
     queries: &[mmqjp_xscl::XsclQuery],
     docs: &[Document],
     batch: usize,
@@ -126,22 +155,22 @@ fn assert_hybrid_sweep_matches_single_engine(
         let expected = single_engine_reference(&config, queries, docs, batch);
         for &front_pool in &FRONT_POOLS {
             for &num_shards in &SHARD_COUNTS {
-                let mut hybrid =
+                let mut sharded =
                     sharded_engine_with_topology(config.clone(), num_shards, front_pool, queries);
                 let batches: Vec<Vec<Document>> = docs.chunks(batch).map(<[_]>::to_vec).collect();
                 let num_batches = batches.len();
-                let results = hybrid.process_batches(batches).unwrap();
+                let results = sharded.process_batches(batches).unwrap();
                 assert_eq!(results.len(), num_batches, "a batch was dropped");
                 let got: Vec<_> = results.into_iter().flatten().collect();
                 assert_eq!(
                     got, expected,
-                    "{mode:?} hybrid(front {front_pool}, {num_shards} shards) diverges"
+                    "{mode:?} sharded(front {front_pool}, {num_shards} shards) diverges"
                 );
 
                 // Exact stats decomposition: aggregate == shard sum + front.
-                let per_shard = hybrid.shard_stats().unwrap();
-                let front = hybrid.front_stats();
-                let total = hybrid.stats().unwrap();
+                let per_shard = sharded.shard_stats().unwrap();
+                let front = sharded.front_stats();
+                let total = sharded.stats().unwrap();
                 let shard_sum: EngineStats = per_shard.iter().copied().sum();
                 assert_eq!(total, shard_sum + front);
                 // Parse-once accounting: each document is parsed and counted
@@ -156,7 +185,7 @@ fn assert_hybrid_sweep_matches_single_engine(
 }
 
 #[test]
-fn hybrid_sweep_on_windowed_rss_stream() {
+fn sharded_sweep_on_windowed_rss_stream() {
     // Finite windows exercise the temporal filter through routed batches.
     let generator = RssQueryGenerator::new(0.8).with_window(mmqjp_xscl::Window::Time(15));
     let mut rng = StdRng::seed_from_u64(44);
@@ -169,11 +198,11 @@ fn hybrid_sweep_on_windowed_rss_stream() {
         ..RssStreamConfig::default()
     })
     .documents();
-    assert_hybrid_sweep_matches_single_engine(&queries, &docs, 7, |c| c);
+    assert_sharded_sweep_matches_single_engine(&queries, &docs, 7, |c| c);
 }
 
 #[test]
-fn hybrid_sweep_on_churn_stream_with_pruning() {
+fn sharded_sweep_on_churn_stream_with_pruning() {
     // The sustained-operation scenario: heterogeneous windows with
     // incremental state expiry active, so shard-side retention bookkeeping
     // runs from routed ledger rows rather than shard-local Stage-1 output.
@@ -185,15 +214,15 @@ fn hybrid_sweep_on_churn_stream_with_pruning() {
     });
     let queries = workload.queries();
     let docs = workload.documents();
-    assert_hybrid_sweep_matches_single_engine(&queries, &docs, 9, |c| {
+    assert_sharded_sweep_matches_single_engine(&queries, &docs, 9, |c| {
         c.with_prune_state_by_window(true)
     });
 }
 
-/// Hybrid merged output is deterministic across thread interleavings, like
-/// the replicated topology.
+/// The pipelined entry point's merged output is deterministic across thread
+/// interleavings too, with two front workers racing four shards.
 #[test]
-fn hybrid_output_is_deterministic_across_interleavings() {
+fn pipelined_output_is_deterministic_across_interleavings() {
     let (queries, docs) = rss_workload(45, 60, 50);
     let run = || {
         let config = EngineConfig::mmqjp_view_mat().with_retain_documents(false);
@@ -245,28 +274,30 @@ fn zero_registered_queries_absorb_documents() {
         assert!(single.process_batch(vec![d1(), d2()]).unwrap().is_empty());
         assert_eq!(single.stats().documents_processed, 2);
 
-        // Every shard of a query-less sharded engine is an empty shard; the
-        // engine must still ingest state cleanly.
-        let mut sharded = ShardedEngine::new(config.clone().with_num_shards(4));
-        assert!(sharded.process_batch(vec![d1(), d2()]).unwrap().is_empty());
-        assert_eq!(sharded.stats().unwrap().documents_processed, 2 * 4);
-
-        // Hybrid with zero queries: the router has no subscriptions, so the
-        // shards receive only ledger rows — and each document is still
-        // parsed and counted exactly once.
-        let mut hybrid = ShardedEngine::new(config.with_num_shards(4).with_front_pool(2));
-        assert!(hybrid.process_batch(vec![d1(), d2()]).unwrap().is_empty());
-        let stats = hybrid.stats().unwrap();
-        assert_eq!(stats.documents_processed, 2);
-        assert_eq!(stats.docs_parsed_once, 2);
-        assert_eq!(stats.witnesses_routed, 0);
+        // Every shard of a query-less sharded engine is an empty shard and
+        // the router has no subscriptions, so the shards receive only ledger
+        // rows — and each document is still parsed and counted exactly once.
+        for &front_pool in &FRONT_POOLS {
+            let mut sharded = ShardedEngine::new(
+                config
+                    .clone()
+                    .with_num_shards(4)
+                    .with_front_pool(front_pool),
+            );
+            assert!(sharded.process_batch(vec![d1(), d2()]).unwrap().is_empty());
+            let stats = sharded.stats().unwrap();
+            assert_eq!(stats.documents_processed, 2);
+            assert_eq!(stats.docs_parsed_once, 2);
+            assert_eq!(stats.witnesses_routed, 0);
+        }
     }
 }
 
 #[test]
 fn single_block_only_query_sets_match_on_both_engines() {
     // No join queries at all: Stage 2 is idle and matches come straight from
-    // the Stage-1 pattern matcher of whichever shard holds each subscription.
+    // the Stage-1 front (the sharded front stage answers single-block
+    // subscriptions itself; Stage 2 never sees them).
     let subscriptions = [
         "S//blog[.//author]",
         "S//book[.//title]",
@@ -290,33 +321,26 @@ fn single_block_only_query_sets_match_on_both_engines() {
         assert_eq!(expected.len(), 3); // book: title; blog: author + category
 
         for &num_shards in &SHARD_COUNTS {
-            let mut sharded = ShardedEngine::new(config.clone().with_num_shards(num_shards));
-            for s in subscriptions {
-                sharded.register_query_text(s).unwrap();
+            for &front_pool in &FRONT_POOLS {
+                let mut sharded = ShardedEngine::new(
+                    config
+                        .clone()
+                        .with_num_shards(num_shards)
+                        .with_front_pool(front_pool),
+                );
+                for s in subscriptions {
+                    sharded.register_query_text(s).unwrap();
+                }
+                let mut got = Vec::new();
+                for doc in [d1(), d2()] {
+                    got.extend(sharded.process_batch(vec![doc]).unwrap());
+                }
+                assert_eq!(
+                    got, expected,
+                    "Sharded(front {front_pool}, {num_shards} shards) diverges"
+                );
+                assert_eq!(sharded.front_stats().results_emitted, expected.len());
             }
-            let mut got = Vec::new();
-            for doc in [d1(), d2()] {
-                got.extend(sharded.process_batch(vec![doc]).unwrap());
-            }
-            assert_eq!(got, expected, "Sharded({num_shards}) diverges");
-
-            // Hybrid: single-block subscriptions are answered entirely at
-            // the front stage (Stage 2 never sees them); same bytes.
-            let mut hybrid = ShardedEngine::new(
-                config
-                    .clone()
-                    .with_num_shards(num_shards)
-                    .with_front_pool(2),
-            );
-            for s in subscriptions {
-                hybrid.register_query_text(s).unwrap();
-            }
-            let mut got = Vec::new();
-            for doc in [d1(), d2()] {
-                got.extend(hybrid.process_batch(vec![doc]).unwrap());
-            }
-            assert_eq!(got, expected, "Hybrid({num_shards}) diverges");
-            assert_eq!(hybrid.front_stats().results_emitted, expected.len());
         }
     }
 }

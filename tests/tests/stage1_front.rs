@@ -14,9 +14,9 @@
 //!    (`mmqjp_core::front`, the only Stage 1 the engines run) produces the
 //!    edge bindings and single-block witnesses of the per-pattern DOM
 //!    matcher in `mmqjp-xpath`, which survives purely as this reference.
-//! 3. **Topology sweep**: every processing mode on the single engine and
-//!    both sharded topologies produces byte-identical match output on the
-//!    RSS join workload with single-block subscriptions mixed in.
+//! 3. **Mode × engine sweep**: every processing mode on the single engine
+//!    and the sharded one produces byte-identical match output on the RSS
+//!    join workload with single-block subscriptions mixed in.
 
 use mmqjp_core::{front, EngineConfig, MmqjpEngine, ProcessingMode, Registry, ShardedEngine};
 use mmqjp_integration_tests::{all_modes, match_keys, run_stream_sharded, run_stream_sorted};
@@ -309,16 +309,15 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Mode × topology sweep
+// Mode × engine sweep
 // ---------------------------------------------------------------------------
 
-/// Byte-identical match output from the single engine, the replicated
-/// topology and the hybrid topology in all three processing modes, on the
-/// RSS join workload plus single-block subscriptions (answered inline by the
-/// single engine's front, by each owning shard's when replicated, and by the
-/// front workers when hybrid).
+/// Byte-identical match output from the single engine and the sharded one
+/// (one and two front workers) in all three processing modes, on the RSS
+/// join workload plus single-block subscriptions (answered inline by the
+/// single engine's front, by the front workers when sharded).
 #[test]
-fn match_output_identical_across_modes_and_topologies() {
+fn match_output_identical_across_modes_and_engines() {
     let mut rng = StdRng::seed_from_u64(21);
     let mut queries = RssQueryGenerator::new(0.8).generate_queries(16, &mut rng);
     let joins = queries.len() as u64;
@@ -350,7 +349,7 @@ fn match_output_identical_across_modes_and_topologies() {
             None => reference = Some(keys),
             Some(r) => assert_eq!(r, &keys, "single-engine {mode:?} diverges"),
         }
-        for (topology, front_pool) in [("replicated", 0), ("hybrid", 2)] {
+        for front_pool in [1usize, 2] {
             let mut sharded = ShardedEngine::new(
                 config
                     .clone()
@@ -363,7 +362,7 @@ fn match_output_identical_across_modes_and_topologies() {
             let sharded_matches = run_stream_sharded(&mut sharded, docs.clone());
             assert_eq!(
                 sharded_matches, matches,
-                "{topology} topology diverges from single-engine {mode:?}"
+                "sharded(front {front_pool}) diverges from single-engine {mode:?}"
             );
         }
     }
