@@ -8,8 +8,9 @@
 //! - **Registry refcounts** — the Stage-1 pattern index's per-pattern
 //!   refcounts, the per-`(pattern, edge)` request refcounts and the
 //!   canonical-variable refcounts must all equal what a recount over the
-//!   live queries' registrations produces, and the deterministic
-//!   requested-edge lists must mirror the refcount maps.
+//!   live queries' registrations produces, the deterministic
+//!   requested-edge lists must mirror the refcount maps, and every symbol
+//!   an edge cached at registration must still be its variable's symbol.
 //! - **Catalog discipline** — tombstoned template slots are never referenced
 //!   by a live registration, every template's `RT` relation holds exactly
 //!   one tuple per live member orientation, and the `rid` resolution map is
@@ -121,6 +122,15 @@ pub enum AuditViolation {
         pattern: u32,
         /// What is wrong with the list.
         reason: &'static str,
+    },
+    /// A requested edge's cached variable symbols or node sources differ
+    /// from what its pattern's variables and node tests resolve to — the
+    /// witness rows of that edge would be ingested under the wrong names.
+    RequestedEdgeSymbols {
+        /// The pattern id.
+        pattern: u32,
+        /// The edge, by its endpoint pattern nodes.
+        edge: (u32, u32),
     },
     /// A canonical variable's refcount differs from the number of distinct
     /// live patterns binding it.
@@ -331,6 +341,11 @@ impl fmt::Display for AuditViolation {
             AuditViolation::RequestedEdgeList { pattern, reason } => {
                 write!(f, "pattern {pattern} requested-edge list: {reason}")
             }
+            AuditViolation::RequestedEdgeSymbols { pattern, edge } => write!(
+                f,
+                "pattern {pattern} edge ({}, {}) caches symbols or sources its pattern does not resolve to",
+                edge.0, edge.1
+            ),
             AuditViolation::VariableRefcount {
                 variable,
                 tracked,

@@ -16,10 +16,10 @@ use crate::config::{EngineConfig, ProcessingMode};
 use crate::cqt::PlanInputKind;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::QuarantineRecord;
-use crate::front::{self, PoisonHandling};
+use crate::front::{self, FrontScratch, PoisonHandling};
 use crate::output::{construct_join_output, Binding, MatchOutput};
 use crate::registry::{QueryRuntime, Registration, Registry};
-use crate::relations::{rl_row, schemas, timestamp_in, RoutedBatch, WitnessBatch};
+use crate::relations::{node_of, rl_row, schemas, timestamp_in, RoutedBatch, WitnessBatch};
 use crate::state::{key_int, key_sym, JoinState, RestrictionScratch};
 use crate::stats::{EngineStats, PhaseTimings};
 use crate::view_cache::ViewCache;
@@ -28,7 +28,7 @@ use mmqjp_relational::{
     Symbol,
 };
 use mmqjp_xml::{DocId, Document, NodeId, Timestamp};
-use mmqjp_xpath::{SharedPass, TreePattern};
+use mmqjp_xpath::TreePattern;
 use mmqjp_xscl::{JoinOp, QueryId, SelectClause, Side, XsclQuery};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -54,9 +54,9 @@ pub struct MmqjpEngine {
     scratch: ExecScratch,
     /// Pooled buffers of the basic-mode batch restriction.
     restriction: RestrictionScratch,
-    /// The front's automaton-pass buffer; kept for the engine's lifetime so
-    /// a warm Stage 1 allocates nothing per document.
-    pass: SharedPass,
+    /// The front's pass, row and ingest buffers; kept for the engine's
+    /// lifetime so a warm Stage 1 allocates next to nothing per document.
+    front: FrontScratch,
     stats: EngineStats,
     next_doc_seq: u64,
     newest_timestamp: u64,
@@ -88,7 +88,7 @@ impl MmqjpEngine {
             view_cache,
             scratch: ExecScratch::new(),
             restriction: RestrictionScratch::default(),
-            pass: SharedPass::default(),
+            front: FrontScratch::default(),
             stats: EngineStats::default(),
             next_doc_seq: 0,
             newest_timestamp: 0,
@@ -227,8 +227,8 @@ impl MmqjpEngine {
         let mut subs = self.registry.stage1();
         // The batch's single-block matches were delivered in its first life.
         subs.singles.clear();
-        let (batch, _, _) =
-            front::evaluate_batch(&mut subs, docs, &mut self.pass, &self.interner, false)?;
+        let batch =
+            front::evaluate_batch(&mut subs, docs, &mut self.front, &self.interner, false)?.batch;
         let rows = batch.num_witness_rows();
         let meta: Vec<(DocId, u64)> = docs.iter().map(|d| (d.id(), d.timestamp().raw())).collect();
         self.advance_watermarks(&meta);
@@ -334,15 +334,22 @@ impl MmqjpEngine {
         )?;
         // Screening either fails the batch or skips exactly the quarantined.
         self.stats.docs_quarantined += offered - docs.len();
-        let (batch, mut outputs, ingest) = front::evaluate_batch(
+        let front::Stage1Batch {
+            batch,
+            singles: mut outputs,
+            ingest,
+            pairs,
+        } = front::evaluate_batch(
             &mut self.registry.stage1(),
             &docs,
-            &mut self.pass,
+            &mut self.front,
             &self.interner,
             self.config.retain_documents,
         )?;
         self.stats.timings.ingest += ingest;
         self.stats.timings.xpath += t0.elapsed().saturating_sub(ingest);
+        self.stats.stage1_pairs += pairs;
+        self.stats.stage1_rows += batch.rbin_w.len();
         self.stats.results_emitted += outputs.len();
 
         // ---- Stage 2 onwards: the join stage, fed directly ----------------
@@ -559,12 +566,12 @@ impl MmqjpEngine {
 
         let mut bindings = Vec::with_capacity(num_vars);
         for i in 0..num_vars {
-            let node = row[nodes_offset + i].as_int().unwrap_or(0) as u32;
+            let node = node_of(row[nodes_offset + i].as_int().unwrap_or(0));
             let doc = if i < num_left { d1 } else { d2 };
             bindings.push(Binding {
                 variable: registration.assignment[i].clone(),
                 doc,
-                node: NodeId::from_raw(node),
+                node,
             });
         }
 
@@ -627,7 +634,7 @@ impl MmqjpEngine {
             };
             let root_var = pattern.root().variable().unwrap_or("");
             if registration.assignment[pos] == root_var {
-                NodeId::from_raw(row[nodes_offset + pos].as_int().unwrap_or(0) as u32)
+                node_of(row[nodes_offset + pos].as_int().unwrap_or(0))
             } else {
                 NodeId::ROOT
             }

@@ -10,8 +10,15 @@
 //!   or the sharded engine's front stage — screens through this one function.
 //! * **Matching** ([`match_document`]): one shared automaton pass per
 //!   document answers every registered pattern; the single-block answers and
-//!   the requested-edge bindings are both read off that pass.
+//!   the requested-edge node pairs are both read off that pass.
 //!   [`evaluate_batch`] adds witness ingest for callers that join in-thread.
+//!
+//! Matching emits integer [`WitnessRow`]s — `(pattern, edge number, node1,
+//! node2)` — and nothing else: every string the witness relations need
+//! besides node values (the edge's two variable names, whether an end is an
+//! attribute step) was resolved once, when the edge was first requested, into
+//! its [`RequestedEdge`]. [`WitnessBatch::ingest_document`] turns rows into
+//! `RbinW`/`RdocW` tuples.
 //!
 //! [`MmqjpEngine`](crate::MmqjpEngine) runs the front inline and hands its
 //! output straight to the join stage; [`ShardedEngine`](crate::ShardedEngine)
@@ -22,15 +29,16 @@
 //! `mmqjp-xpath` as the reference the Stage-1 differential tests compare
 //! this module against.
 
+use crate::audit::AuditViolation;
 use crate::config::FaultPolicy;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::QuarantineRecord;
 use crate::output::{Binding, MatchOutput};
-use crate::relations::WitnessBatch;
-use mmqjp_relational::StringInterner;
+use crate::relations::{IngestScratch, WitnessBatch};
+use mmqjp_relational::{StringInterner, Symbol};
 use mmqjp_xml::{DocId, Document, NodeId, Timestamp};
 use mmqjp_xpath::{
-    EdgeBinding, PatternId, PatternIndex, PatternMatcher, PatternNodeId, SharedPass, TreePattern,
+    NodeTest, PatternId, PatternIndex, PatternMatcher, PatternNodeId, SharedPass, TreePattern,
 };
 use mmqjp_xscl::{QueryId, SelectClause};
 use std::collections::HashMap;
@@ -41,8 +49,109 @@ use std::time::{Duration, Instant};
 pub type Edge = (PatternNodeId, PatternNodeId);
 
 /// The edges the join stage wants bindings for, per join-side pattern, in
-/// first-request order.
-pub type RequestedEdges = HashMap<PatternId, Vec<Edge>>;
+/// first-request order. A [`WitnessRow`] names its edge by position in its
+/// pattern's list.
+pub type RequestedEdges = HashMap<PatternId, Vec<RequestedEdge>>;
+
+/// What one end of a requested edge binds, read off its pattern node's test.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NodeSource {
+    /// An element step: the element, valued by its XPath string value.
+    Element,
+    /// An attribute step `@name`. It binds the element carrying the
+    /// attribute, but is valued by the attribute and keyed apart from the
+    /// element in the node columns (see
+    /// [`node_key`](crate::relations::node_key)).
+    Attribute(Arc<str>),
+}
+
+/// One requested edge of a join-side pattern, resolved when it is first
+/// requested into everything witness ingest needs, so that ingest interns
+/// node values and nothing else.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestedEdge {
+    /// The edge, by its endpoint pattern nodes.
+    pub edge: Edge,
+    /// Symbol of the ancestor end's canonical variable (`RbinW.var1`).
+    pub var1: Symbol,
+    /// Symbol of the descendant end's canonical variable (`RbinW.var2`).
+    pub var2: Symbol,
+    /// What the ancestor end binds.
+    pub source1: NodeSource,
+    /// What the descendant end binds; its value fills `RdocW`.
+    pub source2: NodeSource,
+}
+
+impl RequestedEdge {
+    /// Resolve `edge` of `pattern`: intern both endpoint variables and read
+    /// each end's [`NodeSource`] off its node test. `None` when an endpoint
+    /// is out of range or carries no variable (registered patterns carry
+    /// canonical variables on every node).
+    pub fn resolve(pattern: &TreePattern, edge: Edge, interner: &StringInterner) -> Option<Self> {
+        Self::resolve_with(pattern, edge, |var| Some(interner.intern(var)))
+    }
+
+    fn resolve_with(
+        pattern: &TreePattern,
+        edge: Edge,
+        symbol: impl Fn(&str) -> Option<Symbol>,
+    ) -> Option<Self> {
+        let end = |id: PatternNodeId| {
+            let node = (id.index() < pattern.len()).then(|| pattern.node(id))?;
+            let source = match node.test() {
+                NodeTest::Attribute(name) => NodeSource::Attribute(name.as_str().into()),
+                _ => NodeSource::Element,
+            };
+            Some((symbol(node.variable()?)?, source))
+        };
+        let ((var1, source1), (var2, source2)) = (end(edge.0)?, end(edge.1)?);
+        Some(RequestedEdge {
+            edge,
+            var1,
+            var2,
+            source1,
+            source2,
+        })
+    }
+}
+
+/// Check every live pattern's requested edges against the pattern: the
+/// cached symbols must be the interner's symbols of the edge's variables,
+/// and the sources must follow the node tests. Read-only (looks symbols up,
+/// never interns). Shared by the registry audit and the sharded front-stage
+/// audit, which each resolve their own lists.
+pub(crate) fn audit_requested_symbols(
+    index: &PatternIndex,
+    requested: &RequestedEdges,
+    interner: &StringInterner,
+    out: &mut Vec<AuditViolation>,
+) {
+    for (pid, pattern) in index.patterns() {
+        for cached in requested.get(&pid).into_iter().flatten() {
+            let expected = RequestedEdge::resolve_with(pattern, cached.edge, |v| interner.get(v));
+            if expected.as_ref() != Some(cached) {
+                out.push(AuditViolation::RequestedEdgeSymbols {
+                    pattern: pid.raw(),
+                    edge: (cached.edge.0.raw(), cached.edge.1.raw()),
+                });
+            }
+        }
+    }
+}
+
+/// One Stage-1 witness row: document nodes `(node1, node2)` bound to the
+/// ends of edge number `edge` of pattern `pid`'s [`RequestedEdges`] list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WitnessRow {
+    /// The join-side pattern.
+    pub pid: PatternId,
+    /// Position of the edge in the pattern's requested-edge list.
+    pub edge: u32,
+    /// Node bound to the edge's ancestor end.
+    pub node1: NodeId,
+    /// Node bound to the edge's descendant end.
+    pub node2: NodeId,
+}
 
 /// One single-block subscription as Stage 1 sees it: answered entirely from
 /// the automaton pass, never joined.
@@ -79,33 +188,45 @@ pub struct Subscriptions<'a> {
 /// Stage-1 output for one document.
 #[derive(Debug, Clone, Default)]
 pub struct DocumentMatches {
-    /// The requested-edge bindings per matching join-side pattern, in
-    /// ascending pattern-id order.
-    pub bindings: Vec<(PatternId, Vec<EdgeBinding>)>,
+    /// The witness rows of every matching join-side pattern: ascending
+    /// pattern id, then requested-edge order, then the matcher's pair order.
+    /// Not deduplicated — patterns sharing canonical variables repeat rows,
+    /// and ingest keeps the first.
+    pub rows: Vec<WitnessRow>,
     /// The single-block subscriptions' matches, one per witness.
     pub singles: Vec<MatchOutput>,
 }
 
-/// Run Stage 1 over one (already stamped) document: one shared automaton
-/// pass, then the requested-edge bindings of every matching join-side
-/// pattern and the matches of every single-block subscription. `pass` is a
-/// caller-owned buffer; kept warm, a document allocates nothing beyond its
-/// results.
+/// Run Stage 1 over one (already stamped) document into `out` (cleared
+/// first): one shared automaton pass, then the requested-edge node pairs of
+/// every matching join-side pattern and the matches of every single-block
+/// subscription. `pass` and `out` are caller-owned buffers; kept warm, a
+/// document allocates nothing for self and adjacent edges.
 pub fn match_document(
     subs: &mut Subscriptions<'_>,
     doc: &Document,
     pass: &mut SharedPass,
     retain_documents: bool,
-) -> DocumentMatches {
+    out: &mut DocumentMatches,
+) {
     subs.index.shared_pass_reusing(doc, pass);
-    let mut out = DocumentMatches::default();
+    out.rows.clear();
+    out.singles.clear();
     for (pid, pattern) in subs.index.patterns() {
         let (Some(edges), Some(useful)) = (subs.requested.get(&pid), matched(pass, pid)) else {
             continue;
         };
-        let bindings = PatternMatcher::new(pattern).edge_bindings_from_useful(doc, useful, edges);
-        if !bindings.is_empty() {
-            out.bindings.push((pid, bindings));
+        let matcher = PatternMatcher::new(pattern);
+        for (edge, requested) in (0u32..).zip(edges) {
+            let (ancestor, descendant) = requested.edge;
+            matcher.for_each_pair(doc, useful, ancestor, descendant, |node1, node2| {
+                out.rows.push(WitnessRow {
+                    pid,
+                    edge,
+                    node1,
+                    node2,
+                });
+            });
         }
     }
     for single in &subs.singles {
@@ -132,7 +253,6 @@ pub fn match_document(
             });
         }
     }
-    out
 }
 
 /// A pattern's useful sets, if the pass found at least one complete witness
@@ -142,28 +262,59 @@ fn matched(pass: &SharedPass, pid: PatternId) -> Option<&[Vec<NodeId>]> {
         .filter(|useful| useful.first().is_some_and(|roots| !roots.is_empty()))
 }
 
+/// The in-thread front's buffers, owned by the engine and kept warm across
+/// batches.
+#[derive(Debug, Default)]
+pub(crate) struct FrontScratch {
+    pass: SharedPass,
+    matches: DocumentMatches,
+    ingest: IngestScratch,
+}
+
+/// What [`evaluate_batch`] produced for a run of documents.
+#[derive(Debug)]
+pub(crate) struct Stage1Batch {
+    /// The batch's witness relations.
+    pub(crate) batch: WitnessBatch,
+    /// The single-block matches, in document order.
+    pub(crate) singles: Vec<MatchOutput>,
+    /// Time spent in witness ingest (the rest of the call is matching).
+    pub(crate) ingest: Duration,
+    /// Node pairs read off the useful sets, before the per-document dedup.
+    pub(crate) pairs: usize,
+}
+
 /// Stage 1 plus witness ingest over a run of stamped documents, for callers
-/// that join in the same thread: returns the batch's witness relations, the
-/// single-block matches in document order, and the time spent in ingest
-/// (the rest of the call is pattern matching).
+/// that join in the same thread.
 pub(crate) fn evaluate_batch(
     subs: &mut Subscriptions<'_>,
     docs: &[Document],
-    pass: &mut SharedPass,
-    interner: &Arc<StringInterner>,
+    scratch: &mut FrontScratch,
+    interner: &StringInterner,
     retain_documents: bool,
-) -> CoreResult<(WitnessBatch, Vec<MatchOutput>, Duration)> {
-    let mut batch = WitnessBatch::new();
-    let mut singles = Vec::new();
-    let mut ingest = Duration::ZERO;
+) -> CoreResult<Stage1Batch> {
+    let mut out = Stage1Batch {
+        batch: WitnessBatch::new(),
+        singles: Vec::new(),
+        ingest: Duration::ZERO,
+        pairs: 0,
+    };
+    let matches = &mut scratch.matches;
     for doc in docs {
-        let matches = match_document(subs, doc, pass, retain_documents);
-        singles.extend(matches.singles);
+        match_document(subs, doc, &mut scratch.pass, retain_documents, matches);
+        out.singles.append(&mut matches.singles);
+        out.pairs += matches.rows.len();
         let t_ingest = Instant::now();
-        batch.add_matches(doc, &matches.bindings, subs.index, interner)?;
-        ingest += t_ingest.elapsed();
+        out.batch.ingest_document(
+            doc,
+            &matches.rows,
+            subs.requested,
+            interner,
+            &mut scratch.ingest,
+        )?;
+        out.ingest += t_ingest.elapsed();
     }
-    Ok((batch, singles, ingest))
+    Ok(out)
 }
 
 /// How screening treats a poison (out-of-order) document.

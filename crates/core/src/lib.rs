@@ -104,7 +104,7 @@ pub use fault::{corrupt_bytes, FaultInjector, FaultKind, FaultPlan, QuarantineRe
 pub use output::{sort_matches, Binding, MatchOutput};
 pub use recovery::ReplayLog;
 pub use registry::{QueryRuntime, Registry, TemplateRuntime};
-pub use relations::{schemas, RoutedBatch, WitnessBatch};
+pub use relations::{node_key, schemas, IngestScratch, RoutedBatch, WitnessBatch};
 pub use shard::{ShardedEngine, WitnessRouter};
 pub use stats::{EngineStats, PhaseTimings};
 pub use view_cache::{ViewCache, ViewCacheStats};

@@ -17,7 +17,7 @@ use crate::audit::AuditViolation;
 use crate::config::ProcessingMode;
 use crate::cqt::{self, PlanInputKind};
 use crate::error::{CoreError, CoreResult};
-use crate::front::{RequestedEdges, SingleBlock, Subscriptions};
+use crate::front::{self, RequestedEdge, RequestedEdges, SingleBlock, Subscriptions};
 use crate::relations::schemas;
 use mmqjp_relational::{
     verify_plan_strict, ConjunctiveQuery, PhysicalPlan, Relation, SharedKeyRule, StringInterner,
@@ -389,9 +389,9 @@ impl Registry {
                     let prev_pattern = oriented.left.clone();
                     let cur_pattern = oriented.right.clone();
                     let (prev_pid, prev_edges) =
-                        self.register_pattern_edges(&prev_pattern, &reduced, Side::Left);
+                        self.register_pattern_edges(&prev_pattern, &reduced, Side::Left)?;
                     let (cur_pid, cur_edges) =
-                        self.register_pattern_edges(&cur_pattern, &reduced, Side::Right);
+                        self.register_pattern_edges(&cur_pattern, &reduced, Side::Right)?;
 
                     let (sequential_cqt, sequential_plan, sequential_inputs) = if mode
                         == ProcessingMode::Sequential
@@ -545,12 +545,16 @@ impl Registry {
         }
     }
 
+    /// Register a join-side pattern and the edges it requests. An edge
+    /// requested for the first time is resolved here — its two variables
+    /// interned, its value source read off the pattern — so Stage 1 never
+    /// looks up a string per row; later requests only count references.
     fn register_pattern_edges(
         &mut self,
         pattern: &TreePattern,
         reduced: &ReducedGraph,
         side: Side,
-    ) -> (PatternId, Vec<(PatternNodeId, PatternNodeId)>) {
+    ) -> CoreResult<(PatternId, Vec<(PatternNodeId, PatternNodeId)>)> {
         let pid = self.index_pattern(pattern);
         // The edge set this registration requests: the reduced structural
         // edges, plus degenerate self edges for join-node roots so their
@@ -571,16 +575,21 @@ impl Registry {
                 }
             }
         }
+        // Resolve against the indexed pattern — the one Stage 1 evaluates
+        // the edge on — not the registrant's copy.
+        let indexed = self.pattern_index.pattern(pid);
         let counts = self.edge_refs.entry(pid).or_default();
         let list = self.requested_edges.entry(pid).or_default();
-        for edge in &edges {
-            let count = counts.entry(*edge).or_insert(0);
+        for &edge in &edges {
+            let count = counts.entry(edge).or_insert(0);
             *count += 1;
-            if *count == 1 && !list.contains(edge) {
-                list.push(*edge);
+            if *count == 1 && !list.iter().any(|r| r.edge == edge) {
+                list.push(RequestedEdge::resolve(indexed, edge, &self.interner).ok_or(
+                    CoreError::internal("requested edge ends carry canonical variables"),
+                )?);
             }
         }
-        (pid, edges)
+        Ok((pid, edges))
     }
 
     /// Release the requested edges of one registration, then the pattern
@@ -598,7 +607,7 @@ impl Registry {
                     if *count == 0 {
                         counts.remove(edge);
                         if let Some(list) = self.requested_edges.get_mut(&pid) {
-                            list.retain(|e| e != edge);
+                            list.retain(|r| r.edge != *edge);
                         }
                     }
                 }
@@ -935,6 +944,12 @@ impl Registry {
 
         // Edge refcounts and the deterministic requested-edge lists.
         audit_edge_tables(&edge_expected, &self.edge_refs, &self.requested_edges, out);
+        front::audit_requested_symbols(
+            &self.pattern_index,
+            &self.requested_edges,
+            &self.interner,
+            out,
+        );
 
         // Canonical-variable refcounts: one count per *distinct* live
         // pattern binding the variable.
@@ -993,7 +1008,7 @@ impl Registry {
 pub(crate) fn audit_edge_tables(
     expected: &HashMap<PatternId, HashMap<(PatternNodeId, PatternNodeId), usize>>,
     edge_refs: &HashMap<PatternId, HashMap<(PatternNodeId, PatternNodeId), usize>>,
-    requested_edges: &HashMap<PatternId, Vec<(PatternNodeId, PatternNodeId)>>,
+    requested_edges: &RequestedEdges,
     out: &mut Vec<AuditViolation>,
 ) {
     let edge_key = |e: &(PatternNodeId, PatternNodeId)| (e.0.raw(), e.1.raw());
@@ -1030,8 +1045,8 @@ pub(crate) fn audit_edge_tables(
         let list = requested_edges.get(&pid).map(Vec::as_slice).unwrap_or(&[]);
         let mut seen: std::collections::BTreeSet<(u32, u32)> = std::collections::BTreeSet::new();
         let mut duplicated = false;
-        for edge in list {
-            if !seen.insert(edge_key(edge)) {
+        for requested in list {
+            if !seen.insert(edge_key(&requested.edge)) {
                 duplicated = true;
             }
         }
@@ -1172,8 +1187,8 @@ mod tests {
         let total_edges: usize = r.requested_edges().values().map(|v| v.len()).sum();
         assert_eq!(total_edges, 2); // one self edge per pattern
         for edges in r.requested_edges().values() {
-            for (a, b) in edges {
-                assert_eq!(a, b);
+            for requested in edges {
+                assert_eq!(requested.edge.0, requested.edge.1);
             }
         }
         // Q1 adds real structural edges.
@@ -1442,6 +1457,40 @@ mod tests {
         assert!(out
             .iter()
             .any(|v| matches!(v, AuditViolation::EdgeRefcount { .. })));
+    }
+
+    #[test]
+    fn requested_edges_cache_their_variable_symbols() {
+        let mut r = registry();
+        r.register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
+            .unwrap();
+        for (pid, edges) in r.requested_edges() {
+            let pattern = r.pattern_index().pattern(*pid);
+            for requested in edges {
+                let var = |id: PatternNodeId| pattern.node(id).variable().unwrap();
+                assert_eq!(requested.var1, r.interner().intern(var(requested.edge.0)));
+                assert_eq!(requested.var2, r.interner().intern(var(requested.edge.1)));
+            }
+        }
+        let mut out = Vec::new();
+        r.audit(&mut out);
+        assert!(out.is_empty(), "healthy registry reported: {out:?}");
+
+        // Seed a stale symbol: the witness rows of that edge would carry the
+        // wrong variable, and the audit must say which edge.
+        let (&pid, edges) = r.requested_edges.iter_mut().next().unwrap();
+        let stale = &mut edges[0];
+        stale.var2 = Symbol::from_raw(stale.var2.raw() + 1_000);
+        let edge = (stale.edge.0.raw(), stale.edge.1.raw());
+        let mut out = Vec::new();
+        r.audit(&mut out);
+        assert_eq!(
+            out,
+            vec![AuditViolation::RequestedEdgeSymbols {
+                pattern: pid.raw(),
+                edge
+            }]
+        );
     }
 
     #[test]

@@ -17,14 +17,23 @@
 //! processing the paper uses for its RSS throughput experiment (Section 6.3).
 //!
 //! Variable names and node string values are interned; node ids, document ids
-//! and timestamps are integers.
+//! and timestamps are integers. A node column holds a [`node_key`]: the
+//! element id for an element step, and for an attribute step — which binds
+//! the element carrying the attribute — the element id plus the step's
+//! variable symbol in the high half, so an attribute and its element (or two
+//! attributes of one element) keep their own `RdocW` values. [`node_of`]
+//! strips the attribute half wherever a key becomes a document node again.
+//!
+//! [`WitnessBatch::ingest_document`] is the one ingest body: it turns a
+//! document's integer [`WitnessRow`]s into tuples, deduplicating them in
+//! pooled integer-keyed sets and interning each new node's value once —
+//! borrowed straight from the document unless the element has children.
 
 use crate::error::{CoreError, CoreResult};
-use mmqjp_relational::{Relation, RowRef, StringInterner, Symbol, Value};
+use crate::front::{NodeSource, RequestedEdge, RequestedEdges, WitnessRow};
+use mmqjp_relational::{FxHashSet, Relation, RowRef, StringInterner, Symbol, Value};
 use mmqjp_xml::{DocId, Document, NodeId, Timestamp};
-use mmqjp_xpath::{binding_string_value, EdgeBinding, PatternId, PatternIndex, TreePattern};
-use std::collections::HashSet;
-use std::sync::Arc;
+use mmqjp_xpath::PatternId;
 
 /// Schema constructors for the witness relations.
 pub mod schemas {
@@ -111,41 +120,24 @@ impl WitnessBatch {
         self.doc_ids.len()
     }
 
-    /// Add one document's edge bindings to the batch.
+    /// Ingest one document: its ledger row, then its Stage-1 witness rows.
     ///
-    /// `bindings` is the Stage-1 output: for each matched (distinct) pattern,
-    /// the edge bindings requested by the Join Processor. String values are
-    /// interned through `interner`.
-    pub fn add_document(
+    /// `rows` name their edges by position in `requested` (rows of one
+    /// pattern arrive together). An `RbinW` tuple already emitted for this
+    /// document is skipped — patterns of different queries share canonical
+    /// variables, and duplicate witness tuples would multiply in the join
+    /// processor — and an `RdocW` tuple is emitted the first time a node key
+    /// is bound as a descendant end (value joins attach to the child
+    /// position of structural edges; self edges cover single-node sides).
+    /// Deduplication runs in `scratch`'s pooled sets; the only strings
+    /// touched are node values, each interned once.
+    pub fn ingest_document<'r>(
         &mut self,
         doc: &Document,
-        bindings: &[(&TreePattern, Vec<EdgeBinding>)],
-        interner: &Arc<StringInterner>,
-    ) -> CoreResult<()> {
-        let rows = bindings.iter().map(|(p, b)| (*p, b.as_slice()));
-        self.add_rows(doc, rows, interner)
-    }
-
-    /// [`add_document`](Self::add_document) for bindings keyed by pattern id
-    /// — the front's output, resolved against the index that produced it.
-    pub fn add_matches(
-        &mut self,
-        doc: &Document,
-        bindings: &[(PatternId, Vec<EdgeBinding>)],
-        index: &PatternIndex,
-        interner: &Arc<StringInterner>,
-    ) -> CoreResult<()> {
-        let rows = bindings
-            .iter()
-            .map(|(pid, b)| (index.pattern(*pid), b.as_slice()));
-        self.add_rows(doc, rows, interner)
-    }
-
-    fn add_rows<'a>(
-        &mut self,
-        doc: &Document,
-        bindings: impl Iterator<Item = (&'a TreePattern, &'a [EdgeBinding])>,
-        interner: &Arc<StringInterner>,
+        rows: impl IntoIterator<Item = &'r WitnessRow>,
+        requested: &RequestedEdges,
+        interner: &StringInterner,
+        scratch: &mut IngestScratch,
     ) -> CoreResult<()> {
         let docid = Value::Int(doc.id().raw() as i64);
         self.doc_ids.push(doc.id());
@@ -153,49 +145,43 @@ impl WitnessBatch {
             docid.clone(),
             Value::Int(doc.timestamp().raw() as i64),
         ])?;
-
-        // Track which (node) string values we already emitted for this doc so
-        // RdocW stays duplicate-free, and which variable-pair bindings we
-        // already emitted so RbinW stays duplicate-free (distinct patterns of
-        // different queries frequently share canonical variables, and
-        // duplicate witness tuples would multiply in the join processor).
-        let mut emitted: HashSet<NodeId> = HashSet::new();
-        let mut emitted_bins: HashSet<(u32, u32, u32, u32)> = HashSet::new();
-        for (pattern, edge_bindings) in bindings {
-            for b in edge_bindings {
-                let var1 = interner.intern(&b.ancestor_var);
-                let var2 = interner.intern(&b.descendant_var);
-                if !emitted_bins.insert((
-                    var1.raw(),
-                    var2.raw(),
-                    b.ancestor.raw(),
-                    b.descendant.raw(),
-                )) {
-                    continue;
+        scratch.bins.clear();
+        scratch.nodes.clear();
+        let mut cached: Option<(PatternId, &[RequestedEdge])> = None;
+        for row in rows {
+            let list = match cached {
+                Some((pid, list)) if pid == row.pid => list,
+                _ => {
+                    let list = requested.get(&row.pid).map_or(&[][..], Vec::as_slice);
+                    cached = Some((row.pid, list));
+                    list
                 }
-                self.rbin_w.push_values(vec![
+            };
+            let edge = list
+                .get(row.edge as usize)
+                .ok_or(CoreError::internal("a witness row names a requested edge"))?;
+            let key1 = node_key(row.node1, edge.var1, &edge.source1);
+            let key2 = node_key(row.node2, edge.var2, &edge.source2);
+            if !scratch
+                .bins
+                .insert((edge.var1.raw(), edge.var2.raw(), key1, key2))
+            {
+                continue;
+            }
+            self.rbin_w.push_values(vec![
+                docid.clone(),
+                Value::Sym(edge.var1),
+                Value::Sym(edge.var2),
+                Value::Int(key1),
+                Value::Int(key2),
+            ])?;
+            if scratch.nodes.insert(key2) {
+                let value = node_value(doc, row.node2, &edge.source2, &mut scratch.text);
+                self.rdoc_w.push_values(vec![
                     docid.clone(),
-                    Value::Sym(var1),
-                    Value::Sym(var2),
-                    Value::Int(b.ancestor.raw() as i64),
-                    Value::Int(b.descendant.raw() as i64),
+                    Value::Int(key2),
+                    Value::Sym(interner.intern(value)),
                 ])?;
-                // The descendant endpoint is the one whose string value
-                // participates in value joins (value joins attach to the
-                // child position of structural edges; self-edges cover
-                // single-node sides).
-                if emitted.insert(b.descendant) {
-                    let pattern_node = pattern.variable_node(&b.descendant_var).map_err(|_| {
-                        CoreError::internal("edge binding variable exists in its pattern")
-                    })?;
-                    let sval = binding_string_value(doc, pattern, pattern_node, b.descendant);
-                    let sym = interner.intern(&sval);
-                    self.rdoc_w.push_values(vec![
-                        docid.clone(),
-                        Value::Int(b.descendant.raw() as i64),
-                        Value::Sym(sym),
-                    ])?;
-                }
             }
         }
         Ok(())
@@ -251,6 +237,59 @@ pub(crate) fn timestamp_in(sorted: &[(DocId, Timestamp)], doc: DocId) -> Option<
         .map(|&(_, ts)| ts)
 }
 
+/// Pooled per-document state of [`WitnessBatch::ingest_document`]: the
+/// dedup sets, keyed by integers only, and a text buffer for the string
+/// values of elements with children.
+#[derive(Debug, Default)]
+pub struct IngestScratch {
+    /// `(var1, var2, node1, node2)` of the document's `RbinW` tuples so far.
+    bins: FxHashSet<(u32, u32, i64, i64)>,
+    /// Node keys the document's `RdocW` already holds.
+    nodes: FxHashSet<i64>,
+    text: String,
+}
+
+/// The value a bound node takes in a node column. An element is its id; an
+/// attribute step is the id of the element carrying the attribute in the low
+/// 32 bits and the step's variable symbol + 1 in the high 32 bits. The
+/// variable is canonical — derived from the step's definition path, which
+/// ends in the attribute name — so the key is the same in every pattern.
+pub fn node_key(node: NodeId, var: Symbol, source: &NodeSource) -> i64 {
+    match source {
+        NodeSource::Element => i64::from(node.raw()),
+        NodeSource::Attribute(_) => {
+            ((u64::from(var.raw()) + 1) << 32 | u64::from(node.raw())) as i64
+        }
+    }
+}
+
+/// The document node behind a node-column value: the element, with any
+/// attribute half of the [`node_key`] stripped.
+pub(crate) fn node_of(key: i64) -> NodeId {
+    NodeId::from_raw((key as u64 & u64::from(u32::MAX)) as u32)
+}
+
+/// The string value a bound node contributes to value joins, borrowed from
+/// the document except for elements with children, whose text is
+/// concatenated into `buf`.
+fn node_value<'a>(
+    doc: &'a Document,
+    node: NodeId,
+    source: &NodeSource,
+    buf: &'a mut String,
+) -> &'a str {
+    let element = doc.node(node);
+    match source {
+        NodeSource::Attribute(name) => element.attribute(name).unwrap_or(""),
+        NodeSource::Element if element.is_leaf() => element.text().unwrap_or(""),
+        NodeSource::Element => {
+            buf.clear();
+            doc.push_string_value(node, buf);
+            buf
+        }
+    }
+}
+
 impl Default for WitnessBatch {
     fn default() -> Self {
         WitnessBatch::new()
@@ -283,12 +322,9 @@ pub struct RoutedBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmqjp_xml::rss;
-    use mmqjp_xpath::{parse_pattern, PatternMatcher};
-
-    fn interner() -> Arc<StringInterner> {
-        Arc::new(StringInterner::new())
-    }
+    use crate::front::{match_document, DocumentMatches, Edge, Subscriptions};
+    use mmqjp_xml::{rss, DocumentBuilder};
+    use mmqjp_xpath::{parse_pattern, PatternIndex, SharedPass, TreePattern};
 
     fn d1() -> Document {
         rss::book_announcement(
@@ -300,6 +336,49 @@ mod tests {
         )
         .with_id(DocId(1))
         .with_timestamp(Timestamp(10))
+    }
+
+    /// The canonical-variable form of a pattern, as the registry holds it.
+    fn canonical(text: &str) -> TreePattern {
+        let mut pattern = parse_pattern(text).unwrap();
+        pattern.assign_canonical_variables();
+        pattern
+    }
+
+    /// Stage 1 plus ingest of `docs` against one pattern requesting `edges`
+    /// (named by variable, in order).
+    fn ingest(
+        pattern: &TreePattern,
+        edges: &[(&str, &str)],
+        docs: &[Document],
+    ) -> (WitnessBatch, StringInterner) {
+        let interner = StringInterner::new();
+        let mut index = PatternIndex::new();
+        let pid = index.register(pattern.clone());
+        let node = |v: &str| pattern.variable_node(v).unwrap();
+        let resolved = edges
+            .iter()
+            .map(|&(a, d)| {
+                let edge: Edge = (node(a), node(d));
+                RequestedEdge::resolve(pattern, edge, &interner).unwrap()
+            })
+            .collect();
+        let requested = RequestedEdges::from([(pid, resolved)]);
+        let mut subs = Subscriptions {
+            index: &mut index,
+            requested: &requested,
+            singles: Vec::new(),
+        };
+        let (mut pass, mut matches) = (SharedPass::default(), DocumentMatches::default());
+        let mut scratch = IngestScratch::default();
+        let mut batch = WitnessBatch::new();
+        for doc in docs {
+            match_document(&mut subs, doc, &mut pass, false, &mut matches);
+            batch
+                .ingest_document(doc, &matches.rows, &requested, &interner, &mut scratch)
+                .unwrap();
+        }
+        (batch, interner)
     }
 
     #[test]
@@ -319,19 +398,9 @@ mod tests {
         // Using Q1's left block (plus category for Q2), the batch built from
         // d1 should mirror Table 4(b)/(c) of the paper: five bound leaves
         // with their string values and five variable-pair bindings.
-        let mut pattern =
-            parse_pattern("S//book->x1[.//author->x2][.//title->x3][.//category->x7]").unwrap();
-        pattern.assign_canonical_variables();
-        let matcher = PatternMatcher::new(&pattern);
-        let doc = d1();
-        let bindings = matcher.all_edge_bindings(&doc);
-        assert_eq!(bindings.len(), 5);
-
-        let interner = interner();
-        let mut batch = WitnessBatch::new();
-        batch
-            .add_document(&doc, &[(&pattern, bindings)], &interner)
-            .unwrap();
+        let pattern = canonical("S//book->x1[.//author->x2][.//title->x3][.//category->x7]");
+        let edges = [("x1", "x2"), ("x1", "x3"), ("x1", "x7")];
+        let (batch, interner) = ingest(&pattern, &edges, &[d1()]);
 
         assert_eq!(batch.num_documents(), 1);
         assert!(!batch.is_empty());
@@ -356,29 +425,10 @@ mod tests {
 
     #[test]
     fn duplicate_string_values_are_not_repeated_per_node() {
-        let mut pattern = parse_pattern("S//book->b[.//author->a]").unwrap();
-        pattern.assign_canonical_variables();
-        let matcher = PatternMatcher::new(&pattern);
-        let doc = d1();
-        // Request the same edge twice; RdocW must still contain one row per
-        // bound node.
-        let edges = vec![
-            (
-                pattern.variable_node("b").unwrap(),
-                pattern.variable_node("a").unwrap(),
-            ),
-            (
-                pattern.variable_node("b").unwrap(),
-                pattern.variable_node("a").unwrap(),
-            ),
-        ];
-        let bindings = matcher.edge_bindings(&doc, &edges);
-        assert_eq!(bindings.len(), 4); // 2 authors x 2 requests
-        let interner = interner();
-        let mut batch = WitnessBatch::new();
-        batch
-            .add_document(&doc, &[(&pattern, bindings)], &interner)
-            .unwrap();
+        let pattern = canonical("S//book->b[.//author->a]");
+        // Request the same edge twice: Stage 1 emits every pair twice, yet
+        // RdocW must still contain one row per bound node.
+        let (batch, _) = ingest(&pattern, &[("b", "a"), ("b", "a")], &[d1()]);
         assert_eq!(batch.rdoc_w.len(), 2); // one row per author node
 
         // The duplicated edge request collapses to one RbinW row per author.
@@ -387,22 +437,57 @@ mod tests {
 
     #[test]
     fn multi_document_batch() {
-        let mut pattern = parse_pattern("S//book->b[.//title->t]").unwrap();
-        pattern.assign_canonical_variables();
-        let matcher = PatternMatcher::new(&pattern);
-        let interner = interner();
-        let mut batch = WitnessBatch::new();
-        for i in 0..3u64 {
-            let doc = d1().with_id(DocId(i)).with_timestamp(Timestamp(i * 10));
-            let bindings = matcher.all_edge_bindings(&doc);
-            batch
-                .add_document(&doc, &[(&pattern, bindings)], &interner)
-                .unwrap();
-        }
+        let pattern = canonical("S//book->b[.//title->t]");
+        let docs: Vec<Document> = (0..3u64)
+            .map(|i| d1().with_id(DocId(i)).with_timestamp(Timestamp(i * 10)))
+            .collect();
+        let (batch, _) = ingest(&pattern, &[("b", "t")], &docs);
         assert_eq!(batch.num_documents(), 3);
         assert_eq!(batch.rdoc_ts_w.len(), 3);
         assert_eq!(batch.rbin_w.len(), 3);
         assert_eq!(batch.doc_ids, vec![DocId(0), DocId(1), DocId(2)]);
+    }
+
+    #[test]
+    fn attribute_binding_keeps_its_own_node_key_and_value() {
+        // The element binding (self edge on b) and the attribute binding
+        // (b -> i) of one element are two RdocW rows with two values; the
+        // attribute's key maps back to the element.
+        let pattern = canonical("S//book->b[./@isbn->i][./@lang->l]");
+        let mut builder = DocumentBuilder::new("book");
+        builder.attribute("isbn", "123");
+        builder.attribute("lang", "en");
+        builder.child_text("t", "Foo");
+        let doc = builder.finish().with_id(DocId(1));
+        let edges = [("b", "b"), ("b", "i"), ("b", "l")];
+        let (batch, interner) = ingest(&pattern, &edges, &[doc]);
+        let values: Vec<(i64, String)> = batch
+            .rdoc_w
+            .iter()
+            .map(|t| {
+                let sym = t[2].as_sym().unwrap();
+                (
+                    t[1].as_int().unwrap(),
+                    interner.resolve(sym).unwrap().to_string(),
+                )
+            })
+            .collect();
+        let key = |var: &str, attribute: &str| {
+            let sym = interner.get(var).unwrap();
+            node_key(NodeId::ROOT, sym, &NodeSource::Attribute(attribute.into()))
+        };
+        assert_ne!(key("i", "isbn"), key("l", "lang"));
+        assert_eq!(
+            values,
+            vec![
+                (0, "Foo".to_owned()),
+                (key("i", "isbn"), "123".to_owned()),
+                (key("l", "lang"), "en".to_owned()),
+            ]
+        );
+        for (k, _) in &values {
+            assert_eq!(node_of(*k), NodeId::ROOT);
+        }
     }
 
     #[test]

@@ -43,11 +43,11 @@
 //!
 //! The front stage owns id/timestamp assignment and routes each shard
 //! exactly the witness rows that shard would have derived by running Stage 1
-//! itself (the same canonical variables, interned through the shared
-//! interner, filtered to the shard's requested edges) — so Stage 2 is fed
-//! byte-equal inputs. The merged batch output is sorted into the canonical
-//! `(query, left_doc, right_doc, bindings)` order (see
-//! [`sort_matches`](crate::sort_matches)), which makes the result
+//! itself (the same integer rows, filtered to the shard's requested edges and
+//! deduplicated per shard, their values interned through the shared
+//! interner) — so Stage 2 is fed byte-equal inputs. The merged batch output
+//! is sorted into the canonical `(query, left_doc, right_doc, bindings)`
+//! order (see [`sort_matches`](crate::sort_matches)), which makes the result
 //! independent of shard count, front-pool size and thread interleaving: a
 //! `ShardedEngine` with any `N` and any front-pool size returns exactly a
 //! canonically-sorted single-engine batch.
@@ -67,15 +67,16 @@ use crate::engine::MmqjpEngine;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultInjector, FaultKind, QuarantineRecord, WorkerFault};
 use crate::front::{
-    self, DocumentMatches, Edge, PoisonHandling, RequestedEdges, SingleBlock, Subscriptions,
+    self, DocumentMatches, Edge, PoisonHandling, RequestedEdge, RequestedEdges, SingleBlock,
+    Subscriptions, WitnessRow,
 };
 use crate::output::{sort_matches, MatchOutput};
 use crate::recovery::{self, ReplayLog, RetainedQuery};
-use crate::relations::{RoutedBatch, WitnessBatch};
+use crate::relations::{IngestScratch, RoutedBatch, WitnessBatch};
 use crate::stats::EngineStats;
 use mmqjp_relational::StringInterner;
 use mmqjp_xml::{DocId, Document};
-use mmqjp_xpath::{EdgeBinding, PatternId, PatternIndex, SharedPass, TreePattern};
+use mmqjp_xpath::{PatternId, PatternIndex, SharedPass, TreePattern};
 use mmqjp_xscl::{QueryId, SelectClause, XsclQuery};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -249,67 +250,50 @@ impl WitnessRouter {
             .unwrap_or_default()
     }
 
-    /// Route one document's Stage-1 output into per-shard witness batches
+    /// Route one document's Stage-1 rows into per-shard witness batches
     /// (one batch slot per shard, `batches.len()` == shard count). Every
-    /// batch receives the document's ledger row; witness rows go only to
-    /// subscribing shards. Returns the number of witness rows appended
-    /// across all batches (the routing fan-out of this document).
+    /// batch receives the document's ledger row; a row goes only to the
+    /// shards subscribed to its `(pattern, edge)` — `requested` is the
+    /// front's list the rows' edge numbers index — and each shard's batch
+    /// deduplicates its own rows, exactly as the shard would ingesting them
+    /// itself. Returns the number of witness rows appended across all
+    /// batches (the routing fan-out of this document).
     pub fn route_document(
         &self,
         doc: &Document,
-        bindings: &[(PatternId, Vec<EdgeBinding>)],
-        index: &PatternIndex,
-        interner: &Arc<StringInterner>,
+        rows: &[WitnessRow],
+        requested: &RequestedEdges,
+        interner: &StringInterner,
+        scratch: &mut IngestScratch,
         batches: &mut [WitnessBatch],
     ) -> CoreResult<usize> {
         let before: usize = batches.iter().map(WitnessBatch::num_witness_rows).sum();
-        let mut per_shard: Vec<Vec<(&TreePattern, Vec<EdgeBinding>)>> =
-            (0..batches.len()).map(|_| Vec::new()).collect();
-        for (pid, edge_bindings) in bindings {
-            let Some(shards) = self.subs.get(pid) else {
-                continue;
-            };
-            let pattern = index.pattern(*pid);
-            // Resolve each binding's pattern edge once; the per-shard loop
-            // below only consults the precomputed edge.
-            let edges: Vec<Edge> = edge_bindings
-                .iter()
-                .map(|b| binding_edge(pattern, b))
-                .collect::<CoreResult<_>>()?;
-            for (&shard, subs) in shards {
-                let filtered: Vec<EdgeBinding> = edge_bindings
-                    .iter()
-                    .zip(&edges)
-                    .filter(|(_, edge)| subs.refs.contains_key(edge))
-                    .map(|(b, _)| b.clone())
-                    .collect();
-                if !filtered.is_empty() {
-                    per_shard[shard].push((pattern, filtered));
+        for (shard, batch) in batches.iter_mut().enumerate() {
+            // Rows of one pattern arrive together: resolve the pattern's
+            // subscription and edge list once per run of rows.
+            let mut cached: Option<(PatternId, Option<&EdgeSubs>, &[RequestedEdge])> = None;
+            let routed = rows.iter().filter(|row| {
+                if cached.map_or(true, |(pid, ..)| pid != row.pid) {
+                    let subs = self
+                        .subs
+                        .get(&row.pid)
+                        .and_then(|shards| shards.get(&shard));
+                    let edges = requested.get(&row.pid).map_or(&[][..], Vec::as_slice);
+                    cached = Some((row.pid, subs, edges));
                 }
-            }
-        }
-        for (batch, patterns) in batches.iter_mut().zip(&per_shard) {
-            batch.add_document(doc, patterns, interner)?;
+                match cached {
+                    Some((_, Some(subs), edges)) => edges
+                        .get(row.edge as usize)
+                        // An unknown edge number is ingest's error to report.
+                        .map_or(true, |e| subs.refs.contains_key(&e.edge)),
+                    _ => false,
+                }
+            });
+            batch.ingest_document(doc, routed, requested, interner, scratch)?;
         }
         let after: usize = batches.iter().map(WitnessBatch::num_witness_rows).sum();
         Ok(after - before)
     }
-}
-
-/// The pattern edge a Stage-1 binding instantiates, recovered from its
-/// variable names (edge bindings carry the canonical variables of their
-/// pattern, which map back to unique pattern nodes).
-fn binding_edge(pattern: &TreePattern, binding: &EdgeBinding) -> CoreResult<Edge> {
-    Ok((
-        pattern.variable_node(&binding.ancestor_var).map_err(|_| {
-            CoreError::internal("edge binding ancestor variable exists in its pattern")
-        })?,
-        pattern
-            .variable_node(&binding.descendant_var)
-            .map_err(|_| {
-                CoreError::internal("edge binding descendant variable exists in its pattern")
-            })?,
-    ))
 }
 
 // ------------------------------------------------------------------------
@@ -391,12 +375,15 @@ struct FrontStage {
     /// Refcounts behind [`requested`](Self::requested).
     edge_refs: HashMap<PatternId, HashMap<Edge, usize>>,
     router: WitnessRouter,
+    /// Pooled dedup sets of the routing ingest.
+    ingest: IngestScratch,
     /// Single-block subscriptions in ascending global-id order (the order a
     /// single engine evaluates them in).
     singles: Vec<FrontSingle>,
     footprints: HashMap<u64, FrontFootprint>,
     /// Front-stage statistics: `documents_processed` / `docs_parsed_once`
-    /// (each document exactly once), `witnesses_routed`, `pipeline_stalls`,
+    /// (each document exactly once), `stage1_pairs` / `stage1_rows`,
+    /// `witnesses_routed`, `pipeline_stalls`,
     /// `results_emitted` (single-block matches) and `timings.xpath` (total
     /// Stage-1 work). All Stage-2 fields stay zero.
     stats: EngineStats,
@@ -552,6 +539,7 @@ impl ShardedEngine {
             requested: HashMap::new(),
             edge_refs: HashMap::new(),
             router: WitnessRouter::new(),
+            ingest: IngestScratch::default(),
             singles: Vec::new(),
             footprints: HashMap::new(),
             stats: EngineStats::default(),
@@ -1178,8 +1166,9 @@ impl ShardedEngine {
             }
         }
 
-        // Global requested-edge union and its refcounts.
+        // Global requested-edge union, its refcounts and its cached symbols.
         crate::registry::audit_edge_tables(&edge_expected, &front.edge_refs, &front.requested, out);
+        crate::front::audit_requested_symbols(&front.index, &front.requested, &self.interner, out);
 
         // Router table: per (pattern, shard), the refcounted edge set and
         // its first-subscription-order list mirror the footprints.
@@ -1279,12 +1268,16 @@ impl ShardedEngine {
         let mut resolved = Vec::with_capacity(footprint.patterns.len());
         for (pattern, edges) in footprint.patterns {
             let pid = front.index.register(pattern);
+            let pattern = front.index.pattern(pid);
             let refs = front.edge_refs.entry(pid).or_default();
             let list = front.requested.entry(pid).or_default();
             for &edge in &edges {
                 let count = refs.entry(edge).or_insert(0);
                 if *count == 0 {
-                    list.push(edge);
+                    // First request of this edge: resolve it once, here.
+                    list.push(RequestedEdge::resolve(pattern, edge, &self.interner).ok_or(
+                        CoreError::internal("requested edge ends carry canonical variables"),
+                    )?);
                 }
                 *count += 1;
             }
@@ -1336,7 +1329,7 @@ impl ShardedEngine {
                 *count -= 1;
                 if *count == 0 {
                     refs.remove(edge);
-                    list.retain(|e| e != edge);
+                    list.retain(|r| r.edge != *edge);
                 }
             }
             if refs.is_empty() {
@@ -1496,11 +1489,13 @@ impl ShardedEngine {
         let mut retained = Vec::new();
         let mut routed_rows = 0usize;
         for doc in parsed {
+            front.stats.stage1_pairs += doc.matches.rows.len();
             routed_rows += front.router.route_document(
                 &doc.doc,
-                &doc.matches.bindings,
-                &front.index,
+                &doc.matches.rows,
+                &front.requested,
                 &self.interner,
+                &mut front.ingest,
                 &mut shard_batches,
             )?;
             singles.extend(doc.matches.singles);
@@ -1512,6 +1507,7 @@ impl ShardedEngine {
         front.stats.documents_processed += doc_meta.len();
         front.stats.docs_parsed_once += doc_meta.len();
         front.stats.witnesses_routed += routed_rows;
+        front.stats.stage1_rows += shard_batches.iter().map(|b| b.rbin_w.len()).sum::<usize>();
         front.stats.results_emitted += singles.len();
         front.stats.timings.xpath += parse_work + t_route.elapsed();
         Ok(StagedBatch {
@@ -1995,8 +1991,14 @@ fn front_worker(retain_documents: bool, requests: Receiver<FrontRequest>) {
                     };
                     docs.into_iter()
                         .map(|doc| {
-                            let matches =
-                                front::match_document(&mut subs, &doc, &mut pass, retain_documents);
+                            let mut matches = DocumentMatches::default();
+                            front::match_document(
+                                &mut subs,
+                                &doc,
+                                &mut pass,
+                                retain_documents,
+                                &mut matches,
+                            );
                             ParsedDoc { doc, matches }
                         })
                         .collect()
@@ -2205,17 +2207,30 @@ mod tests {
         assert_eq!(router.subscribers(pid1), vec![0]);
         assert_eq!(router.subscribers(pid2), vec![2]);
 
-        let interner = Arc::new(StringInterner::new());
+        let interner = StringInterner::new();
         let doc = d1().with_id(DocId(1));
-        let requested = RequestedEdges::from([(pid1, edges1.clone()), (pid2, edges2.clone())]);
+        let resolve = |p: &TreePattern, edges: &[Edge]| -> Vec<RequestedEdge> {
+            let resolved = edges
+                .iter()
+                .map(|&e| RequestedEdge::resolve(p, e, &interner));
+            resolved.collect::<Option<_>>().unwrap()
+        };
+        let requested =
+            RequestedEdges::from([(pid1, resolve(&p1, &edges1)), (pid2, resolve(&p2, &edges2))]);
         let mut subs = Subscriptions {
             index: &mut index,
             requested: &requested,
             singles: Vec::new(),
         };
-        let bindings =
-            front::match_document(&mut subs, &doc, &mut SharedPass::default(), false).bindings;
-        assert!(!bindings.is_empty());
+        let mut matches = DocumentMatches::default();
+        front::match_document(
+            &mut subs,
+            &doc,
+            &mut SharedPass::default(),
+            false,
+            &mut matches,
+        );
+        assert!(!matches.rows.is_empty());
 
         let mut batches = vec![
             WitnessBatch::new(),
@@ -2223,7 +2238,14 @@ mod tests {
             WitnessBatch::new(),
         ];
         let routed = router
-            .route_document(&doc, &bindings, &index, &interner, &mut batches)
+            .route_document(
+                &doc,
+                &matches.rows,
+                &requested,
+                &interner,
+                &mut IngestScratch::default(),
+                &mut batches,
+            )
             .unwrap();
         assert!(routed > 0);
         // Shard 1 subscribed to nothing: ledger row only.
@@ -2242,6 +2264,23 @@ mod tests {
         assert!(!router.is_empty());
         router.unsubscribe(2, pid2, &edges2).unwrap();
         assert!(router.is_empty());
+    }
+
+    #[test]
+    fn front_audit_detects_stale_requested_edge_symbols() {
+        let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2));
+        assert!(e.audit().unwrap().is_empty());
+        let (&pid, edges) = e.front.requested.iter_mut().next().unwrap();
+        edges[0].var1 = mmqjp_relational::Symbol::from_raw(edges[0].var1.raw() + 1_000);
+        let edge = (edges[0].edge.0.raw(), edges[0].edge.1.raw());
+        let violations = e.audit().unwrap();
+        assert!(
+            violations.contains(&AuditViolation::RequestedEdgeSymbols {
+                pattern: pid.raw(),
+                edge
+            }),
+            "{violations:?}"
+        );
     }
 
     #[test]

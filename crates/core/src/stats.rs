@@ -14,14 +14,12 @@ use std::time::Duration;
 /// Cumulative wall-clock time per processing phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseTimings {
-    /// Stage 1: XPath evaluation — pattern matching and witness/edge-binding
-    /// enumeration, whichever front end (per-pattern DOM walks or the shared
-    /// streaming automaton) produced them.
+    /// Stage 1: XPath evaluation — the shared automaton pass and reading the
+    /// requested edges' node pairs off it as integer witness rows.
     pub xpath: Duration,
-    /// Witness-relation construction: ingesting the Stage-1 edge bindings
-    /// into the batch's `RbinW`/`RdocW` relations. Identical byte-for-byte
-    /// work under either Stage-1 front end, so it is kept out of
-    /// [`xpath`](Self::xpath) — that bucket compares the front strategies.
+    /// Witness-relation construction: ingesting the Stage-1 witness rows
+    /// into the batch's `RbinW`/`RdocW` relations — the per-document dedup
+    /// and interning each new node's value.
     pub ingest: Duration,
     /// Computing the common string values `STR` / the `Rvj` semi-join
     /// (view-materialization mode), or gathering the batch-restricted
@@ -165,6 +163,16 @@ pub struct EngineStats {
     pub join_orders_planned: usize,
     /// Plan executions that reused the plan's memoized join order.
     pub join_orders_reused: usize,
+    /// Stage-1 node pairs read off the automaton's useful sets — one per
+    /// requested edge binding of every matching join-side pattern, before
+    /// the per-document dedup.
+    pub stage1_pairs: usize,
+    /// `RbinW` rows kept after the per-document dedup. Patterns of different
+    /// queries share canonical variables, so many pairs collapse into one
+    /// row: [`stage1_pairs`](Self::stage1_pairs) ÷ `stage1_rows` is Stage 1's
+    /// sharing factor. Sharded, rows are deduplicated per shard and summed
+    /// over the shards they are routed to.
+    pub stage1_rows: usize,
     /// Documents parsed and Stage-1-evaluated exactly once by the front
     /// stage of [`ShardedEngine`](crate::ShardedEngine); equal to the number
     /// of documents it ingested. Zero for single engines.
@@ -260,6 +268,8 @@ impl AddAssign for EngineStats {
         self.join_tables_reused += rhs.join_tables_reused;
         self.join_orders_planned += rhs.join_orders_planned;
         self.join_orders_reused += rhs.join_orders_reused;
+        self.stage1_pairs += rhs.stage1_pairs;
+        self.stage1_rows += rhs.stage1_rows;
         self.docs_parsed_once += rhs.docs_parsed_once;
         self.witnesses_routed += rhs.witnesses_routed;
         self.pipeline_stalls += rhs.pipeline_stalls;
@@ -360,6 +370,8 @@ mod tests {
             join_tables_reused: 26,
             join_orders_planned: 27,
             join_orders_reused: 28,
+            stage1_pairs: 29,
+            stage1_rows: 30,
             docs_parsed_once: 17,
             witnesses_routed: 18,
             pipeline_stalls: 19,
@@ -399,6 +411,8 @@ mod tests {
             join_tables_reused: 260,
             join_orders_planned: 270,
             join_orders_reused: 280,
+            stage1_pairs: 290,
+            stage1_rows: 300,
             docs_parsed_once: 170,
             witnesses_routed: 180,
             pipeline_stalls: 190,
@@ -438,6 +452,8 @@ mod tests {
         assert_eq!(s.join_tables_reused, 286);
         assert_eq!(s.join_orders_planned, 297);
         assert_eq!(s.join_orders_reused, 308);
+        assert_eq!(s.stage1_pairs, 319);
+        assert_eq!(s.stage1_rows, 330);
         assert_eq!(s.docs_parsed_once, 187);
         assert_eq!(s.witnesses_routed, 198);
         assert_eq!(s.pipeline_stalls, 209);

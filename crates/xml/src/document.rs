@@ -157,8 +157,14 @@ impl Document {
     /// paper). For leaf elements this is simply the element text.
     pub fn string_value(&self, id: NodeId) -> String {
         let mut out = String::new();
-        self.collect_text(id, &mut out);
+        self.push_string_value(id, &mut out);
         out
+    }
+
+    /// Append the [string value](Self::string_value) of a node to `out`, so
+    /// a caller can reuse one buffer across nodes.
+    pub fn push_string_value(&self, id: NodeId, out: &mut String) {
+        self.collect_text(id, out);
     }
 
     fn collect_text(&self, id: NodeId, out: &mut String) {

@@ -180,28 +180,27 @@ impl PatternAutomaton {
         scratch: &mut AutomatonScratch,
         pass: &mut SharedPass,
     ) {
+        // Every document has at least its root element, so every document is
+        // traversed — a root-only document can match a pattern too.
+        let mut stack = std::mem::take(&mut scratch.stack);
+        stack.clear();
+        stack.push(Step::Open(NodeId::ROOT));
         let mut run = self.start(scratch);
-        if !doc.is_empty() {
-            enum Step {
-                Open(NodeId),
-                Close,
-            }
-            let mut stack = vec![Step::Open(NodeId::ROOT)];
-            while let Some(step) = stack.pop() {
-                match step {
-                    Step::Open(n) => {
-                        let node = doc.node(n);
-                        run.open(node.tag(), |name| node.attribute(name).is_some());
-                        stack.push(Step::Close);
-                        for &c in node.children().iter().rev() {
-                            stack.push(Step::Open(c));
-                        }
+        while let Some(step) = stack.pop() {
+            match step {
+                Step::Open(n) => {
+                    let node = doc.node(n);
+                    run.open(node.tag(), |name| node.attribute(name).is_some());
+                    stack.push(Step::Close);
+                    for &c in node.children().iter().rev() {
+                        stack.push(Step::Open(c));
                     }
-                    Step::Close => run.close(),
                 }
+                Step::Close => run.close(),
             }
         }
         run.finish_into(pass);
+        scratch.stack = stack;
     }
 
     /// Evaluate all compiled patterns directly over XML text via the pull
@@ -242,12 +241,21 @@ struct Frame {
     desc_sat: Vec<u64>,
 }
 
+/// One step of the replayed open/close event stream of a built document.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Open(NodeId),
+    Close,
+}
+
 /// Reusable buffers for [`AutomatonRun`]s. One scratch serves any number of
 /// sequential passes; reusing it across documents keeps the per-document
-/// pass free of heap allocation (rows, frames and the parent table all keep
-/// their capacity).
+/// pass free of heap allocation (rows, frames, the parent table and the
+/// event stack all keep their capacity).
 #[derive(Debug, Default, Clone)]
 pub struct AutomatonScratch {
+    /// Pending events of [`PatternAutomaton::pass_over_reusing`].
+    stack: Vec<Step>,
     frames: Vec<Frame>,
     /// Recycled frames (their vectors keep capacity across elements).
     spare: Vec<Frame>,
@@ -581,6 +589,12 @@ mod tests {
         b.close();
         out.push(b.finish());
 
+        // A root-only document: the root element alone can match.
+        let mut b = DocumentBuilder::new("link");
+        b.attribute("href", "http://example.org/y");
+        b.text("anchor");
+        out.push(b.finish());
+
         out
     }
 
@@ -664,6 +678,22 @@ mod tests {
         let pass = automaton.pass_over(&doc);
         assert!(pass.is_empty());
         assert_eq!(pass.useful(PatternId(0)), None);
+    }
+
+    #[test]
+    fn root_only_document_is_traversed() {
+        let pattern = parse_pattern("S//book->b[./@isbn->i]").unwrap();
+        let automaton = PatternAutomaton::new([(PatternId(0), &pattern)]);
+        let mut b = DocumentBuilder::new("book");
+        b.attribute("isbn", "123");
+        b.text("Foo");
+        let doc = b.finish();
+        let root = vec![NodeId::ROOT];
+        let pass = automaton.pass_over(&doc);
+        assert_eq!(
+            pass.useful(PatternId(0)).unwrap(),
+            &[root.clone(), root][..]
+        );
     }
 
     #[test]

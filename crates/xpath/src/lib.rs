@@ -17,8 +17,10 @@
 //!   examples, e.g. `S//book->x1[.//author->x2][.//title->x3]`.
 //! * [`PatternMatcher`] — evaluates one pattern against a document, producing
 //!   full witnesses ([`Witness`]) and the factored *edge bindings*
-//!   ([`EdgeBinding`]) that the Join Processor stores in its binary witness
-//!   relations (`RbinW` / `Rbin`).
+//!   ([`EdgeBinding`]) behind the Join Processor's binary witness relations
+//!   (`RbinW` / `Rbin`). It is the reference the engines' Stage 1 is tested
+//!   against; the engines read node pairs off the shared automaton's useful
+//!   sets with [`PatternMatcher::for_each_pair`] instead.
 //! * [`PatternIndex`] — the multi-query front end: registers the tree
 //!   patterns of many query blocks, de-duplicates structurally identical
 //!   patterns (the dominant source of sharing in pub/sub workloads) and

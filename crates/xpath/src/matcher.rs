@@ -159,6 +159,26 @@ impl<'p> PatternMatcher<'p> {
     }
 
     /// Binding pairs for one *adjacent* pattern edge `(parent, child)`,
+    /// restricted to useful nodes, handed to `f` in order.
+    fn for_each_adjacent_pair<T: ElementTree + ?Sized>(
+        &self,
+        doc: &T,
+        useful: &[Vec<NodeId>],
+        parent: PatternNodeId,
+        child: PatternNodeId,
+        mut f: impl FnMut(NodeId, NodeId),
+    ) {
+        let child_node = self.pattern.node(child);
+        for &du in &useful[parent.index()] {
+            for &dv in &useful[child.index()] {
+                if Self::axis_holds(doc, du, dv, child_node) {
+                    f(du, dv);
+                }
+            }
+        }
+    }
+
+    /// Binding pairs for one *adjacent* pattern edge `(parent, child)`,
     /// restricted to useful nodes.
     fn adjacent_pairs<T: ElementTree + ?Sized>(
         &self,
@@ -167,16 +187,34 @@ impl<'p> PatternMatcher<'p> {
         parent: PatternNodeId,
         child: PatternNodeId,
     ) -> Vec<(NodeId, NodeId)> {
-        let child_node = self.pattern.node(child);
         let mut out = Vec::new();
-        for &du in &useful[parent.index()] {
-            for &dv in &useful[child.index()] {
-                if Self::axis_holds(doc, du, dv, child_node) {
-                    out.push((du, dv));
-                }
+        self.for_each_adjacent_pair(doc, useful, parent, child, |du, dv| out.push((du, dv)));
+        out
+    }
+
+    /// The pairs of [`chain_pairs`](Self::chain_pairs), in the same order,
+    /// handed to `f` instead of collected: self edges and adjacent edges —
+    /// the edges Stage 1 requests almost always — allocate nothing; a
+    /// multi-step chain is composed first.
+    pub fn for_each_pair<T: ElementTree + ?Sized>(
+        &self,
+        doc: &T,
+        useful: &[Vec<NodeId>],
+        ancestor: PatternNodeId,
+        descendant: PatternNodeId,
+        mut f: impl FnMut(NodeId, NodeId),
+    ) {
+        if ancestor == descendant {
+            for &d in &useful[ancestor.index()] {
+                f(d, d);
+            }
+        } else if self.pattern.node(descendant).parent() == Some(ancestor) {
+            self.for_each_adjacent_pair(doc, useful, ancestor, descendant, f);
+        } else {
+            for (du, dv) in self.chain_pairs(doc, useful, ancestor, descendant) {
+                f(du, dv);
             }
         }
-        out
     }
 
     /// Binding pairs for an arbitrary ancestor/descendant pair of pattern
@@ -552,6 +590,39 @@ mod tests {
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].ancestor, NodeId::from_raw(0));
         assert_eq!(pairs[0].descendant, NodeId::from_raw(2));
+    }
+
+    #[test]
+    fn for_each_pair_equals_chain_pairs() {
+        // Self, adjacent and multi-step chain edges of a nested pattern.
+        let p = parse_pattern("//feed->f[.//entry->e[.//title->t][.//author->a]]").unwrap();
+        let m = PatternMatcher::new(&p);
+        let mut b = DocumentBuilder::new("feed");
+        for (title, author) in [("t1", Some("a1")), ("t2", None), ("t3", Some("a3"))] {
+            b.open("entry");
+            b.child_text("title", title);
+            if let Some(author) = author {
+                b.child_text("author", author);
+            }
+            b.close();
+        }
+        let doc = b.finish();
+        let useful = m.useful_nodes(&doc);
+        let ids: Vec<PatternNodeId> = p.node_ids().collect();
+        let mut compared = 0;
+        for &anc in &ids {
+            for &desc in &ids {
+                let mut got = Vec::new();
+                m.for_each_pair(&doc, &useful, anc, desc, |a, d| got.push((a, d)));
+                assert_eq!(
+                    got,
+                    m.chain_pairs(&doc, &useful, anc, desc),
+                    "{anc:?}->{desc:?}"
+                );
+                compared += got.len();
+            }
+        }
+        assert!(compared > 0);
     }
 
     #[test]

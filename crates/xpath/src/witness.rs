@@ -58,7 +58,13 @@ impl fmt::Display for Witness {
 
 /// A pair of variable bindings for one edge of the (possibly reduced)
 /// variable tree pattern — the unit stored in the Join Processor's binary
-/// witness relations `RbinW` / `Rbin`.
+/// witness relations `RbinW` / `Rbin`, spelled out with variable names.
+///
+/// This is the reference matcher's output
+/// ([`PatternMatcher::edge_bindings`](crate::PatternMatcher::edge_bindings),
+/// [`PatternIndex::evaluate_edge_bindings`](crate::PatternIndex::evaluate_edge_bindings)).
+/// The engines never build one: their Stage 1 emits integer witness rows
+/// whose variables were resolved to symbols at registration.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct EdgeBinding {
     /// Variable bound at the ancestor end of the edge.
@@ -108,7 +114,8 @@ impl WitnessSet {
 ///
 /// For ordinary element steps this is the XPath string value of the bound
 /// node. For attribute steps (`@name`) — which are represented by binding the
-/// carrying element — it is the attribute's value.
+/// carrying element — it is the attribute's value. The reference definition
+/// the engines' witness ingest is tested against.
 pub fn binding_string_value<T: ElementTree + ?Sized>(
     doc: &T,
     pattern: &TreePattern,

@@ -2,9 +2,10 @@
 //! engine's end-to-end invariants.
 
 use mmqjp_core::{
-    sort_matches, EngineConfig, EngineStats, MmqjpEngine, ProcessingMode, ShardedEngine,
-    WitnessBatch, WitnessRouter,
+    sort_matches, EngineConfig, EngineStats, IngestScratch, MmqjpEngine, ProcessingMode,
+    ShardedEngine, WitnessBatch, WitnessRouter,
 };
+use mmqjp_integration_tests::stage1::{resolve_edges, rows_from_bindings};
 use mmqjp_integration_tests::{match_keys, run_stream};
 use mmqjp_relational::{
     ops, Atom, ChunkedRows, ConjunctiveQuery, Database, ExecScratch, PhysicalPlan, PlanInput,
@@ -17,7 +18,6 @@ use mmqjp_xscl::{
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Generators
@@ -510,6 +510,9 @@ proptest! {
     /// subscription map, nothing is duplicated or lost. A row reaches a
     /// shard if and only if one of the shard's own patterns derives it, and
     /// the union across shards is exactly the single-engine Stage-1 output.
+    /// Stage 1 speaks integer rows here as in the engines: the reference
+    /// bindings are mapped onto rows against the union's resolved edge
+    /// lists (routed) or each shard's own (self-derived).
     #[test]
     fn witness_routing_is_a_partition_of_stage1_output(
         query_texts in prop::collection::vec(flat_query_strategy(), 1..8),
@@ -563,17 +566,20 @@ proptest! {
 
         // Route every document's Stage-1 output; `everything` plays the
         // single-engine reference (one shard subscribed to it all).
-        let interner = Arc::new(StringInterner::new());
+        let interner = StringInterner::new();
+        let union = resolve_edges(&index, &union_req, &interner);
+        let mut scratch = IngestScratch::default();
         let mut routed: Vec<WitnessBatch> =
             (0..num_shards).map(|_| WitnessBatch::new()).collect();
         let mut global = vec![WitnessBatch::new()];
         for doc in &docs {
             let bindings = index.evaluate_edge_bindings(doc, &union_req);
+            let rows = rows_from_bindings(&index, &union, &bindings);
             router
-                .route_document(doc, &bindings, &index, &interner, &mut routed)
+                .route_document(doc, &rows, &union, &interner, &mut scratch, &mut routed)
                 .unwrap();
             everything
-                .route_document(doc, &bindings, &index, &interner, &mut global)
+                .route_document(doc, &rows, &union, &interner, &mut scratch, &mut global)
                 .unwrap();
         }
 
@@ -586,21 +592,16 @@ proptest! {
 
         // Each shard's routed rows are exactly what it would self-derive
         // from its own requested-edge map. (Patterns absent from a map get
-        // the all-edges fallback, so the self-derived evaluation must drop
-        // bindings of patterns the shard never requested.)
+        // the all-edges fallback; the row adapter drops their bindings.)
         for (shard, req) in shard_req.iter().enumerate() {
+            let own = resolve_edges(&index, req, &interner);
             let mut derived = WitnessBatch::new();
             for doc in &docs {
-                let bindings: Vec<_> = index
-                    .evaluate_edge_bindings(doc, req)
-                    .into_iter()
-                    .filter(|(pid, _)| req.contains_key(pid))
-                    .collect();
-                let with_patterns: Vec<_> = bindings
-                    .iter()
-                    .map(|(pid, b)| (index.pattern(*pid), b.clone()))
-                    .collect();
-                derived.add_document(doc, &with_patterns, &interner).unwrap();
+                let bindings = index.evaluate_edge_bindings(doc, req);
+                let rows = rows_from_bindings(&index, &own, &bindings);
+                derived
+                    .ingest_document(doc, &rows, &own, &interner, &mut scratch)
+                    .unwrap();
             }
             prop_assert_eq!(
                 witness_multiset(&routed[shard]),

@@ -12,24 +12,35 @@
 //! 2. **Stage-1 differential**: for every document of the RSS and
 //!    complex-schema workloads and of the random-XML generator, the front
 //!    (`mmqjp_core::front`, the only Stage 1 the engines run) produces the
-//!    edge bindings and single-block witnesses of the per-pattern DOM
-//!    matcher in `mmqjp-xpath`, which survives purely as this reference.
+//!    witness rows and single-block witnesses of the per-pattern DOM
+//!    matcher in `mmqjp-xpath`, which survives purely as this reference;
+//!    the witness batch ingested from the front's rows equals the one
+//!    ingested from the reference's, and every bound node's `RdocW` value
+//!    is the reference's `binding_string_value`.
 //! 3. **Mode × engine sweep**: every processing mode on the single engine
 //!    and the sharded one produces byte-identical match output on the RSS
 //!    join workload with single-block subscriptions mixed in.
 
-use mmqjp_core::{front, EngineConfig, MmqjpEngine, ProcessingMode, Registry, ShardedEngine};
-use mmqjp_integration_tests::{all_modes, match_keys, run_stream_sharded, run_stream_sorted};
+use mmqjp_core::front::{self, DocumentMatches, NodeSource, RequestedEdges};
+use mmqjp_core::{node_key, EngineConfig, MmqjpEngine, ProcessingMode, Registry, ShardedEngine};
+use mmqjp_integration_tests::stage1::{edge_lists, ingest_rows, rows_from_bindings};
+use mmqjp_integration_tests::{
+    all_modes, assert_audit_clean, match_keys, run_stream_sharded, run_stream_sorted,
+};
 use mmqjp_relational::StringInterner;
 use mmqjp_workload::{
     ComplexSchemaWorkload, RssQueryGenerator, RssStreamConfig, RssStreamGenerator,
 };
-use mmqjp_xml::{parse_document, parse_document_streaming, Document};
-use mmqjp_xpath::{parse_pattern, PatternIndex, PatternMatcher, SharedPass};
+use mmqjp_xml::{parse_document, parse_document_streaming, Document, Timestamp};
+use mmqjp_xpath::{
+    binding_string_value, parse_pattern, EdgeBinding, NodeTest, PatternId, PatternIndex,
+    PatternMatcher, SharedPass,
+};
 use mmqjp_xscl::{parse_query, XsclQuery};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -49,9 +60,17 @@ struct Op {
 /// (tags `t0..t5`, values `v0..`) so patterns can match, and every decoration
 /// the pull parser must handle is reachable: comments, CDATA, numeric
 /// character references (decimal and hex), self-closing elements,
-/// attributes, and plain nested elements.
+/// attributes (the root `<r>` carries some when the first op's value is
+/// even), and plain nested elements. Few or text-only ops leave a
+/// root-only document.
 fn render_xml(ops: &[Op]) -> String {
-    let mut out = String::from("<?xml version=\"1.0\"?><!-- preamble --><r>");
+    let mut out = String::from("<?xml version=\"1.0\"?><!-- preamble --><r");
+    match ops.first() {
+        Some(op) if op.value % 2 == 0 => {
+            out.push_str(&format!(" a=\"v{}\" b=\"&#65;\">", op.value / 2));
+        }
+        _ => out.push('>'),
+    }
     let mut depth = 1usize;
     for op in ops {
         let t = op.tag % 6;
@@ -204,26 +223,24 @@ fn registry_of(queries: impl IntoIterator<Item = XsclQuery>) -> Registry {
 }
 
 /// Run the front over every document and compare both of its products with
-/// the reference that shares no evaluation code with it: the requested-edge
-/// bindings with `PatternIndex::evaluate_edge_bindings` (one DOM matcher walk
-/// per pattern) and the single-block answers with `PatternMatcher::witnesses`
-/// on each subscription's own pattern. Returns how many bindings and
+/// the reference that shares no evaluation code with it: the witness rows
+/// with `PatternIndex::evaluate_edge_bindings` (one DOM matcher walk per
+/// pattern, mapped onto rows by the test-support adapter) and the
+/// single-block answers with `PatternMatcher::witnesses` on each
+/// subscription's own pattern. Then ingest both row sets and compare the
+/// batches (see [`ingest_equals_reference`]). Returns how many rows and
 /// single-block witnesses were compared, so callers can insist the
 /// comparison was not vacuous.
 fn front_equals_dom_reference(registry: &mut Registry, docs: &[Document]) -> (usize, usize) {
     let mut reference = registry.pattern_index().clone();
     let requested = registry.requested_edges().clone();
+    let interner = registry.interner().clone();
     let mut pass = SharedPass::default();
-    let (mut bindings, mut witnesses) = (0, 0);
+    let mut got = DocumentMatches::default();
+    let (mut rows, mut witnesses) = (0, 0);
     for doc in docs {
-        // The reference falls back to every edge of a pattern nobody
-        // requested edges of (a single-block subscription); the front emits
-        // witness rows for join-side patterns only.
-        let expected_bindings: Vec<_> = reference
-            .evaluate_edge_bindings(doc, &requested)
-            .into_iter()
-            .filter(|(pid, _)| requested.contains_key(pid))
-            .collect();
+        let bindings = reference.evaluate_edge_bindings(doc, &edge_lists(&requested));
+        let expected_rows = rows_from_bindings(&reference, &requested, &bindings);
         let mut subs = registry.stage1();
         let expected_singles: Vec<_> = subs
             .singles
@@ -235,7 +252,7 @@ fn front_equals_dom_reference(registry: &mut Registry, docs: &[Document]) -> (us
                     .map(move |w| (s.query, w.bindings().to_vec()))
             })
             .collect();
-        let got = front::match_document(&mut subs, doc, &mut pass, false);
+        front::match_document(&mut subs, doc, &mut pass, false, &mut got);
         let got_singles: Vec<_> = got
             .singles
             .iter()
@@ -244,15 +261,70 @@ fn front_equals_dom_reference(registry: &mut Registry, docs: &[Document]) -> (us
                 (m.query, nodes.collect::<Vec<_>>())
             })
             .collect();
-        assert_eq!(got.bindings, expected_bindings, "edge bindings diverge");
+        assert_eq!(got.rows, expected_rows, "witness rows diverge");
         assert_eq!(
             got_singles, expected_singles,
             "single-block answers diverge"
         );
-        bindings += got.bindings.iter().map(|(_, b)| b.len()).sum::<usize>();
+        ingest_equals_reference(&reference, &requested, &interner, doc, &got.rows, &bindings);
+        rows += got.rows.len();
         witnesses += got_singles.len();
     }
-    (bindings, witnesses)
+    (rows, witnesses)
+}
+
+/// The batch ingested from the front's `rows` equals, row for row and in
+/// order, the batch ingested from the reference `bindings` through the
+/// test-support adapter — `RbinW`, `RdocW` and `RdocTSW` — and every
+/// reference binding's descendant finds its own value in `RdocW` under its
+/// node key: the element's string value, or the attribute's value for an
+/// attribute step, computed by the reference `binding_string_value`.
+fn ingest_equals_reference(
+    index: &PatternIndex,
+    requested: &RequestedEdges,
+    interner: &StringInterner,
+    doc: &Document,
+    rows: &[front::WitnessRow],
+    bindings: &[(PatternId, Vec<EdgeBinding>)],
+) {
+    let got = ingest_rows(doc, rows, requested, interner);
+    let reference = rows_from_bindings(index, requested, bindings);
+    let expected = ingest_rows(doc, &reference, requested, interner);
+    assert_eq!(got.rbin_w, expected.rbin_w, "RbinW diverges");
+    assert_eq!(got.rdoc_w, expected.rdoc_w, "RdocW diverges");
+    assert_eq!(got.rdoc_ts_w, expected.rdoc_ts_w, "RdocTSW diverges");
+
+    let values: HashMap<i64, String> = got
+        .rdoc_w
+        .iter()
+        .map(|t| {
+            let sym = t[2].as_sym().expect("strVal is a symbol");
+            let value = interner.resolve(sym).expect("interned value");
+            (t[1].as_int().expect("node key"), value.to_string())
+        })
+        .collect();
+    for (pid, edge_bindings) in bindings {
+        if !requested.contains_key(pid) {
+            continue;
+        }
+        let pattern = index.pattern(*pid);
+        for b in edge_bindings {
+            let node = pattern.variable_node(&b.descendant_var).expect("bound");
+            let var = interner.get(&b.descendant_var).expect("interned variable");
+            let source = match pattern.node(node).test() {
+                NodeTest::Attribute(name) => NodeSource::Attribute(name.as_str().into()),
+                _ => NodeSource::Element,
+            };
+            let key = node_key(b.descendant, var, &source);
+            assert_eq!(
+                values.get(&key).map(String::as_str),
+                Some(binding_string_value(doc, pattern, node, b.descendant).as_str()),
+                "RdocW value of {} at {}",
+                b.descendant_var,
+                b.descendant
+            );
+        }
+    }
 }
 
 /// Every document of the RSS workload: join queries plus single-block
@@ -267,9 +339,9 @@ fn front_equals_dom_reference_on_the_rss_workload() {
         ..RssStreamConfig::default()
     })
     .documents();
-    let (bindings, witnesses) = front_equals_dom_reference(&mut registry_of(queries), &docs);
+    let (rows, witnesses) = front_equals_dom_reference(&mut registry_of(queries), &docs);
     assert!(
-        bindings > 0 && witnesses > 0,
+        rows > 0 && witnesses > 0,
         "the comparison must not be vacuous"
     );
 }
@@ -282,8 +354,8 @@ fn front_equals_dom_reference_on_the_complex_schema_workload() {
     let mut rng = StdRng::seed_from_u64(22);
     let queries = workload.generate_queries(24, &mut rng);
     let docs: Vec<Document> = (1..=4).map(|ts| workload.document(ts)).collect();
-    let (bindings, _) = front_equals_dom_reference(&mut registry_of(queries), &docs);
-    assert!(bindings > 0, "the comparison must not be vacuous");
+    let (rows, _) = front_equals_dom_reference(&mut registry_of(queries), &docs);
+    assert!(rows > 0, "the comparison must not be vacuous");
 }
 
 proptest! {
@@ -295,16 +367,162 @@ proptest! {
     #[test]
     fn front_equals_dom_reference_on_random_xml(ops in ops_strategy()) {
         let doc = parse_document(&render_xml(&ops)).expect("DOM parser accepts rendered doc");
-        let queries = [
-            "S//r->a[.//t0->b] FOLLOWED BY{b=d, 100} S//t1->c[.//t2->d]",
-            "S//t0->e[.//t3->f][.//t4->g] JOIN{f=h AND g=i, 100} S//r->j[.//t5->h][.//t1->i]",
-            "S//t2->k[.//t2->l] FOLLOWED BY{l=n, 100} S//t3->m[.//t0->n]",
-            "S//t1[.//t2]",
-            "S//r[.//t0][.//t5]",
-        ];
-        let mut registry =
-            registry_of(queries.map(|q| parse_query(q).expect("query parses")));
-        front_equals_dom_reference(&mut registry, &[doc]);
+        front_equals_dom_reference(&mut random_xml_registry(), &[doc]);
+    }
+}
+
+/// The query set of the random-XML sweeps. Besides descendant chains it
+/// holds a single-block pattern matching the root (so a root-only document
+/// must match), and attribute-step join queries binding the root's `@a` and
+/// `@b` next to a join on the root element itself (so one element carries an
+/// element binding and two attribute bindings, each with its own value).
+/// The last join query's reduced tree skips the unbound `t5` step, so it
+/// requests a multi-step chain edge.
+const RANDOM_XML_QUERIES: [&str; 9] = [
+    "S//r->a[.//t0->b] FOLLOWED BY{b=d, 100} S//t1->c[.//t2->d]",
+    "S//t0->e[.//t3->f][.//t4->g] JOIN{f=h AND g=i, 100} S//r->j[.//t5->h][.//t1->i]",
+    "S//t2->k[.//t2->l] FOLLOWED BY{l=n, 100} S//t3->m[.//t0->n]",
+    "S//r->a[./@a->b][./@b->c] FOLLOWED BY{b=e AND c=f, 100} S//t3->d[./@a->e][./@b->f]",
+    "S//r->x FOLLOWED BY{x=y, 100} S//t1->y",
+    "S//t1[.//t2]",
+    "S//r[.//t0][.//t5]",
+    "S//r",
+    "S//t0->a[.//t5->m[.//t1->b]][.//t2->c] FOLLOWED BY{b=d AND c=e, 100} S//t3->x[.//t1->d][.//t2->e]",
+];
+
+fn random_xml_registry() -> Registry {
+    registry_of(RANDOM_XML_QUERIES.map(|q| parse_query(q).expect("query parses")))
+}
+
+/// The ingest differential on its own, over the three document sources:
+/// the RSS workload, the complex-schema workload and a seeded run of the
+/// random-XML generator. Covers self edges (single-node join sides),
+/// multi-step chain edges (reduced trees skip unbound intermediate nodes)
+/// and patterns sharing canonical variables (the RSS query generator reuses
+/// its item schema), all through [`ingest_equals_reference`].
+#[test]
+fn integer_rows_equal_reference_ingest() {
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut rss_queries = RssQueryGenerator::new(0.8).generate_queries(24, &mut rng);
+    rss_queries.extend(RSS_SUBSCRIPTIONS.map(|s| parse_query(s).expect("subscription parses")));
+    let rss_docs = RssStreamGenerator::new(RssStreamConfig {
+        items: 40,
+        ..RssStreamConfig::default()
+    })
+    .documents();
+
+    let complex = ComplexSchemaWorkload::new(4, 3, 0.8);
+    let complex_queries = complex.generate_queries(24, &mut rng);
+    let complex_docs: Vec<Document> = (1..=4).map(|ts| complex.document(ts)).collect();
+
+    let random_docs: Vec<Document> = (0..64)
+        .map(|_| {
+            let len = rng.gen_range(0..24);
+            let ops: Vec<Op> = (0..len)
+                .map(|_| Op {
+                    kind: rng.gen_range(0..9),
+                    tag: rng.gen_range(0..6),
+                    value: rng.gen_range(0..40),
+                })
+                .collect();
+            parse_document(&render_xml(&ops)).expect("DOM parser accepts rendered doc")
+        })
+        .collect();
+
+    let sources = [
+        (registry_of(rss_queries), rss_docs),
+        (registry_of(complex_queries), complex_docs),
+        (random_xml_registry(), random_docs),
+    ];
+    let (mut self_edges, mut chain_edges) = (0, 0);
+    for (mut registry, docs) in sources {
+        let (rows, _) = front_equals_dom_reference(&mut registry, &docs);
+        assert!(rows > 0, "the comparison must not be vacuous");
+        for (pid, edges) in registry.requested_edges() {
+            let pattern = registry.pattern_index().pattern(*pid);
+            for &(a, d) in edges.iter().map(|e| &e.edge) {
+                self_edges += usize::from(a == d);
+                chain_edges += usize::from(a != d && pattern.node(d).parent() != Some(a));
+            }
+        }
+    }
+    assert!(
+        self_edges > 0 && chain_edges > 0,
+        "self and chain edges are covered"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Regressions: root-only documents and attribute bindings
+// ---------------------------------------------------------------------------
+
+/// A document that is only its root element matches like any other: the
+/// shared automaton used to skip it entirely.
+#[test]
+fn root_only_document_matches_in_every_mode() {
+    let query = "S//book->b[./@isbn->i] FOLLOWED BY{i=r, 100} S//blog->g[.//isbn_ref->r]";
+    for mode in all_modes() {
+        let mut engine = MmqjpEngine::new(EngineConfig {
+            mode,
+            ..EngineConfig::default()
+        });
+        engine.register_query_text(query).expect("query registers");
+        engine
+            .register_query_text("S//book")
+            .expect("subscription registers");
+        let book = parse_document(r#"<book isbn="123">Foo</book>"#).expect("parses");
+        let blog = parse_document("<blog><isbn_ref>123</isbn_ref></blog>").expect("parses");
+        let first = engine
+            .process_document(book.with_timestamp(Timestamp(1)))
+            .unwrap();
+        assert_eq!(
+            first.len(),
+            1,
+            "{mode:?}: the single-block subscription matches"
+        );
+        let second = engine
+            .process_document(blog.with_timestamp(Timestamp(2)))
+            .unwrap();
+        assert_eq!(second.len(), 1, "{mode:?}: the join matches");
+        assert_audit_clean(&engine);
+    }
+}
+
+/// An attribute binding and an element binding of one element keep their
+/// own values: each query matches when registered together, as it does
+/// alone.
+#[test]
+fn attribute_and_element_bindings_of_one_element_keep_their_values() {
+    let by_isbn = "S//book->b[./@isbn->i] FOLLOWED BY{i=r, 100} S//blog->g[.//isbn_ref->r]";
+    let by_text = "S//book->x FOLLOWED BY{x=t, 100} S//blog->g[.//note->t]";
+    let stream = || {
+        [
+            r#"<book isbn="123"><t>Foo</t></book>"#,
+            "<blog><isbn_ref>123</isbn_ref><note>Foo</note></blog>",
+        ]
+        .iter()
+        .zip(1..)
+        .map(|(xml, ts)| {
+            parse_document(xml)
+                .expect("parses")
+                .with_timestamp(Timestamp(ts))
+        })
+        .collect::<Vec<_>>()
+    };
+    for mode in all_modes() {
+        let mut engine = MmqjpEngine::new(EngineConfig {
+            mode,
+            ..EngineConfig::default()
+        });
+        let ids = [by_isbn, by_text].map(|q| engine.register_query_text(q).expect("registers"));
+        let mut matched: Vec<_> = stream()
+            .into_iter()
+            .flat_map(|doc| engine.process_document(doc).unwrap())
+            .map(|m| m.query)
+            .collect();
+        matched.sort();
+        assert_eq!(matched, ids.to_vec(), "{mode:?}: both queries match");
+        assert_audit_clean(&engine);
     }
 }
 

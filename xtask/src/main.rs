@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Four dependency-free static checks over the workspace sources:
+//! Five dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -18,6 +18,10 @@
 //!    `.github/workflows/ci.yml` (set or merely mentioned) must be named
 //!    somewhere under `crates/` or `tests/`, so a knob deleted from the code
 //!    cannot linger in the workflow.
+//! 5. **Stage 1 stays in id space** — non-test code in `crates/core/src`
+//!    must not name `EdgeBinding`: the engines' front emits integer witness
+//!    rows, and the string-carrying binding type is the `mmqjp-xpath`
+//!    reference's output only.
 //!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
@@ -56,6 +60,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_forbid_unsafe(root, &mut violations);
     check_stats_parity(root, &mut violations);
     check_ci_env_vars(root, &mut violations);
+    check_id_space_front(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -108,13 +113,7 @@ fn scan_file_for_panics(root: &Path, file: &Path, out: &mut Vec<String>) {
     };
     let mut prev: &str = "";
     for (idx, line) in text.lines().enumerate() {
-        // Everything from `#[cfg(test)] mod tests` onward is test code; the
-        // unit-test modules in this workspace are the trailing item of their
-        // files. An inline `#[cfg(test)]` attribute on a single method must
-        // NOT stop the scan, so only the module form ends it.
-        if prev.trim_start().starts_with("#[cfg(test)]")
-            && line.trim_start().starts_with("mod tests")
-        {
+        if starts_test_module(prev, line) {
             break;
         }
         let waived = line.contains("lint:allow") || prev.contains("lint:allow");
@@ -133,6 +132,14 @@ fn scan_file_for_panics(root: &Path, file: &Path, out: &mut Vec<String>) {
         }
         prev = line;
     }
+}
+
+/// Everything from `#[cfg(test)] mod tests` onward is test code; the
+/// unit-test modules in this workspace are the trailing item of their files.
+/// An inline `#[cfg(test)]` attribute on a single method must NOT stop a
+/// scan, so only the module form ends it.
+fn starts_test_module(prev: &str, line: &str) -> bool {
+    prev.trim_start().starts_with("#[cfg(test)]") && line.trim_start().starts_with("mod tests")
 }
 
 // ---------------------------------------------------------------------------
@@ -355,6 +362,50 @@ fn env_var_names(text: &str) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------------
+// Check 5: no `EdgeBinding` in non-test crates/core code.
+// ---------------------------------------------------------------------------
+
+const ID_SPACE_PATH: &str = "crates/core/src";
+const STRING_BINDING: &str = "EdgeBinding";
+
+fn check_id_space_front(root: &Path, out: &mut Vec<String>) {
+    for file in rust_files(&root.join(ID_SPACE_PATH)) {
+        scan_file_for_string_bindings(root, &file, out);
+    }
+}
+
+fn scan_file_for_string_bindings(root: &Path, file: &Path, out: &mut Vec<String>) {
+    let Ok(text) = fs::read_to_string(file) else {
+        out.push(format!("{}: unreadable", rel(root, file)));
+        return;
+    };
+    let mut prev: &str = "";
+    for (idx, line) in text.lines().enumerate() {
+        if starts_test_module(prev, line) {
+            break;
+        }
+        if !line.trim_start().starts_with("//") && contains_token(line, STRING_BINDING) {
+            out.push(format!(
+                "{}:{}: `{STRING_BINDING}` in non-test core code (Stage 1 emits integer witness rows)",
+                rel(root, file),
+                idx + 1
+            ));
+        }
+        prev = line;
+    }
+}
+
+/// `true` when `token` occurs in `line` as a whole identifier.
+fn contains_token(line: &str, token: &str) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    line.match_indices(token).any(|(at, _)| {
+        let before = line[..at].chars().next_back();
+        let after = line[at + token.len()..].chars().next();
+        !before.is_some_and(ident) && !after.is_some_and(ident)
+    })
+}
+
+// ---------------------------------------------------------------------------
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
@@ -424,6 +475,19 @@ mod tests {
         scan_file_for_panics(&dir, &file, &mut out);
         assert_eq!(out.len(), 1, "violations: {out:?}");
         assert!(out[0].contains("scan_case.rs:4"), "{out:?}");
+    }
+
+    #[test]
+    fn string_bindings_are_flagged_outside_tests_and_comments() {
+        let src = "use mmqjp_xpath::{EdgeBinding, PatternId};\n// an EdgeBinding in a comment\nfn evaluate_edge_bindings() {}\nstruct EdgeBindings;\n#[cfg(test)]\nmod tests {\n    use mmqjp_xpath::EdgeBinding;\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("binding_case.rs");
+        fs::write(&file, src).unwrap();
+        let mut out = Vec::new();
+        scan_file_for_string_bindings(&dir, &file, &mut out);
+        assert_eq!(out.len(), 1, "violations: {out:?}");
+        assert!(out[0].contains("binding_case.rs:1"), "{out:?}");
     }
 
     #[test]
