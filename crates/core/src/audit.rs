@@ -23,6 +23,8 @@
 //!   row counts equal the per-bucket index sums, retained documents are a
 //!   subset of the retention-timestamp map, and the watermark never lags a
 //!   retained timestamp.
+//! - **Interner index** — every interned string finds its own symbol
+//!   through the hash index, which files exactly one entry per string.
 //! - **Stats identities** — documents are never counted more than the
 //!   document sequence assigned, and (sharded) the per-shard live-query
 //!   counts sum to the coordinator's total while shards never count
@@ -282,6 +284,17 @@ pub enum AuditViolation {
         /// The eviction cutoff it should have been retired at.
         cutoff: u64,
     },
+    /// The string interner's hash index disagrees with its string table: a
+    /// symbol is not found by looking up its own string, or the index files
+    /// a different number of entries than there are strings.
+    InternerIndex {
+        /// Symbols filed in the hash index.
+        indexed: usize,
+        /// Interned strings.
+        strings: usize,
+        /// The first symbol its own string does not find, if any.
+        unreachable: Option<u32>,
+    },
 }
 
 impl fmt::Display for AuditViolation {
@@ -433,6 +446,17 @@ impl fmt::Display for AuditViolation {
                 f,
                 "replay log retains a batch (newest ts {oldest}) beyond eviction cutoff {cutoff}"
             ),
+            AuditViolation::InternerIndex {
+                indexed,
+                strings,
+                unreachable,
+            } => {
+                write!(f, "interner indexes {indexed} symbols for {strings} strings")?;
+                match unreachable {
+                    Some(sym) => write!(f, "; symbol {sym} is not found by its own string"),
+                    None => Ok(()),
+                }
+            }
         }
     }
 }
@@ -471,5 +495,12 @@ mod tests {
             observed: 11,
         };
         assert!(v.to_string().contains("lags"));
+        let v = AuditViolation::InternerIndex {
+            indexed: 3,
+            strings: 4,
+            unreachable: Some(3),
+        };
+        assert!(v.to_string().contains("3 symbols for 4 strings"));
+        assert!(v.to_string().contains("symbol 3"));
     }
 }

@@ -130,14 +130,22 @@ impl MmqjpEngine {
 
     /// Run a full invariant audit over the engine's redundant bookkeeping —
     /// registry refcounts, catalog discipline, join-state indexes and
-    /// counters, document accounting and the timestamp watermark — returning
-    /// every violated invariant as a typed [`AuditViolation`]. Read-only and
-    /// side-effect free; a healthy engine returns an empty vector, and any
-    /// violation indicates an engine bug (see [`crate::audit`]).
+    /// counters, the interner's index, document accounting and the timestamp
+    /// watermark — returning every violated invariant as a typed
+    /// [`AuditViolation`]. Read-only and side-effect free; a healthy engine
+    /// returns an empty vector, and any violation indicates an engine bug
+    /// (see [`crate::audit`]).
     pub fn audit(&self) -> Vec<AuditViolation> {
         let mut out = Vec::new();
         self.registry.audit(&mut out);
         self.state.audit(self.newest_timestamp, &mut out);
+        if let Err(e) = self.interner.check_index() {
+            out.push(AuditViolation::InternerIndex {
+                indexed: e.indexed,
+                strings: e.strings,
+                unreachable: e.unreachable.map(Symbol::raw),
+            });
+        }
         // Out-of-order rejections consume sequence numbers without counting
         // a document, so processed <= assigned (never more).
         if self.stats.documents_processed as u64 > self.next_doc_seq {

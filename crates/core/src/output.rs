@@ -108,24 +108,33 @@ pub fn construct_join_output(
 
 /// Copy the subtree of `src` rooted at `src_node` under `dst_parent` in
 /// `dst`.
+///
+/// Iterative, so nesting depth cannot overflow the stack. The subtree's ids
+/// are contiguous in pre-order and land contiguously in `dst`, so a node's
+/// copy is at the same offset from the copied root as the node from
+/// `src_node`.
 fn copy_subtree(
     src: &Document,
     src_node: NodeId,
     dst: &mut Document,
     dst_parent: NodeId,
 ) -> CoreResult<()> {
-    let node = src.node(src_node);
-    let new_id = dst
-        .append_child(dst_parent, node.tag())
-        .map_err(|_| CoreError::internal("output document is built in pre-order"))?;
-    if let Some(text) = node.text() {
-        dst.set_text(new_id, text);
-    }
-    for (name, value) in node.attributes() {
-        dst.set_attribute(new_id, name.clone(), value.clone());
-    }
-    for &child in node.children() {
-        copy_subtree(src, child, dst, new_id)?;
+    let base = dst.len() as u32;
+    let copy_of = |id: NodeId| NodeId::from_raw(base + (id.raw() - src_node.raw()));
+    for node in src.subtree(src_node) {
+        let parent = match node.parent() {
+            Some(p) if node.id() != src_node => copy_of(p),
+            _ => dst_parent,
+        };
+        let new_id = dst
+            .append_child(parent, node.tag())
+            .map_err(|_| CoreError::internal("output document is built in pre-order"))?;
+        if let Some(text) = node.text() {
+            dst.set_text(new_id, text);
+        }
+        for (name, value) in node.attributes() {
+            dst.set_attribute(new_id, name.clone(), value.clone());
+        }
     }
     Ok(())
 }
@@ -209,6 +218,37 @@ mod tests {
         out.check_invariants().unwrap();
         // Every node of both inputs is present plus the new root.
         assert_eq!(out.len(), d1.len() + d2.len() + 1);
+    }
+
+    #[test]
+    fn join_output_of_deep_documents_fits_a_small_stack() {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut deep = Document::new("r");
+                let mut node = NodeId::ROOT;
+                for _ in 0..100_000 {
+                    node = deep.append_child(node, "n").unwrap();
+                }
+                deep.set_text(node, "leaf");
+                deep.set_attribute(node, "k", "v");
+                let tail = deep.append_child(NodeId::ROOT, "tail").unwrap();
+                let out = construct_join_output(&deep, NodeId::from_raw(1), &deep, tail).unwrap();
+                assert_eq!(out.len(), 1 + 100_000 + 1);
+                let leaf = NodeId::from_raw(100_000);
+                assert_eq!(out.node(leaf).text(), Some("leaf"));
+                assert_eq!(out.node(leaf).attribute("k"), Some("v"));
+                assert_eq!(out.depth(leaf), 100_000);
+                assert_eq!(
+                    out.root().children(),
+                    &[NodeId::from_raw(1), NodeId::from_raw(100_001)]
+                );
+                assert_eq!(out.node(NodeId::from_raw(100_001)).tag(), "tail");
+                out.check_invariants().unwrap();
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -7,10 +7,11 @@
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Arc;
-
 /// An interned string handle. Cheap to copy, hash and compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Symbol(u32);
@@ -41,15 +42,115 @@ impl fmt::Display for Symbol {
 /// text. The interner only grows; publish/subscribe engines typically bound
 /// the distinct-value universe by the workload, and the MMQJP engine shares a
 /// single interner across all witness relations.
+///
+/// Each lookup hashes its text once, before taking the lock, with std's
+/// randomly keyed SipHash; the index is keyed by that 64-bit hash and every
+/// hit is confirmed against the stored string. Interned text is untrusted
+/// document content, and the key keeps it from choosing colliding hashes.
 #[derive(Debug, Default)]
 pub struct StringInterner {
+    hash: TextHash,
     inner: RwLock<InternerInner>,
 }
 
+/// How the interner hashes text. Tests can make every hash collide.
+#[derive(Debug, Clone)]
+enum TextHash {
+    Keyed(RandomState),
+    #[cfg(test)]
+    Constant,
+}
+
+impl Default for TextHash {
+    fn default() -> Self {
+        TextHash::Keyed(RandomState::new())
+    }
+}
+
+impl TextHash {
+    fn of(&self, text: &str) -> u64 {
+        match self {
+            TextHash::Keyed(state) => state.hash_one(text),
+            #[cfg(test)]
+            TextHash::Constant => 0,
+        }
+    }
+}
+
+/// Hashes a `u64` key to itself: the interner's keys are already keyed
+/// SipHash outputs.
 #[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+type HashIndex<V> = HashMap<u64, V, BuildHasherDefault<PassThrough>>;
+
+#[derive(Debug, Default, Clone)]
 struct InternerInner {
-    map: HashMap<Arc<str>, Symbol>,
+    /// Text hash → the first symbol interned with that hash.
+    map: HashIndex<Symbol>,
+    /// Text hash → later symbols whose distinct text has the same hash.
+    overflow: HashIndex<Vec<Symbol>>,
     strings: Vec<Arc<str>>,
+}
+
+impl InternerInner {
+    fn text_is(&self, sym: Symbol, text: &str) -> bool {
+        self.strings
+            .get(sym.0 as usize)
+            .is_some_and(|s| **s == *text)
+    }
+
+    fn find(&self, hash: u64, text: &str) -> Option<Symbol> {
+        let &first = self.map.get(&hash)?;
+        if self.text_is(first, text) {
+            return Some(first);
+        }
+        self.overflow
+            .get(&hash)?
+            .iter()
+            .copied()
+            .find(|&sym| self.text_is(sym, text))
+    }
+
+    fn insert(&mut self, hash: u64, text: &str) -> Symbol {
+        let sym = Symbol(self.strings.len() as u32);
+        self.strings.push(Arc::from(text));
+        match self.map.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(sym);
+            }
+            Entry::Occupied(_) => self.overflow.entry(hash).or_default().push(sym),
+        }
+        sym
+    }
+}
+
+/// The interner's hash index disagrees with its string table (see
+/// [`StringInterner::check_index`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InternerIndexError {
+    /// Symbols filed in the index, first entries and overflow together.
+    pub indexed: usize,
+    /// Interned strings.
+    pub strings: usize,
+    /// The first symbol that looking up its own string does not find.
+    pub unreachable: Option<Symbol>,
 }
 
 impl StringInterner {
@@ -61,28 +162,23 @@ impl StringInterner {
     /// Intern `text`, returning its symbol. Re-interning returns the same
     /// symbol.
     pub fn intern(&self, text: &str) -> Symbol {
+        let hash = self.hash.of(text);
         // Fast path: read lock only.
-        {
-            let inner = self.inner.read();
-            if let Some(&sym) = inner.map.get(text) {
-                return sym;
-            }
-        }
-        let mut inner = self.inner.write();
-        if let Some(&sym) = inner.map.get(text) {
+        if let Some(sym) = self.inner.read().find(hash, text) {
             return sym;
         }
-        let arc: Arc<str> = Arc::from(text);
-        let sym = Symbol(inner.strings.len() as u32);
-        inner.strings.push(arc.clone());
-        inner.map.insert(arc, sym);
-        sym
+        let mut inner = self.inner.write();
+        match inner.find(hash, text) {
+            Some(sym) => sym,
+            None => inner.insert(hash, text),
+        }
     }
 
     /// Look up a symbol without interning. Returns `None` if the text has
     /// never been interned.
     pub fn get(&self, text: &str) -> Option<Symbol> {
-        self.inner.read().map.get(text).copied()
+        let hash = self.hash.of(text);
+        self.inner.read().find(hash, text)
     }
 
     /// Resolve a symbol back to its text. Returns `None` for symbols from a
@@ -100,16 +196,35 @@ impl StringInterner {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Cross-check the hash index against the string table: every symbol
+    /// must be found by looking up its own string, and the index must file
+    /// exactly one entry per string. Read-only; for engine audits.
+    pub fn check_index(&self) -> Result<(), InternerIndexError> {
+        let inner = self.inner.read();
+        let indexed = inner.map.len() + inner.overflow.values().map(Vec::len).sum::<usize>();
+        let unreachable = inner.strings.iter().enumerate().find_map(|(i, text)| {
+            let sym = Symbol(i as u32);
+            (inner.find(self.hash.of(text), text) != Some(sym)).then_some(sym)
+        });
+        if indexed == inner.strings.len() && unreachable.is_none() {
+            Ok(())
+        } else {
+            Err(InternerIndexError {
+                indexed,
+                strings: inner.strings.len(),
+                unreachable,
+            })
+        }
+    }
 }
 
 impl Clone for StringInterner {
+    /// The clone keeps the hash key, so its index stays valid.
     fn clone(&self) -> Self {
-        let inner = self.inner.read();
         StringInterner {
-            inner: RwLock::new(InternerInner {
-                map: inner.map.clone(),
-                strings: inner.strings.clone(),
-            }),
+            hash: self.hash.clone(),
+            inner: RwLock::new(self.inner.read().clone()),
         }
     }
 }
@@ -169,6 +284,98 @@ mod tests {
         // Interning new strings in the clone does not affect the original.
         j.intern("y");
         assert_eq!(i.get("y"), None);
+    }
+
+    /// An interner whose every string hashes to 0: all strings but the
+    /// first are filed in `overflow`.
+    fn colliding() -> StringInterner {
+        StringInterner {
+            hash: TextHash::Constant,
+            inner: RwLock::default(),
+        }
+    }
+
+    #[test]
+    fn colliding_hashes_resolve_through_overflow() {
+        let i = colliding();
+        let words = ["alpha", "beta", "", "gamma", "beta2", "alpha "];
+        for (k, w) in words.iter().enumerate() {
+            assert_eq!(i.intern(w), Symbol::from_raw(k as u32), "dense, in order");
+        }
+        for (k, w) in words.iter().enumerate() {
+            let sym = Symbol::from_raw(k as u32);
+            assert_eq!(i.intern(w), sym);
+            assert_eq!(i.get(w), Some(sym));
+            assert_eq!(i.resolve(sym).as_deref(), Some(*w));
+        }
+        assert_eq!(i.get("delta"), None);
+        assert_eq!(i.len(), words.len());
+        {
+            let inner = i.inner.read();
+            assert_eq!(inner.map.len(), 1);
+            assert_eq!(inner.overflow[&0].len(), words.len() - 1);
+        }
+        assert_eq!(i.check_index(), Ok(()));
+        // A clone keeps the hash function, so it finds every string too.
+        let j = i.clone();
+        for (k, w) in words.iter().enumerate() {
+            assert_eq!(j.get(w), Some(Symbol::from_raw(k as u32)));
+        }
+    }
+
+    #[test]
+    fn clone_finds_every_string_of_the_original() {
+        let i = StringInterner::new();
+        let syms: Vec<Symbol> = (0..500).map(|k| i.intern(&format!("v{k}"))).collect();
+        let j = i.clone();
+        for (k, &sym) in syms.iter().enumerate() {
+            assert_eq!(j.get(&format!("v{k}")), Some(sym));
+            assert_eq!(j.intern(&format!("v{k}")), sym);
+        }
+        assert_eq!(j.len(), i.len());
+        assert_eq!(j.check_index(), Ok(()));
+    }
+
+    #[test]
+    fn check_index_detects_seeded_violations() {
+        for i in [StringInterner::new(), colliding()] {
+            for w in ["a", "b", "c"] {
+                i.intern(w);
+            }
+            assert_eq!(i.check_index(), Ok(()));
+            // A string whose symbol the index no longer files.
+            i.inner.write().strings.push(Arc::from("orphan"));
+            assert_eq!(
+                i.check_index(),
+                Err(InternerIndexError {
+                    indexed: 3,
+                    strings: 4,
+                    unreachable: Some(Symbol::from_raw(3)),
+                })
+            );
+        }
+        // An entry filed under the wrong symbol: counts agree, lookup fails.
+        let i = StringInterner::new();
+        let a = i.intern("a");
+        let b = i.intern("b");
+        {
+            let mut inner = i.inner.write();
+            let hash = i.hash.of("a");
+            inner.map.insert(hash, b);
+        }
+        let err = i.check_index().unwrap_err();
+        assert_eq!((err.indexed, err.strings), (2, 2));
+        assert_eq!(err.unreachable, Some(a));
+    }
+
+    #[test]
+    fn pass_through_hasher_folds_bytes() {
+        let mut h = PassThrough::default();
+        h.write_u64(42);
+        assert_eq!(h.finish(), 42);
+        let mut h = PassThrough::default();
+        h.write(b"ab");
+        assert_ne!(h.finish(), 0);
     }
 
     #[test]

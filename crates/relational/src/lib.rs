@@ -90,7 +90,7 @@ pub use database::{relation_from_rows, Database, StoredRelation, StoredTuples};
 pub use error::{RelError, RelResult};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::HashIndex;
-pub use interner::{StringInterner, Symbol};
+pub use interner::{InternerIndexError, StringInterner, Symbol};
 pub use plan::{ChunkedRows, ColId, ExecScratch, PhysicalPlan, PlanInput};
 pub use relation::{Relation, RowRef, Rows, Tuple};
 pub use schema::Schema;

@@ -91,7 +91,8 @@ impl DocumentBuilder {
     /// Set text on the current element.
     pub fn text(&mut self, text: impl Into<String>) {
         let cur = self.current();
-        self.doc.push_text(cur, &text.into());
+        let text: String = text.into();
+        self.doc.push_text(cur, text);
     }
 
     /// Set an attribute on the current element.

@@ -3,6 +3,7 @@
 use crate::error::{XmlError, XmlResult};
 use crate::node::{Node, NodeId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Identifier of a document within a stream.
@@ -163,18 +164,24 @@ impl Document {
 
     /// Append the [string value](Self::string_value) of a node to `out`, so
     /// a caller can reuse one buffer across nodes.
+    ///
+    /// Iterative, so nesting depth cannot overflow the stack: the text of a
+    /// subtree in document order is its nodes' text in id order.
     pub fn push_string_value(&self, id: NodeId, out: &mut String) {
-        self.collect_text(id, out);
+        for node in self.subtree(id) {
+            if let Some(t) = node.text() {
+                out.push_str(t);
+            }
+        }
     }
 
-    fn collect_text(&self, id: NodeId, out: &mut String) {
-        let node = self.node(id);
-        if let Some(t) = node.text() {
-            out.push_str(t);
-        }
-        for &c in node.children() {
-            self.collect_text(c, out);
-        }
+    /// The nodes of the subtree rooted at `id`, in pre-order. With pre-order
+    /// ids these are `id, id + 1, …` up to the first node whose parent lies
+    /// before `id`.
+    pub fn subtree(&self, id: NodeId) -> impl Iterator<Item = &Node> {
+        let (head, rest) = self.nodes[id.index()..].split_at(1);
+        head.iter()
+            .chain(rest.iter().take_while(move |n| n.parent >= Some(id)))
     }
 
     /// `true` if `ancestor` is a proper ancestor of `descendant`.
@@ -303,10 +310,12 @@ impl Document {
     }
 
     /// Append text content to a node (used by the parser for mixed content).
-    pub fn push_text(&mut self, id: NodeId, text: &str) {
+    /// An owned run that starts a node's text is moved in, not copied.
+    pub fn push_text<'t>(&mut self, id: NodeId, text: impl Into<Cow<'t, str>>) {
+        let text = text.into();
         match &mut self.nodes[id.index()].text {
-            Some(existing) => existing.push_str(text),
-            slot @ None => *slot = Some(text.to_owned()),
+            Some(existing) => existing.push_str(&text),
+            slot @ None => *slot = Some(text.into_owned()),
         }
     }
 
@@ -494,6 +503,32 @@ mod tests {
         d.push_text(NodeId::ROOT, "foo");
         d.push_text(NodeId::ROOT, "bar");
         assert_eq!(d.string_value(NodeId::ROOT), "foobar");
+    }
+
+    #[test]
+    fn string_value_of_a_deep_document_fits_a_small_stack() {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut d = Document::new("r");
+                let mut node = NodeId::ROOT;
+                for i in 0..100_000u32 {
+                    node = d.append_child(node, "n").unwrap();
+                    if i % 25_000 == 0 {
+                        d.set_text(node, "x");
+                    }
+                }
+                d.set_text(node, "end");
+                let sibling = d.append_child(NodeId::ROOT, "s").unwrap();
+                d.set_text(sibling, "!");
+                assert_eq!(d.string_value(NodeId::ROOT), "xxxxend!");
+                assert_eq!(d.string_value(NodeId::from_raw(2)), "xxxend");
+                assert_eq!(d.subtree(NodeId::from_raw(1)).count(), 100_000);
+                assert_eq!(d.string_value(sibling), "!");
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

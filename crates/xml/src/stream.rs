@@ -2,8 +2,10 @@
 //!
 //! [`PullParser`] scans the input bytes once and emits
 //! [`StartElement`](XmlEvent::StartElement) / [`Text`](XmlEvent::Text) /
-//! [`EndElement`](XmlEvent::EndElement) events without building a tree. It
-//! accepts exactly the XML subset of [`parse_document`](crate::parse_document)
+//! [`EndElement`](XmlEvent::EndElement) events without building a tree.
+//! Events borrow from the input: tags, attribute names and reference-free
+//! values are slices of it, so nothing is copied until a consumer keeps it.
+//! It runs the same scanning steps as [`parse_document`](crate::parse_document)
 //! — same prolog/comment/PI/DOCTYPE skipping, same entity and CDATA handling,
 //! same errors — so the DOM parser stays the executable specification and the
 //! two are checked against each other differentially.
@@ -15,28 +17,31 @@
 use crate::document::Document;
 use crate::error::{XmlError, XmlResult};
 use crate::node::NodeId;
-use crate::parser::Parser;
+use crate::parser::{Content, Parser};
+use std::borrow::Cow;
 
-/// One event of a streaming parse.
+/// One event of a streaming parse, borrowing from the parsed input.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum XmlEvent {
+pub enum XmlEvent<'a> {
     /// An element opened. Attribute values are entity-decoded, in document
     /// order. A self-closing element emits `StartElement` immediately
     /// followed by `EndElement`.
     StartElement {
         /// The element tag (namespace prefixes kept verbatim).
-        tag: String,
-        /// The attributes, in document order.
-        attributes: Vec<(String, String)>,
+        tag: &'a str,
+        /// The attributes, in document order; a value is borrowed unless it
+        /// held a reference.
+        attributes: Vec<(&'a str, Cow<'a, str>)>,
     },
-    /// A text run (entity-decoded) or CDATA section (raw). Whitespace-only
-    /// text runs between elements are suppressed, exactly as the DOM parser
-    /// suppresses them; CDATA content is forwarded verbatim.
-    Text(String),
+    /// A text run (entity-decoded; borrowed unless it held a reference) or
+    /// CDATA section (raw, borrowed). Text runs of XML whitespace only (space,
+    /// tab, CR, LF) between elements are suppressed, exactly as the DOM
+    /// parser suppresses them; CDATA content is forwarded verbatim.
+    Text(Cow<'a, str>),
     /// An element closed.
     EndElement {
         /// The tag of the element being closed.
-        tag: String,
+        tag: &'a str,
     },
 }
 
@@ -61,9 +66,9 @@ pub struct PullParser<'a> {
     parser: Parser<'a>,
     state: State,
     /// Stack of currently open element tags.
-    open: Vec<String>,
+    open: Vec<&'a str>,
     /// End event owed for a self-closing element.
-    pending_end: Option<String>,
+    pending_end: Option<&'a str>,
 }
 
 impl<'a> PullParser<'a> {
@@ -83,145 +88,54 @@ impl<'a> PullParser<'a> {
     }
 
     /// The next event, `Ok(None)` at a well-formed end of input.
-    pub fn next_event(&mut self) -> XmlResult<Option<XmlEvent>> {
+    pub fn next_event(&mut self) -> XmlResult<Option<XmlEvent<'a>>> {
         if let Some(tag) = self.pending_end.take() {
             return Ok(Some(XmlEvent::EndElement { tag }));
         }
         match self.state {
-            State::Init => self.root_start().map(Some),
-            State::Content if self.open.is_empty() => {
-                // The root element has closed: only misc content may follow.
-                self.parser.skip_misc();
-                if !self.parser.at_eof() {
-                    return Err(XmlError::MultipleRoots {
-                        offset: self.parser.pos,
-                    });
-                }
-                self.state = State::Done;
-                Ok(None)
+            State::Init => {
+                self.parser.open_root()?;
+                self.state = State::Content;
+                self.start_tag_body().map(Some)
             }
-            State::Content => self.content_event().map(Some),
+            State::Content => match self.open.last() {
+                None => {
+                    self.parser.close_epilogue()?;
+                    self.state = State::Done;
+                    Ok(None)
+                }
+                Some(&open) => match self.parser.next_content(open)? {
+                    Content::End => {
+                        self.open.pop();
+                        Ok(Some(XmlEvent::EndElement { tag: open }))
+                    }
+                    Content::Child => self.start_tag_body().map(Some),
+                    Content::Text(text) => Ok(Some(XmlEvent::Text(text))),
+                },
+            },
             State::Done => Ok(None),
         }
     }
 
-    /// Consume the prolog and the root start tag (mirrors the DOM parser's
-    /// `skip_prolog` / `skip_misc` / `parse_root` preamble).
-    fn root_start(&mut self) -> XmlResult<XmlEvent> {
-        self.parser.skip_prolog()?;
-        self.parser.skip_misc();
-        self.parser.skip_whitespace();
-        if self.parser.at_eof() {
-            return Err(XmlError::EmptyDocument);
-        }
-        if self.parser.peek() != Some(b'<') {
-            return Err(XmlError::UnexpectedChar {
-                offset: self.parser.pos,
-                found: self.parser.input[self.parser.pos..]
-                    .chars()
-                    .next()
-                    .unwrap_or('\0'),
-                expected: "start of root element",
-            });
-        }
-        self.parser.expect_literal("<")?;
-        self.state = State::Content;
-        self.start_tag_body()
-    }
-
     /// Parse a start tag after its `<`, pushing the element (or recording a
     /// pending end for a self-closing one).
-    fn start_tag_body(&mut self) -> XmlResult<XmlEvent> {
+    fn start_tag_body(&mut self) -> XmlResult<XmlEvent<'a>> {
         let tag = self.parser.parse_name()?;
         let attributes = self.parser.parse_attribute_list()?;
-        self.parser.skip_whitespace();
-        if self.parser.starts_with("/>") {
-            self.parser.pos += 2;
-            self.pending_end = Some(tag.clone());
+        if self.parser.end_start_tag()? {
+            self.pending_end = Some(tag);
         } else {
-            self.parser.expect_literal(">")?;
-            self.open.push(tag.clone());
+            self.open.push(tag);
         }
         Ok(XmlEvent::StartElement { tag, attributes })
-    }
-
-    /// Produce the next event inside element content (mirrors the DOM
-    /// parser's `parse_content` loop, yielding instead of building).
-    fn content_event(&mut self) -> XmlResult<XmlEvent> {
-        loop {
-            if self.parser.at_eof() {
-                return Err(XmlError::UnexpectedEof {
-                    context: "element content",
-                });
-            }
-            if self.parser.starts_with("</") {
-                self.parser.pos += 2;
-                let close = self.parser.parse_name()?;
-                self.parser.skip_whitespace();
-                self.parser.expect_literal(">")?;
-                let matched = self.open.last().is_some_and(|open| *open == close);
-                if !matched {
-                    return Err(XmlError::MismatchedTag {
-                        open: self.open.last().cloned().unwrap_or_default(),
-                        close,
-                        offset: self.parser.pos,
-                    });
-                }
-                self.open.pop();
-                return Ok(XmlEvent::EndElement { tag: close });
-            } else if self.parser.starts_with("<!--") {
-                self.parser.skip_comment()?;
-            } else if self.parser.starts_with("<![CDATA[") {
-                let start = self.parser.pos + 9;
-                match self.parser.input[start..].find("]]>") {
-                    Some(rel) => {
-                        let text = &self.parser.input[start..start + rel];
-                        self.parser.pos = start + rel + 3;
-                        if !text.is_empty() {
-                            return Ok(XmlEvent::Text(text.to_owned()));
-                        }
-                    }
-                    None => {
-                        return Err(XmlError::UnexpectedEof {
-                            context: "CDATA section",
-                        })
-                    }
-                }
-            } else if self.parser.starts_with("<?") {
-                match self.parser.input[self.parser.pos..].find("?>") {
-                    Some(rel) => self.parser.pos += rel + 2,
-                    None => {
-                        return Err(XmlError::UnexpectedEof {
-                            context: "processing instruction",
-                        })
-                    }
-                }
-            } else if self.parser.peek() == Some(b'<') {
-                self.parser.pos += 1;
-                return self.start_tag_body();
-            } else {
-                let start = self.parser.pos;
-                while let Some(b) = self.parser.peek() {
-                    if b == b'<' {
-                        break;
-                    }
-                    self.parser.pos += 1;
-                }
-                let raw = &self.parser.input[start..self.parser.pos];
-                let text = crate::parser::decode_entities(raw, start)?;
-                // Whitespace-only runs between elements are formatting, not
-                // data — same rule as the DOM parser.
-                if !text.trim().is_empty() {
-                    return Ok(XmlEvent::Text(text));
-                }
-            }
-        }
     }
 }
 
 /// Parse a complete XML document through the streaming event path, folding
 /// the events back into a [`Document`]. Accepts exactly the inputs of
 /// [`parse_document`](crate::parse_document) and produces an identical tree.
+/// Each value is copied once, from the input (or its decoded run) into its
+/// node.
 pub fn parse_document_streaming(input: &str) -> XmlResult<Document> {
     let mut p = PullParser::new(input);
     let mut doc: Option<Document> = None;
@@ -252,7 +166,7 @@ pub fn parse_document_streaming(input: &str) -> XmlResult<Document> {
             },
             XmlEvent::Text(text) => {
                 if let (Some(d), Some(&node)) = (doc.as_mut(), stack.last()) {
-                    d.push_text(node, &text);
+                    d.push_text(node, text);
                 }
             }
             XmlEvent::EndElement { .. } => {
@@ -268,7 +182,7 @@ mod tests {
     use super::*;
     use crate::parser::parse_document;
 
-    fn events(input: &str) -> Vec<XmlEvent> {
+    fn events(input: &str) -> Vec<XmlEvent<'_>> {
         let mut p = PullParser::new(input);
         let mut out = Vec::new();
         while let Some(ev) = p.next_event().unwrap() {
@@ -277,15 +191,15 @@ mod tests {
         out
     }
 
-    fn start(tag: &str) -> XmlEvent {
+    fn start(tag: &str) -> XmlEvent<'_> {
         XmlEvent::StartElement {
-            tag: tag.into(),
+            tag,
             attributes: Vec::new(),
         }
     }
 
-    fn end(tag: &str) -> XmlEvent {
-        XmlEvent::EndElement { tag: tag.into() }
+    fn end(tag: &str) -> XmlEvent<'_> {
+        XmlEvent::EndElement { tag }
     }
 
     #[test]
@@ -321,8 +235,8 @@ mod tests {
         assert_eq!(
             evs[0],
             XmlEvent::StartElement {
-                tag: "a".into(),
-                attributes: vec![("x".into(), "1&2".into()), ("y".into(), "b".into())],
+                tag: "a",
+                attributes: vec![("x", "1&2".into()), ("y", "b".into())],
             }
         );
     }

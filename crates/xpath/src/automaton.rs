@@ -215,8 +215,14 @@ impl PatternAutomaton {
         while let Some(ev) = parser.next_event()? {
             match ev {
                 XmlEvent::StartElement { tag, attributes } => {
-                    run.open(&tag, |name| attributes.iter().any(|(n, _)| n == name));
-                    skel.open_element(tag, attributes);
+                    run.open(tag, |name| attributes.iter().any(|(n, _)| *n == name));
+                    skel.open_element(
+                        tag.to_owned(),
+                        attributes
+                            .into_iter()
+                            .map(|(n, v)| (n.to_owned(), v.into_owned()))
+                            .collect(),
+                    );
                 }
                 XmlEvent::Text(text) => skel.append_text(&text),
                 XmlEvent::EndElement { .. } => {

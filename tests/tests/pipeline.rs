@@ -5,7 +5,7 @@
 
 use mmqjp_core::{EngineConfig, MmqjpEngine};
 use mmqjp_relational::{Atom, ConjunctiveQuery, Database, Relation, Schema, Term, Value};
-use mmqjp_xml::{parse_document, Timestamp};
+use mmqjp_xml::{parse_document, parse_document_streaming, Timestamp};
 use mmqjp_xpath::{parse_pattern, PatternMatcher};
 use mmqjp_xscl::{normalize_query, parse_query, JoinGraph, ReducedGraph, TemplateCatalog};
 
@@ -127,6 +127,43 @@ fn malformed_inputs_are_rejected_across_layers() {
     assert!(engine
         .register_query_text("S//a->x FOLLOWED BY{x=y, 10} S//b->y")
         .is_ok());
+}
+
+/// A value join on the outer element of a deeply nested document reads its
+/// whole subtree's string value and copies the subtree into the output; both
+/// must work on a small stack.
+#[test]
+fn value_join_on_a_deep_document_fits_a_small_stack() {
+    const DEPTH: usize = 100_000;
+    std::thread::Builder::new()
+        .stack_size(1024 * 1024)
+        .spawn(|| {
+            let mut engine = MmqjpEngine::new(EngineConfig::mmqjp_view_mat());
+            engine
+                .register_query_text("S//deep->x FOLLOWED BY{x=y, 100} S//flat->y")
+                .unwrap();
+            let xml = format!(
+                "<deep>{}v{}</deep>",
+                "<n>".repeat(DEPTH),
+                "</n>".repeat(DEPTH)
+            );
+            let deep = parse_document_streaming(&xml)
+                .unwrap()
+                .with_timestamp(Timestamp(1));
+            let flat = parse_document("<flat>v</flat>")
+                .unwrap()
+                .with_timestamp(Timestamp(2));
+            assert!(engine.process_document(deep).unwrap().is_empty());
+            let matches = engine.process_document(flat).unwrap();
+            assert_eq!(matches.len(), 1);
+            let out = matches[0].document.as_ref().unwrap();
+            assert_eq!(out.len(), 1 + (DEPTH + 1) + 1);
+            assert_eq!(out.string_value(out.root().children()[0]), "v");
+            assert!(engine.audit().is_empty());
+        })
+        .unwrap()
+        .join()
+        .unwrap();
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Five dependency-free static checks over the workspace sources:
+//! Six dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -22,6 +22,10 @@
 //!    must not name `EdgeBinding`: the engines' front emits integer witness
 //!    rows, and the string-carrying binding type is the `mmqjp-xpath`
 //!    reference's output only.
+//! 6. **XML whitespace is four bytes** — non-test code in `crates/xml/src`
+//!    must not call `.trim()`, `.trim_start()`, `.trim_end()` or
+//!    `is_whitespace`: XML's `S` is space, tab, CR and LF, and Unicode
+//!    trimming once dropped no-break-space text as formatting.
 //!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
@@ -61,6 +65,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_stats_parity(root, &mut violations);
     check_ci_env_vars(root, &mut violations);
     check_id_space_front(root, &mut violations);
+    check_xml_whitespace(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -375,24 +380,16 @@ fn check_id_space_front(root: &Path, out: &mut Vec<String>) {
 }
 
 fn scan_file_for_string_bindings(root: &Path, file: &Path, out: &mut Vec<String>) {
-    let Ok(text) = fs::read_to_string(file) else {
-        out.push(format!("{}: unreadable", rel(root, file)));
-        return;
-    };
-    let mut prev: &str = "";
-    for (idx, line) in text.lines().enumerate() {
-        if starts_test_module(prev, line) {
-            break;
-        }
-        if !line.trim_start().starts_with("//") && contains_token(line, STRING_BINDING) {
-            out.push(format!(
-                "{}:{}: `{STRING_BINDING}` in non-test core code (Stage 1 emits integer witness rows)",
-                rel(root, file),
-                idx + 1
-            ));
-        }
-        prev = line;
-    }
+    scan_non_test_code(root, file, out, |line| {
+        contains_token(line, STRING_BINDING)
+            .then(|| {
+                format!(
+                    "`{STRING_BINDING}` in non-test core code (Stage 1 emits integer witness rows)"
+                )
+            })
+            .into_iter()
+            .collect()
+    });
 }
 
 /// `true` when `token` occurs in `line` as a whole identifier.
@@ -406,8 +403,61 @@ fn contains_token(line: &str, token: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
+// Check 6: no Unicode whitespace handling in non-test crates/xml code.
+// ---------------------------------------------------------------------------
+
+const XML_PATH: &str = "crates/xml/src";
+const UNICODE_WHITESPACE: &[&str] = &[".trim()", ".trim_start()", ".trim_end()", "is_whitespace"];
+
+fn check_xml_whitespace(root: &Path, out: &mut Vec<String>) {
+    for file in rust_files(&root.join(XML_PATH)) {
+        scan_file_for_unicode_whitespace(root, &file, out);
+    }
+}
+
+fn scan_file_for_unicode_whitespace(root: &Path, file: &Path, out: &mut Vec<String>) {
+    scan_non_test_code(root, file, out, |line| {
+        UNICODE_WHITESPACE
+            .iter()
+            .filter(|pat| line.contains(*pat))
+            .map(|pat| {
+                format!(
+                    "`{pat}` in non-test XML code (XML whitespace is space, tab, CR and LF only)"
+                )
+            })
+            .collect()
+    });
+}
+
+// ---------------------------------------------------------------------------
 // Shared helpers.
 // ---------------------------------------------------------------------------
+
+/// Report `file:line: message` for every message `check` returns on a
+/// non-comment line before the file's trailing test module.
+fn scan_non_test_code(
+    root: &Path,
+    file: &Path,
+    out: &mut Vec<String>,
+    check: impl Fn(&str) -> Vec<String>,
+) {
+    let Ok(text) = fs::read_to_string(file) else {
+        out.push(format!("{}: unreadable", rel(root, file)));
+        return;
+    };
+    let mut prev: &str = "";
+    for (idx, line) in text.lines().enumerate() {
+        if starts_test_module(prev, line) {
+            break;
+        }
+        if !line.trim_start().starts_with("//") {
+            for message in check(line) {
+                out.push(format!("{}:{}: {message}", rel(root, file), idx + 1));
+            }
+        }
+        prev = line;
+    }
+}
 
 /// All `.rs` files under `dir`, recursively, in sorted order.
 fn rust_files(dir: &Path) -> Vec<PathBuf> {
@@ -488,6 +538,20 @@ mod tests {
         scan_file_for_string_bindings(&dir, &file, &mut out);
         assert_eq!(out.len(), 1, "violations: {out:?}");
         assert!(out[0].contains("binding_case.rs:1"), "{out:?}");
+    }
+
+    #[test]
+    fn unicode_whitespace_is_flagged_outside_tests_and_comments() {
+        let src = "fn a(s: &str) -> bool {\n    // s.trim() in a comment\n    s.trim_matches(' ').is_empty()\n        || s.trim_end().is_empty()\n        || s.chars().all(char::is_whitespace)\n}\n#[cfg(test)]\nmod tests {\n    fn t(s: &str) { s.trim(); }\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("whitespace_case.rs");
+        fs::write(&file, src).unwrap();
+        let mut out = Vec::new();
+        scan_file_for_unicode_whitespace(&dir, &file, &mut out);
+        assert_eq!(out.len(), 2, "violations: {out:?}");
+        assert!(out[0].contains("whitespace_case.rs:4"), "{out:?}");
+        assert!(out[1].contains("whitespace_case.rs:5"), "{out:?}");
     }
 
     #[test]
