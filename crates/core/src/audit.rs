@@ -18,8 +18,11 @@
 //! - **Window multiset** — the registered window multiset equals a recount
 //!   over the live join queries (so retention bounds always tighten
 //!   correctly on churn).
-//! - **Join state** — every per-bucket secondary-index entry addresses a
-//!   resident row whose key columns match the index key, the per-string
+//! - **Join state** — every per-bucket secondary index is an intact set of
+//!   chains (each row on exactly one chain of its recorded length, walks
+//!   bounded so a cycle cannot hang the audit), every chained offset
+//!   addresses a resident row whose key column matches the chain's key, the
+//!   per-string
 //!   row counts equal the per-bucket index sums, retained documents are a
 //!   subset of the retention-timestamp map, and the watermark never lags a
 //!   retained timestamp.
@@ -170,6 +173,16 @@ pub enum AuditViolation {
         bucket: u64,
         /// The in-bucket offset of the mismatched row.
         offset: u32,
+    },
+    /// A bucket's chained secondary index is broken: its successor array is
+    /// not parallel to the segment, a chain's walk does not cover exactly
+    /// its recorded length and end at its successor-free tail, or a row lies
+    /// on no chain or on more than one (a cycle included).
+    IndexChain {
+        /// The indexed relation.
+        relation: &'static str,
+        /// The bucket holding the broken index.
+        bucket: u64,
     },
     /// The total number of indexed rows differs from the resident rows.
     IndexedRowCount {
@@ -387,6 +400,9 @@ impl fmt::Display for AuditViolation {
                 f,
                 "{relation} bucket {bucket} row {offset} does not match its index key"
             ),
+            AuditViolation::IndexChain { relation, bucket } => {
+                write!(f, "{relation} bucket {bucket} index chains are broken")
+            }
             AuditViolation::IndexedRowCount {
                 relation,
                 indexed,
@@ -495,6 +511,11 @@ mod tests {
             observed: 11,
         };
         assert!(v.to_string().contains("lags"));
+        let v = AuditViolation::IndexChain {
+            relation: "Rbin",
+            bucket: 4,
+        };
+        assert_eq!(v.to_string(), "Rbin bucket 4 index chains are broken");
         let v = AuditViolation::InternerIndex {
             indexed: 3,
             strings: 4,

@@ -240,7 +240,14 @@ impl MmqjpEngine {
         let rows = batch.num_witness_rows();
         let meta: Vec<(DocId, u64)> = docs.iter().map(|d| (d.id(), d.timestamp().raw())).collect();
         self.advance_watermarks(&meta);
-        self.maintain_state(batch, &meta, docs, None)?;
+        // The replay log keeps its documents; the state gets copies only
+        // when it retains documents at all.
+        let retained = if self.config.retain_documents {
+            docs.to_vec()
+        } else {
+            Vec::new()
+        };
+        self.maintain_state(batch, &meta, retained, None)?;
         self.stats.rows_replayed += rows;
         self.stats.timings.recovery += t0.elapsed();
         Ok(rows)
@@ -418,9 +425,10 @@ impl MmqjpEngine {
             timings.output += t_out.elapsed();
         }
 
-        // Maintenance (Algorithm 2 / 5).
+        // Maintenance (Algorithm 2 / 5). Output construction is done with
+        // the documents, so retained ones move into the state.
         let t_maint = Instant::now();
-        let maintenance = self.maintain_state(batch, &doc_meta, &docs, rbinw_index);
+        let maintenance = self.maintain_state(batch, &doc_meta, docs, rbinw_index);
         timings.maintenance += t_maint.elapsed();
         maintenance?;
 
@@ -667,7 +675,7 @@ impl MmqjpEngine {
         &mut self,
         batch: WitnessBatch,
         meta: &[(DocId, u64)],
-        docs: &[Document],
+        docs: Vec<Document>,
         rbinw_index: Option<RbinwByDocnode>,
     ) -> CoreResult<()> {
         // Algorithm 5: fold the current documents' RR contributions into the
@@ -676,12 +684,15 @@ impl MmqjpEngine {
             // Group the batch's RdocW rows by string value and append the
             // corresponding RbinW rows to the matching cache slices (only for
             // string values already cached — new values will be computed on
-            // first use). The RbinW index was usually already built during
+            // first use), one relation per string value, in first-occurrence
+            // order. The RbinW index was usually already built during
             // evaluation; it is only rebuilt when Stage 2 was skipped.
             let rbinw_by_docnode = match rbinw_index {
                 Some(index) => index,
                 None => rbinw_by_docnode(&batch)?,
             };
+            let mut additions: Vec<(Symbol, Relation)> = Vec::new();
+            let mut slot_of: FxHashMap<Symbol, usize> = FxHashMap::default();
             for row in batch.rdoc_w.iter() {
                 let sym = key_sym(&row[2], "RdocW", "strVal")?;
                 if !self.view_cache.contains(sym) {
@@ -689,18 +700,20 @@ impl MmqjpEngine {
                 }
                 let docid = key_int(&row[0], "RdocW", "docid")?;
                 let node = key_int(&row[1], "RdocW", "node")?;
-                let mut addition = Relation::new(schemas::rl());
-                for &bin_row in rbinw_by_docnode
-                    .get(&(docid, node))
-                    .map(|v| v.as_slice())
-                    .unwrap_or(&[])
-                {
-                    let b = batch.rbin_w.row(bin_row);
-                    addition.push_values(rl_row(b, sym))?;
+                let Some(bin_rows) = rbinw_by_docnode.get(&(docid, node)) else {
+                    continue;
+                };
+                let slot = *slot_of.entry(sym).or_insert_with(|| {
+                    additions.push((sym, Relation::new(schemas::rl())));
+                    additions.len() - 1
+                });
+                let addition = &mut additions[slot].1;
+                for &bin_row in bin_rows {
+                    addition.push_array(rl_row(batch.rbin_w.row(bin_row), sym))?;
                 }
-                if !addition.is_empty() {
-                    self.view_cache.append(sym, &addition)?;
-                }
+            }
+            for (sym, addition) in &additions {
+                self.view_cache.append(*sym, addition)?;
             }
         }
 
@@ -1073,7 +1086,7 @@ fn compute_rl_rr(
                 .unwrap_or(&[])
             {
                 let b = batch.rbin_w.row(bin_row);
-                rr.push_values(rl_row(b, s))?;
+                rr.push_array(rl_row(b, s))?;
             }
         }
     }

@@ -210,16 +210,16 @@ pub fn corrupt_bytes(input: &str, seed: u64) -> Vec<u8> {
 /// Minimal splitmix64 generator so fault schedules need no external RNG
 /// crate and stay identical across platforms.
 #[derive(Debug, Clone)]
-struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

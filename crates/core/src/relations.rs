@@ -35,33 +35,48 @@ use mmqjp_relational::{FxHashSet, Relation, RowRef, StringInterner, Symbol, Valu
 use mmqjp_xml::{DocId, Document, NodeId, Timestamp};
 use mmqjp_xpath::PatternId;
 
-/// Schema constructors for the witness relations.
+/// Schema constructors for the witness relations. The fixed schemas are
+/// built once per process; each call returns a clone, which only bumps the
+/// shared column list's reference count (and lets schema equality checks
+/// short-cut on pointer identity).
 pub mod schemas {
     use mmqjp_relational::Schema;
+    use std::sync::OnceLock;
+
+    /// The process-wide schema behind `cell`, built from `columns` on first
+    /// use.
+    fn shared<const N: usize>(cell: &'static OnceLock<Schema>, columns: [&str; N]) -> Schema {
+        cell.get_or_init(|| Schema::new(columns)).clone()
+    }
 
     /// Schema of `RbinW` and `Rbin`: `(docid, var1, var2, node1, node2)`.
     pub fn bin() -> Schema {
-        Schema::new(["docid", "var1", "var2", "node1", "node2"])
+        static BIN: OnceLock<Schema> = OnceLock::new();
+        shared(&BIN, ["docid", "var1", "var2", "node1", "node2"])
     }
 
     /// Schema of `RdocW` and `Rdoc`: `(docid, node, strVal)`.
     pub fn doc() -> Schema {
-        Schema::new(["docid", "node", "strVal"])
+        static DOC: OnceLock<Schema> = OnceLock::new();
+        shared(&DOC, ["docid", "node", "strVal"])
     }
 
     /// Schema of `RdocTSW` and `RdocTS`: `(docid, timestamp)`.
     pub fn doc_ts() -> Schema {
-        Schema::new(["docid", "timestamp"])
+        static DOC_TS: OnceLock<Schema> = OnceLock::new();
+        shared(&DOC_TS, ["docid", "timestamp"])
     }
 
     /// Schema of `RL`: `(docid, var1, var2, node1, node2, strVal)`.
     pub fn rl() -> Schema {
-        Schema::new(["docid", "var1", "var2", "node1", "node2", "strVal"])
+        static RL: OnceLock<Schema> = OnceLock::new();
+        shared(&RL, ["docid", "var1", "var2", "node1", "node2", "strVal"])
     }
 
     /// Schema of `RR`: `(docidW, var1, var2, node1, node2, strVal)`.
     pub fn rr() -> Schema {
-        Schema::new(["docidW", "var1", "var2", "node1", "node2", "strVal"])
+        static RR: OnceLock<Schema> = OnceLock::new();
+        shared(&RR, ["docidW", "var1", "var2", "node1", "node2", "strVal"])
     }
 
     /// Schema of a template's `RT` relation with `m` meta-variables:
@@ -78,11 +93,9 @@ pub mod schemas {
 
 /// Build one `RL`/`RR` row: an `Rbin`-shaped row extended with the join
 /// string value.
-pub(crate) fn rl_row(bin_row: RowRef<'_>, strval: Symbol) -> Vec<Value> {
-    let mut row = Vec::with_capacity(bin_row.len() + 1);
-    row.extend(bin_row.iter().cloned());
-    row.push(Value::Sym(strval));
-    row
+pub(crate) fn rl_row(bin_row: RowRef<'_>, strval: Symbol) -> [Value; 6] {
+    let b = |i: usize| bin_row[i].clone();
+    [b(0), b(1), b(2), b(3), b(4), Value::Sym(strval)]
 }
 
 /// The Stage-1 output for the current document or batch: the three `*W`
@@ -139,12 +152,10 @@ impl WitnessBatch {
         interner: &StringInterner,
         scratch: &mut IngestScratch,
     ) -> CoreResult<()> {
-        let docid = Value::Int(doc.id().raw() as i64);
+        let docid = doc.id().raw() as i64;
         self.doc_ids.push(doc.id());
-        self.rdoc_ts_w.push_values(vec![
-            docid.clone(),
-            Value::Int(doc.timestamp().raw() as i64),
-        ])?;
+        self.rdoc_ts_w
+            .push_array([Value::Int(docid), Value::Int(doc.timestamp().raw() as i64)])?;
         scratch.bins.clear();
         scratch.nodes.clear();
         let mut cached: Option<(PatternId, &[RequestedEdge])> = None;
@@ -168,8 +179,8 @@ impl WitnessBatch {
             {
                 continue;
             }
-            self.rbin_w.push_values(vec![
-                docid.clone(),
+            self.rbin_w.push_array([
+                Value::Int(docid),
                 Value::Sym(edge.var1),
                 Value::Sym(edge.var2),
                 Value::Int(key1),
@@ -177,8 +188,8 @@ impl WitnessBatch {
             ])?;
             if scratch.nodes.insert(key2) {
                 let value = node_value(doc, row.node2, &edge.source2, &mut scratch.text);
-                self.rdoc_w.push_values(vec![
-                    docid.clone(),
+                self.rdoc_w.push_array([
+                    Value::Int(docid),
                     Value::Int(key2),
                     Value::Sym(interner.intern(value)),
                 ])?;
@@ -391,6 +402,16 @@ mod tests {
         assert_eq!(schemas::rt(6).arity(), 8);
         assert!(schemas::rt(3).contains("var3"));
         assert!(schemas::rt(3).contains("wl"));
+        // The fixed schemas are built once and shared, not rebuilt per call.
+        for schema in [
+            schemas::bin,
+            schemas::doc,
+            schemas::doc_ts,
+            schemas::rl,
+            schemas::rr,
+        ] {
+            assert!(std::ptr::eq(schema().columns(), schema().columns()));
+        }
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! [`SegmentedRelation`]s, and the secondary indexes are *per-bucket*
 //! segments addressing rows by their stable in-bucket offset.
 //!
+//! A batch enters column-wise: each run of rows bound for one bucket is one
+//! slice copy per column, and the indexes are chains threaded through a
+//! per-row successor array, so absorbing a row allocates nothing per key.
+//!
 //! Window expiry therefore never rebuilds anything: an expired bucket is
 //! dropped whole — rows, index segment and all — in time proportional to the
 //! rows it holds, and the handles of every surviving row stay valid. This
@@ -25,7 +29,10 @@ use mmqjp_relational::{
     BucketId, FxHashMap, FxHashSet, Relation, RowRef, SegmentedRelation, Symbol, Tuple, Value,
 };
 use mmqjp_xml::{DocId, Document};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
+use std::ops::Range;
 
 /// Bucket width used when no window and no retention cap is known (nothing
 /// can expire then, so the width only shapes the ledger's segmentation).
@@ -112,17 +119,168 @@ fn ledger_ts(v: &Value) -> CoreResult<u64> {
     })
 }
 
+/// `next` entry of a chain's last row.
+const CHAIN_END: u32 = u32::MAX;
+
+/// One key's rows in a [`ChainIndex`]: the first and last in-bucket offset
+/// and the number of rows on the chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Chain {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+/// A secondary index over one bucket segment whose per-key row lists are
+/// chains threaded through `next`, a per-row successor array parallel to the
+/// segment. Indexing a row allocates nothing per key beyond one map slot for
+/// a new key; rows join their chain at the tail, so a walk visits a key's
+/// rows in insertion order.
+#[derive(Debug, Clone)]
+struct ChainIndex<K> {
+    ends: FxHashMap<K, Chain>,
+    /// `next[off]` is the offset of the row after `off` on its chain, or
+    /// [`CHAIN_END`].
+    next: Vec<u32>,
+}
+
+impl<K> Default for ChainIndex<K> {
+    fn default() -> Self {
+        ChainIndex {
+            ends: FxHashMap::default(),
+            next: Vec::new(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash> ChainIndex<K> {
+    /// Index the segment's next row, `off`, under `key`. Rows must be
+    /// indexed in segment order (`off == next.len()`).
+    fn push(&mut self, key: K, off: u32) -> CoreResult<()> {
+        if off as usize != self.next.len() {
+            return Err(CoreError::internal(
+                "chain index rows are indexed in segment order",
+            ));
+        }
+        match self.ends.entry(key) {
+            Entry::Occupied(mut entry) => {
+                let chain = entry.get_mut();
+                let slot = self
+                    .next
+                    .get_mut(chain.tail as usize)
+                    .ok_or(CoreError::internal("a chain's tail lies inside its index"))?;
+                *slot = off;
+                chain.tail = off;
+                chain.len += 1;
+            }
+            Entry::Vacant(entry) => {
+                entry.insert(Chain {
+                    head: off,
+                    tail: off,
+                    len: 1,
+                });
+            }
+        }
+        self.next.push(CHAIN_END);
+        Ok(())
+    }
+
+    /// The in-bucket offsets filed under `key`, in insertion order.
+    fn get(&self, key: &K) -> Option<ChainWalk<'_>> {
+        self.ends.get(key).map(|chain| self.walk(chain))
+    }
+
+    /// Walk one chain. The walk takes at most `chain.len` steps, so even a
+    /// corrupted (cyclic) chain terminates.
+    fn walk(&self, chain: &Chain) -> ChainWalk<'_> {
+        ChainWalk {
+            next: &self.next,
+            at: chain.head,
+            remaining: chain.len,
+        }
+    }
+}
+
+/// Iterator over one chain of a [`ChainIndex`].
+struct ChainWalk<'a> {
+    next: &'a [u32],
+    at: u32,
+    remaining: u32,
+}
+
+impl Iterator for ChainWalk<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        if self.remaining == 0 || self.at == CHAIN_END {
+            return None;
+        }
+        let off = self.at;
+        self.remaining -= 1;
+        self.at = self.next.get(off as usize).copied().unwrap_or(CHAIN_END);
+        Some(off)
+    }
+}
+
 /// Per-bucket secondary indexes over one timestamp bucket of the join state.
 /// Offsets address rows *within the bucket's segment*, so they stay valid for
 /// the bucket's whole lifetime and are dropped with it.
 #[derive(Debug, Default, Clone)]
 struct BucketIndex {
-    /// `Rdoc` rows by string value: offsets into the bucket's `Rdoc` segment.
-    rdoc_by_strval: FxHashMap<Symbol, Vec<u32>>,
-    /// `Rbin` rows by `(docid, node2)`: offsets into the bucket's `Rbin`
-    /// segment. A document's `Rdoc` and `Rbin` rows share its timestamp and
-    /// therefore its bucket, so probes never cross buckets.
-    rbin_by_docnode: FxHashMap<(i64, i64), Vec<u32>>,
+    /// `Rdoc` rows by string value, over the bucket's `Rdoc` segment.
+    rdoc_by_strval: ChainIndex<Symbol>,
+    /// `Rbin` rows by document id, over the bucket's `Rbin` segment. A
+    /// document's `Rdoc` and `Rbin` rows share its timestamp and therefore
+    /// its bucket, so probes never cross buckets.
+    rbin_by_doc: ChainIndex<i64>,
+}
+
+/// Consecutive rows of a batch relation bound for one bucket.
+#[derive(Debug)]
+struct Run {
+    bucket: BucketId,
+    rows: Range<usize>,
+}
+
+/// Split a batch relation (docid in column 0) into maximal runs of rows
+/// bound for the same bucket. A row's bucket is looked up once per run of
+/// equal document ids — a document's rows are contiguous, so once per
+/// document.
+fn bucket_runs(
+    rows: &Relation,
+    relation: &'static str,
+    bucket_of_doc: &FxHashMap<i64, BucketId>,
+) -> CoreResult<Vec<Run>> {
+    let mut runs = Vec::new();
+    let mut prev: Option<&Value> = None;
+    let mut bucket = 0;
+    for (i, v) in rows.col_values(0).iter().enumerate() {
+        if prev != Some(v) {
+            let docid = key_int(v, relation, "docid")?;
+            bucket = *bucket_of_doc
+                .get(&docid)
+                .ok_or_else(|| CoreError::CorruptStateRow {
+                    relation,
+                    column: "docid",
+                    value: format!("{docid} (not in the current batch)"),
+                })?;
+            prev = Some(v);
+        }
+        extend_runs(&mut runs, bucket, i);
+    }
+    Ok(runs)
+}
+
+/// Add row `i` (the row after the last run's end) to the last run when it
+/// is bound for the same bucket, else start a new run.
+fn extend_runs(runs: &mut Vec<Run>, bucket: BucketId, i: usize) {
+    match runs.last_mut() {
+        Some(run) if run.bucket == bucket => run.rows.end = i + 1,
+        _ => runs.push(Run {
+            bucket,
+            rows: i..i + 1,
+        }),
+    }
 }
 
 /// Summary of one join-state eviction pass.
@@ -134,7 +292,7 @@ pub(crate) struct JoinEviction {
     pub rows: usize,
     /// String values whose rows were (partly) dropped; the view cache
     /// invalidates exactly these slices.
-    pub expired_strvals: HashSet<Symbol>,
+    pub expired_strvals: FxHashSet<Symbol>,
 }
 
 /// Pooled buffers of [`JoinState::restrict_to_batch`]; the engine keeps one
@@ -382,15 +540,15 @@ impl JoinState {
         self.doc_store.get(&doc)
     }
 
-    /// Absorb a processed batch into the state (Algorithm 2): move the
-    /// witness rows whole into their timestamp buckets — the batch is
-    /// consumed, so no per-value copies happen — maintain the per-bucket
-    /// indexes and the retention ledger, and retain documents when asked to.
+    /// Absorb a processed batch into the state (Algorithm 2): append the
+    /// witness rows run by run into their timestamp buckets, maintain the
+    /// per-bucket indexes and the retention ledger, and retain documents
+    /// when asked to.
     #[cfg(test)]
     pub fn absorb(
         &mut self,
         batch: WitnessBatch,
-        docs: &[Document],
+        docs: Vec<Document>,
         retain_documents: bool,
     ) -> CoreResult<()> {
         let meta: Vec<(DocId, u64)> = docs
@@ -404,28 +562,23 @@ impl JoinState {
     /// front stage, where the shard may not hold the documents themselves:
     /// the `(doc id, timestamp)` pairs come in as explicit metadata, and
     /// `docs` carries the full documents only when `retain_documents` is on
-    /// (it may be empty otherwise).
+    /// (it may be empty otherwise). Retained documents move into the store.
+    ///
+    /// Rows enter column-wise: each maximal run of rows bound for one bucket
+    /// is one slice copy per column, and a row's bucket is resolved once per
+    /// document, not per row.
     pub fn absorb_routed(
         &mut self,
         batch: WitnessBatch,
         meta: &[(DocId, u64)],
-        docs: &[Document],
+        docs: Vec<Document>,
         retain_documents: bool,
     ) -> CoreResult<()> {
-        let mut ts_of: HashMap<i64, u64> = HashMap::with_capacity(meta.len());
+        let mut bucket_of_doc: FxHashMap<i64, BucketId> = FxHashMap::default();
+        bucket_of_doc.reserve(meta.len());
         for &(doc, ts) in meta {
-            ts_of.insert(doc.raw() as i64, ts);
+            bucket_of_doc.insert(doc.raw() as i64, self.join_bucket(ts));
         }
-        let doc_ts = |docid: i64, relation: &'static str| -> CoreResult<u64> {
-            ts_of
-                .get(&docid)
-                .copied()
-                .ok_or_else(|| CoreError::CorruptStateRow {
-                    relation,
-                    column: "docid",
-                    value: format!("{docid} (not in the current batch)"),
-                })
-        };
 
         let WitnessBatch {
             rbin_w,
@@ -433,32 +586,70 @@ impl JoinState {
             rdoc_ts_w,
             ..
         } = batch;
-        for row in rdoc_w.into_rows() {
-            let docid = key_int(&row[0], "RdocW", "docid")?;
-            let ts = doc_ts(docid, "RdocW")?;
-            self.insert_rdoc_row(row, ts)?;
+        let rdoc_runs = bucket_runs(&rdoc_w, "RdocW", &bucket_of_doc)?;
+        let rbin_runs = bucket_runs(&rbin_w, "RbinW", &bucket_of_doc)?;
+        for run in rdoc_runs {
+            self.append_rdoc_run(&rdoc_w, run)?;
         }
-        for row in rbin_w.into_rows() {
-            let docid = key_int(&row[0], "RbinW", "docid")?;
-            let ts = doc_ts(docid, "RbinW")?;
-            self.insert_rbin_row(row, ts)?;
+        for run in rbin_runs {
+            self.append_rbin_run(&rbin_w, run)?;
         }
-        for row in rdoc_ts_w.into_rows() {
-            let doc = key_doc_id(&row[0], "RdocTSW", "docid")?;
-            let ts = ledger_ts(&row[1])?;
-            self.insert_ledger_row(row, ts)?;
+        // The ledger is bucketed by each row's own timestamp.
+        let width = self.width();
+        let mut ledger_runs = Vec::new();
+        let (docids, stamps) = (rdoc_ts_w.col_values(0), rdoc_ts_w.col_values(1));
+        for (i, (docid, stamp)) in docids.iter().zip(stamps).enumerate() {
+            let doc = key_doc_id(docid, "RdocTSW", "docid")?;
+            let ts = ledger_ts(stamp)?;
             self.doc_timestamps.insert(doc, ts);
+            extend_runs(&mut ledger_runs, ts / width, i);
+        }
+        for run in ledger_runs {
+            self.ledger.append_range(run.bucket, &rdoc_ts_w, run.rows)?;
         }
         if retain_documents {
             for doc in docs {
-                self.doc_store.insert(doc.id(), doc.clone());
+                self.doc_store.insert(doc.id(), doc);
             }
         }
         Ok(())
     }
 
+    /// Append one run of batch `Rdoc` rows to its bucket and file each row
+    /// on its string value's chain.
+    fn append_rdoc_run(&mut self, rdoc_w: &Relation, run: Run) -> CoreResult<()> {
+        let strvals = &rdoc_w.col_values(2)[run.rows.clone()];
+        // Every key is checked before the rows become resident, so a
+        // malformed row never leaves unindexed rows behind.
+        for v in strvals {
+            key_sym(v, "RdocW", "strVal")?;
+        }
+        let first = self.rdoc.append_range(run.bucket, rdoc_w, run.rows)?;
+        let index = &mut self.indexes.entry(run.bucket).or_default().rdoc_by_strval;
+        for (off, v) in (first..).zip(strvals) {
+            let sym = key_sym(v, "RdocW", "strVal")?;
+            index.push(sym, off)?;
+            *self.strval_rows.entry(sym).or_insert(0) += 1;
+        }
+        Ok(())
+    }
+
+    /// Append one run of batch `Rbin` rows to its bucket and file each row
+    /// on its document's chain.
+    fn append_rbin_run(&mut self, rbin_w: &Relation, run: Run) -> CoreResult<()> {
+        let docids = &rbin_w.col_values(0)[run.rows.clone()];
+        let first = self.rbin.append_range(run.bucket, rbin_w, run.rows)?;
+        let index = &mut self.indexes.entry(run.bucket).or_default().rbin_by_doc;
+        for (off, v) in (first..).zip(docids) {
+            index.push(key_int(v, "RbinW", "docid")?, off)?;
+        }
+        Ok(())
+    }
+
     /// Insert one `Rdoc` row into its bucket, maintaining the per-bucket
-    /// index and the global string-value row count.
+    /// index and the global string-value row count (the one-time
+    /// re-partition passes; batches enter through
+    /// [`absorb_routed`](Self::absorb_routed)).
     fn insert_rdoc_row(&mut self, row: Tuple, ts: u64) -> CoreResult<()> {
         let sym = key_sym(&row[2], "Rdoc", "strVal")?;
         let bucket = self.join_bucket(ts);
@@ -467,27 +658,23 @@ impl JoinState {
             .entry(bucket)
             .or_default()
             .rdoc_by_strval
-            .entry(sym)
-            .or_default()
-            .push(handle.offset);
+            .push(sym, handle.offset)?;
         *self.strval_rows.entry(sym).or_insert(0) += 1;
         Ok(())
     }
 
     /// Insert one `Rbin` row into its bucket, maintaining the per-bucket
-    /// index.
+    /// index (the re-partition passes only, like
+    /// [`insert_rdoc_row`](Self::insert_rdoc_row)).
     fn insert_rbin_row(&mut self, row: Tuple, ts: u64) -> CoreResult<()> {
         let docid = key_int(&row[0], "Rbin", "docid")?;
-        let node2 = key_int(&row[4], "Rbin", "node2")?;
         let bucket = self.join_bucket(ts);
         let handle = self.rbin.push(bucket, row)?;
         self.indexes
             .entry(bucket)
             .or_default()
-            .rbin_by_docnode
-            .entry((docid, node2))
-            .or_default()
-            .push(handle.offset);
+            .rbin_by_doc
+            .push(docid, handle.offset)?;
         Ok(())
     }
 
@@ -505,7 +692,9 @@ impl JoinState {
 
     /// Compute one `RL` slice:
     /// `σ_strVal=s(Rdoc) ⋈_{docid, node=node2} Rbin`, probing only the
-    /// buckets whose index mentions `s`.
+    /// buckets whose index mentions `s`. Each `Rdoc` row walks its
+    /// document's `Rbin` chain (a handful of rows) and keeps the rows whose
+    /// `node2` is its node.
     pub fn rl_slice(&self, s: Symbol) -> CoreResult<Relation> {
         let mut slice = Relation::new(schemas::rl());
         for (&bucket, index) in &self.indexes {
@@ -516,20 +705,21 @@ impl JoinState {
                 .rdoc
                 .bucket(bucket)
                 .ok_or(CoreError::internal("indexed bucket has an Rdoc segment"))?;
-            for &off in doc_rows {
+            let rbin_seg = self.rbin.bucket(bucket);
+            for off in doc_rows {
                 let row = rdoc_seg.row(off as usize);
                 let docid = key_int(&row[0], "Rdoc", "docid")?;
-                let node = key_int(&row[1], "Rdoc", "node")?;
-                let Some(bin_rows) = index.rbin_by_docnode.get(&(docid, node)) else {
+                let node = Value::Int(key_int(&row[1], "Rdoc", "node")?);
+                let Some(bin_rows) = index.rbin_by_doc.get(&docid) else {
                     continue;
                 };
-                let rbin_seg = self
-                    .rbin
-                    .bucket(bucket)
-                    .ok_or(CoreError::internal("indexed bucket has an Rbin segment"))?;
-                for &boff in bin_rows {
+                let rbin_seg =
+                    rbin_seg.ok_or(CoreError::internal("indexed bucket has an Rbin segment"))?;
+                for boff in bin_rows {
                     let b = rbin_seg.row(boff as usize);
-                    slice.push_values(rl_row(b, s))?;
+                    if b[4] == node {
+                        slice.push_array(rl_row(b, s))?;
+                    }
                 }
             }
         }
@@ -590,7 +780,7 @@ impl JoinState {
             offs.clear();
             for s in strvals {
                 if let Some(rows) = index.rdoc_by_strval.get(s) {
-                    offs.extend_from_slice(rows);
+                    offs.extend(rows);
                 }
             }
             if offs.is_empty() {
@@ -603,19 +793,24 @@ impl JoinState {
                 .rdoc
                 .bucket(bucket)
                 .ok_or(CoreError::internal("indexed bucket has an Rdoc segment"))?;
+            let seg_docids = seg.col_values(0);
             for &off in offs.iter() {
-                let row = seg.row(off as usize);
-                docids.insert(key_int(&row[0], "Rdoc", "docid")?);
-                out.push_values(row.to_vec())?;
+                let docid = seg_docids.get(off as usize).ok_or(CoreError::internal(
+                    "indexed offsets lie inside their segment",
+                ))?;
+                docids.insert(key_int(docid, "Rdoc", "docid")?);
             }
+            out.extend_gathered(seg, offs)?;
         }
         Ok(out)
     }
 
     /// Restrict the resident `Rbin` state to the rows of the given
-    /// documents, gathered through the per-bucket `rbin_by_docnode` indexes.
-    /// Row order matches [`JoinState::rdoc_for_strvals`]: bucket order, then
-    /// ascending in-bucket offset. `offs` is a pooled work buffer.
+    /// documents, walking each document's chain in every bucket's
+    /// `rbin_by_doc` index: O(buckets × |docids| + matched rows), whatever
+    /// the resident state's size. Row order matches
+    /// [`JoinState::rdoc_for_strvals`]: bucket order, then ascending
+    /// in-bucket offset. `offs` is a pooled work buffer.
     ///
     /// Soundness: every left-side atom of a basic-template conjunctive query
     /// shares the single stored-document variable, so `Rbin` rows of
@@ -632,9 +827,9 @@ impl JoinState {
         }
         for (&bucket, index) in &self.indexes {
             offs.clear();
-            for (&(docid, _), rows) in &index.rbin_by_docnode {
-                if docids.contains(&docid) {
-                    offs.extend_from_slice(rows);
+            for docid in docids {
+                if let Some(rows) = index.rbin_by_doc.get(docid) {
+                    offs.extend(rows);
                 }
             }
             if offs.is_empty() {
@@ -645,9 +840,7 @@ impl JoinState {
                 .rbin
                 .bucket(bucket)
                 .ok_or(CoreError::internal("indexed bucket has an Rbin segment"))?;
-            for &off in offs.iter() {
-                out.push_values(seg.row(off as usize).to_vec())?;
-            }
+            out.extend_gathered(seg, offs)?;
         }
         Ok(out)
     }
@@ -675,10 +868,10 @@ impl JoinState {
             return out;
         }
         for index in dropped.values() {
-            for (sym, rows) in &index.rdoc_by_strval {
+            for (sym, chain) in &index.rdoc_by_strval.ends {
                 out.expired_strvals.insert(*sym);
                 if let Some(count) = self.strval_rows.get_mut(sym) {
-                    *count = count.saturating_sub(rows.len());
+                    *count = count.saturating_sub(chain.len as usize);
                     if *count == 0 {
                         self.strval_rows.remove(sym);
                     }
@@ -697,82 +890,53 @@ impl JoinState {
 
     /// Cross-check the join state's secondary structures against its
     /// segmented relations, appending one [`AuditViolation`] per
-    /// inconsistency: index offsets in range, indexed keys matching the
-    /// resident rows, full index coverage, the global string-value counters,
-    /// document store ⊆ retention map, single-bucket discipline when
-    /// unbucketed, and the watermark bounding every retained timestamp.
-    /// Read-only. See [`MmqjpEngine::audit`](crate::MmqjpEngine::audit).
+    /// inconsistency: chain integrity, index offsets in range, indexed keys
+    /// matching the resident rows, full index coverage, the global
+    /// string-value counters, document store ⊆ retention map, single-bucket
+    /// discipline when unbucketed, and the watermark bounding every retained
+    /// timestamp. Read-only. See
+    /// [`MmqjpEngine::audit`](crate::MmqjpEngine::audit).
     pub fn audit(&self, newest_timestamp: u64, out: &mut Vec<AuditViolation>) {
         let mut rdoc_indexed = 0usize;
         let mut rbin_indexed = 0usize;
         let mut strval_indexed: FxHashMap<Symbol, usize> = FxHashMap::default();
         for (&bucket, index) in &self.indexes {
+            let strval_chains = &index.rdoc_by_strval;
+            for (&sym, chain) in &strval_chains.ends {
+                *strval_indexed.entry(sym).or_insert(0) += chain.len as usize;
+            }
             match self.rdoc.bucket(bucket) {
-                None => {
-                    if !index.rdoc_by_strval.is_empty() {
-                        out.push(AuditViolation::MissingBucketIndex {
-                            relation: "Rdoc",
-                            bucket,
-                        });
-                    }
-                }
+                None if strval_chains.ends.is_empty() => {}
+                None => out.push(AuditViolation::MissingBucketIndex {
+                    relation: "Rdoc",
+                    bucket,
+                }),
                 Some(seg) => {
-                    for (&sym, offs) in &index.rdoc_by_strval {
-                        *strval_indexed.entry(sym).or_insert(0) += offs.len();
-                        for &off in offs {
-                            if off as usize >= seg.len() {
-                                out.push(AuditViolation::IndexOffsetOutOfRange {
-                                    relation: "Rdoc",
-                                    bucket,
-                                    offset: off,
-                                    rows: seg.len(),
-                                });
-                                continue;
-                            }
-                            rdoc_indexed += 1;
-                            if seg.row(off as usize)[2] != Value::Sym(sym) {
-                                out.push(AuditViolation::IndexKeyMismatch {
-                                    relation: "Rdoc",
-                                    bucket,
-                                    offset: off,
-                                });
-                            }
-                        }
-                    }
+                    rdoc_indexed += audit_chains(
+                        "Rdoc",
+                        bucket,
+                        strval_chains,
+                        seg,
+                        |row, &sym| row[2] == Value::Sym(sym),
+                        out,
+                    );
                 }
             }
             match self.rbin.bucket(bucket) {
-                None => {
-                    if !index.rbin_by_docnode.is_empty() {
-                        out.push(AuditViolation::MissingBucketIndex {
-                            relation: "Rbin",
-                            bucket,
-                        });
-                    }
-                }
+                None if index.rbin_by_doc.ends.is_empty() => {}
+                None => out.push(AuditViolation::MissingBucketIndex {
+                    relation: "Rbin",
+                    bucket,
+                }),
                 Some(seg) => {
-                    for (&(docid, node2), offs) in &index.rbin_by_docnode {
-                        for &off in offs {
-                            if off as usize >= seg.len() {
-                                out.push(AuditViolation::IndexOffsetOutOfRange {
-                                    relation: "Rbin",
-                                    bucket,
-                                    offset: off,
-                                    rows: seg.len(),
-                                });
-                                continue;
-                            }
-                            rbin_indexed += 1;
-                            let row = seg.row(off as usize);
-                            if row[0].as_int() != Some(docid) || row[4].as_int() != Some(node2) {
-                                out.push(AuditViolation::IndexKeyMismatch {
-                                    relation: "Rbin",
-                                    bucket,
-                                    offset: off,
-                                });
-                            }
-                        }
-                    }
+                    rbin_indexed += audit_chains(
+                        "Rbin",
+                        bucket,
+                        &index.rbin_by_doc,
+                        seg,
+                        |row, &docid| row[0].as_int() == Some(docid),
+                        out,
+                    );
                 }
             }
         }
@@ -862,9 +1026,70 @@ impl JoinState {
     }
 }
 
+/// Audit one bucket's [`ChainIndex`] against its segment: every chain
+/// address in range with a row of the chain's key ([`IndexOffsetOutOfRange`]
+/// / [`IndexKeyMismatch`]), and — one [`IndexChain`] for the bucket —
+/// `next` parallel to the segment, each chain exactly `len` rows long and
+/// ending at its successor-free `tail`, every row on exactly one chain.
+/// Walks are bounded by `len`, so a cyclic chain cannot hang the audit.
+/// Returns the number of in-range rows the chains reach.
+///
+/// [`IndexOffsetOutOfRange`]: AuditViolation::IndexOffsetOutOfRange
+/// [`IndexKeyMismatch`]: AuditViolation::IndexKeyMismatch
+/// [`IndexChain`]: AuditViolation::IndexChain
+fn audit_chains<K: Copy + Eq + Hash>(
+    relation: &'static str,
+    bucket: BucketId,
+    index: &ChainIndex<K>,
+    seg: &Relation,
+    key_matches: impl Fn(RowRef<'_>, &K) -> bool,
+    out: &mut Vec<AuditViolation>,
+) -> usize {
+    let rows = seg.len();
+    let mut intact = index.next.len() == rows;
+    let mut on_chain = vec![false; rows];
+    let mut reached = 0usize;
+    for (key, chain) in &index.ends {
+        let (mut steps, mut last) = (0u32, None);
+        for off in index.walk(chain) {
+            steps += 1;
+            let Some(seen) = on_chain.get_mut(off as usize) else {
+                out.push(AuditViolation::IndexOffsetOutOfRange {
+                    relation,
+                    bucket,
+                    offset: off,
+                    rows,
+                });
+                last = None;
+                break;
+            };
+            // A row reached twice lies on two chains, or on a cycle.
+            intact &= !std::mem::replace(seen, true);
+            reached += 1;
+            if !key_matches(seg.row(off as usize), key) {
+                out.push(AuditViolation::IndexKeyMismatch {
+                    relation,
+                    bucket,
+                    offset: off,
+                });
+            }
+            last = Some(off);
+        }
+        let ends_at_tail =
+            last == Some(chain.tail) && index.next.get(chain.tail as usize) == Some(&CHAIN_END);
+        intact &= steps == chain.len && ends_at_tail;
+    }
+    intact &= on_chain.iter().all(|&seen| seen);
+    if !intact {
+        out.push(AuditViolation::IndexChain { relation, bucket });
+    }
+    reached
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::SplitMix64;
     use mmqjp_relational::StringInterner;
     use mmqjp_xml::Timestamp;
     use std::sync::Arc;
@@ -872,17 +1097,23 @@ mod tests {
     /// A minimal batch: one document with one Rdoc / Rbin / ledger row.
     fn batch_for(doc: &Document, strval: &str, interner: &Arc<StringInterner>) -> WitnessBatch {
         let mut b = WitnessBatch::new();
+        push_doc(&mut b, doc, strval, interner);
+        b
+    }
+
+    /// Add one document with one Rdoc / Rbin / ledger row to a batch.
+    fn push_doc(b: &mut WitnessBatch, doc: &Document, strval: &str, interner: &StringInterner) {
         b.doc_ids.push(doc.id());
         let id = Value::Int(doc.id().raw() as i64);
         b.rdoc_w
-            .push_values(vec![
+            .push_array([
                 id.clone(),
                 Value::Int(1),
                 Value::Sym(interner.intern(strval)),
             ])
             .unwrap();
         b.rbin_w
-            .push_values(vec![
+            .push_array([
                 id.clone(),
                 Value::Sym(interner.intern("v")),
                 Value::Sym(interner.intern("v")),
@@ -891,9 +1122,8 @@ mod tests {
             ])
             .unwrap();
         b.rdoc_ts_w
-            .push_values(vec![id, Value::Int(doc.timestamp().raw() as i64)])
+            .push_array([id, Value::Int(doc.timestamp().raw() as i64)])
             .unwrap();
-        b
     }
 
     fn doc(id: u64, ts: u64) -> Document {
@@ -914,7 +1144,7 @@ mod tests {
         let (mut s, interner) = state(10);
         for i in 1..=5u64 {
             let d = doc(i, i * 7);
-            s.absorb(batch_for(&d, "shared", &interner), &[d], true)
+            s.absorb(batch_for(&d, "shared", &interner), vec![d], true)
                 .unwrap();
         }
         assert_eq!(s.rdoc_len(), 5);
@@ -937,7 +1167,7 @@ mod tests {
         let (mut s, interner) = state(10);
         for i in 1..=6u64 {
             let d = doc(i, i * 10);
-            s.absorb(batch_for(&d, &format!("val{i}"), &interner), &[d], true)
+            s.absorb(batch_for(&d, &format!("val{i}"), &interner), vec![d], true)
                 .unwrap();
         }
         // Cutoff 35: buckets 1 and 2 (ts 10, 20) lie entirely below it and
@@ -946,7 +1176,7 @@ mod tests {
         let ev = s.evict_join_state(35);
         assert_eq!(ev.buckets, 2);
         assert_eq!(ev.rows, 4); // 2 Rdoc + 2 Rbin rows
-        let expired: HashSet<Symbol> = ["val1", "val2"]
+        let expired: FxHashSet<Symbol> = ["val1", "val2"]
             .iter()
             .map(|v| interner.get(v).unwrap())
             .collect();
@@ -975,7 +1205,7 @@ mod tests {
         let interner = Arc::new(StringInterner::new());
         for i in 1..=4u64 {
             let d = doc(i, i * 100);
-            s.absorb(batch_for(&d, "x", &interner), &[d], false)
+            s.absorb(batch_for(&d, "x", &interner), vec![d], false)
                 .unwrap();
         }
         assert_eq!(s.num_buckets(), 1);
@@ -993,7 +1223,7 @@ mod tests {
         // keeps serving slices throughout.
         let (mut s, interner) = state(10);
         let d = doc(1, 5);
-        s.absorb(batch_for(&d, "t", &interner), &[d], false)
+        s.absorb(batch_for(&d, "t", &interner), vec![d], false)
             .unwrap();
         let rbin = mmqjp_relational::ChunkedRows::from_segmented(s.rbin());
         let rdoc = mmqjp_relational::ChunkedRows::from_segmented(s.rdoc());
@@ -1029,7 +1259,7 @@ mod tests {
         s.ensure_width(None).unwrap();
         for i in 1..=4u64 {
             let d = doc(i, i * 10);
-            s.absorb(batch_for(&d, &format!("val{i}"), &interner), &[d], true)
+            s.absorb(batch_for(&d, &format!("val{i}"), &interner), vec![d], true)
                 .unwrap();
         }
         // Everything sits in one coarse provisional bucket.
@@ -1056,7 +1286,7 @@ mod tests {
         let (mut s, interner) = state(625);
         for i in 1..=5u64 {
             let d = doc(i, i * 40);
-            s.absorb(batch_for(&d, &format!("val{i}"), &interner), &[d], true)
+            s.absorb(batch_for(&d, &format!("val{i}"), &interner), vec![d], true)
                 .unwrap();
         }
         // All rows share the single coarse bucket: a cutoff of 100 evicts
@@ -1087,7 +1317,8 @@ mod tests {
         // must land in the *latest* bucket its old bucket could span.
         let (mut s, interner) = state(100);
         let d = doc(1, 30);
-        s.absorb(batch_for(&d, "v", &interner), &[d], true).unwrap();
+        s.absorb(batch_for(&d, "v", &interner), vec![d], true)
+            .unwrap();
         // Forget the document (as retention-cap eviction would) but keep the
         // join rows: evict via the ledger only.
         assert_eq!(s.evict_documents(200), 1);
@@ -1106,7 +1337,7 @@ mod tests {
         let (mut s, interner) = state(10);
         for i in 1..=4u64 {
             let d = doc(i, i * 7);
-            s.absorb(batch_for(&d, "shared", &interner), &[d], true)
+            s.absorb(batch_for(&d, "shared", &interner), vec![d], true)
                 .unwrap();
         }
         s.evict_join_state(15);
@@ -1135,21 +1366,19 @@ mod tests {
             .any(|v| matches!(v, AuditViolation::StrvalRowCount { .. })));
         *s.strval_rows.get_mut(&sym).unwrap() -= 1;
 
-        // Seed an out-of-range index offset.
+        // Seed an out-of-range index offset at the end of a chain.
         let bucket = *s.indexes.keys().next().unwrap();
-        s.indexes
-            .get_mut(&bucket)
-            .unwrap()
-            .rdoc_by_strval
-            .get_mut(&sym)
-            .unwrap()
-            .push(10_000);
+        let index = &mut s.indexes.get_mut(&bucket).unwrap().rdoc_by_strval;
+        let chain = index.ends.get_mut(&sym).unwrap();
+        index.next[chain.tail as usize] = 10_000;
+        chain.len += 1;
         let mut out = Vec::new();
         s.audit(28, &mut out);
         assert!(out.iter().any(|v| matches!(
             v,
             AuditViolation::IndexOffsetOutOfRange {
                 relation: "Rdoc",
+                offset: 10_000,
                 ..
             }
         )));
@@ -1157,12 +1386,8 @@ mod tests {
         // An orphan stored document (no retention timestamp) is caught.
         let (mut s2, interner2) = state(10);
         let d = doc(9, 50);
-        s2.absorb(
-            batch_for(&d, "x", &interner2),
-            std::slice::from_ref(&d),
-            true,
-        )
-        .unwrap();
+        s2.absorb(batch_for(&d, "x", &interner2), vec![d], true)
+            .unwrap();
         s2.doc_timestamps.remove(&DocId(9));
         let mut out = Vec::new();
         s2.audit(50, &mut out);
@@ -1201,7 +1426,7 @@ mod tests {
         for i in 1..=6u64 {
             let d = doc(i, i * 7);
             let strval = if i % 2 == 0 { "even" } else { "odd" };
-            s.absorb(batch_for(&d, strval, &interner), &[d], false)
+            s.absorb(batch_for(&d, strval, &interner), vec![d], false)
                 .unwrap();
         }
         let even = interner.get("even").unwrap();
@@ -1224,5 +1449,299 @@ mod tests {
         assert!(empty.is_empty());
         assert!(no_docs.is_empty());
         assert!(s.rbin_for_docids(&no_docs, offs).unwrap().is_empty());
+    }
+
+    #[test]
+    fn absorb_moves_retained_documents_into_the_store() {
+        let (mut s, interner) = state(10);
+        let docs: Vec<Document> = (1..=3u64)
+            .map(|i| {
+                let mut b = mmqjp_xml::DocumentBuilder::new("item");
+                b.child_text("title", format!("title {i}"));
+                b.finish()
+                    .with_id(DocId(i))
+                    .with_timestamp(Timestamp(i * 4))
+            })
+            .collect();
+        let mut batch = WitnessBatch::new();
+        for d in &docs {
+            push_doc(&mut batch, d, "t", &interner);
+        }
+        let expected = docs.clone();
+        s.absorb(batch, docs, true).unwrap();
+        assert_eq!(s.doc_store.len(), expected.len());
+        for d in &expected {
+            assert_eq!(s.document(d.id()), Some(d));
+        }
+        // Without retention the documents are dropped, not stored.
+        let d = doc(9, 20);
+        s.absorb(batch_for(&d, "t", &interner), vec![d], false)
+            .unwrap();
+        assert!(s.document(DocId(9)).is_none());
+        assert_eq!(s.doc_store.len(), expected.len());
+        assert_eq!(s.docs_retained(), expected.len() + 1);
+    }
+
+    #[test]
+    fn chain_index_keeps_insertion_order_and_rejects_gaps() {
+        let mut index = ChainIndex::<i64>::default();
+        index.push(7, 0).unwrap();
+        index.push(8, 1).unwrap();
+        assert!(matches!(index.push(7, 3), Err(CoreError::Internal { .. })));
+        assert!(matches!(index.push(7, 1), Err(CoreError::Internal { .. })));
+        index.push(7, 2).unwrap();
+        index.push(7, 3).unwrap();
+        assert_eq!(index.get(&7).unwrap().collect::<Vec<_>>(), vec![0, 2, 3]);
+        assert_eq!(index.get(&8).unwrap().collect::<Vec<_>>(), vec![1]);
+        assert!(index.get(&9).is_none());
+        assert_eq!(index.next, vec![2, CHAIN_END, 3, CHAIN_END]);
+    }
+
+    #[test]
+    fn audit_detects_broken_chains() {
+        // Four documents in bucket 0 share one string value: one Rdoc chain
+        // of four rows and four one-row Rbin chains.
+        let fresh = || {
+            let (mut s, interner) = state(10);
+            for i in 1..=4u64 {
+                let d = doc(i, i);
+                s.absorb(batch_for(&d, "shared", &interner), vec![d], false)
+                    .unwrap();
+            }
+            (s, interner.get("shared").unwrap())
+        };
+        let audit = |s: &JoinState| {
+            let mut out = Vec::new();
+            s.audit(4, &mut out);
+            out
+        };
+        let broken = |out: &[AuditViolation], relation| {
+            out.contains(&AuditViolation::IndexChain {
+                relation,
+                bucket: 0,
+            })
+        };
+        let (s, _) = fresh();
+        assert!(audit(&s).is_empty());
+
+        // A cycle: the tail links back to the head. Walks stop after `len`
+        // steps, so the audit terminates — even when the recorded length
+        // overshoots the cycle.
+        let (mut s, sym) = fresh();
+        let index = &mut s.indexes.get_mut(&0).unwrap().rdoc_by_strval;
+        let chain = index.ends[&sym];
+        index.next[chain.tail as usize] = chain.head;
+        assert!(broken(&audit(&s), "Rdoc"));
+        let index = &mut s.indexes.get_mut(&0).unwrap().rdoc_by_strval;
+        index.ends.get_mut(&sym).unwrap().len = 1_000;
+        assert!(broken(&audit(&s), "Rdoc"));
+
+        // A dangling offset: a chain starting beyond its segment.
+        let (mut s, _) = fresh();
+        let index = &mut s.indexes.get_mut(&0).unwrap().rbin_by_doc;
+        index.ends.get_mut(&3).unwrap().head = 77;
+        let out = audit(&s);
+        assert!(broken(&out, "Rbin"));
+        assert!(out.contains(&AuditViolation::IndexOffsetOutOfRange {
+            relation: "Rbin",
+            bucket: 0,
+            offset: 77,
+            rows: 4,
+        }));
+
+        // A wrong length: the walk stops short of the tail.
+        let (mut s, sym) = fresh();
+        let index = &mut s.indexes.get_mut(&0).unwrap().rdoc_by_strval;
+        index.ends.get_mut(&sym).unwrap().len -= 1;
+        let out = audit(&s);
+        assert!(broken(&out, "Rdoc"));
+        assert!(!broken(&out, "Rbin"));
+
+        // A successor array that is not parallel to the segment.
+        let (mut s, _) = fresh();
+        let index = &mut s.indexes.get_mut(&0).unwrap().rbin_by_doc;
+        index.next.push(CHAIN_END);
+        assert!(broken(&audit(&s), "Rbin"));
+
+        // A row filed under the wrong key.
+        let (mut s, _) = fresh();
+        let index = &mut s.indexes.get_mut(&0).unwrap().rbin_by_doc;
+        let (a, b) = (index.ends[&1], index.ends[&2]);
+        *index.ends.get_mut(&1).unwrap() = b;
+        *index.ends.get_mut(&2).unwrap() = a;
+        let out = audit(&s);
+        assert!(!broken(&out, "Rbin"));
+        assert!(out.iter().any(|v| matches!(
+            v,
+            AuditViolation::IndexKeyMismatch {
+                relation: "Rbin",
+                ..
+            }
+        )));
+    }
+
+    fn below(rng: &mut SplitMix64, n: u64) -> u64 {
+        rng.next() % n
+    }
+
+    /// A random batch of one to four documents, each with a few `Rdoc`
+    /// rows (element and attribute node keys, values drawn from a small
+    /// vocabulary so they repeat) and `Rbin` rows whose `node2` mostly names
+    /// one of its `Rdoc` nodes. Timestamps advance by 0–11, so documents of
+    /// one batch share buckets or straddle a boundary.
+    fn random_batch(
+        rng: &mut SplitMix64,
+        next: &mut (u64, u64),
+        vocab: &[Symbol],
+        vars: &[Symbol],
+    ) -> (WitnessBatch, Vec<Document>) {
+        let mut batch = WitnessBatch::new();
+        let mut docs = Vec::new();
+        for _ in 0..1 + below(rng, 4) {
+            next.0 += 1;
+            next.1 += below(rng, 12);
+            let d = doc(next.0, next.1);
+            let id = Value::Int(next.0 as i64);
+            batch.doc_ids.push(d.id());
+            batch
+                .rdoc_ts_w
+                .push_array([id.clone(), Value::Int(next.1 as i64)])
+                .unwrap();
+            let attribute = ((u64::from(vars[0].raw()) + 1) << 32 | 1) as i64;
+            let mut nodes: Vec<i64> = (0..1 + below(rng, 4))
+                .map(|_| match below(rng, 5) {
+                    0 => attribute,
+                    n => n as i64,
+                })
+                .collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            for _ in 0..1 + below(rng, 6) {
+                let node2 = match below(rng, 6) {
+                    0 => 99,
+                    _ => nodes[below(rng, nodes.len() as u64) as usize],
+                };
+                let var = |rng: &mut SplitMix64| Value::Sym(vars[below(rng, 3) as usize]);
+                batch
+                    .rbin_w
+                    .push_array([
+                        id.clone(),
+                        var(rng),
+                        var(rng),
+                        Value::Int(0),
+                        Value::Int(node2),
+                    ])
+                    .unwrap();
+            }
+            for &node in &nodes {
+                let sym = vocab[below(rng, vocab.len() as u64) as usize];
+                batch
+                    .rdoc_w
+                    .push_array([id.clone(), Value::Int(node), Value::Sym(sym)])
+                    .unwrap();
+            }
+            docs.push(d);
+        }
+        (batch, docs)
+    }
+
+    /// Check `rl_slice`, `restrict_to_batch`, `contains_strval` and
+    /// `audit` against brute force over the resident rows.
+    fn check_against_brute_force(
+        s: &JoinState,
+        vocab: &[Symbol],
+        probe: &Relation,
+        newest: u64,
+        ctx: &str,
+    ) {
+        let rdoc: Vec<Tuple> = s.rdoc().iter().map(|r| r.to_vec()).collect();
+        let rbin: Vec<Tuple> = s.rbin().iter().map(|r| r.to_vec()).collect();
+        let rows = |r: &Relation| r.iter().map(|t| t.to_vec()).collect::<Vec<_>>();
+        for &sym in vocab {
+            let s_val = Value::Sym(sym);
+            let resident = rdoc.iter().any(|d| d[2] == s_val);
+            assert_eq!(s.contains_strval(sym), resident, "{ctx}: contains");
+            let mut expected = Vec::new();
+            for d in rdoc.iter().filter(|d| d[2] == s_val) {
+                for b in rbin.iter().filter(|b| b[0] == d[0] && b[4] == d[1]) {
+                    let mut row = b.clone();
+                    row.push(s_val.clone());
+                    expected.push(row);
+                }
+            }
+            assert_eq!(rows(&s.rl_slice(sym).unwrap()), expected, "{ctx}: RL slice");
+        }
+        let strvals: Vec<&Value> = probe.col_values(2).iter().collect();
+        let expected_rdoc: Vec<Tuple> = rdoc
+            .iter()
+            .filter(|d| strvals.contains(&&d[2]))
+            .cloned()
+            .collect();
+        let docids: Vec<&Value> = expected_rdoc.iter().map(|d| &d[0]).collect();
+        let expected_rbin: Vec<Tuple> = rbin
+            .iter()
+            .filter(|b| docids.contains(&&b[0]))
+            .cloned()
+            .collect();
+        let (got_rdoc, got_rbin) = s
+            .restrict_to_batch(probe, &mut RestrictionScratch::default())
+            .unwrap();
+        assert_eq!(rows(&got_rdoc), expected_rdoc, "{ctx}: restricted Rdoc");
+        assert_eq!(rows(&got_rbin), expected_rbin, "{ctx}: restricted Rbin");
+        let mut out = Vec::new();
+        s.audit(newest, &mut out);
+        assert!(out.is_empty(), "{ctx}: audit {out:?}");
+    }
+
+    /// Seeded sweep: random absorb / eviction / re-width sequences, checked
+    /// after every step against brute force over `rdoc()` / `rbin()`, rows
+    /// and row order included.
+    #[test]
+    fn join_state_matches_brute_force_reference() {
+        let interner = StringInterner::new();
+        let vocab: Vec<Symbol> = (0..6)
+            .map(|i| interner.intern(&format!("value {i}")))
+            .collect();
+        let vars: Vec<Symbol> = ["a", "b", "c"].map(|v| interner.intern(v)).to_vec();
+        for seed in 0..48u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut s = JoinState::new(true);
+            s.ensure_width(None).unwrap();
+            let mut next = (0u64, 0u64);
+            for step in 0..40 {
+                let ctx = format!("seed {seed} step {step}");
+                match below(&mut rng, 10) {
+                    // Evictions and tightening only run once the width is
+                    // final, as in the engine (a window or cap exists then).
+                    6 if s.width_final => {
+                        let cutoff = next.1.saturating_sub(below(&mut rng, 30));
+                        s.evict_join_state(cutoff);
+                    }
+                    7 if s.width_final => {
+                        let cutoff = next.1.saturating_sub(below(&mut rng, 30));
+                        s.evict_documents(cutoff);
+                    }
+                    8 if !s.width_final => {
+                        s.ensure_width(Some(3 + below(&mut rng, 8))).unwrap();
+                    }
+                    9 if s.width_final => {
+                        let width = s.bucket_width().unwrap();
+                        s.tighten_width(1 + below(&mut rng, width)).unwrap();
+                    }
+                    _ => {
+                        let (batch, docs) = random_batch(&mut rng, &mut next, &vocab, &vars);
+                        s.absorb(batch, docs, true).unwrap();
+                    }
+                }
+                let mut probe = Relation::new(schemas::doc());
+                for _ in 0..1 + below(&mut rng, 3) {
+                    let sym = vocab[below(&mut rng, vocab.len() as u64) as usize];
+                    probe
+                        .push_array([Value::Int(0), Value::Int(1), Value::Sym(sym)])
+                        .unwrap();
+                }
+                check_against_brute_force(&s, &vocab, &probe, next.1, &ctx);
+            }
+        }
     }
 }

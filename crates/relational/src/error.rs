@@ -31,6 +31,15 @@ pub enum RelError {
         /// The missing relation name.
         relation: String,
     },
+    /// A row position or range lies beyond a relation's rows.
+    RowOutOfRange {
+        /// The operation and relation involved.
+        context: String,
+        /// The first position out of range (the end, for a range).
+        row: usize,
+        /// Rows the relation holds.
+        rows: usize,
+    },
     /// Join keys on the two sides have different lengths.
     KeyLengthMismatch {
         /// Keys supplied for the left input.
@@ -83,6 +92,9 @@ impl fmt::Display for RelError {
             ),
             RelError::UnknownRelation { relation } => {
                 write!(f, "unknown relation `{relation}`")
+            }
+            RelError::RowOutOfRange { context, row, rows } => {
+                write!(f, "row {row} out of range in {context} ({rows} rows)")
             }
             RelError::KeyLengthMismatch { left, right } => write!(
                 f,
@@ -139,6 +151,14 @@ mod tests {
             relation: "Rbin".into(),
         };
         assert!(e.to_string().contains("Rbin"));
+
+        let e = RelError::RowOutOfRange {
+            context: "gather".into(),
+            row: 7,
+            rows: 4,
+        };
+        assert!(e.to_string().contains("row 7"));
+        assert!(e.to_string().contains("4 rows"));
 
         let e = RelError::KeyLengthMismatch { left: 2, right: 1 };
         assert!(e.to_string().contains('2'));

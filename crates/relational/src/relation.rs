@@ -14,7 +14,7 @@ use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
-use std::ops::Index;
+use std::ops::{Index, Range};
 
 /// A tuple is an owned row of values, positionally matching a [`Schema`].
 /// Relations store values column-major; `Tuple` is the exchange format for
@@ -214,22 +214,6 @@ impl Relation {
         }
     }
 
-    /// Consume the relation, returning its rows as owned tuples (insertion
-    /// order). Lets callers move whole rows onward — e.g. into the engine's
-    /// segmented join state — without per-value clones.
-    pub fn into_rows(self) -> Vec<Tuple> {
-        let len = self.len;
-        let mut iters: Vec<_> = self.cols.into_iter().map(|c| c.into_iter()).collect();
-        (0..len)
-            .map(|_| {
-                iters
-                    .iter_mut()
-                    .map(|it| it.next().expect("columns share the relation length")) // lint:allow all columns have len() rows
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Iterate over rows.
     pub fn iter(&self) -> Rows<'_> {
         Rows {
@@ -252,6 +236,77 @@ impl Relation {
             col.push(v);
         }
         self.len += 1;
+        Ok(())
+    }
+
+    /// Append a fixed-width row, validating its arity against the schema.
+    /// The row lives on the stack: each value moves straight into its
+    /// column, with no per-row heap [`Tuple`].
+    pub fn push_array<const N: usize>(&mut self, row: [Value; N]) -> RelResult<()> {
+        if N != self.schema.arity() {
+            return Err(RelError::ArityMismatch {
+                context: format!("relation {}", self.schema),
+                expected: self.schema.arity(),
+                found: N,
+            });
+        }
+        for (col, v) in self.cols.iter_mut().zip(row) {
+            col.push(v);
+        }
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Append rows `range` of `other` (same schema), one slice copy per
+    /// column.
+    pub fn extend_from_range(&mut self, other: &Relation, range: Range<usize>) -> RelResult<()> {
+        self.check_same_schema(other, "extend")?;
+        other.check_range(&range)?;
+        for (col, ocol) in self.cols.iter_mut().zip(&other.cols) {
+            col.extend_from_slice(&ocol[range.clone()]);
+        }
+        self.len += range.len();
+        Ok(())
+    }
+
+    /// `Ok` when `range` lies within this relation's rows.
+    pub(crate) fn check_range(&self, range: &Range<usize>) -> RelResult<()> {
+        if range.start > range.end || range.end > self.len {
+            return Err(RelError::RowOutOfRange {
+                context: format!("rows {range:?} of {}", self.schema),
+                row: range.end.max(range.start),
+                rows: self.len,
+            });
+        }
+        Ok(())
+    }
+
+    /// Append the rows of `other` (same schema) at the given positions, in
+    /// the order given: a column-wise gather.
+    pub fn extend_gathered(&mut self, other: &Relation, rows: &[u32]) -> RelResult<()> {
+        self.check_same_schema(other, "gather into")?;
+        if let Some(&bad) = rows.iter().find(|&&r| r as usize >= other.len) {
+            return Err(RelError::RowOutOfRange {
+                context: format!("gather from {}", other.schema),
+                row: bad as usize,
+                rows: other.len,
+            });
+        }
+        for (col, ocol) in self.cols.iter_mut().zip(&other.cols) {
+            col.extend(rows.iter().map(|&r| ocol[r as usize].clone()));
+        }
+        self.len += rows.len();
+        Ok(())
+    }
+
+    fn check_same_schema(&self, other: &Relation, op: &str) -> RelResult<()> {
+        if self.schema != other.schema {
+            return Err(RelError::ArityMismatch {
+                context: format!("{op} {} from {}", self.schema, other.schema),
+                expected: self.schema.arity(),
+                found: other.schema.arity(),
+            });
+        }
         Ok(())
     }
 
@@ -291,13 +346,7 @@ impl Relation {
 
     /// Append all tuples from `other`. The schemas must be equal.
     pub fn extend_from(&mut self, other: &Relation) -> RelResult<()> {
-        if self.schema != other.schema {
-            return Err(RelError::ArityMismatch {
-                context: format!("extend {} from {}", self.schema, other.schema),
-                expected: self.schema.arity(),
-                found: other.schema.arity(),
-            });
-        }
+        self.check_same_schema(other, "extend")?;
         for (col, ocol) in self.cols.iter_mut().zip(&other.cols) {
             col.extend(ocol.iter().cloned());
         }
@@ -452,14 +501,62 @@ mod tests {
     }
 
     #[test]
-    fn into_rows_round_trips() {
-        let r = sample();
-        let rows = r.clone().into_rows();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(r.row(0), rows[0]);
-        assert_eq!(r.row(1), rows[1]);
-        let back = Relation::with_tuples(r.schema().clone(), rows).unwrap();
-        assert_eq!(back, r);
+    fn push_array_checks_arity() {
+        let mut r = sample();
+        r.push_array([Value::int(2), Value::int(4), Value::str("Eve")])
+            .unwrap();
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.row(2)[2], Value::str("Eve"));
+        let err = r.push_array([Value::int(1)]).unwrap_err();
+        assert!(matches!(
+            err,
+            RelError::ArityMismatch {
+                expected: 3,
+                found: 1,
+                ..
+            }
+        ));
+        assert_eq!(r.len(), 3);
+    }
+
+    #[test]
+    fn range_and_gather_appends_copy_rows_in_order() {
+        let mut src = sample();
+        src.push_array([Value::int(2), Value::int(5), Value::str("Eve")])
+            .unwrap();
+        let mut out = Relation::new(src.schema().clone());
+        out.extend_from_range(&src, 1..3).unwrap();
+        out.extend_from_range(&src, 0..0).unwrap();
+        assert_eq!(out.len(), 2);
+        assert_eq!(out.row(0), src.row(1));
+        assert_eq!(out.row(1), src.row(2));
+        out.extend_gathered(&src, &[2, 0, 2]).unwrap();
+        assert_eq!(out.len(), 5);
+        assert_eq!(out.row(2), src.row(2));
+        assert_eq!(out.row(3), src.row(0));
+        assert_eq!(out.row(4), src.row(2));
+        // Out-of-range positions and foreign schemas are typed errors that
+        // leave the target untouched.
+        assert!(matches!(
+            out.extend_from_range(&src, 2..4),
+            Err(RelError::RowOutOfRange {
+                row: 4,
+                rows: 3,
+                ..
+            })
+        ));
+        assert!(matches!(
+            out.extend_gathered(&src, &[0, 3]),
+            Err(RelError::RowOutOfRange {
+                row: 3,
+                rows: 3,
+                ..
+            })
+        ));
+        let other = Relation::new(Schema::new(["x"]));
+        assert!(out.extend_from_range(&other, 0..0).is_err());
+        assert!(out.extend_gathered(&other, &[]).is_err());
+        assert_eq!(out.len(), 5);
     }
 
     #[test]

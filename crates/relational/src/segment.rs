@@ -16,6 +16,7 @@ use crate::relation::{Relation, RowRef, Rows, Tuple};
 use crate::schema::Schema;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Identifier of a bucket (segment) within a [`SegmentedRelation`].
 ///
@@ -98,6 +99,36 @@ impl SegmentedRelation {
             .expect("arity was checked against the shared schema"); // lint:allow arity checked before bucket lookup
         self.len += 1;
         Ok(RowHandle { bucket, offset })
+    }
+
+    /// Append rows `range` of `rows` (same schema) to the given bucket, one
+    /// slice copy per column. Returns the in-bucket offset of the first
+    /// appended row; the rest follow it contiguously.
+    pub fn append_range(
+        &mut self,
+        bucket: BucketId,
+        rows: &Relation,
+        range: Range<usize>,
+    ) -> RelResult<u32> {
+        // Validate before the bucket is created, so a failed append leaves no
+        // empty segment behind.
+        if rows.schema() != &self.schema {
+            return Err(RelError::ArityMismatch {
+                context: format!("segmented relation {} from {}", self.schema, rows.schema()),
+                expected: self.schema.arity(),
+                found: rows.schema().arity(),
+            });
+        }
+        rows.check_range(&range)?;
+        let segment = self
+            .segments
+            .entry(bucket)
+            .or_insert_with(|| Relation::new(self.schema.clone()));
+        let first = segment.len() as u32;
+        let added = range.len();
+        segment.extend_from_range(rows, range)?;
+        self.len += added;
+        Ok(first)
     }
 
     /// The row behind a handle, if its bucket is still resident.
@@ -229,6 +260,30 @@ mod tests {
         let mut s = seg();
         assert!(s.push(0, vec![Value::Int(1)]).is_err());
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn append_range_returns_first_offset() {
+        let mut batch = Relation::new(Schema::new(["docid", "ts"]));
+        for d in 0..5 {
+            batch
+                .push_array([Value::Int(d), Value::Int(d * 10)])
+                .unwrap();
+        }
+        let mut s = seg();
+        s.push(4, row(9, 0)).unwrap();
+        assert_eq!(s.append_range(4, &batch, 1..3).unwrap(), 1);
+        assert_eq!(s.append_range(7, &batch, 3..5).unwrap(), 0);
+        assert_eq!(s.append_range(4, &batch, 0..1).unwrap(), 3);
+        assert_eq!(s.len(), 6);
+        let ids: Vec<i64> = s.iter().map(|t| t[0].as_int().unwrap()).collect();
+        assert_eq!(ids, vec![9, 1, 2, 0, 3, 4]);
+        // A bad range or schema fails without creating a bucket.
+        assert!(s.append_range(9, &batch, 4..6).is_err());
+        let other = Relation::new(Schema::new(["x", "y"]));
+        assert!(s.append_range(9, &other, 0..0).is_err());
+        assert_eq!(s.num_buckets(), 2);
+        assert_eq!(s.len(), 6);
     }
 
     #[test]

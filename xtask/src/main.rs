@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Six dependency-free static checks over the workspace sources:
+//! Seven dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -26,6 +26,10 @@
 //!    must not call `.trim()`, `.trim_start()`, `.trim_end()` or
 //!    `is_whitespace`: XML's `S` is space, tab, CR and LF, and Unicode
 //!    trimming once dropped no-break-space text as formatting.
+//! 7. **No per-row tuple on the batch path** — non-test code in
+//!    `crates/core/src/{relations,state,engine}.rs` must not call
+//!    `into_rows` or `push_values(vec![…])`: witness rows enter columns as
+//!    fixed-width arrays and move into window state run by run.
 //!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
@@ -66,6 +70,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_ci_env_vars(root, &mut violations);
     check_id_space_front(root, &mut violations);
     check_xml_whitespace(root, &mut violations);
+    check_columnar_batch_path(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -430,6 +435,37 @@ fn scan_file_for_unicode_whitespace(root: &Path, file: &Path, out: &mut Vec<Stri
 }
 
 // ---------------------------------------------------------------------------
+// Check 7: no per-row tuple on the core batch path.
+// ---------------------------------------------------------------------------
+
+const BATCH_PATH_FILES: &[&str] = &[
+    "crates/core/src/relations.rs",
+    "crates/core/src/state.rs",
+    "crates/core/src/engine.rs",
+];
+const PER_ROW_TUPLE: &[&str] = &["into_rows", "push_values(vec!["];
+
+fn check_columnar_batch_path(root: &Path, out: &mut Vec<String>) {
+    for file in BATCH_PATH_FILES {
+        scan_file_for_row_tuples(root, &root.join(file), out);
+    }
+}
+
+fn scan_file_for_row_tuples(root: &Path, file: &Path, out: &mut Vec<String>) {
+    scan_non_test_code(root, file, out, |line| {
+        PER_ROW_TUPLE
+            .iter()
+            .filter(|pat| line.contains(*pat))
+            .map(|pat| {
+                format!(
+                    "`{pat}` in non-test batch-path code (push fixed-width arrays, append runs)"
+                )
+            })
+            .collect()
+    });
+}
+
+// ---------------------------------------------------------------------------
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
@@ -552,6 +588,20 @@ mod tests {
         assert_eq!(out.len(), 2, "violations: {out:?}");
         assert!(out[0].contains("whitespace_case.rs:4"), "{out:?}");
         assert!(out[1].contains("whitespace_case.rs:5"), "{out:?}");
+    }
+
+    #[test]
+    fn per_row_tuples_are_flagged_outside_tests_and_comments() {
+        let src = "fn absorb(r: Relation) {\n    for row in r.into_rows() {}\n    // r.into_rows() in a comment\n    out.push_values(vec![a, b])?;\n    out.push_values(row)?;\n    out.push_array([a, b])?;\n}\n#[cfg(test)]\nmod tests {\n    fn t() { r.push_values(vec![a]).unwrap(); }\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("row_tuple_case.rs");
+        fs::write(&file, src).unwrap();
+        let mut out = Vec::new();
+        scan_file_for_row_tuples(&dir, &file, &mut out);
+        assert_eq!(out.len(), 2, "violations: {out:?}");
+        assert!(out[0].contains("row_tuple_case.rs:2"), "{out:?}");
+        assert!(out[1].contains("row_tuple_case.rs:4"), "{out:?}");
     }
 
     #[test]
