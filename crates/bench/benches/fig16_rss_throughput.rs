@@ -6,10 +6,6 @@
 //! beyond ~10 000 queries (the random generator starts producing duplicate
 //! queries); view materialization adds a further constant-factor gain;
 //! Sequential throughput collapses as the query count grows.
-//!
-//! When the `MMQJP_BENCH_JSON` environment variable names a file, the run
-//! additionally writes the docs/s series as JSON (`BENCH_fig16.json` in CI),
-//! so the perf trajectory is tracked as an artifact from PR to PR.
 
 use mmqjp_bench::{figure_header, fmt_throughput, print_table, run_rss_benchmark, scale, MODES};
 use mmqjp_core::ProcessingMode;
@@ -30,8 +26,6 @@ pub fn main() {
 
     let columns: Vec<String> = MODES.iter().map(|m| m.label().to_owned()).collect();
     let mut rows = Vec::new();
-    // (queries, mode label, docs/s) series for the JSON artifact.
-    let mut series: Vec<(usize, &'static str, f64)> = Vec::new();
     for &n in &scale.query_counts() {
         let mut values = Vec::new();
         for mode in MODES {
@@ -40,58 +34,9 @@ pub fn main() {
                 continue;
             }
             let run = run_rss_benchmark(mode, n, items, batch, SEED);
-            series.push((n, mode.label(), run.throughput));
             values.push(fmt_throughput(run.throughput));
         }
         rows.push((format!("{n} queries"), values));
     }
     print_table("Figure 16", "number of queries", &columns, &rows);
-
-    if let Ok(path) = std::env::var("MMQJP_BENCH_JSON") {
-        // Bench binaries run with the package directory as CWD; anchor
-        // relative paths at the workspace root so CI finds the artifact.
-        let mut target = std::path::PathBuf::from(&path);
-        if target.is_relative() {
-            target = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(target);
-        }
-        let json = fig16_json(&format!("{:?}", scale), items, batch, &series);
-        match std::fs::write(&target, json) {
-            Ok(()) => println!("\nwrote throughput series to {}", target.display()),
-            // Fail loudly: CI uploads this file, and a swallowed write error
-            // would only surface later as a misleading missing-artifact
-            // failure.
-            Err(e) => panic!("failed to write {}: {e}", target.display()),
-        }
-    }
-}
-
-/// Hand-rolled JSON for the docs/s series (no serde_json in the build
-/// environment): `{"figure", "scale", "items", "batch", "seed", "note",
-/// "series": [...]}`.
-fn fig16_json(scale: &str, items: usize, batch: usize, series: &[(usize, &str, f64)]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"figure\": \"fig16_rss_throughput\",\n");
-    out.push_str(&format!("  \"scale\": \"{scale}\",\n"));
-    out.push_str(&format!("  \"items\": {items},\n"));
-    out.push_str(&format!("  \"batch\": {batch},\n"));
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(
-        "  \"note\": \"docs_per_sec counts single-threaded Stage-2 join time only \
-         (release build); absolute numbers vary by machine — only the cross-mode \
-         ratios at equal query counts are comparable across runs\",\n",
-    );
-    out.push_str("  \"series\": [\n");
-    let entries: Vec<String> = series
-        .iter()
-        .map(|(queries, mode, docs_per_sec)| {
-            format!(
-                "    {{\"queries\": {queries}, \"mode\": \"{mode}\", \"docs_per_sec\": {docs_per_sec:.1}}}"
-            )
-        })
-        .collect();
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
 }

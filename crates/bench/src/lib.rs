@@ -13,12 +13,10 @@
 
 #![forbid(unsafe_code)]
 
-use mmqjp_core::{
-    EngineConfig, EngineStats, MmqjpEngine, PhaseTimings, ProcessingMode, ShardedEngine,
-};
+use mmqjp_core::{EngineConfig, MmqjpEngine, PhaseTimings, ProcessingMode};
 use mmqjp_workload::{
-    BenchScale, ChurnConfig, ChurnWorkload, ComplexSchemaWorkload, FlatSchemaWorkload,
-    RssQueryGenerator, RssStreamConfig, RssStreamGenerator,
+    BenchScale, ComplexSchemaWorkload, FlatSchemaWorkload, RssQueryGenerator, RssStreamConfig,
+    RssStreamGenerator,
 };
 use mmqjp_xml::Document;
 use mmqjp_xscl::XsclQuery;
@@ -194,251 +192,6 @@ pub fn run_rss_benchmark(
     }
 }
 
-/// Result of one sharded RSS stream replay (Figure 17).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedRssRun {
-    /// Wall-clock throughput of the replay loop in documents per second.
-    /// Unlike [`RssRun::throughput`] (which counts only single-threaded
-    /// Stage-2 time) this is end-to-end wall time — the quantity sharding
-    /// actually improves on a multi-core machine.
-    pub wall_throughput: f64,
-    /// Total Stage-1 (parse + pattern-match + witness construction) work
-    /// summed across every shard *and* the front stage. The front pool
-    /// parses each document exactly once, so only the routing share of this
-    /// grows as shards are added.
-    pub parse_time: Duration,
-    /// Total Stage-2 join work summed across the shards.
-    pub join_time: Duration,
-    /// Documents counted by the engine: exactly the stream length
-    /// (parse-once).
-    pub documents_processed: usize,
-    /// Pipeline stalls reported by the front stage.
-    pub pipeline_stalls: usize,
-    /// Total matches produced.
-    pub matches: usize,
-    /// Sum of per-shard template counts (shared templates are replicated
-    /// into every shard holding one of their member queries).
-    pub templates: usize,
-}
-
-/// Replay the Figure-16 RSS workload through a [`ShardedEngine`] with the
-/// given shard count, front-pool size and inner mode, measuring wall-clock
-/// throughput and the Stage-1 / Stage-2 work split. The replay goes through
-/// [`ShardedEngine::process_batches`] so Stage 1 of batch `k+1` overlaps
-/// Stage 2 of batch `k`.
-pub fn run_sharded_rss_benchmark(
-    mode: ProcessingMode,
-    num_shards: usize,
-    front_pool: usize,
-    num_queries: usize,
-    items: usize,
-    batch: usize,
-    seed: u64,
-) -> ShardedRssRun {
-    let generator = RssQueryGenerator::new(0.8);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let queries = generator.generate_queries(num_queries, &mut rng);
-    let config = EngineConfig {
-        mode,
-        ..EngineConfig::default()
-    }
-    .with_retain_documents(false)
-    .with_num_shards(num_shards)
-    .with_front_pool(front_pool);
-    let mut engine = ShardedEngine::new(config);
-    for q in queries {
-        engine
-            .register_query(q)
-            .expect("generated queries register cleanly");
-    }
-
-    let stream = RssStreamGenerator::new(RssStreamConfig {
-        items,
-        ..RssStreamConfig::default()
-    });
-    let docs = stream.documents();
-    let num_docs = docs.len();
-    let start = std::time::Instant::now();
-    let batches: Vec<Vec<Document>> = docs.chunks(batch.max(1)).map(<[_]>::to_vec).collect();
-    let matches = engine
-        .process_batches(batches)
-        .expect("batches process")
-        .iter()
-        .map(Vec::len)
-        .sum::<usize>();
-    let elapsed = start.elapsed().as_secs_f64();
-    let stats = engine.stats().expect("shard workers are alive");
-    ShardedRssRun {
-        wall_throughput: if elapsed > 0.0 {
-            num_docs as f64 / elapsed
-        } else {
-            0.0
-        },
-        // Total Stage-1 work: pattern matching plus witness-relation
-        // construction (the front builds the routed batches, so that cost
-        // is inside its `xpath` bucket).
-        parse_time: stats.timings.xpath,
-        join_time: stats.timings.stage2_join_time(),
-        documents_processed: stats.documents_processed,
-        pipeline_stalls: stats.pipeline_stalls,
-        matches,
-        templates: stats.templates,
-    }
-}
-
-/// Result of one sustained-throughput churn replay (Figure 18).
-#[derive(Debug, Clone, Copy)]
-pub struct ChurnRun {
-    /// Steady-state throughput: wall-clock docs/s over the *second half* of
-    /// the stream, after the windows have filled. With incremental expiry
-    /// this stays flat as the stream grows; with rebuild-on-prune it falls.
-    pub steady_throughput: f64,
-    /// Wall-clock docs/s over the whole stream.
-    pub total_throughput: f64,
-    /// Total matches produced.
-    pub matches: usize,
-    /// Final engine statistics (eviction counters, resident state).
-    pub stats: EngineStats,
-}
-
-/// Replay a churn-heavy windowed stream of `items` documents against the
-/// standard churn query set in the given mode, with window pruning and
-/// document retention enabled (the sustained-operation configuration), and
-/// measure steady-state wall-clock throughput.
-pub fn run_churn_benchmark(mode: ProcessingMode, num_queries: usize, items: usize) -> ChurnRun {
-    let workload = ChurnWorkload::new(ChurnConfig {
-        items,
-        num_queries,
-        ..ChurnConfig::default()
-    });
-    let config = EngineConfig {
-        mode,
-        ..EngineConfig::default()
-    }
-    .with_prune_state_by_window(true);
-    let mut engine = MmqjpEngine::new(config);
-    for q in workload.queries() {
-        engine
-            .register_query(q)
-            .expect("generated queries register cleanly");
-    }
-    let docs = workload.documents_with_items(items);
-    let half = docs.len() / 2;
-    let mut matches = 0usize;
-    let start = std::time::Instant::now();
-    let mut half_elapsed = 0.0f64;
-    for (i, doc) in docs.into_iter().enumerate() {
-        if i == half {
-            half_elapsed = start.elapsed().as_secs_f64();
-        }
-        matches += engine
-            .process_document(doc)
-            .expect("document processes")
-            .len();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let steady_secs = elapsed - half_elapsed;
-    ChurnRun {
-        steady_throughput: if steady_secs > 0.0 {
-            (items - half) as f64 / steady_secs
-        } else {
-            0.0
-        },
-        total_throughput: if elapsed > 0.0 {
-            items as f64 / elapsed
-        } else {
-            0.0
-        },
-        matches,
-        stats: engine.stats(),
-    }
-}
-
-/// Result of one subscription-churn replay (Figure 19).
-#[derive(Debug, Clone, Copy)]
-pub struct SubscriptionChurnRun {
-    /// Steady-state throughput: wall-clock docs/s over the second half of
-    /// the stream (subscription events are replayed inline, so this includes
-    /// register/unregister cost). With O(footprint) unregistration this
-    /// stays flat as the stream — and therefore the cumulative number of
-    /// lifecycle events — grows 10×.
-    pub steady_throughput: f64,
-    /// Total matches produced.
-    pub matches: usize,
-    /// Queries registered over the whole replay (cumulative).
-    pub total_registered: usize,
-    /// Final engine statistics (live population, retirement counters,
-    /// resident state).
-    pub stats: EngineStats,
-}
-
-/// Replay a subscription-churn script of `items` documents in the given
-/// mode. With `honor_unregister = false` the unsubscribe events are skipped
-/// — the append-only population an engine without a query lifecycle would
-/// accumulate — which makes the resident-state plateau visible by contrast.
-pub fn run_subscription_churn_benchmark(
-    mode: ProcessingMode,
-    initial_queries: usize,
-    items: usize,
-    honor_unregister: bool,
-) -> SubscriptionChurnRun {
-    use mmqjp_workload::{SubscriptionChurnConfig, SubscriptionEvent};
-    let workload = mmqjp_workload::SubscriptionChurnWorkload::new(SubscriptionChurnConfig {
-        items,
-        initial_queries,
-        ..SubscriptionChurnConfig::default()
-    });
-    let config = EngineConfig {
-        mode,
-        ..EngineConfig::default()
-    }
-    .with_prune_state_by_window(true);
-    let mut engine = MmqjpEngine::new(config);
-    let events = workload.events_with_items(items);
-    let mut reg_ids = Vec::new();
-    let half = items / 2;
-    let mut docs_seen = 0usize;
-    let mut matches = 0usize;
-    let start = std::time::Instant::now();
-    let mut half_elapsed = 0.0f64;
-    for event in events {
-        match event {
-            SubscriptionEvent::Register(q) => {
-                reg_ids.push(engine.register_query(*q).expect("query registers"));
-            }
-            SubscriptionEvent::Unregister(n) => {
-                if honor_unregister {
-                    engine
-                        .unregister_query(reg_ids[n])
-                        .expect("scripted targets are live");
-                }
-            }
-            SubscriptionEvent::Document(d) => {
-                if docs_seen == half {
-                    half_elapsed = start.elapsed().as_secs_f64();
-                }
-                docs_seen += 1;
-                matches += engine
-                    .process_document(*d)
-                    .expect("document processes")
-                    .len();
-            }
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let steady_secs = elapsed - half_elapsed;
-    SubscriptionChurnRun {
-        steady_throughput: if steady_secs > 0.0 {
-            (docs_seen - half) as f64 / steady_secs
-        } else {
-            0.0
-        },
-        matches,
-        total_registered: reg_ids.len(),
-        stats: engine.stats(),
-    }
-}
-
 /// The scale selected through the environment.
 pub fn scale() -> BenchScale {
     BenchScale::from_env()
@@ -486,67 +239,6 @@ mod tests {
         let run = run_rss_benchmark(ProcessingMode::MmqjpViewMat, 30, 100, 50, 3);
         assert!(run.templates <= 5);
         assert!(run.throughput >= 0.0);
-    }
-
-    #[test]
-    fn sharded_rss_benchmark_matches_single_engine_counts() {
-        let single = run_rss_benchmark(ProcessingMode::Mmqjp, 30, 100, 50, 3);
-        for (shards, front_pool) in [(1, 1), (3, 1), (2, 2)] {
-            let sharded = run_sharded_rss_benchmark(
-                ProcessingMode::Mmqjp,
-                shards,
-                front_pool,
-                30,
-                100,
-                50,
-                3,
-            );
-            assert_eq!(sharded.matches, single.matches, "{shards} shards");
-            assert!(sharded.wall_throughput > 0.0);
-            assert!(sharded.templates >= single.templates);
-            // Parse-once accounting: each document is counted (and parsed)
-            // exactly once at the front, not once per shard.
-            assert_eq!(sharded.documents_processed, 100);
-            assert!(sharded.parse_time > Duration::ZERO);
-            assert!(sharded.join_time > Duration::ZERO);
-        }
-    }
-
-    #[test]
-    fn churn_benchmark_reports_eviction_counters() {
-        // 500 items span 1000 time units — well past the largest (400)
-        // window, so state must churn.
-        let run = run_churn_benchmark(ProcessingMode::MmqjpViewMat, 20, 500);
-        assert!(run.matches > 0);
-        assert!(run.steady_throughput > 0.0);
-        assert!(run.total_throughput > 0.0);
-        assert!(
-            run.stats.state_rows_evicted > 0,
-            "a 1000-time-unit churn stream must evict state: {:?}",
-            run.stats
-        );
-        assert!(run.stats.docs_evicted > 0);
-        // Resident state is bounded by the windows, below stream length.
-        assert!(run.stats.docs_retained < 300);
-    }
-
-    #[test]
-    fn subscription_churn_benchmark_contrasts_live_and_append_only() {
-        let run = run_subscription_churn_benchmark(ProcessingMode::Mmqjp, 12, 200, true);
-        assert!(run.matches > 0);
-        assert!(run.steady_throughput > 0.0);
-        assert!(run.stats.queries_unregistered > 0, "{:?}", run.stats);
-        assert_eq!(
-            run.stats.queries_registered,
-            run.total_registered - run.stats.queries_unregistered
-        );
-        // The same script with unsubscribes ignored accumulates the whole
-        // population — the growth an engine without a query lifecycle pays.
-        let append = run_subscription_churn_benchmark(ProcessingMode::Mmqjp, 12, 200, false);
-        assert_eq!(append.total_registered, run.total_registered);
-        assert_eq!(append.stats.queries_registered, append.total_registered);
-        assert!(append.stats.queries_registered > run.stats.queries_registered);
-        assert!(append.stats.distinct_patterns >= run.stats.distinct_patterns);
     }
 
     #[test]

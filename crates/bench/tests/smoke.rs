@@ -38,9 +38,5 @@ bench_smoke! {
     fig14_viewmat_simple => "../benches/fig14_viewmat_simple.rs";
     fig15_viewmat_complex => "../benches/fig15_viewmat_complex.rs";
     fig16_rss_throughput => "../benches/fig16_rss_throughput.rs";
-    fig17_sharded_throughput => "../benches/fig17_sharded_throughput.rs";
-    fig18_window_churn => "../benches/fig18_window_churn.rs";
-    fig19_subscription_churn => "../benches/fig19_subscription_churn.rs";
-    micro_operators => "../benches/micro_operators.rs";
     table3_templates => "../benches/table3_templates.rs";
 }

@@ -11,9 +11,8 @@
 //!
 //! An engine with incremental, bucketed expiry sustains a flat docs/s rate
 //! on this stream; one that rebuilds its state indexes (or drops its view
-//! cache) on every expiry degrades as the stream grows. The
-//! `fig18_window_churn` bench target and the long-stream boundedness tests
-//! are built on this generator.
+//! cache) on every expiry degrades as the stream grows. The long-stream
+//! boundedness and mode-equivalence tests are built on this generator.
 
 use crate::rss::{RssQueryGenerator, RssStreamConfig, RssStreamGenerator};
 use mmqjp_xml::Document;
@@ -100,30 +99,21 @@ impl ChurnWorkload {
 
     /// Generate the document stream (strictly increasing timestamps).
     pub fn documents(&self) -> Vec<Document> {
-        self.stream_config(self.config.items).documents()
-    }
-
-    /// Generate a stream of a different length with otherwise identical
-    /// parameters (used by the bench to sweep stream length).
-    pub fn documents_with_items(&self, items: usize) -> Vec<Document> {
-        self.stream_config(items).documents()
-    }
-
-    /// The largest configured window.
-    pub fn max_window(&self) -> u64 {
-        // lint:allow every constructor populates at least one window
-        *self.config.windows.iter().max().expect("non-empty windows")
-    }
-
-    fn stream_config(&self, items: usize) -> RssStreamGenerator {
         RssStreamGenerator::new(RssStreamConfig {
-            items,
+            items: self.config.items,
             channels: self.config.channels,
             title_vocabulary: self.config.title_vocabulary,
             description_vocabulary: self.config.description_vocabulary,
             skew: self.config.skew,
             seed: self.config.seed,
         })
+        .documents()
+    }
+
+    /// The largest configured window.
+    pub fn max_window(&self) -> u64 {
+        // lint:allow every constructor populates at least one window
+        *self.config.windows.iter().max().expect("non-empty windows")
     }
 }
 
@@ -162,9 +152,6 @@ mod tests {
         });
         let docs = w.documents();
         assert_eq!(docs.len(), 500);
-        let short = w.documents_with_items(100);
-        assert_eq!(short.len(), 100);
-        // Same prefix parameters: the shorter stream is a prefix workload.
         assert_eq!(w.config().items, 500);
     }
 

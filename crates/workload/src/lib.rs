@@ -19,10 +19,6 @@
 //!   sustained-throughput experiments: finite heterogeneous windows over a
 //!   long stream, so join state continuously expires while value joins keep
 //!   firing.
-//! * [`subscription_churn`] — the query-side twin of [`churn`]: a Poisson
-//!   subscribe/unsubscribe mix interleaved with the windowed document
-//!   stream, for exercising the engine's online query lifecycle
-//!   (`register_query` / `unregister_query`) at steady state.
 //! * [`params`] — the default parameter values of Table 5 and the scale
 //!   knobs used by the benchmark harness.
 //!
@@ -37,7 +33,6 @@ pub mod complex_schema;
 pub mod flat_schema;
 pub mod params;
 pub mod rss;
-pub mod subscription_churn;
 pub mod zipf;
 
 pub use churn::{ChurnConfig, ChurnWorkload};
@@ -45,7 +40,4 @@ pub use complex_schema::ComplexSchemaWorkload;
 pub use flat_schema::FlatSchemaWorkload;
 pub use params::{BenchScale, Defaults};
 pub use rss::{RssQueryGenerator, RssStreamConfig, RssStreamGenerator};
-pub use subscription_churn::{
-    SubscriptionChurnConfig, SubscriptionChurnWorkload, SubscriptionEvent,
-};
 pub use zipf::Zipf;

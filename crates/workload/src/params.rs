@@ -110,60 +110,6 @@ impl BenchScale {
         }
     }
 
-    /// The shard-count sweep of the sharded-throughput experiment
-    /// (Figure 17): the query population is hash-partitioned across this
-    /// many worker threads.
-    pub fn shard_counts(&self) -> Vec<usize> {
-        match self {
-            BenchScale::Paper => vec![1, 2, 4, 8, 16],
-            BenchScale::Default | BenchScale::Smoke => vec![1, 2, 4, 8],
-        }
-    }
-
-    /// Stream lengths (in feed items) swept by the sustained-throughput
-    /// churn experiment (Figure 18, beyond the paper): doubling lengths so
-    /// any per-batch cost that grows with total stream length shows up as a
-    /// falling docs/s curve.
-    pub fn churn_stream_lengths(&self) -> Vec<usize> {
-        match self {
-            BenchScale::Paper => vec![5_000, 10_000, 20_000, 40_000],
-            BenchScale::Default => vec![1_000, 2_000, 4_000],
-            BenchScale::Smoke => vec![250, 500],
-        }
-    }
-
-    /// Number of queries registered for the churn experiment.
-    pub fn churn_queries(&self) -> usize {
-        match self {
-            BenchScale::Paper => 500,
-            BenchScale::Default => 100,
-            BenchScale::Smoke => 25,
-        }
-    }
-
-    /// Stream lengths swept by the subscription-churn experiment
-    /// (Figure 19, beyond the paper): a base length and a 10×-longer stream,
-    /// so any unregistration cost that scales with the registry (rather than
-    /// the departing query's footprint) shows up as degraded steady-state
-    /// docs/s on the long run.
-    pub fn subscription_churn_lengths(&self) -> Vec<usize> {
-        match self {
-            BenchScale::Paper => vec![2_000, 20_000],
-            BenchScale::Default => vec![400, 4_000],
-            BenchScale::Smoke => vec![40, 400],
-        }
-    }
-
-    /// Initial subscription population for the subscription-churn
-    /// experiment.
-    pub fn subscription_churn_queries(&self) -> usize {
-        match self {
-            BenchScale::Paper => 300,
-            BenchScale::Default => 60,
-            BenchScale::Smoke => 12,
-        }
-    }
-
     /// Batch size used for the RSS replay (the paper batches SQL statements;
     /// we batch witness loading the same way).
     pub fn rss_batch(&self) -> usize {
@@ -201,14 +147,6 @@ mod tests {
         assert!(smoke.sequential_cap() <= default.sequential_cap());
         assert!(paper.viewmat_queries() >= default.viewmat_queries());
         assert!(paper.rss_batch() >= smoke.rss_batch());
-        assert!(paper.shard_counts().len() >= smoke.shard_counts().len());
-        assert!(smoke.shard_counts().contains(&1));
-        assert!(smoke.shard_counts().contains(&4));
-        assert!(paper.churn_stream_lengths().len() >= smoke.churn_stream_lengths().len());
-        assert!(paper.churn_queries() > smoke.churn_queries());
-        // Doubling lengths: the last entry is at least 2x the first.
-        let lengths = default.churn_stream_lengths();
-        assert!(lengths.last().unwrap() >= &(2 * lengths[0]));
     }
 
     #[test]

@@ -539,6 +539,20 @@ mod tests {
     }
 
     #[test]
+    fn parsed_document_accessors() {
+        let d = crate::parse_document("<a x=\"1\"><b>t</b><c>u</c></a>").unwrap();
+        assert_eq!(d.len(), 3);
+        assert_eq!(d.root().tag(), "a");
+        assert_eq!(d.root().attribute("x"), Some("1"));
+        assert_eq!(d.root().attribute("y"), None);
+        assert_eq!(d.node(NodeId::from_raw(1)).parent(), Some(NodeId::ROOT));
+        assert!(d.is_ancestor(NodeId::ROOT, NodeId::from_raw(2)));
+        assert!(!d.is_ancestor(NodeId::from_raw(1), NodeId::from_raw(2)));
+        assert_eq!(d.string_value(NodeId::ROOT), "tu");
+        assert_eq!(d.node_ids().count(), 3);
+    }
+
+    #[test]
     fn try_node_out_of_range() {
         let d = Document::new("r");
         assert!(d.try_node(NodeId::from_raw(5)).is_err());

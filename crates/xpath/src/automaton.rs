@@ -2,11 +2,10 @@
 //!
 //! [`PatternAutomaton`] compiles *all* registered tree patterns into one
 //! flat slot table and evaluates every pattern's bottom-up satisfiability
-//! pass in a **single** document traversal, driven by open/close element
-//! events — either replayed from a [`Document`] or pulled straight from XML
-//! text ([`PullParser`]) with no DOM in between. Per-document work is one
-//! pass over the elements plus per-element bit operations over the slot
-//! table, independent of how many queries registered each pattern.
+//! pass in a **single** traversal of a [`Document`], driven by open/close
+//! element events. Per-document work is one pass over the elements plus
+//! per-element bit operations over the slot table, independent of how many
+//! queries registered each pattern.
 //!
 //! Every `(pattern, pattern node)` pair is a *slot*. Slots of one pattern
 //! are contiguous and keep the pattern's node-id order, so a pattern child's
@@ -35,8 +34,7 @@
 
 use crate::index::PatternId;
 use crate::pattern::{Axis, NodeTest, TreePattern};
-use crate::tree::StreamSkeleton;
-use mmqjp_xml::{Document, NodeId, PullParser, XmlEvent, XmlResult};
+use mmqjp_xml::{Document, NodeId};
 use std::collections::HashMap;
 
 #[cfg(doc)]
@@ -134,14 +132,6 @@ impl PatternAutomaton {
         a
     }
 
-    /// Compile an automaton from a pattern index's live patterns.
-    pub fn from_patterns<'p, I>(patterns: I) -> Self
-    where
-        I: IntoIterator<Item = (PatternId, &'p TreePattern)>,
-    {
-        PatternAutomaton::new(patterns)
-    }
-
     /// Number of compiled patterns.
     pub fn pattern_count(&self) -> usize {
         self.patterns.len()
@@ -201,37 +191,6 @@ impl PatternAutomaton {
         }
         run.finish_into(pass);
         scratch.stack = stack;
-    }
-
-    /// Evaluate all compiled patterns directly over XML text via the pull
-    /// parser — no DOM is built. Returns the captured [`StreamSkeleton`]
-    /// (for witness enumeration and string-value resolution) alongside the
-    /// per-pattern useful sets.
-    pub fn pass_over_text(&self, xml: &str) -> XmlResult<(StreamSkeleton, SharedPass)> {
-        let mut parser = PullParser::new(xml);
-        let mut scratch = AutomatonScratch::default();
-        let mut run = self.start(&mut scratch);
-        let mut skel = StreamSkeleton::new();
-        while let Some(ev) = parser.next_event()? {
-            match ev {
-                XmlEvent::StartElement { tag, attributes } => {
-                    run.open(tag, |name| attributes.iter().any(|(n, _)| *n == name));
-                    skel.open_element(
-                        tag.to_owned(),
-                        attributes
-                            .into_iter()
-                            .map(|(n, v)| (n.to_owned(), v.into_owned()))
-                            .collect(),
-                    );
-                }
-                XmlEvent::Text(text) => skel.append_text(&text),
-                XmlEvent::EndElement { .. } => {
-                    run.close();
-                    skel.close_element();
-                }
-            }
-        }
-        Ok((skel, run.finish()))
     }
 }
 
@@ -375,15 +334,9 @@ impl AutomatonRun<'_> {
     /// satisfiability rows (the exact bit-level analogue of
     /// [`PatternMatcher::useful_from_sat`]) and extract per-pattern useful
     /// sets in ascending element-id order — the order, sets and downstream
-    /// passes are all identical to the per-pattern matcher's.
-    pub fn finish(self) -> SharedPass {
-        let mut pass = SharedPass::default();
-        self.finish_into(&mut pass);
-        pass
-    }
-
-    /// [`finish`](Self::finish) into a reused [`SharedPass`], keeping its
-    /// buffers (the slot-set vectors retain capacity across documents).
+    /// passes are all identical to the per-pattern matcher's. The result goes
+    /// into a reused [`SharedPass`], keeping its buffers (the slot-set
+    /// vectors retain capacity across documents).
     pub fn finish_into(self, pass: &mut SharedPass) {
         let a = self.automaton;
         let s = self.scratch;
@@ -514,8 +467,7 @@ mod tests {
     use super::*;
     use crate::matcher::PatternMatcher;
     use crate::parser::parse_pattern;
-    use crate::tree::ElementTree;
-    use mmqjp_xml::{parse_document, rss, DocumentBuilder};
+    use mmqjp_xml::{rss, DocumentBuilder};
 
     fn patterns() -> Vec<TreePattern> {
         [
@@ -645,38 +597,6 @@ mod tests {
         }
     }
 
-    /// The no-DOM text pass must agree with parse-then-match.
-    #[test]
-    fn text_pass_matches_dom_pipeline() {
-        let xml = r#"<?xml version="1.0"?>
-            <book><author>Danny Ayers</author><author>Andrew Watt</author>
-            <title>Beginning RSS</title><category>Web</category>
-            <link href="http://example.org/b"/></book>"#;
-        let pats = patterns();
-        let keyed: Vec<(PatternId, &TreePattern)> = pats
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (PatternId(i as u32), p))
-            .collect();
-        let automaton = PatternAutomaton::new(keyed.iter().map(|&(id, p)| (id, p)));
-        let (skel, pass) = automaton.pass_over_text(xml).unwrap();
-        let doc = parse_document(xml).unwrap();
-        assert_eq!(skel.len(), doc.len());
-        for (id, pattern) in &keyed {
-            let m = PatternMatcher::new(pattern);
-            let useful = pass.useful(*id).unwrap();
-            assert_eq!(
-                m.witnesses_from_useful(&skel, useful),
-                m.witnesses(&doc),
-                "text-pass witnesses diverged for pattern {id:?}"
-            );
-        }
-        // String values resolve identically off the skeleton.
-        for id in doc.element_ids() {
-            assert_eq!(skel.string_value_of(id), doc.string_value(id));
-        }
-    }
-
     #[test]
     fn empty_automaton_passes_cleanly() {
         let automaton = PatternAutomaton::new(std::iter::empty());
@@ -700,11 +620,5 @@ mod tests {
             pass.useful(PatternId(0)).unwrap(),
             &[root.clone(), root][..]
         );
-    }
-
-    #[test]
-    fn malformed_text_surfaces_parse_errors() {
-        let automaton = PatternAutomaton::new(std::iter::empty());
-        assert!(automaton.pass_over_text("<a><b></a>").is_err());
     }
 }

@@ -24,7 +24,7 @@ use crate::automaton::{AutomatonScratch, PatternAutomaton, SharedPass};
 use crate::matcher::PatternMatcher;
 use crate::pattern::{NodeTest, PatternNodeId, TreePattern};
 use crate::witness::{EdgeBinding, Witness};
-use mmqjp_xml::{Document, XmlResult};
+use mmqjp_xml::Document;
 use std::collections::{HashMap, HashSet};
 
 /// Identifier of a registered (distinct) pattern within a [`PatternIndex`].
@@ -252,16 +252,6 @@ impl PatternIndex {
         out
     }
 
-    /// Ensure the shared automaton over all live patterns is compiled
-    /// (lazily rebuilt after registration churn) and return it.
-    pub fn automaton(&mut self) -> &PatternAutomaton {
-        if self.automaton.is_none() {
-            self.automaton = Some(PatternAutomaton::new(self.patterns()));
-        }
-        // The line above guarantees presence; avoid unwrap for the lint.
-        self.automaton.get_or_insert_with(PatternAutomaton::default)
-    }
-
     /// Run the shared automaton over a document: one traversal evaluates the
     /// bottom-up satisfiability pass *and* the top-down usefulness pass of
     /// **every** live pattern, into a reused [`SharedPass`]. With a warm
@@ -275,34 +265,6 @@ impl PatternIndex {
         }
         let automaton = self.automaton.get_or_insert_with(PatternAutomaton::default);
         automaton.pass_over_reusing(doc, &mut self.scratch, pass);
-    }
-
-    /// Evaluate every registered pattern directly over XML text through the
-    /// pull parser — the fused parse ⊕ Stage-1 pass, with no DOM built.
-    /// Output is identical to parsing the text and calling
-    /// [`evaluate_witnesses`](PatternIndex::evaluate_witnesses).
-    pub fn evaluate_witnesses_streaming_text(
-        &mut self,
-        xml: &str,
-    ) -> XmlResult<Vec<(PatternId, Vec<Witness>)>> {
-        self.evaluated_last = self.live;
-        self.skipped_last = 0;
-        let (skel, pass) = self.automaton().pass_over_text(xml)?;
-        let mut out = Vec::new();
-        for (id, pattern) in self.patterns() {
-            let Some(useful) = pass.useful(id) else {
-                continue;
-            };
-            if useful.first().map_or(true, Vec::is_empty) {
-                continue;
-            }
-            let matcher = PatternMatcher::new(pattern);
-            let ws = matcher.witnesses_from_useful(&skel, useful);
-            if !ws.is_empty() {
-                out.push((id, ws));
-            }
-        }
-        Ok(out)
     }
 }
 

@@ -28,11 +28,9 @@
 //!   index.
 //! * [`PatternAutomaton`] — the streaming front end: all registered patterns
 //!   compiled into one slot table whose bottom-up satisfiability pass runs
-//!   in a **single** document traversal driven by open/close events, either
-//!   replayed from a [`Document`](mmqjp_xml::Document) or pulled straight
-//!   from XML text with no DOM in between ([`StreamSkeleton`] carries the
-//!   flat per-element state the later passes need). Output is byte-identical
-//!   to the per-pattern matcher, which stays the reference path.
+//!   in a **single** traversal of a [`Document`](mmqjp_xml::Document),
+//!   driven by open/close events. Output is byte-identical to the
+//!   per-pattern matcher, which stays the reference path.
 //!
 //! The matcher implements the standard two-pass algorithm for tree patterns:
 //! a bottom-up *satisfiability* pass (which document nodes can root a match
@@ -50,7 +48,6 @@ mod index;
 mod matcher;
 mod parser;
 mod pattern;
-mod tree;
 mod witness;
 
 pub use automaton::{AutomatonRun, AutomatonScratch, PatternAutomaton, SharedPass};
@@ -59,5 +56,4 @@ pub use index::{PatternId, PatternIndex, PatternIndexStats};
 pub use matcher::PatternMatcher;
 pub use parser::{parse_path, parse_pattern};
 pub use pattern::{Axis, NodeTest, PatternNode, PatternNodeId, TreePattern};
-pub use tree::{ElementTree, StreamSkeleton};
 pub use witness::{binding_string_value, EdgeBinding, Witness, WitnessSet};

@@ -18,9 +18,8 @@
 //! the paper's factored, binary representation of witnesses (`RbinW`/`Rbin`).
 
 use crate::pattern::{Axis, NodeTest, PatternNode, PatternNodeId, TreePattern};
-use crate::tree::ElementTree;
 use crate::witness::{EdgeBinding, Witness};
-use mmqjp_xml::NodeId;
+use mmqjp_xml::{Document, NodeId};
 use std::collections::HashSet;
 
 /// Evaluates one [`TreePattern`] against documents.
@@ -41,35 +40,34 @@ impl<'p> PatternMatcher<'p> {
     }
 
     /// Whether a document node passes a pattern node's node test.
-    fn test_matches<T: ElementTree + ?Sized>(doc: &T, node: NodeId, test: &NodeTest) -> bool {
+    fn test_matches(doc: &Document, node: NodeId, test: &NodeTest) -> bool {
         match test {
-            NodeTest::Tag(t) => doc.tag_of(node) == t,
+            NodeTest::Tag(t) => doc.node(node).tag() == t,
             NodeTest::Wildcard => true,
-            NodeTest::Attribute(a) => doc.attribute_of(node, a).is_some(),
+            NodeTest::Attribute(a) => doc.node(node).attribute(a).is_some(),
         }
     }
 
     /// Whether document nodes `(du, dv)` satisfy the axis relationship
     /// required between a pattern node and its child pattern node `child`.
-    fn axis_holds<T: ElementTree + ?Sized>(
-        doc: &T,
-        du: NodeId,
-        dv: NodeId,
-        child: &PatternNode,
-    ) -> bool {
+    /// Inlinable across crates: the engines' front instantiates
+    /// [`for_each_pair`](Self::for_each_pair) and calls this once per
+    /// candidate pair.
+    #[inline]
+    fn axis_holds(doc: &Document, du: NodeId, dv: NodeId, child: &PatternNode) -> bool {
         match child.test() {
             // Attribute steps bind the element that carries the attribute,
             // which is the same element the parent step matched.
             NodeTest::Attribute(_) => du == dv,
             _ => match child.axis() {
-                Axis::Child => doc.parent_of(dv) == Some(du),
-                Axis::Descendant => doc.is_ancestor_of(du, dv),
+                Axis::Child => doc.node(dv).parent() == Some(du),
+                Axis::Descendant => doc.is_ancestor(du, dv),
             },
         }
     }
 
     /// Bottom-up satisfiability sets, indexed by pattern node id.
-    fn satisfying_sets<T: ElementTree + ?Sized>(&self, doc: &T) -> Vec<Vec<NodeId>> {
+    fn satisfying_sets(&self, doc: &Document) -> Vec<Vec<NodeId>> {
         let n = self.pattern.len();
         let mut sat: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         // Children always have larger ids than their parents (insertion
@@ -82,10 +80,10 @@ impl<'p> PatternMatcher<'p> {
                 // descendant axis considers every element.
                 match pnode.axis() {
                     Axis::Child => vec![NodeId::ROOT],
-                    Axis::Descendant => doc.element_ids().collect(),
+                    Axis::Descendant => doc.node_ids().collect(),
                 }
             } else {
-                doc.element_ids().collect()
+                doc.node_ids().collect()
             };
             let mut matched = Vec::new();
             'cands: for d in candidates {
@@ -110,7 +108,7 @@ impl<'p> PatternMatcher<'p> {
 
     /// Top-down useful sets: satisfying nodes that participate in at least
     /// one complete witness. Indexed by pattern node id.
-    pub fn useful_nodes<T: ElementTree + ?Sized>(&self, doc: &T) -> Vec<Vec<NodeId>> {
+    pub fn useful_nodes(&self, doc: &Document) -> Vec<Vec<NodeId>> {
         let sat = self.satisfying_sets(doc);
         self.useful_from_sat(doc, &sat)
     }
@@ -123,11 +121,7 @@ impl<'p> PatternMatcher<'p> {
     /// [`crate::PatternAutomaton`] reproduces).
     ///
     /// [`satisfying_sets`]: PatternMatcher::useful_nodes
-    pub fn useful_from_sat<T: ElementTree + ?Sized>(
-        &self,
-        doc: &T,
-        sat: &[Vec<NodeId>],
-    ) -> Vec<Vec<NodeId>> {
+    pub fn useful_from_sat(&self, doc: &Document, sat: &[Vec<NodeId>]) -> Vec<Vec<NodeId>> {
         let n = self.pattern.len();
         let mut useful: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         useful[0] = sat[0].clone();
@@ -154,15 +148,15 @@ impl<'p> PatternMatcher<'p> {
     }
 
     /// `true` when the document contains at least one complete witness.
-    pub fn matches<T: ElementTree + ?Sized>(&self, doc: &T) -> bool {
+    pub fn matches(&self, doc: &Document) -> bool {
         !self.satisfying_sets(doc)[0].is_empty()
     }
 
     /// Binding pairs for one *adjacent* pattern edge `(parent, child)`,
     /// restricted to useful nodes, handed to `f` in order.
-    fn for_each_adjacent_pair<T: ElementTree + ?Sized>(
+    fn for_each_adjacent_pair(
         &self,
-        doc: &T,
+        doc: &Document,
         useful: &[Vec<NodeId>],
         parent: PatternNodeId,
         child: PatternNodeId,
@@ -180,9 +174,9 @@ impl<'p> PatternMatcher<'p> {
 
     /// Binding pairs for one *adjacent* pattern edge `(parent, child)`,
     /// restricted to useful nodes.
-    fn adjacent_pairs<T: ElementTree + ?Sized>(
+    fn adjacent_pairs(
         &self,
-        doc: &T,
+        doc: &Document,
         useful: &[Vec<NodeId>],
         parent: PatternNodeId,
         child: PatternNodeId,
@@ -196,9 +190,9 @@ impl<'p> PatternMatcher<'p> {
     /// handed to `f` instead of collected: self edges and adjacent edges —
     /// the edges Stage 1 requests almost always — allocate nothing; a
     /// multi-step chain is composed first.
-    pub fn for_each_pair<T: ElementTree + ?Sized>(
+    pub fn for_each_pair(
         &self,
-        doc: &T,
+        doc: &Document,
         useful: &[Vec<NodeId>],
         ancestor: PatternNodeId,
         descendant: PatternNodeId,
@@ -222,9 +216,9 @@ impl<'p> PatternMatcher<'p> {
     /// The pairs are computed by composing adjacent-edge pairs along the
     /// pattern path, so intermediate structural constraints are respected
     /// even though the intermediate bindings are projected away.
-    pub fn chain_pairs<T: ElementTree + ?Sized>(
+    pub fn chain_pairs(
         &self,
-        doc: &T,
+        doc: &Document,
         useful: &[Vec<NodeId>],
         ancestor: PatternNodeId,
         descendant: PatternNodeId,
@@ -274,9 +268,9 @@ impl<'p> PatternMatcher<'p> {
     /// variables bound at those nodes. Pattern nodes without variables are
     /// skipped (callers normally run
     /// [`TreePattern::assign_canonical_variables`] first).
-    pub fn edge_bindings<T: ElementTree + ?Sized>(
+    pub fn edge_bindings(
         &self,
-        doc: &T,
+        doc: &Document,
         edges: &[(PatternNodeId, PatternNodeId)],
     ) -> Vec<EdgeBinding> {
         let useful = self.useful_nodes(doc);
@@ -285,9 +279,9 @@ impl<'p> PatternMatcher<'p> {
 
     /// Edge bindings from externally computed satisfiability sets (see
     /// [`useful_from_sat`](PatternMatcher::useful_from_sat)).
-    pub fn edge_bindings_from_sat<T: ElementTree + ?Sized>(
+    pub fn edge_bindings_from_sat(
         &self,
-        doc: &T,
+        doc: &Document,
         sat: &[Vec<NodeId>],
         edges: &[(PatternNodeId, PatternNodeId)],
     ) -> Vec<EdgeBinding> {
@@ -297,9 +291,9 @@ impl<'p> PatternMatcher<'p> {
 
     /// Edge bindings from externally computed *useful* sets (e.g. a shared
     /// automaton pass that already ran the top-down usefulness pruning).
-    pub fn edge_bindings_from_useful<T: ElementTree + ?Sized>(
+    pub fn edge_bindings_from_useful(
         &self,
-        doc: &T,
+        doc: &Document,
         useful: &[Vec<NodeId>],
         edges: &[(PatternNodeId, PatternNodeId)],
     ) -> Vec<EdgeBinding> {
@@ -325,7 +319,7 @@ impl<'p> PatternMatcher<'p> {
 
     /// Edge bindings for every adjacent edge of the pattern (the paper's
     /// fully shredded representation).
-    pub fn all_edge_bindings<T: ElementTree + ?Sized>(&self, doc: &T) -> Vec<EdgeBinding> {
+    pub fn all_edge_bindings(&self, doc: &Document) -> Vec<EdgeBinding> {
         let edges = self.pattern.edges();
         self.edge_bindings(doc, &edges)
     }
@@ -337,18 +331,14 @@ impl<'p> PatternMatcher<'p> {
     /// Pattern node ids are assigned in insertion (pre-)order, so a node's
     /// parent always has a smaller id. Enumerating bindings in id order
     /// therefore always has the parent's binding available.
-    pub fn witnesses<T: ElementTree + ?Sized>(&self, doc: &T) -> Vec<Witness> {
+    pub fn witnesses(&self, doc: &Document) -> Vec<Witness> {
         let useful = self.useful_nodes(doc);
         self.witnesses_from_useful(doc, &useful)
     }
 
     /// Complete witnesses from externally computed satisfiability sets (see
     /// [`useful_from_sat`](PatternMatcher::useful_from_sat)).
-    pub fn witnesses_from_sat<T: ElementTree + ?Sized>(
-        &self,
-        doc: &T,
-        sat: &[Vec<NodeId>],
-    ) -> Vec<Witness> {
+    pub fn witnesses_from_sat(&self, doc: &Document, sat: &[Vec<NodeId>]) -> Vec<Witness> {
         let useful = self.useful_from_sat(doc, sat);
         self.witnesses_from_useful(doc, &useful)
     }
@@ -356,11 +346,7 @@ impl<'p> PatternMatcher<'p> {
     /// Complete witnesses from externally computed *useful* sets (e.g. a
     /// shared automaton pass that already ran the top-down usefulness
     /// pruning).
-    pub fn witnesses_from_useful<T: ElementTree + ?Sized>(
-        &self,
-        doc: &T,
-        useful: &[Vec<NodeId>],
-    ) -> Vec<Witness> {
+    pub fn witnesses_from_useful(&self, doc: &Document, useful: &[Vec<NodeId>]) -> Vec<Witness> {
         if useful[0].is_empty() {
             return Vec::new();
         }
@@ -370,9 +356,9 @@ impl<'p> PatternMatcher<'p> {
         results
     }
 
-    fn enumerate_in_id_order<T: ElementTree + ?Sized>(
+    fn enumerate_in_id_order(
         &self,
-        doc: &T,
+        doc: &Document,
         useful: &[Vec<NodeId>],
         partial: &mut Vec<NodeId>,
         results: &mut Vec<Witness>,
@@ -413,7 +399,7 @@ impl<'p> PatternMatcher<'p> {
 mod tests {
     use super::*;
     use crate::parser::parse_pattern;
-    use mmqjp_xml::{rss, Document, DocumentBuilder};
+    use mmqjp_xml::{rss, DocumentBuilder};
 
     /// Figure 1's book announcement.
     fn d1() -> Document {

@@ -1,8 +1,7 @@
 //! Witness types: the output of Stage-1 XPath evaluation.
 
 use crate::pattern::{NodeTest, PatternNodeId, TreePattern};
-use crate::tree::ElementTree;
-use mmqjp_xml::NodeId;
+use mmqjp_xml::{Document, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -116,18 +115,19 @@ impl WitnessSet {
 /// node. For attribute steps (`@name`) — which are represented by binding the
 /// carrying element — it is the attribute's value. The reference definition
 /// the engines' witness ingest is tested against.
-pub fn binding_string_value<T: ElementTree + ?Sized>(
-    doc: &T,
+pub fn binding_string_value(
+    doc: &Document,
     pattern: &TreePattern,
     pattern_node: PatternNodeId,
     node: NodeId,
 ) -> String {
     match pattern.node(pattern_node).test() {
         NodeTest::Attribute(name) => doc
-            .attribute_of(node, name)
+            .node(node)
+            .attribute(name)
             .map(|s| s.to_owned())
             .unwrap_or_default(),
-        _ => doc.string_value_of(node),
+        _ => doc.string_value(node),
     }
 }
 

@@ -316,7 +316,9 @@ fn view_cache_capacity_does_not_change_results() {
 #[test]
 fn batched_processing_agrees_across_modes() {
     // process_batch trades intra-batch matches for throughput; all modes must
-    // make the same trade and agree with each other.
+    // make the same trade and agree with each other. The set-up is the
+    // paper's Fig. 16 (RSS queries, batched, no retained documents), so the
+    // figure's claim is pinned here too, as plan-execution counts.
     let generator = RssQueryGenerator::new(0.8);
     let mut rng = StdRng::seed_from_u64(606);
     let queries = generator.generate_queries(60, &mut rng);
@@ -329,7 +331,9 @@ fn batched_processing_agrees_across_modes() {
     })
     .documents();
 
+    let batches = docs.chunks(30).len();
     let mut reference: Option<Vec<_>> = None;
+    let mut stats = Vec::new();
     for mode in all_modes() {
         let config = EngineConfig {
             mode,
@@ -346,6 +350,7 @@ fn batched_processing_agrees_across_modes() {
             mmqjp_core::sort_matches(&mut batch);
             matches.extend(batch);
         }
+        stats.push((mode, engine.stats()));
         let keys = match_keys(&matches);
         match &reference {
             None => reference = Some(keys),
@@ -382,6 +387,29 @@ fn batched_processing_agrees_across_modes() {
                  diverges from {mode:?}"
             );
         }
+    }
+
+    // Fig. 16's claim: shared per-template evaluation beats the per-query
+    // Sequential loop. `PhysicalPlan::execute` counts every call after the
+    // first as a scratch reuse, so an engine's plan executions are
+    // `scratch_reuses + 1`. Sequential runs one plan per registration per
+    // batch; the MMQJP modes at most one per template per batch.
+    let executions = |mode| {
+        let (_, s) = stats.iter().find(|(m, _)| *m == mode).unwrap();
+        (s.scratch_reuses + 1, s.templates)
+    };
+    let (sequential, _) = executions(ProcessingMode::Sequential);
+    assert_eq!(sequential, queries.len() * batches);
+    for mode in [ProcessingMode::Mmqjp, ProcessingMode::MmqjpViewMat] {
+        let (shared, templates) = executions(mode);
+        assert!(
+            shared <= templates * batches,
+            "{mode:?}: {shared} plan executions for {templates} templates x {batches} batches"
+        );
+        assert!(
+            shared < sequential,
+            "{mode:?}: {shared} plan executions, Sequential {sequential}"
+        );
     }
 }
 

@@ -13,6 +13,7 @@ use mmqjp_workload::{
 use mmqjp_xml::{Document, Timestamp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Duration;
 
 fn rss_workload(
     seed: u64,
@@ -60,6 +61,11 @@ fn sharded_output_is_deterministic_across_interleavings() {
 #[test]
 fn shard_stats_sum_to_aggregate() {
     let (queries, docs) = rss_workload(43, 50, 40);
+    let mut single = MmqjpEngine::new(EngineConfig::mmqjp());
+    for q in &queries {
+        single.register_query(q.clone()).unwrap();
+    }
+    let single_templates = single.stats().templates;
     for &num_shards in &SHARD_COUNTS {
         let config = EngineConfig::mmqjp().with_retain_documents(false);
         let mut engine = sharded_engine_with_queries(config, num_shards, &queries);
@@ -76,6 +82,11 @@ fn shard_stats_sum_to_aggregate() {
             engine.queries_per_shard().iter().sum::<usize>(),
             queries.len()
         );
+        // A template is replicated into every shard holding one of its
+        // queries, and both stages' time reaches the aggregate.
+        assert!(total.templates >= single_templates);
+        assert!(total.timings.xpath > Duration::ZERO);
+        assert!(total.timings.stage2_join_time() > Duration::ZERO);
     }
 }
 

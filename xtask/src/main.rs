@@ -529,12 +529,12 @@ mod tests {
 
     #[test]
     fn env_var_names_are_extracted_and_deduped() {
-        let text = "env:\n  MMQJP_BENCH_SCALE: smoke\n  MMQJP_BENCH_JSON: x\n# MMQJP_CHAOS_SEEDS\nMMQJP_BENCH_SCALE again";
+        let text = "env:\n  MMQJP_BENCH_SCALE: smoke\n  MMQJP_OTHER: x\n# MMQJP_CHAOS_SEEDS\nMMQJP_BENCH_SCALE again";
         assert_eq!(
             env_var_names(text),
             vec![
                 "MMQJP_BENCH_SCALE".to_owned(),
-                "MMQJP_BENCH_JSON".to_owned(),
+                "MMQJP_OTHER".to_owned(),
                 "MMQJP_CHAOS_SEEDS".to_owned()
             ]
         );
