@@ -121,6 +121,8 @@ impl MmqjpEngine {
         s.join_tables_reused = self.scratch.join_tables_reused() as usize;
         s.join_orders_planned = self.scratch.join_orders_planned() as usize;
         s.join_orders_reused = self.scratch.join_orders_reused() as usize;
+        s.join_rows_probed = self.scratch.rows_probed() as usize;
+        s.join_ids_moved = self.scratch.ids_moved() as usize;
         let vc = self.view_cache.stats();
         s.view_cache_hits = vc.hits;
         s.view_cache_misses = vc.misses;
@@ -1395,6 +1397,7 @@ mod tests {
             assert!(stats.join_tables_reused > 0, "mode {mode:?}: {stats:?}");
             assert!(stats.join_orders_planned > 0, "mode {mode:?}");
             assert!(stats.join_orders_reused > 0, "mode {mode:?}: {stats:?}");
+            assert!(stats.join_rows_probed > 0, "mode {mode:?}");
         }
     }
 

@@ -163,6 +163,14 @@ pub struct EngineStats {
     pub join_orders_planned: usize,
     /// Plan executions that reused the plan's memoized join order.
     pub join_orders_reused: usize,
+    /// Intermediate rows that probed a join table, summed over the join
+    /// steps of every plan execution — the volume the join kernel's probe
+    /// loop works through.
+    pub join_rows_probed: usize,
+    /// Row ids the join kernel copied into its intermediate's existing
+    /// columns. A join step whose every probing row found exactly one
+    /// partner, in order, copies none.
+    pub join_ids_moved: usize,
     /// Stage-1 node pairs read off the automaton's useful sets — one per
     /// requested edge binding of every matching join-side pattern, before
     /// the per-document dedup.
@@ -268,6 +276,8 @@ impl AddAssign for EngineStats {
         self.join_tables_reused += rhs.join_tables_reused;
         self.join_orders_planned += rhs.join_orders_planned;
         self.join_orders_reused += rhs.join_orders_reused;
+        self.join_rows_probed += rhs.join_rows_probed;
+        self.join_ids_moved += rhs.join_ids_moved;
         self.stage1_pairs += rhs.stage1_pairs;
         self.stage1_rows += rhs.stage1_rows;
         self.docs_parsed_once += rhs.docs_parsed_once;
@@ -370,6 +380,8 @@ mod tests {
             join_tables_reused: 26,
             join_orders_planned: 27,
             join_orders_reused: 28,
+            join_rows_probed: 31,
+            join_ids_moved: 32,
             stage1_pairs: 29,
             stage1_rows: 30,
             docs_parsed_once: 17,
@@ -411,6 +423,8 @@ mod tests {
             join_tables_reused: 260,
             join_orders_planned: 270,
             join_orders_reused: 280,
+            join_rows_probed: 310,
+            join_ids_moved: 320,
             stage1_pairs: 290,
             stage1_rows: 300,
             docs_parsed_once: 170,
@@ -452,6 +466,8 @@ mod tests {
         assert_eq!(s.join_tables_reused, 286);
         assert_eq!(s.join_orders_planned, 297);
         assert_eq!(s.join_orders_reused, 308);
+        assert_eq!(s.join_rows_probed, 341);
+        assert_eq!(s.join_ids_moved, 352);
         assert_eq!(s.stage1_pairs, 319);
         assert_eq!(s.stage1_rows, 330);
         assert_eq!(s.docs_parsed_once, 187);

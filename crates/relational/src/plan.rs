@@ -14,16 +14,22 @@
 //!
 //! * selections are per-constraint passes over contiguous column slices,
 //!   producing row-id vectors (no tuple is copied and no row is assembled);
+//! * the intermediate result is **one row-id column per joined atom**;
 //! * there is **one join step**: it builds a hash table on the atom and
 //!   probes it with the intermediate result. The table is a flat
 //!   power-of-two `heads` array, per-row `chain` links and the per-row key
-//!   hashes, computed column-wise; a probe compares the stored hash before
-//!   it touches any [`Value`], then verifies the key columns exactly;
-//! * each join produces strided row-id tuples — one id per already joined
-//!   atom;
+//!   hashes. A step resolves each key column once (a `&[Value]` slice for
+//!   flat inputs) and hashes the probe keys a column at a time with the same
+//!   routine that hashed the build side; a probe compares the stored hash
+//!   before it touches any [`Value`] and emits `(left row, right row id)`
+//!   pairs, which are then verified exactly, again a key column at a time;
+//! * the existing columns are gathered by the pairs' left rows afterwards —
+//!   unless every left row found exactly one partner, in order: then the
+//!   step leaves them untouched and only appends the right ids as the new
+//!   atom's column (the *in-place* step);
 //! * full output tuples are materialized exactly once, at the final head
-//!   projection, appended column-by-column (optionally deduplicated in the
-//!   same pass).
+//!   projection, appended column-by-column through the same resolved
+//!   columns (optionally deduplicated first, hashed column-wise too).
 //!
 //! # What is shared across executions
 //!
@@ -50,7 +56,9 @@
 //!   (filtered) length leaves `[½×, 2×]` of its planned length.
 //! * **Buffers.** All executor buffers, shared tables included, live in the
 //!   [`ExecScratch`] pool the caller owns, so steady-state evaluation
-//!   performs no per-batch allocations beyond the result relation itself.
+//!   performs no per-batch allocations beyond the result relation itself
+//!   (`cargo run -p xtask -- lint` keeps allocating calls out of this
+//!   file's execution path).
 //!
 //! The result of an execution is a bag: every order and every table yields
 //! the same rows, but their order is the executor's own and no caller may
@@ -307,8 +315,12 @@ impl PhysicalPlan {
             samples,
             table,
             shared,
-            cur,
-            next,
+            cols,
+            gathered,
+            pair_left,
+            pair_right,
+            hashes,
+            keep,
             dedup,
             bound,
             lens,
@@ -338,9 +350,7 @@ impl PhysicalPlan {
         // ---- Selection: per-atom row-id vectors -------------------------
         // Each constraint is one pass over a contiguous column slice: the
         // first constraint seeds the row-id vector, the rest filter it.
-        while sels.len() < n {
-            sels.push(Vec::new());
-        }
+        grow_pool(sels, n);
         lens.clear();
         filtered.clear();
         for (i, atom) in atoms.iter().enumerate() {
@@ -377,9 +387,7 @@ impl PhysicalPlan {
             // *combination* from them, which — unlike per-column estimates
             // multiplied under an independence assumption — stays honest for
             // correlated columns. Only multi-atom bodies need them.
-            while samples.len() < n {
-                samples.push(Vec::new());
-            }
+            grow_pool(samples, n);
             if n > 1 {
                 for (i, atom) in atoms.iter().enumerate() {
                     let input = &inputs[atom.rel as usize];
@@ -414,25 +422,25 @@ impl PhysicalPlan {
         step_rels.extend(order.iter().map(|&i| atoms[i].rel));
 
         // ---- Pipeline of row-id hash joins ------------------------------
-        // `cur` holds the intermediate result: `stride` row ids per logical
-        // row, one per already joined atom (in `order` position). `acc` maps
-        // each bound column to the `(step, position)` it is fetched from.
-        // Every connected step builds on the atom and probes with the
+        // The intermediate result is one row-id column per joined atom
+        // (`cols[s]` for the atom joined at step `s`); `acc` maps each bound
+        // variable to the `(step, position)` it is fetched from. Every
+        // connected step builds on the atom and probes with the
         // intermediate, so the table of an unfiltered batch-shared atom can
         // be built once per batch and reused by every later step that joins
         // the same input on the same key columns.
+        grow_pool(cols, n);
         acc.clear();
         let first = order[0];
-        cur.clear();
+        cols[0].clear();
         if filtered[first] {
-            cur.extend_from_slice(&sels[first]);
+            cols[0].extend_from_slice(&sels[first]);
         } else {
-            cur.extend(0..lens[first]);
+            cols[0].extend(0..lens[first]);
         }
         for (col, pos) in &atoms[first].vars {
             acc.push((*col, 0, *pos));
         }
-        let mut stride = 1usize;
 
         for (step, &ai) in order.iter().enumerate().skip(1) {
             let atom = &atoms[ai];
@@ -446,23 +454,22 @@ impl PhysicalPlan {
                     right_keys.push(*pos);
                 }
             }
-            let left_rows = cur.len() / stride;
             let right_rows = lens[ai] as usize;
             let right_sel: Option<&[u32]> = filtered[ai].then_some(sels[ai].as_slice());
-            let left = LeftRows {
-                cur: cur.as_slice(),
-                stride,
+            let joined = Joined {
+                cols: &cols[..step],
                 inputs,
-                step_rels: step_rels.as_slice(),
+                step_rels,
             };
 
-            next.clear();
+            pair_left.clear();
+            pair_right.clear();
             if left_keys.is_empty() {
                 // Disconnected body: cross product, left-outer order.
-                for l in 0..left_rows {
+                for l in 0..joined.rows() as u32 {
                     for r in 0..right_rows {
-                        next.extend_from_slice(&cur[l * stride..(l + 1) * stride]);
-                        next.push(base_id(right_sel, r));
+                        pair_left.push(l);
+                        pair_right.push(base_id(right_sel, r));
                     }
                 }
             } else {
@@ -474,29 +481,22 @@ impl PhysicalPlan {
                         &*table
                     }
                 };
-                for l in 0..left_rows {
-                    let h = left.hash_key(l, left_keys);
-                    let mut r = built.first(h);
-                    while r != NONE {
-                        // The stored hash screens candidates before any
-                        // `Value` is touched; equal hashes are then verified
-                        // exactly (collisions must not join).
-                        if built.hashes[r as usize] == h {
-                            let rid = base_id(right_sel, r as usize);
-                            if left.key_equals(l, left_keys, right, rid, right_keys) {
-                                next.extend_from_slice(&cur[l * stride..(l + 1) * stride]);
-                                next.push(rid);
-                            }
-                        }
-                        r = built.chain[r as usize];
-                    }
+                joined.hash_rows(left_keys, hashes);
+                probe(built, hashes, right_sel, pair_left, pair_right);
+                counters.rows_probed += hashes.len() as u64;
+                // Equal hashes are verified exactly, one key column at a
+                // time (collisions must not join).
+                for (&key, &pos) in left_keys.iter().zip(right_keys.iter()) {
+                    let (ids, vals) = joined.column(key);
+                    retain_equal(pair_left, pair_right, ids, vals, ColVals::of(right, pos));
                 }
             }
-            std::mem::swap(cur, next);
-            stride += 1;
-            if cur.is_empty() {
+            if pair_left.is_empty() {
                 return Ok(out);
             }
+            let (joined, rest) = cols.split_at_mut(step);
+            counters.ids_moved +=
+                extend_columns(joined, &mut rest[0], pair_left, pair_right, gathered);
             for (col, pos) in &atom.vars {
                 if !acc.iter().any(|(c, _, _)| c == col) {
                     acc.push((*col, step as u32, *pos));
@@ -505,9 +505,9 @@ impl PhysicalPlan {
         }
 
         // ---- Materialize: head projection, tuples built exactly once ----
-        // Values are appended column-by-column into the output's columnar
-        // storage; with `distinct`, rows are hashed and compared in place
-        // *before* anything is cloned.
+        // Each head column is resolved once and appended column-by-column
+        // into the output's columnar storage; with `distinct`, rows are
+        // hashed and compared in place *before* anything is cloned.
         let mat_start = Instant::now();
         head_specs.clear();
         for col in head.iter() {
@@ -517,51 +517,193 @@ impl PhysicalPlan {
                 .expect("validate() guarantees head variables are bound"); // lint:allow validate() bound every head variable
             head_specs.push((s, p));
         }
-        let rows = cur.len() / stride;
-        if distinct {
-            dedup.reset(rows);
-        }
-        let left = LeftRows {
-            cur: cur.as_slice(),
-            stride,
+        let joined = Joined {
+            cols: &cols[..n],
             inputs,
-            step_rels: step_rels.as_slice(),
+            step_rels,
         };
-        let mut out_len = 0usize;
-        for row_idx in 0..rows {
+        let out_len = if distinct {
+            joined.hash_rows(head_specs, hashes);
+            first_occurrences(joined, head_specs, hashes, dedup, keep);
+            keep.len()
+        } else {
+            joined.rows()
+        };
+        for (out_col, &spec) in out.cols_mut().iter_mut().zip(head_specs.iter()) {
+            let (ids, vals) = joined.column(spec);
             if distinct {
-                // Dedup *before* building anything: hash and compare the
-                // projected values in place, so duplicate rows are never
-                // materialized at all.
-                let h = left.hash_key(row_idx, head_specs);
-                let mut cand = dedup.first(h);
-                let mut duplicate = false;
-                while cand != NONE {
-                    if dedup.hashes[cand as usize] == h
-                        && head_specs.iter().enumerate().all(|(k, &(s, p))| {
-                            left.value(row_idx, s, p) == &out.col_values(k)[cand as usize]
-                        })
-                    {
-                        duplicate = true;
-                        break;
-                    }
-                    cand = dedup.chain[cand as usize];
-                }
-                if duplicate {
-                    continue;
-                }
-                dedup.insert(h);
+                out_col.extend(keep.iter().map(|&row| vals.get(ids[row as usize]).clone()));
+            } else {
+                out_col.extend(ids.iter().map(|&id| vals.get(id).clone()));
             }
-            let cols = out.cols_mut();
-            for (k, &(s, p)) in head_specs.iter().enumerate() {
-                cols[k].push(left.value(row_idx, s, p).clone());
-            }
-            out_len += 1;
         }
         out.set_len(out_len);
         counters.rows_materialized += out_len as u64;
         *materialize_nanos += mat_start.elapsed().as_nanos() as u64;
         Ok(out)
+    }
+}
+
+/// Grow a pool of buffers to at least `n` entries, keeping the ones it has.
+fn grow_pool<T: Default>(pool: &mut Vec<T>, n: usize) {
+    if pool.len() < n {
+        pool.resize_with(n, T::default);
+    }
+}
+
+/// The intermediate result as one join step or the head projection sees
+/// it: one row-id column per joined atom, and the input each column's ids
+/// index (`step_rels` maps a step to its input slot).
+#[derive(Clone, Copy)]
+struct Joined<'c, 'a> {
+    cols: &'c [Vec<u32>],
+    inputs: &'c [PlanInput<'a>],
+    step_rels: &'c [u32],
+}
+
+impl<'c, 'a> Joined<'c, 'a> {
+    /// Number of intermediate rows.
+    fn rows(&self) -> usize {
+        self.cols[0].len()
+    }
+
+    /// Column `p` of the atom joined at step `s`, resolved once: the step's
+    /// row ids and the values they index.
+    #[inline]
+    fn column(&self, (s, p): (u32, u32)) -> (&'c [u32], ColVals<'a>) {
+        let input = &self.inputs[self.step_rels[s as usize] as usize];
+        (&self.cols[s as usize], ColVals::of(input, p))
+    }
+
+    /// Every row's hash of the columns `keys`, one column pass per key.
+    fn hash_rows(&self, keys: &[(u32, u32)], hashes: &mut Vec<u64>) {
+        hashes.clear();
+        hashes.resize(self.rows(), 0);
+        for &key in keys {
+            let (ids, vals) = self.column(key);
+            fold_column(hashes, Some(ids), vals);
+        }
+    }
+}
+
+/// Probe `built` with intermediate rows whose key hashes are `hashes`: every
+/// chain entry with an equal stored hash becomes a `(left row, right row
+/// id)` pair. Pairs come out left row by left row, each row's candidates in
+/// ascending order. The stored hash screens candidates before any [`Value`]
+/// is touched; [`retain_equal`] verifies the survivors.
+fn probe(
+    built: &JoinTable,
+    hashes: &[u64],
+    right_sel: Option<&[u32]>,
+    pair_left: &mut Vec<u32>,
+    pair_right: &mut Vec<u32>,
+) {
+    for (l, &h) in hashes.iter().enumerate() {
+        let mut r = built.first(h);
+        while r != NONE {
+            if built.hashes[r as usize] == h {
+                pair_left.push(l as u32);
+                pair_right.push(base_id(right_sel, r as usize));
+            }
+            r = built.chain[r as usize];
+        }
+    }
+}
+
+/// Keep the pairs whose left value (`left` behind the intermediate's row
+/// ids `left_ids`) equals their right value (`right` at the right row id),
+/// preserving order.
+fn retain_equal(
+    pair_left: &mut Vec<u32>,
+    pair_right: &mut Vec<u32>,
+    left_ids: &[u32],
+    left: ColVals<'_>,
+    right: ColVals<'_>,
+) {
+    match (left, right) {
+        (ColVals::Flat(a), ColVals::Flat(b)) => retain_pairs(pair_left, pair_right, |l, r| {
+            a[left_ids[l as usize] as usize] == b[r as usize]
+        }),
+        _ => retain_pairs(pair_left, pair_right, |l, r| {
+            left.get(left_ids[l as usize]) == right.get(r)
+        }),
+    }
+}
+
+/// Keep the pairs `keep` accepts, preserving order.
+fn retain_pairs(
+    pair_left: &mut Vec<u32>,
+    pair_right: &mut Vec<u32>,
+    keep: impl Fn(u32, u32) -> bool,
+) {
+    let mut w = 0;
+    for i in 0..pair_left.len() {
+        let (l, r) = (pair_left[i], pair_right[i]);
+        if keep(l, r) {
+            pair_left[w] = l;
+            pair_right[w] = r;
+            w += 1;
+        }
+    }
+    pair_left.truncate(w);
+    pair_right.truncate(w);
+}
+
+/// Finish a join step from its verified pairs: gather each of the joined
+/// atoms' columns by the pairs' left rows, then make the right ids the new
+/// atom's column `new`. When every left row found exactly one partner, in
+/// order, the joined columns already are the result and stay untouched.
+/// Returns the number of ids gathered.
+fn extend_columns(
+    joined: &mut [Vec<u32>],
+    new: &mut Vec<u32>,
+    pair_left: &[u32],
+    pair_right: &mut Vec<u32>,
+    gathered: &mut Vec<u32>,
+) -> u64 {
+    std::mem::swap(new, pair_right);
+    let in_place = pair_left.len() == joined[0].len()
+        && pair_left.iter().enumerate().all(|(i, &l)| l as usize == i);
+    if in_place {
+        return 0;
+    }
+    for col in joined.iter_mut() {
+        gathered.clear();
+        gathered.extend(pair_left.iter().map(|&l| col[l as usize]));
+        std::mem::swap(col, gathered);
+    }
+    (pair_left.len() * joined.len()) as u64
+}
+
+/// Fill `keep` with the intermediate rows whose head tuple (`head_specs`)
+/// is the first occurrence of its values. `hashes` holds every row's head
+/// hash; equal hashes are confirmed value by value against the kept row.
+fn first_occurrences(
+    joined: Joined<'_, '_>,
+    head_specs: &[(u32, u32)],
+    hashes: &[u64],
+    dedup: &mut JoinTable,
+    keep: &mut Vec<u32>,
+) {
+    dedup.reset(hashes.len());
+    keep.clear();
+    'rows: for (row, &h) in hashes.iter().enumerate() {
+        let mut cand = dedup.first(h);
+        while cand != NONE {
+            if dedup.hashes[cand as usize] == h {
+                let kept = keep[cand as usize] as usize;
+                let same = head_specs.iter().all(|&spec| {
+                    let (ids, vals) = joined.column(spec);
+                    vals.get(ids[row]) == vals.get(ids[kept])
+                });
+                if same {
+                    continue 'rows;
+                }
+            }
+            cand = dedup.chain[cand as usize];
+        }
+        dedup.insert(h);
+        keep.push(row as u32);
     }
 }
 
@@ -642,11 +784,9 @@ fn fold_key(acc: u64, v: &Value) -> u64 {
     h.finish()
 }
 
-/// Compute the key hashes of an atom's rows **column-wise** into `out`: one
-/// pass per key column over the column's values (contiguous slices for
-/// unfiltered flat/chunked inputs, gathered through the selection vector
-/// otherwise). Equivalent to folding each row's key values in order, but
-/// touches memory column-by-column.
+/// Compute the key hashes of an atom's rows into `out`, one
+/// [`fold_column`] pass per key column (selection positions when `sel` is
+/// given, row ids otherwise).
 fn key_hashes(
     input: &PlanInput<'_>,
     sel: Option<&[u32]>,
@@ -657,26 +797,39 @@ fn key_hashes(
     out.clear();
     out.resize(rows, 0);
     for &p in keys {
-        match (sel, &input.rows) {
-            (Some(ids), _) => {
-                for (h, &rid) in out.iter_mut().zip(ids) {
-                    *h = fold_key(*h, input.value(rid, p));
-                }
+        fold_column(out, sel, ColVals::of(input, p));
+    }
+}
+
+/// Fold one key column into per-row key hashes: `hashes[i]` takes the
+/// value behind `ids[i]`, or behind row `i` itself when `ids` is `None`.
+/// The build side, the probe side and the dedup pass all hash through here,
+/// a column at a time in key order, so equal keys hash equally everywhere.
+fn fold_column(hashes: &mut [u64], ids: Option<&[u32]>, vals: ColVals<'_>) {
+    match (ids, vals) {
+        (Some(ids), ColVals::Flat(vals)) => {
+            for (h, &id) in hashes.iter_mut().zip(ids) {
+                *h = fold_key(*h, &vals[id as usize]);
             }
-            (None, Rows::Flat(rel)) => {
-                for (h, v) in out.iter_mut().zip(rel.col_values(p as usize)) {
+        }
+        (Some(ids), vals) => {
+            for (h, &id) in hashes.iter_mut().zip(ids) {
+                *h = fold_key(*h, vals.get(id));
+            }
+        }
+        (None, ColVals::Flat(vals)) => {
+            for (h, v) in hashes.iter_mut().zip(vals) {
+                *h = fold_key(*h, v);
+            }
+        }
+        (None, ColVals::Chunked(c, pos)) => {
+            // Values first: `zip` polls its left side first, so an
+            // exhausted chunk ends the inner loop without consuming the
+            // next row's hash slot.
+            let mut hs = hashes.iter_mut();
+            for rel in &c.chunks {
+                for (v, h) in rel.col_values(pos as usize).iter().zip(hs.by_ref()) {
                     *h = fold_key(*h, v);
-                }
-            }
-            (None, Rows::Chunked(c)) => {
-                // Values first: `zip` polls its left side first, so an
-                // exhausted chunk ends the inner loop without consuming the
-                // next row's hash slot.
-                let mut hs = out.iter_mut();
-                for rel in &c.chunks {
-                    for (v, h) in rel.col_values(p as usize).iter().zip(hs.by_ref()) {
-                        *h = fold_key(*h, v);
-                    }
                 }
             }
         }
@@ -1001,51 +1154,6 @@ fn join_order(
     }
 }
 
-/// The left (intermediate) side of a join step: strided row-id tuples plus
-/// the tables their column values are fetched from (`step_rels` maps each
-/// join step to its input slot).
-#[derive(Clone, Copy)]
-struct LeftRows<'b> {
-    cur: &'b [u32],
-    stride: usize,
-    inputs: &'b [PlanInput<'b>],
-    step_rels: &'b [u32],
-}
-
-impl<'b> LeftRows<'b> {
-    /// The value of intermediate row `l` at accumulated source `(s, p)`.
-    #[inline]
-    fn value(&self, l: usize, s: u32, p: u32) -> &'b Value {
-        let base = self.cur[l * self.stride + s as usize];
-        self.inputs[self.step_rels[s as usize] as usize].value(base, p)
-    }
-
-    /// Hash the join key of intermediate row `l`.
-    #[inline]
-    fn hash_key(&self, l: usize, left_keys: &[(u32, u32)]) -> u64 {
-        left_keys
-            .iter()
-            .fold(0, |h, &(s, p)| fold_key(h, self.value(l, s, p)))
-    }
-
-    /// Exact key comparison behind the hash (collisions must not join),
-    /// value-by-value against the right input's columns.
-    #[inline]
-    fn key_equals(
-        &self,
-        l: usize,
-        left_keys: &[(u32, u32)],
-        right: &PlanInput<'b>,
-        rid: u32,
-        right_keys: &[u32],
-    ) -> bool {
-        left_keys
-            .iter()
-            .zip(right_keys)
-            .all(|(&(s, p), &rp)| self.value(l, s, p) == right.value(rid, rp))
-    }
-}
-
 /// A random-access view over the buckets of a [`SegmentedRelation`],
 /// prepared once per batch (O(#buckets)) so plan execution can address
 /// segmented join state by global row id without flattening it.
@@ -1126,6 +1234,35 @@ enum Rows<'a> {
     Chunked(&'a ChunkedRows<'a>),
 }
 
+/// The values of one input column, resolved once per join step or head
+/// column: a flat input's contiguous slice (one index per value), or a
+/// chunked input's column searched per value.
+#[derive(Clone, Copy)]
+enum ColVals<'a> {
+    Flat(&'a [Value]),
+    Chunked(&'a ChunkedRows<'a>, u32),
+}
+
+impl<'a> ColVals<'a> {
+    /// Column `pos` of `input`.
+    #[inline]
+    fn of(input: &PlanInput<'a>, pos: u32) -> Self {
+        match input.rows {
+            Rows::Flat(rel) => ColVals::Flat(rel.col_values(pos as usize)),
+            Rows::Chunked(rows) => ColVals::Chunked(rows, pos),
+        }
+    }
+
+    /// The value of row `id`.
+    #[inline]
+    fn get(self, id: u32) -> &'a Value {
+        match self {
+            ColVals::Flat(vals) => &vals[id as usize],
+            ColVals::Chunked(rows, pos) => rows.value(id, pos),
+        }
+    }
+}
+
 /// One borrowed plan input: a flat columnar relation or a chunked view over
 /// segmented storage, optionally tagged as [`shared`](Self::shared) across
 /// the executions of one batch. Cheap to copy; all variants give O(1)-ish
@@ -1183,10 +1320,7 @@ impl<'a> PlanInput<'a> {
     /// The value of row `i` at column position `pos`.
     #[inline]
     pub fn value(&self, i: u32, pos: u32) -> &'a Value {
-        match self.rows {
-            Rows::Flat(rel) => &rel.col_values(pos as usize)[i as usize],
-            Rows::Chunked(rows) => rows.value(i, pos),
-        }
+        ColVals::of(self, pos).get(i)
     }
 }
 
@@ -1221,11 +1355,13 @@ struct Counters {
     tables_reused: u64,
     orders_planned: u64,
     orders_reused: u64,
+    rows_probed: u64,
+    ids_moved: u64,
 }
 
 /// The pooled executor state: selection vectors, sampled column hashes, the
-/// per-execution join table, the batch's shared join tables, intermediate
-/// row-id buffers and the distinct table. Owned by the caller (the MMQJP
+/// per-execution join table, the batch's shared join tables, the
+/// intermediate's row-id columns, the join pairs and the distinct table. Owned by the caller (the MMQJP
 /// engine keeps one per engine) and reused across every plan execution, so
 /// steady-state evaluation allocates nothing but the output relation.
 #[derive(Debug, Default)]
@@ -1236,8 +1372,17 @@ pub struct ExecScratch {
     /// input is not batch-shared.
     table: JoinTable,
     shared: SharedTables,
-    cur: Vec<u32>,
-    next: Vec<u32>,
+    /// The intermediate result: one row-id column per joined atom.
+    cols: Vec<Vec<u32>>,
+    /// The spare column a gathering step writes before swapping it in.
+    gathered: Vec<u32>,
+    /// A join step's `(left row, right row id)` pairs.
+    pair_left: Vec<u32>,
+    pair_right: Vec<u32>,
+    /// Per-row key hashes of the probe side, or head hashes for dedup.
+    hashes: Vec<u64>,
+    /// The intermediate rows the dedup pass keeps.
+    keep: Vec<u32>,
     dedup: JoinTable,
     bound: Vec<bool>,
     lens: Vec<u32>,
@@ -1298,6 +1443,19 @@ impl ExecScratch {
     /// Executions of multi-atom plans that reused the plan's memoized order.
     pub fn join_orders_reused(&self) -> u64 {
         self.counters.orders_reused
+    }
+
+    /// Intermediate rows that probed a join table, summed over join steps
+    /// (cross-product steps probe nothing).
+    pub fn rows_probed(&self) -> u64 {
+        self.counters.rows_probed
+    }
+
+    /// Row ids copied into the intermediate's existing columns by join
+    /// steps that gathered them. A step whose every left row found exactly
+    /// one partner, in order, copies none.
+    pub fn ids_moved(&self) -> u64 {
+        self.counters.ids_moved
     }
 
     /// Cumulative wall-clock time spent in the materialization pass (head
@@ -1462,11 +1620,11 @@ mod tests {
         assert_eq!(compiled.len(), 2);
     }
 
-    /// The edge relation split across three buckets, preserving row order
+    /// The relation split into buckets of two rows, preserving row order
     /// within the chunked iteration.
-    fn segmented_edges(edge: &Relation) -> SegmentedRelation {
-        let mut seg = SegmentedRelation::new(edge.schema().clone());
-        for (i, t) in edge.iter().enumerate() {
+    fn segmented_in_pairs(rel: &Relation) -> SegmentedRelation {
+        let mut seg = SegmentedRelation::new(rel.schema().clone());
+        for (i, t) in rel.iter().enumerate() {
             seg.push((i / 2) as u64, t.to_vec()).unwrap();
         }
         seg
@@ -1481,7 +1639,7 @@ mod tests {
             .execute(&[PlanInput::from(&rels[0].1)], &mut scratch, false)
             .unwrap();
 
-        let seg = segmented_edges(&rels[0].1);
+        let seg = segmented_in_pairs(&rels[0].1);
         let chunked = ChunkedRows::from_segmented(&seg);
         assert_eq!(chunked.len(), 4);
         assert!(!chunked.is_empty());
@@ -1493,6 +1651,165 @@ mod tests {
         assert_eq!(scratch.rows_materialized(), (flat.len() * 2) as u64);
     }
 
+    /// Relations `a(k)`, `b(k, v)` and `c(w)` of small ints.
+    fn kernel_rels(a: &[i64], b: &[(i64, i64)], c: &[i64]) -> Vec<(String, Relation)> {
+        let a = relation_from_rows(["k"], a.iter().map(|&k| [Value::int(k)]).collect());
+        let b = relation_from_rows(
+            ["k", "v"],
+            b.iter()
+                .map(|&(k, v)| [Value::int(k), Value::int(v)])
+                .collect(),
+        );
+        let c = relation_from_rows(["w"], c.iter().map(|&w| [Value::int(w)]).collect());
+        vec![("a".into(), a), ("b".into(), b), ("c".into(), c)]
+    }
+
+    /// Run `q` over `rels` flat and chunked (every relation in buckets of
+    /// two rows), with and without `distinct`, each through a fresh scratch.
+    /// Flat and chunked results agree row for row, and both are bag-equal to
+    /// the interpreter (set-equal with `distinct`). Returns the flat result
+    /// without `distinct` and the scratch that produced it.
+    fn check_kernel_shape(
+        q: &ConjunctiveQuery,
+        rels: &[(String, Relation)],
+    ) -> (Relation, ExecScratch) {
+        let mut db = Database::new();
+        for (name, rel) in rels {
+            db.register(name.clone(), rel.clone());
+        }
+        let interpreted = db.evaluate(q).unwrap();
+        let segmented: Vec<SegmentedRelation> = rels
+            .iter()
+            .map(|(_, rel)| segmented_in_pairs(rel))
+            .collect();
+        let chunked: Vec<ChunkedRows<'_>> =
+            segmented.iter().map(ChunkedRows::from_segmented).collect();
+        let plan = compile(q, rels);
+        let slot = |name: &String| rels.iter().position(|(n, _)| n == name).unwrap();
+        let flat: Vec<PlanInput<'_>> = plan
+            .relations()
+            .iter()
+            .map(|name| PlanInput::from(&rels[slot(name)].1))
+            .collect();
+        let via_chunks: Vec<PlanInput<'_>> = plan
+            .relations()
+            .iter()
+            .map(|name| PlanInput::from(&chunked[slot(name)]))
+            .collect();
+        let mut plain = None;
+        for distinct in [false, true] {
+            let mut scratch = ExecScratch::new();
+            let got = plan.clone().execute(&flat, &mut scratch, distinct).unwrap();
+            let got_chunked = plan
+                .clone()
+                .execute(&via_chunks, &mut ExecScratch::new(), distinct)
+                .unwrap();
+            assert_eq!(got, got_chunked, "distinct {distinct}: flat vs chunked");
+            let expected = if distinct {
+                interpreted.distinct()
+            } else {
+                interpreted.clone()
+            };
+            assert_eq!(got.sorted(), expected.sorted(), "distinct {distinct}");
+            if !distinct {
+                plain = Some((got, scratch));
+            }
+        }
+        plain.unwrap()
+    }
+
+    fn ints<const N: usize>(rows: &[[i64; N]]) -> Vec<Vec<Value>> {
+        rows.iter()
+            .map(|row| row.iter().map(|&v| Value::int(v)).collect())
+            .collect()
+    }
+
+    fn rows_of(rel: &Relation) -> Vec<Vec<Value>> {
+        rel.iter().map(|row| row.to_vec()).collect()
+    }
+
+    /// `a(K), b(K, V)`: `a` is joined first (equal lengths tie on body
+    /// position) and probes `b`.
+    fn a_then_b() -> ConjunctiveQuery {
+        ConjunctiveQuery::new(["K", "V"])
+            .atom(Atom::new("a", [Term::var("K")]))
+            .atom(Atom::new("b", [Term::var("K"), Term::var("V")]))
+    }
+
+    #[test]
+    fn a_step_where_every_row_finds_one_partner_moves_no_ids() {
+        let rels = kernel_rels(&[1, 2, 3, 4], &[(1, 10), (2, 20), (3, 30), (4, 40)], &[]);
+        let (out, scratch) = check_kernel_shape(&a_then_b(), &rels);
+        assert_eq!(rows_of(&out), ints(&[[1, 10], [2, 20], [3, 30], [4, 40]]));
+        assert_eq!(scratch.rows_probed(), 4);
+        assert_eq!(scratch.ids_moved(), 0, "the in-place step copies no id");
+    }
+
+    #[test]
+    fn a_step_with_unmatched_and_repeated_rows_gathers() {
+        // Zero partners first and two last, then the other way round.
+        for (b, expected) in [
+            (
+                [(2, 20), (3, 30), (4, 40), (4, 41)],
+                [[2, 20], [3, 30], [4, 40], [4, 41]],
+            ),
+            (
+                [(1, 10), (1, 11), (2, 20), (3, 30)],
+                [[1, 10], [1, 11], [2, 20], [3, 30]],
+            ),
+        ] {
+            let rels = kernel_rels(&[1, 2, 3, 4], &b, &[]);
+            let (out, scratch) = check_kernel_shape(&a_then_b(), &rels);
+            assert_eq!(rows_of(&out), ints(&expected), "left rows in order");
+            assert_eq!(scratch.rows_probed(), 4);
+            assert_eq!(scratch.ids_moved(), 4, "one joined column, four pairs");
+
+            // A second step over two joined columns, and a head whose rows
+            // repeat (so `distinct` drops some).
+            let q = ConjunctiveQuery::new(["K"])
+                .atom(Atom::new("a", [Term::var("K")]))
+                .atom(Atom::new("b", [Term::var("K"), Term::var("V")]))
+                .atom(Atom::new("b", [Term::var("K"), Term::var("W")]));
+            let (out, scratch) = check_kernel_shape(&q, &rels);
+            assert_eq!(out.len(), 6);
+            assert_eq!(scratch.rows_probed(), 8);
+            assert_eq!(scratch.ids_moved(), 4 + 2 * 6);
+        }
+    }
+
+    #[test]
+    fn a_step_that_kills_every_row_ends_the_execution() {
+        let rels = kernel_rels(&[1, 2], &[(5, 50), (6, 60)], &[50, 60, 70]);
+        let q = ConjunctiveQuery::new(["K"])
+            .atom(Atom::new("a", [Term::var("K")]))
+            .atom(Atom::new("b", [Term::var("K"), Term::var("V")]))
+            .atom(Atom::new("c", [Term::var("V")]));
+        let (out, scratch) = check_kernel_shape(&q, &rels);
+        assert!(out.is_empty());
+        assert_eq!(scratch.rows_probed(), 2, "the step after `b` never ran");
+    }
+
+    #[test]
+    fn a_cross_product_after_a_connected_join() {
+        let rels = kernel_rels(
+            &[1, 2, 3],
+            &[(1, 10), (2, 20), (2, 21), (9, 90)],
+            &[7, 8, 9, 10],
+        );
+        let q = ConjunctiveQuery::new(["K", "V", "W"])
+            .atom(Atom::new("a", [Term::var("K")]))
+            .atom(Atom::new("b", [Term::var("K"), Term::var("V")]))
+            .atom(Atom::new("c", [Term::var("W")]));
+        let (out, scratch) = check_kernel_shape(&q, &rels);
+        assert_eq!(out.len(), 12);
+        assert_eq!(
+            rows_of(&out)[..5],
+            ints(&[[1, 10, 7], [1, 10, 8], [1, 10, 9], [1, 10, 10], [2, 20, 7]])
+        );
+        assert_eq!(scratch.rows_probed(), 3, "a cross product probes nothing");
+        assert_eq!(scratch.ids_moved(), 3 + 2 * 12);
+    }
+
     #[test]
     fn shared_tables_are_built_once_and_reused() {
         // Two plans join the same tagged input on the same key column: one
@@ -1500,7 +1817,7 @@ mod tests {
         // fresh scratch agrees.
         let (_, rels) = edges_db();
         let three_hop = two_hop().atom(Atom::new("edge", [Term::var("Z"), Term::var("W")]));
-        let seg = segmented_edges(&rels[0].1);
+        let seg = segmented_in_pairs(&rels[0].1);
         let chunked = ChunkedRows::from_segmented(&seg);
         for input in [PlanInput::from(&rels[0].1), PlanInput::from(&chunked)] {
             let shared = [input.shared(7)];

@@ -178,7 +178,9 @@ proptest! {
     /// join key collides in one hash chain; inline dedup collapses the
     /// output), alongside the general case. Each relation draws a shape
     /// code: 0 empties it, 1 keeps a single row, 2 repeats the first row,
-    /// 3.. leaves the rows as generated.
+    /// 3..=5 leave the rows as generated, and 6 and 7 change the rows' value
+    /// type (see [`random_relations`]), so keys of different types with
+    /// equal payload bits meet in one join column.
     #[test]
     fn compiled_plans_match_the_interpreted_conjunctive_queries(
         rel_specs in rel_specs_strategy(),
@@ -301,7 +303,7 @@ fn rel_specs_strategy() -> impl Strategy<Value = Vec<RelSpec>> {
     prop::collection::vec(
         (
             1usize..4,
-            0usize..6,
+            0usize..8,
             prop::collection::vec((0i64..4, 0i64..4, 0i64..4), 0..8),
         ),
         1..4,
@@ -317,8 +319,20 @@ fn query_spec_strategy() -> impl Strategy<Value = QuerySpec> {
 }
 
 /// Random relations r0..rk with arities 1..=3 and small-int rows (so joins
-/// fire and duplicates occur), shaped by each spec's shape code.
+/// fire and duplicates occur), shaped by each spec's shape code. Codes 6 and
+/// 7 keep the rows but turn every int `k` into `Value::Sym` with raw payload
+/// `k` (code 7: `Value::Null` for 0), so a join with another relation can
+/// pair `Int(k)` with a `Sym` or `Null` that a payload-only comparison would
+/// take for equal.
 fn random_relations(rel_specs: &[RelSpec]) -> Vec<(String, Relation)> {
+    let interner = StringInterner::new();
+    let syms: Vec<Value> = (0..4u32)
+        .map(|k| {
+            let sym = interner.intern(&format!("s{k}"));
+            assert_eq!(sym.raw(), k, "a fresh interner numbers symbols from 0");
+            Value::Sym(sym)
+        })
+        .collect();
     rel_specs
         .iter()
         .enumerate()
@@ -329,11 +343,16 @@ fn random_relations(rel_specs: &[RelSpec]) -> Vec<(String, Relation)> {
                 2 => vec![*rows.first().unwrap_or(&(0, 0, 0)); rows.len().max(2)],
                 _ => rows.clone(),
             };
+            let value = |k: i64| match shape {
+                6 => syms[k as usize].clone(),
+                7 if k == 0 => Value::Null,
+                7 => syms[k as usize].clone(),
+                _ => Value::Int(k),
+            };
             let mut r = Relation::new(Schema::new((0..*arity).map(|c| format!("c{c}"))));
             for (a, b, c) in shaped {
-                let vals = [a, b, c];
-                r.push_values(vals[..*arity].iter().copied().map(Value::Int).collect())
-                    .unwrap();
+                let vals = [value(a), value(b), value(c)];
+                r.push_values(vals[..*arity].to_vec()).unwrap();
             }
             (format!("r{i}"), r)
         })

@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Seven dependency-free static checks over the workspace sources:
+//! Eight dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -30,6 +30,13 @@
 //!    `crates/core/src/{relations,state,engine}.rs` must not call
 //!    `into_rows` or `push_values(vec![…])`: witness rows enter columns as
 //!    fixed-width arrays and move into window state run by run.
+//! 8. **Allocation-free plan execution** — non-test code in
+//!    `crates/relational/src/plan.rs` must not call `.collect`,
+//!    `Vec::new(`, `vec![`, `Vec::with_capacity(` or `.to_vec(`: an
+//!    execution allocates nothing but its result relation, every other
+//!    buffer lives in the pooled `ExecScratch`. The bodies of the
+//!    registration-time `compile` and the once-per-batch `from_segmented`
+//!    are exempt.
 //!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
@@ -71,6 +78,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_id_space_front(root, &mut violations);
     check_xml_whitespace(root, &mut violations);
     check_columnar_batch_path(root, &mut violations);
+    check_plan_execution_allocations(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -466,6 +474,69 @@ fn scan_file_for_row_tuples(root: &Path, file: &Path, out: &mut Vec<String>) {
 }
 
 // ---------------------------------------------------------------------------
+// Check 8: no allocating call on the plan execution path.
+// ---------------------------------------------------------------------------
+
+const PLAN_FILE: &str = "crates/relational/src/plan.rs";
+/// Functions of the plan file that run at registration time or once per
+/// batch, not once per execution.
+const PLAN_SETUP_FNS: &[&str] = &["fn compile(", "fn from_segmented("];
+const ALLOCATING: &[&str] = &[
+    ".collect",
+    "Vec::new(",
+    "vec![",
+    "Vec::with_capacity(",
+    ".to_vec(",
+];
+
+fn check_plan_execution_allocations(root: &Path, out: &mut Vec<String>) {
+    scan_file_for_allocations(root, &root.join(PLAN_FILE), out);
+}
+
+fn scan_file_for_allocations(root: &Path, file: &Path, out: &mut Vec<String>) {
+    // Brace depth inside an exempt function's body; `None` outside one.
+    let mut exempt: Option<i64> = None;
+    scan_non_test_code(root, file, out, |line| {
+        let depth = exempt
+            .take()
+            .or_else(|| PLAN_SETUP_FNS.iter().any(|f| line.contains(f)).then_some(0));
+        if let Some(mut depth) = depth {
+            let opened = depth > 0 || line.contains('{');
+            depth += brace_delta(line);
+            // The signature may span lines: the body ends when the depth
+            // returns to zero after its opening brace.
+            exempt = (!opened || depth > 0).then_some(depth);
+            return Vec::new();
+        }
+        ALLOCATING
+            .iter()
+            .filter(|pat| line.contains(*pat))
+            .map(|pat| {
+                format!(
+                    "`{pat}` in non-test plan code (executions allocate only the result; pool the buffer in `ExecScratch`)"
+                )
+            })
+            .collect()
+    });
+}
+
+/// `{` minus `}` on a line, outside string literals.
+fn brace_delta(line: &str) -> i64 {
+    let (mut delta, mut in_str, mut escaped) = (0, false, false);
+    for c in line.chars() {
+        match (in_str, escaped, c) {
+            (true, true, _) => escaped = false,
+            (true, false, '\\') => escaped = true,
+            (_, false, '"') => in_str = !in_str,
+            (false, _, '{') => delta += 1,
+            (false, _, '}') => delta -= 1,
+            _ => {}
+        }
+    }
+    delta
+}
+
+// ---------------------------------------------------------------------------
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
@@ -475,7 +546,7 @@ fn scan_non_test_code(
     root: &Path,
     file: &Path,
     out: &mut Vec<String>,
-    check: impl Fn(&str) -> Vec<String>,
+    mut check: impl FnMut(&str) -> Vec<String>,
 ) {
     let Ok(text) = fs::read_to_string(file) else {
         out.push(format!("{}: unreadable", rel(root, file)));
@@ -602,6 +673,21 @@ mod tests {
         assert_eq!(out.len(), 2, "violations: {out:?}");
         assert!(out[0].contains("row_tuple_case.rs:2"), "{out:?}");
         assert!(out[1].contains("row_tuple_case.rs:4"), "{out:?}");
+    }
+
+    #[test]
+    fn plan_allocations_are_flagged_outside_setup_functions_and_tests() {
+        let src = "pub fn compile(\n    q: &Query,\n) -> Plan {\n    let v: Vec<u32> = Vec::new();\n    let s = format!(\"{{\");\n    q.iter().collect()\n}\nfn execute(&mut self) {\n    let ids = vec![1, 2];\n    // rows.to_vec() in a comment\n    scratch.extend(ids.iter().copied());\n    let t: Vec<_> = it.collect();\n}\nfn from_segmented(r: &R) -> Self {\n    Vec::with_capacity(r.len())\n}\nfn probe() {\n    let w = row.to_vec();\n}\n#[cfg(test)]\nmod tests {\n    fn t() { let v = vec![0]; }\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("plan_alloc_case.rs");
+        fs::write(&file, src).unwrap();
+        let mut out = Vec::new();
+        scan_file_for_allocations(&dir, &file, &mut out);
+        assert_eq!(out.len(), 3, "violations: {out:?}");
+        assert!(out[0].contains("plan_alloc_case.rs:9"), "{out:?}");
+        assert!(out[1].contains("plan_alloc_case.rs:12"), "{out:?}");
+        assert!(out[2].contains("plan_alloc_case.rs:18"), "{out:?}");
     }
 
     #[test]
