@@ -94,7 +94,7 @@ pub mod schemas {
 /// Build one `RL`/`RR` row: an `Rbin`-shaped row extended with the join
 /// string value.
 pub(crate) fn rl_row(bin_row: RowRef<'_>, strval: Symbol) -> [Value; 6] {
-    let b = |i: usize| bin_row[i].clone();
+    let b = |i: usize| bin_row[i];
     [b(0), b(1), b(2), b(3), b(4), Value::Sym(strval)]
 }
 

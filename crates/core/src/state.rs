@@ -1106,15 +1106,11 @@ mod tests {
         b.doc_ids.push(doc.id());
         let id = Value::Int(doc.id().raw() as i64);
         b.rdoc_w
-            .push_array([
-                id.clone(),
-                Value::Int(1),
-                Value::Sym(interner.intern(strval)),
-            ])
+            .push_array([id, Value::Int(1), Value::Sym(interner.intern(strval))])
             .unwrap();
         b.rbin_w
             .push_array([
-                id.clone(),
+                id,
                 Value::Sym(interner.intern("v")),
                 Value::Sym(interner.intern("v")),
                 Value::Int(0),
@@ -1605,7 +1601,7 @@ mod tests {
             batch.doc_ids.push(d.id());
             batch
                 .rdoc_ts_w
-                .push_array([id.clone(), Value::Int(next.1 as i64)])
+                .push_array([id, Value::Int(next.1 as i64)])
                 .unwrap();
             let attribute = ((u64::from(vars[0].raw()) + 1) << 32 | 1) as i64;
             let mut nodes: Vec<i64> = (0..1 + below(rng, 4))
@@ -1624,20 +1620,14 @@ mod tests {
                 let var = |rng: &mut SplitMix64| Value::Sym(vars[below(rng, 3) as usize]);
                 batch
                     .rbin_w
-                    .push_array([
-                        id.clone(),
-                        var(rng),
-                        var(rng),
-                        Value::Int(0),
-                        Value::Int(node2),
-                    ])
+                    .push_array([id, var(rng), var(rng), Value::Int(0), Value::Int(node2)])
                     .unwrap();
             }
             for &node in &nodes {
                 let sym = vocab[below(rng, vocab.len() as u64) as usize];
                 batch
                     .rdoc_w
-                    .push_array([id.clone(), Value::Int(node), Value::Sym(sym)])
+                    .push_array([id, Value::Int(node), Value::Sym(sym)])
                     .unwrap();
             }
             docs.push(d);
@@ -1665,7 +1655,7 @@ mod tests {
             for d in rdoc.iter().filter(|d| d[2] == s_val) {
                 for b in rbin.iter().filter(|b| b[0] == d[0] && b[4] == d[1]) {
                     let mut row = b.clone();
-                    row.push(s_val.clone());
+                    row.push(s_val);
                     expected.push(row);
                 }
             }

@@ -30,14 +30,6 @@ impl Term {
     pub fn constant(value: impl Into<Value>) -> Term {
         Term::Const(value.into())
     }
-
-    /// The variable name, if this is a variable.
-    pub fn as_var(&self) -> Option<&str> {
-        match self {
-            Term::Var(v) => Some(v),
-            Term::Const(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Term {
@@ -52,10 +44,13 @@ impl fmt::Display for Term {
 /// A single body atom: a relation name applied to a list of terms.
 ///
 /// The atom's arity must match the arity of the relation it refers to; this
-/// is checked at evaluation time.
+/// is checked when the query is compiled.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Atom {
-    /// Name of the relation in the [`Database`](crate::Database).
+    /// Name of the relation: a slot of the compiled
+    /// [`PhysicalPlan`](crate::PhysicalPlan) ([`relations`]).
+    ///
+    /// [`relations`]: crate::PhysicalPlan::relations
     pub relation: String,
     /// Positional terms.
     pub terms: Vec<Term>,
@@ -86,11 +81,6 @@ impl Atom {
             }
         }
         out
-    }
-
-    /// `true` if this atom mentions the variable.
-    pub fn mentions(&self, var: &str) -> bool {
-        self.terms.iter().any(|t| t.as_var() == Some(var))
     }
 }
 
@@ -136,7 +126,7 @@ impl ConjunctiveQuery {
 
     /// All distinct variables appearing in the body, in first-occurrence
     /// order.
-    pub fn body_variables(&self) -> Vec<&str> {
+    fn body_variables(&self) -> Vec<&str> {
         let mut seen = BTreeSet::new();
         let mut out = Vec::new();
         for a in &self.body {
@@ -215,8 +205,8 @@ mod tests {
 
     #[test]
     fn term_constructors() {
-        assert_eq!(Term::var("X").as_var(), Some("X"));
-        assert_eq!(Term::constant(3i64).as_var(), None);
+        assert_eq!(Term::var("X"), Term::Var("X".to_owned()));
+        assert_eq!(Term::constant(3i64), Term::Const(Value::Int(3)));
         assert_eq!(Term::var("X").to_string(), "X");
         assert_eq!(Term::constant(3i64).to_string(), "3");
     }
@@ -233,8 +223,6 @@ mod tests {
             ],
         );
         assert_eq!(a.variables(), vec!["X", "Y"]);
-        assert!(a.mentions("X"));
-        assert!(!a.mentions("Z"));
         assert_eq!(a.to_string(), "R(X, Y, X, 1)");
     }
 

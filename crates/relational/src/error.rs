@@ -6,7 +6,8 @@ use std::fmt;
 /// Convenience result alias used throughout the crate.
 pub type RelResult<T> = Result<T, RelError>;
 
-/// Errors produced by relational operations and conjunctive query evaluation.
+/// Errors produced by relation updates and conjunctive-query compilation and
+/// execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RelError {
     /// A tuple's arity did not match the relation schema.
@@ -25,8 +26,8 @@ pub enum RelError {
         /// The columns that do exist.
         available: Vec<String>,
     },
-    /// A relation name referenced by a query is not registered in the
-    /// database.
+    /// A relation name referenced by a query has no known arity at plan
+    /// compilation.
     UnknownRelation {
         /// The missing relation name.
         relation: String,
@@ -39,13 +40,6 @@ pub enum RelError {
         row: usize,
         /// Rows the relation holds.
         rows: usize,
-    },
-    /// Join keys on the two sides have different lengths.
-    KeyLengthMismatch {
-        /// Keys supplied for the left input.
-        left: usize,
-        /// Keys supplied for the right input.
-        right: usize,
     },
     /// A conjunctive query is malformed (e.g. head variable not bound in the
     /// body, empty body, or an atom arity mismatch).
@@ -96,10 +90,6 @@ impl fmt::Display for RelError {
             RelError::RowOutOfRange { context, row, rows } => {
                 write!(f, "row {row} out of range in {context} ({rows} rows)")
             }
-            RelError::KeyLengthMismatch { left, right } => write!(
-                f,
-                "join key length mismatch: {left} left keys vs {right} right keys"
-            ),
             RelError::MalformedQuery { reason } => write!(f, "malformed query: {reason}"),
             RelError::PlanVerification { violations } => {
                 write!(
@@ -159,9 +149,6 @@ mod tests {
         };
         assert!(e.to_string().contains("row 7"));
         assert!(e.to_string().contains("4 rows"));
-
-        let e = RelError::KeyLengthMismatch { left: 2, right: 1 };
-        assert!(e.to_string().contains('2'));
 
         let e = RelError::MalformedQuery {
             reason: "empty body".into(),

@@ -1,45 +1,39 @@
 //! # mmqjp-relational
 //!
-//! A compact in-memory relational engine that serves as the **Join Processor
+//! A compact in-memory relational kernel that serves as the **Join Processor
 //! substrate** of the MMQJP reproduction (Hong et al., SIGMOD 2007).
 //!
 //! The original paper translated each per-template conjunctive query into SQL
 //! and executed it on Microsoft SQL Server 2005. This crate replaces that
-//! external dependency with an embedded engine providing exactly the
-//! machinery the Join Processor needs:
+//! external dependency with exactly the machinery the Join Processor runs:
 //!
 //! * [`Value`], [`Tuple`], [`Schema`], [`Relation`] — the data model.
 //!   Relations store their values **column-major** (one contiguous `Vec` per
 //!   column), with borrowed [`RowRef`] views for row-oriented access. String
-//!   values and variable names are interned through [`StringInterner`] so
-//!   equality joins compare fixed-width symbols.
-//! * [`ops`] — relational algebra operators: selection, projection, hash
-//!   equi-join, natural join, semi-join, anti-join, union, difference,
-//!   cross product, distinct.
-//! * [`HashIndex`] — multi-column hash indexes over relations.
+//!   values and variable names are interned through [`StringInterner`] so a
+//!   cell is an integer, a symbol or `NULL`, and equality joins compare
+//!   fixed-width values.
 //! * [`SegmentedRelation`] — bucketed relation storage with stable
 //!   [`RowHandle`]s, used for windowed join state whose expiry must be a
 //!   whole-bucket drop rather than a retain-and-rebuild.
-//! * [`ConjunctiveQuery`] / [`Database`] — a Datalog-style conjunctive query
-//!   representation with a greedy connected-join planner and a hash-join
-//!   executor. This is what evaluates each query template's `CQ_T`. The
-//!   database stores [`StoredRelation`]s, so flat and segmented relations
-//!   evaluate through the same code path.
-//! * [`PhysicalPlan`] — the compiled form of a conjunctive query: column
-//!   names interned to dense [`ColId`]s, filters and join keys resolved to
-//!   positions at compile time, and a late-materialization executor that
-//!   joins row ids over borrowed inputs (flat or segmented via
+//! * [`ConjunctiveQuery`] — a Datalog-style conjunctive query; the engine
+//!   builds one `CQ_T` per query template.
+//! * [`PhysicalPlan`] — the compiled form of a conjunctive query and its
+//!   executor: column names interned to dense [`ColId`]s, filters and join
+//!   keys resolved to positions at compile time, and a late-materialization
+//!   kernel that joins row ids over borrowed inputs (flat or segmented via
 //!   [`ChunkedRows`]) with pooled [`ExecScratch`] buffers, shares the join
 //!   tables of batch-shared inputs across plans and materializes each output
-//!   tuple exactly once. This is what the MMQJP engine executes per batch;
-//!   the interpreting [`Database::evaluate`] remains as the test oracle
-//!   (equal as bags — row order is the executor's own).
+//!   tuple exactly once. [`verify_plan`] checks a compiled plan against its
+//!   query at registration time. The result is a bag; the integration suite
+//!   judges it against a nested-loop reference that shares no code with the
+//!   kernel.
 //! * [`FxHasher`] — a vendored Fx-style hasher ([`FxHashMap`],
-//!   [`FxHashSet`]) for the join-key hashes and index segments.
+//!   [`FxHashSet`]) for the join-key hashes and the engine's indexes.
 //!
-//! The engine is deliberately not a general DBMS: no transactions, no
-//! persistence, no SQL parser. It is, however, a complete and correct
-//! evaluator for conjunctive queries over in-memory relations, which is all
+//! The kernel is deliberately not a general DBMS: no transactions, no
+//! persistence, no SQL parser and no relational-algebra operator library.
+//! It evaluates conjunctive queries over in-memory relations, which is all
 //! the MMQJP Join Processor requires — and it preserves the paper's
 //! performance structure (set-oriented, shared evaluation per template versus
 //! per-query loops).
@@ -47,21 +41,30 @@
 //! # Example
 //!
 //! ```
-//! use mmqjp_relational::{Database, Relation, Schema, Value, ConjunctiveQuery, Atom, Term};
+//! use mmqjp_relational::{
+//!     Atom, ConjunctiveQuery, ExecScratch, PhysicalPlan, PlanInput, Relation, Schema,
+//!     StringInterner, Term, Value,
+//! };
 //!
-//! let mut db = Database::new();
+//! let names = StringInterner::new();
+//! let [alice, bob, carol] = ["alice", "bob", "carol"].map(|n| Value::Sym(names.intern(n)));
 //! let mut parent = Relation::new(Schema::new(["parent", "child"]));
-//! parent.push_values(vec![Value::str("alice"), Value::str("bob")]).unwrap();
-//! parent.push_values(vec![Value::str("bob"), Value::str("carol")]).unwrap();
-//! db.register("parent", parent);
+//! parent.push_array([alice, bob]).unwrap();
+//! parent.push_array([bob, carol]).unwrap();
 //!
 //! // grandparent(X, Z) :- parent(X, Y), parent(Y, Z)
 //! let q = ConjunctiveQuery::new(["X", "Z"])
 //!     .atom(Atom::new("parent", [Term::var("X"), Term::var("Y")]))
 //!     .atom(Atom::new("parent", [Term::var("Y"), Term::var("Z")]));
-//! let result = db.evaluate(&q).unwrap();
+//! let mut plan = PhysicalPlan::compile(&q, |name| (name == "parent").then_some(2)).unwrap();
+//! // One input per distinct relation the plan reads, in `relations()` order.
+//! assert_eq!(plan.relations(), ["parent"]);
+//! let mut scratch = ExecScratch::new();
+//! let result = plan
+//!     .execute(&[PlanInput::from(&parent)], &mut scratch, false)
+//!     .unwrap();
 //! assert_eq!(result.len(), 1);
-//! assert_eq!(result.row(0)[0], Value::str("alice"));
+//! assert_eq!(result.row(0), vec![alice, carol]);
 //! ```
 
 #![warn(missing_docs)]
@@ -72,12 +75,9 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod conjunctive;
-mod database;
 mod error;
 mod fxhash;
-mod index;
 mod interner;
-pub mod ops;
 mod plan;
 mod relation;
 mod schema;
@@ -86,10 +86,8 @@ mod value;
 pub mod verify;
 
 pub use conjunctive::{Atom, ConjunctiveQuery, Term};
-pub use database::{relation_from_rows, Database, StoredRelation, StoredTuples};
 pub use error::{RelError, RelResult};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use index::HashIndex;
 pub use interner::{InternerIndexError, StringInterner, Symbol};
 pub use plan::{ChunkedRows, ColId, ExecScratch, PhysicalPlan, PlanInput};
 pub use relation::{Relation, RowRef, Rows, Tuple};

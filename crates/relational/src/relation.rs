@@ -33,13 +33,6 @@ pub struct RowRef<'a> {
 }
 
 impl<'a> RowRef<'a> {
-    /// The value in column `i`, with the *relation's* lifetime (not the
-    /// view's), so extracted references outlive the `RowRef` itself.
-    #[inline]
-    pub fn get(&self, i: usize) -> &'a Value {
-        &self.cols[i][self.row]
-    }
-
     /// Number of columns.
     #[inline]
     pub fn len(&self) -> usize {
@@ -59,7 +52,7 @@ impl<'a> RowRef<'a> {
 
     /// Copy the row into an owned [`Tuple`].
     pub fn to_vec(&self) -> Tuple {
-        self.iter().cloned().collect()
+        self.iter().copied().collect()
     }
 }
 
@@ -146,36 +139,6 @@ impl Relation {
             cols,
             len: 0,
         }
-    }
-
-    /// Create a relation and bulk-load tuples, validating arity.
-    pub fn with_tuples(schema: Schema, tuples: Vec<Tuple>) -> RelResult<Self> {
-        let mut r = Relation::new(schema);
-        for t in tuples {
-            r.push_values(t)?;
-        }
-        Ok(r)
-    }
-
-    /// Create a relation directly from column vectors (one per schema
-    /// column, all the same length).
-    pub fn from_columns(schema: Schema, cols: Vec<Vec<Value>>) -> RelResult<Self> {
-        if cols.len() != schema.arity() {
-            return Err(RelError::ArityMismatch {
-                context: format!("relation {} from columns", schema),
-                expected: schema.arity(),
-                found: cols.len(),
-            });
-        }
-        let len = cols.first().map(|c| c.len()).unwrap_or(0);
-        if let Some(bad) = cols.iter().find(|c| c.len() != len) {
-            return Err(RelError::ArityMismatch {
-                context: format!("ragged columns for relation {}", schema),
-                expected: len,
-                found: bad.len(),
-            });
-        }
-        Ok(Relation { schema, cols, len })
     }
 
     /// The relation's schema.
@@ -293,7 +256,7 @@ impl Relation {
             });
         }
         for (col, ocol) in self.cols.iter_mut().zip(&other.cols) {
-            col.extend(rows.iter().map(|&r| ocol[r as usize].clone()));
+            col.extend(rows.iter().map(|&r| ocol[r as usize]));
         }
         self.len += rows.len();
         Ok(())
@@ -310,22 +273,11 @@ impl Relation {
         Ok(())
     }
 
-    /// Append a borrowed row of matching arity, cloning its values.
-    pub(crate) fn push_row(&mut self, row: RowRef<'_>) {
+    /// Append a borrowed row of matching arity.
+    fn push_row(&mut self, row: RowRef<'_>) {
         debug_assert_eq!(row.len(), self.schema.arity());
         for (col, v) in self.cols.iter_mut().zip(row.iter()) {
-            col.push(v.clone());
-        }
-        self.len += 1;
-    }
-
-    /// Append the concatenation of two borrowed rows (used by the join and
-    /// cross-product operators, whose output schema is the concatenation of
-    /// the input schemas).
-    pub(crate) fn push_concat(&mut self, left: RowRef<'_>, right: RowRef<'_>) {
-        debug_assert_eq!(left.len() + right.len(), self.schema.arity());
-        for (col, v) in self.cols.iter_mut().zip(left.iter().chain(right.iter())) {
-            col.push(v.clone());
+            col.push(*v);
         }
         self.len += 1;
     }
@@ -348,7 +300,7 @@ impl Relation {
     pub fn extend_from(&mut self, other: &Relation) -> RelResult<()> {
         self.check_same_schema(other, "extend")?;
         for (col, ocol) in self.cols.iter_mut().zip(&other.cols) {
-            col.extend(ocol.iter().cloned());
+            col.extend_from_slice(ocol);
         }
         self.len += other.len;
         Ok(())
@@ -371,17 +323,6 @@ impl Relation {
             col.retain(|_| *it.next().expect("mask covers every row")); // lint:allow mask length equals row count
         }
         self.len = kept;
-    }
-
-    /// The value at `(row, column-name)`.
-    pub fn value(&self, row: usize, column: &str) -> RelResult<&Value> {
-        let idx = self.schema.require(column)?;
-        Ok(&self.cols[idx][row])
-    }
-
-    /// Column index lookup shorthand.
-    pub fn col(&self, name: &str) -> RelResult<usize> {
-        self.schema.require(name)
     }
 
     /// Produce a new relation with duplicate tuples removed (set semantics).
@@ -409,34 +350,13 @@ impl Relation {
         let cols = self
             .cols
             .iter()
-            .map(|c| idx.iter().map(|&i| c[i].clone()).collect())
+            .map(|c| idx.iter().map(|&i| c[i]).collect())
             .collect();
         Relation {
             schema: self.schema.clone(),
             cols,
             len: self.len,
         }
-    }
-
-    /// Collect the distinct values of one column.
-    pub fn distinct_column_values(&self, column: &str) -> RelResult<Vec<Value>> {
-        let idx = self.schema.require(column)?;
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for v in &self.cols[idx] {
-            if seen.insert(v) {
-                out.push(v.clone());
-            }
-        }
-        Ok(out)
-    }
-
-    /// Approximate memory footprint in bytes (tuples only, not interned
-    /// strings). Used by the view cache to account for its budget.
-    pub fn approx_bytes(&self) -> usize {
-        // Each Value is a small enum; 32 bytes is a conservative estimate
-        // including the per-column Vec overhead amortized per value.
-        self.len * self.schema.arity() * 32 + std::mem::size_of::<Self>()
     }
 }
 
@@ -454,21 +374,21 @@ impl fmt::Display for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interner::StringInterner;
+
+    /// The symbol values `Danny Ayers`, `Andrew Watt` and `Eve`.
+    fn names() -> [Value; 3] {
+        let interner = StringInterner::new();
+        ["Danny Ayers", "Andrew Watt", "Eve"].map(|n| Value::Sym(interner.intern(n)))
+    }
 
     fn sample() -> Relation {
+        let [danny, andrew, _] = names();
         let mut r = Relation::new(Schema::new(["docid", "node", "strVal"]));
-        r.push_values(vec![
-            Value::int(1),
-            Value::int(2),
-            Value::str("Danny Ayers"),
-        ])
-        .unwrap();
-        r.push_values(vec![
-            Value::int(1),
-            Value::int(3),
-            Value::str("Andrew Watt"),
-        ])
-        .unwrap();
+        r.push_values(vec![Value::Int(1), Value::Int(2), danny])
+            .unwrap();
+        r.push_values(vec![Value::Int(1), Value::Int(3), andrew])
+            .unwrap();
         r
     }
 
@@ -477,25 +397,21 @@ mod tests {
         let r = sample();
         assert_eq!(r.len(), 2);
         assert!(!r.is_empty());
-        assert_eq!(r.value(0, "strVal").unwrap(), &Value::str("Danny Ayers"));
-        assert_eq!(r.col("node").unwrap(), 1);
-        assert!(r.value(0, "missing").is_err());
+        assert_eq!(r.row(0)[2], names()[0]);
+        assert_eq!(r.schema().index_of("node"), Some(1));
     }
 
     #[test]
     fn columnar_layout_is_visible_per_column() {
         let r = sample();
-        assert_eq!(r.col_values(0), &[Value::int(1), Value::int(1)]);
-        assert_eq!(
-            r.col_values(2),
-            &[Value::str("Danny Ayers"), Value::str("Andrew Watt")]
-        );
+        assert_eq!(r.col_values(0), &[Value::Int(1), Value::Int(1)]);
+        assert_eq!(r.col_values(2), &names()[..2]);
         let row = r.row(1);
         assert_eq!(row.len(), 3);
         assert!(!row.is_empty());
-        assert_eq!(row[1], Value::int(3));
-        assert_eq!(row.get(2), &Value::str("Andrew Watt"));
-        assert_eq!(row.to_vec()[0], Value::int(1));
+        assert_eq!(row[1], Value::Int(3));
+        assert_eq!(row[2], names()[1]);
+        assert_eq!(row.to_vec()[0], Value::Int(1));
         assert_eq!(r.row(0), r.row(0));
         assert_ne!(r.row(0), r.row(1));
     }
@@ -503,11 +419,11 @@ mod tests {
     #[test]
     fn push_array_checks_arity() {
         let mut r = sample();
-        r.push_array([Value::int(2), Value::int(4), Value::str("Eve")])
-            .unwrap();
+        let eve = names()[2];
+        r.push_array([Value::Int(2), Value::Int(4), eve]).unwrap();
         assert_eq!(r.len(), 3);
-        assert_eq!(r.row(2)[2], Value::str("Eve"));
-        let err = r.push_array([Value::int(1)]).unwrap_err();
+        assert_eq!(r.row(2)[2], eve);
+        let err = r.push_array([Value::Int(1)]).unwrap_err();
         assert!(matches!(
             err,
             RelError::ArityMismatch {
@@ -522,7 +438,7 @@ mod tests {
     #[test]
     fn range_and_gather_appends_copy_rows_in_order() {
         let mut src = sample();
-        src.push_array([Value::int(2), Value::int(5), Value::str("Eve")])
+        src.push_array([Value::Int(2), Value::Int(5), names()[2]])
             .unwrap();
         let mut out = Relation::new(src.schema().clone());
         out.extend_from_range(&src, 1..3).unwrap();
@@ -560,44 +476,10 @@ mod tests {
     }
 
     #[test]
-    fn from_columns_validates_shape() {
-        let schema = Schema::new(["a", "b"]);
-        let ok = Relation::from_columns(
-            schema.clone(),
-            vec![
-                vec![Value::int(1), Value::int(2)],
-                vec![Value::int(3), Value::int(4)],
-            ],
-        )
-        .unwrap();
-        assert_eq!(ok.len(), 2);
-        assert_eq!(ok.row(1).to_vec(), vec![Value::int(2), Value::int(4)]);
-        // Wrong column count.
-        assert!(Relation::from_columns(schema.clone(), vec![vec![Value::int(1)]]).is_err());
-        // Ragged columns.
-        assert!(Relation::from_columns(
-            schema,
-            vec![vec![Value::int(1)], vec![Value::int(2), Value::int(3)]],
-        )
-        .is_err());
-    }
-
-    #[test]
     fn arity_mismatch_rejected() {
         let mut r = Relation::new(Schema::new(["a", "b"]));
-        let err = r.push_values(vec![Value::int(1)]).unwrap_err();
+        let err = r.push_values(vec![Value::Int(1)]).unwrap_err();
         assert!(matches!(err, RelError::ArityMismatch { .. }));
-    }
-
-    #[test]
-    fn with_tuples_validates() {
-        let ok = Relation::with_tuples(
-            Schema::new(["a"]),
-            vec![vec![Value::int(1)], vec![Value::int(2)]],
-        )
-        .unwrap();
-        assert_eq!(ok.len(), 2);
-        assert!(Relation::with_tuples(Schema::new(["a"]), vec![vec![]]).is_err());
     }
 
     #[test]
@@ -622,34 +504,20 @@ mod tests {
     #[test]
     fn sorted_is_deterministic() {
         let mut r = Relation::new(Schema::new(["a"]));
-        r.push_values(vec![Value::int(3)]).unwrap();
-        r.push_values(vec![Value::int(1)]).unwrap();
-        r.push_values(vec![Value::int(2)]).unwrap();
+        r.push_values(vec![Value::Int(3)]).unwrap();
+        r.push_values(vec![Value::Int(1)]).unwrap();
+        r.push_values(vec![Value::Int(2)]).unwrap();
         let s = r.sorted();
         let vals: Vec<i64> = s.iter().map(|t| t[0].as_int().unwrap()).collect();
         assert_eq!(vals, vec![1, 2, 3]);
     }
 
     #[test]
-    fn distinct_column_values() {
-        let mut r = sample();
-        r.push_values(vec![
-            Value::int(1),
-            Value::int(9),
-            Value::str("Danny Ayers"),
-        ])
-        .unwrap();
-        let vals = r.distinct_column_values("strVal").unwrap();
-        assert_eq!(vals.len(), 2);
-        assert!(r.distinct_column_values("zzz").is_err());
-    }
-
-    #[test]
     fn clear_and_retain() {
         let mut r = sample();
-        r.retain(|t| t[1] == Value::int(2));
+        r.retain(|t| t[1] == Value::Int(2));
         assert_eq!(r.len(), 1);
-        assert_eq!(r.col_values(1), &[Value::int(2)]);
+        assert_eq!(r.col_values(1), &[Value::Int(2)]);
         r.clear();
         assert!(r.is_empty());
     }
@@ -659,13 +527,6 @@ mod tests {
         let r = sample();
         let s = r.to_string();
         assert!(s.contains("docid"));
-        assert!(s.contains("Danny Ayers"));
-    }
-
-    #[test]
-    fn approx_bytes_grows_with_rows() {
-        let empty = Relation::new(Schema::new(["a", "b"]));
-        let full = sample();
-        assert!(full.approx_bytes() > empty.approx_bytes());
+        assert!(s.contains(&names()[1].to_string()));
     }
 }

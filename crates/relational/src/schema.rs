@@ -48,11 +48,6 @@ impl Schema {
         &self.columns
     }
 
-    /// Name of the column at `index`.
-    pub fn column(&self, index: usize) -> &str {
-        &self.columns[index]
-    }
-
     /// Index of the column with the given name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c == name)
@@ -70,30 +65,6 @@ impl Schema {
     /// `true` if a column with this name exists.
     pub fn contains(&self, name: &str) -> bool {
         self.index_of(name).is_some()
-    }
-
-    /// Build a new schema by concatenating `self` and `other`. Columns of
-    /// `other` that collide with a column of `self` are renamed by appending
-    /// a suffix (`_r`, `_r2`, ...), mirroring what SQL engines do for
-    /// self-joins.
-    pub fn concat(&self, other: &Schema) -> Schema {
-        let mut cols: Vec<String> = self.columns.to_vec();
-        for c in other.columns.iter() {
-            let mut name = c.clone();
-            let mut n = 1usize;
-            while cols.contains(&name) {
-                n += 1;
-                name = if n == 2 {
-                    format!("{c}_r")
-                } else {
-                    format!("{c}_r{n}")
-                };
-            }
-            cols.push(name);
-        }
-        Schema {
-            columns: cols.into(),
-        }
     }
 
     /// Project a subset of columns (by name) into a new schema, preserving
@@ -124,7 +95,7 @@ mod tests {
     fn basic_accessors() {
         let s = Schema::new(["docid", "node", "strVal"]);
         assert_eq!(s.arity(), 3);
-        assert_eq!(s.column(1), "node");
+        assert_eq!(s.columns()[1], "node");
         assert_eq!(s.index_of("strVal"), Some(2));
         assert_eq!(s.index_of("missing"), None);
         assert!(s.contains("docid"));
@@ -149,20 +120,6 @@ mod tests {
     #[should_panic(expected = "duplicate column")]
     fn duplicate_columns_panic() {
         let _ = Schema::new(["a", "a"]);
-    }
-
-    #[test]
-    fn concat_renames_collisions() {
-        let a = Schema::new(["docid", "node"]);
-        let b = Schema::new(["node", "strVal"]);
-        let c = a.concat(&b);
-        assert_eq!(c.columns(), &["docid", "node", "node_r", "strVal"]);
-        // A third collision gets a numbered suffix.
-        let d = c.concat(&Schema::new(["node"]));
-        assert!(
-            d.contains("node_r2")
-                || d.columns().iter().filter(|c| c.starts_with("node")).count() == 3
-        );
     }
 
     #[test]

@@ -177,17 +177,6 @@ impl SegmentedRelation {
         self.segments.clear();
         self.len = 0;
     }
-
-    /// Flatten into a single [`Relation`] (bucket order, then insertion
-    /// order). O(len) — intended for tests and diagnostics, not hot paths.
-    pub fn to_relation(&self) -> Relation {
-        let mut out = Relation::new(self.schema.clone());
-        for segment in self.segments.values() {
-            out.extend_from(segment)
-                .expect("buckets share the relation schema"); // lint:allow segments share self.schema
-        }
-        out
-    }
 }
 
 /// Iterator over every row of a [`SegmentedRelation`], yielding [`RowRef`]s.
@@ -295,7 +284,7 @@ mod tests {
         s.push(9, row(90, 0)).unwrap();
         let ids: Vec<i64> = s.iter().map(|t| t[0].as_int().unwrap()).collect();
         assert_eq!(ids, vec![20, 21, 50, 90]);
-        assert_eq!(s.to_relation().len(), 4);
+        assert_eq!(s.len(), 4);
     }
 
     #[test]

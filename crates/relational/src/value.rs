@@ -3,25 +3,25 @@
 use crate::interner::Symbol;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// A scalar value in a relation.
 ///
-/// The MMQJP witness relations store four kinds of scalars:
+/// The MMQJP witness relations store three kinds of scalars:
 ///
 /// * node ids and document ids and timestamps — represented as [`Value::Int`];
 /// * variable names and interned string values — represented as
 ///   [`Value::Sym`] (a [`Symbol`] from a [`StringInterner`]);
-/// * raw strings for ad-hoc use and debugging — [`Value::Str`];
 /// * an explicit [`Value::Null`] for padded columns (templates whose queries
 ///   bind fewer meta-variables than the widest member).
 ///
-/// Equality and hashing are derived; a `Sym` never equals a `Str` even if the
-/// interned text matches, so callers must be consistent about interning (the
-/// engine in `mmqjp-core` interns every string value).
+/// Equality and hashing are derived, so a value's kind is part of it: an
+/// `Int(k)` never equals a `Sym` whose raw id is `k`. No variant holds heap
+/// data, so a value is 16 bytes and `Copy`.
 ///
 /// [`StringInterner`]: crate::StringInterner
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+)]
 pub enum Value {
     /// Absent / padded value. Joins never match on `Null` against `Null`
     /// unless both sides are literally `Null` (SQL semantics are *not*
@@ -34,26 +34,9 @@ pub enum Value {
     Int(i64),
     /// Interned symbol (variable names, interned string values).
     Sym(Symbol),
-    /// Raw shared string.
-    Str(Arc<str>),
 }
 
 impl Value {
-    /// Construct an integer value.
-    pub fn int(v: impl Into<i64>) -> Value {
-        Value::Int(v.into())
-    }
-
-    /// Construct a raw string value.
-    pub fn str(v: impl AsRef<str>) -> Value {
-        Value::Str(Arc::from(v.as_ref()))
-    }
-
-    /// Construct a symbol value.
-    pub fn sym(s: Symbol) -> Value {
-        Value::Sym(s)
-    }
-
     /// The integer payload, if this is an [`Value::Int`].
     pub fn as_int(&self) -> Option<i64> {
         match self {
@@ -69,19 +52,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The string payload, if this is a [`Value::Str`].
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// `true` for [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
 }
 
 impl fmt::Display for Value {
@@ -90,7 +60,6 @@ impl fmt::Display for Value {
             Value::Null => write!(f, "NULL"),
             Value::Int(v) => write!(f, "{v}"),
             Value::Sym(s) => write!(f, "#{}", s.raw()),
-            Value::Str(s) => write!(f, "{s:?}"),
         }
     }
 }
@@ -113,18 +82,6 @@ impl From<u64> for Value {
     }
 }
 
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::str(v)
-    }
-}
-
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Str(v.into())
-    }
-}
-
 impl From<Symbol> for Value {
     fn from(s: Symbol) -> Self {
         Value::Sym(s)
@@ -138,40 +95,44 @@ mod tests {
 
     #[test]
     fn constructors_and_accessors() {
-        assert_eq!(Value::int(5).as_int(), Some(5));
-        assert_eq!(Value::str("x").as_str(), Some("x"));
-        assert!(Value::Null.is_null());
-        assert!(!Value::int(0).is_null());
+        let s = StringInterner::new().intern("x");
+        assert_eq!(Value::Int(5).as_int(), Some(5));
+        assert_eq!(Value::Sym(s).as_sym(), Some(s));
+        assert_eq!(Value::Sym(s).as_int(), None);
+        assert_eq!(Value::Int(5).as_sym(), None);
         assert_eq!(Value::default(), Value::Null);
     }
 
     #[test]
     fn from_impls() {
+        let s = StringInterner::new().intern("a");
         assert_eq!(Value::from(3i64), Value::Int(3));
         assert_eq!(Value::from(3u32), Value::Int(3));
         assert_eq!(Value::from(3u64), Value::Int(3));
-        assert_eq!(Value::from("a"), Value::str("a"));
-        assert_eq!(Value::from("a".to_string()), Value::str("a"));
+        assert_eq!(Value::from(s), Value::Sym(s));
     }
 
     #[test]
-    fn sym_and_str_are_distinct() {
-        let interner = StringInterner::new();
-        let s = interner.intern("hello");
-        let v1 = Value::sym(s);
-        let v2 = Value::str("hello");
-        assert_ne!(v1, v2);
-        assert_eq!(v1.as_sym(), Some(s));
-        assert_eq!(v2.as_sym(), None);
+    fn a_value_is_sixteen_bytes() {
+        // A tag and an `i64` payload: no variant may widen the cell, since
+        // every relation column, join key and window bucket stores values
+        // inline.
+        assert_eq!(std::mem::size_of::<Value>(), 16);
     }
 
     #[test]
     fn equality_and_ordering() {
-        assert_eq!(Value::int(1), Value::int(1));
-        assert_ne!(Value::int(1), Value::int(2));
-        assert!(Value::int(1) < Value::int(2));
-        assert_eq!(Value::str("a"), Value::str("a"));
-        assert!(Value::str("a") < Value::str("b"));
+        let interner = StringInterner::new();
+        let (a, b) = (interner.intern("a"), interner.intern("b"));
+        assert_eq!(Value::Int(1), Value::Int(1));
+        assert_ne!(Value::Int(1), Value::Int(2));
+        assert!(Value::Int(1) < Value::Int(2));
+        assert_eq!(Value::Sym(a), Value::Sym(a));
+        assert!(Value::Sym(a) < Value::Sym(b));
+        // The kind is part of the value, payloads aside.
+        assert_ne!(Value::Int(i64::from(a.raw())), Value::Sym(a));
+        assert!(Value::Null < Value::Int(i64::MIN));
+        assert!(Value::Int(i64::MAX) < Value::Sym(a));
         // Null equals Null (used for padded template columns)
         assert_eq!(Value::Null, Value::Null);
     }
@@ -181,8 +142,7 @@ mod tests {
         let interner = StringInterner::new();
         let s = interner.intern("v");
         assert_eq!(Value::Null.to_string(), "NULL");
-        assert_eq!(Value::int(7).to_string(), "7");
-        assert_eq!(Value::str("x").to_string(), "\"x\"");
-        assert!(Value::sym(s).to_string().starts_with('#'));
+        assert_eq!(Value::Int(7).to_string(), "7");
+        assert_eq!(Value::Sym(s).to_string(), format!("#{}", s.raw()));
     }
 }

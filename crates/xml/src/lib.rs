@@ -55,6 +55,6 @@ pub use builder::DocumentBuilder;
 pub use document::{DocId, Document, Timestamp};
 pub use error::{XmlError, XmlResult};
 pub use node::{Node, NodeId, NodeKind};
-pub use parser::{parse_document, parse_fragment};
+pub use parser::parse_document;
 pub use serialize::{serialize, serialize_pretty, serialize_subtree};
 pub use stream::{parse_document_streaming, PullParser, XmlEvent};

@@ -18,10 +18,8 @@ use crate::error::{XmlError, XmlResult};
 use crate::node::NodeId;
 use std::borrow::Cow;
 
-/// The characters XML's `S` production calls whitespace. Nothing else is
+/// The bytes XML's `S` production calls whitespace. Nothing else is
 /// formatting: a no-break space or an ideographic space is data.
-const XML_SPACE: [char; 4] = [' ', '\t', '\r', '\n'];
-
 fn is_xml_space(b: u8) -> bool {
     matches!(b, b' ' | b'\t' | b'\r' | b'\n')
 }
@@ -60,13 +58,6 @@ pub fn parse_document(input: &str) -> XmlResult<Document> {
     }
     p.close_epilogue()?;
     Ok(doc)
-}
-
-/// Parse an XML fragment: like [`parse_document`] but tolerates trailing
-/// whitespace-only content and does not require a prolog. Provided mainly for
-/// tests and tools.
-pub fn parse_fragment(input: &str) -> XmlResult<Document> {
-    parse_document(input.trim_matches(XML_SPACE))
 }
 
 /// What [`Parser::next_content`] found inside an element.
@@ -542,12 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_fragment_trims() {
-        let d = parse_fragment("  <a>x</a>  \n").unwrap();
-        assert_eq!(d.string_value(NodeId::ROOT), "x");
-    }
-
-    #[test]
     fn whitespace_only_text_ignored() {
         let d = parse_document("<a>\n  <b>x</b>\n</a>").unwrap();
         assert_eq!(d.node(NodeId::ROOT).text(), None);
@@ -654,14 +639,6 @@ mod tests {
                 assert_eq!(d.root().text(), text, "{src:?}");
             }
         }
-        assert_eq!(
-            parse_fragment("\u{a0}<a/>"),
-            Err(XmlError::UnexpectedChar {
-                offset: 0,
-                found: '\u{a0}',
-                expected: "start of root element",
-            })
-        );
     }
 
     #[test]

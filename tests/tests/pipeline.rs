@@ -4,7 +4,11 @@
 //! (`mmqjp-core`).
 
 use mmqjp_core::{EngineConfig, MmqjpEngine};
-use mmqjp_relational::{Atom, ConjunctiveQuery, Database, Relation, Schema, Term, Value};
+use mmqjp_integration_tests::reference::{self, sorted_rows};
+use mmqjp_relational::{
+    Atom, ConjunctiveQuery, ExecScratch, PhysicalPlan, PlanInput, Relation, Schema, StringInterner,
+    Term, Value,
+};
 use mmqjp_xml::{parse_document, parse_document_streaming, Timestamp};
 use mmqjp_xpath::{parse_pattern, PatternMatcher};
 use mmqjp_xscl::{normalize_query, parse_query, JoinGraph, ReducedGraph, TemplateCatalog};
@@ -62,30 +66,40 @@ fn xpath_witnesses_feed_the_relational_layer() {
     let bindings = matcher.all_edge_bindings(&doc);
     assert_eq!(bindings.len(), 2); // two authors
 
-    // Load the bindings into a relation and run a conjunctive query over it.
+    // Load the bindings into a relation (variable names interned, as the
+    // engine does) and run a compiled conjunctive query over it.
+    let interner = StringInterner::new();
+    let var = |name: &str| Value::Sym(interner.intern(name));
     let mut rel = Relation::new(Schema::new(["var1", "var2", "node1", "node2"]));
     for b in &bindings {
-        rel.push_values(vec![
-            Value::str(&b.ancestor_var),
-            Value::str(&b.descendant_var),
+        rel.push_array([
+            var(&b.ancestor_var),
+            var(&b.descendant_var),
             Value::from(b.ancestor.raw()),
             Value::from(b.descendant.raw()),
         ])
         .unwrap();
     }
-    let mut db = Database::new();
-    db.register("bindings", rel);
     let q = ConjunctiveQuery::new(["N"]).atom(Atom::new(
         "bindings",
         [
-            Term::constant(Value::str("_S//book")),
-            Term::constant(Value::str("_S//book//author")),
+            Term::constant(var("_S//book")),
+            Term::constant(var("_S//book//author")),
             Term::var("Root"),
             Term::var("N"),
         ],
     ));
-    let result = db.evaluate(&q).unwrap();
-    assert_eq!(result.len(), 2);
+    let mut plan = PhysicalPlan::compile(&q, |_| Some(4)).unwrap();
+    let result = plan
+        .execute(&[PlanInput::from(&rel)], &mut ExecScratch::new(), false)
+        .unwrap();
+    let expected = reference::evaluate(&q, &[("bindings", &rel)]);
+    assert_eq!(sorted_rows(&result), expected);
+    let authors: Vec<Vec<Value>> = bindings
+        .iter()
+        .map(|b| vec![Value::from(b.descendant.raw())])
+        .collect();
+    assert_eq!(expected, authors);
 }
 
 #[test]

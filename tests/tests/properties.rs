@@ -5,11 +5,12 @@ use mmqjp_core::{
     sort_matches, EngineConfig, EngineStats, IngestScratch, MmqjpEngine, ProcessingMode,
     ShardedEngine, WitnessBatch, WitnessRouter,
 };
+use mmqjp_integration_tests::reference::{self, sorted_rows};
 use mmqjp_integration_tests::stage1::{resolve_edges, rows_from_bindings};
 use mmqjp_integration_tests::{match_keys, run_stream};
 use mmqjp_relational::{
-    ops, Atom, ChunkedRows, ConjunctiveQuery, Database, ExecScratch, PhysicalPlan, PlanInput,
-    Relation, Schema, SegmentedRelation, StringInterner, Term, Value,
+    Atom, ChunkedRows, ConjunctiveQuery, ExecScratch, PhysicalPlan, PlanInput, Relation, Schema,
+    SegmentedRelation, StringInterner, Term, Value,
 };
 use mmqjp_xml::{parse_document, serialize, DocId, Document, DocumentBuilder, Timestamp};
 use mmqjp_xpath::{PatternId, PatternIndex, PatternNodeId};
@@ -113,38 +114,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn hash_join_matches_nested_loop(
-        left in prop::collection::vec((0i64..5, 0i64..5), 0..12),
-        right in prop::collection::vec((0i64..5, 0i64..5), 0..12),
-    ) {
-        let l = small_relation(left.clone());
-        let r = small_relation(right.clone());
-        let joined = ops::hash_join(&l, &r, &["b"], &["a"]).unwrap();
-        // Reference: nested loops.
-        let mut expected = 0usize;
-        for (_, lb) in &left {
-            for (ra, _) in &right {
-                if lb == ra {
-                    expected += 1;
-                }
-            }
-        }
-        prop_assert_eq!(joined.len(), expected);
-    }
-
-    #[test]
-    fn semi_and_anti_join_partition_the_left_side(
-        left in prop::collection::vec((0i64..5, 0i64..5), 0..12),
-        right in prop::collection::vec((0i64..5, 0i64..5), 0..12),
-    ) {
-        let l = small_relation(left);
-        let r = small_relation(right);
-        let semi = ops::semi_join(&l, &r, &["b"], &["a"]).unwrap();
-        let anti = ops::anti_join(&l, &r, &["b"], &["a"]).unwrap();
-        prop_assert_eq!(semi.len() + anti.len(), l.len());
-    }
-
-    #[test]
     fn distinct_is_idempotent_and_order_insensitive(
         rows in prop::collection::vec((0i64..4, 0i64..4), 0..20),
     ) {
@@ -155,22 +124,12 @@ proptest! {
         prop_assert_eq!(d1.sorted(), r.sorted().distinct().sorted());
     }
 
-    #[test]
-    fn projection_never_increases_cardinality(
-        rows in prop::collection::vec((0i64..5, 0i64..5), 0..20),
-    ) {
-        let r = small_relation(rows);
-        let p = ops::project(&r, &["a"]).unwrap();
-        prop_assert_eq!(p.len(), r.len());
-        prop_assert!(p.distinct().len() <= r.distinct().len());
-    }
-
     /// The central compiled-execution property: on random relations, schemas
     /// and conjunctive queries, [`PhysicalPlan`] execution returns the same
-    /// *bag* as the interpreted [`Database::evaluate`] oracle — and the same
-    /// set with inline dedup — both over flat and chunked (segmented)
-    /// inputs. Row order is the executor's own (memoized join order, shared
-    /// tables), so both sides are compared `sorted()`.
+    /// *bag* as the nested-loop [`reference`] — and the same set with inline
+    /// dedup — both over flat and chunked (segmented) inputs. Row order is
+    /// the executor's own (memoized join order, shared tables), so both
+    /// sides are compared sorted.
     ///
     /// The row generator is biased toward the columnar kernel's edge
     /// shapes: empty relations (empty-selection short-circuit), single-row
@@ -182,19 +141,18 @@ proptest! {
     /// type (see [`random_relations`]), so keys of different types with
     /// equal payload bits meet in one join column.
     #[test]
-    fn compiled_plans_match_the_interpreted_conjunctive_queries(
+    fn compiled_plans_match_the_nested_loop_reference(
         rel_specs in rel_specs_strategy(),
         (atom_specs, head_picks) in query_spec_strategy(),
     ) {
         let relations = random_relations(&rel_specs);
         let cq = random_query(&relations, &atom_specs, &head_picks);
 
-        // Reference: the interpreted path.
-        let mut db = Database::new();
-        for (name, rel) in &relations {
-            db.register(name.clone(), rel.clone());
-        }
-        let interpreted = db.evaluate(&cq).unwrap();
+        let named: Vec<(&str, &Relation)> =
+            relations.iter().map(|(name, rel)| (name.as_str(), rel)).collect();
+        let expected = reference::evaluate(&cq, &named);
+        let mut expected_set = expected.clone();
+        expected_set.dedup();
 
         // Compiled path over flat borrowed inputs.
         let mut plan = compile_over(&cq, &relations);
@@ -205,13 +163,9 @@ proptest! {
             .collect();
         let mut scratch = ExecScratch::new();
         let compiled = plan.execute(&flat_inputs, &mut scratch, false).unwrap();
-        prop_assert_eq!(compiled.sorted(), interpreted.sorted(), "bag-equal to the interpreter");
+        prop_assert_eq!(sorted_rows(&compiled), expected.clone(), "bag-equal to the reference");
         let deduped = plan.execute(&flat_inputs, &mut scratch, true).unwrap();
-        prop_assert_eq!(
-            deduped.sorted(),
-            interpreted.distinct().sorted(),
-            "inline dedup == distinct()"
-        );
+        prop_assert_eq!(sorted_rows(&deduped), expected_set.clone(), "inline dedup == set");
 
         // Chunked (segmented) inputs: split every relation into buckets
         // preserving row order; results must not change.
@@ -225,7 +179,9 @@ proptest! {
             .map(|name| PlanInput::from(&chunked[relation_index(name)]))
             .collect();
         let via_chunks = plan.execute(&chunked_inputs, &mut scratch, false).unwrap();
-        prop_assert_eq!(via_chunks.sorted(), interpreted.sorted(), "chunked inputs are equivalent");
+        prop_assert_eq!(sorted_rows(&via_chunks), expected, "chunked inputs are equivalent");
+        let via_chunks = plan.execute(&chunked_inputs, &mut scratch, true).unwrap();
+        prop_assert_eq!(sorted_rows(&via_chunks), expected_set, "chunked inline dedup == set");
         prop_assert!(scratch.scratch_reuses() >= 2, "scratch is pooled across executions");
     }
 
@@ -344,9 +300,9 @@ fn random_relations(rel_specs: &[RelSpec]) -> Vec<(String, Relation)> {
                 _ => rows.clone(),
             };
             let value = |k: i64| match shape {
-                6 => syms[k as usize].clone(),
+                6 => syms[k as usize],
                 7 if k == 0 => Value::Null,
-                7 => syms[k as usize].clone(),
+                7 => syms[k as usize],
                 _ => Value::Int(k),
             };
             let mut r = Relation::new(Schema::new((0..*arity).map(|c| format!("c{c}"))));

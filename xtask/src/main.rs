@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Eight dependency-free static checks over the workspace sources:
+//! Nine dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -37,6 +37,14 @@
 //!    buffer lives in the pooled `ExecScratch`. The bodies of the
 //!    registration-time `compile` and the once-per-batch `from_segmented`
 //!    are exempt.
+//! 9. **The relational oracle stays independent** — non-test code in
+//!    `tests/src/reference.rs`, the nested-loop evaluator that judges
+//!    compiled plans, may import from `mmqjp_relational` only the data
+//!    model (`Relation`, `RowRef`, `Schema`, `Value`, `ConjunctiveQuery`,
+//!    `Atom`, `Term`) and must not name `PhysicalPlan`, `PlanInput`,
+//!    `ExecScratch`, `ChunkedRows`, `Fx*`, `verify`, `HashMap` or
+//!    `HashSet`: a reference built from the kernel's parts, or on hashing,
+//!    would repeat the kernel's failure modes.
 //!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
@@ -79,6 +87,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_xml_whitespace(root, &mut violations);
     check_columnar_batch_path(root, &mut violations);
     check_plan_execution_allocations(root, &mut violations);
+    check_oracle_independence(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -537,6 +546,83 @@ fn brace_delta(line: &str) -> i64 {
 }
 
 // ---------------------------------------------------------------------------
+// Check 9: the nested-loop reference uses only the relational data model.
+// ---------------------------------------------------------------------------
+
+const ORACLE_FILE: &str = "tests/src/reference.rs";
+const ORACLE_CRATE: &str = "mmqjp_relational::";
+const ORACLE_IMPORTS: &[&str] = &[
+    "Relation",
+    "RowRef",
+    "Schema",
+    "Value",
+    "ConjunctiveQuery",
+    "Atom",
+    "Term",
+];
+const ORACLE_BANNED: &[&str] = &[
+    "PhysicalPlan",
+    "PlanInput",
+    "ExecScratch",
+    "ChunkedRows",
+    "Fx",
+    "verify",
+    "HashMap",
+    "HashSet",
+];
+
+fn check_oracle_independence(root: &Path, out: &mut Vec<String>) {
+    scan_file_for_oracle_imports(root, &root.join(ORACLE_FILE), out);
+}
+
+fn scan_file_for_oracle_imports(root: &Path, file: &Path, out: &mut Vec<String>) {
+    // Inside a `mmqjp_relational::{` list that spans lines.
+    let mut in_list = false;
+    scan_non_test_code(root, file, out, |line| {
+        let mut messages: Vec<String> = ORACLE_BANNED
+            .iter()
+            .filter(|pat| line.contains(*pat))
+            .map(|pat| {
+                format!("`{pat}` in the nested-loop reference (it must share no machinery with the kernel it judges)")
+            })
+            .collect();
+        let imported = if in_list {
+            Some(line)
+        } else {
+            line.find(ORACLE_CRATE)
+                .map(|at| &line[at + ORACLE_CRATE.len()..])
+        };
+        if let Some(names) = imported {
+            let names = match names.strip_prefix('{') {
+                Some(list) => {
+                    in_list = true;
+                    list
+                }
+                None if in_list => names,
+                // A single path: only its first segment is the import.
+                None => names.split("::").next().unwrap_or(names),
+            };
+            let names = match names.split_once('}') {
+                Some((list, _)) => {
+                    in_list = false;
+                    list
+                }
+                None => names,
+            };
+            for name in names
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '*'))
+                .filter(|n| !n.is_empty() && !ORACLE_IMPORTS.contains(n))
+            {
+                messages.push(format!(
+                    "`{name}` imported from mmqjp_relational into the nested-loop reference (only the data model may be)"
+                ));
+            }
+        }
+        messages
+    });
+}
+
+// ---------------------------------------------------------------------------
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
@@ -688,6 +774,37 @@ mod tests {
         assert!(out[0].contains("plan_alloc_case.rs:9"), "{out:?}");
         assert!(out[1].contains("plan_alloc_case.rs:12"), "{out:?}");
         assert!(out[2].contains("plan_alloc_case.rs:18"), "{out:?}");
+    }
+
+    #[test]
+    fn oracle_imports_beyond_the_data_model_are_flagged() {
+        let src = "//! Judges `PhysicalPlan` without its parts.\nuse mmqjp_relational::{Atom, Relation, Value};\nuse mmqjp_relational::{\n    ConjunctiveQuery, ExecScratch,\n    Schema, Symbol,\n};\nuse mmqjp_relational::Term;\nuse mmqjp_relational::plan::Helper;\nuse std::collections::HashMap;\nfn f(v: &Value) -> u64 { FxHasher::default().finish() }\n#[cfg(test)]\nmod tests {\n    use mmqjp_relational::{PhysicalPlan, PlanInput};\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("oracle_case.rs");
+        fs::write(&file, src).unwrap();
+        let mut out = Vec::new();
+        scan_file_for_oracle_imports(&dir, &file, &mut out);
+        assert_eq!(out.len(), 6, "violations: {out:?}");
+        // `ExecScratch` is both a banned name and a foreign import.
+        assert!(out[0].contains("oracle_case.rs:4") && out[0].contains("`ExecScratch` in"));
+        assert!(out[1].contains("oracle_case.rs:4") && out[1].contains("`ExecScratch` imported"));
+        assert!(
+            out[2].contains("oracle_case.rs:5") && out[2].contains("`Symbol`"),
+            "{out:?}"
+        );
+        assert!(
+            out[3].contains("oracle_case.rs:8") && out[3].contains("`plan`"),
+            "{out:?}"
+        );
+        assert!(
+            out[4].contains("oracle_case.rs:9") && out[4].contains("`HashMap`"),
+            "{out:?}"
+        );
+        assert!(
+            out[5].contains("oracle_case.rs:10") && out[5].contains("`Fx`"),
+            "{out:?}"
+        );
     }
 
     #[test]
