@@ -91,6 +91,7 @@ mod output;
 mod recovery;
 mod registry;
 mod relations;
+mod router;
 mod shard;
 mod state;
 mod stats;
@@ -105,7 +106,8 @@ pub use output::{sort_matches, Binding, MatchOutput};
 pub use recovery::ReplayLog;
 pub use registry::{QueryRuntime, Registry, TemplateRuntime};
 pub use relations::{node_key, schemas, IngestScratch, RoutedBatch, WitnessBatch};
-pub use shard::{ShardedEngine, WitnessRouter};
+pub use router::WitnessRouter;
+pub use shard::ShardedEngine;
 pub use stats::{EngineStats, PhaseTimings};
 pub use view_cache::{ViewCache, ViewCacheStats};
 
