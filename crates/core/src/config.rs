@@ -42,8 +42,9 @@ pub enum FaultPolicy {
     /// The historical behavior: a poison document fails its whole batch with
     /// a typed error, and a dead shard worker makes every subsequent request
     /// fail with [`ShardUnavailable`](crate::CoreError::ShardUnavailable).
-    /// A dead front worker is terminal for the engine in the same way: the
-    /// batch and every later one fail with
+    /// A dead spawned front worker (front parties `1..front_pool`; party 0 is
+    /// the caller's own thread) is terminal in the same way: the batch and
+    /// every later one fail with
     /// [`FrontUnavailable`](crate::CoreError::FrontUnavailable) (only
     /// [`Quarantine`](FaultPolicy::Quarantine) respawns and re-syncs it).
     /// No replay log is kept, so this policy has zero bookkeeping cost.
@@ -51,7 +52,7 @@ pub enum FaultPolicy {
     FailFast,
     /// Self-healing: a poison document is skipped with a typed
     /// `QuarantineRecord` (the rest of its batch proceeds), and a dead shard
-    /// or front worker is respawned on the spot — surviving subscriptions
+    /// or spawned front worker is respawned on the spot — surviving subscriptions
     /// are re-registered from the retained query registry and the shard's
     /// in-window join state is replayed from the bounded `ReplayLog`, so
     /// subsequent output is byte-identical to an engine that never failed.
@@ -61,7 +62,7 @@ pub enum FaultPolicy {
     /// shard keeps serving. The replay log is still maintained, so a manual
     /// `ShardedEngine::respawn_shard` heals the shard later with its full
     /// state. Poison documents fail their batch as under
-    /// [`FailFast`](FaultPolicy::FailFast). A dead *front* worker is
+    /// [`FailFast`](FaultPolicy::FailFast). A dead spawned *front* worker is
     /// terminal here too: every later batch fails with
     /// [`FrontUnavailable`](crate::CoreError::FrontUnavailable).
     Degrade,
@@ -137,12 +138,15 @@ pub struct EngineConfig {
     /// `0` is treated as `1`. Ignored by the single-threaded
     /// [`MmqjpEngine`](crate::MmqjpEngine).
     pub num_shards: usize,
-    /// Number of worker threads in the document-parallel Stage-1 front stage
-    /// of [`ShardedEngine`](crate::ShardedEngine): documents are parsed and
-    /// pattern-matched exactly once by a pool of this many front workers, and
-    /// only the resulting witness rows are routed to the query shards that
-    /// subscribed to them. `0` is treated as `1`. Ignored by the
-    /// single-threaded [`MmqjpEngine`](crate::MmqjpEngine).
+    /// Number of parties in the document-parallel Stage-1 front stage of
+    /// [`ShardedEngine`](crate::ShardedEngine), *counting the caller's
+    /// thread*: each batch is cut into this many contiguous slices, the
+    /// caller matches the first one inline and `front_pool − 1` spawned front
+    /// workers match the rest, so every document is pattern-matched exactly
+    /// once and only the resulting witness rows are routed to the query
+    /// shards that subscribed to them. `1` (the default) spawns no front
+    /// thread at all; `0` is treated as `1`. Ignored by the single-threaded
+    /// [`MmqjpEngine`](crate::MmqjpEngine).
     pub front_pool: usize,
     /// How worker death and poison input are handled (see [`FaultPolicy`]).
     /// The default, [`FaultPolicy::FailFast`], keeps the historical
@@ -225,8 +229,9 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style setter for the number of Stage-1 front workers used by
-    /// [`ShardedEngine`](crate::ShardedEngine) (`0` is treated as `1`).
+    /// Builder-style setter for the number of Stage-1 front parties used by
+    /// [`ShardedEngine`](crate::ShardedEngine), the caller's thread included
+    /// (`0` is treated as `1`).
     pub fn with_front_pool(mut self, front_pool: usize) -> Self {
         self.front_pool = front_pool;
         self

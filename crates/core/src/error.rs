@@ -41,14 +41,15 @@ pub enum CoreError {
         /// Index of the unavailable shard.
         shard: usize,
     },
-    /// A Stage-1 front worker thread of a
+    /// A spawned Stage-1 front worker thread of a
     /// [`ShardedEngine`](crate::ShardedEngine) is gone. The shards are
     /// untouched (no shard is degraded and `respawn_shard` has nothing to
     /// rebuild); only [`FaultPolicy::Quarantine`](crate::FaultPolicy::Quarantine)
     /// respawns and re-syncs a front worker, so under the other policies
     /// every later batch fails with this error too.
     FrontUnavailable {
-        /// Index of the unavailable front worker.
+        /// Front party of the unavailable worker, in `1..front_pool` (party
+        /// 0 is the caller's thread, which this error never names).
         worker: usize,
     },
     /// A shard worker caught a panic while serving a request. The worker

@@ -41,12 +41,15 @@ pub enum FaultKind {
         /// Index of the shard whose reply is dropped.
         shard: usize,
     },
-    /// Panic the given front (parse) worker while it parses its slice of
+    /// Panic the given spawned front worker while it matches its slice of
     /// this batch. Only [`FaultPolicy::Quarantine`](crate::FaultPolicy)
     /// respawns it; under the other policies the batch and every later one
-    /// fail with [`CoreError::FrontUnavailable`].
+    /// fail with [`CoreError::FrontUnavailable`]. A fault is delivered only
+    /// to a party in `1..front_pool` that receives a non-empty slice: party
+    /// 0 is the caller's thread, which is never killed, so a fault aimed at
+    /// it (or at a party beyond the pool) injects nothing.
     PanicFront {
-        /// Index of the front worker to kill.
+        /// Front party of the worker to kill, in `1..front_pool`.
         worker: usize,
     },
     /// Corrupt the serialized bytes of the given document before parsing.
@@ -87,21 +90,27 @@ impl FaultPlan {
 
     /// Derive a pseudo-random plan from `seed`, scheduling roughly one fault
     /// every few batches across `batches` steps for an engine with
-    /// `num_shards` shards and `front_pool` front workers (each clamped to at
-    /// least `1`, as the engine does). The same arguments always yield the
-    /// same plan.
+    /// `num_shards` shards and `front_pool` front parties (each clamped to at
+    /// least `1`, as the engine does). Front panics target the spawned
+    /// parties `1..front_pool`; with `front_pool ≤ 1` there is no front thread
+    /// to kill, so the plan draws one of the other four kinds instead. The
+    /// same arguments always yield the same plan.
     pub fn seeded(seed: u64, batches: u64, num_shards: usize, front_pool: usize) -> Self {
         let mut rng = SplitMix64::new(seed);
         let mut plan = Self::default();
         let shards = num_shards.max(1) as u64;
-        let fronts = front_pool.max(1) as u64;
+        let workers = front_pool.max(1) as u64 - 1;
         for batch in 0..batches {
             // ~40% of batches get one fault; the rest run clean so the
             // pipeline also exercises fault-free steady state post-recovery.
             if rng.next() % 10 >= 4 {
                 continue;
             }
-            let fault = match rng.next() % 5 {
+            let kind = match workers {
+                0 => [0, 1, 3, 4][(rng.next() % 4) as usize],
+                _ => rng.next() % 5,
+            };
+            let fault = match kind {
                 0 => FaultKind::PanicShard {
                     shard: (rng.next() % shards) as usize,
                 },
@@ -109,7 +118,7 @@ impl FaultPlan {
                     shard: (rng.next() % shards) as usize,
                 },
                 2 => FaultKind::PanicFront {
-                    worker: (rng.next() % fronts) as usize,
+                    worker: 1 + (rng.next() % workers) as usize,
                 },
                 3 => FaultKind::CorruptDocument {
                     doc_index: (rng.next() % 4) as usize,
@@ -228,8 +237,9 @@ impl SplitMix64 {
     }
 }
 
-/// How an injected fault is delivered to a worker thread, carried inside the
-/// worker's request messages. `Panic` makes the worker panic mid-request
+/// How an injected fault is delivered to a shard worker thread, carried
+/// inside the worker's request messages (a front worker's request carries
+/// only a panic flag). `Panic` makes the worker panic mid-request
 /// (exercising containment); `DropReply` makes it skip the request and drop
 /// the reply channel without dying (exercising supervisor detection of lost
 /// responses).
@@ -281,6 +291,28 @@ mod tests {
             FaultPlan::seeded(42, 64, 4, 0),
             FaultPlan::seeded(42, 64, 4, 1)
         );
+    }
+
+    #[test]
+    fn seeded_front_panics_target_spawned_workers_only() {
+        let front_workers = |pool: usize| -> Vec<usize> {
+            let plan = FaultPlan::seeded(42, 256, 4, pool);
+            (0..256)
+                .flat_map(|b| plan.faults_at(b))
+                .filter_map(|f| match f {
+                    FaultKind::PanicFront { worker } => Some(*worker),
+                    _ => None,
+                })
+                .collect()
+        };
+        // One party is the caller's thread alone: nothing to kill, and the
+        // plan still schedules faults at the usual rate.
+        assert!(front_workers(1).is_empty());
+        assert!(!FaultPlan::seeded(42, 256, 4, 1).is_empty());
+        let three = front_workers(3);
+        assert!(!three.is_empty());
+        assert!(three.iter().all(|w| (1..3).contains(w)), "{three:?}");
+        assert!(three.contains(&1) && three.contains(&2));
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!
 //! [`MmqjpEngine`](crate::MmqjpEngine) runs the front inline and hands its
 //! output straight to the join stage; [`ShardedEngine`](crate::ShardedEngine)
-//! runs the same functions on its front workers and puts a
-//! [`WitnessRouter`](crate::WitnessRouter) in between. The per-pattern DOM
+//! runs the same functions on the caller's thread and its front workers and
+//! puts a [`WitnessRouter`](crate::WitnessRouter) in between. The per-pattern DOM
 //! matcher (`PatternIndex::evaluate_edge_bindings`,
 //! `PatternMatcher::witnesses`) is not a production path; it lives on in
 //! `mmqjp-xpath` as the reference the Stage-1 differential tests compare
@@ -172,7 +172,8 @@ pub struct SingleBlock<'a> {
 
 /// Everything Stage 1 evaluates a document against, borrowed from its owner
 /// for the duration of one batch: a [`Registry`](crate::Registry) in the
-/// single engine, a front worker's snapshot in the sharded one.
+/// single engine, the master front state (on the caller's thread) or a front
+/// worker's snapshot of it in the sharded one.
 #[derive(Debug)]
 pub struct Subscriptions<'a> {
     /// Every live pattern, join-side and single-block alike (mutable because

@@ -37,10 +37,10 @@
 //! merges the per-shard matches into a deterministic, canonically-ordered
 //! result — identical to a single engine's output for every shard count and
 //! inner mode. Each document is parsed and pattern-matched exactly once by a
-//! document-parallel front stage (`EngineConfig::front_pool` workers), which
-//! routes only the witness rows ([`RoutedBatch`]) to the shards that
-//! subscribed to them, pipelining Stage 1 of batch `k+1` with Stage 2 of
-//! batch `k`.
+//! document-parallel front stage (`EngineConfig::front_pool` parties: the
+//! caller's thread plus `front_pool − 1` spawned workers), which routes only
+//! the witness rows ([`RoutedBatch`]) to the shards that subscribed to them,
+//! pipelining Stage 1 of batch `k+1` with Stage 2 of batch `k`.
 //!
 //! # Quick start
 //!

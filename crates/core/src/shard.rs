@@ -8,25 +8,30 @@
 //! ([`MmqjpEngine::process_witness_batch`]) directly. [`ShardedEngine`]
 //! spreads the same two stages over threads, with every stage present.
 //!
-//! *Front*: the coordinator screens and stamps each batch, and a pool of
-//! [`EngineConfig::front_pool`] front workers runs the front's per-document
-//! matching over contiguous slices of it, each document exactly once,
-//! against a snapshot of every shard's patterns. *Route*: a
-//! [`WitnessRouter`] delivers the resulting witness rows to precisely the
-//! shards whose queries subscribed to them ([`RoutedBatch`]; whole documents
-//! are shipped only when `retain_documents` needs them for `SELECT *` output
-//! construction). *Join*: the *query population* is hash-partitioned across
-//! `N` [`MmqjpEngine`] shards on long-lived worker threads — a shard is just
-//! a smaller engine with its own registry, join state and view cache, so
-//! sharding composes with Sequential, MMQJP and MMQJP+VM alike — and each
-//! runs only the join stage. *Merge*: the shards' matches and the front's
-//! single-block matches are sorted into canonical order. Under
-//! [`process_batches`](ShardedEngine::process_batches) front and join are
-//! pipelined with an in-flight depth of one: the front parses batch `k+1`
-//! while the shards join batch `k`.
+//! *Front*: the coordinator screens and stamps each batch, and
+//! [`EngineConfig::front_pool`] front parties — the caller's thread plus
+//! `front_pool − 1` spawned front workers — run the front's per-document
+//! matching over contiguous slices of it, each document exactly once. The
+//! caller matches the first slice inline against the master Stage-1 state
+//! (no snapshot, no channel: the same contract as [`MmqjpEngine`]'s inline
+//! front); each spawned worker matches its slice against a snapshot of it.
+//! With the default `front_pool = 1` no front thread exists at all.
+//! *Route*: a [`WitnessRouter`] delivers the resulting witness rows to
+//! precisely the shards whose queries subscribed to them ([`RoutedBatch`];
+//! whole documents are shipped only when `retain_documents` needs them for
+//! `SELECT *` output construction). *Join*: the *query population* is
+//! hash-partitioned across `N` [`MmqjpEngine`] shards on long-lived worker
+//! threads — a shard is just a smaller engine with its own registry, join
+//! state and view cache, so sharding composes with Sequential, MMQJP and
+//! MMQJP+VM alike — and each runs only the join stage. *Merge*: the shards'
+//! matches and the front's single-block matches are sorted into canonical
+//! order. Under [`process_batches`](ShardedEngine::process_batches) front
+//! and join are pipelined with an in-flight depth of one: the caller matches
+//! batch `k+1` while the shards join batch `k`.
 //!
 //! ```text
-//!   docs ─▶ front pool: parse once, Stage 1 + single-blocks
+//!   docs ─▶ front: the caller's thread + front_pool − 1 workers,
+//!              │    match once, Stage 1 + single-blocks
 //!              │ witness rows
 //!              ▼
 //!        WitnessRouter  (per-shard subscription filter)
@@ -141,7 +146,8 @@ struct Shard {
 // Front stage
 // ------------------------------------------------------------------------
 
-/// A request to a Stage-1 front worker.
+/// A request to a spawned Stage-1 front worker (front parties
+/// `1..front_pool`; party 0 is the caller's thread and takes no requests).
 enum FrontRequest {
     /// Replace the worker's snapshot of the Stage-1 state. Sent after every
     /// subscription change; churn is rare relative to batches, so a
@@ -152,43 +158,47 @@ enum FrontRequest {
         singles: Vec<FrontSingle>,
         reply: Sender<()>,
     },
-    /// Parse a run of documents (ids and timestamps already assigned by the
-    /// coordinator) and return their Stage-1 output.
-    Parse {
+    /// Match a run of documents (ids and timestamps already assigned
+    /// by the coordinator) and return their Stage-1 output.
+    Match {
         docs: Vec<Document>,
-        /// Injected fault to deliver while serving this request.
-        fault: Option<WorkerFault>,
-        reply: Sender<ParsedChunk>,
+        /// Injected fault: panic while serving this request.
+        panic: bool,
+        reply: Sender<MatchedChunk>,
     },
 }
 
 /// A single-block subscription evaluated at the front stage (its matches
 /// never involve Stage 2, so they are answered where the document is
-/// parsed).
+/// matched).
 #[derive(Debug, Clone)]
 struct FrontSingle {
     global: QueryId,
+    /// Where [`pattern`](Self::pattern) sits in the master index (and in
+    /// every worker's snapshot of it).
+    pid: PatternId,
     pattern: TreePattern,
     publish: Option<String>,
     select: SelectClause,
 }
 
-/// One front worker's Stage-1 output for its slice of a batch.
-struct ParsedChunk {
-    docs: Vec<ParsedDoc>,
-    /// Wall-clock time this worker spent on the slice (summed across the
-    /// pool into the front's `timings.xpath` — total parse work, not
+/// One front party's Stage-1 output for its slice of a batch.
+struct MatchedChunk {
+    docs: Vec<MatchedDoc>,
+    /// Wall-clock time this party spent on the slice (summed across the
+    /// parties into the front's `timings.xpath` — total match work, not
     /// elapsed time).
     elapsed: Duration,
 }
 
 /// One stamped document with its Stage-1 output.
-struct ParsedDoc {
+struct MatchedDoc {
     doc: Document,
     matches: DocumentMatches,
 }
 
-/// One front worker: the channel into its thread and the join handle.
+/// One spawned front worker: the channel into its thread and the join
+/// handle.
 #[derive(Debug)]
 struct FrontWorker {
     sender: Option<Sender<FrontRequest>>,
@@ -201,21 +211,29 @@ struct FrontWorker {
 struct FrontFootprint {
     shard: usize,
     patterns: Vec<(PatternId, Vec<Edge>)>,
-    single: bool,
+    /// The master-index id of the query's single-block pattern, if it is a
+    /// single-block subscription.
+    single: Option<PatternId>,
 }
 
-/// The document-parallel Stage-1 front stage.
+/// The document-parallel Stage-1 front stage: the caller's thread is front
+/// party 0 and matches against the master state directly; parties
+/// `1..front_pool` are spawned workers holding snapshots of it.
 #[derive(Debug)]
 struct FrontStage {
+    /// The spawned workers; `workers[i]` is front party `i + 1`.
     workers: Vec<FrontWorker>,
-    /// Master pattern index: the union of every shard's join-side patterns,
-    /// refcounted per registration exactly like a `Registry`'s own index.
+    /// Master pattern index: the union of every shard's join-side patterns
+    /// and every single-block pattern, refcounted per registration exactly
+    /// like a `Registry`'s own index.
     index: PatternIndex,
     /// Global requested-edge union per pattern, in first-request order.
     requested: RequestedEdges,
     /// Refcounts behind [`requested`](Self::requested).
     edge_refs: HashMap<PatternId, HashMap<Edge, usize>>,
     router: WitnessRouter,
+    /// The caller's automaton pass buffer, kept warm across batches.
+    pass: SharedPass,
     /// Pooled dedup sets of the routing ingest.
     ingest: IngestScratch,
     /// Single-block subscriptions in ascending global-id order (the order a
@@ -290,15 +308,16 @@ struct Stage1Checkpoint {
 ///
 /// The API mirrors [`MmqjpEngine`]: register queries, then feed documents or
 /// batches. [`EngineConfig::num_shards`] selects the shard count and
-/// [`EngineConfig::front_pool`] the number of front workers that parse each
-/// document once and route its witness rows to the subscribing shards.
-/// Every other config knob applies to each shard individually.
+/// [`EngineConfig::front_pool`] the number of front parties — the caller's
+/// thread plus `front_pool − 1` spawned workers — that match each document
+/// once and route its witness rows to the subscribing shards. Every other
+/// config knob applies to each shard individually.
 ///
 /// ```
 /// use mmqjp_core::{EngineConfig, ShardedEngine};
 /// use mmqjp_xml::rss;
 ///
-/// // 2 front workers parse once, 4 shards join.
+/// // The caller and 1 front worker match once, 4 shards join.
 /// let mut engine = ShardedEngine::new(
 ///     EngineConfig::default().with_num_shards(4).with_front_pool(2));
 /// engine.register_query_text(
@@ -354,8 +373,10 @@ pub struct ShardedEngine {
 impl ShardedEngine {
     /// Create a sharded engine with [`EngineConfig::num_shards`] shards, each
     /// running the configured processing mode on its own worker thread, and
-    /// [`EngineConfig::front_pool`] Stage-1 front workers (a count of `0` is
-    /// treated as `1` for both).
+    /// [`EngineConfig::front_pool`] Stage-1 front parties: the caller's
+    /// thread plus `front_pool − 1` spawned front workers, so the default
+    /// `front_pool = 1` spawns none (a count of `0` is treated as `1` for
+    /// both).
     pub fn new(config: EngineConfig) -> Self {
         let num_shards = config.num_shards.max(1);
         let interner = Arc::new(StringInterner::new());
@@ -367,9 +388,10 @@ impl ShardedEngine {
                     .expect("spawning a shard worker thread succeeds")
             })
             .collect();
-        let workers = (0..config.front_pool.max(1))
-            .map(|i| {
-                spawn_front_worker(i, config.retain_documents)
+        // Front party 0 is the caller's thread: only parties 1.. are spawned.
+        let workers = (1..config.front_pool.max(1))
+            .map(|party| {
+                spawn_front_worker(party, config.retain_documents)
                     // lint:allow one-time startup; a failed spawn leaves no engine to return
                     .expect("spawning a front worker thread succeeds")
             })
@@ -380,6 +402,7 @@ impl ShardedEngine {
             requested: HashMap::new(),
             edge_refs: HashMap::new(),
             router: WitnessRouter::new(),
+            pass: SharedPass::default(),
             ingest: IngestScratch::default(),
             singles: Vec::new(),
             footprints: HashMap::new(),
@@ -416,9 +439,10 @@ impl ShardedEngine {
         self.shards.len()
     }
 
-    /// The number of Stage-1 front workers.
+    /// The number of Stage-1 front parties: the caller's thread plus the
+    /// spawned front workers.
     pub fn front_pool(&self) -> usize {
-        self.front.workers.len()
+        self.front.workers.len() + 1
     }
 
     /// Total number of live registered queries across all shards.
@@ -522,7 +546,7 @@ impl ShardedEngine {
         self.process_batch(vec![doc])
     }
 
-    /// Process a batch of documents in arrival order: the front pool runs
+    /// Process a batch of documents in arrival order: the front parties run
     /// Stage 1 once, the shards join their routed witness rows, and the
     /// per-shard matches are merged into the canonical `(query, left_doc,
     /// right_doc, bindings)` order. The batched-evaluation trade-off of
@@ -541,7 +565,7 @@ impl ShardedEngine {
     /// matches in order. Equivalent to calling
     /// [`process_batch`](Self::process_batch) per batch — same outputs,
     /// same state — but the stages are pipelined with an in-flight depth of
-    /// one: the front pool parses batch `k+1`
+    /// one: the caller matches batch `k+1`
     /// while the shards join batch `k`. Batches whose Stage-1 output was
     /// ready before the shards finished the previous batch are counted in
     /// [`EngineStats::pipeline_stalls`] (the front waited on Stage 2).
@@ -560,7 +584,7 @@ impl ShardedEngine {
         for batch in batches {
             let batch_index = self.begin_batch();
             if batch.is_empty() {
-                // Nothing to parse or dispatch; settle the pipeline so the
+                // Nothing to match or dispatch; settle the pipeline so the
                 // empty result lands at the right position.
                 if let Some(prev) = in_flight.take() {
                     results.push(self.collect_shard_outputs(prev, false)?);
@@ -604,7 +628,7 @@ impl ShardedEngine {
 
     /// Snapshot every piece of coordinator state `front_stage1` mutates, so
     /// a staged-but-never-dispatched batch can be undone. Worker threads
-    /// hold no per-batch state (parsing is snapshot-pure), so restoring
+    /// hold no per-batch state (matching is snapshot-pure), so restoring
     /// these fields is a complete rollback.
     fn checkpoint_stage1(&self) -> Stage1Checkpoint {
         Stage1Checkpoint {
@@ -788,16 +812,21 @@ impl ShardedEngine {
         Some(fault)
     }
 
-    /// Drain the pending worker fault aimed at front worker `worker` for
-    /// the current batch, if any.
-    fn worker_fault_for_front(&mut self, worker: usize) -> Option<WorkerFault> {
-        let position = self
+    /// Drain the pending panic aimed at spawned front party `party` for the
+    /// current batch; `true` if there was one. Only called for the spawned
+    /// parties that received a slice: party 0 is the caller's thread, which
+    /// no injected fault may kill, so its faults are never drained.
+    fn worker_fault_for_front(&mut self, party: usize) -> bool {
+        let Some(position) = self
             .pending_faults
             .iter()
-            .position(|f| matches!(f, FaultKind::PanicFront { worker: w } if *w == worker))?;
+            .position(|f| matches!(f, FaultKind::PanicFront { worker } if *worker == party))
+        else {
+            return false;
+        };
         self.pending_faults.swap_remove(position);
         self.supervisor_stats.faults_injected += 1;
-        Some(WorkerFault::Panic)
+        true
     }
 
     /// The global stream position, owned by the front stage: documents
@@ -955,15 +984,17 @@ impl ShardedEngine {
             });
         }
 
-        // One recount pass over the footprints: master-index refcounts, the
-        // global edge union, per-shard router subscriptions and singles.
+        // One recount pass over the footprints: master-index refcounts (join
+        // patterns and single-block patterns alike), the global edge union,
+        // per-shard router subscriptions and singles.
         let mut pattern_expected: HashMap<PatternId, usize> = HashMap::new();
         let mut edge_expected: HashMap<PatternId, HashMap<Edge, usize>> = HashMap::new();
         let mut router_expected: HashMap<PatternId, BTreeMap<usize, HashMap<Edge, usize>>> =
             HashMap::new();
         let mut singles_expected = 0usize;
         for footprint in front.footprints.values() {
-            if footprint.single {
+            if let Some(pid) = footprint.single {
+                *pattern_expected.entry(pid).or_insert(0) += 1;
                 singles_expected += 1;
             }
             for (pid, edges) in &footprint.patterns {
@@ -1072,7 +1103,7 @@ impl ShardedEngine {
             let covered = front
                 .footprints
                 .get(&single.global.raw())
-                .is_some_and(|f| f.single);
+                .is_some_and(|f| f.single == Some(single.pid));
             if !covered {
                 out.push(AuditViolation::FrontSubscription {
                     pattern: u32::MAX,
@@ -1125,17 +1156,22 @@ impl ShardedEngine {
             front.router.subscribe(shard, pid, &edges);
             resolved.push((pid, edges));
         }
-        let single = footprint.single.is_some();
-        if let Some((pattern, publish, select)) = footprint.single {
-            // Global ids are assigned in ascending order and never reused,
-            // so pushing keeps the list in single-engine evaluation order.
+        let single = footprint.single.map(|(pattern, publish, select)| {
+            // The single's pattern joins the master index like any join
+            // pattern (deduplicated by signature, refcounted), so one
+            // automaton pass answers both. Global ids are assigned in
+            // ascending order and never reused, so pushing keeps the list in
+            // single-engine evaluation order.
+            let pid = front.index.register(pattern.clone());
             front.singles.push(FrontSingle {
                 global,
+                pid,
                 pattern,
                 publish,
                 select,
             });
-        }
+            pid
+        });
         front.footprints.insert(
             global.raw(),
             FrontFootprint {
@@ -1179,37 +1215,26 @@ impl ShardedEngine {
             }
             front.index.unregister(*pid);
         }
-        if footprint.single {
+        if let Some(pid) = footprint.single {
             front.singles.retain(|s| s.global != global);
+            front.index.unregister(pid);
         }
         self.sync_front()
     }
 
     /// Broadcast the current Stage-1 snapshot (master index, requested-edge
-    /// union, single-block list) to every front worker and wait for their
-    /// acknowledgements, so the next batch is parsed against the updated
-    /// subscriptions.
-    fn sync_front(&mut self) -> CoreResult<()> {
-        let front = &mut self.front;
-        let mut acks = Vec::with_capacity(front.workers.len());
-        for (worker, handle) in front.workers.iter().enumerate() {
-            let (reply, response) = channel();
-            handle
-                .sender
-                .as_ref()
-                .ok_or(CoreError::FrontUnavailable { worker })?
-                .send(FrontRequest::Sync {
-                    index: Box::new(front.index.clone()),
-                    requested: front.requested.clone(),
-                    singles: front.singles.clone(),
-                    reply,
-                })
-                .map_err(|_| CoreError::FrontUnavailable { worker })?;
-            acks.push(response);
-        }
-        for (worker, ack) in acks.into_iter().enumerate() {
+    /// union, single-block list) to every spawned front worker and wait for
+    /// their acknowledgements, so the next batch is matched against the
+    /// updated subscriptions. The caller's own party reads the master state
+    /// directly, so with `front_pool = 1` this clones nothing.
+    fn sync_front(&self) -> CoreResult<()> {
+        let front = &self.front;
+        let acks = (1..=front.workers.len())
+            .map(|party| front.send_snapshot(party).map(|ack| (party, ack)))
+            .collect::<CoreResult<Vec<_>>>()?;
+        for (party, ack) in acks {
             ack.recv()
-                .map_err(|_| CoreError::FrontUnavailable { worker })?;
+                .map_err(|_| CoreError::FrontUnavailable { worker: party })?;
         }
         Ok(())
     }
@@ -1217,107 +1242,95 @@ impl ShardedEngine {
     /// Run Stage 1 for one batch: assign ids/timestamps (the front owns the
     /// global sequence), enforce in-order arrival (quarantining poison
     /// documents under [`FaultPolicy::Quarantine`] instead of failing),
-    /// parse and pattern-match document-parallel across the front pool,
-    /// answer single-block subscriptions, and route the witness rows into
-    /// per-shard batches. A front worker that dies mid-parse is respawned
-    /// and its slice retried under [`FaultPolicy::Quarantine`]; under any
-    /// other policy its death fails this batch and every later one with
-    /// [`CoreError::FrontUnavailable`].
+    /// pattern-match document-parallel across the front parties, answer
+    /// single-block subscriptions, and route the witness rows into
+    /// per-shard batches. The batch is cut into `front_pool` contiguous
+    /// slices: the caller's thread matches the first against the master
+    /// state while the spawned workers match the rest. A spawned worker that
+    /// dies mid-slice is respawned and its slice retried under
+    /// [`FaultPolicy::Quarantine`]; under any other policy its death fails
+    /// this batch and every later one with [`CoreError::FrontUnavailable`].
     fn front_stage1(&mut self, docs: Vec<Document>, batch_index: u64) -> CoreResult<StagedBatch> {
         let num_shards = self.shards.len();
         let retain_documents = self.config.retain_documents;
         let enforce_in_order = self.config.enforce_in_order;
         let policy = self.config.fault_policy;
-        // Drain worker-directed faults before borrowing the front stage.
-        let front_faults: Vec<Option<WorkerFault>> = (0..self.front.workers.len())
-            .map(|worker| self.worker_fault_for_front(worker))
-            .collect();
-        let front = &mut self.front;
-        let position = (front.next_doc_seq, front.newest_timestamp);
+        let position = self.stream_position();
 
         // The same screening, under the same handling, as the single
         // engine's inline front: a rejected document fails the batch before
         // anything reaches a shard, or is skipped under Quarantine.
         let offered = docs.len();
-        let prepared = front::screen_and_stamp(
+        let mut own = front::screen_and_stamp(
             docs,
-            &mut front.next_doc_seq,
-            &mut front.newest_timestamp,
+            &mut self.front.next_doc_seq,
+            &mut self.front.newest_timestamp,
             enforce_in_order,
             PoisonHandling::for_policy(policy),
             batch_index,
             &mut self.quarantine,
         )?;
-        self.supervisor_stats.docs_quarantined += offered - prepared.len();
-        let log_entry = (policy != FaultPolicy::FailFast).then(|| prepared.clone());
+        self.supervisor_stats.docs_quarantined += offered - own.len();
+        let log_entry = (policy != FaultPolicy::FailFast).then(|| own.clone());
 
-        // Document-parallel Stage 1: contiguous slices across the pool keep
-        // arrival order trivially reconstructible on collection.
-        let chunk_len = prepared.len().div_ceil(front.workers.len()).max(1);
-        let mut pending = Vec::new();
-        let mut iter = prepared.into_iter();
-        loop {
-            let slice: Vec<Document> = iter.by_ref().take(chunk_len).collect();
-            if slice.is_empty() {
-                break;
-            }
-            let worker = pending.len();
-            let retry = (policy == FaultPolicy::Quarantine).then(|| slice.clone());
-            let fault = front_faults.get(worker).copied().flatten();
-            let (reply, response) = channel();
-            front.workers[worker]
-                .sender
-                .as_ref()
-                .ok_or(CoreError::FrontUnavailable { worker })?
-                .send(FrontRequest::Parse {
-                    docs: slice,
-                    fault,
-                    reply,
-                })
-                .map_err(|_| CoreError::FrontUnavailable { worker })?;
-            pending.push((response, retry));
+        // Document-parallel Stage 1: contiguous slices keep arrival order
+        // trivially reconstructible on collection. Party 0 keeps the head of
+        // the batch in place; slice `i` goes to front party `i + 1`.
+        let chunk_len = own.len().div_ceil(self.front_pool()).max(1);
+        let mut rest = own.split_off(chunk_len.min(own.len()));
+        let mut slices = Vec::new();
+        while !rest.is_empty() {
+            let tail = rest.split_off(chunk_len.min(rest.len()));
+            slices.push(std::mem::replace(&mut rest, tail));
         }
-        let mut parsed: Vec<ParsedDoc> = Vec::new();
-        let mut parse_work = Duration::ZERO;
-        for (worker, (response, retry)) in pending.into_iter().enumerate() {
+        let panics: Vec<bool> = (1..=slices.len())
+            .map(|party| self.worker_fault_for_front(party))
+            .collect();
+        let front = &mut self.front;
+        let mut pending = Vec::with_capacity(slices.len());
+        for ((party, slice), panic) in (1..).zip(slices).zip(panics) {
+            let retry = (policy == FaultPolicy::Quarantine).then(|| slice.clone());
+            pending.push((party, front.request_match(party, slice, panic)?, retry));
+        }
+        // Party 0 matches on this thread while the spawned parties match
+        // theirs: no snapshot, no channel, no unwinding boundary.
+        let mut subs = subscriptions(&mut front.index, &front.requested, &front.singles);
+        let chunk = match_slice(&mut subs, own, &mut front.pass, retain_documents);
+        let mut match_work = chunk.elapsed;
+        let mut matched = chunk.docs;
+        for (party, response, retry) in pending {
             let chunk = match response.recv() {
                 Ok(chunk) => chunk,
                 Err(_) if policy == FaultPolicy::Quarantine => {
-                    // The worker died mid-parse. Parsing is snapshot-pure, so
-                    // healing is a respawn, a targeted sync and one retry of
-                    // the same slice.
+                    // The worker died mid-slice. Matching is snapshot-pure,
+                    // so healing is a respawn, a targeted sync and one retry
+                    // of the same slice.
+                    let unavailable = || CoreError::FrontUnavailable { worker: party };
                     let t0 = Instant::now();
-                    let respawned = spawn_front_worker(worker, retain_documents)
-                        .map_err(|_| CoreError::FrontUnavailable { worker })?;
-                    let old = std::mem::replace(&mut front.workers[worker], respawned);
+                    let respawned =
+                        spawn_front_worker(party, retain_documents).map_err(|_| unavailable())?;
+                    let old = std::mem::replace(&mut front.workers[party - 1], respawned);
                     drop(old.sender);
                     if let Some(handle) = old.handle {
                         let _ = handle.join();
                     }
-                    sync_one_front_worker(front, worker)?;
-                    let docs = retry.ok_or(CoreError::FrontUnavailable { worker })?;
-                    let (reply, response) = channel();
-                    front.workers[worker]
-                        .sender
-                        .as_ref()
-                        .ok_or(CoreError::FrontUnavailable { worker })?
-                        .send(FrontRequest::Parse {
-                            docs,
-                            fault: None,
-                            reply,
-                        })
-                        .map_err(|_| CoreError::FrontUnavailable { worker })?;
-                    let chunk = response
+                    front
+                        .send_snapshot(party)?
                         .recv()
-                        .map_err(|_| CoreError::FrontUnavailable { worker })?;
+                        .map_err(|_| unavailable())?;
+                    let docs = retry.ok_or_else(unavailable)?;
+                    let chunk = front
+                        .request_match(party, docs, false)?
+                        .recv()
+                        .map_err(|_| unavailable())?;
                     self.supervisor_stats.shards_respawned += 1;
                     self.supervisor_stats.timings.recovery += t0.elapsed();
                     chunk
                 }
-                Err(_) => return Err(CoreError::FrontUnavailable { worker }),
+                Err(_) => return Err(CoreError::FrontUnavailable { worker: party }),
             };
-            parse_work += chunk.elapsed;
-            parsed.extend(chunk.docs);
+            match_work += chunk.elapsed;
+            matched.extend(chunk.docs);
         }
 
         // Route the witness rows: still Stage-1 work (witness construction),
@@ -1326,10 +1339,10 @@ impl ShardedEngine {
         let mut shard_batches: Vec<WitnessBatch> =
             (0..num_shards).map(|_| WitnessBatch::new()).collect();
         let mut singles = Vec::new();
-        let mut doc_meta = Vec::with_capacity(parsed.len());
+        let mut doc_meta = Vec::with_capacity(matched.len());
         let mut retained = Vec::new();
         let mut routed_rows = 0usize;
-        for doc in parsed {
+        for doc in matched {
             front.stats.stage1_pairs += doc.matches.rows.len();
             routed_rows += front.router.route_document(
                 &doc.doc,
@@ -1350,7 +1363,7 @@ impl ShardedEngine {
         front.stats.witnesses_routed += routed_rows;
         front.stats.stage1_rows += shard_batches.iter().map(|b| b.rbin_w.len()).sum::<usize>();
         front.stats.results_emitted += singles.len();
-        front.stats.timings.xpath += parse_work + t_route.elapsed();
+        front.stats.timings.xpath += match_work + t_route.elapsed();
         Ok(StagedBatch {
             shard_batches,
             doc_meta,
@@ -1587,11 +1600,12 @@ fn spawn_shard_worker(
     })
 }
 
-/// Spawn the front worker thread with index `worker`.
-fn spawn_front_worker(worker: usize, retain_documents: bool) -> std::io::Result<FrontWorker> {
+/// Spawn the worker thread of front party `party` (always `≥ 1`: party 0 is
+/// the caller's thread).
+fn spawn_front_worker(party: usize, retain_documents: bool) -> std::io::Result<FrontWorker> {
     let (sender, receiver) = channel();
     let handle = thread::Builder::new()
-        .name(format!("mmqjp-front-{worker}"))
+        .name(format!("mmqjp-front-{party}"))
         .spawn(move || front_worker(retain_documents, receiver))?;
     Ok(FrontWorker {
         sender: Some(sender),
@@ -1599,24 +1613,93 @@ fn spawn_front_worker(worker: usize, retain_documents: bool) -> std::io::Result<
     })
 }
 
-/// Push the front stage's current subscription snapshot to one worker (a
-/// freshly respawned one; its peers already hold it) and await the ack.
-fn sync_one_front_worker(front: &FrontStage, worker: usize) -> CoreResult<()> {
-    let (reply, response) = channel();
-    front.workers[worker]
-        .sender
-        .as_ref()
-        .ok_or(CoreError::FrontUnavailable { worker })?
-        .send(FrontRequest::Sync {
-            index: Box::new(front.index.clone()),
-            requested: front.requested.clone(),
-            singles: front.singles.clone(),
-            reply,
+impl FrontStage {
+    /// The request channel of spawned front party `party`.
+    fn sender(&self, party: usize) -> CoreResult<&Sender<FrontRequest>> {
+        party
+            .checked_sub(1)
+            .and_then(|i| self.workers.get(i))
+            .and_then(|worker| worker.sender.as_ref())
+            .ok_or(CoreError::FrontUnavailable { worker: party })
+    }
+
+    /// Send spawned front party `party` a snapshot of the master Stage-1
+    /// state; the returned channel acknowledges it.
+    fn send_snapshot(&self, party: usize) -> CoreResult<Receiver<()>> {
+        let (reply, ack) = channel();
+        self.sender(party)?
+            .send(FrontRequest::Sync {
+                index: Box::new(self.index.clone()),
+                requested: self.requested.clone(),
+                singles: self.singles.clone(),
+                reply,
+            })
+            .map_err(|_| CoreError::FrontUnavailable { worker: party })?;
+        Ok(ack)
+    }
+
+    /// Hand spawned front party `party` a slice to match; the returned
+    /// channel carries its output.
+    fn request_match(
+        &self,
+        party: usize,
+        docs: Vec<Document>,
+        panic: bool,
+    ) -> CoreResult<Receiver<MatchedChunk>> {
+        let (reply, response) = channel();
+        self.sender(party)?
+            .send(FrontRequest::Match { docs, panic, reply })
+            .map_err(|_| CoreError::FrontUnavailable { worker: party })?;
+        Ok(response)
+    }
+}
+
+/// The Stage-1 view of one front party's state: its pattern index (the
+/// master index on the caller's thread, a snapshot on a spawned worker), the
+/// requested edges and the single-block subscriptions.
+fn subscriptions<'a>(
+    index: &'a mut PatternIndex,
+    requested: &'a RequestedEdges,
+    singles: &'a [FrontSingle],
+) -> Subscriptions<'a> {
+    Subscriptions {
+        index,
+        requested,
+        singles: singles
+            .iter()
+            .map(|s| SingleBlock {
+                query: s.global,
+                pid: s.pid,
+                pattern: &s.pattern,
+                publish: &s.publish,
+                select: s.select,
+            })
+            .collect(),
+    }
+}
+
+/// Stage 1 over one front party's slice of a batch: the front
+/// ([`front::match_document`]) per document, timed. The one body behind both
+/// the caller's own slice and a spawned worker's.
+fn match_slice(
+    subs: &mut Subscriptions<'_>,
+    docs: Vec<Document>,
+    pass: &mut SharedPass,
+    retain_documents: bool,
+) -> MatchedChunk {
+    let t0 = Instant::now();
+    let docs = docs
+        .into_iter()
+        .map(|doc| {
+            let mut matches = DocumentMatches::default();
+            front::match_document(subs, &doc, pass, retain_documents, &mut matches);
+            MatchedDoc { doc, matches }
         })
-        .map_err(|_| CoreError::FrontUnavailable { worker })?;
-    response
-        .recv()
-        .map_err(|_| CoreError::FrontUnavailable { worker })
+        .collect();
+    MatchedChunk {
+        docs,
+        elapsed: t0.elapsed(),
+    }
 }
 
 /// Render a caught panic payload for [`CoreError::ShardPanicked`].
@@ -1763,22 +1846,17 @@ fn shard_worker(
     }
 }
 
-/// The front-worker loop: holds a snapshot of the Stage-1 state (master
-/// pattern index, requested-edge union, single-block subscriptions) and runs
-/// the front ([`front::match_document`]) over document slices against it.
-/// Snapshots are replaced wholesale by `Sync` requests on subscription churn.
+/// The front-worker loop of a spawned front party: holds a snapshot of the
+/// Stage-1 state (master pattern index with the single-block patterns in it,
+/// requested-edge union, single-block subscriptions) and runs
+/// [`match_slice`] over document slices against it. Snapshots are replaced
+/// wholesale by `Sync` requests on subscription churn.
 // The spawned front worker must own its receiver (`'static` loop).
 #[allow(clippy::needless_pass_by_value)]
 fn front_worker(retain_documents: bool, requests: Receiver<FrontRequest>) {
     let mut index = PatternIndex::default();
     let mut requested = RequestedEdges::new();
     let mut singles: Vec<FrontSingle> = Vec::new();
-    // Single-block patterns are registered into the worker's snapshot index
-    // too, so one automaton pass answers join patterns and subscriptions
-    // alike. `single_pids[i]` is the index id of `singles[i]` (patterns
-    // structurally equal to a join pattern dedupe onto the same id, which is
-    // exactly what the shared pass wants).
-    let mut single_pids: Vec<PatternId> = Vec::new();
     // Worker-lifetime pass buffer: the shared automaton pass allocates
     // nothing per document once warm.
     let mut pass = SharedPass::default();
@@ -1793,63 +1871,24 @@ fn front_worker(retain_documents: bool, requests: Receiver<FrontRequest>) {
                 index = *new_index;
                 requested = new_requested;
                 singles = new_singles;
-                single_pids = singles
-                    .iter()
-                    .map(|s| index.register(s.pattern.clone()))
-                    .collect();
                 let _ = reply.send(());
             }
-            FrontRequest::Parse { docs, fault, reply } => {
-                if matches!(fault, Some(WorkerFault::DropReply)) {
-                    drop(reply);
-                    continue;
-                }
-                let panic_requested = matches!(fault, Some(WorkerFault::Panic));
-                let t0 = Instant::now();
+            FrontRequest::Match { docs, panic, reply } => {
                 // Contain panics (injected or organic): the dropped reply
                 // surfaces at the coordinator, which respawns and re-syncs
-                // this worker — parsing holds no cross-request state, so a
+                // this worker — matching holds no cross-request state, so a
                 // snapshot push makes the replacement whole.
                 let caught = catch_unwind(AssertUnwindSafe(|| {
-                    if panic_requested {
+                    if panic {
                         // lint:allow deliberate injected fault, contained by catch_unwind below
                         panic!("injected fault: front worker panic");
                     }
-                    let mut subs = Subscriptions {
-                        index: &mut index,
-                        requested: &requested,
-                        singles: singles
-                            .iter()
-                            .zip(&single_pids)
-                            .map(|(s, &pid)| SingleBlock {
-                                query: s.global,
-                                pid,
-                                pattern: &s.pattern,
-                                publish: &s.publish,
-                                select: s.select,
-                            })
-                            .collect(),
-                    };
-                    docs.into_iter()
-                        .map(|doc| {
-                            let mut matches = DocumentMatches::default();
-                            front::match_document(
-                                &mut subs,
-                                &doc,
-                                &mut pass,
-                                retain_documents,
-                                &mut matches,
-                            );
-                            ParsedDoc { doc, matches }
-                        })
-                        .collect()
+                    let mut subs = subscriptions(&mut index, &requested, &singles);
+                    match_slice(&mut subs, docs, &mut pass, retain_documents)
                 }));
                 match caught {
-                    Ok(parsed) => {
-                        let _ = reply.send(ParsedChunk {
-                            docs: parsed,
-                            elapsed: t0.elapsed(),
-                        });
+                    Ok(chunk) => {
+                        let _ = reply.send(chunk);
                     }
                     Err(_) => break,
                 }
@@ -1868,7 +1907,7 @@ const _: () = {
     assert_send::<Arc<StringInterner>>();
     assert_send::<Request>();
     assert_send::<FrontRequest>();
-    assert_send::<ParsedChunk>();
+    assert_send::<MatchedChunk>();
     assert_send::<RoutedBatch>();
     assert_send::<CoreResult<Vec<MatchOutput>>>();
     assert_send::<EngineStats>();
@@ -2044,6 +2083,59 @@ mod tests {
             }),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn the_caller_is_front_party_zero() {
+        // The default front is the caller's thread alone: no front thread.
+        let e = ShardedEngine::new(EngineConfig::default());
+        assert_eq!(e.front_pool(), 1);
+        assert!(e.front.workers.is_empty());
+        assert_eq!(e.shards.len(), 1);
+        // A pool of three spawns the two parties after the caller's.
+        let e = ShardedEngine::new(EngineConfig::default().with_front_pool(3));
+        assert_eq!(e.front_pool(), 3);
+        assert_eq!(e.front.workers.len(), 2);
+        assert!(matches!(
+            e.front.sender(0),
+            Err(CoreError::FrontUnavailable { worker: 0 })
+        ));
+        assert!(e.front.sender(2).is_ok());
+        assert!(e.front.sender(3).is_err());
+    }
+
+    #[test]
+    fn single_block_patterns_live_in_the_master_index() {
+        let mut e = ShardedEngine::new(EngineConfig::mmqjp().with_front_pool(2));
+        let single = e.register_query_text(Q_SINGLE).unwrap();
+        let pid = e.front.singles[0].pid;
+        assert_eq!(e.front.index.refcount(pid), 1);
+        // A second, identical subscription shares the pattern.
+        let twin = e.register_query_text(Q_SINGLE).unwrap();
+        assert_eq!(e.front.singles[1].pid, pid);
+        assert_eq!(e.front.index.refcount(pid), 2);
+        assert!(e.audit().unwrap().is_empty());
+        // Two authors, two witnesses per document, for each subscription.
+        let out = e.process_batch(vec![d1(), d1()]).unwrap();
+        assert_eq!(out.iter().filter(|m| m.query == single).count(), 4);
+        assert_eq!(out.iter().filter(|m| m.query == twin).count(), 4);
+
+        // The audit counts single-block registrations in the refcounts.
+        e.front.index.register(e.front.singles[0].pattern.clone());
+        assert!(e.audit().unwrap().iter().any(|v| matches!(
+            v,
+            AuditViolation::PatternRefcount {
+                index_refs: 3,
+                expected: 2,
+                ..
+            }
+        )));
+        e.front.index.unregister(pid);
+
+        e.unregister_query(single).unwrap();
+        e.unregister_query(twin).unwrap();
+        assert!(e.front.index.is_empty());
+        assert!(e.audit().unwrap().is_empty());
     }
 
     #[test]

@@ -139,7 +139,8 @@ pub fn run_stream_sharded(engine: &mut ShardedEngine, docs: Vec<Document>) -> Ve
 }
 
 /// Build a sharded engine from a (per-shard) config, shard count and query
-/// set, with the config's own front-pool size (one worker by default).
+/// set, with the config's own front-pool size (by default one party: the
+/// caller's thread, no front worker spawned).
 pub fn sharded_engine_with_queries(
     config: EngineConfig,
     num_shards: usize,
@@ -150,7 +151,7 @@ pub fn sharded_engine_with_queries(
 }
 
 /// Build a sharded engine with an explicit shard count and number of Stage-1
-/// front workers.
+/// front parties (the caller's thread plus `front_pool - 1` workers).
 pub fn sharded_engine_with_topology(
     config: EngineConfig,
     num_shards: usize,

@@ -322,12 +322,15 @@ proptest! {
 
 /// Hand-scheduled worker deaths only (no poison input): healing must be
 /// fully transparent — identical output to a never-failed engine, exact
-/// respawn/fault accounting, state replayed, audit clean.
+/// respawn/fault accounting, state replayed, audit clean. The front panic
+/// kills the last spawned front party; batches of six give every party of a
+/// two- or three-party front a non-empty slice.
 #[test]
 fn injected_worker_deaths_heal_transparently() {
-    for front_pool in [1usize, 2] {
-        let (queries, docs) = rss_workload(61, 24, 40);
-        let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
+    for front_pool in [2usize, 3] {
+        let (queries, docs) = rss_workload(61, 24, 60);
+        let batches: Vec<Vec<Document>> = docs.chunks(6).map(<[_]>::to_vec).collect();
+        assert_eq!(batches.len(), 10);
         let plan = FaultPlan::none()
             .at(1, FaultKind::PanicShard { shard: 0 })
             .at(3, FaultKind::DropResponse { shard: 2 })
@@ -419,24 +422,63 @@ fn failfast_turns_a_panic_into_a_typed_error() {
 /// FailFast with a dead *front* worker: the batch fails with the typed
 /// [`CoreError::FrontUnavailable`] naming the worker — no healthy shard is
 /// blamed or degraded — and, nothing being able to respawn it under this
-/// policy, every later batch fails the same way instead of hanging.
+/// policy, every later batch fails the same way instead of hanging. With a
+/// front pool of two, party 1 is the one spawned worker.
 #[test]
 fn failfast_front_death_names_the_front_worker() {
     let (queries, docs) = rss_workload(83, 10, 12);
     let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
-    let plan = FaultPlan::none().at(1, FaultKind::PanicFront { worker: 0 });
+    let plan = FaultPlan::none().at(1, FaultKind::PanicFront { worker: 1 });
     let config = EngineConfig::mmqjp().with_retain_documents(false);
-    let mut engine = chaos_engine(config, 2, 1, FaultPolicy::FailFast, plan, &queries);
+    let mut engine = chaos_engine(config, 2, 2, FaultPolicy::FailFast, plan, &queries);
 
     engine
         .process_batch(batches[0].clone())
         .expect("no fault scheduled for batch 0");
     let err = engine.process_batch(batches[1].clone()).unwrap_err();
-    assert_eq!(err, CoreError::FrontUnavailable { worker: 0 });
+    assert_eq!(err, CoreError::FrontUnavailable { worker: 1 });
     assert!(engine.degraded_shards().is_empty());
     let err = engine.process_batch(batches[2].clone()).unwrap_err();
-    assert_eq!(err, CoreError::FrontUnavailable { worker: 0 });
+    assert_eq!(err, CoreError::FrontUnavailable { worker: 1 });
     assert!(engine.degraded_shards().is_empty());
+}
+
+/// Front party 0 is the caller's own thread: a one-party front spawns no
+/// front worker, so a panic scheduled for party 0 has nothing to kill. It
+/// injects nothing, under every policy, and the output is the fault-free
+/// run's.
+#[test]
+fn a_front_fault_for_the_callers_party_injects_nothing() {
+    let (queries, docs) = rss_workload(85, 16, 24);
+    let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
+    let config = EngineConfig::mmqjp().with_retain_documents(false);
+    let mut reference = sharded_engine_with_topology(config.clone(), 2, 1, &queries);
+    let expected: Vec<Vec<MatchOutput>> = batches
+        .iter()
+        .map(|b| reference.process_batch(b.clone()).expect("fault-free"))
+        .collect();
+    assert!(expected.iter().any(|b| !b.is_empty()));
+
+    for policy in [
+        FaultPolicy::FailFast,
+        FaultPolicy::Quarantine,
+        FaultPolicy::Degrade,
+    ] {
+        let plan = FaultPlan::none()
+            .at(1, FaultKind::PanicFront { worker: 0 })
+            .at(3, FaultKind::PanicFront { worker: 0 });
+        let mut engine = chaos_engine(config.clone(), 2, 1, policy, plan, &queries);
+        assert_eq!(engine.front_pool(), 1);
+        let out: Vec<Vec<MatchOutput>> = batches
+            .iter()
+            .map(|b| engine.process_batch(b.clone()).expect("nothing was killed"))
+            .collect();
+        assert_eq!(out, expected, "{policy:?}");
+        let stats = engine.stats().unwrap();
+        assert_eq!(stats.faults_injected, 0, "{policy:?}");
+        assert_eq!(stats.shards_respawned, 0, "{policy:?}");
+        assert_audit_clean_sharded(&engine);
+    }
 }
 
 /// Degrade: a dead shard's queries go dark while every surviving shard

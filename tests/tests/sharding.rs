@@ -4,7 +4,7 @@
 
 use mmqjp_core::{CoreError, EngineConfig, EngineStats, MmqjpEngine, ShardedEngine};
 use mmqjp_integration_tests::{
-    all_modes, d1, d2, run_stream_sharded, sharded_engine_with_queries,
+    all_modes, assert_audit_clean_sharded, d1, d2, run_stream_sharded, sharded_engine_with_queries,
     sharded_engine_with_topology, FRONT_POOLS, Q1, SHARD_COUNTS,
 };
 use mmqjp_workload::{
@@ -91,9 +91,9 @@ fn shard_stats_sum_to_aggregate() {
 }
 
 /// There is one sharded pipeline: a default config (and an explicit front
-/// pool of `0`, which is clamped like a shard count of `0`) runs one front
-/// worker that parses and counts each document exactly once, and no shard
-/// ever counts a document itself.
+/// pool of `0`, which is clamped like a shard count of `0`) runs a one-party
+/// front — the caller's thread — that matches and counts each document
+/// exactly once, and no shard ever counts a document itself.
 #[test]
 fn default_and_zero_front_pool_run_one_front_worker() {
     let (queries, docs) = rss_workload(46, 20, 15);
@@ -116,6 +116,29 @@ fn default_and_zero_front_pool_run_one_front_worker() {
         assert_eq!(per_shard.len(), 3);
         assert!(per_shard.iter().all(|s| s.documents_processed == 0));
     }
+}
+
+/// A one-party front runs on the caller's thread and spawns no worker, but
+/// its Stage-1 work is accounted exactly like a pool's: documents matched
+/// once, node pairs read, rows routed, and the time spent.
+#[test]
+fn a_one_party_front_still_counts_its_stage1_work() {
+    let (queries, docs) = rss_workload(48, 20, 15);
+    let config = EngineConfig::mmqjp().with_retain_documents(false);
+    let mut engine = sharded_engine_with_topology(config, 2, 1, &queries);
+    assert_eq!(engine.front_pool(), 1);
+    let n = docs.len();
+    run_stream_sharded(&mut engine, docs);
+    let front = engine.front_stats();
+    assert_eq!(front.docs_parsed_once, n);
+    assert_eq!(front.documents_processed, n);
+    assert!(front.stage1_pairs > 0);
+    assert!(front.witnesses_routed > 0);
+    assert!(front.timings.xpath > Duration::ZERO);
+    assert_eq!(
+        engine.stats().unwrap().witnesses_routed,
+        front.witnesses_routed
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -228,6 +251,52 @@ fn sharded_sweep_on_churn_stream_with_pruning() {
     assert_sharded_sweep_matches_single_engine(&queries, &docs, 9, |c| {
         c.with_prune_state_by_window(true)
     });
+}
+
+/// Batches smaller than the front leave trailing parties idle: at a front
+/// pool of four, one document is the caller's slice alone (1/0/0/0) and five
+/// documents are cut 2/2/1/0. Both entry points still reproduce the single
+/// engine, single-block subscriptions included.
+#[test]
+fn uneven_front_slices_match_the_single_engine() {
+    let (mut queries, docs) = rss_workload(47, 30, 15);
+    queries.push(mmqjp_xscl::parse_query("S//blog->b[.//author->a]").unwrap());
+    for mode in all_modes() {
+        let config = EngineConfig {
+            mode,
+            ..EngineConfig::default()
+        }
+        .with_retain_documents(false);
+        for batch in [1usize, 5] {
+            let expected = single_engine_reference(&config, &queries, &docs, batch);
+            assert!(!expected.is_empty(), "the workload must produce matches");
+            let batches: Vec<Vec<Document>> = docs.chunks(batch).map(<[_]>::to_vec).collect();
+
+            let mut batchwise = sharded_engine_with_topology(config.clone(), 2, 4, &queries);
+            assert_eq!(batchwise.front_pool(), 4);
+            let got: Vec<_> = batches
+                .iter()
+                .flat_map(|b| batchwise.process_batch(b.clone()).unwrap())
+                .collect();
+            assert_eq!(got, expected, "{mode:?} process_batch, batches of {batch}");
+
+            let mut pipelined = sharded_engine_with_topology(config.clone(), 2, 4, &queries);
+            let got: Vec<_> = pipelined
+                .process_batches(batches)
+                .unwrap()
+                .into_iter()
+                .flatten()
+                .collect();
+            assert_eq!(
+                got, expected,
+                "{mode:?} process_batches, batches of {batch}"
+            );
+            for engine in [&batchwise, &pipelined] {
+                assert_eq!(engine.front_stats().docs_parsed_once, docs.len());
+                assert_audit_clean_sharded(engine);
+            }
+        }
+    }
 }
 
 /// The pipelined entry point's merged output is deterministic across thread
