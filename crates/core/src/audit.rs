@@ -15,6 +15,11 @@
 //!   by a live registration, every template's `RT` relation holds exactly
 //!   one tuple per live member orientation, and the `rid` resolution map is
 //!   in one-to-one correspondence with the live orientations.
+//! - **Shape memo** — each memoized query shape is held by exactly its
+//!   refcount of live queries, names only live templates and patterns, and
+//!   re-deriving it from its key (normalize, reduce, match against the live
+//!   template) reproduces its template, assignment, patterns and edges.
+//!   The list of live single-block subscriptions equals a recount.
 //! - **Window multiset** — the registered window multiset equals a recount
 //!   over the live join queries (so retention bounds always tighten
 //!   correctly on churn).
@@ -51,13 +56,14 @@ pub enum AuditViolation {
         /// The recount.
         counted: usize,
     },
-    /// The registry's live-template counter disagrees with a recount of the
-    /// non-tombstoned template slots.
-    LiveTemplateCount {
-        /// The maintained counter.
-        tracked: usize,
-        /// The recount.
-        counted: usize,
+    /// The registry's list of live single-block subscriptions — the one
+    /// Stage 1 reads every batch — differs from a recount over the live
+    /// queries in query-id order.
+    SingleBlockList {
+        /// Ids in the maintained list.
+        listed: usize,
+        /// Live single-block subscriptions.
+        expected: usize,
     },
     /// The template catalog's population differs from the live templates.
     CatalogSize {
@@ -297,6 +303,16 @@ pub enum AuditViolation {
         /// The eviction cutoff it should have been retired at.
         cutoff: u64,
     },
+    /// The registry's shape memo disagrees with the live queries or with a
+    /// re-derivation of an entry from its key: a refcount that is not the
+    /// number of live queries holding the entry, a live query whose shape is
+    /// not filed, a retired template or dropped pattern named by a live
+    /// entry, or a stored template, assignment, pattern or edge list that
+    /// re-deriving the key does not reproduce.
+    ShapeMemo {
+        /// What is inconsistent.
+        reason: &'static str,
+    },
     /// The string interner's hash index disagrees with its string table: a
     /// symbol is not found by looking up its own string, or the index files
     /// a different number of entries than there are strings.
@@ -317,9 +333,9 @@ impl fmt::Display for AuditViolation {
                 f,
                 "live-query counter {tracked} != {counted} non-tombstoned query slots"
             ),
-            AuditViolation::LiveTemplateCount { tracked, counted } => write!(
+            AuditViolation::SingleBlockList { listed, expected } => write!(
                 f,
-                "live-template counter {tracked} != {counted} non-tombstoned template slots"
+                "single-block list ({listed} ids) differs from the {expected} live single-block subscriptions"
             ),
             AuditViolation::CatalogSize {
                 catalog,
@@ -462,6 +478,7 @@ impl fmt::Display for AuditViolation {
                 f,
                 "replay log retains a batch (newest ts {oldest}) beyond eviction cutoff {cutoff}"
             ),
+            AuditViolation::ShapeMemo { reason } => write!(f, "shape memo: {reason}"),
             AuditViolation::InternerIndex {
                 indexed,
                 strings,

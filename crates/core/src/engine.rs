@@ -18,7 +18,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::fault::QuarantineRecord;
 use crate::front::{self, FrontScratch, PoisonHandling};
 use crate::output::{construct_join_output, Binding, MatchOutput};
-use crate::registry::{QueryRuntime, Registration, Registry};
+use crate::registry::{Orientation, QueryRuntime, Registry};
 use crate::relations::{node_of, rl_row, schemas, timestamp_in, RoutedBatch, WitnessBatch};
 use crate::state::{key_int, key_sym, JoinState, RestrictionScratch};
 use crate::stats::{EngineStats, PhaseTimings};
@@ -114,6 +114,8 @@ impl MmqjpEngine {
         s.rdoc_tuples = self.state.rdoc_len();
         s.state_buckets = self.state.num_buckets();
         s.docs_retained = self.state.docs_retained();
+        s.shapes_built = self.registry.shapes_built();
+        s.shapes_reused = self.registry.shapes_reused();
         s.plans_compiled = self.registry.plans_compiled();
         s.rows_materialized = self.scratch.rows_materialized() as usize;
         s.scratch_reuses = self.scratch.scratch_reuses() as usize;
@@ -516,7 +518,7 @@ impl MmqjpEngine {
                     2usize,
                 )
             };
-            let Some((query, registration)) = self.registry.resolve_rid(rid) else {
+            let Some((query, orientation)) = self.registry.resolve_rid(rid) else {
                 continue;
             };
             // Document ids are u64 end-to-end; a negative id in a result row
@@ -537,7 +539,7 @@ impl MmqjpEngine {
                 continue;
             };
             let window = query.window.unwrap_or(mmqjp_xscl::Window::Infinite);
-            let temporal_ok = match query.op {
+            let temporal_ok = match query.shape().op() {
                 Some(JoinOp::FollowedBy) => ts2 > ts1 && window.accepts_delta(ts2 - ts1),
                 Some(JoinOp::Join) => {
                     let delta = ts2.abs_diff(ts1);
@@ -550,7 +552,7 @@ impl MmqjpEngine {
             }
             outputs.push(self.build_match(
                 query,
-                registration,
+                orientation,
                 row,
                 nodes_offset,
                 d1,
@@ -565,36 +567,26 @@ impl MmqjpEngine {
     fn build_match(
         &self,
         query: &QueryRuntime,
-        registration: &Registration,
+        orientation: &Orientation,
         row: RowRef<'_>,
         nodes_offset: usize,
         d1: DocId,
         d2: DocId,
         batch_docs: &[Document],
     ) -> CoreResult<MatchOutput> {
-        let template = &self
-            .registry
-            .template_runtime(registration.template)
-            .ok_or(CoreError::internal(
-                "a resolved registration's template is live",
-            ))?
-            .template;
-        let num_left = template.num_left();
-        let num_vars = template.num_meta_vars();
-
-        let mut bindings = Vec::with_capacity(num_vars);
-        for i in 0..num_vars {
+        let mut bindings = Vec::with_capacity(orientation.assignment.len());
+        for (i, variable) in orientation.assignment.iter().enumerate() {
             let node = node_of(row[nodes_offset + i].as_int().unwrap_or(0));
-            let doc = if i < num_left { d1 } else { d2 };
+            let doc = if i < orientation.num_left { d1 } else { d2 };
             bindings.push(Binding {
-                variable: registration.assignment[i].clone(),
+                variable: variable.clone(),
                 doc,
                 node,
             });
         }
 
         // Map template sides back to the query's own left/right blocks.
-        let (left_doc, right_doc) = if registration.swapped {
+        let (left_doc, right_doc) = if orientation.swapped {
             (d2, d1)
         } else {
             (d1, d2)
@@ -602,8 +594,8 @@ impl MmqjpEngine {
 
         let document = if self.config.retain_documents && query.select == SelectClause::Star {
             self.construct_output_document(
-                registration,
-                template,
+                query,
+                orientation,
                 row,
                 nodes_offset,
                 d1,
@@ -627,8 +619,8 @@ impl MmqjpEngine {
     #[allow(clippy::too_many_arguments)]
     fn construct_output_document(
         &self,
-        registration: &Registration,
-        template: &mmqjp_xscl::QueryTemplate,
+        query: &QueryRuntime,
+        orientation: &Orientation,
         row: RowRef<'_>,
         nodes_offset: usize,
         d1: DocId,
@@ -648,20 +640,21 @@ impl MmqjpEngine {
         let side_root = |side: Side, pattern: &TreePattern| -> NodeId {
             let pos = match side {
                 Side::Left => 0,
-                Side::Right => template.num_left(),
+                Side::Right => orientation.num_left,
             };
             let root_var = pattern.root().variable().unwrap_or("");
-            if registration.assignment[pos] == root_var {
+            if orientation.assignment[pos] == root_var {
                 node_of(row[nodes_offset + pos].as_int().unwrap_or(0))
             } else {
                 NodeId::ROOT
             }
         };
-        let prev_root = side_root(Side::Left, &registration.prev_pattern);
-        let cur_root = side_root(Side::Right, &registration.cur_pattern);
+        let (prev_pattern, cur_pattern) = query.shape().patterns(orientation);
+        let prev_root = side_root(Side::Left, prev_pattern);
+        let cur_root = side_root(Side::Right, cur_pattern);
 
         // The output puts the query's left block first.
-        let out = if registration.swapped {
+        let out = if orientation.swapped {
             construct_join_output(cur_doc, cur_root, prev_doc, prev_root)?
         } else {
             construct_join_output(prev_doc, prev_root, cur_doc, cur_root)?

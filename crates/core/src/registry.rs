@@ -1,6 +1,22 @@
 //! Query registration and the full subscription lifecycle: templates, `RT`
 //! relations, per-query metadata and the Stage-1 pattern index.
 //!
+//! **What a registration costs.** Everything registration derives from a
+//! query's `FROM` clause depends on the clause alone, not on its window: the
+//! normalized blocks, the reduced join graph of each orientation, the
+//! template the catalog's isomorphism test finds, the variable assignment,
+//! the pattern ids and the requested edges. The registry derives them once
+//! per distinct clause (window blanked) into a shared [`QueryShape`] and
+//! memoizes it. Registering a query whose clause is already live is a lookup
+//! plus per-query work: one `RT` row per orientation, refcount bumps on the
+//! shape's patterns and requested edges, a `rid` map entry and the window in
+//! the window multiset. A shape is refcounted by its live queries and
+//! reclaimed with its last one, so the memo never holds more entries than
+//! there are live distinct clauses. While a shape lives, its templates and
+//! patterns live too (its queries hold their `RT` rows and pattern
+//! refcounts) and ids are never reused, so a memo hit registers exactly what
+//! re-deriving the shape would.
+//!
 //! Queries can be [`register`](Registry::register)ed *and*
 //! [`unregister`](Registry::unregister)ed at runtime. Unregistration is
 //! incremental — O(the departing query's footprint), never a registry
@@ -11,13 +27,15 @@
 //! recomputed from a window multiset so document retention can *tighten*
 //! after the widest-window query departs. Freed [`QueryId`]s (and template /
 //! pattern ids) are tombstoned, never reused, which keeps shard assignment
-//! and the canonical output order deterministic across churn.
+//! and the canonical output order deterministic across churn. Per-batch
+//! walks — the Stage-1 single-block view and the template loop — visit live
+//! entries only, never the tombstones.
 
 use crate::audit::AuditViolation;
 use crate::config::ProcessingMode;
 use crate::cqt::{self, PlanInputKind};
 use crate::error::{CoreError, CoreResult};
-use crate::front::{self, RequestedEdge, RequestedEdges, SingleBlock, Subscriptions};
+use crate::front::{self, Edge, RequestedEdge, RequestedEdges, SingleBlock, Subscriptions};
 use crate::relations::schemas;
 use mmqjp_relational::{
     verify_plan_strict, ConjunctiveQuery, PhysicalPlan, Relation, SharedKeyRule, StringInterner,
@@ -25,11 +43,15 @@ use mmqjp_relational::{
 };
 use mmqjp_xpath::{PatternId, PatternIndex, PatternNodeId, TreePattern};
 use mmqjp_xscl::{
-    normalize_query, FromClause, JoinGraph, JoinOp, QueryId, QueryTemplate, ReducedGraph,
+    normalize_query, template, FromClause, JoinGraph, JoinOp, QueryId, QueryTemplate, ReducedGraph,
     SelectClause, Side, TemplateCatalog, TemplateId, Window, XsclQuery,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+
+/// The window a [`QueryShape`]'s key carries in place of the query's own:
+/// windows are per-query data, so every window maps to the same shape.
+const BLANK_WINDOW: Window = Window::Infinite;
 
 /// Runtime state of one query template: the representative template, its
 /// `RT` relation (one tuple per registered query orientation), the two
@@ -127,36 +149,87 @@ impl TemplateRuntime {
     }
 }
 
-/// One orientation of a registered query (a `FOLLOWED BY` query has one;
-/// a symmetric `JOIN` query has two — the original and the block-swapped
-/// form).
+/// Everything registration derives from one `FROM` clause, window aside:
+/// built once per distinct clause and shared, behind an `Arc`, by every live
+/// query with that clause (see the module documentation).
+#[derive(Debug, Clone)]
+pub struct QueryShape {
+    /// The memo key: the clause as parsed, window blanked.
+    key: Arc<FromClause>,
+    /// The normalized clause (canonical variable names, sorted predicates),
+    /// window blanked.
+    normalized: FromClause,
+    /// Pattern-index id of a single-block subscription's pattern.
+    single_pid: Option<PatternId>,
+    /// One per orientation: a `FOLLOWED BY` clause has one, a symmetric
+    /// `JOIN` two (the original and the block-swapped form); a single-block
+    /// clause none.
+    orientations: Vec<Orientation>,
+}
+
+impl QueryShape {
+    /// The join operator (`None` for single-block subscriptions).
+    pub fn op(&self) -> Option<JoinOp> {
+        match &self.normalized {
+            FromClause::Join { op, .. } => Some(*op),
+            FromClause::Single(_) => None,
+        }
+    }
+
+    /// The orientations, in `rid` order (a `JOIN` clause's swapped form
+    /// second).
+    pub fn orientations(&self) -> &[Orientation] {
+        &self.orientations
+    }
+
+    /// For a single-block subscription, its (normalized) pattern.
+    pub fn single_pattern(&self) -> Option<&TreePattern> {
+        match &self.normalized {
+            FromClause::Single(block) => Some(&block.pattern),
+            FromClause::Join { .. } => None,
+        }
+    }
+
+    /// The patterns playing the previous-document (left) and
+    /// current-document (right) roles in `orientation`.
+    pub fn patterns(&self, orientation: &Orientation) -> (&TreePattern, &TreePattern) {
+        oriented_blocks(&self.normalized, orientation.swapped)
+    }
+}
+
+/// One orientation of a [`QueryShape`]: which template it joins and how.
+#[derive(Debug, Clone)]
+pub struct Orientation {
+    /// The template this orientation belongs to.
+    pub template: TemplateId,
+    /// Per meta-variable position, this orientation's canonical variable
+    /// name (labels the output bindings).
+    pub assignment: Vec<String>,
+    /// The template's left-side meta-variable count: positions
+    /// `0..num_left` bind the previous document, the rest the current one.
+    pub num_left: usize,
+    /// [`assignment`](Self::assignment) interned: the variable columns of
+    /// every `RT` row this orientation contributes.
+    assignment_syms: Vec<Symbol>,
+    /// `true` when the query's *right* block plays the previous-document
+    /// role.
+    pub swapped: bool,
+    /// Pattern-index id of the previous-document pattern.
+    pub prev_pid: PatternId,
+    /// Pattern-index id of the current-document pattern.
+    pub cur_pid: PatternId,
+    /// The structural edges requested for the previous-document pattern.
+    pub prev_edges: Vec<Edge>,
+    /// The structural edges requested for the current-document pattern.
+    pub cur_edges: Vec<Edge>,
+}
+
+/// The per-query part of one orientation of a registered query; its shared
+/// part is the [`Orientation`] at the same position of the query's shape.
 #[derive(Debug, Clone)]
 pub struct Registration {
     /// The registration id stored in the `qid` column of `RT`.
     pub rid: i64,
-    /// The template this orientation belongs to.
-    pub template: TemplateId,
-    /// Per meta-variable position, this orientation's canonical variable
-    /// name.
-    pub assignment: Vec<String>,
-    /// `true` when this orientation has the query's *right* block playing the
-    /// previous-document role.
-    pub swapped: bool,
-    /// Pattern playing the previous-document (left) role in this orientation.
-    pub prev_pattern: TreePattern,
-    /// Pattern playing the current-document (right) role in this orientation.
-    pub cur_pattern: TreePattern,
-    /// Pattern-index id of [`prev_pattern`](Self::prev_pattern) (released on
-    /// unregistration).
-    pub prev_pid: PatternId,
-    /// Pattern-index id of [`cur_pattern`](Self::cur_pattern).
-    pub cur_pid: PatternId,
-    /// The structural edges this orientation requested for
-    /// [`prev_pattern`](Self::prev_pattern) (released on unregistration).
-    pub prev_edges: Vec<(PatternNodeId, PatternNodeId)>,
-    /// The structural edges this orientation requested for
-    /// [`cur_pattern`](Self::cur_pattern).
-    pub cur_edges: Vec<(PatternNodeId, PatternNodeId)>,
     /// The per-query conjunctive query used by the Sequential baseline.
     pub sequential_cqt: ConjunctiveQuery,
     /// [`sequential_cqt`](Self::sequential_cqt) compiled to a physical plan
@@ -172,22 +245,19 @@ pub struct Registration {
 pub struct QueryRuntime {
     /// The query id.
     pub id: QueryId,
-    /// The normalized query.
-    pub query: XsclQuery,
-    /// The join operator (None for single-block subscriptions).
-    pub op: Option<JoinOp>,
+    /// What the query's `FROM` clause derives, shared with every live query
+    /// of the same clause.
+    shape: Arc<QueryShape>,
     /// The window (None for single-block subscriptions).
     pub window: Option<Window>,
     /// The `PUBLISH` name, if any.
     pub publish: Option<String>,
     /// The `SELECT` clause.
     pub select: SelectClause,
-    /// The registered orientations (empty for single-block subscriptions).
+    /// The per-query part of each orientation, parallel to the shape's
+    /// [`orientations`](QueryShape::orientations) (empty for single-block
+    /// subscriptions).
     pub registrations: Vec<Registration>,
-    /// For single-block subscriptions, the (normalized) pattern.
-    pub single_pattern: Option<TreePattern>,
-    /// Pattern-index id of [`single_pattern`](Self::single_pattern).
-    pub single_pid: Option<PatternId>,
     /// Number of documents the engine had processed when this query
     /// registered. A subscription only joins documents that arrived after
     /// it — document sequence numbers `<= arrival_floor` are filtered out of
@@ -201,6 +271,18 @@ impl QueryRuntime {
     pub fn is_join(&self) -> bool {
         !self.registrations.is_empty()
     }
+
+    /// The query's shape.
+    pub fn shape(&self) -> &QueryShape {
+        &self.shape
+    }
+}
+
+/// A memoized shape and the number of live queries holding it.
+#[derive(Debug)]
+struct ShapeEntry {
+    shape: Arc<QueryShape>,
+    refs: usize,
 }
 
 /// Check a compiled plan against its source conjunctive query and the engine
@@ -255,21 +337,32 @@ pub struct Registry {
     requested_edges: RequestedEdges,
     /// Reference counts behind `requested_edges`: how many live
     /// registrations requested each `(pattern, edge)`.
-    edge_refs: HashMap<PatternId, HashMap<(PatternNodeId, PatternNodeId), usize>>,
+    edge_refs: HashMap<PatternId, HashMap<Edge, usize>>,
     /// How many live *distinct* patterns bind each canonical variable
     /// symbol. A symbol leaving this map means no future witness row can
     /// carry it.
     var_refs: HashMap<Symbol, usize>,
     catalog: TemplateCatalog,
-    /// Template runtimes by `TemplateId` index; `None` marks a retired
-    /// template (ids are never reused). Boxed so a tombstoned slot costs a
-    /// pointer, not the full runtime footprint, under unbounded churn.
-    templates: Vec<Option<Box<TemplateRuntime>>>,
-    live_templates: usize,
+    /// The live template runtimes in template-id order. A retired template
+    /// leaves the map (its id is never reused), so the per-batch template
+    /// loop visits live templates only.
+    templates: BTreeMap<TemplateId, Box<TemplateRuntime>>,
     /// Query runtimes by `QueryId` index; `None` marks an unregistered query
-    /// (ids are never reused). Boxed for the same reason as `templates`.
+    /// (ids are never reused). Boxed so a tombstoned slot costs a pointer,
+    /// not the full runtime footprint, under unbounded churn.
     queries: Vec<Option<Box<QueryRuntime>>>,
     live_queries: usize,
+    /// The live single-block subscriptions in query-id order: the Stage-1
+    /// view is built from this list, not from a walk over every query slot
+    /// ever assigned.
+    singles: Vec<QueryId>,
+    /// The shape memo: one entry per live distinct `FROM` clause, keyed by
+    /// the clause with its window blanked.
+    shapes: HashMap<Arc<FromClause>, ShapeEntry>,
+    /// Shapes derived on a memo miss (cumulative).
+    shapes_built: usize,
+    /// Registrations served by a memo hit (cumulative).
+    shapes_reused: usize,
     rid_map: HashMap<i64, (usize, usize)>,
     /// Multiset of finite time windows across live join queries, so the
     /// maximum can tighten when the widest-window query unregisters.
@@ -291,10 +384,13 @@ impl Registry {
             edge_refs: HashMap::new(),
             var_refs: HashMap::new(),
             catalog: TemplateCatalog::new(),
-            templates: Vec::new(),
-            live_templates: 0,
+            templates: BTreeMap::new(),
             queries: Vec::new(),
             live_queries: 0,
+            singles: Vec::new(),
+            shapes: HashMap::new(),
+            shapes_built: 0,
+            shapes_reused: 0,
             rid_map: HashMap::new(),
             finite_windows: BTreeMap::new(),
             infinite_windows: 0,
@@ -304,169 +400,193 @@ impl Registry {
 
     /// Register a query (already parsed). Returns its id.
     ///
-    /// `mode` determines whether the Sequential per-query conjunctive query
-    /// is compiled (it is skipped in MMQJP modes to keep registration cheap
-    /// for very large query sets, and compiled unconditionally in
-    /// [`ProcessingMode::Sequential`]). `arrival_floor` is the number of
-    /// documents already processed: the new subscription only joins
-    /// documents arriving after it (see [`QueryRuntime::arrival_floor`]).
-    // Takes the query by value to mirror the public `MmqjpEngine::register`
-    // signature it backs; the registry keeps the normalized copy.
-    #[allow(clippy::needless_pass_by_value)]
+    /// A query whose `FROM` clause (window aside) is already live reuses
+    /// that clause's [`QueryShape`]; otherwise the shape is derived and
+    /// memoized. `mode` determines whether the Sequential per-query
+    /// conjunctive query is compiled (it is skipped in MMQJP modes to keep
+    /// registration cheap for very large query sets, and compiled for every
+    /// registration in [`ProcessingMode::Sequential`]). `arrival_floor` is
+    /// the number of documents already processed: the new subscription only
+    /// joins documents arriving after it (see
+    /// [`QueryRuntime::arrival_floor`]).
     pub fn register(
         &mut self,
         query: XsclQuery,
         mode: ProcessingMode,
         arrival_floor: u64,
     ) -> CoreResult<QueryId> {
-        let normalized = normalize_query(&query).map_err(|e| match e {
-            // Single-block subscriptions are allowed; other errors propagate.
-            mmqjp_xscl::XsclError::NoValueJoins => mmqjp_xscl::XsclError::NoValueJoins,
-            other => other,
-        });
-        let normalized = match normalized {
-            Ok(n) => n,
-            Err(e) => return Err(CoreError::Query(e)),
+        let XsclQuery {
+            select,
+            mut from,
+            publish,
+            ..
+        } = query;
+        let window = match &mut from {
+            FromClause::Join { window, .. } => Some(std::mem::replace(window, BLANK_WINDOW)),
+            FromClause::Single(_) => None,
         };
-        let id = QueryId(self.queries.len() as u64);
-        let nq = normalized.query.clone().with_id(id);
-
-        let runtime = match &nq.from {
-            FromClause::Single(block) => {
-                // Pure tree-pattern subscription: Stage 1 only.
-                let pid = self.index_pattern(&block.pattern);
-                QueryRuntime {
-                    id,
-                    op: None,
-                    window: None,
-                    publish: nq.publish.clone(),
-                    select: nq.select,
-                    registrations: Vec::new(),
-                    single_pattern: Some(block.pattern.clone()),
-                    single_pid: Some(pid),
-                    arrival_floor,
-                    query: nq,
-                }
+        let shape = match self.shapes.get_mut(&from) {
+            Some(entry) => {
+                entry.refs += 1;
+                let shape = Arc::clone(&entry.shape);
+                self.retain_patterns(&shape);
+                self.shapes_reused += 1;
+                shape
             }
-            FromClause::Join { op, window, .. } => {
-                let op = *op;
-                let window = *window;
-                let graph = JoinGraph::from_query(&nq)?;
-                let mut registrations = Vec::new();
-                let orientations: Vec<(JoinGraph, bool)> = match op {
-                    JoinOp::FollowedBy => vec![(graph, false)],
-                    JoinOp::Join => vec![(graph.clone(), false), (graph.swapped(), true)],
+            None => {
+                let shape = self.build_shape(from, mode)?;
+                let entry = ShapeEntry {
+                    shape: Arc::clone(&shape),
+                    refs: 1,
                 };
-                for (oriented, swapped) in orientations {
-                    let reduced = ReducedGraph::from_join_graph(&oriented);
-                    let membership = self.catalog.insert(&reduced);
-                    // Create the template runtime if this is a new template
-                    // (the CQT form the engine's mode executes is compiled
-                    // to a physical plan exactly once, here).
-                    if membership.template.index() == self.templates.len() {
-                        let (runtime, compiled) = TemplateRuntime::new(
-                            self.catalog.template(membership.template).clone(),
-                            mode,
-                        )?;
-                        self.templates.push(Some(Box::new(runtime)));
-                        self.live_templates += 1;
-                        self.plans_compiled += compiled;
-                    }
-                    let rid = (id.raw() as i64) * 2 + if swapped { 1 } else { 0 };
-                    // RT tuple: (qid, var1..varm, wl).
-                    let mut tuple = vec![Value::Int(rid)];
-                    for var in &membership.assignment {
-                        tuple.push(Value::Sym(self.interner.intern(var)));
-                    }
-                    tuple.push(Value::Int(window_length(window)));
-                    self.template_mut(membership.template)?
-                        .rt
-                        .push_values(tuple)?;
-
-                    // Stage-1 registration: both patterns, with the reduced
-                    // structural edges (plus join-node-root self edges) as
-                    // the requested edge set.
-                    let prev_pattern = oriented.left.clone();
-                    let cur_pattern = oriented.right.clone();
-                    let (prev_pid, prev_edges) =
-                        self.register_pattern_edges(&prev_pattern, &reduced, Side::Left)?;
-                    let (cur_pid, cur_edges) =
-                        self.register_pattern_edges(&cur_pattern, &reduced, Side::Right)?;
-
-                    let (sequential_cqt, sequential_plan, sequential_inputs) = if mode
-                        == ProcessingMode::Sequential
-                    {
-                        let template = &self
-                            .template_runtime(membership.template)
-                            .ok_or(CoreError::internal(
-                                "a just-created or just-joined template is not live",
-                            ))?
-                            .template;
-                        let cq =
-                            cqt::per_query_cqt(template, &membership.assignment, &self.interner);
-                        // Per-query CQTs only touch the fixed-schema base
-                        // relations; no RT atom to resolve.
-                        let arity_of = |rel: &str| cqt::relation_arity(rel, "", 0);
-                        let plan = PhysicalPlan::compile(&cq, arity_of)?;
-                        verify_compiled(&plan, &cq, arity_of, true)?;
-                        let inputs = cqt::plan_input_kinds(&plan, "");
-                        self.plans_compiled += 1;
-                        (cq, Some(plan), inputs)
-                    } else {
-                        // Placeholder; never evaluated outside Sequential
-                        // mode.
-                        (
-                            ConjunctiveQuery::new(Vec::<String>::new()),
-                            None,
-                            Vec::new(),
-                        )
-                    };
-
-                    let registration = Registration {
-                        rid,
-                        template: membership.template,
-                        assignment: membership.assignment,
-                        swapped,
-                        prev_pattern,
-                        cur_pattern,
-                        prev_pid,
-                        cur_pid,
-                        prev_edges,
-                        cur_edges,
-                        sequential_cqt,
-                        sequential_plan,
-                        sequential_inputs,
-                    };
-                    self.rid_map
-                        .insert(rid, (id.raw() as usize, registrations.len()));
-                    registrations.push(registration);
-                }
-                self.track_window(window);
-                QueryRuntime {
-                    id,
-                    op: Some(op),
-                    window: Some(window),
-                    publish: nq.publish.clone(),
-                    select: nq.select,
-                    registrations,
-                    single_pattern: None,
-                    single_pid: None,
-                    arrival_floor,
-                    query: nq,
-                }
+                self.shapes.insert(Arc::clone(&shape.key), entry);
+                self.shapes_built += 1;
+                shape
             }
         };
-        self.queries.push(Some(Box::new(runtime)));
+
+        // Per-query work, the same on a hit and a miss.
+        let id = QueryId(self.queries.len() as u64);
+        let wl = Value::Int(window.map_or(i64::MAX, window_length));
+        let mut registrations = Vec::with_capacity(shape.orientations.len());
+        for (ri, o) in shape.orientations.iter().enumerate() {
+            self.retain_edges(o.prev_pid, &o.prev_edges)?;
+            self.retain_edges(o.cur_pid, &o.cur_edges)?;
+            let rid = (id.raw() as i64) * 2 + i64::from(o.swapped);
+            // RT tuple: (qid, var1..varm, wl).
+            let mut tuple = Vec::with_capacity(o.assignment_syms.len() + 2);
+            tuple.push(Value::Int(rid));
+            tuple.extend(o.assignment_syms.iter().map(|&sym| Value::Sym(sym)));
+            tuple.push(wl);
+            self.template_mut(o.template)?.rt.push_values(tuple)?;
+            let (sequential_cqt, sequential_plan, sequential_inputs) =
+                if mode == ProcessingMode::Sequential {
+                    let (cq, plan, inputs) = self.compile_sequential(o)?;
+                    (cq, Some(plan), inputs)
+                } else {
+                    // Placeholder; never evaluated outside Sequential mode.
+                    (
+                        ConjunctiveQuery::new(Vec::<String>::new()),
+                        None,
+                        Vec::new(),
+                    )
+                };
+            self.rid_map.insert(rid, (id.raw() as usize, ri));
+            registrations.push(Registration {
+                rid,
+                sequential_cqt,
+                sequential_plan,
+                sequential_inputs,
+            });
+        }
+        if let Some(window) = window {
+            self.track_window(window);
+        }
+        if shape.single_pid.is_some() {
+            self.singles.push(id);
+        }
+        self.queries.push(Some(Box::new(QueryRuntime {
+            id,
+            shape,
+            window,
+            publish,
+            select,
+            registrations,
+            arrival_floor,
+        })));
         self.live_queries += 1;
         Ok(id)
     }
 
+    /// Derive a new shape from its key and register its shared structures:
+    /// catalog membership (creating and compiling a new template when no
+    /// live one is isomorphic) and the Stage-1 patterns, whose first
+    /// references are the registering query's. The only caller of
+    /// `catalog.insert`.
+    fn build_shape(
+        &mut self,
+        key: FromClause,
+        mode: ProcessingMode,
+    ) -> CoreResult<Arc<QueryShape>> {
+        let query = XsclQuery {
+            id: QueryId::default(),
+            select: SelectClause::Star,
+            from: key,
+            publish: None,
+        };
+        let (normalized, reduced) = derive_shape(&query)?;
+        let key = Arc::new(query.from);
+        let single_pid = match &normalized {
+            FromClause::Single(block) => Some(self.index_pattern(&block.pattern)),
+            FromClause::Join { .. } => None,
+        };
+        let mut shape = QueryShape {
+            key,
+            normalized,
+            single_pid,
+            orientations: Vec::with_capacity(reduced.len()),
+        };
+        for (graph, swapped) in reduced {
+            let membership = self.catalog.insert(&graph);
+            // A new template: the CQT form the engine's mode executes is
+            // compiled to a physical plan exactly once, here.
+            if !self.templates.contains_key(&membership.template) {
+                let (runtime, compiled) =
+                    TemplateRuntime::new(self.catalog.template(membership.template).clone(), mode)?;
+                self.templates
+                    .insert(membership.template, Box::new(runtime));
+                self.plans_compiled += compiled;
+            }
+            let assignment_syms = membership
+                .assignment
+                .iter()
+                .map(|var| self.interner.intern(var))
+                .collect();
+            let (prev, cur) = oriented_blocks(&shape.normalized, swapped);
+            let prev_pid = self.index_pattern(prev);
+            let cur_pid = self.index_pattern(cur);
+            shape.orientations.push(Orientation {
+                template: membership.template,
+                assignment: membership.assignment,
+                num_left: graph.left.len(),
+                assignment_syms,
+                swapped,
+                prev_pid,
+                cur_pid,
+                prev_edges: requested_edges_of(&graph, Side::Left),
+                cur_edges: requested_edges_of(&graph, Side::Right),
+            });
+        }
+        Ok(Arc::new(shape))
+    }
+
+    /// Compile one orientation's per-query plan (Sequential mode).
+    fn compile_sequential(
+        &mut self,
+        orientation: &Orientation,
+    ) -> CoreResult<(ConjunctiveQuery, PhysicalPlan, Vec<PlanInputKind>)> {
+        let template = &self
+            .template_runtime(orientation.template)
+            .ok_or(CoreError::internal("a live shape's template is live"))?
+            .template;
+        let cq = cqt::per_query_cqt(template, &orientation.assignment, &self.interner);
+        // Per-query CQTs only touch the fixed-schema base relations; no RT
+        // atom to resolve.
+        let arity_of = |rel: &str| cqt::relation_arity(rel, "", 0);
+        let plan = PhysicalPlan::compile(&cq, arity_of)?;
+        verify_compiled(&plan, &cq, arity_of, true)?;
+        let inputs = cqt::plan_input_kinds(&plan, "");
+        self.plans_compiled += 1;
+        Ok((cq, plan, inputs))
+    }
+
     /// Unregister a query, incrementally releasing every shared structure it
     /// participated in. O(the query's footprint): its `RT` tuples, its
-    /// pattern and edge registrations and — when it was the last subscriber —
-    /// the dropped patterns and retired templates. Ids are tombstoned, never
-    /// reused. Errors with [`CoreError::UnknownQuery`] for ids that were
-    /// never assigned or already unregistered.
+    /// pattern and edge registrations, its hold on its shape and — when it
+    /// was the last subscriber — the dropped patterns, retired templates and
+    /// the reclaimed shape. Ids are tombstoned, never reused. Errors with
+    /// [`CoreError::UnknownQuery`] for ids that were never assigned or
+    /// already unregistered.
     pub fn unregister(&mut self, id: QueryId) -> CoreResult<UnregisterEffects> {
         let runtime = self
             .queries
@@ -476,30 +596,55 @@ impl Registry {
         self.live_queries -= 1;
 
         let mut effects = UnregisterEffects::default();
-        if let Some(pid) = runtime.single_pid {
+        let shape = &runtime.shape;
+        if let Some(pid) = shape.single_pid {
             self.release_pattern(pid, &mut effects);
+            if let Ok(at) = self.singles.binary_search(&id) {
+                self.singles.remove(at);
+            }
         }
-        for reg in &runtime.registrations {
+        for (reg, o) in runtime.registrations.iter().zip(&shape.orientations) {
             self.rid_map.remove(&reg.rid);
             // Remove this orientation's RT tuple in place, preserving the
             // registration order of the surviving members.
-            let rid_value = Value::Int(reg.rid);
-            let template = self.template_mut(reg.template)?;
-            template.rt.retain(|row| row[0] != rid_value);
+            let rid = Value::Int(reg.rid);
+            let template = self.template_mut(o.template)?;
+            let row = template
+                .rt
+                .col_values(0)
+                .iter()
+                .position(|qid| *qid == rid)
+                .ok_or(CoreError::internal("a live orientation has its RT tuple"))?;
+            template.rt.remove_row(row)?;
             if template.rt.is_empty() {
                 // Last member left: retire the template from the catalog.
-                self.templates[reg.template.index()] = None;
-                self.live_templates -= 1;
-                self.catalog.remove(reg.template);
+                self.templates.remove(&o.template);
+                self.catalog.remove(o.template);
                 effects.templates_retired += 1;
             }
-            self.release_pattern_edges(reg.prev_pid, &reg.prev_edges, &mut effects);
-            self.release_pattern_edges(reg.cur_pid, &reg.cur_edges, &mut effects);
+            self.release_pattern_edges(o.prev_pid, &o.prev_edges, &mut effects);
+            self.release_pattern_edges(o.cur_pid, &o.cur_edges, &mut effects);
         }
         if let Some(window) = runtime.window {
             effects.window_changed = self.untrack_window(window);
         }
+        self.release_shape(shape);
         Ok(effects)
+    }
+
+    /// Drop one live query's hold on its memoized shape, reclaiming the
+    /// entry with its last holder.
+    fn release_shape(&mut self, shape: &Arc<QueryShape>) {
+        if let Some(entry) = self.shapes.get_mut(&*shape.key) {
+            // A shape the memo no longer files (see `forget_shapes`) is
+            // simply dropped with its last query.
+            if Arc::ptr_eq(&entry.shape, shape) {
+                entry.refs -= 1;
+                if entry.refs == 0 {
+                    self.shapes.remove(&*shape.key);
+                }
+            }
+        }
     }
 
     /// Register a pattern with the Stage-1 index, counting its canonical
@@ -512,6 +657,18 @@ impl Registry {
             }
         }
         pid
+    }
+
+    /// Take one more live query's references on a memoized shape's
+    /// patterns, by id.
+    fn retain_patterns(&mut self, shape: &QueryShape) {
+        let joined = shape
+            .orientations
+            .iter()
+            .flat_map(|o| [o.prev_pid, o.cur_pid]);
+        for pid in shape.single_pid.into_iter().chain(joined) {
+            self.pattern_index.retain(pid);
+        }
     }
 
     /// Release one registration of a pattern; when it was the last, drop the
@@ -545,42 +702,18 @@ impl Registry {
         }
     }
 
-    /// Register a join-side pattern and the edges it requests. An edge
-    /// requested for the first time is resolved here — its two variables
-    /// interned, its value source read off the pattern — so Stage 1 never
-    /// looks up a string per row; later requests only count references.
-    fn register_pattern_edges(
-        &mut self,
-        pattern: &TreePattern,
-        reduced: &ReducedGraph,
-        side: Side,
-    ) -> CoreResult<(PatternId, Vec<(PatternNodeId, PatternNodeId)>)> {
-        let pid = self.index_pattern(pattern);
-        // The edge set this registration requests: the reduced structural
-        // edges, plus degenerate self edges for join-node roots so their
-        // bindings reach the witness relations even without an incoming
-        // structural edge.
-        let mut edges: Vec<(PatternNodeId, PatternNodeId)> = Vec::new();
-        for edge in reduced.structural_edges(side) {
-            if !edges.contains(&edge) {
-                edges.push(edge);
-            }
-        }
-        let tree = reduced.tree(side);
-        for node in &tree.nodes {
-            if node.parent.is_none() && node.is_join_node {
-                let self_edge = (node.original, node.original);
-                if !edges.contains(&self_edge) {
-                    edges.push(self_edge);
-                }
-            }
-        }
+    /// Count one more request of each of a join-side pattern's edges. An
+    /// edge requested for the first time is resolved here — its two
+    /// variables interned, its value source read off the pattern — so
+    /// Stage 1 never looks up a string per row; later requests only count
+    /// references.
+    fn retain_edges(&mut self, pid: PatternId, edges: &[Edge]) -> CoreResult<()> {
         // Resolve against the indexed pattern — the one Stage 1 evaluates
         // the edge on — not the registrant's copy.
         let indexed = self.pattern_index.pattern(pid);
         let counts = self.edge_refs.entry(pid).or_default();
         let list = self.requested_edges.entry(pid).or_default();
-        for &edge in &edges {
+        for &edge in edges {
             let count = counts.entry(edge).or_insert(0);
             *count += 1;
             if *count == 1 && !list.iter().any(|r| r.edge == edge) {
@@ -589,7 +722,7 @@ impl Registry {
                 )?);
             }
         }
-        Ok((pid, edges))
+        Ok(())
     }
 
     /// Release the requested edges of one registration, then the pattern
@@ -597,7 +730,7 @@ impl Registry {
     fn release_pattern_edges(
         &mut self,
         pid: PatternId,
-        edges: &[(PatternNodeId, PatternNodeId)],
+        edges: &[Edge],
         effects: &mut UnregisterEffects,
     ) {
         if let Some(counts) = self.edge_refs.get_mut(&pid) {
@@ -662,7 +795,7 @@ impl Registry {
 
     /// Number of live templates.
     pub fn num_templates(&self) -> usize {
-        self.live_templates
+        self.templates.len()
     }
 
     /// Number of distinct live Stage-1 patterns.
@@ -670,28 +803,44 @@ impl Registry {
         self.pattern_index.len()
     }
 
+    /// Number of memoized shapes: the live distinct `FROM` clauses, window
+    /// aside.
+    pub fn num_shapes(&self) -> usize {
+        self.shapes.len()
+    }
+
+    /// Shapes derived on a memo miss so far (cumulative).
+    pub fn shapes_built(&self) -> usize {
+        self.shapes_built
+    }
+
+    /// Registrations a memoized shape served so far (cumulative).
+    pub fn shapes_reused(&self) -> usize {
+        self.shapes_reused
+    }
+
     /// Iterate over the live template runtimes in template-id order.
     pub fn templates(&self) -> impl Iterator<Item = &TemplateRuntime> {
-        self.templates.iter().filter_map(|t| t.as_deref())
+        self.templates.values().map(|t| &**t)
     }
 
     /// The live template runtimes, mutably: executing a plan updates its
     /// memoized join order.
     pub(crate) fn templates_mut(&mut self) -> impl Iterator<Item = &mut TemplateRuntime> {
-        self.templates.iter_mut().filter_map(|t| t.as_deref_mut())
+        self.templates.values_mut().map(|t| &mut **t)
     }
 
     /// The template runtime for an id, if the template is live.
     pub fn template_runtime(&self, id: TemplateId) -> Option<&TemplateRuntime> {
-        self.templates.get(id.index()).and_then(|t| t.as_deref())
+        self.templates.get(&id).map(|t| &**t)
     }
 
     /// A live template runtime by id; errors on retired ids (internal use on
     /// ids validated live).
     fn template_mut(&mut self, id: TemplateId) -> CoreResult<&mut TemplateRuntime> {
         self.templates
-            .get_mut(id.index())
-            .and_then(|t| t.as_deref_mut())
+            .get_mut(&id)
+            .map(|t| &mut **t)
             .ok_or(CoreError::internal(
                 "template id refers to a retired template",
             ))
@@ -716,12 +865,11 @@ impl Registry {
     }
 
     /// Resolve a registration id from an `RT` / result tuple back to the
-    /// query and orientation it belongs to.
-    pub fn resolve_rid(&self, rid: i64) -> Option<(&QueryRuntime, &Registration)> {
+    /// query and the orientation of its shape it belongs to.
+    pub fn resolve_rid(&self, rid: i64) -> Option<(&QueryRuntime, &Orientation)> {
         let (qi, ri) = self.rid_map.get(&rid)?;
         let q = self.queries.get(*qi)?.as_deref()?;
-        let r = q.registrations.get(*ri)?;
-        Some((q, r))
+        Some((q, q.shape.orientations.get(*ri)?))
     }
 
     /// The Stage-1 pattern index.
@@ -739,15 +887,16 @@ impl Registry {
     /// lazily), the requested edges, and the live single-block
     /// subscriptions in query-id order.
     pub fn stage1(&mut self) -> Subscriptions<'_> {
+        let queries = &self.queries;
         let singles = self
-            .queries
+            .singles
             .iter()
-            .flatten()
-            .filter_map(|q| {
+            .filter_map(|id| {
+                let q = queries.get(id.raw() as usize)?.as_deref()?;
                 Some(SingleBlock {
                     query: q.id,
-                    pid: q.single_pid?,
-                    pattern: q.single_pattern.as_ref()?,
+                    pid: q.shape.single_pid?,
+                    pattern: q.shape.single_pattern()?,
                     publish: &q.publish,
                     select: q.select,
                 })
@@ -803,7 +952,7 @@ impl Registry {
     /// inconsistency. Read-only; a healthy registry appends nothing. See
     /// [`MmqjpEngine::audit`](crate::MmqjpEngine::audit).
     pub(crate) fn audit(&self, out: &mut Vec<AuditViolation>) {
-        // Live counters vs tombstone recounts.
+        // Live counter vs tombstone recount.
         let counted_queries = self.queries.iter().filter(|q| q.is_some()).count();
         if counted_queries != self.live_queries {
             out.push(AuditViolation::LiveQueryCount {
@@ -811,32 +960,35 @@ impl Registry {
                 counted: counted_queries,
             });
         }
-        let counted_templates = self.templates.iter().filter(|t| t.is_some()).count();
-        if counted_templates != self.live_templates {
-            out.push(AuditViolation::LiveTemplateCount {
-                tracked: self.live_templates,
-                counted: counted_templates,
-            });
-        }
-        if self.catalog.len() != counted_templates {
+        if self.catalog.len() != self.templates.len() {
             out.push(AuditViolation::CatalogSize {
                 catalog: self.catalog.len(),
-                live_templates: counted_templates,
+                live_templates: self.templates.len(),
+            });
+        }
+        let singles: Vec<QueryId> = self
+            .queries()
+            .filter(|q| q.shape.single_pid.is_some())
+            .map(|q| q.id)
+            .collect();
+        if singles != self.singles {
+            out.push(AuditViolation::SingleBlockList {
+                listed: self.singles.len(),
+                expected: singles.len(),
             });
         }
 
         // One recount pass over the live queries: template membership,
         // pattern registrations, requested edges, windows and rids.
-        let mut rt_expected: HashMap<usize, usize> = HashMap::new();
+        let mut rt_expected: HashMap<TemplateId, usize> = HashMap::new();
         let mut pattern_expected: HashMap<PatternId, usize> = HashMap::new();
-        let mut edge_expected: HashMap<PatternId, HashMap<(PatternNodeId, PatternNodeId), usize>> =
-            HashMap::new();
+        let mut edge_expected: HashMap<PatternId, HashMap<Edge, usize>> = HashMap::new();
         let mut finite_expected: BTreeMap<u64, usize> = BTreeMap::new();
         let mut infinite_expected = 0usize;
         let mut live_rids: HashMap<i64, (usize, usize)> = HashMap::new();
         for (qi, slot) in self.queries.iter().enumerate() {
             let Some(q) = slot.as_deref() else { continue };
-            if let Some(pid) = q.single_pid {
+            if let Some(pid) = q.shape.single_pid {
                 *pattern_expected.entry(pid).or_insert(0) += 1;
             }
             match q.window {
@@ -844,22 +996,23 @@ impl Registry {
                 Some(Window::Infinite | Window::Count(_)) => infinite_expected += 1,
                 None => {}
             }
-            for (ri, reg) in q.registrations.iter().enumerate() {
-                match self
-                    .templates
-                    .get(reg.template.index())
-                    .and_then(|t| t.as_deref())
-                {
+            for (ri, (reg, o)) in q
+                .registrations
+                .iter()
+                .zip(&q.shape.orientations)
+                .enumerate()
+            {
+                match self.template_runtime(o.template) {
                     None => out.push(AuditViolation::RetiredTemplateReferenced {
                         query: q.id.raw(),
-                        template: reg.template.index(),
+                        template: o.template.index(),
                     }),
                     Some(tr) => {
-                        *rt_expected.entry(reg.template.index()).or_insert(0) += 1;
+                        *rt_expected.entry(o.template).or_insert(0) += 1;
                         let rid_value = Value::Int(reg.rid);
-                        if !tr.rt.iter().any(|row| row[0] == rid_value) {
+                        if !tr.rt.col_values(0).contains(&rid_value) {
                             out.push(AuditViolation::MissingRtTuple {
-                                template: reg.template.index(),
+                                template: o.template.index(),
                                 rid: reg.rid,
                             });
                         }
@@ -877,10 +1030,7 @@ impl Registry {
                     Some(_) => {}
                 }
                 live_rids.insert(reg.rid, (qi, ri));
-                for (pid, edges) in [
-                    (reg.prev_pid, &reg.prev_edges),
-                    (reg.cur_pid, &reg.cur_edges),
-                ] {
+                for (pid, edges) in [(o.prev_pid, &o.prev_edges), (o.cur_pid, &o.cur_edges)] {
                     *pattern_expected.entry(pid).or_insert(0) += 1;
                     let per_edge = edge_expected.entry(pid).or_default();
                     for edge in edges {
@@ -902,12 +1052,11 @@ impl Registry {
 
         // Each live template's RT relation: exactly one tuple per live
         // member orientation.
-        for (ti, slot) in self.templates.iter().enumerate() {
-            let Some(tr) = slot.as_deref() else { continue };
-            let expected = rt_expected.get(&ti).copied().unwrap_or(0);
+        for (&tid, tr) in &self.templates {
+            let expected = rt_expected.get(&tid).copied().unwrap_or(0);
             if tr.rt.len() != expected {
                 out.push(AuditViolation::TemplateMembership {
-                    template: ti,
+                    template: tid.index(),
                     rt_rows: tr.rt.len(),
                     registrations: expected,
                 });
@@ -998,7 +1147,158 @@ impl Registry {
                 reason: "infinite-window count differs from the live join queries",
             });
         }
+
+        self.audit_shapes(out);
     }
+
+    /// The shape memo: every entry is held by exactly its refcount of live
+    /// queries and every live query's shape is filed; every entry's
+    /// templates and patterns are live; and re-deriving the entry from its
+    /// key — normalize, reduce, match against the live template — gives
+    /// what it stores.
+    fn audit_shapes(&self, out: &mut Vec<AuditViolation>) {
+        let mut holders: HashMap<*const QueryShape, usize> = HashMap::new();
+        for q in self.queries() {
+            *holders.entry(Arc::as_ptr(&q.shape)).or_insert(0) += 1;
+        }
+        let mut violation = |reason| out.push(AuditViolation::ShapeMemo { reason });
+        for (key, entry) in &self.shapes {
+            let shape = &entry.shape;
+            if holders.remove(&Arc::as_ptr(shape)).unwrap_or(0) != entry.refs {
+                violation("entry refcount differs from the live queries holding it");
+            }
+            if **key != *shape.key {
+                violation("entry is filed under another clause than its key");
+            }
+            let pids = shape
+                .orientations
+                .iter()
+                .flat_map(|o| [o.prev_pid, o.cur_pid]);
+            if shape
+                .single_pid
+                .into_iter()
+                .chain(pids)
+                .any(|pid| self.pattern_index.patterns().all(|(live, _)| live != pid))
+            {
+                violation("entry names a dropped pattern");
+                continue;
+            }
+            if shape
+                .orientations
+                .iter()
+                .any(|o| !self.templates.contains_key(&o.template))
+            {
+                violation("entry names a retired template");
+                continue;
+            }
+            let query = XsclQuery {
+                id: QueryId::default(),
+                select: SelectClause::Star,
+                from: (**key).clone(),
+                publish: None,
+            };
+            let Ok((normalized, reduced)) = derive_shape(&query) else {
+                violation("entry key no longer derives a shape");
+                continue;
+            };
+            if normalized != shape.normalized || reduced.len() != shape.orientations.len() {
+                violation("re-derived clause differs from the stored one");
+                continue;
+            }
+            if let (Some(pid), Some(pattern)) = (shape.single_pid, shape.single_pattern()) {
+                if self.pattern_index.pattern(pid).signature() != pattern.signature() {
+                    violation("entry's pattern id names another pattern");
+                }
+            }
+            for ((graph, swapped), o) in reduced.iter().zip(&shape.orientations) {
+                let live = self.template_runtime(o.template).map(|tr| &tr.template);
+                let derived = live.and_then(|t| template::assignment(graph, t));
+                let syms: Option<Vec<Symbol>> =
+                    o.assignment.iter().map(|v| self.interner.get(v)).collect();
+                let (prev, cur) = shape.patterns(o);
+                if *swapped != o.swapped
+                    || derived.as_ref() != Some(&o.assignment)
+                    || live.map(QueryTemplate::num_left) != Some(o.num_left)
+                    || syms.as_ref() != Some(&o.assignment_syms)
+                    || requested_edges_of(graph, Side::Left) != o.prev_edges
+                    || requested_edges_of(graph, Side::Right) != o.cur_edges
+                    || self.pattern_index.pattern(o.prev_pid).signature() != prev.signature()
+                    || self.pattern_index.pattern(o.cur_pid).signature() != cur.signature()
+                {
+                    violation("re-derived orientation differs from the stored one");
+                }
+            }
+        }
+        if !holders.is_empty() {
+            violation("a live query holds a shape the memo does not file");
+        }
+    }
+
+    /// Forget every memoized shape, so the next registration of any clause
+    /// derives it afresh. Live queries keep their shapes.
+    #[cfg(test)]
+    fn forget_shapes(&mut self) {
+        self.shapes.clear();
+    }
+}
+
+/// What registration derives from a query's `FROM` clause before touching
+/// any shared structure: the normalized clause and, per orientation, its
+/// reduced join graph and whether the blocks are swapped. Pure, so the audit
+/// can re-derive a memoized shape; only it and the shape-building function
+/// normalize and reduce.
+fn derive_shape(query: &XsclQuery) -> CoreResult<(FromClause, Vec<(ReducedGraph, bool)>)> {
+    let normalized = normalize_query(query)?.query;
+    let reduced = match normalized.op() {
+        None => Vec::new(),
+        Some(op) => {
+            let graph = JoinGraph::from_query(&normalized)?;
+            let mut reduced = vec![(ReducedGraph::from_join_graph(&graph), false)];
+            if op == JoinOp::Join {
+                reduced.push((ReducedGraph::from_join_graph(&graph.swapped()), true));
+            }
+            reduced
+        }
+    };
+    Ok((normalized.from, reduced))
+}
+
+/// The patterns of a join clause's blocks in the previous- and
+/// current-document roles: `(left, right)`, or `(right, left)` when
+/// `swapped`.
+fn oriented_blocks(clause: &FromClause, swapped: bool) -> (&TreePattern, &TreePattern) {
+    let (left, right) = match clause {
+        FromClause::Join { left, right, .. } => (&left.pattern, &right.pattern),
+        // Single-block clauses have no orientations to ask about.
+        FromClause::Single(block) => (&block.pattern, &block.pattern),
+    };
+    if swapped {
+        (right, left)
+    } else {
+        (left, right)
+    }
+}
+
+/// The edges one side of a reduced graph requests from Stage 1: its
+/// structural edges, plus degenerate self edges for join-node roots so their
+/// bindings reach the witness relations even without an incoming structural
+/// edge. Deduplicated, in first-occurrence order.
+fn requested_edges_of(reduced: &ReducedGraph, side: Side) -> Vec<Edge> {
+    let mut edges: Vec<Edge> = Vec::new();
+    for edge in reduced.structural_edges(side) {
+        if !edges.contains(&edge) {
+            edges.push(edge);
+        }
+    }
+    for node in &reduced.tree(side).nodes {
+        if node.parent.is_none() && node.is_join_node {
+            let self_edge = (node.original, node.original);
+            if !edges.contains(&self_edge) {
+                edges.push(self_edge);
+            }
+        }
+    }
+    edges
 }
 
 /// Cross-check per-`(pattern, edge)` refcount maps and their mirrored
@@ -1006,12 +1306,12 @@ impl Registry {
 /// the registry audit and the sharded front-stage audit, which maintain the
 /// same pair of structures.
 pub(crate) fn audit_edge_tables(
-    expected: &HashMap<PatternId, HashMap<(PatternNodeId, PatternNodeId), usize>>,
-    edge_refs: &HashMap<PatternId, HashMap<(PatternNodeId, PatternNodeId), usize>>,
+    expected: &HashMap<PatternId, HashMap<Edge, usize>>,
+    edge_refs: &HashMap<PatternId, HashMap<Edge, usize>>,
     requested_edges: &RequestedEdges,
     out: &mut Vec<AuditViolation>,
 ) {
-    let edge_key = |e: &(PatternNodeId, PatternNodeId)| (e.0.raw(), e.1.raw());
+    let edge_key = |e: &Edge| (e.0.raw(), e.1.raw());
     let all_pids: std::collections::BTreeSet<PatternId> = expected
         .keys()
         .chain(edge_refs.keys())
@@ -1140,15 +1440,15 @@ mod tests {
         let runtime = r.query(id).unwrap();
         assert!(runtime.is_join());
         assert_eq!(runtime.registrations.len(), 2);
-        assert!(!runtime.registrations[0].swapped);
-        assert!(runtime.registrations[1].swapped);
+        assert!(!runtime.shape().orientations()[0].swapped);
+        assert!(runtime.shape().orientations()[1].swapped);
         // Both orientations resolve back to the query.
-        let (q0, r0) = r.resolve_rid(runtime.registrations[0].rid).unwrap();
-        let (q1, r1) = r.resolve_rid(runtime.registrations[1].rid).unwrap();
+        let (q0, o0) = r.resolve_rid(runtime.registrations[0].rid).unwrap();
+        let (q1, o1) = r.resolve_rid(runtime.registrations[1].rid).unwrap();
         assert_eq!(q0.id, id);
         assert_eq!(q1.id, id);
-        assert!(!r0.swapped);
-        assert!(r1.swapped);
+        assert!(!o0.swapped);
+        assert!(o1.swapped);
         // The two orientations of an asymmetric query land in the same
         // single-value-join template.
         assert_eq!(r.num_templates(), 1);
@@ -1167,7 +1467,7 @@ mod tests {
             .unwrap();
         let runtime = r.query(id).unwrap();
         assert!(!runtime.is_join());
-        assert!(runtime.single_pattern.is_some());
+        assert!(runtime.shape().single_pattern().is_some());
         assert_eq!(r.num_templates(), 0);
         assert_eq!(r.num_patterns(), 1);
     }
@@ -1394,14 +1694,14 @@ mod tests {
         let id1 = r
             .register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
             .unwrap();
-        let t1 = r.queries().next().unwrap().registrations[0].template;
+        let t1 = r.queries().next().unwrap().shape().orientations()[0].template;
         r.unregister(id1).unwrap();
         assert_eq!(r.num_templates(), 0);
         let id2 = r
             .register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
             .unwrap();
         assert_ne!(id2, id1);
-        let t2 = r.queries().next().unwrap().registrations[0].template;
+        let t2 = r.queries().next().unwrap().shape().orientations()[0].template;
         assert_ne!(t2, t1, "retired template ids are never revived");
         assert_eq!(r.num_templates(), 1);
         assert_eq!(r.template_runtime(t2).unwrap().members(), 1);
@@ -1516,5 +1816,316 @@ mod tests {
         assert!(tr.cqt_materialized.validate().is_ok());
         assert_eq!(r.catalog().len(), 1);
         assert!(!r.interner().is_empty());
+    }
+
+    /// Everything a registration writes into the registry's shared
+    /// structures, in a comparable order.
+    #[derive(Debug, PartialEq)]
+    struct Footprint {
+        rt: Vec<(TemplateId, Vec<Vec<Value>>)>,
+        requested_edges: BTreeMap<PatternId, Vec<RequestedEdge>>,
+        edge_refs: BTreeMap<PatternId, BTreeMap<(u32, u32), usize>>,
+        var_refs: BTreeMap<Symbol, usize>,
+        rid_map: BTreeMap<i64, (usize, usize)>,
+        pattern_refs: Vec<(PatternId, usize)>,
+        windows: (BTreeMap<u64, usize>, usize),
+        plans_compiled: usize,
+    }
+
+    fn footprint(r: &Registry) -> Footprint {
+        Footprint {
+            rt: r
+                .templates
+                .iter()
+                .map(|(&tid, t)| (tid, t.rt.iter().map(|row| row.to_vec()).collect()))
+                .collect(),
+            requested_edges: r
+                .requested_edges
+                .iter()
+                .map(|(&pid, list)| (pid, list.clone()))
+                .collect(),
+            edge_refs: r
+                .edge_refs
+                .iter()
+                .map(|(&pid, refs)| {
+                    let refs = refs
+                        .iter()
+                        .map(|(e, &n)| ((e.0.raw(), e.1.raw()), n))
+                        .collect();
+                    (pid, refs)
+                })
+                .collect(),
+            var_refs: r.var_refs.iter().map(|(&sym, &n)| (sym, n)).collect(),
+            rid_map: r.rid_map.iter().map(|(&rid, &at)| (rid, at)).collect(),
+            pattern_refs: r
+                .pattern_index
+                .patterns()
+                .map(|(pid, _)| (pid, r.pattern_index.refcount(pid)))
+                .collect(),
+            windows: (r.finite_windows.clone(), r.infinite_windows),
+            plans_compiled: r.plans_compiled,
+        }
+    }
+
+    enum Step {
+        Reg(&'static str),
+        Unreg(usize),
+    }
+
+    /// Replay `script` twice — once through the shape memo, once deriving
+    /// every shape afresh — and require the same footprint after every
+    /// step. Returns the memo run's `(shapes_built, shapes_reused)`.
+    fn hits_match_misses(mode: ProcessingMode, script: &[Step]) -> (usize, usize) {
+        let (mut memo, mut fresh) = (registry(), registry());
+        let mut ids = Vec::new();
+        for (n, step) in script.iter().enumerate() {
+            match step {
+                Step::Reg(text) => {
+                    let q = parse_query(text).unwrap();
+                    fresh.forget_shapes();
+                    let id = memo.register(q.clone(), mode, 0).unwrap();
+                    assert_eq!(fresh.register(q, mode, 0).unwrap(), id);
+                    ids.push(id);
+                }
+                Step::Unreg(i) => {
+                    assert_eq!(
+                        memo.unregister(ids[*i]).unwrap(),
+                        fresh.unregister(ids[*i]).unwrap(),
+                        "{mode:?} step {n}"
+                    );
+                }
+            }
+            assert_eq!(footprint(&memo), footprint(&fresh), "{mode:?} step {n}");
+            let mut out = Vec::new();
+            memo.audit(&mut out);
+            assert!(out.is_empty(), "{mode:?} step {n}: {out:?}");
+        }
+        assert_eq!(fresh.shapes_reused(), 0);
+        (memo.shapes_built(), memo.shapes_reused())
+    }
+
+    const Q1_RENAMED: &str = "S//book->a[.//author->b][.//title->c] \
+        FOLLOWED BY{c=f AND b=e, 100} \
+        S//blog->d[.//author->e][.//title->f]";
+    const Q1_WIDE: &str = "S//book->x1[.//author->x2][.//title->x3] \
+        FOLLOWED BY{x2=x5 AND x3=x6, 250} \
+        S//blog->x4[.//author->x5][.//title->x6]";
+    const JOIN: &str = "S//item->a[.//title->t1] JOIN{t1=t2, 50} S//post->b[.//title->t2]";
+    const SELF_JOIN: &str = "S//item->a[.//title->t1] JOIN{t1=t2, 70} S//item->b[.//title->t2]";
+    const SINGLE: &str = "S//blog[.//author]";
+
+    #[test]
+    fn a_memo_hit_registers_exactly_what_a_miss_registers() {
+        use Step::{Reg, Unreg};
+        let script = [
+            Reg(Q1),         // 0
+            Reg(Q1_RENAMED), // 1: renamed variables, permuted predicates
+            Reg(Q1_WIDE),    // 2: Q1's shape under another window
+            Reg(JOIN),       // 3: two orientations
+            Reg(SELF_JOIN),  // 4: both orientations on one pattern
+            Reg(SINGLE),     // 5
+            Reg(SINGLE),     // 6
+            Reg(Q2),         // 7: Q1's template, other patterns
+            Reg(JOIN),       // 8
+            Reg(SELF_JOIN),  // 9
+            // Q1's patterns drop while Q2 keeps the template live.
+            Unreg(0),
+            Unreg(1),
+            Unreg(2),
+            Reg(Q1),      // 10: fresh pattern ids, the same template
+            Reg(Q1_WIDE), // 11
+            // The single-value-join template retires with its last member.
+            Unreg(3),
+            Unreg(8),
+            Unreg(4),
+            Unreg(9),
+            Reg(SELF_JOIN), // 12: a fresh template id
+            Reg(JOIN),      // 13
+            Unreg(5),
+            Unreg(6),
+            Reg(SINGLE), // 14: a fresh pattern id
+            Unreg(7),
+            Unreg(10),
+            Unreg(11),
+            Unreg(12),
+            Unreg(13),
+            Unreg(14),
+        ];
+        for mode in [
+            ProcessingMode::Mmqjp,
+            ProcessingMode::MmqjpViewMat,
+            ProcessingMode::Sequential,
+        ] {
+            let (built, reused) = hits_match_misses(mode, &script);
+            assert_eq!((built, reused), (10, 5), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn the_memo_holds_one_entry_per_live_distinct_clause() {
+        let mut r = registry();
+        let a = r
+            .register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
+            .unwrap();
+        let b = r
+            .register(parse_query(Q1_WIDE).unwrap(), ProcessingMode::Mmqjp, 0)
+            .unwrap();
+        let c = r
+            .register(parse_query(Q1_RENAMED).unwrap(), ProcessingMode::Mmqjp, 0)
+            .unwrap();
+        // Windows aside, Q1 and Q1_WIDE are one clause; the renamed clause
+        // is a second entry in the same template.
+        assert_eq!(r.num_shapes(), 2);
+        assert_eq!((r.shapes_built(), r.shapes_reused()), (2, 1));
+        assert_eq!(r.num_templates(), 1);
+        assert_eq!(r.catalog().memberships(), 2);
+        // Per-query data stays per query.
+        let wls: Vec<i64> = r
+            .templates()
+            .next()
+            .unwrap()
+            .rt
+            .col_values(7)
+            .iter()
+            .map(|v| v.as_int().unwrap())
+            .collect();
+        assert_eq!(wls, vec![100, 250, 100]);
+        assert_eq!(r.query(b).unwrap().window, Some(Window::Time(250)));
+        r.unregister(a).unwrap();
+        assert_eq!(r.num_shapes(), 2, "Q1_WIDE still holds Q1's shape");
+        r.unregister(b).unwrap();
+        assert_eq!(r.num_shapes(), 1);
+        r.unregister(c).unwrap();
+        assert_eq!(r.num_shapes(), 0);
+        let mut out = Vec::new();
+        r.audit(&mut out);
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn stage1_lists_live_single_blocks_in_query_id_order() {
+        let mut r = registry();
+        let register = |r: &mut Registry, text| {
+            r.register(parse_query(text).unwrap(), ProcessingMode::Mmqjp, 0)
+                .unwrap()
+        };
+        let a = register(&mut r, SINGLE);
+        register(&mut r, Q1);
+        let b = register(&mut r, "S//book[.//title]");
+        let c = register(&mut r, SINGLE);
+        r.unregister(b).unwrap();
+        let listed: Vec<QueryId> = r.stage1().singles.iter().map(|s| s.query).collect();
+        assert_eq!(listed, vec![a, c]);
+        assert_eq!(r.singles, vec![a, c]);
+
+        // Seed a drift in the maintained list: the audit recounts it.
+        r.singles.push(b);
+        let mut out = Vec::new();
+        r.audit(&mut out);
+        assert_eq!(
+            out,
+            vec![AuditViolation::SingleBlockList {
+                listed: 3,
+                expected: 2
+            }]
+        );
+    }
+
+    #[test]
+    fn shape_memo_audit_detects_seeded_violations() {
+        let fresh = || {
+            let mut r = registry();
+            for text in [Q1, Q1_WIDE, JOIN, SINGLE] {
+                r.register(parse_query(text).unwrap(), ProcessingMode::Mmqjp, 0)
+                    .unwrap();
+            }
+            r
+        };
+        let memo_violations = |r: &Registry| {
+            let mut out = Vec::new();
+            r.audit(&mut out);
+            out.into_iter()
+                .filter_map(|v| match v {
+                    AuditViolation::ShapeMemo { reason } => Some(reason),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        // Replace the shape of Q1's clause, in the memo and in every query
+        // holding it, by an edited copy.
+        let replace = |r: &mut Registry, edit: &dyn Fn(&mut QueryShape)| {
+            let key = Arc::clone(&r.queries().next().unwrap().shape.key);
+            let entry = r.shapes.get_mut(&*key).unwrap();
+            let old = Arc::clone(&entry.shape);
+            let mut edited = (*old).clone();
+            edit(&mut edited);
+            entry.shape = Arc::new(edited);
+            let new = Arc::clone(&entry.shape);
+            for q in r.queries.iter_mut().flatten() {
+                if Arc::ptr_eq(&q.shape, &old) {
+                    q.shape = Arc::clone(&new);
+                }
+            }
+        };
+        let r = fresh();
+        let mut out = Vec::new();
+        r.audit(&mut out);
+        assert!(out.is_empty(), "healthy registry reported: {out:?}");
+
+        // A refcount that is not the number of holders.
+        let mut r = fresh();
+        r.shapes.values_mut().next().unwrap().refs += 1;
+        assert_eq!(
+            memo_violations(&r),
+            vec!["entry refcount differs from the live queries holding it"]
+        );
+
+        // A stale assignment: two meta-variables swapped.
+        let mut r = fresh();
+        replace(&mut r, &|shape| shape.orientations[0].assignment.swap(0, 1));
+        assert_eq!(
+            memo_violations(&r),
+            vec!["re-derived orientation differs from the stored one"]
+        );
+
+        // Stale cached symbols.
+        let mut r = fresh();
+        replace(&mut r, &|shape| {
+            shape.orientations[0].assignment_syms.reverse();
+        });
+        assert_eq!(
+            memo_violations(&r),
+            vec!["re-derived orientation differs from the stored one"]
+        );
+
+        // A stale left-side width.
+        let mut r = fresh();
+        replace(&mut r, &|shape| shape.orientations[0].num_left += 1);
+        assert_eq!(
+            memo_violations(&r),
+            vec!["re-derived orientation differs from the stored one"]
+        );
+
+        // A retired template.
+        let mut r = fresh();
+        replace(&mut r, &|shape| {
+            shape.orientations[0].template = TemplateId(99);
+        });
+        assert!(memo_violations(&r).contains(&"entry names a retired template"));
+
+        // A dropped pattern.
+        let mut r = fresh();
+        replace(&mut r, &|shape| {
+            shape.orientations[0].prev_pid = PatternId(99);
+        });
+        assert!(memo_violations(&r).contains(&"entry names a dropped pattern"));
+
+        // Live queries whose shape the memo no longer files.
+        let mut r = fresh();
+        r.forget_shapes();
+        assert_eq!(
+            memo_violations(&r),
+            vec!["a live query holds a shape the memo does not file"]
+        );
     }
 }

@@ -1753,14 +1753,15 @@ fn shard_worker(
                         global_ids.push(global);
                         local_of.insert(global, local);
                         let runtime = engine.registry().query(local)?;
+                        let shape = runtime.shape();
                         let mut patterns = Vec::new();
-                        for r in &runtime.registrations {
-                            patterns.push((r.prev_pattern.clone(), r.prev_edges.clone()));
-                            patterns.push((r.cur_pattern.clone(), r.cur_edges.clone()));
+                        for o in shape.orientations() {
+                            let (prev, cur) = shape.patterns(o);
+                            patterns.push((prev.clone(), o.prev_edges.clone()));
+                            patterns.push((cur.clone(), o.cur_edges.clone()));
                         }
-                        let single = runtime
-                            .single_pattern
-                            .as_ref()
+                        let single = shape
+                            .single_pattern()
                             .map(|p| (p.clone(), runtime.publish.clone(), runtime.select));
                         Ok(Box::new(ShardFootprint { patterns, single }))
                     })

@@ -131,6 +131,15 @@ pub struct EngineStats {
     pub view_cache_misses: usize,
     /// View-cache evictions.
     pub view_cache_evictions: usize,
+    /// Query shapes derived at registration (cumulative): registrations
+    /// whose `FROM` clause, window aside, had no live subscriber, so the
+    /// registry normalized it, reduced its join graph and matched it against
+    /// the template catalog.
+    pub shapes_built: usize,
+    /// Registrations served by a live subscriber's memoized shape
+    /// (cumulative): an `RT` row and refcount bumps, no normalization,
+    /// reduction or isomorphism test.
+    pub shapes_reused: usize,
     /// Physical plans compiled at registration time (cumulative; one per
     /// new template in the MMQJP modes — the variant the engine's mode
     /// executes — and one per orientation in Sequential mode). Plans are
@@ -269,6 +278,8 @@ impl AddAssign for EngineStats {
         self.view_cache_hits += rhs.view_cache_hits;
         self.view_cache_misses += rhs.view_cache_misses;
         self.view_cache_evictions += rhs.view_cache_evictions;
+        self.shapes_built += rhs.shapes_built;
+        self.shapes_reused += rhs.shapes_reused;
         self.plans_compiled += rhs.plans_compiled;
         self.rows_materialized += rhs.rows_materialized;
         self.scratch_reuses += rhs.scratch_reuses;
@@ -373,6 +384,8 @@ mod tests {
             view_cache_hits: 8,
             view_cache_misses: 9,
             view_cache_evictions: 10,
+            shapes_built: 33,
+            shapes_reused: 34,
             plans_compiled: 14,
             rows_materialized: 15,
             scratch_reuses: 16,
@@ -416,6 +429,8 @@ mod tests {
             view_cache_hits: 80,
             view_cache_misses: 90,
             view_cache_evictions: 100,
+            shapes_built: 330,
+            shapes_reused: 340,
             plans_compiled: 140,
             rows_materialized: 150,
             scratch_reuses: 160,
@@ -459,6 +474,8 @@ mod tests {
         assert_eq!(s.view_cache_hits, 88);
         assert_eq!(s.view_cache_misses, 99);
         assert_eq!(s.view_cache_evictions, 110);
+        assert_eq!(s.shapes_built, 363);
+        assert_eq!(s.shapes_reused, 374);
         assert_eq!(s.plans_compiled, 154);
         assert_eq!(s.rows_materialized, 165);
         assert_eq!(s.scratch_reuses, 176);

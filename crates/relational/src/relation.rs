@@ -314,15 +314,15 @@ impl Relation {
         self.len = 0;
     }
 
-    /// Retain only rows for which the predicate returns `true`.
-    pub fn retain(&mut self, mut pred: impl FnMut(RowRef<'_>) -> bool) {
-        let keep: Vec<bool> = (0..self.len).map(|i| pred(self.row(i))).collect();
-        let kept = keep.iter().filter(|&&k| k).count();
+    /// Remove the row at `index`; later rows move up one place, so the
+    /// survivors keep their order.
+    pub fn remove_row(&mut self, index: usize) -> RelResult<()> {
+        self.check_range(&(index..index + 1))?;
         for col in &mut self.cols {
-            let mut it = keep.iter();
-            col.retain(|_| *it.next().expect("mask covers every row")); // lint:allow mask length equals row count
+            col.remove(index);
         }
-        self.len = kept;
+        self.len -= 1;
+        Ok(())
     }
 
     /// Produce a new relation with duplicate tuples removed (set semantics).
@@ -513,11 +513,13 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_retain() {
+    fn clear_and_remove_row() {
         let mut r = sample();
-        r.retain(|t| t[1] == Value::Int(2));
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.col_values(1), &[Value::Int(2)]);
+        let before: Vec<Value> = r.col_values(1).to_vec();
+        r.remove_row(0).unwrap();
+        assert_eq!(r.len(), before.len() - 1);
+        assert_eq!(r.col_values(1), &before[1..]);
+        assert!(r.remove_row(r.len()).is_err());
         r.clear();
         assert!(r.is_empty());
     }

@@ -119,6 +119,16 @@ impl PatternIndex {
         id
     }
 
+    /// Take one more registration of a live pattern by id: the effect of
+    /// [`register`](PatternIndex::register)ing a structurally identical
+    /// pattern, without building its signature. Panics for dropped ids.
+    pub fn retain(&mut self, id: PatternId) {
+        let count = &mut self.refcounts[id.index()];
+        assert!(*count > 0, "retain of a dropped pattern {id:?}");
+        *count += 1;
+        self.registered_blocks += 1;
+    }
+
     /// Release one registration of a pattern. Returns `true` when this was
     /// the last registration and the pattern was dropped from the index
     /// (its slot is tombstoned; the id is never reused). A subsequent
@@ -393,6 +403,29 @@ mod tests {
         let results = idx.evaluate_witnesses(&book_doc());
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].0, a3);
+    }
+
+    #[test]
+    fn retain_by_id_counts_like_register() {
+        let mut by_id = PatternIndex::new();
+        let mut by_pattern = PatternIndex::new();
+        let a = by_id.register(parse_pattern("S//book->x1[.//author->x2]").unwrap());
+        by_pattern.register(parse_pattern("S//book->x1[.//author->x2]").unwrap());
+        by_id.retain(a);
+        by_pattern.register(parse_pattern("S//book->x1[.//author->x2]").unwrap());
+        assert_eq!(by_id.refcount(a), 2);
+        assert_eq!(by_id.stats(), by_pattern.stats());
+        assert!(!by_id.unregister(a));
+        assert!(by_id.unregister(a));
+    }
+
+    #[test]
+    #[should_panic(expected = "retain of a dropped pattern")]
+    fn retain_of_dropped_pattern_panics() {
+        let mut idx = PatternIndex::new();
+        let a = idx.register(parse_pattern("S//book->x1").unwrap());
+        assert!(idx.unregister(a));
+        idx.retain(a);
     }
 
     #[test]

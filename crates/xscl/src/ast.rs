@@ -157,8 +157,9 @@ impl fmt::Display for SelectClause {
 }
 
 /// The `FROM` clause: either a single query block (a plain tree-pattern
-/// subscription) or two blocks connected by a join operator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// subscription) or two blocks connected by a join operator. Hashable so a
+/// registry can key what it derives from a clause by the clause itself.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FromClause {
     /// A single query block with no join.
     Single(QueryBlock),

@@ -165,7 +165,9 @@ impl TemplateCatalog {
         self.live == 0
     }
 
-    /// Number of successful `insert` calls (registered query orientations).
+    /// Number of `insert` calls. A registry that memoizes what it derives
+    /// per query shape inserts once per orientation of each shape it builds,
+    /// so this counts its shape misses, not its registered orientations.
     pub fn memberships(&self) -> usize {
         self.memberships
     }
@@ -210,14 +212,7 @@ impl TemplateCatalog {
                 let template = self.templates[tid.index()]
                     .as_deref()
                     .expect("by_invariant only references live templates");
-                if let Some(mapping) = isomorphism(graph, &template.graph) {
-                    // mapping[i] = template position of graph position i.
-                    // We need assignment[j] = variable of the graph node
-                    // mapped to template position j.
-                    let mut assignment = vec![String::new(); template.num_meta_vars()];
-                    for (graph_pos, &template_pos) in mapping.iter().enumerate() {
-                        assignment[template_pos] = graph_variable(graph, graph_pos).to_owned();
-                    }
+                if let Some(assignment) = assignment(graph, template) {
                     return TemplateMembership {
                         template: tid,
                         assignment,
@@ -254,6 +249,21 @@ impl TemplateCatalog {
             .copied()
             .find(|tid| isomorphism(graph, &self.template(*tid).graph).is_some())
     }
+}
+
+/// How `graph` joins `template`, if the two are isomorphic: per
+/// meta-variable position of the template, the graph's variable playing
+/// that role. This is the assignment [`TemplateCatalog::insert`] returns for
+/// a graph that joins an existing template.
+pub fn assignment(graph: &ReducedGraph, template: &QueryTemplate) -> Option<Vec<String>> {
+    // mapping[i] = template position of graph position i; the assignment
+    // is its inverse, read through the graph's variables.
+    let mapping = isomorphism(graph, &template.graph)?;
+    let mut assignment = vec![String::new(); template.num_meta_vars()];
+    for (graph_pos, &template_pos) in mapping.iter().enumerate() {
+        assignment[template_pos] = graph_variable(graph, graph_pos).to_owned();
+    }
+    Some(assignment)
 }
 
 /// The variable at a global node position of a reduced graph (left nodes

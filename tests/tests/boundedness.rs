@@ -167,11 +167,19 @@ fn subscription_churn_state_plateaus_over_10k_cycles() {
             .with_prune_state_by_window(true)
             .with_retain_documents(true),
     );
-    let mut live: std::collections::VecDeque<mmqjp_core::QueryId> =
+    // Each live query with the index of its text: pool texts are pairwise
+    // distinct shapes, so the live distinct shapes are the distinct indices.
+    let mut live: std::collections::VecDeque<(mmqjp_core::QueryId, usize)> =
         std::collections::VecDeque::new();
-    for q in pool.iter().cycle().take(POPULATION) {
-        live.push_back(engine.register_query(q.clone()).unwrap());
+    for (i, q) in pool.iter().enumerate().cycle().take(POPULATION) {
+        live.push_back((engine.register_query(q.clone()).unwrap(), i));
     }
+    let live_shapes = |live: &std::collections::VecDeque<(mmqjp_core::QueryId, usize)>| {
+        live.iter()
+            .map(|&(_, shape)| shape)
+            .collect::<std::collections::HashSet<_>>()
+            .len()
+    };
 
     let mut matches = 0usize;
     let mut docs_sent = 0u64;
@@ -180,13 +188,13 @@ fn subscription_churn_state_plateaus_over_10k_cycles() {
     for cycle in 0..CYCLES {
         // One churn cycle: a new subscription arrives, the oldest departs —
         // the live population stays at POPULATION throughout.
-        live.push_back(
-            engine
-                .register_query(pool[cycle % pool.len()].clone())
-                .unwrap(),
-        );
-        let oldest = live.pop_front().expect("population is non-empty");
+        let shape = cycle % pool.len();
+        live.push_back((engine.register_query(pool[shape].clone()).unwrap(), shape));
+        let (oldest, _) = live.pop_front().expect("population is non-empty");
         engine.unregister_query(oldest).unwrap();
+        // The shape memo holds exactly the live distinct shapes: an entry
+        // leaves with its last subscriber.
+        assert_eq!(engine.registry().num_shapes(), live_shapes(&live));
         if cycle % DOC_EVERY == 0 {
             docs_sent += 1;
             matches += engine.process_document(doc(docs_sent)).unwrap().len();
@@ -242,6 +250,39 @@ fn subscription_churn_state_plateaus_over_10k_cycles() {
     // throughout, not leaked.
     assert!(stats.patterns_dropped > 0);
     assert!(stats.templates_retired > 0);
+    // Every registration built or reused a shape. The first POPULATION
+    // cycles re-register texts of the initial population while it is live:
+    // reuses. After that the live population is 12 consecutive texts of the
+    // 16-text pool, so an arriving text's previous subscriber has always
+    // left: its shape was reclaimed with it, and is built again.
+    assert_eq!(stats.shapes_built, CYCLES);
+    assert_eq!(stats.shapes_reused, POPULATION);
+
+    // A stream of all-distinct shapes: every registration builds, and the
+    // memo still holds only the live population's shapes.
+    const DISTINCT_CYCLES: usize = 2_000;
+    for cycle in 0..DISTINCT_CYCLES {
+        let text = format!(
+            "S//item->lr[.//g{cycle}->l0] FOLLOWED BY{{l0=r0, 40}} S//item->rr[.//g{cycle}->r0]"
+        );
+        live.push_back((
+            engine.register_query_text(&text).unwrap(),
+            pool.len() + cycle,
+        ));
+        let (oldest, _) = live.pop_front().expect("population is non-empty");
+        engine.unregister_query(oldest).unwrap();
+        assert_eq!(engine.registry().num_shapes(), live_shapes(&live));
+        assert!(engine.registry().num_shapes() <= POPULATION);
+        if cycle % DOC_EVERY == 0 {
+            docs_sent += 1;
+            engine.process_document(doc(docs_sent)).unwrap();
+        }
+    }
+    let after = engine.stats();
+    assert_eq!(after.shapes_built, stats.shapes_built + DISTINCT_CYCLES);
+    assert_eq!(after.shapes_reused, stats.shapes_reused);
+    assert_eq!(engine.registry().num_shapes(), POPULATION);
+    mmqjp_integration_tests::assert_audit_clean(&engine);
 }
 
 // ---------------------------------------------------------------------------

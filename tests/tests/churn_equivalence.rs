@@ -12,13 +12,18 @@
 //! on the single `MmqjpEngine` and on `ShardedEngine` with 1 / 2 / 4 shards
 //! (where churned and reference engines may even place the same query on
 //! *different* shards, since ids differ — the canonical merge order must
-//! absorb that too).
+//! absorb that too). Each scenario also accounts for the registry's shape
+//! memo: on a single engine, registering a clause (window aside) that a
+//! live query already holds is a reuse, and every other registration builds
+//! its shape.
 
 use mmqjp_core::{
-    sort_matches, CoreError, EngineConfig, MatchOutput, MmqjpEngine, QueryId, ShardedEngine,
+    sort_matches, CoreError, EngineConfig, EngineStats, MatchOutput, MmqjpEngine, QueryId,
+    ShardedEngine,
 };
 use mmqjp_integration_tests::all_modes;
 use mmqjp_xml::{rss, Document, Timestamp};
+use mmqjp_xscl::{parse_query, FromClause, Window};
 use std::collections::{HashMap, HashSet};
 
 /// One step of a churn script.
@@ -62,12 +67,71 @@ impl AnyEngine {
         }
     }
 
+    fn stats(&self) -> EngineStats {
+        match self {
+            AnyEngine::Single(e) => e.stats(),
+            AnyEngine::Sharded(e) => e.stats().expect("shards answer"),
+        }
+    }
+
     /// Assert the engine's invariant audit comes back clean.
     fn assert_audit_clean(&self) {
         match self {
             AnyEngine::Single(e) => mmqjp_integration_tests::assert_audit_clean(e),
             AnyEngine::Sharded(e) => mmqjp_integration_tests::assert_audit_clean_sharded(e),
         }
+    }
+
+    /// Assert the shape memo's counters: every registration built or reused
+    /// a shape, and — on a single engine, whose one registry sees every
+    /// query — exactly `reuses` of them found their clause live.
+    fn assert_shape_accounting(&self, registrations: usize, reuses: usize, label: &str) {
+        let stats = self.stats();
+        assert_eq!(
+            stats.shapes_built + stats.shapes_reused,
+            registrations,
+            "{label}: every registration builds or reuses a shape"
+        );
+        if let AnyEngine::Single(_) = self {
+            assert_eq!(
+                stats.shapes_reused, reuses,
+                "{label}: re-registering a live clause reuses its shape"
+            );
+        }
+    }
+}
+
+/// The shape-memo key of a query text: its `FROM` clause, window blanked.
+fn shape_key(text: &str) -> FromClause {
+    let mut from = parse_query(text).expect("query parses").from;
+    if let FromClause::Join { window, .. } = &mut from {
+        *window = Window::Infinite;
+    }
+    from
+}
+
+/// Live queries per shape key, counting the registrations that found their
+/// key live.
+#[derive(Default)]
+struct LiveShapes {
+    live: HashMap<FromClause, usize>,
+    registrations: usize,
+    reuses: usize,
+}
+
+impl LiveShapes {
+    fn register(&mut self, text: &str) {
+        let count = self.live.entry(shape_key(text)).or_insert(0);
+        self.reuses += usize::from(*count > 0);
+        self.registrations += 1;
+        *count += 1;
+    }
+
+    fn unregister(&mut self, text: &str) {
+        *self
+            .live
+            .get_mut(&shape_key(text))
+            .expect("unregistered texts were registered") -= 1;
     }
 }
 
@@ -94,16 +158,21 @@ fn run_differential(mut make: impl FnMut() -> AnyEngine, script: &[Op], label: &
     let mut churned_of_ref: HashMap<QueryId, QueryId> = HashMap::new();
     let mut reg_ordinal = 0usize;
     let mut doc_count = 0usize;
+    let mut texts: Vec<&str> = Vec::new();
+    let (mut churned_shapes, mut reference_shapes) = (LiveShapes::default(), LiveShapes::default());
 
     for op in script {
         match op {
             Op::Reg(text) => {
                 let cid = churned.register(text);
                 churned_ids.push(cid);
+                texts.push(text);
+                churned_shapes.register(text);
                 if !doomed.contains(&reg_ordinal) {
                     survivors.insert(cid);
                     let rid = reference.register(text);
                     churned_of_ref.insert(rid, cid);
+                    reference_shapes.register(text);
                 }
                 reg_ordinal += 1;
             }
@@ -111,6 +180,7 @@ fn run_differential(mut make: impl FnMut() -> AnyEngine, script: &[Op], label: &
                 churned
                     .unregister(churned_ids[*n])
                     .expect("scripted unregister targets are live");
+                churned_shapes.unregister(texts[*n]);
             }
             Op::Doc(doc) => {
                 doc_count += 1;
@@ -140,6 +210,16 @@ fn run_differential(mut make: impl FnMut() -> AnyEngine, script: &[Op], label: &
     // refcounted structure in both engines must still balance exactly.
     churned.assert_audit_clean();
     reference.assert_audit_clean();
+    churned.assert_shape_accounting(
+        churned_shapes.registrations,
+        churned_shapes.reuses,
+        &format!("{label}/churned"),
+    );
+    reference.assert_shape_accounting(
+        reference_shapes.registrations,
+        reference_shapes.reuses,
+        &format!("{label}/reference"),
+    );
 }
 
 /// Run a script differentially across every mode × {single, sharded 1/2/4}.
@@ -174,6 +254,10 @@ fn assert_equivalence(script: &[Op]) {
 /// blog article.
 const Q_BOOK_BLOG: &str = "S//book->x1[.//author->x2][.//title->x3] \
     FOLLOWED BY{x2=x5 AND x3=x6, 100} \
+    S//blog->x4[.//author->x5][.//title->x6]";
+/// Q_BOOK_BLOG's clause under a 25-unit window: the same shape.
+const Q_BOOK_BLOG_NARROW: &str = "S//book->x1[.//author->x2][.//title->x3] \
+    FOLLOWED BY{x2=x5 AND x3=x6, 25} \
     S//blog->x4[.//author->x5][.//title->x6]";
 /// Q2: same author, same category (shares the template of Q_BOOK_BLOG).
 const Q_BOOK_BLOG_CAT: &str = "S//book->x1[.//author->x2][.//category->x7] \
@@ -292,6 +376,34 @@ fn reregister_an_isomorphic_query() {
 }
 
 #[test]
+fn twins_of_a_live_query_reuse_its_shape() {
+    // Q0's clause arrives again — under another window — while Q0 is live,
+    // Q0 departs, and a third copy arrives while the twin still holds the
+    // shape: both later registrations are reuses, and each twin joins only
+    // the documents after its own registration, with its own window.
+    assert_equivalence(&[
+        Op::Reg(Q_BOOK_BLOG),
+        Op::Reg(Q_SINGLE),
+        Op::Doc(book(10)),
+        Op::Reg(Q_BOOK_BLOG_NARROW),
+        Op::Doc(blog(20)),
+        Op::Doc(book(30)),
+        Op::Unreg(0),
+        Op::Doc(blog(40)),
+        Op::Reg(Q_BOOK_BLOG),
+        Op::Reg(Q_SINGLE),
+        Op::Doc(book(50)),
+        Op::Doc(blog(90)),
+        Op::Doc(blog(200)),
+    ]);
+    let mut e = MmqjpEngine::new(EngineConfig::mmqjp());
+    e.register_query_text(Q_BOOK_BLOG).unwrap();
+    e.register_query_text(Q_BOOK_BLOG_NARROW).unwrap();
+    let stats = e.stats();
+    assert_eq!((stats.shapes_built, stats.shapes_reused), (1, 1));
+}
+
+#[test]
 fn unregister_a_symmetric_join_query() {
     // A JOIN query holds two orientations (possibly in two templates);
     // unregistering it must release both.
@@ -378,4 +490,12 @@ fn churned_engine_stats_stay_exact() {
     assert_eq!(stats.templates_retired, 1);
     assert_eq!(stats.distinct_patterns, 2);
     assert_eq!(stats.patterns_dropped, 4);
+    // The re-registration came after its clause's last subscriber left, so
+    // it rebuilt the shape; a twin of a live query reuses it.
+    assert_eq!((stats.shapes_built, stats.shapes_reused), (3, 0));
+    e.register_query_text(Q_BOOK_BLOG).unwrap();
+    let stats = e.stats();
+    assert_eq!((stats.shapes_built, stats.shapes_reused), (3, 1));
+    assert_eq!(stats.templates, 1);
+    mmqjp_integration_tests::assert_audit_clean(&e);
 }

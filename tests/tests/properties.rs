@@ -517,11 +517,10 @@ proptest! {
         let mut everything = WitnessRouter::new();
         for (i, id) in ids.iter().enumerate() {
             let shard = i % num_shards;
-            for reg in &engine.registry().query(*id).unwrap().registrations {
-                for (pattern, edges) in [
-                    (&reg.prev_pattern, &reg.prev_edges),
-                    (&reg.cur_pattern, &reg.cur_edges),
-                ] {
+            let shape = engine.registry().query(*id).unwrap().shape();
+            for o in shape.orientations() {
+                let (prev, cur) = shape.patterns(o);
+                for (pattern, edges) in [(prev, &o.prev_edges), (cur, &o.cur_edges)] {
                     let pid = index.register(pattern.clone());
                     for req in [
                         union_req.entry(pid).or_default(),

@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Nine dependency-free static checks over the workspace sources:
+//! Ten dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -45,6 +45,12 @@
 //!    `ExecScratch`, `ChunkedRows`, `Fx*`, `verify`, `HashMap` or
 //!    `HashSet`: a reference built from the kernel's parts, or on hashing,
 //!    would repeat the kernel's failure modes.
+//! 10. **Registering a known shape derives nothing** — non-test code in
+//!     `crates/core/src/registry.rs` may call `normalize_query(`,
+//!     `ReducedGraph::from_join_graph(` and `catalog.insert(` only inside
+//!     the shape-building functions `build_shape` and the pure
+//!     `derive_shape` it shares with the audit: a registration whose
+//!     `FROM` clause is live must reuse its memoized shape, not re-derive it.
 //!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
@@ -88,6 +94,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_columnar_batch_path(root, &mut violations);
     check_plan_execution_allocations(root, &mut violations);
     check_oracle_independence(root, &mut violations);
+    check_shape_derivation(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -503,28 +510,45 @@ fn check_plan_execution_allocations(root: &Path, out: &mut Vec<String>) {
 }
 
 fn scan_file_for_allocations(root: &Path, file: &Path, out: &mut Vec<String>) {
+    scan_outside_fns(
+        root,
+        file,
+        out,
+        PLAN_SETUP_FNS,
+        ALLOCATING,
+        "in non-test plan code (executions allocate only the result; pool the buffer in `ExecScratch`)",
+    );
+}
+
+/// Report `` `pattern` why `` for every `banned` pattern on a non-test line
+/// outside the bodies of the `exempt` functions (named by their `fn name(`
+/// prefix; the body is tracked by brace depth).
+fn scan_outside_fns(
+    root: &Path,
+    file: &Path,
+    out: &mut Vec<String>,
+    exempt: &[&str],
+    banned: &[&str],
+    why: &str,
+) {
     // Brace depth inside an exempt function's body; `None` outside one.
-    let mut exempt: Option<i64> = None;
+    let mut inside: Option<i64> = None;
     scan_non_test_code(root, file, out, |line| {
-        let depth = exempt
+        let depth = inside
             .take()
-            .or_else(|| PLAN_SETUP_FNS.iter().any(|f| line.contains(f)).then_some(0));
+            .or_else(|| exempt.iter().any(|f| line.contains(f)).then_some(0));
         if let Some(mut depth) = depth {
             let opened = depth > 0 || line.contains('{');
             depth += brace_delta(line);
             // The signature may span lines: the body ends when the depth
             // returns to zero after its opening brace.
-            exempt = (!opened || depth > 0).then_some(depth);
+            inside = (!opened || depth > 0).then_some(depth);
             return Vec::new();
         }
-        ALLOCATING
+        banned
             .iter()
             .filter(|pat| line.contains(*pat))
-            .map(|pat| {
-                format!(
-                    "`{pat}` in non-test plan code (executions allocate only the result; pool the buffer in `ExecScratch`)"
-                )
-            })
+            .map(|pat| format!("`{pat}` {why}"))
             .collect()
     });
 }
@@ -620,6 +644,35 @@ fn scan_file_for_oracle_imports(root: &Path, file: &Path, out: &mut Vec<String>)
         }
         messages
     });
+}
+
+// ---------------------------------------------------------------------------
+// Check 10: the registry derives a query shape only when it builds one.
+// ---------------------------------------------------------------------------
+
+const REGISTRY_FILE: &str = "crates/core/src/registry.rs";
+/// The registry's shape-building function and the pure derivation it shares
+/// with the audit.
+const SHAPE_FNS: &[&str] = &["fn build_shape(", "fn derive_shape("];
+const SHAPE_DERIVATION: &[&str] = &[
+    "normalize_query(",
+    "ReducedGraph::from_join_graph(",
+    "catalog.insert(",
+];
+
+fn check_shape_derivation(root: &Path, out: &mut Vec<String>) {
+    scan_file_for_shape_derivation(root, &root.join(REGISTRY_FILE), out);
+}
+
+fn scan_file_for_shape_derivation(root: &Path, file: &Path, out: &mut Vec<String>) {
+    scan_outside_fns(
+        root,
+        file,
+        out,
+        SHAPE_FNS,
+        SHAPE_DERIVATION,
+        "outside the registry's shape-building functions (a live clause reuses its memoized shape)",
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -774,6 +827,30 @@ mod tests {
         assert!(out[0].contains("plan_alloc_case.rs:9"), "{out:?}");
         assert!(out[1].contains("plan_alloc_case.rs:12"), "{out:?}");
         assert!(out[2].contains("plan_alloc_case.rs:18"), "{out:?}");
+    }
+
+    #[test]
+    fn shape_derivation_is_flagged_outside_the_shape_builders() {
+        let src = "use mmqjp_xscl::{normalize_query, ReducedGraph};\n// normalize_query(&q) in a comment\nfn build_shape(\n    &mut self,\n) -> Shape {\n    let n = normalize_query(&q)?;\n    self.catalog.insert(&g);\n}\nfn register(&mut self) {\n    let n = normalize_query(&q)?;\n    let g = ReducedGraph::from_join_graph(&j);\n}\nfn derive_shape(q: &Q) -> R {\n    ReducedGraph::from_join_graph(&j)\n}\nfn audit(&self) {\n    self.catalog.insert(&g);\n}\n#[cfg(test)]\nmod tests {\n    fn t() { normalize_query(&q); }\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("shape_case.rs");
+        fs::write(&file, src).unwrap();
+        let mut out = Vec::new();
+        scan_file_for_shape_derivation(&dir, &file, &mut out);
+        assert_eq!(out.len(), 3, "violations: {out:?}");
+        assert!(
+            out[0].contains("shape_case.rs:10") && out[0].contains("`normalize_query(`"),
+            "{out:?}"
+        );
+        assert!(
+            out[1].contains("shape_case.rs:11") && out[1].contains("from_join_graph"),
+            "{out:?}"
+        );
+        assert!(
+            out[2].contains("shape_case.rs:17") && out[2].contains("`catalog.insert(`"),
+            "{out:?}"
+        );
     }
 
     #[test]
