@@ -9,8 +9,10 @@
 //!   refcounts, the per-`(pattern, edge)` request refcounts and the
 //!   canonical-variable refcounts must all equal what a recount over the
 //!   live queries' registrations produces, the deterministic
-//!   requested-edge lists must mirror the refcount maps, and every symbol
-//!   an edge cached at registration must still be its variable's symbol.
+//!   requested-edge lists must mirror the refcount maps, every symbol
+//!   an edge cached at registration must still be its variable's symbol,
+//!   and a live Stage-1 emission plan must equal a fresh compile of the
+//!   lists (the sharded front's, of the lists and the router's shard sets).
 //! - **Catalog discipline** — tombstoned template slots are never referenced
 //!   by a live registration, every template's `RT` relation holds exactly
 //!   one tuple per live member orientation, and the `rid` resolution map is
@@ -142,6 +144,15 @@ pub enum AuditViolation {
         pattern: u32,
         /// The edge, by its endpoint pattern nodes.
         edge: (u32, u32),
+    },
+    /// A live Stage-1 emission plan (compiled for the pattern index's
+    /// current generation) differs from a fresh compile of the
+    /// requested-edge lists: rows would be numbered against the wrong
+    /// edges, or a member suppressed against an emitter whose rows reach
+    /// other consumers.
+    EmitPlan {
+        /// Which part of the plan differs.
+        reason: &'static str,
     },
     /// A canonical variable's refcount differs from the number of distinct
     /// live patterns binding it.
@@ -388,6 +399,9 @@ impl fmt::Display for AuditViolation {
                 "pattern {pattern} edge ({}, {}) caches symbols or sources its pattern does not resolve to",
                 edge.0, edge.1
             ),
+            AuditViolation::EmitPlan { reason } => {
+                write!(f, "Stage-1 emission plan differs from a fresh compile in {reason}")
+            }
             AuditViolation::VariableRefcount {
                 variable,
                 tracked,
@@ -540,5 +554,9 @@ mod tests {
         };
         assert!(v.to_string().contains("3 symbols for 4 strings"));
         assert!(v.to_string().contains("symbol 3"));
+        let v = AuditViolation::EmitPlan {
+            reason: "its edge classes",
+        };
+        assert!(v.to_string().ends_with("fresh compile in its edge classes"));
     }
 }

@@ -358,6 +358,7 @@ impl MmqjpEngine {
             singles: mut outputs,
             ingest,
             pairs,
+            suppressed,
         } = front::evaluate_batch(
             &mut self.registry.stage1(),
             &docs,
@@ -368,6 +369,7 @@ impl MmqjpEngine {
         self.stats.timings.ingest += ingest;
         self.stats.timings.xpath += t0.elapsed().saturating_sub(ingest);
         self.stats.stage1_pairs += pairs;
+        self.stats.stage1_edges_suppressed += suppressed;
         self.stats.stage1_rows += batch.rbin_w.len();
         self.stats.results_emitted += outputs.len();
 

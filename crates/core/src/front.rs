@@ -10,8 +10,13 @@
 //!   or the sharded engine's front stage — screens through this one function.
 //! * **Matching** ([`match_document`]): one shared automaton pass per
 //!   document answers every registered pattern; the single-block answers and
-//!   the requested-edge node pairs are both read off that pass.
-//!   [`evaluate_batch`] adds witness ingest for callers that join in-thread.
+//!   the requested-edge node pairs are both read off that pass. The pairs
+//!   follow an emission plan compiled once per subscription change (see
+//!   [`RequestedEdges`]): each `(pattern, edge)` has a precomputed path and
+//!   an edge class, and a member whose pairs would repeat an earlier member
+//!   of its class in this document is not enumerated — the paper's shared
+//!   variables, computed once. [`evaluate_batch`] adds witness ingest for
+//!   callers that join in-thread.
 //!
 //! Matching emits integer [`WitnessRow`]s — `(pattern, edge number, node1,
 //! node2)` — and nothing else: every string the witness relations need
@@ -35,10 +40,12 @@ use crate::error::{CoreError, CoreResult};
 use crate::fault::QuarantineRecord;
 use crate::output::{Binding, MatchOutput};
 use crate::relations::{IngestScratch, WitnessBatch};
+use crate::router::WitnessRouter;
 use mmqjp_relational::{StringInterner, Symbol};
 use mmqjp_xml::{DocId, Document, NodeId, Timestamp};
 use mmqjp_xpath::{
-    NodeTest, PatternId, PatternIndex, PatternMatcher, PatternNodeId, SharedPass, TreePattern,
+    Axis, ChainScratch, NodeTest, PatternId, PatternIndex, PatternMatcher, PatternNodeId,
+    SharedPass, TreePattern,
 };
 use mmqjp_xscl::{QueryId, SelectClause};
 use std::collections::HashMap;
@@ -48,13 +55,8 @@ use std::time::{Duration, Instant};
 /// A structural pattern edge, identified by its endpoint pattern nodes.
 pub type Edge = (PatternNodeId, PatternNodeId);
 
-/// The edges the join stage wants bindings for, per join-side pattern, in
-/// first-request order. A [`WitnessRow`] names its edge by position in its
-/// pattern's list.
-pub type RequestedEdges = HashMap<PatternId, Vec<RequestedEdge>>;
-
 /// What one end of a requested edge binds, read off its pattern node's test.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum NodeSource {
     /// An element step: the element, valued by its XPath string value.
     Element,
@@ -115,6 +117,247 @@ impl RequestedEdge {
     }
 }
 
+/// The edges the join stage wants bindings for, and the emission plan
+/// Stage 1 compiles from them.
+///
+/// Per join-side pattern, the requested edges in first-request order are
+/// the registration truth: a [`WitnessRow`] names its edge by position in
+/// its pattern's list, and the audit checks the lists against a recount.
+/// The plan is derived from the lists, once per subscription change, the
+/// way the shared automaton is: any list change drops it, and the next
+/// document recompiles it.
+#[derive(Debug, Clone, Default)]
+pub struct RequestedEdges {
+    lists: HashMap<PatternId, Vec<RequestedEdge>>,
+    plan: Option<EmitPlan>,
+}
+
+impl RequestedEdges {
+    /// No requested edges.
+    pub fn new() -> Self {
+        RequestedEdges::default()
+    }
+
+    /// A pattern's requested edges, if it has any.
+    pub fn get(&self, pid: &PatternId) -> Option<&Vec<RequestedEdge>> {
+        self.lists.get(pid)
+    }
+
+    /// Every pattern's requested edges, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&PatternId, &Vec<RequestedEdge>)> {
+        self.lists.iter()
+    }
+
+    /// `true` when no pattern has requested edges.
+    pub fn is_empty(&self) -> bool {
+        self.lists.is_empty()
+    }
+
+    /// Whether `edge` of `pid` is requested.
+    pub(crate) fn has_edge(&self, pid: PatternId, edge: Edge) -> bool {
+        self.lists
+            .get(&pid)
+            .is_some_and(|list| list.iter().any(|r| r.edge == edge))
+    }
+
+    /// Append a newly requested edge to its pattern's list.
+    pub(crate) fn push(&mut self, pid: PatternId, edge: RequestedEdge) {
+        self.lists.entry(pid).or_default().push(edge);
+        self.plan = None;
+    }
+
+    /// Drop one edge from its pattern's list; later edges move up.
+    pub(crate) fn remove_edge(&mut self, pid: PatternId, edge: Edge) {
+        if let Some(list) = self.lists.get_mut(&pid) {
+            list.retain(|r| r.edge != edge);
+            self.plan = None;
+        }
+    }
+
+    /// Drop a pattern's list.
+    pub(crate) fn remove(&mut self, pid: PatternId) {
+        if self.lists.remove(&pid).is_some() {
+            self.plan = None;
+        }
+    }
+
+    /// Every list, mutably, for tests that seed a corrupted entry.
+    #[cfg(test)]
+    pub(crate) fn lists_mut(
+        &mut self,
+    ) -> impl Iterator<Item = (&PatternId, &mut Vec<RequestedEdge>)> {
+        self.plan = None;
+        self.lists.iter_mut()
+    }
+
+    /// Put every edge of a compiled plan into one class, for tests of the
+    /// plan audit. `false` when no plan is compiled.
+    #[cfg(test)]
+    pub(crate) fn merge_plan_classes(&mut self) -> bool {
+        let Some(plan) = &mut self.plan else {
+            return false;
+        };
+        for edge in &mut plan.edges {
+            edge.class = 0;
+        }
+        true
+    }
+
+    /// Drop the plan although no list changed: the sharded front calls this
+    /// when the router's shard sets, which are part of the edge classes,
+    /// may have changed.
+    pub(crate) fn invalidate_plan(&mut self) {
+        self.plan = None;
+    }
+
+    /// The emission plan for the live patterns of `index`, recompiled if a
+    /// list or the index changed since it was compiled. `router` gives the
+    /// shards each edge's rows are routed to (`None`: one consumer).
+    fn plan(&mut self, index: &PatternIndex, router: Option<&WitnessRouter>) -> &EmitPlan {
+        let plan = match self.plan.take() {
+            Some(plan) if plan.generation == index.generation() => plan,
+            _ => EmitPlan::compile(index, &self.lists, router),
+        };
+        self.plan.insert(plan)
+    }
+}
+
+impl FromIterator<(PatternId, Vec<RequestedEdge>)> for RequestedEdges {
+    fn from_iter<I: IntoIterator<Item = (PatternId, Vec<RequestedEdge>)>>(lists: I) -> Self {
+        RequestedEdges {
+            lists: lists.into_iter().collect(),
+            plan: None,
+        }
+    }
+}
+
+/// Stage 1's row emission, compiled from the requested-edge lists against
+/// one generation of the pattern index.
+///
+/// It lists the live join-side patterns in pattern-id order, each with its
+/// position in the [`SharedPass`] and its edges in list order. An edge is
+/// its pattern-node path from the ancestor end down to the descendant end —
+/// one node for a self edge, two for an adjacent edge, more for a chain —
+/// and a dense *edge class*. Two `(pattern, edge)` members share a class
+/// when their rows would be ingested under the same names and derived the
+/// same way: equal `var1`, `var2`, `source1` and `source2`, equal axis and
+/// test on every step of the path, and the same shards receiving the rows.
+/// A member whose path nodes have, in a document, the same useful sets as
+/// an earlier member of its class that already emitted would emit exactly
+/// that member's pairs, which every consumer's ingest drops as repeats; the
+/// emission skips it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct EmitPlan {
+    /// The [`PatternIndex::generation`] the positions were compiled for.
+    generation: u64,
+    patterns: Vec<PlanPattern>,
+    edges: Vec<PlanEdge>,
+    /// The edges' paths, concatenated.
+    paths: Vec<PatternNodeId>,
+    /// Number of edge classes.
+    classes: usize,
+}
+
+/// One join-side pattern of an [`EmitPlan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PlanPattern {
+    pid: PatternId,
+    /// Rank among the index's live patterns: where the pass holds its
+    /// useful sets.
+    position: u32,
+    /// Its edges: `edges[first..first + count]`, in requested-list order.
+    first: u32,
+    count: u32,
+}
+
+/// One requested edge of an [`EmitPlan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PlanEdge {
+    /// Its path: `paths[start..start + len]`. Empty when the edge's ends
+    /// are not ancestor and descendant (such an edge has no pairs).
+    start: u32,
+    len: u32,
+    class: u32,
+}
+
+/// What makes two `(pattern, edge)` members' rows interchangeable (see
+/// [`EmitPlan`]).
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct ClassKey<'p> {
+    var1: Symbol,
+    var2: Symbol,
+    source1: &'p NodeSource,
+    source2: &'p NodeSource,
+    /// Axis and test of each path node below the ancestor end; `None` for
+    /// an edge without a path, which gets a class of its own.
+    steps: Option<Vec<(Axis, &'p NodeTest)>>,
+    /// The shards the rows are routed to (empty: the one in-thread consumer).
+    shards: Vec<usize>,
+}
+
+impl EmitPlan {
+    /// Compile the plan for the live patterns of `index` from `lists`. The
+    /// one place Stage 1's emission allocates.
+    fn compile(
+        index: &PatternIndex,
+        lists: &HashMap<PatternId, Vec<RequestedEdge>>,
+        router: Option<&WitnessRouter>,
+    ) -> Self {
+        let mut plan = EmitPlan {
+            generation: index.generation(),
+            patterns: Vec::new(),
+            edges: Vec::new(),
+            paths: Vec::new(),
+            classes: 0,
+        };
+        let mut classes: HashMap<ClassKey<'_>, u32> = HashMap::new();
+        for (position, (pid, pattern)) in (0u32..).zip(index.patterns()) {
+            let Some(list) = lists.get(&pid) else {
+                continue;
+            };
+            let matcher = PatternMatcher::new(pattern);
+            plan.patterns.push(PlanPattern {
+                pid,
+                position,
+                first: plan.edges.len() as u32,
+                count: list.len() as u32,
+            });
+            for requested in list {
+                let path = matcher.path(requested.edge.0, requested.edge.1);
+                let start = plan.paths.len() as u32;
+                plan.paths.extend(path.iter().flatten());
+                let steps = path.map(|path| {
+                    let step = |id: &PatternNodeId| {
+                        let node = pattern.node(*id);
+                        (node.axis(), node.test())
+                    };
+                    path.iter().skip(1).map(step).collect()
+                });
+                let key = ClassKey {
+                    var1: requested.var1,
+                    var2: requested.var2,
+                    source1: &requested.source1,
+                    source2: &requested.source2,
+                    shards: router.map_or_else(Vec::new, |r| r.edge_shards(pid, requested.edge)),
+                    steps,
+                };
+                let fresh = plan.classes as u32;
+                let class = match key.steps {
+                    Some(_) => *classes.entry(key).or_insert(fresh),
+                    None => fresh,
+                };
+                plan.classes += usize::from(class == fresh);
+                plan.edges.push(PlanEdge {
+                    start,
+                    len: plan.paths.len() as u32 - start,
+                    class,
+                });
+            }
+        }
+        plan
+    }
+}
+
 /// Check every live pattern's requested edges against the pattern: the
 /// cached symbols must be the interner's symbols of the edge's variables,
 /// and the sources must follow the node tests. Read-only (looks symbols up,
@@ -137,6 +380,36 @@ pub(crate) fn audit_requested_symbols(
             }
         }
     }
+}
+
+/// Check a live emission plan — one compiled for the index's current
+/// generation — against a fresh compile from the lists and, in the sharded
+/// front, the router's shard sets. A plan for an older generation is not
+/// live: the next document recompiles it.
+pub(crate) fn audit_emit_plan(
+    index: &PatternIndex,
+    requested: &RequestedEdges,
+    router: Option<&WitnessRouter>,
+    out: &mut Vec<AuditViolation>,
+) {
+    let Some(plan) = requested
+        .plan
+        .as_ref()
+        .filter(|plan| plan.generation == index.generation())
+    else {
+        return;
+    };
+    let fresh = EmitPlan::compile(index, &requested.lists, router);
+    let reason = if plan.patterns != fresh.patterns {
+        "its patterns, positions or edge counts"
+    } else if plan.edges.len() != fresh.edges.len() || plan.paths != fresh.paths {
+        "its edge paths"
+    } else if plan != &fresh {
+        "its edge classes"
+    } else {
+        return;
+    };
+    out.push(AuditViolation::EmitPlan { reason });
 }
 
 /// One Stage-1 witness row: document nodes `(node1, node2)` bound to the
@@ -179,9 +452,14 @@ pub struct Subscriptions<'a> {
     /// Every live pattern, join-side and single-block alike (mutable because
     /// the shared automaton is compiled lazily after registration churn).
     pub index: &'a mut PatternIndex,
-    /// The requested edges of the join-side patterns. Patterns without an
-    /// entry (single-block subscriptions) produce no witness rows.
-    pub requested: &'a RequestedEdges,
+    /// The requested edges of the join-side patterns (mutable because the
+    /// emission plan is compiled lazily too). Patterns without an entry
+    /// (single-block subscriptions) produce no witness rows.
+    pub requested: &'a mut RequestedEdges,
+    /// Where the rows go: the sharded front's router, whose per-edge shard
+    /// sets are part of the edge classes; `None` when one consumer ingests
+    /// every row.
+    pub router: Option<&'a WitnessRouter>,
     /// The single-block subscriptions, in ascending query-id order.
     pub singles: Vec<SingleBlock<'a>>,
 }
@@ -192,35 +470,168 @@ pub struct DocumentMatches {
     /// The witness rows of every matching join-side pattern: ascending
     /// pattern id, then requested-edge order, then the matcher's pair order.
     /// Not deduplicated — patterns sharing canonical variables repeat rows,
-    /// and ingest keeps the first.
+    /// and ingest keeps the first — except that a `(pattern, edge)` whose
+    /// pairs would all repeat an earlier member of its edge class is not
+    /// enumerated at all (see [`suppressed`](Self::suppressed)).
     pub rows: Vec<WitnessRow>,
     /// The single-block subscriptions' matches, one per witness.
     pub singles: Vec<MatchOutput>,
+    /// `(pattern, edge)` members whose enumeration was skipped: an earlier
+    /// member of the same edge class had the same useful sets on every path
+    /// node, so every row they would emit is a row every consumer already
+    /// ingests for this document.
+    pub suppressed: usize,
+}
+
+/// The front's pooled per-document buffers, kept warm by the caller: the
+/// automaton pass, the chain-composition stamps and the per-document edge
+/// class table. With a warm scratch a document allocates nothing for its
+/// witness rows beyond their growth.
+#[derive(Debug, Default)]
+pub struct MatchScratch {
+    pass: SharedPass,
+    chain: ChainScratch,
+    classes: ClassTable,
+}
+
+/// Which `(pattern, edge)` members emitted in the current document, per
+/// edge class: a linked list through `emitters`, valid for a class while
+/// its stamp equals the document generation.
+#[derive(Debug, Default)]
+struct ClassTable {
+    document: u32,
+    /// Per class: the document generation of its latest emitter.
+    stamp: Vec<u32>,
+    /// Per class: its latest emitter, an index into `emitters`.
+    head: Vec<u32>,
+    emitters: Vec<Emitter>,
+}
+
+/// A `(pattern, edge)` member that emitted in the current document.
+#[derive(Debug, Clone, Copy)]
+struct Emitter {
+    /// Index into the plan's patterns.
+    pattern: u32,
+    /// Index into the plan's edges.
+    edge: u32,
+    /// The class's previous emitter, or `u32::MAX`.
+    next: u32,
+}
+
+impl ClassTable {
+    /// Start a document over a plan with `classes` edge classes.
+    fn begin(&mut self, classes: usize) {
+        if self.document == u32::MAX {
+            self.stamp.fill(0);
+            self.document = 0;
+        }
+        self.document += 1;
+        if self.stamp.len() < classes {
+            self.stamp.resize(classes, 0);
+            self.head.resize(classes, u32::MAX);
+        }
+        self.emitters.clear();
+    }
+
+    /// The latest emitter of `class` in this document, if any.
+    fn latest(&self, class: u32) -> Option<Emitter> {
+        let c = class as usize;
+        (self.stamp[c] == self.document).then(|| self.emitters[self.head[c] as usize])
+    }
+
+    /// The emitter before `emitter` in its class, if any.
+    fn before(&self, emitter: Emitter) -> Option<Emitter> {
+        self.emitters.get(emitter.next as usize).copied()
+    }
+
+    fn record(&mut self, class: u32, pattern: u32, edge: u32) {
+        let c = class as usize;
+        let next = if self.stamp[c] == self.document {
+            self.head[c]
+        } else {
+            u32::MAX
+        };
+        self.stamp[c] = self.document;
+        self.head[c] = self.emitters.len() as u32;
+        self.emitters.push(Emitter {
+            pattern,
+            edge,
+            next,
+        });
+    }
 }
 
 /// Run Stage 1 over one (already stamped) document into `out` (cleared
 /// first): one shared automaton pass, then the requested-edge node pairs of
-/// every matching join-side pattern and the matches of every single-block
-/// subscription. `pass` and `out` are caller-owned buffers; kept warm, a
-/// document allocates nothing for self and adjacent edges.
+/// every matching join-side pattern, read off the compiled emission plan,
+/// and the matches of every single-block subscription.
 pub fn match_document(
     subs: &mut Subscriptions<'_>,
     doc: &Document,
-    pass: &mut SharedPass,
+    scratch: &mut MatchScratch,
     retain_documents: bool,
     out: &mut DocumentMatches,
 ) {
-    subs.index.shared_pass_reusing(doc, pass);
+    subs.index.shared_pass_reusing(doc, &mut scratch.pass);
     out.rows.clear();
     out.singles.clear();
-    for (pid, pattern) in subs.index.patterns() {
-        let (Some(edges), Some(useful)) = (subs.requested.get(&pid), matched(pass, pid)) else {
+    let plan = subs.requested.plan(subs.index, subs.router);
+    emit_rows(plan, subs.index, doc, scratch, out);
+    emit_singles(&subs.singles, doc, &scratch.pass, retain_documents, out);
+}
+
+/// The witness rows of one document, pattern by pattern in plan order,
+/// skipping every `(pattern, edge)` whose pairs an earlier member of its
+/// class already emitted.
+fn emit_rows(
+    plan: &EmitPlan,
+    index: &PatternIndex,
+    doc: &Document,
+    scratch: &mut MatchScratch,
+    out: &mut DocumentMatches,
+) {
+    let MatchScratch {
+        pass,
+        chain,
+        classes,
+    } = scratch;
+    classes.begin(plan.classes);
+    out.suppressed = 0;
+    let useful_of = |pattern: &PlanPattern| {
+        pass.useful_at(pattern.position as usize, pattern.pid)
+            .filter(|useful| useful.first().is_some_and(|roots| !roots.is_empty()))
+    };
+    let path_of =
+        |edge: &PlanEdge| &plan.paths[edge.start as usize..(edge.start + edge.len) as usize];
+    for (p, pattern) in (0u32..).zip(&plan.patterns) {
+        let Some(useful) = useful_of(pattern) else {
             continue;
         };
-        let matcher = PatternMatcher::new(pattern);
-        for (edge, requested) in (0u32..).zip(edges) {
-            let (ancestor, descendant) = requested.edge;
-            matcher.for_each_pair(doc, useful, ancestor, descendant, |node1, node2| {
+        let matcher = PatternMatcher::new(index.pattern(pattern.pid));
+        for edge in 0..pattern.count {
+            let e = pattern.first + edge;
+            let planned = &plan.edges[e as usize];
+            let path = path_of(planned);
+            let mut earlier = classes.latest(planned.class);
+            while let Some(emitter) = earlier {
+                let other = useful_of(&plan.patterns[emitter.pattern as usize]);
+                let other_path = path_of(&plan.edges[emitter.edge as usize]);
+                let same = other.is_some_and(|other| {
+                    path.iter()
+                        .zip(other_path)
+                        .all(|(a, b)| useful[a.index()] == other[b.index()])
+                });
+                if same {
+                    break;
+                }
+                earlier = classes.before(emitter);
+            }
+            if earlier.is_some() {
+                out.suppressed += 1;
+                continue;
+            }
+            let pid = pattern.pid;
+            matcher.for_each_path_pair(doc, useful, path, chain, |node1, node2| {
                 out.rows.push(WitnessRow {
                     pid,
                     edge,
@@ -228,10 +639,24 @@ pub fn match_document(
                     node2,
                 });
             });
+            classes.record(planned.class, p, e);
         }
     }
-    for single in &subs.singles {
-        let Some(useful) = matched(pass, single.pid) else {
+}
+
+/// The matches of every single-block subscription, read off the pass.
+fn emit_singles(
+    singles: &[SingleBlock<'_>],
+    doc: &Document,
+    pass: &SharedPass,
+    retain_documents: bool,
+    out: &mut DocumentMatches,
+) {
+    for single in singles {
+        let Some(useful) = pass
+            .useful(single.pid)
+            .filter(|useful| useful.first().is_some_and(|roots| !roots.is_empty()))
+        else {
             continue;
         };
         for witness in PatternMatcher::new(single.pattern).witnesses_from_useful(doc, useful) {
@@ -256,18 +681,11 @@ pub fn match_document(
     }
 }
 
-/// A pattern's useful sets, if the pass found at least one complete witness
-/// (a non-empty root set).
-fn matched(pass: &SharedPass, pid: PatternId) -> Option<&[Vec<NodeId>]> {
-    pass.useful(pid)
-        .filter(|useful| useful.first().is_some_and(|roots| !roots.is_empty()))
-}
-
 /// The in-thread front's buffers, owned by the engine and kept warm across
 /// batches.
 #[derive(Debug, Default)]
 pub(crate) struct FrontScratch {
-    pass: SharedPass,
+    matching: MatchScratch,
     matches: DocumentMatches,
     ingest: IngestScratch,
 }
@@ -281,8 +699,10 @@ pub(crate) struct Stage1Batch {
     pub(crate) singles: Vec<MatchOutput>,
     /// Time spent in witness ingest (the rest of the call is matching).
     pub(crate) ingest: Duration,
-    /// Node pairs read off the useful sets, before the per-document dedup.
+    /// Node pairs the front emitted, before the per-document dedup.
     pub(crate) pairs: usize,
+    /// `(pattern, edge)` enumerations the edge classes skipped.
+    pub(crate) suppressed: usize,
 }
 
 /// Stage 1 plus witness ingest over a run of stamped documents, for callers
@@ -299,12 +719,14 @@ pub(crate) fn evaluate_batch(
         singles: Vec::new(),
         ingest: Duration::ZERO,
         pairs: 0,
+        suppressed: 0,
     };
     let matches = &mut scratch.matches;
     for doc in docs {
-        match_document(subs, doc, &mut scratch.pass, retain_documents, matches);
+        match_document(subs, doc, &mut scratch.matching, retain_documents, matches);
         out.singles.append(&mut matches.singles);
         out.pairs += matches.rows.len();
+        out.suppressed += matches.suppressed;
         let t_ingest = Instant::now();
         out.batch.ingest_document(
             doc,

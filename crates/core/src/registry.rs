@@ -380,7 +380,7 @@ impl Registry {
         Registry {
             interner,
             pattern_index: PatternIndex::new(),
-            requested_edges: HashMap::new(),
+            requested_edges: RequestedEdges::new(),
             edge_refs: HashMap::new(),
             var_refs: HashMap::new(),
             catalog: TemplateCatalog::new(),
@@ -688,7 +688,7 @@ impl Registry {
         };
         if self.pattern_index.unregister(pid) {
             effects.patterns_dropped += 1;
-            self.requested_edges.remove(&pid);
+            self.requested_edges.remove(pid);
             self.edge_refs.remove(&pid);
             for sym in vars {
                 if let Some(count) = self.var_refs.get_mut(&sym) {
@@ -712,14 +712,14 @@ impl Registry {
         // the edge on — not the registrant's copy.
         let indexed = self.pattern_index.pattern(pid);
         let counts = self.edge_refs.entry(pid).or_default();
-        let list = self.requested_edges.entry(pid).or_default();
         for &edge in edges {
             let count = counts.entry(edge).or_insert(0);
             *count += 1;
-            if *count == 1 && !list.iter().any(|r| r.edge == edge) {
-                list.push(RequestedEdge::resolve(indexed, edge, &self.interner).ok_or(
+            if *count == 1 && !self.requested_edges.has_edge(pid, edge) {
+                let resolved = RequestedEdge::resolve(indexed, edge, &self.interner).ok_or(
                     CoreError::internal("requested edge ends carry canonical variables"),
-                )?);
+                )?;
+                self.requested_edges.push(pid, resolved);
             }
         }
         Ok(())
@@ -739,9 +739,7 @@ impl Registry {
                     *count -= 1;
                     if *count == 0 {
                         counts.remove(edge);
-                        if let Some(list) = self.requested_edges.get_mut(&pid) {
-                            list.retain(|r| r.edge != *edge);
-                        }
+                        self.requested_edges.remove_edge(pid, *edge);
                     }
                 }
             }
@@ -904,7 +902,8 @@ impl Registry {
             .collect();
         Subscriptions {
             index: &mut self.pattern_index,
-            requested: &self.requested_edges,
+            requested: &mut self.requested_edges,
+            router: None,
             singles,
         }
     }
@@ -1099,6 +1098,7 @@ impl Registry {
             &self.interner,
             out,
         );
+        front::audit_emit_plan(&self.pattern_index, &self.requested_edges, None, out);
 
         // Canonical-variable refcounts: one count per *distinct* live
         // pattern binding the variable.
@@ -1484,9 +1484,9 @@ mod tests {
             0,
         )
         .unwrap();
-        let total_edges: usize = r.requested_edges().values().map(|v| v.len()).sum();
+        let total_edges: usize = r.requested_edges().iter().map(|(_, v)| v.len()).sum();
         assert_eq!(total_edges, 2); // one self edge per pattern
-        for edges in r.requested_edges().values() {
+        for (_, edges) in r.requested_edges().iter() {
             for requested in edges {
                 assert_eq!(requested.edge.0, requested.edge.1);
             }
@@ -1494,7 +1494,7 @@ mod tests {
         // Q1 adds real structural edges.
         r.register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
             .unwrap();
-        let q1_edges: usize = r.requested_edges().values().map(|v| v.len()).sum();
+        let q1_edges: usize = r.requested_edges().iter().map(|(_, v)| v.len()).sum();
         assert_eq!(q1_edges, 2 + 4);
     }
 
@@ -1764,7 +1764,7 @@ mod tests {
         let mut r = registry();
         r.register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
             .unwrap();
-        for (pid, edges) in r.requested_edges() {
+        for (pid, edges) in r.requested_edges().iter() {
             let pattern = r.pattern_index().pattern(*pid);
             for requested in edges {
                 let var = |id: PatternNodeId| pattern.node(id).variable().unwrap();
@@ -1778,7 +1778,7 @@ mod tests {
 
         // Seed a stale symbol: the witness rows of that edge would carry the
         // wrong variable, and the audit must say which edge.
-        let (&pid, edges) = r.requested_edges.iter_mut().next().unwrap();
+        let (&pid, edges) = r.requested_edges.lists_mut().next().unwrap();
         let stale = &mut edges[0];
         stale.var2 = Symbol::from_raw(stale.var2.raw() + 1_000);
         let edge = (stale.edge.0.raw(), stale.edge.1.raw());
@@ -1789,6 +1789,35 @@ mod tests {
             vec![AuditViolation::RequestedEdgeSymbols {
                 pattern: pid.raw(),
                 edge
+            }]
+        );
+    }
+
+    #[test]
+    fn audit_checks_the_live_emit_plan() {
+        let mut r = registry();
+        for q in [Q1, Q2] {
+            r.register(parse_query(q).unwrap(), ProcessingMode::Mmqjp, 0)
+                .unwrap();
+        }
+        // Both book patterns request (book, author) and match this book the
+        // same way: the second enumeration is suppressed.
+        let book = mmqjp_xml::rss::book_announcement(&["A", "B"], "T", &["C"], "P", "1");
+        let mut matches = front::DocumentMatches::default();
+        let mut scratch = front::MatchScratch::default();
+        front::match_document(&mut r.stage1(), &book, &mut scratch, false, &mut matches);
+        assert!(matches.suppressed > 0);
+        assert!(!matches.rows.is_empty());
+        let mut out = Vec::new();
+        r.audit(&mut out);
+        assert!(out.is_empty(), "healthy registry reported: {out:?}");
+
+        assert!(r.requested_edges.merge_plan_classes());
+        r.audit(&mut out);
+        assert_eq!(
+            out,
+            vec![AuditViolation::EmitPlan {
+                reason: "its edge classes"
             }]
         );
     }

@@ -333,9 +333,9 @@ pub struct RoutedBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::front::{match_document, DocumentMatches, Edge, Subscriptions};
+    use crate::front::{match_document, DocumentMatches, Edge, MatchScratch, Subscriptions};
     use mmqjp_xml::{rss, DocumentBuilder};
-    use mmqjp_xpath::{parse_pattern, PatternIndex, SharedPass, TreePattern};
+    use mmqjp_xpath::{parse_pattern, PatternIndex, TreePattern};
 
     fn d1() -> Document {
         rss::book_announcement(
@@ -374,19 +374,20 @@ mod tests {
                 RequestedEdge::resolve(pattern, edge, &interner).unwrap()
             })
             .collect();
-        let requested = RequestedEdges::from([(pid, resolved)]);
+        let mut requested = RequestedEdges::from_iter([(pid, resolved)]);
         let mut subs = Subscriptions {
             index: &mut index,
-            requested: &requested,
+            requested: &mut requested,
+            router: None,
             singles: Vec::new(),
         };
-        let (mut pass, mut matches) = (SharedPass::default(), DocumentMatches::default());
+        let (mut matching, mut matches) = (MatchScratch::default(), DocumentMatches::default());
         let mut scratch = IngestScratch::default();
         let mut batch = WitnessBatch::new();
         for doc in docs {
-            match_document(&mut subs, doc, &mut pass, false, &mut matches);
+            match_document(&mut subs, doc, &mut matching, false, &mut matches);
             batch
-                .ingest_document(doc, &matches.rows, &requested, &interner, &mut scratch)
+                .ingest_document(doc, &matches.rows, subs.requested, &interner, &mut scratch)
                 .unwrap();
         }
         (batch, interner)

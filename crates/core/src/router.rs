@@ -120,6 +120,18 @@ impl WitnessRouter {
             .unwrap_or_default()
     }
 
+    /// The shards subscribed to `edge` of `pattern`, ascending: the
+    /// consumers of that edge's rows.
+    pub(crate) fn edge_shards(&self, pattern: PatternId, edge: Edge) -> Vec<usize> {
+        self.subs.get(&pattern).map_or_else(Vec::new, |shards| {
+            shards
+                .iter()
+                .filter(|(_, subs)| subs.refs.contains_key(&edge))
+                .map(|(&shard, _)| shard)
+                .collect()
+        })
+    }
+
     /// Route one document's Stage-1 rows into per-shard witness batches
     /// (one batch slot per shard, `batches.len()` == shard count). Every
     /// batch receives the document's ledger row; a row goes only to the
@@ -169,9 +181,9 @@ impl WitnessRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::front::{self, DocumentMatches, Subscriptions};
+    use crate::front::{self, DocumentMatches, MatchScratch, Subscriptions};
     use mmqjp_xml::{rss, DocId, Timestamp};
-    use mmqjp_xpath::{PatternIndex, SharedPass, TreePattern};
+    use mmqjp_xpath::{PatternIndex, TreePattern};
 
     fn d1() -> Document {
         rss::book_announcement(
@@ -211,18 +223,21 @@ mod tests {
                 .map(|&e| RequestedEdge::resolve(p, e, &interner));
             resolved.collect::<Option<_>>().unwrap()
         };
-        let requested =
-            RequestedEdges::from([(pid1, resolve(&p1, &edges1)), (pid2, resolve(&p2, &edges2))]);
+        let mut requested = RequestedEdges::from_iter([
+            (pid1, resolve(&p1, &edges1)),
+            (pid2, resolve(&p2, &edges2)),
+        ]);
         let mut subs = Subscriptions {
             index: &mut index,
-            requested: &requested,
+            requested: &mut requested,
+            router: Some(&router),
             singles: Vec::new(),
         };
         let mut matches = DocumentMatches::default();
         front::match_document(
             &mut subs,
             &doc,
-            &mut SharedPass::default(),
+            &mut MatchScratch::default(),
             false,
             &mut matches,
         );

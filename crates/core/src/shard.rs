@@ -72,8 +72,8 @@ use crate::engine::MmqjpEngine;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultInjector, FaultKind, QuarantineRecord, WorkerFault};
 use crate::front::{
-    self, DocumentMatches, Edge, PoisonHandling, RequestedEdge, RequestedEdges, SingleBlock,
-    Subscriptions,
+    self, DocumentMatches, Edge, MatchScratch, PoisonHandling, RequestedEdge, RequestedEdges,
+    SingleBlock, Subscriptions,
 };
 use crate::output::{sort_matches, MatchOutput};
 use crate::recovery::{self, ReplayLog, RetainedQuery};
@@ -82,7 +82,7 @@ use crate::router::WitnessRouter;
 use crate::stats::EngineStats;
 use mmqjp_relational::StringInterner;
 use mmqjp_xml::{DocId, Document};
-use mmqjp_xpath::{PatternId, PatternIndex, SharedPass, TreePattern};
+use mmqjp_xpath::{PatternId, PatternIndex, TreePattern};
 use mmqjp_xscl::{QueryId, SelectClause, XsclQuery};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -155,6 +155,9 @@ enum FrontRequest {
     Sync {
         index: Box<PatternIndex>,
         requested: RequestedEdges,
+        /// The router's shard sets are part of the edge classes the
+        /// worker's emission plan is compiled with.
+        router: WitnessRouter,
         singles: Vec<FrontSingle>,
         reply: Sender<()>,
     },
@@ -232,8 +235,8 @@ struct FrontStage {
     /// Refcounts behind [`requested`](Self::requested).
     edge_refs: HashMap<PatternId, HashMap<Edge, usize>>,
     router: WitnessRouter,
-    /// The caller's automaton pass buffer, kept warm across batches.
-    pass: SharedPass,
+    /// The caller's matching buffers, kept warm across batches.
+    matching: MatchScratch,
     /// Pooled dedup sets of the routing ingest.
     ingest: IngestScratch,
     /// Single-block subscriptions in ascending global-id order (the order a
@@ -399,10 +402,10 @@ impl ShardedEngine {
         let front = FrontStage {
             workers,
             index: PatternIndex::default(),
-            requested: HashMap::new(),
+            requested: RequestedEdges::new(),
             edge_refs: HashMap::new(),
             router: WitnessRouter::new(),
-            pass: SharedPass::default(),
+            matching: MatchScratch::default(),
             ingest: IngestScratch::default(),
             singles: Vec::new(),
             footprints: HashMap::new(),
@@ -1041,6 +1044,7 @@ impl ShardedEngine {
         // Global requested-edge union, its refcounts and its cached symbols.
         crate::registry::audit_edge_tables(&edge_expected, &front.edge_refs, &front.requested, out);
         crate::front::audit_requested_symbols(&front.index, &front.requested, &self.interner, out);
+        crate::front::audit_emit_plan(&front.index, &front.requested, Some(&front.router), out);
 
         // Router table: per (pattern, shard), the refcounted edge set and
         // its first-subscription-order list mirror the footprints.
@@ -1142,20 +1146,22 @@ impl ShardedEngine {
             let pid = front.index.register(pattern);
             let pattern = front.index.pattern(pid);
             let refs = front.edge_refs.entry(pid).or_default();
-            let list = front.requested.entry(pid).or_default();
             for &edge in &edges {
                 let count = refs.entry(edge).or_insert(0);
                 if *count == 0 {
                     // First request of this edge: resolve it once, here.
-                    list.push(RequestedEdge::resolve(pattern, edge, &self.interner).ok_or(
+                    let requested = RequestedEdge::resolve(pattern, edge, &self.interner).ok_or(
                         CoreError::internal("requested edge ends carry canonical variables"),
-                    )?);
+                    )?;
+                    front.requested.push(pid, requested);
                 }
                 *count += 1;
             }
             front.router.subscribe(shard, pid, &edges);
             resolved.push((pid, edges));
         }
+        // The shard sets are part of the edge classes.
+        front.requested.invalidate_plan();
         let single = footprint.single.map(|(pattern, publish, select)| {
             // The single's pattern joins the master index like any join
             // pattern (deduplicated by signature, refcounted), so one
@@ -1196,9 +1202,6 @@ impl ShardedEngine {
             let refs = front.edge_refs.get_mut(pid).ok_or(CoreError::internal(
                 "a subscribed pattern has edge refcounts",
             ))?;
-            let list = front.requested.get_mut(pid).ok_or(CoreError::internal(
-                "a subscribed pattern has requested edges",
-            ))?;
             for edge in edges {
                 let count = refs
                     .get_mut(edge)
@@ -1206,15 +1209,16 @@ impl ShardedEngine {
                 *count -= 1;
                 if *count == 0 {
                     refs.remove(edge);
-                    list.retain(|r| r.edge != *edge);
+                    front.requested.remove_edge(*pid, *edge);
                 }
             }
             if refs.is_empty() {
                 front.edge_refs.remove(pid);
-                front.requested.remove(pid);
+                front.requested.remove(*pid);
             }
             front.index.unregister(*pid);
         }
+        front.requested.invalidate_plan();
         if let Some(pid) = footprint.single {
             front.singles.retain(|s| s.global != global);
             front.index.unregister(pid);
@@ -1294,8 +1298,13 @@ impl ShardedEngine {
         }
         // Party 0 matches on this thread while the spawned parties match
         // theirs: no snapshot, no channel, no unwinding boundary.
-        let mut subs = subscriptions(&mut front.index, &front.requested, &front.singles);
-        let chunk = match_slice(&mut subs, own, &mut front.pass, retain_documents);
+        let mut subs = subscriptions(
+            &mut front.index,
+            &mut front.requested,
+            &front.router,
+            &front.singles,
+        );
+        let chunk = match_slice(&mut subs, own, &mut front.matching, retain_documents);
         let mut match_work = chunk.elapsed;
         let mut matched = chunk.docs;
         for (party, response, retry) in pending {
@@ -1344,6 +1353,7 @@ impl ShardedEngine {
         let mut routed_rows = 0usize;
         for doc in matched {
             front.stats.stage1_pairs += doc.matches.rows.len();
+            front.stats.stage1_edges_suppressed += doc.matches.suppressed;
             routed_rows += front.router.route_document(
                 &doc.doc,
                 &doc.matches.rows,
@@ -1631,6 +1641,7 @@ impl FrontStage {
             .send(FrontRequest::Sync {
                 index: Box::new(self.index.clone()),
                 requested: self.requested.clone(),
+                router: self.router.clone(),
                 singles: self.singles.clone(),
                 reply,
             })
@@ -1659,12 +1670,14 @@ impl FrontStage {
 /// requested edges and the single-block subscriptions.
 fn subscriptions<'a>(
     index: &'a mut PatternIndex,
-    requested: &'a RequestedEdges,
+    requested: &'a mut RequestedEdges,
+    router: &'a WitnessRouter,
     singles: &'a [FrontSingle],
 ) -> Subscriptions<'a> {
     Subscriptions {
         index,
         requested,
+        router: Some(router),
         singles: singles
             .iter()
             .map(|s| SingleBlock {
@@ -1684,7 +1697,7 @@ fn subscriptions<'a>(
 fn match_slice(
     subs: &mut Subscriptions<'_>,
     docs: Vec<Document>,
-    pass: &mut SharedPass,
+    scratch: &mut MatchScratch,
     retain_documents: bool,
 ) -> MatchedChunk {
     let t0 = Instant::now();
@@ -1692,7 +1705,7 @@ fn match_slice(
         .into_iter()
         .map(|doc| {
             let mut matches = DocumentMatches::default();
-            front::match_document(subs, &doc, pass, retain_documents, &mut matches);
+            front::match_document(subs, &doc, scratch, retain_documents, &mut matches);
             MatchedDoc { doc, matches }
         })
         .collect();
@@ -1857,20 +1870,23 @@ fn shard_worker(
 fn front_worker(retain_documents: bool, requests: Receiver<FrontRequest>) {
     let mut index = PatternIndex::default();
     let mut requested = RequestedEdges::new();
+    let mut router = WitnessRouter::new();
     let mut singles: Vec<FrontSingle> = Vec::new();
-    // Worker-lifetime pass buffer: the shared automaton pass allocates
-    // nothing per document once warm.
-    let mut pass = SharedPass::default();
+    // Worker-lifetime matching buffers: a document allocates nothing for
+    // its pass or its rows' enumeration once warm.
+    let mut matching = MatchScratch::default();
     while let Ok(request) = requests.recv() {
         match request {
             FrontRequest::Sync {
                 index: new_index,
                 requested: new_requested,
+                router: new_router,
                 singles: new_singles,
                 reply,
             } => {
                 index = *new_index;
                 requested = new_requested;
+                router = new_router;
                 singles = new_singles;
                 let _ = reply.send(());
             }
@@ -1884,8 +1900,8 @@ fn front_worker(retain_documents: bool, requests: Receiver<FrontRequest>) {
                         // lint:allow deliberate injected fault, contained by catch_unwind below
                         panic!("injected fault: front worker panic");
                     }
-                    let mut subs = subscriptions(&mut index, &requested, &singles);
-                    match_slice(&mut subs, docs, &mut pass, retain_documents)
+                    let mut subs = subscriptions(&mut index, &mut requested, &router, &singles);
+                    match_slice(&mut subs, docs, &mut matching, retain_documents)
                 }));
                 match caught {
                     Ok(chunk) => {
@@ -2073,7 +2089,7 @@ mod tests {
     fn front_audit_detects_stale_requested_edge_symbols() {
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2));
         assert!(e.audit().unwrap().is_empty());
-        let (&pid, edges) = e.front.requested.iter_mut().next().unwrap();
+        let (&pid, edges) = e.front.requested.lists_mut().next().unwrap();
         edges[0].var1 = mmqjp_relational::Symbol::from_raw(edges[0].var1.raw() + 1_000);
         let edge = (edges[0].edge.0.raw(), edges[0].edge.1.raw());
         let violations = e.audit().unwrap();
@@ -2083,6 +2099,20 @@ mod tests {
                 edge
             }),
             "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn front_audit_checks_the_live_emit_plan() {
+        let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2));
+        e.process_document(d1()).unwrap();
+        assert!(e.audit().unwrap().is_empty());
+        assert!(e.front.requested.merge_plan_classes());
+        assert_eq!(
+            e.audit().unwrap(),
+            vec![AuditViolation::EmitPlan {
+                reason: "its edge classes"
+            }]
         );
     }
 

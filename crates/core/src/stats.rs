@@ -180,16 +180,24 @@ pub struct EngineStats {
     /// columns. A join step whose every probing row found exactly one
     /// partner, in order, copies none.
     pub join_ids_moved: usize,
-    /// Stage-1 node pairs read off the automaton's useful sets — one per
-    /// requested edge binding of every matching join-side pattern, before
+    /// Stage-1 node pairs the front emitted — one per requested edge
+    /// binding of every matching join-side pattern whose enumeration was
+    /// not suppressed (see
+    /// [`stage1_edges_suppressed`](Self::stage1_edges_suppressed)), before
     /// the per-document dedup.
     pub stage1_pairs: usize,
     /// `RbinW` rows kept after the per-document dedup. Patterns of different
-    /// queries share canonical variables, so many pairs collapse into one
-    /// row: [`stage1_pairs`](Self::stage1_pairs) ÷ `stage1_rows` is Stage 1's
-    /// sharing factor. Sharded, rows are deduplicated per shard and summed
-    /// over the shards they are routed to.
+    /// queries share canonical variables, so pairs still repeat across edge
+    /// classes and across members whose useful sets differ:
+    /// [`stage1_pairs`](Self::stage1_pairs) ÷ `stage1_rows` is the
+    /// enumeration Stage 1 still wastes. Sharded, rows are deduplicated per
+    /// shard and summed over the shards they are routed to.
     pub stage1_rows: usize,
+    /// `(pattern, edge)` enumerations the front skipped because an earlier
+    /// member of the same edge class had, in that document, the same useful
+    /// sets on every path node: its pairs would all have been repeats that
+    /// ingest drops.
+    pub stage1_edges_suppressed: usize,
     /// Documents parsed and Stage-1-evaluated exactly once by the front
     /// stage of [`ShardedEngine`](crate::ShardedEngine); equal to the number
     /// of documents it ingested. Zero for single engines.
@@ -291,6 +299,7 @@ impl AddAssign for EngineStats {
         self.join_ids_moved += rhs.join_ids_moved;
         self.stage1_pairs += rhs.stage1_pairs;
         self.stage1_rows += rhs.stage1_rows;
+        self.stage1_edges_suppressed += rhs.stage1_edges_suppressed;
         self.docs_parsed_once += rhs.docs_parsed_once;
         self.witnesses_routed += rhs.witnesses_routed;
         self.pipeline_stalls += rhs.pipeline_stalls;
@@ -397,6 +406,7 @@ mod tests {
             join_ids_moved: 32,
             stage1_pairs: 29,
             stage1_rows: 30,
+            stage1_edges_suppressed: 35,
             docs_parsed_once: 17,
             witnesses_routed: 18,
             pipeline_stalls: 19,
@@ -442,6 +452,7 @@ mod tests {
             join_ids_moved: 320,
             stage1_pairs: 290,
             stage1_rows: 300,
+            stage1_edges_suppressed: 350,
             docs_parsed_once: 170,
             witnesses_routed: 180,
             pipeline_stalls: 190,
@@ -487,6 +498,7 @@ mod tests {
         assert_eq!(s.join_ids_moved, 352);
         assert_eq!(s.stage1_pairs, 319);
         assert_eq!(s.stage1_rows, 330);
+        assert_eq!(s.stage1_edges_suppressed, 385);
         assert_eq!(s.docs_parsed_once, 187);
         assert_eq!(s.witnesses_routed, 198);
         assert_eq!(s.pipeline_stalls, 209);

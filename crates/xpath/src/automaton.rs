@@ -439,6 +439,14 @@ impl SharedPass {
         Some(&self.sets[base as usize..(base + len) as usize])
     }
 
+    /// [`useful`](Self::useful) without the search: the useful sets of the
+    /// pattern at `position` in this pass (its rank among the compiled
+    /// patterns, ascending id), provided that pattern is `id`.
+    pub fn useful_at(&self, position: usize, id: PatternId) -> Option<&[Vec<NodeId>]> {
+        let &(key, base, len) = self.index.get(position)?;
+        (key == id).then(|| &self.sets[base as usize..(base + len) as usize])
+    }
+
     /// Number of patterns evaluated.
     pub fn len(&self) -> usize {
         self.index.len()

@@ -86,6 +86,9 @@ pub struct PatternIndex {
     /// [`shared_pass_reusing`](PatternIndex::shared_pass_reusing) calls
     /// allocate nothing beyond result growth.
     scratch: AutomatonScratch,
+    /// Bumped whenever the live pattern set changes (see
+    /// [`generation`](PatternIndex::generation)).
+    generation: u64,
 }
 
 impl PatternIndex {
@@ -116,6 +119,7 @@ impl PatternIndex {
         self.live += 1;
         self.by_signature.insert(sig, id);
         self.automaton = None;
+        self.generation += 1;
         id
     }
 
@@ -149,6 +153,7 @@ impl PatternIndex {
         self.root_tags[idx] = None;
         self.live -= 1;
         self.automaton = None;
+        self.generation += 1;
         true
     }
 
@@ -173,6 +178,16 @@ impl PatternIndex {
             .as_ref()
             // lint:allow documented contract: callers must not pass tombstoned ids
             .expect("pattern id refers to a dropped pattern")
+    }
+
+    /// A counter that changes whenever the live pattern set does (a new
+    /// pattern registered, a last registration released). Between two
+    /// changes every live pattern keeps its position — its rank in
+    /// [`patterns`](PatternIndex::patterns) order — in each [`SharedPass`]
+    /// the index produces, so a caller may compile those positions once and
+    /// read them with [`SharedPass::useful_at`] while the generation holds.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Iterate over live `(id, pattern)` pairs.

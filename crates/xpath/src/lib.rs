@@ -20,7 +20,7 @@
 //!   ([`EdgeBinding`]) behind the Join Processor's binary witness relations
 //!   (`RbinW` / `Rbin`). It is the reference the engines' Stage 1 is tested
 //!   against; the engines read node pairs off the shared automaton's useful
-//!   sets with [`PatternMatcher::for_each_pair`] instead.
+//!   sets with [`PatternMatcher::for_each_path_pair`] instead.
 //! * [`PatternIndex`] — the multi-query front end: registers the tree
 //!   patterns of many query blocks, de-duplicates structurally identical
 //!   patterns (the dominant source of sharing in pub/sub workloads) and
@@ -53,7 +53,7 @@ mod witness;
 pub use automaton::{AutomatonRun, AutomatonScratch, PatternAutomaton, SharedPass};
 pub use error::{XPathError, XPathResult};
 pub use index::{PatternId, PatternIndex, PatternIndexStats};
-pub use matcher::PatternMatcher;
+pub use matcher::{ChainScratch, PatternMatcher};
 pub use parser::{parse_path, parse_pattern};
 pub use pattern::{Axis, NodeTest, PatternNode, PatternNodeId, TreePattern};
 pub use witness::{binding_string_value, EdgeBinding, Witness, WitnessSet};

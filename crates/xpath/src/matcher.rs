@@ -22,6 +22,51 @@ use crate::witness::{EdgeBinding, Witness};
 use mmqjp_xml::{Document, NodeId};
 use std::collections::HashSet;
 
+/// Pooled visit stamps of [`PatternMatcher::for_each_path_pair`]'s chain
+/// composition: one `u32` per `(path level, document node)`, valid for the
+/// current ancestor binding when it equals the current generation. Kept
+/// warm by the caller, a chain allocates nothing once the stamps cover the
+/// largest `levels × nodes` seen.
+#[derive(Debug, Clone, Default)]
+pub struct ChainScratch {
+    stamps: Vec<u32>,
+    generation: u32,
+}
+
+impl ChainScratch {
+    /// Make room for `levels` path levels over a document of `nodes` nodes.
+    fn reserve(&mut self, levels: usize, nodes: usize) {
+        let needed = levels * nodes;
+        if self.stamps.len() < needed {
+            self.stamps.resize(needed, 0);
+        }
+    }
+
+    /// A generation no stamp carries yet. Stamps only ever hold past
+    /// generations, so on wrap-around they are all cleared.
+    fn next_generation(&mut self) -> u32 {
+        if self.generation == u32::MAX {
+            self.stamps.fill(0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+        self.generation
+    }
+}
+
+/// What the composition of one ancestor binding's chain reads, bundled for
+/// the recursion.
+struct ChainStep<'a> {
+    doc: &'a Document,
+    useful: &'a [Vec<NodeId>],
+    path: &'a [PatternNodeId],
+    /// Stamp row width: the document's node count.
+    nodes: usize,
+    /// The document node bound to `path[0]`.
+    ancestor: NodeId,
+    generation: u32,
+}
+
 /// Evaluates one [`TreePattern`] against documents.
 #[derive(Debug, Clone, Copy)]
 pub struct PatternMatcher<'p> {
@@ -51,7 +96,7 @@ impl<'p> PatternMatcher<'p> {
     /// Whether document nodes `(du, dv)` satisfy the axis relationship
     /// required between a pattern node and its child pattern node `child`.
     /// Inlinable across crates: the engines' front instantiates
-    /// [`for_each_pair`](Self::for_each_pair) and calls this once per
+    /// [`for_each_path_pair`](Self::for_each_path_pair) and calls this once per
     /// candidate pair.
     #[inline]
     fn axis_holds(doc: &Document, du: NodeId, dv: NodeId, child: &PatternNode) -> bool {
@@ -186,27 +231,100 @@ impl<'p> PatternMatcher<'p> {
         out
     }
 
-    /// The pairs of [`chain_pairs`](Self::chain_pairs), in the same order,
-    /// handed to `f` instead of collected: self edges and adjacent edges —
-    /// the edges Stage 1 requests almost always — allocate nothing; a
-    /// multi-step chain is composed first.
-    pub fn for_each_pair(
+    /// The pattern nodes from `ancestor` down to `descendant`, both ends
+    /// included, each the pattern parent of the next — the path
+    /// [`for_each_path_pair`](Self::for_each_path_pair) composes. `None`
+    /// when `ancestor` is neither `descendant` nor one of its ancestors.
+    pub fn path(
+        &self,
+        ancestor: PatternNodeId,
+        descendant: PatternNodeId,
+    ) -> Option<Vec<PatternNodeId>> {
+        let mut path = vec![descendant];
+        let mut cur = descendant;
+        while cur != ancestor {
+            cur = self.pattern.node(cur).parent()?;
+            path.push(cur);
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// The pairs of [`chain_pairs`](Self::chain_pairs) for the edge between
+    /// the two ends of `path` (as [`path`](Self::path) returns it), in the
+    /// same order, handed to `f` instead of collected. Nothing is
+    /// allocated: a self edge reads one useful set, an adjacent edge tests
+    /// the two ends' useful sets pairwise, and a multi-step chain is
+    /// composed depth first, one ancestor binding at a time, in `scratch`.
+    ///
+    /// The composition visits a document node at most once per ancestor
+    /// binding and path level. That is exactly `chain_pairs`' per-step
+    /// dedup: the pairs of one ancestor binding are contiguous in every
+    /// composed step, and a node reached again at a level adds no pair the
+    /// first visit did not. `scratch` remembers visits by stamping each
+    /// `(level, node)` with a generation that is bumped per ancestor
+    /// binding, so no set is built or cleared per chain.
+    pub fn for_each_path_pair(
         &self,
         doc: &Document,
         useful: &[Vec<NodeId>],
-        ancestor: PatternNodeId,
-        descendant: PatternNodeId,
+        path: &[PatternNodeId],
+        scratch: &mut ChainScratch,
         mut f: impl FnMut(NodeId, NodeId),
     ) {
-        if ancestor == descendant {
-            for &d in &useful[ancestor.index()] {
-                f(d, d);
+        match *path {
+            [] => {}
+            [node] => {
+                for &d in &useful[node.index()] {
+                    f(d, d);
+                }
             }
-        } else if self.pattern.node(descendant).parent() == Some(ancestor) {
-            self.for_each_adjacent_pair(doc, useful, ancestor, descendant, f);
-        } else {
-            for (du, dv) in self.chain_pairs(doc, useful, ancestor, descendant) {
-                f(du, dv);
+            [parent, child] => self.for_each_adjacent_pair(doc, useful, parent, child, f),
+            _ => {
+                let nodes = doc.len();
+                scratch.reserve(path.len() - 1, nodes);
+                for &ancestor in &useful[path[0].index()] {
+                    let step = ChainStep {
+                        doc,
+                        useful,
+                        path,
+                        nodes,
+                        ancestor,
+                        generation: scratch.next_generation(),
+                    };
+                    self.compose(&step, 1, ancestor, &mut scratch.stamps, &mut f);
+                }
+            }
+        }
+    }
+
+    /// Extend the chain from `mid`, bound at `path[level - 1]`, to
+    /// `path[level]`.
+    fn compose(
+        &self,
+        step: &ChainStep<'_>,
+        level: usize,
+        mid: NodeId,
+        stamps: &mut [u32],
+        f: &mut impl FnMut(NodeId, NodeId),
+    ) {
+        let pnode = step.path[level];
+        let child = self.pattern.node(pnode);
+        let last = level + 1 == step.path.len();
+        let row = (level - 1) * step.nodes;
+        for &b in &step.useful[pnode.index()] {
+            if !Self::axis_holds(step.doc, mid, b, child) {
+                continue;
+            }
+            let stamp = &mut stamps[row + b.index()];
+            if *stamp == step.generation {
+                continue;
+            }
+            *stamp = step.generation;
+            if last {
+                f(step.ancestor, b);
+            } else {
+                self.compose(step, level + 1, b, stamps, f);
             }
         }
     }
@@ -578,11 +696,38 @@ mod tests {
         assert_eq!(pairs[0].descendant, NodeId::from_raw(2));
     }
 
+    /// Every `(ancestor, descendant)` pair of pattern nodes: the pooled
+    /// composition over [`PatternMatcher::path`] equals `chain_pairs` pair
+    /// for pair and in order, with one scratch reused throughout (stale
+    /// stamps of earlier chains must not leak). Returns the pairs compared.
+    fn pooled_equals_chain_pairs(pattern: &str, doc: &Document) -> usize {
+        let p = parse_pattern(pattern).unwrap();
+        let m = PatternMatcher::new(&p);
+        let useful = m.useful_nodes(doc);
+        let mut scratch = ChainScratch::default();
+        let mut compared = 0;
+        for anc in p.node_ids() {
+            for desc in p.node_ids() {
+                let mut got = Vec::new();
+                if let Some(path) = m.path(anc, desc) {
+                    m.for_each_path_pair(doc, &useful, &path, &mut scratch, |a, d| {
+                        got.push((a, d));
+                    });
+                }
+                assert_eq!(
+                    got,
+                    m.chain_pairs(doc, &useful, anc, desc),
+                    "{pattern}: {anc:?}->{desc:?}"
+                );
+                compared += got.len();
+            }
+        }
+        compared
+    }
+
     #[test]
     fn for_each_pair_equals_chain_pairs() {
         // Self, adjacent and multi-step chain edges of a nested pattern.
-        let p = parse_pattern("//feed->f[.//entry->e[.//title->t][.//author->a]]").unwrap();
-        let m = PatternMatcher::new(&p);
         let mut b = DocumentBuilder::new("feed");
         for (title, author) in [("t1", Some("a1")), ("t2", None), ("t3", Some("a3"))] {
             b.open("entry");
@@ -592,23 +737,67 @@ mod tests {
             }
             b.close();
         }
-        let doc = b.finish();
-        let useful = m.useful_nodes(&doc);
-        let ids: Vec<PatternNodeId> = p.node_ids().collect();
-        let mut compared = 0;
-        for &anc in &ids {
-            for &desc in &ids {
-                let mut got = Vec::new();
-                m.for_each_pair(&doc, &useful, anc, desc, |a, d| got.push((a, d)));
-                assert_eq!(
-                    got,
-                    m.chain_pairs(&doc, &useful, anc, desc),
-                    "{anc:?}->{desc:?}"
-                );
-                compared += got.len();
+        let feed = "//feed->f[.//entry->e[.//title->t][.//author->a]]";
+        assert!(pooled_equals_chain_pairs(feed, &b.finish()) > 0);
+
+        // Nested same-tag elements under a child axis: a0 { c1 { c2 { b3 }
+        // b4 } }. Composing a0 -> c -> b visits c1 first, whose child is
+        // b4, then c2, whose child is b3, so the chain's pairs come out as
+        // (a0, b4), (a0, b3) — not in (du, dv) order.
+        let mut b = DocumentBuilder::new("a");
+        b.open("c");
+        b.open("c");
+        b.child_text("b", "inner");
+        b.close();
+        b.child_text("b", "outer");
+        b.close();
+        let nested = b.finish();
+        let pattern = "//a->x[.//c->y[./b->z]]";
+        assert!(pooled_equals_chain_pairs(pattern, &nested) > 0);
+        let p = parse_pattern(pattern).unwrap();
+        let m = PatternMatcher::new(&p);
+        let chain = m.chain_pairs(
+            &nested,
+            &m.useful_nodes(&nested),
+            PatternNodeId(0),
+            PatternNodeId(2),
+        );
+        let raw = |pairs: &[(NodeId, NodeId)]| -> Vec<(u32, u32)> {
+            pairs.iter().map(|(a, d)| (a.raw(), d.raw())).collect()
+        };
+        assert_eq!(raw(&chain), [(0, 4), (0, 3)], "the order this case pins");
+
+        // An attribute step ending a chain: a { b@id { b@id } b }, where the
+        // attribute binds the element carrying it.
+        let mut b = DocumentBuilder::new("a");
+        b.open("b");
+        b.attribute("id", "1");
+        b.open("b");
+        b.attribute("id", "2");
+        b.close();
+        b.close();
+        b.child_text("b", "no id");
+        assert!(pooled_equals_chain_pairs("//a->x[.//b->y[./@id->z]]", &b.finish()) > 0);
+
+        // A three-step chain over repeated, nested tags, where one
+        // (ancestor, descendant) pair is reachable along several paths.
+        let mut b = DocumentBuilder::new("r");
+        for _ in 0..2 {
+            b.open("a");
+            for _ in 0..2 {
+                b.open("b");
+                b.open("c");
+                b.child_text("d", "1");
+                b.open("c");
+                b.child_text("d", "2");
+                b.close();
+                b.close();
+                b.close();
             }
+            b.close();
         }
-        assert!(compared > 0);
+        let pattern = "//a->w[.//b->x[.//c->y[.//d->z]]]";
+        assert!(pooled_equals_chain_pairs(pattern, &b.finish()) > 0);
     }
 
     #[test]

@@ -2,17 +2,26 @@
 //! merged output under thread interleaving, edge cases of `process_batch` on
 //! both engine types, and cross-shard statistics aggregation.
 
-use mmqjp_core::{CoreError, EngineConfig, EngineStats, MmqjpEngine, ShardedEngine};
-use mmqjp_integration_tests::{
-    all_modes, assert_audit_clean_sharded, d1, d2, run_stream_sharded, sharded_engine_with_queries,
-    sharded_engine_with_topology, FRONT_POOLS, Q1, SHARD_COUNTS,
+use mmqjp_core::front::{self, DocumentMatches, Edge, MatchScratch, Subscriptions};
+use mmqjp_core::{
+    CoreError, EngineConfig, EngineStats, IngestScratch, MmqjpEngine, ShardedEngine, WitnessBatch,
+    WitnessRouter,
 };
+use mmqjp_integration_tests::stage1::{resolve_edges, rows_from_bindings};
+use mmqjp_integration_tests::{
+    all_modes, assert_audit_clean_sharded, d1, d2, run_stream_sharded, run_stream_sorted,
+    sharded_engine_with_queries, sharded_engine_with_topology, FRONT_POOLS, Q1, SHARD_COUNTS,
+};
+use mmqjp_relational::StringInterner;
 use mmqjp_workload::{
     ChurnConfig, ChurnWorkload, RssQueryGenerator, RssStreamConfig, RssStreamGenerator,
 };
-use mmqjp_xml::{Document, Timestamp};
+use mmqjp_xml::{rss, DocId, Document, Timestamp};
+use mmqjp_xpath::{PatternId, PatternIndex};
+use mmqjp_xscl::QueryId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::time::Duration;
 
 fn rss_workload(
@@ -470,4 +479,188 @@ fn out_of_order_batch_errors_identically_on_both_engines() {
         .unwrap();
     assert_eq!(a, b);
     assert_eq!(a.len(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Edge classes never cross shards
+// ---------------------------------------------------------------------------
+
+/// Two join queries whose patterns differ (a `title` vs an `isbn`
+/// predicate on the book, one more branch on the blog) but request the
+/// same self edges on `author`. In the books and blogs of
+/// [`shared_class_stream`] those edges have equal useful sets, so on one
+/// shard the second query's enumeration repeats the first's.
+const SHARED_CLASS_QUERIES: [&str; 2] = [
+    "S//book->b[.//author->a][.//title->t] FOLLOWED BY{a=x, 100} S//blog->g[.//author->x]",
+    "S//book->b[.//author->a][.//isbn->i] FOLLOWED BY{a=y, 100} \
+     S//blog->h[.//author->y][.//title->z]",
+];
+
+/// Books and blogs by shared authors, stamped with ids and timestamps.
+fn shared_class_stream() -> Vec<Document> {
+    let docs = [
+        rss::book_announcement(&["Ann", "Bob"], "RSS", &["Web"], "Wrox", "1"),
+        rss::blog_article("Bob", "http://b", "On RSS", "Books", "..."),
+        rss::book_announcement(&["Cy"], "XML", &[], "Wrox", "2"),
+        rss::blog_article("Ann", "http://a", "On XML", "Books", "..."),
+        rss::blog_article("Cy", "http://c", "On XML", "Books", "..."),
+    ];
+    (1..)
+        .zip(docs)
+        .map(|(i, d)| d.with_id(DocId(i)).with_timestamp(Timestamp(i * 10)))
+        .collect()
+}
+
+/// The witness rows of a batch as a sorted multiset, as in the routing
+/// theorem (`properties::witness_routing_is_a_partition_of_stage1_output`):
+/// routed and self-derived batches may order one pattern's edges
+/// differently.
+fn witness_multiset(batch: &WitnessBatch) -> Vec<String> {
+    let mut rows: Vec<String> = batch
+        .rbin_w
+        .iter()
+        .map(|t| format!("bin{:?}", t.to_vec()))
+        .chain(batch.rdoc_w.iter().map(|t| format!("doc{:?}", t.to_vec())))
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// Route the front's rows for [`SHARED_CLASS_QUERIES`] placed on shards
+/// `placement` (of two) and check each shard's routed batch against what it
+/// derives for itself with the DOM reference. Returns how many
+/// `(pattern, edge)` enumerations the front suppressed.
+fn route_shared_class_stream(placement: [usize; 2]) -> usize {
+    let mut engine = MmqjpEngine::new(EngineConfig::mmqjp());
+    let mut index = PatternIndex::new();
+    let mut union_req: HashMap<PatternId, Vec<Edge>> = HashMap::new();
+    let mut shard_req: Vec<HashMap<PatternId, Vec<Edge>>> = vec![HashMap::new(); 2];
+    let mut router = WitnessRouter::new();
+    for (text, shard) in SHARED_CLASS_QUERIES.iter().zip(placement) {
+        let id = engine.register_query_text(text).unwrap();
+        let shape = engine.registry().query(id).unwrap().shape();
+        for o in shape.orientations() {
+            let (prev, cur) = shape.patterns(o);
+            for (pattern, edges) in [(prev, &o.prev_edges), (cur, &o.cur_edges)] {
+                let pid = index.register(pattern.clone());
+                for req in [
+                    union_req.entry(pid).or_default(),
+                    shard_req[shard].entry(pid).or_default(),
+                ] {
+                    for e in edges {
+                        if !req.contains(e) {
+                            req.push(*e);
+                        }
+                    }
+                }
+                router.subscribe(shard, pid, edges);
+            }
+        }
+    }
+
+    let interner = StringInterner::new();
+    let mut union = resolve_edges(&index, &union_req, &interner);
+    let docs = shared_class_stream();
+    let mut routed = vec![WitnessBatch::new(), WitnessBatch::new()];
+    let (mut matching, mut matches) = (MatchScratch::default(), DocumentMatches::default());
+    let mut scratch = IngestScratch::default();
+    let mut suppressed = 0;
+    for doc in &docs {
+        let mut subs = Subscriptions {
+            index: &mut index,
+            requested: &mut union,
+            router: Some(&router),
+            singles: Vec::new(),
+        };
+        front::match_document(&mut subs, doc, &mut matching, false, &mut matches);
+        suppressed += matches.suppressed;
+        router
+            .route_document(
+                doc,
+                &matches.rows,
+                &union,
+                &interner,
+                &mut scratch,
+                &mut routed,
+            )
+            .unwrap();
+    }
+    for (shard, req) in shard_req.iter().enumerate() {
+        let own = resolve_edges(&index, req, &interner);
+        let mut derived = WitnessBatch::new();
+        for doc in &docs {
+            let bindings = index.evaluate_edge_bindings(doc, req);
+            let rows = rows_from_bindings(&index, &own, &bindings);
+            derived
+                .ingest_document(doc, &rows, &own, &interner, &mut scratch)
+                .unwrap();
+        }
+        assert_eq!(
+            derived.num_witness_rows() > 0,
+            placement.contains(&shard),
+            "a shard derives rows when it holds a query"
+        );
+        assert_eq!(
+            witness_multiset(&routed[shard]),
+            witness_multiset(&derived),
+            "placement {placement:?}: shard {shard}'s routed rows diverge from its own Stage 1"
+        );
+    }
+    suppressed
+}
+
+/// The front's edge classes include the shards an edge's rows are routed
+/// to. Two members of one class with equal useful sets suppress each other
+/// on one shard; placed on two shards, each emits, because suppressing the
+/// second would starve its shard of rows no other member sends it. Checked
+/// at the router (each shard's routed batch equals what it derives for
+/// itself, as in the routing theorem) and end to end (two shards, the
+/// queries on different ones, match the single engine).
+#[test]
+fn edge_class_suppression_never_crosses_shards() {
+    assert!(
+        route_shared_class_stream([0, 0]) > 0,
+        "on one shard the second query's enumeration is suppressed"
+    );
+    assert_eq!(
+        route_shared_class_stream([0, 1]),
+        0,
+        "across shards nothing is suppressed"
+    );
+
+    let mut sharded = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(2));
+    let mut single = MmqjpEngine::new(EngineConfig::mmqjp());
+    let first = sharded
+        .register_query_text(SHARED_CLASS_QUERIES[0])
+        .unwrap();
+    single.register_query_text(SHARED_CLASS_QUERIES[0]).unwrap();
+    // Query ids are sequential; a filler subscription (which never matches)
+    // shifts the second query's id until it hashes to the other shard.
+    let mut next = QueryId(first.raw() + 1);
+    while sharded.shard_of(next) == sharded.shard_of(first) {
+        for filler in [
+            sharded.register_query_text("S//never"),
+            single.register_query_text("S//never"),
+        ] {
+            assert_eq!(filler.unwrap(), next);
+        }
+        next = QueryId(next.raw() + 1);
+    }
+    let second = sharded
+        .register_query_text(SHARED_CLASS_QUERIES[1])
+        .unwrap();
+    single.register_query_text(SHARED_CLASS_QUERIES[1]).unwrap();
+    assert_ne!(sharded.shard_of(first), sharded.shard_of(second));
+
+    let expected = run_stream_sorted(&mut single, shared_class_stream());
+    let got = run_stream_sharded(&mut sharded, shared_class_stream());
+    assert_eq!(got, expected, "two shards diverge from the single engine");
+    for query in [first, second] {
+        assert!(
+            expected.iter().any(|m| m.query == query),
+            "{query:?} matches"
+        );
+    }
+    assert!(single.stats().stage1_edges_suppressed > 0);
+    assert_eq!(sharded.front_stats().stage1_edges_suppressed, 0);
 }

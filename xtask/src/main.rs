@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Ten dependency-free static checks over the workspace sources:
+//! Eleven dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -52,6 +52,15 @@
 //!     `derive_shape` it shares with the audit: a registration whose
 //!     `FROM` clause is live must reuse its memoized shape, not re-derive it.
 //!
+//! 11. **Stage 1 emits without allocating** — non-test code in
+//!     `crates/core/src/front.rs` must not call `Vec::new(`, `vec![`,
+//!     `.collect(` or `chain_pairs(`, nor name `HashSet`: a document's
+//!     witness rows are read off the compiled emission plan into pooled
+//!     buffers, and chains are composed in `ChainScratch`, not collected.
+//!     Exempt are the bodies of the plan compiler `compile`, the list
+//!     builder `from_iter`, the single-block answers `emit_singles` (each
+//!     match owns its bindings) and the once-per-batch `evaluate_batch`.
+//!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
 #![forbid(unsafe_code)]
@@ -95,6 +104,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_plan_execution_allocations(root, &mut violations);
     check_oracle_independence(root, &mut violations);
     check_shape_derivation(root, &mut violations);
+    check_emission_allocations(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -676,6 +686,37 @@ fn scan_file_for_shape_derivation(root: &Path, file: &Path, out: &mut Vec<String
 }
 
 // ---------------------------------------------------------------------------
+// Check 11: Stage 1's witness-row emission allocates nothing per document.
+// ---------------------------------------------------------------------------
+
+const FRONT_FILE: &str = "crates/core/src/front.rs";
+/// Functions of the front that compile the plan, build lists, answer
+/// single-block subscriptions or run once per batch.
+const EMISSION_SETUP_FNS: &[&str] = &[
+    "fn compile(",
+    "fn from_iter<",
+    "fn emit_singles(",
+    "fn evaluate_batch(",
+];
+const EMISSION_ALLOCATING: &[&str] =
+    &["Vec::new(", "vec![", ".collect(", "HashSet", "chain_pairs("];
+
+fn check_emission_allocations(root: &Path, out: &mut Vec<String>) {
+    scan_file_for_emission_allocations(root, &root.join(FRONT_FILE), out);
+}
+
+fn scan_file_for_emission_allocations(root: &Path, file: &Path, out: &mut Vec<String>) {
+    scan_outside_fns(
+        root,
+        file,
+        out,
+        EMISSION_SETUP_FNS,
+        EMISSION_ALLOCATING,
+        "on Stage 1's emission path (read the compiled plan, pool buffers in `MatchScratch`)",
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
@@ -849,6 +890,30 @@ mod tests {
         );
         assert!(
             out[2].contains("shape_case.rs:17") && out[2].contains("`catalog.insert(`"),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn emission_allocations_are_flagged_outside_the_setup_fns() {
+        let src = "use std::collections::HashSet;\nfn compile(\n    index: &PatternIndex,\n) -> Self {\n    let v = Vec::new();\n    path.iter().collect()\n}\nfn emit_rows(plan: &EmitPlan) {\n    for pair in m.chain_pairs(doc, u, a, d) {}\n    let seen: Vec<_> = rows.iter().collect();\n}\nfn emit_singles(s: &[S]) {\n    let b = vec![1];\n}\n#[cfg(test)]\nmod tests {\n    fn t() { let v = Vec::new(); }\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("emission_case.rs");
+        fs::write(&file, src).unwrap();
+        let mut out = Vec::new();
+        scan_file_for_emission_allocations(&dir, &file, &mut out);
+        assert_eq!(out.len(), 3, "violations: {out:?}");
+        assert!(
+            out[0].contains("emission_case.rs:1") && out[0].contains("`HashSet`"),
+            "{out:?}"
+        );
+        assert!(
+            out[1].contains("emission_case.rs:9") && out[1].contains("`chain_pairs(`"),
+            "{out:?}"
+        );
+        assert!(
+            out[2].contains("emission_case.rs:10") && out[2].contains("`.collect(`"),
             "{out:?}"
         );
     }
