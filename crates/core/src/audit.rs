@@ -5,14 +5,16 @@
 //! engine's redundant bookkeeping structures against each other and report
 //! every inconsistency as a typed [`AuditViolation`]. The checks cover:
 //!
-//! - **Registry refcounts** — the Stage-1 pattern index's per-pattern
-//!   refcounts, the per-`(pattern, edge)` request refcounts and the
-//!   canonical-variable refcounts must all equal what a recount over the
-//!   live queries' registrations produces, the deterministic
-//!   requested-edge lists must mirror the refcount maps, every symbol
-//!   an edge cached at registration must still be its variable's symbol,
-//!   and a live Stage-1 emission plan must equal a fresh compile of the
-//!   lists (the sharded front's, of the lists and the router's shard sets).
+//! - **Stage-1 table** — in the registry's table and in the sharded
+//!   coordinator's alike, the pattern index's per-pattern refcounts, the
+//!   per-`(pattern, edge, consumer)` request refcounts and the single-block
+//!   list must equal what a recount over the owner's live registrations
+//!   produces, the deterministic requested-edge lists must run parallel to
+//!   the refcounts, every symbol an edge cached at registration must still
+//!   be its variable's symbol, and a live emission plan must equal a fresh
+//!   compile of the lists and their consumers.
+//! - **Registry refcounts** — the canonical-variable refcounts must equal a
+//!   recount over the distinct live patterns.
 //! - **Catalog discipline** — tombstoned template slots are never referenced
 //!   by a live registration, every template's `RT` relation holds exactly
 //!   one tuple per live member orientation, and the `rid` resolution map is
@@ -21,7 +23,6 @@
 //!   refcount of live queries, names only live templates and patterns, and
 //!   re-deriving it from its key (normalize, reduce, match against the live
 //!   template) reproduces its template, assignment, patterns and edges.
-//!   The list of live single-block subscriptions equals a recount.
 //! - **Window multiset** — the registered window multiset equals a recount
 //!   over the live join queries (so retention bounds always tighten
 //!   correctly on churn).
@@ -58,7 +59,7 @@ pub enum AuditViolation {
         /// The recount.
         counted: usize,
     },
-    /// The registry's list of live single-block subscriptions — the one
+    /// A Stage-1 table's list of live single-block subscriptions — the one
     /// Stage 1 reads every batch — differs from a recount over the live
     /// queries in query-id order.
     SingleBlockList {
@@ -116,20 +117,24 @@ pub enum AuditViolation {
         /// Live registrations of the pattern.
         expected: usize,
     },
-    /// A `(pattern, edge)` request refcount differs from the number of live
-    /// registrations requesting that edge.
+    /// A `(pattern, edge, consumer)` request refcount differs from the
+    /// number of live registrations requesting that edge for that consumer.
     EdgeRefcount {
         /// The pattern id.
         pattern: u32,
         /// The edge, by its endpoint pattern nodes.
         edge: (u32, u32),
+        /// The consumer of the edge's rows: a shard, or `0` in the single
+        /// engine.
+        consumer: usize,
         /// The maintained refcount (`0` when the entry is missing).
         tracked: usize,
         /// Live registrations requesting the edge.
         expected: usize,
     },
-    /// A pattern's deterministic requested-edge list does not mirror its
-    /// refcount map (duplicate, missing or spurious entries).
+    /// A pattern's deterministic requested-edge list does not run parallel
+    /// to its per-consumer refcounts (a duplicate edge, an edge without a
+    /// consumer, unordered or zero counts).
     RequestedEdgeList {
         /// The pattern id.
         pattern: u32,
@@ -279,23 +284,14 @@ pub enum AuditViolation {
         /// Documents it counted.
         documents: usize,
     },
-    /// The front stage's mirrored subscription state (master index, edge
-    /// refcounts, requested-edge union or router table) disagrees with a
-    /// recount over the live query footprints.
+    /// The sharded coordinator's per-query footprints disagree with its
+    /// live queries.
     FrontSubscription {
         /// The pattern id involved (`u32::MAX` for pattern-independent
         /// checks).
         pattern: u32,
         /// What is inconsistent.
         reason: &'static str,
-    },
-    /// The front stage's single-block subscription list disagrees with the
-    /// live footprints.
-    FrontSinglesCount {
-        /// Entries in the front's single-block list.
-        listed: usize,
-        /// Live footprints with a single-block subscription.
-        expected: usize,
     },
     /// The coordinator's retained-query ledger (kept for crash recovery)
     /// disagrees with the live-query count — a dead shard could not be
@@ -384,11 +380,12 @@ impl fmt::Display for AuditViolation {
             AuditViolation::EdgeRefcount {
                 pattern,
                 edge,
+                consumer,
                 tracked,
                 expected,
             } => write!(
                 f,
-                "pattern {pattern} edge ({}, {}) refcount {tracked} != {expected} live requests",
+                "pattern {pattern} edge ({}, {}) consumer {consumer} refcount {tracked} != {expected} live requests",
                 edge.0, edge.1
             ),
             AuditViolation::RequestedEdgeList { pattern, reason } => {
@@ -480,10 +477,6 @@ impl fmt::Display for AuditViolation {
             AuditViolation::FrontSubscription { pattern, reason } => {
                 write!(f, "front subscription state (pattern {pattern}): {reason}")
             }
-            AuditViolation::FrontSinglesCount { listed, expected } => write!(
-                f,
-                "front lists {listed} single-block subscriptions for {expected} live footprints"
-            ),
             AuditViolation::RetainedQueryCount { retained, live } => write!(
                 f,
                 "recovery ledger retains {retained} queries for {live} live queries"
@@ -533,10 +526,11 @@ mod tests {
         let v = AuditViolation::EdgeRefcount {
             pattern: 0,
             edge: (1, 2),
+            consumer: 3,
             tracked: 0,
             expected: 1,
         };
-        assert!(v.to_string().contains("(1, 2)"));
+        assert!(v.to_string().contains("(1, 2) consumer 3"));
         let v = AuditViolation::WatermarkRegression {
             newest: 10,
             observed: 11,

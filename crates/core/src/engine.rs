@@ -161,6 +161,13 @@ impl MmqjpEngine {
         out
     }
 
+    /// The registry's Stage-1 table, mutably, for tests that seed a
+    /// corrupted entry.
+    #[cfg(test)]
+    pub(crate) fn stage1_table_mut(&mut self) -> &mut crate::front::Stage1Table {
+        self.registry.stage1_table_mut()
+    }
+
     /// Number of registered queries.
     pub fn num_queries(&self) -> usize {
         self.registry.num_queries()
@@ -238,7 +245,7 @@ impl MmqjpEngine {
         let t0 = Instant::now();
         let mut subs = self.registry.stage1();
         // The batch's single-block matches were delivered in its first life.
-        subs.singles.clear();
+        subs.singles = &[];
         let batch =
             front::evaluate_batch(&mut subs, docs, &mut self.front, &self.interner, false)?.batch;
         let rows = batch.num_witness_rows();

@@ -18,6 +18,11 @@
 //!   variables, computed once. [`evaluate_batch`] adds witness ingest for
 //!   callers that join in-thread.
 //!
+//! What a document is matched against — patterns, requested edges with
+//! their consumers, single-block subscriptions — is one [`Stage1Table`] per
+//! engine, kept in the `table` submodule: the only code that subscribes,
+//! releases and audits Stage-1 state.
+//!
 //! Matching emits integer [`WitnessRow`]s — `(pattern, edge number, node1,
 //! node2)` — and nothing else: every string the witness relations need
 //! besides node values (the edge's two variable names, whether an end is an
@@ -28,19 +33,18 @@
 //! [`MmqjpEngine`](crate::MmqjpEngine) runs the front inline and hands its
 //! output straight to the join stage; [`ShardedEngine`](crate::ShardedEngine)
 //! runs the same functions on the caller's thread and its front workers and
-//! puts a [`WitnessRouter`](crate::WitnessRouter) in between. The per-pattern DOM
+//! routes the rows to the shards ([`route_document`](crate::route_document))
+//! in between. The per-pattern DOM
 //! matcher (`PatternIndex::evaluate_edge_bindings`,
 //! `PatternMatcher::witnesses`) is not a production path; it lives on in
 //! `mmqjp-xpath` as the reference the Stage-1 differential tests compare
 //! this module against.
 
-use crate::audit::AuditViolation;
 use crate::config::FaultPolicy;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::QuarantineRecord;
 use crate::output::{Binding, MatchOutput};
 use crate::relations::{IngestScratch, WitnessBatch};
-use crate::router::WitnessRouter;
 use mmqjp_relational::{StringInterner, Symbol};
 use mmqjp_xml::{DocId, Document, NodeId, Timestamp};
 use mmqjp_xpath::{
@@ -51,6 +55,11 @@ use mmqjp_xscl::{QueryId, SelectClause};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod table;
+
+pub(crate) use table::Stage1Recount;
+pub use table::{EdgeConsumers, RequestedEdges, Stage1Snapshot, Stage1Table};
 
 /// A structural pattern edge, identified by its endpoint pattern nodes.
 pub type Edge = (PatternNodeId, PatternNodeId);
@@ -117,122 +126,8 @@ impl RequestedEdge {
     }
 }
 
-/// The edges the join stage wants bindings for, and the emission plan
-/// Stage 1 compiles from them.
-///
-/// Per join-side pattern, the requested edges in first-request order are
-/// the registration truth: a [`WitnessRow`] names its edge by position in
-/// its pattern's list, and the audit checks the lists against a recount.
-/// The plan is derived from the lists, once per subscription change, the
-/// way the shared automaton is: any list change drops it, and the next
-/// document recompiles it.
-#[derive(Debug, Clone, Default)]
-pub struct RequestedEdges {
-    lists: HashMap<PatternId, Vec<RequestedEdge>>,
-    plan: Option<EmitPlan>,
-}
-
-impl RequestedEdges {
-    /// No requested edges.
-    pub fn new() -> Self {
-        RequestedEdges::default()
-    }
-
-    /// A pattern's requested edges, if it has any.
-    pub fn get(&self, pid: &PatternId) -> Option<&Vec<RequestedEdge>> {
-        self.lists.get(pid)
-    }
-
-    /// Every pattern's requested edges, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (&PatternId, &Vec<RequestedEdge>)> {
-        self.lists.iter()
-    }
-
-    /// `true` when no pattern has requested edges.
-    pub fn is_empty(&self) -> bool {
-        self.lists.is_empty()
-    }
-
-    /// Whether `edge` of `pid` is requested.
-    pub(crate) fn has_edge(&self, pid: PatternId, edge: Edge) -> bool {
-        self.lists
-            .get(&pid)
-            .is_some_and(|list| list.iter().any(|r| r.edge == edge))
-    }
-
-    /// Append a newly requested edge to its pattern's list.
-    pub(crate) fn push(&mut self, pid: PatternId, edge: RequestedEdge) {
-        self.lists.entry(pid).or_default().push(edge);
-        self.plan = None;
-    }
-
-    /// Drop one edge from its pattern's list; later edges move up.
-    pub(crate) fn remove_edge(&mut self, pid: PatternId, edge: Edge) {
-        if let Some(list) = self.lists.get_mut(&pid) {
-            list.retain(|r| r.edge != edge);
-            self.plan = None;
-        }
-    }
-
-    /// Drop a pattern's list.
-    pub(crate) fn remove(&mut self, pid: PatternId) {
-        if self.lists.remove(&pid).is_some() {
-            self.plan = None;
-        }
-    }
-
-    /// Every list, mutably, for tests that seed a corrupted entry.
-    #[cfg(test)]
-    pub(crate) fn lists_mut(
-        &mut self,
-    ) -> impl Iterator<Item = (&PatternId, &mut Vec<RequestedEdge>)> {
-        self.plan = None;
-        self.lists.iter_mut()
-    }
-
-    /// Put every edge of a compiled plan into one class, for tests of the
-    /// plan audit. `false` when no plan is compiled.
-    #[cfg(test)]
-    pub(crate) fn merge_plan_classes(&mut self) -> bool {
-        let Some(plan) = &mut self.plan else {
-            return false;
-        };
-        for edge in &mut plan.edges {
-            edge.class = 0;
-        }
-        true
-    }
-
-    /// Drop the plan although no list changed: the sharded front calls this
-    /// when the router's shard sets, which are part of the edge classes,
-    /// may have changed.
-    pub(crate) fn invalidate_plan(&mut self) {
-        self.plan = None;
-    }
-
-    /// The emission plan for the live patterns of `index`, recompiled if a
-    /// list or the index changed since it was compiled. `router` gives the
-    /// shards each edge's rows are routed to (`None`: one consumer).
-    fn plan(&mut self, index: &PatternIndex, router: Option<&WitnessRouter>) -> &EmitPlan {
-        let plan = match self.plan.take() {
-            Some(plan) if plan.generation == index.generation() => plan,
-            _ => EmitPlan::compile(index, &self.lists, router),
-        };
-        self.plan.insert(plan)
-    }
-}
-
-impl FromIterator<(PatternId, Vec<RequestedEdge>)> for RequestedEdges {
-    fn from_iter<I: IntoIterator<Item = (PatternId, Vec<RequestedEdge>)>>(lists: I) -> Self {
-        RequestedEdges {
-            lists: lists.into_iter().collect(),
-            plan: None,
-        }
-    }
-}
-
-/// Stage 1's row emission, compiled from the requested-edge lists against
-/// one generation of the pattern index.
+/// Stage 1's row emission, compiled from the requested-edge lists and
+/// their consumers against one generation of the pattern index.
 ///
 /// It lists the live join-side patterns in pattern-id order, each with its
 /// position in the [`SharedPass`] and its edges in list order. An edge is
@@ -241,7 +136,8 @@ impl FromIterator<(PatternId, Vec<RequestedEdge>)> for RequestedEdges {
 /// and a dense *edge class*. Two `(pattern, edge)` members share a class
 /// when their rows would be ingested under the same names and derived the
 /// same way: equal `var1`, `var2`, `source1` and `source2`, equal axis and
-/// test on every step of the path, and the same shards receiving the rows.
+/// test on every step of the path, and the same consumers receiving the
+/// rows.
 /// A member whose path nodes have, in a document, the same useful sets as
 /// an earlier member of its class that already emitted would emit exactly
 /// that member's pairs, which every consumer's ingest drops as repeats; the
@@ -291,18 +187,14 @@ struct ClassKey<'p> {
     /// Axis and test of each path node below the ancestor end; `None` for
     /// an edge without a path, which gets a class of its own.
     steps: Option<Vec<(Axis, &'p NodeTest)>>,
-    /// The shards the rows are routed to (empty: the one in-thread consumer).
-    shards: Vec<usize>,
+    /// The consumers the rows go to.
+    consumers: Vec<usize>,
 }
 
 impl EmitPlan {
     /// Compile the plan for the live patterns of `index` from `lists`. The
     /// one place Stage 1's emission allocates.
-    fn compile(
-        index: &PatternIndex,
-        lists: &HashMap<PatternId, Vec<RequestedEdge>>,
-        router: Option<&WitnessRouter>,
-    ) -> Self {
+    fn compile(index: &PatternIndex, lists: &RequestedEdges) -> Self {
         let mut plan = EmitPlan {
             generation: index.generation(),
             patterns: Vec::new(),
@@ -322,7 +214,7 @@ impl EmitPlan {
                 first: plan.edges.len() as u32,
                 count: list.len() as u32,
             });
-            for requested in list {
+            for (requested, consumers) in list.iter().zip(lists.consumers(pid)) {
                 let path = matcher.path(requested.edge.0, requested.edge.1);
                 let start = plan.paths.len() as u32;
                 plan.paths.extend(path.iter().flatten());
@@ -338,8 +230,8 @@ impl EmitPlan {
                     var2: requested.var2,
                     source1: &requested.source1,
                     source2: &requested.source2,
-                    shards: router.map_or_else(Vec::new, |r| r.edge_shards(pid, requested.edge)),
                     steps,
+                    consumers: consumers.iter().map(|&(c, _)| c).collect(),
                 };
                 let fresh = plan.classes as u32;
                 let class = match key.steps {
@@ -358,60 +250,6 @@ impl EmitPlan {
     }
 }
 
-/// Check every live pattern's requested edges against the pattern: the
-/// cached symbols must be the interner's symbols of the edge's variables,
-/// and the sources must follow the node tests. Read-only (looks symbols up,
-/// never interns). Shared by the registry audit and the sharded front-stage
-/// audit, which each resolve their own lists.
-pub(crate) fn audit_requested_symbols(
-    index: &PatternIndex,
-    requested: &RequestedEdges,
-    interner: &StringInterner,
-    out: &mut Vec<AuditViolation>,
-) {
-    for (pid, pattern) in index.patterns() {
-        for cached in requested.get(&pid).into_iter().flatten() {
-            let expected = RequestedEdge::resolve_with(pattern, cached.edge, |v| interner.get(v));
-            if expected.as_ref() != Some(cached) {
-                out.push(AuditViolation::RequestedEdgeSymbols {
-                    pattern: pid.raw(),
-                    edge: (cached.edge.0.raw(), cached.edge.1.raw()),
-                });
-            }
-        }
-    }
-}
-
-/// Check a live emission plan — one compiled for the index's current
-/// generation — against a fresh compile from the lists and, in the sharded
-/// front, the router's shard sets. A plan for an older generation is not
-/// live: the next document recompiles it.
-pub(crate) fn audit_emit_plan(
-    index: &PatternIndex,
-    requested: &RequestedEdges,
-    router: Option<&WitnessRouter>,
-    out: &mut Vec<AuditViolation>,
-) {
-    let Some(plan) = requested
-        .plan
-        .as_ref()
-        .filter(|plan| plan.generation == index.generation())
-    else {
-        return;
-    };
-    let fresh = EmitPlan::compile(index, &requested.lists, router);
-    let reason = if plan.patterns != fresh.patterns {
-        "its patterns, positions or edge counts"
-    } else if plan.edges.len() != fresh.edges.len() || plan.paths != fresh.paths {
-        "its edge paths"
-    } else if plan != &fresh {
-        "its edge classes"
-    } else {
-        return;
-    };
-    out.push(AuditViolation::EmitPlan { reason });
-}
-
 /// One Stage-1 witness row: document nodes `(node1, node2)` bound to the
 /// ends of edge number `edge` of pattern `pid`'s [`RequestedEdges`] list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -428,40 +266,37 @@ pub struct WitnessRow {
 
 /// One single-block subscription as Stage 1 sees it: answered entirely from
 /// the automaton pass, never joined.
-#[derive(Debug, Clone, Copy)]
-pub struct SingleBlock<'a> {
+#[derive(Debug, Clone, PartialEq)]
+pub struct SingleBlock {
     /// The id its matches are reported under.
     pub query: QueryId,
     /// Where [`pattern`](Self::pattern) sits in the pattern index.
     pub pid: PatternId,
     /// The subscription's own (normalized) pattern; its variable names label
     /// the reported bindings.
-    pub pattern: &'a TreePattern,
+    pub pattern: TreePattern,
     /// The `PUBLISH` name, if any.
-    pub publish: &'a Option<String>,
+    pub publish: Option<String>,
     /// The `SELECT` clause.
     pub select: SelectClause,
 }
 
-/// Everything Stage 1 evaluates a document against, borrowed from its owner
-/// for the duration of one batch: a [`Registry`](crate::Registry) in the
-/// single engine, the master front state (on the caller's thread) or a front
-/// worker's snapshot of it in the sharded one.
+/// Everything Stage 1 evaluates a document against, borrowed from a
+/// [`Stage1Table`] for the duration of one batch (see
+/// [`Stage1Table::subscriptions`]): the registry's in the single engine, the
+/// coordinator's (on the caller's thread) or a front worker's clone of it in
+/// the sharded one.
 #[derive(Debug)]
 pub struct Subscriptions<'a> {
     /// Every live pattern, join-side and single-block alike (mutable because
     /// the shared automaton is compiled lazily after registration churn).
-    pub index: &'a mut PatternIndex,
+    index: &'a mut PatternIndex,
     /// The requested edges of the join-side patterns (mutable because the
     /// emission plan is compiled lazily too). Patterns without an entry
     /// (single-block subscriptions) produce no witness rows.
-    pub requested: &'a mut RequestedEdges,
-    /// Where the rows go: the sharded front's router, whose per-edge shard
-    /// sets are part of the edge classes; `None` when one consumer ingests
-    /// every row.
-    pub router: Option<&'a WitnessRouter>,
+    requested: &'a mut RequestedEdges,
     /// The single-block subscriptions, in ascending query-id order.
-    pub singles: Vec<SingleBlock<'a>>,
+    pub singles: &'a [SingleBlock],
 }
 
 /// Stage-1 output for one document.
@@ -575,9 +410,9 @@ pub fn match_document(
     subs.index.shared_pass_reusing(doc, &mut scratch.pass);
     out.rows.clear();
     out.singles.clear();
-    let plan = subs.requested.plan(subs.index, subs.router);
+    let plan = subs.requested.plan(subs.index);
     emit_rows(plan, subs.index, doc, scratch, out);
-    emit_singles(&subs.singles, doc, &scratch.pass, retain_documents, out);
+    emit_singles(subs.singles, doc, &scratch.pass, retain_documents, out);
 }
 
 /// The witness rows of one document, pattern by pattern in plan order,
@@ -646,7 +481,7 @@ fn emit_rows(
 
 /// The matches of every single-block subscription, read off the pass.
 fn emit_singles(
-    singles: &[SingleBlock<'_>],
+    singles: &[SingleBlock],
     doc: &Document,
     pass: &SharedPass,
     retain_documents: bool,
@@ -659,7 +494,7 @@ fn emit_singles(
         else {
             continue;
         };
-        for witness in PatternMatcher::new(single.pattern).witnesses_from_useful(doc, useful) {
+        for witness in PatternMatcher::new(&single.pattern).witnesses_from_useful(doc, useful) {
             let keep_document = retain_documents && single.select == SelectClause::Star;
             out.singles.push(MatchOutput {
                 query: single.query,

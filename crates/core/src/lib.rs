@@ -106,7 +106,7 @@ pub use output::{sort_matches, Binding, MatchOutput};
 pub use recovery::ReplayLog;
 pub use registry::{QueryRuntime, Registry, TemplateRuntime};
 pub use relations::{node_key, schemas, IngestScratch, RoutedBatch, WitnessBatch};
-pub use router::WitnessRouter;
+pub use router::route_document;
 pub use shard::ShardedEngine;
 pub use stats::{EngineStats, PhaseTimings};
 pub use view_cache::{ViewCache, ViewCacheStats};

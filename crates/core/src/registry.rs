@@ -1,5 +1,5 @@
 //! Query registration and the full subscription lifecycle: templates, `RT`
-//! relations, per-query metadata and the Stage-1 pattern index.
+//! relations, per-query metadata and the engine's Stage-1 subscription table.
 //!
 //! **What a registration costs.** Everything registration derives from a
 //! query's `FROM` clause depends on the clause alone, not on its window: the
@@ -21,27 +21,28 @@
 //! [`unregister`](Registry::unregister)ed at runtime. Unregistration is
 //! incremental — O(the departing query's footprint), never a registry
 //! rebuild: the query's `RT` tuples are removed in place, its pattern and
-//! requested-edge registrations are released through reference counts (the
-//! pattern index drops a pattern when its last subscriber leaves), an
+//! requested-edge registrations are released from the
+//! [`Stage1Table`](crate::front::Stage1Table) (which drops a pattern when
+//! its last subscriber leaves), an
 //! emptied template is retired from the catalog, and the window bounds are
 //! recomputed from a window multiset so document retention can *tighten*
 //! after the widest-window query departs. Freed [`QueryId`]s (and template /
 //! pattern ids) are tombstoned, never reused, which keeps shard assignment
 //! and the canonical output order deterministic across churn. Per-batch
-//! walks — the Stage-1 single-block view and the template loop — visit live
+//! walks — the Stage-1 single-block list and the template loop — visit live
 //! entries only, never the tombstones.
 
 use crate::audit::AuditViolation;
 use crate::config::ProcessingMode;
 use crate::cqt::{self, PlanInputKind};
 use crate::error::{CoreError, CoreResult};
-use crate::front::{self, Edge, RequestedEdge, RequestedEdges, SingleBlock, Subscriptions};
+use crate::front::{Edge, SingleBlock, Stage1Recount, Stage1Table, Subscriptions};
 use crate::relations::schemas;
 use mmqjp_relational::{
     verify_plan_strict, ConjunctiveQuery, PhysicalPlan, Relation, SharedKeyRule, StringInterner,
     Symbol, Value, VerifyOptions,
 };
-use mmqjp_xpath::{PatternId, PatternIndex, PatternNodeId, TreePattern};
+use mmqjp_xpath::{PatternId, TreePattern};
 use mmqjp_xscl::{
     normalize_query, template, FromClause, JoinGraph, JoinOp, QueryId, QueryTemplate, ReducedGraph,
     SelectClause, Side, TemplateCatalog, TemplateId, Window, XsclQuery,
@@ -52,6 +53,10 @@ use std::sync::Arc;
 /// The window a [`QueryShape`]'s key carries in place of the query's own:
 /// windows are per-query data, so every window maps to the same shape.
 const BLANK_WINDOW: Window = Window::Infinite;
+
+/// The registry's one consumer of witness rows in its Stage-1 table: the
+/// engine's own join stage.
+const JOIN_STAGE: usize = 0;
 
 /// Runtime state of one query template: the representative template, its
 /// `RT` relation (one tuple per registered query orientation), the two
@@ -327,17 +332,13 @@ pub struct UnregisterEffects {
 }
 
 /// The registry of all registered queries, their templates and the Stage-1
-/// pattern index.
+/// subscription table.
 #[derive(Debug)]
 pub struct Registry {
     interner: Arc<StringInterner>,
-    pattern_index: PatternIndex,
-    /// The live requested-edge lists handed to Stage 1, one per pattern, in
-    /// first-registration order (kept deterministic across churn).
-    requested_edges: RequestedEdges,
-    /// Reference counts behind `requested_edges`: how many live
-    /// registrations requested each `(pattern, edge)`.
-    edge_refs: HashMap<PatternId, HashMap<Edge, usize>>,
+    /// The patterns, requested edges and single-block subscriptions Stage 1
+    /// evaluates, refcounted per live registration.
+    stage1: Stage1Table,
     /// How many live *distinct* patterns bind each canonical variable
     /// symbol. A symbol leaving this map means no future witness row can
     /// carry it.
@@ -352,10 +353,6 @@ pub struct Registry {
     /// not the full runtime footprint, under unbounded churn.
     queries: Vec<Option<Box<QueryRuntime>>>,
     live_queries: usize,
-    /// The live single-block subscriptions in query-id order: the Stage-1
-    /// view is built from this list, not from a walk over every query slot
-    /// ever assigned.
-    singles: Vec<QueryId>,
     /// The shape memo: one entry per live distinct `FROM` clause, keyed by
     /// the clause with its window blanked.
     shapes: HashMap<Arc<FromClause>, ShapeEntry>,
@@ -379,15 +376,12 @@ impl Registry {
     pub fn new(interner: Arc<StringInterner>) -> Self {
         Registry {
             interner,
-            pattern_index: PatternIndex::new(),
-            requested_edges: RequestedEdges::new(),
-            edge_refs: HashMap::new(),
+            stage1: Stage1Table::new(),
             var_refs: HashMap::new(),
             catalog: TemplateCatalog::new(),
             templates: BTreeMap::new(),
             queries: Vec::new(),
             live_queries: 0,
-            singles: Vec::new(),
             shapes: HashMap::new(),
             shapes_built: 0,
             shapes_reused: 0,
@@ -450,8 +444,10 @@ impl Registry {
         let wl = Value::Int(window.map_or(i64::MAX, window_length));
         let mut registrations = Vec::with_capacity(shape.orientations.len());
         for (ri, o) in shape.orientations.iter().enumerate() {
-            self.retain_edges(o.prev_pid, &o.prev_edges)?;
-            self.retain_edges(o.cur_pid, &o.cur_edges)?;
+            for (pid, edges) in [(o.prev_pid, &o.prev_edges), (o.cur_pid, &o.cur_edges)] {
+                self.stage1
+                    .request_edges(JOIN_STAGE, pid, edges, &self.interner)?;
+            }
             let rid = (id.raw() as i64) * 2 + i64::from(o.swapped);
             // RT tuple: (qid, var1..varm, wl).
             let mut tuple = Vec::with_capacity(o.assignment_syms.len() + 2);
@@ -482,8 +478,14 @@ impl Registry {
         if let Some(window) = window {
             self.track_window(window);
         }
-        if shape.single_pid.is_some() {
-            self.singles.push(id);
+        if let (Some(pid), Some(pattern)) = (shape.single_pid, shape.single_pattern()) {
+            self.stage1.push_single(SingleBlock {
+                query: id,
+                pid,
+                pattern: pattern.clone(),
+                publish: publish.clone(),
+                select,
+            });
         }
         self.queries.push(Some(Box::new(QueryRuntime {
             id,
@@ -598,10 +600,8 @@ impl Registry {
         let mut effects = UnregisterEffects::default();
         let shape = &runtime.shape;
         if let Some(pid) = shape.single_pid {
+            self.stage1.remove_single(id);
             self.release_pattern(pid, &mut effects);
-            if let Ok(at) = self.singles.binary_search(&id) {
-                self.singles.remove(at);
-            }
         }
         for (reg, o) in runtime.registrations.iter().zip(&shape.orientations) {
             self.rid_map.remove(&reg.rid);
@@ -622,8 +622,10 @@ impl Registry {
                 self.catalog.remove(o.template);
                 effects.templates_retired += 1;
             }
-            self.release_pattern_edges(o.prev_pid, &o.prev_edges, &mut effects);
-            self.release_pattern_edges(o.cur_pid, &o.cur_edges, &mut effects);
+            for (pid, edges) in [(o.prev_pid, &o.prev_edges), (o.cur_pid, &o.cur_edges)] {
+                self.stage1.release_edges(JOIN_STAGE, pid, edges)?;
+                self.release_pattern(pid, &mut effects);
+            }
         }
         if let Some(window) = runtime.window {
             effects.window_changed = self.untrack_window(window);
@@ -647,11 +649,11 @@ impl Registry {
         }
     }
 
-    /// Register a pattern with the Stage-1 index, counting its canonical
+    /// Register a pattern with the Stage-1 table, counting its canonical
     /// variables when it is newly distinct.
     fn index_pattern(&mut self, pattern: &TreePattern) -> PatternId {
-        let pid = self.pattern_index.register(pattern.clone());
-        if self.pattern_index.refcount(pid) == 1 {
+        let pid = self.stage1.retain_pattern(pattern.clone());
+        if self.stage1.index().refcount(pid) == 1 {
             for (var, _) in pattern.variables() {
                 *self.var_refs.entry(self.interner.intern(var)).or_insert(0) += 1;
             }
@@ -667,7 +669,7 @@ impl Registry {
             .iter()
             .flat_map(|o| [o.prev_pid, o.cur_pid]);
         for pid in shape.single_pid.into_iter().chain(joined) {
-            self.pattern_index.retain(pid);
+            self.stage1.retain_pattern_id(pid);
         }
     }
 
@@ -676,8 +678,9 @@ impl Registry {
     fn release_pattern(&mut self, pid: PatternId, effects: &mut UnregisterEffects) {
         // Collect the variables only when this release will drop the
         // pattern — the common shared-pattern path stays allocation-free.
-        let vars: Vec<Symbol> = if self.pattern_index.refcount(pid) == 1 {
-            self.pattern_index
+        let index = self.stage1.index();
+        let vars: Vec<Symbol> = if index.refcount(pid) == 1 {
+            index
                 .pattern(pid)
                 .variables()
                 .iter()
@@ -686,10 +689,8 @@ impl Registry {
         } else {
             Vec::new()
         };
-        if self.pattern_index.unregister(pid) {
+        if self.stage1.release_pattern(pid) {
             effects.patterns_dropped += 1;
-            self.requested_edges.remove(pid);
-            self.edge_refs.remove(&pid);
             for sym in vars {
                 if let Some(count) = self.var_refs.get_mut(&sym) {
                     *count -= 1;
@@ -700,51 +701,6 @@ impl Registry {
                 }
             }
         }
-    }
-
-    /// Count one more request of each of a join-side pattern's edges. An
-    /// edge requested for the first time is resolved here — its two
-    /// variables interned, its value source read off the pattern — so
-    /// Stage 1 never looks up a string per row; later requests only count
-    /// references.
-    fn retain_edges(&mut self, pid: PatternId, edges: &[Edge]) -> CoreResult<()> {
-        // Resolve against the indexed pattern — the one Stage 1 evaluates
-        // the edge on — not the registrant's copy.
-        let indexed = self.pattern_index.pattern(pid);
-        let counts = self.edge_refs.entry(pid).or_default();
-        for &edge in edges {
-            let count = counts.entry(edge).or_insert(0);
-            *count += 1;
-            if *count == 1 && !self.requested_edges.has_edge(pid, edge) {
-                let resolved = RequestedEdge::resolve(indexed, edge, &self.interner).ok_or(
-                    CoreError::internal("requested edge ends carry canonical variables"),
-                )?;
-                self.requested_edges.push(pid, resolved);
-            }
-        }
-        Ok(())
-    }
-
-    /// Release the requested edges of one registration, then the pattern
-    /// registration itself.
-    fn release_pattern_edges(
-        &mut self,
-        pid: PatternId,
-        edges: &[Edge],
-        effects: &mut UnregisterEffects,
-    ) {
-        if let Some(counts) = self.edge_refs.get_mut(&pid) {
-            for edge in edges {
-                if let Some(count) = counts.get_mut(edge) {
-                    *count -= 1;
-                    if *count == 0 {
-                        counts.remove(edge);
-                        self.requested_edges.remove_edge(pid, *edge);
-                    }
-                }
-            }
-        }
-        self.release_pattern(pid, effects);
     }
 
     fn track_window(&mut self, window: Window) {
@@ -798,7 +754,7 @@ impl Registry {
 
     /// Number of distinct live Stage-1 patterns.
     pub fn num_patterns(&self) -> usize {
-        self.pattern_index.len()
+        self.stage1.index().len()
     }
 
     /// Number of memoized shapes: the live distinct `FROM` clauses, window
@@ -870,42 +826,22 @@ impl Registry {
         Some((q, q.shape.orientations.get(*ri)?))
     }
 
-    /// The Stage-1 pattern index.
-    pub fn pattern_index(&self) -> &PatternIndex {
-        &self.pattern_index
-    }
-
-    /// The per-pattern requested structural edges.
-    pub fn requested_edges(&self) -> &RequestedEdges {
-        &self.requested_edges
+    /// The Stage-1 subscription table: pattern index, requested edges and
+    /// single-block subscriptions.
+    pub fn stage1_table(&self) -> &Stage1Table {
+        &self.stage1
     }
 
     /// Everything Stage 1 evaluates a document against, borrowed for one
-    /// batch: the pattern index (mutably — the shared automaton compiles
-    /// lazily), the requested edges, and the live single-block
-    /// subscriptions in query-id order.
+    /// batch (see [`Stage1Table::subscriptions`]).
     pub fn stage1(&mut self) -> Subscriptions<'_> {
-        let queries = &self.queries;
-        let singles = self
-            .singles
-            .iter()
-            .filter_map(|id| {
-                let q = queries.get(id.raw() as usize)?.as_deref()?;
-                Some(SingleBlock {
-                    query: q.id,
-                    pid: q.shape.single_pid?,
-                    pattern: q.shape.single_pattern()?,
-                    publish: &q.publish,
-                    select: q.select,
-                })
-            })
-            .collect();
-        Subscriptions {
-            index: &mut self.pattern_index,
-            requested: &mut self.requested_edges,
-            router: None,
-            singles,
-        }
+        self.stage1.subscriptions()
+    }
+
+    /// The Stage-1 table, mutably, for tests that seed a corrupted entry.
+    #[cfg(test)]
+    pub(crate) fn stage1_table_mut(&mut self) -> &mut Stage1Table {
+        &mut self.stage1
     }
 
     /// The template catalog.
@@ -946,8 +882,8 @@ impl Registry {
         self.plans_compiled
     }
 
-    /// Cross-check every refcounted / mirrored registry structure against a
-    /// recount over the live queries, appending one [`AuditViolation`] per
+    /// Cross-check every refcounted registry structure, the Stage-1 table
+    /// included, against a recount over the live queries, appending one [`AuditViolation`] per
     /// inconsistency. Read-only; a healthy registry appends nothing. See
     /// [`MmqjpEngine::audit`](crate::MmqjpEngine::audit).
     pub(crate) fn audit(&self, out: &mut Vec<AuditViolation>) {
@@ -965,30 +901,18 @@ impl Registry {
                 live_templates: self.templates.len(),
             });
         }
-        let singles: Vec<QueryId> = self
-            .queries()
-            .filter(|q| q.shape.single_pid.is_some())
-            .map(|q| q.id)
-            .collect();
-        if singles != self.singles {
-            out.push(AuditViolation::SingleBlockList {
-                listed: self.singles.len(),
-                expected: singles.len(),
-            });
-        }
 
-        // One recount pass over the live queries: template membership,
-        // pattern registrations, requested edges, windows and rids.
+        // One recount pass over the live queries: template membership, the
+        // Stage-1 subscriptions, windows and rids.
         let mut rt_expected: HashMap<TemplateId, usize> = HashMap::new();
-        let mut pattern_expected: HashMap<PatternId, usize> = HashMap::new();
-        let mut edge_expected: HashMap<PatternId, HashMap<Edge, usize>> = HashMap::new();
+        let mut stage1_expected = Stage1Recount::default();
         let mut finite_expected: BTreeMap<u64, usize> = BTreeMap::new();
         let mut infinite_expected = 0usize;
         let mut live_rids: HashMap<i64, (usize, usize)> = HashMap::new();
         for (qi, slot) in self.queries.iter().enumerate() {
             let Some(q) = slot.as_deref() else { continue };
             if let Some(pid) = q.shape.single_pid {
-                *pattern_expected.entry(pid).or_insert(0) += 1;
+                stage1_expected.single(q.id, pid);
             }
             match q.window {
                 Some(Window::Time(t)) => *finite_expected.entry(t).or_insert(0) += 1,
@@ -1029,13 +953,8 @@ impl Registry {
                     Some(_) => {}
                 }
                 live_rids.insert(reg.rid, (qi, ri));
-                for (pid, edges) in [(o.prev_pid, &o.prev_edges), (o.cur_pid, &o.cur_edges)] {
-                    *pattern_expected.entry(pid).or_insert(0) += 1;
-                    let per_edge = edge_expected.entry(pid).or_default();
-                    for edge in edges {
-                        *per_edge.entry(*edge).or_insert(0) += 1;
-                    }
-                }
+                stage1_expected.join_side(JOIN_STAGE, o.prev_pid, &o.prev_edges);
+                stage1_expected.join_side(JOIN_STAGE, o.cur_pid, &o.cur_edges);
             }
         }
 
@@ -1062,48 +981,14 @@ impl Registry {
             }
         }
 
-        // Pattern-index refcounts, in both directions: every indexed pattern
-        // carries exactly its live-registration count, and every registered
-        // pattern is indexed.
-        let indexed: HashMap<PatternId, usize> = self
-            .pattern_index
-            .patterns()
-            .map(|(pid, _)| (pid, self.pattern_index.refcount(pid)))
-            .collect();
-        for (&pid, &refs) in &indexed {
-            let expected = pattern_expected.get(&pid).copied().unwrap_or(0);
-            if refs != expected {
-                out.push(AuditViolation::PatternRefcount {
-                    pattern: pid.raw(),
-                    index_refs: refs,
-                    expected,
-                });
-            }
-        }
-        for (&pid, &expected) in &pattern_expected {
-            if !indexed.contains_key(&pid) {
-                out.push(AuditViolation::PatternRefcount {
-                    pattern: pid.raw(),
-                    index_refs: 0,
-                    expected,
-                });
-            }
-        }
-
-        // Edge refcounts and the deterministic requested-edge lists.
-        audit_edge_tables(&edge_expected, &self.edge_refs, &self.requested_edges, out);
-        front::audit_requested_symbols(
-            &self.pattern_index,
-            &self.requested_edges,
-            &self.interner,
-            out,
-        );
-        front::audit_emit_plan(&self.pattern_index, &self.requested_edges, None, out);
+        // The Stage-1 table: pattern and per-consumer edge refcounts, the
+        // single-block list, cached symbols and the live emission plan.
+        self.stage1.audit(&stage1_expected, &self.interner, out);
 
         // Canonical-variable refcounts: one count per *distinct* live
         // pattern binding the variable.
         let mut var_expected: HashMap<Symbol, usize> = HashMap::new();
-        for (_, pattern) in self.pattern_index.patterns() {
+        for (_, pattern) in self.stage1.index().patterns() {
             for (var, _) in pattern.variables() {
                 *var_expected.entry(self.interner.intern(var)).or_insert(0) += 1;
             }
@@ -1161,6 +1046,7 @@ impl Registry {
         for q in self.queries() {
             *holders.entry(Arc::as_ptr(&q.shape)).or_insert(0) += 1;
         }
+        let index = self.stage1.index();
         let mut violation = |reason| out.push(AuditViolation::ShapeMemo { reason });
         for (key, entry) in &self.shapes {
             let shape = &entry.shape;
@@ -1178,7 +1064,7 @@ impl Registry {
                 .single_pid
                 .into_iter()
                 .chain(pids)
-                .any(|pid| self.pattern_index.patterns().all(|(live, _)| live != pid))
+                .any(|pid| index.patterns().all(|(live, _)| live != pid))
             {
                 violation("entry names a dropped pattern");
                 continue;
@@ -1206,7 +1092,7 @@ impl Registry {
                 continue;
             }
             if let (Some(pid), Some(pattern)) = (shape.single_pid, shape.single_pattern()) {
-                if self.pattern_index.pattern(pid).signature() != pattern.signature() {
+                if index.pattern(pid).signature() != pattern.signature() {
                     violation("entry's pattern id names another pattern");
                 }
             }
@@ -1222,8 +1108,8 @@ impl Registry {
                     || syms.as_ref() != Some(&o.assignment_syms)
                     || requested_edges_of(graph, Side::Left) != o.prev_edges
                     || requested_edges_of(graph, Side::Right) != o.cur_edges
-                    || self.pattern_index.pattern(o.prev_pid).signature() != prev.signature()
-                    || self.pattern_index.pattern(o.cur_pid).signature() != cur.signature()
+                    || index.pattern(o.prev_pid).signature() != prev.signature()
+                    || index.pattern(o.cur_pid).signature() != cur.signature()
                 {
                     violation("re-derived orientation differs from the stored one");
                 }
@@ -1301,75 +1187,6 @@ fn requested_edges_of(reduced: &ReducedGraph, side: Side) -> Vec<Edge> {
     edges
 }
 
-/// Cross-check per-`(pattern, edge)` refcount maps and their mirrored
-/// deterministic edge lists against a recount (`expected`). Shared between
-/// the registry audit and the sharded front-stage audit, which maintain the
-/// same pair of structures.
-pub(crate) fn audit_edge_tables(
-    expected: &HashMap<PatternId, HashMap<Edge, usize>>,
-    edge_refs: &HashMap<PatternId, HashMap<Edge, usize>>,
-    requested_edges: &RequestedEdges,
-    out: &mut Vec<AuditViolation>,
-) {
-    let edge_key = |e: &Edge| (e.0.raw(), e.1.raw());
-    let all_pids: std::collections::BTreeSet<PatternId> = expected
-        .keys()
-        .chain(edge_refs.keys())
-        .copied()
-        .map(|p| PatternId(p.raw()))
-        .collect();
-    for pid in all_pids {
-        let want = expected.get(&pid);
-        let have = edge_refs.get(&pid);
-        let edges: std::collections::BTreeSet<(u32, u32)> = want
-            .into_iter()
-            .flat_map(HashMap::keys)
-            .chain(have.into_iter().flat_map(HashMap::keys))
-            .map(edge_key)
-            .collect();
-        for (a, b) in edges {
-            let edge = (PatternNodeId(a), PatternNodeId(b));
-            let want_n = want.and_then(|m| m.get(&edge)).copied().unwrap_or(0);
-            let have_n = have.and_then(|m| m.get(&edge)).copied().unwrap_or(0);
-            if want_n != have_n {
-                out.push(AuditViolation::EdgeRefcount {
-                    pattern: pid.raw(),
-                    edge: (a, b),
-                    tracked: have_n,
-                    expected: want_n,
-                });
-            }
-        }
-        // The deterministic list mirrors the refcount map's key set with no
-        // duplicates.
-        let list = requested_edges.get(&pid).map(Vec::as_slice).unwrap_or(&[]);
-        let mut seen: std::collections::BTreeSet<(u32, u32)> = std::collections::BTreeSet::new();
-        let mut duplicated = false;
-        for requested in list {
-            if !seen.insert(edge_key(&requested.edge)) {
-                duplicated = true;
-            }
-        }
-        if duplicated {
-            out.push(AuditViolation::RequestedEdgeList {
-                pattern: pid.raw(),
-                reason: "duplicate edge in the requested-edge list",
-            });
-        }
-        let keys: std::collections::BTreeSet<(u32, u32)> = have
-            .into_iter()
-            .flat_map(HashMap::keys)
-            .map(edge_key)
-            .collect();
-        if seen != keys {
-            out.push(AuditViolation::RequestedEdgeList {
-                pattern: pid.raw(),
-                reason: "requested-edge list does not mirror the refcount map",
-            });
-        }
-    }
-}
-
 /// Encode a window as the `wl` column value.
 pub fn window_length(window: Window) -> i64 {
     match window {
@@ -1381,6 +1198,7 @@ pub fn window_length(window: Window) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front::{EdgeConsumers, RequestedEdge};
     use mmqjp_xscl::parse_query;
 
     const Q1: &str = "S//book->x1[.//author->x2][.//title->x3] \
@@ -1484,9 +1302,14 @@ mod tests {
             0,
         )
         .unwrap();
-        let total_edges: usize = r.requested_edges().iter().map(|(_, v)| v.len()).sum();
+        let total_edges: usize = r
+            .stage1_table()
+            .requested()
+            .iter()
+            .map(|(_, v)| v.len())
+            .sum();
         assert_eq!(total_edges, 2); // one self edge per pattern
-        for (_, edges) in r.requested_edges().iter() {
+        for (_, edges) in r.stage1_table().requested().iter() {
             for requested in edges {
                 assert_eq!(requested.edge.0, requested.edge.1);
             }
@@ -1494,7 +1317,12 @@ mod tests {
         // Q1 adds real structural edges.
         r.register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
             .unwrap();
-        let q1_edges: usize = r.requested_edges().iter().map(|(_, v)| v.len()).sum();
+        let q1_edges: usize = r
+            .stage1_table()
+            .requested()
+            .iter()
+            .map(|(_, v)| v.len())
+            .sum();
         assert_eq!(q1_edges, 2 + 4);
     }
 
@@ -1578,7 +1406,7 @@ mod tests {
         assert_eq!(r.num_templates(), 0);
         assert_eq!(r.num_patterns(), 0);
         assert_eq!(r.num_queries(), 0);
-        assert!(r.requested_edges().is_empty());
+        assert!(r.stage1_table().requested().is_empty());
         // Unregistering twice fails.
         assert!(matches!(
             r.unregister(id1),
@@ -1742,84 +1570,9 @@ mod tests {
             .iter()
             .any(|v| matches!(v, AuditViolation::WindowMultiset { .. })));
         r.finite_windows.remove(&999);
-
-        // Seed an edge-refcount drift on some live pattern.
-        let pid = *r.edge_refs.keys().next().unwrap();
-        if let Some(count) = r
-            .edge_refs
-            .get_mut(&pid)
-            .and_then(|m| m.values_mut().next())
-        {
-            *count += 1;
-        }
         let mut out = Vec::new();
         r.audit(&mut out);
-        assert!(out
-            .iter()
-            .any(|v| matches!(v, AuditViolation::EdgeRefcount { .. })));
-    }
-
-    #[test]
-    fn requested_edges_cache_their_variable_symbols() {
-        let mut r = registry();
-        r.register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
-        for (pid, edges) in r.requested_edges().iter() {
-            let pattern = r.pattern_index().pattern(*pid);
-            for requested in edges {
-                let var = |id: PatternNodeId| pattern.node(id).variable().unwrap();
-                assert_eq!(requested.var1, r.interner().intern(var(requested.edge.0)));
-                assert_eq!(requested.var2, r.interner().intern(var(requested.edge.1)));
-            }
-        }
-        let mut out = Vec::new();
-        r.audit(&mut out);
-        assert!(out.is_empty(), "healthy registry reported: {out:?}");
-
-        // Seed a stale symbol: the witness rows of that edge would carry the
-        // wrong variable, and the audit must say which edge.
-        let (&pid, edges) = r.requested_edges.lists_mut().next().unwrap();
-        let stale = &mut edges[0];
-        stale.var2 = Symbol::from_raw(stale.var2.raw() + 1_000);
-        let edge = (stale.edge.0.raw(), stale.edge.1.raw());
-        let mut out = Vec::new();
-        r.audit(&mut out);
-        assert_eq!(
-            out,
-            vec![AuditViolation::RequestedEdgeSymbols {
-                pattern: pid.raw(),
-                edge
-            }]
-        );
-    }
-
-    #[test]
-    fn audit_checks_the_live_emit_plan() {
-        let mut r = registry();
-        for q in [Q1, Q2] {
-            r.register(parse_query(q).unwrap(), ProcessingMode::Mmqjp, 0)
-                .unwrap();
-        }
-        // Both book patterns request (book, author) and match this book the
-        // same way: the second enumeration is suppressed.
-        let book = mmqjp_xml::rss::book_announcement(&["A", "B"], "T", &["C"], "P", "1");
-        let mut matches = front::DocumentMatches::default();
-        let mut scratch = front::MatchScratch::default();
-        front::match_document(&mut r.stage1(), &book, &mut scratch, false, &mut matches);
-        assert!(matches.suppressed > 0);
-        assert!(!matches.rows.is_empty());
-        let mut out = Vec::new();
-        r.audit(&mut out);
-        assert!(out.is_empty(), "healthy registry reported: {out:?}");
-
-        assert!(r.requested_edges.merge_plan_classes());
-        r.audit(&mut out);
-        assert_eq!(
-            out,
-            vec![AuditViolation::EmitPlan {
-                reason: "its edge classes"
-            }]
-        );
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
@@ -1852,8 +1605,8 @@ mod tests {
     #[derive(Debug, PartialEq)]
     struct Footprint {
         rt: Vec<(TemplateId, Vec<Vec<Value>>)>,
-        requested_edges: BTreeMap<PatternId, Vec<RequestedEdge>>,
-        edge_refs: BTreeMap<PatternId, BTreeMap<(u32, u32), usize>>,
+        requested_edges: BTreeMap<PatternId, (Vec<RequestedEdge>, Vec<EdgeConsumers>)>,
+        singles: Vec<SingleBlock>,
         var_refs: BTreeMap<Symbol, usize>,
         rid_map: BTreeMap<i64, (usize, usize)>,
         pattern_refs: Vec<(PatternId, usize)>,
@@ -1862,34 +1615,23 @@ mod tests {
     }
 
     fn footprint(r: &Registry) -> Footprint {
+        let (index, requested) = (r.stage1.index(), r.stage1.requested());
         Footprint {
             rt: r
                 .templates
                 .iter()
                 .map(|(&tid, t)| (tid, t.rt.iter().map(|row| row.to_vec()).collect()))
                 .collect(),
-            requested_edges: r
-                .requested_edges
+            requested_edges: requested
                 .iter()
-                .map(|(&pid, list)| (pid, list.clone()))
+                .map(|(&pid, list)| (pid, (list.clone(), requested.consumers(pid).to_vec())))
                 .collect(),
-            edge_refs: r
-                .edge_refs
-                .iter()
-                .map(|(&pid, refs)| {
-                    let refs = refs
-                        .iter()
-                        .map(|(e, &n)| ((e.0.raw(), e.1.raw()), n))
-                        .collect();
-                    (pid, refs)
-                })
-                .collect(),
+            singles: r.stage1.singles().to_vec(),
             var_refs: r.var_refs.iter().map(|(&sym, &n)| (sym, n)).collect(),
             rid_map: r.rid_map.iter().map(|(&rid, &at)| (rid, at)).collect(),
-            pattern_refs: r
-                .pattern_index
+            pattern_refs: index
                 .patterns()
-                .map(|(pid, _)| (pid, r.pattern_index.refcount(pid)))
+                .map(|(pid, _)| (pid, index.refcount(pid)))
                 .collect(),
             windows: (r.finite_windows.clone(), r.infinite_windows),
             plans_compiled: r.plans_compiled,
@@ -2032,6 +1774,71 @@ mod tests {
     }
 
     #[test]
+    fn requested_edges_cache_their_variable_symbols() {
+        let mut r = registry();
+        r.register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
+            .unwrap();
+        let table = r.stage1_table();
+        for (pid, edges) in table.requested().iter() {
+            let pattern = table.index().pattern(*pid);
+            for requested in edges {
+                let var = |id: mmqjp_xpath::PatternNodeId| pattern.node(id).variable().unwrap();
+                assert_eq!(requested.var1, r.interner().intern(var(requested.edge.0)));
+                assert_eq!(requested.var2, r.interner().intern(var(requested.edge.1)));
+            }
+        }
+        let mut out = Vec::new();
+        r.audit(&mut out);
+        assert!(out.is_empty(), "healthy registry reported: {out:?}");
+
+        // Seed a stale symbol: the witness rows of that edge would carry the
+        // wrong variable, and the audit must say which edge.
+        let requested = r.stage1_table_mut().requested_mut();
+        let (&pid, edges) = requested.lists_mut().next().unwrap();
+        let stale = &mut edges[0];
+        stale.var2 = mmqjp_relational::Symbol::from_raw(stale.var2.raw() + 1_000);
+        let edge = (stale.edge.0.raw(), stale.edge.1.raw());
+        let mut out = Vec::new();
+        r.audit(&mut out);
+        assert_eq!(
+            out,
+            vec![AuditViolation::RequestedEdgeSymbols {
+                pattern: pid.raw(),
+                edge
+            }]
+        );
+    }
+
+    #[test]
+    fn audit_checks_the_live_emit_plan() {
+        let mut r = registry();
+        for q in [Q1, Q2] {
+            r.register(parse_query(q).unwrap(), ProcessingMode::Mmqjp, 0)
+                .unwrap();
+        }
+        // Both book patterns request (book, author) and match this book the
+        // same way: the second enumeration is suppressed.
+        let book = mmqjp_xml::rss::book_announcement(&["A", "B"], "T", &["C"], "P", "1");
+        let mut matches = crate::front::DocumentMatches::default();
+        let mut scratch = crate::front::MatchScratch::default();
+        crate::front::match_document(&mut r.stage1(), &book, &mut scratch, false, &mut matches);
+        assert!(matches.suppressed > 0);
+        assert!(!matches.rows.is_empty());
+        let mut out = Vec::new();
+        r.audit(&mut out);
+        assert!(out.is_empty(), "healthy registry reported: {out:?}");
+
+        assert!(r.stage1_table_mut().requested_mut().merge_plan_classes());
+        r.audit(&mut out);
+        assert_eq!(
+            out,
+            vec![AuditViolation::EmitPlan {
+                reason: "its edge classes"
+            }]
+        );
+    }
+
+    #[test]
     fn stage1_lists_live_single_blocks_in_query_id_order() {
         let mut r = registry();
         let register = |r: &mut Registry, text| {
@@ -2045,10 +1852,13 @@ mod tests {
         r.unregister(b).unwrap();
         let listed: Vec<QueryId> = r.stage1().singles.iter().map(|s| s.query).collect();
         assert_eq!(listed, vec![a, c]);
-        assert_eq!(r.singles, vec![a, c]);
 
         // Seed a drift in the maintained list: the audit recounts it.
-        r.singles.push(b);
+        let stale = SingleBlock {
+            query: b,
+            ..r.stage1_table().singles()[0].clone()
+        };
+        r.stage1_table_mut().singles_mut().push(stale);
         let mut out = Vec::new();
         r.audit(&mut out);
         assert_eq!(

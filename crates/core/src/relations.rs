@@ -333,9 +333,9 @@ pub struct RoutedBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::front::{match_document, DocumentMatches, Edge, MatchScratch, Subscriptions};
+    use crate::front::{match_document, DocumentMatches, Edge, MatchScratch, Stage1Table};
     use mmqjp_xml::{rss, DocumentBuilder};
-    use mmqjp_xpath::{parse_pattern, PatternIndex, TreePattern};
+    use mmqjp_xpath::{parse_pattern, TreePattern};
 
     fn d1() -> Document {
         rss::book_announcement(
@@ -364,30 +364,31 @@ mod tests {
         docs: &[Document],
     ) -> (WitnessBatch, StringInterner) {
         let interner = StringInterner::new();
-        let mut index = PatternIndex::new();
-        let pid = index.register(pattern.clone());
         let node = |v: &str| pattern.variable_node(v).unwrap();
-        let resolved = edges
-            .iter()
-            .map(|&(a, d)| {
-                let edge: Edge = (node(a), node(d));
-                RequestedEdge::resolve(pattern, edge, &interner).unwrap()
-            })
-            .collect();
-        let mut requested = RequestedEdges::from_iter([(pid, resolved)]);
-        let mut subs = Subscriptions {
-            index: &mut index,
-            requested: &mut requested,
-            router: None,
-            singles: Vec::new(),
-        };
+        let edges: Vec<Edge> = edges.iter().map(|&(a, d)| (node(a), node(d))).collect();
+        let mut table = Stage1Table::new();
+        table
+            .subscribe(0, pattern.clone(), &edges, &interner)
+            .unwrap();
         let (mut matching, mut matches) = (MatchScratch::default(), DocumentMatches::default());
         let mut scratch = IngestScratch::default();
         let mut batch = WitnessBatch::new();
         for doc in docs {
-            match_document(&mut subs, doc, &mut matching, false, &mut matches);
+            match_document(
+                &mut table.subscriptions(),
+                doc,
+                &mut matching,
+                false,
+                &mut matches,
+            );
             batch
-                .ingest_document(doc, &matches.rows, subs.requested, &interner, &mut scratch)
+                .ingest_document(
+                    doc,
+                    &matches.rows,
+                    table.requested(),
+                    &interner,
+                    &mut scratch,
+                )
                 .unwrap();
         }
         (batch, interner)

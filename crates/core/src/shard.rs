@@ -12,12 +12,16 @@
 //! [`EngineConfig::front_pool`] front parties — the caller's thread plus
 //! `front_pool − 1` spawned front workers — run the front's per-document
 //! matching over contiguous slices of it, each document exactly once. The
-//! caller matches the first slice inline against the master Stage-1 state
-//! (no snapshot, no channel: the same contract as [`MmqjpEngine`]'s inline
-//! front); each spawned worker matches its slice against a snapshot of it.
+//! coordinator holds the engine's one [`Stage1Table`], the same type a
+//! single engine's registry holds, with each shard as a consumer of the
+//! edges its queries request: a registration's shard reports the query's
+//! patterns and edges, and the coordinator subscribes the shard to them.
+//! The caller matches the first slice inline against that table (no
+//! snapshot, no channel: the same contract as [`MmqjpEngine`]'s inline
+//! front); each spawned worker matches its slice against a clone of it.
 //! With the default `front_pool = 1` no front thread exists at all.
-//! *Route*: a [`WitnessRouter`] delivers the resulting witness rows to
-//! precisely the shards whose queries subscribed to them ([`RoutedBatch`];
+//! *Route*: [`route_document`] delivers the resulting witness rows to
+//! precisely the shards consuming them ([`RoutedBatch`];
 //! whole documents are shipped only when `retain_documents` needs them for
 //! `SELECT *` output construction). *Join*: the *query population* is
 //! hash-partitioned across `N` [`MmqjpEngine`] shards on long-lived worker
@@ -34,7 +38,7 @@
 //!              │    match once, Stage 1 + single-blocks
 //!              │ witness rows
 //!              ▼
-//!        WitnessRouter  (per-shard subscription filter)
+//!        route_document  (each edge's consumer shards)
 //!           │     │     │
 //!           ▼     ▼     ▼
 //!        ┌─────┐┌─────┐┌─────┐
@@ -72,19 +76,19 @@ use crate::engine::MmqjpEngine;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultInjector, FaultKind, QuarantineRecord, WorkerFault};
 use crate::front::{
-    self, DocumentMatches, Edge, MatchScratch, PoisonHandling, RequestedEdge, RequestedEdges,
-    SingleBlock, Subscriptions,
+    self, DocumentMatches, Edge, MatchScratch, PoisonHandling, SingleBlock, Stage1Recount,
+    Stage1Table, Subscriptions,
 };
 use crate::output::{sort_matches, MatchOutput};
 use crate::recovery::{self, ReplayLog, RetainedQuery};
 use crate::relations::{IngestScratch, RoutedBatch, WitnessBatch};
-use crate::router::WitnessRouter;
+use crate::router::route_document;
 use crate::stats::EngineStats;
 use mmqjp_relational::StringInterner;
 use mmqjp_xml::{DocId, Document};
-use mmqjp_xpath::{PatternId, PatternIndex, TreePattern};
+use mmqjp_xpath::{PatternId, TreePattern};
 use mmqjp_xscl::{QueryId, SelectClause, XsclQuery};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
@@ -95,8 +99,8 @@ use std::time::{Duration, Instant};
 /// channel; the worker answers each request exactly once, in order.
 enum Request {
     /// Register a query under the given engine-global id. The reply carries
-    /// the query's Stage-1 footprint so the front stage can mirror the
-    /// subscription.
+    /// the query's Stage-1 footprint, which the coordinator subscribes the
+    /// shard to in its table.
     Register {
         query: Box<XsclQuery>,
         global: QueryId,
@@ -149,16 +153,11 @@ struct Shard {
 /// A request to a spawned Stage-1 front worker (front parties
 /// `1..front_pool`; party 0 is the caller's thread and takes no requests).
 enum FrontRequest {
-    /// Replace the worker's snapshot of the Stage-1 state. Sent after every
-    /// subscription change; churn is rare relative to batches, so a
-    /// full-clone broadcast keeps the per-document hot path lock-free.
+    /// Replace the worker's clone of the coordinator's Stage-1 table. Sent
+    /// after every subscription change; churn is rare relative to batches,
+    /// so a full-clone broadcast keeps the per-document hot path lock-free.
     Sync {
-        index: Box<PatternIndex>,
-        requested: RequestedEdges,
-        /// The router's shard sets are part of the edge classes the
-        /// worker's emission plan is compiled with.
-        router: WitnessRouter,
-        singles: Vec<FrontSingle>,
+        table: Box<Stage1Table>,
         reply: Sender<()>,
     },
     /// Match a run of documents (ids and timestamps already assigned
@@ -169,20 +168,6 @@ enum FrontRequest {
         panic: bool,
         reply: Sender<MatchedChunk>,
     },
-}
-
-/// A single-block subscription evaluated at the front stage (its matches
-/// never involve Stage 2, so they are answered where the document is
-/// matched).
-#[derive(Debug, Clone)]
-struct FrontSingle {
-    global: QueryId,
-    /// Where [`pattern`](Self::pattern) sits in the master index (and in
-    /// every worker's snapshot of it).
-    pid: PatternId,
-    pattern: TreePattern,
-    publish: Option<String>,
-    select: SelectClause,
 }
 
 /// One front party's Stage-1 output for its slice of a batch.
@@ -208,41 +193,35 @@ struct FrontWorker {
     handle: Option<JoinHandle<()>>,
 }
 
-/// Per registered query: what the coordinator must release from the front
-/// stage when the query unregisters.
+/// Per registered query: what the coordinator must release from its
+/// Stage-1 table when the query unregisters.
 #[derive(Debug)]
 struct FrontFootprint {
     shard: usize,
     patterns: Vec<(PatternId, Vec<Edge>)>,
-    /// The master-index id of the query's single-block pattern, if it is a
+    /// The table id of the query's single-block pattern, if it is a
     /// single-block subscription.
     single: Option<PatternId>,
 }
 
 /// The document-parallel Stage-1 front stage: the caller's thread is front
-/// party 0 and matches against the master state directly; parties
-/// `1..front_pool` are spawned workers holding snapshots of it.
+/// party 0 and matches against the coordinator's table directly; parties
+/// `1..front_pool` are spawned workers holding clones of it.
 #[derive(Debug)]
 struct FrontStage {
     /// The spawned workers; `workers[i]` is front party `i + 1`.
     workers: Vec<FrontWorker>,
-    /// Master pattern index: the union of every shard's join-side patterns
-    /// and every single-block pattern, refcounted per registration exactly
-    /// like a `Registry`'s own index.
-    index: PatternIndex,
-    /// Global requested-edge union per pattern, in first-request order.
-    requested: RequestedEdges,
-    /// Refcounts behind [`requested`](Self::requested).
-    edge_refs: HashMap<PatternId, HashMap<Edge, usize>>,
-    router: WitnessRouter,
+    /// Every shard's join-side patterns and every single-block
+    /// subscription, refcounted per registration exactly like a
+    /// `Registry`'s own table, each shard consuming the edges its queries
+    /// request.
+    table: Stage1Table,
     /// The caller's matching buffers, kept warm across batches.
     matching: MatchScratch,
     /// Pooled dedup sets of the routing ingest.
     ingest: IngestScratch,
-    /// Single-block subscriptions in ascending global-id order (the order a
-    /// single engine evaluates them in).
-    singles: Vec<FrontSingle>,
-    footprints: HashMap<u64, FrontFootprint>,
+    /// Per live query, in ascending global-id order.
+    footprints: BTreeMap<u64, FrontFootprint>,
     /// Front-stage statistics: `documents_processed` / `docs_parsed_once`
     /// (each document exactly once), `stage1_pairs` / `stage1_rows`,
     /// `witnesses_routed`, `pipeline_stalls`,
@@ -401,14 +380,10 @@ impl ShardedEngine {
             .collect();
         let front = FrontStage {
             workers,
-            index: PatternIndex::default(),
-            requested: RequestedEdges::new(),
-            edge_refs: HashMap::new(),
-            router: WitnessRouter::new(),
+            table: Stage1Table::new(),
             matching: MatchScratch::default(),
             ingest: IngestScratch::default(),
-            singles: Vec::new(),
-            footprints: HashMap::new(),
+            footprints: BTreeMap::new(),
             stats: EngineStats::default(),
             next_doc_seq: 0,
             newest_timestamp: 0,
@@ -474,10 +449,10 @@ impl ShardedEngine {
         shard_of(id, self.shards.len())
     }
 
-    /// The front stage's witness router: the live subscription table, for
-    /// inspection.
-    pub fn witness_router(&self) -> &WitnessRouter {
-        &self.front.router
+    /// The coordinator's Stage-1 subscription table (each shard a consumer
+    /// of the edges its queries request), for inspection.
+    pub fn stage1_table(&self) -> &Stage1Table {
+        &self.front.table
     }
 
     /// Register a query from its textual XSCL form. Returns the query id.
@@ -488,8 +463,11 @@ impl ShardedEngine {
 
     /// Register a parsed query on the shard its id hashes to. Returns the
     /// engine-global query id, which matches the id a single [`MmqjpEngine`]
-    /// registering the same queries in the same order would assign.
+    /// registering the same queries in the same order would assign. With a
+    /// dead front worker it fails with [`CoreError::FrontUnavailable`]
+    /// before the shard is asked, changing nothing.
     pub fn register_query(&mut self, query: XsclQuery) -> CoreResult<QueryId> {
+        self.front.check_workers()?;
         let global = QueryId(self.next_query);
         let shard = shard_of(global, self.shards.len());
         // Under a recovering fault policy the coordinator retains each live
@@ -528,8 +506,9 @@ impl ShardedEngine {
     /// Errors with [`CoreError::UnknownQuery`] for ids never assigned or
     /// already unregistered, [`CoreError::ShardUnavailable`] if the owning
     /// shard's worker is gone, and [`CoreError::FrontUnavailable`] if a front
-    /// worker is.
+    /// worker is — in which case the query stays registered everywhere.
     pub fn unregister_query(&mut self, id: QueryId) -> CoreResult<()> {
+        self.front.check_workers()?;
         let shard = shard_of(id, self.shards.len());
         let (reply, response) = channel();
         self.send(shard, Request::Unregister { global: id, reply })?;
@@ -900,9 +879,9 @@ impl ShardedEngine {
     /// Run a full invariant audit across the pipeline: every shard engine's
     /// own [`MmqjpEngine::audit`] (violations come back wrapped in
     /// [`AuditViolation::Shard`]), the coordinator's per-shard query
-    /// accounting, and the front stage's mirrored subscription state (master
-    /// pattern index, global requested-edge union, witness-router table and
-    /// single-block list), each recomputed from the live query footprints. When a recovering fault policy is
+    /// accounting, and the coordinator's Stage-1 table, checked by the
+    /// table's own audit against a recount of the live query footprints.
+    /// When a recovering fault policy is
     /// active, additionally checks the recovery machinery itself: the
     /// retained-query ledger tracks every live query and the replay log
     /// stays within its retention bound. Read-only; a healthy engine
@@ -976,8 +955,8 @@ impl ShardedEngine {
         Ok(out)
     }
 
-    /// Recompute the front stage's expected subscription state from its live
-    /// query footprints and compare it against the maintained mirrors.
+    /// Recount the coordinator's Stage-1 table from the live query
+    /// footprints and let the table check itself against the recount.
     fn audit_front(&self, out: &mut Vec<AuditViolation>) {
         let front = &self.front;
         if front.footprints.len() != self.live_queries {
@@ -986,135 +965,16 @@ impl ShardedEngine {
                 reason: "footprint count differs from the live queries",
             });
         }
-
-        // One recount pass over the footprints: master-index refcounts (join
-        // patterns and single-block patterns alike), the global edge union,
-        // per-shard router subscriptions and singles.
-        let mut pattern_expected: HashMap<PatternId, usize> = HashMap::new();
-        let mut edge_expected: HashMap<PatternId, HashMap<Edge, usize>> = HashMap::new();
-        let mut router_expected: HashMap<PatternId, BTreeMap<usize, HashMap<Edge, usize>>> =
-            HashMap::new();
-        let mut singles_expected = 0usize;
-        for footprint in front.footprints.values() {
+        let mut recount = Stage1Recount::default();
+        for (&global, footprint) in &front.footprints {
             if let Some(pid) = footprint.single {
-                *pattern_expected.entry(pid).or_insert(0) += 1;
-                singles_expected += 1;
+                recount.single(QueryId(global), pid);
             }
             for (pid, edges) in &footprint.patterns {
-                *pattern_expected.entry(*pid).or_insert(0) += 1;
-                let per_edge = edge_expected.entry(*pid).or_default();
-                let per_shard = router_expected
-                    .entry(*pid)
-                    .or_default()
-                    .entry(footprint.shard)
-                    .or_default();
-                for edge in edges {
-                    *per_edge.entry(*edge).or_insert(0) += 1;
-                    *per_shard.entry(*edge).or_insert(0) += 1;
-                }
+                recount.join_side(footprint.shard, *pid, edges);
             }
         }
-
-        // Master pattern index, both directions.
-        let indexed: HashMap<PatternId, usize> = front
-            .index
-            .patterns()
-            .map(|(pid, _)| (pid, front.index.refcount(pid)))
-            .collect();
-        for (&pid, &refs) in &indexed {
-            let expected = pattern_expected.get(&pid).copied().unwrap_or(0);
-            if refs != expected {
-                out.push(AuditViolation::PatternRefcount {
-                    pattern: pid.raw(),
-                    index_refs: refs,
-                    expected,
-                });
-            }
-        }
-        for (&pid, &expected) in &pattern_expected {
-            if !indexed.contains_key(&pid) {
-                out.push(AuditViolation::PatternRefcount {
-                    pattern: pid.raw(),
-                    index_refs: 0,
-                    expected,
-                });
-            }
-        }
-
-        // Global requested-edge union, its refcounts and its cached symbols.
-        crate::registry::audit_edge_tables(&edge_expected, &front.edge_refs, &front.requested, out);
-        crate::front::audit_requested_symbols(&front.index, &front.requested, &self.interner, out);
-        crate::front::audit_emit_plan(&front.index, &front.requested, Some(&front.router), out);
-
-        // Router table: per (pattern, shard), the refcounted edge set and
-        // its first-subscription-order list mirror the footprints.
-        let all_pids: std::collections::BTreeSet<PatternId> = router_expected
-            .keys()
-            .chain(front.router.subs.keys())
-            .copied()
-            .collect();
-        for pid in all_pids {
-            let want = router_expected.get(&pid);
-            let have = front.router.subs.get(&pid);
-            let shards: std::collections::BTreeSet<usize> = want
-                .into_iter()
-                .flat_map(BTreeMap::keys)
-                .chain(have.into_iter().flat_map(BTreeMap::keys))
-                .copied()
-                .collect();
-            for shard in shards {
-                let want_edges = want.and_then(|m| m.get(&shard));
-                let have_subs = have.and_then(|m| m.get(&shard));
-                let want_total: usize = want_edges.map_or(0, |m| m.values().sum());
-                let have_total: usize = have_subs.map_or(0, |s| s.refs.values().sum());
-                let refs_match = match (want_edges, have_subs) {
-                    (None, None) => true,
-                    (Some(w), Some(s)) => *w == s.refs,
-                    _ => want_total == 0 && have_total == 0,
-                };
-                if !refs_match {
-                    out.push(AuditViolation::FrontSubscription {
-                        pattern: pid.raw(),
-                        reason: "router edge refcounts differ from the live footprints",
-                    });
-                }
-                if let Some(subs) = have_subs {
-                    let mut seen = std::collections::HashSet::new();
-                    if !subs.list.iter().all(|e| seen.insert(*e)) {
-                        out.push(AuditViolation::FrontSubscription {
-                            pattern: pid.raw(),
-                            reason: "duplicate edge in a router subscription list",
-                        });
-                    }
-                    if seen != subs.refs.keys().copied().collect() {
-                        out.push(AuditViolation::FrontSubscription {
-                            pattern: pid.raw(),
-                            reason: "router subscription list does not mirror its refcounts",
-                        });
-                    }
-                }
-            }
-        }
-
-        // Single-block subscriptions: count and membership.
-        if front.singles.len() != singles_expected {
-            out.push(AuditViolation::FrontSinglesCount {
-                listed: front.singles.len(),
-                expected: singles_expected,
-            });
-        }
-        for single in &front.singles {
-            let covered = front
-                .footprints
-                .get(&single.global.raw())
-                .is_some_and(|f| f.single == Some(single.pid));
-            if !covered {
-                out.push(AuditViolation::FrontSubscription {
-                    pattern: u32::MAX,
-                    reason: "front single-block entry has no live footprint",
-                });
-            }
-        }
+        front.table.audit(&recount, &self.interner, out);
     }
 
     fn send(&self, shard: usize, request: Request) -> CoreResult<()> {
@@ -1130,10 +990,9 @@ impl ShardedEngine {
     // Front stage internals
     // ----------------------------------------------------------------
 
-    /// Mirror a freshly registered query's Stage-1 footprint into the front
-    /// stage: merge its patterns into the master index and the global
-    /// requested-edge union, subscribe its shard in the router, take over
-    /// its single-block subscription, and re-sync the front workers.
+    /// Subscribe the query's shard to its Stage-1 footprint in the
+    /// coordinator's table — its join-side patterns with their requested
+    /// edges, its single-block subscription — and re-sync the front workers.
     fn front_subscribe(
         &mut self,
         shard: usize,
@@ -1141,36 +1000,20 @@ impl ShardedEngine {
         footprint: ShardFootprint,
     ) -> CoreResult<()> {
         let front = &mut self.front;
-        let mut resolved = Vec::with_capacity(footprint.patterns.len());
+        let mut patterns = Vec::with_capacity(footprint.patterns.len());
         for (pattern, edges) in footprint.patterns {
-            let pid = front.index.register(pattern);
-            let pattern = front.index.pattern(pid);
-            let refs = front.edge_refs.entry(pid).or_default();
-            for &edge in &edges {
-                let count = refs.entry(edge).or_insert(0);
-                if *count == 0 {
-                    // First request of this edge: resolve it once, here.
-                    let requested = RequestedEdge::resolve(pattern, edge, &self.interner).ok_or(
-                        CoreError::internal("requested edge ends carry canonical variables"),
-                    )?;
-                    front.requested.push(pid, requested);
-                }
-                *count += 1;
-            }
-            front.router.subscribe(shard, pid, &edges);
-            resolved.push((pid, edges));
+            let pid = front
+                .table
+                .subscribe(shard, pattern, &edges, &self.interner)?;
+            patterns.push((pid, edges));
         }
-        // The shard sets are part of the edge classes.
-        front.requested.invalidate_plan();
         let single = footprint.single.map(|(pattern, publish, select)| {
-            // The single's pattern joins the master index like any join
+            // The single's pattern joins the table's index like any join
             // pattern (deduplicated by signature, refcounted), so one
-            // automaton pass answers both. Global ids are assigned in
-            // ascending order and never reused, so pushing keeps the list in
-            // single-engine evaluation order.
-            let pid = front.index.register(pattern.clone());
-            front.singles.push(FrontSingle {
-                global,
+            // automaton pass answers both.
+            let pid = front.table.retain_pattern(pattern.clone());
+            front.table.push_single(SingleBlock {
+                query: global,
                 pid,
                 pattern,
                 publish,
@@ -1178,19 +1021,18 @@ impl ShardedEngine {
             });
             pid
         });
-        front.footprints.insert(
-            global.raw(),
-            FrontFootprint {
-                shard,
-                patterns: resolved,
-                single,
-            },
-        );
+        let footprint = FrontFootprint {
+            shard,
+            patterns,
+            single,
+        };
+        front.footprints.insert(global.raw(), footprint);
         self.sync_front()
     }
 
-    /// Release a departing query's front-stage footprint (the inverse of
-    /// [`front_subscribe`](Self::front_subscribe)) and re-sync the workers.
+    /// Release a departing query's footprint from the coordinator's table
+    /// (the inverse of [`front_subscribe`](Self::front_subscribe)) and
+    /// re-sync the workers.
     fn front_unsubscribe(&mut self, global: QueryId) -> CoreResult<()> {
         let front = &mut self.front;
         let footprint = front
@@ -1198,47 +1040,30 @@ impl ShardedEngine {
             .remove(&global.raw())
             .ok_or(CoreError::internal("a live query has a front footprint"))?;
         for (pid, edges) in &footprint.patterns {
-            front.router.unsubscribe(footprint.shard, *pid, edges)?;
-            let refs = front.edge_refs.get_mut(pid).ok_or(CoreError::internal(
-                "a subscribed pattern has edge refcounts",
-            ))?;
-            for edge in edges {
-                let count = refs
-                    .get_mut(edge)
-                    .ok_or(CoreError::internal("a requested edge is refcounted"))?;
-                *count -= 1;
-                if *count == 0 {
-                    refs.remove(edge);
-                    front.requested.remove_edge(*pid, *edge);
-                }
-            }
-            if refs.is_empty() {
-                front.edge_refs.remove(pid);
-                front.requested.remove(*pid);
-            }
-            front.index.unregister(*pid);
+            front.table.unsubscribe(footprint.shard, *pid, edges)?;
         }
-        front.requested.invalidate_plan();
         if let Some(pid) = footprint.single {
-            front.singles.retain(|s| s.global != global);
-            front.index.unregister(pid);
+            front.table.remove_single(global);
+            front.table.release_pattern(pid);
         }
         self.sync_front()
     }
 
-    /// Broadcast the current Stage-1 snapshot (master index, requested-edge
-    /// union, single-block list) to every spawned front worker and wait for
-    /// their acknowledgements, so the next batch is matched against the
-    /// updated subscriptions. The caller's own party reads the master state
-    /// directly, so with `front_pool = 1` this clones nothing.
-    fn sync_front(&self) -> CoreResult<()> {
-        let front = &self.front;
+    /// Broadcast a clone of the coordinator's table to every spawned front
+    /// worker and wait for their acknowledgements, so the next batch is
+    /// matched against the updated subscriptions. The caller's own party
+    /// reads the table directly, so with `front_pool = 1` this clones
+    /// nothing. A worker that does not acknowledge is retired.
+    fn sync_front(&mut self) -> CoreResult<()> {
+        let front = &mut self.front;
         let acks = (1..=front.workers.len())
             .map(|party| front.send_snapshot(party).map(|ack| (party, ack)))
             .collect::<CoreResult<Vec<_>>>()?;
         for (party, ack) in acks {
-            ack.recv()
-                .map_err(|_| CoreError::FrontUnavailable { worker: party })?;
+            if ack.recv().is_err() {
+                front.retire_worker(party);
+                return Err(CoreError::FrontUnavailable { worker: party });
+            }
         }
         Ok(())
     }
@@ -1249,7 +1074,7 @@ impl ShardedEngine {
     /// pattern-match document-parallel across the front parties, answer
     /// single-block subscriptions, and route the witness rows into
     /// per-shard batches. The batch is cut into `front_pool` contiguous
-    /// slices: the caller's thread matches the first against the master
+    /// slices: the caller's thread matches the first against the coordinator's
     /// state while the spawned workers match the rest. A spawned worker that
     /// dies mid-slice is respawned and its slice retried under
     /// [`FaultPolicy::Quarantine`]; under any other policy its death fails
@@ -1298,16 +1123,12 @@ impl ShardedEngine {
         }
         // Party 0 matches on this thread while the spawned parties match
         // theirs: no snapshot, no channel, no unwinding boundary.
-        let mut subs = subscriptions(
-            &mut front.index,
-            &mut front.requested,
-            &front.router,
-            &front.singles,
-        );
+        let mut subs = front.table.subscriptions();
         let chunk = match_slice(&mut subs, own, &mut front.matching, retain_documents);
         let mut match_work = chunk.elapsed;
         let mut matched = chunk.docs;
-        for (party, response, retry) in pending {
+        let mut pending = pending.into_iter();
+        while let Some((party, response, retry)) = pending.next() {
             let chunk = match response.recv() {
                 Ok(chunk) => chunk,
                 Err(_) if policy == FaultPolicy::Quarantine => {
@@ -1336,7 +1157,17 @@ impl ShardedEngine {
                     self.supervisor_stats.timings.recovery += t0.elapsed();
                     chunk
                 }
-                Err(_) => return Err(CoreError::FrontUnavailable { worker: party }),
+                Err(_) => {
+                    // Retire every party that died, so the next registration
+                    // sees the dead front before it reaches a shard.
+                    front.retire_worker(party);
+                    for (other, response, _) in pending {
+                        if response.recv().is_err() {
+                            front.retire_worker(other);
+                        }
+                    }
+                    return Err(CoreError::FrontUnavailable { worker: party });
+                }
             };
             match_work += chunk.elapsed;
             matched.extend(chunk.docs);
@@ -1354,10 +1185,10 @@ impl ShardedEngine {
         for doc in matched {
             front.stats.stage1_pairs += doc.matches.rows.len();
             front.stats.stage1_edges_suppressed += doc.matches.suppressed;
-            routed_rows += front.router.route_document(
+            routed_rows += route_document(
+                &front.table,
                 &doc.doc,
                 &doc.matches.rows,
-                &front.requested,
                 &self.interner,
                 &mut front.ingest,
                 &mut shard_batches,
@@ -1633,16 +1464,31 @@ impl FrontStage {
             .ok_or(CoreError::FrontUnavailable { worker: party })
     }
 
-    /// Send spawned front party `party` a snapshot of the master Stage-1
-    /// state; the returned channel acknowledges it.
+    /// `Ok` when every spawned front party is alive, else
+    /// [`CoreError::FrontUnavailable`] naming the first dead one.
+    fn check_workers(&self) -> CoreResult<()> {
+        (1..=self.workers.len()).try_for_each(|party| self.sender(party).map(drop))
+    }
+
+    /// Retire dead spawned front party `party`: close its channel and reap
+    /// its thread. Later requests to it fail with
+    /// [`CoreError::FrontUnavailable`].
+    fn retire_worker(&mut self, party: usize) {
+        if let Some(worker) = party.checked_sub(1).and_then(|i| self.workers.get_mut(i)) {
+            worker.sender = None;
+            if let Some(handle) = worker.handle.take() {
+                let _ = handle.join();
+            }
+        }
+    }
+
+    /// Send spawned front party `party` a clone of the coordinator's table;
+    /// the returned channel acknowledges it.
     fn send_snapshot(&self, party: usize) -> CoreResult<Receiver<()>> {
         let (reply, ack) = channel();
         self.sender(party)?
             .send(FrontRequest::Sync {
-                index: Box::new(self.index.clone()),
-                requested: self.requested.clone(),
-                router: self.router.clone(),
-                singles: self.singles.clone(),
+                table: Box::new(self.table.clone()),
                 reply,
             })
             .map_err(|_| CoreError::FrontUnavailable { worker: party })?;
@@ -1662,32 +1508,6 @@ impl FrontStage {
             .send(FrontRequest::Match { docs, panic, reply })
             .map_err(|_| CoreError::FrontUnavailable { worker: party })?;
         Ok(response)
-    }
-}
-
-/// The Stage-1 view of one front party's state: its pattern index (the
-/// master index on the caller's thread, a snapshot on a spawned worker), the
-/// requested edges and the single-block subscriptions.
-fn subscriptions<'a>(
-    index: &'a mut PatternIndex,
-    requested: &'a mut RequestedEdges,
-    router: &'a WitnessRouter,
-    singles: &'a [FrontSingle],
-) -> Subscriptions<'a> {
-    Subscriptions {
-        index,
-        requested,
-        router: Some(router),
-        singles: singles
-            .iter()
-            .map(|s| SingleBlock {
-                query: s.global,
-                pid: s.pid,
-                pattern: &s.pattern,
-                publish: &s.publish,
-                select: s.select,
-            })
-            .collect(),
     }
 }
 
@@ -1860,34 +1680,24 @@ fn shard_worker(
     }
 }
 
-/// The front-worker loop of a spawned front party: holds a snapshot of the
-/// Stage-1 state (master pattern index with the single-block patterns in it,
-/// requested-edge union, single-block subscriptions) and runs
-/// [`match_slice`] over document slices against it. Snapshots are replaced
-/// wholesale by `Sync` requests on subscription churn.
+/// The front-worker loop of a spawned front party: holds a clone of the
+/// coordinator's Stage-1 table and runs [`match_slice`] over document slices
+/// against it. The clone is replaced wholesale by `Sync` requests on
+/// subscription churn.
 // The spawned front worker must own its receiver (`'static` loop).
 #[allow(clippy::needless_pass_by_value)]
 fn front_worker(retain_documents: bool, requests: Receiver<FrontRequest>) {
-    let mut index = PatternIndex::default();
-    let mut requested = RequestedEdges::new();
-    let mut router = WitnessRouter::new();
-    let mut singles: Vec<FrontSingle> = Vec::new();
+    let mut table = Stage1Table::new();
     // Worker-lifetime matching buffers: a document allocates nothing for
     // its pass or its rows' enumeration once warm.
     let mut matching = MatchScratch::default();
     while let Ok(request) = requests.recv() {
         match request {
             FrontRequest::Sync {
-                index: new_index,
-                requested: new_requested,
-                router: new_router,
-                singles: new_singles,
+                table: new_table,
                 reply,
             } => {
-                index = *new_index;
-                requested = new_requested;
-                router = new_router;
-                singles = new_singles;
+                table = *new_table;
                 let _ = reply.send(());
             }
             FrontRequest::Match { docs, panic, reply } => {
@@ -1900,8 +1710,12 @@ fn front_worker(retain_documents: bool, requests: Receiver<FrontRequest>) {
                         // lint:allow deliberate injected fault, contained by catch_unwind below
                         panic!("injected fault: front worker panic");
                     }
-                    let mut subs = subscriptions(&mut index, &mut requested, &router, &singles);
-                    match_slice(&mut subs, docs, &mut matching, retain_documents)
+                    match_slice(
+                        &mut table.subscriptions(),
+                        docs,
+                        &mut matching,
+                        retain_documents,
+                    )
                 }));
                 match caught {
                     Ok(chunk) => {
@@ -2042,7 +1856,7 @@ mod tests {
     #[test]
     fn unregister_releases_front_subscriptions() {
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2).with_front_pool(1));
-        assert!(!e.witness_router().is_empty());
+        assert!(!e.stage1_table().is_empty());
         e.process_document(d1()).unwrap();
         e.unregister_query(QueryId(0)).unwrap();
         let out = e.process_document(d2()).unwrap();
@@ -2051,7 +1865,7 @@ mod tests {
         e.unregister_query(QueryId(1)).unwrap();
         e.unregister_query(QueryId(2)).unwrap();
         // The routing table empties with the last subscription.
-        assert!(e.witness_router().is_empty());
+        assert!(e.stage1_table().is_empty());
         assert!(e
             .process_document(d2().with_timestamp(Timestamp(30)))
             .unwrap()
@@ -2085,11 +1899,46 @@ mod tests {
         );
     }
 
+    /// One `(pattern, edge, consumer)` refcount off by one, and nothing
+    /// else: the single engine's registry and the sharded coordinator keep
+    /// the same table, and both audits report the same corruption.
+    #[test]
+    fn both_audits_report_a_seeded_consumer_refcount() {
+        let off_by_one = |out: &[AuditViolation], seeded: (u32, (u32, u32), usize)| {
+            matches!(
+                out,
+                [AuditViolation::EdgeRefcount {
+                    pattern,
+                    edge,
+                    consumer,
+                    tracked,
+                    expected,
+                }] if (*pattern, *edge, *consumer) == seeded && *tracked == *expected + 1
+            )
+        };
+        let mut single = MmqjpEngine::new(EngineConfig::mmqjp());
+        for q in [Q1, Q2, Q3] {
+            single.register_query_text(q).unwrap();
+        }
+        assert!(single.audit().is_empty());
+        let seeded = single.stage1_table_mut().seed_extra_edge_ref().unwrap();
+        assert_eq!(seeded.2, 0, "the single engine's one consumer");
+        let out = single.audit();
+        assert!(off_by_one(&out, seeded), "{out:?}");
+
+        let mut e = sharded(EngineConfig::mmqjp().with_num_shards(3).with_front_pool(2));
+        assert!(e.audit().unwrap().is_empty());
+        let seeded = e.front.table.seed_extra_edge_ref().unwrap();
+        let out = e.audit().unwrap();
+        assert!(off_by_one(&out, seeded), "{out:?}");
+    }
+
     #[test]
     fn front_audit_detects_stale_requested_edge_symbols() {
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2));
         assert!(e.audit().unwrap().is_empty());
-        let (&pid, edges) = e.front.requested.lists_mut().next().unwrap();
+        let requested = e.front.table.requested_mut();
+        let (&pid, edges) = requested.lists_mut().next().unwrap();
         edges[0].var1 = mmqjp_relational::Symbol::from_raw(edges[0].var1.raw() + 1_000);
         let edge = (edges[0].edge.0.raw(), edges[0].edge.1.raw());
         let violations = e.audit().unwrap();
@@ -2107,7 +1956,7 @@ mod tests {
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2));
         e.process_document(d1()).unwrap();
         assert!(e.audit().unwrap().is_empty());
-        assert!(e.front.requested.merge_plan_classes());
+        assert!(e.front.table.requested_mut().merge_plan_classes());
         assert_eq!(
             e.audit().unwrap(),
             vec![AuditViolation::EmitPlan {
@@ -2139,12 +1988,14 @@ mod tests {
     fn single_block_patterns_live_in_the_master_index() {
         let mut e = ShardedEngine::new(EngineConfig::mmqjp().with_front_pool(2));
         let single = e.register_query_text(Q_SINGLE).unwrap();
-        let pid = e.front.singles[0].pid;
-        assert_eq!(e.front.index.refcount(pid), 1);
+        let table = &e.front.table;
+        let pid = table.singles()[0].pid;
+        assert_eq!(table.index().refcount(pid), 1);
         // A second, identical subscription shares the pattern.
         let twin = e.register_query_text(Q_SINGLE).unwrap();
-        assert_eq!(e.front.singles[1].pid, pid);
-        assert_eq!(e.front.index.refcount(pid), 2);
+        let table = &e.front.table;
+        assert_eq!(table.singles()[1].pid, pid);
+        assert_eq!(table.index().refcount(pid), 2);
         assert!(e.audit().unwrap().is_empty());
         // Two authors, two witnesses per document, for each subscription.
         let out = e.process_batch(vec![d1(), d1()]).unwrap();
@@ -2152,7 +2003,8 @@ mod tests {
         assert_eq!(out.iter().filter(|m| m.query == twin).count(), 4);
 
         // The audit counts single-block registrations in the refcounts.
-        e.front.index.register(e.front.singles[0].pattern.clone());
+        let pattern = e.front.table.singles()[0].pattern.clone();
+        e.front.table.retain_pattern(pattern);
         assert!(e.audit().unwrap().iter().any(|v| matches!(
             v,
             AuditViolation::PatternRefcount {
@@ -2161,11 +2013,11 @@ mod tests {
                 ..
             }
         )));
-        e.front.index.unregister(pid);
+        e.front.table.release_pattern(pid);
 
         e.unregister_query(single).unwrap();
         e.unregister_query(twin).unwrap();
-        assert!(e.front.index.is_empty());
+        assert!(e.front.table.is_empty());
         assert!(e.audit().unwrap().is_empty());
     }
 
@@ -2174,7 +2026,7 @@ mod tests {
         let e = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(0).with_front_pool(0));
         assert_eq!(e.num_shards(), 1);
         assert_eq!(e.front_pool(), 1);
-        assert!(e.witness_router().is_empty());
+        assert!(e.stage1_table().is_empty());
     }
 
     #[test]
@@ -2198,7 +2050,7 @@ mod tests {
         let mut e = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(3).with_front_pool(1));
         assert!(e.register_query_text("not a query at all ///").is_err());
         assert_eq!(e.num_queries(), 0);
-        assert!(e.witness_router().is_empty());
+        assert!(e.stage1_table().is_empty());
         let id = e.register_query_text(Q1).unwrap();
         assert_eq!(id, QueryId(0));
     }

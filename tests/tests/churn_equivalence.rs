@@ -15,7 +15,9 @@
 //! absorb that too). Each scenario also accounts for the registry's shape
 //! memo: on a single engine, registering a clause (window aside) that a
 //! live query already holds is a reuse, and every other registration builds
-//! its shape.
+//! its shape. And every script is replayed once more on a single engine and
+//! a one-shard `ShardedEngine` side by side, whose Stage-1 tables — the
+//! registry's and the coordinator's — must agree after every step.
 
 use mmqjp_core::{
     sort_matches, CoreError, EngineConfig, EngineStats, MatchOutput, MmqjpEngine, QueryId,
@@ -222,8 +224,57 @@ fn run_differential(mut make: impl FnMut() -> AnyEngine, script: &[Op], label: &
     );
 }
 
-/// Run a script differentially across every mode × {single, sharded 1/2/4}.
+/// Replay `script` on an `MmqjpEngine` and a one-shard `ShardedEngine`
+/// (front pools 1 and 2) registering the same queries in the same order:
+/// after every step the coordinator's Stage-1 table must equal the
+/// registry's — patterns with refcounts, requested-edge lists in order with
+/// their consumers, single-block subscriptions and emission-plan classes.
+fn assert_tables_agree(config: &EngineConfig, script: &[Op]) {
+    for front_pool in [1, 2] {
+        let mut single = MmqjpEngine::new(config.clone());
+        let mut sharded = ShardedEngine::new(
+            config
+                .clone()
+                .with_num_shards(1)
+                .with_front_pool(front_pool),
+        );
+        let mut ids = Vec::new();
+        let mut compiled = false;
+        for (step, op) in script.iter().enumerate() {
+            match op {
+                Op::Reg(text) => {
+                    let id = single.register_query_text(text).expect("query registers");
+                    let twin = sharded.register_query_text(text).expect("query registers");
+                    assert_eq!(twin, id);
+                    ids.push(id);
+                }
+                Op::Unreg(n) => {
+                    single.unregister_query(ids[*n]).expect("live target");
+                    sharded.unregister_query(ids[*n]).expect("live target");
+                }
+                Op::Doc(doc) => {
+                    let mut expected = single.process_document(doc.clone()).expect("processes");
+                    sort_matches(&mut expected);
+                    let got = sharded.process_document(doc.clone()).expect("processes");
+                    assert_eq!(got, expected, "front pool {front_pool}, step {step}");
+                }
+            }
+            let snapshot = single.registry().stage1_table().snapshot();
+            compiled |= !snapshot.classes.is_empty();
+            assert_eq!(
+                sharded.stage1_table().snapshot(),
+                snapshot,
+                "front pool {front_pool}, step {step}"
+            );
+        }
+        assert!(compiled, "the tables held requested edges at some step");
+    }
+}
+
+/// Run a script differentially across every mode × {single, sharded 1/2/4},
+/// and check the two engines' Stage-1 tables agree throughout.
 fn assert_equivalence(script: &[Op]) {
+    assert_tables_agree(&EngineConfig::default(), script);
     for mode in all_modes() {
         let config = EngineConfig {
             mode,
@@ -448,6 +499,10 @@ fn interleaved_churn_with_windowed_pruning() {
         Op::Doc(book(400)),
         Op::Doc(blog(410)),
     ];
+    assert_tables_agree(
+        &EngineConfig::default().with_prune_state_by_window(true),
+        &script,
+    );
     for mode in all_modes() {
         let config = EngineConfig {
             mode,

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use mmqjp_core::{
     corrupt_bytes, CoreError, CoreResult, EngineConfig, FaultInjector, FaultKind, FaultPlan,
-    FaultPolicy, MatchOutput, MmqjpEngine, QuarantineRecord, ShardedEngine,
+    FaultPolicy, MatchOutput, MmqjpEngine, QuarantineRecord, QueryId, ShardedEngine,
 };
 use mmqjp_integration_tests::{
     assert_audit_clean_sharded, match_keys, sharded_engine_with_topology,
@@ -422,25 +422,67 @@ fn failfast_turns_a_panic_into_a_typed_error() {
 /// FailFast with a dead *front* worker: the batch fails with the typed
 /// [`CoreError::FrontUnavailable`] naming the worker — no healthy shard is
 /// blamed or degraded — and, nothing being able to respawn it under this
-/// policy, every later batch fails the same way instead of hanging. With a
-/// front pool of two, party 1 is the one spawned worker.
+/// policy, every later batch fails the same way instead of hanging, and so
+/// does every later registration and unregistration, changing nothing. With
+/// a front pool of two, party 1 is the one spawned worker.
 #[test]
 fn failfast_front_death_names_the_front_worker() {
+    front_death_names_the_front_worker(FaultPolicy::FailFast);
+}
+
+/// The [`FaultPolicy::Degrade`] twin: only shards go dark under Degrade; a
+/// dead front worker fails every later batch and subscription change the
+/// way it does under FailFast.
+#[test]
+fn degrade_front_death_names_the_front_worker() {
+    front_death_names_the_front_worker(FaultPolicy::Degrade);
+}
+
+fn front_death_names_the_front_worker(policy: FaultPolicy) {
     let (queries, docs) = rss_workload(83, 10, 12);
     let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
     let plan = FaultPlan::none().at(1, FaultKind::PanicFront { worker: 1 });
     let config = EngineConfig::mmqjp().with_retain_documents(false);
-    let mut engine = chaos_engine(config, 2, 2, FaultPolicy::FailFast, plan, &queries);
+    let mut engine = chaos_engine(config, 2, 2, policy, plan, &queries);
+    let dead = CoreError::FrontUnavailable { worker: 1 };
 
     engine
         .process_batch(batches[0].clone())
         .expect("no fault scheduled for batch 0");
     let err = engine.process_batch(batches[1].clone()).unwrap_err();
-    assert_eq!(err, CoreError::FrontUnavailable { worker: 1 });
+    assert_eq!(err, dead);
     assert!(engine.degraded_shards().is_empty());
     let err = engine.process_batch(batches[2].clone()).unwrap_err();
-    assert_eq!(err, CoreError::FrontUnavailable { worker: 1 });
+    assert_eq!(err, dead);
     assert!(engine.degraded_shards().is_empty());
+
+    // A failed registration or unregistration changes nothing: the counts,
+    // the next id and a clean audit stay as they were, and a retry fails
+    // the same way rather than finding the query half-registered.
+    let counts = |e: &ShardedEngine| {
+        let stats = e.stats().expect("every shard is alive");
+        (
+            e.num_queries(),
+            e.total_queries_registered(),
+            e.queries_per_shard().to_vec(),
+            stats.queries_registered,
+            stats.queries_unregistered,
+        )
+    };
+    let before = counts(&engine);
+    assert_eq!(before.0, queries.len());
+    for _ in 0..2 {
+        let err = engine.register_query(queries[0].clone()).unwrap_err();
+        assert_eq!(err, dead, "{policy:?}");
+        assert_eq!(counts(&engine), before, "{policy:?}");
+        assert_audit_clean_sharded(&engine);
+    }
+    for _ in 0..2 {
+        let err = engine.unregister_query(QueryId(0)).unwrap_err();
+        assert_eq!(err, dead, "{policy:?}");
+        assert_eq!(counts(&engine), before, "{policy:?}");
+        assert_audit_clean_sharded(&engine);
+    }
 }
 
 /// Front party 0 is the caller's own thread: a one-party front spawns no

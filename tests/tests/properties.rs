@@ -1,19 +1,20 @@
 //! Property-based tests (proptest) over the core data structures and the
 //! engine's end-to-end invariants.
 
+use mmqjp_core::front::Stage1Table;
 use mmqjp_core::{
-    sort_matches, EngineConfig, EngineStats, IngestScratch, MmqjpEngine, ProcessingMode,
-    ShardedEngine, WitnessBatch, WitnessRouter,
+    route_document, sort_matches, EngineConfig, EngineStats, IngestScratch, MmqjpEngine,
+    ProcessingMode, ShardedEngine, WitnessBatch,
 };
 use mmqjp_integration_tests::reference::{self, sorted_rows};
-use mmqjp_integration_tests::stage1::{resolve_edges, rows_from_bindings};
+use mmqjp_integration_tests::stage1::{edge_lists, resolve_edges, rows_from_bindings};
 use mmqjp_integration_tests::{match_keys, run_stream};
 use mmqjp_relational::{
     Atom, ChunkedRows, ConjunctiveQuery, ExecScratch, PhysicalPlan, PlanInput, Relation, Schema,
     SegmentedRelation, StringInterner, Term, Value,
 };
 use mmqjp_xml::{parse_document, serialize, DocId, Document, DocumentBuilder, Timestamp};
-use mmqjp_xpath::{PatternId, PatternIndex, PatternNodeId};
+use mmqjp_xpath::{PatternId, PatternNodeId};
 use mmqjp_xscl::{
     normalize_query, parse_query, JoinGraph, ReducedGraph, TemplateCatalog, ValueJoin,
 };
@@ -501,59 +502,53 @@ proptest! {
 
         // Harvest each query's (pattern, requested edges) registrations from
         // a scratch engine, exactly as the sharded front stage does, and
-        // build the merged pattern set + router for a round-robin shard
+        // subscribe them into one Stage-1 table under a round-robin shard
         // assignment (the routing theorem must hold for any assignment).
         let mut engine = MmqjpEngine::new(EngineConfig::mmqjp());
         let mut ids = Vec::new();
         for t in &query_texts {
             ids.push(engine.register_query_text(t).unwrap());
         }
-        let mut index = PatternIndex::new();
-        let mut union_req: HashMap<PatternId, Vec<(PatternNodeId, PatternNodeId)>> =
-            HashMap::new();
+        let interner = StringInterner::new();
+        let mut table = Stage1Table::new();
+        let mut everything = Stage1Table::new();
         let mut shard_req: Vec<HashMap<PatternId, Vec<(PatternNodeId, PatternNodeId)>>> =
             vec![HashMap::new(); num_shards];
-        let mut router = WitnessRouter::new();
-        let mut everything = WitnessRouter::new();
         for (i, id) in ids.iter().enumerate() {
             let shard = i % num_shards;
             let shape = engine.registry().query(*id).unwrap().shape();
             for o in shape.orientations() {
                 let (prev, cur) = shape.patterns(o);
                 for (pattern, edges) in [(prev, &o.prev_edges), (cur, &o.cur_edges)] {
-                    let pid = index.register(pattern.clone());
-                    for req in [
-                        union_req.entry(pid).or_default(),
-                        shard_req[shard].entry(pid).or_default(),
-                    ] {
-                        for e in edges {
-                            if !req.contains(e) {
-                                req.push(*e);
-                            }
+                    let pid = table.subscribe(shard, pattern.clone(), edges, &interner).unwrap();
+                    let also = everything.subscribe(0, pattern.clone(), edges, &interner).unwrap();
+                    prop_assert_eq!(also, pid);
+                    let req = shard_req[shard].entry(pid).or_default();
+                    for e in edges {
+                        if !req.contains(e) {
+                            req.push(*e);
                         }
                     }
-                    router.subscribe(shard, pid, edges);
-                    everything.subscribe(0, pid, edges);
                 }
             }
         }
 
         // Route every document's Stage-1 output; `everything` plays the
-        // single-engine reference (one shard subscribed to it all).
-        let interner = StringInterner::new();
-        let union = resolve_edges(&index, &union_req, &interner);
+        // single-engine reference (one consumer subscribed to it all). The
+        // rows come from the DOM reference, numbered against the table's
+        // lists, which both tables build in the same order.
+        let mut index = table.index().clone();
+        let union_req = edge_lists(table.requested());
+        prop_assert_eq!(&edge_lists(everything.requested()), &union_req);
         let mut scratch = IngestScratch::default();
         let mut routed: Vec<WitnessBatch> =
             (0..num_shards).map(|_| WitnessBatch::new()).collect();
         let mut global = vec![WitnessBatch::new()];
         for doc in &docs {
             let bindings = index.evaluate_edge_bindings(doc, &union_req);
-            let rows = rows_from_bindings(&index, &union, &bindings);
-            router
-                .route_document(doc, &rows, &union, &interner, &mut scratch, &mut routed)
-                .unwrap();
-            everything
-                .route_document(doc, &rows, &union, &interner, &mut scratch, &mut global)
+            let rows = rows_from_bindings(&index, table.requested(), &bindings);
+            route_document(&table, doc, &rows, &interner, &mut scratch, &mut routed).unwrap();
+            route_document(&everything, doc, &rows, &interner, &mut scratch, &mut global)
                 .unwrap();
         }
 

@@ -2,10 +2,10 @@
 //! merged output under thread interleaving, edge cases of `process_batch` on
 //! both engine types, and cross-shard statistics aggregation.
 
-use mmqjp_core::front::{self, DocumentMatches, Edge, MatchScratch, Subscriptions};
+use mmqjp_core::front::{self, DocumentMatches, Edge, MatchScratch, Stage1Table};
 use mmqjp_core::{
-    CoreError, EngineConfig, EngineStats, IngestScratch, MmqjpEngine, ShardedEngine, WitnessBatch,
-    WitnessRouter,
+    route_document, CoreError, EngineConfig, EngineStats, IngestScratch, MmqjpEngine,
+    ShardedEngine, WitnessBatch,
 };
 use mmqjp_integration_tests::stage1::{resolve_edges, rows_from_bindings};
 use mmqjp_integration_tests::{
@@ -17,7 +17,7 @@ use mmqjp_workload::{
     ChurnConfig, ChurnWorkload, RssQueryGenerator, RssStreamConfig, RssStreamGenerator,
 };
 use mmqjp_xml::{rss, DocId, Document, Timestamp};
-use mmqjp_xpath::{PatternId, PatternIndex};
+use mmqjp_xpath::PatternId;
 use mmqjp_xscl::QueryId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -532,58 +532,47 @@ fn witness_multiset(batch: &WitnessBatch) -> Vec<String> {
 /// `(pattern, edge)` enumerations the front suppressed.
 fn route_shared_class_stream(placement: [usize; 2]) -> usize {
     let mut engine = MmqjpEngine::new(EngineConfig::mmqjp());
-    let mut index = PatternIndex::new();
-    let mut union_req: HashMap<PatternId, Vec<Edge>> = HashMap::new();
+    let interner = StringInterner::new();
+    let mut table = Stage1Table::new();
     let mut shard_req: Vec<HashMap<PatternId, Vec<Edge>>> = vec![HashMap::new(); 2];
-    let mut router = WitnessRouter::new();
     for (text, shard) in SHARED_CLASS_QUERIES.iter().zip(placement) {
         let id = engine.register_query_text(text).unwrap();
         let shape = engine.registry().query(id).unwrap().shape();
         for o in shape.orientations() {
             let (prev, cur) = shape.patterns(o);
             for (pattern, edges) in [(prev, &o.prev_edges), (cur, &o.cur_edges)] {
-                let pid = index.register(pattern.clone());
-                for req in [
-                    union_req.entry(pid).or_default(),
-                    shard_req[shard].entry(pid).or_default(),
-                ] {
-                    for e in edges {
-                        if !req.contains(e) {
-                            req.push(*e);
-                        }
+                let pid = table
+                    .subscribe(shard, pattern.clone(), edges, &interner)
+                    .unwrap();
+                let req = shard_req[shard].entry(pid).or_default();
+                for e in edges {
+                    if !req.contains(e) {
+                        req.push(*e);
                     }
                 }
-                router.subscribe(shard, pid, edges);
             }
         }
     }
 
-    let interner = StringInterner::new();
-    let mut union = resolve_edges(&index, &union_req, &interner);
+    let mut index = table.index().clone();
     let docs = shared_class_stream();
     let mut routed = vec![WitnessBatch::new(), WitnessBatch::new()];
     let (mut matching, mut matches) = (MatchScratch::default(), DocumentMatches::default());
     let mut scratch = IngestScratch::default();
     let mut suppressed = 0;
     for doc in &docs {
-        let mut subs = Subscriptions {
-            index: &mut index,
-            requested: &mut union,
-            router: Some(&router),
-            singles: Vec::new(),
-        };
+        let mut subs = table.subscriptions();
         front::match_document(&mut subs, doc, &mut matching, false, &mut matches);
         suppressed += matches.suppressed;
-        router
-            .route_document(
-                doc,
-                &matches.rows,
-                &union,
-                &interner,
-                &mut scratch,
-                &mut routed,
-            )
-            .unwrap();
+        route_document(
+            &table,
+            doc,
+            &matches.rows,
+            &interner,
+            &mut scratch,
+            &mut routed,
+        )
+        .unwrap();
     }
     for (shard, req) in shard_req.iter().enumerate() {
         let own = resolve_edges(&index, req, &interner);

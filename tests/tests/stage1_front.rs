@@ -224,8 +224,8 @@ struct Compared {
 /// [`ingest_equals_reference`]). Returns what was compared, so callers can
 /// insist the comparison was not vacuous.
 fn front_equals_dom_reference(registry: &mut Registry, docs: &[Document]) -> Compared {
-    let mut reference = registry.pattern_index().clone();
-    let requested = registry.requested_edges().clone();
+    let mut reference = registry.stage1_table().index().clone();
+    let requested = registry.stage1_table().requested().clone();
     let interner = registry.interner().clone();
     let mut matching = MatchScratch::default();
     let mut got = DocumentMatches::default();
@@ -238,7 +238,7 @@ fn front_equals_dom_reference(registry: &mut Registry, docs: &[Document]) -> Com
             .singles
             .iter()
             .flat_map(|s| {
-                let witnesses = PatternMatcher::new(s.pattern).witnesses(doc);
+                let witnesses = PatternMatcher::new(&s.pattern).witnesses(doc);
                 witnesses
                     .into_iter()
                     .map(move |w| (s.query, w.bindings().to_vec()))
@@ -482,8 +482,8 @@ fn integer_rows_equal_reference_ingest() {
         let compared = front_equals_dom_reference(&mut registry, &docs);
         assert!(compared.rows > 0, "the comparison must not be vacuous");
         omitted += compared.omitted;
-        for (pid, edges) in registry.requested_edges().iter() {
-            let pattern = registry.pattern_index().pattern(*pid);
+        for (pid, edges) in registry.stage1_table().requested().iter() {
+            let pattern = registry.stage1_table().index().pattern(*pid);
             for &(a, d) in edges.iter().map(|e| &e.edge) {
                 self_edges += usize::from(a == d);
                 chain_edges += usize::from(a != d && pattern.node(d).parent() != Some(a));

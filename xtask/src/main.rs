@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Eleven dependency-free static checks over the workspace sources:
+//! Twelve dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -57,9 +57,19 @@
 //!     `.collect(` or `chain_pairs(`, nor name `HashSet`: a document's
 //!     witness rows are read off the compiled emission plan into pooled
 //!     buffers, and chains are composed in `ChainScratch`, not collected.
-//!     Exempt are the bodies of the plan compiler `compile`, the list
-//!     builder `from_iter`, the single-block answers `emit_singles` (each
-//!     match owns its bindings) and the once-per-batch `evaluate_batch`.
+//!     Exempt are the bodies of the plan compiler `compile`, the
+//!     single-block answers `emit_singles` (each match owns its bindings)
+//!     and the once-per-batch `evaluate_batch`.
+//!
+//! 12. **One Stage-1 subscription table** — non-test code in
+//!     `crates/core/src` outside the table's module
+//!     (`crates/core/src/front/table.rs`) must not mutate a `PatternIndex`
+//!     or `RequestedEdges` — no `index.register(`, `index.retain(`,
+//!     `index.unregister(`, `requested.push(`, `requested.remove`,
+//!     `requested_edges.push(`, `requested_edges.remove` or
+//!     `invalidate_plan(` — nor name `edge_refs`: the single engine's
+//!     registry and the sharded coordinator subscribe, release and audit
+//!     through one `Stage1Table`, not through copies kept in step.
 //!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
@@ -105,6 +115,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_oracle_independence(root, &mut violations);
     check_shape_derivation(root, &mut violations);
     check_emission_allocations(root, &mut violations);
+    check_stage1_table(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -690,14 +701,9 @@ fn scan_file_for_shape_derivation(root: &Path, file: &Path, out: &mut Vec<String
 // ---------------------------------------------------------------------------
 
 const FRONT_FILE: &str = "crates/core/src/front.rs";
-/// Functions of the front that compile the plan, build lists, answer
-/// single-block subscriptions or run once per batch.
-const EMISSION_SETUP_FNS: &[&str] = &[
-    "fn compile(",
-    "fn from_iter<",
-    "fn emit_singles(",
-    "fn evaluate_batch(",
-];
+/// Functions of the front that compile the plan, answer single-block
+/// subscriptions or run once per batch.
+const EMISSION_SETUP_FNS: &[&str] = &["fn compile(", "fn emit_singles(", "fn evaluate_batch("];
 const EMISSION_ALLOCATING: &[&str] =
     &["Vec::new(", "vec![", ".collect(", "HashSet", "chain_pairs("];
 
@@ -714,6 +720,45 @@ fn scan_file_for_emission_allocations(root: &Path, file: &Path, out: &mut Vec<St
         EMISSION_ALLOCATING,
         "on Stage 1's emission path (read the compiled plan, pool buffers in `MatchScratch`)",
     );
+}
+
+// ---------------------------------------------------------------------------
+// Check 12: Stage-1 subscription state changes only inside its table.
+// ---------------------------------------------------------------------------
+
+const CORE_SRC: &str = "crates/core/src";
+const STAGE1_TABLE_FILE: &str = "crates/core/src/front/table.rs";
+const STAGE1_MUTATIONS: &[&str] = &[
+    "index.register(",
+    "index.retain(",
+    "index.unregister(",
+    "requested.push(",
+    "requested.remove",
+    "requested_edges.push(",
+    "requested_edges.remove",
+    "invalidate_plan(",
+    "edge_refs",
+];
+
+fn check_stage1_table(root: &Path, out: &mut Vec<String>) {
+    let table = root.join(STAGE1_TABLE_FILE);
+    for file in rust_files(&root.join(CORE_SRC)) {
+        if file != table {
+            scan_file_for_stage1_mutations(root, &file, out);
+        }
+    }
+}
+
+fn scan_file_for_stage1_mutations(root: &Path, file: &Path, out: &mut Vec<String>) {
+    scan_non_test_code(root, file, out, |line| {
+        STAGE1_MUTATIONS
+            .iter()
+            .filter(|pat| line.contains(*pat))
+            .map(|pat| {
+                format!("`{pat}` outside the Stage-1 table (subscribe and release through `Stage1Table`)")
+            })
+            .collect()
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -914,6 +959,34 @@ mod tests {
         );
         assert!(
             out[2].contains("emission_case.rs:10") && out[2].contains("`.collect(`"),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn stage1_mutations_are_flagged_outside_tests_and_comments() {
+        let src = "fn subscribe(&mut self) {\n    let pid = self.index.register(p);\n    // front.requested.push(pid, e) in a comment\n    self.requested_edges.remove_edge(pid, e);\n    self.table.subscribe(0, p, &edges, &i)?;\n    self.registry.register(q, mode, 0)?;\n    plan.invalidate_plan();\n}\nstruct Front { edge_refs: Refs }\n#[cfg(test)]\nmod tests {\n    fn t() { index.unregister(pid); }\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("stage1_case.rs");
+        fs::write(&file, src).unwrap();
+        let mut out = Vec::new();
+        scan_file_for_stage1_mutations(&dir, &file, &mut out);
+        assert_eq!(out.len(), 4, "violations: {out:?}");
+        assert!(
+            out[0].contains("stage1_case.rs:2") && out[0].contains("`index.register(`"),
+            "{out:?}"
+        );
+        assert!(
+            out[1].contains("stage1_case.rs:4") && out[1].contains("`requested_edges.remove`"),
+            "{out:?}"
+        );
+        assert!(
+            out[2].contains("stage1_case.rs:7") && out[2].contains("`invalidate_plan(`"),
+            "{out:?}"
+        );
+        assert!(
+            out[3].contains("stage1_case.rs:9") && out[3].contains("`edge_refs`"),
             "{out:?}"
         );
     }
