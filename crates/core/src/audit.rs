@@ -19,6 +19,11 @@
 //!   by a live registration, every template's `RT` relation holds exactly
 //!   one tuple per live member orientation, and the `rid` resolution map is
 //!   in one-to-one correspondence with the live orientations.
+//! - **Plan memos** — every live template plan's memoized join order is a
+//!   permutation of its body atoms whose stored step program equals one
+//!   derived afresh from it, and every join table the plan keeps across
+//!   executions is over the template's `RT`, stamped with a version `RT`
+//!   has reached.
 //! - **Shape memo** — each memoized query shape is held by exactly its
 //!   refcount of live queries, names only live templates and patterns, and
 //!   re-deriving it from its key (normalize, reduce, match against the live
@@ -320,6 +325,17 @@ pub enum AuditViolation {
         /// What is inconsistent.
         reason: &'static str,
     },
+    /// A template plan's memo is out of step: its stored step program is
+    /// not the one its memoized join order derives, or a join table it keeps
+    /// across executions is over another input than the template's `RT` or
+    /// stamped with a version `RT` never reached — the table would be
+    /// trusted for rows it was not built over.
+    PlanMemo {
+        /// The template slot.
+        template: usize,
+        /// What is inconsistent.
+        reason: &'static str,
+    },
     /// The string interner's hash index disagrees with its string table: a
     /// symbol is not found by looking up its own string, or the index files
     /// a different number of entries than there are strings.
@@ -486,6 +502,9 @@ impl fmt::Display for AuditViolation {
                 "replay log retains a batch (newest ts {oldest}) beyond eviction cutoff {cutoff}"
             ),
             AuditViolation::ShapeMemo { reason } => write!(f, "shape memo: {reason}"),
+            AuditViolation::PlanMemo { template, reason } => {
+                write!(f, "template {template} plan memo: {reason}")
+            }
             AuditViolation::InternerIndex {
                 indexed,
                 strings,
@@ -552,5 +571,13 @@ mod tests {
             reason: "its edge classes",
         };
         assert!(v.to_string().ends_with("fresh compile in its edge classes"));
+        let v = AuditViolation::PlanMemo {
+            template: 2,
+            reason: "a kept join table newer than its template's RT",
+        };
+        assert_eq!(
+            v.to_string(),
+            "template 2 plan memo: a kept join table newer than its template's RT"
+        );
     }
 }

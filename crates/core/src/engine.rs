@@ -121,6 +121,7 @@ impl MmqjpEngine {
         s.scratch_reuses = self.scratch.scratch_reuses() as usize;
         s.join_tables_built = self.scratch.join_tables_built() as usize;
         s.join_tables_reused = self.scratch.join_tables_reused() as usize;
+        s.join_tables_kept = self.scratch.join_tables_kept() as usize;
         s.join_orders_planned = self.scratch.join_orders_planned() as usize;
         s.join_orders_reused = self.scratch.join_orders_reused() as usize;
         s.join_rows_probed = self.scratch.rows_probed() as usize;
@@ -501,7 +502,9 @@ impl MmqjpEngine {
     /// Turn a result relation into match outputs, applying the temporal
     /// constraint. `rid_override` is `-1` for template results (which carry a
     /// qid column) and a concrete rid for Sequential results; `batch_ts` is
-    /// the batch's [`WitnessBatch::sorted_timestamps`].
+    /// the batch's [`WitnessBatch::sorted_timestamps`]. A qid, document or
+    /// node column that does not hold an integer is
+    /// [`CoreError::CorruptStateRow`], never a dropped or misbound match.
     fn produce_outputs(
         &self,
         rid_override: i64,
@@ -514,16 +517,16 @@ impl MmqjpEngine {
         for row in rows.iter() {
             let (rid, d1, d2, nodes_offset) = if template_mode {
                 (
-                    row[0].as_int().unwrap_or(i64::MIN),
-                    row[1].as_int().unwrap_or(-1),
-                    row[2].as_int().unwrap_or(-1),
+                    key_int(&row[0], RESULT, "qid")?,
+                    key_int(&row[1], RESULT, "d1")?,
+                    key_int(&row[2], RESULT, "d2")?,
                     3usize,
                 )
             } else {
                 (
                     rid_override,
-                    row[0].as_int().unwrap_or(-1),
-                    row[1].as_int().unwrap_or(-1),
+                    key_int(&row[0], RESULT, "d1")?,
+                    key_int(&row[1], RESULT, "d2")?,
                     2usize,
                 )
             };
@@ -585,7 +588,7 @@ impl MmqjpEngine {
     ) -> CoreResult<MatchOutput> {
         let mut bindings = Vec::with_capacity(orientation.assignment.len());
         for (i, variable) in orientation.assignment.iter().enumerate() {
-            let node = node_of(row[nodes_offset + i].as_int().unwrap_or(0));
+            let node = node_of(key_int(&row[nodes_offset + i], RESULT, "node")?);
             let doc = if i < orientation.num_left { d1 } else { d2 };
             bindings.push(Binding {
                 variable: variable.clone(),
@@ -646,21 +649,21 @@ impl MmqjpEngine {
         // Root binding of a side: the binding of the template-side root
         // position when that position corresponds to the query's pattern
         // root, otherwise the document root.
-        let side_root = |side: Side, pattern: &TreePattern| -> NodeId {
+        let side_root = |side: Side, pattern: &TreePattern| -> CoreResult<NodeId> {
             let pos = match side {
                 Side::Left => 0,
                 Side::Right => orientation.num_left,
             };
             let root_var = pattern.root().variable().unwrap_or("");
-            if orientation.assignment[pos] == root_var {
-                node_of(row[nodes_offset + pos].as_int().unwrap_or(0))
+            Ok(if orientation.assignment[pos] == root_var {
+                node_of(key_int(&row[nodes_offset + pos], RESULT, "node")?)
             } else {
                 NodeId::ROOT
-            }
+            })
         };
         let (prev_pattern, cur_pattern) = query.shape().patterns(orientation);
-        let prev_root = side_root(Side::Left, prev_pattern);
-        let cur_root = side_root(Side::Right, cur_pattern);
+        let prev_root = side_root(Side::Left, prev_pattern)?;
+        let cur_root = side_root(Side::Right, cur_pattern)?;
 
         // The output puts the query's left block first.
         let out = if orientation.swapped {
@@ -827,13 +830,16 @@ impl<'a> EvalInputs<'a> {
     }
 
     /// Resolve a plan's input slots for one execution. `rt` is the owning
-    /// template's `RT` relation (`None` for per-query plans, which never
-    /// reference one). Everything but `RT` is the same relation for every
-    /// execution of the batch and is tagged so (see [`tag`]).
+    /// template's `RT` relation, stamped with its version by
+    /// [`TemplateRuntime::executable`](crate::registry::TemplateRuntime)
+    /// (`None` for per-query plans, which never reference one). Everything
+    /// but `RT` is the same relation for every execution of the batch and is
+    /// tagged so (see [`tag`]); `RT` is the same for as long as its version
+    /// is, across batches, so its plan keeps its join table.
     fn resolve<'b>(
         &'b self,
         kinds: &[PlanInputKind],
-        rt: Option<&'b Relation>,
+        rt: Option<PlanInput<'b>>,
         inputs: &mut Vec<PlanInput<'b>>,
     ) -> CoreResult<()> {
         inputs.clear();
@@ -868,14 +874,17 @@ impl<'a> EvalInputs<'a> {
                         .ok_or(CoreError::internal("RR is computed in materialized mode"))?,
                 )
                 .shared(tag::RR),
-                PlanInputKind::Rt => PlanInput::from(
-                    rt.ok_or(CoreError::internal("template plans carry an RT input"))?,
-                ),
+                PlanInputKind::Rt => {
+                    rt.ok_or(CoreError::internal("template plans carry an RT input"))?
+                }
             });
         }
         Ok(())
     }
 }
+
+/// The relation name a corrupt Stage-2 result row is reported under.
+const RESULT: &str = "result";
 
 /// Shared-input tags of the relations [`EvalInputs::resolve`] hands out: one
 /// per relation that is the same for every plan execution of a batch.
@@ -981,15 +990,10 @@ fn evaluate_mmqjp(
     let mut results = Vec::new();
     let mut inputs: Vec<PlanInput<'_>> = Vec::new();
     for t in registry.templates_mut() {
-        let (plan, kinds) = if materialized {
-            (t.plan_materialized.as_mut(), &t.inputs_materialized)
-        } else {
-            (t.plan_basic.as_mut(), &t.inputs_basic)
-        };
-        let plan = plan.ok_or(CoreError::internal(
+        let (plan, kinds, rt) = t.executable(materialized).ok_or(CoreError::internal(
             "the plan variant for the engine's mode is compiled",
         ))?;
-        ctx.resolve(kinds, Some(&t.rt), &mut inputs)?;
+        ctx.resolve(kinds, Some(rt), &mut inputs)?;
         let rows = execute_plan(plan, &inputs, scratch)?;
         if !rows.is_empty() {
             results.push((-1, rows));
@@ -1106,6 +1110,7 @@ fn min_bound(a: Option<u64>, b: Option<u64>) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmqjp_relational::{Schema, Value};
     use mmqjp_xml::rss;
 
     const Q1: &str = "S//book->x1[.//author->x2][.//title->x3] \
@@ -1792,6 +1797,137 @@ mod tests {
             let twin_match = out.iter().find(|o| o.query == twin).unwrap();
             assert_eq!(twin_match.left_doc, DocId(3));
         }
+    }
+
+    /// A template result relation for Q1's six meta-variables holding one
+    /// crafted row: `(qid, d1, d2, n0..n5, wl)`.
+    fn crafted_result(row: [Value; 10]) -> Relation {
+        let mut rel = Relation::new(Schema::new([
+            "qid", "d1", "d2", "n0", "n1", "n2", "n3", "n4", "n5", "wl",
+        ]));
+        rel.push_array(row).unwrap();
+        rel
+    }
+
+    #[test]
+    fn corrupt_result_rows_are_typed_errors() {
+        let mut e = engine(EngineConfig::mmqjp());
+        e.process_document(d1()).unwrap();
+        // Q1's orientation (rid 0) joining d1 with an in-batch d2.
+        let batch_ts = [(DocId(2), Timestamp(20))];
+        let int = Value::Int;
+        let good = [
+            int(0),
+            int(1),
+            int(2),
+            int(1),
+            int(2),
+            int(3),
+            int(1),
+            int(2),
+            int(3),
+            int(100),
+        ];
+        let out = e
+            .produce_outputs(-1, &crafted_result(good), &batch_ts, &[])
+            .unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].bindings[1].node, NodeId::from_raw(2));
+        for (pos, column) in [(0, "qid"), (1, "d1"), (2, "d2"), (3, "node"), (8, "node")] {
+            let mut row = good;
+            row[pos] = Value::Null;
+            let rows = crafted_result(row);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                e.produce_outputs(-1, &rows, &batch_ts, &[])
+            }));
+            if cfg!(debug_assertions) {
+                // Debug builds stop at the key reader's assertion...
+                let payload = outcome.expect_err("a corrupt key asserts in debug builds");
+                let message = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default();
+                assert!(
+                    message.contains(&format!("result.{column}")),
+                    "column {column}: {message}"
+                );
+            } else {
+                // ...release builds return the typed error.
+                let result = outcome.expect("release builds return the error");
+                assert!(
+                    matches!(
+                        &result,
+                        Err(CoreError::CorruptStateRow { relation: "result", column: c, .. })
+                            if *c == column
+                    ),
+                    "column {column}: {result:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rt_tables_are_kept_until_rt_changes() {
+        // Q1–Q3 share one template. Single-document batches keep finding
+        // its `RT` table; a register or unregister rebuilds it once.
+        for config in [EngineConfig::mmqjp(), EngineConfig::mmqjp_view_mat()] {
+            let mode = config.mode;
+            let mut e = engine(config);
+            let feed = |e: &mut MmqjpEngine, from: u64| {
+                for i in 0..4 {
+                    e.process_document(d1().with_timestamp(Timestamp(from + 2 * i)))
+                        .unwrap();
+                    e.process_document(d2().with_timestamp(Timestamp(from + 2 * i + 1)))
+                        .unwrap();
+                }
+            };
+            feed(&mut e, 10);
+            let kept = e.stats().join_tables_kept;
+            assert!(kept > 0, "mode {mode:?}: {:?}", e.stats());
+            let rt_version =
+                |e: &MmqjpEngine| e.registry().templates().next().unwrap().rt_version();
+            assert_eq!(rt_version(&e), 3, "one version per RT row pushed");
+            e.unregister_query(QueryId(1)).unwrap();
+            assert_eq!(rt_version(&e), 4, "and one per row removed");
+            let built = e.stats().join_tables_built;
+            feed(&mut e, 30);
+            assert!(e.stats().join_tables_kept > kept, "mode {mode:?}");
+            assert!(e.stats().join_tables_built > built, "mode {mode:?}");
+            assert!(e.audit().is_empty(), "{:?}", e.audit());
+        }
+    }
+
+    #[test]
+    fn audit_reports_a_kept_table_newer_than_its_rt() {
+        // Two engines hold the same template: with Q1–Q3 its RT reaches
+        // version 3, with Q1 alone version 1. Moving the first engine's plan,
+        // and the RT table it keeps, into the second is a stale table the
+        // second engine would trust.
+        let mut three = engine(EngineConfig::mmqjp());
+        let mut one = MmqjpEngine::new(EngineConfig::mmqjp());
+        one.register_query_text(Q1).unwrap();
+        for e in [&mut three, &mut one] {
+            for i in 0..3 {
+                e.process_document(d1().with_timestamp(Timestamp(10 + 2 * i)))
+                    .unwrap();
+                e.process_document(d2().with_timestamp(Timestamp(11 + 2 * i)))
+                    .unwrap();
+            }
+            assert!(e.audit().is_empty(), "{:?}", e.audit());
+        }
+        let plan = three
+            .registry()
+            .templates()
+            .next()
+            .unwrap()
+            .plan_basic
+            .clone();
+        assert!(plan.as_ref().unwrap().kept_tables().any(|(_, v)| v == 3));
+        one.registry.templates_mut().next().unwrap().plan_basic = plan;
+        assert!(one.audit().contains(&AuditViolation::PlanMemo {
+            template: 0,
+            reason: "a kept join table newer than its template's RT",
+        }));
     }
 
     #[test]

@@ -39,8 +39,8 @@ use crate::error::{CoreError, CoreResult};
 use crate::front::{Edge, SingleBlock, Stage1Recount, Stage1Table, Subscriptions};
 use crate::relations::schemas;
 use mmqjp_relational::{
-    verify_plan_strict, ConjunctiveQuery, PhysicalPlan, Relation, SharedKeyRule, StringInterner,
-    Symbol, Value, VerifyOptions,
+    verify_plan_strict, ConjunctiveQuery, PhysicalPlan, PlanInput, Relation, SharedKeyRule,
+    StringInterner, Symbol, Value, VerifyOptions,
 };
 use mmqjp_xpath::{PatternId, TreePattern};
 use mmqjp_xscl::{
@@ -67,7 +67,13 @@ pub struct TemplateRuntime {
     /// The template.
     pub template: QueryTemplate,
     /// `RT(qid, var1, ..., varm, wl)` — one tuple per member orientation.
-    pub rt: Relation,
+    /// Changed only by [`push_rt_row`](Self::push_rt_row) and
+    /// [`remove_rt_row`](Self::remove_rt_row), which move
+    /// [`rt_version`](Self::rt_version) (`xtask lint` check 13).
+    rt: Relation,
+    /// Moves with every change to `rt`: the template's plan keeps the join
+    /// table it builds over `RT` for as long as this version holds.
+    rt_version: u64,
     /// Algorithm-1 conjunctive query over the base witness relations (the
     /// declarative form; execution uses [`plan_basic`](Self::plan_basic)).
     pub cqt_basic: ConjunctiveQuery,
@@ -132,6 +138,7 @@ impl TemplateRuntime {
         let runtime = TemplateRuntime {
             template,
             rt,
+            rt_version: 0,
             cqt_basic,
             cqt_materialized,
             plan_basic,
@@ -151,6 +158,74 @@ impl TemplateRuntime {
     /// Number of registered query orientations in this template.
     pub fn members(&self) -> usize {
         self.rt.len()
+    }
+
+    /// The template's `RT` relation.
+    pub fn rt(&self) -> &Relation {
+        &self.rt
+    }
+
+    /// The version of [`rt`](Self::rt): it moves with every row pushed or
+    /// removed, and nothing else changes `RT`.
+    pub fn rt_version(&self) -> u64 {
+        self.rt_version
+    }
+
+    /// Append a member orientation's `RT` tuple.
+    fn push_rt_row(&mut self, tuple: Vec<Value>) -> CoreResult<()> {
+        self.rt.push_values(tuple)?;
+        self.rt_version += 1;
+        Ok(())
+    }
+
+    /// Remove the `RT` tuple at `row`, keeping the survivors in order.
+    fn remove_rt_row(&mut self, row: usize) -> CoreResult<()> {
+        self.rt.remove_row(row)?;
+        self.rt_version += 1;
+        Ok(())
+    }
+
+    /// The compiled plans' memos: each stored step program is the one its
+    /// memoized join order derives, and each join table a plan keeps is over
+    /// `RT`, at a version `RT` has reached.
+    fn audit_plans(&self, tid: TemplateId, out: &mut Vec<AuditViolation>) {
+        let template = tid.index();
+        for (plan, kinds) in [
+            (&self.plan_basic, &self.inputs_basic),
+            (&self.plan_materialized, &self.inputs_materialized),
+        ] {
+            let Some(plan) = plan else { continue };
+            if let Err(reason) = plan.check_program() {
+                out.push(AuditViolation::PlanMemo { template, reason });
+            }
+            for (slot, version) in plan.kept_tables() {
+                let reason = if kinds.get(slot as usize) != Some(&PlanInputKind::Rt) {
+                    "a kept join table over an input other than RT"
+                } else if version > self.rt_version {
+                    "a kept join table newer than its template's RT"
+                } else {
+                    continue;
+                };
+                out.push(AuditViolation::PlanMemo { template, reason });
+            }
+        }
+    }
+
+    /// The compiled plan the engine's mode executes (the materialized form
+    /// when `materialized`), the engine relations behind its input slots,
+    /// and `RT` as a plan input stamped with its version — borrowed together
+    /// for one execution. `None` when the mode's plan was not compiled.
+    pub(crate) fn executable(
+        &mut self,
+        materialized: bool,
+    ) -> Option<(&mut PhysicalPlan, &[PlanInputKind], PlanInput<'_>)> {
+        let (plan, kinds) = if materialized {
+            (self.plan_materialized.as_mut(), &self.inputs_materialized)
+        } else {
+            (self.plan_basic.as_mut(), &self.inputs_basic)
+        };
+        let rt = PlanInput::from(&self.rt).versioned(self.rt_version);
+        plan.map(|plan| (plan, kinds.as_slice(), rt))
     }
 }
 
@@ -454,7 +529,7 @@ impl Registry {
             tuple.push(Value::Int(rid));
             tuple.extend(o.assignment_syms.iter().map(|&sym| Value::Sym(sym)));
             tuple.push(wl);
-            self.template_mut(o.template)?.rt.push_values(tuple)?;
+            self.template_mut(o.template)?.push_rt_row(tuple)?;
             let (sequential_cqt, sequential_plan, sequential_inputs) =
                 if mode == ProcessingMode::Sequential {
                     let (cq, plan, inputs) = self.compile_sequential(o)?;
@@ -610,13 +685,13 @@ impl Registry {
             let rid = Value::Int(reg.rid);
             let template = self.template_mut(o.template)?;
             let row = template
-                .rt
+                .rt()
                 .col_values(0)
                 .iter()
                 .position(|qid| *qid == rid)
                 .ok_or(CoreError::internal("a live orientation has its RT tuple"))?;
-            template.rt.remove_row(row)?;
-            if template.rt.is_empty() {
+            template.remove_rt_row(row)?;
+            if template.rt().is_empty() {
                 // Last member left: retire the template from the catalog.
                 self.templates.remove(&o.template);
                 self.catalog.remove(o.template);
@@ -979,6 +1054,7 @@ impl Registry {
                     registrations: expected,
                 });
             }
+            tr.audit_plans(tid, out);
         }
 
         // The Stage-1 table: pattern and per-consumer edge refcounts, the

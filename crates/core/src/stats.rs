@@ -156,9 +156,10 @@ pub struct EngineStats {
     /// and executor buffers are engine-lifetime objects, not per-batch
     /// ones: an execution allocates nothing but its result relation.
     pub scratch_reuses: usize,
-    /// Join hash tables built by the plan executor — the per-execution
-    /// tables of filtered or per-template (`RT`) atoms and the batch-shared
-    /// tables alike.
+    /// Join hash tables built by the plan executor: the per-execution
+    /// tables of filtered atoms, the batch-shared tables, and a template's
+    /// kept `RT` table whenever `RT` changed since its plan last built it
+    /// (a register or unregister of one of its members).
     pub join_tables_built: usize,
     /// Join steps that probed a batch-shared table an earlier step of the
     /// same batch had built (possibly for another template). With
@@ -166,9 +167,15 @@ pub struct EngineStats {
     /// ratio of Stage 2: builds follow the batch, probes follow the
     /// templates.
     pub join_tables_reused: usize,
+    /// Join steps that probed the `RT` table their template's plan kept
+    /// from an earlier execution, possibly of an earlier batch: `RT` had
+    /// not changed since (same version, same row count).
+    pub join_tables_kept: usize,
     /// Plan executions that sampled their inputs and planned a join order:
-    /// a plan's first execution, and every later one whose atom lengths had
-    /// left `[½×, 2×]` of the lengths its order was planned for.
+    /// a plan's first execution, and every later one in which some atom's
+    /// length, and the length its order was planned for, both clamped up to
+    /// the 64-row distinct sample, differ by more than 2×. Atoms of at most
+    /// 64 rows therefore never trigger a re-plan.
     pub join_orders_planned: usize,
     /// Plan executions that reused the plan's memoized join order.
     pub join_orders_reused: usize,
@@ -293,6 +300,7 @@ impl AddAssign for EngineStats {
         self.scratch_reuses += rhs.scratch_reuses;
         self.join_tables_built += rhs.join_tables_built;
         self.join_tables_reused += rhs.join_tables_reused;
+        self.join_tables_kept += rhs.join_tables_kept;
         self.join_orders_planned += rhs.join_orders_planned;
         self.join_orders_reused += rhs.join_orders_reused;
         self.join_rows_probed += rhs.join_rows_probed;
@@ -400,6 +408,7 @@ mod tests {
             scratch_reuses: 16,
             join_tables_built: 25,
             join_tables_reused: 26,
+            join_tables_kept: 36,
             join_orders_planned: 27,
             join_orders_reused: 28,
             join_rows_probed: 31,
@@ -446,6 +455,7 @@ mod tests {
             scratch_reuses: 160,
             join_tables_built: 250,
             join_tables_reused: 260,
+            join_tables_kept: 360,
             join_orders_planned: 270,
             join_orders_reused: 280,
             join_rows_probed: 310,
@@ -492,6 +502,7 @@ mod tests {
         assert_eq!(s.scratch_reuses, 176);
         assert_eq!(s.join_tables_built, 275);
         assert_eq!(s.join_tables_reused, 286);
+        assert_eq!(s.join_tables_kept, 396);
         assert_eq!(s.join_orders_planned, 297);
         assert_eq!(s.join_orders_reused, 308);
         assert_eq!(s.join_rows_probed, 341);

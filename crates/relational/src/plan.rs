@@ -30,7 +30,8 @@
 //! # What is shared across executions
 //!
 //! The engine runs one plan per template over the *same* few relations, so
-//! the executor is built to pay for a batch once rather than once per plan:
+//! the executor is built to pay for a batch once rather than once per plan,
+//! and for a plan once rather than once per execution:
 //!
 //! * **Join tables.** A caller tags the inputs that are the same relation for
 //!   every execution of a batch ([`PlanInput::shared`]). For an *unfiltered*
@@ -40,7 +41,15 @@
 //!   [`ExecScratch::begin_batch`] forgets the tables when the relations
 //!   behind the tags change; an always-on row-count check turns a forgotten
 //!   call into [`RelError::StaleJoinTable`] instead of a wrong row. Filtered
-//!   atoms and untagged inputs get a per-step table.
+//!   atoms and unmarked inputs get a per-step table.
+//! * **Kept tables.** An input that changes rarely — a template's `RT`,
+//!   which only registration changes — is stamped with a version instead
+//!   ([`PlanInput::versioned`]). The *plan* keeps the table of an unfiltered
+//!   atom over it across executions and batches, under `(input slot, key
+//!   positions)`, and rebuilds it only when an execution brings another
+//!   version or row count. The caller moves the version with every change;
+//!   a debug-build spot check compares a kept table's stored hashes with
+//!   its input.
 //! * **Join orders.** The greedy order is driven by **sampled selectivity
 //!   estimates**: each atom column's distinct-value count is estimated from
 //!   up to 64 hashed samples, and the planner picks the connected atom
@@ -49,7 +58,17 @@
 //!   `Rbin` state) from running early. Sampling and the O(atoms²) planner
 //!   run once per *data shape*: a plan keeps its last order beside the atom
 //!   lengths it was planned for and re-plans only when some atom's
-//!   (filtered) length leaves `[½×, 2×]` of its planned length.
+//!   (filtered) length leaves `[½×, 2×]` of its planned length, both lengths
+//!   clamped up to the 64-row sample first. An atom of at most 64 rows was
+//!   sampled whole and costs less to join than a planning pass, so atoms
+//!   that flip between a few rows and a few dozen never re-plan.
+//! * **Step programs.** With the order, the plan stores what the order
+//!   implies: per step, the input slot, the intermediate's `(step,
+//!   position)` key columns and the atom's key positions, and the `(step,
+//!   position)` of every head column. An execution reads them instead of
+//!   resolving variables against what is bound so far; they are rebuilt in
+//!   place whenever the order is, and [`PhysicalPlan::check_program`]
+//!   re-derives them for an audit.
 //! * **Buffers.** All executor buffers, shared tables included, live in the
 //!   [`ExecScratch`] pool the caller owns, so steady-state evaluation
 //!   performs no per-batch allocations beyond the result relation itself
@@ -103,23 +122,96 @@ pub(crate) struct PhysAtom {
 }
 
 /// The join order of a plan's last planning pass, beside the (filtered) atom
-/// lengths it was planned for. Empty until the first execution.
+/// lengths it was planned for and the step program compiled for it. Empty
+/// until the first execution.
 #[derive(Debug, Clone, Default)]
 struct OrderMemo {
     order: Vec<usize>,
     lens: Vec<u32>,
+    program: StepProgram,
 }
 
 impl OrderMemo {
     /// `true` when an order was planned and every atom's current length is
-    /// still within `[½×, 2×]` of the length it was planned for.
+    /// still within `[½×, 2×]` of the length it was planned for, both
+    /// lengths clamped up to [`DISTINCT_SAMPLE`] first: at or below that many
+    /// rows the planner sampled every row anyway, and a step over so few rows
+    /// costs less than one planning pass, so small atoms never re-plan.
     fn covers(&self, lens: &[u32]) -> bool {
+        let floor = DISTINCT_SAMPLE as u64;
         self.order.len() == lens.len()
             && lens.iter().zip(&self.lens).all(|(&len, &planned)| {
-                let (len, planned) = (u64::from(len), u64::from(planned));
+                let len = u64::from(len).max(floor);
+                let planned = u64::from(planned).max(floor);
                 2 * len >= planned && len <= 2 * planned
             })
     }
+}
+
+/// The step program of a memoized join order: everything an execution
+/// would otherwise resolve by searching the variables bound so far. Step `s`
+/// joins the atom over input slot `step_rels[s]`; for `s > 0` its key
+/// columns are the intermediate's `(step, position)` specs
+/// `left_keys[key_ends[s - 1]..key_ends[s]]`, matched against the atom's
+/// positions in the same range of `right_keys`. `head` resolves each head
+/// column to the `(step, position)` it is fetched from. Rebuilt in place
+/// whenever the order is (re)planned.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct StepProgram {
+    step_rels: Vec<u32>,
+    key_ends: Vec<u32>,
+    left_keys: Vec<(u32, u32)>,
+    right_keys: Vec<u32>,
+    head: Vec<(u32, u32)>,
+}
+
+impl StepProgram {
+    /// Derive the program of `order` (a permutation of `atoms`) into this
+    /// one's buffers.
+    fn derive(&mut self, atoms: &[PhysAtom], head: &[ColId], order: &[usize]) {
+        self.step_rels.clear();
+        self.key_ends.clear();
+        self.left_keys.clear();
+        self.right_keys.clear();
+        self.head.clear();
+        for (step, &ai) in order.iter().enumerate() {
+            let atom = &atoms[ai];
+            self.step_rels.push(atom.rel);
+            // Key columns: the atom's variables already bound on the left.
+            for &(col, pos) in &atom.vars {
+                if let Some(spec) = binding(atoms, &order[..step], col) {
+                    self.left_keys.push(spec);
+                    self.right_keys.push(pos);
+                }
+            }
+            self.key_ends.push(self.left_keys.len() as u32);
+        }
+        for &col in head {
+            let spec =
+                binding(atoms, order, col).expect("validate() guarantees head variables are bound"); // lint:allow validate() bound every head variable and the order holds every atom
+            self.head.push(spec);
+        }
+    }
+
+    /// Step `step`'s key specs on the intermediate and key positions on its
+    /// atom (`step > 0`).
+    #[inline]
+    fn keys(&self, step: usize) -> (&[(u32, u32)], &[u32]) {
+        let range = self.key_ends[step - 1] as usize..self.key_ends[step] as usize;
+        (&self.left_keys[range.clone()], &self.right_keys[range])
+    }
+}
+
+/// The `(step, position)` that `col` is fetched from when the atoms join in
+/// `order`: the first step whose atom binds it.
+fn binding(atoms: &[PhysAtom], order: &[usize], col: ColId) -> Option<(u32, u32)> {
+    order.iter().enumerate().find_map(|(step, &ai)| {
+        atoms[ai]
+            .vars
+            .iter()
+            .find(|&&(c, _)| c == col)
+            .map(|&(_, pos)| (step as u32, pos))
+    })
 }
 
 /// A conjunctive query compiled against fixed relation arities.
@@ -135,6 +227,7 @@ pub struct PhysicalPlan {
     pub(crate) relations: Vec<String>,
     pub(crate) col_names: Vec<String>,
     memo: OrderMemo,
+    kept: KeptTables,
 }
 
 impl PhysicalPlan {
@@ -245,6 +338,7 @@ impl PhysicalPlan {
             relations,
             col_names,
             memo: OrderMemo::default(),
+            kept: KeptTables::default(),
         })
     }
 
@@ -267,7 +361,8 @@ impl PhysicalPlan {
     /// is whatever the memoized join order and the shared tables produce, and
     /// callers must not depend on it.
     ///
-    /// Takes `&mut self` because the plan keeps its last join order (see the
+    /// Takes `&mut self` because the plan keeps its last join order with its
+    /// step program, and the join tables of its versioned inputs (see the
     /// module docs); nothing else about the plan changes.
     ///
     /// Fails with [`RelError::StaleJoinTable`] when an input tagged
@@ -294,6 +389,7 @@ impl PhysicalPlan {
             atoms,
             col_names,
             memo,
+            kept,
             ..
         } = self;
         let ExecScratch {
@@ -312,11 +408,6 @@ impl PhysicalPlan {
             lens,
             filtered,
             remaining,
-            step_rels,
-            acc,
-            left_keys,
-            right_keys,
-            head_specs,
             counters,
             materialize_nanos,
             primed,
@@ -359,8 +450,9 @@ impl PhysicalPlan {
 
         // ---- Join order: planned once per data shape --------------------
         // The sampled greedy order is kept beside the atom lengths it was
-        // planned for and reused until some atom's (filtered) length leaves
-        // [½×, 2×] of its planned length. Any order is *correct*; the memo
+        // planned for, with its step program, and reused until some atom's
+        // (filtered) length leaves [½×, 2×] of its planned length — lengths
+        // clamped up to the sample size. Any order is *correct*; the memo
         // only decides how often the O(atoms²) planner and its sampling run.
         if memo.covers(lens) {
             if n > 1 {
@@ -402,21 +494,21 @@ impl PhysicalPlan {
             );
             memo.lens.clear();
             memo.lens.extend_from_slice(lens);
+            memo.program.derive(atoms, head, &memo.order);
         }
         let order = memo.order.as_slice();
-        step_rels.clear();
-        step_rels.extend(order.iter().map(|&i| atoms[i].rel));
+        let program = &memo.program;
 
         // ---- Pipeline of row-id hash joins ------------------------------
         // The intermediate result is one row-id column per joined atom
-        // (`cols[s]` for the atom joined at step `s`); `acc` maps each bound
-        // variable to the `(step, position)` it is fetched from. Every
-        // connected step builds on the atom and probes with the
+        // (`cols[s]` for the atom joined at step `s`); the step program says
+        // which `(step, position)` each key and head column is fetched from.
+        // Every connected step builds on the atom and probes with the
         // intermediate, so the table of an unfiltered batch-shared atom can
         // be built once per batch and reused by every later step that joins
-        // the same input on the same key columns.
+        // the same input on the same key columns, and the table of an
+        // unfiltered versioned atom lives as long as its input's version.
         grow_pool(cols, n);
-        acc.clear();
         let first = order[0];
         cols[0].clear();
         if filtered[first] {
@@ -424,28 +516,17 @@ impl PhysicalPlan {
         } else {
             cols[0].extend(0..lens[first]);
         }
-        for (col, pos) in &atoms[first].vars {
-            acc.push((*col, 0, *pos));
-        }
 
         for (step, &ai) in order.iter().enumerate().skip(1) {
             let atom = &atoms[ai];
             let right = &inputs[atom.rel as usize];
-            // Key columns: the atom's variables already bound on the left.
-            left_keys.clear();
-            right_keys.clear();
-            for (col, pos) in &atom.vars {
-                if let Some(&(_, s, p)) = acc.iter().find(|(c, _, _)| c == col) {
-                    left_keys.push((s, p));
-                    right_keys.push(*pos);
-                }
-            }
+            let (left_keys, right_keys) = program.keys(step);
             let right_rows = lens[ai] as usize;
             let right_sel: Option<&[u32]> = filtered[ai].then_some(sels[ai].as_slice());
             let joined = Joined {
                 cols: &cols[..step],
                 inputs,
-                step_rels,
+                step_rels: &program.step_rels,
             };
 
             pair_left.clear();
@@ -459,8 +540,13 @@ impl PhysicalPlan {
                     }
                 }
             } else {
-                let built: &JoinTable = match (right.shared, right_sel) {
-                    (Some(tag), None) => shared.get_or_build(tag, right_keys, right, counters)?,
+                let built: &JoinTable = match (right.shared, right.version, right_sel) {
+                    (Some(tag), _, None) => {
+                        shared.get_or_build(tag, right_keys, right, counters)?
+                    }
+                    (None, Some(version), None) => {
+                        kept.get_or_build(atom.rel, version, right_keys, right, counters)
+                    }
                     _ => {
                         table.build(right, right_sel, right_keys, right_rows);
                         counters.tables_built += 1;
@@ -483,11 +569,6 @@ impl PhysicalPlan {
             let (joined, rest) = cols.split_at_mut(step);
             counters.ids_moved +=
                 extend_columns(joined, &mut rest[0], pair_left, pair_right, gathered);
-            for (col, pos) in &atom.vars {
-                if !acc.iter().any(|(c, _, _)| c == col) {
-                    acc.push((*col, step as u32, *pos));
-                }
-            }
         }
 
         // ---- Materialize: head projection, tuples built exactly once ----
@@ -495,18 +576,11 @@ impl PhysicalPlan {
         // into the output's columnar storage; with `distinct`, rows are
         // hashed and compared in place *before* anything is cloned.
         let mat_start = Instant::now();
-        head_specs.clear();
-        for col in head.iter() {
-            let &(_, s, p) = acc
-                .iter()
-                .find(|(c, _, _)| c == col)
-                .expect("validate() guarantees head variables are bound"); // lint:allow validate() bound every head variable
-            head_specs.push((s, p));
-        }
+        let head_specs = program.head.as_slice();
         let joined = Joined {
             cols: &cols[..n],
             inputs,
-            step_rels,
+            step_rels: &program.step_rels,
         };
         let out_len = if distinct {
             joined.hash_rows(head_specs, hashes);
@@ -527,6 +601,45 @@ impl PhysicalPlan {
         counters.rows_materialized += out_len as u64;
         *materialize_nanos += mat_start.elapsed().as_nanos() as u64;
         Ok(out)
+    }
+
+    /// Check the memoized join order and its step program: the order must be
+    /// a permutation of the body atoms planned for one length per atom, and
+    /// the stored program must equal one derived afresh from the order.
+    /// Returns what differs. A plan that never planned holds neither and
+    /// passes.
+    pub fn check_program(&self) -> Result<(), &'static str> {
+        let memo = &self.memo;
+        if memo.order.is_empty() {
+            return if memo.program == StepProgram::default() {
+                Ok(())
+            } else {
+                Err("a step program without a join order")
+            };
+        }
+        let n = self.atoms.len();
+        if memo.order.len() != n || (0..n).any(|i| !memo.order.contains(&i)) {
+            return Err("a join order that is not a permutation of the body atoms");
+        }
+        if memo.lens.len() != n {
+            return Err("planned lengths that are not one per atom");
+        }
+        let mut fresh = StepProgram::default();
+        fresh.derive(&self.atoms, &self.head, &memo.order);
+        if fresh == memo.program {
+            Ok(())
+        } else {
+            Err("a step program that its join order does not derive")
+        }
+    }
+
+    /// The input slot and the version of every join table the plan keeps
+    /// across executions (see [`PlanInput::versioned`]).
+    pub fn kept_tables(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.kept
+            .entries
+            .iter()
+            .filter_map(|e| e.stamp.map(|(version, _)| (e.slot, version)))
     }
 }
 
@@ -827,7 +940,7 @@ fn fold_column(hashes: &mut [u64], ids: Option<&[u32]>, vals: ColVals<'_>) {
 /// `hashes`. Walking a chain yields rows in ascending order. A probe compares
 /// the stored hash before touching any [`Value`]. Clearing never frees the
 /// arrays, so a pooled table allocates only while it grows.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct JoinTable {
     heads: Vec<u32>,
     chain: Vec<u32>,
@@ -962,6 +1075,69 @@ impl SharedTables {
             }
         };
         Ok(&self.entries[idx].table)
+    }
+}
+
+/// The join tables a plan keeps across executions: one per unfiltered atom
+/// over a [`versioned`](PlanInput::versioned) input and key set, stamped
+/// with the version and row count of the input it was built over.
+#[derive(Debug, Clone, Default)]
+struct KeptTables {
+    entries: Vec<KeptTable>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct KeptTable {
+    /// The plan input slot the table was built over.
+    slot: u32,
+    keys: Vec<u32>,
+    /// `(version, rows)` of that input at the last build; `None` before it.
+    stamp: Option<(u64, u32)>,
+    table: JoinTable,
+}
+
+impl KeptTables {
+    /// The table of the unfiltered input in `slot`, at `version`, keyed on
+    /// `keys`: the kept one while the input's version and row count are the
+    /// ones it was built at, rebuilt in place otherwise.
+    fn get_or_build(
+        &mut self,
+        slot: u32,
+        version: u64,
+        keys: &[u32],
+        input: &PlanInput<'_>,
+        counters: &mut Counters,
+    ) -> &JoinTable {
+        let stamp = Some((version, input.len()));
+        let idx = match self
+            .entries
+            .iter()
+            .position(|e| e.slot == slot && e.keys == keys)
+        {
+            Some(idx) => idx,
+            None => {
+                let mut entry = KeptTable {
+                    slot,
+                    ..KeptTable::default()
+                };
+                entry.keys.extend_from_slice(keys);
+                self.entries.push(entry);
+                self.entries.len() - 1
+            }
+        };
+        let entry = &mut self.entries[idx];
+        if entry.stamp == stamp {
+            debug_assert!(
+                entry.table.spot_check(input, keys),
+                "kept join table for input slot {slot} does not match version {version}"
+            );
+            counters.tables_kept += 1;
+        } else {
+            entry.stamp = stamp;
+            entry.table.build(input, None, keys, input.len() as usize);
+            counters.tables_built += 1;
+        }
+        &entry.table
     }
 }
 
@@ -1249,6 +1425,7 @@ impl<'a> ColVals<'a> {
 pub struct PlanInput<'a> {
     rows: Rows<'a>,
     shared: Option<u32>,
+    version: Option<u64>,
 }
 
 impl<'a> PlanInput<'a> {
@@ -1259,6 +1436,18 @@ impl<'a> PlanInput<'a> {
     /// scratch. Distinct relations must carry distinct tags.
     pub fn shared(mut self, tag: u32) -> Self {
         self.shared = Some(tag);
+        self
+    }
+
+    /// Stamp the input with a version: it is the same unchanged relation
+    /// for as long as its version is, across executions and batches alike.
+    /// A plan keeps the join table it builds over an unfiltered atom of a
+    /// versioned input and rebuilds it only when an execution brings another
+    /// version or row count, so the caller must move the version on every
+    /// change to the relation. An input is either shared or versioned; a
+    /// [`shared`](Self::shared) tag wins.
+    pub fn versioned(mut self, version: u64) -> Self {
+        self.version = Some(version);
         self
     }
 
@@ -1298,6 +1487,7 @@ impl<'a> From<&'a Relation> for PlanInput<'a> {
         PlanInput {
             rows: Rows::Flat(r),
             shared: None,
+            version: None,
         }
     }
 }
@@ -1311,7 +1501,11 @@ impl<'a> From<&'a ChunkedRows<'a>> for PlanInput<'a> {
             [only] => Rows::Flat(only),
             _ => Rows::Chunked(r),
         };
-        PlanInput { rows, shared: None }
+        PlanInput {
+            rows,
+            shared: None,
+            version: None,
+        }
     }
 }
 
@@ -1322,6 +1516,7 @@ struct Counters {
     scratch_reuses: u64,
     tables_built: u64,
     tables_reused: u64,
+    tables_kept: u64,
     orders_planned: u64,
     orders_reused: u64,
     rows_probed: u64,
@@ -1330,15 +1525,17 @@ struct Counters {
 
 /// The pooled executor state: selection vectors, sampled column hashes, the
 /// per-execution join table, the batch's shared join tables, the
-/// intermediate's row-id columns, the join pairs and the distinct table. Owned by the caller (the MMQJP
-/// engine keeps one per engine) and reused across every plan execution, so
-/// steady-state evaluation allocates nothing but the output relation.
+/// intermediate's row-id columns, the join pairs and the distinct table.
+/// Owned by the caller (the MMQJP engine keeps one per engine) and reused
+/// across every plan execution, so steady-state evaluation allocates nothing
+/// but the output relation. What belongs to one plan — its order, step
+/// program and kept tables — lives in the plan.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     sels: Vec<Vec<u32>>,
     samples: Vec<Vec<u64>>,
     /// The table of the current join step when its atom is filtered or its
-    /// input is not batch-shared.
+    /// input is neither batch-shared nor versioned.
     table: JoinTable,
     shared: SharedTables,
     /// The intermediate result: one row-id column per joined atom.
@@ -1357,11 +1554,6 @@ pub struct ExecScratch {
     lens: Vec<u32>,
     filtered: Vec<bool>,
     remaining: Vec<usize>,
-    step_rels: Vec<u32>,
-    acc: Vec<(ColId, u32, u32)>,
-    left_keys: Vec<(u32, u32)>,
-    right_keys: Vec<u32>,
-    head_specs: Vec<(u32, u32)>,
     counters: Counters,
     materialize_nanos: u64,
     primed: bool,
@@ -1393,7 +1585,8 @@ impl ExecScratch {
         self.counters.scratch_reuses
     }
 
-    /// Join hash tables built, per-execution and batch-shared alike.
+    /// Join hash tables built: per-step tables, batch-shared tables, and
+    /// kept tables built or rebuilt for a new version of their input.
     pub fn join_tables_built(&self) -> u64 {
         self.counters.tables_built
     }
@@ -1403,8 +1596,17 @@ impl ExecScratch {
         self.counters.tables_reused
     }
 
+    /// Join steps served by a table their plan kept from an earlier
+    /// execution, because the [`versioned`](PlanInput::versioned) input's
+    /// version and row count were unchanged.
+    pub fn join_tables_kept(&self) -> u64 {
+        self.counters.tables_kept
+    }
+
     /// Executions of multi-atom plans that sampled their inputs and planned
-    /// a join order.
+    /// a join order: the first execution, and any whose atom lengths left
+    /// the memoized order's band (`[½×, 2×]` of the planned length, both
+    /// clamped up to the 64-row sample).
     pub fn join_orders_planned(&self) -> u64 {
         self.counters.orders_planned
     }
@@ -1871,12 +2073,33 @@ mod tests {
         );
     }
 
+    /// `edge` with `edges` edges `i → i % nodes + 1` and `label` colouring
+    /// nodes `1..=nodes` red and blue in turn.
+    fn graph(edges: usize, nodes: usize) -> Vec<(String, Relation)> {
+        let (red, blue) = colors();
+        let edge: Vec<[Value; 2]> = (0..edges as i64)
+            .map(|i| [Value::Int(i), Value::Int(i % nodes as i64 + 1)])
+            .collect();
+        let label: Vec<[Value; 2]> = (1..=nodes as i64)
+            .map(|n| [Value::Int(n), if n % 2 == 1 { red } else { blue }])
+            .collect();
+        vec![
+            ("edge".to_owned(), relation_of(["src", "dst"], &edge)),
+            ("label".to_owned(), relation_of(["node", "color"], &label)),
+        ]
+    }
+
+    /// `edge(X, Y), label(Y, C)`: every edge with its target's colour.
+    fn edge_colors() -> ConjunctiveQuery {
+        ConjunctiveQuery::new(["X", "C"])
+            .atom(Atom::new("edge", [Term::var("X"), Term::var("Y")]))
+            .atom(Atom::new("label", [Term::var("Y"), Term::var("C")]))
+    }
+
     #[test]
     fn join_order_is_replanned_when_an_atom_leaves_its_planned_size() {
-        let rels = edges_db();
-        let q = ConjunctiveQuery::new(["X", "C"])
-            .atom(Atom::new("edge", [Term::var("X"), Term::var("Y")]))
-            .atom(Atom::new("label", [Term::var("Y"), Term::var("C")]));
+        let q = edge_colors();
+        let rels = graph(100, 4);
         let mut plan = compile(&q, &rels);
         let mut scratch = ExecScratch::new();
         let inputs = inputs_of(&plan, &rels, false);
@@ -1886,12 +2109,9 @@ mod tests {
         assert_eq!(scratch.join_orders_planned(), 1);
         assert_eq!(scratch.join_orders_reused(), 2);
 
-        // `edge` grows 4x (within 2x it would keep its order).
-        let mut grown = rels.clone();
-        for _ in 0..3 {
-            let copy = rels[0].1.clone();
-            grown[0].1.extend_from(&copy).unwrap();
-        }
+        // `edge` grows 4x from above the 64-row sample (within 2x it would
+        // keep its order).
+        let grown = graph(400, 4);
         let inputs = inputs_of(&plan, &grown, false);
         let replanned = plan.execute(&inputs, &mut scratch, false).unwrap();
         assert_eq!(scratch.join_orders_planned(), 2);
@@ -1899,11 +2119,133 @@ mod tests {
             .execute(&inputs, &mut ExecScratch::new(), false)
             .unwrap();
         assert_eq!(replanned.sorted(), fresh.sorted());
-        assert_eq!(replanned.len(), 16);
+        assert_eq!(replanned.len(), 400);
         // The new shape is memoized in turn.
         plan.execute(&inputs, &mut scratch, false).unwrap();
         assert_eq!(scratch.join_orders_planned(), 2);
         assert_eq!(scratch.join_orders_reused(), 3);
+        assert_eq!(plan.check_program(), Ok(()));
+    }
+
+    #[test]
+    fn small_atoms_keep_their_order() {
+        // Both atoms flip anywhere between 1 and 64 rows: every length is
+        // clamped up to the sample size, so one planning pass serves every
+        // execution, and every answer is a fresh execution's.
+        let q = edge_colors();
+        let mut plan = compile(&q, &graph(1, 1));
+        let mut scratch = ExecScratch::new();
+        let rounds = 60;
+        for round in 0..rounds {
+            let edges = round * 37 % 64 + 1;
+            let nodes = if round % 2 == 0 {
+                1
+            } else {
+                round * 11 % 64 + 1
+            };
+            let rels = graph(edges, nodes);
+            let inputs = inputs_of(&plan, &rels, false);
+            let got = plan.execute(&inputs, &mut scratch, false).unwrap();
+            let fresh = compile(&q, &rels)
+                .execute(&inputs, &mut ExecScratch::new(), false)
+                .unwrap();
+            assert_eq!(got.sorted(), fresh.sorted(), "round {round}");
+            assert_eq!(got.len(), edges, "round {round}");
+        }
+        assert_eq!(scratch.join_orders_planned(), 1);
+        assert_eq!(scratch.join_orders_reused(), rounds as u64 - 1);
+        assert_eq!(plan.check_program(), Ok(()));
+    }
+
+    #[test]
+    fn kept_tables_follow_their_inputs_version() {
+        // `label` is versioned and built on (`edge` ties it and comes first):
+        // its table outlives the execution while the version holds.
+        let (red, blue) = colors();
+        let rels = edges_db();
+        let q = edge_colors();
+        let mut plan = compile(&q, &rels);
+        let mut scratch = ExecScratch::new();
+        let edge = PlanInput::from(&rels[0].1);
+        let label = [edge, PlanInput::from(&rels[1].1).versioned(1)];
+        let expected = run(&q);
+        for _ in 0..3 {
+            let got = plan.execute(&label, &mut scratch, false).unwrap();
+            assert_eq!(sorted_rows(&got), expected);
+        }
+        assert_eq!(scratch.join_tables_built(), 1);
+        assert_eq!(scratch.join_tables_kept(), 2);
+        assert_eq!(plan.kept_tables().collect::<Vec<_>>(), [(1, 1)]);
+
+        // Same four rows, new contents and a new version: the kept table is
+        // rebuilt, and the answer is a fresh execution's.
+        let int = Value::Int;
+        let relabelled = relation_of(
+            ["node", "color"],
+            &[[int(2), red], [int(3), blue], [int(4), red], [int(5), blue]],
+        );
+        let inputs = [edge, PlanInput::from(&relabelled).versioned(2)];
+        let got = plan.execute(&inputs, &mut scratch, false).unwrap();
+        assert_eq!(scratch.join_tables_built(), 2);
+        assert_eq!(scratch.join_tables_kept(), 2);
+        let fresh = compile(&q, &rels)
+            .execute(
+                &[edge, PlanInput::from(&relabelled)],
+                &mut ExecScratch::new(),
+                false,
+            )
+            .unwrap();
+        assert_eq!(got.sorted(), fresh.sorted());
+        assert_eq!(
+            sorted_rows(&got),
+            [[int(1), red], [int(2), red], [int(2), blue], [int(3), red]]
+        );
+        assert_eq!(plan.kept_tables().collect::<Vec<_>>(), [(1, 2)]);
+
+        // A shared tag wins over a version: the batch's table serves.
+        let tagged = [edge, PlanInput::from(&relabelled).shared(0).versioned(2)];
+        plan.execute(&tagged, &mut scratch, false).unwrap();
+        assert_eq!(scratch.join_tables_kept(), 2);
+        assert_eq!(scratch.join_tables_built(), 3);
+    }
+
+    #[test]
+    fn a_corrupted_step_program_is_reported() {
+        let q = two_hop().atom(Atom::new("label", [Term::var("Z"), Term::var("C")]));
+        let rels = edges_db();
+        let mut plan = compile(&q, &rels);
+        assert_eq!(plan.check_program(), Ok(()), "nothing planned yet");
+        let inputs = inputs_of(&plan, &rels, false);
+        plan.execute(&inputs, &mut ExecScratch::new(), false)
+            .unwrap();
+        assert_eq!(plan.check_program(), Ok(()));
+
+        // Wrong keys, head specs or step inputs: not what the order derives.
+        let corruptions: [fn(&mut StepProgram); 3] = [
+            |p| p.left_keys[0].1 ^= 1,
+            |p| p.head.reverse(),
+            |p| p.step_rels.reverse(),
+        ];
+        for corrupt in corruptions {
+            let mut bad = plan.clone();
+            corrupt(&mut bad.memo.program);
+            assert_eq!(
+                bad.check_program(),
+                Err("a step program that its join order does not derive")
+            );
+        }
+        let mut bad = plan.clone();
+        bad.memo.order[0] = bad.memo.order[1];
+        assert_eq!(
+            bad.check_program(),
+            Err("a join order that is not a permutation of the body atoms")
+        );
+        let mut bad = plan.clone();
+        bad.memo.order.clear();
+        assert_eq!(
+            bad.check_program(),
+            Err("a step program without a join order")
+        );
     }
 
     #[test]

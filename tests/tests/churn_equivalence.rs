@@ -17,7 +17,8 @@
 //! live query already holds is a reuse, and every other registration builds
 //! its shape. And every script is replayed once more on a single engine and
 //! a one-shard `ShardedEngine` side by side, whose Stage-1 tables — the
-//! registry's and the coordinator's — must agree after every step.
+//! registry's and the coordinator's — must agree after every step. Both
+//! engines of every differential pass the invariant audit after every step.
 
 use mmqjp_core::{
     sort_matches, CoreError, EngineConfig, EngineStats, MatchOutput, MmqjpEngine, QueryId,
@@ -207,11 +208,11 @@ fn run_differential(mut make: impl FnMut() -> AnyEngine, script: &[Op], label: &
                 );
             }
         }
+        // After every register, unregister and document, every refcounted
+        // structure in both engines must still balance exactly.
+        churned.assert_audit_clean();
+        reference.assert_audit_clean();
     }
-    // After any interleaving of registers, unregisters and documents, every
-    // refcounted structure in both engines must still balance exactly.
-    churned.assert_audit_clean();
-    reference.assert_audit_clean();
     churned.assert_shape_accounting(
         churned_shapes.registrations,
         churned_shapes.reuses,
@@ -452,6 +453,55 @@ fn twins_of_a_live_query_reuse_its_shape() {
     e.register_query_text(Q_BOOK_BLOG_NARROW).unwrap();
     let stats = e.stats();
     assert_eq!((stats.shapes_built, stats.shapes_reused), (1, 1));
+}
+
+#[test]
+fn a_member_swapped_between_batches_rebuilds_the_kept_rt_table() {
+    // Four members of one template, alternating title and category joins,
+    // so `RT` outgrows the batch's atoms and its plan keeps a join table over
+    // it across batches. Q0 departs and a twin arrives between two batches:
+    // `RT` holds four rows before and after, every key in a new position, so
+    // only `RT`'s version — not its row count — can tell the table is stale.
+    let script = [
+        Op::Reg(Q_BOOK_BLOG),
+        Op::Reg(Q_BOOK_BLOG_CAT),
+        Op::Reg(Q_BOOK_BLOG_NARROW),
+        Op::Reg(Q_BOOK_BLOG_CAT),
+        Op::Doc(book(10)),
+        Op::Doc(blog(20)),
+        Op::Doc(book(30)),
+        Op::Doc(blog(40)),
+        Op::Unreg(0),
+        Op::Reg(Q_BOOK_BLOG),
+        Op::Doc(book(50)),
+        Op::Doc(blog(60)),
+        Op::Doc(blog(70)),
+    ];
+    assert_equivalence(&script);
+    // The scenario detects a stale table only while the swap meets a kept
+    // one: each mode's template plan probes a kept `RT` table before the
+    // swap and again after it.
+    for config in [EngineConfig::mmqjp(), EngineConfig::mmqjp_view_mat()] {
+        let mode = config.mode;
+        let mut e = MmqjpEngine::new(config);
+        let (swap, mut ids) = (8, Vec::new());
+        let mut before = EngineStats::default();
+        for (step, op) in script.iter().enumerate() {
+            if step == swap {
+                before = e.stats();
+            }
+            match op {
+                Op::Reg(text) => ids.push(e.register_query_text(text).expect("registers")),
+                Op::Unreg(n) => e.unregister_query(ids[*n]).expect("live target"),
+                Op::Doc(doc) => {
+                    e.process_document(doc.clone()).expect("processes");
+                }
+            }
+        }
+        let after = e.stats();
+        assert!(before.join_tables_kept > 0, "{mode:?}: {before:?}");
+        assert!(after.join_tables_kept > before.join_tables_kept, "{mode:?}");
+    }
 }
 
 #[test]

@@ -15,8 +15,8 @@ fn three_example_queries_share_one_template_with_six_meta_variables() {
         let template = engine.registry().templates().next().unwrap();
         assert_eq!(template.template.num_meta_vars(), 6);
         // RT mirrors Table 4(a): one tuple per query, qid + 6 vars + wl.
-        assert_eq!(template.rt.len(), 3);
-        assert_eq!(template.rt.schema().arity(), 8);
+        assert_eq!(template.rt().len(), 3);
+        assert_eq!(template.rt().schema().arity(), 8);
     }
 }
 

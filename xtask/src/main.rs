@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Twelve dependency-free static checks over the workspace sources:
+//! Thirteen dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -71,6 +71,13 @@
 //!     registry and the sharded coordinator subscribe, release and audit
 //!     through one `Stage1Table`, not through copies kept in step.
 //!
+//! 13. **`RT` changes move its version** — non-test code in
+//!     `crates/core/src/registry.rs` may call `.rt.push_values(` and
+//!     `.rt.remove_row(` only inside `TemplateRuntime`'s `push_rt_row` and
+//!     `remove_rt_row`, the two mutators that move `rt_version`: a template
+//!     plan keeps its join table over `RT` while that version holds, so a
+//!     change that skipped it would leave the table stale.
+//!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
 #![forbid(unsafe_code)]
@@ -116,6 +123,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_shape_derivation(root, &mut violations);
     check_emission_allocations(root, &mut violations);
     check_stage1_table(root, &mut violations);
+    check_rt_versioning(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -762,6 +770,29 @@ fn scan_file_for_stage1_mutations(root: &Path, file: &Path, out: &mut Vec<String
 }
 
 // ---------------------------------------------------------------------------
+// Check 13: a template's RT changes only where its version moves.
+// ---------------------------------------------------------------------------
+
+/// The `TemplateRuntime` mutators that move `rt_version` with `RT`.
+const RT_VERSIONED_FNS: &[&str] = &["fn push_rt_row(", "fn remove_rt_row("];
+const RT_MUTATIONS: &[&str] = &[".rt.push_values(", ".rt.remove_row("];
+
+fn check_rt_versioning(root: &Path, out: &mut Vec<String>) {
+    scan_file_for_rt_mutations(root, &root.join(REGISTRY_FILE), out);
+}
+
+fn scan_file_for_rt_mutations(root: &Path, file: &Path, out: &mut Vec<String>) {
+    scan_outside_fns(
+        root,
+        file,
+        out,
+        RT_VERSIONED_FNS,
+        RT_MUTATIONS,
+        "outside the version-moving `RT` mutators (a plan's kept `RT` table would go stale)",
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
@@ -987,6 +1018,26 @@ mod tests {
         );
         assert!(
             out[3].contains("stage1_case.rs:9") && out[3].contains("`edge_refs`"),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn rt_mutations_are_flagged_outside_the_versioned_mutators() {
+        let src = "impl TemplateRuntime {\n    fn push_rt_row(&mut self, t: Tuple) -> CoreResult<()> {\n        self.rt.push_values(t)?;\n        self.rt_version += 1;\n        Ok(())\n    }\n    fn remove_rt_row(&mut self, row: usize) -> CoreResult<()> {\n        self.rt.remove_row(row)?;\n        self.rt_version += 1;\n        Ok(())\n    }\n}\nfn register(&mut self) {\n    template.rt.push_values(tuple)?;\n    // template.rt.remove_row(row) in a comment\n    template.push_rt_row(tuple)?;\n}\nfn unregister(t: &mut TemplateRuntime) {\n    t.rt.remove_row(0)?;\n}\n#[cfg(test)]\nmod tests {\n    fn t() { tr.rt.push_values(v).unwrap(); }\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("rt_case.rs");
+        fs::write(&file, src).unwrap();
+        let mut out = Vec::new();
+        scan_file_for_rt_mutations(&dir, &file, &mut out);
+        assert_eq!(out.len(), 2, "violations: {out:?}");
+        assert!(
+            out[0].contains("rt_case.rs:14") && out[0].contains("`.rt.push_values(`"),
+            "{out:?}"
+        );
+        assert!(
+            out[1].contains("rt_case.rs:19") && out[1].contains("`.rt.remove_row(`"),
             "{out:?}"
         );
     }
