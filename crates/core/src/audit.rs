@@ -5,16 +5,18 @@
 //! engine's redundant bookkeeping structures against each other and report
 //! every inconsistency as a typed [`AuditViolation`]. The checks cover:
 //!
-//! - **Stage-1 table** — in the registry's table and in the sharded
-//!   coordinator's alike, the pattern index's per-pattern refcounts, the
-//!   per-`(pattern, edge, consumer)` request refcounts and the single-block
-//!   list must equal what a recount over the owner's live registrations
-//!   produces, the deterministic requested-edge lists must run parallel to
-//!   the refcounts, every symbol an edge cached at registration must still
-//!   be its variable's symbol, and a live emission plan must equal a fresh
-//!   compile of the lists and their consumers.
+//! - **The front** — one audit for both engines: the front holds one
+//!   subscription per live query, each live clause's pattern ids are held
+//!   by exactly its refcount of subscriptions and name live patterns equal
+//!   to the clause's blocks, and in its Stage-1 table the pattern index's
+//!   per-pattern refcounts, the per-`(pattern, edge, consumer)` request
+//!   refcounts and the single-block list must equal what a recount over the
+//!   subscriptions produces, the deterministic requested-edge lists must run
+//!   parallel to the refcounts, every symbol an edge cached at registration
+//!   must still be its variable's symbol, and a live emission plan must
+//!   equal a fresh compile of the lists and their consumers.
 //! - **Registry refcounts** — the canonical-variable refcounts must equal a
-//!   recount over the distinct live patterns.
+//!   recount over the live queries' shapes.
 //! - **Catalog discipline** — tombstoned template slots are never referenced
 //!   by a live registration, every template's `RT` relation holds exactly
 //!   one tuple per live member orientation, and the `rid` resolution map is
@@ -41,10 +43,8 @@
 //!   retained timestamp.
 //! - **Interner index** — every interned string finds its own symbol
 //!   through the hash index, which files exactly one entry per string.
-//! - **Stats identities** — documents are never counted more than the
-//!   document sequence assigned, and (sharded) the per-shard live-query
-//!   counts sum to the coordinator's total while shards never count
-//!   documents themselves.
+//! - **Stats identities** — the front never counts more documents than
+//!   the document sequence it assigned (it alone counts documents).
 //!
 //! An audit never mutates the engine; a healthy engine returns an empty
 //! vector. Any violation indicates an engine bug (not a user error) — the
@@ -273,24 +273,8 @@ pub enum AuditViolation {
         /// The shard-local violation.
         violation: Box<AuditViolation>,
     },
-    /// The coordinator's live-query total differs from the sum of its
-    /// per-shard counts (or from the shards' own registries).
-    QueriesPerShardSum {
-        /// The coordinator's total.
-        tracked: usize,
-        /// The per-shard sum.
-        summed: usize,
-    },
-    /// A shard of a [`ShardedEngine`](crate::ShardedEngine) counted
-    /// documents itself (only the front stage counts documents).
-    HybridShardCountsDocuments {
-        /// The offending shard.
-        shard: usize,
-        /// Documents it counted.
-        documents: usize,
-    },
-    /// The sharded coordinator's per-query footprints disagree with its
-    /// live queries.
+    /// A front's subscriptions disagree with its owner's live queries, or a
+    /// live clause's pattern ids with its subscriptions or its blocks.
     FrontSubscription {
         /// The pattern id involved (`u32::MAX` for pattern-independent
         /// checks).
@@ -482,14 +466,6 @@ impl fmt::Display for AuditViolation {
             AuditViolation::Shard { shard, violation } => {
                 write!(f, "shard {shard}: {violation}")
             }
-            AuditViolation::QueriesPerShardSum { tracked, summed } => write!(
-                f,
-                "coordinator tracks {tracked} live queries but shards hold {summed}"
-            ),
-            AuditViolation::HybridShardCountsDocuments { shard, documents } => write!(
-                f,
-                "shard {shard} counted {documents} documents itself"
-            ),
             AuditViolation::FrontSubscription { pattern, reason } => {
                 write!(f, "front subscription state (pattern {pattern}): {reason}")
             }

@@ -2,23 +2,20 @@
 //! of registered XSCL queries (Algorithms 1–5 of the paper).
 //!
 //! [`MmqjpEngine`] is the in-thread instance of the pipeline
-//! `front → route → join → merge`: [`process_batch`](MmqjpEngine::process_batch)
-//! runs the Stage-1 front ([`crate::front`]) inline, wraps its output in a
-//! [`RoutedBatch`] and feeds it to the join stage,
-//! [`process_witness_batch`](MmqjpEngine::process_witness_batch) — Stage 2,
-//! output construction and state maintenance. With one consumer there is
-//! nothing to route or merge. [`ShardedEngine`](crate::ShardedEngine) runs
-//! the same front on worker threads and calls the same join stage on every
-//! shard.
+//! `front → route → join → merge`: a [`Front`] with one consumer of witness
+//! rows, feeding one [`JoinStage`] — Stage 2, output construction and state
+//! maintenance — directly. With one consumer there is nothing to merge.
+//! [`ShardedEngine`](crate::ShardedEngine) holds the same `Front`, with one
+//! consumer per shard, and runs one `JoinStage` on every shard.
 
 use crate::audit::AuditViolation;
 use crate::config::{EngineConfig, ProcessingMode};
 use crate::cqt::PlanInputKind;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::QuarantineRecord;
-use crate::front::{self, FrontScratch, PoisonHandling};
+use crate::front::{Front, FrontBatch, Stage1Table};
 use crate::output::{construct_join_output, Binding, MatchOutput};
-use crate::registry::{Orientation, QueryRuntime, Registry};
+use crate::registry::{Orientation, QueryRuntime, Registry, Stage1Footprint};
 use crate::relations::{node_of, rl_row, schemas, timestamp_in, RoutedBatch, WitnessBatch};
 use crate::state::{key_int, key_sym, JoinState, RestrictionScratch};
 use crate::stats::{EngineStats, PhaseTimings};
@@ -42,6 +39,185 @@ use std::time::Instant;
 /// streams across engine instances.
 #[derive(Debug)]
 pub struct MmqjpEngine {
+    /// Stage 1: every piece of the engine's Stage-1 state, with the join
+    /// stage as its one consumer (`0`).
+    front: Front,
+    /// Everything after Stage 1.
+    join: JoinStage,
+}
+
+/// The front's consumer of witness rows in a single engine: its join stage.
+const JOIN_STAGE: usize = 0;
+
+impl MmqjpEngine {
+    /// Create an engine with the given configuration.
+    pub fn new(config: EngineConfig) -> Self {
+        let interner = Arc::new(StringInterner::new());
+        MmqjpEngine {
+            front: Front::new(&config, Arc::clone(&interner)),
+            join: JoinStage::new(config, interner),
+        }
+    }
+
+    /// The engine configuration.
+    pub fn config(&self) -> &EngineConfig {
+        &self.join.config
+    }
+
+    /// Cumulative statistics: the front's and the join stage's together.
+    pub fn stats(&self) -> EngineStats {
+        self.front.stats() + self.join.stats()
+    }
+
+    /// Run a full invariant audit over the engine's redundant bookkeeping —
+    /// the front's subscriptions and Stage-1 table, registry refcounts,
+    /// catalog discipline, join-state indexes and counters, the interner's
+    /// index, document accounting and the timestamp watermark — returning
+    /// every violated invariant as a typed [`AuditViolation`]. Read-only and
+    /// side-effect free; a healthy engine returns an empty vector, and any
+    /// violation indicates an engine bug (see [`crate::audit`]).
+    pub fn audit(&self) -> Vec<AuditViolation> {
+        let mut out = Vec::new();
+        self.front.audit(self.join.registry.num_queries(), &mut out);
+        self.join.audit(&mut out);
+        out
+    }
+
+    /// The front's Stage-1 subscription table: pattern index, requested
+    /// edges and single-block subscriptions.
+    pub fn stage1_table(&self) -> &Stage1Table {
+        self.front.table()
+    }
+
+    /// The front's Stage-1 table, mutably, for tests that seed a corrupted
+    /// entry.
+    #[cfg(test)]
+    pub(crate) fn stage1_table_mut(&mut self) -> &mut Stage1Table {
+        self.front.table_mut()
+    }
+
+    /// Number of registered queries.
+    pub fn num_queries(&self) -> usize {
+        self.join.registry.num_queries()
+    }
+
+    /// Number of distinct query templates.
+    pub fn num_templates(&self) -> usize {
+        self.join.registry.num_templates()
+    }
+
+    /// Number of distinct Stage-1 tree patterns.
+    pub fn num_patterns(&self) -> usize {
+        self.front.table().index().len()
+    }
+
+    /// Access the query registry (templates, queries, catalog).
+    pub fn registry(&self) -> &Registry {
+        &self.join.registry
+    }
+
+    /// The shared string interner.
+    pub fn interner(&self) -> &Arc<StringInterner> {
+        &self.join.interner
+    }
+
+    /// Register a query from its textual XSCL form. Returns the query id.
+    pub fn register_query_text(&mut self, text: &str) -> CoreResult<QueryId> {
+        let query = mmqjp_xscl::parse_query(text)?;
+        self.register_query(query)
+    }
+
+    /// Register a parsed query. Returns the query id.
+    ///
+    /// A subscription registered mid-stream only joins documents that
+    /// arrive after it: resident join state from earlier documents is never
+    /// matched against it, so registration order (not just the query set)
+    /// defines each query's visible stream.
+    pub fn register_query(&mut self, query: XsclQuery) -> CoreResult<QueryId> {
+        let (id, footprint) = self.join.register(query, self.front.position().0)?;
+        self.front.subscribe(JOIN_STAGE, id, &footprint)?;
+        Ok(id)
+    }
+
+    /// Drain the quarantine ledger: every poison document skipped so far
+    /// under [`FaultPolicy::Quarantine`](crate::FaultPolicy), in arrival
+    /// order. Empty under other policies (poison then fails its batch
+    /// instead).
+    pub fn take_quarantine_records(&mut self) -> Vec<QuarantineRecord> {
+        self.front.take_quarantine()
+    }
+
+    /// Unregister a query, incrementally releasing every shared structure it
+    /// participated in: its `RT` tuples are removed in place (an emptied
+    /// template is retired from the catalog), its Stage-1 pattern and
+    /// requested-edge registrations are released through reference counts,
+    /// the window bounds are recomputed so document retention can tighten,
+    /// and view-cache slices carrying rows under now-dead canonical
+    /// variables are reclaimed (they are pure caches, so results never
+    /// depend on it).
+    ///
+    /// The cost is O(the departing query's footprint) — never a registry
+    /// rebuild. Freed [`QueryId`]s are tombstoned and never reused, so shard
+    /// assignment and the canonical output order stay deterministic across
+    /// churn. Join-state rows that only the departed query's patterns
+    /// produced are left to age out with their time bucket (they are
+    /// semantically inert — no live `RT` tuple joins them — and window
+    /// expiry bounds their lifetime); everything else is reclaimed eagerly.
+    ///
+    /// Errors with [`CoreError::UnknownQuery`] for ids never assigned or
+    /// already unregistered.
+    pub fn unregister_query(&mut self, id: QueryId) -> CoreResult<()> {
+        self.join.unregister(id)?;
+        self.front.unsubscribe(id)?;
+        Ok(())
+    }
+
+    /// Process one document, returning the matches it produced.
+    pub fn process_document(&mut self, doc: Document) -> CoreResult<Vec<MatchOutput>> {
+        self.process_batch(vec![doc])
+    }
+
+    /// Process a batch of documents in arrival order.
+    ///
+    /// All documents of the batch are joined against the *pre-batch* join
+    /// state, then merged into the state together — exactly the batched
+    /// evaluation the paper uses for its RSS throughput experiment. With a
+    /// batch size of one this is identical to [`process_document`]; with
+    /// larger batches, matches *within* the batch are not reported (the same
+    /// trade-off the paper makes).
+    ///
+    /// [`process_document`]: MmqjpEngine::process_document
+    pub fn process_batch(&mut self, docs: Vec<Document>) -> CoreResult<Vec<MatchOutput>> {
+        let batch = self.front.begin_batch();
+        if docs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let docs = self.front.screen(docs, batch)?;
+        let FrontBatch {
+            batches,
+            doc_meta,
+            docs,
+            mut singles,
+        } = self.front.run(docs, |_| None, 1)?;
+        let batch = batches.into_iter().next().unwrap_or_default();
+        singles.extend(self.join.process(RoutedBatch {
+            batch,
+            doc_meta,
+            docs,
+        })?);
+        Ok(singles)
+    }
+}
+
+/// The join stage of the pipeline: Stage 2, output construction and state
+/// maintenance over witness rows a front already produced — the registry,
+/// the windowed join state, the view cache and the executor scratch. A
+/// single engine feeds its one join stage inline; every shard of a
+/// [`ShardedEngine`](crate::ShardedEngine) owns one and nothing else. Its
+/// stream position follows the routed metadata, so mid-stream
+/// registrations get the same arrival floor whichever front fed it.
+#[derive(Debug)]
+pub(crate) struct JoinStage {
     config: EngineConfig,
     interner: Arc<StringInterner>,
     registry: Registry,
@@ -50,66 +226,37 @@ pub struct MmqjpEngine {
     state: JoinState,
     view_cache: ViewCache,
     /// Pooled executor buffers (selection vectors, join hash tables,
-    /// row-id intermediates) reused by every plan execution of this engine.
+    /// row-id intermediates) reused by every plan execution of this stage.
     scratch: ExecScratch,
     /// Pooled buffers of the basic-mode batch restriction.
     restriction: RestrictionScratch,
-    /// The front's pass, row and ingest buffers; kept for the engine's
-    /// lifetime so a warm Stage 1 allocates next to nothing per document.
-    front: FrontScratch,
     stats: EngineStats,
-    next_doc_seq: u64,
+    /// The newest timestamp absorbed: the watermark window eviction and the
+    /// state audit measure against.
     newest_timestamp: u64,
-    /// 0-based index of the next batch `process_batch` will ingest; pins
-    /// [`QuarantineRecord`]s to their position in the stream.
-    batches_ingested: u64,
-    /// Poison documents skipped under [`FaultPolicy::Quarantine`], drained
-    /// by [`take_quarantine_records`](Self::take_quarantine_records).
-    quarantine: Vec<QuarantineRecord>,
 }
 
-impl MmqjpEngine {
-    /// Create an engine with the given configuration.
-    pub fn new(config: EngineConfig) -> Self {
-        MmqjpEngine::with_interner(config, Arc::new(StringInterner::new()))
-    }
-
-    /// Create an engine sharing an existing string interner.
-    ///
-    /// [`StringInterner`] is thread-safe, so several engines (for example the
-    /// shards of a [`ShardedEngine`](crate::ShardedEngine)) can intern
-    /// through the same instance concurrently; symbols stay comparable across
-    /// all of them and shared strings are stored once.
-    pub fn with_interner(config: EngineConfig, interner: Arc<StringInterner>) -> Self {
-        let view_cache = ViewCache::new(config.view_cache_capacity);
-        MmqjpEngine {
+impl JoinStage {
+    /// An empty join stage.
+    pub(crate) fn new(config: EngineConfig, interner: Arc<StringInterner>) -> Self {
+        JoinStage {
             registry: Registry::new(Arc::clone(&interner)),
             state: JoinState::new(config.prune_state_by_window),
-            view_cache,
+            view_cache: ViewCache::new(config.view_cache_capacity),
             scratch: ExecScratch::new(),
             restriction: RestrictionScratch::default(),
-            front: FrontScratch::default(),
             stats: EngineStats::default(),
-            next_doc_seq: 0,
             newest_timestamp: 0,
-            batches_ingested: 0,
-            quarantine: Vec::new(),
             interner,
             config,
         }
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> EngineStats {
+    /// The join stage's statistics.
+    pub(crate) fn stats(&self) -> EngineStats {
         let mut s = self.stats;
         s.queries_registered = self.registry.num_queries();
         s.templates = self.registry.num_templates();
-        s.distinct_patterns = self.registry.num_patterns();
         s.rbin_tuples = self.state.rbin_len();
         s.rdoc_tuples = self.state.rdoc_len();
         s.state_buckets = self.state.num_buckets();
@@ -133,17 +280,11 @@ impl MmqjpEngine {
         s
     }
 
-    /// Run a full invariant audit over the engine's redundant bookkeeping —
-    /// registry refcounts, catalog discipline, join-state indexes and
-    /// counters, the interner's index, document accounting and the timestamp
-    /// watermark — returning every violated invariant as a typed
-    /// [`AuditViolation`]. Read-only and side-effect free; a healthy engine
-    /// returns an empty vector, and any violation indicates an engine bug
-    /// (see [`crate::audit`]).
-    pub fn audit(&self) -> Vec<AuditViolation> {
-        let mut out = Vec::new();
-        self.registry.audit(&mut out);
-        self.state.audit(self.newest_timestamp, &mut out);
+    /// Audit the registry, the join state against the newest timestamp
+    /// absorbed, and the interner's index.
+    pub(crate) fn audit(&self, out: &mut Vec<AuditViolation>) {
+        self.registry.audit(out);
+        self.state.audit(self.newest_timestamp, out);
         if let Err(e) = self.interner.check_index() {
             out.push(AuditViolation::InternerIndex {
                 indexed: e.indexed,
@@ -151,161 +292,27 @@ impl MmqjpEngine {
                 unreachable: e.unreachable.map(Symbol::raw),
             });
         }
-        // Out-of-order rejections consume sequence numbers without counting
-        // a document, so processed <= assigned (never more).
-        if self.stats.documents_processed as u64 > self.next_doc_seq {
-            out.push(AuditViolation::DocumentAccounting {
-                documents_processed: self.stats.documents_processed,
-                doc_seq: self.next_doc_seq,
-            });
-        }
-        out
     }
 
-    /// The registry's Stage-1 table, mutably, for tests that seed a
-    /// corrupted entry.
-    #[cfg(test)]
-    pub(crate) fn stage1_table_mut(&mut self) -> &mut crate::front::Stage1Table {
-        self.registry.stage1_table_mut()
-    }
-
-    /// Number of registered queries.
-    pub fn num_queries(&self) -> usize {
-        self.registry.num_queries()
-    }
-
-    /// Number of distinct query templates.
-    pub fn num_templates(&self) -> usize {
-        self.registry.num_templates()
-    }
-
-    /// Number of distinct Stage-1 tree patterns.
-    pub fn num_patterns(&self) -> usize {
-        self.registry.num_patterns()
-    }
-
-    /// Access the query registry (templates, queries, catalog).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The shared string interner.
-    pub fn interner(&self) -> &Arc<StringInterner> {
-        &self.interner
-    }
-
-    /// Register a query from its textual XSCL form. Returns the query id.
-    pub fn register_query_text(&mut self, text: &str) -> CoreResult<QueryId> {
-        let query = mmqjp_xscl::parse_query(text)?;
-        self.register_query(query)
-    }
-
-    /// Register a parsed query. Returns the query id.
-    ///
-    /// A subscription registered mid-stream only joins documents that
-    /// arrive after it: resident join state from earlier documents is never
-    /// matched against it, so registration order (not just the query set)
-    /// defines each query's visible stream.
-    pub fn register_query(&mut self, query: XsclQuery) -> CoreResult<QueryId> {
-        self.registry
-            .register(query, self.config.mode, self.next_doc_seq)
-    }
-
-    /// Re-register a query at its *original* arrival floor instead of the
-    /// current sequence number. Recovery only: a respawned shard replays
-    /// documents its queries had already seen, and each re-registered query
-    /// must match exactly the suffix of the stream it matched before the
-    /// crash (see [`crate::recovery`]).
-    pub(crate) fn register_query_at_floor(
+    /// Register a query that joins only documents with ids above `floor`
+    /// (see [`QueryRuntime::arrival_floor`]). Returns its id and the
+    /// Stage-1 footprint its front must subscribe.
+    pub(crate) fn register(
         &mut self,
         query: XsclQuery,
         floor: u64,
-    ) -> CoreResult<QueryId> {
+    ) -> CoreResult<(QueryId, Stage1Footprint)> {
         self.registry.register(query, self.config.mode, floor)
     }
 
-    /// Drain the quarantine ledger: every poison document skipped so far
-    /// under [`FaultPolicy::Quarantine`], in arrival order. Empty under
-    /// other policies (poison then fails its batch instead).
-    pub fn take_quarantine_records(&mut self) -> Vec<QuarantineRecord> {
-        std::mem::take(&mut self.quarantine)
-    }
-
-    /// Rebuild join state from an already-processed batch (ids and
-    /// timestamps stamped, order already enforced): Stage 1 plus state
-    /// maintenance only. Stage 2 and output construction are skipped — the
-    /// batch's matches were delivered before the crash, and the view cache
-    /// is a pure cache that may start cold. Counts `rows_replayed` and the
-    /// `recovery` phase, but not `documents_processed` (each document was
-    /// already counted once, globally, in its original life). Returns the
-    /// number of witness rows rebuilt.
-    pub(crate) fn replay_batch(&mut self, docs: &[Document]) -> CoreResult<usize> {
-        if docs.is_empty() {
-            return Ok(0);
-        }
-        let t0 = Instant::now();
-        let mut subs = self.registry.stage1();
-        // The batch's single-block matches were delivered in its first life.
-        subs.singles = &[];
-        let batch =
-            front::evaluate_batch(&mut subs, docs, &mut self.front, &self.interner, false)?.batch;
-        let rows = batch.num_witness_rows();
-        let meta: Vec<(DocId, u64)> = docs.iter().map(|d| (d.id(), d.timestamp().raw())).collect();
-        self.advance_watermarks(&meta);
-        // The replay log keeps its documents; the state gets copies only
-        // when it retains documents at all.
-        let retained = if self.config.retain_documents {
-            docs.to_vec()
-        } else {
-            Vec::new()
-        };
-        self.maintain_state(batch, &meta, retained, None)?;
-        self.stats.rows_replayed += rows;
-        self.stats.timings.recovery += t0.elapsed();
-        Ok(rows)
-    }
-
-    /// Restore the stream watermarks after a replay whose retained suffix
-    /// may not reach the live stream position (the log is bounded; the
-    /// sequence counter and timestamp watermark are not). Monotonic: never
-    /// moves either watermark backwards.
-    pub(crate) fn restore_watermarks(&mut self, ingested: u64, newest: u64) {
-        self.next_doc_seq = self.next_doc_seq.max(ingested);
-        self.newest_timestamp = self.newest_timestamp.max(newest);
-    }
-
-    /// Move the stream watermarks up to cover documents stamped elsewhere
-    /// (by a front stage, or in a previous life).
-    fn advance_watermarks(&mut self, doc_meta: &[(DocId, u64)]) {
-        for &(doc, ts) in doc_meta {
-            self.restore_watermarks(doc.raw(), ts);
-        }
-    }
-
-    /// Unregister a query, incrementally releasing every shared structure it
-    /// participated in: its `RT` tuples are removed in place (an emptied
-    /// template is retired from the catalog), its Stage-1 pattern and
-    /// requested-edge registrations are released through reference counts,
-    /// the window bounds are recomputed so document retention can tighten,
-    /// and view-cache slices carrying rows under now-dead canonical
-    /// variables are reclaimed (they are pure caches, so results never
-    /// depend on it).
-    ///
-    /// The cost is O(the departing query's footprint) — never a registry
-    /// rebuild. Freed [`QueryId`]s are tombstoned and never reused, so shard
-    /// assignment and the canonical output order stay deterministic across
-    /// churn. Join-state rows that only the departed query's patterns
-    /// produced are left to age out with their time bucket (they are
-    /// semantically inert — no live `RT` tuple joins them — and window
-    /// expiry bounds their lifetime); everything else is reclaimed eagerly.
-    ///
-    /// Errors with [`CoreError::UnknownQuery`] for ids never assigned or
-    /// already unregistered.
-    pub fn unregister_query(&mut self, id: QueryId) -> CoreResult<()> {
+    /// Unregister a query (see [`MmqjpEngine::unregister_query`]): release
+    /// its registry footprint, purge the view-cache slices of the canonical
+    /// variables that died with it and re-derive the bucket width when the
+    /// retention bound tightened.
+    pub(crate) fn unregister(&mut self, id: QueryId) -> CoreResult<()> {
         let effects = self.registry.unregister(id)?;
         self.stats.queries_unregistered += 1;
         self.stats.templates_retired += effects.templates_retired;
-        self.stats.patterns_dropped += effects.patterns_dropped;
         if !effects.dead_vars.is_empty() {
             let dead: HashSet<Symbol> = effects.dead_vars.iter().copied().collect();
             self.stats.view_slices_invalidated += self.view_cache.purge_dead_vars(&dead);
@@ -325,88 +332,45 @@ impl MmqjpEngine {
         Ok(())
     }
 
-    /// Process one document, returning the matches it produced.
-    pub fn process_document(&mut self, doc: Document) -> CoreResult<Vec<MatchOutput>> {
-        self.process_batch(vec![doc])
-    }
-
-    /// Process a batch of documents in arrival order.
-    ///
-    /// All documents of the batch are joined against the *pre-batch* join
-    /// state, then merged into the state together — exactly the batched
-    /// evaluation the paper uses for its RSS throughput experiment. With a
-    /// batch size of one this is identical to [`process_document`]; with
-    /// larger batches, matches *within* the batch are not reported (the same
-    /// trade-off the paper makes).
-    ///
-    /// [`process_document`]: MmqjpEngine::process_document
-    pub fn process_batch(&mut self, docs: Vec<Document>) -> CoreResult<Vec<MatchOutput>> {
-        let batch_index = self.batches_ingested;
-        self.batches_ingested += 1;
-        if docs.is_empty() {
-            return Ok(Vec::new());
-        }
-
-        // ---- Stage 1: the front, inline -----------------------------------
+    /// Rebuild join state from an already-processed batch, replayed by the
+    /// front: state maintenance only. Stage 2 and output construction are
+    /// skipped — the batch's matches were delivered before the crash, and
+    /// the view cache is a pure cache that may start cold. Counts
+    /// `rows_replayed` and the `recovery` phase.
+    pub(crate) fn replay(&mut self, routed: RoutedBatch) -> CoreResult<()> {
         let t0 = Instant::now();
-        let offered = docs.len();
-        let docs = front::screen_and_stamp(
-            docs,
-            &mut self.next_doc_seq,
-            &mut self.newest_timestamp,
-            self.config.enforce_in_order,
-            PoisonHandling::for_policy(self.config.fault_policy),
-            batch_index,
-            &mut self.quarantine,
-        )?;
-        // Screening either fails the batch or skips exactly the quarantined.
-        self.stats.docs_quarantined += offered - docs.len();
-        let front::Stage1Batch {
-            batch,
-            singles: mut outputs,
-            ingest,
-            pairs,
-            suppressed,
-        } = front::evaluate_batch(
-            &mut self.registry.stage1(),
-            &docs,
-            &mut self.front,
-            &self.interner,
-            self.config.retain_documents,
-        )?;
-        self.stats.timings.ingest += ingest;
-        self.stats.timings.xpath += t0.elapsed().saturating_sub(ingest);
-        self.stats.stage1_pairs += pairs;
-        self.stats.stage1_edges_suppressed += suppressed;
-        self.stats.stage1_rows += batch.rbin_w.len();
-        self.stats.results_emitted += outputs.len();
-
-        // ---- Stage 2 onwards: the join stage, fed directly ----------------
-        let doc_meta: Vec<(DocId, u64)> =
-            docs.iter().map(|d| (d.id(), d.timestamp().raw())).collect();
-        let processed = docs.len();
-        outputs.extend(self.process_witness_batch(RoutedBatch {
+        let RoutedBatch {
             batch,
             doc_meta,
             docs,
-        })?);
-        // Whoever ran the front counts the documents.
-        self.stats.documents_processed += processed;
-        Ok(outputs)
+        } = routed;
+        let rows = batch.num_witness_rows();
+        self.advance_watermarks(&doc_meta);
+        self.maintain_state(batch, &doc_meta, docs, None)?;
+        self.stats.rows_replayed += rows;
+        self.stats.timings.recovery += t0.elapsed();
+        Ok(())
     }
 
-    /// The join stage: Stage 2, output construction and state maintenance
-    /// over one batch of witness rows whose Stage 1 already happened —
-    /// inline in [`process_batch`](Self::process_batch), or exactly once at
-    /// the front of a [`ShardedEngine`](crate::ShardedEngine).
-    ///
-    /// The front owns document-id assignment, in-order enforcement,
-    /// single-block subscriptions and the `documents_processed` count, so
-    /// none of that happens here; the local sequence/watermark are synced
-    /// from the routed metadata so mid-stream registrations get the same
-    /// arrival floor whichever front fed the batch. An empty batch (every
-    /// document quarantined) is a no-op.
-    pub fn process_witness_batch(&mut self, routed: RoutedBatch) -> CoreResult<Vec<MatchOutput>> {
+    /// Move the timestamp watermark up to `newest` — after a replay whose
+    /// retained suffix may not reach the live stream position (the log is
+    /// bounded; the watermark is not). Never moves it backwards.
+    pub(crate) fn restore_watermark(&mut self, newest: u64) {
+        self.newest_timestamp = self.newest_timestamp.max(newest);
+    }
+
+    /// Move the watermark up to cover documents stamped by the front (now,
+    /// or in a previous life).
+    fn advance_watermarks(&mut self, doc_meta: &[(DocId, u64)]) {
+        for &(_, ts) in doc_meta {
+            self.restore_watermark(ts);
+        }
+    }
+
+    /// Stage 2, output construction and state maintenance over one batch
+    /// of routed witness rows. An empty batch (every document quarantined)
+    /// is a no-op.
+    pub(crate) fn process(&mut self, routed: RoutedBatch) -> CoreResult<Vec<MatchOutput>> {
         let RoutedBatch {
             batch,
             doc_meta,
@@ -1829,6 +1793,7 @@ mod tests {
             int(100),
         ];
         let out = e
+            .join
             .produce_outputs(-1, &crafted_result(good), &batch_ts, &[])
             .unwrap();
         assert_eq!(out.len(), 1);
@@ -1838,7 +1803,7 @@ mod tests {
             row[pos] = Value::Null;
             let rows = crafted_result(row);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                e.produce_outputs(-1, &rows, &batch_ts, &[])
+                e.join.produce_outputs(-1, &rows, &batch_ts, &[])
             }));
             if cfg!(debug_assertions) {
                 // Debug builds stop at the key reader's assertion...
@@ -1923,7 +1888,7 @@ mod tests {
             .plan_basic
             .clone();
         assert!(plan.as_ref().unwrap().kept_tables().any(|(_, v)| v == 3));
-        one.registry.templates_mut().next().unwrap().plan_basic = plan;
+        one.join.registry.templates_mut().next().unwrap().plan_basic = plan;
         assert!(one.audit().contains(&AuditViolation::PlanMemo {
             template: 0,
             reason: "a kept join table newer than its template's RT",

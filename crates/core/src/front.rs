@@ -1,52 +1,41 @@
 //! Stage 1, end to end: the front of the `front → route → join → merge`
 //! pipeline and the only caller of the pattern automaton in this crate.
 //!
-//! The front does two things, each exactly once in `mmqjp-core`:
+//! Every piece of an engine's Stage-1 state lives in one `Front` (the
+//! `stage` submodule), which both engines hold — with one consumer of
+//! witness rows, the join stage, in the single engine, and one per shard in
+//! the sharded one. Neither a registry nor a shard keeps Stage-1 state. Per
+//! batch the front does three things, each exactly once in `mmqjp-core`:
 //!
-//! * **Screening** ([`screen_and_stamp`]): a batch is checked against the
-//!   stream watermarks, survivors are stamped with their document id and
-//!   timestamp, and a poison (out-of-order) document is handled per
-//!   [`PoisonHandling`]. Whoever owns a stream position — the single engine
-//!   or the sharded engine's front stage — screens through this one function.
+//! * **Screening** (`screen_and_stamp`): documents are checked against the
+//!   stream watermarks and stamped with their id and timestamp; a poison
+//!   (out-of-order) document fails the batch or is quarantined.
 //! * **Matching** ([`match_document`]): one shared automaton pass per
 //!   document answers every registered pattern; the single-block answers and
-//!   the requested-edge node pairs are both read off that pass. The pairs
-//!   follow an emission plan compiled once per subscription change (see
-//!   [`RequestedEdges`]): each `(pattern, edge)` has a precomputed path and
-//!   an edge class, and a member whose pairs would repeat an earlier member
-//!   of its class in this document is not enumerated — the paper's shared
-//!   variables, computed once. [`evaluate_batch`] adds witness ingest for
-//!   callers that join in-thread.
+//!   the requested-edge node pairs are both read off it, the pairs through
+//!   an emission plan compiled once per subscription change (see
+//!   [`RequestedEdges`]) that skips a `(pattern, edge)` whose pairs would
+//!   repeat an earlier member of its edge class — the paper's shared
+//!   variables, computed once.
+//! * **Routing** ([`route_document`](crate::route_document)): each
+//!   document's integer [`WitnessRow`]s go straight into one witness batch
+//!   per consumer, to the consumers whose queries requested their edges.
 //!
-//! What a document is matched against — patterns, requested edges with
-//! their consumers, single-block subscriptions — is one [`Stage1Table`] per
-//! engine, kept in the `table` submodule: the only code that subscribes,
-//! releases and audits Stage-1 state.
+//! What a document is matched against is the front's [`Stage1Table`] (the
+//! `table` submodule), the only code that subscribes, releases and audits
+//! Stage-1 state. A row is `(pattern, edge number, node1, node2)`: the
+//! strings ingest needs besides node values were resolved once, when the
+//! edge was first requested, into its [`RequestedEdge`].
 //!
-//! Matching emits integer [`WitnessRow`]s — `(pattern, edge number, node1,
-//! node2)` — and nothing else: every string the witness relations need
-//! besides node values (the edge's two variable names, whether an end is an
-//! attribute step) was resolved once, when the edge was first requested, into
-//! its [`RequestedEdge`]. [`WitnessBatch::ingest_document`] turns rows into
-//! `RbinW`/`RdocW` tuples.
-//!
-//! [`MmqjpEngine`](crate::MmqjpEngine) runs the front inline and hands its
-//! output straight to the join stage; [`ShardedEngine`](crate::ShardedEngine)
-//! runs the same functions on the caller's thread and its front workers and
-//! routes the rows to the shards ([`route_document`](crate::route_document))
-//! in between. The per-pattern DOM
-//! matcher (`PatternIndex::evaluate_edge_bindings`,
-//! `PatternMatcher::witnesses`) is not a production path; it lives on in
+//! The per-pattern DOM matcher (`PatternIndex::evaluate_edge_bindings`,
+//! `PatternMatcher::witnesses`) is not a production path: it lives on in
 //! `mmqjp-xpath` as the reference the Stage-1 differential tests compare
 //! this module against.
 
-use crate::config::FaultPolicy;
-use crate::error::{CoreError, CoreResult};
-use crate::fault::QuarantineRecord;
 use crate::output::{Binding, MatchOutput};
-use crate::relations::{IngestScratch, WitnessBatch};
+use crate::registry::QueryShape;
 use mmqjp_relational::{StringInterner, Symbol};
-use mmqjp_xml::{DocId, Document, NodeId, Timestamp};
+use mmqjp_xml::{Document, NodeId};
 use mmqjp_xpath::{
     Axis, ChainScratch, NodeTest, PatternId, PatternIndex, PatternMatcher, PatternNodeId,
     SharedPass, TreePattern,
@@ -54,10 +43,11 @@ use mmqjp_xpath::{
 use mmqjp_xscl::{QueryId, SelectClause};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
+mod stage;
 mod table;
 
+pub(crate) use stage::{match_slice, Front, FrontBatch, MatchedChunk};
 pub(crate) use table::Stage1Recount;
 pub use table::{EdgeConsumers, RequestedEdges, Stage1Snapshot, Stage1Table};
 
@@ -266,26 +256,32 @@ pub struct WitnessRow {
 
 /// One single-block subscription as Stage 1 sees it: answered entirely from
 /// the automaton pass, never joined.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SingleBlock {
     /// The id its matches are reported under.
     pub query: QueryId,
     /// Where [`pattern`](Self::pattern) sits in the pattern index.
     pub pid: PatternId,
-    /// The subscription's own (normalized) pattern; its variable names label
-    /// the reported bindings.
-    pub pattern: TreePattern,
+    /// The subscription's shape, shared with its registry.
+    shape: Arc<QueryShape>,
     /// The `PUBLISH` name, if any.
     pub publish: Option<String>,
     /// The `SELECT` clause.
     pub select: SelectClause,
 }
 
+impl SingleBlock {
+    /// The subscription's own (normalized) pattern; its variable names label
+    /// the reported bindings.
+    pub fn pattern(&self) -> &TreePattern {
+        self.shape.first_block()
+    }
+}
+
 /// Everything Stage 1 evaluates a document against, borrowed from a
 /// [`Stage1Table`] for the duration of one batch (see
-/// [`Stage1Table::subscriptions`]): the registry's in the single engine, the
-/// coordinator's (on the caller's thread) or a front worker's clone of it in
-/// the sharded one.
+/// [`Stage1Table::subscriptions`]): the front's own, or a spawned front
+/// worker's clone of it.
 #[derive(Debug)]
 pub struct Subscriptions<'a> {
     /// Every live pattern, join-side and single-block alike (mutable because
@@ -494,7 +490,7 @@ fn emit_singles(
         else {
             continue;
         };
-        for witness in PatternMatcher::new(&single.pattern).witnesses_from_useful(doc, useful) {
+        for witness in PatternMatcher::new(single.pattern()).witnesses_from_useful(doc, useful) {
             let keep_document = retain_documents && single.select == SelectClause::Star;
             out.singles.push(MatchOutput {
                 query: single.query,
@@ -516,148 +512,14 @@ fn emit_singles(
     }
 }
 
-/// The in-thread front's buffers, owned by the engine and kept warm across
-/// batches.
-#[derive(Debug, Default)]
-pub(crate) struct FrontScratch {
-    matching: MatchScratch,
-    matches: DocumentMatches,
-    ingest: IngestScratch,
-}
-
-/// What [`evaluate_batch`] produced for a run of documents.
-#[derive(Debug)]
-pub(crate) struct Stage1Batch {
-    /// The batch's witness relations.
-    pub(crate) batch: WitnessBatch,
-    /// The single-block matches, in document order.
-    pub(crate) singles: Vec<MatchOutput>,
-    /// Time spent in witness ingest (the rest of the call is matching).
-    pub(crate) ingest: Duration,
-    /// Node pairs the front emitted, before the per-document dedup.
-    pub(crate) pairs: usize,
-    /// `(pattern, edge)` enumerations the edge classes skipped.
-    pub(crate) suppressed: usize,
-}
-
-/// Stage 1 plus witness ingest over a run of stamped documents, for callers
-/// that join in the same thread.
-pub(crate) fn evaluate_batch(
-    subs: &mut Subscriptions<'_>,
-    docs: &[Document],
-    scratch: &mut FrontScratch,
-    interner: &StringInterner,
-    retain_documents: bool,
-) -> CoreResult<Stage1Batch> {
-    let mut out = Stage1Batch {
-        batch: WitnessBatch::new(),
-        singles: Vec::new(),
-        ingest: Duration::ZERO,
-        pairs: 0,
-        suppressed: 0,
-    };
-    let matches = &mut scratch.matches;
-    for doc in docs {
-        match_document(subs, doc, &mut scratch.matching, retain_documents, matches);
-        out.singles.append(&mut matches.singles);
-        out.pairs += matches.rows.len();
-        out.suppressed += matches.suppressed;
-        let t_ingest = Instant::now();
-        out.batch.ingest_document(
-            doc,
-            &matches.rows,
-            subs.requested,
-            interner,
-            &mut scratch.ingest,
-        )?;
-        out.ingest += t_ingest.elapsed();
-    }
-    Ok(out)
-}
-
-/// How screening treats a poison (out-of-order) document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PoisonHandling {
-    /// The poison document consumes its sequence number, then the batch
-    /// fails; documents stamped before it stay consumed too.
-    Consume,
-    /// Record the document and skip it without consuming a sequence number,
-    /// so survivors get exactly the ids a fresh engine fed only survivors
-    /// would assign.
-    Quarantine,
-}
-
-impl PoisonHandling {
-    /// The handling of whoever owns the stream position it screens against
-    /// (the single engine, the sharded front stage): only
-    /// [`FaultPolicy::Quarantine`] skips poison; the other policies fail the
-    /// batch the historical way.
-    pub(crate) fn for_policy(policy: FaultPolicy) -> Self {
-        match policy {
-            FaultPolicy::Quarantine => PoisonHandling::Quarantine,
-            FaultPolicy::FailFast | FaultPolicy::Degrade => PoisonHandling::Consume,
-        }
-    }
-}
-
-/// Screen and stamp one batch against the stream watermarks `seq` (documents
-/// ingested) and `newest` (newest timestamp). Each surviving document
-/// consumes the next sequence number as its id and, when it arrives with
-/// timestamp `0`, as its timestamp. With `enforce_in_order`, a document
-/// older than `newest` is poison and handled per `handling`; quarantined
-/// documents are appended to `quarantine`, pinned to `batch_index`.
-pub(crate) fn screen_and_stamp(
-    docs: Vec<Document>,
-    seq: &mut u64,
-    newest: &mut u64,
-    enforce_in_order: bool,
-    handling: PoisonHandling,
-    batch_index: u64,
-    quarantine: &mut Vec<QuarantineRecord>,
-) -> CoreResult<Vec<Document>> {
-    let mut survivors = Vec::with_capacity(docs.len());
-    for (doc_index, mut doc) in docs.into_iter().enumerate() {
-        // Screen before committing the sequence number, so a quarantined
-        // document leaves no gap.
-        let tentative = *seq + 1;
-        let ts = match doc.timestamp().raw() {
-            0 => tentative,
-            raw => raw,
-        };
-        if enforce_in_order && ts < *newest {
-            let error = CoreError::OutOfOrderDocument {
-                timestamp: ts,
-                newest: *newest,
-            };
-            match handling {
-                PoisonHandling::Consume => {
-                    *seq = tentative;
-                    return Err(error);
-                }
-                PoisonHandling::Quarantine => {
-                    quarantine.push(QuarantineRecord {
-                        batch: batch_index,
-                        doc_index,
-                        timestamp: ts,
-                        error,
-                    });
-                    continue;
-                }
-            }
-        }
-        *seq = tentative;
-        doc.set_id(DocId(tentative));
-        doc.set_timestamp(Timestamp(ts));
-        *newest = (*newest).max(ts);
-        survivors.push(doc);
-    }
-    Ok(survivors)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::stage::screen_and_stamp;
     use super::*;
-    use mmqjp_xml::rss;
+    use crate::config::FaultPolicy;
+    use crate::error::CoreResult;
+    use crate::fault::QuarantineRecord;
+    use mmqjp_xml::{rss, Timestamp};
 
     /// Screen documents with the given timestamps from position
     /// `(seq 4, newest 100)`; returns the survivors' `(id, timestamp)`
@@ -665,7 +527,7 @@ mod tests {
     #[allow(clippy::type_complexity)]
     fn screen(
         timestamps: &[u64],
-        handling: PoisonHandling,
+        policy: FaultPolicy,
     ) -> (
         CoreResult<Vec<(u64, u64)>>,
         (u64, u64),
@@ -682,7 +544,7 @@ mod tests {
             &mut seq,
             &mut newest,
             true,
-            handling,
+            policy,
             7,
             &mut quarantine,
         )
@@ -696,19 +558,19 @@ mod tests {
     #[test]
     fn poison_is_consumed_or_quarantined() {
         // In order: ids follow the sequence; a zero timestamp takes its id.
-        let (stamped, position, _) = screen(&[0, 120], PoisonHandling::Consume);
+        let (stamped, position, _) = screen(&[0, 120], FaultPolicy::FailFast);
         assert!(stamped.is_err(), "timestamp 5 (its id) is older than 100");
         assert_eq!(position, (5, 100));
-        let (stamped, position, _) = screen(&[110, 120], PoisonHandling::Consume);
+        let (stamped, position, _) = screen(&[110, 120], FaultPolicy::FailFast);
         assert_eq!(stamped.unwrap(), vec![(5, 110), (6, 120)]);
         assert_eq!(position, (6, 120));
 
         let stream = [110, 50, 120];
-        let (stamped, position, _) = screen(&stream, PoisonHandling::Consume);
+        let (stamped, position, _) = screen(&stream, FaultPolicy::FailFast);
         assert!(stamped.is_err());
         assert_eq!(position, (6, 110), "the poison document's number is spent");
 
-        let (stamped, position, quarantine) = screen(&stream, PoisonHandling::Quarantine);
+        let (stamped, position, quarantine) = screen(&stream, FaultPolicy::Quarantine);
         assert_eq!(stamped.unwrap(), vec![(5, 110), (6, 120)], "no gap");
         assert_eq!(position, (6, 120));
         let pinned: Vec<_> = quarantine

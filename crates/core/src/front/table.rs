@@ -1,9 +1,8 @@
 //! Stage 1's subscription table: everything the front evaluates a document
 //! against, and the one place it is counted.
 //!
-//! Both engines hold one [`Stage1Table`] — the single engine inside its
-//! [`Registry`](crate::Registry), the sharded engine on its coordinator
-//! (spawned front workers receive clones of it) — and nothing else in
+//! Each engine's front holds one [`Stage1Table`] (a sharded engine's
+//! spawned front workers receive clones of it), and nothing else in
 //! `mmqjp-core` subscribes, releases or audits Stage-1 state. Every
 //! requested edge carries one refcount per *consumer* of its rows: a shard
 //! of the sharded engine, or consumer `0`, the single engine's own join
@@ -13,10 +12,10 @@
 use super::{Edge, EmitPlan, RequestedEdge, SingleBlock, Subscriptions};
 use crate::audit::AuditViolation;
 use crate::error::{CoreError, CoreResult};
-use mmqjp_relational::StringInterner;
+use mmqjp_relational::{FxHashMap, StringInterner};
 use mmqjp_xpath::{PatternId, PatternIndex, TreePattern};
 use mmqjp_xscl::QueryId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The consumers of one requested edge's rows, in ascending order, each with
 /// the number of live registrations requesting the edge on its behalf.
@@ -34,7 +33,7 @@ pub type EdgeConsumers = Vec<(usize, usize)>;
 /// it. Only a [`Stage1Table`] changes either.
 #[derive(Debug, Clone, Default)]
 pub struct RequestedEdges {
-    lists: HashMap<PatternId, EdgeList>,
+    lists: FxHashMap<PatternId, EdgeList>,
     plan: Option<EmitPlan>,
 }
 
@@ -604,10 +603,14 @@ fn diff_counts<K: Ord + Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ProcessingMode;
     use crate::front::{match_document, DocumentMatches, MatchScratch};
+    use crate::registry::Registry;
     use mmqjp_relational::Symbol;
     use mmqjp_xml::rss;
     use mmqjp_xpath::{parse_pattern, PatternNodeId};
+    use mmqjp_xscl::parse_query;
+    use std::sync::Arc;
 
     const BOOK_TITLE: &str = "S//book->x1[.//author->x2][.//title->x3]";
     const BOOK_CATEGORY: &str = "S//book->x1[.//author->x2][.//category->x7]";
@@ -667,12 +670,16 @@ mod tests {
         let edges = pattern.edges();
         let gone = f.table.subscribe(2, pattern, &edges, &f.interner).unwrap();
         assert!(f.table.unsubscribe(2, gone, &edges).unwrap());
-        let single = canonical("S//blog[.//author]");
-        let pid = f.table.retain_pattern(single.clone());
+        let single = parse_query("S//blog[.//author]").unwrap();
+        let mut registry = Registry::new(Arc::new(StringInterner::new()));
+        let (_, footprint) = registry.register(single, ProcessingMode::Mmqjp, 0).unwrap();
+        let pid = f
+            .table
+            .retain_pattern(footprint.shape.first_block().clone());
         f.table.push_single(SingleBlock {
             query: QueryId(7),
             pid,
-            pattern: single,
+            shape: footprint.shape,
             publish: None,
             select: mmqjp_xscl::SelectClause::Star,
         });

@@ -26,21 +26,23 @@
 //! A naive **Sequential** mode (one conjunctive query per registered query
 //! per document) is provided as the paper's baseline.
 //!
-//! The two stages are one pipeline, `front → route → join → merge`:
-//! [`front`] owns Stage 1 end to end, and
-//! [`MmqjpEngine::process_witness_batch`] is the join stage.
-//! [`MmqjpEngine::process_batch`] is the pipeline run in one thread, with
-//! nothing to route or merge.
+//! The two stages are one pipeline, `front → route → join → merge`, and
+//! both engines instantiate it: every piece of an engine's Stage-1 state
+//! lives in one front ([`front`]), which routes each document's witness rows
+//! to their consumers, the join stages (Stage 2, output construction and
+//! state maintenance). [`MmqjpEngine`] is a front with one consumer and one
+//! join stage, run in one thread with nothing to merge.
 //!
-//! For multi-core operation, [`ShardedEngine`] hash-partitions the query
-//! population across `N` independent engine shards on worker threads and
-//! merges the per-shard matches into a deterministic, canonically-ordered
-//! result — identical to a single engine's output for every shard count and
-//! inner mode. Each document is parsed and pattern-matched exactly once by a
-//! document-parallel front stage (`EngineConfig::front_pool` parties: the
-//! caller's thread plus `front_pool − 1` spawned workers), which routes only
-//! the witness rows ([`RoutedBatch`]) to the shards that subscribed to them,
-//! pipelining Stage 1 of batch `k+1` with Stage 2 of batch `k`.
+//! For multi-core operation, [`ShardedEngine`] is the same front with one
+//! consumer per shard: it hash-partitions the query population across `N`
+//! join stages on worker threads and merges the per-shard matches into a
+//! deterministic, canonically-ordered result — identical to a single
+//! engine's output for every shard count and inner mode. Each document is
+//! parsed and pattern-matched exactly once by `EngineConfig::front_pool`
+//! front parties (the caller's thread plus `front_pool − 1` spawned
+//! workers), and only the witness rows ([`RoutedBatch`]) reach the shards
+//! that subscribed to them, pipelining Stage 1 of batch `k+1` with Stage 2
+//! of batch `k`.
 //!
 //! # Quick start
 //!

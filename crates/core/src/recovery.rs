@@ -5,12 +5,14 @@
 //! without ever checkpointing the state itself:
 //!
 //! 1. **Re-register** the shard's surviving subscriptions from the retained
-//!    global registry ([`RetainedQuery`]), each at its original arrival
-//!    floor, so recovered queries only match documents they would have
-//!    matched before the crash.
+//!    global registry ([`RetainedQuery`]) in a fresh join stage, each at its
+//!    original arrival floor, so recovered queries only match documents they
+//!    would have matched before the crash. (The front never released them.)
 //! 2. **Replay** the in-window document stream from a bounded [`ReplayLog`]:
-//!    Stage 1 + state maintenance only (no Stage 2, no output — those
-//!    results were already delivered before the crash). The PR 3 retention
+//!    the coordinator's front matches each logged batch again and routes to
+//!    the healed shard alone the rows its live queries request, and the join
+//!    stage runs state maintenance only (no Stage 2, no output — those
+//!    results were already delivered before the crash). The retention
 //!    ledger bounds what must be kept: once a document has aged beyond every
 //!    registered window (and the configured cap), no future output can
 //!    reference it, so the log can drop it too.
@@ -20,14 +22,12 @@
 //! engine that never failed — the property the chaos differential harness
 //! asserts.
 
-use crate::config::EngineConfig;
-use crate::engine::MmqjpEngine;
+use crate::engine::JoinStage;
 use crate::error::CoreResult;
-use mmqjp_relational::StringInterner;
+use crate::front::Front;
 use mmqjp_xml::Document;
 use mmqjp_xscl::{Window, XsclQuery};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// A live subscription as retained by the coordinator for recovery: the
 /// normalized query plus the arrival floor it was originally registered at.
@@ -119,7 +119,7 @@ impl ReplayLog {
 /// — only when some window is unbounded (`Infinite` or `Count`, which time
 /// cannot bound) *and* no cap is configured. Single-block subscriptions
 /// carry no join window and contribute nothing. Mirrors
-/// `MmqjpEngine::doc_retention_bound` so the log never evicts what a shard
+/// `JoinStage::doc_retention_bound` so the log never evicts what a shard
 /// might still need.
 pub(crate) fn retention_bound<'a>(
     queries: impl Iterator<Item = &'a XsclQuery>,
@@ -144,32 +144,26 @@ pub(crate) fn retention_bound<'a>(
     }
 }
 
-/// Rebuild a dead shard's engine from first principles: fresh engine on the
-/// shared interner, surviving subscriptions re-registered in ascending
-/// global-id order at their original floors, then the retained document
-/// stream replayed through Stage 1 + maintenance. Returns the rebuilt
-/// engine, the local [`QueryId`](mmqjp_xscl::QueryId)s' global counterparts
-/// in registration order, and the number of witness rows replayed.
-pub(crate) fn rebuild_shard_engine(
-    config: &EngineConfig,
-    interner: &Arc<StringInterner>,
-    queries: &[(u64, RetainedQuery)],
+/// Rebuild dead shard `shard` in the fresh join stage `join`: its surviving
+/// `queries` re-registered in ascending global-id order at their original
+/// floors, then the retained document stream replayed through `front` for
+/// `shard` alone, and the timestamp watermark restored to `newest`.
+pub(crate) fn rebuild_shard(
+    mut join: JoinStage,
+    queries: &[&RetainedQuery],
+    front: &mut Front,
+    shard: usize,
     log: &ReplayLog,
-    ingested: u64,
     newest: u64,
-) -> CoreResult<(MmqjpEngine, Vec<u64>, usize)> {
-    let mut engine = MmqjpEngine::with_interner(config.clone(), Arc::clone(interner));
-    let mut globals = Vec::with_capacity(queries.len());
-    for (global, retained) in queries {
-        engine.register_query_at_floor(retained.query.clone(), retained.floor)?;
-        globals.push(*global);
+) -> CoreResult<JoinStage> {
+    for retained in queries {
+        join.register(retained.query.clone(), retained.floor)?;
     }
-    let mut rows = 0usize;
     for batch in log.batches() {
-        rows += engine.replay_batch(batch)?;
+        join.replay(front.replay(batch, shard)?)?;
     }
-    engine.restore_watermarks(ingested, newest);
-    Ok((engine, globals, rows))
+    join.restore_watermark(newest);
+    Ok(join)
 }
 
 #[cfg(test)]

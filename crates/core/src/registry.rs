@@ -1,62 +1,56 @@
-//! Query registration and the full subscription lifecycle: templates, `RT`
-//! relations, per-query metadata and the engine's Stage-1 subscription table.
+//! Query registration and the full subscription lifecycle of the join
+//! stage: templates, `RT` relations and per-query metadata.
 //!
 //! **What a registration costs.** Everything registration derives from a
 //! query's `FROM` clause depends on the clause alone, not on its window: the
 //! normalized blocks, the reduced join graph of each orientation, the
-//! template the catalog's isomorphism test finds, the variable assignment,
-//! the pattern ids and the requested edges. The registry derives them once
-//! per distinct clause (window blanked) into a shared [`QueryShape`] and
-//! memoizes it. Registering a query whose clause is already live is a lookup
-//! plus per-query work: one `RT` row per orientation, refcount bumps on the
-//! shape's patterns and requested edges, a `rid` map entry and the window in
-//! the window multiset. A shape is refcounted by its live queries and
-//! reclaimed with its last one, so the memo never holds more entries than
-//! there are live distinct clauses. While a shape lives, its templates and
-//! patterns live too (its queries hold their `RT` rows and pattern
-//! refcounts) and ids are never reused, so a memo hit registers exactly what
-//! re-deriving the shape would.
+//! template the catalog's isomorphism test finds, the variable assignment
+//! and the requested edges. The registry derives them once per distinct
+//! clause (window blanked) into a shared [`QueryShape`] and memoizes it.
+//! Registering a query whose clause is already live is a lookup plus
+//! per-query work: one `RT` row per orientation, a `rid` map entry and the
+//! window in the window multiset. A shape is refcounted by its live queries
+//! and reclaimed with its last one (its canonical variables are counted per
+//! live shape), so the memo never holds more entries than there are live
+//! distinct clauses. While a shape lives, its templates live too (its
+//! queries hold their `RT` rows) and ids are never reused, so a memo hit
+//! registers exactly what re-deriving the shape would.
+//!
+//! The registry holds no Stage-1 state: [`Registry::register`] returns the
+//! query's [`Stage1Footprint`], which the engine subscribes to its front.
 //!
 //! Queries can be [`register`](Registry::register)ed *and*
-//! [`unregister`](Registry::unregister)ed at runtime. Unregistration is
-//! incremental — O(the departing query's footprint), never a registry
-//! rebuild: the query's `RT` tuples are removed in place, its pattern and
-//! requested-edge registrations are released from the
-//! [`Stage1Table`](crate::front::Stage1Table) (which drops a pattern when
-//! its last subscriber leaves), an
-//! emptied template is retired from the catalog, and the window bounds are
-//! recomputed from a window multiset so document retention can *tighten*
-//! after the widest-window query departs. Freed [`QueryId`]s (and template /
-//! pattern ids) are tombstoned, never reused, which keeps shard assignment
-//! and the canonical output order deterministic across churn. Per-batch
-//! walks — the Stage-1 single-block list and the template loop — visit live
-//! entries only, never the tombstones.
+//! [`unregister`](Registry::unregister)ed at runtime, incrementally —
+//! O(the departing query's footprint), never a rebuild: its `RT` tuples are
+//! removed in place, an emptied template is retired from the catalog, the
+//! window bounds are recomputed from a window multiset so document
+//! retention can *tighten*, and the canonical variables no live query's
+//! rows carry any more are reported for the view cache to reclaim. Freed
+//! [`QueryId`]s (and template ids) are tombstoned, never reused, which keeps
+//! shard assignment and the canonical output order deterministic across
+//! churn.
 
 use crate::audit::AuditViolation;
 use crate::config::ProcessingMode;
 use crate::cqt::{self, PlanInputKind};
 use crate::error::{CoreError, CoreResult};
-use crate::front::{Edge, SingleBlock, Stage1Recount, Stage1Table, Subscriptions};
+use crate::front::Edge;
 use crate::relations::schemas;
 use mmqjp_relational::{
-    verify_plan_strict, ConjunctiveQuery, PhysicalPlan, PlanInput, Relation, SharedKeyRule,
-    StringInterner, Symbol, Value, VerifyOptions,
+    verify_plan_strict, ConjunctiveQuery, FxHashMap, PhysicalPlan, PlanInput, Relation,
+    SharedKeyRule, StringInterner, Symbol, Value, VerifyOptions,
 };
-use mmqjp_xpath::{PatternId, TreePattern};
+use mmqjp_xpath::TreePattern;
 use mmqjp_xscl::{
     normalize_query, template, FromClause, JoinGraph, JoinOp, QueryId, QueryTemplate, ReducedGraph,
     SelectClause, Side, TemplateCatalog, TemplateId, Window, XsclQuery,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// The window a [`QueryShape`]'s key carries in place of the query's own:
 /// windows are per-query data, so every window maps to the same shape.
 const BLANK_WINDOW: Window = Window::Infinite;
-
-/// The registry's one consumer of witness rows in its Stage-1 table: the
-/// engine's own join stage.
-const JOIN_STAGE: usize = 0;
 
 /// Runtime state of one query template: the representative template, its
 /// `RT` relation (one tuple per registered query orientation), the two
@@ -236,11 +230,16 @@ impl TemplateRuntime {
 pub struct QueryShape {
     /// The memo key: the clause as parsed, window blanked.
     key: Arc<FromClause>,
+    /// A keyed hash of [`key`](Self::key) through the registry's interner,
+    /// computed once when the shape is built.
+    key_hash: u64,
     /// The normalized clause (canonical variable names, sorted predicates),
     /// window blanked.
     normalized: FromClause,
-    /// Pattern-index id of a single-block subscription's pattern.
-    single_pid: Option<PatternId>,
+    /// The canonical variables its witness rows can carry — the nodes of its
+    /// orientations' reduced graphs — each once; the live shape holds one
+    /// reference on each.
+    var_syms: Vec<Symbol>,
     /// One per orientation: a `FOLLOWED BY` clause has one, a symmetric
     /// `JOIN` two (the original and the block-swapped form); a single-block
     /// clause none.
@@ -248,6 +247,17 @@ pub struct QueryShape {
 }
 
 impl QueryShape {
+    /// The clause the shape was derived from, as parsed, window blanked.
+    pub fn key(&self) -> &Arc<FromClause> {
+        &self.key
+    }
+
+    /// A keyed hash of [`key`](Self::key), equal for equal clauses whichever
+    /// registry sharing this interner built the shape; computed once.
+    pub fn key_hash(&self) -> u64 {
+        self.key_hash
+    }
+
     /// The join operator (`None` for single-block subscriptions).
     pub fn op(&self) -> Option<JoinOp> {
         match &self.normalized {
@@ -275,6 +285,12 @@ impl QueryShape {
     pub fn patterns(&self, orientation: &Orientation) -> (&TreePattern, &TreePattern) {
         oriented_blocks(&self.normalized, orientation.swapped)
     }
+
+    /// The clause's first block: a single-block subscription's pattern, or
+    /// a join clause's left block.
+    pub fn first_block(&self) -> &TreePattern {
+        oriented_blocks(&self.normalized, false).0
+    }
 }
 
 /// One orientation of a [`QueryShape`]: which template it joins and how.
@@ -294,10 +310,6 @@ pub struct Orientation {
     /// `true` when the query's *right* block plays the previous-document
     /// role.
     pub swapped: bool,
-    /// Pattern-index id of the previous-document pattern.
-    pub prev_pid: PatternId,
-    /// Pattern-index id of the current-document pattern.
-    pub cur_pid: PatternId,
     /// The structural edges requested for the previous-document pattern.
     pub prev_edges: Vec<Edge>,
     /// The structural edges requested for the current-document pattern.
@@ -388,36 +400,45 @@ fn verify_compiled(
     verify_plan_strict(plan, query, arity_of, &options).map_err(CoreError::from)
 }
 
+/// What Stage 1 must evaluate for one registered query: its shape, whose
+/// orientations name the patterns and requested edges its join side needs
+/// (or whose single block Stage 1 answers alone), and how a single-block
+/// subscription reports its matches.
+#[derive(Debug, Clone)]
+pub struct Stage1Footprint {
+    /// The query's shape, shared with the registry's memo.
+    pub shape: Arc<QueryShape>,
+    /// The `PUBLISH` name of a single-block subscription (`None` for a join
+    /// query, whose matches the join stage reports).
+    pub publish: Option<String>,
+    /// The `SELECT` clause.
+    pub select: SelectClause,
+}
+
 /// The incremental effects of one [`Registry::unregister`] call, reported so
 /// the engine can maintain its counters and caches.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct UnregisterEffects {
-    /// Distinct Stage-1 patterns dropped because the departing query was
-    /// their last subscriber.
-    pub patterns_dropped: usize,
     /// Templates retired (their `RT` relation became empty and their catalog
     /// slot was tombstoned).
     pub templates_retired: usize,
-    /// Canonical variable symbols no live pattern binds anymore; view-cache
-    /// slices carrying rows under these symbols can be reclaimed.
+    /// Canonical variable symbols no live query's witness rows carry any
+    /// more; view-cache slices carrying rows under these symbols can be
+    /// reclaimed.
     pub dead_vars: Vec<Symbol>,
     /// `true` when the departing query changed the registered window bounds
     /// (so retention can tighten).
     pub window_changed: bool,
 }
 
-/// The registry of all registered queries, their templates and the Stage-1
-/// subscription table.
+/// The registry of all registered queries and their templates.
 #[derive(Debug)]
 pub struct Registry {
     interner: Arc<StringInterner>,
-    /// The patterns, requested edges and single-block subscriptions Stage 1
-    /// evaluates, refcounted per live registration.
-    stage1: Stage1Table,
-    /// How many live *distinct* patterns bind each canonical variable
-    /// symbol. A symbol leaving this map means no future witness row can
-    /// carry it.
-    var_refs: HashMap<Symbol, usize>,
+    /// How many live shapes carry each canonical variable symbol in their
+    /// witness rows. A symbol leaving this map means no future witness row
+    /// this registry's queries request can carry it.
+    var_refs: FxHashMap<Symbol, usize>,
     catalog: TemplateCatalog,
     /// The live template runtimes in template-id order. A retired template
     /// leaves the map (its id is never reused), so the per-batch template
@@ -451,8 +472,7 @@ impl Registry {
     pub fn new(interner: Arc<StringInterner>) -> Self {
         Registry {
             interner,
-            stage1: Stage1Table::new(),
-            var_refs: HashMap::new(),
+            var_refs: FxHashMap::default(),
             catalog: TemplateCatalog::new(),
             templates: BTreeMap::new(),
             queries: Vec::new(),
@@ -467,7 +487,8 @@ impl Registry {
         }
     }
 
-    /// Register a query (already parsed). Returns its id.
+    /// Register a query (already parsed). Returns its id and its
+    /// [`Stage1Footprint`], which the caller subscribes to its front.
     ///
     /// A query whose `FROM` clause (window aside) is already live reuses
     /// that clause's [`QueryShape`]; otherwise the shape is derived and
@@ -483,7 +504,7 @@ impl Registry {
         query: XsclQuery,
         mode: ProcessingMode,
         arrival_floor: u64,
-    ) -> CoreResult<QueryId> {
+    ) -> CoreResult<(QueryId, Stage1Footprint)> {
         let XsclQuery {
             select,
             mut from,
@@ -497,13 +518,14 @@ impl Registry {
         let shape = match self.shapes.get_mut(&from) {
             Some(entry) => {
                 entry.refs += 1;
-                let shape = Arc::clone(&entry.shape);
-                self.retain_patterns(&shape);
                 self.shapes_reused += 1;
-                shape
+                Arc::clone(&entry.shape)
             }
             None => {
                 let shape = self.build_shape(from, mode)?;
+                for &sym in &shape.var_syms {
+                    *self.var_refs.entry(sym).or_insert(0) += 1;
+                }
                 let entry = ShapeEntry {
                     shape: Arc::clone(&shape),
                     refs: 1,
@@ -519,10 +541,6 @@ impl Registry {
         let wl = Value::Int(window.map_or(i64::MAX, window_length));
         let mut registrations = Vec::with_capacity(shape.orientations.len());
         for (ri, o) in shape.orientations.iter().enumerate() {
-            for (pid, edges) in [(o.prev_pid, &o.prev_edges), (o.cur_pid, &o.cur_edges)] {
-                self.stage1
-                    .request_edges(JOIN_STAGE, pid, edges, &self.interner)?;
-            }
             let rid = (id.raw() as i64) * 2 + i64::from(o.swapped);
             // RT tuple: (qid, var1..varm, wl).
             let mut tuple = Vec::with_capacity(o.assignment_syms.len() + 2);
@@ -553,15 +571,12 @@ impl Registry {
         if let Some(window) = window {
             self.track_window(window);
         }
-        if let (Some(pid), Some(pattern)) = (shape.single_pid, shape.single_pattern()) {
-            self.stage1.push_single(SingleBlock {
-                query: id,
-                pid,
-                pattern: pattern.clone(),
-                publish: publish.clone(),
-                select,
-            });
-        }
+        let footprint = Stage1Footprint {
+            shape: Arc::clone(&shape),
+            // Only a single-block subscription's matches leave the front.
+            publish: shape.single_pattern().and_then(|_| publish.clone()),
+            select,
+        };
         self.queries.push(Some(Box::new(QueryRuntime {
             id,
             shape,
@@ -572,14 +587,12 @@ impl Registry {
             arrival_floor,
         })));
         self.live_queries += 1;
-        Ok(id)
+        Ok((id, footprint))
     }
 
-    /// Derive a new shape from its key and register its shared structures:
-    /// catalog membership (creating and compiling a new template when no
-    /// live one is isomorphic) and the Stage-1 patterns, whose first
-    /// references are the registering query's. The only caller of
-    /// `catalog.insert`.
+    /// Derive a new shape from its key and register its catalog membership,
+    /// creating and compiling a new template when no live one is
+    /// isomorphic. The only caller of `catalog.insert`.
     fn build_shape(
         &mut self,
         key: FromClause,
@@ -592,15 +605,11 @@ impl Registry {
             publish: None,
         };
         let (normalized, reduced) = derive_shape(&query)?;
-        let key = Arc::new(query.from);
-        let single_pid = match &normalized {
-            FromClause::Single(block) => Some(self.index_pattern(&block.pattern)),
-            FromClause::Join { .. } => None,
-        };
         let mut shape = QueryShape {
-            key,
+            key_hash: self.interner.hash_one(&query.from),
+            key: Arc::new(query.from),
             normalized,
-            single_pid,
+            var_syms: Vec::new(),
             orientations: Vec::with_capacity(reduced.len()),
         };
         for (graph, swapped) in reduced {
@@ -619,21 +628,17 @@ impl Registry {
                 .iter()
                 .map(|var| self.interner.intern(var))
                 .collect();
-            let (prev, cur) = oriented_blocks(&shape.normalized, swapped);
-            let prev_pid = self.index_pattern(prev);
-            let cur_pid = self.index_pattern(cur);
             shape.orientations.push(Orientation {
                 template: membership.template,
                 assignment: membership.assignment,
                 num_left: graph.left.len(),
                 assignment_syms,
                 swapped,
-                prev_pid,
-                cur_pid,
                 prev_edges: requested_edges_of(&graph, Side::Left),
                 cur_edges: requested_edges_of(&graph, Side::Right),
             });
         }
+        shape.var_syms = distinct(&shape.orientations);
         Ok(Arc::new(shape))
     }
 
@@ -659,9 +664,9 @@ impl Registry {
 
     /// Unregister a query, incrementally releasing every shared structure it
     /// participated in. O(the query's footprint): its `RT` tuples, its
-    /// pattern and edge registrations, its hold on its shape and — when it
-    /// was the last subscriber — the dropped patterns, retired templates and
-    /// the reclaimed shape. Ids are tombstoned, never reused. Errors with
+    /// references on its canonical variables, its hold on its shape and —
+    /// when it was the last subscriber — the retired templates and the
+    /// reclaimed shape. Its Stage-1 footprint is the front's to release. Ids are tombstoned, never reused. Errors with
     /// [`CoreError::UnknownQuery`] for ids that were never assigned or
     /// already unregistered.
     pub fn unregister(&mut self, id: QueryId) -> CoreResult<UnregisterEffects> {
@@ -674,10 +679,6 @@ impl Registry {
 
         let mut effects = UnregisterEffects::default();
         let shape = &runtime.shape;
-        if let Some(pid) = shape.single_pid {
-            self.stage1.remove_single(id);
-            self.release_pattern(pid, &mut effects);
-        }
         for (reg, o) in runtime.registrations.iter().zip(&shape.orientations) {
             self.rid_map.remove(&reg.rid);
             // Remove this orientation's RT tuple in place, preserving the
@@ -697,82 +698,36 @@ impl Registry {
                 self.catalog.remove(o.template);
                 effects.templates_retired += 1;
             }
-            for (pid, edges) in [(o.prev_pid, &o.prev_edges), (o.cur_pid, &o.cur_edges)] {
-                self.stage1.release_edges(JOIN_STAGE, pid, edges)?;
-                self.release_pattern(pid, &mut effects);
-            }
         }
         if let Some(window) = runtime.window {
             effects.window_changed = self.untrack_window(window);
         }
-        self.release_shape(shape);
+        self.release_shape(shape, &mut effects);
         Ok(effects)
     }
 
     /// Drop one live query's hold on its memoized shape, reclaiming the
-    /// entry with its last holder.
-    fn release_shape(&mut self, shape: &Arc<QueryShape>) {
-        if let Some(entry) = self.shapes.get_mut(&*shape.key) {
+    /// entry with its last holder, and release the reclaimed shape's
+    /// references on its canonical variables, reporting those that died.
+    fn release_shape(&mut self, shape: &Arc<QueryShape>, effects: &mut UnregisterEffects) {
+        let filed = self.shapes.get_mut(&*shape.key);
+        if let Some(entry) = filed.filter(|entry| Arc::ptr_eq(&entry.shape, shape)) {
+            entry.refs -= 1;
+            if entry.refs > 0 {
+                return;
+            }
+            self.shapes.remove(&*shape.key);
+        } else if self.queries().any(|q| Arc::ptr_eq(&q.shape, shape)) {
             // A shape the memo no longer files (see `forget_shapes`) is
-            // simply dropped with its last query.
-            if Arc::ptr_eq(&entry.shape, shape) {
-                entry.refs -= 1;
-                if entry.refs == 0 {
-                    self.shapes.remove(&*shape.key);
-                }
-            }
+            // reclaimed with the last live query holding it.
+            return;
         }
-    }
-
-    /// Register a pattern with the Stage-1 table, counting its canonical
-    /// variables when it is newly distinct.
-    fn index_pattern(&mut self, pattern: &TreePattern) -> PatternId {
-        let pid = self.stage1.retain_pattern(pattern.clone());
-        if self.stage1.index().refcount(pid) == 1 {
-            for (var, _) in pattern.variables() {
-                *self.var_refs.entry(self.interner.intern(var)).or_insert(0) += 1;
-            }
-        }
-        pid
-    }
-
-    /// Take one more live query's references on a memoized shape's
-    /// patterns, by id.
-    fn retain_patterns(&mut self, shape: &QueryShape) {
-        let joined = shape
-            .orientations
-            .iter()
-            .flat_map(|o| [o.prev_pid, o.cur_pid]);
-        for pid in shape.single_pid.into_iter().chain(joined) {
-            self.stage1.retain_pattern_id(pid);
-        }
-    }
-
-    /// Release one registration of a pattern; when it was the last, drop the
-    /// pattern and report any canonical variables that died with it.
-    fn release_pattern(&mut self, pid: PatternId, effects: &mut UnregisterEffects) {
-        // Collect the variables only when this release will drop the
-        // pattern — the common shared-pattern path stays allocation-free.
-        let index = self.stage1.index();
-        let vars: Vec<Symbol> = if index.refcount(pid) == 1 {
-            index
-                .pattern(pid)
-                .variables()
-                .iter()
-                .map(|(var, _)| self.interner.intern(var))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        if self.stage1.release_pattern(pid) {
-            effects.patterns_dropped += 1;
-            for sym in vars {
-                if let Some(count) = self.var_refs.get_mut(&sym) {
-                    *count -= 1;
-                    if *count == 0 {
-                        self.var_refs.remove(&sym);
-                        effects.dead_vars.push(sym);
-                    }
+        for sym in &shape.var_syms {
+            if let Some(count) = self.var_refs.get_mut(sym) {
+                *count -= 1;
+                if *count == 0 {
+                    self.var_refs.remove(sym);
+                    effects.dead_vars.push(*sym);
                 }
             }
         }
@@ -825,11 +780,6 @@ impl Registry {
     /// Number of live templates.
     pub fn num_templates(&self) -> usize {
         self.templates.len()
-    }
-
-    /// Number of distinct live Stage-1 patterns.
-    pub fn num_patterns(&self) -> usize {
-        self.stage1.index().len()
     }
 
     /// Number of memoized shapes: the live distinct `FROM` clauses, window
@@ -901,24 +851,6 @@ impl Registry {
         Some((q, q.shape.orientations.get(*ri)?))
     }
 
-    /// The Stage-1 subscription table: pattern index, requested edges and
-    /// single-block subscriptions.
-    pub fn stage1_table(&self) -> &Stage1Table {
-        &self.stage1
-    }
-
-    /// Everything Stage 1 evaluates a document against, borrowed for one
-    /// batch (see [`Stage1Table::subscriptions`]).
-    pub fn stage1(&mut self) -> Subscriptions<'_> {
-        self.stage1.subscriptions()
-    }
-
-    /// The Stage-1 table, mutably, for tests that seed a corrupted entry.
-    #[cfg(test)]
-    pub(crate) fn stage1_table_mut(&mut self) -> &mut Stage1Table {
-        &mut self.stage1
-    }
-
     /// The template catalog.
     pub fn catalog(&self) -> &TemplateCatalog {
         &self.catalog
@@ -977,17 +909,20 @@ impl Registry {
             });
         }
 
-        // One recount pass over the live queries: template membership, the
-        // Stage-1 subscriptions, windows and rids.
+        // One recount pass over the live queries: template membership,
+        // canonical variables, windows and rids.
         let mut rt_expected: HashMap<TemplateId, usize> = HashMap::new();
-        let mut stage1_expected = Stage1Recount::default();
+        let mut var_expected: FxHashMap<Symbol, usize> = FxHashMap::default();
+        let mut live_shapes: HashSet<*const QueryShape> = HashSet::new();
         let mut finite_expected: BTreeMap<u64, usize> = BTreeMap::new();
         let mut infinite_expected = 0usize;
         let mut live_rids: HashMap<i64, (usize, usize)> = HashMap::new();
         for (qi, slot) in self.queries.iter().enumerate() {
             let Some(q) = slot.as_deref() else { continue };
-            if let Some(pid) = q.shape.single_pid {
-                stage1_expected.single(q.id, pid);
+            if live_shapes.insert(Arc::as_ptr(&q.shape)) {
+                for &sym in &q.shape.var_syms {
+                    *var_expected.entry(sym).or_insert(0) += 1;
+                }
             }
             match q.window {
                 Some(Window::Time(t)) => *finite_expected.entry(t).or_insert(0) += 1,
@@ -1028,8 +963,6 @@ impl Registry {
                     Some(_) => {}
                 }
                 live_rids.insert(reg.rid, (qi, ri));
-                stage1_expected.join_side(JOIN_STAGE, o.prev_pid, &o.prev_edges);
-                stage1_expected.join_side(JOIN_STAGE, o.cur_pid, &o.cur_edges);
             }
         }
 
@@ -1057,18 +990,8 @@ impl Registry {
             tr.audit_plans(tid, out);
         }
 
-        // The Stage-1 table: pattern and per-consumer edge refcounts, the
-        // single-block list, cached symbols and the live emission plan.
-        self.stage1.audit(&stage1_expected, &self.interner, out);
-
-        // Canonical-variable refcounts: one count per *distinct* live
-        // pattern binding the variable.
-        let mut var_expected: HashMap<Symbol, usize> = HashMap::new();
-        for (_, pattern) in self.stage1.index().patterns() {
-            for (var, _) in pattern.variables() {
-                *var_expected.entry(self.interner.intern(var)).or_insert(0) += 1;
-            }
-        }
+        // Canonical-variable refcounts: one count per live shape whose rows
+        // carry the variable.
         for (&sym, &expected) in &var_expected {
             let tracked = self.var_refs.get(&sym).copied().unwrap_or(0);
             if tracked != expected {
@@ -1114,15 +1037,14 @@ impl Registry {
 
     /// The shape memo: every entry is held by exactly its refcount of live
     /// queries and every live query's shape is filed; every entry's
-    /// templates and patterns are live; and re-deriving the entry from its
-    /// key — normalize, reduce, match against the live template — gives
-    /// what it stores.
+    /// templates are live; and re-deriving the entry from its key —
+    /// normalize, reduce, match against the live template, intern its
+    /// variables — gives what it stores.
     fn audit_shapes(&self, out: &mut Vec<AuditViolation>) {
         let mut holders: HashMap<*const QueryShape, usize> = HashMap::new();
         for q in self.queries() {
             *holders.entry(Arc::as_ptr(&q.shape)).or_insert(0) += 1;
         }
-        let index = self.stage1.index();
         let mut violation = |reason| out.push(AuditViolation::ShapeMemo { reason });
         for (key, entry) in &self.shapes {
             let shape = &entry.shape;
@@ -1131,19 +1053,6 @@ impl Registry {
             }
             if **key != *shape.key {
                 violation("entry is filed under another clause than its key");
-            }
-            let pids = shape
-                .orientations
-                .iter()
-                .flat_map(|o| [o.prev_pid, o.cur_pid]);
-            if shape
-                .single_pid
-                .into_iter()
-                .chain(pids)
-                .any(|pid| index.patterns().all(|(live, _)| live != pid))
-            {
-                violation("entry names a dropped pattern");
-                continue;
             }
             if shape
                 .orientations
@@ -1167,25 +1076,20 @@ impl Registry {
                 violation("re-derived clause differs from the stored one");
                 continue;
             }
-            if let (Some(pid), Some(pattern)) = (shape.single_pid, shape.single_pattern()) {
-                if index.pattern(pid).signature() != pattern.signature() {
-                    violation("entry's pattern id names another pattern");
-                }
+            if distinct(&shape.orientations) != shape.var_syms {
+                violation("canonical variables differ from the orientations' assignments");
             }
             for ((graph, swapped), o) in reduced.iter().zip(&shape.orientations) {
                 let live = self.template_runtime(o.template).map(|tr| &tr.template);
                 let derived = live.and_then(|t| template::assignment(graph, t));
                 let syms: Option<Vec<Symbol>> =
                     o.assignment.iter().map(|v| self.interner.get(v)).collect();
-                let (prev, cur) = shape.patterns(o);
                 if *swapped != o.swapped
                     || derived.as_ref() != Some(&o.assignment)
                     || live.map(QueryTemplate::num_left) != Some(o.num_left)
                     || syms.as_ref() != Some(&o.assignment_syms)
                     || requested_edges_of(graph, Side::Left) != o.prev_edges
                     || requested_edges_of(graph, Side::Right) != o.cur_edges
-                    || index.pattern(o.prev_pid).signature() != prev.signature()
-                    || index.pattern(o.cur_pid).signature() != cur.signature()
                 {
                     violation("re-derived orientation differs from the stored one");
                 }
@@ -1223,6 +1127,18 @@ fn derive_shape(query: &XsclQuery) -> CoreResult<(FromClause, Vec<(ReducedGraph,
         }
     };
     Ok((normalized.from, reduced))
+}
+
+/// The interned variables of `orientations`' assignments in ascending order,
+/// each once.
+fn distinct(orientations: &[Orientation]) -> Vec<Symbol> {
+    let mut syms: Vec<Symbol> = orientations
+        .iter()
+        .flat_map(|o| o.assignment_syms.iter().copied())
+        .collect();
+    syms.sort_unstable();
+    syms.dedup();
+    syms
 }
 
 /// The patterns of a join clause's blocks in the previous- and
@@ -1274,8 +1190,11 @@ pub fn window_length(window: Window) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::front::{EdgeConsumers, RequestedEdge};
+    use crate::config::EngineConfig;
+    use crate::front::{EdgeConsumers, Front, RequestedEdge};
+    use mmqjp_xpath::PatternId;
     use mmqjp_xscl::parse_query;
+    use std::collections::BTreeSet;
 
     const Q1: &str = "S//book->x1[.//author->x2][.//title->x3] \
         FOLLOWED BY{x2=x5 AND x3=x6, 100} \
@@ -1291,18 +1210,60 @@ mod tests {
         Registry::new(Arc::new(StringInterner::new()))
     }
 
+    /// Register `text` at floor 0; returns its id.
+    fn reg(r: &mut Registry, text: &str, mode: ProcessingMode) -> QueryId {
+        r.register(parse_query(text).unwrap(), mode, 0).unwrap().0
+    }
+
+    /// A registry and the front its footprints are subscribed to, paired the
+    /// way a single engine pairs them.
+    struct Rig {
+        r: Registry,
+        front: Front,
+    }
+
+    impl Rig {
+        fn new() -> Self {
+            let r = registry();
+            let front = Front::new(&EngineConfig::default(), Arc::clone(&r.interner));
+            Rig { r, front }
+        }
+
+        fn register(&mut self, text: &str, mode: ProcessingMode) -> QueryId {
+            let (id, footprint) = self
+                .r
+                .register(parse_query(text).unwrap(), mode, 0)
+                .unwrap();
+            self.front.subscribe(0, id, &footprint).unwrap();
+            id
+        }
+
+        /// The registry's effects and the number of patterns the front
+        /// dropped.
+        fn unregister(&mut self, id: QueryId) -> CoreResult<(UnregisterEffects, usize)> {
+            let effects = self.r.unregister(id)?;
+            Ok((effects, self.front.unsubscribe(id)?))
+        }
+
+        fn num_patterns(&self) -> usize {
+            self.front.table().index().len()
+        }
+
+        fn audit(&self) -> Vec<AuditViolation> {
+            let mut out = Vec::new();
+            self.r.audit(&mut out);
+            self.front.audit(self.r.num_queries(), &mut out);
+            out
+        }
+    }
+
     #[test]
     fn paper_example_queries_share_one_template() {
-        let mut r = registry();
-        let id1 = r
-            .register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
-        let id2 = r
-            .register(parse_query(Q2).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
-        let id3 = r
-            .register(parse_query(Q3).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
+        let mut rig = Rig::new();
+        let id1 = rig.register(Q1, ProcessingMode::Mmqjp);
+        let id2 = rig.register(Q2, ProcessingMode::Mmqjp);
+        let id3 = rig.register(Q3, ProcessingMode::Mmqjp);
+        let r = &rig.r;
         assert_eq!(id1, QueryId(0));
         assert_eq!(id2, QueryId(1));
         assert_eq!(id3, QueryId(2));
@@ -1320,7 +1281,7 @@ mod tests {
         // blog block. Distinct patterns: book(author,title),
         // blog(author,title), book(author,category), blog(author,category)
         // => 4.
-        assert_eq!(r.num_patterns(), 4);
+        assert_eq!(rig.num_patterns(), 4);
         assert_eq!(r.max_window(), Some(300));
     }
 
@@ -1328,9 +1289,7 @@ mod tests {
     fn join_queries_register_two_orientations() {
         let mut r = registry();
         let q = "S//item->a[.//title->t1] JOIN{t1=t2, 50} S//post->b[.//title->t2]";
-        let id = r
-            .register(parse_query(q).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
+        let id = reg(&mut r, q, ProcessingMode::Mmqjp);
         let runtime = r.query(id).unwrap();
         assert!(runtime.is_join());
         assert_eq!(runtime.registrations.len(), 2);
@@ -1351,68 +1310,48 @@ mod tests {
 
     #[test]
     fn single_block_subscription_is_accepted() {
-        let mut r = registry();
-        let id = r
-            .register(
-                parse_query("S//blog[.//author]").unwrap(),
-                ProcessingMode::Mmqjp,
-                0,
-            )
-            .unwrap();
-        let runtime = r.query(id).unwrap();
+        let mut rig = Rig::new();
+        let id = rig.register("S//blog[.//author]", ProcessingMode::Mmqjp);
+        let runtime = rig.r.query(id).unwrap();
         assert!(!runtime.is_join());
         assert!(runtime.shape().single_pattern().is_some());
-        assert_eq!(r.num_templates(), 0);
-        assert_eq!(r.num_patterns(), 1);
+        assert_eq!(rig.r.num_templates(), 0);
+        assert_eq!(rig.num_patterns(), 1);
     }
 
     #[test]
     fn requested_edges_cover_reduced_structure_and_self_edges() {
-        let mut r = registry();
+        let mut rig = Rig::new();
         // Single value join: both sides reduce to single nodes, so the
         // requested edges are self edges.
-        r.register(
-            parse_query("S//book->b[.//author->a] FOLLOWED BY{a=x, 10} S//blog->g[.//author->x]")
-                .unwrap(),
+        rig.register(
+            "S//book->b[.//author->a] FOLLOWED BY{a=x, 10} S//blog->g[.//author->x]",
             ProcessingMode::Mmqjp,
-            0,
-        )
-        .unwrap();
-        let total_edges: usize = r
-            .stage1_table()
-            .requested()
-            .iter()
-            .map(|(_, v)| v.len())
-            .sum();
-        assert_eq!(total_edges, 2); // one self edge per pattern
-        for (_, edges) in r.stage1_table().requested().iter() {
+        );
+        let total_edges = |rig: &Rig| -> usize {
+            let requested = rig.front.table().requested();
+            requested.iter().map(|(_, v)| v.len()).sum()
+        };
+        assert_eq!(total_edges(&rig), 2); // one self edge per pattern
+        for (_, edges) in rig.front.table().requested().iter() {
             for requested in edges {
                 assert_eq!(requested.edge.0, requested.edge.1);
             }
         }
         // Q1 adds real structural edges.
-        r.register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
-        let q1_edges: usize = r
-            .stage1_table()
-            .requested()
-            .iter()
-            .map(|(_, v)| v.len())
-            .sum();
-        assert_eq!(q1_edges, 2 + 4);
+        rig.register(Q1, ProcessingMode::Mmqjp);
+        assert_eq!(total_edges(&rig), 2 + 4);
     }
 
     #[test]
     fn sequential_mode_compiles_per_query_cqt() {
         let mut r = registry();
-        r.register(parse_query(Q1).unwrap(), ProcessingMode::Sequential, 0)
-            .unwrap();
-        let reg = &r.queries().next().unwrap().registrations[0];
-        assert_eq!(reg.sequential_cqt.num_atoms(), 8);
+        reg(&mut r, Q1, ProcessingMode::Sequential);
+        let reg1 = &r.queries().next().unwrap().registrations[0];
+        assert_eq!(reg1.sequential_cqt.num_atoms(), 8);
         // In MMQJP mode the per-query CQT is left empty.
         let mut r2 = registry();
-        r2.register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
+        reg(&mut r2, Q1, ProcessingMode::Mmqjp);
         let reg2 = &r2.queries().next().unwrap().registrations[0];
         assert_eq!(reg2.sequential_cqt.num_atoms(), 0);
     }
@@ -1420,17 +1359,15 @@ mod tests {
     #[test]
     fn window_tracking() {
         let mut r = registry();
-        r.register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
+        reg(&mut r, Q1, ProcessingMode::Mmqjp);
         assert_eq!(r.max_window(), Some(100));
         assert_eq!(r.max_finite_window(), Some(100));
         assert!(!r.has_infinite_window());
-        r.register(
-            parse_query("S//a->x FOLLOWED BY{x=y, INF} S//b->y").unwrap(),
+        reg(
+            &mut r,
+            "S//a->x FOLLOWED BY{x=y, INF} S//b->y",
             ProcessingMode::Mmqjp,
-            0,
-        )
-        .unwrap();
+        );
         assert_eq!(r.max_window(), None);
         assert_eq!(r.max_finite_window(), Some(100));
         assert!(r.has_infinite_window());
@@ -1441,32 +1378,27 @@ mod tests {
 
     #[test]
     fn unregister_shrinks_shared_template_in_place() {
-        let mut r = registry();
-        let id1 = r
-            .register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
-        let id2 = r
-            .register(parse_query(Q2).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
-        let id3 = r
-            .register(parse_query(Q3).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
-        assert_eq!(r.templates().next().unwrap().members(), 3);
-        let patterns_before = r.num_patterns();
+        let mut rig = Rig::new();
+        let id1 = rig.register(Q1, ProcessingMode::Mmqjp);
+        let id2 = rig.register(Q2, ProcessingMode::Mmqjp);
+        let id3 = rig.register(Q3, ProcessingMode::Mmqjp);
+        assert_eq!(rig.r.templates().next().unwrap().members(), 3);
+        let patterns_before = rig.num_patterns();
 
         // Q2 leaves: its RT tuple goes, the template survives with Q1 and
         // Q3 (in registration order), and the two category patterns it was
         // the only subscriber of are dropped.
-        let effects = r.unregister(id2).unwrap();
+        let (effects, dropped) = rig.unregister(id2).unwrap();
+        let r = &rig.r;
         assert_eq!(r.num_queries(), 2);
         assert_eq!(r.num_templates(), 1);
         let rt = &r.templates().next().unwrap().rt;
         assert_eq!(rt.len(), 2);
         let wls: Vec<i64> = rt.iter().map(|t| t[7].as_int().unwrap()).collect();
         assert_eq!(wls, vec![100, 300]);
-        assert_eq!(effects.patterns_dropped, 2);
+        assert_eq!(dropped, 2);
         assert_eq!(effects.templates_retired, 0);
-        assert_eq!(r.num_patterns(), patterns_before - 2);
+        assert_eq!(rig.num_patterns(), patterns_before - 2);
         // The unregistered id is gone and resolves nowhere.
         assert!(matches!(r.query(id2), Err(CoreError::UnknownQuery { .. })));
         assert!(r.resolve_rid((id2.raw() as i64) * 2).is_none());
@@ -1475,43 +1407,35 @@ mod tests {
         assert!(r.query(id3).is_ok());
 
         // The last two members leave: the template is retired.
-        let e1 = r.unregister(id1).unwrap();
+        let (e1, _) = rig.unregister(id1).unwrap();
         assert_eq!(e1.templates_retired, 0);
-        let e3 = r.unregister(id3).unwrap();
+        let (e3, _) = rig.unregister(id3).unwrap();
         assert_eq!(e3.templates_retired, 1);
-        assert_eq!(r.num_templates(), 0);
-        assert_eq!(r.num_patterns(), 0);
-        assert_eq!(r.num_queries(), 0);
-        assert!(r.stage1_table().requested().is_empty());
+        assert_eq!(rig.r.num_templates(), 0);
+        assert_eq!(rig.num_patterns(), 0);
+        assert_eq!(rig.r.num_queries(), 0);
+        assert!(rig.front.table().requested().is_empty());
         // Unregistering twice fails.
         assert!(matches!(
-            r.unregister(id1),
+            rig.unregister(id1),
             Err(CoreError::UnknownQuery { .. })
         ));
         // A fresh registration never reuses a freed id.
-        let id4 = r
-            .register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
+        let id4 = rig.register(Q1, ProcessingMode::Mmqjp);
         assert_eq!(id4, QueryId(3));
-        assert_eq!(r.total_queries_registered(), 4);
+        assert_eq!(rig.r.total_queries_registered(), 4);
     }
 
     #[test]
     fn unregister_recomputes_window_bounds() {
         let mut r = registry();
-        let narrow = r
-            .register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap(); // window 100
-        let wide = r
-            .register(parse_query(Q3).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap(); // window 300
-        let inf = r
-            .register(
-                parse_query("S//a->x FOLLOWED BY{x=y, INF} S//b->y").unwrap(),
-                ProcessingMode::Mmqjp,
-                0,
-            )
-            .unwrap();
+        let narrow = reg(&mut r, Q1, ProcessingMode::Mmqjp); // window 100
+        let wide = reg(&mut r, Q3, ProcessingMode::Mmqjp); // window 300
+        let inf = reg(
+            &mut r,
+            "S//a->x FOLLOWED BY{x=y, INF} S//b->y",
+            ProcessingMode::Mmqjp,
+        );
         assert_eq!(r.max_window(), None);
         assert_eq!(r.max_finite_window(), Some(300));
 
@@ -1537,12 +1461,8 @@ mod tests {
     #[test]
     fn unregister_duplicate_window_keeps_the_bound() {
         let mut r = registry();
-        let a = r
-            .register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
-        let b = r
-            .register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
+        let a = reg(&mut r, Q1, ProcessingMode::Mmqjp);
+        let b = reg(&mut r, Q1, ProcessingMode::Mmqjp);
         assert_eq!(r.max_window(), Some(100));
         let effects = r.unregister(a).unwrap();
         assert!(!effects.window_changed, "the twin still holds window 100");
@@ -1554,56 +1474,46 @@ mod tests {
 
     #[test]
     fn unregister_releases_shared_patterns_by_refcount() {
-        let mut r = registry();
+        let mut rig = Rig::new();
         // Q1 and Q3 share the blog(author, title) pattern.
-        let id1 = r
-            .register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
-        let id3 = r
-            .register(parse_query(Q3).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
-        assert_eq!(r.num_patterns(), 2); // book(a,t) and the shared blog(a,t)
-        let effects = r.unregister(id1).unwrap();
-        // The book pattern dies with Q1; the shared blog pattern survives.
-        assert_eq!(effects.patterns_dropped, 1);
-        assert_eq!(r.num_patterns(), 1);
-        let effects = r.unregister(id3).unwrap();
-        assert_eq!(effects.patterns_dropped, 1);
-        assert_eq!(r.num_patterns(), 0);
+        let id1 = rig.register(Q1, ProcessingMode::Mmqjp);
+        let id3 = rig.register(Q3, ProcessingMode::Mmqjp);
+        assert_eq!(rig.num_patterns(), 2); // book(a,t) and the shared blog(a,t)
+        let (effects, dropped) = rig.unregister(id1).unwrap();
+        // The book pattern dies with Q1; the shared blog pattern survives,
+        // and so do the canonical variables Q3 still binds.
+        assert_eq!(dropped, 1);
+        assert_eq!(rig.num_patterns(), 1);
+        let blog_vars = rig.r.query(id3).unwrap().shape.var_syms.clone();
+        assert!(effects.dead_vars.iter().all(|v| !blog_vars.contains(v)));
+        let (effects, dropped) = rig.unregister(id3).unwrap();
+        assert_eq!(dropped, 1);
+        assert_eq!(rig.num_patterns(), 0);
         // Dead canonical variables were reported for reclamation.
         assert!(!effects.dead_vars.is_empty());
+        assert!(rig.r.var_refs.is_empty());
     }
 
     #[test]
     fn unregister_single_block_subscription() {
-        let mut r = registry();
-        let id = r
-            .register(
-                parse_query("S//blog[.//author]").unwrap(),
-                ProcessingMode::Mmqjp,
-                0,
-            )
-            .unwrap();
-        assert_eq!(r.num_patterns(), 1);
-        let effects = r.unregister(id).unwrap();
-        assert_eq!(effects.patterns_dropped, 1);
-        assert_eq!(r.num_patterns(), 0);
-        assert_eq!(r.num_queries(), 0);
+        let mut rig = Rig::new();
+        let id = rig.register("S//blog[.//author]", ProcessingMode::Mmqjp);
+        assert_eq!(rig.num_patterns(), 1);
+        let (effects, dropped) = rig.unregister(id).unwrap();
+        assert_eq!(dropped, 1);
+        assert_eq!(rig.num_patterns(), 0);
+        assert_eq!(rig.r.num_queries(), 0);
         assert!(!effects.window_changed);
     }
 
     #[test]
     fn reregistered_isomorphic_query_starts_a_fresh_template() {
         let mut r = registry();
-        let id1 = r
-            .register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
+        let id1 = reg(&mut r, Q1, ProcessingMode::Mmqjp);
         let t1 = r.queries().next().unwrap().shape().orientations()[0].template;
         r.unregister(id1).unwrap();
         assert_eq!(r.num_templates(), 0);
-        let id2 = r
-            .register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
+        let id2 = reg(&mut r, Q1, ProcessingMode::Mmqjp);
         assert_ne!(id2, id1);
         let t2 = r.queries().next().unwrap().shape().orientations()[0].template;
         assert_ne!(t2, t1, "retired template ids are never revived");
@@ -1615,11 +1525,8 @@ mod tests {
     #[test]
     fn audit_is_clean_and_detects_seeded_violations() {
         let mut r = registry();
-        let id1 = r
-            .register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
-        r.register(parse_query(Q3).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
+        let id1 = reg(&mut r, Q1, ProcessingMode::Mmqjp);
+        reg(&mut r, Q3, ProcessingMode::Mmqjp);
         r.unregister(id1).unwrap();
         let mut out = Vec::new();
         r.audit(&mut out);
@@ -1649,6 +1556,24 @@ mod tests {
         let mut out = Vec::new();
         r.audit(&mut out);
         assert!(out.is_empty(), "{out:?}");
+
+        // Seed a canonical-variable refcount drift: one count per live
+        // query whose shape binds the variable.
+        let sym = *r.var_refs.keys().next().unwrap();
+        *r.var_refs.get_mut(&sym).unwrap() += 1;
+        let mut out = Vec::new();
+        r.audit(&mut out);
+        assert!(
+            matches!(
+                out.as_slice(),
+                [AuditViolation::VariableRefcount {
+                    tracked: 2,
+                    expected: 1,
+                    ..
+                }]
+            ),
+            "{out:?}"
+        );
     }
 
     #[test]
@@ -1664,8 +1589,7 @@ mod tests {
     #[test]
     fn template_runtime_metadata() {
         let mut r = registry();
-        r.register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
+        reg(&mut r, Q1, ProcessingMode::Mmqjp);
         let tr = r.templates().next().unwrap();
         assert_eq!(tr.rt_name(), "RT_0");
         assert_eq!(tr.members(), 1);
@@ -1677,21 +1601,23 @@ mod tests {
     }
 
     /// Everything a registration writes into the registry's shared
-    /// structures, in a comparable order.
+    /// structures and into the front it is subscribed to, in a comparable
+    /// order.
     #[derive(Debug, PartialEq)]
     struct Footprint {
         rt: Vec<(TemplateId, Vec<Vec<Value>>)>,
         requested_edges: BTreeMap<PatternId, (Vec<RequestedEdge>, Vec<EdgeConsumers>)>,
-        singles: Vec<SingleBlock>,
-        var_refs: BTreeMap<Symbol, usize>,
+        singles: Vec<(QueryId, PatternId, String, Option<String>)>,
+        live_vars: BTreeSet<Symbol>,
         rid_map: BTreeMap<i64, (usize, usize)>,
         pattern_refs: Vec<(PatternId, usize)>,
         windows: (BTreeMap<u64, usize>, usize),
         plans_compiled: usize,
     }
 
-    fn footprint(r: &Registry) -> Footprint {
-        let (index, requested) = (r.stage1.index(), r.stage1.requested());
+    fn footprint(rig: &Rig) -> Footprint {
+        let (r, table) = (&rig.r, rig.front.table());
+        let (index, requested) = (table.index(), table.requested());
         Footprint {
             rt: r
                 .templates
@@ -1702,8 +1628,14 @@ mod tests {
                 .iter()
                 .map(|(&pid, list)| (pid, (list.clone(), requested.consumers(pid).to_vec())))
                 .collect(),
-            singles: r.stage1.singles().to_vec(),
-            var_refs: r.var_refs.iter().map(|(&sym, &n)| (sym, n)).collect(),
+            singles: table
+                .singles()
+                .iter()
+                .map(|s| (s.query, s.pid, s.pattern().signature(), s.publish.clone()))
+                .collect(),
+            // Counted per shape, which the memo shares and a fresh
+            // derivation does not: compare which variables are live.
+            live_vars: r.var_refs.keys().copied().collect(),
             rid_map: r.rid_map.iter().map(|(&rid, &at)| (rid, at)).collect(),
             pattern_refs: index
                 .patterns()
@@ -1723,15 +1655,14 @@ mod tests {
     /// every shape afresh — and require the same footprint after every
     /// step. Returns the memo run's `(shapes_built, shapes_reused)`.
     fn hits_match_misses(mode: ProcessingMode, script: &[Step]) -> (usize, usize) {
-        let (mut memo, mut fresh) = (registry(), registry());
+        let (mut memo, mut fresh) = (Rig::new(), Rig::new());
         let mut ids = Vec::new();
         for (n, step) in script.iter().enumerate() {
             match step {
                 Step::Reg(text) => {
-                    let q = parse_query(text).unwrap();
-                    fresh.forget_shapes();
-                    let id = memo.register(q.clone(), mode, 0).unwrap();
-                    assert_eq!(fresh.register(q, mode, 0).unwrap(), id);
+                    fresh.r.forget_shapes();
+                    let id = memo.register(text, mode);
+                    assert_eq!(fresh.register(text, mode), id);
                     ids.push(id);
                 }
                 Step::Unreg(i) => {
@@ -1743,12 +1674,11 @@ mod tests {
                 }
             }
             assert_eq!(footprint(&memo), footprint(&fresh), "{mode:?} step {n}");
-            let mut out = Vec::new();
-            memo.audit(&mut out);
+            let out = memo.audit();
             assert!(out.is_empty(), "{mode:?} step {n}: {out:?}");
         }
-        assert_eq!(fresh.shapes_reused(), 0);
-        (memo.shapes_built(), memo.shapes_reused())
+        assert_eq!(fresh.r.shapes_reused(), 0);
+        (memo.r.shapes_built(), memo.r.shapes_reused())
     }
 
     const Q1_RENAMED: &str = "S//book->a[.//author->b][.//title->c] \
@@ -1811,15 +1741,9 @@ mod tests {
     #[test]
     fn the_memo_holds_one_entry_per_live_distinct_clause() {
         let mut r = registry();
-        let a = r
-            .register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
-        let b = r
-            .register(parse_query(Q1_WIDE).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
-        let c = r
-            .register(parse_query(Q1_RENAMED).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
+        let a = reg(&mut r, Q1, ProcessingMode::Mmqjp);
+        let b = reg(&mut r, Q1_WIDE, ProcessingMode::Mmqjp);
+        let c = reg(&mut r, Q1_RENAMED, ProcessingMode::Mmqjp);
         // Windows aside, Q1 and Q1_WIDE are one clause; the renamed clause
         // is a second entry in the same template.
         assert_eq!(r.num_shapes(), 2);
@@ -1850,109 +1774,11 @@ mod tests {
     }
 
     #[test]
-    fn requested_edges_cache_their_variable_symbols() {
-        let mut r = registry();
-        r.register(parse_query(Q1).unwrap(), ProcessingMode::Mmqjp, 0)
-            .unwrap();
-        let table = r.stage1_table();
-        for (pid, edges) in table.requested().iter() {
-            let pattern = table.index().pattern(*pid);
-            for requested in edges {
-                let var = |id: mmqjp_xpath::PatternNodeId| pattern.node(id).variable().unwrap();
-                assert_eq!(requested.var1, r.interner().intern(var(requested.edge.0)));
-                assert_eq!(requested.var2, r.interner().intern(var(requested.edge.1)));
-            }
-        }
-        let mut out = Vec::new();
-        r.audit(&mut out);
-        assert!(out.is_empty(), "healthy registry reported: {out:?}");
-
-        // Seed a stale symbol: the witness rows of that edge would carry the
-        // wrong variable, and the audit must say which edge.
-        let requested = r.stage1_table_mut().requested_mut();
-        let (&pid, edges) = requested.lists_mut().next().unwrap();
-        let stale = &mut edges[0];
-        stale.var2 = mmqjp_relational::Symbol::from_raw(stale.var2.raw() + 1_000);
-        let edge = (stale.edge.0.raw(), stale.edge.1.raw());
-        let mut out = Vec::new();
-        r.audit(&mut out);
-        assert_eq!(
-            out,
-            vec![AuditViolation::RequestedEdgeSymbols {
-                pattern: pid.raw(),
-                edge
-            }]
-        );
-    }
-
-    #[test]
-    fn audit_checks_the_live_emit_plan() {
-        let mut r = registry();
-        for q in [Q1, Q2] {
-            r.register(parse_query(q).unwrap(), ProcessingMode::Mmqjp, 0)
-                .unwrap();
-        }
-        // Both book patterns request (book, author) and match this book the
-        // same way: the second enumeration is suppressed.
-        let book = mmqjp_xml::rss::book_announcement(&["A", "B"], "T", &["C"], "P", "1");
-        let mut matches = crate::front::DocumentMatches::default();
-        let mut scratch = crate::front::MatchScratch::default();
-        crate::front::match_document(&mut r.stage1(), &book, &mut scratch, false, &mut matches);
-        assert!(matches.suppressed > 0);
-        assert!(!matches.rows.is_empty());
-        let mut out = Vec::new();
-        r.audit(&mut out);
-        assert!(out.is_empty(), "healthy registry reported: {out:?}");
-
-        assert!(r.stage1_table_mut().requested_mut().merge_plan_classes());
-        r.audit(&mut out);
-        assert_eq!(
-            out,
-            vec![AuditViolation::EmitPlan {
-                reason: "its edge classes"
-            }]
-        );
-    }
-
-    #[test]
-    fn stage1_lists_live_single_blocks_in_query_id_order() {
-        let mut r = registry();
-        let register = |r: &mut Registry, text| {
-            r.register(parse_query(text).unwrap(), ProcessingMode::Mmqjp, 0)
-                .unwrap()
-        };
-        let a = register(&mut r, SINGLE);
-        register(&mut r, Q1);
-        let b = register(&mut r, "S//book[.//title]");
-        let c = register(&mut r, SINGLE);
-        r.unregister(b).unwrap();
-        let listed: Vec<QueryId> = r.stage1().singles.iter().map(|s| s.query).collect();
-        assert_eq!(listed, vec![a, c]);
-
-        // Seed a drift in the maintained list: the audit recounts it.
-        let stale = SingleBlock {
-            query: b,
-            ..r.stage1_table().singles()[0].clone()
-        };
-        r.stage1_table_mut().singles_mut().push(stale);
-        let mut out = Vec::new();
-        r.audit(&mut out);
-        assert_eq!(
-            out,
-            vec![AuditViolation::SingleBlockList {
-                listed: 3,
-                expected: 2
-            }]
-        );
-    }
-
-    #[test]
     fn shape_memo_audit_detects_seeded_violations() {
         let fresh = || {
             let mut r = registry();
             for text in [Q1, Q1_WIDE, JOIN, SINGLE] {
-                r.register(parse_query(text).unwrap(), ProcessingMode::Mmqjp, 0)
-                    .unwrap();
+                reg(&mut r, text, ProcessingMode::Mmqjp);
             }
             r
         };
@@ -2028,12 +1854,13 @@ mod tests {
         });
         assert!(memo_violations(&r).contains(&"entry names a retired template"));
 
-        // A dropped pattern.
+        // Stale canonical variables.
         let mut r = fresh();
         replace(&mut r, &|shape| {
-            shape.orientations[0].prev_pid = PatternId(99);
+            shape.var_syms.pop();
         });
-        assert!(memo_violations(&r).contains(&"entry names a dropped pattern"));
+        assert!(memo_violations(&r)
+            .contains(&"canonical variables differ from the orientations' assignments"));
 
         // Live queries whose shape the memo no longer files.
         let mut r = fresh();

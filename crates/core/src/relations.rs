@@ -307,16 +307,15 @@ impl Default for WitnessBatch {
     }
 }
 
-/// A witness batch routed to one query shard by the
-/// [`ShardedEngine`](crate::ShardedEngine) front stage, together with the
-/// batch metadata the shard needs to run Stage 2 without re-parsing the
+/// A witness batch routed to one consumer — a query shard, or the single
+/// engine's join stage — by its engine's front, together with the batch
+/// metadata the consumer needs to run Stage 2 without re-parsing the
 /// documents.
 ///
-/// The witness rows in [`batch`](Self::batch) are the shard's
-/// subscription-filtered subset of the front stage's Stage-1 output; the
-/// ledger rows (`RdocTSW`) cover *every* document of the batch, because each
-/// shard tracks all document timestamps for temporal filtering. Consumed by
-/// [`MmqjpEngine::process_witness_batch`](crate::MmqjpEngine::process_witness_batch).
+/// The witness rows in [`batch`](Self::batch) are the consumer's
+/// subscription-filtered subset of the front's Stage-1 output; the ledger
+/// rows (`RdocTSW`) cover *every* document of the batch, because each
+/// consumer tracks all document timestamps for temporal filtering.
 #[derive(Debug, Clone, Default)]
 pub struct RoutedBatch {
     /// The routed witness rows.

@@ -1,6 +1,8 @@
 //! The route stage of the `front → route → join → merge` pipeline:
-//! [`route_document`] hands each Stage-1 witness row to exactly the query
-//! shards whose subscriptions requested it.
+//! [`route_document`] hands each Stage-1 witness row to exactly the
+//! consumers — the query shards, or the single engine's join stage — whose
+//! subscriptions requested it. The front routes every document it matches
+//! through it, on either engine.
 
 use crate::error::CoreResult;
 use crate::front::{EdgeConsumers, Stage1Table, WitnessRow};
@@ -9,23 +11,17 @@ use mmqjp_relational::StringInterner;
 use mmqjp_xml::Document;
 use mmqjp_xpath::PatternId;
 
-/// Route one document's Stage-1 rows into per-shard witness batches (one
-/// batch slot per shard, `batches.len()` == shard count), reading each
-/// edge's consumers — the subscribing shards — off `table`, whose
-/// requested-edge lists the rows' edge numbers index.
+/// Route one document's Stage-1 rows into one witness batch per consumer
+/// (`batches[c]` is consumer `c`'s), reading each edge's consumers off
+/// `table`, whose requested-edge lists the rows' edge numbers index.
 ///
-/// Every batch receives the document's retention-ledger row (each shard
+/// Every batch receives the document's retention-ledger row (each consumer
 /// tracks every timestamp for temporal filtering), while a witness row goes
-/// only to its edge's consumers, and each shard's batch deduplicates its own
-/// rows — so a shard's batch holds the same witness rows it would have
-/// derived by re-running Stage 1 over its own requested edges. Returns the
-/// number of witness rows appended across all batches (the routing fan-out
-/// of this document).
-///
-/// Exported so the routing invariant can be exercised directly by property
-/// tests: rows of a pattern edge travel to precisely its consumers (no
-/// broadcast), and the union across shards restricted to the consumed edges
-/// reproduces the single-engine witness multiset.
+/// only to its edge's consumers, deduplicated per consumer — so a shard's
+/// batch holds the same witness rows it would have derived by re-running
+/// Stage 1 over its own requested edges. Returns the number of witness rows
+/// appended across all batches (the routing fan-out of this document).
+/// Exported so property tests can exercise that routing invariant directly.
 pub fn route_document(
     table: &Stage1Table,
     doc: &Document,
@@ -34,27 +30,41 @@ pub fn route_document(
     scratch: &mut IngestScratch,
     batches: &mut [WitnessBatch],
 ) -> CoreResult<usize> {
-    let requested = table.requested();
     let before: usize = batches.iter().map(WitnessBatch::num_witness_rows).sum();
-    for (shard, batch) in batches.iter_mut().enumerate() {
-        // Rows of one pattern arrive together: look its consumers up once
-        // per run of rows.
-        let mut cached: Option<(PatternId, &[EdgeConsumers])> = None;
-        let routed = rows.iter().filter(|row| {
-            let consumers = match cached {
-                Some((pid, consumers)) if pid == row.pid => consumers,
-                _ => cached.insert((row.pid, requested.consumers(row.pid))).1,
-            };
-            consumers.get(row.edge as usize).map_or(
-                // An unknown edge number is ingest's error to report.
-                true,
-                |refs| refs.iter().any(|&(consumer, _)| consumer == shard),
-            )
-        });
-        batch.ingest_document(doc, routed, requested, interner, scratch)?;
+    for (consumer, batch) in batches.iter_mut().enumerate() {
+        route_to(table, doc, rows, consumer, interner, scratch, batch)?;
     }
     let after: usize = batches.iter().map(WitnessBatch::num_witness_rows).sum();
     Ok(after - before)
+}
+
+/// Route one document's Stage-1 rows to `consumer` alone: its ledger row,
+/// and the rows of the edges `consumer` consumes, deduplicated.
+pub(crate) fn route_to(
+    table: &Stage1Table,
+    doc: &Document,
+    rows: &[WitnessRow],
+    consumer: usize,
+    interner: &StringInterner,
+    scratch: &mut IngestScratch,
+    batch: &mut WitnessBatch,
+) -> CoreResult<()> {
+    let requested = table.requested();
+    // Rows of one pattern arrive together: look its consumers up once per
+    // run of rows.
+    let mut cached: Option<(PatternId, &[EdgeConsumers])> = None;
+    let routed = rows.iter().filter(|row| {
+        let consumers = match cached {
+            Some((pid, consumers)) if pid == row.pid => consumers,
+            _ => cached.insert((row.pid, requested.consumers(row.pid))).1,
+        };
+        consumers.get(row.edge as usize).map_or(
+            // An unknown edge number is ingest's error to report.
+            true,
+            |refs| refs.iter().any(|&(c, _)| c == consumer),
+        )
+    });
+    batch.ingest_document(doc, routed, requested, interner, scratch)
 }
 
 #[cfg(test)]

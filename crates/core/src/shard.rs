@@ -1,45 +1,33 @@
 //! Multi-core processing: the threaded instance of the pipeline
 //! `front → route → join → merge`.
 //!
-//! The paper's Join Processor is a single-threaded component; its evaluation
-//! is inherently shareable across queries but not, by itself, across cores.
-//! [`MmqjpEngine`] is that pipeline in one thread — the front
-//! ([`crate::front`]) feeding the join stage
-//! ([`MmqjpEngine::process_witness_batch`]) directly. [`ShardedEngine`]
-//! spreads the same two stages over threads, with every stage present.
+//! [`MmqjpEngine`](crate::MmqjpEngine) is that pipeline in one thread: a
+//! front with one consumer of witness rows feeding one join stage.
+//! [`ShardedEngine`] is the same front with one consumer per shard, plus its
+//! spawned front workers, plus `N` shard workers that each own a join stage
+//! and nothing else.
 //!
-//! *Front*: the coordinator screens and stamps each batch, and
-//! [`EngineConfig::front_pool`] front parties — the caller's thread plus
-//! `front_pool − 1` spawned front workers — run the front's per-document
-//! matching over contiguous slices of it, each document exactly once. The
-//! coordinator holds the engine's one [`Stage1Table`], the same type a
-//! single engine's registry holds, with each shard as a consumer of the
-//! edges its queries request: a registration's shard reports the query's
-//! patterns and edges, and the coordinator subscribes the shard to them.
-//! The caller matches the first slice inline against that table (no
-//! snapshot, no channel: the same contract as [`MmqjpEngine`]'s inline
-//! front); each spawned worker matches its slice against a clone of it.
-//! With the default `front_pool = 1` no front thread exists at all.
-//! *Route*: [`route_document`] delivers the resulting witness rows to
-//! precisely the shards consuming them ([`RoutedBatch`];
-//! whole documents are shipped only when `retain_documents` needs them for
-//! `SELECT *` output construction). *Join*: the *query population* is
-//! hash-partitioned across `N` [`MmqjpEngine`] shards on long-lived worker
-//! threads — a shard is just a smaller engine with its own registry, join
-//! state and view cache, so sharding composes with Sequential, MMQJP and
-//! MMQJP+VM alike — and each runs only the join stage. *Merge*: the shards'
+//! *Front*: the coordinator's front ([`crate::front`]) screens and stamps
+//! each batch, and [`EngineConfig::front_pool`] front parties — the caller's
+//! thread plus `front_pool − 1` spawned workers — match contiguous slices of
+//! it, each document exactly once: the caller against the front's Stage-1
+//! table, each spawned worker against a clone of it. A registration's shard
+//! registers the query and returns its Stage-1 footprint, and the front
+//! subscribes the shard to it as a consumer. *Route*: the front routes each
+//! document's witness rows straight into one batch per shard, to precisely
+//! the shards consuming them ([`RoutedBatch`]; whole documents are shipped
+//! only when `retain_documents` needs them for `SELECT *` output). *Join*:
+//! the *query population* is hash-partitioned across `N` join stages on
+//! long-lived worker threads, each with its own registry, join state and
+//! view cache, so sharding composes with every mode. *Merge*: the shards'
 //! matches and the front's single-block matches are sorted into canonical
-//! order. Under [`process_batches`](ShardedEngine::process_batches) front
-//! and join are pipelined with an in-flight depth of one: the caller matches
-//! batch `k+1` while the shards join batch `k`.
+//! order. Under [`process_batches`](ShardedEngine::process_batches) the
+//! caller matches batch `k+1` while the shards join batch `k`.
 //!
 //! ```text
 //!   docs ─▶ front: the caller's thread + front_pool − 1 workers,
 //!              │    match once, Stage 1 + single-blocks
-//!              │ witness rows
-//!              ▼
-//!        route_document  (each edge's consumer shards)
-//!           │     │     │
+//!              │ witness rows, routed to each edge's consumer shards
 //!           ▼     ▼     ▼
 //!        ┌─────┐┌─────┐┌─────┐
 //! qid ──▶│shard││shard││shard│  Stage 2 only
@@ -48,63 +36,51 @@
 //!        canonical merge
 //! ```
 //!
-//! # Determinism
+//! **Determinism.** The front owns id/timestamp assignment and routes each
+//! shard exactly the witness rows its queries request, and the merged batch
+//! output is sorted into the canonical `(query, left_doc, right_doc,
+//! bindings)` order ([`sort_matches`](crate::sort_matches)): the result is a
+//! canonically-sorted single-engine batch for any shard count, front-pool
+//! size and thread interleaving.
 //!
-//! The front stage owns id/timestamp assignment and routes each shard
-//! exactly the witness rows that shard would have derived by running Stage 1
-//! itself (the same integer rows, filtered to the shard's requested edges and
-//! deduplicated per shard, their values interned through the shared
-//! interner) — so Stage 2 is fed byte-equal inputs. The merged batch output
-//! is sorted into the canonical `(query, left_doc, right_doc, bindings)`
-//! order (see [`sort_matches`](crate::sort_matches)), which makes the result
-//! independent of shard count, front-pool size and thread interleaving: a
-//! `ShardedEngine` with any `N` and any front-pool size returns exactly a
-//! canonically-sorted single-engine batch.
-//!
-//! # Thread-safety audit
-//!
-//! The engine state is `Send` by construction: the registry, witness
-//! relations and view cache own their data outright (no `Rc`, no
-//! thread-bound interior mutability), and the one shared component — the
-//! [`StringInterner`] — is behind `Arc` + `RwLock` and is shared by all
-//! shards so symbols stay comparable engine-wide. The `assert_send`
-//! bindings at the bottom of this module enforce this at compile time.
+//! **Thread safety.** A shard's state owns its data outright (no `Rc`, no
+//! thread-bound interior mutability), query shapes cross threads behind
+//! `Arc` and are never mutated once built, and the [`StringInterner`] all
+//! shards share is behind `Arc` + `RwLock`. The `assert_send` bindings at
+//! the bottom of this module check this at compile time.
 
 use crate::audit::AuditViolation;
 use crate::config::{EngineConfig, FaultPolicy};
-use crate::engine::MmqjpEngine;
+use crate::engine::JoinStage;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultInjector, FaultKind, QuarantineRecord, WorkerFault};
-use crate::front::{
-    self, DocumentMatches, Edge, MatchScratch, PoisonHandling, SingleBlock, Stage1Recount,
-    Stage1Table, Subscriptions,
-};
+use crate::front::{match_slice, Front, FrontBatch, MatchScratch, MatchedChunk, Stage1Table};
 use crate::output::{sort_matches, MatchOutput};
 use crate::recovery::{self, ReplayLog, RetainedQuery};
-use crate::relations::{IngestScratch, RoutedBatch, WitnessBatch};
-use crate::router::route_document;
+use crate::registry::Stage1Footprint;
+use crate::relations::RoutedBatch;
 use crate::stats::EngineStats;
 use mmqjp_relational::StringInterner;
-use mmqjp_xml::{DocId, Document};
-use mmqjp_xpath::{PatternId, TreePattern};
-use mmqjp_xscl::{QueryId, SelectClause, XsclQuery};
+use mmqjp_xml::Document;
+use mmqjp_xscl::{QueryId, XsclQuery};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A request sent to a shard worker thread. Every request carries a reply
 /// channel; the worker answers each request exactly once, in order.
 enum Request {
-    /// Register a query under the given engine-global id. The reply carries
-    /// the query's Stage-1 footprint, which the coordinator subscribes the
-    /// shard to in its table.
+    /// Register a query under the given engine-global id, joining only
+    /// documents after `floor`. The reply carries the query's Stage-1
+    /// footprint, which the coordinator subscribes the shard to in its front.
     Register {
         query: Box<XsclQuery>,
         global: QueryId,
-        reply: Sender<CoreResult<Box<ShardFootprint>>>,
+        floor: u64,
+        reply: Sender<CoreResult<Stage1Footprint>>,
     },
     /// Unregister the query registered under the given engine-global id.
     Unregister {
@@ -123,21 +99,8 @@ enum Request {
     },
     /// Snapshot the shard's statistics.
     Stats { reply: Sender<EngineStats> },
-    /// Run the shard engine's invariant audit (see [`MmqjpEngine::audit`])
-    /// and return its violations.
+    /// Run the shard's join-stage audit and return its violations.
     Audit { reply: Sender<Vec<AuditViolation>> },
-}
-
-/// The Stage-1 footprint of one registered query, reported by its owning
-/// shard so the front stage can subscribe the shard to exactly the witness
-/// rows the query needs.
-struct ShardFootprint {
-    /// Join-side patterns with their requested structural edges (one `prev`
-    /// and one `cur` entry per registered orientation).
-    patterns: Vec<(TreePattern, Vec<Edge>)>,
-    /// Single-block subscription (pattern, publish target, select clause) —
-    /// answered entirely at the front stage.
-    single: Option<(TreePattern, Option<String>, SelectClause)>,
 }
 
 /// One shard: the channel into its worker thread and the join handle.
@@ -147,42 +110,27 @@ struct Shard {
 }
 
 // ------------------------------------------------------------------------
-// Front stage
+// Spawned front parties
 // ------------------------------------------------------------------------
 
 /// A request to a spawned Stage-1 front worker (front parties
 /// `1..front_pool`; party 0 is the caller's thread and takes no requests).
 enum FrontRequest {
-    /// Replace the worker's clone of the coordinator's Stage-1 table. Sent
-    /// after every subscription change; churn is rare relative to batches,
-    /// so a full-clone broadcast keeps the per-document hot path lock-free.
+    /// Replace the worker's clone of the front's Stage-1 table. Sent after
+    /// every subscription change; churn is rare relative to batches, so a
+    /// full-clone broadcast keeps the per-document hot path lock-free.
     Sync {
         table: Box<Stage1Table>,
         reply: Sender<()>,
     },
-    /// Match a run of documents (ids and timestamps already assigned
-    /// by the coordinator) and return their Stage-1 output.
+    /// Match a run of documents (ids and timestamps already assigned by
+    /// the front) and return their Stage-1 output.
     Match {
         docs: Vec<Document>,
         /// Injected fault: panic while serving this request.
         panic: bool,
         reply: Sender<MatchedChunk>,
     },
-}
-
-/// One front party's Stage-1 output for its slice of a batch.
-struct MatchedChunk {
-    docs: Vec<MatchedDoc>,
-    /// Wall-clock time this party spent on the slice (summed across the
-    /// parties into the front's `timings.xpath` — total match work, not
-    /// elapsed time).
-    elapsed: Duration,
-}
-
-/// One stamped document with its Stage-1 output.
-struct MatchedDoc {
-    doc: Document,
-    matches: DocumentMatches,
 }
 
 /// One spawned front worker: the channel into its thread and the join
@@ -193,63 +141,18 @@ struct FrontWorker {
     handle: Option<JoinHandle<()>>,
 }
 
-/// Per registered query: what the coordinator must release from its
-/// Stage-1 table when the query unregisters.
+/// The spawned front parties: `workers[i]` is front party `i + 1`.
 #[derive(Debug)]
-struct FrontFootprint {
-    shard: usize,
-    patterns: Vec<(PatternId, Vec<Edge>)>,
-    /// The table id of the query's single-block pattern, if it is a
-    /// single-block subscription.
-    single: Option<PatternId>,
-}
-
-/// The document-parallel Stage-1 front stage: the caller's thread is front
-/// party 0 and matches against the coordinator's table directly; parties
-/// `1..front_pool` are spawned workers holding clones of it.
-#[derive(Debug)]
-struct FrontStage {
-    /// The spawned workers; `workers[i]` is front party `i + 1`.
+struct FrontPool {
     workers: Vec<FrontWorker>,
-    /// Every shard's join-side patterns and every single-block
-    /// subscription, refcounted per registration exactly like a
-    /// `Registry`'s own table, each shard consuming the edges its queries
-    /// request.
-    table: Stage1Table,
-    /// The caller's matching buffers, kept warm across batches.
-    matching: MatchScratch,
-    /// Pooled dedup sets of the routing ingest.
-    ingest: IngestScratch,
-    /// Per live query, in ascending global-id order.
-    footprints: BTreeMap<u64, FrontFootprint>,
-    /// Front-stage statistics: `documents_processed` / `docs_parsed_once`
-    /// (each document exactly once), `stage1_pairs` / `stage1_rows`,
-    /// `witnesses_routed`, `pipeline_stalls`,
-    /// `results_emitted` (single-block matches) and `timings.xpath` (total
-    /// Stage-1 work). All Stage-2 fields stay zero.
-    stats: EngineStats,
-    /// The global document sequence; ids are assigned here, not in the
-    /// shards.
-    next_doc_seq: u64,
-    /// Newest timestamp seen; in-order enforcement happens here, before
-    /// anything is dispatched.
-    newest_timestamp: u64,
 }
 
-/// The front stage's Stage-1 product for one batch, ready for dispatch.
+/// The front's Stage-1 product for one batch, ready for dispatch, with its
+/// replay-log entry and the watermark before it (see [`InFlight`]).
 struct StagedBatch {
-    shard_batches: Vec<WitnessBatch>,
-    doc_meta: Vec<(DocId, u64)>,
-    /// The prepared documents — retained for shipping only when
-    /// `retain_documents` is on, empty otherwise.
-    docs: Vec<Document>,
-    /// The front's single-block matches for this batch.
-    singles: Vec<MatchOutput>,
-    /// Replay-log entry (all stamped survivors); `None` under
-    /// [`FaultPolicy::FailFast`].
+    front: FrontBatch,
     log_entry: Option<Vec<Document>>,
-    /// Stream position before this batch was screened.
-    position: (u64, u64),
+    watermark: u64,
 }
 
 /// One batch in flight at the shards.
@@ -266,29 +169,17 @@ struct InFlight {
     /// Heal-retry payloads, one slot per shard, populated only under
     /// [`FaultPolicy::Quarantine`]; each slot is taken at most once.
     retry_routed: Option<Vec<Option<RoutedBatch>>>,
-    /// The stream position (documents ingested, newest timestamp) *before*
-    /// this batch was screened — the position a healed shard must be
-    /// rebuilt at, because the replay log does not yet contain this batch.
-    position: (u64, u64),
+    /// The newest timestamp *before* this batch was screened — the
+    /// watermark a healed shard must be rebuilt at, because the replay log
+    /// does not yet contain this batch.
+    watermark: u64,
 }
 
-/// Snapshot of the coordinator state mutated by Stage 1 of one batch; used
-/// by the pipelined `process_batches` to undo a staged batch that the
-/// previous batch's failure kept from ever being dispatched.
-#[derive(Debug, Clone, Copy)]
-struct Stage1Checkpoint {
-    seq: u64,
-    newest: u64,
-    front_stats: EngineStats,
-    quarantined: usize,
-    docs_quarantined: usize,
-}
-
-/// A multi-core MMQJP engine: `N` independent [`MmqjpEngine`] shards over a
-/// hash-partitioned query population, merged into a deterministic,
+/// A multi-core MMQJP engine: `N` join-stage shards over a hash-partitioned
+/// query population, fed by one front and merged into a deterministic,
 /// canonically-ordered match stream.
 ///
-/// The API mirrors [`MmqjpEngine`]: register queries, then feed documents or
+/// The API mirrors [`MmqjpEngine`](crate::MmqjpEngine): register queries, then feed documents or
 /// batches. [`EngineConfig::num_shards`] selects the shard count and
 /// [`EngineConfig::front_pool`] the number of front parties — the caller's
 /// thread plus `front_pool − 1` spawned workers — that match each document
@@ -319,14 +210,12 @@ pub struct ShardedEngine {
     config: EngineConfig,
     interner: Arc<StringInterner>,
     shards: Vec<Shard>,
-    front: FrontStage,
+    /// All Stage-1 state: each shard consumes the edges its queries request.
+    front: Front,
+    /// Front parties `1..front_pool`.
+    pool: FrontPool,
     queries_per_shard: Vec<usize>,
     next_query: u64,
-    live_queries: usize,
-    /// Batches ingested so far — the index fault plans and quarantine
-    /// records are keyed by. Counts every `process_batch` call (and every
-    /// batch of a `process_batches` call), empty or not.
-    batches_ingested: u64,
     /// Live subscriptions retained for recovery, keyed by global query id
     /// (ascending = original registration order). Empty under
     /// [`FaultPolicy::FailFast`].
@@ -337,18 +226,14 @@ pub struct ShardedEngine {
     /// Cached replay-log retention bound, recomputed on registration churn
     /// so eviction does not rescan every retained query per batch.
     retention: Option<u64>,
-    /// Quarantined (poison) documents awaiting
-    /// [`take_quarantine_records`](Self::take_quarantine_records).
-    quarantine: Vec<QuarantineRecord>,
     /// Deterministic fault injector (chaos harness only); `None` in
     /// production.
     injector: Option<FaultInjector>,
     /// Faults scheduled for the batch currently being ingested, drained as
     /// each worker request is built.
     pending_faults: Vec<FaultKind>,
-    /// Coordinator-side counters (`docs_quarantined`, `shards_respawned`,
-    /// `faults_injected`, recovery timings) merged into
-    /// [`stats`](Self::stats).
+    /// Coordinator-side counters (`shards_respawned`, `faults_injected`,
+    /// recovery timings) merged into [`stats`](Self::stats).
     supervisor_stats: EngineStats,
 }
 
@@ -364,8 +249,8 @@ impl ShardedEngine {
         let interner = Arc::new(StringInterner::new());
         let shards = (0..num_shards)
             .map(|i| {
-                let engine = MmqjpEngine::with_interner(config.clone(), Arc::clone(&interner));
-                spawn_shard_worker(i, engine, Vec::new())
+                let join = JoinStage::new(config.clone(), Arc::clone(&interner));
+                spawn_shard_worker(i, join, Vec::new())
                     // lint:allow one-time startup; a failed spawn leaves no engine to return
                     .expect("spawning a shard worker thread succeeds")
             })
@@ -378,29 +263,17 @@ impl ShardedEngine {
                     .expect("spawning a front worker thread succeeds")
             })
             .collect();
-        let front = FrontStage {
-            workers,
-            table: Stage1Table::new(),
-            matching: MatchScratch::default(),
-            ingest: IngestScratch::default(),
-            footprints: BTreeMap::new(),
-            stats: EngineStats::default(),
-            next_doc_seq: 0,
-            newest_timestamp: 0,
-        };
         ShardedEngine {
+            front: Front::new(&config, Arc::clone(&interner)),
+            pool: FrontPool { workers },
             config,
             interner,
             shards,
-            front,
             queries_per_shard: vec![0; num_shards],
             next_query: 0,
-            live_queries: 0,
-            batches_ingested: 0,
             retained: BTreeMap::new(),
             replay_log: ReplayLog::default(),
             retention: Some(0),
-            quarantine: Vec::new(),
             injector: None,
             pending_faults: Vec::new(),
             supervisor_stats: EngineStats::default(),
@@ -420,12 +293,12 @@ impl ShardedEngine {
     /// The number of Stage-1 front parties: the caller's thread plus the
     /// spawned front workers.
     pub fn front_pool(&self) -> usize {
-        self.front.workers.len() + 1
+        self.pool.workers.len() + 1
     }
 
     /// Total number of live registered queries across all shards.
     pub fn num_queries(&self) -> usize {
-        self.live_queries
+        self.queries_per_shard.iter().sum()
     }
 
     /// Total number of query ids ever assigned (freed ids are tombstoned,
@@ -449,10 +322,10 @@ impl ShardedEngine {
         shard_of(id, self.shards.len())
     }
 
-    /// The coordinator's Stage-1 subscription table (each shard a consumer
-    /// of the edges its queries request), for inspection.
+    /// The front's Stage-1 subscription table (each shard a consumer of the
+    /// edges its queries request), for inspection.
     pub fn stage1_table(&self) -> &Stage1Table {
-        &self.front.table
+        self.front.table()
     }
 
     /// Register a query from its textual XSCL form. Returns the query id.
@@ -462,19 +335,20 @@ impl ShardedEngine {
     }
 
     /// Register a parsed query on the shard its id hashes to. Returns the
-    /// engine-global query id, which matches the id a single [`MmqjpEngine`]
+    /// engine-global query id, which matches the id a single [`MmqjpEngine`](crate::MmqjpEngine)
     /// registering the same queries in the same order would assign. With a
     /// dead front worker it fails with [`CoreError::FrontUnavailable`]
     /// before the shard is asked, changing nothing.
     pub fn register_query(&mut self, query: XsclQuery) -> CoreResult<QueryId> {
-        self.front.check_workers()?;
+        self.pool.check_workers()?;
         let global = QueryId(self.next_query);
         let shard = shard_of(global, self.shards.len());
         // Under a recovering fault policy the coordinator retains each live
         // query (plus its arrival floor) so a dead shard can be rebuilt.
+        let floor = self.front.position().0;
         let retain = (self.config.fault_policy != FaultPolicy::FailFast).then(|| RetainedQuery {
             query: query.clone(),
-            floor: self.stream_position().0,
+            floor,
         });
         let (reply, response) = channel();
         self.send(
@@ -482,6 +356,7 @@ impl ShardedEngine {
             Request::Register {
                 query: Box::new(query),
                 global,
+                floor,
                 reply,
             },
         )?;
@@ -490,37 +365,37 @@ impl ShardedEngine {
             .map_err(|_| CoreError::ShardUnavailable { shard })??;
         // Failed registrations consume no id, matching the single engine.
         self.next_query += 1;
-        self.live_queries += 1;
         self.queries_per_shard[shard] += 1;
         if let Some(retained) = retain {
             self.retained.insert(global.raw(), retained);
             self.refresh_retention();
         }
-        self.front_subscribe(shard, global, *footprint)?;
+        self.front.subscribe(shard, global, &footprint)?;
+        self.pool.sync(self.front.table())?;
         Ok(global)
     }
 
     /// Unregister a query on the shard that owns it. Mirrors
-    /// [`MmqjpEngine::unregister_query`]: the owning shard incrementally
+    /// [`MmqjpEngine::unregister_query`](crate::MmqjpEngine::unregister_query): the owning shard incrementally
     /// releases the query's footprint, and the freed id is never reused.
     /// Errors with [`CoreError::UnknownQuery`] for ids never assigned or
     /// already unregistered, [`CoreError::ShardUnavailable`] if the owning
     /// shard's worker is gone, and [`CoreError::FrontUnavailable`] if a front
     /// worker is — in which case the query stays registered everywhere.
     pub fn unregister_query(&mut self, id: QueryId) -> CoreResult<()> {
-        self.front.check_workers()?;
+        self.pool.check_workers()?;
         let shard = shard_of(id, self.shards.len());
         let (reply, response) = channel();
         self.send(shard, Request::Unregister { global: id, reply })?;
         response
             .recv()
             .map_err(|_| CoreError::ShardUnavailable { shard })??;
-        self.live_queries -= 1;
         self.queries_per_shard[shard] -= 1;
         if self.retained.remove(&id.raw()).is_some() {
             self.refresh_retention();
         }
-        self.front_unsubscribe(id)
+        self.front.unsubscribe(id)?;
+        self.pool.sync(self.front.table())
     }
 
     /// Process one document, returning its matches in canonical order.
@@ -532,7 +407,7 @@ impl ShardedEngine {
     /// Stage 1 once, the shards join their routed witness rows, and the
     /// per-shard matches are merged into the canonical `(query, left_doc,
     /// right_doc, bindings)` order. The batched-evaluation trade-off of
-    /// [`MmqjpEngine::process_batch`] applies unchanged.
+    /// [`MmqjpEngine::process_batch`](crate::MmqjpEngine::process_batch) applies unchanged.
     pub fn process_batch(&mut self, docs: Vec<Document>) -> CoreResult<Vec<MatchOutput>> {
         let batch_index = self.begin_batch();
         if docs.is_empty() {
@@ -544,13 +419,11 @@ impl ShardedEngine {
     }
 
     /// Process a sequence of batches, returning each batch's canonical
-    /// matches in order. Equivalent to calling
-    /// [`process_batch`](Self::process_batch) per batch — same outputs,
-    /// same state — but the stages are pipelined with an in-flight depth of
-    /// one: the caller matches batch `k+1`
-    /// while the shards join batch `k`. Batches whose Stage-1 output was
-    /// ready before the shards finished the previous batch are counted in
-    /// [`EngineStats::pipeline_stalls`] (the front waited on Stage 2).
+    /// matches in order: the same outputs and state as
+    /// [`process_batch`](Self::process_batch) per batch, but the caller
+    /// matches batch `k+1` while the shards join batch `k`. Batches whose
+    /// Stage-1 output was ready before the shards finished the previous one
+    /// are counted in [`EngineStats::pipeline_stalls`].
     ///
     /// On error the failing batch's [`CoreError`] is returned and the
     /// outputs of earlier batches in the same call are discarded; the
@@ -574,12 +447,13 @@ impl ShardedEngine {
                 results.push(Vec::new());
                 continue;
             }
-            // Checkpoint the front's Stage-1 side effects: if collecting the
-            // *previous* batch fails below, the staged batch is dropped
-            // undispatched and must leave no trace, or the document sequence
-            // would drift ahead of what the shards (and a single engine fed
-            // the same stream) ever saw.
-            let checkpoint = self.checkpoint_stage1();
+            // Checkpoint the front: if collecting the *previous* batch fails
+            // below, the staged batch is dropped undispatched and must leave
+            // no trace, or the document sequence would drift ahead of what
+            // the shards (and a single engine fed the same stream) ever saw.
+            // Spawned workers hold no per-batch state (matching is
+            // snapshot-pure), so restoring the front is a complete rollback.
+            let checkpoint = self.front.checkpoint();
             let staged = match self.front_stage1(batch, batch_index) {
                 Ok(staged) => staged,
                 Err(e) => {
@@ -595,7 +469,7 @@ impl ShardedEngine {
                 match self.collect_shard_outputs(prev, true) {
                     Ok(outputs) => results.push(outputs),
                     Err(e) => {
-                        self.rollback_stage1(checkpoint);
+                        self.front.rollback(checkpoint);
                         return Err(e);
                     }
                 }
@@ -606,30 +480,6 @@ impl ShardedEngine {
             results.push(self.collect_shard_outputs(prev, false)?);
         }
         Ok(results)
-    }
-
-    /// Snapshot every piece of coordinator state `front_stage1` mutates, so
-    /// a staged-but-never-dispatched batch can be undone. Worker threads
-    /// hold no per-batch state (matching is snapshot-pure), so restoring
-    /// these fields is a complete rollback.
-    fn checkpoint_stage1(&self) -> Stage1Checkpoint {
-        Stage1Checkpoint {
-            seq: self.front.next_doc_seq,
-            newest: self.front.newest_timestamp,
-            front_stats: self.front.stats,
-            quarantined: self.quarantine.len(),
-            docs_quarantined: self.supervisor_stats.docs_quarantined,
-        }
-    }
-
-    /// Undo the Stage-1 side effects of a staged batch that was never
-    /// dispatched (see [`checkpoint_stage1`](Self::checkpoint_stage1)).
-    fn rollback_stage1(&mut self, checkpoint: Stage1Checkpoint) {
-        self.front.next_doc_seq = checkpoint.seq;
-        self.front.newest_timestamp = checkpoint.newest;
-        self.front.stats = checkpoint.front_stats;
-        self.quarantine.truncate(checkpoint.quarantined);
-        self.supervisor_stats.docs_quarantined = checkpoint.docs_quarantined;
     }
 
     // ------------------------------------------------------------------
@@ -656,7 +506,7 @@ impl ShardedEngine {
     /// pins the poison document by `(batch, doc_index)` of the ingestion
     /// call that rejected it.
     pub fn take_quarantine_records(&mut self) -> Vec<QuarantineRecord> {
-        std::mem::take(&mut self.quarantine)
+        self.front.take_quarantine()
     }
 
     /// The bounded replay log backing shard recovery. Empty under
@@ -678,53 +528,49 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Respawn shard `shard`'s worker with deterministically rebuilt state:
-    /// a fresh engine, the shard's surviving subscriptions re-registered at
-    /// their original arrival floors, and the retained document stream
-    /// replayed (see [`recovery`]). Requires a recovering fault policy —
-    /// under [`FaultPolicy::FailFast`] nothing is retained to rebuild from,
-    /// so this errors with [`CoreError::ShardUnavailable`]. Under
+    /// Respawn shard `shard`'s worker with deterministically rebuilt state
+    /// (see [`recovery`]). Requires a recovering fault policy — under
+    /// [`FaultPolicy::FailFast`] nothing is retained to rebuild from, so this
+    /// errors with [`CoreError::ShardUnavailable`]. Under
     /// [`FaultPolicy::Quarantine`] the supervisor calls this automatically;
-    /// under [`FaultPolicy::Degrade`] call it manually to restore a
-    /// degraded shard.
+    /// under [`FaultPolicy::Degrade`] call it to restore a degraded shard.
     pub fn respawn_shard(&mut self, shard: usize) -> CoreResult<()> {
-        let (ingested, newest) = self.stream_position();
-        self.respawn_shard_at(shard, ingested, newest)
+        self.respawn_shard_at(shard, self.front.position().1)
     }
 
-    /// [`respawn_shard`](Self::respawn_shard) at an explicit stream
-    /// position — the supervisor heals mid-collection, when the watermarks
-    /// already include the in-flight batch that the replay log does not.
-    fn respawn_shard_at(&mut self, shard: usize, ingested: u64, newest: u64) -> CoreResult<()> {
+    /// [`respawn_shard`](Self::respawn_shard) at an explicit timestamp
+    /// watermark — the supervisor heals mid-collection, when the front's
+    /// already includes the in-flight batch that the replay log does not.
+    fn respawn_shard_at(&mut self, shard: usize, watermark: u64) -> CoreResult<()> {
         if self.config.fault_policy == FaultPolicy::FailFast {
             return Err(CoreError::ShardUnavailable { shard });
         }
         let t0 = Instant::now();
         self.retire_shard(shard);
-        let queries: Vec<(u64, RetainedQuery)> = self
+        let num_shards = self.shards.len();
+        let (globals, queries): (Vec<QueryId>, Vec<&RetainedQuery>) = self
             .retained
             .iter()
-            .filter(|(global, _)| shard_of(QueryId(**global), self.shards.len()) == shard)
-            .map(|(global, retained)| (*global, retained.clone()))
-            .collect();
-        let (engine, globals, _rows) = recovery::rebuild_shard_engine(
-            &self.config,
-            &self.interner,
+            .map(|(&global, retained)| (QueryId(global), retained))
+            .filter(|&(global, _)| shard_of(global, num_shards) == shard)
+            .unzip();
+        let join = recovery::rebuild_shard(
+            JoinStage::new(self.config.clone(), Arc::clone(&self.interner)),
             &queries,
+            &mut self.front,
+            shard,
             &self.replay_log,
-            ingested,
-            newest,
+            watermark,
         )?;
-        let globals = globals.into_iter().map(QueryId).collect();
-        self.shards[shard] = spawn_shard_worker(shard, engine, globals)
+        self.shards[shard] = spawn_shard_worker(shard, join, globals)
             .map_err(|_| CoreError::ShardUnavailable { shard })?;
         self.supervisor_stats.shards_respawned += 1;
         self.supervisor_stats.timings.recovery += t0.elapsed();
         Ok(())
     }
 
-    /// Retire a dead or desynchronized shard worker: close its request
-    /// channel (ending its loop if it is still alive) and reap the thread.
+    /// Retire a dead or desynchronized shard worker: close its channel and
+    /// reap the thread.
     fn retire_shard(&mut self, shard: usize) {
         self.shards[shard].sender = None;
         if let Some(handle) = self.shards[shard].handle.take() {
@@ -733,7 +579,7 @@ impl ShardedEngine {
     }
 
     /// Heal a shard that died while serving the in-flight batch: respawn it
-    /// at the pre-batch stream position (the replay log does not contain
+    /// at the pre-batch watermark (the replay log does not contain
     /// the in-flight batch yet), then re-serve it its routed slice of this
     /// batch — fault-free — and return its matches. The rebuilt state plus the
     /// retried batch leave the shard byte-identical to one that never died.
@@ -741,10 +587,10 @@ impl ShardedEngine {
         &mut self,
         shard: usize,
         retry_routed: &mut Option<Vec<Option<RoutedBatch>>>,
-        position: (u64, u64),
+        watermark: u64,
     ) -> CoreResult<Vec<MatchOutput>> {
         let t0 = Instant::now();
-        self.respawn_shard_at(shard, position.0, position.1)?;
+        self.respawn_shard_at(shard, watermark)?;
         let routed = retry_routed
             .as_mut()
             .and_then(|per_shard| per_shard.get_mut(shard))
@@ -766,11 +612,9 @@ impl ShardedEngine {
         outputs
     }
 
-    /// Advance the batch counter and fetch the faults scheduled for the new
-    /// batch, if an injector is installed.
+    /// Begin a batch at the front and fetch its scheduled faults.
     fn begin_batch(&mut self) -> u64 {
-        let index = self.batches_ingested;
-        self.batches_ingested += 1;
+        let index = self.front.begin_batch();
         self.pending_faults = match self.injector.as_mut() {
             Some(injector) => injector.faults_for(index),
             None => Vec::new(),
@@ -811,14 +655,7 @@ impl ShardedEngine {
         true
     }
 
-    /// The global stream position, owned by the front stage: documents
-    /// ingested and the newest timestamp.
-    fn stream_position(&self) -> (u64, u64) {
-        (self.front.next_doc_seq, self.front.newest_timestamp)
-    }
-
-    /// Recompute the cached replay-log retention bound from the retained
-    /// query population.
+    /// Recompute the cached replay-log retention bound.
     fn refresh_retention(&mut self) {
         self.retention = recovery::retention_bound(
             self.retained.values().map(|r| &r.query),
@@ -827,25 +664,24 @@ impl ShardedEngine {
     }
 
     /// Aggregate statistics: the field-wise sum of every shard's
-    /// [`EngineStats`], plus the front stage's own stats (the front counts
-    /// each document exactly once in `documents_processed`; the shards never
-    /// count documents), plus the coordinator's own failure-model
-    /// counters (`docs_quarantined`, `shards_respawned`, `faults_injected`
-    /// and recovery timings). Errors with [`CoreError::ShardUnavailable`]
-    /// if a shard worker is gone — except under [`FaultPolicy::Degrade`],
-    /// where dead shards contribute zeroes (their state died with them).
+    /// [`EngineStats`], the front's (documents and live patterns are counted
+    /// there, once) and the coordinator's failure-model counters
+    /// (`shards_respawned`, `faults_injected`, recovery timings). Errors with
+    /// [`CoreError::ShardUnavailable`] if a shard worker is gone — except
+    /// under [`FaultPolicy::Degrade`], where dead shards contribute zeroes.
     pub fn stats(&self) -> CoreResult<EngineStats> {
         let mut total: EngineStats = self.shard_stats()?.into_iter().sum();
-        total += self.front.stats;
+        total += self.front.stats();
         total += self.supervisor_stats;
         Ok(total)
     }
 
-    /// The front stage's statistics: `docs_parsed_once`,
-    /// `witnesses_routed`, `pipeline_stalls`, single-block
-    /// `results_emitted` and Stage-1 `timings.xpath`.
+    /// The front's statistics: `docs_parsed_once`, the Stage-1 rows and
+    /// `witnesses_routed`, `pipeline_stalls`, `docs_quarantined`, the live
+    /// and dropped patterns, single-block `results_emitted` and the
+    /// `xpath` (matching) and `ingest` (routing) timings.
     pub fn front_stats(&self) -> EngineStats {
-        self.front.stats
+        self.front.stats()
     }
 
     /// Per-shard statistics snapshots, by shard index. Under
@@ -853,44 +689,16 @@ impl ShardedEngine {
     /// state died with it); under any other policy a dead shard errors with
     /// [`CoreError::ShardUnavailable`].
     pub fn shard_stats(&self) -> CoreResult<Vec<EngineStats>> {
-        let degrade = self.config.fault_policy == FaultPolicy::Degrade;
-        let mut responses = Vec::with_capacity(self.shards.len());
-        for shard in 0..self.shards.len() {
-            if degrade && self.shards[shard].sender.is_none() {
-                responses.push(None);
-                continue;
-            }
-            let (reply, response) = channel();
-            self.send(shard, Request::Stats { reply })?;
-            responses.push(Some(response));
-        }
-        responses
-            .into_iter()
-            .enumerate()
-            .map(|(shard, response)| match response {
-                Some(response) => response
-                    .recv()
-                    .map_err(|_| CoreError::ShardUnavailable { shard }),
-                None => Ok(EngineStats::default()),
-            })
-            .collect()
+        let replies = self.ask_shards(|reply| Request::Stats { reply })?;
+        Ok(replies.into_iter().map(Option::unwrap_or_default).collect())
     }
 
-    /// Run a full invariant audit across the pipeline: every shard engine's
-    /// own [`MmqjpEngine::audit`] (violations come back wrapped in
-    /// [`AuditViolation::Shard`]), the coordinator's per-shard query
-    /// accounting, and the coordinator's Stage-1 table, checked by the
-    /// table's own audit against a recount of the live query footprints.
-    /// When a recovering fault policy is
-    /// active, additionally checks the recovery machinery itself: the
-    /// retained-query ledger tracks every live query and the replay log
-    /// stays within its retention bound. Read-only; a healthy engine
-    /// returns an empty vector. Errors with [`CoreError::ShardUnavailable`]
-    /// if a shard worker is gone — except under [`FaultPolicy::Degrade`],
-    /// where dead shards are skipped (they have no state left to audit).
-    pub fn audit(&self) -> CoreResult<Vec<AuditViolation>> {
+    /// Send every shard the request `make` builds around a reply channel
+    /// and collect the replies by shard index — skipping, as `None`, a dead
+    /// shard under [`FaultPolicy::Degrade`]. Any other dead shard errors
+    /// with [`CoreError::ShardUnavailable`].
+    fn ask_shards<T>(&self, make: impl Fn(Sender<T>) -> Request) -> CoreResult<Vec<Option<T>>> {
         let degrade = self.config.fault_policy == FaultPolicy::Degrade;
-        let mut out = Vec::new();
         let mut responses = Vec::with_capacity(self.shards.len());
         for shard in 0..self.shards.len() {
             if degrade && self.shards[shard].sender.is_none() {
@@ -898,17 +706,34 @@ impl ShardedEngine {
                 continue;
             }
             let (reply, response) = channel();
-            self.send(shard, Request::Audit { reply })?;
+            self.send(shard, make(reply))?;
             responses.push(Some(response));
         }
-        for (shard, response) in responses.into_iter().enumerate() {
-            let Some(response) = response else { continue };
-            let violations = response
-                .recv()
-                .map_err(|_| CoreError::ShardUnavailable { shard })?;
+        let recv = |(shard, response): (usize, Option<Receiver<T>>)| {
+            let unavailable = |_| CoreError::ShardUnavailable { shard };
+            response.map(|r| r.recv().map_err(unavailable)).transpose()
+        };
+        responses.into_iter().enumerate().map(recv).collect()
+    }
+
+    /// Run a full invariant audit across the pipeline: every shard's
+    /// join-stage audit (wrapped in [`AuditViolation::Shard`]), the front's
+    /// audit — the same one
+    /// [`MmqjpEngine::audit`](crate::MmqjpEngine::audit) runs — and, under a
+    /// recovering fault policy, the recovery machinery: the retained-query
+    /// ledger tracks every live query and the replay log stays within its
+    /// retention bound. Read-only; a healthy engine returns an empty vector.
+    /// Errors with [`CoreError::ShardUnavailable`] if a shard worker is gone
+    /// — except under [`FaultPolicy::Degrade`], where dead shards are
+    /// skipped.
+    pub fn audit(&self) -> CoreResult<Vec<AuditViolation>> {
+        let mut out = Vec::new();
+        let replies = self.ask_shards(|reply| Request::Audit { reply })?;
+        for (shard, violations) in replies.into_iter().enumerate() {
             out.extend(
                 violations
                     .into_iter()
+                    .flatten()
                     .map(|violation| AuditViolation::Shard {
                         shard,
                         violation: Box::new(violation),
@@ -916,65 +741,26 @@ impl ShardedEngine {
             );
         }
 
-        let summed: usize = self.queries_per_shard.iter().sum();
-        if summed != self.live_queries {
-            out.push(AuditViolation::QueriesPerShardSum {
-                tracked: self.live_queries,
-                summed,
-            });
-        }
-
+        let live = self.num_queries();
         if self.config.fault_policy != FaultPolicy::FailFast {
-            if self.retained.len() != self.live_queries {
+            if self.retained.len() != live {
                 out.push(AuditViolation::RetainedQueryCount {
                     retained: self.retained.len(),
-                    live: self.live_queries,
+                    live,
                 });
             }
             if let (Some(oldest), Some(bound)) =
                 (self.replay_log.oldest_entry_max_ts(), self.retention)
             {
-                let cutoff = self.stream_position().1.saturating_sub(bound);
+                let cutoff = self.front.position().1.saturating_sub(bound);
                 if oldest < cutoff {
                     out.push(AuditViolation::ReplayLogOverRetention { oldest, cutoff });
                 }
             }
         }
 
-        // Shards never count documents themselves; the front stage counts
-        // each exactly once.
-        for (shard, stats) in self.shard_stats()?.into_iter().enumerate() {
-            if stats.documents_processed != 0 {
-                out.push(AuditViolation::HybridShardCountsDocuments {
-                    shard,
-                    documents: stats.documents_processed,
-                });
-            }
-        }
-        self.audit_front(&mut out);
+        self.front.audit(live, &mut out);
         Ok(out)
-    }
-
-    /// Recount the coordinator's Stage-1 table from the live query
-    /// footprints and let the table check itself against the recount.
-    fn audit_front(&self, out: &mut Vec<AuditViolation>) {
-        let front = &self.front;
-        if front.footprints.len() != self.live_queries {
-            out.push(AuditViolation::FrontSubscription {
-                pattern: u32::MAX,
-                reason: "footprint count differs from the live queries",
-            });
-        }
-        let mut recount = Stage1Recount::default();
-        for (&global, footprint) in &front.footprints {
-            if let Some(pid) = footprint.single {
-                recount.single(QueryId(global), pid);
-            }
-            for (pid, edges) in &footprint.patterns {
-                recount.join_side(footprint.shard, *pid, edges);
-            }
-        }
-        front.table.audit(&recount, &self.interner, out);
     }
 
     fn send(&self, shard: usize, request: Request) -> CoreResult<()> {
@@ -986,120 +772,18 @@ impl ShardedEngine {
             .map_err(|_| CoreError::ShardUnavailable { shard })
     }
 
-    // ----------------------------------------------------------------
-    // Front stage internals
-    // ----------------------------------------------------------------
-
-    /// Subscribe the query's shard to its Stage-1 footprint in the
-    /// coordinator's table — its join-side patterns with their requested
-    /// edges, its single-block subscription — and re-sync the front workers.
-    fn front_subscribe(
-        &mut self,
-        shard: usize,
-        global: QueryId,
-        footprint: ShardFootprint,
-    ) -> CoreResult<()> {
-        let front = &mut self.front;
-        let mut patterns = Vec::with_capacity(footprint.patterns.len());
-        for (pattern, edges) in footprint.patterns {
-            let pid = front
-                .table
-                .subscribe(shard, pattern, &edges, &self.interner)?;
-            patterns.push((pid, edges));
-        }
-        let single = footprint.single.map(|(pattern, publish, select)| {
-            // The single's pattern joins the table's index like any join
-            // pattern (deduplicated by signature, refcounted), so one
-            // automaton pass answers both.
-            let pid = front.table.retain_pattern(pattern.clone());
-            front.table.push_single(SingleBlock {
-                query: global,
-                pid,
-                pattern,
-                publish,
-                select,
-            });
-            pid
-        });
-        let footprint = FrontFootprint {
-            shard,
-            patterns,
-            single,
-        };
-        front.footprints.insert(global.raw(), footprint);
-        self.sync_front()
-    }
-
-    /// Release a departing query's footprint from the coordinator's table
-    /// (the inverse of [`front_subscribe`](Self::front_subscribe)) and
-    /// re-sync the workers.
-    fn front_unsubscribe(&mut self, global: QueryId) -> CoreResult<()> {
-        let front = &mut self.front;
-        let footprint = front
-            .footprints
-            .remove(&global.raw())
-            .ok_or(CoreError::internal("a live query has a front footprint"))?;
-        for (pid, edges) in &footprint.patterns {
-            front.table.unsubscribe(footprint.shard, *pid, edges)?;
-        }
-        if let Some(pid) = footprint.single {
-            front.table.remove_single(global);
-            front.table.release_pattern(pid);
-        }
-        self.sync_front()
-    }
-
-    /// Broadcast a clone of the coordinator's table to every spawned front
-    /// worker and wait for their acknowledgements, so the next batch is
-    /// matched against the updated subscriptions. The caller's own party
-    /// reads the table directly, so with `front_pool = 1` this clones
-    /// nothing. A worker that does not acknowledge is retired.
-    fn sync_front(&mut self) -> CoreResult<()> {
-        let front = &mut self.front;
-        let acks = (1..=front.workers.len())
-            .map(|party| front.send_snapshot(party).map(|ack| (party, ack)))
-            .collect::<CoreResult<Vec<_>>>()?;
-        for (party, ack) in acks {
-            if ack.recv().is_err() {
-                front.retire_worker(party);
-                return Err(CoreError::FrontUnavailable { worker: party });
-            }
-        }
-        Ok(())
-    }
-
-    /// Run Stage 1 for one batch: assign ids/timestamps (the front owns the
-    /// global sequence), enforce in-order arrival (quarantining poison
-    /// documents under [`FaultPolicy::Quarantine`] instead of failing),
-    /// pattern-match document-parallel across the front parties, answer
-    /// single-block subscriptions, and route the witness rows into
-    /// per-shard batches. The batch is cut into `front_pool` contiguous
-    /// slices: the caller's thread matches the first against the coordinator's
-    /// state while the spawned workers match the rest. A spawned worker that
-    /// dies mid-slice is respawned and its slice retried under
-    /// [`FaultPolicy::Quarantine`]; under any other policy its death fails
-    /// this batch and every later one with [`CoreError::FrontUnavailable`].
+    /// Run Stage 1 for one batch: the front screens it, the front parties
+    /// match its `front_pool` contiguous slices — the caller's thread the
+    /// first — and the front routes the rows into per-shard batches. A
+    /// spawned worker that dies mid-slice is respawned and its slice retried
+    /// under [`FaultPolicy::Quarantine`]; under any other policy its death
+    /// fails this batch and every later one with
+    /// [`CoreError::FrontUnavailable`].
     fn front_stage1(&mut self, docs: Vec<Document>, batch_index: u64) -> CoreResult<StagedBatch> {
-        let num_shards = self.shards.len();
-        let retain_documents = self.config.retain_documents;
-        let enforce_in_order = self.config.enforce_in_order;
         let policy = self.config.fault_policy;
-        let position = self.stream_position();
-
-        // The same screening, under the same handling, as the single
-        // engine's inline front: a rejected document fails the batch before
-        // anything reaches a shard, or is skipped under Quarantine.
-        let offered = docs.len();
-        let mut own = front::screen_and_stamp(
-            docs,
-            &mut self.front.next_doc_seq,
-            &mut self.front.newest_timestamp,
-            enforce_in_order,
-            PoisonHandling::for_policy(policy),
-            batch_index,
-            &mut self.quarantine,
-        )?;
-        self.supervisor_stats.docs_quarantined += offered - own.len();
+        let retain_documents = self.config.retain_documents;
+        let watermark = self.front.position().1;
+        let mut own = self.front.screen(docs, batch_index)?;
         let log_entry = (policy != FaultPolicy::FailFast).then(|| own.clone());
 
         // Document-parallel Stage 1: contiguous slices keep arrival order
@@ -1115,103 +799,41 @@ impl ShardedEngine {
         let panics: Vec<bool> = (1..=slices.len())
             .map(|party| self.worker_fault_for_front(party))
             .collect();
-        let front = &mut self.front;
         let mut pending = Vec::with_capacity(slices.len());
         for ((party, slice), panic) in (1..).zip(slices).zip(panics) {
             let retry = (policy == FaultPolicy::Quarantine).then(|| slice.clone());
-            pending.push((party, front.request_match(party, slice, panic)?, retry));
+            pending.push((party, self.pool.request_match(party, slice, panic)?, retry));
         }
         // Party 0 matches on this thread while the spawned parties match
-        // theirs: no snapshot, no channel, no unwinding boundary.
-        let mut subs = front.table.subscriptions();
-        let chunk = match_slice(&mut subs, own, &mut front.matching, retain_documents);
-        let mut match_work = chunk.elapsed;
-        let mut matched = chunk.docs;
+        // theirs, then the front takes their chunks in party order.
+        let (pool, supervisor) = (&mut self.pool, &mut self.supervisor_stats);
         let mut pending = pending.into_iter();
-        while let Some((party, response, retry)) = pending.next() {
-            let chunk = match response.recv() {
-                Ok(chunk) => chunk,
+        let next_chunk = |table: &Stage1Table| {
+            let (party, response, retry) = pending.next()?;
+            Some(match response.recv() {
+                Ok(chunk) => Ok(chunk),
                 Err(_) if policy == FaultPolicy::Quarantine => {
-                    // The worker died mid-slice. Matching is snapshot-pure,
-                    // so healing is a respawn, a targeted sync and one retry
-                    // of the same slice.
-                    let unavailable = || CoreError::FrontUnavailable { worker: party };
-                    let t0 = Instant::now();
-                    let respawned =
-                        spawn_front_worker(party, retain_documents).map_err(|_| unavailable())?;
-                    let old = std::mem::replace(&mut front.workers[party - 1], respawned);
-                    drop(old.sender);
-                    if let Some(handle) = old.handle {
-                        let _ = handle.join();
-                    }
-                    front
-                        .send_snapshot(party)?
-                        .recv()
-                        .map_err(|_| unavailable())?;
-                    let docs = retry.ok_or_else(unavailable)?;
-                    let chunk = front
-                        .request_match(party, docs, false)?
-                        .recv()
-                        .map_err(|_| unavailable())?;
-                    self.supervisor_stats.shards_respawned += 1;
-                    self.supervisor_stats.timings.recovery += t0.elapsed();
-                    chunk
+                    pool.heal(party, retry, table, retain_documents, supervisor)
                 }
                 Err(_) => {
-                    // Retire every party that died, so the next registration
-                    // sees the dead front before it reaches a shard.
-                    front.retire_worker(party);
-                    for (other, response, _) in pending {
+                    // Retire every party that died, so the next
+                    // registration sees the dead front before it reaches a
+                    // shard.
+                    pool.retire_worker(party);
+                    for (other, response, _) in pending.by_ref() {
                         if response.recv().is_err() {
-                            front.retire_worker(other);
+                            pool.retire_worker(other);
                         }
                     }
-                    return Err(CoreError::FrontUnavailable { worker: party });
+                    Err(CoreError::FrontUnavailable { worker: party })
                 }
-            };
-            match_work += chunk.elapsed;
-            matched.extend(chunk.docs);
-        }
-
-        // Route the witness rows: still Stage-1 work (witness construction),
-        // done once here instead of once per shard.
-        let t_route = Instant::now();
-        let mut shard_batches: Vec<WitnessBatch> =
-            (0..num_shards).map(|_| WitnessBatch::new()).collect();
-        let mut singles = Vec::new();
-        let mut doc_meta = Vec::with_capacity(matched.len());
-        let mut retained = Vec::new();
-        let mut routed_rows = 0usize;
-        for doc in matched {
-            front.stats.stage1_pairs += doc.matches.rows.len();
-            front.stats.stage1_edges_suppressed += doc.matches.suppressed;
-            routed_rows += route_document(
-                &front.table,
-                &doc.doc,
-                &doc.matches.rows,
-                &self.interner,
-                &mut front.ingest,
-                &mut shard_batches,
-            )?;
-            singles.extend(doc.matches.singles);
-            doc_meta.push((doc.doc.id(), doc.doc.timestamp().raw()));
-            if retain_documents {
-                retained.push(doc.doc);
-            }
-        }
-        front.stats.documents_processed += doc_meta.len();
-        front.stats.docs_parsed_once += doc_meta.len();
-        front.stats.witnesses_routed += routed_rows;
-        front.stats.stage1_rows += shard_batches.iter().map(|b| b.rbin_w.len()).sum::<usize>();
-        front.stats.results_emitted += singles.len();
-        front.stats.timings.xpath += match_work + t_route.elapsed();
+            })
+        };
+        let front = self.front.run(own, next_chunk, self.shards.len())?;
         Ok(StagedBatch {
-            shard_batches,
-            doc_meta,
-            docs: retained,
-            singles,
+            front,
             log_entry,
-            position,
+            watermark,
         })
     }
 
@@ -1223,12 +845,15 @@ impl ShardedEngine {
     /// potential heal-retry.
     fn dispatch_routed(&mut self, staged: StagedBatch) -> CoreResult<InFlight> {
         let StagedBatch {
-            shard_batches,
-            doc_meta,
-            docs,
-            singles,
+            front:
+                FrontBatch {
+                    batches,
+                    doc_meta,
+                    docs,
+                    singles,
+                },
             log_entry,
-            position,
+            watermark,
         } = staged;
         let keep_retry = self.config.fault_policy == FaultPolicy::Quarantine;
         // Only Degrade routes around a dead shard; every other policy hits
@@ -1244,7 +869,7 @@ impl ShardedEngine {
         let mut retry_routed: Option<Vec<Option<RoutedBatch>>> =
             keep_retry.then(|| self.shards.iter().map(|_| None).collect());
         let mut docs = Some(docs);
-        for (shard, batch) in shard_batches.into_iter().enumerate() {
+        for (shard, batch) in batches.into_iter().enumerate() {
             if !live.contains(&shard) {
                 continue;
             }
@@ -1280,7 +905,7 @@ impl ShardedEngine {
             singles,
             log_entry,
             retry_routed,
-            position,
+            watermark,
         })
     }
 
@@ -1309,7 +934,7 @@ impl ShardedEngine {
             singles,
             log_entry,
             mut retry_routed,
-            position,
+            watermark,
         } = in_flight;
         let mut merged = singles;
         let mut first_error: Option<CoreError> = None;
@@ -1348,7 +973,7 @@ impl ShardedEngine {
                         // shard's queries go dark until a manual respawn.
                         continue;
                     }
-                    FaultPolicy::Quarantine => self.heal_shard(shard, &mut retry_routed, position),
+                    FaultPolicy::Quarantine => self.heal_shard(shard, &mut retry_routed, watermark),
                 }
             } else {
                 match received {
@@ -1366,14 +991,14 @@ impl ShardedEngine {
             }
         }
         if stalled {
-            self.front.stats.pipeline_stalls += 1;
+            self.front.record_stall();
         }
         // Dispatched ⇒ logged: the surviving shards absorbed this batch even
         // if one of them reported an error, so a future rebuild must replay
         // it. Eviction keeps the log within the live retention bound.
         if let Some(docs) = log_entry {
             self.replay_log.record(docs);
-            let newest = self.stream_position().1;
+            let newest = self.front.position().1;
             self.replay_log.evict(newest, self.retention);
         }
         if let Some(e) = first_error {
@@ -1386,11 +1011,11 @@ impl ShardedEngine {
 
 impl Drop for ShardedEngine {
     fn drop(&mut self) {
-        for worker in &mut self.front.workers {
+        for worker in &mut self.pool.workers {
             // Dropping the sender closes the channel; the loop exits.
             worker.sender.take();
         }
-        for worker in &mut self.front.workers {
+        for worker in &mut self.pool.workers {
             if let Some(handle) = worker.handle.take() {
                 let _ = handle.join();
             }
@@ -1422,19 +1047,19 @@ fn shard_of(id: QueryId, num_shards: usize) -> usize {
     ((id.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % num_shards as u64) as usize
 }
 
-/// Spawn the worker thread for shard `shard` around `engine`.
+/// Spawn the worker thread for shard `shard` around its join stage.
 /// `initial_globals` seeds the local→global id map — empty at construction,
-/// the shard's surviving ids (ascending, matching the rebuilt engine's
+/// the shard's surviving ids (ascending, matching the rebuilt stage's
 /// re-registration order) on respawn.
 fn spawn_shard_worker(
     shard: usize,
-    engine: MmqjpEngine,
+    join: JoinStage,
     initial_globals: Vec<QueryId>,
 ) -> std::io::Result<Shard> {
     let (sender, receiver) = channel();
     let handle = thread::Builder::new()
         .name(format!("mmqjp-shard-{shard}"))
-        .spawn(move || shard_worker(engine, receiver, shard, initial_globals))?;
+        .spawn(move || shard_worker(join, receiver, shard, initial_globals))?;
     Ok(Shard {
         sender: Some(sender),
         handle: Some(handle),
@@ -1454,7 +1079,7 @@ fn spawn_front_worker(party: usize, retain_documents: bool) -> std::io::Result<F
     })
 }
 
-impl FrontStage {
+impl FrontPool {
     /// The request channel of spawned front party `party`.
     fn sender(&self, party: usize) -> CoreResult<&Sender<FrontRequest>> {
         party
@@ -1482,17 +1107,35 @@ impl FrontStage {
         }
     }
 
-    /// Send spawned front party `party` a clone of the coordinator's table;
-    /// the returned channel acknowledges it.
-    fn send_snapshot(&self, party: usize) -> CoreResult<Receiver<()>> {
+    /// Send spawned front party `party` a clone of `table`; the returned
+    /// channel acknowledges it.
+    fn send_snapshot(&self, party: usize, table: &Stage1Table) -> CoreResult<Receiver<()>> {
         let (reply, ack) = channel();
         self.sender(party)?
             .send(FrontRequest::Sync {
-                table: Box::new(self.table.clone()),
+                table: Box::new(table.clone()),
                 reply,
             })
             .map_err(|_| CoreError::FrontUnavailable { worker: party })?;
         Ok(ack)
+    }
+
+    /// Broadcast a clone of the front's table to every spawned party and
+    /// wait for their acknowledgements, so the next batch is matched
+    /// against the updated subscriptions. The caller's own party reads the
+    /// table directly, so with `front_pool = 1` this clones nothing. A
+    /// worker that does not acknowledge is retired.
+    fn sync(&mut self, table: &Stage1Table) -> CoreResult<()> {
+        let acks = (1..=self.workers.len())
+            .map(|party| self.send_snapshot(party, table).map(|ack| (party, ack)))
+            .collect::<CoreResult<Vec<_>>>()?;
+        for (party, ack) in acks {
+            if ack.recv().is_err() {
+                self.retire_worker(party);
+                return Err(CoreError::FrontUnavailable { worker: party });
+            }
+        }
+        Ok(())
     }
 
     /// Hand spawned front party `party` a slice to match; the returned
@@ -1509,29 +1152,37 @@ impl FrontStage {
             .map_err(|_| CoreError::FrontUnavailable { worker: party })?;
         Ok(response)
     }
-}
 
-/// Stage 1 over one front party's slice of a batch: the front
-/// ([`front::match_document`]) per document, timed. The one body behind both
-/// the caller's own slice and a spawned worker's.
-fn match_slice(
-    subs: &mut Subscriptions<'_>,
-    docs: Vec<Document>,
-    scratch: &mut MatchScratch,
-    retain_documents: bool,
-) -> MatchedChunk {
-    let t0 = Instant::now();
-    let docs = docs
-        .into_iter()
-        .map(|doc| {
-            let mut matches = DocumentMatches::default();
-            front::match_document(subs, &doc, scratch, retain_documents, &mut matches);
-            MatchedDoc { doc, matches }
-        })
-        .collect();
-    MatchedChunk {
-        docs,
-        elapsed: t0.elapsed(),
+    /// Party `party` died mid-slice: matching is snapshot-pure, so healing
+    /// is a respawn, a sync with `table` and one retry of the same slice.
+    fn heal(
+        &mut self,
+        party: usize,
+        retry: Option<Vec<Document>>,
+        table: &Stage1Table,
+        retain_documents: bool,
+        supervisor: &mut EngineStats,
+    ) -> CoreResult<MatchedChunk> {
+        let unavailable = || CoreError::FrontUnavailable { worker: party };
+        let t0 = Instant::now();
+        let respawned = spawn_front_worker(party, retain_documents).map_err(|_| unavailable())?;
+        let slot = self.workers.get_mut(party - 1).ok_or_else(unavailable)?;
+        let old = std::mem::replace(slot, respawned);
+        drop(old.sender);
+        if let Some(handle) = old.handle {
+            let _ = handle.join();
+        }
+        self.send_snapshot(party, table)?
+            .recv()
+            .map_err(|_| unavailable())?;
+        let docs = retry.ok_or_else(unavailable)?;
+        let chunk = self
+            .request_match(party, docs, false)?
+            .recv()
+            .map_err(|_| unavailable())?;
+        supervisor.shards_respawned += 1;
+        supervisor.timings.recovery += t0.elapsed();
+        Ok(chunk)
     }
 }
 
@@ -1546,7 +1197,7 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The worker loop: owns one shard's engine, serves requests until the
+/// The worker loop: owns one shard's join stage, serves requests until the
 /// sending half of the channel is dropped.
 ///
 /// `global_ids` maps the shard-local query index (the order queries were
@@ -1561,7 +1212,7 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
 // The spawned worker thread must own its receiver (`'static` loop).
 #[allow(clippy::needless_pass_by_value)]
 fn shard_worker(
-    engine: MmqjpEngine,
+    join: JoinStage,
     requests: Receiver<Request>,
     shard: usize,
     initial_globals: Vec<QueryId>,
@@ -1572,31 +1223,21 @@ fn shard_worker(
         .map(|(local, &global)| (global, QueryId(local as u64)))
         .collect();
     let mut global_ids: Vec<QueryId> = initial_globals;
-    let mut engine = engine;
+    let mut join = join;
     while let Ok(request) = requests.recv() {
         match request {
             Request::Register {
                 query,
                 global,
+                floor,
                 reply,
             } => {
                 let caught = catch_unwind(AssertUnwindSafe(|| {
-                    engine.register_query(*query).and_then(|local| {
+                    join.register(*query, floor).map(|(local, footprint)| {
                         debug_assert_eq!(local.raw() as usize, global_ids.len());
                         global_ids.push(global);
                         local_of.insert(global, local);
-                        let runtime = engine.registry().query(local)?;
-                        let shape = runtime.shape();
-                        let mut patterns = Vec::new();
-                        for o in shape.orientations() {
-                            let (prev, cur) = shape.patterns(o);
-                            patterns.push((prev.clone(), o.prev_edges.clone()));
-                            patterns.push((cur.clone(), o.cur_edges.clone()));
-                        }
-                        let single = shape
-                            .single_pattern()
-                            .map(|p| (p.clone(), runtime.publish.clone(), runtime.select));
-                        Ok(Box::new(ShardFootprint { patterns, single }))
+                        footprint
                     })
                 }));
                 match caught {
@@ -1614,7 +1255,7 @@ fn shard_worker(
             }
             Request::Unregister { global, reply } => {
                 let caught = catch_unwind(AssertUnwindSafe(|| match local_of.get(&global) {
-                    Some(&local) => engine.unregister_query(local).map(|()| {
+                    Some(&local) => join.unregister(local).map(|()| {
                         local_of.remove(&global);
                     }),
                     None => Err(CoreError::UnknownQuery { id: global.raw() }),
@@ -1650,7 +1291,7 @@ fn shard_worker(
                         // lint:allow deliberate injected fault, contained by catch_unwind below
                         panic!("injected fault: shard worker panic");
                     }
-                    engine.process_witness_batch(*routed).map(|mut outputs| {
+                    join.process(*routed).map(|mut outputs| {
                         for output in &mut outputs {
                             output.query = global_ids[output.query.raw() as usize];
                         }
@@ -1671,17 +1312,19 @@ fn shard_worker(
                 }
             }
             Request::Stats { reply } => {
-                let _ = reply.send(engine.stats());
+                let _ = reply.send(join.stats());
             }
             Request::Audit { reply } => {
-                let _ = reply.send(engine.audit());
+                let mut out = Vec::new();
+                join.audit(&mut out);
+                let _ = reply.send(out);
             }
         }
     }
 }
 
 /// The front-worker loop of a spawned front party: holds a clone of the
-/// coordinator's Stage-1 table and runs [`match_slice`] over document slices
+/// front's Stage-1 table and runs [`match_slice`] over document slices
 /// against it. The clone is replaced wholesale by `Sync` requests on
 /// subscription churn.
 // The spawned front worker must own its receiver (`'static` loop).
@@ -1710,12 +1353,7 @@ fn front_worker(retain_documents: bool, requests: Receiver<FrontRequest>) {
                         // lint:allow deliberate injected fault, contained by catch_unwind below
                         panic!("injected fault: front worker panic");
                     }
-                    match_slice(
-                        &mut table.subscriptions(),
-                        docs,
-                        &mut matching,
-                        retain_documents,
-                    )
+                    match_slice(&mut table, docs, &mut matching, retain_documents)
                 }));
                 match caught {
                     Ok(chunk) => {
@@ -1729,16 +1367,17 @@ fn front_worker(retain_documents: bool, requests: Receiver<FrontRequest>) {
 }
 
 // Compile-time audit that everything crossing (or living on) a shard or
-// front-worker thread is `Send`: the engine with its registry / relations /
-// view cache, the shared interner, and the request/response payloads of
-// both worker kinds.
+// front-worker thread is `Send`: the join stage with its registry /
+// relations / view cache, the shared interner, and the request/response
+// payloads of both worker kinds.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<MmqjpEngine>();
+    assert_send::<JoinStage>();
     assert_send::<Arc<StringInterner>>();
     assert_send::<Request>();
     assert_send::<FrontRequest>();
     assert_send::<MatchedChunk>();
+    assert_send::<Stage1Footprint>();
     assert_send::<RoutedBatch>();
     assert_send::<CoreResult<Vec<MatchOutput>>>();
     assert_send::<EngineStats>();
@@ -1749,7 +1388,9 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::config::ProcessingMode;
+    use crate::engine::MmqjpEngine;
     use mmqjp_xml::{rss, Timestamp};
+    use std::time::Duration;
 
     const Q1: &str = "S//book->x1[.//author->x2][.//title->x3] \
         FOLLOWED BY{x2=x5 AND x3=x6, 100} \
@@ -1928,16 +1569,33 @@ mod tests {
 
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(3).with_front_pool(2));
         assert!(e.audit().unwrap().is_empty());
-        let seeded = e.front.table.seed_extra_edge_ref().unwrap();
+        let seeded = e.front.table_mut().seed_extra_edge_ref().unwrap();
         let out = e.audit().unwrap();
         assert!(off_by_one(&out, seeded), "{out:?}");
+    }
+
+    /// The sharded engine's audit runs the front's, which checks document
+    /// accounting the way the single engine's always did.
+    #[test]
+    fn front_audit_checks_document_accounting() {
+        let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2).with_front_pool(2));
+        e.process_batch(vec![d1(), d2()]).unwrap();
+        assert!(e.audit().unwrap().is_empty());
+        e.front.stats_mut().documents_processed += 1;
+        assert_eq!(
+            e.audit().unwrap(),
+            vec![AuditViolation::DocumentAccounting {
+                documents_processed: 3,
+                doc_seq: 2,
+            }]
+        );
     }
 
     #[test]
     fn front_audit_detects_stale_requested_edge_symbols() {
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2));
         assert!(e.audit().unwrap().is_empty());
-        let requested = e.front.table.requested_mut();
+        let requested = e.front.table_mut().requested_mut();
         let (&pid, edges) = requested.lists_mut().next().unwrap();
         edges[0].var1 = mmqjp_relational::Symbol::from_raw(edges[0].var1.raw() + 1_000);
         let edge = (edges[0].edge.0.raw(), edges[0].edge.1.raw());
@@ -1956,7 +1614,7 @@ mod tests {
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2));
         e.process_document(d1()).unwrap();
         assert!(e.audit().unwrap().is_empty());
-        assert!(e.front.table.requested_mut().merge_plan_classes());
+        assert!(e.front.table_mut().requested_mut().merge_plan_classes());
         assert_eq!(
             e.audit().unwrap(),
             vec![AuditViolation::EmitPlan {
@@ -1970,30 +1628,30 @@ mod tests {
         // The default front is the caller's thread alone: no front thread.
         let e = ShardedEngine::new(EngineConfig::default());
         assert_eq!(e.front_pool(), 1);
-        assert!(e.front.workers.is_empty());
+        assert!(e.pool.workers.is_empty());
         assert_eq!(e.shards.len(), 1);
         // A pool of three spawns the two parties after the caller's.
         let e = ShardedEngine::new(EngineConfig::default().with_front_pool(3));
         assert_eq!(e.front_pool(), 3);
-        assert_eq!(e.front.workers.len(), 2);
+        assert_eq!(e.pool.workers.len(), 2);
         assert!(matches!(
-            e.front.sender(0),
+            e.pool.sender(0),
             Err(CoreError::FrontUnavailable { worker: 0 })
         ));
-        assert!(e.front.sender(2).is_ok());
-        assert!(e.front.sender(3).is_err());
+        assert!(e.pool.sender(2).is_ok());
+        assert!(e.pool.sender(3).is_err());
     }
 
     #[test]
     fn single_block_patterns_live_in_the_master_index() {
         let mut e = ShardedEngine::new(EngineConfig::mmqjp().with_front_pool(2));
         let single = e.register_query_text(Q_SINGLE).unwrap();
-        let table = &e.front.table;
+        let table = e.front.table();
         let pid = table.singles()[0].pid;
         assert_eq!(table.index().refcount(pid), 1);
         // A second, identical subscription shares the pattern.
         let twin = e.register_query_text(Q_SINGLE).unwrap();
-        let table = &e.front.table;
+        let table = e.front.table();
         assert_eq!(table.singles()[1].pid, pid);
         assert_eq!(table.index().refcount(pid), 2);
         assert!(e.audit().unwrap().is_empty());
@@ -2003,8 +1661,8 @@ mod tests {
         assert_eq!(out.iter().filter(|m| m.query == twin).count(), 4);
 
         // The audit counts single-block registrations in the refcounts.
-        let pattern = e.front.table.singles()[0].pattern.clone();
-        e.front.table.retain_pattern(pattern);
+        let pattern = e.front.table().singles()[0].pattern().clone();
+        e.front.table_mut().retain_pattern(pattern);
         assert!(e.audit().unwrap().iter().any(|v| matches!(
             v,
             AuditViolation::PatternRefcount {
@@ -2013,11 +1671,11 @@ mod tests {
                 ..
             }
         )));
-        e.front.table.release_pattern(pid);
+        e.front.table_mut().release_pattern(pid);
 
         e.unregister_query(single).unwrap();
         e.unregister_query(twin).unwrap();
-        assert!(e.front.table.is_empty());
+        assert!(e.front.table().is_empty());
         assert!(e.audit().unwrap().is_empty());
     }
 

@@ -17,9 +17,10 @@ pub struct PhaseTimings {
     /// Stage 1: XPath evaluation — the shared automaton pass and reading the
     /// requested edges' node pairs off it as integer witness rows.
     pub xpath: Duration,
-    /// Witness-relation construction: ingesting the Stage-1 witness rows
-    /// into the batch's `RbinW`/`RdocW` relations — the per-document dedup
-    /// and interning each new node's value.
+    /// Witness-relation construction: the front routing each document's
+    /// Stage-1 witness rows into its consumers' `RbinW`/`RdocW` relations —
+    /// the per-consumer dedup and interning each new node's value. Timed
+    /// apart from [`xpath`](Self::xpath) on both engines.
     pub ingest: Duration,
     /// Computing the common string values `STR` / the `Rvj` semi-join
     /// (view-materialization mode), or gathering the batch-restricted
@@ -205,14 +206,14 @@ pub struct EngineStats {
     /// sets on every path node: its pairs would all have been repeats that
     /// ingest drops.
     pub stage1_edges_suppressed: usize,
-    /// Documents parsed and Stage-1-evaluated exactly once by the front
-    /// stage of [`ShardedEngine`](crate::ShardedEngine); equal to the number
-    /// of documents it ingested. Zero for single engines.
+    /// Documents Stage-1-evaluated exactly once by the engine's front, on
+    /// either engine; equal to the number of documents it ingested.
     pub docs_parsed_once: usize,
-    /// Witness rows (`RbinW` + `RdocW`) the sharded front stage routed to
-    /// query shards. Rows for a pattern travel only to the shards whose
-    /// queries subscribed to it, so this counts deliveries: a row shared by
-    /// subscribers on two shards is routed (and counted) twice.
+    /// Witness rows (`RbinW` + `RdocW`) the front routed to its consumers:
+    /// the single engine's join stage, or the query shards. Rows for a
+    /// pattern travel only to the shards whose queries subscribed to it, so
+    /// this counts deliveries: a row shared by subscribers on two shards is
+    /// routed (and counted) twice.
     pub witnesses_routed: usize,
     /// Batches for which the pipelined sharded front finished Stage 1 of
     /// batch `k+1` before the shards had finished Stage 2 of batch `k` —
@@ -270,8 +271,9 @@ impl EngineStats {
 /// in exactly one shard, so `queries_registered` sums to the global query
 /// count, while per-shard quantities (`documents_processed`, `templates`,
 /// timings, ...) sum to the total work done across all shards. Documents
-/// are counted once, by the front stage (shards never count them), so the
-/// aggregate `documents_processed` equals the number of ingested documents.
+/// and live patterns are counted once, by the front (shards count neither),
+/// so the aggregate `documents_processed` equals the number of ingested
+/// documents.
 impl AddAssign for EngineStats {
     fn add_assign(&mut self, rhs: Self) {
         self.documents_processed += rhs.documents_processed;

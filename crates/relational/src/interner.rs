@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 /// An interned string handle. Cheap to copy, hash and compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -68,9 +68,9 @@ impl Default for TextHash {
 }
 
 impl TextHash {
-    fn of(&self, text: &str) -> u64 {
+    fn of<T: Hash + ?Sized>(&self, value: &T) -> u64 {
         match self {
-            TextHash::Keyed(state) => state.hash_one(text),
+            TextHash::Keyed(state) => state.hash_one(value),
             #[cfg(test)]
             TextHash::Constant => 0,
         }
@@ -172,6 +172,13 @@ impl StringInterner {
             Some(sym) => sym,
             None => inner.insert(hash, text),
         }
+    }
+
+    /// Hash `value` with the interner's random key: equal for equal values
+    /// through one interner, and not predictable from outside the process,
+    /// so values from outside the program cannot be chosen to collide.
+    pub fn hash_one<T: Hash + ?Sized>(&self, value: &T) -> u64 {
+        self.hash.of(value)
     }
 
     /// Look up a symbol without interning. Returns `None` if the text has

@@ -227,9 +227,9 @@ fn run_differential(mut make: impl FnMut() -> AnyEngine, script: &[Op], label: &
 
 /// Replay `script` on an `MmqjpEngine` and a one-shard `ShardedEngine`
 /// (front pools 1 and 2) registering the same queries in the same order:
-/// after every step the coordinator's Stage-1 table must equal the
-/// registry's — patterns with refcounts, requested-edge lists in order with
-/// their consumers, single-block subscriptions and emission-plan classes.
+/// after every step the two fronts' Stage-1 tables must be equal — patterns
+/// with refcounts, requested-edge lists in order with their consumers,
+/// single-block subscriptions and emission-plan classes.
 fn assert_tables_agree(config: &EngineConfig, script: &[Op]) {
     for front_pool in [1, 2] {
         let mut single = MmqjpEngine::new(config.clone());
@@ -260,7 +260,7 @@ fn assert_tables_agree(config: &EngineConfig, script: &[Op]) {
                     assert_eq!(got, expected, "front pool {front_pool}, step {step}");
                 }
             }
-            let snapshot = single.registry().stage1_table().snapshot();
+            let snapshot = single.stage1_table().snapshot();
             compiled |= !snapshot.classes.is_empty();
             assert_eq!(
                 sharded.stage1_table().snapshot(),

@@ -746,3 +746,93 @@ fn stream_position_after_poison_is_identical_across_engines() {
         }
     }
 }
+
+/// Recovery replays through the coordinator's front. On two shards, in
+/// view-materialized mode under [`FaultPolicy::Quarantine`]: `Q1` and `Q2`
+/// live on one shard and `Q3` — which shares `Q1`'s blog pattern — on the
+/// other. `Q1` unregisters first, so the front keeps the blog pattern for
+/// the other shard only; then each shard dies in turn and is rebuilt from
+/// the replay log, its replayed rows matched by the front and routed to it
+/// alone. Every batch's output equals a never-failed single engine's, and
+/// the audit is clean.
+#[test]
+fn a_healed_shard_replays_through_the_front_after_cross_shard_churn() {
+    use mmqjp_integration_tests::{Q1, Q2, Q3};
+    let docs: Vec<Document> = (0..24u64)
+        .map(|i| {
+            let (author, title, category) = (
+                ["Ann", "Bob"][(i / 2 % 2) as usize],
+                ["RSS", "Atom", "XML"][(i % 3) as usize],
+                ["Web", "Books"][(i / 3 % 2) as usize],
+            );
+            let doc = if i % 2 == 0 {
+                rss::book_announcement(&[author], title, &[category], "Wrox", "1")
+            } else {
+                rss::blog_article(author, "http://blog", title, category, "...")
+            };
+            doc.with_timestamp(Timestamp(10 * (i + 1)))
+        })
+        .collect();
+    let batches: Vec<Vec<Document>> = docs.chunks(2).map(<[_]>::to_vec).collect();
+    let config = EngineConfig::mmqjp_view_mat();
+
+    for front_pool in [1usize, 2] {
+        let probe = ShardedEngine::new(config.clone().with_num_shards(2));
+        // Place Q1 and Q2 on Q1's shard and Q3 on the other, padding the
+        // id sequence with subscriptions that never match.
+        let mut script: Vec<&str> = vec![Q1];
+        let home = probe.shard_of(QueryId(0));
+        for (query, shard) in [(Q3, 1 - home), (Q2, home)] {
+            while probe.shard_of(QueryId(script.len() as u64)) != shard {
+                script.push("S//never");
+            }
+            script.push(query);
+        }
+        let plan = FaultPlan::none()
+            .at(6, FaultKind::PanicShard { shard: home })
+            .at(9, FaultKind::PanicShard { shard: 1 - home });
+        let mut chaos = chaos_engine(
+            config.clone(),
+            2,
+            front_pool,
+            FaultPolicy::Quarantine,
+            plan,
+            &[],
+        );
+        let mut reference = MmqjpEngine::new(config.clone());
+        for text in &script {
+            let id = chaos.register_query_text(text).expect("query registers");
+            assert_eq!(reference.register_query_text(text).unwrap(), id);
+        }
+        let q3 = QueryId(script.iter().position(|t| *t == Q3).unwrap() as u64);
+        let q2 = QueryId(script.len() as u64 - 1);
+
+        let mut later = Vec::new();
+        for (index, batch) in batches.iter().enumerate() {
+            if index == 4 {
+                // Q1's blog pattern stays in the front for Q3's shard.
+                chaos.unregister_query(QueryId(0)).unwrap();
+                reference.unregister_query(QueryId(0)).unwrap();
+                assert_audit_clean_sharded(&chaos);
+            }
+            let mut expected = reference.process_batch(batch.clone()).unwrap();
+            mmqjp_core::sort_matches(&mut expected);
+            let got = chaos.process_batch(batch.clone()).expect("healed inline");
+            assert_eq!(got, expected, "front pool {front_pool}, batch {index}");
+            if index > 6 {
+                later.extend(got);
+            }
+        }
+        for query in [q2, q3] {
+            assert!(
+                later.iter().any(|m| m.query == query),
+                "{query:?} matches after its shard healed"
+            );
+        }
+        let stats = chaos.stats().expect("all shards live after healing");
+        assert_eq!(stats.shards_respawned, 2);
+        assert!(stats.rows_replayed > 0, "healing replays in-window state");
+        assert_audit_clean_sharded(&chaos);
+        assert!(chaos.degraded_shards().is_empty());
+    }
+}

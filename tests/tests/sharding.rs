@@ -653,3 +653,105 @@ fn edge_class_suppression_never_crosses_shards() {
     assert!(single.stats().stage1_edges_suppressed > 0);
     assert_eq!(sharded.front_stats().stage1_edges_suppressed, 0);
 }
+
+// ---------------------------------------------------------------------------
+// One front for both engines
+// ---------------------------------------------------------------------------
+
+/// Eight queries over two distinct patterns: `Q1`'s clause under eight
+/// windows. Every topology counts the patterns once, in its front — not
+/// once per shard holding a query — so `distinct_patterns` and
+/// `patterns_dropped` equal the single engine's after registering, after
+/// some queries leave and after the last one does.
+#[test]
+fn pattern_counters_equal_the_single_engine_on_every_topology() {
+    let texts: Vec<String> = (1..=8)
+        .map(|w| Q1.replace(", 1000}", &format!(", {}}}", 100 * w)))
+        .collect();
+    assert!(texts.windows(2).all(|pair| pair[0] != pair[1]));
+    for &num_shards in &SHARD_COUNTS {
+        for &front_pool in &FRONT_POOLS {
+            let config = EngineConfig::mmqjp()
+                .with_num_shards(num_shards)
+                .with_front_pool(front_pool);
+            let mut single = MmqjpEngine::new(config.clone());
+            let mut sharded = ShardedEngine::new(config);
+            for text in &texts {
+                let id = single.register_query_text(text).unwrap();
+                assert_eq!(sharded.register_query_text(text).unwrap(), id);
+            }
+            let topology = format!("{num_shards} shards, front pool {front_pool}");
+            let check = |single: &MmqjpEngine, sharded: &ShardedEngine, step: &str| {
+                let (want, got) = (single.stats(), sharded.stats().unwrap());
+                assert_eq!(
+                    got.distinct_patterns, want.distinct_patterns,
+                    "{topology}, {step}"
+                );
+                assert_eq!(
+                    got.patterns_dropped, want.patterns_dropped,
+                    "{topology}, {step}"
+                );
+                assert_eq!(
+                    got.distinct_patterns,
+                    sharded.stage1_table().index().len(),
+                    "{topology}, {step}"
+                );
+                want
+            };
+            let registered = check(&single, &sharded, "registered");
+            assert_eq!(registered.distinct_patterns, 2);
+            for id in 0..5 {
+                single.unregister_query(QueryId(id)).unwrap();
+                sharded.unregister_query(QueryId(id)).unwrap();
+            }
+            let some_left = check(&single, &sharded, "five unregistered");
+            assert_eq!(some_left.patterns_dropped, 0);
+            for id in 5..8 {
+                single.unregister_query(QueryId(id)).unwrap();
+                sharded.unregister_query(QueryId(id)).unwrap();
+            }
+            let all_left = check(&single, &sharded, "all unregistered");
+            assert_eq!(
+                (all_left.distinct_patterns, all_left.patterns_dropped),
+                (0, 2)
+            );
+            assert_audit_clean_sharded(&sharded);
+        }
+    }
+}
+
+/// Both engines time witness ingest — routing the front's rows into the
+/// consumers' witness batches — apart from matching, and the sharded
+/// engine's shards do no Stage-1 work: its ingest time is its front's.
+#[test]
+fn both_engines_time_witness_ingest_apart_from_matching() {
+    let (queries, docs) = rss_workload(49, 20, 15);
+    let config = EngineConfig::mmqjp().with_retain_documents(false);
+    let mut single = MmqjpEngine::new(config.clone());
+    for q in &queries {
+        single.register_query(q.clone()).unwrap();
+    }
+    run_stream_sorted(&mut single, docs.clone());
+    let stats = single.stats();
+    assert!(stats.stage1_rows > 0, "the workload ingests witness rows");
+    assert!(stats.timings.ingest > Duration::ZERO);
+    assert!(stats.timings.xpath > Duration::ZERO);
+
+    for &front_pool in &FRONT_POOLS {
+        let mut sharded = sharded_engine_with_topology(config.clone(), 2, front_pool, &queries);
+        run_stream_sharded(&mut sharded, docs.clone());
+        let front = sharded.front_stats();
+        assert!(
+            front.timings.ingest > Duration::ZERO,
+            "front pool {front_pool}"
+        );
+        assert!(
+            front.timings.xpath > Duration::ZERO,
+            "front pool {front_pool}"
+        );
+        let total = sharded.stats().unwrap();
+        assert!(total.timings.ingest > Duration::ZERO);
+        assert_eq!(total.timings.ingest, front.timings.ingest);
+        assert_eq!(total.stage1_rows, front.stage1_rows);
+    }
+}

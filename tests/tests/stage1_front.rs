@@ -26,7 +26,7 @@
 use mmqjp_core::front::{
     self, DocumentMatches, MatchScratch, NodeSource, RequestedEdges, WitnessRow,
 };
-use mmqjp_core::{node_key, EngineConfig, MmqjpEngine, ProcessingMode, Registry, ShardedEngine};
+use mmqjp_core::{node_key, EngineConfig, MmqjpEngine, ShardedEngine};
 use mmqjp_integration_tests::stage1::{edge_lists, ingest_rows, rows_from_bindings};
 use mmqjp_integration_tests::{
     all_modes, assert_audit_clean, match_keys, run_stream_sharded, run_stream_sorted,
@@ -44,7 +44,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Random XML documents for the parser differential
@@ -191,16 +190,15 @@ const RSS_SUBSCRIPTIONS: [&str; 3] = [
     "S//item[.//enclosure_url]",
 ];
 
-/// A registry holding `queries` (join queries and single-block
-/// subscriptions alike), as an engine in the default mode would build it.
-fn registry_of(queries: impl IntoIterator<Item = XsclQuery>) -> Registry {
-    let mut registry = Registry::new(Arc::new(StringInterner::new()));
+/// An engine in the default mode holding `queries` (join queries and
+/// single-block subscriptions alike): the differentials match against its
+/// front's Stage-1 table.
+fn engine_of(queries: impl IntoIterator<Item = XsclQuery>) -> MmqjpEngine {
+    let mut engine = MmqjpEngine::new(EngineConfig::default());
     for q in queries {
-        registry
-            .register(q, ProcessingMode::default(), 0)
-            .expect("query registers");
+        engine.register_query(q).expect("query registers");
     }
-    registry
+    engine
 }
 
 /// How much one [`front_equals_dom_reference`] run compared.
@@ -223,22 +221,23 @@ struct Compared {
 /// ingest both row sets and compare the batches (see
 /// [`ingest_equals_reference`]). Returns what was compared, so callers can
 /// insist the comparison was not vacuous.
-fn front_equals_dom_reference(registry: &mut Registry, docs: &[Document]) -> Compared {
-    let mut reference = registry.stage1_table().index().clone();
-    let requested = registry.stage1_table().requested().clone();
-    let interner = registry.interner().clone();
+fn front_equals_dom_reference(engine: &MmqjpEngine, docs: &[Document]) -> Compared {
+    let mut table = engine.stage1_table().clone();
+    let mut reference = table.index().clone();
+    let requested = table.requested().clone();
+    let interner = engine.interner().clone();
     let mut matching = MatchScratch::default();
     let mut got = DocumentMatches::default();
     let mut compared = Compared::default();
     for doc in docs {
         let bindings = reference.evaluate_edge_bindings(doc, &edge_lists(&requested));
         let expected_rows = rows_from_bindings(&reference, &requested, &bindings);
-        let mut subs = registry.stage1();
+        let mut subs = table.subscriptions();
         let expected_singles: Vec<_> = subs
             .singles
             .iter()
             .flat_map(|s| {
-                let witnesses = PatternMatcher::new(&s.pattern).witnesses(doc);
+                let witnesses = PatternMatcher::new(s.pattern()).witnesses(doc);
                 witnesses
                     .into_iter()
                     .map(move |w| (s.query, w.bindings().to_vec()))
@@ -381,7 +380,7 @@ fn front_equals_dom_reference_on_the_rss_workload() {
         ..RssStreamConfig::default()
     })
     .documents();
-    let compared = front_equals_dom_reference(&mut registry_of(queries), &docs);
+    let compared = front_equals_dom_reference(&engine_of(queries), &docs);
     assert!(
         compared.rows > 0 && compared.witnesses > 0,
         "the comparison must not be vacuous"
@@ -396,7 +395,7 @@ fn front_equals_dom_reference_on_the_complex_schema_workload() {
     let mut rng = StdRng::seed_from_u64(22);
     let queries = workload.generate_queries(24, &mut rng);
     let docs: Vec<Document> = (1..=4).map(|ts| workload.document(ts)).collect();
-    let compared = front_equals_dom_reference(&mut registry_of(queries), &docs);
+    let compared = front_equals_dom_reference(&engine_of(queries), &docs);
     assert!(compared.rows > 0, "the comparison must not be vacuous");
 }
 
@@ -409,7 +408,7 @@ proptest! {
     #[test]
     fn front_equals_dom_reference_on_random_xml(ops in ops_strategy()) {
         let doc = parse_document(&render_xml(&ops)).expect("DOM parser accepts rendered doc");
-        front_equals_dom_reference(&mut random_xml_registry(), &[doc]);
+        front_equals_dom_reference(&random_xml_engine(), &[doc]);
     }
 }
 
@@ -432,8 +431,8 @@ const RANDOM_XML_QUERIES: [&str; 9] = [
     "S//t0->a[.//t5->m[.//t1->b]][.//t2->c] FOLLOWED BY{b=d AND c=e, 100} S//t3->x[.//t1->d][.//t2->e]",
 ];
 
-fn random_xml_registry() -> Registry {
-    registry_of(RANDOM_XML_QUERIES.map(|q| parse_query(q).expect("query parses")))
+fn random_xml_engine() -> MmqjpEngine {
+    engine_of(RANDOM_XML_QUERIES.map(|q| parse_query(q).expect("query parses")))
 }
 
 /// The ingest differential on its own, over the three document sources:
@@ -473,17 +472,17 @@ fn integer_rows_equal_reference_ingest() {
         .collect();
 
     let sources = [
-        (registry_of(rss_queries), rss_docs),
-        (registry_of(complex_queries), complex_docs),
-        (random_xml_registry(), random_docs),
+        (engine_of(rss_queries), rss_docs),
+        (engine_of(complex_queries), complex_docs),
+        (random_xml_engine(), random_docs),
     ];
     let (mut self_edges, mut chain_edges, mut omitted) = (0, 0, 0);
-    for (mut registry, docs) in sources {
-        let compared = front_equals_dom_reference(&mut registry, &docs);
+    for (engine, docs) in sources {
+        let compared = front_equals_dom_reference(&engine, &docs);
         assert!(compared.rows > 0, "the comparison must not be vacuous");
         omitted += compared.omitted;
-        for (pid, edges) in registry.stage1_table().requested().iter() {
-            let pattern = registry.stage1_table().index().pattern(*pid);
+        for (pid, edges) in engine.stage1_table().requested().iter() {
+            let pattern = engine.stage1_table().index().pattern(*pid);
             for &(a, d) in edges.iter().map(|e| &e.edge) {
                 self_edges += usize::from(a == d);
                 chain_edges += usize::from(a != d && pattern.node(d).parent() != Some(a));

@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Thirteen dependency-free static checks over the workspace sources:
+//! Fourteen dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -27,7 +27,8 @@
 //!    `is_whitespace`: XML's `S` is space, tab, CR and LF, and Unicode
 //!    trimming once dropped no-break-space text as formatting.
 //! 7. **No per-row tuple on the batch path** — non-test code in
-//!    `crates/core/src/{relations,state,engine}.rs` must not call
+//!    `crates/core/src/{relations,state,engine,router}.rs` and
+//!    `crates/core/src/front/stage.rs` must not call
 //!    `into_rows` or `push_values(vec![…])`: witness rows enter columns as
 //!    fixed-width arrays and move into window state run by run.
 //! 8. **Allocation-free plan execution** — non-test code in
@@ -57,9 +58,8 @@
 //!     `.collect(` or `chain_pairs(`, nor name `HashSet`: a document's
 //!     witness rows are read off the compiled emission plan into pooled
 //!     buffers, and chains are composed in `ChainScratch`, not collected.
-//!     Exempt are the bodies of the plan compiler `compile`, the
-//!     single-block answers `emit_singles` (each match owns its bindings)
-//!     and the once-per-batch `evaluate_batch`.
+//!     Exempt are the bodies of the plan compiler `compile` and the
+//!     single-block answers `emit_singles` (each match owns its bindings).
 //!
 //! 12. **One Stage-1 subscription table** — non-test code in
 //!     `crates/core/src` outside the table's module
@@ -67,9 +67,9 @@
 //!     or `RequestedEdges` — no `index.register(`, `index.retain(`,
 //!     `index.unregister(`, `requested.push(`, `requested.remove`,
 //!     `requested_edges.push(`, `requested_edges.remove` or
-//!     `invalidate_plan(` — nor name `edge_refs`: the single engine's
-//!     registry and the sharded coordinator subscribe, release and audit
-//!     through one `Stage1Table`, not through copies kept in step.
+//!     `invalidate_plan(` — nor name `edge_refs`: both engines' fronts
+//!     subscribe, release and audit through one `Stage1Table`, not through
+//!     copies kept in step.
 //!
 //! 13. **`RT` changes move its version** — non-test code in
 //!     `crates/core/src/registry.rs` may call `.rt.push_values(` and
@@ -77,6 +77,14 @@
 //!     `remove_rt_row`, the two mutators that move `rt_version`: a template
 //!     plan keeps its join table over `RT` while that version holds, so a
 //!     change that skipped it would leave the table stale.
+//!
+//! 14. **Stage-1 state lives in the front** — non-test code in
+//!     `crates/core/src/registry.rs` must not name `Stage1Table`,
+//!     `SingleBlock` or `Subscriptions`, and non-test code in
+//!     `crates/core/src` outside `crates/core/src/front/` must not call
+//!     `screen_and_stamp(`: the registry returns a query's Stage-1
+//!     footprint for its engine's `front::Front` to subscribe, and only the
+//!     front screens a batch.
 //!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
@@ -124,6 +132,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_emission_allocations(root, &mut violations);
     check_stage1_table(root, &mut violations);
     check_rt_versioning(root, &mut violations);
+    check_front_owns_stage1(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -495,6 +504,8 @@ const BATCH_PATH_FILES: &[&str] = &[
     "crates/core/src/relations.rs",
     "crates/core/src/state.rs",
     "crates/core/src/engine.rs",
+    "crates/core/src/router.rs",
+    "crates/core/src/front/stage.rs",
 ];
 const PER_ROW_TUPLE: &[&str] = &["into_rows", "push_values(vec!["];
 
@@ -709,9 +720,9 @@ fn scan_file_for_shape_derivation(root: &Path, file: &Path, out: &mut Vec<String
 // ---------------------------------------------------------------------------
 
 const FRONT_FILE: &str = "crates/core/src/front.rs";
-/// Functions of the front that compile the plan, answer single-block
-/// subscriptions or run once per batch.
-const EMISSION_SETUP_FNS: &[&str] = &["fn compile(", "fn emit_singles(", "fn evaluate_batch("];
+/// Functions of the front that compile the plan or answer single-block
+/// subscriptions.
+const EMISSION_SETUP_FNS: &[&str] = &["fn compile(", "fn emit_singles("];
 const EMISSION_ALLOCATING: &[&str] =
     &["Vec::new(", "vec![", ".collect(", "HashSet", "chain_pairs("];
 
@@ -790,6 +801,50 @@ fn scan_file_for_rt_mutations(root: &Path, file: &Path, out: &mut Vec<String>) {
         RT_MUTATIONS,
         "outside the version-moving `RT` mutators (a plan's kept `RT` table would go stale)",
     );
+}
+
+// ---------------------------------------------------------------------------
+// Check 14: Stage-1 state lives in the front.
+// ---------------------------------------------------------------------------
+
+/// Stage-1 types the registry must not name: it returns footprints, the
+/// front subscribes them.
+const FRONT_TYPES: &[&str] = &["Stage1Table", "SingleBlock", "Subscriptions"];
+const FRONT_DIR: &str = "crates/core/src/front";
+const SCREENING: &str = "screen_and_stamp(";
+
+fn check_front_owns_stage1(root: &Path, out: &mut Vec<String>) {
+    scan_file_for_front_types(root, &root.join(REGISTRY_FILE), out);
+    let front = root.join(FRONT_DIR);
+    for file in rust_files(&root.join(CORE_SRC)) {
+        if !file.starts_with(&front) {
+            scan_file_for_screening(root, &file, out);
+        }
+    }
+}
+
+fn scan_file_for_front_types(root: &Path, file: &Path, out: &mut Vec<String>) {
+    scan_non_test_code(root, file, out, |line| {
+        FRONT_TYPES
+            .iter()
+            .filter(|token| contains_token(line, token))
+            .map(|token| {
+                format!("`{token}` in the registry (return the footprint; the front subscribes it)")
+            })
+            .collect()
+    });
+}
+
+fn scan_file_for_screening(root: &Path, file: &Path, out: &mut Vec<String>) {
+    scan_non_test_code(root, file, out, |line| {
+        if line.contains(SCREENING) {
+            vec![format!(
+                "`{SCREENING}` outside the front (screen a batch with `Front::screen`)"
+            )]
+        } else {
+            Vec::new()
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1018,6 +1073,31 @@ mod tests {
         );
         assert!(
             out[3].contains("stage1_case.rs:9") && out[3].contains("`edge_refs`"),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn stage1_state_is_flagged_outside_the_front() {
+        let src = "use crate::front::{Edge, SingleBlock};\n// a Stage1Table in a comment\nstruct Registry {\n    stage1: Stage1Table,\n    subs: Stage1Subscriptions,\n}\nfn batch(&mut self) {\n    let docs = front::screen_and_stamp(docs, &mut seq)?;\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &Stage1Table) { screen_and_stamp(d).unwrap(); }\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("front_case.rs");
+        fs::write(&file, src).unwrap();
+        let mut out = Vec::new();
+        scan_file_for_front_types(&dir, &file, &mut out);
+        scan_file_for_screening(&dir, &file, &mut out);
+        assert_eq!(out.len(), 3, "violations: {out:?}");
+        assert!(
+            out[0].contains("front_case.rs:1") && out[0].contains("`SingleBlock`"),
+            "{out:?}"
+        );
+        assert!(
+            out[1].contains("front_case.rs:4") && out[1].contains("`Stage1Table`"),
+            "{out:?}"
+        );
+        assert!(
+            out[2].contains("front_case.rs:8") && out[2].contains("`screen_and_stamp(`"),
             "{out:?}"
         );
     }
