@@ -2,19 +2,22 @@
 //! of registered XSCL queries (Algorithms 1–5 of the paper).
 //!
 //! [`MmqjpEngine`] is the in-thread instance of the pipeline
-//! `front → route → join → merge`: a [`Front`] with one consumer of witness
-//! rows, feeding one [`JoinStage`] — Stage 2, output construction and state
-//! maintenance — directly. With one consumer there is nothing to merge.
-//! [`ShardedEngine`](crate::ShardedEngine) holds the same `Front`, with one
-//! consumer per shard, and runs one `JoinStage` on every shard.
+//! `front → route → join → merge` ([`crate::pipeline`]): one inline shard
+//! slot, served on the caller's thread, and no spawned front party — no
+//! thread, no channel, nothing that can die, so no recovery ledger and no
+//! replay log. [`JoinStage`] is what every shard slot of either engine
+//! runs: Stage 2, output construction and state maintenance over the
+//! witness rows the front routed to it.
 
 use crate::audit::AuditViolation;
 use crate::config::{EngineConfig, ProcessingMode};
 use crate::cqt::PlanInputKind;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::QuarantineRecord;
-use crate::front::{Front, FrontBatch, Stage1Table};
+use crate::front::Stage1Table;
 use crate::output::{construct_join_output, Binding, MatchOutput};
+use crate::pipeline::{Inline, Pipeline};
+use crate::recovery;
 use crate::registry::{Orientation, QueryRuntime, Registry, Stage1Footprint};
 use crate::relations::{node_of, rl_row, schemas, timestamp_in, RoutedBatch, WitnessBatch};
 use crate::state::{key_int, key_sym, JoinState, RestrictionScratch};
@@ -35,38 +38,31 @@ use std::time::Instant;
 ///
 /// See the crate-level documentation for an overview and a quick-start
 /// example. The engine is single-threaded by design (the paper's system is a
-/// single Join Processor instance); concurrency is achieved by partitioning
-/// streams across engine instances.
+/// single Join Processor instance): it is the pipeline with one inline shard
+/// slot. [`ShardedEngine`](crate::ShardedEngine) is the same pipeline with
+/// worker-thread slots.
 #[derive(Debug)]
 pub struct MmqjpEngine {
-    /// Stage 1: every piece of the engine's Stage-1 state, with the join
-    /// stage as its one consumer (`0`).
-    front: Front,
-    /// Everything after Stage 1.
-    join: JoinStage,
+    pub(crate) pipeline: Pipeline<Inline>,
 }
-
-/// The front's consumer of witness rows in a single engine: its join stage.
-const JOIN_STAGE: usize = 0;
 
 impl MmqjpEngine {
     /// Create an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
-        let interner = Arc::new(StringInterner::new());
         MmqjpEngine {
-            front: Front::new(&config, Arc::clone(&interner)),
-            join: JoinStage::new(config, interner),
+            pipeline: Pipeline::new(config, 1, 1),
         }
     }
 
     /// The engine configuration.
     pub fn config(&self) -> &EngineConfig {
-        &self.join.config
+        &self.pipeline.config
     }
 
     /// Cumulative statistics: the front's and the join stage's together.
     pub fn stats(&self) -> EngineStats {
-        self.front.stats() + self.join.stats()
+        // An inline slot cannot die, so reading it cannot fail.
+        self.pipeline.stats().unwrap_or_default()
     }
 
     /// Run a full invariant audit over the engine's redundant bookkeeping —
@@ -77,48 +73,39 @@ impl MmqjpEngine {
     /// side-effect free; a healthy engine returns an empty vector, and any
     /// violation indicates an engine bug (see [`crate::audit`]).
     pub fn audit(&self) -> Vec<AuditViolation> {
-        let mut out = Vec::new();
-        self.front.audit(self.join.registry.num_queries(), &mut out);
-        self.join.audit(&mut out);
-        out
+        // An inline slot cannot die, so reading it cannot fail.
+        self.pipeline.audit().unwrap_or_default()
     }
 
     /// The front's Stage-1 subscription table: pattern index, requested
     /// edges and single-block subscriptions.
     pub fn stage1_table(&self) -> &Stage1Table {
-        self.front.table()
-    }
-
-    /// The front's Stage-1 table, mutably, for tests that seed a corrupted
-    /// entry.
-    #[cfg(test)]
-    pub(crate) fn stage1_table_mut(&mut self) -> &mut Stage1Table {
-        self.front.table_mut()
+        self.pipeline.front.table()
     }
 
     /// Number of registered queries.
     pub fn num_queries(&self) -> usize {
-        self.join.registry.num_queries()
+        self.pipeline.num_queries()
     }
 
     /// Number of distinct query templates.
     pub fn num_templates(&self) -> usize {
-        self.join.registry.num_templates()
+        self.registry().num_templates()
     }
 
     /// Number of distinct Stage-1 tree patterns.
     pub fn num_patterns(&self) -> usize {
-        self.front.table().index().len()
+        self.stage1_table().index().len()
     }
 
     /// Access the query registry (templates, queries, catalog).
     pub fn registry(&self) -> &Registry {
-        &self.join.registry
+        &self.pipeline.join().registry
     }
 
     /// The shared string interner.
     pub fn interner(&self) -> &Arc<StringInterner> {
-        &self.join.interner
+        &self.pipeline.interner
     }
 
     /// Register a query from its textual XSCL form. Returns the query id.
@@ -134,9 +121,7 @@ impl MmqjpEngine {
     /// matched against it, so registration order (not just the query set)
     /// defines each query's visible stream.
     pub fn register_query(&mut self, query: XsclQuery) -> CoreResult<QueryId> {
-        let (id, footprint) = self.join.register(query, self.front.position().0)?;
-        self.front.subscribe(JOIN_STAGE, id, &footprint)?;
-        Ok(id)
+        self.pipeline.register(query)
     }
 
     /// Drain the quarantine ledger: every poison document skipped so far
@@ -144,32 +129,21 @@ impl MmqjpEngine {
     /// order. Empty under other policies (poison then fails its batch
     /// instead).
     pub fn take_quarantine_records(&mut self) -> Vec<QuarantineRecord> {
-        self.front.take_quarantine()
+        self.pipeline.front.take_quarantine()
     }
 
-    /// Unregister a query, incrementally releasing every shared structure it
-    /// participated in: its `RT` tuples are removed in place (an emptied
-    /// template is retired from the catalog), its Stage-1 pattern and
-    /// requested-edge registrations are released through reference counts,
-    /// the window bounds are recomputed so document retention can tighten,
-    /// and view-cache slices carrying rows under now-dead canonical
-    /// variables are reclaimed (they are pure caches, so results never
-    /// depend on it).
-    ///
-    /// The cost is O(the departing query's footprint) — never a registry
-    /// rebuild. Freed [`QueryId`]s are tombstoned and never reused, so shard
-    /// assignment and the canonical output order stay deterministic across
-    /// churn. Join-state rows that only the departed query's patterns
-    /// produced are left to age out with their time bucket (they are
-    /// semantically inert — no live `RT` tuple joins them — and window
-    /// expiry bounds their lifetime); everything else is reclaimed eagerly.
+    /// Unregister a query, releasing every shared structure it took part in
+    /// in O(its footprint): its `RT` tuples (an emptied template is
+    /// retired), its Stage-1 patterns and requested edges (refcounted), the
+    /// window bounds (document retention can tighten) and the view-cache
+    /// slices of canonical variables that died with it. Freed
+    /// [`QueryId`]s are never reused. Join-state rows only its patterns
+    /// produced are inert and age out with their time bucket.
     ///
     /// Errors with [`CoreError::UnknownQuery`] for ids never assigned or
     /// already unregistered.
     pub fn unregister_query(&mut self, id: QueryId) -> CoreResult<()> {
-        self.join.unregister(id)?;
-        self.front.unsubscribe(id)?;
-        Ok(())
+        self.pipeline.unregister(id)
     }
 
     /// Process one document, returning the matches it produced.
@@ -188,34 +162,18 @@ impl MmqjpEngine {
     ///
     /// [`process_document`]: MmqjpEngine::process_document
     pub fn process_batch(&mut self, docs: Vec<Document>) -> CoreResult<Vec<MatchOutput>> {
-        let batch = self.front.begin_batch();
-        if docs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let docs = self.front.screen(docs, batch)?;
-        let FrontBatch {
-            batches,
-            doc_meta,
-            docs,
-            mut singles,
-        } = self.front.run(docs, |_| None, 1)?;
-        let batch = batches.into_iter().next().unwrap_or_default();
-        singles.extend(self.join.process(RoutedBatch {
-            batch,
-            doc_meta,
-            docs,
-        })?);
-        Ok(singles)
+        self.pipeline.process_batch(docs)
     }
 }
 
 /// The join stage of the pipeline: Stage 2, output construction and state
 /// maintenance over witness rows a front already produced — the registry,
-/// the windowed join state, the view cache and the executor scratch. A
-/// single engine feeds its one join stage inline; every shard of a
-/// [`ShardedEngine`](crate::ShardedEngine) owns one and nothing else. Its
-/// stream position follows the routed metadata, so mid-stream
-/// registrations get the same arrival floor whichever front fed it.
+/// the windowed join state, the view cache and the executor scratch. Every
+/// shard slot of the pipeline owns one — inline in the single engine, on a
+/// worker thread in the sharded one — and only [`crate::pipeline::serve`]
+/// registers, unregisters and joins on it. Its stream position follows the
+/// routed metadata, so mid-stream registrations get the same arrival floor
+/// whichever front fed it.
 #[derive(Debug)]
 pub(crate) struct JoinStage {
     config: EngineConfig,
@@ -729,22 +687,25 @@ impl JoinStage {
         Ok(())
     }
 
-    /// How long documents (and their timestamps) must be retained: the
-    /// maximum registered window, tightened or replaced by
-    /// [`EngineConfig::doc_retention_cap`]. `None` — retain forever — only
-    /// when some window is infinite *and* no cap is configured.
+    /// How long documents (and their timestamps) must be retained (see
+    /// [`recovery::retention_bound`]).
     fn doc_retention_bound(&self) -> Option<u64> {
-        min_bound(self.registry.max_window(), self.config.doc_retention_cap)
+        recovery::retention_bound(
+            self.registry.bounding_windows(),
+            self.config.doc_retention_cap,
+        )
     }
 
     /// The retention span the bucket width is derived from. Uses the largest
     /// *finite* window even when infinite windows exist (width is a pure
     /// granularity parameter — see [`JoinState`]).
     fn width_hint(&self) -> Option<u64> {
-        min_bound(
-            self.registry.max_finite_window(),
-            self.config.doc_retention_cap,
-        )
+        let cap = self.config.doc_retention_cap;
+        self.registry
+            .max_finite_window()
+            .into_iter()
+            .chain(cap)
+            .min()
     }
 }
 
@@ -1064,11 +1025,6 @@ fn compute_rl_rr(
     }
     timings.compute_rr += t_rr.elapsed();
     Ok((rl, rr, rbinw_by_docnode))
-}
-
-/// The smaller of two optional bounds; `None` only when both are absent.
-fn min_bound(a: Option<u64>, b: Option<u64>) -> Option<u64> {
-    a.into_iter().chain(b).min()
 }
 
 #[cfg(test)]
@@ -1793,7 +1749,8 @@ mod tests {
             int(100),
         ];
         let out = e
-            .join
+            .pipeline
+            .join_mut()
             .produce_outputs(-1, &crafted_result(good), &batch_ts, &[])
             .unwrap();
         assert_eq!(out.len(), 1);
@@ -1803,7 +1760,9 @@ mod tests {
             row[pos] = Value::Null;
             let rows = crafted_result(row);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                e.join.produce_outputs(-1, &rows, &batch_ts, &[])
+                e.pipeline
+                    .join_mut()
+                    .produce_outputs(-1, &rows, &batch_ts, &[])
             }));
             if cfg!(debug_assertions) {
                 // Debug builds stop at the key reader's assertion...
@@ -1888,7 +1847,13 @@ mod tests {
             .plan_basic
             .clone();
         assert!(plan.as_ref().unwrap().kept_tables().any(|(_, v)| v == 3));
-        one.join.registry.templates_mut().next().unwrap().plan_basic = plan;
+        one.pipeline
+            .join_mut()
+            .registry
+            .templates_mut()
+            .next()
+            .unwrap()
+            .plan_basic = plan;
         assert!(one.audit().contains(&AuditViolation::PlanMemo {
             template: 0,
             reason: "a kept join table newer than its template's RT",
@@ -1901,5 +1866,20 @@ mod tests {
         let out = e.process_document(d1()).unwrap();
         assert!(out.is_empty());
         assert_eq!(e.stats().documents_processed, 1);
+    }
+
+    #[test]
+    fn without_a_join_window_documents_are_not_retained() {
+        // Retention follows the live join windows: with none, no later
+        // match can need a document, so documents age out bucket by bucket
+        // (1 024 time units each until a window sets the width).
+        let mut e = MmqjpEngine::new(EngineConfig::mmqjp());
+        e.register_query_text("S//book->x1[.//author->x2]").unwrap();
+        for i in 1..=10 {
+            let doc = d1().with_timestamp(Timestamp(2_000 * i));
+            assert_eq!(e.process_document(doc).unwrap().len(), 2);
+        }
+        let stats = e.stats();
+        assert_eq!((stats.docs_retained, stats.docs_evicted), (1, 9));
     }
 }

@@ -26,23 +26,17 @@
 //! A naive **Sequential** mode (one conjunctive query per registered query
 //! per document) is provided as the paper's baseline.
 //!
-//! The two stages are one pipeline, `front → route → join → merge`, and
-//! both engines instantiate it: every piece of an engine's Stage-1 state
-//! lives in one front ([`front`]), which routes each document's witness rows
-//! to their consumers, the join stages (Stage 2, output construction and
-//! state maintenance). [`MmqjpEngine`] is a front with one consumer and one
-//! join stage, run in one thread with nothing to merge.
-//!
-//! For multi-core operation, [`ShardedEngine`] is the same front with one
-//! consumer per shard: it hash-partitions the query population across `N`
-//! join stages on worker threads and merges the per-shard matches into a
-//! deterministic, canonically-ordered result — identical to a single
-//! engine's output for every shard count and inner mode. Each document is
-//! parsed and pattern-matched exactly once by `EngineConfig::front_pool`
-//! front parties (the caller's thread plus `front_pool − 1` spawned
-//! workers), and only the witness rows ([`RoutedBatch`]) reach the shards
-//! that subscribed to them, pipelining Stage 1 of batch `k+1` with Stage 2
-//! of batch `k`.
+//! The two stages are one pipeline, `front → route → join → merge`
+//! (the crate-private `pipeline` module), and both engines instantiate it:
+//! one front ([`front`]) holds all Stage-1 state, matches each document
+//! once and routes its witness rows to one shard slot per consumer, where a
+//! join stage runs Stage 2, output construction and state maintenance.
+//! [`MmqjpEngine`] has one inline slot, served on the caller's thread with
+//! nothing to merge. [`ShardedEngine`] has `N` worker-thread slots over a
+//! hash-partitioned query population, `EngineConfig::front_pool` front
+//! parties (the caller's thread plus spawned workers) and a canonical
+//! merge, whose output equals a single engine's for every shard count and
+//! mode; it pipelines Stage 1 of batch `k+1` with Stage 2 of batch `k`.
 //!
 //! # Quick start
 //!
@@ -90,6 +84,7 @@ mod error;
 mod fault;
 pub mod front;
 mod output;
+mod pipeline;
 mod recovery;
 mod registry;
 mod relations;

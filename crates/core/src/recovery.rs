@@ -1,12 +1,12 @@
-//! Checkpoint/replay recovery for the sharded pipeline.
+//! Checkpoint/replay recovery for a pipeline whose shard slots are threads.
 //!
-//! A shard worker that panics (or loses its channel) takes its in-memory
-//! join state with it. This module rebuilds that state deterministically,
-//! without ever checkpointing the state itself:
+//! A shard worker that dies — panics or loses its channel, on any request —
+//! takes its in-memory join state with it. This module rebuilds that state deterministically,
+//! without ever checkpointing the state itself (`Pipeline::respawn`):
 //!
 //! 1. **Re-register** the shard's surviving subscriptions from the retained
-//!    global registry ([`RetainedQuery`]) in a fresh join stage, each at its
-//!    original arrival floor, so recovered queries only match documents they
+//!    global registry ([`RetainedQuery`]) in a fresh shard, through the same
+//!    `serve` every registration takes, each at its original arrival floor, so recovered queries only match documents they
 //!    would have matched before the crash. (The front never released them.)
 //! 2. **Replay** the in-window document stream from a bounded [`ReplayLog`]:
 //!    the coordinator's front matches each logged batch again and routes to
@@ -22,9 +22,6 @@
 //! engine that never failed — the property the chaos differential harness
 //! asserts.
 
-use crate::engine::JoinStage;
-use crate::error::CoreResult;
-use crate::front::Front;
 use mmqjp_xml::Document;
 use mmqjp_xscl::{Window, XsclQuery};
 use std::collections::VecDeque;
@@ -113,28 +110,23 @@ impl ReplayLog {
     }
 }
 
-/// How far back replayable documents must be retained for the given live
-/// queries: the maximum time window, tightened (or, when every finite bound
-/// is unavailable, replaced) by `doc_retention_cap`. `None` — retain forever
-/// — only when some window is unbounded (`Infinite` or `Count`, which time
-/// cannot bound) *and* no cap is configured. Single-block subscriptions
-/// carry no join window and contribute nothing. Mirrors
-/// `JoinStage::doc_retention_bound` so the log never evicts what a shard
-/// might still need.
-pub(crate) fn retention_bound<'a>(
-    queries: impl Iterator<Item = &'a XsclQuery>,
+/// How far back documents must be retained for live join queries with the
+/// given windows: the longest window, tightened (or, when some window is
+/// unbounded, replaced) by `doc_retention_cap`. `None` — retain forever —
+/// only when some window is unbounded (`Infinite` or `Count`, which time
+/// cannot bound) *and* no cap is configured; with no window at all nothing
+/// is retained. The one retention policy: a join stage bounds its documents
+/// with it and the pipeline its replay log, so the log never evicts what a
+/// shard might still need.
+pub(crate) fn retention_bound(
+    windows: impl IntoIterator<Item = Window>,
     cap: Option<u64>,
 ) -> Option<u64> {
     let mut max_window: Option<u64> = Some(0);
-    for query in queries {
-        match query.window() {
-            Some(Window::Time(t)) => {
-                if let Some(m) = max_window.as_mut() {
-                    *m = (*m).max(t);
-                }
-            }
-            Some(Window::Infinite | Window::Count(_)) => max_window = None,
-            None => {}
+    for window in windows {
+        match window {
+            Window::Time(t) => max_window = max_window.map(|m| m.max(t)),
+            Window::Infinite | Window::Count(_) => max_window = None,
         }
     }
     match (max_window, cap) {
@@ -142,28 +134,6 @@ pub(crate) fn retention_bound<'a>(
         (Some(w), None) => Some(w),
         (None, cap) => cap,
     }
-}
-
-/// Rebuild dead shard `shard` in the fresh join stage `join`: its surviving
-/// `queries` re-registered in ascending global-id order at their original
-/// floors, then the retained document stream replayed through `front` for
-/// `shard` alone, and the timestamp watermark restored to `newest`.
-pub(crate) fn rebuild_shard(
-    mut join: JoinStage,
-    queries: &[&RetainedQuery],
-    front: &mut Front,
-    shard: usize,
-    log: &ReplayLog,
-    newest: u64,
-) -> CoreResult<JoinStage> {
-    for retained in queries {
-        join.register(retained.query.clone(), retained.floor)?;
-    }
-    for batch in log.batches() {
-        join.replay(front.replay(batch, shard)?)?;
-    }
-    join.restore_watermark(newest);
-    Ok(join)
 }
 
 #[cfg(test)]
@@ -209,20 +179,20 @@ mod tests {
             ))
             .expect("valid query")
         };
+        let bound = |queries: &[&XsclQuery], cap| {
+            retention_bound(queries.iter().filter_map(|q| q.window()), cap)
+        };
         let a = q_win("100");
         let b = q_win("500");
-        assert_eq!(retention_bound([&a, &b].into_iter(), None), Some(500));
-        assert_eq!(retention_bound([&a, &b].into_iter(), Some(200)), Some(200));
+        assert_eq!(bound(&[&a, &b], None), Some(500));
+        assert_eq!(bound(&[&a, &b], Some(200)), Some(200));
         let inf = q_win("INF");
-        assert_eq!(retention_bound([&a, &inf].into_iter(), None), None);
-        assert_eq!(
-            retention_bound([&a, &inf].into_iter(), Some(800)),
-            Some(800)
-        );
+        assert_eq!(bound(&[&a, &inf], None), None);
+        assert_eq!(bound(&[&a, &inf], Some(800)), Some(800));
         let count = q_win("COUNT 10");
-        assert_eq!(retention_bound([&a, &count].into_iter(), None), None);
+        assert_eq!(bound(&[&a, &count], None), None);
         let single = parse_query("S//book->x1[.//author->x2]").expect("valid query");
-        assert_eq!(retention_bound([&single].into_iter(), None), Some(0));
-        assert_eq!(retention_bound([].into_iter(), None), Some(0));
+        assert_eq!(bound(&[&single], None), Some(0));
+        assert_eq!(bound(&[], None), Some(0));
     }
 }

@@ -876,6 +876,15 @@ impl Registry {
         self.finite_windows.keys().next_back().copied()
     }
 
+    /// The live join windows that bound document retention: `Infinite` when
+    /// some window is infinite or a count, and the longest finite one.
+    pub(crate) fn bounding_windows(&self) -> impl Iterator<Item = Window> {
+        let unbounded = (self.infinite_windows > 0).then_some(Window::Infinite);
+        unbounded
+            .into_iter()
+            .chain(self.max_finite_window().map(Window::Time))
+    }
+
     /// `true` when some live join query has an infinite or count window,
     /// which forbids window-based eviction of join state.
     pub fn has_infinite_window(&self) -> bool {

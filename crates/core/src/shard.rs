@@ -1,28 +1,18 @@
-//! Multi-core processing: the threaded instance of the pipeline
-//! `front → route → join → merge`.
+//! Multi-core processing: the pipeline ([`crate::pipeline`]) with `N`
+//! worker-thread shard slots and `front_pool − 1` spawned front parties.
 //!
-//! [`MmqjpEngine`](crate::MmqjpEngine) is that pipeline in one thread: a
-//! front with one consumer of witness rows feeding one join stage.
-//! [`ShardedEngine`] is the same front with one consumer per shard, plus its
-//! spawned front workers, plus `N` shard workers that each own a join stage
-//! and nothing else.
-//!
-//! *Front*: the coordinator's front ([`crate::front`]) screens and stamps
-//! each batch, and [`EngineConfig::front_pool`] front parties — the caller's
-//! thread plus `front_pool − 1` spawned workers — match contiguous slices of
-//! it, each document exactly once: the caller against the front's Stage-1
-//! table, each spawned worker against a clone of it. A registration's shard
-//! registers the query and returns its Stage-1 footprint, and the front
-//! subscribes the shard to it as a consumer. *Route*: the front routes each
-//! document's witness rows straight into one batch per shard, to precisely
-//! the shards consuming them ([`RoutedBatch`]; whole documents are shipped
-//! only when `retain_documents` needs them for `SELECT *` output). *Join*:
-//! the *query population* is hash-partitioned across `N` join stages on
-//! long-lived worker threads, each with its own registry, join state and
-//! view cache, so sharding composes with every mode. *Merge*: the shards'
-//! matches and the front's single-block matches are sorted into canonical
-//! order. Under [`process_batches`](ShardedEngine::process_batches) the
-//! caller matches batch `k+1` while the shards join batch `k`.
+//! [`ShardedEngine`] hash-partitions the *query population* across `N`
+//! [`Worker`] slots, each a thread that owns one shard — a join stage with
+//! its own registry, join state and view cache, so sharding composes with
+//! every mode — and answers its requests with the `serve` an inline slot
+//! calls. The front parties (the caller's thread plus spawned workers
+//! matching against clones of the Stage-1 table) match every document once;
+//! the front routes each witness row to exactly the shards consuming it
+//! (whole documents only when `retain_documents` needs them), and the merge
+//! sorts the shards' matches and the front's single-block matches into the
+//! canonical `(query, left_doc, right_doc, bindings)` order
+//! ([`sort_matches`](crate::sort_matches)): a canonically-sorted
+//! single-engine batch for any shard count, pool size and interleaving.
 //!
 //! ```text
 //!   docs ─▶ front: the caller's thread + front_pool − 1 workers,
@@ -36,144 +26,32 @@
 //!        canonical merge
 //! ```
 //!
-//! **Determinism.** The front owns id/timestamp assignment and routes each
-//! shard exactly the witness rows its queries request, and the merged batch
-//! output is sorted into the canonical `(query, left_doc, right_doc,
-//! bindings)` order ([`sort_matches`](crate::sort_matches)): the result is a
-//! canonically-sorted single-engine batch for any shard count, front-pool
-//! size and thread interleaving.
-//!
-//! **Thread safety.** A shard's state owns its data outright (no `Rc`, no
-//! thread-bound interior mutability), query shapes cross threads behind
-//! `Arc` and are never mutated once built, and the [`StringInterner`] all
-//! shards share is behind `Arc` + `RwLock`. The `assert_send` bindings at
-//! the bottom of this module check this at compile time.
+//! A worker serves each request inside one `catch_unwind`: a panic is
+//! answered as [`CoreError::ShardPanicked`] and the worker exits, which the
+//! pipeline treats as the shard's death. Shards own their data outright,
+//! shapes cross threads behind `Arc`, and the shared [`StringInterner`] is
+//! behind `Arc` + `RwLock`; the `assert_send` bindings at the bottom of this
+//! module check this at compile time.
 
 use crate::audit::AuditViolation;
-use crate::config::{EngineConfig, FaultPolicy};
-use crate::engine::JoinStage;
+use crate::config::EngineConfig;
 use crate::error::{CoreError, CoreResult};
-use crate::fault::{FaultInjector, FaultKind, QuarantineRecord, WorkerFault};
-use crate::front::{match_slice, Front, FrontBatch, MatchScratch, MatchedChunk, Stage1Table};
-use crate::output::{sort_matches, MatchOutput};
-use crate::recovery::{self, ReplayLog, RetainedQuery};
+use crate::fault::{FaultInjector, QuarantineRecord, WorkerFault};
+use crate::front::{match_slice, MatchScratch, MatchedChunk, Stage1Table};
+use crate::output::MatchOutput;
+use crate::pipeline::{self, serve, Answer, Pipeline, Read, Reply, Request, Shard, Slot};
+use crate::recovery::ReplayLog;
 use crate::registry::Stage1Footprint;
 use crate::relations::RoutedBatch;
 use crate::stats::EngineStats;
 use mmqjp_relational::StringInterner;
 use mmqjp_xml::Document;
 use mmqjp_xscl::{QueryId, XsclQuery};
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
-
-/// A request sent to a shard worker thread. Every request carries a reply
-/// channel; the worker answers each request exactly once, in order.
-enum Request {
-    /// Register a query under the given engine-global id, joining only
-    /// documents after `floor`. The reply carries the query's Stage-1
-    /// footprint, which the coordinator subscribes the shard to in its front.
-    Register {
-        query: Box<XsclQuery>,
-        global: QueryId,
-        floor: u64,
-        reply: Sender<CoreResult<Stage1Footprint>>,
-    },
-    /// Unregister the query registered under the given engine-global id.
-    Unregister {
-        global: QueryId,
-        reply: Sender<CoreResult<()>>,
-    },
-    /// Run the join stage over the shard's routed witness rows of one batch
-    /// (Stage 1 already happened at the front) and return the shard's
-    /// matches, with query ids already translated back to engine-global ids.
-    Batch {
-        routed: Box<RoutedBatch>,
-        /// Injected fault to deliver while serving this request (chaos
-        /// harness only; always `None` in production).
-        fault: Option<WorkerFault>,
-        reply: Sender<CoreResult<Vec<MatchOutput>>>,
-    },
-    /// Snapshot the shard's statistics.
-    Stats { reply: Sender<EngineStats> },
-    /// Run the shard's join-stage audit and return its violations.
-    Audit { reply: Sender<Vec<AuditViolation>> },
-}
-
-/// One shard: the channel into its worker thread and the join handle.
-struct Shard {
-    sender: Option<Sender<Request>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-// ------------------------------------------------------------------------
-// Spawned front parties
-// ------------------------------------------------------------------------
-
-/// A request to a spawned Stage-1 front worker (front parties
-/// `1..front_pool`; party 0 is the caller's thread and takes no requests).
-enum FrontRequest {
-    /// Replace the worker's clone of the front's Stage-1 table. Sent after
-    /// every subscription change; churn is rare relative to batches, so a
-    /// full-clone broadcast keeps the per-document hot path lock-free.
-    Sync {
-        table: Box<Stage1Table>,
-        reply: Sender<()>,
-    },
-    /// Match a run of documents (ids and timestamps already assigned by
-    /// the front) and return their Stage-1 output.
-    Match {
-        docs: Vec<Document>,
-        /// Injected fault: panic while serving this request.
-        panic: bool,
-        reply: Sender<MatchedChunk>,
-    },
-}
-
-/// One spawned front worker: the channel into its thread and the join
-/// handle.
-#[derive(Debug)]
-struct FrontWorker {
-    sender: Option<Sender<FrontRequest>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// The spawned front parties: `workers[i]` is front party `i + 1`.
-#[derive(Debug)]
-struct FrontPool {
-    workers: Vec<FrontWorker>,
-}
-
-/// The front's Stage-1 product for one batch, ready for dispatch, with its
-/// replay-log entry and the watermark before it (see [`InFlight`]).
-struct StagedBatch {
-    front: FrontBatch,
-    log_entry: Option<Vec<Document>>,
-    watermark: u64,
-}
-
-/// One batch in flight at the shards.
-struct InFlight {
-    /// Per-shard reply channels, tagged with the shard index (under
-    /// [`FaultPolicy::Degrade`] dead shards are skipped, so the indices are
-    /// not necessarily contiguous).
-    responses: Vec<(usize, Receiver<CoreResult<Vec<MatchOutput>>>)>,
-    singles: Vec<MatchOutput>,
-    /// The batch's stamped survivor documents — the replay-log entry,
-    /// committed once collection completes (dispatched ⇒ eventually
-    /// logged). `None` under [`FaultPolicy::FailFast`] (no log is kept).
-    log_entry: Option<Vec<Document>>,
-    /// Heal-retry payloads, one slot per shard, populated only under
-    /// [`FaultPolicy::Quarantine`]; each slot is taken at most once.
-    retry_routed: Option<Vec<Option<RoutedBatch>>>,
-    /// The newest timestamp *before* this batch was screened — the
-    /// watermark a healed shard must be rebuilt at, because the replay log
-    /// does not yet contain this batch.
-    watermark: u64,
-}
 
 /// A multi-core MMQJP engine: `N` join-stage shards over a hash-partitioned
 /// query population, fed by one front and merged into a deterministic,
@@ -207,34 +85,7 @@ struct InFlight {
 /// ```
 #[derive(Debug)]
 pub struct ShardedEngine {
-    config: EngineConfig,
-    interner: Arc<StringInterner>,
-    shards: Vec<Shard>,
-    /// All Stage-1 state: each shard consumes the edges its queries request.
-    front: Front,
-    /// Front parties `1..front_pool`.
-    pool: FrontPool,
-    queries_per_shard: Vec<usize>,
-    next_query: u64,
-    /// Live subscriptions retained for recovery, keyed by global query id
-    /// (ascending = original registration order). Empty under
-    /// [`FaultPolicy::FailFast`].
-    retained: BTreeMap<u64, RetainedQuery>,
-    /// Bounded log of stamped survivor batches for replay; empty under
-    /// [`FaultPolicy::FailFast`].
-    replay_log: ReplayLog,
-    /// Cached replay-log retention bound, recomputed on registration churn
-    /// so eviction does not rescan every retained query per batch.
-    retention: Option<u64>,
-    /// Deterministic fault injector (chaos harness only); `None` in
-    /// production.
-    injector: Option<FaultInjector>,
-    /// Faults scheduled for the batch currently being ingested, drained as
-    /// each worker request is built.
-    pending_faults: Vec<FaultKind>,
-    /// Coordinator-side counters (`shards_respawned`, `faults_injected`,
-    /// recovery timings) merged into [`stats`](Self::stats).
-    supervisor_stats: EngineStats,
+    pipeline: Pipeline<Worker>,
 }
 
 impl ShardedEngine {
@@ -245,87 +96,58 @@ impl ShardedEngine {
     /// `front_pool = 1` spawns none (a count of `0` is treated as `1` for
     /// both).
     pub fn new(config: EngineConfig) -> Self {
-        let num_shards = config.num_shards.max(1);
-        let interner = Arc::new(StringInterner::new());
-        let shards = (0..num_shards)
-            .map(|i| {
-                let join = JoinStage::new(config.clone(), Arc::clone(&interner));
-                spawn_shard_worker(i, join, Vec::new())
-                    // lint:allow one-time startup; a failed spawn leaves no engine to return
-                    .expect("spawning a shard worker thread succeeds")
-            })
-            .collect();
-        // Front party 0 is the caller's thread: only parties 1.. are spawned.
-        let workers = (1..config.front_pool.max(1))
-            .map(|party| {
-                spawn_front_worker(party, config.retain_documents)
-                    // lint:allow one-time startup; a failed spawn leaves no engine to return
-                    .expect("spawning a front worker thread succeeds")
-            })
-            .collect();
+        let (shards, parties) = (config.num_shards.max(1), config.front_pool.max(1));
         ShardedEngine {
-            front: Front::new(&config, Arc::clone(&interner)),
-            pool: FrontPool { workers },
-            config,
-            interner,
-            shards,
-            queries_per_shard: vec![0; num_shards],
-            next_query: 0,
-            retained: BTreeMap::new(),
-            replay_log: ReplayLog::default(),
-            retention: Some(0),
-            injector: None,
-            pending_faults: Vec::new(),
-            supervisor_stats: EngineStats::default(),
+            pipeline: Pipeline::new(config, shards, parties),
         }
     }
 
     /// The engine configuration (shared by every shard).
     pub fn config(&self) -> &EngineConfig {
-        &self.config
+        &self.pipeline.config
     }
 
     /// The number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.pipeline.slots.len()
     }
 
     /// The number of Stage-1 front parties: the caller's thread plus the
     /// spawned front workers.
     pub fn front_pool(&self) -> usize {
-        self.pool.workers.len() + 1
+        self.pipeline.pool.parties()
     }
 
     /// Total number of live registered queries across all shards.
     pub fn num_queries(&self) -> usize {
-        self.queries_per_shard.iter().sum()
+        self.pipeline.num_queries()
     }
 
     /// Total number of query ids ever assigned (freed ids are tombstoned,
     /// never reused).
     pub fn total_queries_registered(&self) -> usize {
-        self.next_query as usize
+        self.pipeline.next_query as usize
     }
 
     /// Number of live queries assigned to each shard, by shard index.
     pub fn queries_per_shard(&self) -> &[usize] {
-        &self.queries_per_shard
+        &self.pipeline.queries_per_shard
     }
 
     /// The string interner shared by all shards.
     pub fn interner(&self) -> &Arc<StringInterner> {
-        &self.interner
+        &self.pipeline.interner
     }
 
     /// The shard a query id is assigned to.
     pub fn shard_of(&self, id: QueryId) -> usize {
-        shard_of(id, self.shards.len())
+        pipeline::shard_of(id, self.num_shards())
     }
 
     /// The front's Stage-1 subscription table (each shard a consumer of the
     /// edges its queries request), for inspection.
     pub fn stage1_table(&self) -> &Stage1Table {
-        self.front.table()
+        self.pipeline.front.table()
     }
 
     /// Register a query from its textual XSCL form. Returns the query id.
@@ -340,39 +162,7 @@ impl ShardedEngine {
     /// dead front worker it fails with [`CoreError::FrontUnavailable`]
     /// before the shard is asked, changing nothing.
     pub fn register_query(&mut self, query: XsclQuery) -> CoreResult<QueryId> {
-        self.pool.check_workers()?;
-        let global = QueryId(self.next_query);
-        let shard = shard_of(global, self.shards.len());
-        // Under a recovering fault policy the coordinator retains each live
-        // query (plus its arrival floor) so a dead shard can be rebuilt.
-        let floor = self.front.position().0;
-        let retain = (self.config.fault_policy != FaultPolicy::FailFast).then(|| RetainedQuery {
-            query: query.clone(),
-            floor,
-        });
-        let (reply, response) = channel();
-        self.send(
-            shard,
-            Request::Register {
-                query: Box::new(query),
-                global,
-                floor,
-                reply,
-            },
-        )?;
-        let footprint = response
-            .recv()
-            .map_err(|_| CoreError::ShardUnavailable { shard })??;
-        // Failed registrations consume no id, matching the single engine.
-        self.next_query += 1;
-        self.queries_per_shard[shard] += 1;
-        if let Some(retained) = retain {
-            self.retained.insert(global.raw(), retained);
-            self.refresh_retention();
-        }
-        self.front.subscribe(shard, global, &footprint)?;
-        self.pool.sync(self.front.table())?;
-        Ok(global)
+        self.pipeline.register(query)
     }
 
     /// Unregister a query on the shard that owns it. Mirrors
@@ -383,19 +173,7 @@ impl ShardedEngine {
     /// shard's worker is gone, and [`CoreError::FrontUnavailable`] if a front
     /// worker is — in which case the query stays registered everywhere.
     pub fn unregister_query(&mut self, id: QueryId) -> CoreResult<()> {
-        self.pool.check_workers()?;
-        let shard = shard_of(id, self.shards.len());
-        let (reply, response) = channel();
-        self.send(shard, Request::Unregister { global: id, reply })?;
-        response
-            .recv()
-            .map_err(|_| CoreError::ShardUnavailable { shard })??;
-        self.queries_per_shard[shard] -= 1;
-        if self.retained.remove(&id.raw()).is_some() {
-            self.refresh_retention();
-        }
-        self.front.unsubscribe(id)?;
-        self.pool.sync(self.front.table())
+        self.pipeline.unregister(id)
     }
 
     /// Process one document, returning its matches in canonical order.
@@ -409,13 +187,7 @@ impl ShardedEngine {
     /// right_doc, bindings)` order. The batched-evaluation trade-off of
     /// [`MmqjpEngine::process_batch`](crate::MmqjpEngine::process_batch) applies unchanged.
     pub fn process_batch(&mut self, docs: Vec<Document>) -> CoreResult<Vec<MatchOutput>> {
-        let batch_index = self.begin_batch();
-        if docs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let staged = self.front_stage1(docs, batch_index)?;
-        let in_flight = self.dispatch_routed(staged)?;
-        self.collect_shard_outputs(in_flight, false)
+        self.pipeline.process_batch(docs)
     }
 
     /// Process a sequence of batches, returning each batch's canonical
@@ -434,52 +206,7 @@ impl ShardedEngine {
         &mut self,
         batches: Vec<Vec<Document>>,
     ) -> CoreResult<Vec<Vec<MatchOutput>>> {
-        let mut results = Vec::with_capacity(batches.len());
-        let mut in_flight: Option<InFlight> = None;
-        for batch in batches {
-            let batch_index = self.begin_batch();
-            if batch.is_empty() {
-                // Nothing to match or dispatch; settle the pipeline so the
-                // empty result lands at the right position.
-                if let Some(prev) = in_flight.take() {
-                    results.push(self.collect_shard_outputs(prev, false)?);
-                }
-                results.push(Vec::new());
-                continue;
-            }
-            // Checkpoint the front: if collecting the *previous* batch fails
-            // below, the staged batch is dropped undispatched and must leave
-            // no trace, or the document sequence would drift ahead of what
-            // the shards (and a single engine fed the same stream) ever saw.
-            // Spawned workers hold no per-batch state (matching is
-            // snapshot-pure), so restoring the front is a complete rollback.
-            let checkpoint = self.front.checkpoint();
-            let staged = match self.front_stage1(batch, batch_index) {
-                Ok(staged) => staged,
-                Err(e) => {
-                    // Drain the in-flight batch before propagating, keeping
-                    // the shards synchronized for the next call.
-                    if let Some(prev) = in_flight.take() {
-                        let _ = self.collect_shard_outputs(prev, false);
-                    }
-                    return Err(e);
-                }
-            };
-            if let Some(prev) = in_flight.take() {
-                match self.collect_shard_outputs(prev, true) {
-                    Ok(outputs) => results.push(outputs),
-                    Err(e) => {
-                        self.front.rollback(checkpoint);
-                        return Err(e);
-                    }
-                }
-            }
-            in_flight = Some(self.dispatch_routed(staged)?);
-        }
-        if let Some(prev) = in_flight.take() {
-            results.push(self.collect_shard_outputs(prev, false)?);
-        }
-        Ok(results)
+        self.pipeline.process_batches(batches)
     }
 
     // ------------------------------------------------------------------
@@ -487,193 +214,62 @@ impl ShardedEngine {
     // ------------------------------------------------------------------
 
     /// Install a deterministic fault injector. Each subsequent batch asks
-    /// the injector for its scheduled faults ([`FaultKind`]) and delivers
+    /// the injector for its scheduled faults ([`FaultKind`](crate::FaultKind)) and delivers
     /// the worker-directed ones (panic a shard, drop a reply, panic a front
     /// worker) while serving that batch. Document-content faults are the
     /// chaos harness's job — it owns the input stream and must mutate the
     /// reference stream identically — so the engine ignores them.
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector);
+        self.pipeline.injector = Some(injector);
     }
 
     /// The installed fault injector, if any.
     pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
+        self.pipeline.injector.as_ref()
     }
 
     /// Drain the quarantined-document records accumulated since the last
-    /// call (only [`FaultPolicy::Quarantine`] produces any). Each record
+    /// call (only [`FaultPolicy::Quarantine`](crate::FaultPolicy) produces any). Each record
     /// pins the poison document by `(batch, doc_index)` of the ingestion
     /// call that rejected it.
     pub fn take_quarantine_records(&mut self) -> Vec<QuarantineRecord> {
-        self.front.take_quarantine()
+        self.pipeline.front.take_quarantine()
     }
 
     /// The bounded replay log backing shard recovery. Empty under
-    /// [`FaultPolicy::FailFast`].
+    /// [`FaultPolicy::FailFast`](crate::FaultPolicy).
     pub fn replay_log(&self) -> &ReplayLog {
-        &self.replay_log
+        &self.pipeline.replay_log
     }
 
     /// Shards whose worker has died and not (yet) been respawned. Always
-    /// empty under [`FaultPolicy::Quarantine`] between calls (dead shards
-    /// are healed inline) and under [`FaultPolicy::FailFast`] before the
+    /// empty under [`FaultPolicy::Quarantine`](crate::FaultPolicy) between calls (dead shards
+    /// are healed inline) and under [`FaultPolicy::FailFast`](crate::FaultPolicy) before the
     /// first failure.
     pub fn degraded_shards(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.sender.is_none())
-            .map(|(i, _)| i)
-            .collect()
+        let slots = &self.pipeline.slots;
+        (0..slots.len()).filter(|&s| !slots[s].alive()).collect()
     }
 
     /// Respawn shard `shard`'s worker with deterministically rebuilt state
-    /// (see [`recovery`]). Requires a recovering fault policy — under
-    /// [`FaultPolicy::FailFast`] nothing is retained to rebuild from, so this
+    /// (see [`recovery`](crate::recovery)). Requires a recovering fault policy — under
+    /// [`FaultPolicy::FailFast`](crate::FaultPolicy) nothing is retained to rebuild from, so this
     /// errors with [`CoreError::ShardUnavailable`]. Under
-    /// [`FaultPolicy::Quarantine`] the supervisor calls this automatically;
-    /// under [`FaultPolicy::Degrade`] call it to restore a degraded shard.
+    /// [`FaultPolicy::Quarantine`](crate::FaultPolicy) the pipeline calls this automatically;
+    /// under [`FaultPolicy::Degrade`](crate::FaultPolicy) call it to restore a degraded shard.
     pub fn respawn_shard(&mut self, shard: usize) -> CoreResult<()> {
-        self.respawn_shard_at(shard, self.front.position().1)
-    }
-
-    /// [`respawn_shard`](Self::respawn_shard) at an explicit timestamp
-    /// watermark — the supervisor heals mid-collection, when the front's
-    /// already includes the in-flight batch that the replay log does not.
-    fn respawn_shard_at(&mut self, shard: usize, watermark: u64) -> CoreResult<()> {
-        if self.config.fault_policy == FaultPolicy::FailFast {
-            return Err(CoreError::ShardUnavailable { shard });
-        }
-        let t0 = Instant::now();
-        self.retire_shard(shard);
-        let num_shards = self.shards.len();
-        let (globals, queries): (Vec<QueryId>, Vec<&RetainedQuery>) = self
-            .retained
-            .iter()
-            .map(|(&global, retained)| (QueryId(global), retained))
-            .filter(|&(global, _)| shard_of(global, num_shards) == shard)
-            .unzip();
-        let join = recovery::rebuild_shard(
-            JoinStage::new(self.config.clone(), Arc::clone(&self.interner)),
-            &queries,
-            &mut self.front,
-            shard,
-            &self.replay_log,
-            watermark,
-        )?;
-        self.shards[shard] = spawn_shard_worker(shard, join, globals)
-            .map_err(|_| CoreError::ShardUnavailable { shard })?;
-        self.supervisor_stats.shards_respawned += 1;
-        self.supervisor_stats.timings.recovery += t0.elapsed();
-        Ok(())
-    }
-
-    /// Retire a dead or desynchronized shard worker: close its channel and
-    /// reap the thread.
-    fn retire_shard(&mut self, shard: usize) {
-        self.shards[shard].sender = None;
-        if let Some(handle) = self.shards[shard].handle.take() {
-            let _ = handle.join();
-        }
-    }
-
-    /// Heal a shard that died while serving the in-flight batch: respawn it
-    /// at the pre-batch watermark (the replay log does not contain
-    /// the in-flight batch yet), then re-serve it its routed slice of this
-    /// batch — fault-free — and return its matches. The rebuilt state plus the
-    /// retried batch leave the shard byte-identical to one that never died.
-    fn heal_shard(
-        &mut self,
-        shard: usize,
-        retry_routed: &mut Option<Vec<Option<RoutedBatch>>>,
-        watermark: u64,
-    ) -> CoreResult<Vec<MatchOutput>> {
-        let t0 = Instant::now();
-        self.respawn_shard_at(shard, watermark)?;
-        let routed = retry_routed
-            .as_mut()
-            .and_then(|per_shard| per_shard.get_mut(shard))
-            .and_then(Option::take)
-            .ok_or(CoreError::ShardUnavailable { shard })?;
-        let (reply, response) = channel();
-        self.send(
-            shard,
-            Request::Batch {
-                routed: Box::new(routed),
-                fault: None,
-                reply,
-            },
-        )?;
-        let outputs = response
-            .recv()
-            .map_err(|_| CoreError::ShardUnavailable { shard })?;
-        self.supervisor_stats.timings.recovery += t0.elapsed();
-        outputs
-    }
-
-    /// Begin a batch at the front and fetch its scheduled faults.
-    fn begin_batch(&mut self) -> u64 {
-        let index = self.front.begin_batch();
-        self.pending_faults = match self.injector.as_mut() {
-            Some(injector) => injector.faults_for(index),
-            None => Vec::new(),
-        };
-        index
-    }
-
-    /// Drain the pending worker fault aimed at shard `shard` for the
-    /// current batch, if any.
-    fn worker_fault_for_shard(&mut self, shard: usize) -> Option<WorkerFault> {
-        let position = self.pending_faults.iter().position(|f| {
-            matches!(f, FaultKind::PanicShard { shard: s } if *s == shard)
-                || matches!(f, FaultKind::DropResponse { shard: s } if *s == shard)
-        })?;
-        let fault = match self.pending_faults.swap_remove(position) {
-            FaultKind::PanicShard { .. } => WorkerFault::Panic,
-            FaultKind::DropResponse { .. } => WorkerFault::DropReply,
-            _ => return None,
-        };
-        self.supervisor_stats.faults_injected += 1;
-        Some(fault)
-    }
-
-    /// Drain the pending panic aimed at spawned front party `party` for the
-    /// current batch; `true` if there was one. Only called for the spawned
-    /// parties that received a slice: party 0 is the caller's thread, which
-    /// no injected fault may kill, so its faults are never drained.
-    fn worker_fault_for_front(&mut self, party: usize) -> bool {
-        let Some(position) = self
-            .pending_faults
-            .iter()
-            .position(|f| matches!(f, FaultKind::PanicFront { worker } if *worker == party))
-        else {
-            return false;
-        };
-        self.pending_faults.swap_remove(position);
-        self.supervisor_stats.faults_injected += 1;
-        true
-    }
-
-    /// Recompute the cached replay-log retention bound.
-    fn refresh_retention(&mut self) {
-        self.retention = recovery::retention_bound(
-            self.retained.values().map(|r| &r.query),
-            self.config.doc_retention_cap,
-        );
+        let watermark = self.pipeline.front.position().1;
+        self.pipeline.respawn(shard, watermark)
     }
 
     /// Aggregate statistics: the field-wise sum of every shard's
     /// [`EngineStats`], the front's (documents and live patterns are counted
-    /// there, once) and the coordinator's failure-model counters
+    /// there, once) and the supervisor's failure-model counters
     /// (`shards_respawned`, `faults_injected`, recovery timings). Errors with
     /// [`CoreError::ShardUnavailable`] if a shard worker is gone — except
-    /// under [`FaultPolicy::Degrade`], where dead shards contribute zeroes.
+    /// under [`FaultPolicy::Degrade`](crate::FaultPolicy), where dead shards contribute zeroes.
     pub fn stats(&self) -> CoreResult<EngineStats> {
-        let mut total: EngineStats = self.shard_stats()?.into_iter().sum();
-        total += self.front.stats();
-        total += self.supervisor_stats;
-        Ok(total)
+        self.pipeline.stats()
     }
 
     /// The front's statistics: `docs_parsed_once`, the Stage-1 rows and
@@ -681,508 +277,156 @@ impl ShardedEngine {
     /// and dropped patterns, single-block `results_emitted` and the
     /// `xpath` (matching) and `ingest` (routing) timings.
     pub fn front_stats(&self) -> EngineStats {
-        self.front.stats()
+        self.pipeline.front.stats()
     }
 
     /// Per-shard statistics snapshots, by shard index. Under
-    /// [`FaultPolicy::Degrade`] a dead shard reports all-zero stats (its
+    /// [`FaultPolicy::Degrade`](crate::FaultPolicy) a dead shard reports all-zero stats (its
     /// state died with it); under any other policy a dead shard errors with
     /// [`CoreError::ShardUnavailable`].
     pub fn shard_stats(&self) -> CoreResult<Vec<EngineStats>> {
-        let replies = self.ask_shards(|reply| Request::Stats { reply })?;
-        Ok(replies.into_iter().map(Option::unwrap_or_default).collect())
-    }
-
-    /// Send every shard the request `make` builds around a reply channel
-    /// and collect the replies by shard index — skipping, as `None`, a dead
-    /// shard under [`FaultPolicy::Degrade`]. Any other dead shard errors
-    /// with [`CoreError::ShardUnavailable`].
-    fn ask_shards<T>(&self, make: impl Fn(Sender<T>) -> Request) -> CoreResult<Vec<Option<T>>> {
-        let degrade = self.config.fault_policy == FaultPolicy::Degrade;
-        let mut responses = Vec::with_capacity(self.shards.len());
-        for shard in 0..self.shards.len() {
-            if degrade && self.shards[shard].sender.is_none() {
-                responses.push(None);
-                continue;
-            }
-            let (reply, response) = channel();
-            self.send(shard, make(reply))?;
-            responses.push(Some(response));
-        }
-        let recv = |(shard, response): (usize, Option<Receiver<T>>)| {
-            let unavailable = |_| CoreError::ShardUnavailable { shard };
-            response.map(|r| r.recv().map_err(unavailable)).transpose()
-        };
-        responses.into_iter().enumerate().map(recv).collect()
+        self.pipeline.shard_stats()
     }
 
     /// Run a full invariant audit across the pipeline: every shard's
-    /// join-stage audit (wrapped in [`AuditViolation::Shard`]), the front's
-    /// audit — the same one
-    /// [`MmqjpEngine::audit`](crate::MmqjpEngine::audit) runs — and, under a
-    /// recovering fault policy, the recovery machinery: the retained-query
+    /// join-stage audit (wrapped in [`AuditViolation::Shard`]), under a
+    /// recovering fault policy the recovery machinery (the retained-query
     /// ledger tracks every live query and the replay log stays within its
-    /// retention bound. Read-only; a healthy engine returns an empty vector.
-    /// Errors with [`CoreError::ShardUnavailable`] if a shard worker is gone
-    /// — except under [`FaultPolicy::Degrade`], where dead shards are
-    /// skipped.
+    /// retention bound), and the front's audit — the same one
+    /// [`MmqjpEngine::audit`](crate::MmqjpEngine::audit) runs. Read-only; a
+    /// healthy engine returns an empty vector. Errors with
+    /// [`CoreError::ShardUnavailable`] if a shard worker is gone — except
+    /// under [`FaultPolicy::Degrade`](crate::FaultPolicy), where dead shards are skipped.
     pub fn audit(&self) -> CoreResult<Vec<AuditViolation>> {
-        let mut out = Vec::new();
-        let replies = self.ask_shards(|reply| Request::Audit { reply })?;
-        for (shard, violations) in replies.into_iter().enumerate() {
-            out.extend(
-                violations
-                    .into_iter()
-                    .flatten()
-                    .map(|violation| AuditViolation::Shard {
-                        shard,
-                        violation: Box::new(violation),
-                    }),
-            );
-        }
-
-        let live = self.num_queries();
-        if self.config.fault_policy != FaultPolicy::FailFast {
-            if self.retained.len() != live {
-                out.push(AuditViolation::RetainedQueryCount {
-                    retained: self.retained.len(),
-                    live,
-                });
-            }
-            if let (Some(oldest), Some(bound)) =
-                (self.replay_log.oldest_entry_max_ts(), self.retention)
-            {
-                let cutoff = self.front.position().1.saturating_sub(bound);
-                if oldest < cutoff {
-                    out.push(AuditViolation::ReplayLogOverRetention { oldest, cutoff });
-                }
-            }
-        }
-
-        self.front.audit(live, &mut out);
-        Ok(out)
+        self.pipeline.audit()
     }
+}
 
-    fn send(&self, shard: usize, request: Request) -> CoreResult<()> {
-        self.shards[shard]
-            .sender
+// ------------------------------------------------------------------------
+// Worker slots
+// ------------------------------------------------------------------------
+
+/// A thread serving the messages of one channel. Retiring it — on death,
+/// or when it is dropped — closes the channel and reaps the thread.
+#[derive(Debug)]
+pub(crate) struct Thread<M> {
+    sender: Option<Sender<M>>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl<M: Send + 'static> Thread<M> {
+    fn spawn(
+        name: String,
+        body: impl FnOnce(Receiver<M>) + Send + 'static,
+    ) -> std::io::Result<Self> {
+        let (sender, receiver) = channel();
+        let handle = thread::Builder::new()
+            .name(name)
+            .spawn(move || body(receiver))?;
+        Ok(Thread {
+            sender: Some(sender),
+            handle: Some(handle),
+        })
+    }
+}
+
+impl<M> Thread<M> {
+    /// Send `message`; `false` if the thread is gone.
+    fn send(&self, message: M) -> bool {
+        self.sender
             .as_ref()
-            .ok_or(CoreError::ShardUnavailable { shard })?
-            .send(request)
-            .map_err(|_| CoreError::ShardUnavailable { shard })
+            .is_some_and(|s| s.send(message).is_ok())
     }
 
-    /// Run Stage 1 for one batch: the front screens it, the front parties
-    /// match its `front_pool` contiguous slices — the caller's thread the
-    /// first — and the front routes the rows into per-shard batches. A
-    /// spawned worker that dies mid-slice is respawned and its slice retried
-    /// under [`FaultPolicy::Quarantine`]; under any other policy its death
-    /// fails this batch and every later one with
-    /// [`CoreError::FrontUnavailable`].
-    fn front_stage1(&mut self, docs: Vec<Document>, batch_index: u64) -> CoreResult<StagedBatch> {
-        let policy = self.config.fault_policy;
-        let retain_documents = self.config.retain_documents;
-        let watermark = self.front.position().1;
-        let mut own = self.front.screen(docs, batch_index)?;
-        let log_entry = (policy != FaultPolicy::FailFast).then(|| own.clone());
-
-        // Document-parallel Stage 1: contiguous slices keep arrival order
-        // trivially reconstructible on collection. Party 0 keeps the head of
-        // the batch in place; slice `i` goes to front party `i + 1`.
-        let chunk_len = own.len().div_ceil(self.front_pool()).max(1);
-        let mut rest = own.split_off(chunk_len.min(own.len()));
-        let mut slices = Vec::new();
-        while !rest.is_empty() {
-            let tail = rest.split_off(chunk_len.min(rest.len()));
-            slices.push(std::mem::replace(&mut rest, tail));
-        }
-        let panics: Vec<bool> = (1..=slices.len())
-            .map(|party| self.worker_fault_for_front(party))
-            .collect();
-        let mut pending = Vec::with_capacity(slices.len());
-        for ((party, slice), panic) in (1..).zip(slices).zip(panics) {
-            let retry = (policy == FaultPolicy::Quarantine).then(|| slice.clone());
-            pending.push((party, self.pool.request_match(party, slice, panic)?, retry));
-        }
-        // Party 0 matches on this thread while the spawned parties match
-        // theirs, then the front takes their chunks in party order.
-        let (pool, supervisor) = (&mut self.pool, &mut self.supervisor_stats);
-        let mut pending = pending.into_iter();
-        let next_chunk = |table: &Stage1Table| {
-            let (party, response, retry) = pending.next()?;
-            Some(match response.recv() {
-                Ok(chunk) => Ok(chunk),
-                Err(_) if policy == FaultPolicy::Quarantine => {
-                    pool.heal(party, retry, table, retain_documents, supervisor)
-                }
-                Err(_) => {
-                    // Retire every party that died, so the next
-                    // registration sees the dead front before it reaches a
-                    // shard.
-                    pool.retire_worker(party);
-                    for (other, response, _) in pending.by_ref() {
-                        if response.recv().is_err() {
-                            pool.retire_worker(other);
-                        }
-                    }
-                    Err(CoreError::FrontUnavailable { worker: party })
-                }
-            })
-        };
-        let front = self.front.run(own, next_chunk, self.shards.len())?;
-        Ok(StagedBatch {
-            front,
-            log_entry,
-            watermark,
-        })
+    fn alive(&self) -> bool {
+        self.sender.is_some() && self.handle.as_ref().is_some_and(|h| !h.is_finished())
     }
 
-    /// Send one staged batch's routed witness rows to every live shard (the
-    /// last live shard takes ownership of the retained documents; the
-    /// others get clones) without waiting for the replies. Under
-    /// [`FaultPolicy::Degrade`] dead shards are skipped; under
-    /// [`FaultPolicy::Quarantine`] each shard's payload is also kept for a
-    /// potential heal-retry.
-    fn dispatch_routed(&mut self, staged: StagedBatch) -> CoreResult<InFlight> {
-        let StagedBatch {
-            front:
-                FrontBatch {
-                    batches,
-                    doc_meta,
-                    docs,
-                    singles,
-                },
-            log_entry,
-            watermark,
-        } = staged;
-        let keep_retry = self.config.fault_policy == FaultPolicy::Quarantine;
-        // Only Degrade routes around a dead shard; every other policy hits
-        // the availability error on send.
-        let degrade = self.config.fault_policy == FaultPolicy::Degrade;
-        let live: Vec<usize> = (0..self.shards.len())
-            .filter(|&s| !degrade || self.shards[s].sender.is_some())
-            .collect();
-        let Some(&last) = live.last() else {
-            return Err(CoreError::ShardUnavailable { shard: 0 });
-        };
-        let mut responses = Vec::with_capacity(live.len());
-        let mut retry_routed: Option<Vec<Option<RoutedBatch>>> =
-            keep_retry.then(|| self.shards.iter().map(|_| None).collect());
-        let mut docs = Some(docs);
-        for (shard, batch) in batches.into_iter().enumerate() {
-            if !live.contains(&shard) {
-                continue;
-            }
-            let shard_docs = if shard == last {
-                // lint:allow the loop takes the documents only on its final iteration
-                docs.take().expect("documents are moved out exactly once")
-            } else {
-                // lint:allow the loop takes the documents only on its final iteration
-                docs.as_ref().expect("documents not yet moved").clone()
-            };
-            let routed = RoutedBatch {
-                batch,
-                doc_meta: doc_meta.clone(),
-                docs: shard_docs,
-            };
-            if let Some(slots) = retry_routed.as_mut() {
-                slots[shard] = Some(routed.clone());
-            }
-            let fault = self.worker_fault_for_shard(shard);
-            let (reply, response) = channel();
-            self.send(
-                shard,
-                Request::Batch {
-                    routed: Box::new(routed),
-                    fault,
-                    reply,
-                },
-            )?;
-            responses.push((shard, response));
-        }
-        Ok(InFlight {
-            responses,
-            singles,
-            log_entry,
-            retry_routed,
-            watermark,
-        })
-    }
-
-    /// Collect every shard's reply for one batch — even after an error, so
-    /// the shards advance in lockstep — and merge the matches (plus the
-    /// front's single-block matches) into canonical order. When
-    /// `overlapped`, the front just finished Stage 1 of the *next* batch;
-    /// a shard that has not replied yet then means the front is stalling on
-    /// Stage 2, counted once per batch in `pipeline_stalls`.
-    ///
-    /// This is also where the supervisor lives: a reply of
-    /// [`CoreError::ShardPanicked`] or a disconnected channel marks the
-    /// shard dead, and the fault policy decides what happens next —
-    /// FailFast propagates the death as this batch's error, Quarantine
-    /// heals the shard inline (respawn, replay, retry its routed slice of
-    /// this batch), and Degrade retires the shard and keeps serving the rest.
-    /// Once collection completes the batch is committed to the replay log
-    /// (dispatched ⇒ logged), which is then evicted to its retention bound.
-    fn collect_shard_outputs(
-        &mut self,
-        in_flight: InFlight,
-        overlapped: bool,
-    ) -> CoreResult<Vec<MatchOutput>> {
-        let InFlight {
-            responses,
-            singles,
-            log_entry,
-            mut retry_routed,
-            watermark,
-        } = in_flight;
-        let mut merged = singles;
-        let mut first_error: Option<CoreError> = None;
-        let mut stalled = false;
-        for (shard, response) in responses {
-            let received = if overlapped {
-                match response.try_recv() {
-                    Ok(result) => Ok(result),
-                    Err(TryRecvError::Empty) => {
-                        stalled = true;
-                        response.recv().map_err(|_| ())
-                    }
-                    Err(TryRecvError::Disconnected) => Err(()),
-                }
-            } else {
-                response.recv().map_err(|_| ())
-            };
-            // A panic reply or a dead channel both mean the worker's state
-            // is gone or suspect: retire it, then apply the fault policy. A
-            // typed error from a live worker is this batch's error under
-            // every policy — the worker itself is fine.
-            let death = match &received {
-                Err(()) => true,
-                Ok(Err(CoreError::ShardPanicked { .. })) => true,
-                Ok(_) => false,
-            };
-            let outcome = if death {
-                self.retire_shard(shard);
-                match self.config.fault_policy {
-                    FaultPolicy::FailFast => Err(match received {
-                        Ok(Err(e)) => e,
-                        _ => CoreError::ShardUnavailable { shard },
-                    }),
-                    FaultPolicy::Degrade => {
-                        // Serve what the surviving shards produced; the dead
-                        // shard's queries go dark until a manual respawn.
-                        continue;
-                    }
-                    FaultPolicy::Quarantine => self.heal_shard(shard, &mut retry_routed, watermark),
-                }
-            } else {
-                match received {
-                    Ok(result) => result,
-                    Err(()) => Err(CoreError::ShardUnavailable { shard }),
-                }
-            };
-            match outcome {
-                Ok(outputs) => merged.extend(outputs),
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
-        }
-        if stalled {
-            self.front.record_stall();
-        }
-        // Dispatched ⇒ logged: the surviving shards absorbed this batch even
-        // if one of them reported an error, so a future rebuild must replay
-        // it. Eviction keeps the log within the live retention bound.
-        if let Some(docs) = log_entry {
-            self.replay_log.record(docs);
-            let newest = self.front.position().1;
-            self.replay_log.evict(newest, self.retention);
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        sort_matches(&mut merged);
-        Ok(merged)
-    }
-}
-
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        for worker in &mut self.pool.workers {
-            // Dropping the sender closes the channel; the loop exits.
-            worker.sender.take();
-        }
-        for worker in &mut self.pool.workers {
-            if let Some(handle) = worker.handle.take() {
-                let _ = handle.join();
-            }
-        }
-        for shard in &mut self.shards {
-            shard.sender.take();
-        }
-        for shard in &mut self.shards {
-            if let Some(handle) = shard.handle.take() {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shard")
-            .field("alive", &self.sender.is_some())
-            .finish()
-    }
-}
-
-/// Deterministic shard assignment: a Fibonacci-style multiplicative hash of
-/// the query id. Using the *high* bits keeps the distribution even for the
-/// sequential ids the engine assigns (the low bits of `id * odd-constant`
-/// would reduce to `id mod n`).
-fn shard_of(id: QueryId, num_shards: usize) -> usize {
-    ((id.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % num_shards as u64) as usize
-}
-
-/// Spawn the worker thread for shard `shard` around its join stage.
-/// `initial_globals` seeds the local→global id map — empty at construction,
-/// the shard's surviving ids (ascending, matching the rebuilt stage's
-/// re-registration order) on respawn.
-fn spawn_shard_worker(
-    shard: usize,
-    join: JoinStage,
-    initial_globals: Vec<QueryId>,
-) -> std::io::Result<Shard> {
-    let (sender, receiver) = channel();
-    let handle = thread::Builder::new()
-        .name(format!("mmqjp-shard-{shard}"))
-        .spawn(move || shard_worker(join, receiver, shard, initial_globals))?;
-    Ok(Shard {
-        sender: Some(sender),
-        handle: Some(handle),
-    })
-}
-
-/// Spawn the worker thread of front party `party` (always `≥ 1`: party 0 is
-/// the caller's thread).
-fn spawn_front_worker(party: usize, retain_documents: bool) -> std::io::Result<FrontWorker> {
-    let (sender, receiver) = channel();
-    let handle = thread::Builder::new()
-        .name(format!("mmqjp-front-{party}"))
-        .spawn(move || front_worker(retain_documents, receiver))?;
-    Ok(FrontWorker {
-        sender: Some(sender),
-        handle: Some(handle),
-    })
-}
-
-impl FrontPool {
-    /// The request channel of spawned front party `party`.
-    fn sender(&self, party: usize) -> CoreResult<&Sender<FrontRequest>> {
-        party
-            .checked_sub(1)
-            .and_then(|i| self.workers.get(i))
-            .and_then(|worker| worker.sender.as_ref())
-            .ok_or(CoreError::FrontUnavailable { worker: party })
-    }
-
-    /// `Ok` when every spawned front party is alive, else
-    /// [`CoreError::FrontUnavailable`] naming the first dead one.
-    fn check_workers(&self) -> CoreResult<()> {
-        (1..=self.workers.len()).try_for_each(|party| self.sender(party).map(drop))
-    }
-
-    /// Retire dead spawned front party `party`: close its channel and reap
-    /// its thread. Later requests to it fail with
-    /// [`CoreError::FrontUnavailable`].
-    fn retire_worker(&mut self, party: usize) {
-        if let Some(worker) = party.checked_sub(1).and_then(|i| self.workers.get_mut(i)) {
-            worker.sender = None;
-            if let Some(handle) = worker.handle.take() {
-                let _ = handle.join();
-            }
-        }
-    }
-
-    /// Send spawned front party `party` a clone of `table`; the returned
-    /// channel acknowledges it.
-    fn send_snapshot(&self, party: usize, table: &Stage1Table) -> CoreResult<Receiver<()>> {
-        let (reply, ack) = channel();
-        self.sender(party)?
-            .send(FrontRequest::Sync {
-                table: Box::new(table.clone()),
-                reply,
-            })
-            .map_err(|_| CoreError::FrontUnavailable { worker: party })?;
-        Ok(ack)
-    }
-
-    /// Broadcast a clone of the front's table to every spawned party and
-    /// wait for their acknowledgements, so the next batch is matched
-    /// against the updated subscriptions. The caller's own party reads the
-    /// table directly, so with `front_pool = 1` this clones nothing. A
-    /// worker that does not acknowledge is retired.
-    fn sync(&mut self, table: &Stage1Table) -> CoreResult<()> {
-        let acks = (1..=self.workers.len())
-            .map(|party| self.send_snapshot(party, table).map(|ack| (party, ack)))
-            .collect::<CoreResult<Vec<_>>>()?;
-        for (party, ack) in acks {
-            if ack.recv().is_err() {
-                self.retire_worker(party);
-                return Err(CoreError::FrontUnavailable { worker: party });
-            }
-        }
-        Ok(())
-    }
-
-    /// Hand spawned front party `party` a slice to match; the returned
-    /// channel carries its output.
-    fn request_match(
-        &self,
-        party: usize,
-        docs: Vec<Document>,
-        panic: bool,
-    ) -> CoreResult<Receiver<MatchedChunk>> {
-        let (reply, response) = channel();
-        self.sender(party)?
-            .send(FrontRequest::Match { docs, panic, reply })
-            .map_err(|_| CoreError::FrontUnavailable { worker: party })?;
-        Ok(response)
-    }
-
-    /// Party `party` died mid-slice: matching is snapshot-pure, so healing
-    /// is a respawn, a sync with `table` and one retry of the same slice.
-    fn heal(
-        &mut self,
-        party: usize,
-        retry: Option<Vec<Document>>,
-        table: &Stage1Table,
-        retain_documents: bool,
-        supervisor: &mut EngineStats,
-    ) -> CoreResult<MatchedChunk> {
-        let unavailable = || CoreError::FrontUnavailable { worker: party };
-        let t0 = Instant::now();
-        let respawned = spawn_front_worker(party, retain_documents).map_err(|_| unavailable())?;
-        let slot = self.workers.get_mut(party - 1).ok_or_else(unavailable)?;
-        let old = std::mem::replace(slot, respawned);
-        drop(old.sender);
-        if let Some(handle) = old.handle {
+    fn retire(&mut self) {
+        self.sender = None;
+        if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
-        self.send_snapshot(party, table)?
-            .recv()
-            .map_err(|_| unavailable())?;
-        let docs = retry.ok_or_else(unavailable)?;
-        let chunk = self
-            .request_match(party, docs, false)?
-            .recv()
-            .map_err(|_| unavailable())?;
-        supervisor.shards_respawned += 1;
-        supervisor.timings.recovery += t0.elapsed();
-        Ok(chunk)
+    }
+}
+
+impl<M> Drop for Thread<M> {
+    fn drop(&mut self) {
+        self.retire();
+    }
+}
+
+/// A request on its way to a worker, with the fault to deliver while
+/// serving it and the channel for the answer.
+#[derive(Debug)]
+pub(crate) struct Envelope {
+    request: Request,
+    fault: Option<WorkerFault>,
+    reply: Sender<CoreResult<Reply>>,
+}
+
+/// A worker slot: the thread that owns one shard.
+pub(crate) type Worker = Thread<Envelope>;
+
+impl Worker {
+    /// Send `request`; the answer's channel, or `None` if the worker is
+    /// gone.
+    fn request(
+        &self,
+        request: Request,
+        fault: Option<WorkerFault>,
+    ) -> Option<Receiver<CoreResult<Reply>>> {
+        let (reply, answer) = channel();
+        let sent = self.send(Envelope {
+            request,
+            fault,
+            reply,
+        });
+        sent.then_some(answer)
+    }
+}
+
+impl Slot for Worker {
+    const THREADED: bool = true;
+    type Pending = Option<Receiver<CoreResult<Reply>>>;
+
+    fn start(index: usize, shard: Shard) -> CoreResult<Self> {
+        let body = move |requests| shard_worker(shard, requests, index);
+        Thread::spawn(format!("mmqjp-shard-{index}"), body)
+            .map_err(|_| CoreError::ShardUnavailable { shard: index })
+    }
+
+    fn call(&mut self, request: Request, fault: Option<WorkerFault>) -> Self::Pending {
+        self.request(request, fault)
+    }
+
+    fn read(&self, read: Read) -> Self::Pending {
+        self.request(Request::Read(read), None)
+    }
+
+    fn wait(pending: Self::Pending, index: usize, stalled: &mut bool) -> Answer {
+        let dead = CoreError::ShardUnavailable { shard: index };
+        let answer = pending.ok_or_else(|| dead.clone())?;
+        let answer = match answer.try_recv() {
+            Ok(answer) => answer,
+            Err(TryRecvError::Empty) => {
+                *stalled = true;
+                answer.recv().map_err(|_| dead)?
+            }
+            Err(TryRecvError::Disconnected) => return Err(dead),
+        };
+        match answer {
+            Err(death @ CoreError::ShardPanicked { .. }) => Err(death),
+            answer => Ok(answer),
+        }
+    }
+
+    fn alive(&self) -> bool {
+        Thread::alive(self)
+    }
+
+    fn retire(&mut self) {
+        Thread::retire(self);
     }
 }
 
@@ -1197,129 +441,205 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The worker loop: owns one shard's join stage, serves requests until the
-/// sending half of the channel is dropped.
+/// The worker loop of shard slot `index`: owns the shard and [`serve`]s
+/// requests until the sending half of the channel is dropped.
 ///
-/// `global_ids` maps the shard-local query index (the order queries were
-/// registered on this shard) to the engine-global [`QueryId`], so the matches
-/// leaving the shard always speak the global id space.
-///
-/// Every engine-touching request runs inside `catch_unwind`: a panic is
-/// contained, reported to the coordinator as a typed
-/// [`CoreError::ShardPanicked`] (instead of a silently dropped channel), and
-/// then the worker retires itself — a panicking engine's state is suspect,
-/// so the supervisor must respawn the shard rather than keep talking to it.
+/// Every request is served inside one `catch_unwind`: a panic is contained,
+/// answered as a typed [`CoreError::ShardPanicked`] (instead of a silently
+/// dropped channel), and then the worker retires itself — a panicking
+/// shard's state is suspect, so the pipeline must respawn it rather than
+/// keep talking to it.
 // The spawned worker thread must own its receiver (`'static` loop).
 #[allow(clippy::needless_pass_by_value)]
-fn shard_worker(
-    join: JoinStage,
-    requests: Receiver<Request>,
-    shard: usize,
-    initial_globals: Vec<QueryId>,
-) {
-    let mut local_of: std::collections::HashMap<QueryId, QueryId> = initial_globals
-        .iter()
-        .enumerate()
-        .map(|(local, &global)| (global, QueryId(local as u64)))
-        .collect();
-    let mut global_ids: Vec<QueryId> = initial_globals;
-    let mut join = join;
-    while let Ok(request) = requests.recv() {
-        match request {
-            Request::Register {
-                query,
-                global,
-                floor,
-                reply,
-            } => {
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    join.register(*query, floor).map(|(local, footprint)| {
-                        debug_assert_eq!(local.raw() as usize, global_ids.len());
-                        global_ids.push(global);
-                        local_of.insert(global, local);
-                        footprint
-                    })
+fn shard_worker(mut shard: Shard, requests: Receiver<Envelope>, index: usize) {
+    while let Ok(Envelope {
+        request,
+        fault,
+        reply,
+    }) = requests.recv()
+    {
+        if fault == Some(WorkerFault::DropReply) {
+            // Injected desynchronization: the request is neither served
+            // nor answered; the dropped reply surfaces at the pipeline as a
+            // dead channel.
+            continue;
+        }
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            if fault == Some(WorkerFault::Panic) {
+                // lint:allow deliberate injected fault, contained by catch_unwind
+                panic!("injected fault: shard worker panic");
+            }
+            serve(&mut shard, request)
+        }));
+        match served {
+            Ok(answer) => {
+                let _ = reply.send(answer);
+            }
+            Err(payload) => {
+                let _ = reply.send(Err(CoreError::ShardPanicked {
+                    shard: index,
+                    payload: panic_payload(payload.as_ref()),
                 }));
-                match caught {
-                    Ok(result) => {
-                        let _ = reply.send(result);
-                    }
-                    Err(payload) => {
-                        let _ = reply.send(Err(CoreError::ShardPanicked {
-                            shard,
-                            payload: panic_payload(payload.as_ref()),
-                        }));
-                        break;
-                    }
-                }
-            }
-            Request::Unregister { global, reply } => {
-                let caught = catch_unwind(AssertUnwindSafe(|| match local_of.get(&global) {
-                    Some(&local) => join.unregister(local).map(|()| {
-                        local_of.remove(&global);
-                    }),
-                    None => Err(CoreError::UnknownQuery { id: global.raw() }),
-                }));
-                match caught {
-                    Ok(result) => {
-                        let _ = reply.send(result);
-                    }
-                    Err(payload) => {
-                        let _ = reply.send(Err(CoreError::ShardPanicked {
-                            shard,
-                            payload: panic_payload(payload.as_ref()),
-                        }));
-                        break;
-                    }
-                }
-            }
-            Request::Batch {
-                routed,
-                fault,
-                reply,
-            } => {
-                if matches!(fault, Some(WorkerFault::DropReply)) {
-                    // Injected desynchronization: the batch is neither
-                    // processed nor answered; the dropped reply surfaces at
-                    // the coordinator as a dead channel.
-                    drop(reply);
-                    continue;
-                }
-                let panic_requested = matches!(fault, Some(WorkerFault::Panic));
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    if panic_requested {
-                        // lint:allow deliberate injected fault, contained by catch_unwind below
-                        panic!("injected fault: shard worker panic");
-                    }
-                    join.process(*routed).map(|mut outputs| {
-                        for output in &mut outputs {
-                            output.query = global_ids[output.query.raw() as usize];
-                        }
-                        outputs
-                    })
-                }));
-                match caught {
-                    Ok(result) => {
-                        let _ = reply.send(result);
-                    }
-                    Err(payload) => {
-                        let _ = reply.send(Err(CoreError::ShardPanicked {
-                            shard,
-                            payload: panic_payload(payload.as_ref()),
-                        }));
-                        break;
-                    }
-                }
-            }
-            Request::Stats { reply } => {
-                let _ = reply.send(join.stats());
-            }
-            Request::Audit { reply } => {
-                let mut out = Vec::new();
-                join.audit(&mut out);
-                let _ = reply.send(out);
+                break;
             }
         }
+    }
+}
+
+// ------------------------------------------------------------------------
+// Spawned front parties
+// ------------------------------------------------------------------------
+
+/// A request to a spawned Stage-1 front worker (front parties
+/// `1..front_pool`; party 0 is the caller's thread and takes no requests).
+#[derive(Debug)]
+pub(crate) enum FrontRequest {
+    /// Replace the worker's clone of the front's Stage-1 table. Sent after
+    /// every subscription change; churn is rare relative to batches, so a
+    /// full-clone broadcast keeps the per-document hot path lock-free.
+    Sync {
+        table: Box<Stage1Table>,
+        reply: Sender<()>,
+    },
+    /// Match a run of documents (ids and timestamps already assigned by
+    /// the front) and return their Stage-1 output.
+    Match {
+        docs: Vec<Document>,
+        /// Injected fault: panic while serving this request.
+        panic: bool,
+        reply: Sender<MatchedChunk>,
+    },
+}
+
+/// One spawned front worker.
+type FrontWorker = Thread<FrontRequest>;
+
+/// Spawn the worker thread of front party `party` (always `≥ 1`: party 0
+/// is the caller's thread).
+fn spawn_front_worker(party: usize, retain_documents: bool) -> std::io::Result<FrontWorker> {
+    let body = move |requests| front_worker(retain_documents, requests);
+    Thread::spawn(format!("mmqjp-front-{party}"), body)
+}
+
+/// The spawned front parties: `workers[i]` is front party `i + 1`.
+#[derive(Debug)]
+pub(crate) struct FrontPool {
+    workers: Vec<FrontWorker>,
+}
+
+impl FrontPool {
+    /// A front of `parties` parties: the caller's thread and `parties − 1`
+    /// spawned workers.
+    pub(crate) fn new(parties: usize, retain_documents: bool) -> Self {
+        let workers = (1..parties)
+            .map(|party| {
+                spawn_front_worker(party, retain_documents)
+                    // lint:allow one-time startup; a failed spawn leaves no engine to return
+                    .expect("spawning a front worker thread succeeds")
+            })
+            .collect();
+        FrontPool { workers }
+    }
+
+    /// Front parties: the caller's thread and the spawned workers.
+    pub(crate) fn parties(&self) -> usize {
+        self.workers.len() + 1
+    }
+
+    /// Send spawned front party `party` a request.
+    fn send(&self, party: usize, request: FrontRequest) -> CoreResult<()> {
+        let worker = party.checked_sub(1).and_then(|i| self.workers.get(i));
+        match worker {
+            Some(worker) if worker.send(request) => Ok(()),
+            _ => Err(CoreError::FrontUnavailable { worker: party }),
+        }
+    }
+
+    /// `Ok` when every spawned front party is alive, else
+    /// [`CoreError::FrontUnavailable`] naming the first dead one.
+    pub(crate) fn check_workers(&self) -> CoreResult<()> {
+        match self.workers.iter().position(|worker| !worker.alive()) {
+            Some(i) => Err(CoreError::FrontUnavailable { worker: i + 1 }),
+            None => Ok(()),
+        }
+    }
+
+    /// Retire dead spawned front party `party`: close its channel and reap
+    /// its thread. Later requests to it fail with
+    /// [`CoreError::FrontUnavailable`].
+    pub(crate) fn retire_worker(&mut self, party: usize) {
+        if let Some(worker) = party.checked_sub(1).and_then(|i| self.workers.get_mut(i)) {
+            worker.retire();
+        }
+    }
+
+    /// Send spawned front party `party` a clone of `table`; the returned
+    /// channel acknowledges it.
+    fn send_snapshot(&self, party: usize, table: &Stage1Table) -> CoreResult<Receiver<()>> {
+        let (reply, ack) = channel();
+        let table = Box::new(table.clone());
+        self.send(party, FrontRequest::Sync { table, reply })?;
+        Ok(ack)
+    }
+
+    /// Broadcast a clone of the front's table to every spawned party and
+    /// wait for their acknowledgements, so the next batch is matched
+    /// against the updated subscriptions. The caller's own party reads the
+    /// table directly, so with `front_pool = 1` this clones nothing. A
+    /// worker that does not acknowledge is retired.
+    pub(crate) fn sync(&mut self, table: &Stage1Table) -> CoreResult<()> {
+        let acks = (1..=self.workers.len())
+            .map(|party| self.send_snapshot(party, table).map(|ack| (party, ack)))
+            .collect::<CoreResult<Vec<_>>>()?;
+        for (party, ack) in acks {
+            if ack.recv().is_err() {
+                self.retire_worker(party);
+                return Err(CoreError::FrontUnavailable { worker: party });
+            }
+        }
+        Ok(())
+    }
+
+    /// Hand spawned front party `party` a slice to match; the returned
+    /// channel carries its output.
+    pub(crate) fn request_match(
+        &self,
+        party: usize,
+        docs: Vec<Document>,
+        panic: bool,
+    ) -> CoreResult<Receiver<MatchedChunk>> {
+        let (reply, response) = channel();
+        self.send(party, FrontRequest::Match { docs, panic, reply })?;
+        Ok(response)
+    }
+
+    /// Party `party` died mid-slice: matching is snapshot-pure, so healing
+    /// is a respawn, a sync with `table` and one retry of the same slice.
+    pub(crate) fn heal(
+        &mut self,
+        party: usize,
+        retry: Option<Vec<Document>>,
+        table: &Stage1Table,
+        retain_documents: bool,
+        supervisor: &mut EngineStats,
+    ) -> CoreResult<MatchedChunk> {
+        let unavailable = || CoreError::FrontUnavailable { worker: party };
+        let t0 = Instant::now();
+        let respawned = spawn_front_worker(party, retain_documents).map_err(|_| unavailable())?;
+        let slot = self.workers.get_mut(party - 1).ok_or_else(unavailable)?;
+        // The dead worker is retired as it is dropped.
+        *slot = respawned;
+        self.send_snapshot(party, table)?
+            .recv()
+            .map_err(|_| unavailable())?;
+        let docs = retry.ok_or_else(unavailable)?;
+        let chunk = self
+            .request_match(party, docs, false)?
+            .recv()
+            .map_err(|_| unavailable())?;
+        supervisor.shards_respawned += 1;
+        supervisor.timings.recovery += t0.elapsed();
+        Ok(chunk)
     }
 }
 
@@ -1367,29 +687,28 @@ fn front_worker(retain_documents: bool, requests: Receiver<FrontRequest>) {
 }
 
 // Compile-time audit that everything crossing (or living on) a shard or
-// front-worker thread is `Send`: the join stage with its registry /
-// relations / view cache, the shared interner, and the request/response
-// payloads of both worker kinds.
+// front-worker thread is `Send`: the shard with its join stage, the shared
+// interner, and the request/answer payloads of both worker kinds.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<JoinStage>();
+    assert_send::<Shard>();
     assert_send::<Arc<StringInterner>>();
-    assert_send::<Request>();
+    assert_send::<Envelope>();
     assert_send::<FrontRequest>();
     assert_send::<MatchedChunk>();
     assert_send::<Stage1Footprint>();
     assert_send::<RoutedBatch>();
-    assert_send::<CoreResult<Vec<MatchOutput>>>();
-    assert_send::<EngineStats>();
+    assert_send::<CoreResult<Reply>>();
     assert_send::<ShardedEngine>();
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ProcessingMode;
+    use crate::config::{FaultPolicy, ProcessingMode};
     use crate::engine::MmqjpEngine;
-    use mmqjp_xml::{rss, Timestamp};
+    use crate::output::sort_matches;
+    use mmqjp_xml::{rss, DocId, Timestamp};
     use std::time::Duration;
 
     const Q1: &str = "S//book->x1[.//author->x2][.//title->x3] \
@@ -1562,14 +881,19 @@ mod tests {
             single.register_query_text(q).unwrap();
         }
         assert!(single.audit().is_empty());
-        let seeded = single.stage1_table_mut().seed_extra_edge_ref().unwrap();
+        let seeded = single
+            .pipeline
+            .front
+            .table_mut()
+            .seed_extra_edge_ref()
+            .unwrap();
         assert_eq!(seeded.2, 0, "the single engine's one consumer");
         let out = single.audit();
         assert!(off_by_one(&out, seeded), "{out:?}");
 
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(3).with_front_pool(2));
         assert!(e.audit().unwrap().is_empty());
-        let seeded = e.front.table_mut().seed_extra_edge_ref().unwrap();
+        let seeded = e.pipeline.front.table_mut().seed_extra_edge_ref().unwrap();
         let out = e.audit().unwrap();
         assert!(off_by_one(&out, seeded), "{out:?}");
     }
@@ -1581,7 +905,7 @@ mod tests {
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2).with_front_pool(2));
         e.process_batch(vec![d1(), d2()]).unwrap();
         assert!(e.audit().unwrap().is_empty());
-        e.front.stats_mut().documents_processed += 1;
+        e.pipeline.front.stats_mut().documents_processed += 1;
         assert_eq!(
             e.audit().unwrap(),
             vec![AuditViolation::DocumentAccounting {
@@ -1595,7 +919,7 @@ mod tests {
     fn front_audit_detects_stale_requested_edge_symbols() {
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2));
         assert!(e.audit().unwrap().is_empty());
-        let requested = e.front.table_mut().requested_mut();
+        let requested = e.pipeline.front.table_mut().requested_mut();
         let (&pid, edges) = requested.lists_mut().next().unwrap();
         edges[0].var1 = mmqjp_relational::Symbol::from_raw(edges[0].var1.raw() + 1_000);
         let edge = (edges[0].edge.0.raw(), edges[0].edge.1.raw());
@@ -1614,7 +938,12 @@ mod tests {
         let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2));
         e.process_document(d1()).unwrap();
         assert!(e.audit().unwrap().is_empty());
-        assert!(e.front.table_mut().requested_mut().merge_plan_classes());
+        assert!(e
+            .pipeline
+            .front
+            .table_mut()
+            .requested_mut()
+            .merge_plan_classes());
         assert_eq!(
             e.audit().unwrap(),
             vec![AuditViolation::EmitPlan {
@@ -1623,35 +952,140 @@ mod tests {
         );
     }
 
+    /// Kill shard 1's worker the way a panic while serving an unregistration
+    /// does, through the pipeline's one call/collect pair: the request is
+    /// not a batch, and its death must still retire the shard and apply the
+    /// fault policy. The unregistered id is unknown, so a healed shard's
+    /// retry changes nothing.
+    fn kill_shard_1(e: &mut ShardedEngine) -> CoreResult<Option<Reply>> {
+        let request = Request::Unregister(QueryId(99));
+        let pending = e.pipeline.slots[1].call(request.clone(), Some(WorkerFault::Panic));
+        let watermark = e.pipeline.front.position().1;
+        e.pipeline
+            .collect(1, pending, Some(request), watermark, &mut false)
+    }
+
+    /// Q1–Q3 on two shards — Q2 (`QueryId(1)`) lives on shard 1 — three
+    /// batches, and the single engine's canonical output for each. The
+    /// second batch's book joins the third batch's blog under Q2, so a
+    /// shard 1 that missed the second batch must replay it.
+    type DeadShardFixture = (ShardedEngine, Vec<Vec<Document>>, Vec<Vec<MatchOutput>>);
+
+    fn dead_shard_fixture(policy: FaultPolicy) -> DeadShardFixture {
+        let config = EngineConfig::mmqjp().with_num_shards(2);
+        let e = sharded(config.clone().with_fault_policy(policy));
+        assert_eq!(e.shard_of(QueryId(1)), 1);
+        let mut single = MmqjpEngine::new(config);
+        for q in [Q1, Q2, Q3] {
+            single.register_query_text(q).unwrap();
+        }
+        let batches = vec![
+            vec![d1()],
+            vec![d2(), d1().with_timestamp(Timestamp(25))],
+            vec![d2().with_timestamp(Timestamp(30))],
+        ];
+        let expected: Vec<_> = (batches.iter())
+            .map(|batch| {
+                let mut out = single.process_batch(batch.clone()).unwrap();
+                sort_matches(&mut out);
+                out
+            })
+            .collect();
+        // Documents are numbered 1.. in arrival order; the book of the
+        // second batch is document 3.
+        let q2_left = |b: usize, doc| {
+            let left = |m: &MatchOutput| m.query == QueryId(1) && m.left_doc == DocId(doc);
+            expected[b].iter().any(left)
+        };
+        assert!(q2_left(1, 1) && q2_left(2, 3));
+        (e, batches, expected)
+    }
+
+    #[test]
+    fn quarantine_heals_a_shard_that_died_outside_a_batch() {
+        let (mut e, batches, expected) = dead_shard_fixture(FaultPolicy::Quarantine);
+        assert_eq!(e.process_batch(batches[0].clone()).unwrap(), expected[0]);
+        let retried = kill_shard_1(&mut e);
+        assert!(matches!(retried, Err(CoreError::UnknownQuery { id: 99 })));
+        assert!(e.degraded_shards().is_empty());
+        assert_eq!(e.stats().unwrap().shards_respawned, 1);
+        assert_eq!(e.process_batch(batches[1].clone()).unwrap(), expected[1]);
+        assert_eq!(e.process_batch(batches[2].clone()).unwrap(), expected[2]);
+        assert!(e.audit().unwrap().is_empty());
+    }
+
+    #[test]
+    fn degrade_logs_the_batch_a_dead_shard_missed_and_respawn_replays_it() {
+        let (mut e, batches, expected) = dead_shard_fixture(FaultPolicy::Degrade);
+        assert_eq!(e.process_batch(batches[0].clone()).unwrap(), expected[0]);
+        assert!(matches!(kill_shard_1(&mut e), Ok(None)));
+        assert_eq!(e.degraded_shards(), vec![1]);
+        // Shard 0 serves the batch without Q2's match, and it is logged.
+        let out = e.process_batch(batches[1].clone()).unwrap();
+        let shard_0: Vec<_> = (expected[1].iter())
+            .filter(|m| m.query != QueryId(1))
+            .cloned()
+            .collect();
+        assert_eq!(out, shard_0);
+        assert_eq!(e.replay_log().len(), 2);
+        e.respawn_shard(1).unwrap();
+        assert!(e.degraded_shards().is_empty());
+        assert_eq!(e.process_batch(batches[2].clone()).unwrap(), expected[2]);
+        assert!(e.audit().unwrap().is_empty());
+    }
+
+    #[test]
+    fn failfast_fails_the_next_batch_before_any_shard_absorbs_it() {
+        let (mut e, batches, expected) = dead_shard_fixture(FaultPolicy::FailFast);
+        assert_eq!(e.process_batch(batches[0].clone()).unwrap(), expected[0]);
+        let shard_0_stats = |e: &ShardedEngine| {
+            let pending = e.pipeline.slots[0].read(Read::Stats);
+            match Worker::wait(pending, 0, &mut false) {
+                Ok(Ok(Reply::Stats(stats))) => *stats,
+                other => panic!("shard 0 answers a stats read: {other:?}"),
+            }
+        };
+        let before = shard_0_stats(&e);
+        assert!(matches!(
+            kill_shard_1(&mut e),
+            Err(CoreError::ShardPanicked { shard: 1, .. })
+        ));
+        assert_eq!(e.degraded_shards(), vec![1]);
+        let err = e.process_batch(batches[1].clone()).unwrap_err();
+        assert_eq!(err, CoreError::ShardUnavailable { shard: 1 });
+        assert_eq!(shard_0_stats(&e), before, "shard 0 absorbed nothing");
+    }
+
     #[test]
     fn the_caller_is_front_party_zero() {
         // The default front is the caller's thread alone: no front thread.
         let e = ShardedEngine::new(EngineConfig::default());
         assert_eq!(e.front_pool(), 1);
-        assert!(e.pool.workers.is_empty());
-        assert_eq!(e.shards.len(), 1);
+        assert!(e.pipeline.pool.workers.is_empty());
+        assert_eq!(e.pipeline.slots.len(), 1);
         // A pool of three spawns the two parties after the caller's.
         let e = ShardedEngine::new(EngineConfig::default().with_front_pool(3));
         assert_eq!(e.front_pool(), 3);
-        assert_eq!(e.pool.workers.len(), 2);
+        assert_eq!(e.pipeline.pool.workers.len(), 2);
+        let sync = |party| e.pipeline.pool.send_snapshot(party, &Stage1Table::new());
         assert!(matches!(
-            e.pool.sender(0),
+            sync(0),
             Err(CoreError::FrontUnavailable { worker: 0 })
         ));
-        assert!(e.pool.sender(2).is_ok());
-        assert!(e.pool.sender(3).is_err());
+        assert!(sync(2).is_ok());
+        assert!(sync(3).is_err());
     }
 
     #[test]
     fn single_block_patterns_live_in_the_master_index() {
         let mut e = ShardedEngine::new(EngineConfig::mmqjp().with_front_pool(2));
         let single = e.register_query_text(Q_SINGLE).unwrap();
-        let table = e.front.table();
+        let table = e.pipeline.front.table();
         let pid = table.singles()[0].pid;
         assert_eq!(table.index().refcount(pid), 1);
         // A second, identical subscription shares the pattern.
         let twin = e.register_query_text(Q_SINGLE).unwrap();
-        let table = e.front.table();
+        let table = e.pipeline.front.table();
         assert_eq!(table.singles()[1].pid, pid);
         assert_eq!(table.index().refcount(pid), 2);
         assert!(e.audit().unwrap().is_empty());
@@ -1661,8 +1095,8 @@ mod tests {
         assert_eq!(out.iter().filter(|m| m.query == twin).count(), 4);
 
         // The audit counts single-block registrations in the refcounts.
-        let pattern = e.front.table().singles()[0].pattern().clone();
-        e.front.table_mut().retain_pattern(pattern);
+        let pattern = e.pipeline.front.table().singles()[0].pattern().clone();
+        e.pipeline.front.table_mut().retain_pattern(pattern);
         assert!(e.audit().unwrap().iter().any(|v| matches!(
             v,
             AuditViolation::PatternRefcount {
@@ -1671,11 +1105,11 @@ mod tests {
                 ..
             }
         )));
-        e.front.table_mut().release_pattern(pid);
+        e.pipeline.front.table_mut().release_pattern(pid);
 
         e.unregister_query(single).unwrap();
         e.unregister_query(twin).unwrap();
-        assert!(e.front.table().is_empty());
+        assert!(e.pipeline.front.table().is_empty());
         assert!(e.audit().unwrap().is_empty());
     }
 

@@ -720,6 +720,60 @@ fn pattern_counters_equal_the_single_engine_on_every_topology() {
     }
 }
 
+/// The single engine is the pipeline with one inline shard slot; a sharded
+/// engine with one worker shard and a front pool of one is the same
+/// pipeline with a worker-thread slot. Through a register / unregister /
+/// document script in every mode, every `EngineStats` counter of the two is
+/// equal after every step — all but the timings and `pipeline_stalls`,
+/// which only a worker slot can cause.
+#[test]
+fn every_counter_equals_the_single_engine_on_one_worker_shard() {
+    let (queries, docs) = rss_workload(53, 24, 48);
+    for mode in all_modes() {
+        let config = EngineConfig {
+            mode,
+            ..EngineConfig::default()
+        }
+        .with_num_shards(1)
+        .with_front_pool(1);
+        let mut single = MmqjpEngine::new(config.clone());
+        let mut sharded = ShardedEngine::new(config.clone());
+        let check = |single: &MmqjpEngine, sharded: &ShardedEngine, step: &str| {
+            let counters = |mut stats: EngineStats| {
+                stats.timings = Default::default();
+                stats.pipeline_stalls = 0;
+                stats
+            };
+            let (want, got) = (single.stats(), sharded.stats().unwrap());
+            assert_eq!(counters(got), counters(want), "{:?}, {step}", config.mode);
+        };
+        check(&single, &sharded, "empty");
+        for query in &queries[..16] {
+            let id = single.register_query(query.clone()).unwrap();
+            assert_eq!(sharded.register_query(query.clone()).unwrap(), id);
+        }
+        check(&single, &sharded, "registered");
+        for (step, batch) in docs.chunks(6).enumerate() {
+            let out = single.process_batch(batch.to_vec()).unwrap();
+            let got = sharded.process_batch(batch.to_vec()).unwrap();
+            assert_eq!(got.len(), out.len(), "batch {step}");
+            check(&single, &sharded, &format!("batch {step}"));
+            // Churn between batches: one query leaves, one arrives.
+            let victim = QueryId(step as u64);
+            single.unregister_query(victim).unwrap();
+            sharded.unregister_query(victim).unwrap();
+            let query = &queries[16 + step % 8];
+            let id = single.register_query(query.clone()).unwrap();
+            assert_eq!(sharded.register_query(query.clone()).unwrap(), id);
+            check(&single, &sharded, &format!("churn {step}"));
+        }
+        assert!(single.stats().results_emitted > 0, "{:?}", config.mode);
+        assert!(single.stats().queries_unregistered > 0);
+        assert!(single.audit().is_empty());
+        assert_audit_clean_sharded(&sharded);
+    }
+}
+
 /// Both engines time witness ingest — routing the front's rows into the
 /// consumers' witness batches — apart from matching, and the sharded
 /// engine's shards do no Stage-1 work: its ingest time is its front's.

@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Fourteen dependency-free static checks over the workspace sources:
+//! Fifteen dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -86,6 +86,14 @@
 //!     footprint for its engine's `front::Front` to subscribe, and only the
 //!     front screens a batch.
 //!
+//! 15. **One batch path** — non-test code in `crates/core/src` may call a
+//!     join stage's `process`, `register` and `unregister` (`join.process(`,
+//!     `join.register(`, `join.unregister(`) only inside the shard-serving
+//!     function `serve`, and non-test `crates/core/src/engine.rs` must not
+//!     call `front.run(`: both engines run every shard request through the
+//!     pipeline's one `serve`, and the single engine has no batch body of
+//!     its own.
+//!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
 #![forbid(unsafe_code)]
@@ -133,6 +141,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_stage1_table(root, &mut violations);
     check_rt_versioning(root, &mut violations);
     check_front_owns_stage1(root, &mut violations);
+    check_one_batch_path(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -848,6 +857,47 @@ fn scan_file_for_screening(root: &Path, file: &Path, out: &mut Vec<String>) {
 }
 
 // ---------------------------------------------------------------------------
+// Check 15: one batch path.
+// ---------------------------------------------------------------------------
+
+/// The shard-serving function: the one caller of a join stage's request
+/// methods.
+const SERVING_FNS: &[&str] = &["fn serve("];
+const JOIN_STAGE_CALLS: &[&str] = &["join.process(", "join.register(", "join.unregister("];
+const ENGINE_FILE: &str = "crates/core/src/engine.rs";
+const FRONT_RUN: &str = "front.run(";
+
+fn check_one_batch_path(root: &Path, out: &mut Vec<String>) {
+    for file in rust_files(&root.join(CORE_SRC)) {
+        scan_file_for_join_stage_calls(root, &file, out);
+    }
+    scan_file_for_front_run(root, &root.join(ENGINE_FILE), out);
+}
+
+fn scan_file_for_join_stage_calls(root: &Path, file: &Path, out: &mut Vec<String>) {
+    scan_outside_fns(
+        root,
+        file,
+        out,
+        SERVING_FNS,
+        JOIN_STAGE_CALLS,
+        "outside the shard-serving `serve` (every shard request runs there)",
+    );
+}
+
+fn scan_file_for_front_run(root: &Path, file: &Path, out: &mut Vec<String>) {
+    scan_non_test_code(root, file, out, |line| {
+        if line.contains(FRONT_RUN) {
+            vec![format!(
+                "`{FRONT_RUN}` in the single engine (its batches run through the pipeline)"
+            )]
+        } else {
+            Vec::new()
+        }
+    });
+}
+
+// ---------------------------------------------------------------------------
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
@@ -1098,6 +1148,35 @@ mod tests {
         );
         assert!(
             out[2].contains("front_case.rs:8") && out[2].contains("`screen_and_stamp(`"),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn join_stage_requests_are_flagged_outside_serve() {
+        let src = "pub(crate) fn serve(\n    shard: &mut Shard,\n) -> CoreResult<Reply> {\n    shard.join.register(q, floor)?;\n    shard.join.process(*routed)?;\n}\nfn register(&mut self) {\n    self.join.register(query, floor)?;\n    // self.join.unregister(id) in a comment\n    self.registry.register(q, mode, 0)?;\n}\nfn process_batch(&mut self) {\n    let batch = self.front.run(docs, |_| None, 1)?;\n    self.join.process(routed)?;\n    stage.join.unregister(id)?;\n}\n#[cfg(test)]\nmod tests {\n    fn t() { e.join.process(b).unwrap(); e.front.run(d, f, 1); }\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("batch_path_case.rs");
+        fs::write(&file, src).unwrap();
+        let mut out = Vec::new();
+        scan_file_for_join_stage_calls(&dir, &file, &mut out);
+        scan_file_for_front_run(&dir, &file, &mut out);
+        assert_eq!(out.len(), 4, "violations: {out:?}");
+        assert!(
+            out[0].contains("batch_path_case.rs:8") && out[0].contains("`join.register(`"),
+            "{out:?}"
+        );
+        assert!(
+            out[1].contains("batch_path_case.rs:14") && out[1].contains("`join.process(`"),
+            "{out:?}"
+        );
+        assert!(
+            out[2].contains("batch_path_case.rs:15") && out[2].contains("`join.unregister(`"),
+            "{out:?}"
+        );
+        assert!(
+            out[3].contains("batch_path_case.rs:13") && out[3].contains("`front.run(`"),
             "{out:?}"
         );
     }
