@@ -42,17 +42,12 @@ pub enum FaultPolicy {
     /// The historical behavior: a poison document fails its whole batch with
     /// a typed error, and a dead shard worker makes every subsequent request
     /// fail with [`ShardUnavailable`](crate::CoreError::ShardUnavailable).
-    /// A dead spawned front worker (front parties `1..front_pool`; party 0 is
-    /// the caller's own thread) is terminal in the same way: the batch and
-    /// every later one fail with
-    /// [`FrontUnavailable`](crate::CoreError::FrontUnavailable) (only
-    /// [`Quarantine`](FaultPolicy::Quarantine) respawns and re-syncs it).
     /// No replay log is kept, so this policy has zero bookkeeping cost.
     #[default]
     FailFast,
     /// Self-healing: a poison document is skipped with a typed
     /// `QuarantineRecord` (the rest of its batch proceeds), and a dead shard
-    /// or spawned front worker is respawned on the spot — surviving subscriptions
+    /// worker is respawned on the spot — surviving subscriptions
     /// are re-registered from the retained query registry and the shard's
     /// in-window join state is replayed from the bounded `ReplayLog`, so
     /// subsequent output is byte-identical to an engine that never failed.
@@ -62,27 +57,24 @@ pub enum FaultPolicy {
     /// shard keeps serving. The replay log is still maintained, so a manual
     /// `ShardedEngine::respawn_shard` heals the shard later with its full
     /// state. Poison documents fail their batch as under
-    /// [`FailFast`](FaultPolicy::FailFast). A dead spawned *front* worker is
-    /// terminal here too: every later batch fails with
-    /// [`FrontUnavailable`](crate::CoreError::FrontUnavailable).
+    /// [`FailFast`](FaultPolicy::FailFast).
     Degrade,
 }
 
 /// Configuration of an [`MmqjpEngine`](crate::MmqjpEngine) or a
 /// [`ShardedEngine`](crate::ShardedEngine) (which hands every shard a copy).
 ///
-/// Nine fields in three groups: what Stage 2 runs ([`mode`](Self::mode),
+/// Eight fields in three groups: what Stage 2 runs ([`mode`](Self::mode),
 /// [`view_cache_capacity`](Self::view_cache_capacity)); what state is kept
 /// and for how long ([`retain_documents`](Self::retain_documents),
 /// [`prune_state_by_window`](Self::prune_state_by_window),
 /// [`doc_retention_cap`](Self::doc_retention_cap)); and how the stream is
 /// policed and spread over threads
 /// ([`enforce_in_order`](Self::enforce_in_order),
-/// [`fault_policy`](Self::fault_policy), [`num_shards`](Self::num_shards),
-/// [`front_pool`](Self::front_pool)).
+/// [`fault_policy`](Self::fault_policy), [`num_shards`](Self::num_shards)).
 ///
 /// Stage 1 has no knob: every engine runs the one streaming front
-/// ([`crate::front`]), and the width of the windowed join state's buckets is
+/// ([`crate::front`]) on the caller's thread, and the width of the windowed join state's buckets is
 /// derived from the registered windows. Registration-time plan verification
 /// and the purge of dead view-cache slices on unregistration are always on.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -138,16 +130,6 @@ pub struct EngineConfig {
     /// `0` is treated as `1`. Ignored by the single-threaded
     /// [`MmqjpEngine`](crate::MmqjpEngine).
     pub num_shards: usize,
-    /// Number of parties in the document-parallel Stage-1 front stage of
-    /// [`ShardedEngine`](crate::ShardedEngine), *counting the caller's
-    /// thread*: each batch is cut into this many contiguous slices, the
-    /// caller matches the first one inline and `front_pool − 1` spawned front
-    /// workers match the rest, so every document is pattern-matched exactly
-    /// once and only the resulting witness rows are routed to the query
-    /// shards that subscribed to them. `1` (the default) spawns no front
-    /// thread at all; `0` is treated as `1`. Ignored by the single-threaded
-    /// [`MmqjpEngine`](crate::MmqjpEngine).
-    pub front_pool: usize,
     /// How worker death and poison input are handled (see [`FaultPolicy`]).
     /// The default, [`FaultPolicy::FailFast`], keeps the historical
     /// fail-the-batch / brick-the-shard behavior and costs nothing; the
@@ -167,7 +149,6 @@ impl Default for EngineConfig {
             doc_retention_cap: None,
             enforce_in_order: false,
             num_shards: 1,
-            front_pool: 1,
             fault_policy: FaultPolicy::FailFast,
         }
     }
@@ -229,11 +210,9 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style setter for the number of Stage-1 front parties used by
-    /// [`ShardedEngine`](crate::ShardedEngine), the caller's thread included
-    /// (`0` is treated as `1`).
-    pub fn with_front_pool(mut self, front_pool: usize) -> Self {
-        self.front_pool = front_pool;
+    /// Accepted and ignored: Stage 1 always runs on the calling thread, so
+    /// there is no Stage-1 pool to size. Kept so existing callers build.
+    pub fn with_front_pool(self, _front_pool: usize) -> Self {
         self
     }
 
@@ -257,7 +236,6 @@ mod tests {
         assert!(!c.prune_state_by_window);
         assert_eq!(c.doc_retention_cap, None);
         assert_eq!(c.num_shards, 1);
-        assert_eq!(c.front_pool, 1);
         assert_eq!(c.fault_policy, FaultPolicy::FailFast);
     }
 
@@ -279,15 +257,15 @@ mod tests {
             .with_prune_state_by_window(true)
             .with_doc_retention_cap(Some(5000))
             .with_num_shards(4)
-            .with_front_pool(2)
             .with_fault_policy(FaultPolicy::Quarantine);
         assert_eq!(c.view_cache_capacity, Some(128));
         assert!(!c.retain_documents);
         assert!(c.prune_state_by_window);
         assert_eq!(c.doc_retention_cap, Some(5000));
         assert_eq!(c.num_shards, 4);
-        assert_eq!(c.front_pool, 2);
         assert_eq!(c.fault_policy, FaultPolicy::Quarantine);
+        // The front-pool setter is accepted and changes nothing.
+        assert_eq!(c.clone().with_front_pool(4), c);
     }
 
     #[test]

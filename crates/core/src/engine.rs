@@ -3,9 +3,8 @@
 //!
 //! [`MmqjpEngine`] is the in-thread instance of the pipeline
 //! `front → route → join → merge` ([`crate::pipeline`]): one inline shard
-//! slot, served on the caller's thread, and no spawned front party — no
-//! thread, no channel, nothing that can die, so no recovery ledger and no
-//! replay log. [`JoinStage`] is what every shard slot of either engine
+//! slot, served on the caller's thread like the front — no thread, no
+//! channel, nothing that can die, so no recovery ledger and no replay log. [`JoinStage`] is what every shard slot of either engine
 //! runs: Stage 2, output construction and state maintenance over the
 //! witness rows the front routed to it.
 
@@ -50,7 +49,7 @@ impl MmqjpEngine {
     /// Create an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
         MmqjpEngine {
-            pipeline: Pipeline::new(config, 1, 1),
+            pipeline: Pipeline::new(config, 1),
         }
     }
 
@@ -71,7 +70,7 @@ impl MmqjpEngine {
     /// index, document accounting and the timestamp watermark — returning
     /// every violated invariant as a typed [`AuditViolation`]. Read-only and
     /// side-effect free; a healthy engine returns an empty vector, and any
-    /// violation indicates an engine bug (see [`crate::audit`]).
+    /// violation indicates an engine bug (see [`AuditViolation`]).
     pub fn audit(&self) -> Vec<AuditViolation> {
         // An inline slot cannot die, so reading it cannot fail.
         self.pipeline.audit().unwrap_or_default()

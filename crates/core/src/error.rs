@@ -15,12 +15,6 @@ pub enum CoreError {
     /// An internal relational operation failed (indicates a bug in query
     /// compilation rather than a user error).
     Relational(RelError),
-    /// The query is not supported by the Join Processor (e.g. a single-block
-    /// subscription registered where a join query is required).
-    Unsupported {
-        /// Human-readable description.
-        reason: String,
-    },
     /// A document was submitted with a timestamp older than one already
     /// processed while the engine is configured for in-order streams.
     OutOfOrderDocument {
@@ -40,17 +34,6 @@ pub enum CoreError {
     ShardUnavailable {
         /// Index of the unavailable shard.
         shard: usize,
-    },
-    /// A spawned Stage-1 front worker thread of a
-    /// [`ShardedEngine`](crate::ShardedEngine) is gone. The shards are
-    /// untouched (no shard is degraded and `respawn_shard` has nothing to
-    /// rebuild); only [`FaultPolicy::Quarantine`](crate::FaultPolicy::Quarantine)
-    /// respawns and re-syncs a front worker, so under the other policies
-    /// every later batch fails with this error too.
-    FrontUnavailable {
-        /// Front party of the unavailable worker, in `1..front_pool` (party
-        /// 0 is the caller's thread, which this error never names).
-        worker: usize,
     },
     /// A shard worker caught a panic while serving a request. The worker
     /// contains the panic (the channel is answered with this typed error
@@ -90,7 +73,6 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::Query(e) => write!(f, "query error: {e}"),
             CoreError::Relational(e) => write!(f, "internal relational error: {e}"),
-            CoreError::Unsupported { reason } => write!(f, "unsupported: {reason}"),
             CoreError::OutOfOrderDocument { timestamp, newest } => write!(
                 f,
                 "out-of-order document: timestamp {timestamp} is older than already-processed {newest}"
@@ -98,9 +80,6 @@ impl fmt::Display for CoreError {
             CoreError::UnknownQuery { id } => write!(f, "unknown query id {id}"),
             CoreError::ShardUnavailable { shard } => {
                 write!(f, "shard {shard} worker is unavailable")
-            }
-            CoreError::FrontUnavailable { worker } => {
-                write!(f, "front worker {worker} is unavailable")
             }
             CoreError::ShardPanicked { shard, payload } => {
                 write!(f, "shard {shard} worker panicked: {payload}")
@@ -154,11 +133,6 @@ mod tests {
         }
         .into();
         assert!(e.to_string().contains("Rbin"));
-        assert!(CoreError::Unsupported {
-            reason: "nested joins".into()
-        }
-        .to_string()
-        .contains("nested joins"));
         assert!(CoreError::OutOfOrderDocument {
             timestamp: 1,
             newest: 5
@@ -169,9 +143,6 @@ mod tests {
         assert!(CoreError::ShardUnavailable { shard: 2 }
             .to_string()
             .contains("shard 2"));
-        assert!(CoreError::FrontUnavailable { worker: 1 }
-            .to_string()
-            .contains("front worker 1"));
         let e = CoreError::ShardPanicked {
             shard: 3,
             payload: "index out of bounds".into(),

@@ -47,7 +47,7 @@ use std::sync::Arc;
 mod stage;
 mod table;
 
-pub(crate) use stage::{match_slice, Front, FrontBatch, MatchedChunk};
+pub(crate) use stage::{Front, FrontBatch};
 pub(crate) use table::Stage1Recount;
 pub use table::{EdgeConsumers, RequestedEdges, Stage1Snapshot, Stage1Table};
 
@@ -280,8 +280,7 @@ impl SingleBlock {
 
 /// Everything Stage 1 evaluates a document against, borrowed from a
 /// [`Stage1Table`] for the duration of one batch (see
-/// [`Stage1Table::subscriptions`]): the front's own, or a spawned front
-/// worker's clone of it.
+/// [`Stage1Table::subscriptions`]).
 #[derive(Debug)]
 pub struct Subscriptions<'a> {
     /// Every live pattern, join-side and single-block alike (mutable because

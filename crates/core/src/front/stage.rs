@@ -1,8 +1,7 @@
 //! [`Front`]: every piece of one engine's Stage-1 state, and the batch path
-//! through it. The single engine's front has one consumer — its join stage,
-//! consumer `0` — and no spawned parties; the sharded engine's has one
-//! consumer per shard and hands it the chunks its spawned front workers
-//! matched. Nothing here branches on which engine owns it.
+//! through it, run on the caller's thread. The single engine's front has one
+//! consumer, its join stage (consumer `0`); the sharded engine's has one
+//! consumer per shard. Nothing here branches on which engine owns it.
 
 use super::{
     match_document, DocumentMatches, MatchScratch, SingleBlock, Stage1Recount, Stage1Table,
@@ -23,7 +22,7 @@ use mmqjp_xscl::QueryId;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One engine's Stage 1: the subscription table, the per-query footprints
 /// it was built from, the stream position, screening and the quarantine
@@ -52,9 +51,9 @@ pub(crate) struct Front {
     retain_documents: bool,
     /// Poison documents skipped under [`FaultPolicy::Quarantine`].
     quarantine: Vec<QuarantineRecord>,
-    /// The inline party's pass, chain and class buffers.
+    /// The matching pass, chain and class buffers.
     matching: MatchScratch,
-    /// The inline party's per-document output, reused document to document.
+    /// The per-document Stage-1 output, reused document to document.
     matches: DocumentMatches,
     /// The routing ingest's pooled dedup sets.
     ingest: IngestScratch,
@@ -158,39 +157,6 @@ pub(crate) struct FrontBatch {
     pub(crate) docs: Vec<Document>,
     /// The single-block matches, in document order.
     pub(crate) singles: Vec<MatchOutput>,
-}
-
-/// One spawned front party's Stage-1 output for its slice of a batch: each
-/// stamped document with its matches.
-#[derive(Debug)]
-pub(crate) struct MatchedChunk {
-    docs: Vec<(Document, DocumentMatches)>,
-    /// Time the party spent matching the slice (summed across the parties
-    /// into the front's `timings.xpath`: match work, not elapsed time).
-    elapsed: Duration,
-}
-
-/// Stage 1 over a spawned party's slice, against its clone of the table.
-pub(crate) fn match_slice(
-    table: &mut Stage1Table,
-    docs: Vec<Document>,
-    scratch: &mut MatchScratch,
-    retain_documents: bool,
-) -> MatchedChunk {
-    let t0 = Instant::now();
-    let mut subs = table.subscriptions();
-    let docs = docs
-        .into_iter()
-        .map(|doc| {
-            let mut matches = DocumentMatches::default();
-            match_document(&mut subs, &doc, scratch, retain_documents, &mut matches);
-            (doc, matches)
-        })
-        .collect();
-    MatchedChunk {
-        docs,
-        elapsed: t0.elapsed(),
-    }
 }
 
 /// The front state one batch's Stage 1 moves, to undo a batch that was
@@ -382,21 +348,13 @@ impl Front {
         Ok(docs)
     }
 
-    /// Stage 1 over one screened batch for `consumers` consumers: party 0's
-    /// slice `own` is matched here, each document's rows routed straight
-    /// into the consumers' witness batches; then the other parties' chunks,
-    /// which `spawned` hands over in party order (given the table, to resync
-    /// a party it respawns), are routed the same way. Counts the batch once
-    /// it is whole.
-    pub(crate) fn run(
-        &mut self,
-        own: Vec<Document>,
-        mut spawned: impl FnMut(&Stage1Table) -> Option<CoreResult<MatchedChunk>>,
-        consumers: usize,
-    ) -> CoreResult<FrontBatch> {
+    /// Stage 1 over one screened batch for `consumers` consumers: each
+    /// document is matched once and its rows routed straight into the
+    /// consumers' witness batches. Counts the batch once it is whole.
+    pub(crate) fn run(&mut self, docs: Vec<Document>, consumers: usize) -> CoreResult<FrontBatch> {
         let mut out = FrontBatch {
             batches: (0..consumers).map(|_| WitnessBatch::new()).collect(),
-            doc_meta: Vec::with_capacity(own.len()),
+            doc_meta: Vec::with_capacity(docs.len()),
             docs: Vec::new(),
             singles: Vec::new(),
         };
@@ -404,7 +362,7 @@ impl Front {
         let mut tally = EngineStats::default();
         let retain = self.retain_documents;
         let mut t0 = Instant::now();
-        for doc in own {
+        for doc in docs {
             let mut subs = self.table.subscriptions();
             match_document(
                 &mut subs,
@@ -415,20 +373,9 @@ impl Front {
             );
             let matched = Instant::now();
             tally.timings.xpath += matched - t0;
-            self.route(doc, None, &mut out, &mut tally)?;
+            self.route(doc, &mut out, &mut tally)?;
             t0 = Instant::now();
             tally.timings.ingest += t0 - matched;
-        }
-        while let Some(chunk) = spawned(&self.table) {
-            let chunk = chunk?;
-            tally.timings.xpath += chunk.elapsed;
-            let mut t0 = Instant::now();
-            for (doc, matches) in chunk.docs {
-                self.route(doc, Some(matches), &mut out, &mut tally)?;
-                let routed = Instant::now();
-                tally.timings.ingest += routed - t0;
-                t0 = routed;
-            }
         }
         tally.documents_processed = out.doc_meta.len();
         tally.docs_parsed_once = out.doc_meta.len();
@@ -438,18 +385,15 @@ impl Front {
         Ok(out)
     }
 
-    /// Route one matched document into `out`: its rows, its single-block
-    /// matches and its metadata. `matches` is a spawned party's output, or
-    /// `None` for the inline party's, in `self.matches`.
+    /// Route one document, matched into `self.matches`, into `out`: its
+    /// rows, its single-block matches and its metadata.
     fn route(
         &mut self,
         doc: Document,
-        matches: Option<DocumentMatches>,
         out: &mut FrontBatch,
         tally: &mut EngineStats,
     ) -> CoreResult<()> {
-        let mut spawned = matches;
-        let matches = spawned.as_mut().unwrap_or(&mut self.matches);
+        let matches = &mut self.matches;
         tally.witnesses_routed += route_document(
             &self.table,
             &doc,
@@ -714,7 +658,7 @@ mod tests {
         // same way: the second enumeration is suppressed.
         let book = rss::book_announcement(&["A", "B"], "T", &["C"], "P", "1");
         let doc = rig.front.screen(vec![book], 0).unwrap();
-        rig.front.run(doc, |_| None, 1).unwrap();
+        rig.front.run(doc, 1).unwrap();
         let stats = rig.front.stats();
         assert!(stats.stage1_edges_suppressed > 0);
         assert!(stats.stage1_rows > 0);
@@ -866,7 +810,7 @@ mod tests {
         rig.register(1, SINGLE);
         let blog = rss::blog_article("Ann", "u", "T", "c", "d");
         let docs = rig.front.screen(vec![blog.clone(), blog], 0).unwrap();
-        let live = rig.front.run(docs.clone(), |_| None, 2).unwrap();
+        let live = rig.front.run(docs.clone(), 2).unwrap();
         assert_eq!(live.singles.len(), 2, "one blog match per document");
         let (stats, position) = (rig.front.stats(), rig.front.position());
 

@@ -1,8 +1,7 @@
 //! Stage 1's subscription table: everything the front evaluates a document
 //! against, and the one place it is counted.
 //!
-//! Each engine's front holds one [`Stage1Table`] (a sharded engine's
-//! spawned front workers receive clones of it), and nothing else in
+//! Each engine's front holds one [`Stage1Table`], and nothing else in
 //! `mmqjp-core` subscribes, releases or audits Stage-1 state. Every
 //! requested edge carries one refcount per *consumer* of its rows: a shard
 //! of the sharded engine, or consumer `0`, the single engine's own join

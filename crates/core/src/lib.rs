@@ -33,10 +33,10 @@
 //! join stage runs Stage 2, output construction and state maintenance.
 //! [`MmqjpEngine`] has one inline slot, served on the caller's thread with
 //! nothing to merge. [`ShardedEngine`] has `N` worker-thread slots over a
-//! hash-partitioned query population, `EngineConfig::front_pool` front
-//! parties (the caller's thread plus spawned workers) and a canonical
-//! merge, whose output equals a single engine's for every shard count and
-//! mode; it pipelines Stage 1 of batch `k+1` with Stage 2 of batch `k`.
+//! hash-partitioned query population and a canonical merge, whose output
+//! equals a single engine's for every shard count and mode; its front runs
+//! on the caller's thread too, matching batch `k+1` while the shards join
+//! batch `k`. A shard is the only kind of worker thread.
 //!
 //! # Quick start
 //!

@@ -2,13 +2,13 @@
 //! instantiate.
 //!
 //! A [`Pipeline`] holds the configuration, the interner, the [`Front`] (all
-//! Stage-1 state, one consumer of witness rows per shard), the spawned
-//! front parties ([`FrontPool`]) and one *slot* per shard: an [`Inline`]
-//! [`Shard`] — a join stage and its local→global query-id map — or a
-//! worker thread that owns one ([`Worker`](crate::shard::Worker)).
-//! [`MmqjpEngine`](crate::MmqjpEngine) is the pipeline with one inline slot
-//! and no spawned front party; [`ShardedEngine`](crate::ShardedEngine) the
-//! one with `num_shards` worker slots.
+//! Stage-1 state, one consumer of witness rows per shard, run on the
+//! caller's thread) and one *slot* per shard: an [`Inline`] [`Shard`] — a
+//! join stage and its local→global query-id map — or a worker thread that
+//! owns one ([`Worker`](crate::shard::Worker)).
+//! [`MmqjpEngine`](crate::MmqjpEngine) is the pipeline with one inline
+//! slot; [`ShardedEngine`](crate::ShardedEngine) the one with `num_shards`
+//! worker slots.
 //!
 //! A shard's requests — register, unregister, batch, stats, audit — are
 //! [`Request`]s answered by [`serve`], through one call/collect pair:
@@ -25,12 +25,11 @@ use crate::config::{EngineConfig, FaultPolicy};
 use crate::engine::JoinStage;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultInjector, FaultKind, WorkerFault};
-use crate::front::{Front, FrontBatch, Stage1Table};
+use crate::front::{Front, FrontBatch};
 use crate::output::{sort_matches, MatchOutput};
 use crate::recovery::{self, ReplayLog, RetainedQuery};
 use crate::registry::Stage1Footprint;
 use crate::relations::RoutedBatch;
-use crate::shard::FrontPool;
 use crate::stats::EngineStats;
 use mmqjp_relational::{FxHashMap, StringInterner};
 use mmqjp_xml::Document;
@@ -211,13 +210,12 @@ struct InFlight<P> {
     watermark: u64,
 }
 
-/// The pipeline: a front, its spawned parties and one slot per shard.
+/// The pipeline: a front and one slot per shard.
 #[derive(Debug)]
 pub(crate) struct Pipeline<S> {
     pub(crate) config: EngineConfig,
     pub(crate) interner: Arc<StringInterner>,
     pub(crate) front: Front,
-    pub(crate) pool: FrontPool,
     pub(crate) slots: Vec<S>,
     pub(crate) queries_per_shard: Vec<usize>,
     pub(crate) next_query: u64,
@@ -236,9 +234,8 @@ pub(crate) struct Pipeline<S> {
 }
 
 impl<S: Slot> Pipeline<S> {
-    /// A pipeline of `shards` slots and `parties` front parties (the
-    /// caller's thread and `parties − 1` spawned ones).
-    pub(crate) fn new(config: EngineConfig, shards: usize, parties: usize) -> Self {
+    /// A pipeline of `shards` slots.
+    pub(crate) fn new(config: EngineConfig, shards: usize) -> Self {
         let interner = Arc::new(StringInterner::new());
         let slots = (0..shards)
             .map(|index| {
@@ -249,7 +246,6 @@ impl<S: Slot> Pipeline<S> {
             .collect();
         Pipeline {
             front: Front::new(&config, Arc::clone(&interner)),
-            pool: FrontPool::new(parties, config.retain_documents),
             slots,
             queries_per_shard: vec![0; shards],
             next_query: 0,
@@ -278,11 +274,9 @@ impl<S: Slot> Pipeline<S> {
         self.queries_per_shard.iter().sum()
     }
 
-    /// Register a query on the shard its id hashes to. A dead front worker
-    /// fails it before the shard is asked; a failed registration changes
-    /// nothing and consumes no id.
+    /// Register a query on the shard its id hashes to; a failed
+    /// registration changes nothing and consumes no id.
     pub(crate) fn register(&mut self, query: XsclQuery) -> CoreResult<QueryId> {
-        self.pool.check_workers()?;
         let global = QueryId(self.next_query);
         let shard = shard_of(global, self.slots.len());
         let floor = self.front.position().0;
@@ -299,14 +293,12 @@ impl<S: Slot> Pipeline<S> {
             self.refresh_retention();
         }
         self.front.subscribe(shard, global, &footprint)?;
-        self.pool.sync(self.front.table())?;
         Ok(global)
     }
 
     /// Unregister a query on the shard that owns it; on failure the query
     /// stays registered everywhere.
     pub(crate) fn unregister(&mut self, id: QueryId) -> CoreResult<()> {
-        self.pool.check_workers()?;
         let shard = shard_of(id, self.slots.len());
         self.request(shard, Request::Unregister(id))?;
         self.queries_per_shard[shard] -= 1;
@@ -314,7 +306,7 @@ impl<S: Slot> Pipeline<S> {
             self.refresh_retention();
         }
         self.front.unsubscribe(id)?;
-        self.pool.sync(self.front.table())
+        Ok(())
     }
 
     /// One request to slot `shard`, collected at once. A slot the fault
@@ -481,8 +473,8 @@ impl<S: Slot> Pipeline<S> {
             // below, the staged batch is dropped undispatched and must leave
             // no trace, or the document sequence would drift ahead of what
             // the shards (and a single engine fed the same stream) ever saw.
-            // Spawned parties hold no per-batch state (matching is
-            // snapshot-pure), so restoring the front is a complete rollback.
+            // Stage 1 moves no state outside the front, so restoring the
+            // front is a complete rollback.
             let checkpoint = self.front.checkpoint();
             let staged = match self.stage(batch, batch_index) {
                 Ok(staged) => staged,
@@ -565,64 +557,14 @@ impl<S: Slot> Pipeline<S> {
         Ok(())
     }
 
-    /// Stage 1 for one batch: the front screens it, the front parties
-    /// match its contiguous slices — the caller's thread the first — and
-    /// the front routes the rows into one batch per slot. A spawned party
-    /// that dies mid-slice is respawned and its slice retried under
-    /// Quarantine; under any other policy its death fails this batch and
-    /// every later one with [`CoreError::FrontUnavailable`].
+    /// Stage 1 for one batch, on the caller's thread: the front screens it,
+    /// matches each document once and routes its rows into one batch per
+    /// slot.
     fn stage(&mut self, docs: Vec<Document>, batch_index: u64) -> CoreResult<Staged> {
-        let policy = self.config.fault_policy;
-        let retain_documents = self.config.retain_documents;
         let watermark = self.front.position().1;
-        let mut own = self.front.screen(docs, batch_index)?;
-        let log_entry = self.recovers().then(|| own.clone());
-
-        // Document-parallel Stage 1: contiguous slices keep arrival order
-        // trivially reconstructible on collection. Party 0 keeps the head of
-        // the batch in place; slice `i` goes to front party `i + 1`.
-        let chunk_len = own.len().div_ceil(self.pool.parties()).max(1);
-        let mut rest = own.split_off(chunk_len.min(own.len()));
-        let mut pending = Vec::new();
-        for party in 1.. {
-            if rest.is_empty() {
-                break;
-            }
-            let tail = rest.split_off(chunk_len.min(rest.len()));
-            let slice = std::mem::replace(&mut rest, tail);
-            let retry = (policy == FaultPolicy::Quarantine).then(|| slice.clone());
-            // Party 0, the caller's thread, takes no injected fault.
-            let aimed =
-                |f: &FaultKind| matches!(f, FaultKind::PanicFront { worker } if *worker == party);
-            let panic = self.take_fault(aimed).is_some();
-            pending.push((party, self.pool.request_match(party, slice, panic)?, retry));
-        }
-        // Party 0 matches on this thread while the spawned parties match
-        // theirs, then the front takes their chunks in party order.
-        let (pool, supervisor) = (&mut self.pool, &mut self.supervisor_stats);
-        let mut pending = pending.into_iter();
-        let next_chunk = |table: &Stage1Table| {
-            let (party, response, retry) = pending.next()?;
-            Some(match response.recv() {
-                Ok(chunk) => Ok(chunk),
-                Err(_) if policy == FaultPolicy::Quarantine => {
-                    pool.heal(party, retry, table, retain_documents, supervisor)
-                }
-                Err(_) => {
-                    // Retire every party that died, so the next
-                    // registration sees the dead front before it reaches a
-                    // shard.
-                    pool.retire_worker(party);
-                    for (other, response, _) in pending.by_ref() {
-                        if response.recv().is_err() {
-                            pool.retire_worker(other);
-                        }
-                    }
-                    Err(CoreError::FrontUnavailable { worker: party })
-                }
-            })
-        };
-        let front = self.front.run(own, next_chunk, self.slots.len())?;
+        let docs = self.front.screen(docs, batch_index)?;
+        let log_entry = self.recovers().then(|| docs.clone());
+        let front = self.front.run(docs, self.slots.len())?;
         Ok((front, log_entry, watermark))
     }
 

@@ -347,8 +347,7 @@ pub struct QueryRuntime {
     /// The `SELECT` clause.
     pub select: SelectClause,
     /// The per-query part of each orientation, parallel to the shape's
-    /// [`orientations`](QueryShape::orientations) (empty for single-block
-    /// subscriptions).
+    /// `orientations` (empty for single-block subscriptions).
     pub registrations: Vec<Registration>,
     /// Number of documents the engine had processed when this query
     /// registered. A subscription only joins documents that arrived after
@@ -488,10 +487,10 @@ impl Registry {
     }
 
     /// Register a query (already parsed). Returns its id and its
-    /// [`Stage1Footprint`], which the caller subscribes to its front.
+    /// `Stage1Footprint`, which the caller subscribes to its front.
     ///
     /// A query whose `FROM` clause (window aside) is already live reuses
-    /// that clause's [`QueryShape`]; otherwise the shape is derived and
+    /// that clause's `QueryShape`; otherwise the shape is derived and
     /// memoized. `mode` determines whether the Sequential per-query
     /// conjunctive query is compiled (it is skipped in MMQJP modes to keep
     /// registration cheap for very large query sets, and compiled for every

@@ -227,8 +227,8 @@ impl WitnessBatch {
         out
     }
 
-    /// Timestamp of a document in the batch (a scan of `RdocTSW`; see
-    /// [`sorted_timestamps`](Self::sorted_timestamps) for repeated lookups).
+    /// Timestamp of a document in the batch (a scan of `RdocTSW`; the
+    /// crate's repeated lookups use `sorted_timestamps`).
     pub fn timestamp_of(&self, doc: DocId) -> Option<Timestamp> {
         let key = Value::Int(doc.raw() as i64);
         self.rdoc_ts_w

@@ -1,26 +1,26 @@
 //! Multi-core processing: the pipeline ([`crate::pipeline`]) with `N`
-//! worker-thread shard slots and `front_pool − 1` spawned front parties.
+//! worker-thread shard slots.
 //!
 //! [`ShardedEngine`] hash-partitions the *query population* across `N`
 //! [`Worker`] slots, each a thread that owns one shard — a join stage with
 //! its own registry, join state and view cache, so sharding composes with
 //! every mode — and answers its requests with the `serve` an inline slot
-//! calls. The front parties (the caller's thread plus spawned workers
-//! matching against clones of the Stage-1 table) match every document once;
-//! the front routes each witness row to exactly the shards consuming it
-//! (whole documents only when `retain_documents` needs them), and the merge
-//! sorts the shards' matches and the front's single-block matches into the
-//! canonical `(query, left_doc, right_doc, bindings)` order
+//! calls. The front runs on the caller's thread: it matches every document
+//! once against its one Stage-1 table and routes each witness row to
+//! exactly the shards consuming it (whole documents only when
+//! `retain_documents` needs them), and the merge sorts the shards' matches
+//! and the front's single-block matches into the canonical `(query,
+//! left_doc, right_doc, bindings)` order
 //! ([`sort_matches`](crate::sort_matches)): a canonically-sorted
-//! single-engine batch for any shard count, pool size and interleaving.
+//! single-engine batch for any shard count and interleaving.
 //!
 //! ```text
-//!   docs ─▶ front: the caller's thread + front_pool − 1 workers,
+//!   docs ─▶ front, on the caller's thread:
 //!              │    match once, Stage 1 + single-blocks
 //!              │ witness rows, routed to each edge's consumer shards
 //!           ▼     ▼     ▼
 //!        ┌─────┐┌─────┐┌─────┐
-//! qid ──▶│shard││shard││shard│  Stage 2 only
+//! qid ──▶│shard││shard││shard│  Stage 2 only, one thread each
 //! hash   └──┬──┘└──┬──┘└──┬──┘
 //!           ▼     ▼     ▼
 //!        canonical merge
@@ -37,7 +37,7 @@ use crate::audit::AuditViolation;
 use crate::config::EngineConfig;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultInjector, QuarantineRecord, WorkerFault};
-use crate::front::{match_slice, MatchScratch, MatchedChunk, Stage1Table};
+use crate::front::Stage1Table;
 use crate::output::MatchOutput;
 use crate::pipeline::{self, serve, Answer, Pipeline, Read, Reply, Request, Shard, Slot};
 use crate::recovery::ReplayLog;
@@ -51,26 +51,23 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
 
 /// A multi-core MMQJP engine: `N` join-stage shards over a hash-partitioned
 /// query population, fed by one front and merged into a deterministic,
 /// canonically-ordered match stream.
 ///
 /// The API mirrors [`MmqjpEngine`](crate::MmqjpEngine): register queries, then feed documents or
-/// batches. [`EngineConfig::num_shards`] selects the shard count and
-/// [`EngineConfig::front_pool`] the number of front parties — the caller's
-/// thread plus `front_pool − 1` spawned workers — that match each document
-/// once and route its witness rows to the subscribing shards. Every other
-/// config knob applies to each shard individually.
+/// batches. [`EngineConfig::num_shards`] selects the shard count; the
+/// caller's thread matches each document once and routes its witness rows to
+/// the subscribing shards. Every other config knob applies to each shard
+/// individually.
 ///
 /// ```
 /// use mmqjp_core::{EngineConfig, ShardedEngine};
 /// use mmqjp_xml::rss;
 ///
-/// // The caller and 1 front worker match once, 4 shards join.
-/// let mut engine = ShardedEngine::new(
-///     EngineConfig::default().with_num_shards(4).with_front_pool(2));
+/// // The caller matches once, 4 shard threads join.
+/// let mut engine = ShardedEngine::new(EngineConfig::default().with_num_shards(4));
 /// engine.register_query_text(
 ///     "S//book->x1[.//author->x2][.//title->x3] \
 ///      FOLLOWED BY{x2=x5 AND x3=x6, 100} \
@@ -89,16 +86,14 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Create a sharded engine with [`EngineConfig::num_shards`] shards, each
-    /// running the configured processing mode on its own worker thread, and
-    /// [`EngineConfig::front_pool`] Stage-1 front parties: the caller's
-    /// thread plus `front_pool − 1` spawned front workers, so the default
-    /// `front_pool = 1` spawns none (a count of `0` is treated as `1` for
-    /// both).
+    /// Create a sharded engine with [`EngineConfig::num_shards`] shards (a
+    /// count of `0` is treated as `1`), each running the configured
+    /// processing mode on its own worker thread. Stage 1 runs on the
+    /// calling thread.
     pub fn new(config: EngineConfig) -> Self {
-        let (shards, parties) = (config.num_shards.max(1), config.front_pool.max(1));
+        let shards = config.num_shards.max(1);
         ShardedEngine {
-            pipeline: Pipeline::new(config, shards, parties),
+            pipeline: Pipeline::new(config, shards),
         }
     }
 
@@ -110,12 +105,6 @@ impl ShardedEngine {
     /// The number of shards.
     pub fn num_shards(&self) -> usize {
         self.pipeline.slots.len()
-    }
-
-    /// The number of Stage-1 front parties: the caller's thread plus the
-    /// spawned front workers.
-    pub fn front_pool(&self) -> usize {
-        self.pipeline.pool.parties()
     }
 
     /// Total number of live registered queries across all shards.
@@ -158,9 +147,8 @@ impl ShardedEngine {
 
     /// Register a parsed query on the shard its id hashes to. Returns the
     /// engine-global query id, which matches the id a single [`MmqjpEngine`](crate::MmqjpEngine)
-    /// registering the same queries in the same order would assign. With a
-    /// dead front worker it fails with [`CoreError::FrontUnavailable`]
-    /// before the shard is asked, changing nothing.
+    /// registering the same queries in the same order would assign. A failed
+    /// registration changes nothing and consumes no id.
     pub fn register_query(&mut self, query: XsclQuery) -> CoreResult<QueryId> {
         self.pipeline.register(query)
     }
@@ -169,9 +157,8 @@ impl ShardedEngine {
     /// [`MmqjpEngine::unregister_query`](crate::MmqjpEngine::unregister_query): the owning shard incrementally
     /// releases the query's footprint, and the freed id is never reused.
     /// Errors with [`CoreError::UnknownQuery`] for ids never assigned or
-    /// already unregistered, [`CoreError::ShardUnavailable`] if the owning
-    /// shard's worker is gone, and [`CoreError::FrontUnavailable`] if a front
-    /// worker is — in which case the query stays registered everywhere.
+    /// already unregistered and [`CoreError::ShardUnavailable`] if the owning
+    /// shard's worker is gone — in which case the query stays registered.
     pub fn unregister_query(&mut self, id: QueryId) -> CoreResult<()> {
         self.pipeline.unregister(id)
     }
@@ -181,10 +168,10 @@ impl ShardedEngine {
         self.process_batch(vec![doc])
     }
 
-    /// Process a batch of documents in arrival order: the front parties run
-    /// Stage 1 once, the shards join their routed witness rows, and the
-    /// per-shard matches are merged into the canonical `(query, left_doc,
-    /// right_doc, bindings)` order. The batched-evaluation trade-off of
+    /// Process a batch of documents in arrival order: the front runs Stage 1
+    /// once on the caller's thread, the shards join their routed witness
+    /// rows, and the per-shard matches are merged into the canonical
+    /// `(query, left_doc, right_doc, bindings)` order. The batched-evaluation trade-off of
     /// [`MmqjpEngine::process_batch`](crate::MmqjpEngine::process_batch) applies unchanged.
     pub fn process_batch(&mut self, docs: Vec<Document>) -> CoreResult<Vec<MatchOutput>> {
         self.pipeline.process_batch(docs)
@@ -215,8 +202,8 @@ impl ShardedEngine {
 
     /// Install a deterministic fault injector. Each subsequent batch asks
     /// the injector for its scheduled faults ([`FaultKind`](crate::FaultKind)) and delivers
-    /// the worker-directed ones (panic a shard, drop a reply, panic a front
-    /// worker) while serving that batch. Document-content faults are the
+    /// the worker-directed ones (panic a shard, drop a reply) while serving
+    /// that batch. Document-content faults are the
     /// chaos harness's job — it owns the input stream and must mutate the
     /// reference stream identically — so the engine ignores them.
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
@@ -251,8 +238,9 @@ impl ShardedEngine {
         (0..slots.len()).filter(|&s| !slots[s].alive()).collect()
     }
 
-    /// Respawn shard `shard`'s worker with deterministically rebuilt state
-    /// (see [`recovery`](crate::recovery)). Requires a recovering fault policy — under
+    /// Respawn shard `shard`'s worker with deterministically rebuilt state:
+    /// its retained queries re-registered and the [`ReplayLog`] replayed.
+    /// Requires a recovering fault policy — under
     /// [`FaultPolicy::FailFast`](crate::FaultPolicy) nothing is retained to rebuild from, so this
     /// errors with [`CoreError::ShardUnavailable`]. Under
     /// [`FaultPolicy::Quarantine`](crate::FaultPolicy) the pipeline calls this automatically;
@@ -306,56 +294,6 @@ impl ShardedEngine {
 // Worker slots
 // ------------------------------------------------------------------------
 
-/// A thread serving the messages of one channel. Retiring it — on death,
-/// or when it is dropped — closes the channel and reaps the thread.
-#[derive(Debug)]
-pub(crate) struct Thread<M> {
-    sender: Option<Sender<M>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl<M: Send + 'static> Thread<M> {
-    fn spawn(
-        name: String,
-        body: impl FnOnce(Receiver<M>) + Send + 'static,
-    ) -> std::io::Result<Self> {
-        let (sender, receiver) = channel();
-        let handle = thread::Builder::new()
-            .name(name)
-            .spawn(move || body(receiver))?;
-        Ok(Thread {
-            sender: Some(sender),
-            handle: Some(handle),
-        })
-    }
-}
-
-impl<M> Thread<M> {
-    /// Send `message`; `false` if the thread is gone.
-    fn send(&self, message: M) -> bool {
-        self.sender
-            .as_ref()
-            .is_some_and(|s| s.send(message).is_ok())
-    }
-
-    fn alive(&self) -> bool {
-        self.sender.is_some() && self.handle.as_ref().is_some_and(|h| !h.is_finished())
-    }
-
-    fn retire(&mut self) {
-        self.sender = None;
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl<M> Drop for Thread<M> {
-    fn drop(&mut self) {
-        self.retire();
-    }
-}
-
 /// A request on its way to a worker, with the fault to deliver while
 /// serving it and the channel for the answer.
 #[derive(Debug)]
@@ -365,8 +303,14 @@ pub(crate) struct Envelope {
     reply: Sender<CoreResult<Reply>>,
 }
 
-/// A worker slot: the thread that owns one shard.
-pub(crate) type Worker = Thread<Envelope>;
+/// A worker slot: the thread that owns one shard and serves its requests.
+/// Retiring it — on death, or when it is dropped — closes its channel and
+/// reaps the thread.
+#[derive(Debug)]
+pub(crate) struct Worker {
+    sender: Option<Sender<Envelope>>,
+    handle: Option<JoinHandle<()>>,
+}
 
 impl Worker {
     /// Send `request`; the answer's channel, or `None` if the worker is
@@ -377,11 +321,12 @@ impl Worker {
         fault: Option<WorkerFault>,
     ) -> Option<Receiver<CoreResult<Reply>>> {
         let (reply, answer) = channel();
-        let sent = self.send(Envelope {
+        let envelope = Envelope {
             request,
             fault,
             reply,
-        });
+        };
+        let sent = (self.sender.as_ref()).is_some_and(|s| s.send(envelope).is_ok());
         sent.then_some(answer)
     }
 }
@@ -391,9 +336,15 @@ impl Slot for Worker {
     type Pending = Option<Receiver<CoreResult<Reply>>>;
 
     fn start(index: usize, shard: Shard) -> CoreResult<Self> {
-        let body = move |requests| shard_worker(shard, requests, index);
-        Thread::spawn(format!("mmqjp-shard-{index}"), body)
-            .map_err(|_| CoreError::ShardUnavailable { shard: index })
+        let (sender, requests) = channel();
+        let handle = thread::Builder::new()
+            .name(format!("mmqjp-shard-{index}"))
+            .spawn(move || shard_worker(shard, requests, index))
+            .map_err(|_| CoreError::ShardUnavailable { shard: index })?;
+        Ok(Worker {
+            sender: Some(sender),
+            handle: Some(handle),
+        })
     }
 
     fn call(&mut self, request: Request, fault: Option<WorkerFault>) -> Self::Pending {
@@ -422,11 +373,20 @@ impl Slot for Worker {
     }
 
     fn alive(&self) -> bool {
-        Thread::alive(self)
+        self.sender.is_some() && self.handle.as_ref().is_some_and(|h| !h.is_finished())
     }
 
     fn retire(&mut self) {
-        Thread::retire(self);
+        self.sender = None;
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        self.retire();
     }
 }
 
@@ -486,216 +446,14 @@ fn shard_worker(mut shard: Shard, requests: Receiver<Envelope>, index: usize) {
     }
 }
 
-// ------------------------------------------------------------------------
-// Spawned front parties
-// ------------------------------------------------------------------------
-
-/// A request to a spawned Stage-1 front worker (front parties
-/// `1..front_pool`; party 0 is the caller's thread and takes no requests).
-#[derive(Debug)]
-pub(crate) enum FrontRequest {
-    /// Replace the worker's clone of the front's Stage-1 table. Sent after
-    /// every subscription change; churn is rare relative to batches, so a
-    /// full-clone broadcast keeps the per-document hot path lock-free.
-    Sync {
-        table: Box<Stage1Table>,
-        reply: Sender<()>,
-    },
-    /// Match a run of documents (ids and timestamps already assigned by
-    /// the front) and return their Stage-1 output.
-    Match {
-        docs: Vec<Document>,
-        /// Injected fault: panic while serving this request.
-        panic: bool,
-        reply: Sender<MatchedChunk>,
-    },
-}
-
-/// One spawned front worker.
-type FrontWorker = Thread<FrontRequest>;
-
-/// Spawn the worker thread of front party `party` (always `≥ 1`: party 0
-/// is the caller's thread).
-fn spawn_front_worker(party: usize, retain_documents: bool) -> std::io::Result<FrontWorker> {
-    let body = move |requests| front_worker(retain_documents, requests);
-    Thread::spawn(format!("mmqjp-front-{party}"), body)
-}
-
-/// The spawned front parties: `workers[i]` is front party `i + 1`.
-#[derive(Debug)]
-pub(crate) struct FrontPool {
-    workers: Vec<FrontWorker>,
-}
-
-impl FrontPool {
-    /// A front of `parties` parties: the caller's thread and `parties − 1`
-    /// spawned workers.
-    pub(crate) fn new(parties: usize, retain_documents: bool) -> Self {
-        let workers = (1..parties)
-            .map(|party| {
-                spawn_front_worker(party, retain_documents)
-                    // lint:allow one-time startup; a failed spawn leaves no engine to return
-                    .expect("spawning a front worker thread succeeds")
-            })
-            .collect();
-        FrontPool { workers }
-    }
-
-    /// Front parties: the caller's thread and the spawned workers.
-    pub(crate) fn parties(&self) -> usize {
-        self.workers.len() + 1
-    }
-
-    /// Send spawned front party `party` a request.
-    fn send(&self, party: usize, request: FrontRequest) -> CoreResult<()> {
-        let worker = party.checked_sub(1).and_then(|i| self.workers.get(i));
-        match worker {
-            Some(worker) if worker.send(request) => Ok(()),
-            _ => Err(CoreError::FrontUnavailable { worker: party }),
-        }
-    }
-
-    /// `Ok` when every spawned front party is alive, else
-    /// [`CoreError::FrontUnavailable`] naming the first dead one.
-    pub(crate) fn check_workers(&self) -> CoreResult<()> {
-        match self.workers.iter().position(|worker| !worker.alive()) {
-            Some(i) => Err(CoreError::FrontUnavailable { worker: i + 1 }),
-            None => Ok(()),
-        }
-    }
-
-    /// Retire dead spawned front party `party`: close its channel and reap
-    /// its thread. Later requests to it fail with
-    /// [`CoreError::FrontUnavailable`].
-    pub(crate) fn retire_worker(&mut self, party: usize) {
-        if let Some(worker) = party.checked_sub(1).and_then(|i| self.workers.get_mut(i)) {
-            worker.retire();
-        }
-    }
-
-    /// Send spawned front party `party` a clone of `table`; the returned
-    /// channel acknowledges it.
-    fn send_snapshot(&self, party: usize, table: &Stage1Table) -> CoreResult<Receiver<()>> {
-        let (reply, ack) = channel();
-        let table = Box::new(table.clone());
-        self.send(party, FrontRequest::Sync { table, reply })?;
-        Ok(ack)
-    }
-
-    /// Broadcast a clone of the front's table to every spawned party and
-    /// wait for their acknowledgements, so the next batch is matched
-    /// against the updated subscriptions. The caller's own party reads the
-    /// table directly, so with `front_pool = 1` this clones nothing. A
-    /// worker that does not acknowledge is retired.
-    pub(crate) fn sync(&mut self, table: &Stage1Table) -> CoreResult<()> {
-        let acks = (1..=self.workers.len())
-            .map(|party| self.send_snapshot(party, table).map(|ack| (party, ack)))
-            .collect::<CoreResult<Vec<_>>>()?;
-        for (party, ack) in acks {
-            if ack.recv().is_err() {
-                self.retire_worker(party);
-                return Err(CoreError::FrontUnavailable { worker: party });
-            }
-        }
-        Ok(())
-    }
-
-    /// Hand spawned front party `party` a slice to match; the returned
-    /// channel carries its output.
-    pub(crate) fn request_match(
-        &self,
-        party: usize,
-        docs: Vec<Document>,
-        panic: bool,
-    ) -> CoreResult<Receiver<MatchedChunk>> {
-        let (reply, response) = channel();
-        self.send(party, FrontRequest::Match { docs, panic, reply })?;
-        Ok(response)
-    }
-
-    /// Party `party` died mid-slice: matching is snapshot-pure, so healing
-    /// is a respawn, a sync with `table` and one retry of the same slice.
-    pub(crate) fn heal(
-        &mut self,
-        party: usize,
-        retry: Option<Vec<Document>>,
-        table: &Stage1Table,
-        retain_documents: bool,
-        supervisor: &mut EngineStats,
-    ) -> CoreResult<MatchedChunk> {
-        let unavailable = || CoreError::FrontUnavailable { worker: party };
-        let t0 = Instant::now();
-        let respawned = spawn_front_worker(party, retain_documents).map_err(|_| unavailable())?;
-        let slot = self.workers.get_mut(party - 1).ok_or_else(unavailable)?;
-        // The dead worker is retired as it is dropped.
-        *slot = respawned;
-        self.send_snapshot(party, table)?
-            .recv()
-            .map_err(|_| unavailable())?;
-        let docs = retry.ok_or_else(unavailable)?;
-        let chunk = self
-            .request_match(party, docs, false)?
-            .recv()
-            .map_err(|_| unavailable())?;
-        supervisor.shards_respawned += 1;
-        supervisor.timings.recovery += t0.elapsed();
-        Ok(chunk)
-    }
-}
-
-/// The front-worker loop of a spawned front party: holds a clone of the
-/// front's Stage-1 table and runs [`match_slice`] over document slices
-/// against it. The clone is replaced wholesale by `Sync` requests on
-/// subscription churn.
-// The spawned front worker must own its receiver (`'static` loop).
-#[allow(clippy::needless_pass_by_value)]
-fn front_worker(retain_documents: bool, requests: Receiver<FrontRequest>) {
-    let mut table = Stage1Table::new();
-    // Worker-lifetime matching buffers: a document allocates nothing for
-    // its pass or its rows' enumeration once warm.
-    let mut matching = MatchScratch::default();
-    while let Ok(request) = requests.recv() {
-        match request {
-            FrontRequest::Sync {
-                table: new_table,
-                reply,
-            } => {
-                table = *new_table;
-                let _ = reply.send(());
-            }
-            FrontRequest::Match { docs, panic, reply } => {
-                // Contain panics (injected or organic): the dropped reply
-                // surfaces at the coordinator, which respawns and re-syncs
-                // this worker — matching holds no cross-request state, so a
-                // snapshot push makes the replacement whole.
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    if panic {
-                        // lint:allow deliberate injected fault, contained by catch_unwind below
-                        panic!("injected fault: front worker panic");
-                    }
-                    match_slice(&mut table, docs, &mut matching, retain_documents)
-                }));
-                match caught {
-                    Ok(chunk) => {
-                        let _ = reply.send(chunk);
-                    }
-                    Err(_) => break,
-                }
-            }
-        }
-    }
-}
-
-// Compile-time audit that everything crossing (or living on) a shard or
-// front-worker thread is `Send`: the shard with its join stage, the shared
-// interner, and the request/answer payloads of both worker kinds.
+// Compile-time audit that everything crossing (or living on) a shard
+// worker thread is `Send`: the shard with its join stage, the shared
+// interner, and the request and answer payloads.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Shard>();
     assert_send::<Arc<StringInterner>>();
     assert_send::<Envelope>();
-    assert_send::<FrontRequest>();
-    assert_send::<MatchedChunk>();
     assert_send::<Stage1Footprint>();
     assert_send::<RoutedBatch>();
     assert_send::<CoreResult<Reply>>();
@@ -767,29 +525,22 @@ mod tests {
         assert!(!expected_d1.is_empty());
         assert_eq!(expected_d2.len(), 2);
 
-        for front_pool in [1, 2, 4] {
-            for shards in [1, 2, 3, 7] {
-                let mut e = ShardedEngine::new(
-                    EngineConfig::mmqjp()
-                        .with_num_shards(shards)
-                        .with_front_pool(front_pool),
-                );
-                for q in [Q1, Q2, Q3, Q_SINGLE] {
-                    e.register_query_text(q).unwrap();
-                }
-                assert_eq!(e.front_pool(), front_pool);
-                assert_eq!(e.num_shards(), shards);
-                let out1 = e.process_document(d1()).unwrap();
-                assert_eq!(out1, expected_d1, "{front_pool} front / {shards} shards");
-                let out2 = e.process_document(d2()).unwrap();
-                assert_eq!(out2, expected_d2, "{front_pool} front / {shards} shards");
+        for shards in [1, 2, 3, 7] {
+            let mut e = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(shards));
+            for q in [Q1, Q2, Q3, Q_SINGLE] {
+                e.register_query_text(q).unwrap();
             }
+            assert_eq!(e.num_shards(), shards);
+            let out1 = e.process_document(d1()).unwrap();
+            assert_eq!(out1, expected_d1, "{shards} shards");
+            let out2 = e.process_document(d2()).unwrap();
+            assert_eq!(out2, expected_d2, "{shards} shards");
         }
     }
 
     #[test]
     fn stats_count_documents_once_and_sum_exactly() {
-        let mut e = sharded(EngineConfig::mmqjp().with_num_shards(3).with_front_pool(2));
+        let mut e = sharded(EngineConfig::mmqjp().with_num_shards(3));
         e.process_document(d1()).unwrap();
         e.process_document(d2()).unwrap();
         let per_shard = e.shard_stats().unwrap();
@@ -815,7 +566,7 @@ mod tests {
 
     #[test]
     fn unregister_releases_front_subscriptions() {
-        let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2).with_front_pool(1));
+        let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2));
         assert!(!e.stage1_table().is_empty());
         e.process_document(d1()).unwrap();
         e.unregister_query(QueryId(0)).unwrap();
@@ -843,14 +594,14 @@ mod tests {
         let batches: Vec<Vec<Document>> = docs.chunks(1).map(|c| c.to_vec()).collect();
 
         // Reference: batch-at-a-time on the unpipelined entry point.
-        let mut reference = sharded(EngineConfig::mmqjp().with_num_shards(2).with_front_pool(2));
+        let mut reference = sharded(EngineConfig::mmqjp().with_num_shards(2));
         let expected: Vec<Vec<MatchOutput>> = batches
             .clone()
             .into_iter()
             .map(|b| reference.process_batch(b).unwrap())
             .collect();
 
-        let mut pipelined = sharded(EngineConfig::mmqjp().with_num_shards(2).with_front_pool(2));
+        let mut pipelined = sharded(EngineConfig::mmqjp().with_num_shards(2));
         let results = pipelined.process_batches(batches).unwrap();
         assert_eq!(results, expected);
         assert_eq!(
@@ -891,7 +642,7 @@ mod tests {
         let out = single.audit();
         assert!(off_by_one(&out, seeded), "{out:?}");
 
-        let mut e = sharded(EngineConfig::mmqjp().with_num_shards(3).with_front_pool(2));
+        let mut e = sharded(EngineConfig::mmqjp().with_num_shards(3));
         assert!(e.audit().unwrap().is_empty());
         let seeded = e.pipeline.front.table_mut().seed_extra_edge_ref().unwrap();
         let out = e.audit().unwrap();
@@ -902,7 +653,7 @@ mod tests {
     /// accounting the way the single engine's always did.
     #[test]
     fn front_audit_checks_document_accounting() {
-        let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2).with_front_pool(2));
+        let mut e = sharded(EngineConfig::mmqjp().with_num_shards(2));
         e.process_batch(vec![d1(), d2()]).unwrap();
         assert!(e.audit().unwrap().is_empty());
         e.pipeline.front.stats_mut().documents_processed += 1;
@@ -1057,28 +808,8 @@ mod tests {
     }
 
     #[test]
-    fn the_caller_is_front_party_zero() {
-        // The default front is the caller's thread alone: no front thread.
-        let e = ShardedEngine::new(EngineConfig::default());
-        assert_eq!(e.front_pool(), 1);
-        assert!(e.pipeline.pool.workers.is_empty());
-        assert_eq!(e.pipeline.slots.len(), 1);
-        // A pool of three spawns the two parties after the caller's.
-        let e = ShardedEngine::new(EngineConfig::default().with_front_pool(3));
-        assert_eq!(e.front_pool(), 3);
-        assert_eq!(e.pipeline.pool.workers.len(), 2);
-        let sync = |party| e.pipeline.pool.send_snapshot(party, &Stage1Table::new());
-        assert!(matches!(
-            sync(0),
-            Err(CoreError::FrontUnavailable { worker: 0 })
-        ));
-        assert!(sync(2).is_ok());
-        assert!(sync(3).is_err());
-    }
-
-    #[test]
     fn single_block_patterns_live_in_the_master_index() {
-        let mut e = ShardedEngine::new(EngineConfig::mmqjp().with_front_pool(2));
+        let mut e = ShardedEngine::new(EngineConfig::mmqjp());
         let single = e.register_query_text(Q_SINGLE).unwrap();
         let table = e.pipeline.front.table();
         let pid = table.singles()[0].pid;
@@ -1114,10 +845,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_and_zero_front_workers_are_clamped_to_one() {
-        let e = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(0).with_front_pool(0));
+    fn zero_shards_are_clamped_to_one() {
+        // The default is one shard slot; a count of zero is clamped to it.
+        let e = ShardedEngine::new(EngineConfig::default());
+        assert_eq!(e.pipeline.slots.len(), 1);
+        let e = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(0));
         assert_eq!(e.num_shards(), 1);
-        assert_eq!(e.front_pool(), 1);
         assert!(e.stage1_table().is_empty());
     }
 
@@ -1139,7 +872,7 @@ mod tests {
 
     #[test]
     fn failed_registration_consumes_no_id() {
-        let mut e = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(3).with_front_pool(1));
+        let mut e = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(3));
         assert!(e.register_query_text("not a query at all ///").is_err());
         assert_eq!(e.num_queries(), 0);
         assert!(e.stage1_table().is_empty());
@@ -1201,24 +934,20 @@ mod tests {
 
     #[test]
     fn out_of_order_document_errors_like_the_single_engine() {
-        for front_pool in [1, 2] {
-            let mut config = EngineConfig::mmqjp()
-                .with_num_shards(3)
-                .with_front_pool(front_pool);
-            config.enforce_in_order = true;
-            let mut e = sharded(config);
-            e.process_document(d1().with_timestamp(Timestamp(100)))
-                .unwrap();
-            let err = e
-                .process_document(d2().with_timestamp(Timestamp(50)))
-                .unwrap_err();
-            assert!(matches!(err, CoreError::OutOfOrderDocument { .. }));
-            // The engine keeps working after the rejected document.
-            let out = e
-                .process_document(d2().with_timestamp(Timestamp(120)))
-                .unwrap();
-            assert!(!out.is_empty(), "front pool {front_pool}");
-        }
+        let mut config = EngineConfig::mmqjp().with_num_shards(3);
+        config.enforce_in_order = true;
+        let mut e = sharded(config);
+        e.process_document(d1().with_timestamp(Timestamp(100)))
+            .unwrap();
+        let err = e
+            .process_document(d2().with_timestamp(Timestamp(50)))
+            .unwrap_err();
+        assert!(matches!(err, CoreError::OutOfOrderDocument { .. }));
+        // The engine keeps working after the rejected document.
+        let out = e
+            .process_document(d2().with_timestamp(Timestamp(120)))
+            .unwrap();
+        assert!(!out.is_empty());
     }
 
     #[test]

@@ -221,7 +221,7 @@ pub struct EngineStats {
     /// stalls to batches means Stage 2 is the bottleneck and more shards
     /// would help; zero stalls mean Stage 1 is.
     pub pipeline_stalls: usize,
-    /// Worker threads (shard or front) respawned by the supervisor after a
+    /// Shard worker threads respawned by the supervisor after a
     /// contained panic or a dropped channel — automatically under
     /// [`FaultPolicy::Quarantine`](crate::FaultPolicy), or via a manual
     /// `ShardedEngine::respawn_shard` under

@@ -11,7 +11,7 @@
 //!
 //! The counts are obtained constructively: we enumerate candidate reduced
 //! join graphs and de-duplicate them through the same
-//! [`TemplateCatalog`](crate::template::TemplateCatalog) used by the engine,
+//! [`TemplateCatalog`] used by the engine,
 //! so the numbers reported by the benchmark are produced by exactly the
 //! machinery whose sharing behaviour they describe.
 

@@ -63,11 +63,6 @@ pub fn all_modes() -> [ProcessingMode; 3] {
 /// empty on small query sets.
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
-/// Front-pool sizes the sharded sweep exercises: a single worker (no
-/// document parallelism, routing only), an even pool, and a pool larger than
-/// most test batches (workers with empty slices).
-pub const FRONT_POOLS: [usize; 3] = [1, 2, 4];
-
 /// Build an engine in the given mode with the given queries registered.
 pub fn engine_with_queries(mode: ProcessingMode, queries: &[&str]) -> MmqjpEngine {
     let config = EngineConfig {
@@ -139,30 +134,13 @@ pub fn run_stream_sharded(engine: &mut ShardedEngine, docs: Vec<Document>) -> Ve
 }
 
 /// Build a sharded engine from a (per-shard) config, shard count and query
-/// set, with the config's own front-pool size (by default one party: the
-/// caller's thread, no front worker spawned).
+/// set.
 pub fn sharded_engine_with_queries(
     config: EngineConfig,
     num_shards: usize,
     queries: &[mmqjp_xscl::XsclQuery],
 ) -> ShardedEngine {
-    let front_pool = config.front_pool;
-    sharded_engine_with_topology(config, num_shards, front_pool, queries)
-}
-
-/// Build a sharded engine with an explicit shard count and number of Stage-1
-/// front parties (the caller's thread plus `front_pool - 1` workers).
-pub fn sharded_engine_with_topology(
-    config: EngineConfig,
-    num_shards: usize,
-    front_pool: usize,
-    queries: &[mmqjp_xscl::XsclQuery],
-) -> ShardedEngine {
-    let mut engine = ShardedEngine::new(
-        config
-            .with_num_shards(num_shards)
-            .with_front_pool(front_pool),
-    );
+    let mut engine = ShardedEngine::new(config.with_num_shards(num_shards));
     // Every sharded fixture runs with a benign (empty) fault plan installed:
     // the injection plumbing must be zero-cost and non-perturbing, so every
     // equivalence assertion built on these fixtures proves exactly that.

@@ -226,50 +226,39 @@ fn run_differential(mut make: impl FnMut() -> AnyEngine, script: &[Op], label: &
 }
 
 /// Replay `script` on an `MmqjpEngine` and a one-shard `ShardedEngine`
-/// (front pools 1 and 2) registering the same queries in the same order:
-/// after every step the two fronts' Stage-1 tables must be equal — patterns
-/// with refcounts, requested-edge lists in order with their consumers,
-/// single-block subscriptions and emission-plan classes.
+/// registering the same queries in the same order: after every step the two
+/// fronts' Stage-1 tables must be equal — patterns with refcounts,
+/// requested-edge lists in order with their consumers, single-block
+/// subscriptions and emission-plan classes.
 fn assert_tables_agree(config: &EngineConfig, script: &[Op]) {
-    for front_pool in [1, 2] {
-        let mut single = MmqjpEngine::new(config.clone());
-        let mut sharded = ShardedEngine::new(
-            config
-                .clone()
-                .with_num_shards(1)
-                .with_front_pool(front_pool),
-        );
-        let mut ids = Vec::new();
-        let mut compiled = false;
-        for (step, op) in script.iter().enumerate() {
-            match op {
-                Op::Reg(text) => {
-                    let id = single.register_query_text(text).expect("query registers");
-                    let twin = sharded.register_query_text(text).expect("query registers");
-                    assert_eq!(twin, id);
-                    ids.push(id);
-                }
-                Op::Unreg(n) => {
-                    single.unregister_query(ids[*n]).expect("live target");
-                    sharded.unregister_query(ids[*n]).expect("live target");
-                }
-                Op::Doc(doc) => {
-                    let mut expected = single.process_document(doc.clone()).expect("processes");
-                    sort_matches(&mut expected);
-                    let got = sharded.process_document(doc.clone()).expect("processes");
-                    assert_eq!(got, expected, "front pool {front_pool}, step {step}");
-                }
+    let mut single = MmqjpEngine::new(config.clone());
+    let mut sharded = ShardedEngine::new(config.clone().with_num_shards(1));
+    let mut ids = Vec::new();
+    let mut compiled = false;
+    for (step, op) in script.iter().enumerate() {
+        match op {
+            Op::Reg(text) => {
+                let id = single.register_query_text(text).expect("query registers");
+                let twin = sharded.register_query_text(text).expect("query registers");
+                assert_eq!(twin, id);
+                ids.push(id);
             }
-            let snapshot = single.stage1_table().snapshot();
-            compiled |= !snapshot.classes.is_empty();
-            assert_eq!(
-                sharded.stage1_table().snapshot(),
-                snapshot,
-                "front pool {front_pool}, step {step}"
-            );
+            Op::Unreg(n) => {
+                single.unregister_query(ids[*n]).expect("live target");
+                sharded.unregister_query(ids[*n]).expect("live target");
+            }
+            Op::Doc(doc) => {
+                let mut expected = single.process_document(doc.clone()).expect("processes");
+                sort_matches(&mut expected);
+                let got = sharded.process_document(doc.clone()).expect("processes");
+                assert_eq!(got, expected, "step {step}");
+            }
         }
-        assert!(compiled, "the tables held requested edges at some step");
+        let snapshot = single.stage1_table().snapshot();
+        compiled |= !snapshot.classes.is_empty();
+        assert_eq!(sharded.stage1_table().snapshot(), snapshot, "step {step}");
     }
+    assert!(compiled, "the tables held requested edges at some step");
 }
 
 /// Run a script differentially across every mode × {single, sharded 1/2/4},

@@ -1,13 +1,13 @@
 //! Deterministic chaos harness for the self-healing sharded pipeline.
 //!
 //! The central property is differential: under *any* seeded fault schedule —
-//! worker panics, dropped replies, front-worker deaths, corrupted document
-//! bytes, out-of-order timestamps — a [`FaultPolicy::Quarantine`] engine must
+//! shard worker panics, dropped replies, corrupted document bytes,
+//! out-of-order timestamps — a [`FaultPolicy::Quarantine`] engine must
 //! produce byte-identical output to a fresh, fault-free engine fed only the
 //! surviving documents, and its invariant audit must come back clean after
 //! every recovery. Alongside the differential sweep there are targeted tests
-//! for each policy: FailFast containment (a shard or front-worker panic
-//! becomes a typed error, not a hang), Degrade (dead shards go dark, the rest
+//! for each policy: FailFast containment (a shard panic becomes a typed
+//! error, not a hang), Degrade (dead shards go dark, the rest
 //! keep serving, a manual respawn restores full service), the pipelined entry
 //! point's checkpoint/rollback of a staged-but-never-dispatched batch, and
 //! stream-position parity after poison input between the single engine and
@@ -24,7 +24,7 @@ use mmqjp_core::{
     FaultPolicy, MatchOutput, MmqjpEngine, QuarantineRecord, QueryId, ShardedEngine,
 };
 use mmqjp_integration_tests::{
-    assert_audit_clean_sharded, match_keys, sharded_engine_with_topology,
+    assert_audit_clean_sharded, match_keys, sharded_engine_with_queries,
 };
 use mmqjp_workload::{RssQueryGenerator, RssStreamConfig, RssStreamGenerator};
 use mmqjp_xml::{parse_document, parse_document_streaming, rss, serialize, Document, Timestamp};
@@ -68,17 +68,12 @@ fn rss_workload(
 fn chaos_engine(
     config: EngineConfig,
     num_shards: usize,
-    front_pool: usize,
     policy: FaultPolicy,
     plan: FaultPlan,
     queries: &[mmqjp_xscl::XsclQuery],
 ) -> ShardedEngine {
-    let mut engine = ShardedEngine::new(
-        config
-            .with_num_shards(num_shards)
-            .with_front_pool(front_pool)
-            .with_fault_policy(policy),
-    );
+    let mut engine =
+        ShardedEngine::new(config.with_num_shards(num_shards).with_fault_policy(policy));
     engine.set_fault_injector(FaultInjector::new(plan));
     for q in queries {
         engine.register_query(q.clone()).expect("query registers");
@@ -173,9 +168,7 @@ fn worker_fault_count(plan: &FaultPlan, batches: u64) -> usize {
         .filter(|f| {
             matches!(
                 f,
-                FaultKind::PanicShard { .. }
-                    | FaultKind::DropResponse { .. }
-                    | FaultKind::PanicFront { .. }
+                FaultKind::PanicShard { .. } | FaultKind::DropResponse { .. }
             )
         })
         .count()
@@ -190,14 +183,13 @@ fn run_chaos_differential(
     seed: u64,
     base_config: EngineConfig,
     num_shards: usize,
-    front_pool: usize,
     pipelined: bool,
     num_queries: usize,
     items: usize,
 ) {
     let (queries, docs) = rss_workload(seed, num_queries, items);
     let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
-    let plan = FaultPlan::seeded(seed, batches.len() as u64, num_shards, front_pool);
+    let plan = FaultPlan::seeded(seed, batches.len() as u64, num_shards);
     let mut config = base_config.with_retain_documents(false);
     config.enforce_in_order = true;
 
@@ -206,7 +198,6 @@ fn run_chaos_differential(
     let mut chaos = chaos_engine(
         config.clone(),
         num_shards,
-        front_pool,
         FaultPolicy::Quarantine,
         plan.clone(),
         &queries,
@@ -237,7 +228,7 @@ fn run_chaos_differential(
     }
 
     let survivors = survivor_batches(&mutated, &records);
-    let mut reference = sharded_engine_with_topology(config, num_shards, front_pool, &queries);
+    let mut reference = sharded_engine_with_queries(config, num_shards, &queries);
     let expected: Vec<Vec<MatchOutput>> = survivors
         .iter()
         .map(|batch| {
@@ -250,7 +241,7 @@ fn run_chaos_differential(
     assert_eq!(
         chaos_out, expected,
         "chaos output diverged from the survivor reference \
-         (seed {seed}, shards {num_shards}, front {front_pool}, pipelined {pipelined})"
+         (seed {seed}, shards {num_shards}, pipelined {pipelined})"
     );
     assert_audit_clean_sharded(&chaos);
 
@@ -268,22 +259,12 @@ fn run_chaos_differential(
     assert!(chaos.degraded_shards().is_empty());
 }
 
-/// The CI chaos matrix: three fixed seeds, front pools of one and two
-/// workers, batch-at-a-time ingestion.
+/// The CI chaos matrix: three fixed seeds on three shards, batch-at-a-time
+/// ingestion.
 #[test]
-fn chaos_differential_across_seeds_and_front_pools() {
+fn chaos_differential_across_seeds() {
     for seed in chaos_seeds() {
-        for (num_shards, front_pool) in [(3, 1), (3, 2)] {
-            run_chaos_differential(
-                seed,
-                EngineConfig::mmqjp(),
-                num_shards,
-                front_pool,
-                false,
-                24,
-                48,
-            );
-        }
+        run_chaos_differential(seed, EngineConfig::mmqjp(), 3, false, 24, 48);
     }
 }
 
@@ -292,7 +273,7 @@ fn chaos_differential_across_seeds_and_front_pools() {
 #[test]
 fn chaos_differential_pipelined() {
     for seed in chaos_seeds() {
-        run_chaos_differential(seed, EngineConfig::mmqjp_view_mat(), 3, 2, true, 24, 48);
+        run_chaos_differential(seed, EngineConfig::mmqjp_view_mat(), 3, true, 24, 48);
     }
 }
 
@@ -300,13 +281,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The differential property holds for arbitrary seeds across modes,
-    /// shard counts, front-pool sizes and both entry points — smaller workloads
-    /// than the fixed-seed matrix, many more schedules.
+    /// shard counts and both entry points — smaller workloads than the
+    /// fixed-seed matrix, many more schedules.
     #[test]
     fn chaos_differential_holds_for_any_seed(
         seed in 0u64..1_000_000,
         num_shards in 1usize..5,
-        front_pool in 1usize..3,
+        // A retired axis, still drawn so that every case keeps the inputs
+        // it was generated with.
+        _retired in 1usize..3,
         view_mat in 0u8..2,
         pipelined in 0u8..2,
     ) {
@@ -316,69 +299,52 @@ proptest! {
         } else {
             EngineConfig::mmqjp()
         };
-        run_chaos_differential(seed, base, num_shards, front_pool, pipelined, 16, 32);
+        run_chaos_differential(seed, base, num_shards, pipelined, 16, 32);
     }
 }
 
-/// Hand-scheduled worker deaths only (no poison input): healing must be
+/// Hand-scheduled shard deaths only (no poison input): healing must be
 /// fully transparent — identical output to a never-failed engine, exact
-/// respawn/fault accounting, state replayed, audit clean. The front panic
-/// kills the last spawned front party; batches of six give every party of a
-/// two- or three-party front a non-empty slice.
+/// respawn/fault accounting, state replayed, audit clean.
 #[test]
 fn injected_worker_deaths_heal_transparently() {
-    for front_pool in [2usize, 3] {
-        let (queries, docs) = rss_workload(61, 24, 60);
-        let batches: Vec<Vec<Document>> = docs.chunks(6).map(<[_]>::to_vec).collect();
-        assert_eq!(batches.len(), 10);
-        let plan = FaultPlan::none()
-            .at(1, FaultKind::PanicShard { shard: 0 })
-            .at(3, FaultKind::DropResponse { shard: 2 })
-            .at(
-                4,
-                FaultKind::PanicFront {
-                    worker: front_pool - 1,
-                },
-            )
-            .at(6, FaultKind::PanicShard { shard: 1 })
-            .at(8, FaultKind::DropResponse { shard: 0 });
-        let expected_respawns = 5;
-        let config = EngineConfig::mmqjp().with_retain_documents(false);
+    let (queries, docs) = rss_workload(61, 24, 60);
+    let batches: Vec<Vec<Document>> = docs.chunks(6).map(<[_]>::to_vec).collect();
+    assert_eq!(batches.len(), 10);
+    let plan = FaultPlan::none()
+        .at(1, FaultKind::PanicShard { shard: 0 })
+        .at(3, FaultKind::DropResponse { shard: 2 })
+        .at(6, FaultKind::PanicShard { shard: 1 })
+        .at(8, FaultKind::DropResponse { shard: 0 });
+    let expected_respawns = 4;
+    let config = EngineConfig::mmqjp().with_retain_documents(false);
 
-        let mut chaos = chaos_engine(
-            config.clone(),
-            3,
-            front_pool,
-            FaultPolicy::Quarantine,
-            plan,
-            &queries,
-        );
-        let chaos_out: Vec<Vec<MatchOutput>> = batches
-            .iter()
-            .map(|b| chaos.process_batch(b.clone()).expect("healed inline"))
-            .collect();
+    let mut chaos = chaos_engine(config.clone(), 3, FaultPolicy::Quarantine, plan, &queries);
+    let chaos_out: Vec<Vec<MatchOutput>> = batches
+        .iter()
+        .map(|b| chaos.process_batch(b.clone()).expect("healed inline"))
+        .collect();
 
-        let mut reference = sharded_engine_with_topology(config, 3, front_pool, &queries);
-        let expected: Vec<Vec<MatchOutput>> = batches
-            .iter()
-            .map(|b| reference.process_batch(b.clone()).expect("fault-free"))
-            .collect();
-        assert_eq!(chaos_out, expected, "front pool {front_pool}");
-        assert!(
-            expected.iter().any(|b| !b.is_empty()),
-            "the workload must produce matches for the comparison to bite"
-        );
+    let mut reference = sharded_engine_with_queries(config, 3, &queries);
+    let expected: Vec<Vec<MatchOutput>> = batches
+        .iter()
+        .map(|b| reference.process_batch(b.clone()).expect("fault-free"))
+        .collect();
+    assert_eq!(chaos_out, expected);
+    assert!(
+        expected.iter().any(|b| !b.is_empty()),
+        "the workload must produce matches for the comparison to bite"
+    );
 
-        let stats = chaos.stats().expect("all shards live after healing");
-        assert_eq!(stats.shards_respawned, expected_respawns);
-        assert_eq!(stats.faults_injected, expected_respawns);
-        assert_eq!(stats.docs_quarantined, 0);
-        assert!(chaos.take_quarantine_records().is_empty());
-        assert!(stats.rows_replayed > 0, "healing replays in-window state");
-        assert!(stats.timings.recovery > Duration::ZERO);
-        assert_audit_clean_sharded(&chaos);
-        assert!(chaos.degraded_shards().is_empty());
-    }
+    let stats = chaos.stats().expect("all shards live after healing");
+    assert_eq!(stats.shards_respawned, expected_respawns);
+    assert_eq!(stats.faults_injected, expected_respawns);
+    assert_eq!(stats.docs_quarantined, 0);
+    assert!(chaos.take_quarantine_records().is_empty());
+    assert!(stats.rows_replayed > 0, "healing replays in-window state");
+    assert!(stats.timings.recovery > Duration::ZERO);
+    assert_audit_clean_sharded(&chaos);
+    assert!(chaos.degraded_shards().is_empty());
 }
 
 /// FailFast containment: an injected panic surfaces as the typed
@@ -390,7 +356,7 @@ fn failfast_turns_a_panic_into_a_typed_error() {
     let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
     let plan = FaultPlan::none().at(1, FaultKind::PanicShard { shard: 0 });
     let config = EngineConfig::mmqjp().with_retain_documents(false);
-    let mut engine = chaos_engine(config, 2, 1, FaultPolicy::FailFast, plan, &queries);
+    let mut engine = chaos_engine(config, 2, FaultPolicy::FailFast, plan, &queries);
 
     engine
         .process_batch(batches[0].clone())
@@ -419,110 +385,6 @@ fn failfast_turns_a_panic_into_a_typed_error() {
     ));
 }
 
-/// FailFast with a dead *front* worker: the batch fails with the typed
-/// [`CoreError::FrontUnavailable`] naming the worker — no healthy shard is
-/// blamed or degraded — and, nothing being able to respawn it under this
-/// policy, every later batch fails the same way instead of hanging, and so
-/// does every later registration and unregistration, changing nothing. With
-/// a front pool of two, party 1 is the one spawned worker.
-#[test]
-fn failfast_front_death_names_the_front_worker() {
-    front_death_names_the_front_worker(FaultPolicy::FailFast);
-}
-
-/// The [`FaultPolicy::Degrade`] twin: only shards go dark under Degrade; a
-/// dead front worker fails every later batch and subscription change the
-/// way it does under FailFast.
-#[test]
-fn degrade_front_death_names_the_front_worker() {
-    front_death_names_the_front_worker(FaultPolicy::Degrade);
-}
-
-fn front_death_names_the_front_worker(policy: FaultPolicy) {
-    let (queries, docs) = rss_workload(83, 10, 12);
-    let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
-    let plan = FaultPlan::none().at(1, FaultKind::PanicFront { worker: 1 });
-    let config = EngineConfig::mmqjp().with_retain_documents(false);
-    let mut engine = chaos_engine(config, 2, 2, policy, plan, &queries);
-    let dead = CoreError::FrontUnavailable { worker: 1 };
-
-    engine
-        .process_batch(batches[0].clone())
-        .expect("no fault scheduled for batch 0");
-    let err = engine.process_batch(batches[1].clone()).unwrap_err();
-    assert_eq!(err, dead);
-    assert!(engine.degraded_shards().is_empty());
-    let err = engine.process_batch(batches[2].clone()).unwrap_err();
-    assert_eq!(err, dead);
-    assert!(engine.degraded_shards().is_empty());
-
-    // A failed registration or unregistration changes nothing: the counts,
-    // the next id and a clean audit stay as they were, and a retry fails
-    // the same way rather than finding the query half-registered.
-    let counts = |e: &ShardedEngine| {
-        let stats = e.stats().expect("every shard is alive");
-        (
-            e.num_queries(),
-            e.total_queries_registered(),
-            e.queries_per_shard().to_vec(),
-            stats.queries_registered,
-            stats.queries_unregistered,
-        )
-    };
-    let before = counts(&engine);
-    assert_eq!(before.0, queries.len());
-    for _ in 0..2 {
-        let err = engine.register_query(queries[0].clone()).unwrap_err();
-        assert_eq!(err, dead, "{policy:?}");
-        assert_eq!(counts(&engine), before, "{policy:?}");
-        assert_audit_clean_sharded(&engine);
-    }
-    for _ in 0..2 {
-        let err = engine.unregister_query(QueryId(0)).unwrap_err();
-        assert_eq!(err, dead, "{policy:?}");
-        assert_eq!(counts(&engine), before, "{policy:?}");
-        assert_audit_clean_sharded(&engine);
-    }
-}
-
-/// Front party 0 is the caller's own thread: a one-party front spawns no
-/// front worker, so a panic scheduled for party 0 has nothing to kill. It
-/// injects nothing, under every policy, and the output is the fault-free
-/// run's.
-#[test]
-fn a_front_fault_for_the_callers_party_injects_nothing() {
-    let (queries, docs) = rss_workload(85, 16, 24);
-    let batches: Vec<Vec<Document>> = docs.chunks(4).map(<[_]>::to_vec).collect();
-    let config = EngineConfig::mmqjp().with_retain_documents(false);
-    let mut reference = sharded_engine_with_topology(config.clone(), 2, 1, &queries);
-    let expected: Vec<Vec<MatchOutput>> = batches
-        .iter()
-        .map(|b| reference.process_batch(b.clone()).expect("fault-free"))
-        .collect();
-    assert!(expected.iter().any(|b| !b.is_empty()));
-
-    for policy in [
-        FaultPolicy::FailFast,
-        FaultPolicy::Quarantine,
-        FaultPolicy::Degrade,
-    ] {
-        let plan = FaultPlan::none()
-            .at(1, FaultKind::PanicFront { worker: 0 })
-            .at(3, FaultKind::PanicFront { worker: 0 });
-        let mut engine = chaos_engine(config.clone(), 2, 1, policy, plan, &queries);
-        assert_eq!(engine.front_pool(), 1);
-        let out: Vec<Vec<MatchOutput>> = batches
-            .iter()
-            .map(|b| engine.process_batch(b.clone()).expect("nothing was killed"))
-            .collect();
-        assert_eq!(out, expected, "{policy:?}");
-        let stats = engine.stats().unwrap();
-        assert_eq!(stats.faults_injected, 0, "{policy:?}");
-        assert_eq!(stats.shards_respawned, 0, "{policy:?}");
-        assert_audit_clean_sharded(&engine);
-    }
-}
-
 /// Degrade: a dead shard's queries go dark while every surviving shard
 /// keeps serving; stats and audit skip the corpse; a manual respawn rebuilds
 /// it from the retained ledger and replay log, after which output is again
@@ -534,8 +396,8 @@ fn degrade_keeps_serving_and_manual_respawn_restores() {
     let plan = FaultPlan::none().at(2, FaultKind::PanicShard { shard: 1 });
     let config = EngineConfig::mmqjp().with_retain_documents(false);
 
-    let mut degraded = chaos_engine(config.clone(), 4, 1, FaultPolicy::Degrade, plan, &queries);
-    let mut reference = sharded_engine_with_topology(config, 4, 1, &queries);
+    let mut degraded = chaos_engine(config.clone(), 4, FaultPolicy::Degrade, plan, &queries);
+    let mut reference = sharded_engine_with_queries(config, 4, &queries);
 
     for (index, batch) in batches.iter().enumerate() {
         if index == 6 {
@@ -578,7 +440,7 @@ fn collect_failure_rolls_back_the_staged_batch() {
     let plan = FaultPlan::none().at(0, FaultKind::DropResponse { shard: 1 });
     let mut config = EngineConfig::mmqjp().with_retain_documents(false);
     config.enforce_in_order = true;
-    let mut engine = chaos_engine(config, 2, 2, FaultPolicy::FailFast, plan, &queries);
+    let mut engine = chaos_engine(config, 2, FaultPolicy::FailFast, plan, &queries);
 
     // Timeline: batch 0 is dispatched (with the fault); batch 1 is staged by
     // the front; collecting batch 0 then discovers the dropped reply and
@@ -612,7 +474,6 @@ fn pipelined_quarantine_skips_poison_and_stays_aligned() {
     let mut chaos = chaos_engine(
         config.clone(),
         3,
-        2,
         FaultPolicy::Quarantine,
         FaultPlan::none(),
         &queries,
@@ -626,7 +487,7 @@ fn pipelined_quarantine_skips_poison_and_stays_aligned() {
     assert_eq!((records[0].batch, records[0].doc_index), (3, 1));
 
     let survivors = survivor_batches(&poisoned, &records);
-    let mut reference = sharded_engine_with_topology(config, 3, 2, &queries);
+    let mut reference = sharded_engine_with_queries(config, 3, &queries);
     let expected = reference
         .process_batches(survivors)
         .expect("survivors are clean");
@@ -690,21 +551,13 @@ fn stream_position_after_poison_is_identical_across_engines() {
         FaultPolicy::Degrade,
     ] {
         let config = config.clone().with_fault_policy(policy);
-        let sharded = |front_pool| {
-            ShardedEngine::new(
-                config
-                    .clone()
-                    .with_num_shards(2)
-                    .with_front_pool(front_pool),
-            )
-        };
+        let sharded = ShardedEngine::new(config.clone().with_num_shards(2));
         for (name, mut engine) in [
             (
                 "single",
                 Pipeline::Single(Box::new(MmqjpEngine::new(config.clone()))),
             ),
-            ("sharded(1)", Pipeline::Sharded(Box::new(sharded(1)))),
-            ("sharded(2)", Pipeline::Sharded(Box::new(sharded(2)))),
+            ("sharded", Pipeline::Sharded(Box::new(sharded))),
         ] {
             engine.register(QUERY);
             assert!(engine.process_batch(vec![book(10)]).unwrap().is_empty());
@@ -776,63 +629,54 @@ fn a_healed_shard_replays_through_the_front_after_cross_shard_churn() {
     let batches: Vec<Vec<Document>> = docs.chunks(2).map(<[_]>::to_vec).collect();
     let config = EngineConfig::mmqjp_view_mat();
 
-    for front_pool in [1usize, 2] {
-        let probe = ShardedEngine::new(config.clone().with_num_shards(2));
-        // Place Q1 and Q2 on Q1's shard and Q3 on the other, padding the
-        // id sequence with subscriptions that never match.
-        let mut script: Vec<&str> = vec![Q1];
-        let home = probe.shard_of(QueryId(0));
-        for (query, shard) in [(Q3, 1 - home), (Q2, home)] {
-            while probe.shard_of(QueryId(script.len() as u64)) != shard {
-                script.push("S//never");
-            }
-            script.push(query);
+    let probe = ShardedEngine::new(config.clone().with_num_shards(2));
+    // Place Q1 and Q2 on Q1's shard and Q3 on the other, padding the
+    // id sequence with subscriptions that never match.
+    let mut script: Vec<&str> = vec![Q1];
+    let home = probe.shard_of(QueryId(0));
+    for (query, shard) in [(Q3, 1 - home), (Q2, home)] {
+        while probe.shard_of(QueryId(script.len() as u64)) != shard {
+            script.push("S//never");
         }
-        let plan = FaultPlan::none()
-            .at(6, FaultKind::PanicShard { shard: home })
-            .at(9, FaultKind::PanicShard { shard: 1 - home });
-        let mut chaos = chaos_engine(
-            config.clone(),
-            2,
-            front_pool,
-            FaultPolicy::Quarantine,
-            plan,
-            &[],
-        );
-        let mut reference = MmqjpEngine::new(config.clone());
-        for text in &script {
-            let id = chaos.register_query_text(text).expect("query registers");
-            assert_eq!(reference.register_query_text(text).unwrap(), id);
-        }
-        let q3 = QueryId(script.iter().position(|t| *t == Q3).unwrap() as u64);
-        let q2 = QueryId(script.len() as u64 - 1);
-
-        let mut later = Vec::new();
-        for (index, batch) in batches.iter().enumerate() {
-            if index == 4 {
-                // Q1's blog pattern stays in the front for Q3's shard.
-                chaos.unregister_query(QueryId(0)).unwrap();
-                reference.unregister_query(QueryId(0)).unwrap();
-                assert_audit_clean_sharded(&chaos);
-            }
-            let mut expected = reference.process_batch(batch.clone()).unwrap();
-            mmqjp_core::sort_matches(&mut expected);
-            let got = chaos.process_batch(batch.clone()).expect("healed inline");
-            assert_eq!(got, expected, "front pool {front_pool}, batch {index}");
-            if index > 6 {
-                later.extend(got);
-            }
-        }
-        for query in [q2, q3] {
-            assert!(
-                later.iter().any(|m| m.query == query),
-                "{query:?} matches after its shard healed"
-            );
-        }
-        let stats = chaos.stats().expect("all shards live after healing");
-        assert_eq!(stats.shards_respawned, 2);
-        assert!(stats.rows_replayed > 0, "healing replays in-window state");
-        assert_audit_clean_sharded(&chaos);
-        assert!(chaos.degraded_shards().is_empty());
+        script.push(query);
     }
+    let plan = FaultPlan::none()
+        .at(6, FaultKind::PanicShard { shard: home })
+        .at(9, FaultKind::PanicShard { shard: 1 - home });
+    let mut chaos = chaos_engine(config.clone(), 2, FaultPolicy::Quarantine, plan, &[]);
+    let mut reference = MmqjpEngine::new(config.clone());
+    for text in &script {
+        let id = chaos.register_query_text(text).expect("query registers");
+        assert_eq!(reference.register_query_text(text).unwrap(), id);
+    }
+    let q3 = QueryId(script.iter().position(|t| *t == Q3).unwrap() as u64);
+    let q2 = QueryId(script.len() as u64 - 1);
+
+    let mut later = Vec::new();
+    for (index, batch) in batches.iter().enumerate() {
+        if index == 4 {
+            // Q1's blog pattern stays in the front for Q3's shard.
+            chaos.unregister_query(QueryId(0)).unwrap();
+            reference.unregister_query(QueryId(0)).unwrap();
+            assert_audit_clean_sharded(&chaos);
+        }
+        let mut expected = reference.process_batch(batch.clone()).unwrap();
+        mmqjp_core::sort_matches(&mut expected);
+        let got = chaos.process_batch(batch.clone()).expect("healed inline");
+        assert_eq!(got, expected, "batch {index}");
+        if index > 6 {
+            later.extend(got);
+        }
+    }
+    for query in [q2, q3] {
+        assert!(
+            later.iter().any(|m| m.query == query),
+            "{query:?} matches after its shard healed"
+        );
+    }
+    let stats = chaos.stats().expect("all shards live after healing");
+    assert_eq!(stats.shards_respawned, 2);
+    assert!(stats.rows_replayed > 0, "healing replays in-window state");
+    assert_audit_clean_sharded(&chaos);
+    assert!(chaos.degraded_shards().is_empty());
 }

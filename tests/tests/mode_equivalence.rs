@@ -8,7 +8,7 @@
 use mmqjp_core::{EngineConfig, MmqjpEngine, ProcessingMode};
 use mmqjp_integration_tests::{
     all_modes, match_keys, run_stream, run_stream_sharded, run_stream_sorted,
-    sharded_engine_with_queries, sharded_engine_with_topology, SHARD_COUNTS,
+    sharded_engine_with_queries, SHARD_COUNTS,
 };
 use mmqjp_workload::{
     ChurnConfig, ChurnWorkload, ComplexSchemaWorkload, FlatSchemaWorkload, RssQueryGenerator,
@@ -56,51 +56,45 @@ fn assert_modes_agree_with(
             ),
         }
         // The sharded pipeline (parse-once front stage + witness routing)
-        // must reproduce the same bytes at every shard count with the
-        // default single front worker, and again at every tested wider pool.
-        let default_pool = shard_counts_for(mode, docs.len()).iter().map(|&n| (1, n));
-        let wider_pools = front_pool_combos_for(mode, docs.len()).iter().copied();
-        for (front_pool, num_shards) in default_pool.chain(wider_pools) {
-            let mut sharded =
-                sharded_engine_with_topology(config.clone(), num_shards, front_pool, queries);
+        // must reproduce the same bytes at every shard count.
+        for &num_shards in shard_counts_for(mode, docs.len()) {
+            let mut sharded = sharded_engine_with_queries(config.clone(), num_shards, queries);
             let sharded_matches = run_stream_sharded(&mut sharded, docs.to_vec());
             assert_eq!(
                 sharded_matches, matches,
-                "Sharded(front {front_pool}, {num_shards} shards) diverges from \
-                 single-engine {mode:?}"
+                "Sharded({num_shards} shards) diverges from single-engine {mode:?}"
             );
         }
     }
     count
 }
 
-/// `(front_pool, num_shards)` combinations to sweep for a given inner
-/// mode and stream length, budgeted like [`shard_counts_for`]. The full
-/// front-pool × shard-count cross product is certified by the dedicated
-/// sweep in `sharding.rs`; here each mode gets representative combinations
-/// covering every front-pool size and shard count between them.
-fn front_pool_combos_for(mode: ProcessingMode, num_docs: usize) -> &'static [(usize, usize)] {
+/// Shard counts to sweep the pipelined entry point over for a given inner
+/// mode and stream length, budgeted like [`shard_counts_for`]: each mode
+/// gets representative counts, and the full shard-count sweep of the
+/// pipelined entry point is certified in `sharding.rs`.
+fn pipelined_shard_counts_for(mode: ProcessingMode, num_docs: usize) -> &'static [usize] {
     let light = num_docs <= 60;
     match mode {
         ProcessingMode::Sequential => {
             if light {
-                &[(2, 4)]
+                &[4]
             } else {
                 &[]
             }
         }
         ProcessingMode::Mmqjp => {
             if light {
-                &[(1, 1), (2, 4), (4, 7)]
+                &[1, 4, 7]
             } else {
-                &[(2, 2)]
+                &[2]
             }
         }
         ProcessingMode::MmqjpViewMat => {
             if light {
-                &[(1, 2), (4, 4), (2, 7)]
+                &[2, 4, 7]
             } else {
-                &[(2, 4)]
+                &[4]
             }
         }
     }
@@ -371,9 +365,8 @@ fn batched_processing_agrees_across_modes() {
         }
         // The pipelined entry point (Stage 1 of batch k+1 overlapping
         // Stage 2 of batch k) must produce the same bytes, batch-aligned.
-        for &(front_pool, num_shards) in front_pool_combos_for(mode, docs.len()) {
-            let mut pipelined =
-                sharded_engine_with_topology(config.clone(), num_shards, front_pool, &queries);
+        for &num_shards in pipelined_shard_counts_for(mode, docs.len()) {
+            let mut pipelined = sharded_engine_with_queries(config.clone(), num_shards, &queries);
             let batches: Vec<Vec<Document>> = docs.chunks(30).map(<[_]>::to_vec).collect();
             let pipelined_matches: Vec<_> = pipelined
                 .process_batches(batches)
@@ -383,8 +376,7 @@ fn batched_processing_agrees_across_modes() {
                 .collect();
             assert_eq!(
                 pipelined_matches, matches,
-                "Sharded(front {front_pool}, {num_shards} shards) pipelined run \
-                 diverges from {mode:?}"
+                "Sharded({num_shards} shards) pipelined run diverges from {mode:?}"
             );
         }
     }

@@ -6,7 +6,7 @@
 //! and an error leaves the engine synchronized and usable.
 
 use mmqjp_core::{CoreError, EngineConfig, MatchOutput, ShardedEngine};
-use mmqjp_integration_tests::{assert_audit_clean_sharded, sharded_engine_with_topology, Q1};
+use mmqjp_integration_tests::{assert_audit_clean_sharded, sharded_engine_with_queries, Q1};
 use mmqjp_workload::{RssQueryGenerator, RssStreamConfig, RssStreamGenerator};
 use mmqjp_xml::{Document, Timestamp};
 use rand::rngs::StdRng;
@@ -39,7 +39,7 @@ fn batchwise_reference(
     queries: &[mmqjp_xscl::XsclQuery],
     batches: &[Vec<Document>],
 ) -> Vec<Vec<MatchOutput>> {
-    let mut engine = sharded_engine_with_topology(config.clone(), config.num_shards, 2, queries);
+    let mut engine = sharded_engine_with_queries(config.clone(), config.num_shards, queries);
     batches
         .iter()
         .map(|b| engine.process_batch(b.clone()).unwrap())
@@ -62,7 +62,7 @@ fn many_tiny_batches_keep_order_and_lose_nothing() {
         "the workload must produce matches"
     );
 
-    let mut engine = sharded_engine_with_topology(config, 3, 2, &queries);
+    let mut engine = sharded_engine_with_queries(config, 3, &queries);
     let results = engine.process_batches(batches).unwrap();
     assert_eq!(results.len(), expected.len(), "a batch was dropped");
     assert_eq!(results, expected, "batches reordered or corrupted");
@@ -84,7 +84,7 @@ fn one_shard_pipeline_is_equivalent() {
         .with_num_shards(1);
     let batches: Vec<Vec<Document>> = docs.chunks(3).map(<[_]>::to_vec).collect();
     let expected = batchwise_reference(&config, &queries, &batches);
-    let mut engine = sharded_engine_with_topology(config, 1, 1, &queries);
+    let mut engine = sharded_engine_with_queries(config, 1, &queries);
     assert_eq!(engine.process_batches(batches).unwrap(), expected);
     assert_audit_clean_sharded(&engine);
 }
@@ -98,7 +98,7 @@ fn zero_query_pipeline_flows_empty_batches() {
     let config = EngineConfig::mmqjp()
         .with_retain_documents(false)
         .with_num_shards(4);
-    let mut engine = sharded_engine_with_topology(config, 4, 2, &[]);
+    let mut engine = sharded_engine_with_queries(config, 4, &[]);
     let batches: Vec<Vec<Document>> = docs.chunks(1).map(<[_]>::to_vec).collect();
     let num_batches = batches.len();
     let results = engine.process_batches(batches).unwrap();
@@ -128,7 +128,7 @@ fn interleaved_empty_batches_stay_aligned() {
     }
     batches.push(Vec::new());
     let expected = batchwise_reference(&config, &queries, &batches);
-    let mut engine = sharded_engine_with_topology(config, 2, 2, &queries);
+    let mut engine = sharded_engine_with_queries(config, 2, &queries);
     let results = engine.process_batches(batches).unwrap();
     assert_eq!(results, expected);
     assert_audit_clean_sharded(&engine);
@@ -137,7 +137,7 @@ fn interleaved_empty_batches_stay_aligned() {
 /// Slow-shard scenario: a shard count far above the query count leaves most
 /// shards idle while one or two do all the Stage-2 work — the collector
 /// must wait for the slow shard on every batch without deadlock or
-/// reordering, whatever the front pool size.
+/// reordering.
 #[test]
 fn skewed_shard_load_does_not_reorder_or_deadlock() {
     let (queries, docs) = rss_workload(55, 3, 40);
@@ -146,24 +146,18 @@ fn skewed_shard_load_does_not_reorder_or_deadlock() {
         .with_num_shards(7);
     let batches: Vec<Vec<Document>> = docs.chunks(2).map(<[_]>::to_vec).collect();
     let expected = batchwise_reference(&config, &queries, &batches);
-    for front_pool in [1, 4] {
-        let mut engine = sharded_engine_with_topology(config.clone(), 7, front_pool, &queries);
-        // Most shards hold no queries at all.
-        assert!(
-            engine
-                .queries_per_shard()
-                .iter()
-                .filter(|&&n| n == 0)
-                .count()
-                >= 4
-        );
-        assert_eq!(
-            engine.process_batches(batches.clone()).unwrap(),
-            expected,
-            "front pool {front_pool}"
-        );
-        assert_audit_clean_sharded(&engine);
-    }
+    let mut engine = sharded_engine_with_queries(config, 7, &queries);
+    // Most shards hold no queries at all.
+    assert!(
+        engine
+            .queries_per_shard()
+            .iter()
+            .filter(|&&n| n == 0)
+            .count()
+            >= 4
+    );
+    assert_eq!(engine.process_batches(batches).unwrap(), expected);
+    assert_audit_clean_sharded(&engine);
 }
 
 /// An out-of-order document rejected mid-stream: `process_batches` returns
@@ -173,7 +167,7 @@ fn skewed_shard_load_does_not_reorder_or_deadlock() {
 fn error_mid_stream_leaves_the_pipeline_synchronized() {
     let mut config = EngineConfig::mmqjp().with_num_shards(3);
     config.enforce_in_order = true;
-    let mut engine = ShardedEngine::new(config.with_front_pool(2));
+    let mut engine = ShardedEngine::new(config);
     engine.register_query_text(Q1).unwrap();
 
     let d1 = mmqjp_integration_tests::d1();

@@ -91,23 +91,18 @@ fn well_formed_catalog_verifies_in_all_three_modes() {
 }
 
 /// The sharded engine routes registrations through the same verified path
-/// on every shard, whatever the front-pool size.
+/// on every shard.
 #[test]
 fn sharded_registration_verifies_on_every_shard() {
     let queries = well_formed_catalog();
-    for front_pool in [1usize, 2] {
-        let config = EngineConfig::mmqjp()
-            .with_num_shards(3)
-            .with_front_pool(front_pool);
-        let mut engine = ShardedEngine::new(config);
-        for (i, q) in queries.iter().enumerate() {
-            engine.register_query(q.clone()).unwrap_or_else(|e| {
-                panic!("well-formed query #{i} rejected (front_pool={front_pool}): {e}")
-            });
-        }
-        for doc in catalog_documents() {
-            engine.process_document(doc).expect("processing succeeds");
-        }
-        assert_audit_clean_sharded(&engine);
+    let mut engine = ShardedEngine::new(EngineConfig::mmqjp().with_num_shards(3));
+    for (i, q) in queries.iter().enumerate() {
+        engine
+            .register_query(q.clone())
+            .unwrap_or_else(|e| panic!("well-formed query #{i} rejected: {e}"));
     }
+    for doc in catalog_documents() {
+        engine.process_document(doc).expect("processing succeeds");
+    }
+    assert_audit_clean_sharded(&engine);
 }

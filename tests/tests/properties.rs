@@ -864,13 +864,15 @@ proptest! {
             1..12,
         ),
         num_shards in 1usize..5,
-        front_pool in 1usize..3,
+        // A retired axis, still drawn so that every case keeps the inputs
+        // it was generated with.
+        _retired in 1usize..3,
     ) {
         let ops = decode_churn_ops(raw_ops);
         let config = EngineConfig::mmqjp().with_retain_documents(false);
         let mut single = MmqjpEngine::new(config.clone());
         let mut sharded = ShardedEngine::new(
-            config.with_num_shards(num_shards).with_front_pool(front_pool),
+            config.with_num_shards(num_shards),
         );
         let mut live: Vec<mmqjp_xscl::QueryId> = Vec::new();
         let mut ts = 0u64;
@@ -908,8 +910,8 @@ proptest! {
             let violations = sharded.audit().unwrap();
             prop_assert!(
                 violations.is_empty(),
-                "sharded audit failed after op #{} ({} shards, front {}): {:?}",
-                step, num_shards, front_pool, violations
+                "sharded audit failed after op #{} ({} shards): {:?}",
+                step, num_shards, violations
             );
         }
     }

@@ -10,7 +10,7 @@ use mmqjp_core::{
 use mmqjp_integration_tests::stage1::{resolve_edges, rows_from_bindings};
 use mmqjp_integration_tests::{
     all_modes, assert_audit_clean_sharded, d1, d2, run_stream_sharded, run_stream_sorted,
-    sharded_engine_with_queries, sharded_engine_with_topology, FRONT_POOLS, Q1, SHARD_COUNTS,
+    sharded_engine_with_queries, Q1, SHARD_COUNTS,
 };
 use mmqjp_relational::StringInterner;
 use mmqjp_workload::{
@@ -99,48 +99,23 @@ fn shard_stats_sum_to_aggregate() {
     }
 }
 
-/// There is one sharded pipeline: a default config (and an explicit front
-/// pool of `0`, which is clamped like a shard count of `0`) runs a one-party
-/// front — the caller's thread — that matches and counts each document
-/// exactly once, and no shard ever counts a document itself.
-#[test]
-fn default_and_zero_front_pool_run_one_front_worker() {
-    let (queries, docs) = rss_workload(46, 20, 15);
-    for config in [
-        EngineConfig::default().with_num_shards(3),
-        EngineConfig::default()
-            .with_num_shards(3)
-            .with_front_pool(0),
-    ] {
-        let mut engine = ShardedEngine::new(config);
-        assert_eq!(engine.front_pool(), 1);
-        for q in &queries {
-            engine.register_query(q.clone()).unwrap();
-        }
-        let n = docs.len();
-        run_stream_sharded(&mut engine, docs.clone());
-        assert_eq!(engine.stats().unwrap().documents_processed, n);
-        assert_eq!(engine.front_stats().docs_parsed_once, n);
-        let per_shard = engine.shard_stats().unwrap();
-        assert_eq!(per_shard.len(), 3);
-        assert!(per_shard.iter().all(|s| s.documents_processed == 0));
-    }
-}
-
-/// A one-party front runs on the caller's thread and spawns no worker, but
-/// its Stage-1 work is accounted exactly like a pool's: documents matched
-/// once, node pairs read, rows routed, and the time spent.
+/// The front runs on the caller's thread and accounts its Stage-1 work:
+/// documents matched and counted once, node pairs read, rows routed, and
+/// the time spent. No shard ever counts a document itself.
 #[test]
 fn a_one_party_front_still_counts_its_stage1_work() {
     let (queries, docs) = rss_workload(48, 20, 15);
     let config = EngineConfig::mmqjp().with_retain_documents(false);
-    let mut engine = sharded_engine_with_topology(config, 2, 1, &queries);
-    assert_eq!(engine.front_pool(), 1);
+    let mut engine = sharded_engine_with_queries(config, 2, &queries);
     let n = docs.len();
     run_stream_sharded(&mut engine, docs);
     let front = engine.front_stats();
     assert_eq!(front.docs_parsed_once, n);
     assert_eq!(front.documents_processed, n);
+    assert_eq!(engine.stats().unwrap().documents_processed, n);
+    let per_shard = engine.shard_stats().unwrap();
+    assert_eq!(per_shard.len(), 2);
+    assert!(per_shard.iter().all(|s| s.documents_processed == 0));
     assert!(front.stage1_pairs > 0);
     assert!(front.witnesses_routed > 0);
     assert!(front.timings.xpath > Duration::ZERO);
@@ -151,7 +126,7 @@ fn a_one_party_front_still_counts_its_stage1_work() {
 }
 
 // ---------------------------------------------------------------------------
-// The full front-pool × shard-count × mode sweep
+// The full shard-count × mode sweep
 // ---------------------------------------------------------------------------
 
 /// Run `docs` in batches of `batch` through a single engine in `config`'s
@@ -176,7 +151,7 @@ fn single_engine_reference(
     out
 }
 
-/// Sweep every front-pool size × shard count × mode over a scenario and
+/// Sweep every shard count × mode over a scenario and
 /// assert (a) the pipelined sharded output is byte-identical to the single
 /// engine's canonically-ordered batches and (b) the statistics decompose
 /// exactly into shard sums plus front-stage stats, with each document
@@ -196,33 +171,30 @@ fn assert_sharded_sweep_matches_single_engine(
             .with_retain_documents(false),
         );
         let expected = single_engine_reference(&config, queries, docs, batch);
-        for &front_pool in &FRONT_POOLS {
-            for &num_shards in &SHARD_COUNTS {
-                let mut sharded =
-                    sharded_engine_with_topology(config.clone(), num_shards, front_pool, queries);
-                let batches: Vec<Vec<Document>> = docs.chunks(batch).map(<[_]>::to_vec).collect();
-                let num_batches = batches.len();
-                let results = sharded.process_batches(batches).unwrap();
-                assert_eq!(results.len(), num_batches, "a batch was dropped");
-                let got: Vec<_> = results.into_iter().flatten().collect();
-                assert_eq!(
-                    got, expected,
-                    "{mode:?} sharded(front {front_pool}, {num_shards} shards) diverges"
-                );
+        for &num_shards in &SHARD_COUNTS {
+            let mut sharded = sharded_engine_with_queries(config.clone(), num_shards, queries);
+            let batches: Vec<Vec<Document>> = docs.chunks(batch).map(<[_]>::to_vec).collect();
+            let num_batches = batches.len();
+            let results = sharded.process_batches(batches).unwrap();
+            assert_eq!(results.len(), num_batches, "a batch was dropped");
+            let got: Vec<_> = results.into_iter().flatten().collect();
+            assert_eq!(
+                got, expected,
+                "{mode:?} sharded({num_shards} shards) diverges"
+            );
 
-                // Exact stats decomposition: aggregate == shard sum + front.
-                let per_shard = sharded.shard_stats().unwrap();
-                let front = sharded.front_stats();
-                let total = sharded.stats().unwrap();
-                let shard_sum: EngineStats = per_shard.iter().copied().sum();
-                assert_eq!(total, shard_sum + front);
-                // Parse-once accounting: each document is parsed and counted
-                // exactly once, at the front — never per shard.
-                assert_eq!(front.docs_parsed_once, docs.len());
-                assert_eq!(total.documents_processed, docs.len());
-                assert!(per_shard.iter().all(|s| s.documents_processed == 0));
-                assert_eq!(total.results_emitted, expected.len());
-            }
+            // Exact stats decomposition: aggregate == shard sum + front.
+            let per_shard = sharded.shard_stats().unwrap();
+            let front = sharded.front_stats();
+            let total = sharded.stats().unwrap();
+            let shard_sum: EngineStats = per_shard.iter().copied().sum();
+            assert_eq!(total, shard_sum + front);
+            // Parse-once accounting: each document is parsed and counted
+            // exactly once, at the front — never per shard.
+            assert_eq!(front.docs_parsed_once, docs.len());
+            assert_eq!(total.documents_processed, docs.len());
+            assert!(per_shard.iter().all(|s| s.documents_processed == 0));
+            assert_eq!(total.results_emitted, expected.len());
         }
     }
 }
@@ -262,12 +234,11 @@ fn sharded_sweep_on_churn_stream_with_pruning() {
     });
 }
 
-/// Batches smaller than the front leave trailing parties idle: at a front
-/// pool of four, one document is the caller's slice alone (1/0/0/0) and five
-/// documents are cut 2/2/1/0. Both entry points still reproduce the single
-/// engine, single-block subscriptions included.
+/// Batches of one and of five documents through both entry points, on two
+/// shards, reproduce the single engine in every mode, single-block
+/// subscriptions included.
 #[test]
-fn uneven_front_slices_match_the_single_engine() {
+fn small_batches_match_the_single_engine_on_both_entry_points() {
     let (mut queries, docs) = rss_workload(47, 30, 15);
     queries.push(mmqjp_xscl::parse_query("S//blog->b[.//author->a]").unwrap());
     for mode in all_modes() {
@@ -281,15 +252,14 @@ fn uneven_front_slices_match_the_single_engine() {
             assert!(!expected.is_empty(), "the workload must produce matches");
             let batches: Vec<Vec<Document>> = docs.chunks(batch).map(<[_]>::to_vec).collect();
 
-            let mut batchwise = sharded_engine_with_topology(config.clone(), 2, 4, &queries);
-            assert_eq!(batchwise.front_pool(), 4);
+            let mut batchwise = sharded_engine_with_queries(config.clone(), 2, &queries);
             let got: Vec<_> = batches
                 .iter()
                 .flat_map(|b| batchwise.process_batch(b.clone()).unwrap())
                 .collect();
             assert_eq!(got, expected, "{mode:?} process_batch, batches of {batch}");
 
-            let mut pipelined = sharded_engine_with_topology(config.clone(), 2, 4, &queries);
+            let mut pipelined = sharded_engine_with_queries(config.clone(), 2, &queries);
             let got: Vec<_> = pipelined
                 .process_batches(batches)
                 .unwrap()
@@ -309,13 +279,13 @@ fn uneven_front_slices_match_the_single_engine() {
 }
 
 /// The pipelined entry point's merged output is deterministic across thread
-/// interleavings too, with two front workers racing four shards.
+/// interleavings too, with the front racing four shards.
 #[test]
 fn pipelined_output_is_deterministic_across_interleavings() {
     let (queries, docs) = rss_workload(45, 60, 50);
     let run = || {
         let config = EngineConfig::mmqjp_view_mat().with_retain_documents(false);
-        let mut engine = sharded_engine_with_topology(config, 4, 2, &queries);
+        let mut engine = sharded_engine_with_queries(config, 4, &queries);
         let batches: Vec<Vec<Document>> = docs.chunks(10).map(<[_]>::to_vec).collect();
         engine.process_batches(batches).unwrap()
     };
@@ -366,19 +336,12 @@ fn zero_registered_queries_absorb_documents() {
         // Every shard of a query-less sharded engine is an empty shard and
         // the router has no subscriptions, so the shards receive only ledger
         // rows — and each document is still parsed and counted exactly once.
-        for &front_pool in &FRONT_POOLS {
-            let mut sharded = ShardedEngine::new(
-                config
-                    .clone()
-                    .with_num_shards(4)
-                    .with_front_pool(front_pool),
-            );
-            assert!(sharded.process_batch(vec![d1(), d2()]).unwrap().is_empty());
-            let stats = sharded.stats().unwrap();
-            assert_eq!(stats.documents_processed, 2);
-            assert_eq!(stats.docs_parsed_once, 2);
-            assert_eq!(stats.witnesses_routed, 0);
-        }
+        let mut sharded = ShardedEngine::new(config.with_num_shards(4));
+        assert!(sharded.process_batch(vec![d1(), d2()]).unwrap().is_empty());
+        let stats = sharded.stats().unwrap();
+        assert_eq!(stats.documents_processed, 2);
+        assert_eq!(stats.docs_parsed_once, 2);
+        assert_eq!(stats.witnesses_routed, 0);
     }
 }
 
@@ -410,26 +373,16 @@ fn single_block_only_query_sets_match_on_both_engines() {
         assert_eq!(expected.len(), 3); // book: title; blog: author + category
 
         for &num_shards in &SHARD_COUNTS {
-            for &front_pool in &FRONT_POOLS {
-                let mut sharded = ShardedEngine::new(
-                    config
-                        .clone()
-                        .with_num_shards(num_shards)
-                        .with_front_pool(front_pool),
-                );
-                for s in subscriptions {
-                    sharded.register_query_text(s).unwrap();
-                }
-                let mut got = Vec::new();
-                for doc in [d1(), d2()] {
-                    got.extend(sharded.process_batch(vec![doc]).unwrap());
-                }
-                assert_eq!(
-                    got, expected,
-                    "Sharded(front {front_pool}, {num_shards} shards) diverges"
-                );
-                assert_eq!(sharded.front_stats().results_emitted, expected.len());
+            let mut sharded = ShardedEngine::new(config.clone().with_num_shards(num_shards));
+            for s in subscriptions {
+                sharded.register_query_text(s).unwrap();
             }
+            let mut got = Vec::new();
+            for doc in [d1(), d2()] {
+                got.extend(sharded.process_batch(vec![doc]).unwrap());
+            }
+            assert_eq!(got, expected, "Sharded({num_shards} shards) diverges");
+            assert_eq!(sharded.front_stats().results_emitted, expected.len());
         }
     }
 }
@@ -670,61 +623,56 @@ fn pattern_counters_equal_the_single_engine_on_every_topology() {
         .collect();
     assert!(texts.windows(2).all(|pair| pair[0] != pair[1]));
     for &num_shards in &SHARD_COUNTS {
-        for &front_pool in &FRONT_POOLS {
-            let config = EngineConfig::mmqjp()
-                .with_num_shards(num_shards)
-                .with_front_pool(front_pool);
-            let mut single = MmqjpEngine::new(config.clone());
-            let mut sharded = ShardedEngine::new(config);
-            for text in &texts {
-                let id = single.register_query_text(text).unwrap();
-                assert_eq!(sharded.register_query_text(text).unwrap(), id);
-            }
-            let topology = format!("{num_shards} shards, front pool {front_pool}");
-            let check = |single: &MmqjpEngine, sharded: &ShardedEngine, step: &str| {
-                let (want, got) = (single.stats(), sharded.stats().unwrap());
-                assert_eq!(
-                    got.distinct_patterns, want.distinct_patterns,
-                    "{topology}, {step}"
-                );
-                assert_eq!(
-                    got.patterns_dropped, want.patterns_dropped,
-                    "{topology}, {step}"
-                );
-                assert_eq!(
-                    got.distinct_patterns,
-                    sharded.stage1_table().index().len(),
-                    "{topology}, {step}"
-                );
-                want
-            };
-            let registered = check(&single, &sharded, "registered");
-            assert_eq!(registered.distinct_patterns, 2);
-            for id in 0..5 {
-                single.unregister_query(QueryId(id)).unwrap();
-                sharded.unregister_query(QueryId(id)).unwrap();
-            }
-            let some_left = check(&single, &sharded, "five unregistered");
-            assert_eq!(some_left.patterns_dropped, 0);
-            for id in 5..8 {
-                single.unregister_query(QueryId(id)).unwrap();
-                sharded.unregister_query(QueryId(id)).unwrap();
-            }
-            let all_left = check(&single, &sharded, "all unregistered");
-            assert_eq!(
-                (all_left.distinct_patterns, all_left.patterns_dropped),
-                (0, 2)
-            );
-            assert_audit_clean_sharded(&sharded);
+        let config = EngineConfig::mmqjp().with_num_shards(num_shards);
+        let mut single = MmqjpEngine::new(config.clone());
+        let mut sharded = ShardedEngine::new(config);
+        for text in &texts {
+            let id = single.register_query_text(text).unwrap();
+            assert_eq!(sharded.register_query_text(text).unwrap(), id);
         }
+        let topology = format!("{num_shards} shards");
+        let check = |single: &MmqjpEngine, sharded: &ShardedEngine, step: &str| {
+            let (want, got) = (single.stats(), sharded.stats().unwrap());
+            assert_eq!(
+                got.distinct_patterns, want.distinct_patterns,
+                "{topology}, {step}"
+            );
+            assert_eq!(
+                got.patterns_dropped, want.patterns_dropped,
+                "{topology}, {step}"
+            );
+            assert_eq!(
+                got.distinct_patterns,
+                sharded.stage1_table().index().len(),
+                "{topology}, {step}"
+            );
+            want
+        };
+        let registered = check(&single, &sharded, "registered");
+        assert_eq!(registered.distinct_patterns, 2);
+        for id in 0..5 {
+            single.unregister_query(QueryId(id)).unwrap();
+            sharded.unregister_query(QueryId(id)).unwrap();
+        }
+        let some_left = check(&single, &sharded, "five unregistered");
+        assert_eq!(some_left.patterns_dropped, 0);
+        for id in 5..8 {
+            single.unregister_query(QueryId(id)).unwrap();
+            sharded.unregister_query(QueryId(id)).unwrap();
+        }
+        let all_left = check(&single, &sharded, "all unregistered");
+        assert_eq!(
+            (all_left.distinct_patterns, all_left.patterns_dropped),
+            (0, 2)
+        );
+        assert_audit_clean_sharded(&sharded);
     }
 }
 
 /// The single engine is the pipeline with one inline shard slot; a sharded
-/// engine with one worker shard and a front pool of one is the same
-/// pipeline with a worker-thread slot. Through a register / unregister /
-/// document script in every mode, every `EngineStats` counter of the two is
-/// equal after every step — all but the timings and `pipeline_stalls`,
+/// engine with one worker shard is the same pipeline with a worker-thread
+/// slot. Through a register / unregister / document script in every mode,
+/// every `EngineStats` counter of the two is equal after every step — all but the timings and `pipeline_stalls`,
 /// which only a worker slot can cause.
 #[test]
 fn every_counter_equals_the_single_engine_on_one_worker_shard() {
@@ -734,8 +682,7 @@ fn every_counter_equals_the_single_engine_on_one_worker_shard() {
             mode,
             ..EngineConfig::default()
         }
-        .with_num_shards(1)
-        .with_front_pool(1);
+        .with_num_shards(1);
         let mut single = MmqjpEngine::new(config.clone());
         let mut sharded = ShardedEngine::new(config.clone());
         let check = |single: &MmqjpEngine, sharded: &ShardedEngine, step: &str| {
@@ -791,21 +738,13 @@ fn both_engines_time_witness_ingest_apart_from_matching() {
     assert!(stats.timings.ingest > Duration::ZERO);
     assert!(stats.timings.xpath > Duration::ZERO);
 
-    for &front_pool in &FRONT_POOLS {
-        let mut sharded = sharded_engine_with_topology(config.clone(), 2, front_pool, &queries);
-        run_stream_sharded(&mut sharded, docs.clone());
-        let front = sharded.front_stats();
-        assert!(
-            front.timings.ingest > Duration::ZERO,
-            "front pool {front_pool}"
-        );
-        assert!(
-            front.timings.xpath > Duration::ZERO,
-            "front pool {front_pool}"
-        );
-        let total = sharded.stats().unwrap();
-        assert!(total.timings.ingest > Duration::ZERO);
-        assert_eq!(total.timings.ingest, front.timings.ingest);
-        assert_eq!(total.stage1_rows, front.stage1_rows);
-    }
+    let mut sharded = sharded_engine_with_queries(config, 2, &queries);
+    run_stream_sharded(&mut sharded, docs);
+    let front = sharded.front_stats();
+    assert!(front.timings.ingest > Duration::ZERO);
+    assert!(front.timings.xpath > Duration::ZERO);
+    let total = sharded.stats().unwrap();
+    assert!(total.timings.ingest > Duration::ZERO);
+    assert_eq!(total.timings.ingest, front.timings.ingest);
+    assert_eq!(total.stage1_rows, front.stage1_rows);
 }

@@ -575,9 +575,8 @@ fn attribute_and_element_bindings_of_one_element_keep_their_values() {
 // ---------------------------------------------------------------------------
 
 /// Byte-identical match output from the single engine and the sharded one
-/// (one and two front workers) in all three processing modes, on the RSS
-/// join workload plus single-block subscriptions (answered inline by the
-/// single engine's front, by the front workers when sharded).
+/// in all three processing modes, on the RSS join workload plus
+/// single-block subscriptions (answered by the front in both engines).
 #[test]
 fn match_output_identical_across_modes_and_engines() {
     let mut rng = StdRng::seed_from_u64(21);
@@ -611,21 +610,14 @@ fn match_output_identical_across_modes_and_engines() {
             None => reference = Some(keys),
             Some(r) => assert_eq!(r, &keys, "single-engine {mode:?} diverges"),
         }
-        for front_pool in [1usize, 2] {
-            let mut sharded = ShardedEngine::new(
-                config
-                    .clone()
-                    .with_num_shards(4)
-                    .with_front_pool(front_pool),
-            );
-            for q in &queries {
-                sharded.register_query(q.clone()).expect("query registers");
-            }
-            let sharded_matches = run_stream_sharded(&mut sharded, docs.clone());
-            assert_eq!(
-                sharded_matches, matches,
-                "sharded(front {front_pool}) diverges from single-engine {mode:?}"
-            );
+        let mut sharded = ShardedEngine::new(config.with_num_shards(4));
+        for q in &queries {
+            sharded.register_query(q.clone()).expect("query registers");
         }
+        let sharded_matches = run_stream_sharded(&mut sharded, docs.clone());
+        assert_eq!(
+            sharded_matches, matches,
+            "sharded diverges from single-engine {mode:?}"
+        );
     }
 }

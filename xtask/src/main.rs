@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Fifteen dependency-free static checks over the workspace sources:
+//! Sixteen dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -94,6 +94,13 @@
 //!     pipeline's one `serve`, and the single engine has no batch body of
 //!     its own.
 //!
+//! 16. **One worker kind** — in non-test code in `crates/core/src`,
+//!     `catch_unwind(` and `thread::Builder` each appear at exactly one
+//!     site: the shard worker loop contains panics, and the shard worker's
+//!     spawn is the only thread the engines start. Stage 1 runs on the
+//!     caller's thread; a second kind of worker would bring back a second
+//!     request protocol and a second failure mode.
+//!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
 #![forbid(unsafe_code)]
@@ -142,6 +149,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_rt_versioning(root, &mut violations);
     check_front_owns_stage1(root, &mut violations);
     check_one_batch_path(root, &mut violations);
+    check_one_worker_kind(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -898,6 +906,46 @@ fn scan_file_for_front_run(root: &Path, file: &Path, out: &mut Vec<String>) {
 }
 
 // ---------------------------------------------------------------------------
+// Check 16: one worker kind.
+// ---------------------------------------------------------------------------
+
+/// Each pattern with the one site allowed to contain it.
+const WORKER_SITES: &[(&str, &str)] = &[
+    ("catch_unwind(", "the shard worker loop"),
+    ("thread::Builder", "the shard worker's spawn"),
+];
+
+fn check_one_worker_kind(root: &Path, out: &mut Vec<String>) {
+    scan_files_for_worker_sites(root, &rust_files(&root.join(CORE_SRC)), out);
+}
+
+/// Every non-test site of each [`WORKER_SITES`] pattern across `files`:
+/// anything but exactly one is a violation, reported at each site found.
+fn scan_files_for_worker_sites(root: &Path, files: &[PathBuf], out: &mut Vec<String>) {
+    for &(pattern, owner) in WORKER_SITES {
+        let mut sites = Vec::new();
+        for file in files {
+            scan_non_test_code(root, file, &mut sites, |line| {
+                if line.contains(pattern) {
+                    vec![format!("`{pattern}`")]
+                } else {
+                    Vec::new()
+                }
+            });
+        }
+        match sites.len() {
+            1 => {}
+            0 => out.push(format!(
+                "{CORE_SRC}: no `{pattern}` site; {owner} must have it"
+            )),
+            n => out.extend(sites.into_iter().map(|site| {
+                format!("{site} is one of {n} sites; only {owner} may have it (one worker kind)")
+            })),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
@@ -1179,6 +1227,37 @@ mod tests {
             out[3].contains("batch_path_case.rs:13") && out[3].contains("`front.run(`"),
             "{out:?}"
         );
+    }
+
+    #[test]
+    fn a_second_worker_kind_is_flagged() {
+        let shard = "fn start() {\n    let handle = thread::Builder::new().spawn(body)?;\n}\nfn shard_worker() {\n    let served = catch_unwind(AssertUnwindSafe(|| serve()));\n}\n";
+        let front = "use std::panic::{catch_unwind, AssertUnwindSafe};\n// catch_unwind( in a comment\nfn second_worker() {\n    let caught = catch_unwind(AssertUnwindSafe(|| matched()));\n}\n#[cfg(test)]\nmod tests {\n    fn t() { thread::Builder::new(); }\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let (shard_file, front_file) = (dir.join("worker_case.rs"), dir.join("front_case_2.rs"));
+        fs::write(&shard_file, shard).unwrap();
+        fs::write(&front_file, front).unwrap();
+
+        let mut out = Vec::new();
+        scan_files_for_worker_sites(&dir, std::slice::from_ref(&shard_file), &mut out);
+        assert!(out.is_empty(), "violations: {out:?}");
+
+        scan_files_for_worker_sites(&dir, &[front_file.clone(), shard_file], &mut out);
+        assert_eq!(out.len(), 2, "violations: {out:?}");
+        assert!(
+            out[0].contains("front_case_2.rs:4") && out[0].contains("`catch_unwind(`"),
+            "{out:?}"
+        );
+        assert!(
+            out[1].contains("worker_case.rs:5") && out[1].contains("one of 2 sites"),
+            "{out:?}"
+        );
+
+        let mut out = Vec::new();
+        scan_files_for_worker_sites(&dir, &[front_file], &mut out);
+        assert_eq!(out.len(), 1, "violations: {out:?}");
+        assert!(out[0].contains("no `thread::Builder` site"), "{out:?}");
     }
 
     #[test]
