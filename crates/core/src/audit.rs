@@ -39,8 +39,9 @@
 //!   addresses a resident row whose key column matches the chain's key, the
 //!   per-string
 //!   row counts equal the per-bucket index sums, retained documents are a
-//!   subset of the retention-timestamp map, and the watermark never lags a
-//!   retained timestamp.
+//!   subset of the retention-timestamp map, every resident row's document is
+//!   filed with its timestamp in the row's bucket, and the watermark never
+//!   lags a retained timestamp.
 //! - **Interner index** — every interned string finds its own symbol
 //!   through the hash index, which files exactly one entry per string.
 //! - **Stats identities** — the front never counts more documents than
@@ -242,10 +243,16 @@ pub enum AuditViolation {
         /// The stored document id.
         doc: u64,
     },
-    /// An unbucketed join state spread across more than one bucket.
-    UnbucketedStateSpread {
-        /// Resident buckets.
-        buckets: usize,
+    /// A resident `Rdoc` / `Rbin` row whose document is not filed with its
+    /// timestamp in the row's bucket, or (`RdocTS`) a timestamp not filed
+    /// exactly once in the bucket it names.
+    UnfiledDocument {
+        /// `Rdoc`, `Rbin` or `RdocTS`.
+        relation: &'static str,
+        /// The bucket that should file the document.
+        bucket: u64,
+        /// The document id.
+        doc: u64,
     },
     /// The engine's high-water timestamp lags a retained document timestamp
     /// (the watermark must be monotone over everything absorbed).
@@ -448,10 +455,9 @@ impl fmt::Display for AuditViolation {
             AuditViolation::OrphanStoredDocument { doc } => {
                 write!(f, "stored document {doc} has no retention timestamp")
             }
-            AuditViolation::UnbucketedStateSpread { buckets } => write!(
-                f,
-                "unbucketed join state spread across {buckets} buckets"
-            ),
+            AuditViolation::UnfiledDocument { relation, bucket, doc } => {
+                write!(f, "{relation} bucket {bucket} does not file document {doc}")
+            }
             AuditViolation::WatermarkRegression { newest, observed } => write!(
                 f,
                 "watermark {newest} lags retained timestamp {observed}"

@@ -64,10 +64,9 @@ pub enum FaultPolicy {
 /// Configuration of an [`MmqjpEngine`](crate::MmqjpEngine) or a
 /// [`ShardedEngine`](crate::ShardedEngine) (which hands every shard a copy).
 ///
-/// Eight fields in three groups: what Stage 2 runs ([`mode`](Self::mode),
+/// Seven fields in three groups: what Stage 2 runs ([`mode`](Self::mode),
 /// [`view_cache_capacity`](Self::view_cache_capacity)); what state is kept
 /// and for how long ([`retain_documents`](Self::retain_documents),
-/// [`prune_state_by_window`](Self::prune_state_by_window),
 /// [`doc_retention_cap`](Self::doc_retention_cap)); and how the stream is
 /// policed and spread over threads
 /// ([`enforce_in_order`](Self::enforce_in_order),
@@ -75,8 +74,11 @@ pub enum FaultPolicy {
 ///
 /// Stage 1 has no knob: every engine runs the one streaming front
 /// ([`crate::front`]) on the caller's thread, and the width of the windowed join state's buckets is
-/// derived from the registered windows. Registration-time plan verification
-/// and the purge of dead view-cache slices on unregistration are always on.
+/// derived from the registered windows. Window state is always evicted at
+/// the live queries' largest horizon (see
+/// [`doc_retention_cap`](Self::doc_retention_cap)). Registration-time plan
+/// verification and the purge of dead view-cache slices on unregistration
+/// are always on.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// The Stage-2 strategy.
@@ -90,38 +92,28 @@ pub struct EngineConfig {
     /// joined subtrees (the default `SELECT *` construction). Disable for
     /// throughput experiments where only match counts matter.
     pub retain_documents: bool,
-    /// Purge join state belonging to documents that have fallen out of every
-    /// registered query's window. Only effective when all registered queries
-    /// have finite time windows.
+    /// Cap (in timestamp units) on every query's *horizon*, the one rule
+    /// that decides matches and retention. A query's horizon `h` is its time
+    /// window capped by this value, this value alone for an INF or COUNT
+    /// window, and unbounded with neither. A stored document `d1` and a
+    /// batch document `d2` match only when the query's temporal predicate
+    /// holds, `|ts2 − ts1| ≤ h` and `ts1 + h ≥ w`, where `w` is the newest
+    /// timestamp seen before the batch.
     ///
-    /// Independent of this flag, the *document retention* maps (timestamps
-    /// and, with [`retain_documents`](Self::retain_documents), full
-    /// documents) are always evicted once a document has aged beyond every
-    /// registered window and [`doc_retention_cap`](Self::doc_retention_cap),
-    /// so a long-running engine does not leak retained documents.
-    ///
-    /// Retention ages are measured against the newest timestamp seen, so for
-    /// *in-order* streams eviction is invisible in results. When
-    /// [`enforce_in_order`](Self::enforce_in_order) is off, a document
-    /// arriving more than the retention bound later than the newest
-    /// timestamp cannot join with the already-evicted documents of that
-    /// aged-out range (the same best-effort semantics window pruning always
-    /// had); keep windows infinite and the cap unset if such stragglers must
-    /// match arbitrarily old state.
-    pub prune_state_by_window: bool,
-    /// Hard cap (in timestamp units) on how long documents and their
-    /// timestamps are retained for output construction and temporal
-    /// filtering, regardless of query windows. Acts as a memory backstop
-    /// when queries have infinite (or no) windows; when finite windows exist
-    /// the effective retention bound is the *smaller* of the maximum window
-    /// and this cap — capping below the maximum window trades dropped
-    /// matches (and `document: None` outputs) for bounded memory. `None`
-    /// (the default) means retention is bounded by the registered windows
-    /// alone.
+    /// Join state, timestamps and stored documents are evicted at the live
+    /// queries' largest horizon behind the newest timestamp, so a
+    /// long-running engine keeps bounded state whenever every horizon is
+    /// bounded, and eviction never removes a document the rule accepts:
+    /// results do not depend on eviction, bucket width or shard layout. A
+    /// cap below a query's window trades that query's older matches for
+    /// memory. `None` (the default) leaves the horizons to the windows.
     pub doc_retention_cap: Option<u64>,
     /// Reject documents whose timestamp is older than the newest timestamp
     /// already processed. The paper assumes in-order streams; disabling this
-    /// lets out-of-order events in (they simply join as if on time).
+    /// lets out-of-order events in: a late document joins the stored
+    /// documents within its query's horizon of both itself and the newest
+    /// timestamp seen (see [`doc_retention_cap`](Self::doc_retention_cap)),
+    /// the same on every engine and shard layout.
     pub enforce_in_order: bool,
     /// Number of query-population shards used by
     /// [`ShardedEngine`](crate::ShardedEngine): the registered queries are
@@ -145,7 +137,6 @@ impl Default for EngineConfig {
             mode: ProcessingMode::Mmqjp,
             view_cache_capacity: None,
             retain_documents: true,
-            prune_state_by_window: false,
             doc_retention_cap: None,
             enforce_in_order: false,
             num_shards: 1,
@@ -191,9 +182,10 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style setter for window-based state pruning.
-    pub fn with_prune_state_by_window(mut self, prune: bool) -> Self {
-        self.prune_state_by_window = prune;
+    /// Accepted and ignored: window state is always evicted at the live
+    /// queries' largest horizon (see [`doc_retention_cap`](Self::doc_retention_cap)).
+    /// Kept so existing callers build.
+    pub fn with_prune_state_by_window(self, _prune: bool) -> Self {
         self
     }
 
@@ -233,8 +225,8 @@ mod tests {
         assert_eq!(c.mode, ProcessingMode::Mmqjp);
         assert_eq!(c.view_cache_capacity, None);
         assert!(c.retain_documents);
-        assert!(!c.prune_state_by_window);
         assert_eq!(c.doc_retention_cap, None);
+        assert!(!c.enforce_in_order);
         assert_eq!(c.num_shards, 1);
         assert_eq!(c.fault_policy, FaultPolicy::FailFast);
     }
@@ -254,18 +246,19 @@ mod tests {
         let c = EngineConfig::mmqjp_view_mat()
             .with_view_cache_capacity(Some(128))
             .with_retain_documents(false)
-            .with_prune_state_by_window(true)
             .with_doc_retention_cap(Some(5000))
             .with_num_shards(4)
             .with_fault_policy(FaultPolicy::Quarantine);
         assert_eq!(c.view_cache_capacity, Some(128));
         assert!(!c.retain_documents);
-        assert!(c.prune_state_by_window);
         assert_eq!(c.doc_retention_cap, Some(5000));
         assert_eq!(c.num_shards, 4);
         assert_eq!(c.fault_policy, FaultPolicy::Quarantine);
-        // The front-pool setter is accepted and changes nothing.
+        // The front-pool and pruning setters are accepted and change
+        // nothing.
         assert_eq!(c.clone().with_front_pool(4), c);
+        assert_eq!(c.clone().with_prune_state_by_window(true), c);
+        assert_eq!(c.clone().with_prune_state_by_window(false), c);
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! channel, nothing that can die, so no recovery ledger and no replay log. [`JoinStage`] is what every shard slot of either engine
 //! runs: Stage 2, output construction and state maintenance over the
 //! witness rows the front routed to it.
+//!
+//! A query's own window decides its matches: a pair is emitted iff the
+//! temporal predicate holds, its two timestamps lie within the query's
+//! horizon ([`recovery::horizon`]) of each other, and the stored
+//! document's lies within it of the watermark before the batch. State is
+//! evicted at one cutoff, the live queries' largest horizon
+//! ([`recovery::retention_bound`]), so no eviction removes a document the
+//! rule accepts, and every shard layout emits what the single engine does.
 
 use crate::audit::AuditViolation;
 use crate::config::{EngineConfig, ProcessingMode};
@@ -179,7 +187,7 @@ pub(crate) struct JoinStage {
     interner: Arc<StringInterner>,
     registry: Registry,
     /// The windowed join state: time-bucketed `Rbin`/`Rdoc`/`RdocTS`,
-    /// per-bucket secondary indexes and the document-retention maps.
+    /// per-bucket secondary indexes and the retained documents.
     state: JoinState,
     view_cache: ViewCache,
     /// Pooled executor buffers (selection vectors, join hash tables,
@@ -198,7 +206,7 @@ impl JoinStage {
     pub(crate) fn new(config: EngineConfig, interner: Arc<StringInterner>) -> Self {
         JoinStage {
             registry: Registry::new(Arc::clone(&interner)),
-            state: JoinState::new(config.prune_state_by_window),
+            state: JoinState::new(),
             view_cache: ViewCache::new(config.view_cache_capacity),
             scratch: ExecScratch::new(),
             restriction: RestrictionScratch::default(),
@@ -337,6 +345,8 @@ impl JoinStage {
             return Ok(Vec::new());
         }
         let mut timings = PhaseTimings::default();
+        // The watermark before this batch, which every eviction so far cut at.
+        let watermark = self.newest_timestamp;
         self.advance_watermarks(&doc_meta);
 
         // The compiled plans execute over *borrowed* state: the registry's
@@ -355,7 +365,7 @@ impl JoinStage {
                 // A shard holds `docs` only when documents are
                 // retained; output document construction is gated on
                 // retention, so an empty slice is never consulted.
-                outputs.extend(self.produce_outputs(rid, &rows, &batch_ts, &docs)?);
+                outputs.extend(self.produce_outputs(rid, &rows, &batch_ts, &docs, watermark)?);
             }
             timings.output += t_out.elapsed();
         }
@@ -420,18 +430,21 @@ impl JoinStage {
     // Output production (Algorithm 3)
     // --------------------------------------------------------------------
 
-    /// Turn a result relation into match outputs, applying the temporal
-    /// constraint. `rid_override` is `-1` for template results (which carry a
-    /// qid column) and a concrete rid for Sequential results; `batch_ts` is
-    /// the batch's [`WitnessBatch::sorted_timestamps`]. A qid, document or
-    /// node column that does not hold an integer is
-    /// [`CoreError::CorruptStateRow`], never a dropped or misbound match.
+    /// Turn a result relation into match outputs, applying the matching
+    /// rule (see the [module docs](self)) against `watermark`, the
+    /// watermark before this batch. `rid_override` is `-1` for template
+    /// results (which carry a qid column) and a concrete rid for Sequential
+    /// results; `batch_ts` is the batch's
+    /// [`WitnessBatch::sorted_timestamps`]. A qid, document or node column
+    /// that does not hold an integer is [`CoreError::CorruptStateRow`],
+    /// never a dropped or misbound match.
     fn produce_outputs(
         &self,
         rid_override: i64,
         rows: &Relation,
         batch_ts: &[(DocId, Timestamp)],
         batch_docs: &[Document],
+        watermark: u64,
     ) -> CoreResult<Vec<MatchOutput>> {
         let mut outputs = Vec::new();
         let template_mode = rid_override < 0;
@@ -471,16 +484,16 @@ impl JoinStage {
             let Some(ts2) = timestamp_in(batch_ts, d2).map(|t| t.raw()) else {
                 continue;
             };
+            // The matching rule: FOLLOWED BY orders the pair, and the
+            // query's horizon (its window, capped) bounds both the pair's
+            // distance and the stored document's age behind the watermark.
+            let ordered = query.shape().op() != Some(JoinOp::FollowedBy) || ts2 > ts1;
             let window = query.window.unwrap_or(mmqjp_xscl::Window::Infinite);
-            let temporal_ok = match query.shape().op() {
-                Some(JoinOp::FollowedBy) => ts2 > ts1 && window.accepts_delta(ts2 - ts1),
-                Some(JoinOp::Join) => {
-                    let delta = ts2.abs_diff(ts1);
-                    window.accepts_delta(delta)
-                }
+            let in_horizon = match recovery::horizon(window, self.config.doc_retention_cap) {
+                Some(h) => ts2.abs_diff(ts1) <= h && ts1.saturating_add(h) >= watermark,
                 None => true,
             };
-            if !temporal_ok {
+            if !ordered || !in_horizon {
                 continue;
             }
             outputs.push(self.build_match(
@@ -646,7 +659,7 @@ impl JoinStage {
         }
 
         // Algorithm 2: append the batch into its timestamp buckets,
-        // maintaining the per-bucket indexes and the retention ledger. The
+        // maintaining the per-bucket indexes and document lists. The
         // bucket width follows the registered windows; if documents were
         // processed before any windowed query existed, the provisional width
         // is revised (with a one-time re-partition) once a bound appears.
@@ -657,37 +670,28 @@ impl JoinStage {
         self.state
             .absorb_routed(batch, meta, docs, self.config.retain_documents)?;
 
-        // Window expiry: drop whole buckets that no registered window can
-        // reach — O(expired rows), no index rebuild — and invalidate exactly
-        // the view-cache slices whose string values lost rows.
-        if self.config.prune_state_by_window {
-            if let Some(window) = self.registry.max_window() {
-                let cutoff = self.newest_timestamp.saturating_sub(window);
-                let eviction = self.state.evict_join_state(cutoff);
-                if !eviction.expired_strvals.is_empty() {
-                    let before = self.view_cache.len();
-                    self.view_cache
-                        .invalidate_if(|k| eviction.expired_strvals.contains(&k));
-                    self.stats.view_slices_invalidated += before - self.view_cache.len();
-                }
-                self.stats.state_buckets_evicted += eviction.buckets;
-                self.stats.state_rows_evicted += eviction.rows;
-            }
-        }
-
-        // Document retention is bounded even when join-state pruning is off:
-        // once a document has aged beyond every registered window (and the
-        // configured cap), neither the temporal filter nor output
-        // construction can ever need it again.
+        // Expiry at the one retention cutoff: drop the whole buckets no live
+        // query's horizon reaches — rows, chains and documents together,
+        // O(expired rows), no index rebuild — and invalidate exactly the
+        // view-cache slices whose string values lost rows.
         if let Some(bound) = self.doc_retention_bound() {
             let cutoff = self.newest_timestamp.saturating_sub(bound);
-            self.stats.docs_evicted += self.state.evict_documents(cutoff);
+            let eviction = self.state.evict(cutoff);
+            if !eviction.expired_strvals.is_empty() {
+                let before = self.view_cache.len();
+                self.view_cache
+                    .invalidate_if(|k| eviction.expired_strvals.contains(&k));
+                self.stats.view_slices_invalidated += before - self.view_cache.len();
+            }
+            self.stats.state_buckets_evicted += eviction.buckets;
+            self.stats.state_rows_evicted += eviction.rows;
+            self.stats.docs_evicted += eviction.docs;
         }
         Ok(())
     }
 
-    /// How long documents (and their timestamps) must be retained (see
-    /// [`recovery::retention_bound`]).
+    /// How long rows and documents must be retained: the largest horizon of
+    /// the live queries (see [`recovery::retention_bound`]).
     fn doc_retention_bound(&self) -> Option<u64> {
         recovery::retention_bound(
             self.registry.bounding_windows(),
@@ -697,7 +701,8 @@ impl JoinStage {
 
     /// The retention span the bucket width is derived from. Uses the largest
     /// *finite* window even when infinite windows exist (width is a pure
-    /// granularity parameter — see [`JoinState`]).
+    /// granularity parameter: the matching rule, not the bucket an eviction
+    /// happens to keep, decides every match).
     fn width_hint(&self) -> Option<u64> {
         let cap = self.config.doc_retention_cap;
         self.registry
@@ -1396,7 +1401,7 @@ mod tests {
 
     #[test]
     fn window_pruning_discards_old_state() {
-        let mut e = MmqjpEngine::new(EngineConfig::mmqjp().with_prune_state_by_window(true));
+        let mut e = MmqjpEngine::new(EngineConfig::mmqjp());
         e.register_query_text(
             "S//book->x1[.//title->x3] FOLLOWED BY{x3=x6, 10} S//blog->x4[.//title->x6]",
         )
@@ -1423,7 +1428,7 @@ mod tests {
         // Bucketed expiry: no rebuild, whole buckets dropped, counters
         // reported. Width 1 (window 10 / 16 floors to 1) gives near-exact
         // granularity, so the book's state is gone after the jump to ts 1000.
-        let mut e = MmqjpEngine::new(EngineConfig::mmqjp().with_prune_state_by_window(true));
+        let mut e = MmqjpEngine::new(EngineConfig::mmqjp());
         e.register_query_text(
             "S//book->x1[.//title->x3] FOLLOWED BY{x3=x6, 10} S//blog->x4[.//title->x6]",
         )
@@ -1440,18 +1445,21 @@ mod tests {
     }
 
     #[test]
-    fn doc_retention_is_bounded_without_state_pruning() {
-        // The leak fix: with prune_state_by_window = false (the default) and
-        // retain_documents = true, documents and timestamps are still
-        // evicted once they age beyond every registered window. Join state
-        // is deliberately left alone in this configuration.
+    fn rows_and_documents_share_one_retention_cutoff() {
+        // With the default configuration and retain_documents = true, join
+        // rows, timestamps and documents are evicted together once they age
+        // beyond every registered window: each retained document keeps
+        // exactly its own rows.
         let mut e = MmqjpEngine::new(EngineConfig::mmqjp());
-        assert!(!e.config().prune_state_by_window);
         e.register_query_text(
             "S//book->x1[.//title->x3] FOLLOWED BY{x3=x6, 10} S//blog->x4[.//title->x6]",
         )
         .unwrap();
-        for i in 0..100u64 {
+        e.process_document(d1().with_timestamp(Timestamp(1)))
+            .unwrap();
+        let rows_per_doc = e.stats().rdoc_tuples;
+        assert!(rows_per_doc > 0);
+        for i in 1..100u64 {
             e.process_document(d1().with_timestamp(Timestamp(1 + i * 5)))
                 .unwrap();
         }
@@ -1462,8 +1470,8 @@ mod tests {
             stats.docs_retained
         );
         assert_eq!(stats.docs_evicted + stats.docs_retained, 100);
-        // Join state is untouched by doc eviction.
-        assert!(stats.rdoc_tuples >= 100);
+        assert_eq!(stats.rdoc_tuples, rows_per_doc * stats.docs_retained);
+        assert!(e.audit().is_empty(), "{:?}", e.audit());
         // Matches still fire across the retained window: the books at ts 491
         // and 496 are both within 10 of the blog at ts 497.
         let out = e
@@ -1514,8 +1522,7 @@ mod tests {
     fn pruning_invalidates_only_expired_view_slices() {
         // Two distinct titles: after the first expires, its slice is
         // invalidated while the survivor's cached slice keeps serving hits.
-        let mut e =
-            MmqjpEngine::new(EngineConfig::mmqjp_view_mat().with_prune_state_by_window(true));
+        let mut e = MmqjpEngine::new(EngineConfig::mmqjp_view_mat());
         e.register_query_text(Q3).unwrap();
         let old_blog = rss::blog_article("Ann", "u1", "Old Title", "c", "d");
         let live_blog = rss::blog_article("Ann", "u2", "Live Title", "c", "d");
@@ -1665,7 +1672,8 @@ mod tests {
         // The 10000 window retains everything.
         assert_eq!(e.stats().docs_retained, 40);
         e.unregister_query(wide).unwrap();
-        assert_eq!(e.registry().max_window(), Some(10));
+        assert_eq!(e.registry().max_finite_window(), Some(10));
+        assert!(!e.registry().has_infinite_window());
         // The next documents prune retention down to the 10-unit window.
         for i in 40..44u64 {
             e.process_document(d1().with_timestamp(Timestamp(1 + i * 5)))
@@ -1734,6 +1742,7 @@ mod tests {
         e.process_document(d1()).unwrap();
         // Q1's orientation (rid 0) joining d1 with an in-batch d2.
         let batch_ts = [(DocId(2), Timestamp(20))];
+        let watermark = e.pipeline.join().newest_timestamp;
         let int = Value::Int;
         let good = [
             int(0),
@@ -1750,7 +1759,7 @@ mod tests {
         let out = e
             .pipeline
             .join_mut()
-            .produce_outputs(-1, &crafted_result(good), &batch_ts, &[])
+            .produce_outputs(-1, &crafted_result(good), &batch_ts, &[], watermark)
             .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].bindings[1].node, NodeId::from_raw(2));
@@ -1761,7 +1770,7 @@ mod tests {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 e.pipeline
                     .join_mut()
-                    .produce_outputs(-1, &rows, &batch_ts, &[])
+                    .produce_outputs(-1, &rows, &batch_ts, &[], watermark)
             }));
             if cfg!(debug_assertions) {
                 // Debug builds stop at the key reader's assertion...

@@ -122,31 +122,22 @@ impl FaultPlan {
 }
 
 /// Runtime driver for a [`FaultPlan`]: hands the engine the faults scheduled
-/// for each batch and counts how many were actually delivered.
+/// for each batch. The engine counts the faults it actually delivers in
+/// [`EngineStats::faults_injected`](crate::EngineStats::faults_injected).
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    injected: usize,
 }
 
 impl FaultInjector {
     /// Create an injector for the given plan.
     pub fn new(plan: FaultPlan) -> Self {
-        Self { plan, injected: 0 }
+        Self { plan }
     }
 
-    /// The faults to inject for the given batch index. Each returned fault
-    /// is counted as injected (mirrored into the engine's `faults_injected`
-    /// stat by the caller).
+    /// The faults scheduled for the given batch index.
     pub fn faults_for(&mut self, batch: u64) -> Vec<FaultKind> {
-        let faults = self.plan.faults_at(batch).to_vec();
-        self.injected += faults.len();
-        faults
-    }
-
-    /// Total faults delivered so far.
-    pub fn injected(&self) -> usize {
-        self.injected
+        self.plan.faults_at(batch).to_vec()
     }
 }
 
@@ -238,7 +229,6 @@ mod tests {
         for b in 0..100 {
             assert!(inj.faults_for(b).is_empty());
         }
-        assert_eq!(inj.injected(), 0);
     }
 
     #[test]
@@ -251,9 +241,18 @@ mod tests {
         assert_eq!(plan.faults_at(2).len(), 2);
         assert_eq!(plan.faults_at(3).len(), 0);
         let mut inj = FaultInjector::new(plan);
-        assert_eq!(inj.faults_for(2).len(), 2);
-        assert_eq!(inj.faults_for(5).len(), 1);
-        assert_eq!(inj.injected(), 3);
+        assert_eq!(
+            inj.faults_for(2),
+            vec![
+                FaultKind::PanicShard { shard: 1 },
+                FaultKind::OutOfOrderTimestamp { doc_index: 0 }
+            ]
+        );
+        assert!(inj.faults_for(3).is_empty());
+        assert_eq!(
+            inj.faults_for(5),
+            vec![FaultKind::DropResponse { shard: 0 }]
+        );
     }
 
     #[test]

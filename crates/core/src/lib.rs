@@ -13,7 +13,8 @@
 //! 1. **Stage 1 (XPath Evaluator, `mmqjp-xpath`)** evaluates the tree-pattern
 //!    components of all registered queries once per document and emits
 //!    witnesses, stored in the binary witness relations `RbinW`, `RdocW`,
-//!    `RdocTSW` (current document) and `Rbin`, `Rdoc`, `RdocTS` (join state).
+//!    `RdocTSW` (current document) and `Rbin`, `Rdoc`, `RdocTS` (join state,
+//!    `RdocTS` as timestamps filed by bucket).
 //! 2. **Stage 2 (Join Processor, this crate)** evaluates all value-join
 //!    components *per query template* rather than per query: queries with
 //!    isomorphic reduced join graphs share one relational conjunctive query

@@ -13,9 +13,9 @@
 //!    the healed shard alone the rows its live queries request, and the join
 //!    stage runs state maintenance only (no Stage 2, no output — those
 //!    results were already delivered before the crash). The retention
-//!    ledger bounds what must be kept: once a document has aged beyond every
-//!    registered window (and the configured cap), no future output can
-//!    reference it, so the log can drop it too.
+//!    bound limits what must be kept: once a document has aged beyond every
+//!    registered query's horizon, no future output can reference it, so the
+//!    log can drop it too.
 //!
 //! Because ids, timestamps and registration order are all replayed exactly,
 //! the rebuilt engine's *subsequent* output is byte-identical to that of an
@@ -110,30 +110,32 @@ impl ReplayLog {
     }
 }
 
-/// How far back documents must be retained for live join queries with the
-/// given windows: the longest window, tightened (or, when some window is
-/// unbounded, replaced) by `doc_retention_cap`. `None` — retain forever —
-/// only when some window is unbounded (`Infinite` or `Count`, which time
-/// cannot bound) *and* no cap is configured; with no window at all nothing
-/// is retained. The one retention policy: a join stage bounds its documents
-/// with it and the pipeline its replay log, so the log never evicts what a
-/// shard might still need.
+/// A query's horizon: how far apart its two documents' timestamps, and its
+/// stored document's timestamp and the watermark before the batch, may lie
+/// for a pair to match. A time window capped by `cap`; the cap alone for an
+/// `Infinite` or `Count` window (time cannot bound those); `None` —
+/// unbounded — with neither.
+pub(crate) fn horizon(window: Window, cap: Option<u64>) -> Option<u64> {
+    match window {
+        Window::Time(t) => Some(cap.map_or(t, |c| t.min(c))),
+        Window::Infinite | Window::Count(_) => cap,
+    }
+}
+
+/// How far back rows and documents must be retained for live join queries
+/// with the given windows: the largest [`horizon`]. `None` — retain
+/// forever — when some horizon is unbounded; with no window at all nothing
+/// is retained. The one retention policy: a join stage evicts at it and the
+/// pipeline bounds its replay log with it, so the log never evicts what a
+/// shard might still need, and no eviction removes a document the matching
+/// rule accepts.
 pub(crate) fn retention_bound(
     windows: impl IntoIterator<Item = Window>,
     cap: Option<u64>,
 ) -> Option<u64> {
-    let mut max_window: Option<u64> = Some(0);
-    for window in windows {
-        match window {
-            Window::Time(t) => max_window = max_window.map(|m| m.max(t)),
-            Window::Infinite | Window::Count(_) => max_window = None,
-        }
-    }
-    match (max_window, cap) {
-        (Some(w), Some(c)) => Some(w.min(c)),
-        (Some(w), None) => Some(w),
-        (None, cap) => cap,
-    }
+    windows.into_iter().try_fold(0, |bound, window| {
+        horizon(window, cap).map(|h| bound.max(h))
+    })
 }
 
 #[cfg(test)]

@@ -855,18 +855,6 @@ impl Registry {
         &self.catalog
     }
 
-    /// The maximum window across *live* join queries: `Some(t)` when all
-    /// live join queries have finite time windows, `None` otherwise. Used by
-    /// window-based state pruning; recomputed on every population change, so
-    /// the bound tightens when the widest-window query unregisters.
-    pub fn max_window(&self) -> Option<u64> {
-        if self.infinite_windows > 0 {
-            None
-        } else {
-            self.max_finite_window()
-        }
-    }
-
     /// The maximum *finite* time window across live join queries, even when
     /// other queries have infinite (or count) windows. Used to derive the
     /// join-state bucket width, which is a granularity (never a correctness)
@@ -885,7 +873,7 @@ impl Registry {
     }
 
     /// `true` when some live join query has an infinite or count window,
-    /// which forbids window-based eviction of join state.
+    /// whose horizon only `doc_retention_cap` bounds.
     pub fn has_infinite_window(&self) -> bool {
         self.infinite_windows > 0
     }
@@ -1290,7 +1278,7 @@ mod tests {
         // blog(author,title), book(author,category), blog(author,category)
         // => 4.
         assert_eq!(rig.num_patterns(), 4);
-        assert_eq!(r.max_window(), Some(300));
+        assert_eq!(bound(r), Some(300));
     }
 
     #[test]
@@ -1364,11 +1352,17 @@ mod tests {
         assert_eq!(reg2.sequential_cqt.num_atoms(), 0);
     }
 
+    /// The retention bound the live windows give, uncapped: `None` while
+    /// an INF window is live.
+    fn bound(r: &Registry) -> Option<u64> {
+        crate::recovery::retention_bound(r.bounding_windows(), None)
+    }
+
     #[test]
     fn window_tracking() {
         let mut r = registry();
         reg(&mut r, Q1, ProcessingMode::Mmqjp);
-        assert_eq!(r.max_window(), Some(100));
+        assert_eq!(bound(&r), Some(100));
         assert_eq!(r.max_finite_window(), Some(100));
         assert!(!r.has_infinite_window());
         reg(
@@ -1376,7 +1370,7 @@ mod tests {
             "S//a->x FOLLOWED BY{x=y, INF} S//b->y",
             ProcessingMode::Mmqjp,
         );
-        assert_eq!(r.max_window(), None);
+        assert_eq!(bound(&r), None);
         assert_eq!(r.max_finite_window(), Some(100));
         assert!(r.has_infinite_window());
         assert_eq!(window_length(Window::Time(5)), 5);
@@ -1444,25 +1438,25 @@ mod tests {
             "S//a->x FOLLOWED BY{x=y, INF} S//b->y",
             ProcessingMode::Mmqjp,
         );
-        assert_eq!(r.max_window(), None);
+        assert_eq!(bound(&r), None);
         assert_eq!(r.max_finite_window(), Some(300));
 
-        // The infinite-window query leaves: pruning becomes possible again.
+        // The infinite-window query leaves: eviction becomes possible again.
         let effects = r.unregister(inf).unwrap();
         assert!(effects.window_changed);
-        assert_eq!(r.max_window(), Some(300));
+        assert_eq!(bound(&r), Some(300));
         assert!(!r.has_infinite_window());
 
         // The widest finite window leaves: the bound tightens.
         let effects = r.unregister(wide).unwrap();
         assert!(effects.window_changed);
-        assert_eq!(r.max_window(), Some(100));
+        assert_eq!(bound(&r), Some(100));
         assert_eq!(r.max_finite_window(), Some(100));
 
-        // The last windowed query leaves: no bound remains.
+        // The last windowed query leaves: nothing is retained.
         let effects = r.unregister(narrow).unwrap();
         assert!(effects.window_changed);
-        assert_eq!(r.max_window(), None);
+        assert_eq!(bound(&r), Some(0));
         assert_eq!(r.max_finite_window(), None);
     }
 
@@ -1471,13 +1465,13 @@ mod tests {
         let mut r = registry();
         let a = reg(&mut r, Q1, ProcessingMode::Mmqjp);
         let b = reg(&mut r, Q1, ProcessingMode::Mmqjp);
-        assert_eq!(r.max_window(), Some(100));
+        assert_eq!(bound(&r), Some(100));
         let effects = r.unregister(a).unwrap();
         assert!(!effects.window_changed, "the twin still holds window 100");
-        assert_eq!(r.max_window(), Some(100));
+        assert_eq!(bound(&r), Some(100));
         let effects = r.unregister(b).unwrap();
         assert!(effects.window_changed);
-        assert_eq!(r.max_window(), None);
+        assert_eq!(bound(&r), Some(0));
     }
 
     #[test]

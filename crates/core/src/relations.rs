@@ -12,6 +12,9 @@
 //! | `Rdoc`    | (docid, node, strVal)                            | string values from previous documents |
 //! | `RdocTS`  | (docid, timestamp)                               | ids + timestamps of previous documents |
 //!
+//! `RdocTS` is kept as the join state's timestamp map and per-bucket
+//! document lists, not as a relation: no conjunctive query reads it.
+//!
 //! Compared with the paper we add a `docid` column to the `*W` relations so
 //! the same code path handles both single-document processing and the batched
 //! processing the paper uses for its RSS throughput experiment (Section 6.3).
@@ -61,7 +64,7 @@ pub mod schemas {
         shared(&DOC, ["docid", "node", "strVal"])
     }
 
-    /// Schema of `RdocTSW` and `RdocTS`: `(docid, timestamp)`.
+    /// Schema of `RdocTSW`: `(docid, timestamp)`.
     pub fn doc_ts() -> Schema {
         static DOC_TS: OnceLock<Schema> = OnceLock::new();
         shared(&DOC_TS, ["docid", "timestamp"])
@@ -133,7 +136,7 @@ impl WitnessBatch {
         self.doc_ids.len()
     }
 
-    /// Ingest one document: its ledger row, then its Stage-1 witness rows.
+    /// Ingest one document: its timestamp row, then its Stage-1 witness rows.
     ///
     /// `rows` name their edges by position in `requested` (rows of one
     /// pattern arrive together). An `RbinW` tuple already emitted for this
@@ -199,8 +202,8 @@ impl WitnessBatch {
     }
 
     /// Number of witness rows (`RbinW` + `RdocW`) in the batch. The
-    /// retention-ledger rows (`RdocTSW`) are bookkeeping, not witnesses, so
-    /// they are not counted.
+    /// timestamp rows (`RdocTSW`) are bookkeeping, not witnesses, so they
+    /// are not counted.
     pub fn num_witness_rows(&self) -> usize {
         self.rbin_w.len() + self.rdoc_w.len()
     }
@@ -313,9 +316,10 @@ impl Default for WitnessBatch {
 /// documents.
 ///
 /// The witness rows in [`batch`](Self::batch) are the consumer's
-/// subscription-filtered subset of the front's Stage-1 output; the ledger
-/// rows (`RdocTSW`) cover *every* document of the batch, because each
-/// consumer tracks all document timestamps for temporal filtering.
+/// subscription-filtered subset of the front's Stage-1 output; the
+/// timestamp rows (`RdocTSW`) cover *every* document of the batch, because
+/// each consumer tracks all document timestamps: every shard shares the
+/// watermark the matching rule measures against.
 #[derive(Debug, Clone, Default)]
 pub struct RoutedBatch {
     /// The routed witness rows.

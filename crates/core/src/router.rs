@@ -15,8 +15,8 @@ use mmqjp_xpath::PatternId;
 /// (`batches[c]` is consumer `c`'s), reading each edge's consumers off
 /// `table`, whose requested-edge lists the rows' edge numbers index.
 ///
-/// Every batch receives the document's retention-ledger row (each consumer
-/// tracks every timestamp for temporal filtering), while a witness row goes
+/// Every batch receives the document's timestamp row (each consumer tracks
+/// every timestamp, so all share one watermark), while a witness row goes
 /// only to its edge's consumers, deduplicated per consumer — so a shard's
 /// batch holds the same witness rows it would have derived by re-running
 /// Stage 1 over its own requested edges. Returns the number of witness rows
@@ -38,7 +38,7 @@ pub fn route_document(
     Ok(after - before)
 }
 
-/// Route one document's Stage-1 rows to `consumer` alone: its ledger row,
+/// Route one document's Stage-1 rows to `consumer` alone: its timestamp row,
 /// and the rows of the edges `consumer` consumes, deduplicated.
 pub(crate) fn route_to(
     table: &Stage1Table,
@@ -127,7 +127,7 @@ mod tests {
         )
         .unwrap();
         assert!(routed > 0);
-        // Shard 1 subscribed to nothing: ledger row only.
+        // Shard 1 subscribed to nothing: timestamp row only.
         assert_eq!(batches[1].num_witness_rows(), 0);
         assert_eq!(batches[1].rdoc_ts_w.len(), 1);
         // Shards 0 and 2 got exactly their subscribed patterns' rows.

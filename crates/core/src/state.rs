@@ -1,26 +1,28 @@
 //! Time-bucketed incremental join state.
 //!
-//! The engine's per-window join state (`Rbin`, `Rdoc`, the `RdocTS`
-//! retention ledger, the document store and the secondary indexes backing
-//! `RL`-slice computation) lives in a [`JoinState`]. Rows are partitioned
-//! into coarse timestamp buckets (`timestamp / bucket_width`) held in
-//! [`SegmentedRelation`]s, and the secondary indexes are *per-bucket*
-//! segments addressing rows by their stable in-bucket offset.
+//! The engine's per-window join state (`Rbin`, `Rdoc`, the retained
+//! document timestamps `RdocTS`, the document store and the secondary
+//! indexes backing `RL`-slice computation) lives in a [`JoinState`]. Rows
+//! are partitioned into coarse timestamp buckets (`timestamp /
+//! bucket_width`) held in [`SegmentedRelation`]s; each bucket's entry holds
+//! the bucket's secondary indexes, addressing rows by their stable in-bucket
+//! offset, and lists the documents stamped into it.
 //!
 //! A batch enters column-wise: each run of rows bound for one bucket is one
 //! slice copy per column, and the indexes are chains threaded through a
 //! per-row successor array, so absorbing a row allocates nothing per key.
 //!
-//! Window expiry therefore never rebuilds anything: an expired bucket is
-//! dropped whole — rows, index segment and all — in time proportional to the
-//! rows it holds, and the handles of every surviving row stay valid. This
-//! replaces the seed implementation's retain-and-rebuild pruning (O(total
-//! state) per batch, with a full view-cache clear) and is what keeps
-//! steady-state throughput flat over unbounded streams.
+//! Expiry therefore never rebuilds anything: [`JoinState::evict`] drops every
+//! bucket below the cutoff whole — rows, chains and documents together — in
+//! time proportional to what it holds, and the handles of every surviving
+//! row stay valid. A row and its document share a timestamp and so a
+//! bucket, so no row outlives its document.
 //!
-//! Bucket width is a pure granularity knob: expired rows may survive up to
-//! one extra bucket, but the temporal filter of Algorithm 3 re-checks every
-//! window, so results are bit-identical for any width.
+//! Eviction decides memory, never results: a dropped bucket may be up to one
+//! bucket width newer than the cutoff would require, and the engine's
+//! matching rule ([`JoinStage`](crate::engine::JoinStage)'s horizon check)
+//! never accepts a stored document below any cutoff the engine evicts at,
+//! so results are identical for any width and any shard layout.
 
 use crate::audit::AuditViolation;
 use crate::error::{CoreError, CoreResult};
@@ -35,7 +37,7 @@ use std::hash::Hash;
 use std::ops::Range;
 
 /// Bucket width used when no window and no retention cap is known (nothing
-/// can expire then, so the width only shapes the ledger's segmentation).
+/// can expire then, so the width only shapes the segmentation).
 const DEFAULT_BUCKET_WIDTH: u64 = 1024;
 
 /// Number of buckets a retention span is divided into when the width is
@@ -99,24 +101,6 @@ pub(crate) fn key_doc_id(
             })
         }
     }
-}
-
-/// The newest timestamp a bucket of the given width can contain.
-fn latest_ts_of_bucket(bucket: BucketId, width: u64) -> u64 {
-    bucket
-        .saturating_add(1)
-        .saturating_mul(width)
-        .saturating_sub(1)
-}
-
-/// Timestamp of a retention-ledger row (`RdocTS(docid, timestamp)`), from
-/// its `timestamp` value.
-fn ledger_ts(v: &Value) -> CoreResult<u64> {
-    u64::try_from(key_int(v, "RdocTS", "timestamp")?).map_err(|_| CoreError::CorruptStateRow {
-        relation: "RdocTS",
-        column: "timestamp",
-        value: format!("{v:?}"),
-    })
 }
 
 /// `next` entry of a chain's last row.
@@ -222,17 +206,20 @@ impl Iterator for ChainWalk<'_> {
     }
 }
 
-/// Per-bucket secondary indexes over one timestamp bucket of the join state.
-/// Offsets address rows *within the bucket's segment*, so they stay valid for
-/// the bucket's whole lifetime and are dropped with it.
+/// One timestamp bucket of the join state: its secondary indexes and its
+/// documents. Offsets address rows *within the bucket's segment*, so they
+/// stay valid for the bucket's whole lifetime and are dropped with it.
 #[derive(Debug, Default, Clone)]
-struct BucketIndex {
+struct Bucket {
     /// `Rdoc` rows by string value, over the bucket's `Rdoc` segment.
     rdoc_by_strval: ChainIndex<Symbol>,
     /// `Rbin` rows by document id, over the bucket's `Rbin` segment. A
     /// document's `Rdoc` and `Rbin` rows share its timestamp and therefore
     /// its bucket, so probes never cross buckets.
     rbin_by_doc: ChainIndex<i64>,
+    /// The retained documents whose timestamps fall in this bucket; they
+    /// leave with its rows.
+    docs: Vec<DocId>,
 }
 
 /// Consecutive rows of a batch relation bound for one bucket.
@@ -251,7 +238,7 @@ fn bucket_runs(
     relation: &'static str,
     bucket_of_doc: &FxHashMap<i64, BucketId>,
 ) -> CoreResult<Vec<Run>> {
-    let mut runs = Vec::new();
+    let mut runs: Vec<Run> = Vec::new();
     let mut prev: Option<&Value> = None;
     let mut bucket = 0;
     for (i, v) in rows.col_values(0).iter().enumerate() {
@@ -266,30 +253,26 @@ fn bucket_runs(
                 })?;
             prev = Some(v);
         }
-        extend_runs(&mut runs, bucket, i);
+        match runs.last_mut() {
+            Some(run) if run.bucket == bucket => run.rows.end = i + 1,
+            _ => runs.push(Run {
+                bucket,
+                rows: i..i + 1,
+            }),
+        }
     }
     Ok(runs)
 }
 
-/// Add row `i` (the row after the last run's end) to the last run when it
-/// is bound for the same bucket, else start a new run.
-fn extend_runs(runs: &mut Vec<Run>, bucket: BucketId, i: usize) {
-    match runs.last_mut() {
-        Some(run) if run.bucket == bucket => run.rows.end = i + 1,
-        _ => runs.push(Run {
-            bucket,
-            rows: i..i + 1,
-        }),
-    }
-}
-
-/// Summary of one join-state eviction pass.
+/// Summary of one eviction pass.
 #[derive(Debug, Default)]
 pub(crate) struct JoinEviction {
     /// Buckets dropped.
     pub buckets: usize,
     /// `Rbin` + `Rdoc` rows dropped.
     pub rows: usize,
+    /// Documents (timestamps, and stored documents with them) dropped.
+    pub docs: usize,
     /// String values whose rows were (partly) dropped; the view cache
     /// invalidates exactly these slices.
     pub expired_strvals: FxHashSet<Symbol>,
@@ -308,14 +291,11 @@ pub(crate) struct RestrictionScratch {
     offs: Vec<u32>,
 }
 
-/// The engine's windowed join state: bucketed relations, per-bucket indexes,
-/// and the document-retention maps, with O(expired-rows) eviction.
+/// The engine's windowed join state: bucketed relations, per-bucket indexes
+/// and document lists, and the document-retention maps, with
+/// O(expired-rows) eviction.
 #[derive(Debug)]
 pub(crate) struct JoinState {
-    /// `true` when join-state rows are partitioned by timestamp bucket
-    /// (window pruning enabled); `false` collapses them into one bucket so
-    /// the no-pruning configuration pays no per-bucket overhead.
-    bucketed: bool,
     /// Set lazily before the first absorb (see [`JoinState::ensure_width`]).
     bucket_width: Option<u64>,
     /// `false` while the width is the fallback default (no finite window or
@@ -326,44 +306,33 @@ pub(crate) struct JoinState {
     rbin: SegmentedRelation,
     /// Join state `Rdoc(docid, node, strVal)`.
     rdoc: SegmentedRelation,
-    /// Retention ledger `RdocTS(docid, timestamp)` — one row per processed
-    /// document, always time-bucketed (document eviction works even when
-    /// join-state pruning is off).
-    ledger: SegmentedRelation,
-    /// Per-bucket secondary indexes over `rbin` / `rdoc`.
-    indexes: BTreeMap<BucketId, BucketIndex>,
+    /// Per-bucket secondary indexes over `rbin` / `rdoc` and document lists,
+    /// one entry per bucket holding rows or documents.
+    buckets: BTreeMap<BucketId, Bucket>,
     /// Resident `Rdoc` row count per string value, across all buckets —
     /// keeps [`JoinState::contains_strval`] O(1) on the per-document `STR`
     /// path instead of probing every bucket's index.
     strval_rows: FxHashMap<Symbol, usize>,
-    /// Timestamps of retained documents (temporal filter of Algorithm 3).
+    /// Timestamps of retained documents (`RdocTS`, the temporal filter of
+    /// Algorithm 3); each is filed in its bucket's document list.
     doc_timestamps: HashMap<DocId, u64>,
     /// Retained documents for output construction.
     doc_store: HashMap<DocId, Document>,
 }
 
 impl JoinState {
-    /// Create an empty state. `bucketed` selects timestamp bucketing for the
-    /// join relations (on when the engine prunes by window).
-    pub fn new(bucketed: bool) -> Self {
+    /// Create an empty state.
+    pub fn new() -> Self {
         JoinState {
-            bucketed,
             bucket_width: None,
             width_final: false,
             rbin: SegmentedRelation::new(schemas::bin()),
             rdoc: SegmentedRelation::new(schemas::doc()),
-            ledger: SegmentedRelation::new(schemas::doc_ts()),
-            indexes: BTreeMap::new(),
+            buckets: BTreeMap::new(),
             strval_rows: FxHashMap::default(),
             doc_timestamps: HashMap::new(),
             doc_store: HashMap::new(),
         }
-    }
-
-    /// The current bucket width, once set (test observability).
-    #[cfg(test)]
-    pub fn bucket_width(&self) -> Option<u64> {
-        self.bucket_width
     }
 
     /// Fix — or, while still provisional, revise — the bucket width.
@@ -399,76 +368,34 @@ impl JoinState {
     }
 
     /// Tighten the bucket width after the registered retention bound shrank
-    /// (the widest-window query unregistered). Without this, eviction would
-    /// keep operating at the old, coarse granularity and resident state
-    /// could outlive the new bound by up to one old-width bucket.
-    ///
-    /// The retention ledger is re-partitioned exactly (its rows carry their
-    /// own timestamps). The join-state buckets are re-partitioned by
-    /// document timestamp where the document is still retained; rows whose
-    /// document already aged out of the retention maps land in the *latest*
-    /// bucket their old bucket could span, so they are never evicted earlier
-    /// than their true timestamp allows (results stay identical — the
-    /// temporal filter re-checks every window anyway). One-time O(resident
-    /// state); a no-op when the width would grow or is not yet set.
+    /// (the widest-window query unregistered): [`rebucket`](Self::rebucket)
+    /// when narrower, so eviction granularity follows the surviving windows.
+    /// A no-op when the width would grow or is not yet set.
     pub fn tighten_width(&mut self, new_width: u64) -> CoreResult<()> {
         let new_width = new_width.max(1);
-        let Some(current) = self.bucket_width else {
-            return Ok(());
-        };
-        if new_width >= current {
-            return Ok(());
-        }
-        self.bucket_width = Some(new_width);
-        self.width_final = true;
-        let old_ledger =
-            std::mem::replace(&mut self.ledger, SegmentedRelation::new(schemas::doc_ts()));
-        for row in old_ledger.iter() {
-            let ts = ledger_ts(&row[1])?;
-            self.insert_ledger_row(row.to_vec(), ts)?;
-        }
-        if self.bucketed {
-            let old_rdoc =
-                std::mem::replace(&mut self.rdoc, SegmentedRelation::new(schemas::doc()));
-            let old_rbin =
-                std::mem::replace(&mut self.rbin, SegmentedRelation::new(schemas::bin()));
-            self.indexes.clear();
-            self.strval_rows.clear();
-            for (bucket, seg) in old_rdoc.buckets() {
-                let fallback = latest_ts_of_bucket(bucket, current);
-                for row in seg.iter() {
-                    let ts = self.known_doc_ts(row).unwrap_or(fallback);
-                    self.insert_rdoc_row(row.to_vec(), ts)?;
-                }
-            }
-            for (bucket, seg) in old_rbin.buckets() {
-                let fallback = latest_ts_of_bucket(bucket, current);
-                for row in seg.iter() {
-                    let ts = self.known_doc_ts(row).unwrap_or(fallback);
-                    self.insert_rbin_row(row.to_vec(), ts)?;
-                }
-            }
+        if self.bucket_width.is_some_and(|current| new_width < current) {
+            self.width_final = true;
+            self.rebucket(new_width)?;
         }
         Ok(())
     }
 
-    /// Timestamp of a state row's document, when it is still retained.
-    fn known_doc_ts(&self, row: RowRef<'_>) -> Option<u64> {
-        let doc = row[0].as_int().and_then(|v| u64::try_from(v).ok())?;
-        self.doc_timestamp(DocId(doc))
-    }
-
-    /// Re-partition every resident row under a new bucket width (only used
-    /// while the width is provisional, i.e. before any eviction was
-    /// possible, so `doc_timestamps` still covers every resident document).
+    /// Re-partition every resident row and document under a new bucket
+    /// width, keeping the rows' relative order (a one-time O(resident
+    /// state) pass). Every row finds its document's timestamp: a bucket's
+    /// rows and documents are only ever evicted together.
     fn rebucket(&mut self, width: u64) -> CoreResult<()> {
         self.bucket_width = Some(width);
         let old_rdoc = std::mem::replace(&mut self.rdoc, SegmentedRelation::new(schemas::doc()));
         let old_rbin = std::mem::replace(&mut self.rbin, SegmentedRelation::new(schemas::bin()));
-        let old_ledger =
-            std::mem::replace(&mut self.ledger, SegmentedRelation::new(schemas::doc_ts()));
-        self.indexes.clear();
+        let old_buckets = std::mem::take(&mut self.buckets);
         self.strval_rows.clear();
+        for &doc in old_buckets.values().flat_map(|bucket| &bucket.docs) {
+            let ts = self
+                .doc_timestamp(doc)
+                .ok_or(CoreError::internal("a filed document keeps its timestamp"))?;
+            self.buckets.entry(ts / width).or_default().docs.push(doc);
+        }
         for row in old_rdoc.iter() {
             let ts = self.resident_doc_ts(row, "Rdoc")?;
             self.insert_rdoc_row(row.to_vec(), ts)?;
@@ -476,10 +403,6 @@ impl JoinState {
         for row in old_rbin.iter() {
             let ts = self.resident_doc_ts(row, "Rbin")?;
             self.insert_rbin_row(row.to_vec(), ts)?;
-        }
-        for row in old_ledger.iter() {
-            let ts = ledger_ts(&row[1])?;
-            self.insert_ledger_row(row.to_vec(), ts)?;
         }
         Ok(())
     }
@@ -502,11 +425,7 @@ impl JoinState {
     }
 
     fn join_bucket(&self, ts: u64) -> BucketId {
-        if self.bucketed {
-            ts / self.width()
-        } else {
-            0
-        }
+        ts / self.width()
     }
 
     /// Number of `Rbin` tuples.
@@ -519,9 +438,9 @@ impl JoinState {
         self.rdoc.len()
     }
 
-    /// Number of resident join-state buckets.
+    /// Number of resident buckets (holding rows or documents).
     pub fn num_buckets(&self) -> usize {
-        self.indexes.len()
+        self.buckets.len()
     }
 
     /// Number of documents currently retained (timestamps; the document
@@ -540,29 +459,14 @@ impl JoinState {
         self.doc_store.get(&doc)
     }
 
-    /// Absorb a processed batch into the state (Algorithm 2): append the
+    /// Absorb a routed batch into the state (Algorithm 2): append the
     /// witness rows run by run into their timestamp buckets, maintain the
-    /// per-bucket indexes and the retention ledger, and retain documents
-    /// when asked to.
-    #[cfg(test)]
-    pub fn absorb(
-        &mut self,
-        batch: WitnessBatch,
-        docs: Vec<Document>,
-        retain_documents: bool,
-    ) -> CoreResult<()> {
-        let meta: Vec<(DocId, u64)> = docs
-            .iter()
-            .map(|doc| (doc.id(), doc.timestamp().raw()))
-            .collect();
-        self.absorb_routed(batch, &meta, docs, retain_documents)
-    }
-
-    /// [`absorb`](Self::absorb) for a witness batch routed by the sharded
-    /// front stage, where the shard may not hold the documents themselves:
-    /// the `(doc id, timestamp)` pairs come in as explicit metadata, and
-    /// `docs` carries the full documents only when `retain_documents` is on
-    /// (it may be empty otherwise). Retained documents move into the store.
+    /// per-bucket indexes, file every document's timestamp in its bucket,
+    /// and retain documents when asked to. The shard may not hold the
+    /// documents themselves: the `(doc id, timestamp)` pairs come in as
+    /// explicit metadata, and `docs` carries the full documents only when
+    /// `retain_documents` is on (it may be empty otherwise). Retained
+    /// documents move into the store.
     ///
     /// Rows enter column-wise: each maximal run of rows bound for one bucket
     /// is one slice copy per column, and a row's bucket is resolved once per
@@ -574,18 +478,18 @@ impl JoinState {
         docs: Vec<Document>,
         retain_documents: bool,
     ) -> CoreResult<()> {
+        // Documents are filed before their rows arrive, so no row is ever
+        // resident without its document's timestamp.
         let mut bucket_of_doc: FxHashMap<i64, BucketId> = FxHashMap::default();
         bucket_of_doc.reserve(meta.len());
         for &(doc, ts) in meta {
-            bucket_of_doc.insert(doc.raw() as i64, self.join_bucket(ts));
+            let bucket = self.join_bucket(ts);
+            bucket_of_doc.insert(doc.raw() as i64, bucket);
+            self.doc_timestamps.insert(doc, ts);
+            self.buckets.entry(bucket).or_default().docs.push(doc);
         }
 
-        let WitnessBatch {
-            rbin_w,
-            rdoc_w,
-            rdoc_ts_w,
-            ..
-        } = batch;
+        let WitnessBatch { rbin_w, rdoc_w, .. } = batch;
         let rdoc_runs = bucket_runs(&rdoc_w, "RdocW", &bucket_of_doc)?;
         let rbin_runs = bucket_runs(&rbin_w, "RbinW", &bucket_of_doc)?;
         for run in rdoc_runs {
@@ -593,19 +497,6 @@ impl JoinState {
         }
         for run in rbin_runs {
             self.append_rbin_run(&rbin_w, run)?;
-        }
-        // The ledger is bucketed by each row's own timestamp.
-        let width = self.width();
-        let mut ledger_runs = Vec::new();
-        let (docids, stamps) = (rdoc_ts_w.col_values(0), rdoc_ts_w.col_values(1));
-        for (i, (docid, stamp)) in docids.iter().zip(stamps).enumerate() {
-            let doc = key_doc_id(docid, "RdocTSW", "docid")?;
-            let ts = ledger_ts(stamp)?;
-            self.doc_timestamps.insert(doc, ts);
-            extend_runs(&mut ledger_runs, ts / width, i);
-        }
-        for run in ledger_runs {
-            self.ledger.append_range(run.bucket, &rdoc_ts_w, run.rows)?;
         }
         if retain_documents {
             for doc in docs {
@@ -625,7 +516,7 @@ impl JoinState {
             key_sym(v, "RdocW", "strVal")?;
         }
         let first = self.rdoc.append_range(run.bucket, rdoc_w, run.rows)?;
-        let index = &mut self.indexes.entry(run.bucket).or_default().rdoc_by_strval;
+        let index = &mut self.buckets.entry(run.bucket).or_default().rdoc_by_strval;
         for (off, v) in (first..).zip(strvals) {
             let sym = key_sym(v, "RdocW", "strVal")?;
             index.push(sym, off)?;
@@ -639,7 +530,7 @@ impl JoinState {
     fn append_rbin_run(&mut self, rbin_w: &Relation, run: Run) -> CoreResult<()> {
         let docids = &rbin_w.col_values(0)[run.rows.clone()];
         let first = self.rbin.append_range(run.bucket, rbin_w, run.rows)?;
-        let index = &mut self.indexes.entry(run.bucket).or_default().rbin_by_doc;
+        let index = &mut self.buckets.entry(run.bucket).or_default().rbin_by_doc;
         for (off, v) in (first..).zip(docids) {
             index.push(key_int(v, "RbinW", "docid")?, off)?;
         }
@@ -654,7 +545,7 @@ impl JoinState {
         let sym = key_sym(&row[2], "Rdoc", "strVal")?;
         let bucket = self.join_bucket(ts);
         let handle = self.rdoc.push(bucket, row)?;
-        self.indexes
+        self.buckets
             .entry(bucket)
             .or_default()
             .rdoc_by_strval
@@ -670,18 +561,11 @@ impl JoinState {
         let docid = key_int(&row[0], "Rbin", "docid")?;
         let bucket = self.join_bucket(ts);
         let handle = self.rbin.push(bucket, row)?;
-        self.indexes
+        self.buckets
             .entry(bucket)
             .or_default()
             .rbin_by_doc
             .push(docid, handle.offset)?;
-        Ok(())
-    }
-
-    /// Insert one retention-ledger row (always time-bucketed).
-    fn insert_ledger_row(&mut self, row: Tuple, ts: u64) -> CoreResult<()> {
-        let bucket = ts / self.width();
-        self.ledger.push(bucket, row)?;
         Ok(())
     }
 
@@ -697,7 +581,7 @@ impl JoinState {
     /// `node2` is its node.
     pub fn rl_slice(&self, s: Symbol) -> CoreResult<Relation> {
         let mut slice = Relation::new(schemas::rl());
-        for (&bucket, index) in &self.indexes {
+        for (&bucket, index) in &self.buckets {
             let Some(doc_rows) = index.rdoc_by_strval.get(&s) else {
                 continue;
             };
@@ -776,7 +660,7 @@ impl JoinState {
     ) -> CoreResult<Relation> {
         let mut out = Relation::new(schemas::doc());
         docids.clear();
-        for (&bucket, index) in &self.indexes {
+        for (&bucket, index) in &self.buckets {
             offs.clear();
             for s in strvals {
                 if let Some(rows) = index.rdoc_by_strval.get(s) {
@@ -825,7 +709,7 @@ impl JoinState {
         if docids.is_empty() {
             return Ok(out);
         }
-        for (&bucket, index) in &self.indexes {
+        for (&bucket, index) in &self.buckets {
             offs.clear();
             for docid in docids {
                 if let Some(rows) = index.rbin_by_doc.get(docid) {
@@ -856,19 +740,20 @@ impl JoinState {
         &self.rdoc
     }
 
-    /// Drop every join-state bucket that lies entirely before `cutoff_ts`
-    /// (all of its rows are older than the cutoff) along with its index
-    /// segment. O(expired rows); surviving buckets are untouched.
-    pub fn evict_join_state(&mut self, cutoff_ts: u64) -> JoinEviction {
+    /// Drop every bucket that lies entirely before `cutoff_ts` (all of its
+    /// rows and documents are older than the cutoff): its rows, its chains
+    /// and its documents' timestamps and stored documents. O(expired rows);
+    /// surviving buckets are untouched.
+    pub fn evict(&mut self, cutoff_ts: u64) -> JoinEviction {
         let cutoff_bucket = cutoff_ts / self.width();
         let mut out = JoinEviction::default();
-        let keep = self.indexes.split_off(&cutoff_bucket);
-        let dropped = std::mem::replace(&mut self.indexes, keep);
+        let keep = self.buckets.split_off(&cutoff_bucket);
+        let dropped = std::mem::replace(&mut self.buckets, keep);
         if dropped.is_empty() {
             return out;
         }
-        for index in dropped.values() {
-            for (sym, chain) in &index.rdoc_by_strval.ends {
+        for bucket in dropped.values() {
+            for (sym, chain) in &bucket.rdoc_by_strval.ends {
                 out.expired_strvals.insert(*sym);
                 if let Some(count) = self.strval_rows.get_mut(sym) {
                     *count = count.saturating_sub(chain.len as usize);
@@ -877,6 +762,11 @@ impl JoinState {
                     }
                 }
             }
+            for doc in &bucket.docs {
+                self.doc_timestamps.remove(doc);
+                self.doc_store.remove(doc);
+            }
+            out.docs += bucket.docs.len();
         }
         out.buckets = dropped.len();
         for (_, seg) in self.rdoc.evict_below(cutoff_bucket) {
@@ -892,15 +782,15 @@ impl JoinState {
     /// segmented relations, appending one [`AuditViolation`] per
     /// inconsistency: chain integrity, index offsets in range, indexed keys
     /// matching the resident rows, full index coverage, the global
-    /// string-value counters, document store ⊆ retention map, single-bucket
-    /// discipline when unbucketed, and the watermark bounding every retained
-    /// timestamp. Read-only. See
+    /// string-value counters, document store ⊆ retention map, every resident
+    /// row's document retained and filed in the row's bucket, and the
+    /// watermark bounding every retained timestamp. Read-only. See
     /// [`MmqjpEngine::audit`](crate::MmqjpEngine::audit).
     pub fn audit(&self, newest_timestamp: u64, out: &mut Vec<AuditViolation>) {
         let mut rdoc_indexed = 0usize;
         let mut rbin_indexed = 0usize;
         let mut strval_indexed: FxHashMap<Symbol, usize> = FxHashMap::default();
-        for (&bucket, index) in &self.indexes {
+        for (&bucket, index) in &self.buckets {
             let strval_chains = &index.rdoc_by_strval;
             for (&sym, chain) in &strval_chains.ends {
                 *strval_indexed.entry(sym).or_insert(0) += chain.len as usize;
@@ -943,7 +833,7 @@ impl JoinState {
         // Every non-empty segment bucket is covered by an index segment, and
         // the indexes address exactly the resident rows.
         for (bucket, seg) in self.rdoc.buckets() {
-            if !seg.is_empty() && !self.indexes.contains_key(&bucket) {
+            if !seg.is_empty() && !self.buckets.contains_key(&bucket) {
                 out.push(AuditViolation::MissingBucketIndex {
                     relation: "Rdoc",
                     bucket,
@@ -951,7 +841,7 @@ impl JoinState {
             }
         }
         for (bucket, seg) in self.rbin.buckets() {
-            if !seg.is_empty() && !self.indexes.contains_key(&bucket) {
+            if !seg.is_empty() && !self.buckets.contains_key(&bucket) {
                 out.push(AuditViolation::MissingBucketIndex {
                     relation: "Rbin",
                     bucket,
@@ -987,12 +877,7 @@ impl JoinState {
                 out.push(AuditViolation::OrphanStoredDocument { doc: doc.raw() });
             }
         }
-        // An unbucketed state collapses its join rows into one bucket.
-        if !self.bucketed && self.indexes.len() > 1 {
-            out.push(AuditViolation::UnbucketedStateSpread {
-                buckets: self.indexes.len(),
-            });
-        }
+        self.audit_filing(out);
         // The watermark bounds every retained timestamp.
         if let Some(&observed) = self.doc_timestamps.values().max() {
             if observed > newest_timestamp {
@@ -1004,25 +889,44 @@ impl JoinState {
         }
     }
 
-    /// Drop every retention-ledger bucket entirely before `cutoff_ts`,
-    /// evicting the corresponding documents and timestamps. Returns the
-    /// number of documents evicted. O(expired documents).
-    pub fn evict_documents(&mut self, cutoff_ts: u64) -> usize {
-        let cutoff_bucket = cutoff_ts / self.width();
-        let mut evicted = 0;
-        for (_, seg) in self.ledger.evict_below(cutoff_bucket) {
-            for row in seg.iter() {
-                debug_assert!(row[0].as_int().is_some(), "ledger rows were validated");
-                let Some(doc) = row[0].as_int().and_then(|v| u64::try_from(v).ok()) else {
-                    continue;
-                };
-                let doc = DocId(doc);
-                self.doc_timestamps.remove(&doc);
-                self.doc_store.remove(&doc);
-                evicted += 1;
+    /// The invariant the matching rule rests on: every retained timestamp is
+    /// filed once, in the bucket it names, and every resident `Rdoc` /
+    /// `Rbin` row's document is filed in that row's bucket — so eviction,
+    /// which drops a bucket's rows and documents together, never leaves a
+    /// row without its document.
+    fn audit_filing(&self, out: &mut Vec<AuditViolation>) {
+        let width = self.width();
+        let mut filed: FxHashMap<u64, BucketId> = FxHashMap::default();
+        let mut unfiled = |relation, bucket, doc| {
+            out.push(AuditViolation::UnfiledDocument {
+                relation,
+                bucket,
+                doc,
+            });
+        };
+        for (&bucket, entry) in &self.buckets {
+            for doc in &entry.docs {
+                let named = self.doc_timestamps.get(doc).map(|ts| ts / width);
+                if filed.insert(doc.raw(), bucket).is_some() || named != Some(bucket) {
+                    unfiled("RdocTS", bucket, doc.raw());
+                }
             }
         }
-        evicted
+        for (doc, ts) in &self.doc_timestamps {
+            if !filed.contains_key(&doc.raw()) {
+                unfiled("RdocTS", ts / width, doc.raw());
+            }
+        }
+        for (relation, rows) in [("Rdoc", &self.rdoc), ("Rbin", &self.rbin)] {
+            for (bucket, seg) in rows.buckets() {
+                for v in seg.col_values(0) {
+                    let doc = v.as_int().map_or(u64::MAX, |d| d as u64);
+                    if filed.get(&doc) != Some(&bucket) {
+                        unfiled(relation, bucket, doc);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -1094,14 +998,31 @@ mod tests {
     use mmqjp_xml::Timestamp;
     use std::sync::Arc;
 
-    /// A minimal batch: one document with one Rdoc / Rbin / ledger row.
+    impl JoinState {
+        /// [`absorb_routed`](JoinState::absorb_routed) with the metadata
+        /// read off the documents.
+        fn absorb(
+            &mut self,
+            batch: WitnessBatch,
+            docs: Vec<Document>,
+            retain_documents: bool,
+        ) -> CoreResult<()> {
+            let meta: Vec<(DocId, u64)> = docs
+                .iter()
+                .map(|doc| (doc.id(), doc.timestamp().raw()))
+                .collect();
+            self.absorb_routed(batch, &meta, docs, retain_documents)
+        }
+    }
+
+    /// A minimal batch: one document with one Rdoc / Rbin / RdocTSW row.
     fn batch_for(doc: &Document, strval: &str, interner: &Arc<StringInterner>) -> WitnessBatch {
         let mut b = WitnessBatch::new();
         push_doc(&mut b, doc, strval, interner);
         b
     }
 
-    /// Add one document with one Rdoc / Rbin / ledger row to a batch.
+    /// Add one document with one Rdoc / Rbin / RdocTSW row to a batch.
     fn push_doc(b: &mut WitnessBatch, doc: &Document, strval: &str, interner: &StringInterner) {
         b.doc_ids.push(doc.id());
         let id = Value::Int(doc.id().raw() as i64);
@@ -1130,7 +1051,7 @@ mod tests {
     }
 
     fn state(width: u64) -> (JoinState, Arc<StringInterner>) {
-        let mut s = JoinState::new(true);
+        let mut s = JoinState::new();
         s.ensure_width(Some(width)).unwrap();
         (s, Arc::new(StringInterner::new()))
     }
@@ -1169,9 +1090,10 @@ mod tests {
         // Cutoff 35: buckets 1 and 2 (ts 10, 20) lie entirely below it and
         // expire; the ts-30 bucket spans up to 39 and survives, as do
         // 40/50/60 — rows only ever outlive their window by < one bucket.
-        let ev = s.evict_join_state(35);
+        let ev = s.evict(35);
         assert_eq!(ev.buckets, 2);
         assert_eq!(ev.rows, 4); // 2 Rdoc + 2 Rbin rows
+        assert_eq!(ev.docs, 2);
         let expired: FxHashSet<Symbol> = ["val1", "val2"]
             .iter()
             .map(|v| interner.get(v).unwrap())
@@ -1183,33 +1105,14 @@ mod tests {
         // Surviving slices are still computable after the drop (stable
         // offsets — nothing shifted).
         assert_eq!(s.rl_slice(interner.get("val5").unwrap()).unwrap().len(), 1);
-        // Document eviction follows the ledger independently.
-        assert_eq!(s.evict_documents(35), 2);
+        // The documents left with their rows.
         assert_eq!(s.docs_retained(), 4);
         assert!(s.document(DocId(1)).is_none());
+        assert_eq!(s.doc_timestamp(DocId(2)), None);
         assert!(s.document(DocId(3)).is_some());
         // Nothing further expires at the same cutoff.
-        let ev = s.evict_join_state(35);
-        assert_eq!(ev.buckets, 0);
-        assert_eq!(s.evict_documents(35), 0);
-    }
-
-    #[test]
-    fn unbucketed_state_keeps_one_bucket() {
-        let mut s = JoinState::new(false);
-        s.ensure_width(Some(10)).unwrap();
-        let interner = Arc::new(StringInterner::new());
-        for i in 1..=4u64 {
-            let d = doc(i, i * 100);
-            s.absorb(batch_for(&d, "x", &interner), vec![d], false)
-                .unwrap();
-        }
-        assert_eq!(s.num_buckets(), 1);
-        // Documents are still evicted through the (always bucketed) ledger.
-        assert_eq!(s.evict_documents(250), 2);
-        assert_eq!(s.docs_retained(), 2);
-        // Join state is untouched: this configuration never drops it.
-        assert_eq!(s.rdoc_len(), 4);
+        let ev = s.evict(35);
+        assert_eq!((ev.buckets, ev.rows, ev.docs), (0, 0, 0));
     }
 
     #[test]
@@ -1234,15 +1137,15 @@ mod tests {
         assert_eq!(JoinState::derive_width(1600), 100);
         assert_eq!(JoinState::derive_width(5), 1);
         // Without a bound the width stays provisional at the default.
-        let mut s = JoinState::new(true);
+        let mut s = JoinState::new();
         s.ensure_width(None).unwrap();
-        assert_eq!(s.bucket_width(), Some(DEFAULT_BUCKET_WIDTH));
+        assert_eq!(s.bucket_width, Some(DEFAULT_BUCKET_WIDTH));
         // A real bound appearing later revises it.
         s.ensure_width(Some(JoinState::derive_width(160))).unwrap();
-        assert_eq!(s.bucket_width(), Some(10));
+        assert_eq!(s.bucket_width, Some(10));
         // A final width never changes again.
         s.ensure_width(Some(99)).unwrap();
-        assert_eq!(s.bucket_width(), Some(10));
+        assert_eq!(s.bucket_width, Some(10));
     }
 
     #[test]
@@ -1250,7 +1153,7 @@ mod tests {
         // Documents absorbed before any window is known land in the
         // provisional (coarse) buckets; when the first bound appears, rows
         // are re-partitioned so eviction granularity matches the windows.
-        let mut s = JoinState::new(true);
+        let mut s = JoinState::new();
         let interner = Arc::new(StringInterner::new());
         s.ensure_width(None).unwrap();
         for i in 1..=4u64 {
@@ -1262,18 +1165,17 @@ mod tests {
         assert_eq!(s.num_buckets(), 1);
         // A window of 160 time units registers: width becomes 10.
         s.ensure_width(Some(JoinState::derive_width(160))).unwrap();
-        assert_eq!(s.bucket_width(), Some(10));
+        assert_eq!(s.bucket_width, Some(10));
         assert_eq!(s.num_buckets(), 4);
         assert_eq!(s.rdoc_len(), 4);
         // Slices and eviction now work at the revised granularity: cutoff
         // 35 drops the ts-10 and ts-20 buckets (the ts-30 bucket spans up
         // to 39 and survives).
         assert_eq!(s.rl_slice(interner.get("val2").unwrap()).unwrap().len(), 1);
-        let ev = s.evict_join_state(35);
-        assert_eq!(ev.buckets, 2);
+        let ev = s.evict(35);
+        assert_eq!((ev.buckets, ev.docs), (2, 2));
         assert!(!s.contains_strval(interner.get("val1").unwrap()));
         assert!(s.contains_strval(interner.get("val3").unwrap()));
-        assert_eq!(s.evict_documents(35), 2);
         assert_eq!(s.docs_retained(), 2);
     }
 
@@ -1288,44 +1190,44 @@ mod tests {
         // All rows share the single coarse bucket: a cutoff of 100 evicts
         // nothing.
         assert_eq!(s.num_buckets(), 1);
-        assert_eq!(s.evict_join_state(100).buckets, 0);
-        assert_eq!(s.evict_documents(100), 0);
+        assert_eq!(s.evict(100).buckets, 0);
 
         // The retention bound tightened (widest window departed): width 10.
         s.tighten_width(10).unwrap();
-        assert_eq!(s.bucket_width(), Some(10));
+        assert_eq!(s.bucket_width, Some(10));
         assert_eq!(s.num_buckets(), 5);
         assert_eq!(s.rdoc_len(), 5);
         // Slices still work and eviction now operates at the new granularity.
         assert_eq!(s.rl_slice(interner.get("val3").unwrap()).unwrap().len(), 1);
-        let ev = s.evict_join_state(100);
-        assert_eq!(ev.buckets, 2); // ts 40 and 80
-        assert_eq!(s.evict_documents(100), 2);
+        let ev = s.evict(100);
+        assert_eq!((ev.buckets, ev.docs), (2, 2)); // ts 40 and 80
         assert_eq!(s.docs_retained(), 3);
         // Widening (or equal) requests are no-ops.
         s.tighten_width(10_000).unwrap();
-        assert_eq!(s.bucket_width(), Some(10));
+        assert_eq!(s.bucket_width, Some(10));
     }
 
     #[test]
-    fn tighten_width_places_orphan_rows_conservatively() {
-        // A join-state row whose document already left the retention maps
-        // must land in the *latest* bucket its old bucket could span.
+    fn tighten_width_keeps_rows_with_their_documents() {
+        // Re-partitioning moves each row into its document's new bucket, so
+        // a cutoff drops a row exactly when it drops the document.
         let (mut s, interner) = state(100);
-        let d = doc(1, 30);
-        s.absorb(batch_for(&d, "v", &interner), vec![d], true)
-            .unwrap();
-        // Forget the document (as retention-cap eviction would) but keep the
-        // join rows: evict via the ledger only.
-        assert_eq!(s.evict_documents(200), 1);
-        assert_eq!(s.rdoc_len(), 1);
+        for (i, ts) in [(1u64, 30u64), (2, 45)] {
+            let d = doc(i, ts);
+            s.absorb(batch_for(&d, "v", &interner), vec![d], true)
+                .unwrap();
+        }
         s.tighten_width(10).unwrap();
-        // The orphan row sits in the last bucket of old bucket 0 (ts 99 →
-        // bucket 9), surviving any cutoff its real timestamp could survive.
-        let ev = s.evict_join_state(31);
-        assert_eq!(ev.rows, 0);
-        let ev = s.evict_join_state(100);
-        assert_eq!(ev.rows, 2);
+        let mut out = Vec::new();
+        s.audit(45, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        // Cutoff 40 drops the ts-30 bucket: one document, its two rows.
+        let ev = s.evict(40);
+        assert_eq!((ev.buckets, ev.rows, ev.docs), (1, 2, 1));
+        assert_eq!(s.doc_timestamp(DocId(1)), None);
+        assert!(s.document(DocId(1)).is_none());
+        assert_eq!((s.rdoc_len(), s.docs_retained()), (1, 1));
+        assert_eq!(s.doc_timestamp(DocId(2)), Some(45));
     }
 
     #[test]
@@ -1336,7 +1238,7 @@ mod tests {
             s.absorb(batch_for(&d, "shared", &interner), vec![d], true)
                 .unwrap();
         }
-        s.evict_join_state(15);
+        s.evict(15);
         let mut out = Vec::new();
         s.audit(28, &mut out);
         assert!(out.is_empty(), "healthy state reported: {out:?}");
@@ -1362,9 +1264,24 @@ mod tests {
             .any(|v| matches!(v, AuditViolation::StrvalRowCount { .. })));
         *s.strval_rows.get_mut(&sym).unwrap() -= 1;
 
+        // A document filed in no bucket leaves its rows unfiled, and its
+        // timestamp too.
+        let bucket = *s.buckets.keys().next().unwrap();
+        let filed = std::mem::take(&mut s.buckets.get_mut(&bucket).unwrap().docs);
+        let mut out = Vec::new();
+        s.audit(28, &mut out);
+        let unfiled = |relation| AuditViolation::UnfiledDocument {
+            relation,
+            bucket,
+            doc: filed[0].raw(),
+        };
+        for relation in ["Rdoc", "Rbin", "RdocTS"] {
+            assert!(out.contains(&unfiled(relation)), "{relation}: {out:?}");
+        }
+        s.buckets.get_mut(&bucket).unwrap().docs = filed;
+
         // Seed an out-of-range index offset at the end of a chain.
-        let bucket = *s.indexes.keys().next().unwrap();
-        let index = &mut s.indexes.get_mut(&bucket).unwrap().rdoc_by_strval;
+        let index = &mut s.buckets.get_mut(&bucket).unwrap().rdoc_by_strval;
         let chain = index.ends.get_mut(&sym).unwrap();
         index.next[chain.tail as usize] = 10_000;
         chain.len += 1;
@@ -1524,17 +1441,17 @@ mod tests {
         // steps, so the audit terminates — even when the recorded length
         // overshoots the cycle.
         let (mut s, sym) = fresh();
-        let index = &mut s.indexes.get_mut(&0).unwrap().rdoc_by_strval;
+        let index = &mut s.buckets.get_mut(&0).unwrap().rdoc_by_strval;
         let chain = index.ends[&sym];
         index.next[chain.tail as usize] = chain.head;
         assert!(broken(&audit(&s), "Rdoc"));
-        let index = &mut s.indexes.get_mut(&0).unwrap().rdoc_by_strval;
+        let index = &mut s.buckets.get_mut(&0).unwrap().rdoc_by_strval;
         index.ends.get_mut(&sym).unwrap().len = 1_000;
         assert!(broken(&audit(&s), "Rdoc"));
 
         // A dangling offset: a chain starting beyond its segment.
         let (mut s, _) = fresh();
-        let index = &mut s.indexes.get_mut(&0).unwrap().rbin_by_doc;
+        let index = &mut s.buckets.get_mut(&0).unwrap().rbin_by_doc;
         index.ends.get_mut(&3).unwrap().head = 77;
         let out = audit(&s);
         assert!(broken(&out, "Rbin"));
@@ -1547,7 +1464,7 @@ mod tests {
 
         // A wrong length: the walk stops short of the tail.
         let (mut s, sym) = fresh();
-        let index = &mut s.indexes.get_mut(&0).unwrap().rdoc_by_strval;
+        let index = &mut s.buckets.get_mut(&0).unwrap().rdoc_by_strval;
         index.ends.get_mut(&sym).unwrap().len -= 1;
         let out = audit(&s);
         assert!(broken(&out, "Rdoc"));
@@ -1555,13 +1472,13 @@ mod tests {
 
         // A successor array that is not parallel to the segment.
         let (mut s, _) = fresh();
-        let index = &mut s.indexes.get_mut(&0).unwrap().rbin_by_doc;
+        let index = &mut s.buckets.get_mut(&0).unwrap().rbin_by_doc;
         index.next.push(CHAIN_END);
         assert!(broken(&audit(&s), "Rbin"));
 
         // A row filed under the wrong key.
         let (mut s, _) = fresh();
-        let index = &mut s.indexes.get_mut(&0).unwrap().rbin_by_doc;
+        let index = &mut s.buckets.get_mut(&0).unwrap().rbin_by_doc;
         let (a, b) = (index.ends[&1], index.ends[&2]);
         *index.ends.get_mut(&1).unwrap() = b;
         *index.ends.get_mut(&2).unwrap() = a;
@@ -1695,7 +1612,7 @@ mod tests {
         let vars: Vec<Symbol> = ["a", "b", "c"].map(|v| interner.intern(v)).to_vec();
         for seed in 0..48u64 {
             let mut rng = SplitMix64::new(seed);
-            let mut s = JoinState::new(true);
+            let mut s = JoinState::new();
             s.ensure_width(None).unwrap();
             let mut next = (0u64, 0u64);
             for step in 0..40 {
@@ -1703,19 +1620,15 @@ mod tests {
                 match below(&mut rng, 10) {
                     // Evictions and tightening only run once the width is
                     // final, as in the engine (a window or cap exists then).
-                    6 if s.width_final => {
+                    6 | 7 if s.width_final => {
                         let cutoff = next.1.saturating_sub(below(&mut rng, 30));
-                        s.evict_join_state(cutoff);
-                    }
-                    7 if s.width_final => {
-                        let cutoff = next.1.saturating_sub(below(&mut rng, 30));
-                        s.evict_documents(cutoff);
+                        s.evict(cutoff);
                     }
                     8 if !s.width_final => {
                         s.ensure_width(Some(3 + below(&mut rng, 8))).unwrap();
                     }
                     9 if s.width_final => {
-                        let width = s.bucket_width().unwrap();
+                        let width = s.bucket_width.unwrap();
                         s.tighten_width(1 + below(&mut rng, width)).unwrap();
                     }
                     _ => {

@@ -124,7 +124,7 @@ pub struct EngineStats {
     /// Retained documents (and their timestamps) evicted so far.
     pub docs_evicted: usize,
     /// Materialized `RL` view-cache slices invalidated by window expiry so
-    /// far (targeted invalidation — unaffected slices survive pruning).
+    /// far (targeted invalidation — unaffected slices survive eviction).
     pub view_slices_invalidated: usize,
     /// View-cache hits (view-materialization mode).
     pub view_cache_hits: usize,

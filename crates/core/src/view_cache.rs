@@ -135,13 +135,13 @@ impl ViewCache {
         Ok(())
     }
 
-    /// Drop every cached slice (used when the join state is pruned).
+    /// Drop every cached slice.
     pub fn clear(&mut self) {
         self.slices.clear();
     }
 
     /// Invalidate slices for which the predicate returns `true` (used when
-    /// window-based pruning removes documents from the join state).
+    /// eviction removes documents from the join state).
     pub fn invalidate_if(&mut self, mut pred: impl FnMut(Symbol) -> bool) {
         self.slices.retain(|k, _| !pred(*k));
     }

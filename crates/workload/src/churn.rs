@@ -162,7 +162,7 @@ mod tests {
             num_queries: 60,
             ..ChurnConfig::default()
         });
-        let mut engine = MmqjpEngine::new(EngineConfig::mmqjp().with_prune_state_by_window(true));
+        let mut engine = MmqjpEngine::new(EngineConfig::mmqjp());
         for q in w.queries() {
             engine.register_query(q).unwrap();
         }

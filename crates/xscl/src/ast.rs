@@ -34,6 +34,8 @@ pub enum Window {
     Time(u64),
     /// Tuple-based window: the previous event must be among the most recent
     /// `n` events (an extension mentioned in Section 2 of the paper).
+    /// Accepted, and evaluated as [`Infinite`](Window::Infinite): nothing
+    /// counts events, so retention and matching treat it as unbounded.
     Count(u64),
 }
 
@@ -44,8 +46,8 @@ impl Window {
         match self {
             Window::Infinite => true,
             Window::Time(t) => delta <= *t,
-            // Count windows are enforced by state pruning, not by timestamp
-            // deltas; at evaluation time they accept any delta.
+            // `COUNT n` is accepted and evaluated as INF: nothing counts
+            // events, so it accepts any delta.
             Window::Count(_) => true,
         }
     }

@@ -29,7 +29,6 @@ fn engine_for(mode: ProcessingMode, workload: &ChurnWorkload) -> MmqjpEngine {
         mode,
         ..EngineConfig::default()
     }
-    .with_prune_state_by_window(true)
     .with_retain_documents(true);
     let mut engine = MmqjpEngine::new(config);
     for q in workload.queries() {
@@ -91,7 +90,6 @@ fn sharded_engine_state_is_bounded_too() {
     let workload = workload();
     let docs = workload.documents();
     let config = EngineConfig::mmqjp()
-        .with_prune_state_by_window(true)
         .with_retain_documents(true)
         .with_num_shards(2);
     let mut sharded = ShardedEngine::new(config);
@@ -162,11 +160,7 @@ fn subscription_churn_state_plateaus_over_10k_cycles() {
     const POPULATION: usize = 12;
     const CYCLES: usize = 10_000;
     const DOC_EVERY: usize = 8;
-    let mut engine = MmqjpEngine::new(
-        EngineConfig::mmqjp()
-            .with_prune_state_by_window(true)
-            .with_retain_documents(true),
-    );
+    let mut engine = MmqjpEngine::new(EngineConfig::mmqjp().with_retain_documents(true));
     // Each live query with the index of its text: pool texts are pairwise
     // distinct shapes, so the live distinct shapes are the distinct indices.
     let mut live: std::collections::VecDeque<(mmqjp_core::QueryId, usize)> =
@@ -368,7 +362,6 @@ proptest! {
             ProcessingMode::MmqjpViewMat,
         ][mode_index];
         let config = EngineConfig { mode, ..EngineConfig::default() }
-            .with_prune_state_by_window(true)
             .with_retain_documents(false);
 
         // Incremental: the whole stream, expiring as it goes.

@@ -520,7 +520,7 @@ fn unregister_a_symmetric_join_query() {
 
 #[test]
 fn interleaved_churn_with_windowed_pruning() {
-    // Churn under prune_state_by_window: eviction, retention tightening and
+    // Churn under windowed eviction: eviction, retention tightening and
     // unregistration interleave on one stream.
     let script = [
         Op::Reg(Q_TITLE_NARROW),
@@ -538,16 +538,12 @@ fn interleaved_churn_with_windowed_pruning() {
         Op::Doc(book(400)),
         Op::Doc(blog(410)),
     ];
-    assert_tables_agree(
-        &EngineConfig::default().with_prune_state_by_window(true),
-        &script,
-    );
+    assert_tables_agree(&EngineConfig::default(), &script);
     for mode in all_modes() {
         let config = EngineConfig {
             mode,
             ..EngineConfig::default()
-        }
-        .with_prune_state_by_window(true);
+        };
         let c = config.clone();
         run_differential(
             move || AnyEngine::Single(Box::new(MmqjpEngine::new(c.clone()))),

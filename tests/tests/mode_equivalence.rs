@@ -214,11 +214,12 @@ fn modes_agree_with_finite_windows() {
 
 #[test]
 fn modes_agree_with_state_pruning() {
-    // Window-based pruning is per-shard: a shard prunes by the maximum window
+    // Window eviction is per-shard: a shard evicts at the largest horizon
     // of *its* query subset, which can be tighter than the global maximum
-    // when windows are heterogeneous. Pruning only ever discards state no
-    // resident query can reach, so the matches must still coincide. Mix three
-    // window lengths to make the per-shard maxima genuinely differ.
+    // when windows are heterogeneous. Eviction only ever discards state no
+    // resident query's horizon reaches, so the matches must still coincide.
+    // Mix three window lengths to make the per-shard maxima genuinely
+    // differ.
     let mut rng = StdRng::seed_from_u64(909);
     let mut queries = Vec::new();
     for window in [5, 15, 40] {
@@ -233,9 +234,7 @@ fn modes_agree_with_state_pruning() {
         ..RssStreamConfig::default()
     })
     .documents();
-    assert_modes_agree_with(&queries, &docs, |config| {
-        config.with_prune_state_by_window(true)
-    });
+    assert_modes_agree(&queries, &docs);
 }
 
 #[test]
@@ -244,7 +243,7 @@ fn modes_agree_on_long_windowed_churn_stream() {
     // the largest window, with incremental bucketed expiry active the whole
     // time. Heterogeneous windows make per-shard expiry cutoffs differ, and
     // the bucketed drop retains rows slightly past their window (never less)
-    // — the temporal filter must keep every mode and shard count
+    // — the matching rule must keep every mode and shard count
     // byte-identical through all of it.
     let workload = ChurnWorkload::new(ChurnConfig {
         items: 150,
@@ -254,9 +253,7 @@ fn modes_agree_on_long_windowed_churn_stream() {
     });
     let queries = workload.queries();
     let docs = workload.documents();
-    let matches = assert_modes_agree_with(&queries, &docs, |config| {
-        config.with_prune_state_by_window(true)
-    });
+    let matches = assert_modes_agree(&queries, &docs);
     assert!(matches > 0, "the churn workload must produce matches");
 }
 

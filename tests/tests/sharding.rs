@@ -229,9 +229,7 @@ fn sharded_sweep_on_churn_stream_with_pruning() {
     });
     let queries = workload.queries();
     let docs = workload.documents();
-    assert_sharded_sweep_matches_single_engine(&queries, &docs, 9, |c| {
-        c.with_prune_state_by_window(true)
-    });
+    assert_sharded_sweep_matches_single_engine(&queries, &docs, 9, |c| c);
 }
 
 /// Batches of one and of five documents through both entry points, on two

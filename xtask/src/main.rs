@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Sixteen dependency-free static checks over the workspace sources:
+//! Seventeen dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -101,6 +101,13 @@
 //!     caller's thread; a second kind of worker would bring back a second
 //!     request protocol and a second failure mode.
 //!
+//! 17. **One retention cutoff** — in non-test code in `crates/core/src`,
+//!     `evict_below(` appears only inside `JoinState::evict` (in
+//!     `state.rs`), and `engine.rs` calls `.evict(` exactly once, inside
+//!     `maintain_state`: a bucket's rows, chains and documents leave
+//!     together, at the one cutoff the matching rule is measured against,
+//!     so no second eviction pass can change a result.
+//!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
 #![forbid(unsafe_code)]
@@ -150,6 +157,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_front_owns_stage1(root, &mut violations);
     check_one_batch_path(root, &mut violations);
     check_one_worker_kind(root, &mut violations);
+    check_one_retention_cutoff(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -946,6 +954,67 @@ fn scan_files_for_worker_sites(root: &Path, files: &[PathBuf], out: &mut Vec<Str
 }
 
 // ---------------------------------------------------------------------------
+// Check 17: one retention cutoff.
+// ---------------------------------------------------------------------------
+
+const STATE_FILE: &str = "crates/core/src/state.rs";
+const EVICT_FN: &str = "fn evict(";
+const SEGMENT_EVICTION: &str = "evict_below(";
+const MAINTENANCE_FN: &str = "fn maintain_state(";
+const STATE_EVICTION: &str = ".evict(";
+
+fn check_one_retention_cutoff(root: &Path, out: &mut Vec<String>) {
+    let state = root.join(STATE_FILE);
+    for file in rust_files(&root.join(CORE_SRC)) {
+        scan_file_for_segment_eviction(root, &file, file == state, out);
+    }
+    scan_file_for_state_eviction(root, &root.join(ENGINE_FILE), out);
+}
+
+/// `evict_below(` in `file`, allowed only inside `JoinState::evict` when
+/// `file` is the state module.
+fn scan_file_for_segment_eviction(root: &Path, file: &Path, is_state: bool, out: &mut Vec<String>) {
+    let exempt: &[&str] = if is_state { &[EVICT_FN] } else { &[] };
+    scan_outside_fns(
+        root,
+        file,
+        out,
+        exempt,
+        &[SEGMENT_EVICTION],
+        "outside `JoinState::evict` (rows, chains and documents leave together)",
+    );
+}
+
+/// `.evict(` in `file`: exactly one call, inside `maintain_state`.
+fn scan_file_for_state_eviction(root: &Path, file: &Path, out: &mut Vec<String>) {
+    let mut outside = Vec::new();
+    scan_outside_fns(
+        root,
+        file,
+        &mut outside,
+        &[MAINTENANCE_FN],
+        &[STATE_EVICTION],
+        "outside `maintain_state` (the join stage evicts at one cutoff)",
+    );
+    let mut sites = Vec::new();
+    scan_non_test_code(root, file, &mut sites, |line| {
+        if line.contains(STATE_EVICTION) {
+            vec![String::new()]
+        } else {
+            Vec::new()
+        }
+    });
+    let inside = sites.len() - outside.len();
+    if inside != 1 {
+        out.push(format!(
+            "{}: {inside} `{STATE_EVICTION}` calls in `maintain_state`; exactly one evicts at the retention cutoff",
+            rel(root, file)
+        ));
+    }
+    out.extend(outside);
+}
+
+// ---------------------------------------------------------------------------
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
@@ -1258,6 +1327,60 @@ mod tests {
         scan_files_for_worker_sites(&dir, &[front_file], &mut out);
         assert_eq!(out.len(), 1, "violations: {out:?}");
         assert!(out[0].contains("no `thread::Builder` site"), "{out:?}");
+    }
+
+    #[test]
+    fn a_second_eviction_pass_is_flagged() {
+        let state = "impl JoinState {\n    pub fn evict(&mut self, cutoff: u64) -> JoinEviction {\n        for (_, seg) in self.rdoc.evict_below(bucket) {}\n    }\n    fn evict_documents(&mut self) {\n        self.ledger.evict_below(3);\n        // self.rbin.evict_below(4) in a comment\n    }\n}\n#[cfg(test)]\nmod tests {\n    fn t() { s.rdoc.evict_below(1); }\n}\n";
+        let engine = "fn maintain_state(&mut self) {\n    let eviction = self.state.evict(cutoff);\n}\nfn unregister(&mut self) {\n    self.state.evict(0);\n}\n#[cfg(test)]\nmod tests {\n    fn t() { s.evict(1); }\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let (state_file, engine_file) = (
+            dir.join("evict_state_case.rs"),
+            dir.join("evict_engine_case.rs"),
+        );
+        fs::write(&state_file, state).unwrap();
+        fs::write(&engine_file, engine).unwrap();
+
+        let mut out = Vec::new();
+        scan_file_for_segment_eviction(&dir, &state_file, true, &mut out);
+        assert_eq!(out.len(), 1, "violations: {out:?}");
+        assert!(
+            out[0].contains("evict_state_case.rs:6") && out[0].contains("`evict_below(`"),
+            "{out:?}"
+        );
+        // Outside the state module no site is allowed.
+        let mut out = Vec::new();
+        scan_file_for_segment_eviction(&dir, &state_file, false, &mut out);
+        assert_eq!(out.len(), 2, "violations: {out:?}");
+        assert!(out[0].contains("evict_state_case.rs:3"), "{out:?}");
+
+        let mut out = Vec::new();
+        scan_file_for_state_eviction(&dir, &engine_file, &mut out);
+        assert_eq!(out.len(), 1, "violations: {out:?}");
+        assert!(
+            out[0].contains("evict_engine_case.rs:5")
+                && out[0].contains("outside `maintain_state`"),
+            "{out:?}"
+        );
+        // Two calls, or none, inside `maintain_state` are flagged too.
+        for (body, calls) in [
+            ("self.state.evict(a);\n    self.state.evict(b);", 2),
+            ("", 0),
+        ] {
+            fs::write(
+                &engine_file,
+                format!("fn maintain_state(&mut self) {{\n    {body}\n}}\n"),
+            )
+            .unwrap();
+            let mut out = Vec::new();
+            scan_file_for_state_eviction(&dir, &engine_file, &mut out);
+            assert_eq!(out.len(), 1, "violations: {out:?}");
+            assert!(
+                out[0].contains(&format!("{calls} `.evict(` calls")),
+                "{out:?}"
+            );
+        }
     }
 
     #[test]
