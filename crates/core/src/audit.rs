@@ -18,9 +18,8 @@
 //! - **Registry refcounts** — the canonical-variable refcounts must equal a
 //!   recount over the live queries' shapes.
 //! - **Catalog discipline** — tombstoned template slots are never referenced
-//!   by a live registration, every template's `RT` relation holds exactly
-//!   one tuple per live member orientation, and the `rid` resolution map is
-//!   in one-to-one correspondence with the live orientations.
+//!   by a live registration, and every template's `RT` relation holds
+//!   exactly one tuple per live member orientation.
 //! - **Plan memos** — every live template plan's memoized join order is a
 //!   permutation of its body atoms whose stored step program equals one
 //!   derived afresh from it, and every join table the plan keeps across
@@ -57,14 +56,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum AuditViolation {
-    /// The registry's live-query counter disagrees with a recount of the
-    /// non-tombstoned query slots.
-    LiveQueryCount {
-        /// The maintained counter.
-        tracked: usize,
-        /// The recount.
-        counted: usize,
-    },
     /// A Stage-1 table's list of live single-block subscriptions — the one
     /// Stage 1 reads every batch — differs from a recount over the live
     /// queries in query-id order.
@@ -105,13 +96,6 @@ pub enum AuditViolation {
         template: usize,
         /// The registration id missing from `RT`.
         rid: i64,
-    },
-    /// The `rid` resolution map disagrees with the live orientations.
-    RidMap {
-        /// The offending registration id.
-        rid: i64,
-        /// What is wrong with its mapping.
-        reason: &'static str,
     },
     /// A pattern's index refcount differs from the number of live
     /// registrations that registered it.
@@ -343,10 +327,6 @@ pub enum AuditViolation {
 impl fmt::Display for AuditViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AuditViolation::LiveQueryCount { tracked, counted } => write!(
-                f,
-                "live-query counter {tracked} != {counted} non-tombstoned query slots"
-            ),
             AuditViolation::SingleBlockList { listed, expected } => write!(
                 f,
                 "single-block list ({listed} ids) differs from the {expected} live single-block subscriptions"
@@ -372,9 +352,6 @@ impl fmt::Display for AuditViolation {
             ),
             AuditViolation::MissingRtTuple { template, rid } => {
                 write!(f, "template {template} has no RT tuple for rid {rid}")
-            }
-            AuditViolation::RidMap { rid, reason } => {
-                write!(f, "rid map entry {rid}: {reason}")
             }
             AuditViolation::PatternRefcount {
                 pattern,

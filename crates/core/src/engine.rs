@@ -4,9 +4,11 @@
 //! [`MmqjpEngine`] is the in-thread instance of the pipeline
 //! `front → route → join → merge` ([`crate::pipeline`]): one inline shard
 //! slot, served on the caller's thread like the front — no thread, no
-//! channel, nothing that can die, so no recovery ledger and no replay log. [`JoinStage`] is what every shard slot of either engine
-//! runs: Stage 2, output construction and state maintenance over the
-//! witness rows the front routed to it.
+//! channel, nothing that can die, so no recovery ledger and no replay log.
+//! [`JoinStage`] is what every shard slot of either engine runs: Stage 2,
+//! output construction and state maintenance over the witness rows the
+//! front routed to it, with every query filed under the id the pipeline
+//! minted.
 //!
 //! A query's own window decides its matches: a pair is emitted iff the
 //! temporal predicate holds, its two timestamps lie within the query's
@@ -143,8 +145,9 @@ impl MmqjpEngine {
     /// in O(its footprint): its `RT` tuples (an emptied template is
     /// retired), its Stage-1 patterns and requested edges (refcounted), the
     /// window bounds (document retention can tighten) and the view-cache
-    /// slices of canonical variables that died with it. Freed
-    /// [`QueryId`]s are never reused. Join-state rows only its patterns
+    /// slices of canonical variables that died with it. The pipeline mints
+    /// each [`QueryId`] once, so a freed id is never reused, and the
+    /// registry keeps no trace of it. Join-state rows only its patterns
     /// produced are inert and age out with their time bucket.
     ///
     /// Errors with [`CoreError::UnknownQuery`] for ids never assigned or
@@ -259,15 +262,17 @@ impl JoinStage {
         }
     }
 
-    /// Register a query that joins only documents with ids above `floor`
-    /// (see [`QueryRuntime::arrival_floor`]). Returns its id and the
-    /// Stage-1 footprint its front must subscribe.
+    /// Register a query under `id`, the id the pipeline minted, joining
+    /// only documents with ids above `floor` (see
+    /// [`QueryRuntime::arrival_floor`]). Returns the Stage-1 footprint its
+    /// front must subscribe.
     pub(crate) fn register(
         &mut self,
         query: XsclQuery,
+        id: QueryId,
         floor: u64,
-    ) -> CoreResult<(QueryId, Stage1Footprint)> {
-        self.registry.register(query, self.config.mode, floor)
+    ) -> CoreResult<Stage1Footprint> {
+        self.registry.register(query, id, self.config.mode, floor)
     }
 
     /// Unregister a query (see [`MmqjpEngine::unregister_query`]): release
@@ -948,7 +953,6 @@ fn evaluate_sequential(
     let ctx = EvalInputs::new(state, batch);
     let mut results = Vec::new();
     let mut inputs: Vec<PlanInput<'_>> = Vec::new();
-    // Live queries in query-id order; tombstoned queries are skipped.
     for q in registry.queries_mut() {
         for r in &mut q.registrations {
             let Some(plan) = r.sequential_plan.as_mut() else {
@@ -961,6 +965,8 @@ fn evaluate_sequential(
             }
         }
     }
+    // The registry's map is unordered: emit in rid, i.e. query-id, order.
+    results.sort_unstable_by_key(|&(rid, _)| rid);
     let materialize = scratch.materialize_time().saturating_sub(mat0);
     timings.conjunctive += t0.elapsed().saturating_sub(materialize);
     timings.materialize += materialize;

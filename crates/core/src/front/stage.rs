@@ -577,10 +577,11 @@ mod tests {
     const SINGLE: &str = "S//blog[.//author]";
 
     /// A front fed by one registry, each query subscribed for the consumer
-    /// the test names.
+    /// the test names under the next id.
     struct Rig {
         registry: Registry,
         front: Front,
+        next: u64,
     }
 
     impl Rig {
@@ -589,15 +590,18 @@ mod tests {
             Rig {
                 registry: Registry::new(Arc::clone(&interner)),
                 front: Front::new(&EngineConfig::default(), interner),
+                next: 0,
             }
         }
 
         fn register(&mut self, consumer: usize, text: &str) -> QueryId {
             let query = parse_query(text).unwrap();
-            let (id, footprint) = self
+            let id = QueryId(self.next);
+            let footprint = self
                 .registry
-                .register(query, ProcessingMode::Mmqjp, 0)
+                .register(query, id, ProcessingMode::Mmqjp, 0)
                 .unwrap();
+            self.next += 1;
             self.front.subscribe(consumer, id, &footprint).unwrap();
             id
         }
@@ -755,8 +759,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         fn q1_clause(rig: &mut Rig) -> &mut Clause {
-            let query = rig.registry.queries().next().unwrap().id;
-            let key = rig.front.queries[&query].clause.clone();
+            let key = rig.front.queries[&QueryId(0)].clause.clone();
             rig.front.clauses.get_mut(&key).unwrap()
         }
 

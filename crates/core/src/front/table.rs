@@ -671,7 +671,9 @@ mod tests {
         assert!(f.table.unsubscribe(2, gone, &edges).unwrap());
         let single = parse_query("S//blog[.//author]").unwrap();
         let mut registry = Registry::new(Arc::new(StringInterner::new()));
-        let (_, footprint) = registry.register(single, ProcessingMode::Mmqjp, 0).unwrap();
+        let footprint = registry
+            .register(single, QueryId(7), ProcessingMode::Mmqjp, 0)
+            .unwrap();
         let pid = f
             .table
             .retain_pattern(footprint.shape.first_block().clone());

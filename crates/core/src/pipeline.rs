@@ -3,9 +3,11 @@
 //!
 //! A [`Pipeline`] holds the configuration, the interner, the [`Front`] (all
 //! Stage-1 state, one consumer of witness rows per shard, run on the
-//! caller's thread) and one *slot* per shard: an [`Inline`] [`Shard`] — a
-//! join stage and its local→global query-id map — or a worker thread that
-//! owns one ([`Worker`](crate::shard::Worker)).
+//! caller's thread) and one *slot* per shard: an [`Inline`] [`JoinStage`]
+//! or a worker thread that owns one ([`Worker`](crate::shard::Worker)).
+//! [`Pipeline::register`] mints every query id, and every layer — the
+//! front, the shard's registry, its `RT` rows and its matches — files the
+//! query under that id.
 //! [`MmqjpEngine`](crate::MmqjpEngine) is the pipeline with one inline
 //! slot; [`ShardedEngine`](crate::ShardedEngine) the one with `num_shards`
 //! worker slots.
@@ -31,7 +33,7 @@ use crate::recovery::{self, ReplayLog, RetainedQuery};
 use crate::registry::Stage1Footprint;
 use crate::relations::RoutedBatch;
 use crate::stats::EngineStats;
-use mmqjp_relational::{FxHashMap, StringInterner};
+use mmqjp_relational::StringInterner;
 use mmqjp_xml::Document;
 use mmqjp_xscl::{QueryId, XsclQuery};
 use std::collections::BTreeMap;
@@ -41,12 +43,11 @@ use std::time::Instant;
 /// A request to a shard, answered by [`serve`].
 #[derive(Debug, Clone)]
 pub(crate) enum Request {
-    /// Register a query under its engine-global id, joining only documents
-    /// after the floor; answered with its Stage-1 footprint.
+    /// Register a query under the id the pipeline minted, joining only
+    /// documents after the floor; answered with its Stage-1 footprint.
     Register(XsclQuery, QueryId, u64),
     Unregister(QueryId),
-    /// Join one batch's routed witness rows; answered with the matches,
-    /// under engine-global query ids.
+    /// Join one batch's routed witness rows; answered with the matches.
     Batch(RoutedBatch),
     Read(Read),
 }
@@ -78,63 +79,32 @@ macro_rules! payload {
     };
 }
 
-/// One shard: a join stage and the map between its local query ids (the
-/// order queries were registered on it) and the engine-global ones.
-#[derive(Debug)]
-pub(crate) struct Shard {
-    pub(crate) join: JoinStage,
-    globals: Vec<QueryId>,
-    locals: FxHashMap<QueryId, QueryId>,
-}
-
-impl Shard {
-    pub(crate) fn new(config: &EngineConfig, interner: &Arc<StringInterner>) -> Self {
-        Shard {
-            join: JoinStage::new(config.clone(), Arc::clone(interner)),
-            globals: Vec::new(),
-            locals: FxHashMap::default(),
-        }
-    }
-
-    fn read(&self, read: Read) -> Reply {
-        match read {
-            Read::Stats => Reply::Stats(Box::new(self.join.stats())),
-            Read::Audit => {
-                let mut out = Vec::new();
-                self.join.audit(&mut out);
-                Reply::Audit(out)
-            }
+/// A join stage's answer to a read.
+fn read_stage(join: &JoinStage, read: Read) -> Reply {
+    match read {
+        Read::Stats => Reply::Stats(Box::new(join.stats())),
+        Read::Audit => {
+            let mut out = Vec::new();
+            join.audit(&mut out);
+            Reply::Audit(out)
         }
     }
 }
 
-/// Serve one request on `shard`: the one place a join stage registers,
-/// unregisters and joins. A worker thread calls it inside `catch_unwind`,
-/// an inline slot directly.
-pub(crate) fn serve(shard: &mut Shard, request: Request) -> CoreResult<Reply> {
+/// Serve one request on a shard's join stage: the one place a join stage
+/// registers, unregisters and joins. A worker thread calls it inside
+/// `catch_unwind`, an inline slot directly.
+pub(crate) fn serve(join: &mut JoinStage, request: Request) -> CoreResult<Reply> {
     match request {
-        Request::Register(query, global, floor) => {
-            let (local, footprint) = shard.join.register(query, floor)?;
-            debug_assert_eq!(local.raw() as usize, shard.globals.len());
-            shard.globals.push(global);
-            shard.locals.insert(global, local);
-            Ok(Reply::Register(footprint))
+        Request::Register(query, id, floor) => {
+            Ok(Reply::Register(join.register(query, id, floor)?))
         }
-        Request::Unregister(global) => {
-            let unknown = CoreError::UnknownQuery { id: global.raw() };
-            let &local = shard.locals.get(&global).ok_or(unknown)?;
-            shard.join.unregister(local)?;
-            shard.locals.remove(&global);
+        Request::Unregister(id) => {
+            join.unregister(id)?;
             Ok(Reply::Unregister)
         }
-        Request::Batch(routed) => {
-            let mut matches = shard.join.process(routed)?;
-            for output in &mut matches {
-                output.query = shard.globals[output.query.raw() as usize];
-            }
-            Ok(Reply::Batch(matches))
-        }
-        Request::Read(read) => Ok(shard.read(read)),
+        Request::Batch(routed) => Ok(Reply::Batch(join.process(routed)?)),
+        Request::Read(read) => Ok(read_stage(join, read)),
     }
 }
 
@@ -147,8 +117,8 @@ pub(crate) trait Slot: Sized {
     /// A request handed over, not yet collected.
     type Pending;
 
-    /// Put `shard` in service as slot `index`.
-    fn start(index: usize, shard: Shard) -> CoreResult<Self>;
+    /// Put `join` in service as slot `index`.
+    fn start(index: usize, join: JoinStage) -> CoreResult<Self>;
     /// Hand over a request, with the fault to deliver while serving it.
     fn call(&mut self, request: Request, fault: Option<WorkerFault>) -> Self::Pending;
     fn read(&self, read: Read) -> Self::Pending;
@@ -164,17 +134,17 @@ pub(crate) trait Slot: Sized {
 /// A slot's answer to one request, or (`Err`) its death.
 pub(crate) type Answer = Result<CoreResult<Reply>, CoreError>;
 
-/// An inline slot: the shard itself, served on the caller's thread. It
-/// cannot die.
+/// An inline slot: the shard's join stage itself, served on the caller's
+/// thread. It cannot die.
 #[derive(Debug)]
-pub(crate) struct Inline(Shard);
+pub(crate) struct Inline(JoinStage);
 
 impl Slot for Inline {
     const THREADED: bool = false;
     type Pending = CoreResult<Reply>;
 
-    fn start(_: usize, shard: Shard) -> CoreResult<Self> {
-        Ok(Inline(shard))
+    fn start(_: usize, join: JoinStage) -> CoreResult<Self> {
+        Ok(Inline(join))
     }
 
     fn call(&mut self, request: Request, _: Option<WorkerFault>) -> Self::Pending {
@@ -182,7 +152,7 @@ impl Slot for Inline {
     }
 
     fn read(&self, read: Read) -> Self::Pending {
-        Ok(self.0.read(read))
+        Ok(read_stage(&self.0, read))
     }
 
     fn wait(pending: Self::Pending, _: usize, _: &mut bool) -> Answer {
@@ -219,9 +189,9 @@ pub(crate) struct Pipeline<S> {
     pub(crate) slots: Vec<S>,
     pub(crate) queries_per_shard: Vec<usize>,
     pub(crate) next_query: u64,
-    /// Live subscriptions retained for recovery, by global query id
-    /// (ascending = registration order). Empty unless slots recover.
-    retained: BTreeMap<u64, RetainedQuery>,
+    /// Live subscriptions retained for recovery, by query id (ascending =
+    /// registration order). Empty unless slots recover.
+    retained: BTreeMap<QueryId, RetainedQuery>,
     /// Stamped survivor batches for replay; empty unless slots recover.
     pub(crate) replay_log: ReplayLog,
     /// The replay log's retention bound, recomputed on churn.
@@ -239,7 +209,7 @@ impl<S: Slot> Pipeline<S> {
         let interner = Arc::new(StringInterner::new());
         let slots = (0..shards)
             .map(|index| {
-                S::start(index, Shard::new(&config, &interner))
+                S::start(index, JoinStage::new(config.clone(), Arc::clone(&interner)))
                     // lint:allow one-time startup; a failed spawn leaves no engine to return
                     .expect("starting a shard slot succeeds")
             })
@@ -274,26 +244,27 @@ impl<S: Slot> Pipeline<S> {
         self.queries_per_shard.iter().sum()
     }
 
-    /// Register a query on the shard its id hashes to; a failed
-    /// registration changes nothing and consumes no id.
+    /// Mint the query's id and register it under that id on the shard the
+    /// id hashes to. Ids are minted here only, in ascending order, and never
+    /// reused; a failed registration changes nothing and consumes no id.
     pub(crate) fn register(&mut self, query: XsclQuery) -> CoreResult<QueryId> {
-        let global = QueryId(self.next_query);
-        let shard = shard_of(global, self.slots.len());
+        let id = QueryId(self.next_query);
+        let shard = shard_of(id, self.slots.len());
         let floor = self.front.position().0;
         let retained = self.recovers().then(|| RetainedQuery {
             query: query.clone(),
             floor,
         });
-        let reply = self.request(shard, Request::Register(query, global, floor))?;
+        let reply = self.request(shard, Request::Register(query, id, floor))?;
         let footprint = payload!(reply, Register)?;
         self.next_query += 1;
         self.queries_per_shard[shard] += 1;
         if let Some(retained) = retained {
-            self.retained.insert(global.raw(), retained);
+            self.retained.insert(id, retained);
             self.refresh_retention();
         }
-        self.front.subscribe(shard, global, &footprint)?;
-        Ok(global)
+        self.front.subscribe(shard, id, &footprint)?;
+        Ok(id)
     }
 
     /// Unregister a query on the shard that owns it; on failure the query
@@ -302,7 +273,7 @@ impl<S: Slot> Pipeline<S> {
         let shard = shard_of(id, self.slots.len());
         self.request(shard, Request::Unregister(id))?;
         self.queries_per_shard[shard] -= 1;
-        if self.retained.remove(&id.raw()).is_some() {
+        if self.retained.remove(&id).is_some() {
             self.refresh_retention();
         }
         self.front.unsubscribe(id)?;
@@ -529,8 +500,8 @@ impl<S: Slot> Pipeline<S> {
     }
 
     /// Rebuild slot `shard` (see [`recovery`]) and put it back in service:
-    /// its surviving queries re-registered in ascending global-id order at
-    /// their original floors, the replay log matched again by the front for
+    /// its surviving queries re-registered under their own ids, in
+    /// ascending order, at their original floors, the replay log matched again by the front for
     /// this shard alone, and the timestamp watermark restored to
     /// `watermark`. Requires slots that recover.
     pub(crate) fn respawn(&mut self, shard: usize, watermark: u64) -> CoreResult<()> {
@@ -539,18 +510,17 @@ impl<S: Slot> Pipeline<S> {
         }
         let t0 = Instant::now();
         self.slots[shard].retire();
-        let mut rebuilt = Shard::new(&self.config, &self.interner);
-        for (&global, retained) in &self.retained {
-            let (global, floor) = (QueryId(global), retained.floor);
-            if shard_of(global, self.slots.len()) == shard {
-                let query = retained.query.clone();
-                serve(&mut rebuilt, Request::Register(query, global, floor))?;
+        let mut rebuilt = JoinStage::new(self.config.clone(), Arc::clone(&self.interner));
+        for (&id, retained) in &self.retained {
+            if shard_of(id, self.slots.len()) == shard {
+                let request = Request::Register(retained.query.clone(), id, retained.floor);
+                serve(&mut rebuilt, request)?;
             }
         }
         for batch in self.replay_log.batches() {
-            rebuilt.join.replay(self.front.replay(batch, shard)?)?;
+            rebuilt.replay(self.front.replay(batch, shard)?)?;
         }
-        rebuilt.join.restore_watermark(watermark);
+        rebuilt.restore_watermark(watermark);
         self.slots[shard] = S::start(shard, rebuilt)?;
         self.supervisor_stats.shards_respawned += 1;
         self.supervisor_stats.timings.recovery += t0.elapsed();
@@ -670,12 +640,12 @@ impl<S: Slot> Pipeline<S> {
 impl Pipeline<Inline> {
     /// The one inline slot's join stage.
     pub(crate) fn join(&self) -> &JoinStage {
-        &self.slots[0].0.join
+        &self.slots[0].0
     }
 
     #[cfg(test)]
     pub(crate) fn join_mut(&mut self) -> &mut JoinStage {
-        &mut self.slots[0].0.join
+        &mut self.slots[0].0
     }
 }
 

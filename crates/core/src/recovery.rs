@@ -5,9 +5,11 @@
 //! without ever checkpointing the state itself (`Pipeline::respawn`):
 //!
 //! 1. **Re-register** the shard's surviving subscriptions from the retained
-//!    global registry ([`RetainedQuery`]) in a fresh shard, through the same
-//!    `serve` every registration takes, each at its original arrival floor, so recovered queries only match documents they
-//!    would have matched before the crash. (The front never released them.)
+//!    global registry ([`RetainedQuery`]) in a fresh join stage, through the
+//!    same `serve` every registration takes, each under its own id and at
+//!    its original arrival floor, so recovered queries only match documents
+//!    they would have matched before the crash. (The front never released
+//!    them.)
 //! 2. **Replay** the in-window document stream from a bounded [`ReplayLog`]:
 //!    the coordinator's front matches each logged batch again and routes to
 //!    the healed shard alone the rows its live queries request, and the join

@@ -8,12 +8,12 @@
 //! and the requested edges. The registry derives them once per distinct
 //! clause (window blanked) into a shared [`QueryShape`] and memoizes it.
 //! Registering a query whose clause is already live is a lookup plus
-//! per-query work: one `RT` row per orientation, a `rid` map entry and the
-//! window in the window multiset. A shape is refcounted by its live queries
-//! and reclaimed with its last one (its canonical variables are counted per
-//! live shape), so the memo never holds more entries than there are live
-//! distinct clauses. While a shape lives, its templates live too (its
-//! queries hold their `RT` rows) and ids are never reused, so a memo hit
+//! per-query work: one `RT` row per orientation and the window in the
+//! window multiset. A shape is refcounted by its live queries and reclaimed
+//! with its last one (its canonical variables are counted per live shape),
+//! so the memo never holds more entries than there are live distinct
+//! clauses. While a shape lives, its templates live too (its queries hold
+//! their `RT` rows) and template ids are never reused, so a memo hit
 //! registers exactly what re-deriving the shape would.
 //!
 //! The registry holds no Stage-1 state: [`Registry::register`] returns the
@@ -25,10 +25,16 @@
 //! removed in place, an emptied template is retired from the catalog, the
 //! window bounds are recomputed from a window multiset so document
 //! retention can *tighten*, and the canonical variables no live query's
-//! rows carry any more are reported for the view cache to reclaim. Freed
-//! [`QueryId`]s (and template ids) are tombstoned, never reused, which keeps
-//! shard assignment and the canonical output order deterministic across
-//! churn.
+//! rows carry any more are reported for the view cache to reclaim.
+//!
+//! **One query id.** The registry mints no ids: it files each query under
+//! the [`QueryId`] its pipeline minted, in a map of the live queries only,
+//! and an unregistered query leaves no trace. The `qid` column of an `RT`
+//! row holds the *registration id* `rid = 2·id + orientation`, which
+//! [`Registry::resolve_rid`] decodes: a `FOLLOWED BY` clause has one
+//! orientation, a `JOIN` two. Because the pipeline never reuses an id,
+//! shard assignment and the canonical output order stay deterministic
+//! across churn.
 
 use crate::audit::AuditViolation;
 use crate::config::ProcessingMode;
@@ -443,11 +449,9 @@ pub struct Registry {
     /// leaves the map (its id is never reused), so the per-batch template
     /// loop visits live templates only.
     templates: BTreeMap<TemplateId, Box<TemplateRuntime>>,
-    /// Query runtimes by `QueryId` index; `None` marks an unregistered query
-    /// (ids are never reused). Boxed so a tombstoned slot costs a pointer,
-    /// not the full runtime footprint, under unbounded churn.
-    queries: Vec<Option<Box<QueryRuntime>>>,
-    live_queries: usize,
+    /// The live queries, by the id their pipeline minted. Hashed, not
+    /// ordered: every match resolves its `rid` here.
+    queries: FxHashMap<QueryId, QueryRuntime>,
     /// The shape memo: one entry per live distinct `FROM` clause, keyed by
     /// the clause with its window blanked.
     shapes: HashMap<Arc<FromClause>, ShapeEntry>,
@@ -455,7 +459,6 @@ pub struct Registry {
     shapes_built: usize,
     /// Registrations served by a memo hit (cumulative).
     shapes_reused: usize,
-    rid_map: HashMap<i64, (usize, usize)>,
     /// Multiset of finite time windows across live join queries, so the
     /// maximum can tighten when the widest-window query unregisters.
     finite_windows: BTreeMap<u64, usize>,
@@ -474,20 +477,20 @@ impl Registry {
             var_refs: FxHashMap::default(),
             catalog: TemplateCatalog::new(),
             templates: BTreeMap::new(),
-            queries: Vec::new(),
-            live_queries: 0,
+            queries: FxHashMap::default(),
             shapes: HashMap::new(),
             shapes_built: 0,
             shapes_reused: 0,
-            rid_map: HashMap::new(),
             finite_windows: BTreeMap::new(),
             infinite_windows: 0,
             plans_compiled: 0,
         }
     }
 
-    /// Register a query (already parsed). Returns its id and its
-    /// `Stage1Footprint`, which the caller subscribes to its front.
+    /// Register a query (already parsed) under `id`, the id its pipeline
+    /// minted. Returns its `Stage1Footprint`, which the caller subscribes
+    /// to its front. An `id` that is already live is an internal error that
+    /// changes nothing.
     ///
     /// A query whose `FROM` clause (window aside) is already live reuses
     /// that clause's `QueryShape`; otherwise the shape is derived and
@@ -501,14 +504,17 @@ impl Registry {
     pub fn register(
         &mut self,
         query: XsclQuery,
+        id: QueryId,
         mode: ProcessingMode,
         arrival_floor: u64,
-    ) -> CoreResult<(QueryId, Stage1Footprint)> {
+    ) -> CoreResult<Stage1Footprint> {
+        if self.queries.contains_key(&id) {
+            return Err(CoreError::internal("a query id is registered once"));
+        }
         let XsclQuery {
             select,
             mut from,
             publish,
-            ..
         } = query;
         let window = match &mut from {
             FromClause::Join { window, .. } => Some(std::mem::replace(window, BLANK_WINDOW)),
@@ -536,11 +542,10 @@ impl Registry {
         };
 
         // Per-query work, the same on a hit and a miss.
-        let id = QueryId(self.queries.len() as u64);
         let wl = Value::Int(window.map_or(i64::MAX, window_length));
         let mut registrations = Vec::with_capacity(shape.orientations.len());
         for (ri, o) in shape.orientations.iter().enumerate() {
-            let rid = (id.raw() as i64) * 2 + i64::from(o.swapped);
+            let rid = rid_of(id, ri);
             // RT tuple: (qid, var1..varm, wl).
             let mut tuple = Vec::with_capacity(o.assignment_syms.len() + 2);
             tuple.push(Value::Int(rid));
@@ -559,7 +564,6 @@ impl Registry {
                         Vec::new(),
                     )
                 };
-            self.rid_map.insert(rid, (id.raw() as usize, ri));
             registrations.push(Registration {
                 rid,
                 sequential_cqt,
@@ -576,7 +580,7 @@ impl Registry {
             publish: shape.single_pattern().and_then(|_| publish.clone()),
             select,
         };
-        self.queries.push(Some(Box::new(QueryRuntime {
+        let runtime = QueryRuntime {
             id,
             shape,
             window,
@@ -584,9 +588,9 @@ impl Registry {
             select,
             registrations,
             arrival_floor,
-        })));
-        self.live_queries += 1;
-        Ok((id, footprint))
+        };
+        self.queries.insert(id, runtime);
+        Ok(footprint)
     }
 
     /// Derive a new shape from its key and register its catalog membership,
@@ -598,7 +602,6 @@ impl Registry {
         mode: ProcessingMode,
     ) -> CoreResult<Arc<QueryShape>> {
         let query = XsclQuery {
-            id: QueryId::default(),
             select: SelectClause::Star,
             from: key,
             publish: None,
@@ -665,21 +668,18 @@ impl Registry {
     /// participated in. O(the query's footprint): its `RT` tuples, its
     /// references on its canonical variables, its hold on its shape and —
     /// when it was the last subscriber — the retired templates and the
-    /// reclaimed shape. Its Stage-1 footprint is the front's to release. Ids are tombstoned, never reused. Errors with
-    /// [`CoreError::UnknownQuery`] for ids that were never assigned or
-    /// already unregistered.
+    /// reclaimed shape. Its Stage-1 footprint is the front's to release,
+    /// and the query leaves no trace here. Errors with
+    /// [`CoreError::UnknownQuery`] for ids that are not live.
     pub fn unregister(&mut self, id: QueryId) -> CoreResult<UnregisterEffects> {
         let runtime = self
             .queries
-            .get_mut(id.raw() as usize)
-            .and_then(Option::take)
+            .remove(&id)
             .ok_or(CoreError::UnknownQuery { id: id.raw() })?;
-        self.live_queries -= 1;
 
         let mut effects = UnregisterEffects::default();
         let shape = &runtime.shape;
         for (reg, o) in runtime.registrations.iter().zip(&shape.orientations) {
-            self.rid_map.remove(&reg.rid);
             // Remove this orientation's RT tuple in place, preserving the
             // registration order of the surviving members.
             let rid = Value::Int(reg.rid);
@@ -767,12 +767,6 @@ impl Registry {
 
     /// Number of live (registered and not unregistered) queries.
     pub fn num_queries(&self) -> usize {
-        self.live_queries
-    }
-
-    /// Total number of query ids ever assigned (unregistered ids are
-    /// tombstoned, never reused, so this never decreases).
-    pub fn total_queries_registered(&self) -> usize {
         self.queries.len()
     }
 
@@ -824,30 +818,32 @@ impl Registry {
             ))
     }
 
-    /// Iterate over the live queries in query-id order.
+    /// Iterate over the live queries, in no particular order.
     pub fn queries(&self) -> impl Iterator<Item = &QueryRuntime> {
-        self.queries.iter().filter_map(|q| q.as_deref())
+        self.queries.values()
     }
 
     /// The live queries, mutably (see [`templates_mut`](Self::templates_mut)).
     pub(crate) fn queries_mut(&mut self) -> impl Iterator<Item = &mut QueryRuntime> {
-        self.queries.iter_mut().filter_map(|q| q.as_deref_mut())
+        self.queries.values_mut()
     }
 
     /// Look up a live query by id.
     pub fn query(&self, id: QueryId) -> CoreResult<&QueryRuntime> {
         self.queries
-            .get(id.raw() as usize)
-            .and_then(|q| q.as_deref())
+            .get(&id)
             .ok_or(CoreError::UnknownQuery { id: id.raw() })
     }
 
     /// Resolve a registration id from an `RT` / result tuple back to the
-    /// query and the orientation of its shape it belongs to.
+    /// live query and the orientation of its shape it belongs to: `rid =
+    /// 2·id + orientation` (see the module documentation). `None` for a
+    /// negative rid, an id that is not live, or an orientation its shape
+    /// lacks.
     pub fn resolve_rid(&self, rid: i64) -> Option<(&QueryRuntime, &Orientation)> {
-        let (qi, ri) = self.rid_map.get(&rid)?;
-        let q = self.queries.get(*qi)?.as_deref()?;
-        Some((q, q.shape.orientations.get(*ri)?))
+        let rid = u64::try_from(rid).ok()?;
+        let q = self.queries.get(&QueryId(rid / 2))?;
+        Some((q, q.shape.orientations.get((rid % 2) as usize)?))
     }
 
     /// The template catalog.
@@ -885,19 +881,11 @@ impl Registry {
         self.plans_compiled
     }
 
-    /// Cross-check every refcounted registry structure, the Stage-1 table
-    /// included, against a recount over the live queries, appending one [`AuditViolation`] per
+    /// Cross-check every refcounted registry structure against a recount
+    /// over the live queries, appending one [`AuditViolation`] per
     /// inconsistency. Read-only; a healthy registry appends nothing. See
     /// [`MmqjpEngine::audit`](crate::MmqjpEngine::audit).
     pub(crate) fn audit(&self, out: &mut Vec<AuditViolation>) {
-        // Live counter vs tombstone recount.
-        let counted_queries = self.queries.iter().filter(|q| q.is_some()).count();
-        if counted_queries != self.live_queries {
-            out.push(AuditViolation::LiveQueryCount {
-                tracked: self.live_queries,
-                counted: counted_queries,
-            });
-        }
         if self.catalog.len() != self.templates.len() {
             out.push(AuditViolation::CatalogSize {
                 catalog: self.catalog.len(),
@@ -906,15 +894,13 @@ impl Registry {
         }
 
         // One recount pass over the live queries: template membership,
-        // canonical variables, windows and rids.
+        // canonical variables and windows.
         let mut rt_expected: HashMap<TemplateId, usize> = HashMap::new();
         let mut var_expected: FxHashMap<Symbol, usize> = FxHashMap::default();
         let mut live_shapes: HashSet<*const QueryShape> = HashSet::new();
         let mut finite_expected: BTreeMap<u64, usize> = BTreeMap::new();
         let mut infinite_expected = 0usize;
-        let mut live_rids: HashMap<i64, (usize, usize)> = HashMap::new();
-        for (qi, slot) in self.queries.iter().enumerate() {
-            let Some(q) = slot.as_deref() else { continue };
+        for q in self.queries() {
             if live_shapes.insert(Arc::as_ptr(&q.shape)) {
                 for &sym in &q.shape.var_syms {
                     *var_expected.entry(sym).or_insert(0) += 1;
@@ -925,12 +911,7 @@ impl Registry {
                 Some(Window::Infinite | Window::Count(_)) => infinite_expected += 1,
                 None => {}
             }
-            for (ri, (reg, o)) in q
-                .registrations
-                .iter()
-                .zip(&q.shape.orientations)
-                .enumerate()
-            {
+            for (reg, o) in q.registrations.iter().zip(&q.shape.orientations) {
                 match self.template_runtime(o.template) {
                     None => out.push(AuditViolation::RetiredTemplateReferenced {
                         query: q.id.raw(),
@@ -947,28 +928,6 @@ impl Registry {
                         }
                     }
                 }
-                match self.rid_map.get(&reg.rid) {
-                    None => out.push(AuditViolation::RidMap {
-                        rid: reg.rid,
-                        reason: "live orientation missing from the rid map",
-                    }),
-                    Some(&target) if target != (qi, ri) => out.push(AuditViolation::RidMap {
-                        rid: reg.rid,
-                        reason: "rid map points at the wrong orientation",
-                    }),
-                    Some(_) => {}
-                }
-                live_rids.insert(reg.rid, (qi, ri));
-            }
-        }
-
-        // The rid map holds nothing beyond the live orientations.
-        for rid in self.rid_map.keys() {
-            if !live_rids.contains_key(rid) {
-                out.push(AuditViolation::RidMap {
-                    rid: *rid,
-                    reason: "rid map entry has no live orientation",
-                });
             }
         }
 
@@ -1059,7 +1018,6 @@ impl Registry {
                 continue;
             }
             let query = XsclQuery {
-                id: QueryId::default(),
                 select: SelectClause::Star,
                 from: (**key).clone(),
                 publish: None,
@@ -1175,6 +1133,12 @@ fn requested_edges_of(reduced: &ReducedGraph, side: Side) -> Vec<Edge> {
     edges
 }
 
+/// The registration id of orientation `orientation` of query `id`: the
+/// `qid` column of its `RT` row, which [`Registry::resolve_rid`] decodes.
+fn rid_of(id: QueryId, orientation: usize) -> i64 {
+    id.raw() as i64 * 2 + orientation as i64
+}
+
 /// Encode a window as the `wl` column value.
 pub fn window_length(window: Window) -> i64 {
     match window {
@@ -1206,30 +1170,36 @@ mod tests {
         Registry::new(Arc::new(StringInterner::new()))
     }
 
-    /// Register `text` at floor 0; returns its id.
-    fn reg(r: &mut Registry, text: &str, mode: ProcessingMode) -> QueryId {
-        r.register(parse_query(text).unwrap(), mode, 0).unwrap().0
+    /// Register `text` under id `id` at floor 0; returns the id.
+    fn reg(r: &mut Registry, id: u64, text: &str, mode: ProcessingMode) -> QueryId {
+        let id = QueryId(id);
+        r.register(parse_query(text).unwrap(), id, mode, 0).unwrap();
+        id
     }
 
     /// A registry and the front its footprints are subscribed to, paired the
-    /// way a single engine pairs them.
+    /// way a single engine pairs them, with ids minted the way its pipeline
+    /// mints them: ascending, once each.
     struct Rig {
         r: Registry,
         front: Front,
+        next: u64,
     }
 
     impl Rig {
         fn new() -> Self {
             let r = registry();
             let front = Front::new(&EngineConfig::default(), Arc::clone(&r.interner));
-            Rig { r, front }
+            Rig { r, front, next: 0 }
         }
 
         fn register(&mut self, text: &str, mode: ProcessingMode) -> QueryId {
-            let (id, footprint) = self
+            let id = QueryId(self.next);
+            let footprint = self
                 .r
-                .register(parse_query(text).unwrap(), mode, 0)
+                .register(parse_query(text).unwrap(), id, mode, 0)
                 .unwrap();
+            self.next += 1;
             self.front.subscribe(0, id, &footprint).unwrap();
             id
         }
@@ -1285,7 +1255,7 @@ mod tests {
     fn join_queries_register_two_orientations() {
         let mut r = registry();
         let q = "S//item->a[.//title->t1] JOIN{t1=t2, 50} S//post->b[.//title->t2]";
-        let id = reg(&mut r, q, ProcessingMode::Mmqjp);
+        let id = reg(&mut r, 0, q, ProcessingMode::Mmqjp);
         let runtime = r.query(id).unwrap();
         assert!(runtime.is_join());
         assert_eq!(runtime.registrations.len(), 2);
@@ -1342,12 +1312,12 @@ mod tests {
     #[test]
     fn sequential_mode_compiles_per_query_cqt() {
         let mut r = registry();
-        reg(&mut r, Q1, ProcessingMode::Sequential);
+        reg(&mut r, 0, Q1, ProcessingMode::Sequential);
         let reg1 = &r.queries().next().unwrap().registrations[0];
         assert_eq!(reg1.sequential_cqt.num_atoms(), 8);
         // In MMQJP mode the per-query CQT is left empty.
         let mut r2 = registry();
-        reg(&mut r2, Q1, ProcessingMode::Mmqjp);
+        reg(&mut r2, 0, Q1, ProcessingMode::Mmqjp);
         let reg2 = &r2.queries().next().unwrap().registrations[0];
         assert_eq!(reg2.sequential_cqt.num_atoms(), 0);
     }
@@ -1361,12 +1331,13 @@ mod tests {
     #[test]
     fn window_tracking() {
         let mut r = registry();
-        reg(&mut r, Q1, ProcessingMode::Mmqjp);
+        reg(&mut r, 0, Q1, ProcessingMode::Mmqjp);
         assert_eq!(bound(&r), Some(100));
         assert_eq!(r.max_finite_window(), Some(100));
         assert!(!r.has_infinite_window());
         reg(
             &mut r,
+            1,
             "S//a->x FOLLOWED BY{x=y, INF} S//b->y",
             ProcessingMode::Mmqjp,
         );
@@ -1403,7 +1374,7 @@ mod tests {
         assert_eq!(rig.num_patterns(), patterns_before - 2);
         // The unregistered id is gone and resolves nowhere.
         assert!(matches!(r.query(id2), Err(CoreError::UnknownQuery { .. })));
-        assert!(r.resolve_rid((id2.raw() as i64) * 2).is_none());
+        assert!(r.resolve_rid(rid_of(id2, 0)).is_none());
         // Survivors still resolve.
         assert!(r.query(id1).is_ok());
         assert!(r.query(id3).is_ok());
@@ -1425,16 +1396,18 @@ mod tests {
         // A fresh registration never reuses a freed id.
         let id4 = rig.register(Q1, ProcessingMode::Mmqjp);
         assert_eq!(id4, QueryId(3));
-        assert_eq!(rig.r.total_queries_registered(), 4);
+        // The registry holds the live query only.
+        assert_eq!(rig.r.queries.keys().collect::<Vec<_>>(), vec![&id4]);
     }
 
     #[test]
     fn unregister_recomputes_window_bounds() {
         let mut r = registry();
-        let narrow = reg(&mut r, Q1, ProcessingMode::Mmqjp); // window 100
-        let wide = reg(&mut r, Q3, ProcessingMode::Mmqjp); // window 300
+        let narrow = reg(&mut r, 0, Q1, ProcessingMode::Mmqjp); // window 100
+        let wide = reg(&mut r, 1, Q3, ProcessingMode::Mmqjp); // window 300
         let inf = reg(
             &mut r,
+            2,
             "S//a->x FOLLOWED BY{x=y, INF} S//b->y",
             ProcessingMode::Mmqjp,
         );
@@ -1463,8 +1436,8 @@ mod tests {
     #[test]
     fn unregister_duplicate_window_keeps_the_bound() {
         let mut r = registry();
-        let a = reg(&mut r, Q1, ProcessingMode::Mmqjp);
-        let b = reg(&mut r, Q1, ProcessingMode::Mmqjp);
+        let a = reg(&mut r, 0, Q1, ProcessingMode::Mmqjp);
+        let b = reg(&mut r, 1, Q1, ProcessingMode::Mmqjp);
         assert_eq!(bound(&r), Some(100));
         let effects = r.unregister(a).unwrap();
         assert!(!effects.window_changed, "the twin still holds window 100");
@@ -1511,13 +1484,13 @@ mod tests {
     #[test]
     fn reregistered_isomorphic_query_starts_a_fresh_template() {
         let mut r = registry();
-        let id1 = reg(&mut r, Q1, ProcessingMode::Mmqjp);
-        let t1 = r.queries().next().unwrap().shape().orientations()[0].template;
+        let id1 = reg(&mut r, 0, Q1, ProcessingMode::Mmqjp);
+        let t1 = r.query(id1).unwrap().shape().orientations()[0].template;
         r.unregister(id1).unwrap();
         assert_eq!(r.num_templates(), 0);
-        let id2 = reg(&mut r, Q1, ProcessingMode::Mmqjp);
+        let id2 = reg(&mut r, 1, Q1, ProcessingMode::Mmqjp);
         assert_ne!(id2, id1);
-        let t2 = r.queries().next().unwrap().shape().orientations()[0].template;
+        let t2 = r.query(id2).unwrap().shape().orientations()[0].template;
         assert_ne!(t2, t1, "retired template ids are never revived");
         assert_eq!(r.num_templates(), 1);
         assert_eq!(r.template_runtime(t2).unwrap().members(), 1);
@@ -1527,25 +1500,12 @@ mod tests {
     #[test]
     fn audit_is_clean_and_detects_seeded_violations() {
         let mut r = registry();
-        let id1 = reg(&mut r, Q1, ProcessingMode::Mmqjp);
-        reg(&mut r, Q3, ProcessingMode::Mmqjp);
+        let id1 = reg(&mut r, 0, Q1, ProcessingMode::Mmqjp);
+        reg(&mut r, 1, Q3, ProcessingMode::Mmqjp);
         r.unregister(id1).unwrap();
         let mut out = Vec::new();
         r.audit(&mut out);
         assert!(out.is_empty(), "healthy registry reported: {out:?}");
-
-        // Seed a counter drift: the auditor must recount and object.
-        r.live_queries += 1;
-        let mut out = Vec::new();
-        r.audit(&mut out);
-        assert!(out.iter().any(|v| matches!(
-            v,
-            AuditViolation::LiveQueryCount {
-                tracked: 2,
-                counted: 1
-            }
-        )));
-        r.live_queries -= 1;
 
         // Seed a window-multiset drift.
         *r.finite_windows.entry(999).or_insert(0) += 1;
@@ -1591,7 +1551,7 @@ mod tests {
     #[test]
     fn template_runtime_metadata() {
         let mut r = registry();
-        reg(&mut r, Q1, ProcessingMode::Mmqjp);
+        reg(&mut r, 0, Q1, ProcessingMode::Mmqjp);
         let tr = r.templates().next().unwrap();
         assert_eq!(tr.rt_name(), "RT_0");
         assert_eq!(tr.members(), 1);
@@ -1611,7 +1571,6 @@ mod tests {
         requested_edges: BTreeMap<PatternId, (Vec<RequestedEdge>, Vec<EdgeConsumers>)>,
         singles: Vec<(QueryId, PatternId, String, Option<String>)>,
         live_vars: BTreeSet<Symbol>,
-        rid_map: BTreeMap<i64, (usize, usize)>,
         pattern_refs: Vec<(PatternId, usize)>,
         windows: (BTreeMap<u64, usize>, usize),
         plans_compiled: usize,
@@ -1638,7 +1597,6 @@ mod tests {
             // Counted per shape, which the memo shares and a fresh
             // derivation does not: compare which variables are live.
             live_vars: r.var_refs.keys().copied().collect(),
-            rid_map: r.rid_map.iter().map(|(&rid, &at)| (rid, at)).collect(),
             pattern_refs: index
                 .patterns()
                 .map(|(pid, _)| (pid, index.refcount(pid)))
@@ -1743,9 +1701,9 @@ mod tests {
     #[test]
     fn the_memo_holds_one_entry_per_live_distinct_clause() {
         let mut r = registry();
-        let a = reg(&mut r, Q1, ProcessingMode::Mmqjp);
-        let b = reg(&mut r, Q1_WIDE, ProcessingMode::Mmqjp);
-        let c = reg(&mut r, Q1_RENAMED, ProcessingMode::Mmqjp);
+        let a = reg(&mut r, 0, Q1, ProcessingMode::Mmqjp);
+        let b = reg(&mut r, 1, Q1_WIDE, ProcessingMode::Mmqjp);
+        let c = reg(&mut r, 2, Q1_RENAMED, ProcessingMode::Mmqjp);
         // Windows aside, Q1 and Q1_WIDE are one clause; the renamed clause
         // is a second entry in the same template.
         assert_eq!(r.num_shapes(), 2);
@@ -1779,8 +1737,8 @@ mod tests {
     fn shape_memo_audit_detects_seeded_violations() {
         let fresh = || {
             let mut r = registry();
-            for text in [Q1, Q1_WIDE, JOIN, SINGLE] {
-                reg(&mut r, text, ProcessingMode::Mmqjp);
+            for (id, text) in (0..).zip([Q1, Q1_WIDE, JOIN, SINGLE]) {
+                reg(&mut r, id, text, ProcessingMode::Mmqjp);
             }
             r
         };
@@ -1797,14 +1755,14 @@ mod tests {
         // Replace the shape of Q1's clause, in the memo and in every query
         // holding it, by an edited copy.
         let replace = |r: &mut Registry, edit: &dyn Fn(&mut QueryShape)| {
-            let key = Arc::clone(&r.queries().next().unwrap().shape.key);
+            let key = Arc::clone(&r.query(QueryId(0)).unwrap().shape.key);
             let entry = r.shapes.get_mut(&*key).unwrap();
             let old = Arc::clone(&entry.shape);
             let mut edited = (*old).clone();
             edit(&mut edited);
             entry.shape = Arc::new(edited);
             let new = Arc::clone(&entry.shape);
-            for q in r.queries.iter_mut().flatten() {
+            for q in r.queries.values_mut() {
                 if Arc::ptr_eq(&q.shape, &old) {
                     q.shape = Arc::clone(&new);
                 }
@@ -1871,5 +1829,72 @@ mod tests {
             memo_violations(&r),
             vec!["a live query holds a shape the memo does not file"]
         );
+    }
+
+    #[test]
+    fn churn_keeps_only_live_queries_and_never_reuses_an_id() {
+        let mut e = crate::MmqjpEngine::new(EngineConfig::default());
+        let keep = e.register_query_text(Q1).unwrap();
+        let mut minted = HashSet::from([keep]);
+        for n in 0..1_000 {
+            let text = [Q1_WIDE, JOIN, SINGLE, Q2][n % 4];
+            let id = e.register_query_text(text).unwrap();
+            assert!(minted.insert(id), "{id} minted twice");
+            let r = e.registry();
+            assert_eq!(r.queries.len(), 2);
+            assert!(r.queries.contains_key(&keep) && r.queries.contains_key(&id));
+            assert_eq!(r.num_queries(), 2);
+            e.unregister_query(id).unwrap();
+            assert_eq!(e.registry().queries.keys().collect::<Vec<_>>(), vec![&keep]);
+        }
+        assert_eq!(e.registry().num_queries(), 1);
+        assert!(e.audit().is_empty(), "{:?}", e.audit());
+    }
+
+    #[test]
+    fn rids_decode_to_their_query_and_orientation() {
+        let mut r = registry();
+        let join = reg(&mut r, 0, JOIN, ProcessingMode::Mmqjp);
+        let followed = reg(&mut r, 1, Q1, ProcessingMode::Mmqjp);
+        let q = r.query(join).unwrap();
+        for (index, registration) in q.registrations.iter().enumerate() {
+            assert_eq!(registration.rid, rid_of(join, index));
+            let (resolved, o) = r.resolve_rid(registration.rid).unwrap();
+            assert_eq!(resolved.id, join);
+            assert!(std::ptr::eq(o, &q.shape().orientations()[index]));
+            assert_eq!(o.swapped, index == 1);
+        }
+        // A FOLLOWED BY clause has one orientation: its odd rid is no one's.
+        let (resolved, o) = r.resolve_rid(rid_of(followed, 0)).unwrap();
+        assert_eq!((resolved.id, o.swapped), (followed, false));
+        assert!(r.resolve_rid(rid_of(followed, 1)).is_none());
+        // Negative rids and the rids of ids that are not live resolve nowhere.
+        for rid in [-1, -2, i64::MIN, rid_of(QueryId(2), 0)] {
+            assert!(r.resolve_rid(rid).is_none(), "{rid}");
+        }
+        r.unregister(join).unwrap();
+        assert!(r.resolve_rid(rid_of(join, 0)).is_none());
+        assert!(r.resolve_rid(rid_of(join, 1)).is_none());
+    }
+
+    #[test]
+    fn registering_a_live_id_errs_and_changes_nothing() {
+        let mut rig = Rig::new();
+        let id = rig.register(Q1, ProcessingMode::Mmqjp);
+        rig.register(JOIN, ProcessingMode::Mmqjp);
+        let before = footprint(&rig);
+        let memo = (rig.r.shapes_built(), rig.r.shapes_reused());
+        // A memo hit (Q1's clause) and a miss (Q2's), both under a live id.
+        for text in [Q1_WIDE, Q2] {
+            let query = parse_query(text).unwrap();
+            let err = rig.r.register(query, id, ProcessingMode::Mmqjp, 0);
+            assert!(matches!(err, Err(CoreError::Internal { .. })), "{err:?}");
+            assert_eq!(footprint(&rig), before);
+            assert_eq!((rig.r.shapes_built(), rig.r.shapes_reused()), memo);
+            assert_eq!(rig.r.num_queries(), 2);
+            assert_eq!(rig.r.num_shapes(), 2);
+            assert_eq!(rig.r.query(id).unwrap().window, Some(Window::Time(100)));
+            assert!(rig.audit().is_empty(), "{:?}", rig.audit());
+        }
     }
 }

@@ -35,11 +35,12 @@
 
 use crate::audit::AuditViolation;
 use crate::config::EngineConfig;
+use crate::engine::JoinStage;
 use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultInjector, QuarantineRecord, WorkerFault};
 use crate::front::Stage1Table;
 use crate::output::MatchOutput;
-use crate::pipeline::{self, serve, Answer, Pipeline, Read, Reply, Request, Shard, Slot};
+use crate::pipeline::{self, serve, Answer, Pipeline, Read, Reply, Request, Slot};
 use crate::recovery::ReplayLog;
 use crate::registry::Stage1Footprint;
 use crate::relations::RoutedBatch;
@@ -112,8 +113,8 @@ impl ShardedEngine {
         self.pipeline.num_queries()
     }
 
-    /// Total number of query ids ever assigned (freed ids are tombstoned,
-    /// never reused).
+    /// Total number of query ids ever minted (each is minted once and never
+    /// reused).
     pub fn total_queries_registered(&self) -> usize {
         self.pipeline.next_query as usize
     }
@@ -146,9 +147,10 @@ impl ShardedEngine {
     }
 
     /// Register a parsed query on the shard its id hashes to. Returns the
-    /// engine-global query id, which matches the id a single [`MmqjpEngine`](crate::MmqjpEngine)
-    /// registering the same queries in the same order would assign. A failed
-    /// registration changes nothing and consumes no id.
+    /// query id, which the shard files the query under and which matches
+    /// the id a single [`MmqjpEngine`](crate::MmqjpEngine) registering the
+    /// same queries in the same order would assign. A failed registration
+    /// changes nothing and consumes no id.
     pub fn register_query(&mut self, query: XsclQuery) -> CoreResult<QueryId> {
         self.pipeline.register(query)
     }
@@ -335,11 +337,11 @@ impl Slot for Worker {
     const THREADED: bool = true;
     type Pending = Option<Receiver<CoreResult<Reply>>>;
 
-    fn start(index: usize, shard: Shard) -> CoreResult<Self> {
+    fn start(index: usize, join: JoinStage) -> CoreResult<Self> {
         let (sender, requests) = channel();
         let handle = thread::Builder::new()
             .name(format!("mmqjp-shard-{index}"))
-            .spawn(move || shard_worker(shard, requests, index))
+            .spawn(move || shard_worker(join, requests, index))
             .map_err(|_| CoreError::ShardUnavailable { shard: index })?;
         Ok(Worker {
             sender: Some(sender),
@@ -411,7 +413,7 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
 /// keep talking to it.
 // The spawned worker thread must own its receiver (`'static` loop).
 #[allow(clippy::needless_pass_by_value)]
-fn shard_worker(mut shard: Shard, requests: Receiver<Envelope>, index: usize) {
+fn shard_worker(mut join: JoinStage, requests: Receiver<Envelope>, index: usize) {
     while let Ok(Envelope {
         request,
         fault,
@@ -429,7 +431,7 @@ fn shard_worker(mut shard: Shard, requests: Receiver<Envelope>, index: usize) {
                 // lint:allow deliberate injected fault, contained by catch_unwind
                 panic!("injected fault: shard worker panic");
             }
-            serve(&mut shard, request)
+            serve(&mut join, request)
         }));
         match served {
             Ok(answer) => {
@@ -447,11 +449,11 @@ fn shard_worker(mut shard: Shard, requests: Receiver<Envelope>, index: usize) {
 }
 
 // Compile-time audit that everything crossing (or living on) a shard
-// worker thread is `Send`: the shard with its join stage, the shared
+// worker thread is `Send`: the shard's join stage, the shared
 // interner, and the request and answer payloads.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<Shard>();
+    assert_send::<JoinStage>();
     assert_send::<Arc<StringInterner>>();
     assert_send::<Envelope>();
     assert_send::<Stage1Footprint>();
@@ -978,7 +980,7 @@ mod tests {
                 Err(CoreError::UnknownQuery { .. })
             ));
             assert_eq!(e.num_queries(), 2);
-            // Freed global ids are never reused.
+            // Freed ids are never reused.
             let id = e.register_query_text(Q1).unwrap();
             assert_eq!(id, QueryId(3));
         }

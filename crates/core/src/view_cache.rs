@@ -135,11 +135,6 @@ impl ViewCache {
         Ok(())
     }
 
-    /// Drop every cached slice.
-    pub fn clear(&mut self) {
-        self.slices.clear();
-    }
-
     /// Invalidate slices for which the predicate returns `true` (used when
     /// eviction removes documents from the join state).
     pub fn invalidate_if(&mut self, mut pred: impl FnMut(Symbol) -> bool) {
@@ -252,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_invalidate() {
+    fn invalidate_drops_only_the_matching_slices() {
         let interner = StringInterner::new();
         let a = interner.intern("a");
         let b = interner.intern("b");
@@ -262,7 +257,7 @@ mod tests {
         cache.invalidate_if(|k| k == a);
         assert!(!cache.contains(a));
         assert!(cache.contains(b));
-        cache.clear();
+        cache.invalidate_if(|_| true);
         assert!(cache.is_empty());
     }
 

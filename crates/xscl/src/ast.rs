@@ -4,10 +4,9 @@ use mmqjp_xpath::TreePattern;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Identifier of a registered continuous query.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+/// Identifier of a registered continuous query, minted by the engine that
+/// registers it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct QueryId(pub u64);
 
 impl QueryId {
@@ -37,20 +36,6 @@ pub enum Window {
     /// Accepted, and evaluated as [`Infinite`](Window::Infinite): nothing
     /// counts events, so retention and matching treat it as unbounded.
     Count(u64),
-}
-
-impl Window {
-    /// `true` when the difference `delta` (in time units, current minus
-    /// previous) satisfies this window for a time-based interpretation.
-    pub fn accepts_delta(&self, delta: u64) -> bool {
-        match self {
-            Window::Infinite => true,
-            Window::Time(t) => delta <= *t,
-            // `COUNT n` is accepted and evaluated as INF: nothing counts
-            // events, so it accepts any delta.
-            Window::Count(_) => true,
-        }
-    }
 }
 
 impl fmt::Display for Window {
@@ -183,8 +168,6 @@ pub enum FromClause {
 /// A complete XSCL query.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct XsclQuery {
-    /// The query id (assigned at registration time; defaults to 0).
-    pub id: QueryId,
     /// The `SELECT` clause.
     pub select: SelectClause,
     /// The `FROM` clause.
@@ -204,7 +187,6 @@ impl XsclQuery {
         right: QueryBlock,
     ) -> Self {
         XsclQuery {
-            id: QueryId::default(),
             select: SelectClause::Star,
             from: FromClause::Join {
                 left,
@@ -220,17 +202,10 @@ impl XsclQuery {
     /// Construct a single-block subscription.
     pub fn single(block: QueryBlock) -> Self {
         XsclQuery {
-            id: QueryId::default(),
             select: SelectClause::Star,
             from: FromClause::Single(block),
             publish: None,
         }
-    }
-
-    /// Set the query id (builder style).
-    pub fn with_id(mut self, id: QueryId) -> Self {
-        self.id = id;
-        self
     }
 
     /// Set the publish name (builder style).
@@ -320,15 +295,13 @@ mod tests {
             Window::Time(100),
             right,
         )
-        .with_id(QueryId(1))
     }
 
     #[test]
     fn join_query_accessors() {
         let q = q1();
         assert!(q.is_join());
-        assert_eq!(q.id, QueryId(1));
-        assert_eq!(q.id.to_string(), "Q1");
+        assert_eq!(QueryId(1).to_string(), "Q1");
         assert_eq!(q.predicates().len(), 2);
         assert_eq!(q.window(), Some(Window::Time(100)));
         assert_eq!(q.op(), Some(JoinOp::FollowedBy));
@@ -346,14 +319,6 @@ mod tests {
         assert_eq!(q.window(), None);
         assert_eq!(q.op(), None);
         assert!(q.blocks().is_none());
-    }
-
-    #[test]
-    fn window_accepts_delta() {
-        assert!(Window::Infinite.accepts_delta(u64::MAX));
-        assert!(Window::Time(10).accepts_delta(10));
-        assert!(!Window::Time(10).accepts_delta(11));
-        assert!(Window::Count(5).accepts_delta(1_000_000));
     }
 
     #[test]

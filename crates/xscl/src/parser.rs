@@ -77,7 +77,6 @@ pub fn parse_query(input: &str) -> XsclResult<XsclQuery> {
     };
 
     Ok(XsclQuery {
-        id: Default::default(),
         select,
         from,
         publish,

@@ -1,6 +1,6 @@
 //! Workspace lint pass, run as `cargo run -p xtask -- lint`.
 //!
-//! Seventeen dependency-free static checks over the workspace sources:
+//! Eighteen dependency-free static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -108,6 +108,12 @@
 //!     together, at the one cutoff the matching rule is measured against,
 //!     so no second eviction pass can change a result.
 //!
+//! 18. **One query-id minter** — in non-test code in `crates/core/src`,
+//!     `QueryId(` is constructed only inside `Pipeline::register` (in
+//!     `pipeline.rs`), which mints every id, and the registry's rid decoder
+//!     `resolve_rid` (in `registry.rs`): every other layer files a query
+//!     under the id it was handed, so no second id space can grow beside it.
+//!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
 #![forbid(unsafe_code)]
@@ -158,6 +164,7 @@ fn run_lint(root: &Path) -> ExitCode {
     check_one_batch_path(root, &mut violations);
     check_one_worker_kind(root, &mut violations);
     check_one_retention_cutoff(root, &mut violations);
+    check_one_query_id_minter(root, &mut violations);
 
     if violations.is_empty() {
         println!("xtask lint: all checks passed");
@@ -1015,6 +1022,39 @@ fn scan_file_for_state_eviction(root: &Path, file: &Path, out: &mut Vec<String>)
 }
 
 // ---------------------------------------------------------------------------
+// Check 18: one query-id minter.
+// ---------------------------------------------------------------------------
+
+/// Each file with the one function in it allowed to construct a query id.
+const QUERY_ID_SITES: &[(&str, &str)] = &[
+    ("crates/core/src/pipeline.rs", "fn register("),
+    (REGISTRY_FILE, "fn resolve_rid("),
+];
+const QUERY_ID_CTOR: &str = "QueryId(";
+
+fn check_one_query_id_minter(root: &Path, out: &mut Vec<String>) {
+    for file in rust_files(&root.join(CORE_SRC)) {
+        let exempt: Vec<&str> = (QUERY_ID_SITES.iter())
+            .filter(|(site, _)| root.join(site) == file)
+            .map(|&(_, function)| function)
+            .collect();
+        scan_file_for_query_ids(root, &file, &exempt, out);
+    }
+}
+
+/// `QueryId(` in `file` outside the bodies of the `exempt` functions.
+fn scan_file_for_query_ids(root: &Path, file: &Path, exempt: &[&str], out: &mut Vec<String>) {
+    scan_outside_fns(
+        root,
+        file,
+        out,
+        exempt,
+        &[QUERY_ID_CTOR],
+        "outside `Pipeline::register` and the rid decoder (the pipeline mints every query id)",
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
@@ -1381,6 +1421,40 @@ mod tests {
                 "{out:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_second_query_id_minter_is_flagged() {
+        let pipeline = "pub(crate) fn register(&mut self, query: XsclQuery) -> CoreResult<QueryId> {\n    let id = QueryId(self.next_query);\n    Ok(id)\n}\nfn respawn(&mut self) {\n    let id = QueryId(global);\n}\n#[cfg(test)]\nmod tests {\n    fn t() { e.unregister_query(QueryId(0)); }\n}\n";
+        let registry = "pub fn register(\n    &mut self,\n    query: XsclQuery,\n) -> CoreResult<QueryId> {\n    let id = QueryId(self.queries.len() as u64);\n    // QueryId(1) in a comment\n}\npub fn resolve_rid(&self, rid: i64) -> Option<&Q> {\n    self.queries.get(&QueryId(rid as u64 / 2))\n}\n";
+        let dir = std::env::temp_dir().join("xtask-lint-test");
+        fs::create_dir_all(&dir).unwrap();
+        let (pipeline_file, registry_file) = (
+            dir.join("minter_pipeline_case.rs"),
+            dir.join("minter_registry_case.rs"),
+        );
+        fs::write(&pipeline_file, pipeline).unwrap();
+        fs::write(&registry_file, registry).unwrap();
+
+        let mut out = Vec::new();
+        scan_file_for_query_ids(&dir, &pipeline_file, &["fn register("], &mut out);
+        assert_eq!(out.len(), 1, "violations: {out:?}");
+        assert!(
+            out[0].contains("minter_pipeline_case.rs:6") && out[0].contains("`QueryId(`"),
+            "{out:?}"
+        );
+        // The registry's `register` is no minter; only its decoder is exempt.
+        let mut out = Vec::new();
+        scan_file_for_query_ids(&dir, &registry_file, &["fn resolve_rid("], &mut out);
+        assert_eq!(out.len(), 1, "violations: {out:?}");
+        assert!(
+            out[0].contains("minter_registry_case.rs:5") && out[0].contains("`QueryId(`"),
+            "{out:?}"
+        );
+        // With no exemption, every construction outside tests is flagged.
+        let mut out = Vec::new();
+        scan_file_for_query_ids(&dir, &registry_file, &[], &mut out);
+        assert_eq!(out.len(), 2, "violations: {out:?}");
     }
 
     #[test]
