@@ -241,6 +241,8 @@ impl JoinStage {
         s.join_orders_reused = self.scratch.join_orders_reused() as usize;
         s.join_rows_probed = self.scratch.rows_probed() as usize;
         s.join_ids_moved = self.scratch.ids_moved() as usize;
+        s.join_executions = self.scratch.executions() as usize;
+        s.join_executions_empty = self.scratch.executions_empty() as usize;
         let vc = self.view_cache.stats();
         s.view_cache_hits = vc.hits;
         s.view_cache_misses = vc.misses;
@@ -1305,6 +1307,8 @@ mod tests {
             };
             let executions = (batches as usize + 1) * plans_per_batch;
             assert_eq!(stats.scratch_reuses, executions - 1, "mode {mode:?}");
+            assert_eq!(stats.join_executions, executions, "mode {mode:?}");
+            assert!(stats.join_executions_empty < executions, "mode {mode:?}");
             // Late materialization: at least one row per emitted match was
             // built, and none more than the distinct result rows.
             assert!(stats.rows_materialized >= stats.results_emitted);

@@ -188,6 +188,14 @@ pub struct EngineStats {
     /// columns. A join step whose every probing row found exactly one
     /// partner, in order, copies none.
     pub join_ids_moved: usize,
+    /// Plan executions, summed over every template (and, in Sequential
+    /// mode, every orientation) of every batch.
+    pub join_executions: usize,
+    /// Plan executions that ran at least one join step and produced no
+    /// row: a step's intermediate came out empty. ÷
+    /// [`join_executions`](Self::join_executions) is the share of Stage 2's
+    /// executions whose join work was all wasted.
+    pub join_executions_empty: usize,
     /// Stage-1 node pairs the front emitted — one per requested edge
     /// binding of every matching join-side pattern whose enumeration was
     /// not suppressed (see
@@ -307,6 +315,8 @@ impl AddAssign for EngineStats {
         self.join_orders_reused += rhs.join_orders_reused;
         self.join_rows_probed += rhs.join_rows_probed;
         self.join_ids_moved += rhs.join_ids_moved;
+        self.join_executions += rhs.join_executions;
+        self.join_executions_empty += rhs.join_executions_empty;
         self.stage1_pairs += rhs.stage1_pairs;
         self.stage1_rows += rhs.stage1_rows;
         self.stage1_edges_suppressed += rhs.stage1_edges_suppressed;
@@ -415,6 +425,8 @@ mod tests {
             join_orders_reused: 28,
             join_rows_probed: 31,
             join_ids_moved: 32,
+            join_executions: 37,
+            join_executions_empty: 38,
             stage1_pairs: 29,
             stage1_rows: 30,
             stage1_edges_suppressed: 35,
@@ -462,6 +474,8 @@ mod tests {
             join_orders_reused: 280,
             join_rows_probed: 310,
             join_ids_moved: 320,
+            join_executions: 370,
+            join_executions_empty: 380,
             stage1_pairs: 290,
             stage1_rows: 300,
             stage1_edges_suppressed: 350,
@@ -509,6 +523,8 @@ mod tests {
         assert_eq!(s.join_orders_reused, 308);
         assert_eq!(s.join_rows_probed, 341);
         assert_eq!(s.join_ids_moved, 352);
+        assert_eq!(s.join_executions, 407);
+        assert_eq!(s.join_executions_empty, 418);
         assert_eq!(s.stage1_pairs, 319);
         assert_eq!(s.stage1_rows, 330);
         assert_eq!(s.stage1_edges_suppressed, 385);

@@ -89,7 +89,7 @@ pub use conjunctive::{Atom, ConjunctiveQuery, Term};
 pub use error::{RelError, RelResult};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use interner::{InternerIndexError, StringInterner, Symbol};
-pub use plan::{ChunkedRows, ColId, ExecScratch, PhysicalPlan, PlanInput};
+pub use plan::{ChunkedRows, ColId, ExecScratch, ExplainStep, PhysicalPlan, PlanInput};
 pub use relation::{Relation, RowRef, Rows, Tuple};
 pub use schema::Schema;
 pub use segment::{BucketId, RowHandle, SegmentedRelation, SegmentedTuples};

@@ -51,17 +51,24 @@
 //!   a debug-build spot check compares a kept table's stored hashes with
 //!   its input.
 //! * **Join orders.** The greedy order is driven by **sampled selectivity
-//!   estimates**: each atom column's distinct-value count is estimated from
-//!   up to 64 hashed samples, and the planner picks the connected atom
-//!   minimizing the estimated growth of the intermediate — which keeps
-//!   low-selectivity joins (e.g. two variable-name columns over the whole
-//!   `Rbin` state) from running early. Sampling and the O(atoms²) planner
-//!   run once per *data shape*: a plan keeps its last order beside the atom
-//!   lengths it was planned for and re-plans only when some atom's
-//!   (filtered) length leaves `[½×, 2×]` of its planned length, both lengths
-//!   clamped up to the 64-row sample first. An atom of at most 64 rows was
-//!   sampled whole and costs less to join than a planning pass, so atoms
-//!   that flip between a few rows and a few dozen never re-plan.
+//!   estimates**: up to 64 evenly spaced rows of each atom (positions
+//!   `j · n / 64`, so the oldest and the newest rows are both seen) are
+//!   hashed, the distinct count of any bound-column combination is
+//!   estimated from them, and the planner picks the connected atom
+//!   minimizing the estimated growth of the intermediate. The estimate
+//!   **saturates**: it is exact for a sample of every row, `n` only when
+//!   the sample repeats no key, and otherwise read off the sample's
+//!   frequency profile (Chao1), never scaled up by `n / 64`. So a
+//!   low-selectivity join — a tag pair over the whole clustered `Rbin`
+//!   state — is rated by what it multiplies the intermediate by, and a
+//!   template's plan joins the batch side before it. Sampling and the
+//!   O(atoms²) planner run once per *data shape*: a plan keeps its last
+//!   order beside the atom lengths it was planned for and re-plans only
+//!   when some atom's (filtered) length leaves `[½×, 2×]` of its planned
+//!   length, both lengths clamped up to the 64-row sample first. An atom of
+//!   at most 64 rows was sampled whole and costs less to join than a
+//!   planning pass, so atoms that flip between a few rows and a few dozen
+//!   never re-plan.
 //! * **Step programs.** With the order, the plan stores what the order
 //!   implies: per step, the input slot, the intermediate's `(step,
 //!   position)` key columns and the atom's key positions, and the `(step,
@@ -122,13 +129,18 @@ pub(crate) struct PhysAtom {
 }
 
 /// The join order of a plan's last planning pass, beside the (filtered) atom
-/// lengths it was planned for and the step program compiled for it. Empty
-/// until the first execution.
+/// lengths it was planned for, the step program compiled for it, the
+/// planner's estimated rows after each step and the rows after each step of
+/// the last execution (the first `ran` entries of `actual`, a buffer sized
+/// when the order is planned). Empty until the first execution.
 #[derive(Debug, Clone, Default)]
 struct OrderMemo {
     order: Vec<usize>,
     lens: Vec<u32>,
     program: StepProgram,
+    estimates: Vec<u64>,
+    actual: Vec<u64>,
+    ran: usize,
 }
 
 impl OrderMemo {
@@ -417,6 +429,8 @@ impl PhysicalPlan {
         } else {
             *primed = true;
         }
+        counters.executions += 1;
+        memo.ran = 0;
 
         let n = atoms.len();
         let mut out = Relation::new(head_schema.clone());
@@ -459,7 +473,7 @@ impl PhysicalPlan {
                 counters.orders_reused += 1;
             }
         } else {
-            // Up to [`DISTINCT_SAMPLE`] evenly strided row samples per atom,
+            // Up to [`DISTINCT_SAMPLE`] evenly spaced row samples per atom,
             // hashed per variable column (flattened column-major). The
             // planner estimates the distinct count of any bound-column
             // *combination* from them, which — unlike per-column estimates
@@ -472,13 +486,10 @@ impl PhysicalPlan {
                     let nrows = lens[i] as usize;
                     let s = &mut samples[i];
                     s.clear();
-                    let sc = nrows.min(DISTINCT_SAMPLE);
-                    let step = nrows / sc; // nrows >= 1: empty atoms returned above
                     let sel: Option<&[u32]> = filtered[i].then_some(sels[i].as_slice());
                     for &(_, pos) in &atom.vars {
-                        for j in 0..sc {
-                            s.push(hash_value(input.value(base_id(sel, j * step), pos)));
-                        }
+                        let hash_at = |r| hash_value(input.value(base_id(sel, r), pos));
+                        sample_rows(nrows, hash_at, s);
                     }
                 }
                 counters.orders_planned += 1;
@@ -490,11 +501,13 @@ impl PhysicalPlan {
                 col_names.len(),
                 bound,
                 remaining,
-                &mut memo.order,
+                memo,
             );
             memo.lens.clear();
             memo.lens.extend_from_slice(lens);
             memo.program.derive(atoms, head, &memo.order);
+            memo.actual.clear();
+            memo.actual.resize(n, 0);
         }
         let order = memo.order.as_slice();
         let program = &memo.program;
@@ -516,6 +529,8 @@ impl PhysicalPlan {
         } else {
             cols[0].extend(0..lens[first]);
         }
+        memo.actual[0] = cols[0].len() as u64;
+        memo.ran = 1;
 
         for (step, &ai) in order.iter().enumerate().skip(1) {
             let atom = &atoms[ai];
@@ -563,7 +578,10 @@ impl PhysicalPlan {
                     retain_equal(pair_left, pair_right, ids, vals, ColVals::of(right, pos));
                 }
             }
+            memo.actual[step] = pair_left.len() as u64;
+            memo.ran = step + 1;
             if pair_left.is_empty() {
+                counters.executions_empty += 1;
                 return Ok(out);
             }
             let (joined, rest) = cols.split_at_mut(step);
@@ -640,6 +658,65 @@ impl PhysicalPlan {
             .entries
             .iter()
             .filter_map(|e| e.stamp.map(|(version, _)| (e.slot, version)))
+    }
+
+    /// The memoized join order, one [`ExplainStep`] per step: the atom and
+    /// its relation, its key columns, the planner's estimated rows after the
+    /// step and the rows after the step in the last execution. Empty until
+    /// the plan has planned an order.
+    pub fn explain(&self) -> impl Iterator<Item = ExplainStep<'_>> + '_ {
+        let memo = &self.memo;
+        memo.order.iter().enumerate().map(move |(step, &atom)| {
+            let key_columns = if step == 0 {
+                0
+            } else {
+                memo.program.keys(step).0.len()
+            };
+            ExplainStep {
+                atom,
+                relation: &self.relations[self.atoms[atom].rel as usize],
+                key_columns,
+                estimated_rows: memo.estimates[step],
+                actual_rows: (step < memo.ran).then(|| memo.actual[step]),
+            }
+        })
+    }
+}
+
+/// One step of a plan's memoized join order, as [`PhysicalPlan::explain`]
+/// reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExplainStep<'p> {
+    /// The body position of the atom joined at this step.
+    pub atom: usize,
+    /// The relation the atom reads.
+    pub relation: &'p str,
+    /// The atom's columns keyed on variables bound by earlier steps: 0 for
+    /// the first step and for a cross product.
+    pub key_columns: usize,
+    /// The planner's estimate of the intermediate's rows after this step:
+    /// the first atom's (filtered) length, then each step's estimated
+    /// growth ratio applied in turn.
+    pub estimated_rows: u64,
+    /// The intermediate's rows after this step in the plan's last
+    /// execution; `None` for a step it never ran because an earlier step
+    /// ended empty or an atom was empty.
+    pub actual_rows: Option<u64>,
+}
+
+impl std::fmt::Display for ExplainStep<'_> {
+    /// `Rbin#3 keys 2: est 2756, actual 14`, or `actual -` for a step that
+    /// did not run.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}#{} keys {}: est {}, actual ",
+            self.relation, self.atom, self.key_columns, self.estimated_rows
+        )?;
+        match self.actual_rows {
+            Some(rows) => write!(f, "{rows}"),
+            None => f.write_str("-"),
+        }
     }
 }
 
@@ -1166,39 +1243,62 @@ fn mix_hash(acc: u64, h: u64) -> u64 {
     (acc.rotate_left(5) ^ h).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
+/// The number of rows [`sample_rows`] samples from `n`.
+#[inline]
+fn sample_len(n: usize) -> usize {
+    n.min(DISTINCT_SAMPLE)
+}
+
+/// Append the hashes of up to [`DISTINCT_SAMPLE`] evenly spaced rows of `n`
+/// to `out`: `hash_at` receives the positions `j · n / sc` for `j` in
+/// `0..sc`, `sc` = [`sample_len`]`(n)`, so the sample spans every row from
+/// the first to the last (and is every row when `n ≤ 64`).
+fn sample_rows(n: usize, mut hash_at: impl FnMut(usize) -> u64, out: &mut Vec<u64>) {
+    let sc = sample_len(n);
+    out.extend((0..sc).map(|j| hash_at(j * n / sc)));
+}
+
 /// Estimate the number of distinct values among `n` rows from the sampled
-/// hashes in `hs` (one per sampled row): scale the sample's distinct count
-/// to the full row count and clamp to `[distinct, n]`. Sorts `hs` in place;
-/// deterministic. Returns 0 for an empty sample.
-fn scaled_distinct(hs: &mut [u64], n: usize) -> u64 {
+/// hashes in `hs` (one per sampled row, as [`sample_rows`] takes them).
+/// Sorts `hs` in place; deterministic. The estimate saturates instead of
+/// extrapolating:
+///
+/// * a sample of every row is exact;
+/// * a sample with no repeated key cannot bound the count, so it is `n`;
+/// * otherwise the sample's frequency profile decides — `d` distinct keys,
+///   `f1` seen once, `f2` seen twice — through the bias-corrected Chao1
+///   estimate `d + f1·(f1 − 1) / (2·(f2 + 1))`, clamped to `[d, n]`. A
+///   sample whose every key repeats reads `d`, however large `n` is, and
+///   a 2 600-row column of 50 clustered keys reads 92, not the `d · n /
+///   64` = 2 031 of a linear scale-up.
+///
+/// Returns 0 for an empty sample.
+fn estimated_distinct(hs: &mut [u64], n: usize) -> u64 {
     if hs.is_empty() {
         return 0;
     }
     hs.sort_unstable();
-    let mut distinct = 1u64;
-    for w in hs.windows(2) {
-        if w[0] != w[1] {
-            distinct += 1;
+    let (mut d, mut f1, mut f2, mut run) = (0u64, 0u64, 0u64, 0u64);
+    for (i, &h) in hs.iter().enumerate() {
+        run += 1;
+        if hs.get(i + 1) != Some(&h) {
+            d += 1;
+            match run {
+                1 => f1 += 1,
+                2 => f2 += 1,
+                _ => {}
+            }
+            run = 0;
         }
     }
-    ((distinct as u128 * n as u128 / hs.len() as u128) as u64).clamp(distinct, n as u64)
-}
-
-/// Estimate the number of distinct values among `n` rows from up to
-/// [`DISTINCT_SAMPLE`] evenly strided hashed samples. Deterministic;
-/// `hash_at` receives row positions `0, step, 2*step, ...`.
-#[cfg(test)]
-fn estimate_distinct(n: usize, mut hash_at: impl FnMut(usize) -> u64) -> u64 {
-    if n == 0 {
-        return 0;
+    let (sampled, n) = (hs.len() as u64, n as u64);
+    if sampled >= n {
+        d
+    } else if d == sampled {
+        n
+    } else {
+        (d + f1 * f1.saturating_sub(1) / (2 * (f2 + 1))).clamp(d, n)
     }
-    let sample = n.min(DISTINCT_SAMPLE);
-    let step = n / sample;
-    let mut hashes = [0u64; DISTINCT_SAMPLE];
-    for (j, slot) in hashes[..sample].iter_mut().enumerate() {
-        *slot = hash_at(j * step);
-    }
-    scaled_distinct(&mut hashes[..sample], n)
 }
 
 /// One join-order candidate: `(position in remaining, connected, filtered
@@ -1249,7 +1349,13 @@ fn order_better(c: OrderCand, b: OrderCand) -> bool {
 /// many-variable atom (e.g. a template's `RT`) in early and keeps a
 /// correlated tag-pair join ranked behind a genuinely selective one.
 /// Disconnected atoms (cross products) are only taken when no connected
-/// atom remains. Writes the order into `order` (the plan's memo).
+/// atom remains. The distinct estimates saturate ([`estimated_distinct`]):
+/// an atom much larger than the sample whose sampled keys repeat is rated
+/// by how often they repeat, not by `64 / distinct`, so a large clustered
+/// state atom ranks behind a small batch atom on the same keys. Writes the
+/// order into `memo.order` and, per step, the estimated rows after it into
+/// `memo.estimates`: the first atom's length, then each taken atom's growth
+/// ratio applied in turn. [`PhysicalPlan::explain`] reports both.
 fn join_order(
     atoms: &[PhysAtom],
     lens: &[u32],
@@ -1257,8 +1363,11 @@ fn join_order(
     num_cols: usize,
     bound: &mut Vec<bool>,
     remaining: &mut Vec<usize>,
-    order: &mut Vec<usize>,
+    memo: &mut OrderMemo,
 ) {
+    let OrderMemo {
+        order, estimates, ..
+    } = memo;
     let n = atoms.len();
     remaining.clear();
     remaining.extend(0..n);
@@ -1266,6 +1375,8 @@ fn join_order(
     let first = remaining.remove(0);
     order.clear();
     order.push(first);
+    estimates.clear();
+    estimates.push(u64::from(lens[first]));
     bound.clear();
     bound.resize(num_cols, false);
     for (col, _) in &atoms[first].vars {
@@ -1275,7 +1386,7 @@ fn join_order(
         let mut best: Option<OrderCand> = None;
         for (pos, &i) in remaining.iter().enumerate() {
             let nrows = lens[i] as usize;
-            let sc = nrows.min(DISTINCT_SAMPLE);
+            let sc = sample_len(nrows);
             let mut combo = [0u64; DISTINCT_SAMPLE];
             let mut shared = 0usize;
             for (k, (col, _)) in atoms[i].vars.iter().enumerate() {
@@ -1289,7 +1400,7 @@ fn join_order(
             }
             // Distinct estimate of the *combined* shared-column tuple.
             let sel = if shared > 0 && sc > 0 {
-                scaled_distinct(&mut combo[..sc], nrows).max(1)
+                estimated_distinct(&mut combo[..sc], nrows).max(1)
             } else {
                 1
             };
@@ -1305,7 +1416,9 @@ fn join_order(
                 }
             });
         }
-        let (pos, ..) = best.expect("remaining is non-empty"); // lint:allow loop ran over non-empty remaining
+        let (pos, _, len, sel, _) = best.expect("remaining is non-empty"); // lint:allow loop ran over non-empty remaining
+        let rows = u128::from(estimates[estimates.len() - 1]) * u128::from(len) / u128::from(sel);
+        estimates.push(u64::try_from(rows).unwrap_or(u64::MAX));
         let i = remaining.remove(pos);
         for (col, _) in &atoms[i].vars {
             bound[*col as usize] = true;
@@ -1521,6 +1634,8 @@ struct Counters {
     orders_reused: u64,
     rows_probed: u64,
     ids_moved: u64,
+    executions: u64,
+    executions_empty: u64,
 }
 
 /// The pooled executor state: selection vectors, sampled column hashes, the
@@ -1627,6 +1742,18 @@ impl ExecScratch {
     /// one partner, in order, copies none.
     pub fn ids_moved(&self) -> u64 {
         self.counters.ids_moved
+    }
+
+    /// Plan executions, of any number of atoms.
+    pub fn executions(&self) -> u64 {
+        self.counters.executions
+    }
+
+    /// Plan executions that ran at least one join step and produced no row:
+    /// some step's intermediate came out empty. An execution with an empty
+    /// atom joins nothing and is not counted.
+    pub fn executions_empty(&self) -> u64 {
+        self.counters.executions_empty
     }
 
     /// Cumulative wall-clock time spent in the materialization pass (head
@@ -1914,6 +2041,14 @@ mod tests {
 
     fn sorted_rows(rel: &Relation) -> Vec<Vec<Value>> {
         rows_of(&rel.sorted())
+    }
+
+    /// Estimate the number of distinct values among `n` rows through
+    /// [`sample_rows`] and [`estimated_distinct`], as the planner does.
+    fn estimate_distinct(n: usize, hash_at: impl FnMut(usize) -> u64) -> u64 {
+        let mut hashes = Vec::new();
+        sample_rows(n, hash_at, &mut hashes);
+        estimated_distinct(&mut hashes, n)
     }
 
     /// `a(K), b(K, V)`: `a` is joined first (equal lengths tie on body
@@ -2314,16 +2449,183 @@ mod tests {
 
     #[test]
     fn distinct_estimates_are_deterministic_and_bounded() {
-        // All-equal column: estimate collapses to 1.
+        // Constant column: every sampled key repeats, so the estimate is 1.
         assert_eq!(estimate_distinct(100, |_| 42), 1);
-        // All-distinct sample: estimate is the row count.
+        assert_eq!(estimate_distinct(100_000, |_| 42), 1);
+        // All-distinct sample: nothing bounds the count, so it is the row
+        // count — for a sample of every row and for 64 of 10 000 alike.
         assert_eq!(estimate_distinct(50, |j| j as u64), 50);
-        // Scaling: 64 samples with 32 distinct hashes over 128 rows
-        // extrapolates to ~64, clamped within [distinct, n].
-        let est = estimate_distinct(128, |j| (j % 32) as u64);
-        assert!((32..=128).contains(&est));
+        assert_eq!(estimate_distinct(10_000, |j| j as u64), 10_000);
+        // At most 64 rows are sampled whole, so the count is exact.
+        for n in 1..=DISTINCT_SAMPLE {
+            for keys in [1, 3, 7, n] {
+                let exact = n.min(keys) as u64;
+                assert_eq!(estimate_distinct(n, |j| (j % keys) as u64), exact);
+            }
+        }
+        // Saturation: 32 keys of 4 rows each over 128 rows. The even
+        // positions see every key twice and no key once, so the estimate is
+        // the sample's 32 keys, not extrapolated to 32 · 128 / 64 = 64.
+        assert_eq!(estimate_distinct(128, |j| (j / 4) as u64), 32);
+        // A clustered column (`Rbin`'s shape: 50 keys of 52 rows each): 64
+        // samples see every key, 14 of them twice, and the frequency
+        // profile keeps the estimate within 2x of 50 (the linear rule read
+        // 50 · 2 600 / 64 = 2 031).
+        let est = estimate_distinct(50 * 52, |j| (j / 52) as u64);
+        assert_eq!(est, 92);
+        assert!((25..=100).contains(&est), "{est}");
+        // Deterministic, and never below the sample's count nor above `n`.
+        for (n, keys) in [(65, 2), (200, 150), (1_000, 100), (5_000, 4_000)] {
+            let est = estimate_distinct(n, |j| (j % keys) as u64);
+            assert_eq!(est, estimate_distinct(n, |j| (j % keys) as u64));
+            assert!(est as usize <= n, "{n} rows, {keys} keys: {est}");
+            assert!(est >= 2, "{n} rows, {keys} keys: {est}");
+        }
         // Empty input.
         assert_eq!(estimate_distinct(0, |_| 0), 0);
+    }
+
+    /// A template-shaped query: `RT` ties the left and the right side's tag
+    /// pairs, `Rbin`/`Rdoc` are window state, `RbinW`/`RdocW` the batch.
+    fn template_shaped() -> ConjunctiveQuery {
+        let v = Term::var;
+        ConjunctiveQuery::new(["q", "d1", "d2"])
+            .atom(Atom::new("RT", [v("q"), v("A"), v("B"), v("C"), v("D")]))
+            .atom(Atom::new(
+                "Rbin",
+                [v("d1"), v("A"), v("B"), v("N1"), v("N2")],
+            ))
+            .atom(Atom::new("Rdoc", [v("d1"), v("N2"), v("S")]))
+            .atom(Atom::new("RdocW", [v("d2"), v("M2"), v("S")]))
+            .atom(Atom::new(
+                "RbinW",
+                [v("d2"), v("C"), v("D"), v("M1"), v("M2")],
+            ))
+    }
+
+    /// `RT` holds 3 queries over tag pairs `k` = 0, 1, 2 (`(2k + 1, 2k +
+    /// 2)` on both sides). The state holds 2 600 documents clustered by tag
+    /// pair, 50 pairs of 52 documents (document `d` has pair `d / 52` and
+    /// string value `d`); the batch holds 60 `RbinW` rows over 20 pairs,
+    /// three documents each (document `10 000 + 3k + j` has pair `k`), and
+    /// 10 `RdocW` rows (document `10 000 + j` has value `7j`).
+    fn template_shaped_rels() -> Vec<(String, Relation)> {
+        let int = Value::Int;
+        let pair = |k: i64| (int(2 * k + 1), int(2 * k + 2));
+        let rt: Vec<[Value; 5]> = (0..3)
+            .map(|k| [int(k), pair(k).0, pair(k).1, pair(k).0, pair(k).1])
+            .collect();
+        let rbin: Vec<[Value; 5]> = (0..2_600)
+            .map(|d| [int(d), pair(d / 52).0, pair(d / 52).1, int(0), int(1)])
+            .collect();
+        let rdoc: Vec<[Value; 3]> = (0..2_600).map(|d| [int(d), int(1), int(d)]).collect();
+        let rbin_w: Vec<[Value; 5]> = (0..60)
+            .map(|j| {
+                [
+                    int(10_000 + j),
+                    pair(j / 3).0,
+                    pair(j / 3).1,
+                    int(0),
+                    int(1),
+                ]
+            })
+            .collect();
+        let rdoc_w: Vec<[Value; 3]> = (0..10)
+            .map(|j| [int(10_000 + j), int(1), int(7 * j)])
+            .collect();
+        let bin = ["docid", "var1", "var2", "node1", "node2"];
+        let doc = ["docid", "node", "strVal"];
+        vec![
+            ("RT".into(), relation_of(["q", "a", "b", "c", "d"], &rt)),
+            ("Rbin".into(), relation_of(bin, &rbin)),
+            ("Rdoc".into(), relation_of(doc, &rdoc)),
+            ("RdocW".into(), relation_of(doc, &rdoc_w)),
+            ("RbinW".into(), relation_of(bin, &rbin_w)),
+        ]
+    }
+
+    #[test]
+    fn a_clustered_state_atom_is_not_joined_before_the_batch() {
+        let rels = template_shaped_rels();
+        let q = template_shaped();
+        let mut plan = compile(&q, &rels);
+        assert_eq!(plan.explain().count(), 0, "nothing planned yet");
+        let inputs = inputs_of(&plan, &rels, false);
+        let mut scratch = ExecScratch::new();
+        let out = plan.execute(&inputs, &mut scratch, false).unwrap();
+        // Documents 0, 7 and 14 (pair 0) meet batch documents 10 000..=10 002
+        // (pair 0) through query 0; every other value pairs mismatched tags.
+        assert_eq!(
+            sorted_rows(&out),
+            ints(&[[0, 0, 10_000], [0, 7, 10_001], [0, 14, 10_002]])
+        );
+
+        let steps: Vec<ExplainStep<'_>> = plan.explain().collect();
+        let relations: Vec<&str> = steps.iter().map(|s| s.relation).collect();
+        // `RT` is the smallest atom. The linear estimate rated `Rbin` keyed
+        // on its tag pair alone as growing the intermediate 1.3x (50 sampled
+        // pairs scaled to 2 031 over 2 600 rows) and joined it second; the
+        // saturating one rates it 28x and takes the batch side first.
+        assert_eq!(relations, ["RT", "RbinW", "RdocW", "Rdoc", "Rbin"]);
+        let first_state = relations
+            .iter()
+            .position(|r| r.starts_with("Rbin") && !r.ends_with('W'));
+        let first_batch = relations.iter().position(|r| r.ends_with('W'));
+        assert!(first_batch < first_state, "{relations:?}");
+        assert_eq!(steps[4].key_columns, 4, "Rbin is keyed on d1, A, B and N2");
+        // Estimated vs actual rows after each step.
+        let estimated: Vec<u64> = steps.iter().map(|s| s.estimated_rows).collect();
+        assert_eq!(estimated, [3, 9, 9, 9, 9]);
+        let actual: Vec<Option<u64>> = steps.iter().map(|s| s.actual_rows).collect();
+        assert_eq!(actual, [Some(3), Some(9), Some(9), Some(9), Some(3)]);
+        assert_eq!(steps[0].to_string(), "RT#0 keys 0: est 3, actual 3");
+        assert_eq!(scratch.executions(), 1);
+        assert_eq!(scratch.executions_empty(), 0);
+
+        // A batch with no document of a live pair ends empty at the second
+        // step, and `explain` reports no rows past it.
+        let mut rels = rels;
+        rels[4].1 = relation_of(
+            ["docid", "var1", "var2", "node1", "node2"],
+            &[[
+                Value::Int(10_000),
+                Value::Int(99),
+                Value::Int(98),
+                Value::Int(0),
+                Value::Int(1),
+            ]],
+        );
+        let inputs = inputs_of(&plan, &rels, false);
+        assert!(plan
+            .execute(&inputs, &mut scratch, false)
+            .unwrap()
+            .is_empty());
+        let actual: Vec<Option<u64>> = plan.explain().map(|s| s.actual_rows).collect();
+        assert_eq!(actual, [Some(3), Some(0), None, None, None]);
+        assert_eq!(
+            plan.explain().nth(2).unwrap().to_string(),
+            "RdocW#3 keys 2: est 9, actual -"
+        );
+        assert_eq!((scratch.executions(), scratch.executions_empty()), (2, 1));
+    }
+
+    #[test]
+    fn samples_are_spread_over_the_whole_atom() {
+        // Positions `j · n / 64`: the first and the last sample sit within
+        // one spacing of the atom's ends, for every length, so neither the
+        // oldest nor the newest rows are left out.
+        for n in [1, 2, 63, 64, 65, 100, 127, 128, 129, 1_000, 2_600, 99_999] {
+            let mut seen = Vec::new();
+            sample_rows(n, |r| r as u64, &mut seen);
+            assert_eq!(seen.len(), n.min(DISTINCT_SAMPLE), "n = {n}");
+            assert!(seen.windows(2).all(|w| w[0] < w[1]), "n = {n}");
+            assert_eq!(seen[0], 0);
+            let spacing = n.div_ceil(DISTINCT_SAMPLE) as u64;
+            assert!(*seen.last().unwrap() + spacing >= n as u64, "n = {n}");
+            if n <= DISTINCT_SAMPLE {
+                assert_eq!(seen, (0..n as u64).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,11 @@
-//! Workspace lint pass, run as `cargo run -p xtask -- lint`.
+//! Workspace tasks, dependency-free:
 //!
-//! Eighteen dependency-free static checks over the workspace sources:
+//! * `cargo run -p xtask -- lint`: the lint pass below;
+//! * `cargo run -p xtask -- bench-ab <base-rev> [--pairs N] [--seconds S]
+//!   [--seed N] [--workloads W…]`: the repo benchmark on a base revision
+//!   against the working tree, in alternating pairs (see [`bench_ab`]).
+//!
+//! The lint pass is eighteen static checks over the workspace sources:
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -118,17 +123,21 @@
 
 #![forbid(unsafe_code)]
 
+mod bench_ab;
+
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let root = workspace_root();
-    match std::env::args().nth(1).as_deref() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.first().map(String::as_str) {
         Some("lint") => run_lint(&root),
+        Some("bench-ab") => bench_ab::run(&root, &args[1..]),
         other => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint   (got {:?})",
+                "usage: cargo run -p xtask -- lint | bench-ab <base-rev> [...]   (got {:?})",
                 other.unwrap_or("<none>")
             );
             ExitCode::from(2)
