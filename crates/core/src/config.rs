@@ -94,8 +94,8 @@ pub struct EngineConfig {
     pub retain_documents: bool,
     /// Cap (in timestamp units) on every query's *horizon*, the one rule
     /// that decides matches and retention. A query's horizon `h` is its time
-    /// window capped by this value, this value alone for an INF or COUNT
-    /// window, and unbounded with neither. A stored document `d1` and a
+    /// window capped by this value, this value alone for an INF window, and
+    /// unbounded with neither. A stored document `d1` and a
     /// batch document `d2` match only when the query's temporal predicate
     /// holds, `|ts2 − ts1| ≤ h` and `ts1 + h ≥ w`, where `w` is the newest
     /// timestamp seen before the batch.

@@ -25,7 +25,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::fault::QuarantineRecord;
 use crate::front::Stage1Table;
 use crate::output::{construct_join_output, Binding, MatchOutput};
-use crate::pipeline::{Inline, Pipeline};
+use crate::pipeline::{Inline, Pipeline, Read, Reply, Request};
 use crate::recovery;
 use crate::registry::{Orientation, QueryRuntime, Registry, Stage1Footprint};
 use crate::relations::{node_of, rl_row, schemas, timestamp_in, RoutedBatch, WitnessBatch};
@@ -180,8 +180,10 @@ impl MmqjpEngine {
 /// maintenance over witness rows a front already produced — the registry,
 /// the windowed join state, the view cache and the executor scratch. Every
 /// shard slot of the pipeline owns one — inline in the single engine, on a
-/// worker thread in the sharded one — and only [`crate::pipeline::serve`]
-/// registers, unregisters and joins on it. Its stream position follows the
+/// worker thread in the sharded one — and only [`serve`](Self::serve)
+/// registers, unregisters and joins on it: the methods behind it are
+/// private, and no code outside this module holds a `&mut JoinStage` but a
+/// slot, which hands it requests. Its stream position follows the
 /// routed metadata, so mid-stream registrations get the same arrival floor
 /// whichever front fed it.
 #[derive(Debug)]
@@ -220,8 +222,37 @@ impl JoinStage {
         }
     }
 
+    /// Serve one shard request: the one place a join stage registers,
+    /// unregisters and joins. A worker thread calls it inside
+    /// `catch_unwind`, an inline slot directly.
+    pub(crate) fn serve(&mut self, request: Request) -> CoreResult<Reply> {
+        match request {
+            Request::Register(query, id, floor) => {
+                Ok(Reply::Register(self.register(query, id, floor)?))
+            }
+            Request::Unregister(id) => {
+                self.unregister(id)?;
+                Ok(Reply::Unregister)
+            }
+            Request::Batch(routed) => Ok(Reply::Batch(self.process(routed)?)),
+            Request::Read(read) => Ok(self.read(read)),
+        }
+    }
+
+    /// The answer to a read-only request, which a `&self` caller can make.
+    pub(crate) fn read(&self, read: Read) -> Reply {
+        match read {
+            Read::Stats => Reply::Stats(Box::new(self.stats())),
+            Read::Audit => {
+                let mut out = Vec::new();
+                self.audit(&mut out);
+                Reply::Audit(out)
+            }
+        }
+    }
+
     /// The join stage's statistics.
-    pub(crate) fn stats(&self) -> EngineStats {
+    fn stats(&self) -> EngineStats {
         let mut s = self.stats;
         s.queries_registered = self.registry.num_queries();
         s.templates = self.registry.num_templates();
@@ -252,7 +283,7 @@ impl JoinStage {
 
     /// Audit the registry, the join state against the newest timestamp
     /// absorbed, and the interner's index.
-    pub(crate) fn audit(&self, out: &mut Vec<AuditViolation>) {
+    fn audit(&self, out: &mut Vec<AuditViolation>) {
         self.registry.audit(out);
         self.state.audit(self.newest_timestamp, out);
         if let Err(e) = self.interner.check_index() {
@@ -268,7 +299,7 @@ impl JoinStage {
     /// only documents with ids above `floor` (see
     /// [`QueryRuntime::arrival_floor`]). Returns the Stage-1 footprint its
     /// front must subscribe.
-    pub(crate) fn register(
+    fn register(
         &mut self,
         query: XsclQuery,
         id: QueryId,
@@ -281,7 +312,7 @@ impl JoinStage {
     /// its registry footprint, purge the view-cache slices of the canonical
     /// variables that died with it and re-derive the bucket width when the
     /// retention bound tightened.
-    pub(crate) fn unregister(&mut self, id: QueryId) -> CoreResult<()> {
+    fn unregister(&mut self, id: QueryId) -> CoreResult<()> {
         let effects = self.registry.unregister(id)?;
         self.stats.queries_unregistered += 1;
         self.stats.templates_retired += effects.templates_retired;
@@ -342,7 +373,7 @@ impl JoinStage {
     /// Stage 2, output construction and state maintenance over one batch
     /// of routed witness rows. An empty batch (every document quarantined)
     /// is a no-op.
-    pub(crate) fn process(&mut self, routed: RoutedBatch) -> CoreResult<Vec<MatchOutput>> {
+    fn process(&mut self, routed: RoutedBatch) -> CoreResult<Vec<MatchOutput>> {
         let RoutedBatch {
             batch,
             doc_meta,
@@ -673,27 +704,27 @@ impl JoinStage {
         let derived = self.width_hint().map(JoinState::derive_width);
         self.state.ensure_width(derived)?;
         // The batch is consumed here: its witness rows move whole into the
-        // segmented store, no per-row field copies.
-        self.state
-            .absorb_routed(batch, meta, docs, self.config.retain_documents)?;
-
-        // Expiry at the one retention cutoff: drop the whole buckets no live
-        // query's horizon reaches — rows, chains and documents together,
-        // O(expired rows), no index rebuild — and invalidate exactly the
-        // view-cache slices whose string values lost rows.
-        if let Some(bound) = self.doc_retention_bound() {
-            let cutoff = self.newest_timestamp.saturating_sub(bound);
-            let eviction = self.state.evict(cutoff);
-            if !eviction.expired_strvals.is_empty() {
-                let before = self.view_cache.len();
-                self.view_cache
-                    .invalidate_if(|k| eviction.expired_strvals.contains(&k));
-                self.stats.view_slices_invalidated += before - self.view_cache.len();
-            }
-            self.stats.state_buckets_evicted += eviction.buckets;
-            self.stats.state_rows_evicted += eviction.rows;
-            self.stats.docs_evicted += eviction.docs;
+        // segmented store, no per-row field copies. Then the state expires
+        // at the one retention cutoff: the whole buckets no live query's
+        // horizon reaches leave — rows, chains and documents together,
+        // O(expired rows), no index rebuild — and exactly the view-cache
+        // slices whose string values lost rows are invalidated.
+        let cutoff = self
+            .doc_retention_bound()
+            .map(|bound| self.newest_timestamp.saturating_sub(bound));
+        let retain = self.config.retain_documents;
+        let eviction = self
+            .state
+            .absorb_routed(batch, meta, docs, retain, cutoff)?;
+        if !eviction.expired_strvals.is_empty() {
+            let before = self.view_cache.len();
+            self.view_cache
+                .invalidate_if(|k| eviction.expired_strvals.contains(&k));
+            self.stats.view_slices_invalidated += before - self.view_cache.len();
         }
+        self.stats.state_buckets_evicted += eviction.buckets;
+        self.stats.state_rows_evicted += eviction.rows;
+        self.stats.docs_evicted += eviction.docs;
         Ok(())
     }
 

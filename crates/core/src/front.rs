@@ -49,7 +49,7 @@ mod table;
 
 pub(crate) use stage::{Front, FrontBatch};
 pub(crate) use table::Stage1Recount;
-pub use table::{EdgeConsumers, RequestedEdges, Stage1Snapshot, Stage1Table};
+pub use table::{EdgeConsumers, RequestedEdges, Stage1Snapshot, Stage1Table, Subscriptions};
 
 /// A structural pattern edge, identified by its endpoint pattern nodes.
 pub type Edge = (PatternNodeId, PatternNodeId);
@@ -278,22 +278,6 @@ impl SingleBlock {
     }
 }
 
-/// Everything Stage 1 evaluates a document against, borrowed from a
-/// [`Stage1Table`] for the duration of one batch (see
-/// [`Stage1Table::subscriptions`]).
-#[derive(Debug)]
-pub struct Subscriptions<'a> {
-    /// Every live pattern, join-side and single-block alike (mutable because
-    /// the shared automaton is compiled lazily after registration churn).
-    index: &'a mut PatternIndex,
-    /// The requested edges of the join-side patterns (mutable because the
-    /// emission plan is compiled lazily too). Patterns without an entry
-    /// (single-block subscriptions) produce no witness rows.
-    requested: &'a mut RequestedEdges,
-    /// The single-block subscriptions, in ascending query-id order.
-    pub singles: &'a [SingleBlock],
-}
-
 /// Stage-1 output for one document.
 #[derive(Debug, Clone, Default)]
 pub struct DocumentMatches {
@@ -402,11 +386,11 @@ pub fn match_document(
     retain_documents: bool,
     out: &mut DocumentMatches,
 ) {
-    subs.index.shared_pass_reusing(doc, &mut scratch.pass);
+    subs.shared_pass(doc, &mut scratch.pass);
     out.rows.clear();
     out.singles.clear();
-    let plan = subs.requested.plan(subs.index);
-    emit_rows(plan, subs.index, doc, scratch, out);
+    let (plan, index) = subs.plan();
+    emit_rows(plan, index, doc, scratch, out);
     emit_singles(subs.singles, doc, &scratch.pass, retain_documents, out);
 }
 

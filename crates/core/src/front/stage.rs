@@ -511,7 +511,7 @@ impl Front {
 /// engine fed only survivors would assign; under the other policies it
 /// consumes its sequence number, then the batch fails (documents stamped
 /// before it stay consumed too).
-pub(crate) fn screen_and_stamp(
+pub(super) fn screen_and_stamp(
     docs: Vec<Document>,
     seq: &mut u64,
     newest: &mut u64,

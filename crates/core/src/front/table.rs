@@ -8,11 +8,12 @@
 //! stage. The consumer sets are part of the emission plan's edge classes and
 //! decide where the witness router sends a row, so both read them here.
 
-use super::{Edge, EmitPlan, RequestedEdge, SingleBlock, Subscriptions};
+use super::{Edge, EmitPlan, RequestedEdge, SingleBlock};
 use crate::audit::AuditViolation;
 use crate::error::{CoreError, CoreResult};
 use mmqjp_relational::{FxHashMap, StringInterner};
-use mmqjp_xpath::{PatternId, PatternIndex, TreePattern};
+use mmqjp_xml::Document;
+use mmqjp_xpath::{PatternId, PatternIndex, SharedPass, TreePattern};
 use mmqjp_xscl::QueryId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -72,7 +73,7 @@ impl RequestedEdges {
 
     /// The emission plan for the live patterns of `index`, recompiled if a
     /// list, a consumer set or the index changed since it was compiled.
-    pub(super) fn plan(&mut self, index: &PatternIndex) -> &EmitPlan {
+    fn plan(&mut self, index: &PatternIndex) -> &EmitPlan {
         let plan = match self.plan.take() {
             Some(plan) if plan.generation == index.generation() => plan,
             _ => EmitPlan::compile(index, self),
@@ -192,6 +193,36 @@ impl FromIterator<(PatternId, Vec<RequestedEdge>)> for RequestedEdges {
     }
 }
 
+/// Everything Stage 1 evaluates a document against, borrowed from a
+/// [`Stage1Table`] for the duration of one batch (see
+/// [`Stage1Table::subscriptions`]). The index and the requested edges are
+/// borrowed mutably because the shared automaton and the emission plan
+/// compile lazily after registration churn; outside this module they are
+/// reached only through the two operations matching needs, so no other code
+/// can change either.
+#[derive(Debug)]
+pub struct Subscriptions<'a> {
+    index: &'a mut PatternIndex,
+    requested: &'a mut RequestedEdges,
+    /// The single-block subscriptions, in ascending query-id order.
+    pub singles: &'a [SingleBlock],
+}
+
+impl Subscriptions<'_> {
+    /// The shared automaton pass of every live pattern over `doc`, into
+    /// `pass`.
+    pub(super) fn shared_pass(&mut self, doc: &Document, pass: &mut SharedPass) {
+        self.index.shared_pass_reusing(doc, pass);
+    }
+
+    /// The emission plan of the join-side patterns, recompiled if stale, and
+    /// the index it was compiled for. Patterns without requested edges
+    /// (single-block subscriptions) produce no witness rows.
+    pub(super) fn plan(&mut self) -> (&EmitPlan, &PatternIndex) {
+        (self.requested.plan(self.index), self.index)
+    }
+}
+
 /// All Stage-1 subscription state of one engine: the pattern index (every
 /// live pattern, join-side and single-block alike, refcounted per
 /// registration), the requested edges with their per-consumer refcounts and
@@ -279,24 +310,24 @@ impl Stage1Table {
         pid: PatternId,
         edges: &[Edge],
     ) -> CoreResult<bool> {
-        self.release_edges(consumer, pid, edges)?;
+        self.requested.release(pid, edges, consumer)?;
         Ok(self.release_pattern(pid))
     }
 
     /// Take one registration of `pattern`; structurally identical patterns
     /// share one id.
-    pub(crate) fn retain_pattern(&mut self, pattern: TreePattern) -> PatternId {
+    pub(super) fn retain_pattern(&mut self, pattern: TreePattern) -> PatternId {
         self.index.register(pattern)
     }
 
     /// Take one more registration of the live pattern `pid`.
-    pub(crate) fn retain_pattern_id(&mut self, pid: PatternId) {
+    pub(super) fn retain_pattern_id(&mut self, pid: PatternId) {
         self.index.retain(pid);
     }
 
     /// Release one registration of `pid`; `true` when it was the last and
     /// the pattern was dropped.
-    pub(crate) fn release_pattern(&mut self, pid: PatternId) -> bool {
+    pub(super) fn release_pattern(&mut self, pid: PatternId) -> bool {
         let dropped = self.index.unregister(pid);
         if dropped && self.requested.lists.remove(&pid).is_some() {
             self.requested.plan = None;
@@ -308,7 +339,7 @@ impl Stage1Table {
     /// requested for the first time is resolved here — its two variables
     /// interned, its value sources read off the indexed pattern, the one
     /// Stage 1 evaluates — so Stage 1 never looks up a string per row.
-    pub(crate) fn request_edges(
+    pub(super) fn request_edges(
         &mut self,
         consumer: usize,
         pid: PatternId,
@@ -320,26 +351,16 @@ impl Stage1Table {
         self.requested.request(pid, edges, consumer, resolve)
     }
 
-    /// Release one request of each of `edges` of `pid` for `consumer`.
-    pub(crate) fn release_edges(
-        &mut self,
-        consumer: usize,
-        pid: PatternId,
-        edges: &[Edge],
-    ) -> CoreResult<()> {
-        self.requested.release(pid, edges, consumer)
-    }
-
     /// Add a single-block subscription whose pattern the caller registered.
     /// Query ids are assigned in ascending order and never reused, so
     /// appending keeps the list in query-id order.
-    pub(crate) fn push_single(&mut self, single: SingleBlock) {
+    pub(super) fn push_single(&mut self, single: SingleBlock) {
         self.singles.push(single);
     }
 
     /// Remove `query`'s single-block subscription (its pattern registration
     /// is the caller's to release).
-    pub(crate) fn remove_single(&mut self, query: QueryId) -> Option<SingleBlock> {
+    pub(super) fn remove_single(&mut self, query: QueryId) -> Option<SingleBlock> {
         let at = self
             .singles
             .binary_search_by_key(&query, |s| s.query)
@@ -352,7 +373,7 @@ impl Stage1Table {
     /// list, every edge's per-consumer refcounts and the lists they run
     /// parallel to, the symbols the edges cached, and a live emission plan
     /// against a fresh compile. Read-only.
-    pub(crate) fn audit(
+    pub(super) fn audit(
         &self,
         recount: &Stage1Recount,
         interner: &StringInterner,
@@ -475,6 +496,13 @@ impl Stage1Table {
     #[cfg(test)]
     pub(crate) fn singles_mut(&mut self) -> &mut Vec<SingleBlock> {
         &mut self.singles
+    }
+
+    /// Take one registration of the live pattern `pid` that no subscription
+    /// holds, for tests of the audit.
+    #[cfg(test)]
+    pub(crate) fn seed_extra_pattern_ref(&mut self, pid: PatternId) {
+        self.index.retain(pid);
     }
 
     /// Add one reference to some edge's first consumer without a matching

@@ -13,7 +13,7 @@
 //! worker slots.
 //!
 //! A shard's requests — register, unregister, batch, stats, audit — are
-//! [`Request`]s answered by [`serve`], through one call/collect pair:
+//! [`Request`]s answered by [`JoinStage::serve`], through one call/collect pair:
 //! [`Slot::call`] hands a request over (an inline slot answers at once) and
 //! [`Pipeline::collect`] takes the answer. A failed send, a dead reply
 //! channel or a [`CoreError::ShardPanicked`] answer is the shard's death
@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A request to a shard, answered by [`serve`].
+/// A request to a shard, answered by [`JoinStage::serve`].
 #[derive(Debug, Clone)]
 pub(crate) enum Request {
     /// Register a query under the id the pipeline minted, joining only
@@ -77,35 +77,6 @@ macro_rules! payload {
             _ => Err(CoreError::internal("a shard answers a request in kind")),
         }
     };
-}
-
-/// A join stage's answer to a read.
-fn read_stage(join: &JoinStage, read: Read) -> Reply {
-    match read {
-        Read::Stats => Reply::Stats(Box::new(join.stats())),
-        Read::Audit => {
-            let mut out = Vec::new();
-            join.audit(&mut out);
-            Reply::Audit(out)
-        }
-    }
-}
-
-/// Serve one request on a shard's join stage: the one place a join stage
-/// registers, unregisters and joins. A worker thread calls it inside
-/// `catch_unwind`, an inline slot directly.
-pub(crate) fn serve(join: &mut JoinStage, request: Request) -> CoreResult<Reply> {
-    match request {
-        Request::Register(query, id, floor) => {
-            Ok(Reply::Register(join.register(query, id, floor)?))
-        }
-        Request::Unregister(id) => {
-            join.unregister(id)?;
-            Ok(Reply::Unregister)
-        }
-        Request::Batch(routed) => Ok(Reply::Batch(join.process(routed)?)),
-        Request::Read(read) => Ok(read_stage(join, read)),
-    }
 }
 
 /// Where a shard's requests run.
@@ -148,11 +119,11 @@ impl Slot for Inline {
     }
 
     fn call(&mut self, request: Request, _: Option<WorkerFault>) -> Self::Pending {
-        serve(&mut self.0, request)
+        self.0.serve(request)
     }
 
     fn read(&self, read: Read) -> Self::Pending {
-        Ok(read_stage(&self.0, read))
+        Ok(self.0.read(read))
     }
 
     fn wait(pending: Self::Pending, _: usize, _: &mut bool) -> Answer {
@@ -514,7 +485,7 @@ impl<S: Slot> Pipeline<S> {
         for (&id, retained) in &self.retained {
             if shard_of(id, self.slots.len()) == shard {
                 let request = Request::Register(retained.query.clone(), id, retained.floor);
-                serve(&mut rebuilt, request)?;
+                rebuilt.serve(request)?;
             }
         }
         for batch in self.replay_log.batches() {

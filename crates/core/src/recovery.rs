@@ -115,12 +115,11 @@ impl ReplayLog {
 /// A query's horizon: how far apart its two documents' timestamps, and its
 /// stored document's timestamp and the watermark before the batch, may lie
 /// for a pair to match. A time window capped by `cap`; the cap alone for an
-/// `Infinite` or `Count` window (time cannot bound those); `None` —
-/// unbounded — with neither.
+/// `Infinite` window; `None` — unbounded — with neither.
 pub(crate) fn horizon(window: Window, cap: Option<u64>) -> Option<u64> {
     match window {
         Window::Time(t) => Some(cap.map_or(t, |c| t.min(c))),
-        Window::Infinite | Window::Count(_) => cap,
+        Window::Infinite => cap,
     }
 }
 
@@ -175,14 +174,14 @@ mod tests {
 
     #[test]
     fn retention_bound_mirrors_engine_policy() {
-        use mmqjp_xscl::parse_query;
-        let q_win = |w: &str| {
-            parse_query(&format!(
+        use mmqjp_xscl::{parse_query, XsclError};
+        let text = |w: &str| {
+            format!(
                 "S//book->x1[.//author->x2] FOLLOWED BY{{x2=x5, {w}}} \
                  S//blog->x4[.//author->x5]"
-            ))
-            .expect("valid query")
+            )
         };
+        let q_win = |w: &str| parse_query(&text(w)).expect("valid query");
         let bound = |queries: &[&XsclQuery], cap| {
             retention_bound(queries.iter().filter_map(|q| q.window()), cap)
         };
@@ -193,8 +192,11 @@ mod tests {
         let inf = q_win("INF");
         assert_eq!(bound(&[&a, &inf], None), None);
         assert_eq!(bound(&[&a, &inf], Some(800)), Some(800));
-        let count = q_win("COUNT 10");
-        assert_eq!(bound(&[&a, &count], None), None);
+        // A tuple-count window never reaches the bound: it is refused.
+        assert!(matches!(
+            parse_query(&text("COUNT 10")),
+            Err(XsclError::Unsupported { .. })
+        ));
         let single = parse_query("S//book->x1[.//author->x2]").expect("valid query");
         assert_eq!(bound(&[&single], None), Some(0));
         assert_eq!(bound(&[], None), Some(0));

@@ -41,193 +41,25 @@ use crate::config::ProcessingMode;
 use crate::cqt::{self, PlanInputKind};
 use crate::error::{CoreError, CoreResult};
 use crate::front::Edge;
-use crate::relations::schemas;
 use mmqjp_relational::{
-    verify_plan_strict, ConjunctiveQuery, FxHashMap, PhysicalPlan, PlanInput, Relation,
-    SharedKeyRule, StringInterner, Symbol, Value, VerifyOptions,
+    verify_plan_strict, ConjunctiveQuery, FxHashMap, PhysicalPlan, SharedKeyRule, StringInterner,
+    Symbol, Value, VerifyOptions,
 };
 use mmqjp_xpath::TreePattern;
 use mmqjp_xscl::{
-    normalize_query, template, FromClause, JoinGraph, JoinOp, QueryId, QueryTemplate, ReducedGraph,
+    normalize_query, FromClause, JoinGraph, JoinOp, QueryId, QueryTemplate, ReducedGraph,
     SelectClause, Side, TemplateCatalog, TemplateId, Window, XsclQuery,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
+mod template;
+
+pub use template::TemplateRuntime;
+
 /// The window a [`QueryShape`]'s key carries in place of the query's own:
 /// windows are per-query data, so every window maps to the same shape.
 const BLANK_WINDOW: Window = Window::Infinite;
-
-/// Runtime state of one query template: the representative template, its
-/// `RT` relation (one tuple per registered query orientation), the two
-/// declarative conjunctive-query forms and the compiled physical plan for
-/// the variant the engine's mode executes.
-#[derive(Debug, Clone)]
-pub struct TemplateRuntime {
-    /// The template.
-    pub template: QueryTemplate,
-    /// `RT(qid, var1, ..., varm, wl)` — one tuple per member orientation.
-    /// Changed only by [`push_rt_row`](Self::push_rt_row) and
-    /// [`remove_rt_row`](Self::remove_rt_row), which move
-    /// [`rt_version`](Self::rt_version) (`xtask lint` check 13).
-    rt: Relation,
-    /// Moves with every change to `rt`: the template's plan keeps the join
-    /// table it builds over `RT` for as long as this version holds.
-    rt_version: u64,
-    /// Algorithm-1 conjunctive query over the base witness relations (the
-    /// declarative form; execution uses [`plan_basic`](Self::plan_basic)).
-    pub cqt_basic: ConjunctiveQuery,
-    /// Algorithm-4 conjunctive query over `RL` / `RR`.
-    pub cqt_materialized: ConjunctiveQuery,
-    /// [`cqt_basic`](Self::cqt_basic) compiled to a physical plan at
-    /// registration time; `process_batch` executes it by reference. Only
-    /// compiled when the engine's mode is [`ProcessingMode::Mmqjp`] — the
-    /// one mode that executes the basic form.
-    pub plan_basic: Option<PhysicalPlan>,
-    /// [`cqt_materialized`](Self::cqt_materialized) compiled to a physical
-    /// plan. Only compiled in [`ProcessingMode::MmqjpViewMat`].
-    pub plan_materialized: Option<PhysicalPlan>,
-    /// The engine relations behind `plan_basic`'s input slots.
-    pub(crate) inputs_basic: Vec<PlanInputKind>,
-    /// The engine relations behind `plan_materialized`'s input slots.
-    pub(crate) inputs_materialized: Vec<PlanInputKind>,
-    rt_name: String,
-}
-
-impl TemplateRuntime {
-    /// Build the runtime for a new template, compiling exactly the plan
-    /// variant the engine's (fixed) mode executes: basic for `Mmqjp`,
-    /// materialized for `MmqjpViewMat`, neither for `Sequential` (which
-    /// runs per-query plans). Each compiled plan is checked against its
-    /// source CQT and the engine schemas before it is accepted (see
-    /// [`mmqjp_relational::verify`]); a violation rejects the registration
-    /// with a typed diagnostic. Returns the runtime and the number of plans
-    /// compiled.
-    fn new(template: QueryTemplate, mode: ProcessingMode) -> CoreResult<(Self, usize)> {
-        let rt = Relation::new(schemas::rt(template.num_meta_vars()));
-        let rt_arity = rt.schema().arity();
-        let name = cqt::rt_name(template.id.index());
-        let cqt_basic = cqt::template_cqt_basic(&template, &name);
-        let cqt_materialized = cqt::template_cqt_materialized(&template, &name);
-        let arity_of = |rel: &str| cqt::relation_arity(rel, &name, rt_arity);
-        let plan_basic = if mode == ProcessingMode::Mmqjp {
-            let plan = PhysicalPlan::compile(&cqt_basic, arity_of)?;
-            verify_compiled(&plan, &cqt_basic, arity_of, true)?;
-            Some(plan)
-        } else {
-            None
-        };
-        let plan_materialized = if mode == ProcessingMode::MmqjpViewMat {
-            let plan = PhysicalPlan::compile(&cqt_materialized, arity_of)?;
-            // The batch-restriction precondition only concerns the basic
-            // form's Rdoc atoms; the materialized form reads RL/RR.
-            verify_compiled(&plan, &cqt_materialized, arity_of, false)?;
-            Some(plan)
-        } else {
-            None
-        };
-        let compiled = usize::from(plan_basic.is_some()) + usize::from(plan_materialized.is_some());
-        let inputs_basic = plan_basic
-            .as_ref()
-            .map(|p| cqt::plan_input_kinds(p, &name))
-            .unwrap_or_default();
-        let inputs_materialized = plan_materialized
-            .as_ref()
-            .map(|p| cqt::plan_input_kinds(p, &name))
-            .unwrap_or_default();
-        let runtime = TemplateRuntime {
-            template,
-            rt,
-            rt_version: 0,
-            cqt_basic,
-            cqt_materialized,
-            plan_basic,
-            plan_materialized,
-            inputs_basic,
-            inputs_materialized,
-            rt_name: name,
-        };
-        Ok((runtime, compiled))
-    }
-
-    /// Name of this template's `RT` relation in the engine database.
-    pub fn rt_name(&self) -> String {
-        self.rt_name.clone()
-    }
-
-    /// Number of registered query orientations in this template.
-    pub fn members(&self) -> usize {
-        self.rt.len()
-    }
-
-    /// The template's `RT` relation.
-    pub fn rt(&self) -> &Relation {
-        &self.rt
-    }
-
-    /// The version of [`rt`](Self::rt): it moves with every row pushed or
-    /// removed, and nothing else changes `RT`.
-    pub fn rt_version(&self) -> u64 {
-        self.rt_version
-    }
-
-    /// Append a member orientation's `RT` tuple.
-    fn push_rt_row(&mut self, tuple: Vec<Value>) -> CoreResult<()> {
-        self.rt.push_values(tuple)?;
-        self.rt_version += 1;
-        Ok(())
-    }
-
-    /// Remove the `RT` tuple at `row`, keeping the survivors in order.
-    fn remove_rt_row(&mut self, row: usize) -> CoreResult<()> {
-        self.rt.remove_row(row)?;
-        self.rt_version += 1;
-        Ok(())
-    }
-
-    /// The compiled plans' memos: each stored step program is the one its
-    /// memoized join order derives, and each join table a plan keeps is over
-    /// `RT`, at a version `RT` has reached.
-    fn audit_plans(&self, tid: TemplateId, out: &mut Vec<AuditViolation>) {
-        let template = tid.index();
-        for (plan, kinds) in [
-            (&self.plan_basic, &self.inputs_basic),
-            (&self.plan_materialized, &self.inputs_materialized),
-        ] {
-            let Some(plan) = plan else { continue };
-            if let Err(reason) = plan.check_program() {
-                out.push(AuditViolation::PlanMemo { template, reason });
-            }
-            for (slot, version) in plan.kept_tables() {
-                let reason = if kinds.get(slot as usize) != Some(&PlanInputKind::Rt) {
-                    "a kept join table over an input other than RT"
-                } else if version > self.rt_version {
-                    "a kept join table newer than its template's RT"
-                } else {
-                    continue;
-                };
-                out.push(AuditViolation::PlanMemo { template, reason });
-            }
-        }
-    }
-
-    /// The compiled plan the engine's mode executes (the materialized form
-    /// when `materialized`), the engine relations behind its input slots,
-    /// and `RT` as a plan input stamped with its version — borrowed together
-    /// for one execution. `None` when the mode's plan was not compiled.
-    pub(crate) fn executable(
-        &mut self,
-        materialized: bool,
-    ) -> Option<(&mut PhysicalPlan, &[PlanInputKind], PlanInput<'_>)> {
-        let (plan, kinds) = if materialized {
-            (self.plan_materialized.as_mut(), &self.inputs_materialized)
-        } else {
-            (self.plan_basic.as_mut(), &self.inputs_basic)
-        };
-        let rt = PlanInput::from(&self.rt).versioned(self.rt_version);
-        plan.map(|plan| (plan, kinds.as_slice(), rt))
-    }
-}
 
 /// Everything registration derives from one `FROM` clause, window aside:
 /// built once per distinct clause and shared, behind an `Arc`, by every live
@@ -462,7 +294,7 @@ pub struct Registry {
     /// Multiset of finite time windows across live join queries, so the
     /// maximum can tighten when the widest-window query unregisters.
     finite_windows: BTreeMap<u64, usize>,
-    /// Number of live join queries with an infinite (or count) window.
+    /// Number of live join queries with an infinite window.
     infinite_windows: usize,
     /// Physical plans compiled so far (one per new template in the MMQJP
     /// modes, one per orientation in Sequential mode). Cumulative.
@@ -735,7 +567,7 @@ impl Registry {
     fn track_window(&mut self, window: Window) {
         match window {
             Window::Time(t) => *self.finite_windows.entry(t).or_insert(0) += 1,
-            Window::Infinite | Window::Count(_) => self.infinite_windows += 1,
+            Window::Infinite => self.infinite_windows += 1,
         }
     }
 
@@ -753,7 +585,7 @@ impl Registry {
                     }
                 }
             }
-            Window::Infinite | Window::Count(_) => {
+            Window::Infinite => {
                 self.infinite_windows = self.infinite_windows.saturating_sub(1);
             }
         }
@@ -852,7 +684,7 @@ impl Registry {
     }
 
     /// The maximum *finite* time window across live join queries, even when
-    /// other queries have infinite (or count) windows. Used to derive the
+    /// other queries have infinite windows. Used to derive the
     /// join-state bucket width, which is a granularity (never a correctness)
     /// parameter.
     pub fn max_finite_window(&self) -> Option<u64> {
@@ -860,7 +692,7 @@ impl Registry {
     }
 
     /// The live join windows that bound document retention: `Infinite` when
-    /// some window is infinite or a count, and the longest finite one.
+    /// some window is infinite, and the longest finite one.
     pub(crate) fn bounding_windows(&self) -> impl Iterator<Item = Window> {
         let unbounded = (self.infinite_windows > 0).then_some(Window::Infinite);
         unbounded
@@ -868,7 +700,7 @@ impl Registry {
             .chain(self.max_finite_window().map(Window::Time))
     }
 
-    /// `true` when some live join query has an infinite or count window,
+    /// `true` when some live join query has an infinite window,
     /// whose horizon only `doc_retention_cap` bounds.
     pub fn has_infinite_window(&self) -> bool {
         self.infinite_windows > 0
@@ -908,7 +740,7 @@ impl Registry {
             }
             match q.window {
                 Some(Window::Time(t)) => *finite_expected.entry(t).or_insert(0) += 1,
-                Some(Window::Infinite | Window::Count(_)) => infinite_expected += 1,
+                Some(Window::Infinite) => infinite_expected += 1,
                 None => {}
             }
             for (reg, o) in q.registrations.iter().zip(&q.shape.orientations) {
@@ -920,7 +752,7 @@ impl Registry {
                     Some(tr) => {
                         *rt_expected.entry(o.template).or_insert(0) += 1;
                         let rid_value = Value::Int(reg.rid);
-                        if !tr.rt.col_values(0).contains(&rid_value) {
+                        if !tr.rt().col_values(0).contains(&rid_value) {
                             out.push(AuditViolation::MissingRtTuple {
                                 template: o.template.index(),
                                 rid: reg.rid,
@@ -935,10 +767,10 @@ impl Registry {
         // member orientation.
         for (&tid, tr) in &self.templates {
             let expected = rt_expected.get(&tid).copied().unwrap_or(0);
-            if tr.rt.len() != expected {
+            if tr.rt().len() != expected {
                 out.push(AuditViolation::TemplateMembership {
                     template: tid.index(),
-                    rt_rows: tr.rt.len(),
+                    rt_rows: tr.rt().len(),
                     registrations: expected,
                 });
             }
@@ -1035,7 +867,7 @@ impl Registry {
             }
             for ((graph, swapped), o) in reduced.iter().zip(&shape.orientations) {
                 let live = self.template_runtime(o.template).map(|tr| &tr.template);
-                let derived = live.and_then(|t| template::assignment(graph, t));
+                let derived = live.and_then(|t| mmqjp_xscl::template::assignment(graph, t));
                 let syms: Option<Vec<Symbol>> =
                     o.assignment.iter().map(|v| self.interner.get(v)).collect();
                 if *swapped != o.swapped
@@ -1143,7 +975,7 @@ fn rid_of(id: QueryId, orientation: usize) -> i64 {
 pub fn window_length(window: Window) -> i64 {
     match window {
         Window::Time(t) => t.min(i64::MAX as u64) as i64,
-        Window::Infinite | Window::Count(_) => i64::MAX,
+        Window::Infinite => i64::MAX,
     }
 }
 
@@ -1236,7 +1068,7 @@ mod tests {
         assert_eq!(r.num_queries(), 3);
         assert_eq!(r.num_templates(), 1);
         // The RT relation mirrors Table 4(a): three tuples, one per query.
-        let rt = &r.templates().next().unwrap().rt;
+        let rt = r.templates().next().unwrap().rt();
         assert_eq!(rt.len(), 3);
         assert_eq!(rt.schema().arity(), 8); // qid + 6 vars + wl
 
@@ -1346,7 +1178,6 @@ mod tests {
         assert!(r.has_infinite_window());
         assert_eq!(window_length(Window::Time(5)), 5);
         assert_eq!(window_length(Window::Infinite), i64::MAX);
-        assert_eq!(window_length(Window::Count(3)), i64::MAX);
     }
 
     #[test]
@@ -1365,7 +1196,7 @@ mod tests {
         let r = &rig.r;
         assert_eq!(r.num_queries(), 2);
         assert_eq!(r.num_templates(), 1);
-        let rt = &r.templates().next().unwrap().rt;
+        let rt = r.templates().next().unwrap().rt();
         assert_eq!(rt.len(), 2);
         let wls: Vec<i64> = rt.iter().map(|t| t[7].as_int().unwrap()).collect();
         assert_eq!(wls, vec![100, 300]);
@@ -1583,7 +1414,7 @@ mod tests {
             rt: r
                 .templates
                 .iter()
-                .map(|(&tid, t)| (tid, t.rt.iter().map(|row| row.to_vec()).collect()))
+                .map(|(&tid, t)| (tid, t.rt().iter().map(|row| row.to_vec()).collect()))
                 .collect(),
             requested_edges: requested
                 .iter()
@@ -1715,7 +1546,7 @@ mod tests {
             .templates()
             .next()
             .unwrap()
-            .rt
+            .rt()
             .col_values(7)
             .iter()
             .map(|v| v.as_int().unwrap())

@@ -144,6 +144,6 @@ mod tests {
         assert!(table.unsubscribe(2, pid2, &edges2).unwrap());
         assert!(table.is_empty());
         // An unbalanced release is a bookkeeping error, not a panic.
-        assert!(table.release_edges(2, pid2, &edges2).is_err());
+        assert!(table.unsubscribe(2, pid2, &edges2).is_err());
     }
 }

@@ -40,7 +40,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultInjector, QuarantineRecord, WorkerFault};
 use crate::front::Stage1Table;
 use crate::output::MatchOutput;
-use crate::pipeline::{self, serve, Answer, Pipeline, Read, Reply, Request, Slot};
+use crate::pipeline::{self, Answer, Pipeline, Read, Reply, Request, Slot};
 use crate::recovery::ReplayLog;
 use crate::registry::Stage1Footprint;
 use crate::relations::RoutedBatch;
@@ -403,7 +403,8 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The worker loop of shard slot `index`: owns the shard and [`serve`]s
+/// The worker loop of shard slot `index`: owns the shard and
+/// [`serve`](JoinStage::serve)s
 /// requests until the sending half of the channel is dropped.
 ///
 /// Every request is served inside one `catch_unwind`: a panic is contained,
@@ -431,7 +432,7 @@ fn shard_worker(mut join: JoinStage, requests: Receiver<Envelope>, index: usize)
                 // lint:allow deliberate injected fault, contained by catch_unwind
                 panic!("injected fault: shard worker panic");
             }
-            serve(&mut join, request)
+            join.serve(request)
         }));
         match served {
             Ok(answer) => {
@@ -514,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn walkthrough_matches_single_engine_for_every_pool_and_shard_count() {
+    fn walkthrough_matches_single_engine_for_every_shard_count() {
         let mut single = MmqjpEngine::new(EngineConfig::mmqjp());
         for q in [Q1, Q2, Q3, Q_SINGLE] {
             single.register_query_text(q).unwrap();
@@ -828,8 +829,8 @@ mod tests {
         assert_eq!(out.iter().filter(|m| m.query == twin).count(), 4);
 
         // The audit counts single-block registrations in the refcounts.
-        let pattern = e.pipeline.front.table().singles()[0].pattern().clone();
-        e.pipeline.front.table_mut().retain_pattern(pattern);
+        let healthy = e.pipeline.front.table().clone();
+        e.pipeline.front.table_mut().seed_extra_pattern_ref(pid);
         assert!(e.audit().unwrap().iter().any(|v| matches!(
             v,
             AuditViolation::PatternRefcount {
@@ -838,7 +839,7 @@ mod tests {
                 ..
             }
         )));
-        e.pipeline.front.table_mut().release_pattern(pid);
+        *e.pipeline.front.table_mut() = healthy;
 
         e.unregister_query(single).unwrap();
         e.unregister_query(twin).unwrap();

@@ -471,13 +471,18 @@ impl JoinState {
     /// Rows enter column-wise: each maximal run of rows bound for one bucket
     /// is one slice copy per column, and a row's bucket is resolved once per
     /// document, not per row.
+    ///
+    /// Then the state is evicted at `cutoff`, the one retention cutoff (see
+    /// [`evict`](Self::evict)); `None` evicts nothing. Absorbing is the only
+    /// way to evict, so no second eviction pass can exist beside it.
     pub fn absorb_routed(
         &mut self,
         batch: WitnessBatch,
         meta: &[(DocId, u64)],
         docs: Vec<Document>,
         retain_documents: bool,
-    ) -> CoreResult<()> {
+        cutoff: Option<u64>,
+    ) -> CoreResult<JoinEviction> {
         // Documents are filed before their rows arrive, so no row is ever
         // resident without its document's timestamp.
         let mut bucket_of_doc: FxHashMap<i64, BucketId> = FxHashMap::default();
@@ -503,7 +508,7 @@ impl JoinState {
                 self.doc_store.insert(doc.id(), doc);
             }
         }
-        Ok(())
+        Ok(cutoff.map_or_else(JoinEviction::default, |cutoff| self.evict(cutoff)))
     }
 
     /// Append one run of batch `Rdoc` rows to its bucket and file each row
@@ -744,7 +749,7 @@ impl JoinState {
     /// rows and documents are older than the cutoff): its rows, its chains
     /// and its documents' timestamps and stored documents. O(expired rows);
     /// surviving buckets are untouched.
-    pub fn evict(&mut self, cutoff_ts: u64) -> JoinEviction {
+    fn evict(&mut self, cutoff_ts: u64) -> JoinEviction {
         let cutoff_bucket = cutoff_ts / self.width();
         let mut out = JoinEviction::default();
         let keep = self.buckets.split_off(&cutoff_bucket);
@@ -1011,7 +1016,8 @@ mod tests {
                 .iter()
                 .map(|doc| (doc.id(), doc.timestamp().raw()))
                 .collect();
-            self.absorb_routed(batch, &meta, docs, retain_documents)
+            self.absorb_routed(batch, &meta, docs, retain_documents, None)
+                .map(drop)
         }
     }
 

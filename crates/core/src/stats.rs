@@ -74,16 +74,29 @@ impl PhaseTimings {
 
 impl AddAssign for PhaseTimings {
     fn add_assign(&mut self, rhs: Self) {
-        self.xpath += rhs.xpath;
-        self.ingest += rhs.ingest;
-        self.compute_rvj += rhs.compute_rvj;
-        self.compute_rl += rhs.compute_rl;
-        self.compute_rr += rhs.compute_rr;
-        self.conjunctive += rhs.conjunctive;
-        self.materialize += rhs.materialize;
-        self.output += rhs.output;
-        self.maintenance += rhs.maintenance;
-        self.recovery += rhs.recovery;
+        // Exhaustive, as in `EngineStats`'s `AddAssign`.
+        let Self {
+            xpath,
+            ingest,
+            compute_rvj,
+            compute_rl,
+            compute_rr,
+            conjunctive,
+            materialize,
+            output,
+            maintenance,
+            recovery,
+        } = rhs;
+        self.xpath += xpath;
+        self.ingest += ingest;
+        self.compute_rvj += compute_rvj;
+        self.compute_rl += compute_rl;
+        self.compute_rr += compute_rr;
+        self.conjunctive += conjunctive;
+        self.materialize += materialize;
+        self.output += output;
+        self.maintenance += maintenance;
+        self.recovery += recovery;
     }
 }
 
@@ -284,50 +297,99 @@ impl EngineStats {
 /// documents.
 impl AddAssign for EngineStats {
     fn add_assign(&mut self, rhs: Self) {
-        self.documents_processed += rhs.documents_processed;
-        self.results_emitted += rhs.results_emitted;
-        self.queries_registered += rhs.queries_registered;
-        self.queries_unregistered += rhs.queries_unregistered;
-        self.templates += rhs.templates;
-        self.templates_retired += rhs.templates_retired;
-        self.distinct_patterns += rhs.distinct_patterns;
-        self.patterns_dropped += rhs.patterns_dropped;
-        self.rbin_tuples += rhs.rbin_tuples;
-        self.rdoc_tuples += rhs.rdoc_tuples;
-        self.state_buckets += rhs.state_buckets;
-        self.docs_retained += rhs.docs_retained;
-        self.state_buckets_evicted += rhs.state_buckets_evicted;
-        self.state_rows_evicted += rhs.state_rows_evicted;
-        self.docs_evicted += rhs.docs_evicted;
-        self.view_slices_invalidated += rhs.view_slices_invalidated;
-        self.view_cache_hits += rhs.view_cache_hits;
-        self.view_cache_misses += rhs.view_cache_misses;
-        self.view_cache_evictions += rhs.view_cache_evictions;
-        self.shapes_built += rhs.shapes_built;
-        self.shapes_reused += rhs.shapes_reused;
-        self.plans_compiled += rhs.plans_compiled;
-        self.rows_materialized += rhs.rows_materialized;
-        self.scratch_reuses += rhs.scratch_reuses;
-        self.join_tables_built += rhs.join_tables_built;
-        self.join_tables_reused += rhs.join_tables_reused;
-        self.join_tables_kept += rhs.join_tables_kept;
-        self.join_orders_planned += rhs.join_orders_planned;
-        self.join_orders_reused += rhs.join_orders_reused;
-        self.join_rows_probed += rhs.join_rows_probed;
-        self.join_ids_moved += rhs.join_ids_moved;
-        self.join_executions += rhs.join_executions;
-        self.join_executions_empty += rhs.join_executions_empty;
-        self.stage1_pairs += rhs.stage1_pairs;
-        self.stage1_rows += rhs.stage1_rows;
-        self.stage1_edges_suppressed += rhs.stage1_edges_suppressed;
-        self.docs_parsed_once += rhs.docs_parsed_once;
-        self.witnesses_routed += rhs.witnesses_routed;
-        self.pipeline_stalls += rhs.pipeline_stalls;
-        self.shards_respawned += rhs.shards_respawned;
-        self.docs_quarantined += rhs.docs_quarantined;
-        self.rows_replayed += rhs.rows_replayed;
-        self.faults_injected += rhs.faults_injected;
-        self.timings += rhs.timings;
+        // Destructured exhaustively, never with `..`: a declared field left
+        // out of the pattern does not compile (E0027), and one left unfolded
+        // is an unused variable, so aggregation cannot drop a counter.
+        let Self {
+            documents_processed,
+            results_emitted,
+            queries_registered,
+            queries_unregistered,
+            templates,
+            templates_retired,
+            distinct_patterns,
+            patterns_dropped,
+            rbin_tuples,
+            rdoc_tuples,
+            state_buckets,
+            docs_retained,
+            state_buckets_evicted,
+            state_rows_evicted,
+            docs_evicted,
+            view_slices_invalidated,
+            view_cache_hits,
+            view_cache_misses,
+            view_cache_evictions,
+            shapes_built,
+            shapes_reused,
+            plans_compiled,
+            rows_materialized,
+            scratch_reuses,
+            join_tables_built,
+            join_tables_reused,
+            join_tables_kept,
+            join_orders_planned,
+            join_orders_reused,
+            join_rows_probed,
+            join_ids_moved,
+            join_executions,
+            join_executions_empty,
+            stage1_pairs,
+            stage1_rows,
+            stage1_edges_suppressed,
+            docs_parsed_once,
+            witnesses_routed,
+            pipeline_stalls,
+            shards_respawned,
+            docs_quarantined,
+            rows_replayed,
+            faults_injected,
+            timings,
+        } = rhs;
+        self.documents_processed += documents_processed;
+        self.results_emitted += results_emitted;
+        self.queries_registered += queries_registered;
+        self.queries_unregistered += queries_unregistered;
+        self.templates += templates;
+        self.templates_retired += templates_retired;
+        self.distinct_patterns += distinct_patterns;
+        self.patterns_dropped += patterns_dropped;
+        self.rbin_tuples += rbin_tuples;
+        self.rdoc_tuples += rdoc_tuples;
+        self.state_buckets += state_buckets;
+        self.docs_retained += docs_retained;
+        self.state_buckets_evicted += state_buckets_evicted;
+        self.state_rows_evicted += state_rows_evicted;
+        self.docs_evicted += docs_evicted;
+        self.view_slices_invalidated += view_slices_invalidated;
+        self.view_cache_hits += view_cache_hits;
+        self.view_cache_misses += view_cache_misses;
+        self.view_cache_evictions += view_cache_evictions;
+        self.shapes_built += shapes_built;
+        self.shapes_reused += shapes_reused;
+        self.plans_compiled += plans_compiled;
+        self.rows_materialized += rows_materialized;
+        self.scratch_reuses += scratch_reuses;
+        self.join_tables_built += join_tables_built;
+        self.join_tables_reused += join_tables_reused;
+        self.join_tables_kept += join_tables_kept;
+        self.join_orders_planned += join_orders_planned;
+        self.join_orders_reused += join_orders_reused;
+        self.join_rows_probed += join_rows_probed;
+        self.join_ids_moved += join_ids_moved;
+        self.join_executions += join_executions;
+        self.join_executions_empty += join_executions_empty;
+        self.stage1_pairs += stage1_pairs;
+        self.stage1_rows += stage1_rows;
+        self.stage1_edges_suppressed += stage1_edges_suppressed;
+        self.docs_parsed_once += docs_parsed_once;
+        self.witnesses_routed += witnesses_routed;
+        self.pipeline_stalls += pipeline_stalls;
+        self.shards_respawned += shards_respawned;
+        self.docs_quarantined += docs_quarantined;
+        self.rows_replayed += rows_replayed;
+        self.faults_injected += faults_injected;
+        self.timings += timings;
     }
 }
 

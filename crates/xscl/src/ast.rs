@@ -31,11 +31,6 @@ pub enum Window {
     /// Time-based window: the two events' timestamps must differ by at most
     /// this many time units.
     Time(u64),
-    /// Tuple-based window: the previous event must be among the most recent
-    /// `n` events (an extension mentioned in Section 2 of the paper).
-    /// Accepted, and evaluated as [`Infinite`](Window::Infinite): nothing
-    /// counts events, so retention and matching treat it as unbounded.
-    Count(u64),
 }
 
 impl fmt::Display for Window {
@@ -43,7 +38,6 @@ impl fmt::Display for Window {
         match self {
             Window::Infinite => write!(f, "INF"),
             Window::Time(t) => write!(f, "{t}"),
-            Window::Count(n) => write!(f, "COUNT {n}"),
         }
     }
 }
@@ -325,7 +319,12 @@ mod tests {
     fn display_forms() {
         assert_eq!(Window::Infinite.to_string(), "INF");
         assert_eq!(Window::Time(5).to_string(), "5");
-        assert_eq!(Window::Count(3).to_string(), "COUNT 3");
+        // No window displays as `COUNT n`: the parser refuses that form.
+        let count = "S//a->x[.//b->y] JOIN{y=z, COUNT 3} S//c->w[.//d->z]";
+        assert!(matches!(
+            crate::parse_query(count),
+            Err(crate::XsclError::Unsupported { .. })
+        ));
         assert_eq!(JoinOp::FollowedBy.to_string(), "FOLLOWED BY");
         assert_eq!(JoinOp::Join.to_string(), "JOIN");
         assert_eq!(ValueJoin::new("a", "b").to_string(), "a=b");

@@ -9,7 +9,7 @@
 //! op         := "FOLLOWED BY" | "JOIN"
 //! predicates := pred ( "AND" pred )*
 //! pred       := var "=" var
-//! window     := integer | "INF" | "COUNT" integer
+//! window     := integer | "INF"
 //! block      := <tree pattern, see mmqjp-xpath>
 //! ```
 //!
@@ -242,14 +242,15 @@ fn parse_window(text: &str) -> XsclResult<Window> {
     if upper == "INF" || upper == "INFINITY" || upper == "*" {
         return Ok(Window::Infinite);
     }
-    if let Some(rest) = upper.strip_prefix("COUNT") {
-        let n: u64 = rest.trim().parse().map_err(|_| XsclError::Parse {
-            message: format!("invalid COUNT window `{text}`"),
-        })?;
-        return Ok(Window::Count(n));
+    if upper.starts_with("COUNT") {
+        // A tuple-count window asks for a bound nothing here counts: refused,
+        // rather than evaluated as INF with unbounded state.
+        return Err(XsclError::Unsupported {
+            feature: format!("tuple-count window `{text}` (use a time window or INF)"),
+        });
     }
     let t: u64 = upper.parse().map_err(|_| XsclError::Parse {
-        message: format!("invalid window `{text}` (expected an integer, INF, or COUNT n)"),
+        message: format!("invalid window `{text}` (expected an integer or INF)"),
     })?;
     Ok(Window::Time(t))
 }
@@ -327,8 +328,10 @@ mod tests {
     #[test]
     fn parse_count_window() {
         let text = "S//item->a[.//title->t1] JOIN{t1=t2, COUNT 1000} S//item->b[.//title->t2]";
-        let q = parse_query(text).unwrap();
-        assert_eq!(q.window(), Some(Window::Count(1000)));
+        assert!(matches!(
+            parse_query(text),
+            Err(XsclError::Unsupported { feature }) if feature.contains("COUNT 1000")
+        ));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! can change a result.
 //!
 //! Each query `q` has a horizon `h_q`: its time window capped by
-//! `doc_retention_cap`, the cap alone for an INF or COUNT window, unbounded
-//! with neither. A pair is emitted only when its two timestamps lie within
+//! `doc_retention_cap`, the cap alone for an INF window, unbounded with
+//! neither. A pair is emitted only when its two timestamps lie within
 //! `h_q` of each other *and* the stored document lies within `h_q` of the
 //! watermark before its batch. Every shard evicts below its own queries'
 //! largest horizon and sees every document's timestamp, so the sharded
@@ -13,14 +13,17 @@
 //! cap below a live window, where a finite-window query used to match
 //! through another query's longer-lived state.
 
-use mmqjp_core::{sort_matches, EngineConfig, MatchOutput, MmqjpEngine, ProcessingMode};
+use mmqjp_core::{
+    sort_matches, CoreError, EngineConfig, MatchOutput, MmqjpEngine, ProcessingMode, QueryId,
+    ShardedEngine,
+};
 use mmqjp_integration_tests::{
     all_modes, assert_audit_clean, assert_audit_clean_sharded, match_keys,
-    sharded_engine_with_queries, SHARD_COUNTS,
+    sharded_engine_with_queries, Q1, Q2, Q3, SHARD_COUNTS,
 };
 use mmqjp_workload::{ChurnConfig, ChurnWorkload, RssQueryGenerator};
 use mmqjp_xml::{Document, Timestamp};
-use mmqjp_xscl::{Window, XsclQuery};
+use mmqjp_xscl::{Window, XsclError, XsclQuery};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -203,4 +206,37 @@ fn uncapped_in_order_bags_are_pinned() {
         let got = (matches.len(), digest(&matches));
         assert_eq!(got, (12_137, 1_048_986_301_554_948_982), "{mode:?}");
     }
+}
+
+/// A tuple-count window asks for a bound nothing counts. Beside live
+/// finite-window queries, on both engines, it is refused with a typed error
+/// and consumes no query id: the next registration gets the id it would
+/// have had.
+#[test]
+fn a_count_window_is_refused_and_consumes_no_id() {
+    let count = Q1.replace(", 1000}", ", COUNT 10}");
+    assert_ne!(count, Q1);
+    let refused = |result: Result<QueryId, CoreError>| {
+        matches!(
+            result,
+            Err(CoreError::Query(XsclError::Unsupported { feature })) if feature.contains("COUNT 10")
+        )
+    };
+    let mut single = MmqjpEngine::new(EngineConfig::default());
+    let mut sharded = ShardedEngine::new(EngineConfig::default().with_num_shards(2));
+    for q in [Q1, Q2] {
+        single
+            .register_query_text(q)
+            .expect("finite window registers");
+        sharded
+            .register_query_text(q)
+            .expect("finite window registers");
+    }
+    assert!(refused(single.register_query_text(&count)));
+    assert!(refused(sharded.register_query_text(&count)));
+    assert_eq!((single.num_queries(), sharded.num_queries()), (2, 2));
+    assert_eq!(single.register_query_text(Q3).unwrap(), QueryId(2));
+    assert_eq!(sharded.register_query_text(Q3).unwrap(), QueryId(2));
+    assert_audit_clean(&single);
+    assert_audit_clean_sharded(&sharded);
 }

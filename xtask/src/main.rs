@@ -5,7 +5,10 @@
 //!   [--seed N] [--workloads W…]`: the repo benchmark on a base revision
 //!   against the working tree, in alternating pairs (see [`bench_ab`]).
 //!
-//! The lint pass is eighteen static checks over the workspace sources:
+//! The lint pass is thirteen static checks over the workspace sources. Each
+//! guards an invariant no module boundary can hold, for the reason in its
+//! *Why a grep* line. The five numbers without a check (3, 12, 13, 15, 17)
+//! name invariants the compiler now holds: a violation fails every build.
 //!
 //! 1. **Panic-free hot paths** — non-test code in `crates/core/src`,
 //!    `crates/relational/src`, `crates/xml/src`, `crates/xpath/src` and
@@ -13,36 +16,42 @@
 //!    `panic!(…)`. A site can be waived with a `// lint:allow <reason>`
 //!    comment on the same line or the line directly above; the reason is
 //!    mandatory so every waiver documents why the invariant cannot fail.
+//!    *Why a grep:* `unwrap`, `expect` and `panic!` are std items every
+//!    module can reach.
 //! 2. **`#![forbid(unsafe_code)]`** — every workspace member's crate root
-//!    must carry the attribute, vendored stubs included.
-//! 3. **`EngineStats` / `PhaseTimings` AddAssign parity** — every field
-//!    declared on the structs in `crates/core/src/stats.rs` must be folded
-//!    in the matching `AddAssign` impl (and vice versa), so sharded stats
-//!    aggregation can never silently drop a counter.
+//!    must carry the attribute, vendored stubs included. *Why a grep:* a
+//!    crate cannot require an attribute of another crate.
+//! 3. *Now a compile error:* each `AddAssign` in `crates/core/src/stats.rs`
+//!    destructures `rhs` exhaustively, so a field it does not fold is E0027.
 //! 4. **CI env-var consistency** — every `MMQJP_*` variable named in
 //!    `.github/workflows/ci.yml` (set or merely mentioned) must be named
 //!    somewhere under `crates/` or `tests/`, so a knob deleted from the code
-//!    cannot linger in the workflow.
+//!    cannot linger in the workflow. *Why a grep:* the compiler never reads
+//!    `ci.yml`.
 //! 5. **Stage 1 stays in id space** — non-test code in `crates/core/src`
 //!    must not name `EdgeBinding`: the engines' front emits integer witness
 //!    rows, and the string-carrying binding type is the `mmqjp-xpath`
-//!    reference's output only.
+//!    reference's output only. *Why a grep:* `EdgeBinding` is public in
+//!    `mmqjp-xpath`, which the core depends on for its pattern index.
 //! 6. **XML whitespace is four bytes** — non-test code in `crates/xml/src`
 //!    must not call `.trim()`, `.trim_start()`, `.trim_end()` or
 //!    `is_whitespace`: XML's `S` is space, tab, CR and LF, and Unicode
-//!    trimming once dropped no-break-space text as formatting.
+//!    trimming once dropped no-break-space text as formatting. *Why a grep:*
+//!    these are std methods of `str` and `char`.
 //! 7. **No per-row tuple on the batch path** — non-test code in
 //!    `crates/core/src/{relations,state,engine,router}.rs` and
 //!    `crates/core/src/front/stage.rs` must not call
 //!    `into_rows` or `push_values(vec![…])`: witness rows enter columns as
-//!    fixed-width arrays and move into window state run by run.
+//!    fixed-width arrays and move into window state run by run. *Why a
+//!    grep:* both are public in `mmqjp-relational`, and tests call them.
 //! 8. **Allocation-free plan execution** — non-test code in
 //!    `crates/relational/src/plan.rs` must not call `.collect`,
 //!    `Vec::new(`, `vec![`, `Vec::with_capacity(` or `.to_vec(`: an
 //!    execution allocates nothing but its result relation, every other
 //!    buffer lives in the pooled `ExecScratch`. The bodies of the
 //!    registration-time `compile` and the once-per-batch `from_segmented`
-//!    are exempt.
+//!    are exempt. *Why a grep:* allocation is std, and privacy cannot tell
+//!    two functions of one module apart.
 //! 9. **The relational oracle stays independent** — non-test code in
 //!    `tests/src/reference.rs`, the nested-loop evaluator that judges
 //!    compiled plans, may import from `mmqjp_relational` only the data
@@ -50,14 +59,16 @@
 //!    `Atom`, `Term`) and must not name `PhysicalPlan`, `PlanInput`,
 //!    `ExecScratch`, `ChunkedRows`, `Fx*`, `verify`, `HashMap` or
 //!    `HashSet`: a reference built from the kernel's parts, or on hashing,
-//!    would repeat the kernel's failure modes.
+//!    would repeat the kernel's failure modes. *Why a grep:* the kernel is
+//!    public API of the crate the reference must import.
 //! 10. **Registering a known shape derives nothing** — non-test code in
 //!     `crates/core/src/registry.rs` may call `normalize_query(`,
 //!     `ReducedGraph::from_join_graph(` and `catalog.insert(` only inside
 //!     the shape-building functions `build_shape` and the pure
 //!     `derive_shape` it shares with the audit: a registration whose
 //!     `FROM` clause is live must reuse its memoized shape, not re-derive it.
-//!
+//!     *Why a grep:* the first two are public in `mmqjp-xscl`, and the
+//!     catalog is a field of the registry every registry function reaches.
 //! 11. **Stage 1 emits without allocating** — non-test code in
 //!     `crates/core/src/front.rs` must not call `Vec::new(`, `vec![`,
 //!     `.collect(` or `chain_pairs(`, nor name `HashSet`: a document's
@@ -65,59 +76,40 @@
 //!     buffers, and chains are composed in `ChainScratch`, not collected.
 //!     Exempt are the bodies of the plan compiler `compile` and the
 //!     single-block answers `emit_singles` (each match owns its bindings).
-//!
-//! 12. **One Stage-1 subscription table** — non-test code in
-//!     `crates/core/src` outside the table's module
-//!     (`crates/core/src/front/table.rs`) must not mutate a `PatternIndex`
-//!     or `RequestedEdges` — no `index.register(`, `index.retain(`,
-//!     `index.unregister(`, `requested.push(`, `requested.remove`,
-//!     `requested_edges.push(`, `requested_edges.remove` or
-//!     `invalidate_plan(` — nor name `edge_refs`: both engines' fronts
-//!     subscribe, release and audit through one `Stage1Table`, not through
-//!     copies kept in step.
-//!
-//! 13. **`RT` changes move its version** — non-test code in
-//!     `crates/core/src/registry.rs` may call `.rt.push_values(` and
-//!     `.rt.remove_row(` only inside `TemplateRuntime`'s `push_rt_row` and
-//!     `remove_rt_row`, the two mutators that move `rt_version`: a template
-//!     plan keeps its join table over `RT` while that version holds, so a
-//!     change that skipped it would leave the table stale.
-//!
-//! 14. **Stage-1 state lives in the front** — non-test code in
+//!     *Why a grep:* as for check 8.
+//! 12. *Now a module boundary:* `Subscriptions` lives in
+//!     `crates/core/src/front/table.rs` with private fields, so no code
+//!     outside that file reaches a `&mut PatternIndex` or a
+//!     `&mut RequestedEdges` (E0616 on the fields, E0624 on the mutators).
+//! 13. *Now a module boundary:* `TemplateRuntime`'s `rt` and `rt_version`
+//!     are private to `crates/core/src/registry/template.rs`, whose two `RT`
+//!     mutators move the version (E0616).
+//! 14. **The registry holds no Stage-1 state** — non-test code in
 //!     `crates/core/src/registry.rs` must not name `Stage1Table`,
-//!     `SingleBlock` or `Subscriptions`, and non-test code in
-//!     `crates/core/src` outside `crates/core/src/front/` must not call
-//!     `screen_and_stamp(`: the registry returns a query's Stage-1
-//!     footprint for its engine's `front::Front` to subscribe, and only the
-//!     front screens a batch.
-//!
-//! 15. **One batch path** — non-test code in `crates/core/src` may call a
-//!     join stage's `process`, `register` and `unregister` (`join.process(`,
-//!     `join.register(`, `join.unregister(`) only inside the shard-serving
-//!     function `serve`, and non-test `crates/core/src/engine.rs` must not
-//!     call `front.run(`: both engines run every shard request through the
-//!     pipeline's one `serve`, and the single engine has no batch body of
-//!     its own.
-//!
+//!     `SingleBlock` or `Subscriptions`: the registry returns a query's
+//!     Stage-1 footprint for its engine's `front::Front` to subscribe.
+//!     (Only the front screens a batch: `screen_and_stamp` is `pub(super)`
+//!     in `front/stage.rs`.) *Why a grep:* `Stage1Table` is public API, so
+//!     privacy cannot keep the registry from naming it.
+//! 15. *Now a module boundary:* `JoinStage::{process, register, unregister}`
+//!     are private to `crates/core/src/engine.rs`, and
+//!     `JoinStage::serve` is the one way in (E0624).
 //! 16. **One worker kind** — in non-test code in `crates/core/src`,
 //!     `catch_unwind(` and `thread::Builder` each appear at exactly one
 //!     site: the shard worker loop contains panics, and the shard worker's
 //!     spawn is the only thread the engines start. Stage 1 runs on the
 //!     caller's thread; a second kind of worker would bring back a second
-//!     request protocol and a second failure mode.
-//!
-//! 17. **One retention cutoff** — in non-test code in `crates/core/src`,
-//!     `evict_below(` appears only inside `JoinState::evict` (in
-//!     `state.rs`), and `engine.rs` calls `.evict(` exactly once, inside
-//!     `maintain_state`: a bucket's rows, chains and documents leave
-//!     together, at the one cutoff the matching rule is measured against,
-//!     so no second eviction pass can change a result.
-//!
+//!     request protocol and a second failure mode. *Why a grep:* both are
+//!     std items every module can reach.
+//! 17. *Now a module boundary:* eviction runs inside
+//!     `JoinState::absorb_routed`, at the cutoff it is given;
+//!     `JoinState::evict` is private to `crates/core/src/state.rs` (E0624).
 //! 18. **One query-id minter** — in non-test code in `crates/core/src`,
 //!     `QueryId(` is constructed only inside `Pipeline::register` (in
 //!     `pipeline.rs`), which mints every id, and the registry's rid decoder
 //!     `resolve_rid` (in `registry.rs`): every other layer files a query
 //!     under the id it was handed, so no second id space can grow beside it.
+//!     *Why a grep:* `QueryId`'s field is public in `mmqjp-xscl`.
 //!
 //! Exit code 0 when clean, 1 with one line per violation otherwise.
 
@@ -158,7 +150,6 @@ fn run_lint(root: &Path) -> ExitCode {
     let mut violations = Vec::new();
     check_panic_free(root, &mut violations);
     check_forbid_unsafe(root, &mut violations);
-    check_stats_parity(root, &mut violations);
     check_ci_env_vars(root, &mut violations);
     check_id_space_front(root, &mut violations);
     check_xml_whitespace(root, &mut violations);
@@ -167,12 +158,8 @@ fn run_lint(root: &Path) -> ExitCode {
     check_oracle_independence(root, &mut violations);
     check_shape_derivation(root, &mut violations);
     check_emission_allocations(root, &mut violations);
-    check_stage1_table(root, &mut violations);
-    check_rt_versioning(root, &mut violations);
     check_front_owns_stage1(root, &mut violations);
-    check_one_batch_path(root, &mut violations);
     check_one_worker_kind(root, &mut violations);
-    check_one_retention_cutoff(root, &mut violations);
     check_one_query_id_minter(root, &mut violations);
 
     if violations.is_empty() {
@@ -335,94 +322,6 @@ fn crate_root_file(crate_dir: &Path) -> Option<PathBuf> {
 }
 
 // ---------------------------------------------------------------------------
-// Check 3: struct fields vs AddAssign body in crates/core/src/stats.rs.
-// ---------------------------------------------------------------------------
-
-fn check_stats_parity(root: &Path, out: &mut Vec<String>) {
-    let path = root.join("crates/core/src/stats.rs");
-    let Ok(text) = fs::read_to_string(&path) else {
-        out.push("crates/core/src/stats.rs: unreadable".into());
-        return;
-    };
-    for name in ["PhaseTimings", "EngineStats"] {
-        let declared = struct_fields(&text, name);
-        let folded = add_assign_fields(&text, name);
-        if declared.is_empty() {
-            out.push(format!("stats.rs: found no fields for struct {name}"));
-            continue;
-        }
-        if folded.is_empty() {
-            out.push(format!("stats.rs: found no AddAssign body for {name}"));
-            continue;
-        }
-        for f in &declared {
-            if !folded.contains(f) {
-                out.push(format!(
-                    "stats.rs: {name}::{f} is declared but never folded in AddAssign — sharded aggregation drops it"
-                ));
-            }
-        }
-        for f in &folded {
-            if !declared.contains(f) {
-                out.push(format!(
-                    "stats.rs: AddAssign for {name} touches unknown field `{f}`"
-                ));
-            }
-        }
-    }
-}
-
-/// Field names of `pub struct <name> { ... }` (public named fields only).
-fn struct_fields(text: &str, name: &str) -> Vec<String> {
-    let header = format!("pub struct {name} {{");
-    let mut fields = Vec::new();
-    let mut in_struct = false;
-    for line in text.lines() {
-        if line.trim_start().starts_with(&header) {
-            in_struct = true;
-            continue;
-        }
-        if in_struct {
-            let t = line.trim();
-            if t == "}" {
-                break;
-            }
-            if let Some(rest) = t.strip_prefix("pub ") {
-                if let Some((field, _ty)) = rest.split_once(':') {
-                    fields.push(field.trim().to_owned());
-                }
-            }
-        }
-    }
-    fields
-}
-
-/// Fields assigned via `self.<field> +=` inside `impl AddAssign for <name>`.
-fn add_assign_fields(text: &str, name: &str) -> Vec<String> {
-    let header = format!("impl AddAssign for {name} {{");
-    let mut fields = Vec::new();
-    let mut in_impl = false;
-    for line in text.lines() {
-        if line.trim_start().starts_with(&header) {
-            in_impl = true;
-            continue;
-        }
-        if in_impl {
-            if line.starts_with('}') {
-                break;
-            }
-            let t = line.trim();
-            if let Some(rest) = t.strip_prefix("self.") {
-                if let Some((field, _)) = rest.split_once(" +=") {
-                    fields.push(field.trim().to_owned());
-                }
-            }
-        }
-    }
-    fields
-}
-
-// ---------------------------------------------------------------------------
 // Check 4: MMQJP_* env vars in ci.yml must have a reader in crates/ or tests/.
 // ---------------------------------------------------------------------------
 
@@ -478,11 +377,11 @@ fn env_var_names(text: &str) -> Vec<String> {
 // Check 5: no `EdgeBinding` in non-test crates/core code.
 // ---------------------------------------------------------------------------
 
-const ID_SPACE_PATH: &str = "crates/core/src";
+const CORE_SRC: &str = "crates/core/src";
 const STRING_BINDING: &str = "EdgeBinding";
 
 fn check_id_space_front(root: &Path, out: &mut Vec<String>) {
-    for file in rust_files(&root.join(ID_SPACE_PATH)) {
+    for file in rust_files(&root.join(CORE_SRC)) {
         scan_file_for_string_bindings(root, &file, out);
     }
 }
@@ -783,85 +682,14 @@ fn scan_file_for_emission_allocations(root: &Path, file: &Path, out: &mut Vec<St
 }
 
 // ---------------------------------------------------------------------------
-// Check 12: Stage-1 subscription state changes only inside its table.
-// ---------------------------------------------------------------------------
-
-const CORE_SRC: &str = "crates/core/src";
-const STAGE1_TABLE_FILE: &str = "crates/core/src/front/table.rs";
-const STAGE1_MUTATIONS: &[&str] = &[
-    "index.register(",
-    "index.retain(",
-    "index.unregister(",
-    "requested.push(",
-    "requested.remove",
-    "requested_edges.push(",
-    "requested_edges.remove",
-    "invalidate_plan(",
-    "edge_refs",
-];
-
-fn check_stage1_table(root: &Path, out: &mut Vec<String>) {
-    let table = root.join(STAGE1_TABLE_FILE);
-    for file in rust_files(&root.join(CORE_SRC)) {
-        if file != table {
-            scan_file_for_stage1_mutations(root, &file, out);
-        }
-    }
-}
-
-fn scan_file_for_stage1_mutations(root: &Path, file: &Path, out: &mut Vec<String>) {
-    scan_non_test_code(root, file, out, |line| {
-        STAGE1_MUTATIONS
-            .iter()
-            .filter(|pat| line.contains(*pat))
-            .map(|pat| {
-                format!("`{pat}` outside the Stage-1 table (subscribe and release through `Stage1Table`)")
-            })
-            .collect()
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Check 13: a template's RT changes only where its version moves.
-// ---------------------------------------------------------------------------
-
-/// The `TemplateRuntime` mutators that move `rt_version` with `RT`.
-const RT_VERSIONED_FNS: &[&str] = &["fn push_rt_row(", "fn remove_rt_row("];
-const RT_MUTATIONS: &[&str] = &[".rt.push_values(", ".rt.remove_row("];
-
-fn check_rt_versioning(root: &Path, out: &mut Vec<String>) {
-    scan_file_for_rt_mutations(root, &root.join(REGISTRY_FILE), out);
-}
-
-fn scan_file_for_rt_mutations(root: &Path, file: &Path, out: &mut Vec<String>) {
-    scan_outside_fns(
-        root,
-        file,
-        out,
-        RT_VERSIONED_FNS,
-        RT_MUTATIONS,
-        "outside the version-moving `RT` mutators (a plan's kept `RT` table would go stale)",
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Check 14: Stage-1 state lives in the front.
+// Check 14: the registry names no Stage-1 type.
 // ---------------------------------------------------------------------------
 
 /// Stage-1 types the registry must not name: it returns footprints, the
 /// front subscribes them.
 const FRONT_TYPES: &[&str] = &["Stage1Table", "SingleBlock", "Subscriptions"];
-const FRONT_DIR: &str = "crates/core/src/front";
-const SCREENING: &str = "screen_and_stamp(";
-
 fn check_front_owns_stage1(root: &Path, out: &mut Vec<String>) {
     scan_file_for_front_types(root, &root.join(REGISTRY_FILE), out);
-    let front = root.join(FRONT_DIR);
-    for file in rust_files(&root.join(CORE_SRC)) {
-        if !file.starts_with(&front) {
-            scan_file_for_screening(root, &file, out);
-        }
-    }
 }
 
 fn scan_file_for_front_types(root: &Path, file: &Path, out: &mut Vec<String>) {
@@ -873,59 +701,6 @@ fn scan_file_for_front_types(root: &Path, file: &Path, out: &mut Vec<String>) {
                 format!("`{token}` in the registry (return the footprint; the front subscribes it)")
             })
             .collect()
-    });
-}
-
-fn scan_file_for_screening(root: &Path, file: &Path, out: &mut Vec<String>) {
-    scan_non_test_code(root, file, out, |line| {
-        if line.contains(SCREENING) {
-            vec![format!(
-                "`{SCREENING}` outside the front (screen a batch with `Front::screen`)"
-            )]
-        } else {
-            Vec::new()
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Check 15: one batch path.
-// ---------------------------------------------------------------------------
-
-/// The shard-serving function: the one caller of a join stage's request
-/// methods.
-const SERVING_FNS: &[&str] = &["fn serve("];
-const JOIN_STAGE_CALLS: &[&str] = &["join.process(", "join.register(", "join.unregister("];
-const ENGINE_FILE: &str = "crates/core/src/engine.rs";
-const FRONT_RUN: &str = "front.run(";
-
-fn check_one_batch_path(root: &Path, out: &mut Vec<String>) {
-    for file in rust_files(&root.join(CORE_SRC)) {
-        scan_file_for_join_stage_calls(root, &file, out);
-    }
-    scan_file_for_front_run(root, &root.join(ENGINE_FILE), out);
-}
-
-fn scan_file_for_join_stage_calls(root: &Path, file: &Path, out: &mut Vec<String>) {
-    scan_outside_fns(
-        root,
-        file,
-        out,
-        SERVING_FNS,
-        JOIN_STAGE_CALLS,
-        "outside the shard-serving `serve` (every shard request runs there)",
-    );
-}
-
-fn scan_file_for_front_run(root: &Path, file: &Path, out: &mut Vec<String>) {
-    scan_non_test_code(root, file, out, |line| {
-        if line.contains(FRONT_RUN) {
-            vec![format!(
-                "`{FRONT_RUN}` in the single engine (its batches run through the pipeline)"
-            )]
-        } else {
-            Vec::new()
-        }
     });
 }
 
@@ -967,67 +742,6 @@ fn scan_files_for_worker_sites(root: &Path, files: &[PathBuf], out: &mut Vec<Str
             })),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Check 17: one retention cutoff.
-// ---------------------------------------------------------------------------
-
-const STATE_FILE: &str = "crates/core/src/state.rs";
-const EVICT_FN: &str = "fn evict(";
-const SEGMENT_EVICTION: &str = "evict_below(";
-const MAINTENANCE_FN: &str = "fn maintain_state(";
-const STATE_EVICTION: &str = ".evict(";
-
-fn check_one_retention_cutoff(root: &Path, out: &mut Vec<String>) {
-    let state = root.join(STATE_FILE);
-    for file in rust_files(&root.join(CORE_SRC)) {
-        scan_file_for_segment_eviction(root, &file, file == state, out);
-    }
-    scan_file_for_state_eviction(root, &root.join(ENGINE_FILE), out);
-}
-
-/// `evict_below(` in `file`, allowed only inside `JoinState::evict` when
-/// `file` is the state module.
-fn scan_file_for_segment_eviction(root: &Path, file: &Path, is_state: bool, out: &mut Vec<String>) {
-    let exempt: &[&str] = if is_state { &[EVICT_FN] } else { &[] };
-    scan_outside_fns(
-        root,
-        file,
-        out,
-        exempt,
-        &[SEGMENT_EVICTION],
-        "outside `JoinState::evict` (rows, chains and documents leave together)",
-    );
-}
-
-/// `.evict(` in `file`: exactly one call, inside `maintain_state`.
-fn scan_file_for_state_eviction(root: &Path, file: &Path, out: &mut Vec<String>) {
-    let mut outside = Vec::new();
-    scan_outside_fns(
-        root,
-        file,
-        &mut outside,
-        &[MAINTENANCE_FN],
-        &[STATE_EVICTION],
-        "outside `maintain_state` (the join stage evicts at one cutoff)",
-    );
-    let mut sites = Vec::new();
-    scan_non_test_code(root, file, &mut sites, |line| {
-        if line.contains(STATE_EVICTION) {
-            vec![String::new()]
-        } else {
-            Vec::new()
-        }
-    });
-    let inside = sites.len() - outside.len();
-    if inside != 1 {
-        out.push(format!(
-            "{}: {inside} `{STATE_EVICTION}` calls in `maintain_state`; exactly one evicts at the retention cutoff",
-            rel(root, file)
-        ));
-    }
-    out.extend(outside);
 }
 
 // ---------------------------------------------------------------------------
@@ -1136,13 +850,6 @@ mod tests {
                 "MMQJP_CHAOS_SEEDS".to_owned()
             ]
         );
-    }
-
-    #[test]
-    fn struct_and_add_assign_fields_parse() {
-        let src = "pub struct Foo {\n    /// doc\n    pub a: usize,\n    pub b: u64,\n}\nimpl AddAssign for Foo {\n    fn add_assign(&mut self, rhs: Self) {\n        self.a += rhs.a;\n        self.b += rhs.b;\n    }\n}\n";
-        assert_eq!(struct_fields(src, "Foo"), vec!["a", "b"]);
-        assert_eq!(add_assign_fields(src, "Foo"), vec!["a", "b"]);
     }
 
     #[test]
@@ -1266,83 +973,21 @@ mod tests {
     }
 
     #[test]
-    fn stage1_mutations_are_flagged_outside_tests_and_comments() {
-        let src = "fn subscribe(&mut self) {\n    let pid = self.index.register(p);\n    // front.requested.push(pid, e) in a comment\n    self.requested_edges.remove_edge(pid, e);\n    self.table.subscribe(0, p, &edges, &i)?;\n    self.registry.register(q, mode, 0)?;\n    plan.invalidate_plan();\n}\nstruct Front { edge_refs: Refs }\n#[cfg(test)]\nmod tests {\n    fn t() { index.unregister(pid); }\n}\n";
-        let dir = std::env::temp_dir().join("xtask-lint-test");
-        fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("stage1_case.rs");
-        fs::write(&file, src).unwrap();
-        let mut out = Vec::new();
-        scan_file_for_stage1_mutations(&dir, &file, &mut out);
-        assert_eq!(out.len(), 4, "violations: {out:?}");
-        assert!(
-            out[0].contains("stage1_case.rs:2") && out[0].contains("`index.register(`"),
-            "{out:?}"
-        );
-        assert!(
-            out[1].contains("stage1_case.rs:4") && out[1].contains("`requested_edges.remove`"),
-            "{out:?}"
-        );
-        assert!(
-            out[2].contains("stage1_case.rs:7") && out[2].contains("`invalidate_plan(`"),
-            "{out:?}"
-        );
-        assert!(
-            out[3].contains("stage1_case.rs:9") && out[3].contains("`edge_refs`"),
-            "{out:?}"
-        );
-    }
-
-    #[test]
     fn stage1_state_is_flagged_outside_the_front() {
-        let src = "use crate::front::{Edge, SingleBlock};\n// a Stage1Table in a comment\nstruct Registry {\n    stage1: Stage1Table,\n    subs: Stage1Subscriptions,\n}\nfn batch(&mut self) {\n    let docs = front::screen_and_stamp(docs, &mut seq)?;\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &Stage1Table) { screen_and_stamp(d).unwrap(); }\n}\n";
+        let src = "use crate::front::{Edge, SingleBlock};\n// a Stage1Table in a comment\nstruct Registry {\n    stage1: Stage1Table,\n    subs: Stage1Subscriptions,\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &Stage1Table) {}\n}\n";
         let dir = std::env::temp_dir().join("xtask-lint-test");
         fs::create_dir_all(&dir).unwrap();
         let file = dir.join("front_case.rs");
         fs::write(&file, src).unwrap();
         let mut out = Vec::new();
         scan_file_for_front_types(&dir, &file, &mut out);
-        scan_file_for_screening(&dir, &file, &mut out);
-        assert_eq!(out.len(), 3, "violations: {out:?}");
+        assert_eq!(out.len(), 2, "violations: {out:?}");
         assert!(
             out[0].contains("front_case.rs:1") && out[0].contains("`SingleBlock`"),
             "{out:?}"
         );
         assert!(
             out[1].contains("front_case.rs:4") && out[1].contains("`Stage1Table`"),
-            "{out:?}"
-        );
-        assert!(
-            out[2].contains("front_case.rs:8") && out[2].contains("`screen_and_stamp(`"),
-            "{out:?}"
-        );
-    }
-
-    #[test]
-    fn join_stage_requests_are_flagged_outside_serve() {
-        let src = "pub(crate) fn serve(\n    shard: &mut Shard,\n) -> CoreResult<Reply> {\n    shard.join.register(q, floor)?;\n    shard.join.process(*routed)?;\n}\nfn register(&mut self) {\n    self.join.register(query, floor)?;\n    // self.join.unregister(id) in a comment\n    self.registry.register(q, mode, 0)?;\n}\nfn process_batch(&mut self) {\n    let batch = self.front.run(docs, |_| None, 1)?;\n    self.join.process(routed)?;\n    stage.join.unregister(id)?;\n}\n#[cfg(test)]\nmod tests {\n    fn t() { e.join.process(b).unwrap(); e.front.run(d, f, 1); }\n}\n";
-        let dir = std::env::temp_dir().join("xtask-lint-test");
-        fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("batch_path_case.rs");
-        fs::write(&file, src).unwrap();
-        let mut out = Vec::new();
-        scan_file_for_join_stage_calls(&dir, &file, &mut out);
-        scan_file_for_front_run(&dir, &file, &mut out);
-        assert_eq!(out.len(), 4, "violations: {out:?}");
-        assert!(
-            out[0].contains("batch_path_case.rs:8") && out[0].contains("`join.register(`"),
-            "{out:?}"
-        );
-        assert!(
-            out[1].contains("batch_path_case.rs:14") && out[1].contains("`join.process(`"),
-            "{out:?}"
-        );
-        assert!(
-            out[2].contains("batch_path_case.rs:15") && out[2].contains("`join.unregister(`"),
-            "{out:?}"
-        );
-        assert!(
-            out[3].contains("batch_path_case.rs:13") && out[3].contains("`front.run(`"),
             "{out:?}"
         );
     }
@@ -1379,60 +1024,6 @@ mod tests {
     }
 
     #[test]
-    fn a_second_eviction_pass_is_flagged() {
-        let state = "impl JoinState {\n    pub fn evict(&mut self, cutoff: u64) -> JoinEviction {\n        for (_, seg) in self.rdoc.evict_below(bucket) {}\n    }\n    fn evict_documents(&mut self) {\n        self.ledger.evict_below(3);\n        // self.rbin.evict_below(4) in a comment\n    }\n}\n#[cfg(test)]\nmod tests {\n    fn t() { s.rdoc.evict_below(1); }\n}\n";
-        let engine = "fn maintain_state(&mut self) {\n    let eviction = self.state.evict(cutoff);\n}\nfn unregister(&mut self) {\n    self.state.evict(0);\n}\n#[cfg(test)]\nmod tests {\n    fn t() { s.evict(1); }\n}\n";
-        let dir = std::env::temp_dir().join("xtask-lint-test");
-        fs::create_dir_all(&dir).unwrap();
-        let (state_file, engine_file) = (
-            dir.join("evict_state_case.rs"),
-            dir.join("evict_engine_case.rs"),
-        );
-        fs::write(&state_file, state).unwrap();
-        fs::write(&engine_file, engine).unwrap();
-
-        let mut out = Vec::new();
-        scan_file_for_segment_eviction(&dir, &state_file, true, &mut out);
-        assert_eq!(out.len(), 1, "violations: {out:?}");
-        assert!(
-            out[0].contains("evict_state_case.rs:6") && out[0].contains("`evict_below(`"),
-            "{out:?}"
-        );
-        // Outside the state module no site is allowed.
-        let mut out = Vec::new();
-        scan_file_for_segment_eviction(&dir, &state_file, false, &mut out);
-        assert_eq!(out.len(), 2, "violations: {out:?}");
-        assert!(out[0].contains("evict_state_case.rs:3"), "{out:?}");
-
-        let mut out = Vec::new();
-        scan_file_for_state_eviction(&dir, &engine_file, &mut out);
-        assert_eq!(out.len(), 1, "violations: {out:?}");
-        assert!(
-            out[0].contains("evict_engine_case.rs:5")
-                && out[0].contains("outside `maintain_state`"),
-            "{out:?}"
-        );
-        // Two calls, or none, inside `maintain_state` are flagged too.
-        for (body, calls) in [
-            ("self.state.evict(a);\n    self.state.evict(b);", 2),
-            ("", 0),
-        ] {
-            fs::write(
-                &engine_file,
-                format!("fn maintain_state(&mut self) {{\n    {body}\n}}\n"),
-            )
-            .unwrap();
-            let mut out = Vec::new();
-            scan_file_for_state_eviction(&dir, &engine_file, &mut out);
-            assert_eq!(out.len(), 1, "violations: {out:?}");
-            assert!(
-                out[0].contains(&format!("{calls} `.evict(` calls")),
-                "{out:?}"
-            );
-        }
-    }
-
-    #[test]
     fn a_second_query_id_minter_is_flagged() {
         let pipeline = "pub(crate) fn register(&mut self, query: XsclQuery) -> CoreResult<QueryId> {\n    let id = QueryId(self.next_query);\n    Ok(id)\n}\nfn respawn(&mut self) {\n    let id = QueryId(global);\n}\n#[cfg(test)]\nmod tests {\n    fn t() { e.unregister_query(QueryId(0)); }\n}\n";
         let registry = "pub fn register(\n    &mut self,\n    query: XsclQuery,\n) -> CoreResult<QueryId> {\n    let id = QueryId(self.queries.len() as u64);\n    // QueryId(1) in a comment\n}\npub fn resolve_rid(&self, rid: i64) -> Option<&Q> {\n    self.queries.get(&QueryId(rid as u64 / 2))\n}\n";
@@ -1464,26 +1055,6 @@ mod tests {
         let mut out = Vec::new();
         scan_file_for_query_ids(&dir, &registry_file, &[], &mut out);
         assert_eq!(out.len(), 2, "violations: {out:?}");
-    }
-
-    #[test]
-    fn rt_mutations_are_flagged_outside_the_versioned_mutators() {
-        let src = "impl TemplateRuntime {\n    fn push_rt_row(&mut self, t: Tuple) -> CoreResult<()> {\n        self.rt.push_values(t)?;\n        self.rt_version += 1;\n        Ok(())\n    }\n    fn remove_rt_row(&mut self, row: usize) -> CoreResult<()> {\n        self.rt.remove_row(row)?;\n        self.rt_version += 1;\n        Ok(())\n    }\n}\nfn register(&mut self) {\n    template.rt.push_values(tuple)?;\n    // template.rt.remove_row(row) in a comment\n    template.push_rt_row(tuple)?;\n}\nfn unregister(t: &mut TemplateRuntime) {\n    t.rt.remove_row(0)?;\n}\n#[cfg(test)]\nmod tests {\n    fn t() { tr.rt.push_values(v).unwrap(); }\n}\n";
-        let dir = std::env::temp_dir().join("xtask-lint-test");
-        fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("rt_case.rs");
-        fs::write(&file, src).unwrap();
-        let mut out = Vec::new();
-        scan_file_for_rt_mutations(&dir, &file, &mut out);
-        assert_eq!(out.len(), 2, "violations: {out:?}");
-        assert!(
-            out[0].contains("rt_case.rs:14") && out[0].contains("`.rt.push_values(`"),
-            "{out:?}"
-        );
-        assert!(
-            out[1].contains("rt_case.rs:19") && out[1].contains("`.rt.remove_row(`"),
-            "{out:?}"
-        );
     }
 
     #[test]
