@@ -22,6 +22,7 @@ use crate::audit::AuditViolation;
 use crate::config::{EngineConfig, ProcessingMode};
 use crate::cqt::PlanInputKind;
 use crate::error::{CoreError, CoreResult};
+use crate::explain::{explain, PlanExplain};
 use crate::fault::QuarantineRecord;
 use crate::front::Stage1Table;
 use crate::output::{construct_join_output, Binding, MatchOutput};
@@ -39,6 +40,7 @@ use mmqjp_relational::{
 use mmqjp_xml::{DocId, Document, NodeId, Timestamp};
 use mmqjp_xpath::TreePattern;
 use mmqjp_xscl::{JoinOp, QueryId, SelectClause, Side, XsclQuery};
+use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -90,6 +92,15 @@ impl MmqjpEngine {
     /// edges and single-block subscriptions.
     pub fn stage1_table(&self) -> &Stage1Table {
         self.pipeline.front.table()
+    }
+
+    /// The plans behind query `id`'s join, one per orientation of its shape
+    /// (none for a single-block subscription): the template, the plan
+    /// variant the engine's mode runs, and the plan's memoized join order
+    /// with estimated and actual rows per step. `None` for an unknown id.
+    pub fn explain(&self, id: QueryId) -> Option<Vec<PlanExplain>> {
+        // An inline slot cannot die, so reading it cannot fail.
+        self.pipeline.explain(id).unwrap_or_default()
     }
 
     /// Number of registered queries.
@@ -248,6 +259,7 @@ impl JoinStage {
                 self.audit(&mut out);
                 Reply::Audit(out)
             }
+            Read::Explain(id) => Reply::Explain(explain(&self.registry, self.config.mode, id)),
         }
     }
 
@@ -762,12 +774,14 @@ impl JoinStage {
 // moving or cloning any relation.
 
 /// The per-batch evaluation context: chunked views over the segmented join
-/// state (built once, O(#buckets)), the batch's witness relations and the
-/// optional `RL`/`RR` intermediates. Every plan execution of the batch
-/// resolves its input slots against this.
+/// state (each built on the batch's first read of it, so a batch whose
+/// plans never read the state in place builds none), the batch's witness
+/// relations and the optional `RL`/`RR` intermediates. Every plan execution
+/// of the batch resolves its input slots against this.
 struct EvalInputs<'a> {
-    rbin: ChunkedRows<'a>,
-    rdoc: ChunkedRows<'a>,
+    state: &'a JoinState,
+    rbin: OnceCell<ChunkedRows<'a>>,
+    rdoc: OnceCell<ChunkedRows<'a>>,
     batch: &'a WitnessBatch,
     rl: Option<Relation>,
     rr: Option<Relation>,
@@ -778,16 +792,19 @@ struct EvalInputs<'a> {
     /// values can never join.
     rdoc_restricted: Option<Relation>,
     /// Basic MMQJP mode only: the resident `Rbin` rows of documents that
-    /// survive the `Rdoc` restriction. Only substituted for plans that also
-    /// read `Rdoc` (all left-side atoms share its document variable there).
+    /// survive the `Rdoc` restriction, or `None` when that would be every
+    /// row (every resident document survives it): plans then read the
+    /// state in place. Only substituted for plans that also read `Rdoc`
+    /// (all left-side atoms share its document variable there).
     rbin_restricted: Option<Relation>,
 }
 
 impl<'a> EvalInputs<'a> {
     fn new(state: &'a JoinState, batch: &'a WitnessBatch) -> Self {
         EvalInputs {
-            rbin: ChunkedRows::from_segmented(state.rbin()),
-            rdoc: ChunkedRows::from_segmented(state.rdoc()),
+            state,
+            rbin: OnceCell::new(),
+            rdoc: OnceCell::new(),
             batch,
             rl: None,
             rr: None,
@@ -822,10 +839,18 @@ impl<'a> EvalInputs<'a> {
                         .ok_or(CoreError::internal("narrow_rbin implies a restricted Rbin"))?,
                 )
                 .shared(tag::RBIN_RESTRICTED),
-                PlanInputKind::Rbin => PlanInput::from(&self.rbin).shared(tag::RBIN),
+                PlanInputKind::Rbin => {
+                    let rbin =
+                        (self.rbin).get_or_init(|| ChunkedRows::from_segmented(self.state.rbin()));
+                    PlanInput::from(rbin).shared(tag::RBIN)
+                }
                 PlanInputKind::Rdoc => match &self.rdoc_restricted {
                     Some(restricted) => PlanInput::from(restricted).shared(tag::RDOC_RESTRICTED),
-                    None => PlanInput::from(&self.rdoc).shared(tag::RDOC),
+                    None => {
+                        let rdoc = (self.rdoc)
+                            .get_or_init(|| ChunkedRows::from_segmented(self.state.rdoc()));
+                        PlanInput::from(rdoc).shared(tag::RDOC)
+                    }
                 },
                 PlanInputKind::RbinW => PlanInput::from(&self.batch.rbin_w).shared(tag::RBIN_W),
                 PlanInputKind::RdocW => PlanInput::from(&self.batch.rdoc_w).shared(tag::RDOC_W),
@@ -942,11 +967,12 @@ fn evaluate_mmqjp(
             // from the batch are dead weight every template would otherwise
             // re-scan — this is the shared work the view-materialized mode
             // gets from its RL/RR intermediates, without materializing any
-            // view.
+            // view. When every resident document survives, Rbin is not
+            // copied: plans read the segmented state in place.
             let t_restrict = Instant::now();
             let (rdoc, rbin) = state.restrict_to_batch(&batch.rdoc_w, pool)?;
             ctx.rdoc_restricted = Some(rdoc);
-            ctx.rbin_restricted = Some(rbin);
+            ctx.rbin_restricted = rbin;
             timings.compute_rvj += t_restrict.elapsed();
             false
         }
@@ -1073,6 +1099,7 @@ fn compute_rl_rr(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlanVariant;
     use mmqjp_relational::{Schema, Value};
     use mmqjp_xml::rss;
 
@@ -1203,6 +1230,87 @@ mod tests {
             .process_document(d1().with_timestamp(Timestamp(10)))
             .unwrap();
         assert!(out.is_empty());
+    }
+
+    /// `explain` names the template and the mode's plan variant and copies
+    /// the plan's join order with actual rows, on Q1's two-value-join
+    /// template after the one batch that joins; the sharded engine answers
+    /// the same.
+    #[test]
+    fn explain_reports_the_plan_a_query_joins_through() {
+        for (config, variant) in [
+            (EngineConfig::mmqjp(), PlanVariant::Basic),
+            (EngineConfig::mmqjp_view_mat(), PlanVariant::Materialized),
+            (EngineConfig::sequential(), PlanVariant::Sequential),
+        ] {
+            let mut e = engine(config.clone());
+            assert_eq!(e.explain(QueryId(99)), None, "unknown id");
+            // d1 meets an empty window: no plan gets past its empty atoms.
+            assert!(e.process_document(d1()).unwrap().is_empty());
+            let before = e.explain(QueryId(0)).unwrap();
+            assert_eq!(before.len(), 1, "FOLLOWED BY has one orientation");
+            assert!(before[0].steps.is_empty(), "nothing planned yet");
+            let out = e.process_batch(vec![d2()]).unwrap();
+            assert_eq!(out.len(), 2, "{variant:?}");
+
+            let plans = e.explain(QueryId(0)).unwrap();
+            let [plan] = plans.as_slice() else {
+                panic!("{plans:?}")
+            };
+            let template = e
+                .registry()
+                .query(QueryId(0))
+                .unwrap()
+                .shape()
+                .orientations()[0]
+                .template;
+            assert_eq!((plan.template, plan.variant), (template, variant));
+            let expected = e.registry().template_runtime(template).unwrap();
+            assert_eq!(expected.template.graph.num_value_joins(), 2);
+            // The owned copy is the plan's own explain, actual rows included.
+            let copied: Vec<String> = plan.steps.iter().map(ToString::to_string).collect();
+            let own: Vec<String> = match variant {
+                PlanVariant::Basic => expected.plan_basic.as_ref(),
+                PlanVariant::Materialized => expected.plan_materialized.as_ref(),
+                PlanVariant::Sequential => e.registry().query(QueryId(0)).unwrap().registrations[0]
+                    .sequential_plan
+                    .as_ref(),
+            }
+            .unwrap()
+            .explain()
+            .map(|s| s.to_string())
+            .collect();
+            assert_eq!(copied, own);
+            assert!(plan.steps.len() > 2, "{plan}");
+            assert!(plan.steps.iter().all(|s| s.actual_rows.is_some()), "{plan}");
+            // Q1's match (and, through the shared template, Q2's).
+            assert!(plan.steps.last().unwrap().actual_rows >= Some(1), "{plan}");
+            assert!(plan
+                .to_string()
+                .starts_with(&format!("template {template} ({variant:?}): ")));
+
+            // One shard holds what the single engine holds; on three, each
+            // query's own shard answers for it.
+            for shards in [1, 3] {
+                let mut sharded = crate::ShardedEngine::new(config.clone().with_num_shards(shards));
+                for q in [Q1, Q2, Q3] {
+                    sharded.register_query_text(q).unwrap();
+                }
+                sharded.process_document(d1()).unwrap();
+                sharded.process_batch(vec![d2()]).unwrap();
+                let got = sharded.explain(QueryId(0)).unwrap().unwrap();
+                if shards == 1 {
+                    assert_eq!(got, plans);
+                }
+                assert_eq!((got[0].template, got[0].variant), (template, variant));
+                assert!(
+                    got[0].steps.iter().all(|s| s.actual_rows.is_some()),
+                    "{}",
+                    got[0]
+                );
+                assert_eq!(sharded.explain(QueryId(99)).unwrap(), None);
+            }
+        }
     }
 
     #[test]

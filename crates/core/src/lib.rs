@@ -82,6 +82,7 @@ mod config;
 mod cqt;
 mod engine;
 mod error;
+mod explain;
 mod fault;
 pub mod front;
 mod output;
@@ -99,6 +100,7 @@ pub use audit::AuditViolation;
 pub use config::{EngineConfig, FaultPolicy, ProcessingMode};
 pub use engine::MmqjpEngine;
 pub use error::{CoreError, CoreResult};
+pub use explain::{PlanExplain, PlanStep, PlanVariant};
 pub use fault::{corrupt_bytes, FaultInjector, FaultKind, FaultPlan, QuarantineRecord};
 pub use output::{sort_matches, Binding, MatchOutput};
 pub use recovery::ReplayLog;

@@ -26,6 +26,7 @@ use crate::audit::AuditViolation;
 use crate::config::{EngineConfig, FaultPolicy};
 use crate::engine::JoinStage;
 use crate::error::{CoreError, CoreResult};
+use crate::explain::PlanExplain;
 use crate::fault::{FaultInjector, FaultKind, WorkerFault};
 use crate::front::{Front, FrontBatch};
 use crate::output::{sort_matches, MatchOutput};
@@ -57,6 +58,8 @@ pub(crate) enum Request {
 pub(crate) enum Read {
     Stats,
     Audit,
+    /// The plans behind a query's join (see [`crate::explain`]).
+    Explain(QueryId),
 }
 
 /// A shard's answer to the [`Request`] of the same name.
@@ -67,6 +70,7 @@ pub(crate) enum Reply {
     Batch(Vec<MatchOutput>),
     Stats(Box<EngineStats>),
     Audit(Vec<AuditViolation>),
+    Explain(Option<Vec<PlanExplain>>),
 }
 
 /// The payload of `$reply` if it is a `Reply::$kind`.
@@ -317,19 +321,36 @@ impl<S: Slot> Pipeline<S> {
     /// any other policy a dead slot fails it, and the next change or batch
     /// settles the slot.
     fn read_all(&self, read: Read) -> CoreResult<Vec<Option<Reply>>> {
-        let degrade = self.config.fault_policy == FaultPolicy::Degrade;
         let pending: Vec<_> = (self.slots.iter())
             .map(|slot| slot.alive().then(|| slot.read(read)))
             .collect();
-        let answer = |(shard, pending): (usize, Option<S::Pending>)| {
-            let dead = CoreError::ShardUnavailable { shard };
-            match pending.map_or(Err(dead), |p| S::wait(p, shard, &mut false)) {
-                Ok(answer) => answer.map(Some),
-                Err(_) if degrade => Ok(None),
-                Err(death) => Err(death),
-            }
-        };
-        pending.into_iter().enumerate().map(answer).collect()
+        (pending.into_iter().enumerate())
+            .map(|(shard, pending)| self.read_answer(shard, pending))
+            .collect()
+    }
+
+    /// Slot `shard`'s answer to a read handed over as `pending` (`None`: the
+    /// slot was dead), under [`read_all`](Self::read_all)'s rules.
+    fn read_answer(&self, shard: usize, pending: Option<S::Pending>) -> CoreResult<Option<Reply>> {
+        let dead = CoreError::ShardUnavailable { shard };
+        match pending.map_or(Err(dead), |p| S::wait(p, shard, &mut false)) {
+            Ok(answer) => answer.map(Some),
+            Err(_) if self.config.fault_policy == FaultPolicy::Degrade => Ok(None),
+            Err(death) => Err(death),
+        }
+    }
+
+    /// The plans behind query `id`'s join, read from the shard that owns
+    /// it; `None` for an id that is not live (or, under Degrade, whose
+    /// shard is dark).
+    pub(crate) fn explain(&self, id: QueryId) -> CoreResult<Option<Vec<PlanExplain>>> {
+        let shard = shard_of(id, self.slots.len());
+        let slot = &self.slots[shard];
+        let pending = slot.alive().then(|| slot.read(Read::Explain(id)));
+        match self.read_answer(shard, pending)? {
+            Some(reply) => payload!(reply, Explain),
+            None => Ok(None),
+        }
     }
 
     /// Per-shard statistics; a dark shard under Degrade reports zeroes.

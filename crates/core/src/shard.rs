@@ -37,6 +37,7 @@ use crate::audit::AuditViolation;
 use crate::config::EngineConfig;
 use crate::engine::JoinStage;
 use crate::error::{CoreError, CoreResult};
+use crate::explain::PlanExplain;
 use crate::fault::{FaultInjector, QuarantineRecord, WorkerFault};
 use crate::front::Stage1Table;
 use crate::output::MatchOutput;
@@ -289,6 +290,16 @@ impl ShardedEngine {
     /// under [`FaultPolicy::Degrade`](crate::FaultPolicy), where dead shards are skipped.
     pub fn audit(&self) -> CoreResult<Vec<AuditViolation>> {
         self.pipeline.audit()
+    }
+
+    /// The plans behind query `id`'s join, read from the shard that owns
+    /// it — what [`MmqjpEngine::explain`](crate::MmqjpEngine::explain)
+    /// reports. `Ok(None)` for an unknown id, or under
+    /// [`FaultPolicy::Degrade`](crate::FaultPolicy) when the owning shard
+    /// is dark; errors with [`CoreError::ShardUnavailable`] if it is gone
+    /// under any other policy.
+    pub fn explain(&self, id: QueryId) -> CoreResult<Option<Vec<PlanExplain>>> {
+        self.pipeline.explain(id)
     }
 }
 

@@ -620,11 +620,16 @@ impl JoinState {
     /// rows of the documents those rows mention — computed once per batch
     /// and shared by every template. All intermediate buffers come from
     /// `pool`.
+    ///
+    /// The `Rbin` restriction is `None` when every resident document is
+    /// among the restricted ones: it would keep every `Rbin` row, in the
+    /// state's own order, so the caller reads the segmented state in place
+    /// and nothing is copied.
     pub(crate) fn restrict_to_batch(
         &self,
         rdoc_w: &Relation,
         pool: &mut RestrictionScratch,
-    ) -> CoreResult<(Relation, Relation)> {
+    ) -> CoreResult<(Relation, Option<Relation>)> {
         let RestrictionScratch {
             strvals,
             seen,
@@ -640,8 +645,13 @@ impl JoinState {
             }
         }
         let rdoc = self.rdoc_for_strvals(strvals, docids, offs)?;
+        // Every restricted document is resident (rows never outlive their
+        // document's filing), so equal counts mean equal sets.
+        if docids.len() >= self.doc_timestamps.len() {
+            return Ok((rdoc, None));
+        }
         let rbin = self.rbin_for_docids(docids, offs)?;
-        Ok((rdoc, rbin))
+        Ok((rdoc, Some(rbin)))
     }
 
     /// Restrict the resident `Rdoc` state to the rows whose string value
@@ -1001,6 +1011,7 @@ mod tests {
     use crate::fault::SplitMix64;
     use mmqjp_relational::StringInterner;
     use mmqjp_xml::Timestamp;
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     impl JoinState {
@@ -1559,14 +1570,15 @@ mod tests {
     }
 
     /// Check `rl_slice`, `restrict_to_batch`, `contains_strval` and
-    /// `audit` against brute force over the resident rows.
+    /// `audit` against brute force over the resident rows. Returns whether
+    /// the `Rbin` restriction was skipped.
     fn check_against_brute_force(
         s: &JoinState,
         vocab: &[Symbol],
         probe: &Relation,
         newest: u64,
         ctx: &str,
-    ) {
+    ) -> bool {
         let rdoc: Vec<Tuple> = s.rdoc().iter().map(|r| r.to_vec()).collect();
         let rbin: Vec<Tuple> = s.rbin().iter().map(|r| r.to_vec()).collect();
         let rows = |r: &Relation| r.iter().map(|t| t.to_vec()).collect::<Vec<_>>();
@@ -1596,14 +1608,27 @@ mod tests {
             .filter(|b| docids.contains(&&b[0]))
             .cloned()
             .collect();
+        let restricted_docs: HashSet<DocId> = (docids.iter())
+            .map(|d| key_doc_id(d, "Rdoc", "docid").unwrap())
+            .collect();
+        let resident_docs: HashSet<DocId> = s.doc_timestamps.keys().copied().collect();
+        assert!(restricted_docs.is_subset(&resident_docs), "{ctx}: docs");
         let (got_rdoc, got_rbin) = s
             .restrict_to_batch(probe, &mut RestrictionScratch::default())
             .unwrap();
         assert_eq!(rows(&got_rdoc), expected_rdoc, "{ctx}: restricted Rdoc");
-        assert_eq!(rows(&got_rbin), expected_rbin, "{ctx}: restricted Rbin");
+        // Rbin goes unrestricted exactly when every resident document is
+        // restricted, and it then keeps every row in the state's order.
+        let skipped = got_rbin.is_none();
+        assert_eq!(skipped, restricted_docs == resident_docs, "{ctx}: decision");
+        match got_rbin {
+            Some(got) => assert_eq!(rows(&got), expected_rbin, "{ctx}: restricted Rbin"),
+            None => assert_eq!(rbin, expected_rbin, "{ctx}: unrestricted Rbin"),
+        }
         let mut out = Vec::new();
         s.audit(newest, &mut out);
         assert!(out.is_empty(), "{ctx}: audit {out:?}");
+        skipped
     }
 
     /// Seeded sweep: random absorb / eviction / re-width sequences, checked
@@ -1616,6 +1641,7 @@ mod tests {
             .map(|i| interner.intern(&format!("value {i}")))
             .collect();
         let vars: Vec<Symbol> = ["a", "b", "c"].map(|v| interner.intern(v)).to_vec();
+        let mut decisions = [0usize; 2];
         for seed in 0..48u64 {
             let mut rng = SplitMix64::new(seed);
             let mut s = JoinState::new();
@@ -1649,8 +1675,11 @@ mod tests {
                         .push_array([Value::Int(0), Value::Int(1), Value::Sym(sym)])
                         .unwrap();
                 }
-                check_against_brute_force(&s, &vocab, &probe, next.1, &ctx);
+                let skipped = check_against_brute_force(&s, &vocab, &probe, next.1, &ctx);
+                decisions[usize::from(skipped)] += 1;
             }
         }
+        // Both branches of the Rbin decision were exercised.
+        assert!(decisions.iter().all(|&n| n > 0), "{decisions:?}");
     }
 }

@@ -610,9 +610,9 @@ impl PhysicalPlan {
         for (out_col, &spec) in out.cols_mut().iter_mut().zip(head_specs.iter()) {
             let (ids, vals) = joined.column(spec);
             if distinct {
-                out_col.extend(keep.iter().map(|&row| *vals.get(ids[row as usize])));
+                vals.gather_into(out_col, keep.iter().map(|&row| ids[row as usize]));
             } else {
-                out_col.extend(ids.iter().map(|&id| *vals.get(id)));
+                vals.gather_into(out_col, ids.iter().copied());
             }
         }
         out.set_len(out_len);
@@ -796,14 +796,26 @@ fn retain_equal(
     left: ColVals<'_>,
     right: ColVals<'_>,
 ) {
+    let (l, r) = (pair_left, pair_right);
     match (left, right) {
-        (ColVals::Flat(a), ColVals::Flat(b)) => retain_pairs(pair_left, pair_right, |l, r| {
-            a[left_ids[l as usize] as usize] == b[r as usize]
-        }),
-        _ => retain_pairs(pair_left, pair_right, |l, r| {
-            left.get(left_ids[l as usize]) == right.get(r)
-        }),
+        (ColVals::Flat(a), ColVals::Flat(b)) => retain_in(l, r, left_ids, a, b),
+        (ColVals::Flat(a), ColVals::Chunked(b)) => retain_in(l, r, left_ids, a, b),
+        (ColVals::Chunked(a), ColVals::Flat(b)) => retain_in(l, r, left_ids, a, b),
+        (ColVals::Chunked(a), ColVals::Chunked(b)) => retain_in(l, r, left_ids, a, b),
     }
+}
+
+/// [`retain_equal`] for one kind of input on either side.
+fn retain_in<'a>(
+    pair_left: &mut Vec<u32>,
+    pair_right: &mut Vec<u32>,
+    left_ids: &[u32],
+    left: impl Column<'a>,
+    right: impl Column<'a>,
+) {
+    retain_pairs(pair_left, pair_right, |l, r| {
+        left.at(left_ids[l as usize]) == right.at(r)
+    });
 }
 
 /// Keep the pairs `keep` accepts, preserving order.
@@ -988,9 +1000,9 @@ fn fold_column(hashes: &mut [u64], ids: Option<&[u32]>, vals: ColVals<'_>) {
                 *h = fold_key(*h, &vals[id as usize]);
             }
         }
-        (Some(ids), vals) => {
+        (Some(ids), ColVals::Chunked(col)) => {
             for (h, &id) in hashes.iter_mut().zip(ids) {
-                *h = fold_key(*h, vals.get(id));
+                *h = fold_key(*h, col.at(id));
             }
         }
         (None, ColVals::Flat(vals)) => {
@@ -998,13 +1010,13 @@ fn fold_column(hashes: &mut [u64], ids: Option<&[u32]>, vals: ColVals<'_>) {
                 *h = fold_key(*h, v);
             }
         }
-        (None, ColVals::Chunked(c, pos)) => {
+        (None, ColVals::Chunked(col)) => {
             // Values first: `zip` polls its left side first, so an
             // exhausted chunk ends the inner loop without consuming the
             // next row's hash slot.
             let mut hs = hashes.iter_mut();
-            for rel in &c.chunks {
-                for (v, h) in rel.col_values(pos as usize).iter().zip(hs.by_ref()) {
+            for vals in col.slices {
+                for (v, h) in vals.iter().zip(hs.by_ref()) {
                     *h = fold_key(*h, v);
                 }
             }
@@ -1428,18 +1440,31 @@ fn join_order(
 }
 
 /// A random-access view over the buckets of a [`SegmentedRelation`],
-/// prepared once per batch (O(#buckets)) so plan execution can address
-/// segmented join state by global row id without flattening it.
+/// prepared once per batch so plan execution can address segmented join
+/// state by global row id without flattening it. Preparing it lists each
+/// non-empty bucket's column slices and, when there are two or more, maps
+/// every row to its bucket and offset — O(#buckets × arity + rows), no
+/// value moves — so addressing a row is O(1): one read of the map, then the
+/// value in its bucket's column. A view over a single bucket maps nothing:
+/// plan inputs read it as the flat relation it is.
 #[derive(Debug, Clone, Default)]
 pub struct ChunkedRows<'a> {
-    starts: Vec<u32>,
+    /// The non-empty buckets, in bucket order.
     chunks: Vec<&'a Relation>,
+    /// Global id of each chunk's first row.
+    starts: Vec<u32>,
+    /// Column `pos` of chunk `c` at `pos * chunks.len() + c`.
+    cols: Vec<&'a [Value]>,
+    /// Per global row, its chunk and in-chunk offset (empty for fewer than
+    /// two chunks).
+    rows: Vec<(u32, u32)>,
     len: u32,
 }
 
 impl<'a> ChunkedRows<'a> {
     /// Build the view over a segmented relation's resident buckets (bucket
     /// order, then insertion order — the relation's iteration order).
+    /// Empty buckets are left out.
     ///
     /// # Panics
     /// Panics if the relation holds `u32::MAX` rows or more: row ids are
@@ -1452,17 +1477,31 @@ impl<'a> ChunkedRows<'a> {
             "plan inputs are limited to u32::MAX - 1 rows, got {}",
             relation.len()
         );
-        let mut starts = Vec::with_capacity(relation.num_buckets());
-        let mut chunks = Vec::with_capacity(relation.num_buckets());
+        let chunks: Vec<&'a Relation> = (relation.buckets())
+            .map(|(_, segment)| segment)
+            .filter(|segment| !segment.is_empty())
+            .collect();
+        let mut starts = Vec::with_capacity(chunks.len());
+        let mut rows = Vec::with_capacity(if chunks.len() > 1 { relation.len() } else { 0 });
         let mut len = 0u32;
-        for (_, segment) in relation.buckets() {
+        for (c, segment) in chunks.iter().enumerate() {
             starts.push(len);
-            chunks.push(segment);
-            len += segment.len() as u32;
+            let n = segment.len() as u32;
+            if chunks.len() > 1 {
+                rows.extend((0..n).map(|off| (c as u32, off)));
+            }
+            len += n;
+        }
+        let arity = relation.schema().arity();
+        let mut cols = Vec::with_capacity(arity * chunks.len());
+        for pos in 0..arity {
+            cols.extend(chunks.iter().map(|segment| segment.col_values(pos)));
         }
         ChunkedRows {
-            starts,
             chunks,
+            starts,
+            cols,
+            rows,
             len,
         }
     }
@@ -1477,18 +1516,44 @@ impl<'a> ChunkedRows<'a> {
         self.len == 0
     }
 
-    /// The chunk index and in-chunk offset of global row `i`.
+    /// Column `pos`: its slice of every chunk, in chunk order.
     #[inline]
-    fn locate(&self, i: u32) -> (usize, u32) {
-        debug_assert!(i < self.len);
-        let chunk = self.starts.partition_point(|&s| s <= i) - 1;
-        (chunk, i - self.starts[chunk])
+    fn column(&'a self, pos: u32) -> ChunkedCol<'a> {
+        let n = self.chunks.len();
+        ChunkedCol {
+            rows: &self.rows,
+            slices: &self.cols[pos as usize * n..(pos as usize + 1) * n],
+        }
     }
+}
 
+/// One column of a [`ChunkedRows`] view: its per-chunk slices and the
+/// view's row map.
+#[derive(Clone, Copy)]
+struct ChunkedCol<'a> {
+    rows: &'a [(u32, u32)],
+    slices: &'a [&'a [Value]],
+}
+
+/// Row-id access to one column, so the loops over a join step's pairs are
+/// compiled once per kind of input instead of matching on it per value.
+trait Column<'a>: Copy {
+    fn at(self, id: u32) -> &'a Value;
+}
+
+impl<'a> Column<'a> for &'a [Value] {
     #[inline]
-    fn value(&self, i: u32, pos: u32) -> &'a Value {
-        let (chunk, off) = self.locate(i);
-        &self.chunks[chunk].col_values(pos as usize)[off as usize]
+    fn at(self, id: u32) -> &'a Value {
+        &self[id as usize]
+    }
+}
+
+impl<'a> Column<'a> for ChunkedCol<'a> {
+    /// The value of global row `id`.
+    #[inline]
+    fn at(self, id: u32) -> &'a Value {
+        let (chunk, off) = self.rows[id as usize];
+        &self.slices[chunk as usize][off as usize]
     }
 }
 
@@ -1503,11 +1568,11 @@ enum Rows<'a> {
 
 /// The values of one input column, resolved once per join step or head
 /// column: a flat input's contiguous slice (one index per value), or a
-/// chunked input's column searched per value.
+/// chunked input's per-chunk slices, addressed through its row map.
 #[derive(Clone, Copy)]
 enum ColVals<'a> {
     Flat(&'a [Value]),
-    Chunked(&'a ChunkedRows<'a>, u32),
+    Chunked(ChunkedCol<'a>),
 }
 
 impl<'a> ColVals<'a> {
@@ -1516,7 +1581,7 @@ impl<'a> ColVals<'a> {
     fn of(input: &PlanInput<'a>, pos: u32) -> Self {
         match input.rows {
             Rows::Flat(rel) => ColVals::Flat(rel.col_values(pos as usize)),
-            Rows::Chunked(rows) => ColVals::Chunked(rows, pos),
+            Rows::Chunked(rows) => ColVals::Chunked(rows.column(pos)),
         }
     }
 
@@ -1525,15 +1590,23 @@ impl<'a> ColVals<'a> {
     fn get(self, id: u32) -> &'a Value {
         match self {
             ColVals::Flat(vals) => &vals[id as usize],
-            ColVals::Chunked(rows, pos) => rows.value(id, pos),
+            ColVals::Chunked(col) => col.at(id),
+        }
+    }
+
+    /// Append the values behind `ids` to `out`.
+    fn gather_into(self, out: &mut Vec<Value>, ids: impl Iterator<Item = u32>) {
+        match self {
+            ColVals::Flat(vals) => out.extend(ids.map(|id| vals[id as usize])),
+            ColVals::Chunked(col) => out.extend(ids.map(|id| *col.at(id))),
         }
     }
 }
 
 /// One borrowed plan input: a flat columnar relation or a chunked view over
 /// segmented storage, optionally tagged as [`shared`](Self::shared) across
-/// the executions of one batch. Cheap to copy; all variants give O(1)-ish
-/// row access (chunked access is a binary search over the bucket starts).
+/// the executions of one batch. Cheap to copy; every variant gives O(1) row
+/// access (a chunked input reads its row map; see [`ChunkedRows`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PlanInput<'a> {
     rows: Rows<'a>,
@@ -1944,6 +2017,21 @@ mod tests {
         seg
     }
 
+    /// The relation split into consecutive buckets of the given sizes (an
+    /// empty bucket is a resident segment with no row), preserving row
+    /// order within the chunked iteration.
+    fn segmented_by(rel: &Relation, sizes: &[usize]) -> SegmentedRelation {
+        assert_eq!(sizes.iter().sum::<usize>(), rel.len());
+        let mut seg = SegmentedRelation::new(rel.schema().clone());
+        let mut start = 0;
+        for (bucket, &size) in sizes.iter().enumerate() {
+            seg.append_range(bucket as u64, rel, start..start + size)
+                .unwrap();
+            start += size;
+        }
+        seg
+    }
+
     #[test]
     fn chunked_inputs_match_flat_inputs() {
         let rels = edges_db();
@@ -1964,6 +2052,91 @@ mod tests {
         assert_eq!(flat.sorted(), via_chunks.sorted());
         assert!(scratch.scratch_reuses() >= 1);
         assert_eq!(scratch.rows_materialized(), (flat.len() * 2) as u64);
+
+        // Uneven buckets of 1, 0, 5 and 2 rows: every chunk boundary, one
+        // after an empty chunk, lies on some join path. Flat and chunked
+        // agree row for row, through fresh and through shared join tables.
+        let int = Value::Int;
+        let edges: Vec<[Value; 2]> = [
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (2, 4),
+            (4, 5),
+            (5, 1),
+            (3, 5),
+            (5, 2),
+        ]
+        .map(|(a, b)| [int(a), int(b)])
+        .to_vec();
+        let edge = relation_of(["src", "dst"], &edges);
+        let seg = segmented_by(&edge, &[1, 0, 5, 2]);
+        let chunked = ChunkedRows::from_segmented(&seg);
+        assert_eq!(chunked.len(), 8);
+        for shared in [false, true] {
+            let mut scratch = ExecScratch::new();
+            let mut plan = PhysicalPlan::compile(&two_hop(), |_| Some(2)).unwrap();
+            let flat = plan
+                .execute(&[PlanInput::from(&edge)], &mut scratch, false)
+                .unwrap();
+            scratch.begin_batch();
+            let mut input = PlanInput::from(&chunked);
+            if shared {
+                input = input.shared(0);
+            }
+            let via_chunks = plan.execute(&[input], &mut scratch, false).unwrap();
+            assert_eq!(
+                sorted_rows(&flat),
+                ints(&[
+                    [1, 3],
+                    [1, 4],
+                    [2, 4],
+                    [2, 5],
+                    [2, 5],
+                    [3, 1],
+                    [3, 2],
+                    [3, 5],
+                    [4, 1],
+                    [4, 2],
+                    [5, 2],
+                    [5, 3],
+                    [5, 4]
+                ])
+            );
+            assert_eq!(flat, via_chunks, "shared {shared}");
+        }
+    }
+
+    /// Every row of a chunked view reads the value of the flat relation
+    /// behind it, across empty buckets, one-row buckets and long ones.
+    #[test]
+    fn chunked_rows_address_every_row() {
+        for sizes in [
+            vec![1, 0, 5, 2],
+            vec![0, 64, 0, 0, 64],
+            vec![63, 1, 1, 130, 0, 2, 65, 3],
+            vec![3; 50],
+            vec![200],
+        ] {
+            let n: usize = sizes.iter().sum();
+            let rows: Vec<[Value; 2]> = (0..n as i64)
+                .map(|i| [Value::Int(i), Value::Int(-i)])
+                .collect();
+            let rel = relation_of(["a", "b"], &rows);
+            let seg = segmented_by(&rel, &sizes);
+            let chunked = ChunkedRows::from_segmented(&seg);
+            assert_eq!(chunked.len() as usize, n);
+            let input = PlanInput::from(&chunked);
+            for i in 0..n as u32 {
+                for pos in 0..2 {
+                    assert_eq!(
+                        input.value(i, pos),
+                        &rel.col_values(pos as usize)[i as usize],
+                        "{sizes:?}: row {i}"
+                    );
+                }
+            }
+        }
     }
 
     /// Relations `a(k)`, `b(k, v)` and `c(w)` of small ints.

@@ -1,9 +1,9 @@
 //! `cargo run -p xtask -- bench-ab <base-rev> [--pairs N] [--seconds S]
-//! [--seed N] [--workloads W…]`: the repo benchmark on a base revision
-//! against the working tree, in alternating pairs.
+//! [--seed N] [--workloads W…] [--record]`: the repo benchmark on a base
+//! revision against the working tree, in alternating pairs.
 //!
-//! 1. The base revision is checked out with `git worktree add` under
-//!    `target/ab/` (local git only; the worktree is removed again once its
+//! 1. The base revision's files are exported with `git archive` under
+//!    `target/ab/` (local git only; the copy is removed again once its
 //!    benchmark is built), and both benchmark binaries are built `--offline`
 //!    into `target/ab/build-base` and `target/ab/build-head`.
 //! 2. Per workload, `N` untraced pairs run; the side that goes first
@@ -19,16 +19,25 @@
 //!    metric's bound. The one-minute load average is read before and after
 //!    every run.
 //!
+//! 4. With `--record`, a comparison whose matches and digests agree appends
+//!    two lines to `BENCH_HISTORY.jsonl` at the repository root, the base's
+//!    and then the working tree's (see [`HistoryLine`]): the checked-in
+//!    trajectory of the benchmark's end-to-end numbers.
+//!
 //! Exits 1 when the two sides' matches or digests differ on any workload or
 //! any run fails, 2 on a usage error.
 
 use std::fmt::Write as _;
 use std::fs;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::{Command, ExitCode, Stdio};
 
 const USAGE: &str = "usage: cargo run -p xtask -- bench-ab <base-rev> [--pairs N] \
-                     [--seconds S] [--seed N] [--workloads W...]";
+                     [--seconds S] [--seed N] [--workloads W...] [--record]";
+
+/// The trajectory `--record` appends to, at the repository root.
+const HISTORY: &str = "BENCH_HISTORY.jsonl";
 
 /// The command line of one comparison.
 #[derive(Debug)]
@@ -39,6 +48,8 @@ struct Options {
     seed: u64,
     /// Empty: every workload `BENCHMARK.json` declares.
     workloads: Vec<String>,
+    /// Append both sides' lines to [`HISTORY`].
+    record: bool,
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -48,6 +59,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         seconds: 4.0,
         seed: 1,
         workloads: Vec::new(),
+        record: false,
     };
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
@@ -66,6 +78,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
             }
             "--seed" => opts.seed = value()?.parse().map_err(|_| format!("bad {arg}"))?,
+            "--record" => opts.record = true,
             "--workloads" => {
                 while let Some(w) = it.next_if(|a| !a.starts_with("--")) {
                     let names = w.split(',').filter(|n| !n.is_empty());
@@ -295,6 +308,360 @@ fn verdict(pairs: &[(f64, f64)], metric: &EndToEnd) -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
+// The trajectory: one JSON line per measured commit.
+// ---------------------------------------------------------------------------
+
+/// One line of `BENCH_HISTORY.jsonl`: one side of a recorded comparison.
+///
+/// `{"commit": "<sha>", "uncommitted": false, "cpu": "<model>", "nproc": 2,
+/// "seed": 1, "pairs": 10, "seconds": 4, "load": {"before": 1.2, "after":
+/// 1.4}, "workloads": {"<name>": {"<metric>": {"median": m, "q1": a, "q3":
+/// b}, …}, …}, "pipelined_over_selective": r}`. A number that is not finite
+/// is written `null`; the ratio is `null` unless both `feed_pipelined` and
+/// `feed_selective` ran.
+#[derive(Debug, Clone, PartialEq)]
+struct HistoryLine {
+    /// The commit measured; for the working tree, the commit it sits on.
+    commit: String,
+    /// The working tree had uncommitted changes on top of `commit`.
+    uncommitted: bool,
+    /// The CPU model (`/proc/cpuinfo`'s first `model name`).
+    cpu: String,
+    /// The CPUs the runs could use (what `nproc` prints).
+    nproc: usize,
+    seed: u64,
+    pairs: usize,
+    seconds: f64,
+    /// The one-minute load average before the first run of the comparison
+    /// and after its last.
+    load: (f64, f64),
+    /// Per workload, per end-to-end metric, the median and quartiles of
+    /// this side's untraced runs.
+    workloads: Vec<(String, Vec<(String, Spread)>)>,
+    /// `feed_pipelined` ÷ `feed_selective` median `docs_per_s`.
+    pipelined_over_selective: Option<f64>,
+}
+
+/// `v` as JSON: `null` when not finite.
+fn json_number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".into()
+    }
+}
+
+/// `s` as a JSON string literal.
+fn json_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+impl HistoryLine {
+    /// The line, without its newline.
+    fn to_json(&self) -> String {
+        let spread = |sp: &Spread| {
+            format!(
+                "{{\"median\": {}, \"q1\": {}, \"q3\": {}}}",
+                json_number(sp.median),
+                json_number(sp.q1),
+                json_number(sp.q3)
+            )
+        };
+        let workloads: Vec<String> = (self.workloads.iter())
+            .map(|(name, metrics)| {
+                let metrics: Vec<String> = (metrics.iter())
+                    .map(|(m, sp)| format!("{}: {}", json_string(m), spread(sp)))
+                    .collect();
+                format!("{}: {{{}}}", json_string(name), metrics.join(", "))
+            })
+            .collect();
+        format!(
+            "{{\"commit\": {}, \"uncommitted\": {}, \"cpu\": {}, \"nproc\": {}, \"seed\": {}, \
+             \"pairs\": {}, \"seconds\": {}, \"load\": {{\"before\": {}, \"after\": {}}}, \
+             \"workloads\": {{{}}}, \"pipelined_over_selective\": {}}}",
+            json_string(&self.commit),
+            self.uncommitted,
+            json_string(&self.cpu),
+            self.nproc,
+            self.seed,
+            self.pairs,
+            json_number(self.seconds),
+            json_number(self.load.0),
+            json_number(self.load.1),
+            workloads.join(", "),
+            self.pipelined_over_selective
+                .map_or("null".into(), json_number),
+        )
+    }
+
+    /// Parse a line [`to_json`](Self::to_json) wrote.
+    fn parse(line: &str) -> Result<HistoryLine, String> {
+        let json = Json::parse(line)?;
+        let field = |key: &str| json.get(key).ok_or(format!("no `{key}`"));
+        let text = |key: &str| -> Result<String, String> {
+            field(key)?
+                .as_str()
+                .map(str::to_owned)
+                .ok_or(format!("`{key}` is not a string"))
+        };
+        let number = |v: &Json, key: &str| -> Result<f64, String> {
+            match v {
+                Json::Null => Ok(f64::NAN),
+                Json::Number(n) => Ok(*n),
+                _ => Err(format!("`{key}` is not a number")),
+            }
+        };
+        let count = |key: &str| -> Result<u64, String> {
+            let n = number(field(key)?, key)?;
+            (n >= 0.0 && n.fract() == 0.0)
+                .then_some(n as u64)
+                .ok_or(format!("`{key}` is not a count"))
+        };
+        let load = field("load")?;
+        let load_at = |key: &str| number(load.get(key).ok_or(format!("no load `{key}`"))?, key);
+        let Json::Object(workloads) = field("workloads")? else {
+            return Err("`workloads` is not an object".into());
+        };
+        let workloads = (workloads.iter())
+            .map(|(name, metrics)| {
+                let Json::Object(metrics) = metrics else {
+                    return Err(format!("{name}: not an object"));
+                };
+                let metrics = (metrics.iter())
+                    .map(|(m, sp)| {
+                        let at =
+                            |q: &str| number(sp.get(q).ok_or(format!("{name}.{m}: no `{q}`"))?, q);
+                        let spread = Spread {
+                            q1: at("q1")?,
+                            median: at("median")?,
+                            q3: at("q3")?,
+                        };
+                        Ok((m.clone(), spread))
+                    })
+                    .collect::<Result<_, String>>()?;
+                Ok((name.clone(), metrics))
+            })
+            .collect::<Result<_, String>>()?;
+        let ratio = number(
+            field("pipelined_over_selective")?,
+            "pipelined_over_selective",
+        )?;
+        Ok(HistoryLine {
+            commit: text("commit")?,
+            uncommitted: match field("uncommitted")? {
+                Json::Bool(b) => *b,
+                _ => return Err("`uncommitted` is not a boolean".into()),
+            },
+            cpu: text("cpu")?,
+            nproc: count("nproc")? as usize,
+            seed: count("seed")?,
+            pairs: count("pairs")? as usize,
+            seconds: number(field("seconds")?, "seconds")?,
+            load: (load_at("before")?, load_at("after")?),
+            workloads,
+            pipelined_over_selective: (!ratio.is_nan()).then_some(ratio),
+        })
+    }
+}
+
+/// A parsed JSON value: just enough JSON for the trajectory's lines (no
+/// arrays).
+#[derive(Debug, Clone, PartialEq)]
+enum Json {
+    Null,
+    Bool(bool),
+    Number(f64),
+    String(String),
+    /// Members in written order.
+    Object(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Parse one JSON document; nothing but whitespace may follow it.
+    fn parse(text: &str) -> Result<Json, String> {
+        let mut p = JsonParser {
+            bytes: text.as_bytes(),
+            at: 0,
+        };
+        let value = p.value()?;
+        p.skip_ws();
+        if p.at != p.bytes.len() {
+            return Err(format!("trailing input at byte {}", p.at));
+        }
+        Ok(value)
+    }
+
+    /// The member `key` of an object.
+    fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::String(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// A recursive-descent JSON reader over bytes.
+struct JsonParser<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl JsonParser<'_> {
+    fn skip_ws(&mut self) {
+        while self
+            .bytes
+            .get(self.at)
+            .is_some_and(|b| b.is_ascii_whitespace())
+        {
+            self.at += 1;
+        }
+    }
+
+    fn expect(&mut self, byte: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.bytes.get(self.at) == Some(&byte) {
+            self.at += 1;
+            Ok(())
+        } else {
+            Err(format!("expected `{}` at byte {}", byte as char, self.at))
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+        if self.bytes[self.at..].starts_with(word.as_bytes()) {
+            self.at += word.len();
+            Ok(value)
+        } else {
+            Err(format!("bad literal at byte {}", self.at))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.bytes.get(self.at) {
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => self.string().map(Json::String),
+            Some(b'{') => {
+                self.at += 1;
+                let mut members = Vec::new();
+                self.skip_ws();
+                if self.bytes.get(self.at) == Some(&b'}') {
+                    self.at += 1;
+                    return Ok(Json::Object(members));
+                }
+                loop {
+                    self.skip_ws();
+                    let key = self.string()?;
+                    self.expect(b':')?;
+                    members.push((key, self.value()?));
+                    self.skip_ws();
+                    match self.bytes.get(self.at) {
+                        Some(b',') => self.at += 1,
+                        Some(b'}') => {
+                            self.at += 1;
+                            return Ok(Json::Object(members));
+                        }
+                        _ => return Err(format!("expected `,` or `}}` at byte {}", self.at)),
+                    }
+                }
+            }
+            Some(_) => {
+                let start = self.at;
+                while self
+                    .bytes
+                    .get(self.at)
+                    .is_some_and(|b| b.is_ascii_digit() || b"+-.eE".contains(b))
+                {
+                    self.at += 1;
+                }
+                let text = std::str::from_utf8(&self.bytes[start..self.at]).unwrap_or("");
+                text.parse()
+                    .map(Json::Number)
+                    .map_err(|_| format!("bad value at byte {start}"))
+            }
+            None => Err("unexpected end of input".into()),
+        }
+    }
+
+    /// A string literal, the cursor on its opening quote.
+    fn string(&mut self) -> Result<String, String> {
+        if self.bytes.get(self.at) != Some(&b'"') {
+            return Err(format!("expected a string at byte {}", self.at));
+        }
+        self.at += 1;
+        let mut out = Vec::new();
+        loop {
+            match *self.bytes.get(self.at).ok_or("unterminated string")? {
+                b'"' => {
+                    self.at += 1;
+                    return String::from_utf8(out).map_err(|_| "a string is not UTF-8".into());
+                }
+                b'\\' => {
+                    let escaped = *self.bytes.get(self.at + 1).ok_or("unterminated escape")?;
+                    self.at += 2;
+                    match escaped {
+                        b'"' | b'\\' | b'/' => out.push(escaped),
+                        b'n' => out.push(b'\n'),
+                        b't' => out.push(b'\t'),
+                        b'r' => out.push(b'\r'),
+                        b'u' => {
+                            let hex = self.bytes.get(self.at..self.at + 4).ok_or("short \\u")?;
+                            let code = std::str::from_utf8(hex)
+                                .ok()
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or("bad \\u escape")?;
+                            self.at += 4;
+                            let mut buf = [0; 4];
+                            out.extend_from_slice(code.encode_utf8(&mut buf).as_bytes());
+                        }
+                        _ => return Err(format!("bad escape at byte {}", self.at - 1)),
+                    }
+                }
+                b => {
+                    out.push(b);
+                    self.at += 1;
+                }
+            }
+        }
+    }
+}
+
+/// The CPU model `/proc/cpuinfo` names first, or `unknown`.
+fn cpu_model() -> String {
+    fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+// ---------------------------------------------------------------------------
 // Building and running.
 // ---------------------------------------------------------------------------
 
@@ -335,20 +702,37 @@ fn build(manifest: &Path, target_dir: &Path) -> Result<PathBuf, String> {
     Ok(target_dir.join("release").join("mmqjp-benchmark"))
 }
 
-/// Check `sha` out in a worktree under `ab`, build its benchmark into
-/// `ab/build-base`, and remove the worktree again.
+/// Export `sha`'s files under `ab` with `git archive`, build its benchmark
+/// into `ab/build-base`, and remove the copy again.
 fn build_base(root: &Path, ab: &Path, sha: &str) -> Result<PathBuf, String> {
     let src = ab.join(format!("src-{}", &sha[..12.min(sha.len())]));
-    let src_arg = src.to_string_lossy().into_owned();
     if src.exists() {
-        // A worktree left by an interrupted run.
-        let _ = git(root, &["worktree", "remove", "--force", &src_arg]);
-        let _ = fs::remove_dir_all(&src);
-        let _ = git(root, &["worktree", "prune"]);
+        // A copy left by an interrupted run.
+        fs::remove_dir_all(&src).map_err(|e| format!("{}: {e}", src.display()))?;
     }
-    git(root, &["worktree", "add", "--detach", &src_arg, sha])?;
+    fs::create_dir_all(&src).map_err(|e| format!("{}: {e}", src.display()))?;
+    let mut archive = Command::new("git")
+        .current_dir(root)
+        .args(["archive", "--format=tar", sha])
+        .stdout(Stdio::piped())
+        .spawn()
+        .map_err(|e| format!("git archive: {e}"))?;
+    let tar = archive.stdout.take().ok_or("git archive: no output pipe")?;
+    let unpacked = Command::new("tar")
+        .arg("-x")
+        .arg("-C")
+        .arg(&src)
+        .stdin(tar)
+        .status()
+        .map_err(|e| format!("tar: {e}"))?;
+    let archived = archive.wait().map_err(|e| format!("git archive: {e}"))?;
+    if !archived.success() || !unpacked.success() {
+        return Err(format!(
+            "exporting {sha} failed ({archived}, tar {unpacked})"
+        ));
+    }
     let built = build(&src.join("benchmark/Cargo.toml"), &ab.join("build-base"));
-    git(root, &["worktree", "remove", "--force", &src_arg])?;
+    fs::remove_dir_all(&src).map_err(|e| format!("{}: {e}", src.display()))?;
     built
 }
 
@@ -625,16 +1009,97 @@ fn compare(root: &Path, opts: &Options) -> Result<bool, String> {
         std::thread::available_parallelism().map_or(0, |n| n.get()),
     );
     let mut all_same = true;
+    let load_before = load_average();
+    let mut spreads = (Vec::new(), Vec::new());
     for w in &workloads {
         let runs = run_workload((&base_exe, &head_exe), w, opts)?;
         let (text, same) = report(w, &runs, &metrics);
         print!("{text}");
         all_same &= same;
+        spreads
+            .0
+            .push((w.clone(), side_spreads(&runs, &metrics, |p| &p.0)));
+        spreads
+            .1
+            .push((w.clone(), side_spreads(&runs, &metrics, |p| &p.1)));
     }
     if !all_same {
         println!("bench-ab: matches or digests DIFFER");
+    } else if opts.record {
+        let load = (load_before, load_average());
+        let line = |commit: &str, uncommitted, workloads| {
+            history_line(commit, uncommitted, opts, load, workloads).to_json()
+        };
+        let head_sha = git(root, &["rev-parse", "HEAD"])?;
+        let lines = format!(
+            "{}\n{}\n",
+            line(&sha, false, spreads.0),
+            line(&head_sha, dirty, spreads.1)
+        );
+        let path = root.join(HISTORY);
+        // The trajectory stays machine-readable: nothing is appended to a
+        // file holding a line this parser rejects.
+        let existing = fs::read_to_string(&path).unwrap_or_default();
+        for (i, l) in existing.lines().enumerate() {
+            HistoryLine::parse(l).map_err(|e| format!("{HISTORY} line {}: {e}", i + 1))?;
+        }
+        let mut file = fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        file.write_all(lines.as_bytes())
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        println!("bench-ab: recorded base and head in {HISTORY}");
     }
     Ok(all_same)
+}
+
+/// Per end-to-end metric, the spread of one side's untraced runs.
+fn side_spreads(
+    runs: &WorkloadRuns,
+    metrics: &[EndToEnd],
+    side: fn(&(Run, Run)) -> &Run,
+) -> Vec<(String, Spread)> {
+    (metrics.iter())
+        .map(|m| {
+            let values: Vec<f64> = (runs.pairs.iter())
+                .map(|p| side(p).result.metric(&m.name).unwrap_or(f64::NAN))
+                .collect();
+            (m.name.clone(), Spread::of(&values))
+        })
+        .collect()
+}
+
+/// One side's [`HistoryLine`] on this machine.
+fn history_line(
+    commit: &str,
+    uncommitted: bool,
+    opts: &Options,
+    load: (f64, f64),
+    workloads: Vec<(String, Vec<(String, Spread)>)>,
+) -> HistoryLine {
+    let docs_per_s = |name: &str| {
+        let (_, metrics) = workloads.iter().find(|(w, _)| w == name)?;
+        let (_, spread) = metrics.iter().find(|(m, _)| m == "docs_per_s")?;
+        Some(spread.median)
+    };
+    let ratio = docs_per_s("feed_pipelined")
+        .zip(docs_per_s("feed_selective"))
+        .map(|(p, s)| p / s)
+        .filter(|r| r.is_finite());
+    HistoryLine {
+        commit: commit.to_owned(),
+        uncommitted,
+        cpu: cpu_model(),
+        nproc: std::thread::available_parallelism().map_or(0, |n| n.get()),
+        seed: opts.seed,
+        pairs: opts.pairs,
+        seconds: opts.seconds,
+        load,
+        workloads,
+        pipelined_over_selective: ratio,
+    }
 }
 
 #[cfg(test)]
@@ -660,6 +1125,10 @@ mod tests {
         assert_eq!(o.base, "abc");
         assert_eq!((o.pairs, o.seconds, o.seed), (10, 2.5, 7));
         assert_eq!(o.workloads, ["a", "b", "c"]);
+        assert!(!o.record);
+        let o = parse_options(&args("abc --record --workloads a")).unwrap();
+        assert!(o.record);
+        assert_eq!(o.workloads, ["a"]);
         for bad in [
             "",
             "a b",
@@ -717,6 +1186,107 @@ mod tests {
             metrics.iter().all(|m| !m.name.contains('.')),
             "per-layer leaked in"
         );
+    }
+
+    fn sample_line() -> HistoryLine {
+        let spread = |median: f64| Spread {
+            q1: median - 1.5,
+            median,
+            q3: median + 2.25,
+        };
+        HistoryLine {
+            commit: "0103566".into(),
+            uncommitted: true,
+            cpu: "Some \"quoted\" CPU @ 2.00GHz\t".into(),
+            nproc: 2,
+            seed: 1,
+            pairs: 10,
+            seconds: 4.0,
+            load: (1.25, f64::NAN),
+            workloads: vec![
+                (
+                    "feed_pipelined".into(),
+                    vec![("docs_per_s".into(), spread(30_000.0))],
+                ),
+                (
+                    "feed_selective".into(),
+                    vec![
+                        ("docs_per_s".into(), spread(60_000.0)),
+                        ("batch_p50_ms".into(), spread(0.4753)),
+                    ],
+                ),
+            ],
+            pipelined_over_selective: Some(0.5),
+        }
+    }
+
+    /// A line reads back as what was written: NaN as `null`, the ratio
+    /// absent as `null`, strings escaped, workloads and metrics in order.
+    #[test]
+    fn history_lines_round_trip() {
+        let line = sample_line();
+        let json = line.to_json();
+        assert!(!json.contains('\n'), "{json}");
+        assert!(json.starts_with(r#"{"commit": "0103566", "uncommitted": true, "cpu": "Some \"quoted\" CPU @ 2.00GHz\u0009", "nproc": 2,"#), "{json}");
+        assert!(
+            json.contains(r#""load": {"before": 1.25, "after": null}"#),
+            "{json}"
+        );
+        assert!(json.contains(r#""feed_selective": {"docs_per_s": {"median": 60000, "q1": 59998.5, "q3": 60002.25}, "batch_p50_ms": {"#), "{json}");
+        assert!(
+            json.ends_with(r#""pipelined_over_selective": 0.5}"#),
+            "{json}"
+        );
+        let back = HistoryLine::parse(&json).unwrap();
+        assert!(back.load.1.is_nan());
+        let same = |a: &HistoryLine, b: &HistoryLine| {
+            let strip = |l: &HistoryLine| HistoryLine {
+                load: (l.load.0, 0.0),
+                ..l.clone()
+            };
+            strip(a) == strip(b)
+        };
+        assert!(same(&back, &line), "{back:?}");
+
+        let none = HistoryLine {
+            pipelined_over_selective: None,
+            workloads: Vec::new(),
+            ..line
+        };
+        let json = none.to_json();
+        assert!(json.contains(r#""workloads": {}, "pipelined_over_selective": null}"#));
+        assert!(same(&HistoryLine::parse(&json).unwrap(), &none));
+    }
+
+    #[test]
+    fn malformed_history_lines_are_rejected() {
+        let good = sample_line().to_json();
+        for bad in [
+            String::new(),
+            good.replace("\"nproc\": 2", "\"nproc\": 2.5"),
+            good.replace("\"uncommitted\": true", "\"uncommitted\": 1"),
+            good.replace("\"commit\": \"0103566\", ", ""),
+            good.replace("\"q3\"", "\"q4\""),
+            good.replace("\"load\": {", "\"load\": ["),
+            format!("{good} trailing"),
+            good[..good.len() - 1].to_owned(),
+        ] {
+            assert!(HistoryLine::parse(&bad).is_err(), "{bad}");
+        }
+    }
+
+    /// The checked-in trajectory parses, a base line before each head line.
+    #[test]
+    fn the_checked_in_history_parses() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
+        let history = fs::read_to_string(root.join(HISTORY)).unwrap();
+        let lines: Vec<HistoryLine> = (history.lines())
+            .map(|l| HistoryLine::parse(l).unwrap())
+            .collect();
+        assert!(lines.len() >= 2, "{} lines", lines.len());
+        for line in &lines {
+            assert!(!line.workloads.is_empty() && line.nproc > 0, "{line:?}");
+        }
     }
 
     #[test]
